@@ -18,7 +18,7 @@ use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_litedb::drivers::{run_online_backup, OnlineBackupConfig};
 use msnap_sim::{Nanos, Vt};
-use msnap_snap::sync_to;
+use msnap_snap::{sync_to, DeltaStream, PageFrame, StreamTrailer};
 use msnap_store::ObjectStore;
 
 const OBJECT_PAGES: u64 = 1024;
@@ -37,6 +37,15 @@ fn page_image(tag: u64, page: u64) -> Vec<u8> {
     img[0..8].copy_from_slice(&tag.to_le_bytes());
     img[8..16].copy_from_slice(&page.to_le_bytes());
     img
+}
+
+/// Wire bytes of `stream`'s pages shipped at page granularity: one
+/// full-page frame per diffed page, no sub-page framing, dedup or
+/// compression — the baseline the delta formats are measured against.
+fn page_granular_bytes(stream: &DeltaStream) -> u64 {
+    (stream.header.encoded_len()
+        + stream.frames.len() * PageFrame::encoded_len()
+        + StreamTrailer::encoded_len()) as u64
 }
 
 /// Persists `pages` sequential page images in one μCheckpoint.
@@ -213,9 +222,9 @@ fn sweep_delta() -> Vec<DeltaPoint> {
             .snapshot_create(&mut vt, &mut disk, obj, &name)
             .unwrap();
         // What a non-incremental backup would ship at this instant.
-        let full_bytes = msnap_snap::DeltaStream::build(&mut vt, &mut disk, &mut store, None, &name)
-            .unwrap()
-            .encoded_len() as u64;
+        let full_bytes = page_granular_bytes(
+            &DeltaStream::build(&mut vt, &mut disk, &mut store, None, &name, None, None).unwrap(),
+        );
         let t0 = vt.now();
         let report = sync_to(
             &mut vt,
@@ -318,11 +327,7 @@ fn sweep_small_writes() -> Vec<SmallWritePoint> {
             .snapshot_create(&mut vt, &mut disk, obj, &name)
             .unwrap();
 
-        let page_bytes =
-            msnap_snap::DeltaStream::build(&mut vt, &mut disk, &mut store, Some(&base), &name)
-                .unwrap()
-                .encoded_len() as u64;
-        let subpage_bytes = msnap_snap::DeltaStream::build_v2(
+        let stream = DeltaStream::build(
             &mut vt,
             &mut disk,
             &mut store,
@@ -331,13 +336,12 @@ fn sweep_small_writes() -> Vec<SmallWritePoint> {
             None,
             None,
         )
-        .unwrap()
-        .encoded_len() as u64;
+        .unwrap();
         points.push(SmallWritePoint {
             writes,
             changed_bytes: writes * 64,
-            page_bytes,
-            subpage_bytes,
+            page_bytes: page_granular_bytes(&stream),
+            subpage_bytes: stream.encoded_len() as u64,
         });
         store.snapshot_delete(&mut vt, &mut disk, &base).unwrap();
         base = name;

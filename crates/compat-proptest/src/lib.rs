@@ -308,6 +308,8 @@ pub mod test_runner {
         }
     }
 
+    // A private copy: this crate stands in for the published `proptest`
+    // and must not depend on any `msnap-*` crate.
     fn fnv1a(s: &str) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in s.bytes() {

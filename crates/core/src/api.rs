@@ -3,6 +3,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use msnap_disk::Disk;
+use msnap_sim::hash::fnv1a32;
 use msnap_sim::{Category, Meters, Nanos, Vt, VthreadId};
 use msnap_store::{ObjectId as StoreObjId, ObjectStore, ScrubStats, VectorCut};
 use msnap_vm::{AsId, DirtyPage, MemObjectId, ResetStrategy, TrackMode, Vm, PAGE_SIZE};
@@ -66,16 +67,6 @@ const CARVE_VERSION: u32 = 1;
 /// Encoded carve header length (the rest of page 0 up to
 /// [`IndexCarve::META_OFF`] is reserved, and beyond it structure-owned).
 const CARVE_HDR_LEN: usize = 32;
-
-/// 32-bit FNV-1a, for the carve-header checksum.
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
 
 fn encode_carve_header(kind: u32, writers: u32, arena_pages: u64) -> [u8; CARVE_HDR_LEN] {
     let mut hdr = [0u8; CARVE_HDR_LEN];
@@ -210,31 +201,32 @@ impl std::fmt::Debug for MemSnap {
 }
 
 impl MemSnap {
-    /// Formats `disk` with an empty store and returns a fresh MemSnap.
+    /// Formats `disk` with an empty single-shard store and returns a
+    /// fresh MemSnap.
     pub fn format(disk: Disk) -> Self {
-        Self::format_with(disk, 1)
+        Self::format_sharded(disk, 1)
     }
 
     /// Formats `disk` with an empty store partitioned into `shard_count`
     /// shards and returns a fresh MemSnap. With more than one shard,
     /// commits against regions on different shards share no store state
-    /// on the hot path, and [`MemSnap::msnap_cut`] names cross-shard
-    /// consistency points. `shard_count == 1` is the legacy layout.
-    pub fn format_sharded(disk: Disk, shard_count: usize) -> Self {
-        Self::format_with(disk, shard_count)
-    }
-
-    fn format_with(mut disk: Disk, shard_count: usize) -> Self {
-        let mut store = if shard_count > 1 {
-            ObjectStore::format_sharded(&mut disk, shard_count)
-        } else {
-            ObjectStore::format(&mut disk)
-        };
+    /// on the hot path; [`MemSnap::msnap_cut`] names consistency points
+    /// across however many shards there are.
+    pub fn format_sharded(mut disk: Disk, shard_count: usize) -> Self {
+        let mut store = ObjectStore::format_sharded(&mut disk, shard_count);
         let mut vt = Vt::new(u32::MAX); // boot-time setup thread
         let manifest_obj = store
             .create(&mut vt, &mut disk, MANIFEST_NAME)
             .expect("fresh store accepts the manifest object");
-        let mut ms = MemSnap {
+        let mut ms = Self::with_store(disk, store, manifest_obj);
+        ms.persist_manifest(&mut vt)
+            .expect("formatting a faulty device is unsupported");
+        ms
+    }
+
+    /// A MemSnap over an open store, with no regions registered yet.
+    fn with_store(disk: Disk, store: ObjectStore, manifest_obj: StoreObjId) -> Self {
+        MemSnap {
             vm: Vm::new(),
             disk,
             store,
@@ -255,10 +247,7 @@ impl MemSnap {
             pipeline: VecDeque::new(),
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             subpage: HashMap::new(),
-        };
-        ms.persist_manifest(&mut vt)
-            .expect("formatting a faulty device is unsupported");
-        ms
+        }
     }
 
     /// Reopens MemSnap from a crashed or cleanly shut-down device.
@@ -313,28 +302,7 @@ impl MemSnap {
                 .expect("manifest object exists");
         });
 
-        let mut ms = MemSnap {
-            vm: Vm::new(),
-            disk,
-            store,
-            manifest_obj,
-            regions: Vec::new(),
-            by_name: HashMap::new(),
-            next_va: REGION_VA_BASE,
-            strategy: ResetStrategy::TraceBuffer,
-            completions: HashMap::new(),
-            sticky: BTreeMap::new(),
-            all_epoch: 0,
-            meters: Meters::new(),
-            last_breakdown: PersistBreakdown::default(),
-            coalesce_window: DEFAULT_COALESCE_WINDOW,
-            open_batches: HashMap::new(),
-            finished: HashMap::new(),
-            batch_seq: 0,
-            pipeline: VecDeque::new(),
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
-            subpage: HashMap::new(),
-        };
+        let mut ms = Self::with_store(disk, store, manifest_obj);
         for entry in manifest.entries {
             let store_obj = match ms.store.lookup(&entry.name) {
                 Some(obj) => obj,
@@ -1041,7 +1009,7 @@ impl MemSnap {
         }
     }
 
-    /// Stamps (and on a sharded device durably persists) a manifest-wide
+    /// Stamps and durably persists a manifest-wide
     /// epoch-vector cut — the two-phase fuzzy cut. **Drain:** every open
     /// group-commit batch is flushed, so no in-flight ticket straddles
     /// the cut. **Stamp:** the store records `[e_0..e_{N-1}]` per-shard
@@ -1345,11 +1313,10 @@ impl MemSnap {
 
     /// Runs one IO-budgeted slice of the online integrity scrub over
     /// every store object (including the manifest), returning what this
-    /// slice alone verified, backfilled, and repaired.
+    /// slice alone verified and repaired.
     ///
     /// The scrub walks the committed trees verifying node and page
-    /// media against their Merkle-chained digests, backfills digests
-    /// missing from pre-digest (v1) layouts, and self-heals corrupt
+    /// media against their Merkle-chained digests and self-heals corrupt
     /// pages from the newest retained snapshot holding a clean copy.
     /// Pages with no clean local source are quarantined and reported
     /// through [`ObjectStore::unrepaired_pages`] (reachable via
@@ -2335,11 +2302,18 @@ mod tests {
 
     #[test]
     fn sharded_format_cut_restore_round_trip() {
-        let mut ms = MemSnap::format_sharded(Disk::new(DiskConfig::paper()), 4);
+        // A cut is durable on every store; one shard is just `N = 1`.
+        for shards in [1, 4] {
+            cut_restore_round_trip(shards);
+        }
+    }
+
+    fn cut_restore_round_trip(shards: usize) {
+        let mut ms = MemSnap::format_sharded(Disk::new(DiskConfig::paper()), shards);
         let mut vt = Vt::new(0);
         let space = ms.vm_mut().create_space();
         let t = vt.id();
-        assert_eq!(ms.store().shard_count(), 4);
+        assert_eq!(ms.store().shard_count(), shards);
         let a = ms.msnap_open(&mut vt, space, "alpha", 8).unwrap();
         let b = ms.msnap_open(&mut vt, space, "beta", 8).unwrap();
         ms.write(&mut vt, space, t, a.addr, &[1; 64]).unwrap();
@@ -2354,7 +2328,7 @@ mod tests {
 
         let disk = ms.crash(vt.now());
         let mut ms = MemSnap::restore(&mut vt, disk).unwrap();
-        assert_eq!(ms.store().shard_count(), 4);
+        assert_eq!(ms.store().shard_count(), shards);
         let recovered = ms.last_cut().cloned().expect("cut survives the crash");
         assert_eq!(recovered, cut);
         assert!(recovered.complete_under(&ms.store().epoch_vector()));

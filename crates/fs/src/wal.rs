@@ -5,6 +5,7 @@
 //! `fsync`, and replayed after a crash up to the first torn record.
 
 use msnap_disk::Disk;
+use msnap_sim::hash::fnv1a;
 use msnap_sim::Vt;
 
 use crate::{Fd, FileSystem};
@@ -14,16 +15,6 @@ use crate::{Fd, FileSystem};
 pub struct WalRecord {
     /// The record payload.
     pub payload: Vec<u8>,
-}
-
-/// FNV-1a 64, the record checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 /// A write-ahead log over a [`FileSystem`] file.

@@ -28,12 +28,13 @@
 use std::collections::BTreeMap;
 
 use memsnap::{IndexCarve, MemSnap, MsnapError, PersistFlags, RegionSel};
+use msnap_sim::hash::fnv1a32;
 use msnap_sim::Vt;
 use msnap_vm::{AsId, PAGE_SIZE};
 
 use crate::desc::{scan_ring, OpDesc, OpKind};
 use crate::recover::RecoveryReport;
-use crate::{fnv1a32, op_id, op_parts, scramble, MAX_VALUE, NIL};
+use crate::{op_id, op_parts, scramble, MAX_VALUE, NIL};
 
 /// The carve `kind` tag of a hash table.
 pub(crate) const KIND_HASH: u32 = 2;

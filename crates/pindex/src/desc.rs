@@ -17,10 +17,11 @@
 //! drivers in `msnap-skipdb` enforce this per batch.
 
 use memsnap::{IndexCarve, MemSnap};
+use msnap_sim::hash::fnv1a32;
 use msnap_sim::Vt;
 use msnap_vm::AsId;
 
-use crate::{fnv1a32, op_id, MAX_VALUE};
+use crate::{op_id, MAX_VALUE};
 
 /// Entries per writer log ring (one 4 KiB page of 64-byte entries).
 pub const LOG_ENTRIES: usize = 64;

@@ -89,17 +89,6 @@ pub fn op_parts(op: u64) -> (u32, u32) {
     ((op >> 32) as u32, op as u32)
 }
 
-/// 32-bit FNV-1a over `bytes`, the checksum used by descriptors and
-/// nodes.
-pub(crate) fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 /// Splitmix64 scramble, for deterministic per-key hashing (tower levels,
 /// bucket selection).
 pub(crate) fn scramble(x: u64) -> u64 {

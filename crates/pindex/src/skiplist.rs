@@ -23,11 +23,12 @@
 //! writers between them.
 
 use memsnap::{IndexCarve, MemSnap, MsnapError};
+use msnap_sim::hash::fnv1a32;
 use msnap_sim::{Category, Nanos, Vt};
 use msnap_vm::{AsId, PAGE_SIZE};
 
 use crate::desc::{OpDesc, OpKind};
-use crate::{fnv1a32, op_id, scramble, MAX_VALUE, NIL};
+use crate::{op_id, scramble, MAX_VALUE, NIL};
 
 /// Tower height cap (geometric p = 1/4, derived from the key hash so
 /// recovery rebuilds identical towers).

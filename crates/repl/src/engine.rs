@@ -215,8 +215,8 @@ pub struct Promotion {
     pub survivors: Vec<(String, Disk)>,
     /// The newest announced epoch-vector cut the promoted replica had
     /// fully reached — the manifest-wide consistent state it stands at
-    /// (or past; fencing only raises epochs). `None` when the primary
-    /// never stamped a cut (single-shard stores).
+    /// (or past; fencing only raises epochs). `None` when no announce
+    /// reached the replica, or none it received was complete yet.
     pub cut: Option<VectorCut>,
 }
 
@@ -1268,7 +1268,7 @@ impl ReplEngine {
                 let stats_before = ms.store().stats();
                 let stream = {
                     let (store, disk) = ms.replication_parts();
-                    DeltaStream::build_v2(
+                    DeltaStream::build(
                         vt,
                         disk,
                         store,

@@ -78,7 +78,7 @@ pub enum Msg {
     },
     /// Primary → replica: one frame of the stream — a full page, a
     /// sub-page run delta, or a dedup reference (the wire forms are
-    /// magic-dispatched, so v1 full-page datagrams decode unchanged).
+    /// magic-dispatched).
     Frame {
         /// Ship the frame belongs to.
         ship: u64,

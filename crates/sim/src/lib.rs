@@ -30,6 +30,7 @@
 //!   percentiles and named call-site statistics.
 //! - [`CostTracker`] / [`Category`]: CPU-time attribution used to reproduce
 //!   the paper's CPU-breakdown tables (Tables 1 and 8).
+//! - [`hash`]: the workspace's one FNV-1a (64- and 32-bit).
 //!
 //! # Example
 //!
@@ -47,6 +48,7 @@
 #![warn(missing_docs)]
 
 mod cost;
+pub mod hash;
 mod interleave;
 mod lock;
 mod net;

@@ -11,7 +11,12 @@
 //! - [`DeltaStream::build`] reads the changed pages of a retained target
 //!   snapshot (relative to a retained base, or the empty image for a
 //!   full sync) and frames them: a checksummed header, one checksummed
-//!   frame per page, and a trailer binding the whole stream.
+//!   frame per page, and a trailer binding the whole stream. The wire
+//!   bytes are proportional to the bytes that changed: [`SubPageFrame`]s
+//!   carry only the changed 64-byte lines of a page (compressed per
+//!   frame, with an incompressible bypass to a plain [`PageFrame`]), and
+//!   a per-link [`DedupTable`] lets pages whose content was already
+//!   shipped travel as ~40-byte [`RefFrame`]s.
 //! - [`ApplySession`] consumes frames one at a time on the replica side,
 //!   validating sequence numbers and checksums as it goes. A truncated
 //!   transfer resumes from [`ApplySession::next_seq`] — already-fed
@@ -24,14 +29,6 @@
 //! - [`sync_to`] is the one-call driver: incremental when the replica's
 //!   epoch matches a retained base snapshot on the primary, full-sync
 //!   fallback when that base is gone.
-//!
-//! Version-2 streams ([`DeltaStream::build_v2`]) make the wire bytes
-//! proportional to the bytes that changed: [`SubPageFrame`]s carry only
-//! the changed 64-byte lines of a page (compressed per frame, with an
-//! incompressible bypass), and a per-link [`DedupTable`] lets pages
-//! whose content was already shipped travel as ~40-byte [`RefFrame`]s.
-//! Version-1 streams remain fully decodable — [`DeltaStream::build`]
-//! still emits them byte-identically to prior releases.
 //!
 //! Every wire structure also encodes and decodes **piecewise**
 //! ([`StreamHeader::encode`], [`PageFrame::encode`],
@@ -69,10 +66,8 @@ use msnap_store::{
     fnv1a, fnv1a_extend, CommitToken, Epoch, ObjectId, ObjectStore, StoreError, VectorCut,
 };
 
-/// Magic number opening a version-1 (full-page frames only) header.
-const STREAM_MAGIC: u64 = 0x4d534e_41504453; // "MSN APDS"
-/// Magic number opening a version-2 (sub-page capable) header.
-const STREAM_MAGIC_V2: u64 = 0x4d534e_41504532; // "MSN APE2"
+/// Magic number opening a stream header.
+const STREAM_MAGIC: u64 = 0x4d534e_41504532; // "MSN APE2"
 /// Magic number opening each full-page frame.
 const FRAME_MAGIC: u64 = 0x4d534e_41504446; // "MSN APDF"
 /// Magic number opening each sub-page frame.
@@ -210,16 +205,10 @@ pub struct StreamHeader {
     pub len_pages: u64,
     /// Number of page frames in the stream.
     pub frame_count: u64,
-    /// The primary's newest durable epoch-vector cut at build time, when
-    /// the primary is sharded and has stamped one. Replication uses it to
-    /// promote replicas only at manifest-wide consistent cuts; a
-    /// single-shard stream carries `None` and decodes unchanged.
+    /// The primary's newest durable epoch-vector cut at build time.
+    /// Replication uses it to promote replicas only at manifest-wide
+    /// consistent cuts.
     pub cut: Option<VectorCut>,
-    /// Stream format version, carried as the header magic: `1` streams
-    /// hold only full-page frames (what every prior build emits and any
-    /// prior decoder accepts); `2` streams may also carry sub-page and
-    /// dedup-reference frames. Decoders here accept both.
-    pub version: u16,
 }
 
 /// One shipped page: its index, its 4 KiB image, and a checksum binding
@@ -265,12 +254,7 @@ impl StreamHeader {
     /// the name bytes; the checksum binds all of it.
     pub fn encode(&self) -> Vec<u8> {
         let mut head = [0u8; HEADER_FIXED];
-        let magic = if self.version >= 2 {
-            STREAM_MAGIC_V2
-        } else {
-            STREAM_MAGIC
-        };
-        write_u64(&mut head, 0, magic);
+        write_u64(&mut head, 0, STREAM_MAGIC);
         write_u64(&mut head, 8, self.object.len() as u64);
         write_u64(&mut head, 16, u64::from(self.base_epoch.is_some()));
         write_u64(&mut head, 24, self.base_epoch.unwrap_or(0));
@@ -305,11 +289,9 @@ impl StreamHeader {
     /// [`SnapError::Malformed`] for truncation, a bad magic, or a
     /// checksum that does not cover the bytes.
     pub fn decode(bytes: &[u8]) -> Result<(StreamHeader, usize), SnapError> {
-        let version = match read_u64(bytes, 0)? {
-            STREAM_MAGIC => 1,
-            STREAM_MAGIC_V2 => 2,
-            _ => return Err(SnapError::Malformed),
-        };
+        if read_u64(bytes, 0)? != STREAM_MAGIC {
+            return Err(SnapError::Malformed);
+        }
         let name_len = read_u64(bytes, 8)? as usize;
         let cut_len = read_u64(bytes, 64)?;
         if cut_len > MAX_CUT_EPOCHS {
@@ -349,7 +331,6 @@ impl StreamHeader {
             len_pages: read_u64(bytes, 40)?,
             frame_count: read_u64(bytes, 48)?,
             cut,
-            version,
         };
         Ok((header, total))
     }
@@ -693,13 +674,12 @@ impl RefFrame {
     }
 }
 
-/// One stream frame: a full page image (the only kind version-1 streams
-/// carry), a sub-page run delta, or a dedup reference. The wire forms
-/// are distinguished by magic, so a mixed stream decodes frame by frame
-/// and a v1 byte stream decodes as all-`Full`.
+/// One stream frame: a full page image, a sub-page run delta, or a
+/// dedup reference. The wire forms are distinguished by magic, so a
+/// mixed stream decodes frame by frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
-    /// A full 4 KiB page image (version-1 compatible).
+    /// A full 4 KiB page image.
     Full(PageFrame),
     /// A sub-page byte-range delta.
     Sub(SubPageFrame),
@@ -1003,73 +983,13 @@ impl DeltaStream {
     /// primary) as a delta against `base` (another retained snapshot of
     /// the same object), or as a full image when `base` is `None`.
     ///
-    /// # Errors
-    ///
-    /// [`SnapError::Store`] wrapping [`StoreError::SnapshotNotFound`] /
-    /// [`StoreError::SnapshotMismatch`] for bad snapshot pairs.
-    pub fn build(
-        vt: &mut Vt,
-        disk: &mut Disk,
-        store: &mut ObjectStore,
-        base: Option<&str>,
-        target: &str,
-    ) -> Result<DeltaStream, SnapError> {
-        let entry = store
-            .snapshot_lookup(target)
-            .ok_or(StoreError::SnapshotNotFound)?
-            .clone();
-        let base_epoch = match base {
-            None => None,
-            Some(name) => Some(
-                store
-                    .snapshot_lookup(name)
-                    .ok_or(StoreError::SnapshotNotFound)?
-                    .epoch,
-            ),
-        };
-        let pages = store.snapshot_diff(vt, disk, base, target)?;
-        let object = store
-            .object_name(entry.object)
-            .ok_or(StoreError::NotFound)?;
-        let mut frames = Vec::with_capacity(pages.len());
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        for (seq, page) in pages.into_iter().enumerate() {
-            store.read_page_at(vt, disk, target, page, &mut buf)?;
-            frames.push(Frame::Full(PageFrame {
-                seq: seq as u64,
-                page,
-                data: buf.clone(),
-                checksum: PageFrame::compute_checksum(seq as u64, page, &buf),
-            }));
-        }
-        let trailer = StreamTrailer {
-            frames: frames.len() as u64,
-            stream_sum: chain_sum(&frames),
-        };
-        Ok(DeltaStream {
-            header: StreamHeader {
-                object,
-                base_epoch,
-                target_epoch: entry.epoch,
-                len_pages: entry.len_pages,
-                frame_count: frames.len() as u64,
-                // A sharded primary names its newest durable vector cut
-                // so the consumer can promote only complete cuts.
-                cut: store.last_cut().cloned(),
-                version: 1,
-            },
-            frames,
-            trailer,
-        })
-    }
-
-    /// Builds a version-2 stream whose wire bytes are proportional to
-    /// the bytes that actually changed: per diffed page it emits, in
-    /// order of preference, a [`RefFrame`] (the content is already in
-    /// the committed `dedup` table, byte-verified), a partial
-    /// [`SubPageFrame`] covering only the changed 64-byte lines, a
-    /// compressed whole-page [`SubPageFrame`], or a legacy
-    /// [`PageFrame`] when the content is incompressible.
+    /// The wire bytes are proportional to the bytes that actually
+    /// changed: per diffed page it emits, in order of preference, a
+    /// [`RefFrame`] (the content is already in the committed `dedup`
+    /// table, byte-verified), a partial [`SubPageFrame`] covering only
+    /// the changed 64-byte lines, a compressed whole-page
+    /// [`SubPageFrame`], or a plain [`PageFrame`] when the content is
+    /// incompressible.
     ///
     /// Changed lines come from `extents` (the tracker's per-page dirty
     /// line bitmaps — a conservative superset from fine-grain write
@@ -1082,8 +1002,9 @@ impl DeltaStream {
     ///
     /// # Errors
     ///
-    /// As [`DeltaStream::build`].
-    pub fn build_v2(
+    /// [`SnapError::Store`] wrapping [`StoreError::SnapshotNotFound`] /
+    /// [`StoreError::SnapshotMismatch`] for bad snapshot pairs.
+    pub fn build(
         vt: &mut Vt,
         disk: &mut Disk,
         store: &mut ObjectStore,
@@ -1163,7 +1084,7 @@ impl DeltaStream {
                 }
                 _ => {
                     // Whole-page: compressed sub-page frame when that
-                    // pays, legacy full frame when incompressible.
+                    // pays, plain full frame when incompressible.
                     let whole = SubPageFrame::new(
                         seq,
                         page,
@@ -1199,8 +1120,8 @@ impl DeltaStream {
                 target_epoch: entry.epoch,
                 len_pages: entry.len_pages,
                 frame_count: frames.len() as u64,
+                // The consumer promotes only at complete cuts.
                 cut: store.last_cut().cloned(),
-                version: 2,
             },
             frames,
             trailer,
@@ -1443,9 +1364,9 @@ impl ApplySession {
     /// [`Frame::Ref`] frames resolve against it, and every page that
     /// arrived as payload is inserted into it after the commit succeeds
     /// (mirroring the sender's stage-then-commit, so both tables hold
-    /// the same images at every acknowledged point). Version-2 streams
-    /// shipped over a deduplicating link must be finished through this
-    /// entry point; plain streams work with `None`.
+    /// the same images at every acknowledged point). Streams built with
+    /// a dedup table must be finished through this entry point; streams
+    /// built without one work with `None`.
     ///
     /// # Errors
     ///
@@ -1575,7 +1496,7 @@ pub fn sync_to(
         .into_iter()
         .find(|s| s.object == entry.object && s.epoch == replica_epoch)
         .map(|s| s.name);
-    let stream = DeltaStream::build_v2(
+    let stream = DeltaStream::build(
         vt,
         primary_disk,
         primary,
@@ -1610,7 +1531,27 @@ mod tests {
         vec![byte; BLOCK_SIZE]
     }
 
+    /// An incompressible page: the builder ships these as plain
+    /// [`PageFrame`]s.
+    fn noise_page(seed: u8) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(seed);
+        (0..BLOCK_SIZE)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
     fn primary_with_two_snapshots() -> (Disk, ObjectStore, Vt, ObjectId) {
+        primary_with_two_snapshots_of(page_of)
+    }
+
+    fn primary_with_two_snapshots_of(
+        page_of: fn(u8) -> Vec<u8>,
+    ) -> (Disk, ObjectStore, Vt, ObjectId) {
         let mut disk = Disk::new(DiskConfig::paper());
         let mut store = ObjectStore::format(&mut disk);
         let mut vt = Vt::new(0);
@@ -1633,7 +1574,8 @@ mod tests {
     #[test]
     fn stream_round_trips_through_wire_form() {
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
-        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b").unwrap();
+        let stream =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None).unwrap();
         assert_eq!(stream.frames.len(), 2);
         assert_eq!(
             stream.frames.iter().map(|f| f.page()).collect::<Vec<_>>(),
@@ -1646,8 +1588,9 @@ mod tests {
 
     #[test]
     fn corrupted_wire_bytes_are_rejected() {
-        let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
-        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b").unwrap();
+        let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots_of(noise_page);
+        let stream =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None).unwrap();
         let wire = stream.encode();
 
         // Header damage.
@@ -1671,8 +1614,9 @@ mod tests {
 
     #[test]
     fn apply_session_enforces_order_and_resumes() {
-        let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
-        let full = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "a").unwrap();
+        let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots_of(noise_page);
+        let full =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, None, "a", None, None).unwrap();
 
         let mut rdisk = Disk::new(DiskConfig::paper());
         let mut replica = ObjectStore::format(&mut rdisk);
@@ -1688,7 +1632,7 @@ mod tests {
         );
         // A corrupted frame is rejected; the retransmitted original lands.
         let Frame::Full(pf0) = &full.frames[0] else {
-            panic!("v1 streams carry full frames");
+            panic!("incompressible pages ship as full frames");
         };
         let mut torn = pf0.clone();
         torn.data[9] ^= 1;
@@ -1809,8 +1753,9 @@ mod tests {
 
     #[test]
     fn piecewise_codec_matches_the_stream_form() {
-        let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
-        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b").unwrap();
+        let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots_of(noise_page);
+        let stream =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None).unwrap();
         // header ++ frames ++ trailer, each encoded alone, is the wire form.
         let mut wire = stream.header.encode();
         for f in &stream.frames {
@@ -1834,7 +1779,7 @@ mod tests {
         // A replica faces untrusted network bytes: every decoder must
         // fail cleanly on garbage, truncations, and bit flips.
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
-        let wire = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b")
+        let wire = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b", None, None)
             .unwrap()
             .encode();
         for len in 0..wire.len() {
@@ -1860,9 +1805,7 @@ mod tests {
     #[test]
     fn vector_cut_rides_the_stream_header() {
         // A sharded primary stamps a cut; the stream header carries it
-        // through the wire byte-for-byte. The legacy streams above all
-        // carry `cut: None` (cut_len = 0 on the wire) and round-trip
-        // unchanged — this covers the Some side.
+        // through the wire byte-for-byte.
         let mut disk = Disk::new(DiskConfig::paper());
         let mut store = ObjectStore::format_sharded(&mut disk, 4);
         let mut vt = Vt::new(0);
@@ -1875,7 +1818,8 @@ mod tests {
         let cut = store.cut(&mut vt, &mut disk).unwrap();
         assert_eq!(cut.epochs.len(), 4);
         store.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
-        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "s").unwrap();
+        let stream =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, None, "s", None, None).unwrap();
         assert_eq!(stream.header.cut.as_ref(), Some(&cut));
         let wire = stream.encode();
         assert_eq!(wire.len(), stream.encoded_len());
@@ -1927,7 +1871,8 @@ mod tests {
             .unwrap();
         ObjectStore::wait(&mut vt, t);
         store.snapshot_create(&mut vt, &mut disk, obj, "f").unwrap();
-        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "f").unwrap();
+        let stream =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "f", None, None).unwrap();
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &stream.header).unwrap();
         assert!(session.is_rebase());
@@ -2038,11 +1983,11 @@ mod tests {
         );
         store.snapshot_create(&mut vt, &mut disk, obj, "b").unwrap();
 
-        let full = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b").unwrap();
-        let sub = DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None)
-            .unwrap();
-        assert_eq!(sub.header.version, 2);
-        assert_eq!(sub.frames.len(), full.frames.len());
+        let sub =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None).unwrap();
+        assert_eq!(sub.frames.len(), 2);
+        // What the same diff costs as one full-page frame per page.
+        let full_len = sub.header.encoded_len() + sub.frames.len() * FRAME_LEN + TRAILER_LEN;
         // Page 2 changed one 64-byte line, page 5 two lines: every frame
         // is a partial sub-page frame and the wire shrinks by >10×.
         for f in &sub.frames {
@@ -2052,10 +1997,9 @@ mod tests {
             assert!(!sf.covers_whole());
         }
         assert!(
-            sub.encoded_len() * 10 < full.encoded_len(),
-            "sub-page stream {} vs full {}",
+            sub.encoded_len() * 10 < full_len,
+            "sub-page stream {} vs full {full_len}",
             sub.encoded_len(),
-            full.encoded_len()
         );
         assert_eq!(sub.wire_savings().subpage_frames, 2);
 
@@ -2090,8 +2034,8 @@ mod tests {
         let (mut disk, mut store, mut vt, obj) = primary_with_two_snapshots();
         patch_page(&mut vt, &mut disk, &mut store, obj, 1, &[(64, 0x77)]);
         store.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
-        let sub = DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("b"), "s", None, None)
-            .unwrap();
+        let sub =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("b"), "s", None, None).unwrap();
         assert!(matches!(&sub.frames[0], Frame::Sub(sf) if !sf.covers_whole()));
 
         // Corrupt the replica's base content for page 1 out-of-band by
@@ -2145,7 +2089,7 @@ mod tests {
 
         // Round 1: full sync of "b", payload images staged on the
         // sender and inserted on the receiver at commit.
-        let s1 = DeltaStream::build_v2(
+        let s1 = DeltaStream::build(
             &mut vt,
             &mut disk,
             &mut store,
@@ -2185,7 +2129,7 @@ mod tests {
         store
             .snapshot_create(&mut vt, &mut disk, obj, "moved")
             .unwrap();
-        let s2 = DeltaStream::build_v2(
+        let s2 = DeltaStream::build(
             &mut vt,
             &mut disk,
             &mut store,
@@ -2295,7 +2239,7 @@ mod tests {
         store
             .snapshot_create(&mut vt, &mut disk, obj, "same")
             .unwrap();
-        let s = DeltaStream::build_v2(
+        let s = DeltaStream::build(
             &mut vt,
             &mut disk,
             &mut store,
@@ -2354,7 +2298,7 @@ mod tests {
         store
             .snapshot_create(&mut vt, &mut disk, obj, "tip")
             .unwrap();
-        let s = DeltaStream::build_v2(&mut vt, &mut disk, &mut store, Some("b"), "tip", None, None)
+        let s = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("b"), "tip", None, None)
             .unwrap();
         assert_eq!(s.frames.len(), 3);
 
@@ -2393,55 +2337,36 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_streams_still_decode_and_apply() {
-        // Cross-version: build() emits the version-1 wire form
-        // byte-identically to prior releases (v1 magic, full-page
-        // frames), and the v2-aware decoder accepts it.
+    fn v1_stream_header_is_malformed() {
+        // A self-consistent header under the retired version-1 magic
+        // (its own checksum recomputed) is not a stream this decoder
+        // knows: rejected at the header, never applied.
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
-        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b").unwrap();
-        assert_eq!(stream.header.version, 1);
-        let wire = stream.encode();
-        assert_eq!(wire[0..8], STREAM_MAGIC.to_le_bytes());
+        let stream =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b", None, None).unwrap();
+        let mut wire = stream.encode();
+        write_u64(&mut wire, 0, 0x4d534e_41504453); // "MSN APDS"
+        let head_len = stream.header.encoded_len();
+        let sum = fnv1a_extend(fnv1a(&wire[0..72]), &wire[HEADER_FIXED..head_len]);
+        write_u64(&mut wire, 72, sum);
         assert_eq!(
-            read_u64(&wire, stream.header.encoded_len()).unwrap(),
-            FRAME_MAGIC,
-            "v1 frames keep the legacy frame magic"
+            StreamHeader::decode(&wire).unwrap_err(),
+            SnapError::Malformed
         );
-        let decoded = DeltaStream::decode(&wire).unwrap();
-        assert!(decoded.frames.iter().all(|f| matches!(f, Frame::Full(_))));
-        let mut rdisk = Disk::new(DiskConfig::paper());
-        let mut replica = ObjectStore::format(&mut rdisk);
-        let mut session =
-            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &decoded.header).unwrap();
-        for f in &decoded.frames {
-            session.feed(f).unwrap();
-        }
-        let token = session
-            .finish(&mut vt, &mut rdisk, &mut replica, &decoded.trailer)
-            .unwrap();
-        ObjectStore::wait(&mut vt, token);
-        assert_replica_matches(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            "b",
-            &mut rdisk,
-            &mut replica,
-            5,
-        );
+        assert_eq!(DeltaStream::decode(&wire), Err(SnapError::Malformed));
     }
 
     #[test]
     fn subpage_wire_forms_survive_adversarial_bytes() {
-        // The v2 decoders face the same untrusted network as v1: every
-        // truncation and bit-flip of a sub-page stream fails cleanly.
+        // The decoders face an untrusted network: every truncation and
+        // bit-flip of a sub-page stream fails cleanly.
         let (mut disk, mut store, mut vt, obj) = primary_with_two_snapshots();
         patch_page(&mut vt, &mut disk, &mut store, obj, 1, &[(130, 0x5C)]);
         store
             .snapshot_create(&mut vt, &mut disk, obj, "s2")
             .unwrap();
         let mut dedup = DedupTable::default();
-        let wire = DeltaStream::build_v2(
+        let wire = DeltaStream::build(
             &mut vt,
             &mut disk,
             &mut store,
@@ -2470,7 +2395,8 @@ mod tests {
     #[test]
     fn delta_against_wrong_replica_epoch_reports_base_mismatch() {
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
-        let delta = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b").unwrap();
+        let delta =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None).unwrap();
         let mut rdisk = Disk::new(DiskConfig::paper());
         let mut replica = ObjectStore::format(&mut rdisk);
         // Fresh replica (epoch 0) cannot take a delta based at "a".

@@ -2,8 +2,8 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-/// A bump block allocator with a free list and an optional capacity
-/// ceiling.
+/// A bump block allocator with a free list, working out of the block
+/// ranges the extent broker grants it.
 ///
 /// Sequential allocation is a load-bearing design point: the store turns a
 /// *random* set of dirty object pages into *sequential* device writes
@@ -21,36 +21,15 @@ use std::collections::{BTreeSet, VecDeque};
 pub struct BlockAllocator {
     next: u64,
     free: BTreeSet<u64>,
-    /// First block past the end of the device, if bounded.
-    capacity: Option<u64>,
-    /// End of the current bump range, when the allocator works out of
-    /// broker-granted extents (a sharded store). `None` = unbounded bump
-    /// (the legacy single-shard mode; only `capacity` applies).
-    limit: Option<u64>,
+    /// End of the current bump range (the broker never grants past the
+    /// device capacity, so this is the only ceiling).
+    limit: u64,
     /// Granted-but-unentered `[start, end)` ranges, consumed in grant
     /// order once the current range is exhausted.
     pending: VecDeque<(u64, u64)>,
 }
 
 impl BlockAllocator {
-    /// Creates an unbounded allocator whose first fresh block is
-    /// `first_block`.
-    pub fn new(first_block: u64) -> Self {
-        Self::with_capacity(first_block, None)
-    }
-
-    /// Creates an allocator bounded by `capacity` (first invalid block
-    /// number; `None` for unbounded).
-    pub fn with_capacity(first_block: u64, capacity: Option<u64>) -> Self {
-        BlockAllocator {
-            next: first_block,
-            free: BTreeSet::new(),
-            capacity,
-            limit: None,
-            pending: VecDeque::new(),
-        }
-    }
-
     /// Creates a range-bounded allocator: the bump frontier starts at
     /// `first_block` and stops at `limit` until [`BlockAllocator::add_range`]
     /// grants more. `bounded(f, f)` is an empty allocator — every
@@ -60,22 +39,20 @@ impl BlockAllocator {
         BlockAllocator {
             next: first_block,
             free: BTreeSet::new(),
-            capacity: None,
-            limit: Some(limit),
+            limit,
             pending: VecDeque::new(),
         }
     }
 
-    /// Grants the range `[start, end)` to a bounded allocator. Ranges
+    /// Grants the range `[start, end)` to the allocator. Ranges
     /// must arrive in increasing block order (the broker hands out a
     /// monotone sequence of extents); the current range is extended in
     /// place when `start` abuts it, otherwise the range queues behind it.
     pub fn add_range(&mut self, start: u64, end: u64) {
         debug_assert!(start < end, "empty grant");
-        let limit = self.limit.expect("add_range on an unbounded allocator");
-        debug_assert!(start >= limit, "grants must be monotone");
-        if self.pending.is_empty() && start == limit {
-            self.limit = Some(end);
+        debug_assert!(start >= self.limit, "grants must be monotone");
+        if self.pending.is_empty() && start == self.limit {
+            self.limit = end;
         } else {
             self.pending.push_back((start, end));
         }
@@ -89,26 +66,15 @@ impl BlockAllocator {
         let Some((start, end)) = self.pending.pop_front() else {
             return false;
         };
-        let limit = self.limit.expect("pending ranges imply bounded");
         // The spill is safe to treat as "allocated then freed": `next`
         // jumps past these blocks, so the `free() < next` invariant
         // holds the moment the switch completes.
-        for b in self.next..limit {
+        for b in self.next..self.limit {
             self.free.insert(b);
         }
         self.next = start;
-        self.limit = Some(end);
+        self.limit = end;
         true
-    }
-
-    /// The bump ceiling currently in effect: the granted range's end
-    /// and/or the device capacity, whichever is lower.
-    fn ceiling(&self) -> Option<u64> {
-        match (self.limit, self.capacity) {
-            (Some(l), Some(c)) => Some(l.min(c)),
-            (Some(l), None) => Some(l),
-            (None, c) => c,
-        }
     }
 
     /// Allocates one block, preferring recycled blocks. Returns `None`
@@ -120,7 +86,7 @@ impl BlockAllocator {
             return Some(block);
         }
         loop {
-            if self.ceiling().is_none_or(|cap| self.next < cap) {
+            if self.next < self.limit {
                 let block = self.next;
                 self.next += 1;
                 return Some(block);
@@ -168,7 +134,7 @@ impl BlockAllocator {
         // (spilling each abandoned tail into the free set) until one
         // fits.
         loop {
-            if self.ceiling().is_none_or(|cap| self.next + n <= cap) {
+            if self.next + n <= self.limit {
                 let first = self.next;
                 self.next += n;
                 return Some(first);
@@ -177,22 +143,6 @@ impl BlockAllocator {
                 return None;
             }
         }
-    }
-
-    /// Whether an extent of `contiguous` blocks plus `singles` more
-    /// blocks can be allocated right now. Used by callers to pre-flight a
-    /// multi-allocation operation so it cannot fail halfway through.
-    pub fn can_alloc(&self, contiguous: u64, singles: u64) -> bool {
-        let mut probe = self.clone();
-        if probe.alloc_contiguous(contiguous).is_none() {
-            return false;
-        }
-        for _ in 0..singles {
-            if probe.alloc().is_none() {
-                return false;
-            }
-        }
-        true
     }
 
     /// Returns a block to the free list.
@@ -213,11 +163,6 @@ impl BlockAllocator {
     pub fn free_blocks(&self) -> usize {
         self.free.len()
     }
-
-    /// The capacity ceiling (first invalid block), if bounded.
-    pub fn capacity(&self) -> Option<u64> {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +171,7 @@ mod tests {
 
     #[test]
     fn bump_is_sequential() {
-        let mut a = BlockAllocator::new(10);
+        let mut a = BlockAllocator::bounded(10, u64::MAX);
         assert_eq!(a.alloc(), Some(10));
         assert_eq!(a.alloc(), Some(11));
         assert_eq!(a.high_water(), 12);
@@ -234,7 +179,7 @@ mod tests {
 
     #[test]
     fn free_list_recycles() {
-        let mut a = BlockAllocator::new(0);
+        let mut a = BlockAllocator::bounded(0, u64::MAX);
         let b = a.alloc().unwrap();
         a.free(b);
         assert_eq!(a.free_blocks(), 1);
@@ -244,7 +189,7 @@ mod tests {
 
     #[test]
     fn contiguous_prefers_recycled_runs() {
-        let mut a = BlockAllocator::new(0);
+        let mut a = BlockAllocator::bounded(0, u64::MAX);
         let first = a.alloc_contiguous(8).unwrap();
         assert_eq!(first, 0);
         // Free a 4-run in the middle plus a stray block.
@@ -262,7 +207,7 @@ mod tests {
 
     #[test]
     fn capacity_ceiling_is_enforced() {
-        let mut a = BlockAllocator::with_capacity(0, Some(4));
+        let mut a = BlockAllocator::bounded(0, 4);
         assert_eq!(a.alloc_contiguous(3), Some(0));
         assert_eq!(a.alloc_contiguous(2), None, "only one block left");
         assert_eq!(a.alloc(), Some(3));
@@ -273,21 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn can_alloc_preflights_without_mutating() {
-        let mut a = BlockAllocator::with_capacity(0, Some(10));
-        assert!(a.can_alloc(8, 2));
-        assert!(!a.can_alloc(8, 3));
-        assert_eq!(a.high_water(), 0, "preflight must not allocate");
-        assert_eq!(a.alloc_contiguous(8), Some(0));
-        assert!(!a.can_alloc(4, 0));
-        for b in 2..6 {
-            a.free(b);
-        }
-        assert!(a.can_alloc(4, 0), "freed run counts");
-    }
-
-    #[test]
-    fn bounded_allocator_stops_at_the_range_end() {
+    fn allocator_stops_at_the_range_end() {
         let mut a = BlockAllocator::bounded(100, 104);
         assert_eq!(a.alloc_contiguous(3), Some(100));
         assert_eq!(a.alloc_contiguous(2), None, "range exhausted");
@@ -318,20 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn bounded_can_alloc_accounts_for_pending_ranges() {
-        let mut a = BlockAllocator::bounded(0, 0);
-        assert!(!a.can_alloc(1, 0));
-        a.add_range(0, 4);
-        a.add_range(16, 32);
-        assert!(a.can_alloc(8, 4), "pending range satisfies the extent");
-        assert_eq!(a.high_water(), 0, "preflight must not allocate");
-    }
-
-    #[test]
     fn steady_state_footprint_is_bounded() {
         // Allocate/free extents in a loop: the frontier must stop growing
         // once recycling kicks in.
-        let mut a = BlockAllocator::new(0);
+        let mut a = BlockAllocator::bounded(0, u64::MAX);
         let mut last_high_water = 0;
         for round in 0..100 {
             let first = a.alloc_contiguous(16).unwrap();

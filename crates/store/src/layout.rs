@@ -1,6 +1,12 @@
-//! On-disk layout: superblock, directory entries, root and delta records.
+//! On-disk layout: superblock, cut slots, shard slabs, directory entries,
+//! root, delta, batch and snapshot-catalog records.
+//!
+//! There is one generation of every record (DESIGN.md §6l): block 0 is
+//! the store superblock, the two cut slots follow, then one metadata
+//! slab per shard, then the data area the extent broker hands out.
 
 use msnap_disk::BLOCK_SIZE;
+pub use msnap_sim::hash::{fnv1a, fnv1a_extend, FNV_OFFSET};
 
 /// A μCheckpoint epoch: each object's monotonically increasing commit
 /// counter (the paper's `epoch_t`).
@@ -16,30 +22,28 @@ impl std::fmt::Display for ObjectId {
     }
 }
 
-/// Magic number of a v1 (pre-digest) full root record block. Still
-/// decoded so old stores open; never written anymore.
-pub(crate) const ROOT_MAGIC: u64 = 0x4d534e_41505253; // "MSN APRS"
-/// Magic number of a v2 full root record block (adds `root_digest` and
-/// `flush_seq`).
-pub(crate) const ROOT_MAGIC_V2: u64 = 0x4d534e_41505232; // "MSN APR2"
+/// Magic number of a full root record block.
+pub(crate) const ROOT_MAGIC: u64 = 0x4d534e_41505232; // "MSN APR2"
 /// Magic number of a delta record block.
 pub(crate) const DELTA_MAGIC: u64 = 0x4d534e_41504454; // "MSN APDT"
 /// Magic number of a batch (group-commit) record block.
 pub(crate) const BATCH_MAGIC: u64 = 0x4d534e_41504254; // "MSN APBT"
-/// Magic number of the superblock.
-pub(crate) const SUPER_MAGIC: u64 = 0x4d534e41_50535550; // "MSNA PSUP"
-/// Magic number of a v3 (sharded) store superblock. Carries the shard
-/// count and extent-broker granularity; per-shard metadata slabs follow
-/// the cut slots. Legacy ([`SUPER_MAGIC`]) devices keep opening as
-/// single-shard stores.
-pub(crate) const SUPER_MAGIC_V3: u64 = 0x4d534e41_50535533; // "MSNA PSU3"
+/// Magic number opening each shard's metadata slab.
+pub(crate) const SLAB_MAGIC: u64 = 0x4d534e41_50535550; // "MSNA PSUP"
+/// Magic number of the store superblock at block 0. The superblock
+/// carries the shard count and extent-broker granularity; the cut slots
+/// and the per-shard metadata slabs follow it.
+pub(crate) const SUPER_MAGIC: u64 = 0x4d534e41_50535533; // "MSNA PSU3"
 /// Magic number of an epoch-vector cut record block.
 pub(crate) const CUT_MAGIC: u64 = 0x4d534e_41504354; // "MSN APCT"
 /// Magic number of a snapshot-catalog block.
 pub(crate) const SNAP_MAGIC: u64 = 0x4d534e_41505350; // "MSN APSP"
 
-/// Block number of the superblock.
-pub(crate) const SUPERBLOCK: u64 = 0;
+// Slab-relative offsets: a shard's metadata slab is its magic block,
+// the object directory, the batch ring and the snapshot catalog.
+
+/// Block holding the slab magic.
+pub(crate) const SLAB_HEAD: u64 = 0;
 /// First block of the object directory.
 pub(crate) const DIR_START: u64 = 1;
 /// Number of directory blocks.
@@ -56,55 +60,36 @@ pub const BATCH_SLOTS: u64 = 32;
 pub(crate) const SNAP_CATALOG_START: u64 = BATCH_RING_START + BATCH_SLOTS;
 /// Snapshot-catalog slots.
 pub(crate) const SNAP_CATALOG_SLOTS: u64 = 2;
-/// First allocatable block (after superblock + directory + batch ring +
-/// snapshot catalog).
-pub(crate) const FIRST_DATA_BLOCK: u64 = SNAP_CATALOG_START + SNAP_CATALOG_SLOTS;
-
-/// Blocks in one shard's metadata slab — the same prefix a legacy store
-/// puts at block 0 (superblock, directory, batch ring, snapshot
-/// catalog), relocated to the slab base in a v3 (sharded) store.
-pub(crate) const SHARD_SLAB_BLOCKS: u64 = FIRST_DATA_BLOCK;
-/// First of the two alternating epoch-vector cut slots in a v3 store
-/// (right after the v3 superblock at block 0).
+/// Blocks in one shard's metadata slab.
+pub(crate) const SHARD_SLAB_BLOCKS: u64 = SNAP_CATALOG_START + SNAP_CATALOG_SLOTS;
+/// First of the two alternating epoch-vector cut slots (right after the
+/// superblock at block 0).
 pub(crate) const CUT_SLOT_START: u64 = 1;
 /// Number of alternating cut slots.
 pub(crate) const CUT_SLOTS: u64 = 2;
-/// First shard slab in a v3 store (v3 superblock + cut slots precede it).
+/// First shard slab (the superblock and the cut slots precede it).
 pub(crate) const SHARD_SLAB_START: u64 = CUT_SLOT_START + CUT_SLOTS;
-/// Maximum shards in a v3 store: global object ids pack the shard index
+/// Maximum shards in a store: global object ids pack the shard index
 /// into the id's high byte, so 256 is the format ceiling.
 pub const MAX_SHARDS: usize = 256;
 /// Bit position of the shard index within a global object id.
 pub(crate) const SHARD_ID_SHIFT: u32 = 24;
 
 /// Where one shard's metadata lives on the device, plus the first block
-/// the store may hand to data. A legacy (v1/v2) store is exactly the
-/// `base = 0` instance; a v3 store gives shard `s` the slab at
-/// `SHARD_SLAB_START + s * SHARD_SLAB_BLOCKS` and floors data allocation
-/// past every slab. All shard-relative offsets reproduce the legacy
-/// constants, so one codec serves both formats.
+/// the store may hand to data: shard `s` owns the slab at
+/// `SHARD_SLAB_START + s * SHARD_SLAB_BLOCKS`, and data allocation is
+/// floored past every slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLayout {
     /// First block of this shard's metadata slab.
     pub base: u64,
     /// First block eligible for data allocation (shared by all shards of
-    /// a store: the end of the last slab, or `FIRST_DATA_BLOCK` for a
-    /// legacy store).
+    /// a store: the end of the last slab).
     pub data_floor: u64,
 }
 
 impl ShardLayout {
-    /// The layout of a legacy (single-shard, v1/v2) store: slab at block
-    /// 0, data from `FIRST_DATA_BLOCK`. Byte-identical to the
-    /// pre-shard format.
-    pub fn legacy() -> ShardLayout {
-        ShardLayout {
-            base: 0,
-            data_floor: FIRST_DATA_BLOCK,
-        }
-    }
-
-    /// The layout of shard `index` in a v3 store of `shard_count` shards.
+    /// The layout of shard `index` in a store of `shard_count` shards.
     pub fn sharded(index: usize, shard_count: usize) -> ShardLayout {
         assert!(index < shard_count && shard_count <= MAX_SHARDS);
         ShardLayout {
@@ -113,9 +98,9 @@ impl ShardLayout {
         }
     }
 
-    /// This shard's superblock.
-    pub(crate) fn superblock(&self) -> u64 {
-        self.base + SUPERBLOCK
+    /// The block holding this shard's slab magic.
+    pub(crate) fn slab_head(&self) -> u64 {
+        self.base + SLAB_HEAD
     }
 
     /// First directory block.
@@ -139,21 +124,21 @@ impl ShardLayout {
     }
 }
 
-/// The v3 superblock: shard count and extent-broker granularity.
+/// The store superblock: shard count and extent-broker granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuperV3 {
+pub struct Superblock {
     /// Number of shards the device was formatted with.
     pub shard_count: u64,
     /// Blocks per extent-broker grant.
     pub extent_blocks: u64,
 }
 
-impl SuperV3 {
+impl Superblock {
     /// Serializes into a block image.
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
         let mut block = [0u8; BLOCK_SIZE];
         let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        w(0, SUPER_MAGIC_V3);
+        w(0, SUPER_MAGIC);
         w(8, self.shard_count);
         w(16, self.extent_blocks);
         let checksum = fnv1a(&block[0..24]);
@@ -161,18 +146,18 @@ impl SuperV3 {
         block
     }
 
-    /// Parses and validates a v3 superblock; `None` if the block is not
-    /// one (a legacy superblock, an unformatted device) or is corrupt.
-    pub fn from_block(block: &[u8]) -> Option<SuperV3> {
+    /// Parses and validates the superblock; `None` if the block is not
+    /// one (an unformatted device) or is corrupt.
+    pub fn from_block(block: &[u8]) -> Option<Superblock> {
         let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
-        if r(0) != SUPER_MAGIC_V3 || fnv1a(&block[0..24]) != r(24) {
+        if r(0) != SUPER_MAGIC || fnv1a(&block[0..24]) != r(24) {
             return None;
         }
         let shard_count = r(8);
         if shard_count == 0 || shard_count > MAX_SHARDS as u64 || r(16) == 0 {
             return None;
         }
-        Some(SuperV3 {
+        Some(Superblock {
             shard_count,
             extent_blocks: r(16),
         })
@@ -262,27 +247,11 @@ pub(crate) const ENTRIES_PER_BLOCK: usize = BLOCK_SIZE / DIR_ENTRY_LEN;
 /// Maximum number of objects in a store.
 pub(crate) const MAX_OBJECTS: usize = ENTRIES_PER_BLOCK * DIR_BLOCKS as usize;
 
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// Extends an FNV-1a hash with more bytes (for checksumming a payload
-/// spread over several block images).
-pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
-/// FNV-1a 64-bit, used to checksum records.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, bytes)
-}
-
-/// Digest value meaning "no digest recorded": entries decoded from
-/// pre-digest (v1) stores carry this, and verification skips them until
-/// the first write or scrub backfills the real digest.
+/// Digest value meaning "no digest recorded": the root digest of an
+/// empty tree, and the image digest of a dirty (not yet committed)
+/// in-memory node. Every committed entry the store reads carries a real
+/// digest, so a zero digest half on media fails verification like any
+/// other mismatch.
 pub const DIGEST_NONE: u32 = 0;
 
 /// 32-bit content digest used for at-rest integrity: FNV-1a 64 folded to
@@ -300,9 +269,7 @@ pub fn digest32(bytes: &[u8]) -> u32 {
 }
 
 /// Packs a block number and its content digest into one radix-entry
-/// word: block in the low 32 bits, digest in the high 32. Entries from
-/// v1 stores decode with an all-zero high half, i.e. [`DIGEST_NONE`] —
-/// the forward-compatibility hinge of the layout bump.
+/// word: block in the low 32 bits, digest in the high 32.
 pub fn pack_entry(block: u64, digest: u32) -> u64 {
     debug_assert!(
         block <= u32::MAX as u64,
@@ -335,7 +302,7 @@ pub struct RootRecord {
     /// fresh, so lazily loaded subtrees cannot be overwritten).
     pub high_water: u64,
     /// Digest of the committed root node's block image ([`digest32`]), or
-    /// [`DIGEST_NONE`] when unknown (v1 records, empty trees). This is the
+    /// [`DIGEST_NONE`] for an empty tree. This is the
     /// top of the Merkle chain: the root record checksums the root digest,
     /// each node image checksums its children's digests, and leaf entries
     /// carry the page-data digests.
@@ -344,16 +311,15 @@ pub struct RootRecord {
     /// `full_count` at write time). Breaks ties between the two root slots
     /// when both hold the *same* epoch — a repair commit rewrites the root
     /// at the current epoch, and recovery must adopt the repaired one.
-    /// Zero on v1 records (falls back to first-slot-wins).
     pub flush_seq: u64,
 }
 
 impl RootRecord {
-    /// Serializes the record into a zero-padded block image (v2 format).
+    /// Serializes the record into a zero-padded block image.
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
         let mut block = [0u8; BLOCK_SIZE];
         let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        w(0, ROOT_MAGIC_V2);
+        w(0, ROOT_MAGIC);
         w(8, self.object.0 as u64);
         w(16, self.epoch);
         w(24, self.tree_root);
@@ -367,27 +333,10 @@ impl RootRecord {
     }
 
     /// Parses and validates a root-slot block; `None` if the slot is
-    /// empty, torn, or belongs to a different object. Accepts both the v2
-    /// format and pre-digest v1 records (which decode with
-    /// `root_digest = DIGEST_NONE` and `flush_seq = 0`).
+    /// empty, torn, or belongs to a different object.
     pub fn from_block(block: &[u8], expect: ObjectId) -> Option<RootRecord> {
         let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
-        let (root_digest, flush_seq) = match r(0) {
-            ROOT_MAGIC => {
-                if fnv1a(&block[0..48]) != r(48) {
-                    return None;
-                }
-                (DIGEST_NONE, 0)
-            }
-            ROOT_MAGIC_V2 => {
-                if fnv1a(&block[0..64]) != r(64) {
-                    return None;
-                }
-                (r(48) as u32, r(56))
-            }
-            _ => return None,
-        };
-        if r(8) != expect.0 as u64 {
+        if r(0) != ROOT_MAGIC || fnv1a(&block[0..64]) != r(64) || r(8) != expect.0 as u64 {
             return None;
         }
         Some(RootRecord {
@@ -396,8 +345,8 @@ impl RootRecord {
             tree_root: r(24),
             len_pages: r(32),
             high_water: r(40),
-            root_digest,
-            flush_seq,
+            root_digest: r(48) as u32,
+            flush_seq: r(56),
         })
     }
 }
@@ -420,8 +369,7 @@ pub struct DeltaRecord {
     pub payload_sum: u64,
     /// The commit's page → packed-entry mappings. The second word is a
     /// [`pack_entry`] word (block in the low half, page-content digest in
-    /// the high half), so digests ride the existing record checksum with
-    /// no format change; v1 records decode with [`DIGEST_NONE`] digests.
+    /// the high half), so the record checksum covers the digests.
     pub pairs: Vec<(u64, u64)>,
 }
 
@@ -628,9 +576,7 @@ pub struct SnapEntry {
     /// Object length in pages at the pinned epoch.
     pub len_pages: u64,
     /// Digest of the pinned root node's block image, or [`DIGEST_NONE`]
-    /// when unknown. Stored in the entry's spare tail bytes, so old
-    /// catalogs decode with `DIGEST_NONE` and the existing catalog
-    /// checksum covers it.
+    /// for an empty object. Covered by the catalog checksum.
     pub root_digest: u32,
 }
 
@@ -803,7 +749,7 @@ mod tests {
         let mut block = rec.to_block();
         block[20] ^= 0xFF;
         assert_eq!(RootRecord::from_block(&block, ObjectId(1)), None);
-        // The v2 tail fields are covered by the checksum too.
+        // The tail fields are covered by the checksum too.
         let mut block = rec.to_block();
         block[50] ^= 1; // root_digest
         assert_eq!(RootRecord::from_block(&block, ObjectId(1)), None);
@@ -827,12 +773,12 @@ mod tests {
         assert_eq!(RootRecord::from_block(&block, ObjectId(2)), None);
     }
 
-    /// Hand-encodes a v1 (pre-digest) root record exactly as the old
-    /// `to_block` did.
+    /// Hand-encodes a v1 (pre-digest) root record: the retired format,
+    /// self-consistent under its own magic and checksum rule.
     fn v1_root_block(object: ObjectId, epoch: u64, tree_root: u64) -> [u8; BLOCK_SIZE] {
         let mut block = [0u8; BLOCK_SIZE];
         let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        w(0, ROOT_MAGIC);
+        w(0, 0x4d534e_41505253); // "MSN APRS"
         w(8, object.0 as u64);
         w(16, epoch);
         w(24, tree_root);
@@ -844,17 +790,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_root_record_still_decodes_with_no_digest() {
+    fn v1_root_record_is_not_a_root_record() {
         let block = v1_root_block(ObjectId(3), 9, 500);
-        let rec = RootRecord::from_block(&block, ObjectId(3)).expect("v1 decodes");
-        assert_eq!(rec.epoch, 9);
-        assert_eq!(rec.tree_root, 500);
-        assert_eq!(rec.root_digest, DIGEST_NONE);
-        assert_eq!(rec.flush_seq, 0);
-        // Torn v1 records are still rejected by the v1 checksum rule.
-        let mut torn = v1_root_block(ObjectId(3), 9, 500);
-        torn[25] ^= 1;
-        assert_eq!(RootRecord::from_block(&torn, ObjectId(3)), None);
+        assert_eq!(RootRecord::from_block(&block, ObjectId(3)), None);
     }
 
     #[test]
@@ -870,7 +808,7 @@ mod tests {
     fn entry_words_pack_and_unpack() {
         let word = pack_entry(0xABCD, 0x1234_5678);
         assert_eq!(unpack_entry(word), (0xABCD, 0x1234_5678));
-        // A v1 entry word (no high bits) unpacks with DIGEST_NONE.
+        // A bare block number (no high bits) unpacks with DIGEST_NONE.
         assert_eq!(unpack_entry(77), (77, DIGEST_NONE));
         assert_eq!(pack_entry(77, DIGEST_NONE), 77);
     }
@@ -1126,26 +1064,26 @@ mod tests {
     }
 
     #[test]
-    fn super_v3_round_trips_and_rejects_garbage() {
-        let sb = SuperV3 {
+    fn superblock_round_trips_and_rejects_garbage() {
+        let sb = Superblock {
             shard_count: 4,
             extent_blocks: 1024,
         };
         let block = sb.to_block();
-        assert_eq!(SuperV3::from_block(&block), Some(sb));
+        assert_eq!(Superblock::from_block(&block), Some(sb));
         let mut torn = sb.to_block();
         torn[9] ^= 1;
-        assert_eq!(SuperV3::from_block(&torn), None);
-        // A legacy superblock is not a v3 superblock.
-        let mut legacy = [0u8; BLOCK_SIZE];
-        legacy[0..8].copy_from_slice(&SUPER_MAGIC.to_le_bytes());
-        assert_eq!(SuperV3::from_block(&legacy), None);
+        assert_eq!(Superblock::from_block(&torn), None);
+        // A slab head is not the store superblock.
+        let mut slab = [0u8; BLOCK_SIZE];
+        slab[0..8].copy_from_slice(&SLAB_MAGIC.to_le_bytes());
+        assert_eq!(Superblock::from_block(&slab), None);
         // Degenerate shard counts are rejected even if checksummed.
-        let zero = SuperV3 {
+        let zero = Superblock {
             shard_count: 0,
             extent_blocks: 8,
         };
-        assert_eq!(SuperV3::from_block(&zero.to_block()), None);
+        assert_eq!(Superblock::from_block(&zero.to_block()), None);
     }
 
     #[test]
@@ -1172,12 +1110,18 @@ mod tests {
 
     #[test]
     fn shard_layouts_tile_without_overlap() {
-        let legacy = ShardLayout::legacy();
-        assert_eq!(legacy.superblock(), SUPERBLOCK);
-        assert_eq!(legacy.dir_start(), DIR_START);
-        assert_eq!(legacy.batch_ring_start(), BATCH_RING_START);
-        assert_eq!(legacy.snap_slot(1), SNAP_CATALOG_START + 1);
-        assert_eq!(legacy.data_floor, FIRST_DATA_BLOCK);
+        let single = ShardLayout::sharded(0, 1);
+        assert_eq!(single.slab_head(), SHARD_SLAB_START + SLAB_HEAD);
+        assert_eq!(single.dir_start(), SHARD_SLAB_START + DIR_START);
+        assert_eq!(
+            single.batch_ring_start(),
+            SHARD_SLAB_START + BATCH_RING_START
+        );
+        assert_eq!(
+            single.snap_slot(1),
+            SHARD_SLAB_START + SNAP_CATALOG_START + 1
+        );
+        assert_eq!(single.data_floor, SHARD_SLAB_START + SHARD_SLAB_BLOCKS);
 
         let n = 4;
         let mut prev_end = SHARD_SLAB_START;

@@ -78,8 +78,8 @@ impl std::error::Error for TreeError {}
 enum Child {
     Empty,
     /// At the last level: a data block number plus the digest32 of the
-    /// page contents ([`DIGEST_NONE`] when not yet known — entries decoded
-    /// from pre-digest stores).
+    /// page contents ([`DIGEST_NONE`] only when set through the
+    /// digest-less [`RadixTree::set`]).
     Data {
         block: u64,
         digest: u32,
@@ -119,8 +119,7 @@ struct Node {
     /// node has been modified since the last commit (dirty).
     disk_block: Option<u64>,
     /// digest32 of the committed image (valid while `disk_block` is
-    /// `Some`). [`DIGEST_NONE`] means unknown — the node was referenced by
-    /// a pre-digest parent; verification backfills it on first hydration.
+    /// `Some`); [`DIGEST_NONE`] while the node is dirty.
     disk_digest: u32,
 }
 
@@ -177,8 +176,8 @@ impl Node {
 
 /// Replaces an [`Child::Unloaded`] slot with its resident node (reading it
 /// via `read`) and returns a mutable reference to the node. The image read
-/// back is verified against the digest the parent recorded (skipped when
-/// the parent predates digests); a mismatch is [`TreeError::CorruptNode`].
+/// back is verified against the digest the parent recorded; a mismatch is
+/// [`TreeError::CorruptNode`].
 /// On any error the slot is left `Unloaded` — nothing is poisoned and a
 /// retry starts from the same state.
 fn hydrate_slot<'a>(
@@ -189,6 +188,11 @@ fn hydrate_slot<'a>(
     if let Child::Unloaded { block, digest } = *slot {
         let mut buf = [0u8; BLOCK_SIZE];
         read(block, &mut buf)?;
+        // The store never hands this a zero digest: every root record,
+        // catalog entry and node image it opens carries real ones. The
+        // skip exists only for the digest-less test surface
+        // (`from_committed`, `load`, `set`) the property tests and micro
+        // benches drive directly.
         if digest != DIGEST_NONE && digest32(&buf) != digest {
             return Err(TreeError::CorruptNode { block });
         }
@@ -240,9 +244,9 @@ impl RadixTree {
 
     /// Wraps a committed root block without reading anything: O(1). Nodes
     /// hydrate on first touch. `root_block == 0` yields an empty tree.
-    /// The root hydrates unverified (no known digest) — prefer
-    /// [`RadixTree::from_committed_digest`] when the root record carries
-    /// one.
+    /// The root hydrates unverified (no known digest): a helper for tests
+    /// and benches that drive the tree without a store; the store always
+    /// uses [`RadixTree::from_committed_digest`].
     pub fn from_committed(root_block: u64, len_pages: u64) -> Self {
         Self::from_committed_digest(root_block, DIGEST_NONE, len_pages)
     }
@@ -335,8 +339,7 @@ impl RadixTree {
     }
 
     /// The `(data block, content digest)` entry for `page`, hydrating the
-    /// path on demand. The digest is [`DIGEST_NONE`] for pages written by
-    /// pre-digest stores that have not been rewritten or scrubbed yet.
+    /// path on demand.
     pub fn get_entry_or_load(
         &mut self,
         page: u64,
@@ -346,18 +349,9 @@ impl RadixTree {
         Ok(self.get_entry(page))
     }
 
-    /// [`RadixTree::set`] with demand hydration. The path is hydrated
-    /// *before* any mutation, so an IO error leaves the mapping unchanged.
-    pub fn set_with(
-        &mut self,
-        page: u64,
-        data_block: u64,
-        read: BlockRead,
-    ) -> Result<Option<u64>, TreeError> {
-        self.set_entry_with(page, data_block, DIGEST_NONE, read)
-    }
-
-    /// [`RadixTree::set_entry`] with demand hydration.
+    /// [`RadixTree::set_entry`] with demand hydration. The path is
+    /// hydrated *before* any mutation, so an IO error leaves the mapping
+    /// unchanged.
     pub fn set_entry_with(
         &mut self,
         page: u64,
@@ -441,7 +435,7 @@ impl RadixTree {
             let node = match slot {
                 Child::Node(n) => Arc::make_mut(n),
                 Child::Unloaded { .. } => {
-                    panic!("set crossed an unloaded subtree; use set_with")
+                    panic!("set crossed an unloaded subtree; use set_entry_with")
                 }
                 _ => unreachable!("interior slots always hold nodes here"),
             };
@@ -464,45 +458,6 @@ impl RadixTree {
             }
             if matches!(node.children[idx], Child::Empty) {
                 node.children[idx] = Child::Node(Arc::new(Node::new()));
-            }
-            slot = &mut node.children[idx];
-        }
-        unreachable!()
-    }
-
-    /// Records `digest` for `page` without remapping it: the digest
-    /// backfill path for pages committed by pre-digest stores. The node
-    /// path is COW-dirtied (so the next full commit persists the digest)
-    /// but the data block itself is *not* superseded. Returns `false` — at
-    /// no cost — when the page is absent or already carries this digest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path crosses an unloaded subtree — hydrate first
-    /// (scrub walks hydrate as they enumerate).
-    #[allow(clippy::needless_range_loop)] // SHIFT is indexed by level on purpose
-    pub fn backfill_digest(&mut self, page: u64, digest: u32) -> bool {
-        assert!(page < MAX_PAGES, "page index out of range");
-        match self.get_entry(page) {
-            Some((_, d)) if d != digest => {}
-            _ => return false,
-        }
-        let mut slot = &mut self.root;
-        for level in 0..LEVELS {
-            let node = match slot {
-                Child::Node(n) => Arc::make_mut(n),
-                _ => unreachable!("get_entry above proved the path is resident"),
-            };
-            if let Some(b) = node.disk_block.take() {
-                self.freed.push(b);
-            }
-            let idx = ((page >> SHIFT[level]) as usize) & (FANOUT - 1);
-            if level == LEVELS - 1 {
-                match &mut node.children[idx] {
-                    Child::Data { digest: d, .. } => *d = digest,
-                    _ => unreachable!("get_entry above proved the page exists"),
-                }
-                return true;
             }
             slot = &mut node.children[idx];
         }
@@ -611,8 +566,7 @@ impl RadixTree {
     }
 
     /// digest32 of the committed root node's image ([`DIGEST_NONE`] for an
-    /// empty tree or a root adopted from a pre-digest record that has not
-    /// been hydrated yet). Pairs with [`RadixTree::committed_root`] to
+    /// empty tree). Pairs with [`RadixTree::committed_root`] to
     /// fill a root record.
     ///
     /// # Panics
@@ -1285,11 +1239,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_set_with_hydrates_then_dirties() {
+    fn lazy_set_entry_hydrates_then_dirties() {
         let mut next = 1_000u64;
         let (mut lazy, blocks) = committed_on_disk(&[(0, 100), (513, 101)], &mut next);
         let old = lazy
-            .set_with(0, 999, &mut |b, out| {
+            .set_entry_with(0, 999, DIGEST_NONE, &mut |b, out| {
                 out.copy_from_slice(&blocks[&b]);
                 Ok(())
             })
@@ -1327,7 +1281,7 @@ mod tests {
         let (mut lazy, blocks) = committed_on_disk(&[(0, 100), (513, 101)], &mut next);
         let old_root = lazy.committed_root();
         // Dirty one path; the sibling subtree stays unloaded.
-        lazy.set_with(0, 999, &mut |b, out| {
+        lazy.set_entry_with(0, 999, DIGEST_NONE, &mut |b, out| {
             out.copy_from_slice(&blocks[&b]);
             Ok(())
         })
@@ -1488,12 +1442,12 @@ mod tests {
     }
 
     #[test]
-    fn unverified_roots_hydrate_and_backfill_digests() {
-        // A pre-digest store: entry words carry no high bits. Hydration
-        // must accept them (digest DIGEST_NONE) and parse() must record
-        // the actual image digest so later commits re-chain the tree.
+    fn unverified_roots_hydrate_and_record_image_digests() {
+        // The digest-less helpers: entry words carry no high bits.
+        // Hydration must accept them (digest DIGEST_NONE) and parse() must
+        // record the actual image digest so later commits chain the tree.
         let mut t = RadixTree::new();
-        t.set(0, 100); // DIGEST_NONE entry, as a v1 store would hold
+        t.set(0, 100); // DIGEST_NONE entry
         let mut next = 1_000u64;
         let mut writes = Vec::new();
         let root = t.commit(
@@ -1515,22 +1469,6 @@ mod tests {
         );
         // Hydration recorded the actual root-image digest.
         assert_ne!(lazy.committed_root_digest(), DIGEST_NONE);
-    }
-
-    #[test]
-    fn backfill_digest_dirties_the_path_but_keeps_the_block() {
-        let mut next = 1_000u64;
-        let mut t = committed(&[(0, 100)], &mut next);
-        assert_eq!(t.get_entry(0), Some((100, DIGEST_NONE)));
-        assert!(t.backfill_digest(0, 0x77));
-        assert_eq!(t.get_entry(0), Some((100, 0x77)));
-        assert_eq!(t.dirty_nodes(), LEVELS, "path dirtied for persistence");
-        let freed = t.take_freed();
-        assert_eq!(freed.len(), LEVELS, "node images superseded");
-        assert!(!freed.contains(&100), "the data block itself is kept");
-        // Idempotent: same digest again is free.
-        assert!(!t.backfill_digest(0, 0x77));
-        assert!(!t.backfill_digest(5, 0x77), "absent page is a no-op");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The sharded multi-writer store: N [`StoreShard`]s behind one façade.
+//! The store façade: `N ≥ 1` [`StoreShard`]s behind one [`ObjectStore`].
 //!
 //! A single [`StoreShard`] serializes every mutator on one allocator
 //! frontier and one batch ring. This module partitions the device into
@@ -25,16 +25,16 @@
 //!   commit it names is durable* — recovery and replica promotion can
 //!   always land on a complete cut, never a mixed-epoch manifest.
 //!
-//! Legacy devices (v1/v2 superblock) open as a single-shard store with
-//! byte-identical layout; [`ObjectStore::format`] still produces one.
+//! There is one device layout: a single-shard store
+//! ([`ObjectStore::format`]) is the `N = 1` instance of it, with the same
+//! superblock, cut slots, broker-fed allocator and durable cuts.
 
 use msnap_disk::{Disk, IoError, BLOCK_SIZE};
 use msnap_sim::{Category, Nanos, Vt};
 
-use crate::alloc::BlockAllocator;
 use crate::layout::{
-    fnv1a, CutRecord, Epoch, ObjectId, ShardLayout, SnapEntry, SuperV3, CUT_SLOTS, CUT_SLOT_START,
-    MAX_SHARDS, SHARD_ID_SHIFT, SUPER_MAGIC, SUPER_MAGIC_V3,
+    fnv1a, CutRecord, Epoch, ObjectId, ShardLayout, SnapEntry, Superblock, CUT_SLOTS,
+    CUT_SLOT_START, MAX_SHARDS, SHARD_ID_SHIFT,
 };
 use crate::store::{
     CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage, MAX_IO_ATTEMPTS,
@@ -118,38 +118,28 @@ impl VectorCut {
     }
 }
 
-/// The sharded copy-on-write object store: the crate's public store
-/// type. Owns `N` [`StoreShard`]s, the [`ExtentBroker`] partitioning
-/// the data area between them, and the epoch-vector cut state. With
-/// `N = 1` (the [`ObjectStore::format`] / legacy-open path) it is a
-/// zero-overhead passthrough with the exact on-disk layout of earlier
-/// versions.
+/// The copy-on-write object store: the crate's public store type. Owns
+/// `N ≥ 1` [`StoreShard`]s, the [`ExtentBroker`] partitioning the data
+/// area between them, and the epoch-vector cut state.
 pub struct ObjectStore {
     shards: Vec<StoreShard>,
-    /// `None` in legacy single-shard mode (the shard's own
-    /// capacity-bounded allocator governs space).
-    broker: Option<ExtentBroker>,
+    broker: ExtentBroker,
     /// Next cut sequence number.
     cut_seq: u64,
-    /// Newest stamped (v3: durable) cut.
+    /// Newest durable cut.
     last_cut: Option<VectorCut>,
 }
 
 impl ObjectStore {
-    /// Formats `disk` as a legacy single-shard store (byte-identical to
-    /// earlier versions) and returns it.
+    /// Formats `disk` as a single-shard store and returns it:
+    /// [`ObjectStore::format_sharded`] with `shard_count = 1`.
     pub fn format(disk: &mut Disk) -> Self {
-        ObjectStore {
-            shards: vec![StoreShard::format(disk)],
-            broker: None,
-            cut_seq: 0,
-            last_cut: None,
-        }
+        Self::format_sharded(disk, 1)
     }
 
-    /// Formats `disk` as a v3 sharded store with `shard_count` shards
-    /// and returns it. Writes the v3 superblock, the initial
-    /// (all-zeros) cut record, and each shard's metadata slab.
+    /// Formats `disk` as a store with `shard_count` shards and returns
+    /// it. Writes the superblock, the initial (all-zeros) cut record,
+    /// and each shard's metadata slab.
     ///
     /// # Panics
     ///
@@ -161,7 +151,7 @@ impl ObjectStore {
             (1..=MAX_SHARDS).contains(&shard_count),
             "shard_count must be in 1..={MAX_SHARDS}"
         );
-        let sb = SuperV3 {
+        let sb = Superblock {
             shard_count: shard_count as u64,
             extent_blocks: DEFAULT_EXTENT_BLOCKS,
         };
@@ -187,8 +177,7 @@ impl ObjectStore {
         for s in 0..shard_count {
             let layout = ShardLayout::sharded(s, shard_count);
             data_floor = layout.data_floor;
-            let alloc = BlockAllocator::bounded(layout.data_floor, layout.data_floor);
-            shards.push(StoreShard::format_at(disk, layout, alloc));
+            shards.push(StoreShard::format_at(disk, layout));
         }
         disk.settle();
         let broker = ExtentBroker::new(
@@ -198,7 +187,7 @@ impl ObjectStore {
         );
         ObjectStore {
             shards,
-            broker: Some(broker),
+            broker,
             cut_seq: 1,
             last_cut: Some(VectorCut {
                 seq: 0,
@@ -207,40 +196,21 @@ impl ObjectStore {
         }
     }
 
-    /// Opens the store from a (possibly crashed) device, sniffing the
-    /// superblock: a legacy (v1/v2) device opens as a single-shard
-    /// store, a v3 device opens every shard and adopts the newest
-    /// durable complete [`VectorCut`].
+    /// Opens the store from a (possibly crashed) device: opens every
+    /// shard and adopts the newest durable complete [`VectorCut`].
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFormatted`] if the superblock is neither magic.
+    /// [`StoreError::NotFormatted`] if block 0 is not a valid superblock.
     pub fn open(vt: &mut Vt, disk: &mut Disk) -> Result<Self, StoreError> {
         let mut sb = [0u8; BLOCK_SIZE];
         disk.read_block(vt, 0, &mut sb);
-        let magic = u64::from_le_bytes(sb[0..8].try_into().unwrap());
-        if magic == SUPER_MAGIC {
-            return Ok(ObjectStore {
-                shards: vec![StoreShard::open(vt, disk)?],
-                broker: None,
-                cut_seq: 0,
-                last_cut: None,
-            });
-        }
-        if magic != SUPER_MAGIC_V3 {
-            return Err(StoreError::NotFormatted);
-        }
-        let sup = SuperV3::from_block(&sb).ok_or(StoreError::NotFormatted)?;
+        let sup = Superblock::from_block(&sb).ok_or(StoreError::NotFormatted)?;
         let n = sup.shard_count as usize;
         let extent = sup.extent_blocks;
         let mut shards = Vec::with_capacity(n);
         for s in 0..n {
-            shards.push(StoreShard::open_at(
-                vt,
-                disk,
-                ShardLayout::sharded(s, n),
-                true,
-            )?);
+            shards.push(StoreShard::open_at(vt, disk, ShardLayout::sharded(s, n))?);
         }
         // Re-grant each shard the unused tail of the extent its frontier
         // stopped in (extent boundaries are `extent`-aligned relative to
@@ -290,7 +260,7 @@ impl ObjectStore {
         let cut_seq = best.as_ref().map_or(0, |b| b.seq + 1);
         Ok(ObjectStore {
             shards,
-            broker: Some(broker),
+            broker,
             cut_seq,
             last_cut: best,
         })
@@ -323,9 +293,10 @@ impl ObjectStore {
     }
 
     /// Runs `op` against shard `shard`, growing its block range through
-    /// the broker whenever the operation runs out of space. Every shard
-    /// operation aborts cleanly on `OutOfSpace` (no epoch advanced, no
-    /// blocks leaked) while the grant itself survives the abort, so
+    /// the broker whenever the operation runs out of space. `op` must be
+    /// one atomic shard operation — one that aborts cleanly on
+    /// `OutOfSpace` (no epoch advanced, no blocks leaked), because it is
+    /// re-run whole. The grant itself survives the abort, so
     /// each retry strictly enlarges the usable range; the grant size
     /// doubles per retry so any single contiguous extent demand is met,
     /// and a `None` grant means the device is truly full.
@@ -338,8 +309,7 @@ impl ObjectStore {
         loop {
             match op(&mut self.shards[shard]) {
                 Err(StoreError::OutOfSpace) => {
-                    let Some((start, end)) = self.broker.as_mut().and_then(|b| b.grant(extents))
-                    else {
+                    let Some((start, end)) = self.broker.grant(extents) else {
                         return Err(StoreError::OutOfSpace);
                     };
                     self.shards[shard].grant_range(start, end);
@@ -430,16 +400,14 @@ impl ObjectStore {
         self.last_cut.as_ref()
     }
 
-    /// Stamps (and on v3 devices durably persists) an epoch-vector cut.
+    /// Stamps and durably persists an epoch-vector cut.
     ///
     /// This is the *stamp* phase of the fuzzy cut: callers first drain
     /// in-flight group-commit tickets (flush open batches), then stamp,
     /// then release new commits. The cut record is submitted no earlier
     /// than every shard's durability frontier, so a durable cut record
     /// implies every commit it counts is durable — the invariant the
-    /// crash sweep and replica promotion rely on. On legacy single-shard
-    /// devices the cut is stamped in memory only (there is no cut slot
-    /// in the v1/v2 layout).
+    /// crash sweep and replica promotion rely on.
     ///
     /// # Errors
     ///
@@ -449,25 +417,23 @@ impl ObjectStore {
             seq: self.cut_seq,
             epochs: self.epoch_vector(),
         };
-        if self.broker.is_some() {
-            let rec = CutRecord {
-                seq: cut.seq,
-                epochs: cut.epochs.clone(),
-            };
-            let at = self
-                .shards
-                .iter()
-                .map(|s| s.max_chain_completes())
-                .max()
-                .unwrap_or(Nanos::ZERO)
-                .max(vt.now());
-            let block = rec.to_block();
-            let token =
-                write_retry(disk, at, CutRecord::slot(rec.seq), &block).map_err(StoreError::Io)?;
-            let wait = token.completes().saturating_sub(vt.now());
-            if wait > Nanos::ZERO {
-                vt.charge(Category::IoWait, wait);
-            }
+        let rec = CutRecord {
+            seq: cut.seq,
+            epochs: cut.epochs.clone(),
+        };
+        let at = self
+            .shards
+            .iter()
+            .map(|s| s.max_chain_completes())
+            .max()
+            .unwrap_or(Nanos::ZERO)
+            .max(vt.now());
+        let block = rec.to_block();
+        let token =
+            write_retry(disk, at, CutRecord::slot(rec.seq), &block).map_err(StoreError::Io)?;
+        let wait = token.completes().saturating_sub(vt.now());
+        if wait > Nanos::ZERO {
+            vt.charge(Category::IoWait, wait);
         }
         self.cut_seq += 1;
         self.last_cut = Some(cut.clone());
@@ -527,6 +493,11 @@ impl ObjectStore {
     /// object): an error from one shard does not roll back another
     /// shard's already-durable batch.
     ///
+    /// A shard's share that cannot use one batch record (a single group,
+    /// or too many pairs for one block) commits group by group, each
+    /// group its own grant-retry unit: `with_grants` only ever re-runs
+    /// an attempt that aborted whole, so no group can commit twice.
+    ///
     /// # Errors
     ///
     /// See [`StoreShard::persist_batch`].
@@ -537,9 +508,6 @@ impl ObjectStore {
         disk: &mut Disk,
         groups: &[(ObjectId, &[(u64, &[u8])])],
     ) -> Result<Vec<CommitToken>, StoreError> {
-        if self.shards.len() == 1 {
-            return self.with_grants(0, |s| s.persist_batch(vt, disk, groups));
-        }
         let mut by_shard: Vec<Vec<(usize, (ObjectId, &[(u64, &[u8])]))>> =
             vec![Vec::new(); self.shards.len()];
         for (i, &(id, pages)) in groups.iter().enumerate() {
@@ -548,11 +516,16 @@ impl ObjectStore {
         }
         let mut out: Vec<Option<CommitToken>> = vec![None; groups.len()];
         for (shard, bucket) in by_shard.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
             let local: Vec<(ObjectId, &[(u64, &[u8])])> = bucket.iter().map(|&(_, g)| g).collect();
-            let tokens = self.with_grants(shard, |s| s.persist_batch(vt, disk, &local))?;
+            let tokens = if StoreShard::shares_a_batch_record(&local) {
+                self.with_grants(shard, |s| s.persist_batch(vt, disk, &local))?
+            } else {
+                let mut tokens = Vec::with_capacity(local.len());
+                for &(object, pages) in &local {
+                    tokens.push(self.with_grants(shard, |s| s.persist(vt, disk, object, pages))?);
+                }
+                tokens
+            };
             for (&(i, _), token) in bucket.iter().zip(tokens) {
                 out[i] = Some(token);
             }
@@ -898,7 +871,6 @@ fn add_scrub(a: ScrubStats, b: ScrubStats) -> ScrubStats {
         corruptions_found: a.corruptions_found + b.corruptions_found,
         repairs: a.repairs + b.repairs,
         unrepaired: a.unrepaired + b.unrepaired,
-        digests_backfilled: a.digests_backfilled + b.digests_backfilled,
         io_spent: a.io_spent + b.io_spent,
         passes: a.passes + b.passes,
     }
@@ -931,28 +903,91 @@ mod tests {
     }
 
     #[test]
-    fn legacy_format_is_single_shard_passthrough() {
+    fn legacy_block0_superblock_is_not_formatted() {
+        // What the retired single-shard layout put at block 0: the slab
+        // magic, with no shard count or checksum behind it.
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut legacy = [0u8; BLOCK_SIZE];
+        legacy[0..8].copy_from_slice(&crate::layout::SLAB_MAGIC.to_le_bytes());
+        let mut vt = Vt::new(0);
+        disk.write_block(&mut vt, 0, &legacy).unwrap();
+        disk.settle();
+        assert_eq!(
+            ObjectStore::open(&mut vt, &mut disk).err(),
+            Some(StoreError::NotFormatted)
+        );
+    }
+
+    #[test]
+    fn commit_straddling_an_extent_boundary_costs_the_same() {
+        // Identical delta commits; some of them exhaust the shard's
+        // granted range and are re-run by `with_grants` after a broker
+        // grant. The aborted attempt must charge nothing.
         let mut disk = Disk::new(DiskConfig::paper());
         let mut store = ObjectStore::format(&mut disk);
         let mut vt = Vt::new(0);
-        assert_eq!(store.shard_count(), 1);
-        let obj = store.create(&mut vt, &mut disk, "a").unwrap();
-        assert_eq!(obj, ObjectId(0), "shard 0 ids are identical to legacy");
+        let obj = store.create(&mut vt, &mut disk, "o").unwrap();
+        let pages = [page_of(1), page_of(2), page_of(3)];
+        let mut costs = std::collections::BTreeSet::new();
+        let mut straddles = 0;
+        for round in 0..400u64 {
+            let iov: Vec<(u64, &[u8])> = pages
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (round * 3 + i as u64, &p[..]))
+                .collect();
+            let (t0, s0, b0) = (vt.now(), store.stats(), store.broker.next_block());
+            let tok = store.persist(&mut vt, &mut disk, obj, &iov).unwrap();
+            let (dt, s1) = (vt.now() - t0, store.stats());
+            ObjectStore::wait(&mut vt, tok);
+            if s1.delta_commits == s0.delta_commits {
+                continue; // the periodic full root does different work
+            }
+            straddles += u32::from(store.broker.next_block() != b0);
+            costs.insert((
+                dt,
+                s1.commits - s0.commits,
+                s1.pages_written - s0.pages_written,
+                s1.nodes_written - s0.nodes_written,
+            ));
+        }
+        assert!(straddles >= 3, "the run must cross extent boundaries");
+        assert_eq!(
+            costs.len(),
+            1,
+            "every delta commit costs the same: {costs:?}"
+        );
+    }
+
+    #[test]
+    fn oversize_batch_commits_each_group_exactly_once() {
+        // Two 150-page groups do not fit one batch record, so they commit
+        // serially; the second regularly runs off the end of the shard's
+        // granted range. The grant retry must re-run that group alone —
+        // never the already-committed first one.
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = ObjectStore::format(&mut disk);
+        let mut vt = Vt::new(0);
+        let a = store.create(&mut vt, &mut disk, "a").unwrap();
+        let b = store.create(&mut vt, &mut disk, "b").unwrap();
         let page = page_of(7);
-        let tok = store
-            .persist(&mut vt, &mut disk, obj, &[(0, &page)])
-            .unwrap();
-        assert_eq!(tok.epoch, 1);
-        ObjectStore::wait(&mut vt, tok);
-        // A legacy device re-opens through the sniffing path.
-        disk.crash(vt.now());
-        let mut reopened = ObjectStore::open(&mut vt, &mut disk).unwrap();
-        assert_eq!(reopened.shard_count(), 1);
-        let mut out = [0u8; BLOCK_SIZE];
-        reopened
-            .read_page(&mut vt, &mut disk, ObjectId(0), 0, &mut out)
-            .unwrap();
-        assert_eq!(out[..8], page[..8]);
+        let pages: Vec<(u64, &[u8])> = (0..150).map(|i| (i, &page[..])).collect();
+        let mut grants = 0;
+        for round in 1..=8u64 {
+            let (b0, commits) = (store.broker.next_block(), store.stats().commits);
+            let tokens = store
+                .persist_batch(&mut vt, &mut disk, &[(a, &pages), (b, &pages)])
+                .unwrap();
+            grants += u32::from(store.broker.next_block() != b0);
+            assert_eq!(
+                tokens.iter().map(|t| t.epoch).collect::<Vec<_>>(),
+                [round, round]
+            );
+            assert_eq!((store.epoch(a), store.epoch(b)), (round, round));
+            assert_eq!(store.stats().commits - commits, 2);
+            ObjectStore::wait(&mut vt, tokens[1]);
+        }
+        assert!(grants >= 4, "the run must cross extent boundaries");
     }
 
     #[test]

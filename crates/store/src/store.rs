@@ -20,9 +20,9 @@ use msnap_sim::{Category, Nanos, Vt};
 
 use crate::layout::{
     self, BatchGroup, BatchRecord, DeltaRecord, DirEntry, Epoch, ObjectId, RootRecord, ShardLayout,
-    SnapCatalog, SnapEntry, BATCH_SLOTS, DELTA_SLOTS, DIGEST_NONE, DIR_BLOCKS, DIR_ENTRY_LEN,
-    ENTRIES_PER_BLOCK, FIRST_DATA_BLOCK, MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN,
-    OBJECT_META_BLOCKS, SNAP_CATALOG_SLOTS, SUPER_MAGIC,
+    SnapCatalog, SnapEntry, BATCH_SLOTS, DELTA_SLOTS, DIR_BLOCKS, DIR_ENTRY_LEN, ENTRIES_PER_BLOCK,
+    MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN, OBJECT_META_BLOCKS, SLAB_MAGIC,
+    SNAP_CATALOG_SLOTS,
 };
 use crate::radix::TreeError;
 use crate::{BlockAllocator, BlockCache, RadixTree};
@@ -265,9 +265,6 @@ pub struct ScrubStats {
     /// Corruptions with no clean local source: quarantined and reported
     /// through [`StoreShard::unrepaired_pages`], awaiting a peer copy.
     pub unrepaired: u64,
-    /// Old-layout (pre-digest) leaf entries backfilled with a freshly
-    /// computed digest during the scrub walk.
-    pub digests_backfilled: u64,
     /// Device block reads the scrub spent — its IO budget consumption.
     pub io_spent: u64,
     /// Full passes over the radix forest completed.
@@ -307,6 +304,14 @@ mod costs {
     pub const NODE_SERIALIZE: Nanos = Nanos::from_ns(250);
     /// Cost of a root/delta-slot parse during recovery.
     pub const ROOT_PARSE: Nanos = Nanos::from_ns(400);
+
+    /// Cost of initiating a μCheckpoint of `pages` pages. Charged only
+    /// once the commit's blocks are allocated: an attempt that aborts
+    /// with `OutOfSpace` (which the broker wrapper re-runs after a
+    /// grant) costs no virtual time.
+    pub fn initiate(pages: usize) -> Nanos {
+        INITIATE_BASE + INITIATE_PER_PAGE * pages as u64
+    }
 }
 
 struct ObjectState {
@@ -334,7 +339,7 @@ struct ObjectState {
 /// epoch's (fully committed) tree for point-in-time reads and diffs, and
 /// the exact block set the snapshot pins.
 ///
-/// After [`StoreShard::open`] the tree is *unloaded* (an O(1) wrapper
+/// After recovery (`open_at`) the tree is *unloaded* (an O(1) wrapper
 /// around the catalog's root block) and `pinned` is false: `blocks` is
 /// empty and no pins are registered. Pins materialize on demand — see
 /// [`StoreShard::ensure_pins`] — before the store frees its first
@@ -349,11 +354,10 @@ struct SnapState {
 
 /// One shard of the copy-on-write object store: a complete store in its
 /// own right (allocator, radix forest, batch ring, snapshot catalog)
-/// whose metadata slab lives at a [`ShardLayout`]-determined base. A
-/// legacy single-shard store is exactly a `StoreShard` with the
-/// `base = 0` layout; the sharded [`crate::ObjectStore`] wrapper owns
-/// `N` of these plus the extent broker that partitions the data area
-/// between them. See the crate and module docs.
+/// whose metadata slab lives at a [`ShardLayout`]-determined base. The
+/// [`crate::ObjectStore`] wrapper owns `N ≥ 1` of these plus the extent
+/// broker that partitions the data area between them. See the crate and
+/// module docs.
 pub struct StoreShard {
     layout: ShardLayout,
     alloc: BlockAllocator,
@@ -420,27 +424,18 @@ impl fmt::Debug for StoreShard {
 }
 
 impl StoreShard {
-    /// Formats `disk` with an empty store and returns it.
+    /// Formats one shard's metadata slab at `layout` and returns the
+    /// shard with an empty allocator: every block it hands out comes from
+    /// a broker grant ([`StoreShard::grant_range`]). The caller settles
+    /// the device once all shards are formatted.
     ///
     /// Formatting happens before any workload runs; injecting faults into
     /// it is unsupported, so a device error here is a setup bug and
     /// panics.
-    pub fn format(disk: &mut Disk) -> Self {
-        let alloc = BlockAllocator::with_capacity(FIRST_DATA_BLOCK, disk.config().capacity_blocks);
-        let shard = Self::format_at(disk, ShardLayout::legacy(), alloc);
-        disk.settle();
-        shard
-    }
-
-    /// Formats one shard's metadata slab at `layout` and returns the
-    /// shard working out of `alloc`. Used by the legacy [`StoreShard::format`]
-    /// (layout base 0, capacity-bounded allocator) and by the sharded
-    /// wrapper (per-shard slabs, broker-range-bounded allocators). The
-    /// caller settles the device once all shards are formatted.
-    pub(crate) fn format_at(disk: &mut Disk, layout: ShardLayout, alloc: BlockAllocator) -> Self {
-        let mut sb = [0u8; BLOCK_SIZE];
-        sb[0..8].copy_from_slice(&SUPER_MAGIC.to_le_bytes());
-        disk.write_block_at(Nanos::ZERO, layout.superblock(), &sb)
+    pub(crate) fn format_at(disk: &mut Disk, layout: ShardLayout) -> Self {
+        let mut head = [0u8; BLOCK_SIZE];
+        head[0..8].copy_from_slice(&SLAB_MAGIC.to_le_bytes());
+        disk.write_block_at(Nanos::ZERO, layout.slab_head(), &head)
             .expect("formatting a faulty device is unsupported");
         let zero = [0u8; BLOCK_SIZE];
         let dir = layout.dir_start();
@@ -455,7 +450,7 @@ impl StoreShard {
         }
         StoreShard {
             layout,
-            alloc,
+            alloc: BlockAllocator::bounded(layout.data_floor, layout.data_floor),
             objects: Vec::new(),
             by_name: HashMap::new(),
             pending_free: BinaryHeap::new(),
@@ -478,9 +473,10 @@ impl StoreShard {
         }
     }
 
-    /// Opens the store from a (possibly crashed) device: adopt each
-    /// object's newest valid full root, replay consecutive delta records
-    /// on top, and rebuild the allocator past every reachable block.
+    /// Opens one shard from its metadata slab at `layout` on a (possibly
+    /// crashed) device: adopt each object's newest valid full root, replay
+    /// consecutive delta records on top, and rebuild the allocator past
+    /// every reachable block.
     ///
     /// Recovery IO is **O(dirty set), not O(object size)**: trees are
     /// adopted as unloaded wrappers around their committed root blocks
@@ -493,27 +489,22 @@ impl StoreShard {
     /// adopted unloaded too; their pin sets materialize on demand before
     /// the store frees its first block (`ensure_pins`).
     ///
+    /// The recovered allocator is range-bounded at its own frontier: it
+    /// hands out nothing until the wrapper re-grants the tail of the
+    /// frontier's extent from the broker state it recovers across all
+    /// shards.
+    ///
     /// # Errors
     ///
-    /// [`StoreError::NotFormatted`] if the superblock is missing.
-    pub fn open(vt: &mut Vt, disk: &mut Disk) -> Result<Self, StoreError> {
-        Self::open_at(vt, disk, ShardLayout::legacy(), false)
-    }
-
-    /// Opens one shard from its metadata slab at `layout`. With
-    /// `bounded_alloc` the recovered allocator is range-bounded at its
-    /// own frontier (hands out nothing until the wrapper re-grants the
-    /// tail of the frontier's extent); without it the allocator bumps
-    /// freely to the device capacity — the legacy single-shard mode.
+    /// [`StoreError::NotFormatted`] if the slab magic is missing.
     pub(crate) fn open_at(
         vt: &mut Vt,
         disk: &mut Disk,
         layout: ShardLayout,
-        bounded_alloc: bool,
     ) -> Result<Self, StoreError> {
-        let mut sb = [0u8; BLOCK_SIZE];
-        disk.read_block(vt, layout.superblock(), &mut sb);
-        if u64::from_le_bytes(sb[0..8].try_into().unwrap()) != SUPER_MAGIC {
+        let mut head = [0u8; BLOCK_SIZE];
+        disk.read_block(vt, layout.slab_head(), &mut head);
+        if u64::from_le_bytes(head[0..8].try_into().unwrap()) != SLAB_MAGIC {
             return Err(StoreError::NotFormatted);
         }
 
@@ -556,7 +547,6 @@ impl StoreShard {
 
             // Newest valid full root.
             let mut base: Option<RootRecord> = None;
-            let mut base_slot_index = 0;
             for i in 0..2 {
                 vt.charge(Category::FileSystem, costs::ROOT_PARSE);
                 disk.read_block(vt, entry.meta_base + i, &mut buf);
@@ -569,7 +559,6 @@ impl StoreShard {
                         rec.epoch > b.epoch || (rec.epoch == b.epoch && rec.flush_seq > b.flush_seq)
                     }) {
                         base = Some(rec);
-                        base_slot_index = i;
                     }
                 }
             }
@@ -669,8 +658,7 @@ impl StoreShard {
                 for ((page, word), digest) in delta.pairs.iter().zip(digests) {
                     let (block, _) = layout::unpack_entry(*word);
                     // The payload checksum above just verified the data,
-                    // so the freshly computed digest is authoritative —
-                    // pre-digest (v1) records backfill here for free.
+                    // so the freshly computed digest is authoritative.
                     tree.set_entry(*page, block, digest);
                     high_water = high_water.max(block + 1);
                 }
@@ -697,15 +685,7 @@ impl StoreShard {
                 epoch,
                 last_commit: Nanos::ZERO,
                 deltas_since_full: epoch - base_epoch,
-                // v2 roots persist their full-root sequence number; v1
-                // roots (flush_seq 0) fall back to the slot-parity rule.
-                full_count: base.map_or(0, |b| {
-                    if b.flush_seq > 0 {
-                        b.flush_seq
-                    } else {
-                        base_slot_index + 1
-                    }
-                }),
+                full_count: base.map_or(0, |b| b.flush_seq),
                 node_freed_pending: Vec::new(),
                 chain_completes: Nanos::ZERO,
             });
@@ -763,14 +743,7 @@ impl StoreShard {
 
         Ok(StoreShard {
             layout,
-            alloc: if bounded_alloc {
-                // The wrapper re-grants the unallocated tail of the
-                // frontier's extent (and anything newer) from broker
-                // state it recovers across all shards.
-                BlockAllocator::bounded(high_water, high_water)
-            } else {
-                BlockAllocator::with_capacity(high_water, disk.config().capacity_blocks)
-            },
+            alloc: BlockAllocator::bounded(high_water, high_water),
             objects,
             by_name,
             pending_free: BinaryHeap::new(),
@@ -883,7 +856,6 @@ impl StoreShard {
     }
 
     /// Grants the block range `[start, end)` to this shard's allocator.
-    /// Only meaningful for bounded (broker-fed) shards.
     pub(crate) fn grant_range(&mut self, start: u64, end: u64) {
         self.alloc.add_range(start, end);
     }
@@ -983,11 +955,6 @@ impl StoreShard {
         // object untouched.
         self.hydrate_object_paths(vt, disk, object, pages)?;
 
-        vt.charge(
-            Category::FileSystem,
-            costs::INITIATE_BASE + costs::INITIATE_PER_PAGE * pages.len() as u64,
-        );
-
         let state = &mut self.objects[object.0 as usize];
         let epoch = state.epoch + 1;
         let use_delta = self.delta_commits
@@ -1008,6 +975,7 @@ impl StoreShard {
             let Some(first) = self.alloc.alloc_contiguous(pages.len() as u64) else {
                 return Err(StoreError::OutOfSpace);
             };
+            vt.charge(Category::FileSystem, costs::initiate(pages.len()));
             let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(pages.len() + 1);
             let mut delta_pairs = Vec::with_capacity(pages.len());
             for (i, (page, data)) in pages.iter().enumerate() {
@@ -1073,7 +1041,7 @@ impl StoreShard {
             }
         } else {
             // Slow path: flush dirty COW nodes and write a full root.
-            self.full_commit(vt, disk, object, pages, epoch)?
+            self.full_commit(vt, disk, object, pages, epoch, costs::initiate(pages.len()))?
         };
 
         self.stats.commits += 1;
@@ -1086,7 +1054,9 @@ impl StoreShard {
     /// extent followed by a full root record, and updates all commit
     /// state. `epoch` may equal the object's current epoch (a data-less
     /// root flush) or jump ahead of it (replica image application); the
-    /// root record is the single commit point either way.
+    /// root record is the single commit point either way. `initiate` is
+    /// the caller's initiation cost, charged once every allocation has
+    /// succeeded (see `costs::initiate`).
     ///
     /// On error the tree and allocator are restored; nothing leaks.
     fn full_commit(
@@ -1096,6 +1066,7 @@ impl StoreShard {
         object: ObjectId,
         pages: &[(u64, &[u8])],
         epoch: Epoch,
+        initiate: Nanos,
     ) -> Result<CommitToken, StoreError> {
         let alloc_snapshot = self.alloc.clone();
         let state = &mut self.objects[object.0 as usize];
@@ -1142,6 +1113,7 @@ impl StoreShard {
             self.alloc = alloc_snapshot;
             return Err(StoreError::OutOfSpace);
         }
+        vt.charge(Category::FileSystem, initiate);
         vt.charge(
             Category::FileSystem,
             costs::NODE_SERIALIZE * node_writes.len() as u64,
@@ -1200,6 +1172,14 @@ impl StoreShard {
         })
     }
 
+    /// Whether `groups` commit as one all-or-nothing batched submission
+    /// (two or more groups whose pairs fit one [`BatchRecord`] block)
+    /// rather than as serial per-group [`StoreShard::persist`] calls.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn shares_a_batch_record(groups: &[(ObjectId, &[(u64, &[u8])])]) -> bool {
+        groups.len() > 1 && BatchRecord::fits(groups.iter().map(|(_, p)| p.len()))
+    }
+
     /// Commits several objects' μCheckpoints as **one** batched
     /// submission (the group-commit path): a single contiguous data
     /// extent covering every group's pages followed by a single
@@ -1239,7 +1219,7 @@ impl StoreShard {
         // Small or oversized batches gain nothing from the shared record:
         // take the plain per-object path (which also keeps the
         // single-caller cost model exactly as Table 5 calibrates it).
-        if groups.len() <= 1 || !BatchRecord::fits(groups.iter().map(|(_, p)| p.len())) {
+        if !Self::shares_a_batch_record(groups) {
             return groups
                 .iter()
                 .map(|(obj, pages)| self.persist(vt, disk, *obj, pages))
@@ -1281,18 +1261,14 @@ impl StoreShard {
             }
         }
 
-        // One initiation charge for the whole batch: this is the
-        // amortization that group commit buys.
         let total_pages: usize = groups.iter().map(|(_, p)| p.len()).sum();
-        vt.charge(
-            Category::FileSystem,
-            costs::INITIATE_BASE + costs::INITIATE_PER_PAGE * total_pages as u64,
-        );
-
         let alloc_snapshot = self.alloc.clone();
         let Some(first) = self.alloc.alloc_contiguous(total_pages as u64) else {
             return Err(StoreError::OutOfSpace);
         };
+        // One initiation charge for the whole batch: this is the
+        // amortization that group commit buys.
+        vt.charge(Category::FileSystem, costs::initiate(total_pages));
         let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(total_pages + 1);
         let mut rec_groups = Vec::with_capacity(groups.len());
         let mut next = first;
@@ -1377,7 +1353,7 @@ impl StoreShard {
     }
 
     /// Materializes the pin sets of snapshots adopted unloaded by
-    /// [`StoreShard::open`]: hydrates each snapshot tree (through the
+    /// `open_at`: hydrates each snapshot tree (through the
     /// block cache) and registers its reachable blocks in `snap_pins`.
     ///
     /// Called before any path that can free a block (recycling, snapshot
@@ -1471,7 +1447,7 @@ impl StoreShard {
         object: ObjectId,
     ) -> Result<(), StoreError> {
         let epoch = self.objects[object.0 as usize].epoch;
-        self.full_commit(vt, disk, object, &[], epoch)?;
+        self.full_commit(vt, disk, object, &[], epoch, Nanos::ZERO)?;
         Ok(())
     }
 
@@ -1646,10 +1622,7 @@ impl StoreShard {
         match entry {
             Some((block, digest)) => {
                 read_block_cached(vt, disk, cache, stats, block, out, false)?;
-                // Digests from pre-digest snapshots are unknown and skip
-                // verification (no backfill either: a snapshot tree's
-                // committed structure must stay intact for pins/diffs).
-                if digest != DIGEST_NONE && layout::digest32(out) != digest {
+                if layout::digest32(out) != digest {
                     cache.invalidate(block);
                     self.quarantined.insert(block);
                     let epoch = snap.entry.epoch;
@@ -1757,11 +1730,8 @@ impl StoreShard {
             return Err(StoreError::StaleEpoch);
         }
         self.hydrate_object_paths(vt, disk, object, pages)?;
-        vt.charge(
-            Category::FileSystem,
-            costs::INITIATE_BASE + costs::INITIATE_PER_PAGE * pages.len() as u64,
-        );
-        let token = self.full_commit(vt, disk, object, pages, target_epoch)?;
+        let initiate = costs::initiate(pages.len());
+        let token = self.full_commit(vt, disk, object, pages, target_epoch, initiate)?;
         self.stats.commits += 1;
         self.stats.pages_written += pages.len() as u64;
         Ok(token)
@@ -1796,8 +1766,7 @@ impl StoreShard {
         if epoch <= state.epoch {
             return Err(StoreError::StaleEpoch);
         }
-        vt.charge(Category::FileSystem, costs::INITIATE_BASE);
-        let token = self.full_commit(vt, disk, object, &[], epoch)?;
+        let token = self.full_commit(vt, disk, object, &[], epoch, costs::initiate(0))?;
         self.stats.commits += 1;
         Ok(token)
     }
@@ -1868,13 +1837,10 @@ impl StoreShard {
                 read_block_cached(vt, disk, cache, stats, b, out, true)
             })?;
         }
-        vt.charge(
-            Category::FileSystem,
-            costs::INITIATE_BASE + costs::INITIATE_PER_PAGE * pages.len() as u64,
-        );
         let state = &mut self.objects[object.0 as usize];
         let divergent = std::mem::replace(&mut state.tree, base_tree);
-        let token = match self.full_commit(vt, disk, object, pages, target_epoch) {
+        let initiate = costs::initiate(pages.len());
+        let token = match self.full_commit(vt, disk, object, pages, target_epoch, initiate) {
             Ok(t) => t,
             Err(e) => {
                 // full_commit restored the (cloned) base tree; put the
@@ -1989,13 +1955,7 @@ impl StoreShard {
         match entry {
             Some((block, digest)) => {
                 read_block_cached(vt, disk, cache, stats, block, out, false)?;
-                let actual = layout::digest32(out);
-                if digest == DIGEST_NONE {
-                    // Pre-digest (v1) entry: adopt the digest on first
-                    // read; the next commit that flushes this leaf
-                    // persists it.
-                    state.tree.backfill_digest(page, actual);
-                } else if actual != digest {
+                if layout::digest32(out) != digest {
                     // Never serve rotted bytes: quarantine and surface.
                     cache.invalidate(block);
                     self.quarantined.insert(block);
@@ -2071,7 +2031,7 @@ impl StoreShard {
                         .tree
                         .committed_nodes()
                         .into_iter()
-                        .filter(|(b, d)| *d != DIGEST_NONE && !self.scrub_verified.contains(b))
+                        .filter(|(b, _)| !self.scrub_verified.contains(b))
                         .collect();
                     let mut corrupt = None;
                     for (block, digest) in worklist {
@@ -2149,16 +2109,7 @@ impl StoreShard {
                 self.scrub_stats.io_spent += 1;
                 next_page = page + 1;
                 disk.try_read_block(vt, block, &mut buf)?;
-                let actual = layout::digest32(&buf);
-                if digest == DIGEST_NONE {
-                    // Pre-digest entry: the read-back is the lazy
-                    // backfill the old layout is promised.
-                    self.objects[obj_idx].tree.backfill_digest(page, actual);
-                    self.scrub_stats.digests_backfilled += 1;
-                    self.scrub_stats.pages_verified += 1;
-                    continue;
-                }
-                if actual == digest {
+                if layout::digest32(&buf) == digest {
                     self.scrub_stats.pages_verified += 1;
                     continue;
                 }
@@ -2224,7 +2175,6 @@ impl StoreShard {
             corruptions_found: now.corruptions_found - before.corruptions_found,
             repairs: now.repairs - before.repairs,
             unrepaired: now.unrepaired - before.unrepaired,
-            digests_backfilled: now.digests_backfilled - before.digests_backfilled,
             io_spent: now.io_spent - before.io_spent,
             passes: now.passes - before.passes,
         }
@@ -2289,12 +2239,8 @@ impl StoreShard {
     ) -> Result<CommitToken, StoreError> {
         let pages: [(u64, &[u8]); 1] = [(page, data)];
         self.hydrate_object_paths(vt, disk, object, &pages)?;
-        vt.charge(
-            Category::FileSystem,
-            costs::INITIATE_BASE + costs::INITIATE_PER_PAGE,
-        );
         let epoch = self.objects[object.0 as usize].epoch;
-        let token = self.full_commit(vt, disk, object, &pages, epoch)?;
+        let token = self.full_commit(vt, disk, object, &pages, epoch, costs::initiate(1))?;
         self.stats.commits += 1;
         self.stats.pages_written += 1;
         Ok(token)
@@ -2341,14 +2287,14 @@ impl StoreShard {
         let Some((block, digest)) = entry else {
             return Err(StoreError::NotFound);
         };
-        if digest != DIGEST_NONE && layout::digest32(data) != digest {
+        if layout::digest32(data) != digest {
             return Err(StoreError::RepairMismatch);
         }
         // Check the current media so repairing an already-clean page
         // stays an ordinary (harmless) rewrite without quarantining.
         let mut buf = [0u8; BLOCK_SIZE];
         disk.try_read_block(vt, block, &mut buf)?;
-        let was_corrupt = digest != DIGEST_NONE && layout::digest32(&buf) != digest;
+        let was_corrupt = layout::digest32(&buf) != digest;
         if was_corrupt {
             self.cache.invalidate(block);
             self.quarantined.insert(block);
@@ -2390,9 +2336,34 @@ mod tests {
         vec![byte; BLOCK_SIZE]
     }
 
+    /// The one-shard slice of `ObjectStore::format_sharded(disk, 1)`, with
+    /// the whole data area granted up front so these tests can drive a
+    /// bare shard without a broker.
+    fn format_shard(disk: &mut Disk) -> StoreShard {
+        let mut shard = StoreShard::format_at(disk, ShardLayout::sharded(0, 1));
+        disk.settle();
+        grant_rest(&mut shard, disk);
+        shard
+    }
+
+    /// Recovers the shard [`format_shard`] made, again owning every block
+    /// past its frontier.
+    fn open_shard(vt: &mut Vt, disk: &mut Disk) -> Result<StoreShard, StoreError> {
+        let mut shard = StoreShard::open_at(vt, disk, ShardLayout::sharded(0, 1))?;
+        grant_rest(&mut shard, disk);
+        Ok(shard)
+    }
+
+    fn grant_rest(shard: &mut StoreShard, disk: &Disk) {
+        let end = disk.config().capacity_blocks.unwrap_or(u64::MAX);
+        if shard.high_water() < end {
+            shard.grant_range(shard.high_water(), end);
+        }
+    }
+
     fn setup() -> (Disk, StoreShard, Vt) {
         let mut disk = Disk::new(DiskConfig::paper());
-        let store = StoreShard::format(&mut disk);
+        let store = format_shard(&mut disk);
         (disk, store, Vt::new(0))
     }
 
@@ -2491,7 +2462,7 @@ mod tests {
         disk.settle();
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 5, "delta replay recovers all epochs");
         let mut out = page_of(0);
@@ -2516,7 +2487,7 @@ mod tests {
         disk.settle();
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), total);
         let mut out = page_of(0);
@@ -2542,7 +2513,7 @@ mod tests {
         disk.crash(t2.completes - Nanos::from_ns(1));
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 1, "recovery adopts the previous epoch");
         let mut out = page_of(0);
@@ -2561,7 +2532,7 @@ mod tests {
         disk.crash(t.completes);
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 1);
         let mut out = page_of(0);
@@ -2599,7 +2570,7 @@ mod tests {
         // also keeps the durable commit 3 out: the recovered state is
         // exactly the epoch-1 prefix, never a torn hybrid.
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 1, "torn commit and successors rejected");
         let mut out = page_of(0);
@@ -2635,7 +2606,7 @@ mod tests {
         disk.crash(t2.completes);
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 1, "flipped commit rejected");
         let mut out = page_of(0);
@@ -2661,7 +2632,7 @@ mod tests {
         }
         disk.crash(last);
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), DELTA_SLOTS - 1);
         let mut out = page_of(0);
@@ -2714,7 +2685,7 @@ mod tests {
         // The pins survive recovery: reopen and read the epoch again.
         disk.settle();
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         assert_eq!(store2.snapshot_lookup("keep").unwrap().epoch, snap_epoch);
         for (i, p) in originals.iter().enumerate() {
             store2
@@ -2773,9 +2744,9 @@ mod tests {
 
         // Tear the newest catalog slot (seq 1 → slot 1): mount must fall
         // back to the seq-0 catalog, i.e. exactly the first snapshot.
-        disk.corrupt_bit(crate::layout::SNAP_CATALOG_START + 1, 30, 2);
+        disk.corrupt_bit(store.layout.snap_slot(1), 30, 2);
         let mut vt2 = Vt::new(1);
-        let store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let names: Vec<String> = store2.snapshots().iter().map(|s| s.name.clone()).collect();
         assert_eq!(names, vec!["s1".to_string()]);
     }
@@ -2845,7 +2816,7 @@ mod tests {
 
         // Replica: full-sync to "a", then the incremental delta to "b".
         let mut rdisk = Disk::new(DiskConfig::paper());
-        let mut replica = StoreShard::format(&mut rdisk);
+        let mut replica = format_shard(&mut rdisk);
         let robj = replica.create(&mut vt, &mut rdisk, "db").unwrap();
         let mut buf = page_of(0);
         let ship = |store: &mut StoreShard,
@@ -2928,7 +2899,7 @@ mod tests {
         // The fence survives reopen.
         disk.settle();
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         assert_eq!(store2.epoch(obj), 100);
         store2
             .read_page(&mut vt2, &mut disk, obj, 0, &mut out)
@@ -2996,7 +2967,7 @@ mod tests {
         // And the rebase is durable: reopen sees the same image.
         disk.settle();
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         assert_eq!(store2.epoch(obj), target);
         for (pg, w) in want.iter().enumerate() {
             store2
@@ -3073,7 +3044,7 @@ mod tests {
         }
         disk.settle();
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         for pg in 0..4u64 {
             let want = {
                 let mut w = page_of(0);
@@ -3138,7 +3109,7 @@ mod tests {
         let mut disk = Disk::new(DiskConfig::fast());
         let mut vt = Vt::new(0);
         assert_eq!(
-            StoreShard::open(&mut vt, &mut disk).unwrap_err(),
+            open_shard(&mut vt, &mut disk).unwrap_err(),
             StoreError::NotFormatted
         );
     }
@@ -3158,7 +3129,7 @@ mod tests {
 
         // Reopen and write more; old pages must stay intact.
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         let extra = page_of(0xFF);
         for i in 60..120u64 {
@@ -3222,8 +3193,9 @@ mod tests {
     }
     #[test]
     fn persist_out_of_space_aborts_cleanly() {
-        let mut disk = Disk::new(DiskConfig::fast().with_capacity_blocks(FIRST_DATA_BLOCK + 40));
-        let mut store = StoreShard::format(&mut disk);
+        let floor = ShardLayout::sharded(0, 1).data_floor;
+        let mut disk = Disk::new(DiskConfig::fast().with_capacity_blocks(floor + 40));
+        let mut store = format_shard(&mut disk);
         let mut vt = Vt::new(0);
         let obj = store.create(&mut vt, &mut disk, "db").unwrap();
         let p = page_of(1);
@@ -3363,7 +3335,7 @@ mod tests {
         StoreShard::wait(&mut vt, t2);
         disk.settle();
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 2);
         let mut out = page_of(0);
@@ -3464,7 +3436,7 @@ mod tests {
         disk.crash(last);
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let a2 = store2.lookup("a").unwrap();
         let b2 = store2.lookup("b").unwrap();
         assert_eq!(store2.epoch(a2), 5);
@@ -3509,7 +3481,7 @@ mod tests {
         disk.crash(t[1].completes);
 
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let a2 = store2.lookup("a").unwrap();
         let b2 = store2.lookup("b").unwrap();
         assert_eq!(store2.epoch(a2), 2, "a's share of the batch verified");
@@ -3599,7 +3571,7 @@ mod tests {
         // survive via its full root.
         disk.crash(last);
         let mut vt2 = Vt::new(1);
-        let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+        let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let a2 = store2.lookup("a").unwrap();
         assert_eq!(store2.epoch(a2), 1, "a's epoch survives ring reuse");
         let mut out = page_of(0);
@@ -3637,7 +3609,7 @@ mod tests {
             }
             disk.crash(last);
             let mut vt2 = Vt::new(1);
-            let mut store2 = StoreShard::open(&mut vt2, &mut disk).unwrap();
+            let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
             let a2 = store2.lookup("a").unwrap();
             let b2 = store2.lookup("b").unwrap();
             let mut image = Vec::new();

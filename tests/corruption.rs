@@ -8,7 +8,9 @@ use msnap_disk::{
     crash_at_every_io, Disk, DiskConfig, Fault, FaultPlan, ReadFaultPlan, BLOCK_SIZE,
 };
 use msnap_sim::Vt;
-use msnap_store::{ObjectStore, StoreError, DELTA_SLOTS};
+use msnap_store::{
+    digest32, pack_entry, ObjectStore, RootRecord, ShardLayout, StoreError, DELTA_SLOTS,
+};
 
 fn page_of(b: u8) -> Vec<u8> {
     vec![b; BLOCK_SIZE]
@@ -642,58 +644,142 @@ fn seeded_rot_sweep_is_fully_detected_and_healed() {
     }
 }
 
+/// Hand-builds what the retired pre-digest (v1) layout wrote for a
+/// one-page object: one data block plus a three-level node path whose
+/// entry words are bare block numbers (no digest halves), placed past
+/// the object's metadata. Returns `(data, leaf, mid, root)` blocks.
+fn write_v1_tree(
+    vt: &mut Vt,
+    disk: &mut Disk,
+    meta_base: u64,
+    content: &[u8],
+) -> (u64, u64, u64, u64) {
+    let base = meta_base + 64;
+    let (data_b, leaf_b, mid_b, root_b) = (base, base + 1, base + 2, base + 3);
+    let node_pointing_at = |child: u64| {
+        let mut node = [0u8; BLOCK_SIZE];
+        node[0..8].copy_from_slice(&child.to_le_bytes());
+        node
+    };
+    for (block, img) in [
+        (data_b, content),
+        (leaf_b, &node_pointing_at(data_b)[..]),
+        (mid_b, &node_pointing_at(leaf_b)[..]),
+        (root_b, &node_pointing_at(mid_b)[..]),
+    ] {
+        disk.write_block(vt, block, img).unwrap();
+    }
+    (data_b, leaf_b, mid_b, root_b)
+}
+
+/// The `meta_base` of the store's `slot`-th object, from the on-disk
+/// directory of a single-shard store (entries are 128 bytes: present
+/// flag at 0, `meta_base` at bytes 9..17).
+fn meta_base_of(disk: &Disk, slot: usize) -> u64 {
+    let dir_block = ShardLayout::sharded(0, 1).base + 1;
+    let dir = disk.peek(dir_block).expect("directory block exists");
+    let e = &dir[slot * 128..(slot + 1) * 128];
+    assert_eq!(e[0], 1, "directory entry present");
+    u64::from_le_bytes(e[9..17].try_into().unwrap())
+}
+
 #[test]
-fn v1_layout_store_opens_and_scrub_backfills_digests() {
-    // Forward compatibility: a hand-built pre-digest (v1) store — node
-    // images with zero digest halves, a v1 root record — must open and
-    // serve reads without verification, scrub must backfill real
-    // digests, and after the next full flush the store verifies end to
-    // end like a native v2 store.
+fn v1_root_record_in_a_root_slot_is_ignored() {
+    // Fail closed: a self-consistent v1 root record (the retired
+    // format's own magic and checksum rule) is not a root record.
+    // Recovery lands on the other slot, or the object is empty — it
+    // never adopts the unverifiable tree and never panics.
     let mut disk = Disk::new(DiskConfig::paper());
     let mut store = ObjectStore::format(&mut disk);
     let mut vt = Vt::new(0);
-    store.create(&mut vt, &mut disk, "o").unwrap();
+    store.set_delta_commits(false); // epoch 1 below is a full root
+    let live = store.create(&mut vt, &mut disk, "live").unwrap();
+    store.create(&mut vt, &mut disk, "bare").unwrap();
+    let real = page_of(0x11);
+    let token = store
+        .persist(&mut vt, &mut disk, live, &[(0, &real)])
+        .unwrap();
+    ObjectStore::wait(&mut vt, token);
     drop(store);
 
-    // The object's meta_base, from the on-disk directory (first entry:
-    // present flag at 0, meta_base at bytes 9..17).
-    let dir = disk.peek(1).expect("directory block exists");
-    assert_eq!(dir[0], 1, "first directory entry present");
-    let meta_base = u64::from_le_bytes(dir[9..17].try_into().unwrap());
-
-    // One data block plus a three-level node path, all with v1 entry
-    // words: bare block numbers, no digest halves.
-    let base = meta_base + 64;
-    let (data_b, leaf_b, mid_b, root_b) = (base, base + 1, base + 2, base + 3);
-    let content = page_of(0xCD);
-    let mut leaf = [0u8; BLOCK_SIZE];
-    leaf[0..8].copy_from_slice(&data_b.to_le_bytes());
-    let mut mid = [0u8; BLOCK_SIZE];
-    mid[0..8].copy_from_slice(&leaf_b.to_le_bytes());
-    let mut root = [0u8; BLOCK_SIZE];
-    root[0..8].copy_from_slice(&mid_b.to_le_bytes());
-
-    // A v1 root record: epoch 1, checksum over bytes 0..48 stored at 48.
     const V1_ROOT_MAGIC: u64 = 0x4d534e_41505253;
-    let mut rec = [0u8; BLOCK_SIZE];
-    let w = |buf: &mut [u8; BLOCK_SIZE], off: usize, v: u64| {
-        buf[off..off + 8].copy_from_slice(&v.to_le_bytes())
-    };
-    w(&mut rec, 0, V1_ROOT_MAGIC);
-    w(&mut rec, 8, 0); // ObjectId(0)
-    w(&mut rec, 16, 1); // epoch
-    w(&mut rec, 24, root_b);
-    w(&mut rec, 32, 1); // len_pages
-    w(&mut rec, 40, root_b + 1); // high_water
-    let sum = msnap_store::fnv1a(&rec[0..48]);
-    rec[48..56].copy_from_slice(&sum.to_le_bytes());
+    let v1_content = page_of(0xCD);
+    for (slot, object, epoch) in [(0, 0u64, 8u64), (1, 1, 1)] {
+        let meta_base = meta_base_of(&disk, slot);
+        let (_, _, _, root_b) = write_v1_tree(&mut vt, &mut disk, meta_base, &v1_content);
+        // A v1 root record: checksum over bytes 0..48 stored at 48.
+        let mut rec = [0u8; BLOCK_SIZE];
+        let w = |buf: &mut [u8; BLOCK_SIZE], off: usize, v: u64| {
+            buf[off..off + 8].copy_from_slice(&v.to_le_bytes())
+        };
+        w(&mut rec, 0, V1_ROOT_MAGIC);
+        w(&mut rec, 8, object);
+        w(&mut rec, 16, epoch);
+        w(&mut rec, 24, root_b);
+        w(&mut rec, 32, 1); // len_pages
+        w(&mut rec, 40, root_b + 1); // high_water
+        let sum = msnap_store::fnv1a(&rec[0..48]);
+        rec[48..56].copy_from_slice(&sum.to_le_bytes());
+        // "live" holds its real epoch-1 root in slot 1, so the v1 record
+        // (claiming a newer epoch) goes in slot 0; "bare" has no root.
+        disk.write_block(&mut vt, meta_base + epoch % 2, &rec)
+            .unwrap();
+    }
+    disk.settle();
 
+    let mut vt = Vt::new(1);
+    let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
+    let live = store.lookup("live").unwrap();
+    let bare = store.lookup("bare").unwrap();
+    assert_eq!(store.epoch(live), 1, "recovery lands on the other slot");
+    assert_eq!(store.epoch(bare), 0, "nothing valid: the object is empty");
+    let mut buf = page_of(0xFF);
+    store
+        .read_page(&mut vt, &mut disk, live, 0, &mut buf)
+        .unwrap();
+    assert_eq!(buf, real);
+    store
+        .read_page(&mut vt, &mut disk, bare, 0, &mut buf)
+        .unwrap();
+    assert_eq!(buf, page_of(0), "the v1 tree was never adopted");
+}
+
+#[test]
+fn zero_digest_leaf_entry_is_corrupt_never_served() {
+    // A committed leaf entry cannot opt out of verification: a tree
+    // whose root record and interior nodes chain correctly but whose
+    // leaf entry word has a zero digest half is corruption like any
+    // other mismatch — typed error on read, counted and quarantined by
+    // scrub, bytes never served.
+    let mut disk = Disk::new(DiskConfig::paper());
+    let mut store = ObjectStore::format(&mut disk);
+    let mut vt = Vt::new(0);
+    let obj = store.create(&mut vt, &mut disk, "o").unwrap();
+    drop(store);
+
+    let meta_base = meta_base_of(&disk, 0);
+    let content = page_of(0xCD);
+    let (data_b, leaf_b, mid_b, root_b) = write_v1_tree(&mut vt, &mut disk, meta_base, &content);
+    // Re-chain the interior: mid and root carry real digests of their
+    // children; only the leaf's entry for page 0 stays a bare block.
+    let image = |block: u64| disk.peek(block).expect("just written").to_vec();
+    let mut mid = [0u8; BLOCK_SIZE];
+    mid[0..8].copy_from_slice(&pack_entry(leaf_b, digest32(&image(leaf_b))).to_le_bytes());
+    let mut root = [0u8; BLOCK_SIZE];
+    root[0..8].copy_from_slice(&pack_entry(mid_b, digest32(&mid)).to_le_bytes());
+    let rec = RootRecord {
+        object: obj,
+        epoch: 1,
+        tree_root: root_b,
+        len_pages: 1,
+        high_water: root_b + 1,
+        root_digest: digest32(&root),
+        flush_seq: 1,
+    };
     for (block, img) in [
-        (data_b, &content[..]),
-        (leaf_b, &leaf[..]),
         (mid_b, &mid[..]),
         (root_b, &root[..]),
-        (meta_base + 1, &rec[..]), // root slot for epoch 1
+        (meta_base + 1, &rec.to_block()[..]),
     ] {
         disk.write_block(&mut vt, block, img).unwrap();
     }
@@ -702,10 +788,22 @@ fn v1_layout_store_opens_and_scrub_backfills_digests() {
     let mut vt = Vt::new(1);
     let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
     let obj = store.lookup("o").unwrap();
-    assert_eq!(store.epoch(obj), 1);
+    assert_eq!(store.epoch(obj), 1, "the well-formed root is adopted");
+    let mut buf = page_of(0xFF);
+    let err = store
+        .read_page(&mut vt, &mut disk, obj, 0, &mut buf)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        StoreError::CorruptData {
+            page: 0,
+            block: data_b,
+            epoch: 1
+        }
+    );
+    assert_ne!(buf, content, "unverifiable bytes are not served");
+    assert_eq!(store.quarantined_blocks(), 1, "the block is quarantined");
 
-    // Scrub the whole store: pre-digest entries are backfilled, nothing
-    // is flagged.
     let mut guard = 0;
     while store.scrub_stats().passes == 0 {
         store.scrub(&mut vt, &mut disk, 64).unwrap();
@@ -713,34 +811,7 @@ fn v1_layout_store_opens_and_scrub_backfills_digests() {
         assert!(guard < 1000);
     }
     let stats = store.scrub_stats();
-    assert!(stats.digests_backfilled > 0, "v1 entries were backfilled");
-    assert_eq!(stats.corruptions_found, 0);
-
-    let mut buf = page_of(0);
-    store
-        .read_page(&mut vt, &mut disk, obj, 0, &mut buf)
-        .unwrap();
-    assert_eq!(buf, content, "v1 data reads back unverified but intact");
-
-    // A full flush persists the backfilled digests (v2 root)...
-    store.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
-    disk.settle();
-    let mut vt = Vt::new(2);
-    let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
-    let obj = store.lookup("o").unwrap();
-    store
-        .read_page(&mut vt, &mut disk, obj, 0, &mut buf)
-        .unwrap();
-    assert_eq!(buf, content);
-
-    // ...so rot is now caught like in a native v2 store.
-    disk.corrupt_bit(live_block_of(&disk, &content), 7, 1);
-    store.drop_cache();
-    let err = store
-        .read_page(&mut vt, &mut disk, obj, 0, &mut buf)
-        .unwrap_err();
-    assert!(
-        matches!(err, StoreError::CorruptData { page: 0, .. }),
-        "the upgraded store verifies reads, got {err:?}"
-    );
+    assert_eq!(stats.corruptions_found, 1, "scrub counts the entry");
+    assert_eq!(stats.unrepaired, 1, "no snapshot holds a clean copy");
+    assert_eq!(store.unrepaired_pages().len(), 1);
 }

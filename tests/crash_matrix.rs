@@ -274,12 +274,20 @@ fn delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         images.insert(epoch, pages);
     }
 
-    let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base")
+    let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base", None, None)
         .unwrap()
         .encode();
-    let delta_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, Some("base"), "tip")
-        .unwrap()
-        .encode();
+    let delta_wire = DeltaStream::build(
+        &mut vt,
+        &mut pdisk,
+        &mut store,
+        Some("base"),
+        "tip",
+        None,
+        None,
+    )
+    .unwrap()
+    .encode();
 
     let apply = |vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, wire: &[u8]| {
         let stream = DeltaStream::decode(wire).unwrap();
@@ -403,10 +411,10 @@ fn subpage_delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         images.insert(epoch, pages);
     }
 
-    let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base")
+    let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base", None, None)
         .unwrap()
         .encode();
-    let delta = DeltaStream::build_v2(
+    let delta = DeltaStream::build(
         &mut vt,
         &mut pdisk,
         &mut store,

@@ -1,7 +1,7 @@
 //! Sharded-store integration properties (DESIGN.md §6h): equivalence of
 //! sharded `persist_batch` with single-shard serial execution, the
-//! crash-sweep vector-cut invariant, v2 (pre-shard) forward
-//! compatibility, and promotion-at-cut-boundary under a 30%-loss link.
+//! crash-sweep vector-cut invariant, and promotion-at-cut-boundary
+//! under a 30%-loss link.
 
 use std::collections::BTreeMap;
 
@@ -11,7 +11,7 @@ use memsnap::{MemSnap, PersistFlags, RegionSel, PAGE_SIZE};
 use msnap_disk::{crash_at_every_io, Disk, DiskConfig, BLOCK_SIZE};
 use msnap_repl::{ReplConfig, ReplEngine};
 use msnap_sim::{Nanos, NetConfig, Vt};
-use msnap_store::{Epoch, ObjectId, ObjectStore, RootRecord};
+use msnap_store::{Epoch, ObjectId, ObjectStore};
 
 const OBJECTS: usize = 5;
 
@@ -183,80 +183,6 @@ fn crash_sweep_always_recovers_a_complete_vector_cut() {
         },
     );
     assert!(boundaries > 20, "sweep degenerated to {boundaries} points");
-}
-
-// ---- v2 forward compatibility ------------------------------------------
-
-/// A pre-shard (v2-root) store keeps opening under the sharded-aware
-/// code: hand-write a v2 `RootRecord` into the object's alternate root
-/// slot — exactly the bytes an old binary would have committed — and the
-/// new `open` must adopt it as a single-shard store with no vector cut,
-/// then stamp in-memory cuts on demand.
-#[test]
-fn hand_written_v2_root_opens_as_single_shard() {
-    let mut vt = Vt::new(0);
-    let mut disk = Disk::new(DiskConfig::fast());
-    let mut store = ObjectStore::format(&mut disk);
-    // Full-root commits only: the hand-written successor root must not
-    // race any delta records.
-    store.set_delta_commits(false);
-    let id = store.create(&mut vt, &mut disk, "legacy").unwrap();
-    let fill = [7u8; BLOCK_SIZE];
-    let token = store
-        .persist(&mut vt, &mut disk, id, &[(0, &fill[..])])
-        .unwrap();
-    ObjectStore::wait(&mut vt, token);
-    disk.settle();
-
-    // Locate the epoch-1 full root on the raw device.
-    let (slot, root) = (0..512)
-        .find_map(|b| {
-            let block = disk.peek(b)?;
-            let r = RootRecord::from_block(block, id)?;
-            (r.epoch == 1).then_some((b, r))
-        })
-        .expect("a full epoch-1 root record exists on the device");
-
-    // Hand-write the epoch-2 v2 root an old binary would produce next:
-    // same tree, bumped epoch, into the alternate (even-parity) slot.
-    let successor = RootRecord {
-        epoch: 2,
-        flush_seq: root.flush_seq + 1,
-        ..root
-    };
-    let sibling = if root.epoch % 2 == 0 {
-        slot + 1
-    } else {
-        slot - 1
-    };
-    disk.write_block(&mut vt, sibling, &successor.to_block())
-        .unwrap();
-    disk.settle();
-
-    let mut vt2 = Vt::new(1);
-    let mut reopened = ObjectStore::open(&mut vt2, &mut disk).unwrap();
-    assert_eq!(reopened.shard_count(), 1, "v2 stores load as one shard");
-    assert!(
-        reopened.last_cut().is_none(),
-        "a v2 store has no durable vector-cut field"
-    );
-    let rid = reopened.lookup("legacy").unwrap();
-    assert_eq!(
-        reopened.epoch(rid),
-        2,
-        "recovery adopts the hand-written root"
-    );
-    let mut page = [0u8; BLOCK_SIZE];
-    reopened
-        .read_page(&mut vt2, &mut disk, rid, 0, &mut page)
-        .unwrap();
-    assert_eq!(&page[..], &fill[..]);
-
-    // Cuts still work — they just start from scratch, as one-element
-    // vectors over the single legacy shard.
-    let cut = reopened.cut(&mut vt2, &mut disk).unwrap();
-    assert_eq!(cut.epochs.len(), 1);
-    assert!(cut.complete_under(&reopened.epoch_vector()));
 }
 
 // ---- Sharded replication under 30% loss --------------------------------
