@@ -80,7 +80,7 @@ fn kops_per_sec(ops: u64, vt: Nanos) -> f64 {
 fn main() {
     header(
         "msnap-serve: 1024-connection service",
-        "watch streams fed by snapshot diffs; puts acked after every replica applies",
+        "watch streams fed by each commit's dirty-line record; puts acked after every replica applies",
     );
 
     let s = steady();

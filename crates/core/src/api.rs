@@ -352,6 +352,14 @@ impl MemSnap {
         disk
     }
 
+    /// Promises that this instance will not be crashed at an instant
+    /// before `at` and lets the device drop the rollback state only such
+    /// a crash could need (see [`Disk::settle_until`]). For long-running
+    /// owners whose only crash point is their own advancing clock.
+    pub fn settle_until(&mut self, at: Nanos) {
+        self.disk.settle_until(at);
+    }
+
     /// The VM subsystem (create address spaces, inspect fault statistics).
     pub fn vm_mut(&mut self) -> &mut Vm {
         &mut self.vm
@@ -416,7 +424,10 @@ impl MemSnap {
     ///
     /// [`MsnapError::LengthMismatch`] if the region exists with a
     /// different size, [`MsnapError::BadDescriptor`] for `pages == 0` on a
-    /// region that does not exist, or a wrapped store/VM error.
+    /// region that does not exist, or a wrapped store/VM error — on the
+    /// first open after a restore that includes the store's
+    /// `CorruptData` / `Io` for a page that does not page in; the region
+    /// then stays unpopulated and a later open retries.
     pub fn msnap_open(
         &mut self,
         vt: &mut Vt,
@@ -431,7 +442,7 @@ impl MemSnap {
                 return Err(MsnapError::LengthMismatch);
             }
             if !self.regions[md.0 as usize].populated {
-                self.populate(vt, md);
+                self.populate(vt, md)?;
             }
             let region = &mut self.regions[md.0 as usize];
             if !region.mapped.contains(&space) {
@@ -471,7 +482,13 @@ impl MemSnap {
     }
 
     /// Pages a region's durable image into memory (restore path).
-    fn populate(&mut self, vt: &mut Vt, md: Md) {
+    ///
+    /// # Errors
+    ///
+    /// The store's read error for the first page that does not verify
+    /// or cannot be read; the region stays unpopulated, so a later open
+    /// (after repair) pages it in again from the start.
+    fn populate(&mut self, vt: &mut Vt, md: Md) -> Result<(), MsnapError> {
         let region = &self.regions[md.0 as usize];
         let store_obj = region.store_obj;
         let vm_obj = region.vm_obj;
@@ -479,11 +496,11 @@ impl MemSnap {
         let mut buf = vec![0u8; PAGE_SIZE];
         for page in 0..len {
             self.store
-                .read_page(vt, &mut self.disk, store_obj, page, &mut buf)
-                .expect("region object exists");
+                .read_page(vt, &mut self.disk, store_obj, page, &mut buf)?;
             self.vm.populate_page(vm_obj, page, &buf);
         }
         self.regions[md.0 as usize].populated = true;
+        Ok(())
     }
 
     /// Looks up a region descriptor by name.
@@ -1397,10 +1414,18 @@ impl MemSnap {
     /// `None` when the interval cannot be *proven* covered by recorded
     /// μCheckpoint commits — records pruned, an out-of-band commit
     /// (apply_image, fence, repair, restore) in between, or an unknown
-    /// object. The result is a conservative superset of the truly
-    /// changed bytes: a caller shipping only these lines plus the pages
-    /// the structural diff names never misses a change. Callers fall
-    /// back to whole-page shipping on `None`.
+    /// object. The keys are exactly the pages those commits persisted
+    /// and each bitmap is a conservative superset of the page's truly
+    /// changed bytes (a zero bitmap means the lines are unknown: treat
+    /// it as the whole page). Two consumers rely on that:
+    ///
+    /// - replication uses it as a *ship hint*: shipping only these lines
+    ///   plus the pages the structural diff names never misses a change,
+    ///   and `None` falls back to whole-page shipping;
+    /// - the serving layer uses it as the *source* of watch
+    ///   invalidations — the commit already knows its dirty set, so
+    ///   nothing is snapshotted or diffed — and widens to the whole
+    ///   object on `None`.
     pub fn subpage_extents(
         &self,
         object: &str,
@@ -1586,7 +1611,7 @@ impl MemSnap {
             return Err(e);
         }
         if !self.regions[region_idx].populated {
-            self.populate(vt, md);
+            self.populate(vt, md)?;
         }
         let region = &self.regions[region_idx];
         let (addr, pages, vm_obj) = (region.addr, region.pages, region.vm_obj);

@@ -428,7 +428,21 @@ impl Disk {
     /// Call between workload phases to bound undo-log memory when crash
     /// injection is not needed beyond this point.
     pub fn settle(&mut self) {
-        self.undo.clear();
+        self.settle_until(Nanos::MAX);
+    }
+
+    /// Promises that no [`Disk::crash`] will be requested at an instant
+    /// before `at`, and drops the rollback state only such a crash could
+    /// need: the pre-images of writes durable by `at`. Any later
+    /// `crash(t)` with `t >= at` leaves exactly the image it would have
+    /// left without this call. Torn writes (never durable) are kept
+    /// unless `at` is [`Nanos::MAX`].
+    ///
+    /// A long-running owner whose only crash point is its own clock
+    /// calls this as the clock advances to keep the journal bounded by
+    /// the writes in flight instead of by the run's length.
+    pub fn settle_until(&mut self, at: Nanos) {
+        self.undo.retain(|u| u.completes > at);
     }
 
     /// Direct access to a block's current contents (test/diagnostic aid).
@@ -723,6 +737,51 @@ mod tests {
         disk.settle();
         disk.crash(Nanos::ZERO);
         assert_eq!(disk.peek(3).unwrap(), &block_of(4)[..]);
+    }
+
+    /// A seeded mix of stacked overwrites, multi-segment writes and one
+    /// torn write, submitted at advancing instants.
+    fn seeded_write_mix() -> (Disk, Vec<Nanos>) {
+        let mut disk = Disk::new(DiskConfig::paper());
+        disk.set_fault_plan(FaultPlan::new().at(17, Fault::Torn { prefix_blocks: 1 }));
+        let mut state = 42u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut now = Nanos::ZERO;
+        for i in 0..64u64 {
+            now += Nanos::from_us(next() % 30);
+            let blocks: Vec<(u64, Vec<u8>)> = (0..1 + next() % 40)
+                .map(|_| (next() % 24, block_of((i + 1) as u8)))
+                .collect();
+            let iov: Vec<(u64, &[u8])> = blocks.iter().map(|(b, d)| (*b, &d[..])).collect();
+            disk.writev_at(now, &iov).unwrap();
+        }
+        assert!(disk.undo.iter().any(|u| u.completes == Nanos::MAX), "torn");
+        let mut instants = disk.write_completions().to_vec();
+        instants.extend([Nanos::ZERO, now, Nanos::MAX]);
+        instants.sort();
+        (disk, instants)
+    }
+
+    #[test]
+    fn settle_until_never_changes_what_a_later_crash_leaves() {
+        let (_, instants) = seeded_write_mix();
+        for (i, &at1) in instants.iter().enumerate().step_by(13) {
+            for &at2 in instants[i..].iter().step_by(11) {
+                let (mut plain, _) = seeded_write_mix();
+                let (mut trimmed, _) = seeded_write_mix();
+                let journal = trimmed.undo.len();
+                trimmed.settle_until(at1);
+                assert!(at1 == Nanos::ZERO || trimmed.undo.len() < journal);
+                plain.crash(at2);
+                trimmed.crash(at2);
+                assert_eq!(plain.blocks, trimmed.blocks, "settle {at1}, crash {at2}");
+            }
+        }
     }
 
     #[test]

@@ -384,12 +384,23 @@ impl ReplicaNode {
     /// adopting the newest complete one and pruning everything at or
     /// below it.
     fn refresh_cut(&mut self) {
+        // The sums depend only on the vector's width, which every
+        // announced cut of one reign shares: compute them once, not
+        // once per pending cut.
+        let mut sums: Option<Vec<Epoch>> = None;
         let best = self
             .announced
             .iter()
             .rev()
             .find(|(_, c)| {
-                !c.epochs.is_empty() && c.complete_under(&self.shard_sums(c.epochs.len()))
+                let n = c.epochs.len();
+                if n == 0 {
+                    return false;
+                }
+                if sums.as_ref().is_none_or(|s| s.len() != n) {
+                    sums = Some(self.shard_sums(n));
+                }
+                c.complete_under(sums.as_deref().expect("set above"))
             })
             .map(|(&seq, c)| (seq, c.clone()));
         if let Some((seq, cut)) = best {
@@ -941,18 +952,21 @@ impl ReplEngine {
     /// as `Degraded` states and resync traffic instead.
     pub fn tick(&mut self, vt: &mut Vt, ms: &mut MemSnap) -> Result<TickReport, ReplError> {
         let mut report = TickReport::default();
+        // Nothing in a tick creates or removes primary objects: list
+        // them once for every step that walks them.
+        let objects = ms.store().object_names();
         self.drain_up(vt, &mut report);
-        self.fence_divergent(vt, ms, &mut report)?;
+        self.fence_divergent(vt, ms, &objects, &mut report)?;
         self.repair(vt, ms);
         // GC before shipping: entries freed by the acknowledgements just
         // drained make room in the snapshot catalog for the targets the
         // ship planner is about to pin.
         self.gc_snapshots(vt, ms);
-        self.ship(vt, ms, &mut report)?;
+        self.ship(vt, ms, &objects, &mut report)?;
         self.announce_cuts(vt, ms);
         self.retransmit(vt);
         self.pump();
-        self.refresh_lag(ms, &mut report);
+        self.refresh_lag(ms, &objects, &mut report);
         Ok(report)
     }
 
@@ -988,6 +1002,11 @@ impl ReplEngine {
                 link.up.send(node.vt.now(), msg.encode());
                 link.metrics.repair_requests += 1;
             }
+            // A replica device is never crashed at a past instant
+            // (promotion hands it over as it stands), so rollback state
+            // for writes durable by the replica's own clock is dead
+            // weight.
+            node.disk.settle_until(node.vt.now());
         }
     }
 
@@ -1072,17 +1091,18 @@ impl ReplEngine {
         &mut self,
         vt: &mut Vt,
         ms: &mut MemSnap,
+        objects: &[String],
         report: &mut TickReport,
     ) -> Result<(), ReplError> {
-        for object in ms.store().object_names() {
-            let Some(live) = ms.object_epoch(&object) else {
+        for object in objects {
+            let Some(live) = ms.object_epoch(object) else {
                 continue;
             };
             let max_remote = self
                 .links
                 .iter()
                 .filter(|l| l.known)
-                .filter_map(|l| l.ships.get(&object))
+                .filter_map(|l| l.ships.get(object))
                 // Only divergent peers (just re-attached, provenance
                 // unknown) force a fence — a healthy caught-up replica
                 // legitimately sits at the live epoch.
@@ -1091,7 +1111,7 @@ impl ReplEngine {
                 .max()
                 .unwrap_or(0);
             if max_remote >= live && max_remote > 0 {
-                ms.msnap_fence(vt, &object, max_remote + self.cfg.fence_gap)?;
+                ms.msnap_fence(vt, object, max_remote + self.cfg.fence_gap)?;
                 report.fences += 1;
             }
         }
@@ -1215,25 +1235,31 @@ impl ReplEngine {
         &mut self,
         vt: &mut Vt,
         ms: &mut MemSnap,
+        objects: &[String],
         report: &mut TickReport,
     ) -> Result<(), ReplError> {
-        let objects = ms.store().object_names();
         for li in 0..self.links.len() {
             if !self.links[li].known {
                 continue;
             }
-            for object in &objects {
+            // Running sum of the link's in-flight wire bytes: ships
+            // started below count against the budget of later objects
+            // in this same tick.
+            let mut inflight_bytes: u64 = self.links[li]
+                .ships
+                .values()
+                .filter_map(|os| os.inflight.as_ref())
+                .map(Ship::wire_bytes)
+                .sum();
+            for object in objects {
                 let Some(live) = ms.object_epoch(object) else {
                     continue;
                 };
-                let inflight_bytes: u64 = self.links[li]
-                    .ships
-                    .values()
-                    .filter_map(|os| os.inflight.as_ref())
-                    .map(Ship::wire_bytes)
-                    .sum();
                 let link = &mut self.links[li];
-                let os = link.ships.entry(object.clone()).or_default();
+                if !link.ships.contains_key(object) {
+                    link.ships.insert(object.clone(), ObjShip::default());
+                }
+                let os = link.ships.get_mut(object).expect("inserted above");
                 if os.inflight.is_some() || live <= os.remote {
                     continue;
                 }
@@ -1250,7 +1276,7 @@ impl ReplEngine {
                 let (target_snap, target_epoch) =
                     Self::target_snapshot(&mut self.owned, &mut self.next_snap, vt, ms, object)?;
                 let link = &mut self.links[li];
-                let os = link.ships.entry(object.clone()).or_default();
+                let os = link.ships.get_mut(object).expect("inserted above");
                 let base = if deep_lag {
                     None
                 } else {
@@ -1320,7 +1346,7 @@ impl ReplEngine {
                     }
                     .encode(),
                 );
-                os.inflight = Some(Ship {
+                let ship = Ship {
                     id,
                     target_snap,
                     target_epoch,
@@ -1328,7 +1354,9 @@ impl ReplEngine {
                     created_at: now,
                     last_send: now,
                     resend_from: None,
-                });
+                };
+                inflight_bytes += ship.wire_bytes();
+                os.inflight = Some(ship);
                 report.ships_started += 1;
             }
         }
@@ -1573,10 +1601,10 @@ impl ReplEngine {
     /// one purpose: delta bases for divergent (just re-attached) links.
     /// Once a link's first post-promotion ship of an object is
     /// acknowledged that object's inherited bases are dead weight, and
-    /// the catalog space goes back to live consumers (ship targets,
-    /// serving-layer watch baselines). Deleting early only costs the
-    /// delta-rejoin optimization — a late attacher falls back to a full
-    /// image — so links that have not said `Hello` yet hold the GC off.
+    /// the catalog space goes back to live ship targets. Deleting early
+    /// only costs the delta-rejoin optimization — a late attacher falls
+    /// back to a full image — so links that have not said `Hello` yet
+    /// hold the GC off.
     fn gc_inherited(&mut self, vt: &mut Vt, ms: &mut MemSnap) {
         if self.links.iter().any(|l| !l.known) {
             return; // a peer we have not heard from may still need them
@@ -1604,8 +1632,7 @@ impl ReplEngine {
         }
     }
 
-    fn refresh_lag(&mut self, ms: &MemSnap, report: &mut TickReport) {
-        let objects = ms.store().object_names();
+    fn refresh_lag(&mut self, ms: &MemSnap, objects: &[String], report: &mut TickReport) {
         let mut caught_up = true;
         for link in &mut self.links {
             if !link.known {
@@ -1614,7 +1641,7 @@ impl ReplEngine {
             }
             let mut lag_epochs = 0u64;
             let mut lag_bytes = 0u64;
-            for object in &objects {
+            for object in objects {
                 let Some(live) = ms.object_epoch(object) else {
                     continue;
                 };

@@ -1050,7 +1050,7 @@ mod tests {
         let cfg = RunConfig {
             // Post-promotion the store is single-shard: keep the
             // object count (tenants × stripes) inside its snapshot
-            // catalog budget (repl delta bases + watch baselines).
+            // catalog budget (the repl engine's delta bases).
             serve: ServeConfig {
                 stripes: 2,
                 ..ServeConfig::default()

@@ -5,19 +5,19 @@
 //! clients: a deterministic actor-style front-end ([`ServeNode`])
 //! multiplexes thousands of simulated connections ([`SimSwitch`]
 //! datagram ports) onto one sharded, replicated MemSnap instance, and
-//! feeds **watch streams** straight from μCheckpoint snapshot diffs —
-//! the paper's single-level-store thesis applied to cache
-//! invalidation: because every commit *is* a named, diffable snapshot,
-//! "what changed since the last epoch" is a structural O(changed)
-//! query, so subscribers are pushed exact key-range invalidations
-//! with no polling and no store scans.
+//! feeds **watch streams** straight from μCheckpoint dirty sets — the
+//! paper's single-level-store thesis applied to cache invalidation:
+//! a commit already knows which 64-byte lines of which pages it
+//! persisted, so "what changed in this epoch" is a record the commit
+//! leaves behind, and subscribers are pushed exact key-range
+//! invalidations with no polling, no diffing and no store scans.
 //!
 //! - [`wire`]: the length-prefixed, checksummed datagram protocol
 //!   (`Hello`/`Put`/`Get`/`Scan`/`Subscribe`/`Unsubscribe`/
 //!   `StatsReq` requests; cut-aligned `Notify` bundles back).
 //! - [`server`]: the [`ServeNode`] actor round — control, write
 //!   (group-committed μCheckpoints per tenant stripe), notify
-//!   (snapshot-diff fan-out, released at epoch-vector cut
+//!   (dirty-line-record fan-out, released at epoch-vector cut
 //!   boundaries), read (bounded-staleness replica routing) — plus
 //!   crash/promotion re-homing.
 //! - [`harness`]: a seeded fleet of oracle clients driving Zipfian

@@ -13,10 +13,12 @@
 //!    stripe ([`MemSnap::msnap_persist_grouped`]), so a round's writes
 //!    to a stripe cost one μCheckpoint;
 //! 3. **notify** — for each stripe that committed and is watched,
-//!    advances the stripe's *baseline snapshot* and turns the
-//!    structural [`snapshot diff`](msnap_store::ObjectStore::snapshot_diff)
-//!    — the changed-page list, O(changed), never a store scan — into
-//!    key-range invalidation events buffered per session;
+//!    turns the commit's own dirty-line record
+//!    ([`MemSnap::subpage_extents`]: page → changed 64-byte lines,
+//!    O(changed), no device IO, never a store scan) into key-range
+//!    invalidation events buffered per session. An interval the record
+//!    chain cannot prove covered (a fence, repair or restore committed
+//!    out of band) yields one conservative whole-stripe event instead;
 //! 4. **read** — serves `Get`/`Scan`, routing `Get`s to a replica when
 //!    one is within the session's staleness budget (primary fallback
 //!    otherwise).
@@ -56,14 +58,13 @@ pub const SLOTS_PER_PAGE: u64 = PAGE_SIZE as u64 / SLOT_BYTES;
 ///
 /// # Snapshot catalog budget
 ///
-/// Each store shard's snapshot catalog holds ~31 entries, shared
-/// between watch baselines (one `__w/` snapshot per *watched* tenant
-/// stripe) and the replication engine's delta bases (one per attached
-/// replica × object). On the sharded primary these spread across
-/// `shards` catalogs, but a **promoted replica is single-shard**:
-/// after failover, `replicas × (tenants × stripes + 1)` delta bases
-/// plus watched baselines must all fit in one catalog. Size failover
-/// topologies so that budget holds (e.g. fewer `stripes` or tenants).
+/// Each store shard's snapshot catalog holds ~31 entries, all of them
+/// the replication engine's delta bases (one per attached replica ×
+/// object); watches pin nothing. On the sharded primary these spread
+/// across `shards` catalogs, but a **promoted replica is
+/// single-shard**: after failover, `replicas × (tenants × stripes + 1)`
+/// delta bases must all fit in one catalog. Size failover topologies so
+/// that budget holds (e.g. fewer `stripes` or tenants).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Store shards of the primary device (tenant stripes hash across
@@ -148,16 +149,16 @@ impl From<msnap_repl::ReplError> for ServeError {
     }
 }
 
-/// One stripe of a tenant: a MemSnap region plus its notify baseline.
+/// One stripe of a tenant: a MemSnap region plus its notify cursor.
 struct Stripe {
     md: Md,
     addr: u64,
     /// Store-directory name (`t/<tenant>/<idx>`).
     obj: String,
-    /// Name and pinned epoch of the baseline snapshot the next
-    /// invalidation diff runs against; `None` while the tenant is
-    /// unwatched (baselines exist only while someone subscribes).
-    baseline: Option<(String, u64)>,
+    /// Epoch the stripe's watchers have been notified up to: the next
+    /// event covers `(notified, committed]`. Set by every `Subscribe`,
+    /// so it is only meaningful while the tenant is watched.
+    notified: u64,
 }
 
 struct Tenant {
@@ -268,6 +269,9 @@ pub struct ServeNode {
     pub malformed: u64,
     /// Reads a replica failed to serve and the primary absorbed.
     pub replica_fallbacks: u64,
+    /// Watch events widened to the whole stripe because the commit's
+    /// dirty-line chain could not prove the notified interval covered.
+    pub conservative_notifies: u64,
 }
 
 impl ServeNode {
@@ -374,6 +378,7 @@ impl ServeNode {
             stats: WireStats::default(),
             malformed: 0,
             replica_fallbacks: 0,
+            conservative_notifies: 0,
         }
     }
 
@@ -445,7 +450,7 @@ impl ServeNode {
                     md: handle.md,
                     addr: handle.addr,
                     obj: name,
-                    baseline: None,
+                    notified: 0,
                 });
             }
             node.tenants.insert(
@@ -536,7 +541,7 @@ impl ServeNode {
     /// page-contiguously: global page `g = key / SLOTS_PER_PAGE` lands
     /// on stripe `g % stripes`, local page `g / stripes` — so one
     /// changed page maps back to exactly one contiguous global key
-    /// range, which is what turns a snapshot diff into range events.
+    /// range, which is what turns a dirty-page record into range events.
     fn locate(&self, key: u64) -> (u64, u64, u64) {
         let g = key / SLOTS_PER_PAGE;
         (
@@ -588,9 +593,12 @@ impl ServeNode {
             self.vt.wait_until(now);
         }
         self.rounds += 1;
+        // The node's only crash point is `crash(self)` at its own clock,
+        // so rollback state for writes already durable is dead weight.
+        self.ms.settle_until(self.vt.now());
         self.drain_clients();
         let committed = self.write_actor()?;
-        self.notify_actor(&committed)?;
+        self.notify_actor(&committed);
         self.read_actor()?;
         self.maybe_cut(!committed.is_empty())?;
         self.repl_round()?;
@@ -883,15 +891,13 @@ impl ServeNode {
         }
         self.ensure_tenant(tenant)
             .map_err(|_| ErrCode::BadRequest)?;
-        // Pin (or refresh) each stripe's baseline snapshot *before*
-        // reporting from_epochs: events start exactly past this point.
-        let stripes = self.tenants[tenant].stripes.len();
-        let mut from_epochs = Vec::with_capacity(stripes);
-        for idx in 0..stripes {
-            let epoch = self
-                .ensure_baseline(tenant, idx)
-                .map_err(|_| ErrCode::BadRequest)?;
-            from_epochs.push(epoch);
+        // Start each stripe's notify cursor at its current committed
+        // epoch: events start exactly past the reported from_epochs.
+        let t = self.tenants.get_mut(tenant).expect("ensured above");
+        let mut from_epochs = Vec::with_capacity(t.stripes.len());
+        for s in &mut t.stripes {
+            s.notified = self.ms.object_epoch(&s.obj).unwrap_or(0);
+            from_epochs.push(s.notified);
         }
         let watch = self.next_watch;
         self.next_watch += 1;
@@ -904,7 +910,6 @@ impl ServeNode {
                 hi,
             },
         );
-        let t = self.tenants.get_mut(tenant).expect("ensured above");
         t.watchers.push(watch);
         Ok((watch, from_epochs))
     }
@@ -913,21 +918,8 @@ impl ServeNode {
         let Some(w) = self.watches.remove(&watch) else {
             return;
         };
-        // Unwatched tenants carry no baselines: drop them so commits
-        // stop paying the snapshot/diff cost.
-        let mut dead_baselines = Vec::new();
         if let Some(t) = self.tenants.get_mut(&w.tenant) {
             t.watchers.retain(|&id| id != watch);
-            if t.watchers.is_empty() {
-                for s in &mut t.stripes {
-                    if let Some((name, _)) = s.baseline.take() {
-                        dead_baselines.push(name);
-                    }
-                }
-            }
-        }
-        for name in dead_baselines {
-            let _ = self.ms.msnap_snapshot_delete(&mut self.vt, &name);
         }
     }
 
@@ -946,7 +938,7 @@ impl ServeNode {
                 md: handle.md,
                 addr: handle.addr,
                 obj: name,
-                baseline: None,
+                notified: 0,
             });
         }
         self.tenants.insert(
@@ -957,28 +949,6 @@ impl ServeNode {
             },
         );
         Ok(())
-    }
-
-    /// Ensures a stripe has a baseline snapshot pinned at its *current*
-    /// committed epoch, returning that epoch. A stale baseline (left by
-    /// an earlier watch generation) is re-pinned so the next diff never
-    /// reaches back before this subscriber's `from_epoch`.
-    fn ensure_baseline(&mut self, tenant: &str, idx: usize) -> Result<u64, ServeError> {
-        let (obj, baseline) = {
-            let s = &self.tenants[tenant].stripes[idx];
-            (s.obj.clone(), s.baseline.clone())
-        };
-        let current = self.ms.object_epoch(&obj).unwrap_or(0);
-        if let Some((name, epoch)) = baseline {
-            if epoch == current {
-                return Ok(epoch);
-            }
-            self.ms.msnap_snapshot_delete(&mut self.vt, &name)?;
-        }
-        let name = format!("__w/{obj}@{current}");
-        let epoch = self.ms.msnap_snapshot_object(&mut self.vt, &obj, &name)?;
-        self.tenants.get_mut(tenant).expect("exists").stripes[idx].baseline = Some((name, epoch));
-        Ok(epoch)
     }
 
     // ---- write actor ---------------------------------------------------
@@ -1082,53 +1052,45 @@ impl ServeNode {
 
     // ---- notify actor --------------------------------------------------
 
-    /// Turns each committed, watched stripe's snapshot diff into
+    /// Turns each committed, watched stripe's dirty-line record into
     /// key-range invalidation events buffered on the subscribers'
-    /// sessions. Push-only: the changed-page list comes from the
-    /// store's structural diff of two retained snapshots — the store is
-    /// never scanned.
-    fn notify_actor(&mut self, committed: &[(String, usize, u64)]) -> Result<(), ServeError> {
+    /// sessions. Push-only and IO-free: the commit already recorded
+    /// which lines of which pages it changed, so nothing is diffed or
+    /// scanned.
+    fn notify_actor(&mut self, committed: &[(String, usize, u64)]) {
         for (tenant, stripe, epoch) in committed {
-            let (obj, baseline) = {
-                let t = &self.tenants[tenant];
-                if t.watchers.is_empty() {
-                    continue;
-                }
-                let s = &t.stripes[*stripe];
-                (s.obj.clone(), s.baseline.clone())
-            };
-            let Some((base_name, base_epoch)) = baseline else {
-                continue;
-            };
-            // Advance the baseline to the just-committed epoch and diff
-            // one epoch step.
-            let new_name = format!("__w/{obj}@{epoch}");
-            self.ms
-                .msnap_snapshot_object(&mut self.vt, &obj, &new_name)?;
-            let pages = {
-                let (store, disk) = self.ms.replication_parts();
-                store
-                    .snapshot_diff(&mut self.vt, disk, Some(&base_name), &new_name)
-                    .map_err(MsnapError::from)?
-            };
-            self.ms.msnap_snapshot_delete(&mut self.vt, &base_name)?;
-            self.tenants.get_mut(tenant).expect("exists").stripes[*stripe].baseline =
-                Some((new_name, *epoch));
-            if pages.is_empty() {
+            let t = &self.tenants[tenant];
+            if t.watchers.is_empty() {
                 continue;
             }
-            // Narrow each changed page to its dirty 64-byte lines when
-            // the μCheckpoint chain proves coverage of the diffed
-            // interval; pages without a provable line bitmap fall back
-            // to the whole-page range.
-            let hints = self.ms.subpage_extents(&obj, base_epoch, *epoch);
-            let ranges: Vec<(u64, u64)> = pages
-                .iter()
-                .flat_map(|&p| match hints.as_ref().and_then(|h| h.get(&p)).copied() {
-                    Some(lines) if lines != 0 => self.page_line_ranges(*stripe as u64, p, lines),
-                    _ => vec![self.page_key_range(*stripe as u64, p)],
-                })
-                .collect();
+            let s = &t.stripes[*stripe];
+            let idx = *stripe as u64;
+            // `SLOT_BYTES` is the dirty-line granularity, so a page's
+            // line bitmap names the changed keys; a page whose lines
+            // are unknown (zero bitmap) invalidates its whole range.
+            let ranges: Vec<(u64, u64)> = match self.ms.subpage_extents(&s.obj, s.notified, *epoch)
+            {
+                Some(pages) => pages
+                    .iter()
+                    .flat_map(|(&p, &lines)| match lines {
+                        0 => vec![self.page_key_range(idx, p)],
+                        _ => self.page_line_ranges(idx, p, lines),
+                    })
+                    .collect(),
+                // The chain cannot prove `(notified, epoch]` covered (an
+                // out-of-band commit, or records pruned): invalidate
+                // the whole stripe rather than miss a change.
+                None => {
+                    self.conservative_notifies += 1;
+                    (0..self.cfg.pages_per_stripe)
+                        .map(|p| self.page_key_range(idx, p))
+                        .collect()
+                }
+            };
+            self.tenants.get_mut(tenant).expect("exists").stripes[*stripe].notified = *epoch;
+            if ranges.is_empty() {
+                continue;
+            }
             let ranges = wire::merge_ranges(ranges);
             let watchers = self.tenants[tenant].watchers.clone();
             for watch in watchers {
@@ -1158,7 +1120,6 @@ impl ServeNode {
                 }
             }
         }
-        Ok(())
     }
 
     // ---- read actor ----------------------------------------------------
@@ -1475,129 +1436,268 @@ fn decode_slot(slot: &[u8]) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
 
-    /// Drives the node directly over the wire, no harness: a client on
-    /// port 0 writes, reads back, subscribes, writes again, and
-    /// receives a cut-aligned invalidation for exactly the written
-    /// key's page range.
-    #[test]
-    fn put_get_subscribe_notify_over_the_wire() {
+    /// A wire-level client on one port.
+    struct Client {
+        port: usize,
+        session: u64,
+        next_req: u64,
+    }
+
+    /// A replica-less node whose every committing round stamps a cut.
+    fn node(shards: usize, ports: usize) -> ServeNode {
         let cfg = ServeConfig {
+            shards,
             cut_every: 1,
             ack_replicated: false,
             ..ServeConfig::default()
         };
-        let mut node = ServeNode::format(cfg.clone(), 2, NetConfig::calm(11));
-        let mut now = Nanos::ZERO;
-        let deliver = |node: &mut ServeNode, now: &mut Nanos| {
-            let mut got = Vec::new();
-            for _ in 0..200 {
-                *now += Nanos::from_us(100);
-                node.step(*now).unwrap();
-                while let Some((_, dg)) = node.client_poll(0, *now) {
-                    got.extend(wire::decode_responses(&dg).unwrap());
-                }
-                if !got.is_empty() {
-                    break;
-                }
-            }
-            got
-        };
+        ServeNode::format(cfg, ports, NetConfig::calm(11))
+    }
 
-        node.client_send(
-            0,
-            now,
-            wire::encode_request(&Request::Hello { staleness: 0 }),
-        );
-        let resps = deliver(&mut node, &mut now);
-        let (session, capacity) = match resps.first() {
-            Some(Response::HelloOk {
-                session, capacity, ..
-            }) => (*session, *capacity),
-            other => panic!("expected HelloOk, got {other:?}"),
-        };
-        assert_eq!(capacity, cfg.capacity());
-
-        node.client_send(
-            0,
-            now,
-            wire::encode_request(&Request::Put {
-                session,
-                req: 1,
-                tenant: "acme".into(),
-                key: 130,
-                value: vec![7, 8, 9],
-            }),
-        );
-        let resps = deliver(&mut node, &mut now);
-        assert!(
-            matches!(resps.first(), Some(Response::PutOk { req: 1, .. })),
-            "{resps:?}"
-        );
-
-        node.client_send(
-            0,
-            now,
-            wire::encode_request(&Request::Get {
-                session,
-                req: 2,
-                tenant: "acme".into(),
-                key: 130,
-            }),
-        );
-        let resps = deliver(&mut node, &mut now);
-        let Some(Response::GetOk { value, .. }) = resps.first() else {
-            panic!("{resps:?}");
-        };
-        assert_eq!(value.as_deref(), Some(&[7u8, 8, 9][..]));
-
-        node.client_send(
-            0,
-            now,
-            wire::encode_request(&Request::Subscribe {
-                session,
-                req: 3,
-                tenant: "acme".into(),
-                lo: 0,
-                hi: capacity,
-            }),
-        );
-        let resps = deliver(&mut node, &mut now);
-        assert!(
-            matches!(resps.first(), Some(Response::SubOk { .. })),
-            "{resps:?}"
-        );
-
-        node.client_send(
-            0,
-            now,
-            wire::encode_request(&Request::Put {
-                session,
-                req: 4,
-                tenant: "acme".into(),
-                key: 200,
-                value: vec![1],
-            }),
-        );
-        let mut notify = None;
+    /// Steps the node until `port` has heard something.
+    fn deliver(node: &mut ServeNode, now: &mut Nanos, port: usize) -> Vec<Response> {
+        let mut got = Vec::new();
         for _ in 0..200 {
-            now += Nanos::from_us(100);
-            node.step(now).unwrap();
-            while let Some((_, dg)) = node.client_poll(0, now) {
-                for r in wire::decode_responses(&dg).unwrap() {
-                    if let Response::Notify { events, .. } = r {
-                        notify = Some(events);
-                    }
-                }
+            *now += Nanos::from_us(100);
+            node.step(*now).unwrap();
+            while let Some((_, dg)) = node.client_poll(port, *now) {
+                got.extend(wire::decode_responses(&dg).unwrap());
             }
-            if notify.is_some() {
+            if !got.is_empty() {
                 break;
             }
         }
-        let events = notify.expect("a Notify bundle arrives");
-        // Key 200 is slot 8 of global page 3; dirty-line extents narrow
-        // the invalidation to exactly that one key's slot.
+        got
+    }
+
+    impl Client {
+        fn hello(node: &mut ServeNode, now: &mut Nanos, port: usize) -> Client {
+            node.client_send(
+                port,
+                *now,
+                wire::encode_request(&Request::Hello { staleness: 0 }),
+            );
+            match deliver(node, now, port).first() {
+                Some(Response::HelloOk {
+                    session, capacity, ..
+                }) => {
+                    assert_eq!(*capacity, node.cfg.capacity());
+                    Client {
+                        port,
+                        session: *session,
+                        next_req: 1,
+                    }
+                }
+                other => panic!("expected HelloOk, got {other:?}"),
+            }
+        }
+
+        /// Sends one request (built from the session and a fresh request
+        /// id) and returns everything the port hears in reply.
+        fn call(
+            &mut self,
+            node: &mut ServeNode,
+            now: &mut Nanos,
+            build: impl FnOnce(u64, u64) -> Request,
+        ) -> Vec<Response> {
+            let req = self.next_req;
+            self.next_req += 1;
+            node.client_send(
+                self.port,
+                *now,
+                wire::encode_request(&build(self.session, req)),
+            );
+            deliver(node, now, self.port)
+        }
+
+        fn subscribe(&mut self, node: &mut ServeNode, now: &mut Nanos, tenant: &str) -> Response {
+            let hi = node.cfg.capacity();
+            let tenant = tenant.to_string();
+            self.call(node, now, |session, req| Request::Subscribe {
+                session,
+                req,
+                tenant,
+                lo: 0,
+                hi,
+            })
+            .remove(0)
+        }
+
+        /// Puts one key and returns the events of the `Notify` bundle
+        /// the put's cut releases to this port (empty if none arrives).
+        fn put(
+            &mut self,
+            node: &mut ServeNode,
+            now: &mut Nanos,
+            tenant: &str,
+            key: u64,
+        ) -> Vec<NotifyEvent> {
+            let tenant = tenant.to_string();
+            let mut heard = self.call(node, now, |session, req| Request::Put {
+                session,
+                req,
+                tenant,
+                key,
+                value: vec![key as u8],
+            });
+            // The PutOk and the Notify leave in the same round or one
+            // apart; listen a little longer for the bundle.
+            if !heard.iter().any(|r| matches!(r, Response::Notify { .. })) {
+                for _ in 0..4 {
+                    heard.extend(deliver(node, now, self.port));
+                }
+            }
+            assert!(
+                heard.iter().any(|r| matches!(r, Response::PutOk { .. })),
+                "{heard:?}"
+            );
+            let mut events = Vec::new();
+            for r in heard {
+                if let Response::Notify {
+                    cut_seq, events: e, ..
+                } = r
+                {
+                    assert!(cut_seq >= 1 && cut_seq <= node.cut_seq(), "cut-aligned");
+                    node.client_send(
+                        self.port,
+                        *now,
+                        wire::encode_request(&Request::NotifyAck {
+                            session: self.session,
+                            cut_seq,
+                        }),
+                    );
+                    events.extend(e);
+                }
+            }
+            events
+        }
+    }
+
+    /// Drives the node directly over the wire, no harness: a client on
+    /// port 0 writes, reads back, subscribes, writes again, and
+    /// receives a cut-aligned invalidation for exactly the written key.
+    #[test]
+    fn put_get_subscribe_notify_over_the_wire() {
+        let mut node = node(8, 2);
+        let mut now = Nanos::ZERO;
+        let mut c = Client::hello(&mut node, &mut now, 0);
+
+        assert!(c.put(&mut node, &mut now, "acme", 130).is_empty());
+        let resps = c.call(&mut node, &mut now, |session, req| Request::Get {
+            session,
+            req,
+            tenant: "acme".into(),
+            key: 130,
+        });
+        let Some(Response::GetOk { value, .. }) = resps.first() else {
+            panic!("{resps:?}");
+        };
+        assert_eq!(value.as_deref(), Some(&[130u8][..]));
+
+        let sub = c.subscribe(&mut node, &mut now, "acme");
+        assert!(matches!(sub, Response::SubOk { .. }), "{sub:?}");
+        // Key 200 is slot 8 of global page 3; the commit's dirty-line
+        // record narrows the invalidation to exactly that one key.
+        let events = c.put(&mut node, &mut now, "acme", 200);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].ranges, vec![(200, 201)]);
+    }
+
+    /// Watches pin nothing in the snapshot catalog, so a single-shard
+    /// node (the post-failover topology) serves more watched stripes
+    /// than one 31-entry catalog could ever hold baselines for.
+    #[test]
+    fn forty_eight_watched_stripes_fit_a_single_shard_node() {
+        const TENANTS: usize = 12;
+        let mut node = node(1, TENANTS);
+        let mut now = Nanos::ZERO;
+        let mut clients: Vec<Client> = (0..TENANTS)
+            .map(|port| Client::hello(&mut node, &mut now, port))
+            .collect();
+        for (i, c) in clients.iter_mut().enumerate() {
+            let sub = c.subscribe(&mut node, &mut now, &format!("t{i}"));
+            let Response::SubOk { from_epochs, .. } = &sub else {
+                panic!("tenant {i}: {sub:?}");
+            };
+            assert_eq!(from_epochs.len() as u64, node.cfg.stripes);
+        }
+        assert!(node.ms.retained_snapshots().is_empty());
+        for (i, c) in clients.iter_mut().enumerate() {
+            let key = 37 * i as u64 + 5;
+            let events = c.put(&mut node, &mut now, &format!("t{i}"), key);
+            assert_eq!(events.len(), 1, "tenant {i}: {events:?}");
+            assert_eq!(events[0].ranges, vec![(key, key + 1)]);
+            assert_eq!(events[0].stripe, key_stripe(node.cfg.stripes, key));
+        }
+        assert_eq!(node.conservative_notifies, 0);
+    }
+
+    /// An out-of-band commit (here a fence) on a watched stripe breaks
+    /// the dirty-line chain: the next event widens to the whole stripe,
+    /// exactly once, and the stream is narrow again right after.
+    #[test]
+    fn unprovable_chain_yields_one_whole_stripe_event() {
+        let mut node = node(8, 1);
+        let mut now = Nanos::ZERO;
+        let mut c = Client::hello(&mut node, &mut now, 0);
+        c.subscribe(&mut node, &mut now, "acme");
+        let events = c.put(&mut node, &mut now, "acme", 200);
+        assert_eq!(events[0].ranges, vec![(200, 201)]);
+
+        // Key 200 lives on stripe 3 (global page 3, local page 0).
+        let fenced = events[0].epoch + 5;
+        node.ms
+            .msnap_fence(&mut node.vt, "t/acme/3", fenced)
+            .unwrap();
+        let events = c.put(&mut node, &mut now, "acme", 201);
+        assert_eq!(events.len(), 1);
+        assert!(events[0].epoch > fenced);
+        let whole_stripe: Vec<(u64, u64)> = (0..node.cfg.pages_per_stripe)
+            .map(|p| node.page_key_range(3, p))
+            .collect();
+        assert_eq!(events[0].ranges, whole_stripe);
+        assert!(events[0]
+            .ranges
+            .iter()
+            .any(|&(lo, hi)| lo <= 201 && 201 < hi));
+        assert_eq!(node.conservative_notifies, 1);
+
+        let events = c.put(&mut node, &mut now, "acme", 202);
+        assert_eq!(events[0].ranges, vec![(202, 203)]);
+        assert_eq!(node.conservative_notifies, 1);
+    }
+
+    /// Subscribing, being notified and unsubscribing never touch the
+    /// snapshot catalog, and an unwatched tenant's commits record no
+    /// events.
+    #[test]
+    fn watches_leave_the_catalog_empty_and_unwatched_commits_silent() {
+        let mut node = node(8, 1);
+        let mut now = Nanos::ZERO;
+        let mut c = Client::hello(&mut node, &mut now, 0);
+        let Response::SubOk { watch, .. } = c.subscribe(&mut node, &mut now, "acme") else {
+            panic!("subscribe refused");
+        };
+        for key in [3, 70, 700] {
+            assert_eq!(c.put(&mut node, &mut now, "acme", key).len(), 1);
+            assert!(node.ms.retained_snapshots().is_empty());
+        }
+        let resps = c.call(&mut node, &mut now, |session, req| Request::Unsubscribe {
+            session,
+            req,
+            watch,
+        });
+        assert!(
+            matches!(resps.first(), Some(Response::UnsubOk { .. })),
+            "{resps:?}"
+        );
+        assert!(node.ms.retained_snapshots().is_empty());
+
+        let events_before = node.stats().notify_events;
+        assert_eq!(events_before, 3);
+        assert!(c.put(&mut node, &mut now, "acme", 3).is_empty());
+        assert_eq!(node.stats().notify_events, events_before);
+        assert_eq!(node.conservative_notifies, 0);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Act one speaks the datagram protocol by hand: one writer and one
 //! subscriber connect to a replicated [`ServeNode`], the subscriber
 //! watches a tenant's key range, and every committed μCheckpoint epoch
-//! pushes an exact changed-key invalidation bundle — fed by snapshot
-//! diffs, never by scanning the store.
+//! pushes an exact changed-key invalidation bundle — fed by the
+//! commit's own dirty-line record, never by diffing or scanning the
+//! store.
 //!
 //! Act two runs the seeded oracle fleet from [`msnap_serve::harness`]:
 //! 64 Zipfian clients, a primary crash mid-run, a replica promoted at a
@@ -179,8 +180,8 @@ fn main() {
 
     println!("\n== act two: a 64-client fleet with a mid-run failover ==");
     // Post-promotion the store is single-shard: 2 tenants x 2 stripes
-    // keeps the watch baselines plus both rejoining links' delta bases
-    // inside its snapshot catalog budget (see the ServeConfig docs).
+    // keeps both rejoining links' delta bases inside its snapshot
+    // catalog budget (see the ServeConfig docs).
     let fleet = FleetConfig {
         clients: 64,
         tenants: 2,

@@ -4,6 +4,7 @@
 //! lands *after* commit is detected at read/scrub time, quarantined,
 //! and healed from a retained snapshot or a peer — never served.
 
+use memsnap::{MemSnap, MsnapError, PersistFlags, RegionSel};
 use msnap_disk::{
     crash_at_every_io, Disk, DiskConfig, Fault, FaultPlan, ReadFaultPlan, BLOCK_SIZE,
 };
@@ -484,6 +485,79 @@ fn unrepairable_rot_is_quarantined_reported_and_healable_by_peer_data() {
         .unwrap();
     assert_eq!(buf, p, "peer repair restores the exact bytes");
     assert!(store.unrepaired_pages().is_empty(), "the report is cleared");
+}
+
+#[test]
+fn page_in_of_a_rotted_page_is_a_typed_error_and_retries_after_repair() {
+    // The first msnap_open after a restore pages the region back in
+    // through the verified read path. Rot under one committed page must
+    // surface as the store's typed error — never a panic, never a
+    // half-populated region that later opens treat as paged in — and
+    // once the page is repaired the same open succeeds.
+    const PAGES: u64 = 4;
+    let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
+    let mut vt = Vt::new(0);
+    let thread = vt.id();
+    let space = ms.vm_mut().create_space();
+    let r = ms.msnap_open(&mut vt, space, "data", PAGES).unwrap();
+    for p in 0..PAGES {
+        let va = r.addr + p * BLOCK_SIZE as u64;
+        ms.write(&mut vt, space, thread, va, &page_of(0xA0 + p as u8))
+            .unwrap();
+    }
+    ms.msnap_persist(
+        &mut vt,
+        thread,
+        RegionSel::Region(r.md),
+        PersistFlags::sync(),
+    )
+    .unwrap();
+    // Recovery re-verifies the data blocks of the delta chain it
+    // replays; push the commit above under a full root so the rot below
+    // is first met by the page-in.
+    for i in 0..=DELTA_SLOTS {
+        ms.write(&mut vt, space, thread, r.addr, &[i as u8; 8])
+            .unwrap();
+        ms.msnap_persist(
+            &mut vt,
+            thread,
+            RegionSel::Region(r.md),
+            PersistFlags::sync(),
+        )
+        .unwrap();
+    }
+    let mut disk = ms.crash(vt.now());
+    disk.corrupt_bit(live_block_of(&disk, &page_of(0xA2)), 11, 4);
+
+    let mut vt = Vt::new(1);
+    let mut ms = MemSnap::restore(&mut vt, disk).unwrap();
+    let space = ms.vm_mut().create_space();
+    for _ in 0..2 {
+        let err = ms.msnap_open(&mut vt, space, "data", 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MsnapError::Store(StoreError::CorruptData { page: 2, .. })
+            ),
+            "page-in must report the rotted page, got {err:?}"
+        );
+    }
+
+    // A verified peer copy heals the page; the retried open pages the
+    // whole region in.
+    let id = ms.store().lookup("data").unwrap();
+    let (store, disk) = ms.replication_parts();
+    let token = store
+        .repair_page(&mut vt, disk, id, 2, &page_of(0xA2))
+        .unwrap();
+    ObjectStore::wait(&mut vt, token);
+    let r = ms.msnap_open(&mut vt, space, "data", 0).unwrap();
+    let mut buf = page_of(0);
+    for p in 1..PAGES {
+        ms.read(&mut vt, space, r.addr + p * BLOCK_SIZE as u64, &mut buf)
+            .unwrap();
+        assert_eq!(buf, page_of(0xA0 + p as u8), "page {p}");
+    }
 }
 
 #[test]
