@@ -5,12 +5,12 @@
 use memsnap::{MemSnap, PersistFlags, RegionSel, PAGE_SIZE};
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig};
-use msnap_sim::Vt;
+use msnap_sim::{Nanos, Vt};
 
 /// Builds a store with `pages` persisted pages, committing in batches of
 /// `batch` (small batches leave longer delta chains for recovery to
-/// replay).
-fn build(pages: u64, batch: u64) -> Disk {
+/// replay). Returns the device and the instant its last write completed.
+fn build(pages: u64, batch: u64) -> (Disk, Nanos) {
     let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
     let mut vt = Vt::new(0);
     let space = ms.vm_mut().create_space();
@@ -37,12 +37,15 @@ fn build(pages: u64, batch: u64) -> Disk {
         )
         .unwrap();
     }
-    ms.shutdown()
+    (ms.shutdown(), vt.now())
 }
 
-/// Virtual time of restore + full page-in.
-fn restore_us(disk: Disk) -> (f64, f64) {
+/// Virtual time of restore + full page-in, on a device that has gone
+/// idle: the restoring thread starts at `idle_at`, not at zero, so the
+/// open is not charged the wait for the build's writes to drain.
+fn restore_us(disk: Disk, idle_at: Nanos) -> (f64, f64) {
     let mut vt = Vt::new(1);
+    vt.wait_until(idle_at);
     let t0 = vt.now();
     let mut ms = MemSnap::restore(&mut vt, disk).unwrap();
     let open_store = (vt.now() - t0).as_us_f64();
@@ -64,8 +67,8 @@ fn main() {
     let mut rows = Vec::new();
     for (mib, batch) in [(1u64, 64u64), (4, 64), (16, 64), (16, 4), (16, 1)] {
         let pages = mib * 256;
-        let disk = build(pages, batch);
-        let (open_store, page_in) = restore_us(disk);
+        let (disk, idle_at) = build(pages, batch);
+        let (open_store, page_in) = restore_us(disk, idle_at);
         rows.push(vec![
             format!("{mib} MiB"),
             format!("{batch}"),
@@ -86,8 +89,8 @@ fn main() {
     );
     println!();
     println!(
-        "Shape checks: recovery is dominated by reading data back in \
-         (linear in dataset size); smaller commits lengthen the delta \
-         chain but replay costs only one block read per record."
+        "Shape checks: page-in is linear in dataset size (one vectored \
+         read per 256 pages); the store open is flat in it, and a delta \
+         chain of small commits costs one block read per replayed record."
     );
 }

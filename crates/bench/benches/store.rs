@@ -14,18 +14,23 @@
 //!   against a 1024-page object through the default 256-block cache;
 //! - checksummed-read overhead: cache hits serve the already-verified
 //!   image for free, media misses pay the inline digest verification —
-//!   plus the raw wall-clock throughput of the page digest itself;
+//!   one QD1 read a page through `read_page`, one vectored read a chunk
+//!   through `read_pages` — plus the raw wall-clock throughput of the
+//!   page digest itself;
 //! - scrub throughput vs per-call IO budget: one full verification pass
 //!   over a 4096-page object, sliced finer or coarser.
 //!
-//! Emits the machine-readable `BENCH_store.json` at the workspace root.
+//! Emits the machine-readable `BENCH_store.json` at the workspace root —
+//! virtual time only, bit-for-bit reproducible, diffed by CI — and the
+//! wall-clock numbers (raw digest throughput, tree clone costs) to the
+//! ungated `BENCH_host.json` beside it.
 
 use std::time::Instant;
 
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::Vt;
-use msnap_store::{digest32, ObjectStore, RadixTree, DEFAULT_CACHE_BLOCKS};
+use msnap_store::{digest32, ObjectStore, RadixTree, BULK_READ_PAGES, DEFAULT_CACHE_BLOCKS};
 
 const SIZES: [u64; 4] = [64, 256, 1024, 4096];
 const DIRTY_PAGES: u64 = 16;
@@ -335,7 +340,7 @@ fn sweep_verify() -> (Vec<VerifyPoint>, f64) {
         "Checksummed read: cache hit vs media miss",
         "hits serve the cached, already-verified image (no digest work); \
          misses read media and verify the page digest inline before the \
-         bytes are served.",
+         bytes are served, a page at a time or a vectored chunk at a time.",
     );
     let mut points = Vec::new();
 
@@ -382,6 +387,31 @@ fn sweep_verify() -> (Vec<VerifyPoint>, f64) {
         }
         points.push(VerifyPoint {
             mode: "media_miss",
+            reads: n,
+            avg_read_us: (vt.now() - t0).as_us_f64() / n as f64,
+        });
+    }
+
+    // The same sweeps through the bulk read: one vectored, verified
+    // device read per chunk instead of one QD1 read per page.
+    {
+        let (mut disk, mut vt) = device_with(READ_OBJECT_PAGES);
+        let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
+        let obj = store.lookup("db").unwrap();
+        let rounds = READS / READ_OBJECT_PAGES;
+        let mut n = 0u64;
+        let t0 = vt.now();
+        for _ in 0..rounds {
+            store.drop_cache();
+            for first in (0..READ_OBJECT_PAGES).step_by(BULK_READ_PAGES as usize) {
+                let chunk = BULK_READ_PAGES.min(READ_OBJECT_PAGES - first);
+                store
+                    .read_pages(&mut vt, &mut disk, obj, first, chunk, &mut |_, _| n += 1)
+                    .unwrap();
+            }
+        }
+        points.push(VerifyPoint {
+            mode: "media_miss_bulk",
             reads: n,
             avg_read_us: (vt.now() - t0).as_us_f64() / n as f64,
         });
@@ -496,11 +526,15 @@ fn main() {
         .join(",\n    ");
     let snap_json = snapshot
         .iter()
+        .map(|p| format!("{{\"pages\":{},\"create_us\":{:.3}}}", p.pages, p.create_us))
+        .collect::<Vec<_>>()
+        .join(",\n    ");
+    let clone_json = snapshot
+        .iter()
         .map(|p| {
             format!(
-                "{{\"pages\":{},\"create_us\":{:.3},\"arc_clone_ns\":{},\
-                 \"deep_clone_ns\":{}}}",
-                p.pages, p.create_us, p.arc_clone_ns, p.deep_clone_ns
+                "{{\"pages\":{},\"arc_clone_ns\":{},\"deep_clone_ns\":{}}}",
+                p.pages, p.arc_clone_ns, p.deep_clone_ns
             )
         })
         .collect::<Vec<_>>()
@@ -542,26 +576,38 @@ fn main() {
          \"open\": [\n    {open_json}\n  ],\n  \
          \"snapshot_create\": [\n    {snap_json}\n  ],\n  \
          \"reads\": [\n    {reads_json}\n  ],\n  \
-         \"digest_gb_per_s\": {digest_gb_per_s:.2},\n  \
          \"read_verify\": [\n    {verify_json}\n  ],\n  \
          \"scrub\": [\n    {scrub_json}\n  ]\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    // Carry over the `shard_scaling` section (owned by the
-    // shard_scaling bench target) across this full rewrite.
-    let json = match std::fs::read_to_string(path).ok().and_then(|old| {
-        msnap_bench::json_section_span(&old, "shard_scaling").map(|(s, e)| old[s..e].to_string())
-    }) {
-        Some(section) => {
-            let value = section.split_once(':').unwrap().1.trim().to_string();
-            msnap_bench::splice_json_section(&json, "shard_scaling", &value)
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let path = format!("{root}/BENCH_store.json");
+    // Carry the sections other bench targets own across this full
+    // rewrite, in a fixed order, so the file is a pure function of the
+    // benches' (virtual-time, deterministic) results: CI diffs it.
+    let old = std::fs::read_to_string(&path).unwrap_or_default();
+    let json = ["shard_scaling", "pindex"].iter().fold(json, |json, key| {
+        match msnap_bench::json_section_span(&old, key) {
+            Some((start, end)) => {
+                let value = old[start..end].split_once(':').unwrap().1.trim();
+                msnap_bench::splice_json_section(&json, key, value)
+            }
+            None => json,
         }
-        None => json,
-    };
-    std::fs::write(path, &json).expect("workspace root is writable");
+    });
+    std::fs::write(&path, &json).expect("workspace root is writable");
+    // Host-clock numbers live apart, in a file nothing gates: they
+    // change with the machine and the moment (trend only).
+    let host = format!(
+        "{{\n  \"bench\": \"store\",\n  \
+         \"note\": \"host wall clock: ungated, trend only\",\n  \
+         \"digest_gb_per_s\": {digest_gb_per_s:.2},\n  \
+         \"tree_clone\": [\n    {clone_json}\n  ]\n}}\n"
+    );
+    std::fs::write(format!("{root}/BENCH_host.json"), host).expect("workspace root is writable");
     println!();
     println!(
-        "wrote {} open + {} snapshot + {} read + {} verify + {} scrub points to BENCH_store.json",
+        "wrote {} open + {} snapshot + {} read + {} verify + {} scrub points to BENCH_store.json \
+         (host-clock numbers to BENCH_host.json)",
         open.len(),
         snapshot.len(),
         reads.len(),

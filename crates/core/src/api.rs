@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use msnap_disk::Disk;
 use msnap_sim::hash::fnv1a32;
 use msnap_sim::{Category, Meters, Nanos, Vt, VthreadId};
-use msnap_store::{ObjectId as StoreObjId, ObjectStore, ScrubStats, VectorCut};
+use msnap_store::{ObjectId as StoreObjId, ObjectStore, ScrubStats, VectorCut, BULK_READ_PAGES};
 use msnap_vm::{AsId, DirtyPage, MemObjectId, ResetStrategy, TrackMode, Vm, PAGE_SIZE};
 
 use crate::manifest::{Manifest, ManifestEntry};
@@ -257,8 +257,9 @@ impl MemSnap {
     ///
     /// # Errors
     ///
-    /// [`MsnapError::Store`] if the device holds no formatted store,
-    /// [`MsnapError::BadDescriptor`] if the manifest names an object the
+    /// [`MsnapError::Store`] if the device holds no formatted store or a
+    /// device read fails during recovery (`StoreError::Io` — nothing is
+    /// built), [`MsnapError::BadDescriptor`] if the manifest names an object the
     /// catalog does not hold (a corrupt image — or a promoted replica
     /// device; see [`MemSnap::restore_promoted`]).
     pub fn restore(vt: &mut Vt, disk: Disk) -> Result<Self, MsnapError> {
@@ -280,7 +281,8 @@ impl MemSnap {
     ///
     /// # Errors
     ///
-    /// [`MsnapError::Store`] if the device holds no formatted store.
+    /// [`MsnapError::Store`] if the device holds no formatted store or a
+    /// device read fails during recovery.
     ///
     /// [`msnap-repl`]: ../msnap_repl/index.html
     pub fn restore_promoted(vt: &mut Vt, disk: Disk) -> Result<Self, MsnapError> {
@@ -296,11 +298,9 @@ impl MemSnap {
         let manifest_obj = store
             .lookup(MANIFEST_NAME)
             .ok_or(MsnapError::BadDescriptor)?;
-        let manifest = Manifest::decode(&mut |page, out| {
-            store
-                .read_page(vt, &mut disk, manifest_obj, page, &mut out[..])
-                .expect("manifest object exists");
-        });
+        let manifest = Manifest::decode(|page, out| {
+            store.read_page(vt, &mut disk, manifest_obj, page, &mut out[..])
+        })?;
 
         let mut ms = Self::with_store(disk, store, manifest_obj);
         for entry in manifest.entries {
@@ -481,7 +481,8 @@ impl MemSnap {
         Ok(RegionHandle { md, addr, pages })
     }
 
-    /// Pages a region's durable image into memory (restore path).
+    /// Pages a region's durable image into memory (restore path), a
+    /// [`BULK_READ_PAGES`]-page verified bulk read at a time.
     ///
     /// # Errors
     ///
@@ -493,11 +494,19 @@ impl MemSnap {
         let store_obj = region.store_obj;
         let vm_obj = region.vm_obj;
         let len = self.store.len_pages(store_obj).min(region.pages);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        for page in 0..len {
-            self.store
-                .read_page(vt, &mut self.disk, store_obj, page, &mut buf)?;
-            self.vm.populate_page(vm_obj, page, &buf);
+        let vm = &mut self.vm;
+        let mut first = 0;
+        while first < len {
+            let n = BULK_READ_PAGES.min(len - first);
+            self.store.read_pages(
+                vt,
+                &mut self.disk,
+                store_obj,
+                first,
+                n,
+                &mut |page, data| vm.populate_page(vm_obj, page, data),
+            )?;
+            first += n;
         }
         self.regions[md.0 as usize].populated = true;
         Ok(())

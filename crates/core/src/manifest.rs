@@ -61,16 +61,22 @@ impl Manifest {
     }
 
     /// Decodes from a page reader (`read(page_index, &mut buf)`).
-    pub fn decode(read: &mut dyn FnMut(u64, &mut [u8; PAGE_SIZE])) -> Manifest {
+    ///
+    /// # Errors
+    ///
+    /// The reader's error for the first page it cannot deliver.
+    pub fn decode<E>(
+        mut read: impl FnMut(u64, &mut [u8; PAGE_SIZE]) -> Result<(), E>,
+    ) -> Result<Manifest, E> {
         let mut first = [0u8; PAGE_SIZE];
-        read(0, &mut first);
+        read(0, &mut first)?;
         let len = u64::from_le_bytes(first[..8].try_into().unwrap()) as usize;
         let mut framed = Vec::with_capacity(len);
         framed.extend_from_slice(&first[8..PAGE_SIZE.min(8 + len)]);
         let mut page = 1u64;
         while framed.len() < len {
             let mut buf = [0u8; PAGE_SIZE];
-            read(page, &mut buf);
+            read(page, &mut buf)?;
             let take = (len - framed.len()).min(PAGE_SIZE);
             framed.extend_from_slice(&buf[..take]);
             page += 1;
@@ -101,10 +107,10 @@ impl Manifest {
                 pages,
             });
         }
-        Manifest {
+        Ok(Manifest {
             entries,
             shard_count,
-        }
+        })
     }
 }
 
@@ -114,9 +120,11 @@ mod tests {
 
     fn round_trip(m: &Manifest) -> Manifest {
         let pages = m.encode_pages();
-        Manifest::decode(&mut |i, out| {
+        Manifest::decode(|i, out| {
             *out = *pages.get(i as usize).unwrap_or(&[0u8; PAGE_SIZE]);
+            Ok::<(), std::convert::Infallible>(())
         })
+        .unwrap()
     }
 
     #[test]

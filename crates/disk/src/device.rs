@@ -67,8 +67,8 @@ pub struct Disk {
     /// explicit queue-depth model. Popped past entries lazily at each
     /// submission; the remaining occupancy is sampled into [`IoStats`].
     inflight: BinaryHeap<Reverse<Nanos>>,
-    /// 0-based sequence number of the next *fallible* read submission —
-    /// the key [`ReadFaultPlan`] is indexed by. Infallible reads do not
+    /// 0-based sequence number of the next block read *fallibly* — the
+    /// key [`ReadFaultPlan`] is indexed by. Infallible reads do not
     /// consume sequence numbers.
     read_seq: u64,
     read_faults: ReadFaultPlan,
@@ -205,25 +205,14 @@ impl Disk {
             None => {}
         }
 
-        // Schedule segments across channels. Within one batch the device
-        // pipelines: only the first segment per channel pays the fixed
-        // setup cost; later segments stream at channel bandwidth. This is
-        // what lets deep-queue scatter/gather writes saturate the striped
-        // pair (paper Table 6: memsnap beats QD1 direct IO at large
-        // sizes).
+        // Schedule segments across channels (see `segment_cost`).
         let blocks_per_segment = (self.cfg.stripe_bytes / BLOCK_SIZE).max(1);
         let mut completes = now;
         let mut i = 0;
         let mut seg_index = 0;
         while i < iov.len() {
             let seg_blocks = blocks_per_segment.min(iov.len() - i);
-            let seg_bytes = seg_blocks * BLOCK_SIZE;
-            let mut latency = if seg_index < self.cfg.channels {
-                self.cfg.segment_latency(seg_bytes)
-            } else {
-                self.cfg.segment_latency(seg_bytes) - self.cfg.setup
-            };
-            latency += spike;
+            let latency = self.segment_cost(seg_index, seg_blocks) + spike;
             seg_index += 1;
             let done = self.channels.submit(now, latency);
             // A fully torn segment never becomes durable; a partially torn
@@ -309,7 +298,58 @@ impl Disk {
     /// Blocks `vt` until `token` completes, charging the wait as
     /// [`Category::IoWait`].
     pub fn wait(vt: &mut Vt, token: WriteToken) {
-        let wait = token.completes.saturating_sub(vt.now());
+        Self::wait_until(vt, token.completes);
+    }
+
+    /// Service time of the `seg_index`-th segment (`seg_blocks` blocks) of
+    /// one vectored submission, read or write. Within one submission the
+    /// device pipelines: only the first segment per channel pays the
+    /// fixed setup cost; later segments stream at channel bandwidth. This
+    /// is what lets deep-queue scatter/gather IO saturate the striped
+    /// pair (paper Table 6: memsnap beats QD1 direct IO at large sizes).
+    fn segment_cost(&self, seg_index: usize, seg_blocks: usize) -> Nanos {
+        let latency = self.cfg.segment_latency(seg_blocks * BLOCK_SIZE);
+        if seg_index < self.cfg.channels {
+            latency
+        } else {
+            latency - self.cfg.setup
+        }
+    }
+
+    /// Copies `block`'s current contents into `out`; missing
+    /// (never-written) blocks read as zeroes.
+    fn copy_out(&self, block: u64, out: &mut [u8]) {
+        assert_eq!(out.len(), BLOCK_SIZE, "reads are whole blocks");
+        match self.blocks.get(&block) {
+            Some(data) => out.copy_from_slice(data),
+            None => out.fill(0),
+        }
+    }
+
+    /// Schedules one read submission of `blocks` blocks at `now` by the
+    /// same rule as [`Disk::writev_at`]: stripe-sized segments, each on
+    /// the earliest-free channel. Returns the instant the last segment
+    /// completes and records the submission in [`IoStats`].
+    fn schedule_read(&mut self, now: Nanos, blocks: usize) -> Nanos {
+        let blocks_per_segment = (self.cfg.stripe_bytes / BLOCK_SIZE).max(1);
+        let mut completes = now;
+        let mut left = blocks;
+        let mut seg_index = 0;
+        while left > 0 {
+            let seg_blocks = blocks_per_segment.min(left);
+            let latency = self.segment_cost(seg_index, seg_blocks);
+            seg_index += 1;
+            completes = completes.max(self.channels.submit(now, latency));
+            left -= seg_blocks;
+        }
+        self.stats
+            .record_read(blocks * BLOCK_SIZE, completes.saturating_sub(now));
+        completes
+    }
+
+    /// Charges `vt` the wait until `done` as [`Category::IoWait`].
+    fn wait_until(vt: &mut Vt, done: Nanos) {
+        let wait = done.saturating_sub(vt.now());
         if wait > Nanos::ZERO {
             vt.charge(Category::IoWait, wait);
         }
@@ -317,88 +357,121 @@ impl Disk {
 
     /// Reads one block at `now` without blocking a thread; returns the
     /// completion instant. Missing (never-written) blocks read as zeroes.
+    /// Infallible: consults no fault plan and consumes no read sequence
+    /// number.
     pub fn read_block_at(&mut self, now: Nanos, block: u64, out: &mut [u8]) -> Nanos {
-        assert_eq!(out.len(), BLOCK_SIZE, "reads are whole blocks");
-        match self.blocks.get(&block) {
-            Some(data) => out.copy_from_slice(data),
-            None => out.fill(0),
-        }
-        let done = self
-            .channels
-            .submit(now, self.cfg.segment_latency(BLOCK_SIZE));
-        self.stats.record_read(BLOCK_SIZE, done.saturating_sub(now));
-        done
+        self.copy_out(block, out);
+        self.schedule_read(now, 1)
     }
 
     /// Synchronous single-block read.
     pub fn read_block(&mut self, vt: &mut Vt, block: u64, out: &mut [u8]) {
         let done = self.read_block_at(vt.now(), block, out);
-        let wait = done.saturating_sub(vt.now());
-        if wait > Nanos::ZERO {
-            vt.charge(Category::IoWait, wait);
-        }
+        Self::wait_until(vt, done);
     }
 
-    /// Installs a read-fault plan; every *fallible* read submission from
-    /// now on consults it. Replaces any previous plan. The fallible-read
-    /// sequence counter is not reset — plans are indexed by the device
-    /// lifetime counter (see [`Disk::read_seq`]).
+    /// Installs a read-fault plan; every *fallible* read from now on
+    /// consults it, block by block. Replaces any previous plan. The
+    /// fallible-read sequence counter is not reset — plans are indexed by
+    /// the device lifetime counter (see [`Disk::read_seq`]).
     pub fn set_read_fault_plan(&mut self, plan: ReadFaultPlan) {
         self.read_faults = plan;
     }
 
-    /// Number of fallible read submissions so far — the index the read
-    /// fault plan will assign to the *next* [`Disk::try_read_block_at`].
+    /// Number of blocks read fallibly so far — the index the read fault
+    /// plan will assign to the *next* block of a [`Disk::try_readv_at`].
     pub fn read_seq(&self) -> u64 {
         self.read_seq
     }
 
-    /// Fallible counterpart of [`Disk::read_block_at`]: reads one block at
-    /// `now` without blocking a thread and returns the completion instant.
+    /// Submits a scatter/gather read of whole blocks at `now` without
+    /// blocking a thread and returns the instant the last block arrives.
+    ///
+    /// Every entry pairs a block number with a [`BLOCK_SIZE`] buffer;
+    /// missing (never-written) blocks read as zeroes. The submission is
+    /// priced like a [`Disk::writev_at`] of the same size: segments of up
+    /// to the stripe size dispatched across the device channels, so a
+    /// deep read overlaps where a loop of one-block reads pays the full
+    /// per-IO latency each time. Reads queue on the same channels as
+    /// writes in flight.
+    ///
+    /// Each block consumes one read sequence number, in `iov` order, so a
+    /// [`ReadFaultPlan`] index means "the n-th block read" whatever the
+    /// shape of the submissions that carry it.
     ///
     /// # Errors
     ///
-    /// Returns [`IoError::Failed`] if the installed [`ReadFaultPlan`]
-    /// schedules a failure for this submission. No bytes are transferred
-    /// and no time is charged; a retry is a *new* submission (fresh
-    /// sequence number) the plan may treat differently.
+    /// Returns [`IoError::Failed`] naming the first block the installed
+    /// [`ReadFaultPlan`] schedules a failure for; blocks after it consume
+    /// no sequence numbers. No bytes are transferred and no time is
+    /// charged; a retry is a *new* submission (fresh sequence numbers)
+    /// the plan may treat differently.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any buffer is not exactly [`BLOCK_SIZE`] bytes.
+    pub fn try_readv_at(
+        &mut self,
+        now: Nanos,
+        iov: &mut [(u64, &mut [u8])],
+    ) -> Result<Nanos, IoError> {
+        if iov.is_empty() {
+            return Ok(now);
+        }
+        for (block, _) in iov.iter() {
+            let seq = self.read_seq;
+            self.read_seq += 1;
+            match self.read_faults.fault_for(seq) {
+                Some(ReadFault::Fail { transient }) => {
+                    return Err(IoError::Failed {
+                        block: *block,
+                        transient,
+                    });
+                }
+                Some(ReadFault::BitRot { byte, bit }) => {
+                    // Rot the media in place, then serve the read normally:
+                    // the caller gets corrupted bytes with Ok, and every
+                    // later read of this block sees the same rot.
+                    self.corrupt_bit(*block, byte, bit);
+                }
+                None => {}
+            }
+        }
+        for (block, out) in iov.iter_mut() {
+            self.copy_out(*block, out);
+        }
+        Ok(self.schedule_read(now, iov.len()))
+    }
+
+    /// Synchronous scatter/gather read: submits at the thread's current
+    /// time and blocks it until the last block arrives (charged as IO
+    /// wait). See [`Disk::try_readv_at`].
+    pub fn try_readv(&mut self, vt: &mut Vt, iov: &mut [(u64, &mut [u8])]) -> Result<(), IoError> {
+        let done = self.try_readv_at(vt.now(), iov)?;
+        Self::wait_until(vt, done);
+        Ok(())
+    }
+
+    /// Fallible counterpart of [`Disk::read_block_at`]: the one-block
+    /// case of [`Disk::try_readv_at`].
     pub fn try_read_block_at(
         &mut self,
         now: Nanos,
         block: u64,
         out: &mut [u8],
     ) -> Result<Nanos, IoError> {
-        let seq = self.read_seq;
-        self.read_seq += 1;
-        match self.read_faults.fault_for(seq) {
-            Some(ReadFault::Fail { transient }) => {
-                return Err(IoError::Failed { block, transient });
-            }
-            Some(ReadFault::BitRot { byte, bit }) => {
-                // Rot the media in place, then serve the read normally:
-                // the caller gets corrupted bytes with Ok, and every
-                // later read of this block sees the same rot.
-                self.corrupt_bit(block, byte, bit);
-            }
-            None => {}
-        }
-        Ok(self.read_block_at(now, block, out))
+        self.try_readv_at(now, &mut [(block, out)])
     }
 
-    /// Synchronous fallible single-block read; charges the wait as
-    /// [`Category::IoWait`] on success. See [`Disk::try_read_block_at`].
+    /// Synchronous fallible single-block read: the one-block case of
+    /// [`Disk::try_readv`].
     pub fn try_read_block(
         &mut self,
         vt: &mut Vt,
         block: u64,
         out: &mut [u8],
     ) -> Result<(), IoError> {
-        let done = self.try_read_block_at(vt.now(), block, out)?;
-        let wait = done.saturating_sub(vt.now());
-        if wait > Nanos::ZERO {
-            vt.charge(Category::IoWait, wait);
-        }
-        Ok(())
+        self.try_readv(vt, &mut [(block, out)])
     }
 
     /// Simulates a power failure at instant `at`: every write that had not
@@ -600,6 +673,123 @@ mod tests {
         assert_eq!(out, want);
         disk.read_block(&mut vt, 5, &mut out);
         assert_eq!(out, want);
+    }
+
+    /// Reads `blocks` as one vectored submission at `now`; returns the
+    /// completion instant and the bytes.
+    fn readv(disk: &mut Disk, now: Nanos, blocks: &[u64]) -> Result<(Nanos, Vec<u8>), IoError> {
+        let mut buf = vec![0u8; blocks.len() * BLOCK_SIZE];
+        let mut iov: Vec<(u64, &mut [u8])> = blocks
+            .iter()
+            .copied()
+            .zip(buf.chunks_mut(BLOCK_SIZE))
+            .collect();
+        let done = disk.try_readv_at(now, &mut iov)?;
+        Ok((done, buf))
+    }
+
+    #[test]
+    fn one_block_vectored_read_is_a_qd1_read() {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let (done, _) = readv(&mut disk, Nanos::ZERO, &[3]).unwrap();
+        assert_eq!(done, disk.config().segment_latency(BLOCK_SIZE));
+        // ... and so is the single-block entry point, fallible or not.
+        let mut out = vec![0u8; BLOCK_SIZE];
+        let at = Nanos::from_secs(1);
+        let qd1 = disk.config().segment_latency(BLOCK_SIZE);
+        assert_eq!(disk.try_read_block_at(at, 3, &mut out).unwrap(), at + qd1);
+        let at = Nanos::from_secs(2);
+        assert_eq!(disk.read_block_at(at, 3, &mut out), at + qd1);
+        assert_eq!(disk.stats().reads(), 3);
+        assert_eq!(disk.stats().read_submissions(), 3);
+    }
+
+    #[test]
+    fn vectored_read_is_priced_like_a_vectored_write() {
+        let data = block_of(3);
+        for blocks in [1usize, 8, 16, 17, 64, 256] {
+            let mut writer = Disk::new(DiskConfig::paper());
+            let iov: Vec<(u64, &[u8])> = (0..blocks).map(|b| (b as u64, &data[..])).collect();
+            let written = writer.writev_at(Nanos::ZERO, &iov).unwrap().completes();
+            let mut reader = Disk::new(DiskConfig::paper());
+            let addrs: Vec<u64> = (0..blocks as u64).collect();
+            let (read, _) = readv(&mut reader, Nanos::ZERO, &addrs).unwrap();
+            assert_eq!(read, written, "{blocks} blocks");
+            assert_eq!(reader.stats().reads(), blocks as u64);
+            assert_eq!(reader.stats().read_submissions(), 1);
+            assert_eq!(reader.stats().read_latency().count(), 1);
+        }
+    }
+
+    #[test]
+    fn vectored_read_returns_each_blocks_bytes_in_iov_order() {
+        let mut disk = Disk::new(DiskConfig::fast());
+        for b in 0..4u64 {
+            disk.write_block_at(Nanos::ZERO, b, &block_of(b as u8 + 1))
+                .unwrap();
+        }
+        let (_, buf) = readv(&mut disk, Nanos::ZERO, &[2, 0, 9, 3]).unwrap();
+        for (chunk, want) in buf.chunks(BLOCK_SIZE).zip([3u8, 1, 0, 4]) {
+            assert_eq!(chunk, &block_of(want)[..]);
+        }
+    }
+
+    #[test]
+    fn reads_queue_behind_writes_in_flight_on_the_same_channels() {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let data = block_of(1);
+        // Occupy both channels with one 32 KiB segment each.
+        let iov: Vec<(u64, &[u8])> = (0..16).map(|b| (b as u64, &data[..])).collect();
+        let busy_until = disk.writev_at(Nanos::ZERO, &iov).unwrap().completes();
+        let (done, _) = readv(&mut disk, Nanos::ZERO, &[0]).unwrap();
+        assert_eq!(
+            done,
+            busy_until + disk.config().segment_latency(BLOCK_SIZE),
+            "the read starts when a channel frees up"
+        );
+    }
+
+    #[test]
+    fn read_fault_indices_count_blocks_across_vectored_reads() {
+        let mut disk = Disk::new(DiskConfig::fast());
+        for b in 0..8u64 {
+            disk.write_block_at(Nanos::ZERO, b, &block_of(0xAB))
+                .unwrap();
+        }
+        // Index 5 is the third block of the second submission below.
+        disk.set_read_fault_plan(ReadFaultPlan::new().rot_at(5, 3, 1).at(9, true));
+        let (_, clean) = readv(&mut disk, Nanos::ZERO, &[0, 1, 2]).unwrap();
+        assert!(clean.iter().all(|&b| b == 0xAB));
+        let (_, buf) = readv(&mut disk, Nanos::ZERO, &[3, 4, 5, 6]).unwrap();
+        assert_eq!(disk.read_seq(), 7);
+        let mut rotted = block_of(0xAB);
+        rotted[3] ^= 1 << 1;
+        for (i, chunk) in buf.chunks(BLOCK_SIZE).enumerate() {
+            let want = if i == 2 { &rotted } else { &block_of(0xAB) };
+            assert_eq!(chunk, &want[..], "block {}", 3 + i);
+        }
+        assert_eq!(disk.peek(5).unwrap(), &rotted[..], "rot is on the media");
+
+        // Index 9 is the third block of the next submission: it fails the
+        // whole submission, consumes no numbers past itself, and costs no
+        // time or statistics.
+        let stats = disk.stats().clone();
+        let drained = disk.channels.drained_at();
+        let err = readv(&mut disk, Nanos::ZERO, &[0, 1, 2, 3]).unwrap_err();
+        assert_eq!(
+            err,
+            IoError::Failed {
+                block: 2,
+                transient: true
+            }
+        );
+        assert_eq!(disk.read_seq(), 10);
+        assert_eq!(disk.stats().reads(), stats.reads());
+        assert_eq!(disk.stats().read_submissions(), stats.read_submissions());
+        assert_eq!(disk.channels.drained_at(), drained);
+        // The retry is a fresh submission past the plan.
+        readv(&mut disk, Nanos::ZERO, &[0, 1, 2, 3]).unwrap();
+        assert_eq!(disk.read_seq(), 14);
     }
 
     #[test]

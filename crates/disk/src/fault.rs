@@ -276,16 +276,17 @@ pub enum ReadFault {
 /// A deterministic schedule of *read* faults, keyed by fallible-read
 /// index.
 ///
-/// The device numbers every fallible read submission
-/// ([`Disk::try_read_block_at`](crate::Disk::try_read_block_at) /
-/// [`Disk::try_read_block`](crate::Disk::try_read_block)) with a 0-based
-/// sequence counter, separate from the write `io_seq`. A scheduled
-/// [`ReadFault::Fail`] makes that read fail with [`IoError::Failed`] — no
-/// bytes are transferred and no time is charged; a [`ReadFault::BitRot`]
-/// silently corrupts the media and serves the rotted bytes with `Ok`. The
-/// legacy infallible read paths (`read_block_at` / `read_block`) neither
-/// consume sequence numbers nor consult the plan, so recovery code that
-/// predates fallible reads is unaffected.
+/// The device numbers every block read fallibly
+/// ([`Disk::try_readv_at`](crate::Disk::try_readv_at) and its one-block
+/// case [`Disk::try_read_block`](crate::Disk::try_read_block)) with a
+/// 0-based sequence counter, separate from the write `io_seq`: a vectored
+/// read consumes one number per block, in iov order, so an index means
+/// "the n-th block read" however the reads were batched. A scheduled
+/// [`ReadFault::Fail`] fails the submission carrying that block with
+/// [`IoError::Failed`] — no bytes are transferred and no time is charged;
+/// a [`ReadFault::BitRot`] silently corrupts the media and serves the
+/// rotted bytes with `Ok`. The infallible read paths (`read_block_at` /
+/// `read_block`) neither consume sequence numbers nor consult the plan.
 ///
 /// Like [`FaultPlan`], read plans are plain data: the same plan against
 /// the same deterministic workload injects the same faults.

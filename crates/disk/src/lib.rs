@@ -9,10 +9,12 @@
 //! - Latency follows a calibrated linear model (`~15 μs` setup + stream
 //!   bandwidth), reproducing the paper's direct-IO column of Table 6
 //!   (17 μs @ 4 KiB … 44 μs @ 64 KiB, one outstanding IO).
-//! - Large or vectored IOs are split at the 64 KiB stripe size across the
-//!   two device channels, so queue depth > 1 overlaps — the effect that
-//!   makes MemSnap's scatter/gather writes beat QD1 direct IO at large
-//!   sizes.
+//! - Large or vectored IOs — writes ([`Disk::writev_at`]) and reads
+//!   ([`Disk::try_readv_at`]) alike — are split at the stripe size across
+//!   the two device channels, so queue depth > 1 overlaps — the effect
+//!   that makes MemSnap's scatter/gather writes beat QD1 direct IO at
+//!   large sizes, and a bulk read cost far less than a loop of one-block
+//!   reads.
 //! - Writes become durable at their *completion instant*; [`Disk::crash`]
 //!   rolls back every write that had not completed, which is the failure
 //!   model the paper's COW object store defends against.

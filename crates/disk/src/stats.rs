@@ -2,6 +2,8 @@
 
 use msnap_sim::{LatencyStats, Nanos};
 
+use crate::BLOCK_SIZE;
+
 /// Counters and latency histograms for a simulated device.
 ///
 /// The PostgreSQL experiment (Fig. 6) reports disk write throughput and
@@ -10,6 +12,7 @@ use msnap_sim::{LatencyStats, Nanos};
 #[derive(Debug, Default, Clone)]
 pub struct IoStats {
     reads: u64,
+    read_submissions: u64,
     writes: u64,
     bytes_read: u64,
     bytes_written: u64,
@@ -34,8 +37,11 @@ impl IoStats {
         self.write_latency.record(latency);
     }
 
+    /// One read submission of `bytes` (whole blocks) completing after
+    /// `latency`.
     pub(crate) fn record_read(&mut self, bytes: usize, latency: Nanos) {
-        self.reads += 1;
+        self.reads += (bytes / BLOCK_SIZE) as u64;
+        self.read_submissions += 1;
         self.bytes_read += bytes as u64;
         self.read_latency.record(latency);
     }
@@ -51,9 +57,19 @@ impl IoStats {
         self.merged_parts += parts;
     }
 
-    /// Number of read IOs.
+    /// Number of blocks read: a vectored read of `n` blocks counts `n`,
+    /// so blocks-read-per-page ratios keep their meaning whatever the
+    /// queue depth. Submissions are at [`IoStats::read_submissions`].
     pub fn reads(&self) -> u64 {
         self.reads
+    }
+
+    /// Number of read submissions (one per vectored read, however many
+    /// blocks it carries) — the read-side counterpart of
+    /// [`IoStats::merged_submissions`]. `reads() / read_submissions()` is
+    /// the mean read queue depth in blocks.
+    pub fn read_submissions(&self) -> u64 {
+        self.read_submissions
     }
 
     /// Number of write IOs.
@@ -76,7 +92,8 @@ impl IoStats {
         &self.write_latency
     }
 
-    /// End-to-end latency distribution of read IOs.
+    /// End-to-end latency distribution of read submissions: one sample
+    /// per submission, submit to last block.
     pub fn read_latency(&self) -> &LatencyStats {
         &self.read_latency
     }
@@ -118,13 +135,13 @@ impl IoStats {
         }
     }
 
-    /// Average IOs per second (reads + writes) over `elapsed`.
+    /// Average IOs per second (read + write submissions) over `elapsed`.
     pub fn iops(&self, elapsed: Nanos) -> f64 {
         let secs = elapsed.as_secs_f64();
         if secs == 0.0 {
             0.0
         } else {
-            (self.reads + self.writes) as f64 / secs
+            (self.read_submissions + self.writes) as f64 / secs
         }
     }
 }
@@ -141,8 +158,12 @@ mod tests {
         s.record_read(4096, Nanos::from_us(17));
         assert_eq!(s.writes(), 2);
         assert_eq!(s.reads(), 1);
+        s.record_read(4 * 4096, Nanos::from_us(23));
+        assert_eq!(s.reads(), 5, "reads count blocks");
+        assert_eq!(s.read_submissions(), 2);
+        assert_eq!(s.read_latency().count(), 2, "one sample per submission");
         assert_eq!(s.bytes_written(), 12288);
-        assert_eq!(s.bytes_read(), 4096);
+        assert_eq!(s.bytes_read(), 5 * 4096);
         assert_eq!(s.write_latency().count(), 2);
     }
 

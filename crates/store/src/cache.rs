@@ -5,7 +5,9 @@
 //! blocks (radix nodes on the demand-load path, data pages under skewed
 //! workloads) need not hit the device every time. This module provides a
 //! small fixed-capacity cache shared by `read_page`, `read_page_at`, and
-//! node hydration.
+//! node hydration. Bulk readers (`read_pages`: region page-in) are served
+//! from it but admit no data pages to it — they touch each page once, and
+//! would only turn the hand over on the node blocks commits need.
 //!
 //! Policy is CLOCK / second-chance: each slot carries a referenced bit,
 //! set on hit; the eviction hand sweeps the slots, clearing referenced

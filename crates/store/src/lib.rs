@@ -60,6 +60,6 @@ pub use layout::{
 pub use radix::{RadixTree, TreeError};
 pub use shard::{ExtentBroker, ObjectStore, VectorCut, DEFAULT_EXTENT_BLOCKS};
 pub use store::{
-    CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage,
+    CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage, BULK_READ_PAGES,
     DEFAULT_CACHE_BLOCKS, MAX_IO_ATTEMPTS,
 };

@@ -37,7 +37,8 @@ use crate::layout::{
     CUT_SLOT_START, MAX_SHARDS, SHARD_ID_SHIFT,
 };
 use crate::store::{
-    CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage, MAX_IO_ATTEMPTS,
+    readv_blocks, CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage,
+    MAX_IO_ATTEMPTS,
 };
 
 /// Blocks per broker extent (1 MiB). Large enough that a shard's commit
@@ -199,13 +200,20 @@ impl ObjectStore {
     /// Opens the store from a (possibly crashed) device: opens every
     /// shard and adopts the newest durable complete [`VectorCut`].
     ///
+    /// Every read is fallible and the fixed metadata ranges are read
+    /// vectored (see [`StoreShard::read_pages`] for why that matters); a
+    /// failed read abandons the open with nothing built, and a retry on
+    /// the same device starts from scratch.
+    ///
     /// # Errors
     ///
-    /// [`StoreError::NotFormatted`] if block 0 is not a valid superblock.
+    /// [`StoreError::NotFormatted`] if block 0 is not a valid superblock;
+    /// [`StoreError::Io`] if a device read fails.
     pub fn open(vt: &mut Vt, disk: &mut Disk) -> Result<Self, StoreError> {
-        let mut sb = [0u8; BLOCK_SIZE];
-        disk.read_block(vt, 0, &mut sb);
-        let sup = Superblock::from_block(&sb).ok_or(StoreError::NotFormatted)?;
+        // The superblock and the cut slots behind it: one vectored read.
+        let head = readv_blocks(vt, disk, 0..CUT_SLOT_START + CUT_SLOTS)?;
+        let (sb, cut_slots) = head.split_at(CUT_SLOT_START as usize * BLOCK_SIZE);
+        let sup = Superblock::from_block(sb).ok_or(StoreError::NotFormatted)?;
         let n = sup.shard_count as usize;
         let extent = sup.extent_blocks;
         let mut shards = Vec::with_capacity(n);
@@ -244,10 +252,8 @@ impl ObjectStore {
         // check is a corruption guard, not an expected path.
         let sums: Vec<u64> = shards.iter().map(|s| s.epoch_sum()).collect();
         let mut best: Option<VectorCut> = None;
-        let mut buf = [0u8; BLOCK_SIZE];
-        for slot in CUT_SLOT_START..CUT_SLOT_START + CUT_SLOTS {
-            disk.read_block(vt, slot, &mut buf);
-            if let Some(rec) = CutRecord::from_block(&buf) {
+        for slot in cut_slots.chunks(BLOCK_SIZE) {
+            if let Some(rec) = CutRecord::from_block(slot) {
                 let cut = VectorCut {
                     seq: rec.seq,
                     epochs: rec.epochs,
@@ -742,6 +748,26 @@ impl ObjectStore {
     ) -> Result<(), StoreError> {
         let (shard, local) = self.split(object);
         self.shards[shard].read_page(vt, disk, local, page, out)
+    }
+
+    /// Reads pages `first_page .. first_page + n` of an object's current
+    /// epoch in bulk — one vectored, digest-verified device read for the
+    /// pages not cached — handing each to `sink` in page order.
+    ///
+    /// # Errors
+    ///
+    /// See [`StoreShard::read_pages`].
+    pub fn read_pages(
+        &mut self,
+        vt: &mut Vt,
+        disk: &mut Disk,
+        object: ObjectId,
+        first_page: u64,
+        n: u64,
+        sink: &mut dyn FnMut(u64, &[u8]),
+    ) -> Result<(), StoreError> {
+        let (shard, local) = self.split(object);
+        self.shards[shard].read_pages(vt, disk, local, first_page, n, sink)
     }
 
     /// Runs the online scrubber for up to `budget` device reads, split

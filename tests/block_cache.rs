@@ -141,3 +141,77 @@ fn snapshot_diff_over_lazy_trees_skips_shared_subtrees_without_hydration() {
     );
     assert!(stats.hydrations > 0, "the divergent path does hydrate");
 }
+
+#[test]
+fn page_in_does_not_pollute_the_block_cache() {
+    // Paging a region 8x the cache back in touches every data page
+    // exactly once; admitting them would churn the CLOCK cache through
+    // eight full turnovers and evict the node blocks cached on the way.
+    // The bulk read admits no data pages: no eviction during page-in,
+    // and the first commit afterwards finds its whole tree path resident.
+    use memsnap::{MemSnap, PersistFlags, RegionSel};
+    use msnap_store::DEFAULT_CACHE_BLOCKS;
+
+    let pages = 8 * DEFAULT_CACHE_BLOCKS as u64;
+    let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
+    let mut vt = Vt::new(0);
+    let thread = vt.id();
+    let space = ms.vm_mut().create_space();
+    let r = ms.msnap_open(&mut vt, space, "big", pages).unwrap();
+    let sel = RegionSel::Region(r.md);
+    for page in 0..pages {
+        let va = r.addr + page * BLOCK_SIZE as u64;
+        ms.write(&mut vt, space, thread, va, &[page as u8 | 1; 16])
+            .unwrap();
+        if (page + 1) % 256 == 0 {
+            ms.msnap_persist(&mut vt, thread, sel, PersistFlags::sync())
+                .unwrap();
+        }
+    }
+    let disk = ms.crash(vt.now());
+
+    let mut vt = Vt::new(1);
+    let mut ms = MemSnap::restore(&mut vt, disk).unwrap();
+    let space = ms.vm_mut().create_space();
+    let before = ms.store().stats();
+    let reads = ms.disk().stats().reads();
+    let r = ms.msnap_open(&mut vt, space, "big", 0).unwrap();
+    let paged_in = ms.store().stats();
+    assert_eq!(
+        paged_in.cache_evictions, before.cache_evictions,
+        "page-in must not evict"
+    );
+    assert!(
+        ms.store().cached_blocks() <= 8,
+        "only the tree's node blocks are cached, found {}",
+        ms.store().cached_blocks()
+    );
+    assert!(
+        ms.disk().stats().reads() - reads <= pages + 8,
+        "one device block per page plus the tree's nodes"
+    );
+    let mut buf = [0u8; 16];
+    ms.read(&mut vt, space, r.addr + 77 * BLOCK_SIZE as u64, &mut buf)
+        .unwrap();
+    assert_eq!(buf, [77 | 1; 16]);
+
+    // The next commit to the region hydrates nothing further.
+    ms.write(
+        &mut vt,
+        space,
+        thread,
+        r.addr + 1_000 * BLOCK_SIZE as u64,
+        &[9; 16],
+    )
+    .unwrap();
+    ms.msnap_persist(
+        &mut vt,
+        thread,
+        RegionSel::Region(r.md),
+        PersistFlags::sync(),
+    )
+    .unwrap();
+    let committed = ms.store().stats();
+    assert_eq!(committed.hydrations, paged_in.hydrations);
+    assert_eq!(committed.cache_evictions, paged_in.cache_evictions);
+}

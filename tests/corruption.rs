@@ -367,6 +367,144 @@ fn bit_rot_injected_at_read_time_is_detected_and_quarantined() {
     assert!(matches!(err, StoreError::CorruptData { page: 1, .. }));
 }
 
+/// Everything `ObjectStore::open` recovers, as comparable data: per
+/// object its name, epoch, length and every page, then the snapshot
+/// names and the newest cut.
+fn recovered_state(store: &mut ObjectStore, vt: &mut Vt, disk: &mut Disk) -> Vec<String> {
+    let mut state = Vec::new();
+    for name in store.object_names() {
+        let id = store.lookup(&name).unwrap();
+        let (epoch, len) = (store.epoch(id), store.len_pages(id));
+        let mut buf = page_of(0);
+        let mut sum = 0u64;
+        for page in 0..len {
+            store.read_page(vt, disk, id, page, &mut buf).unwrap();
+            sum = sum.wrapping_mul(31).wrapping_add(digest32(&buf) as u64);
+        }
+        state.push(format!("{name} epoch {epoch} len {len} pages {sum:x}"));
+    }
+    for snap in store.snapshots() {
+        state.push(format!("snapshot {} epoch {}", snap.name, snap.epoch));
+    }
+    state.push(format!("cut {:?}", store.last_cut()));
+    state
+}
+
+#[test]
+fn read_failure_at_any_open_time_block_is_typed_and_a_retry_recovers_the_same_state() {
+    // Open reads its metadata fallibly: a device read error on any block
+    // it touches — superblock, cut slots, slab, root and delta slots,
+    // replayed data extents, hydrated nodes — must surface as
+    // `StoreError::Io` with nothing half-built, and opening the same
+    // device again must recover exactly what a clean open recovers.
+    let mut disk = Disk::new(DiskConfig::paper());
+    let mut store = ObjectStore::format_sharded(&mut disk, 2);
+    let mut vt = Vt::new(0);
+    let ids: Vec<_> = ["a", "b", "c"]
+        .iter()
+        .map(|n| store.create(&mut vt, &mut disk, n).unwrap())
+        .collect();
+    let p = |b: u8| page_of(b);
+    let big: Vec<(u64, Vec<u8>)> = (0..20).map(|i| (i * 40, p(i as u8 + 1))).collect();
+    let big_refs: Vec<(u64, &[u8])> = big.iter().map(|(pg, d)| (*pg, &d[..])).collect();
+    let token = store
+        .persist(&mut vt, &mut disk, ids[0], &big_refs)
+        .unwrap();
+    ObjectStore::wait(&mut vt, token);
+    // A full root under "a" (so replay hydrates committed nodes), a
+    // catalog entry, then deltas and a shared batch record on top.
+    store
+        .snapshot_create(&mut vt, &mut disk, ids[0], "s")
+        .unwrap();
+    for round in 0..3u8 {
+        for (i, id) in ids.iter().enumerate() {
+            let data = p(0x40 + round * 3 + i as u8);
+            let token = store
+                .persist(&mut vt, &mut disk, *id, &[(round as u64 * 40, &data)])
+                .unwrap();
+            ObjectStore::wait(&mut vt, token);
+        }
+    }
+    let (x, y) = (p(0x71), p(0x72));
+    let tokens = store
+        .persist_batch(
+            &mut vt,
+            &mut disk,
+            &[(ids[1], &[(5, &x[..])]), (ids[2], &[(6, &y[..])])],
+        )
+        .unwrap();
+    for token in tokens {
+        ObjectStore::wait(&mut vt, token);
+    }
+    store.cut(&mut vt, &mut disk).unwrap();
+    disk.crash(vt.now());
+
+    let mut vt = Vt::new(1);
+    let seq0 = disk.read_seq();
+    let mut clean = ObjectStore::open(&mut vt, &mut disk).unwrap();
+    let open_reads = disk.read_seq() - seq0;
+    assert!(open_reads > 100, "open read only {open_reads} blocks");
+    let want = recovered_state(&mut clean, &mut vt, &mut disk);
+    assert!(want.iter().any(|l| l.starts_with("a epoch 4")), "{want:?}");
+
+    for k in 0..open_reads {
+        disk.set_read_fault_plan(ReadFaultPlan::new().at(disk.read_seq() + k, true));
+        let err = ObjectStore::open(&mut vt, &mut disk)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Io(e) if e.is_transient()),
+            "open-time read {k}: expected a transient IO error, got {err:?}"
+        );
+        let mut retry = ObjectStore::open(&mut vt, &mut disk)
+            .unwrap_or_else(|e| panic!("retry after failed read {k}: {e:?}"));
+        let got = recovered_state(&mut retry, &mut vt, &mut disk);
+        assert_eq!(got, want, "retry after failed open-time read {k}");
+    }
+}
+
+#[test]
+fn restore_reports_any_read_failure_as_a_typed_error() {
+    // `MemSnap::restore` is open plus the manifest decode; a read error
+    // anywhere in it is `MsnapError::Store(Io)`, never a panic. (`restore`
+    // consumes the device, so each probe rebuilds it.)
+    let build = || {
+        let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
+        let mut vt = Vt::new(0);
+        let thread = vt.id();
+        let space = ms.vm_mut().create_space();
+        let r = ms.msnap_open(&mut vt, space, "data", 8).unwrap();
+        for i in 0..4u8 {
+            ms.write(&mut vt, space, thread, r.addr, &[i; 8]).unwrap();
+            ms.msnap_persist(
+                &mut vt,
+                thread,
+                RegionSel::Region(r.md),
+                PersistFlags::sync(),
+            )
+            .unwrap();
+        }
+        ms.crash(vt.now())
+    };
+    let mut disk = build();
+    let seq0 = disk.read_seq();
+    let restore_reads = {
+        let mut vt = Vt::new(1);
+        let ms = MemSnap::restore(&mut vt, disk).unwrap();
+        ms.disk().read_seq() - seq0
+    };
+    for k in 0..restore_reads {
+        disk = build();
+        disk.set_read_fault_plan(ReadFaultPlan::new().at(disk.read_seq() + k, true));
+        let mut vt = Vt::new(1);
+        let err = MemSnap::restore(&mut vt, disk).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(&err, MsnapError::Store(StoreError::Io(e)) if e.is_transient()),
+            "restore-time read {k}: got {err:?}"
+        );
+    }
+}
+
 /// The live (newest) media copy of `content`: COW commits bump-allocate,
 /// so among identical images the highest block number is current.
 fn live_block_of(disk: &Disk, content: &[u8]) -> u64 {
@@ -696,6 +834,10 @@ fn seeded_rot_sweep_is_fully_detected_and_healed() {
     );
     assert_eq!(stats.unrepaired, 0);
     assert_eq!(store.quarantined_blocks(), rotted.len());
+    // Batched or not, scrub reads the same blocks: the counts the serial
+    // read loops reported for this seed.
+    assert_eq!(stats.pages_verified, 3);
+    assert_eq!(stats.io_spent, 13);
 
     for (page, want) in &pages {
         let mut buf = page_of(0);
