@@ -49,7 +49,7 @@ fn failover() -> RunReport {
     // Post-promotion the store is single-shard: the failover topology
     // keeps tenants × stripes inside its snapshot catalog budget (see
     // ServeConfig docs), and runs a primary+standby pair so only the
-    // rejoining old primary consumes per-object delta bases afterwards.
+    // rejoining old primary consumes per-object rejoin anchors afterwards.
     let fleet = FleetConfig {
         clients: CONNECTIONS,
         tenants: 3,

@@ -16,7 +16,7 @@
 use msnap_bench::{header, splice_json_section, table};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::{Nanos, Vt};
-use msnap_store::{fnv1a, ObjectId, ObjectStore};
+use msnap_store::{shard_of_name, ObjectId, ObjectStore};
 
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
 const THREADS: [usize; 4] = [8, 16, 32, 64];
@@ -44,7 +44,7 @@ impl Point {
 fn balanced_name(t: usize) -> String {
     (0..)
         .map(|salt| format!("obj-t{t}-{salt}"))
-        .find(|n| fnv1a(n.as_bytes()) % 8 == (t % 8) as u64)
+        .find(|n| shard_of_name(n, 8) == t % 8)
         .unwrap()
 }
 
@@ -63,7 +63,7 @@ fn run_config(shards: usize, threads: usize) -> Point {
     let objects: Vec<(ObjectId, usize)> = (0..threads)
         .map(|t| {
             let name = balanced_name(t);
-            let shard = (fnv1a(name.as_bytes()) % shards as u64) as usize;
+            let shard = shard_of_name(&name, shards);
             let id = store.create(&mut setup, &mut disk, &name).unwrap();
             (id, shard)
         })

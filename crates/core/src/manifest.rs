@@ -21,7 +21,7 @@ pub(crate) struct ManifestEntry {
 pub(crate) struct Manifest {
     pub entries: Vec<ManifestEntry>,
     /// Shard count of the store that wrote this manifest (the shard map
-    /// is `fnv1a(name) % shard_count`, so the count is the whole map).
+    /// is `msnap_store::shard_of_name`, so the count is the whole map).
     pub shard_count: usize,
 }
 

@@ -10,7 +10,7 @@ use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::{Meters, Nanos, NetConfig, SimLink, Vt};
 use msnap_snap::{ApplySession, DedupTable, DeltaStream, SnapError};
 use msnap_store::{
-    digest32, fnv1a, Epoch, ObjectStore, ScrubStats, SnapEntry, StoreError, VectorCut,
+    digest32, shard_of_name, Epoch, ObjectStore, ScrubStats, SnapEntry, StoreError, VectorCut,
 };
 
 use crate::proto::{Msg, ObjectStatus};
@@ -25,16 +25,18 @@ pub struct ReplConfig {
     /// Unacknowledged wire bytes in flight per link beyond which the
     /// link counts as throttled and no new ship starts.
     pub max_lag_bytes: u64,
-    /// Epoch lag beyond which the primary stops retaining a lagging
-    /// link's delta base (bounding retention cost); the link's next
-    /// catch-up then ships the full image.
+    /// Epoch lag beyond which a lagging link's catch-up ships the full
+    /// image instead of a delta. Also spaces the **rejoin anchors**: a
+    /// ship whose span crosses a multiple of half this lag has its
+    /// target epoch retained as a snapshot on both ends, so retention
+    /// stays bounded and a rejoin diffs at most this many epochs.
     pub drop_base_lag: u64,
     /// Virtual time without acknowledgement progress before a ship's
     /// datagrams are retransmitted from the last known resume point.
     pub retransmit_timeout: Nanos,
-    /// Retained applied-epoch snapshots a replica keeps per object —
-    /// the candidate rebase bases a promoted replica can diff a
-    /// rejoining old primary from.
+    /// Retained anchor-epoch snapshots a replica keeps per object — the
+    /// candidate rebase bases a promoted replica can diff a rejoining
+    /// old primary from.
     pub keep_applied: usize,
     /// Epoch gap a promotion fence jumps, so a new primary's epochs
     /// stay disjoint from the failed primary's unacknowledged history.
@@ -141,6 +143,9 @@ pub struct LinkMetrics {
     pub full_syncs: u64,
     /// Ships that carried an incremental delta.
     pub delta_syncs: u64,
+    /// Delta ships built from the commits' own dirty-line record and
+    /// the live object — nothing pinned, flushed or diffed.
+    pub recorded_syncs: u64,
     /// Datagrams dropped by the receiver as malformed.
     pub malformed: u64,
     /// Ticks this link spent over its lag budget.
@@ -229,12 +234,12 @@ pub struct ReplicaNode {
     store: ObjectStore,
     state: ReplicaState,
     /// In-progress apply sessions keyed by ship id, with the object
-    /// name each updates.
-    sessions: BTreeMap<u64, (String, ApplySession)>,
+    /// name each updates and whether the ship is an anchor ship.
+    sessions: BTreeMap<u64, (String, bool, ApplySession)>,
     /// Recently finished ships, so a retransmitted `End` whose `Ack`
     /// was lost re-acknowledges instead of re-applying.
     completed: BTreeMap<u64, (String, Epoch)>,
-    /// Retained applied-epoch snapshot names per object, oldest first.
+    /// Retained anchor-epoch snapshot names per object, oldest first.
     applied: BTreeMap<String, Vec<String>>,
     /// Last instant a `RepairRequest` for (object, page) went up the
     /// link, bounding re-request traffic for the node's own rot.
@@ -254,6 +259,19 @@ pub struct ReplicaNode {
 
 /// Ships the replica remembers as finished; older entries are pruned.
 const COMPLETED_KEEP: usize = 64;
+
+/// Whether a stream is an **anchor ship** — one whose target epoch both
+/// ends retain as a snapshot (the primary pins it when building the
+/// ship, the replica when applying it), so that a later rebase or a
+/// rejoining failed primary has an epoch in common to diff from. Both
+/// ends decide from the stream header and the epoch the replica stands
+/// at: a full image, a rebase (the base is not the replica's epoch), or
+/// a delta whose span `(base, target]` crosses a multiple of half
+/// [`ReplConfig::drop_base_lag`].
+fn is_anchor(cfg: &ReplConfig, base: Option<Epoch>, target: Epoch, replica_epoch: Epoch) -> bool {
+    let stride = (cfg.drop_base_lag / 2).max(1);
+    base.is_none_or(|base| base != replica_epoch || target / stride > base / stride)
+}
 
 impl ReplicaNode {
     fn format(name: &str, vt_id: u32) -> ReplicaNode {
@@ -367,14 +385,14 @@ impl ReplicaNode {
     }
 
     /// Per-shard epoch sums under the primary's shard map
-    /// (`fnv1a(name) % n`), computed from the replica's own committed
+    /// ([`shard_of_name`]), computed from the replica's own committed
     /// epochs — the replica need not be physically sharded itself to
     /// judge a vector cut.
     fn shard_sums(&self, n: usize) -> Vec<Epoch> {
         let mut sums = vec![0; n];
         for name in self.store.object_names() {
             if let Some(id) = self.store.lookup(&name) {
-                sums[(fnv1a(name.as_bytes()) % n as u64) as usize] += self.store.epoch(id);
+                sums[shard_of_name(&name, n)] += self.store.epoch(id);
             }
         }
         sums
@@ -484,10 +502,11 @@ impl ReplicaNode {
         }
     }
 
-    /// Pins the just-applied epoch as a retained snapshot and prunes the
-    /// per-object window to `keep` — these are the rebase bases a
-    /// promoted replica diffs a rejoining primary from. Best effort: a
-    /// full catalog only costs the delta-only rejoin optimization.
+    /// Pins the just-applied anchor epoch as a retained snapshot and
+    /// prunes the per-object window to `keep` — these are the rebase
+    /// bases the primary falls back to when a span has no dirty-line
+    /// record, and the ones a promoted replica diffs a rejoining primary
+    /// from. Best effort: a full catalog only costs those deltas.
     fn retain_applied(&mut self, object: &str, epoch: Epoch, keep: usize) {
         let Some(id) = self.store.lookup(object) else {
             return;
@@ -525,6 +544,12 @@ impl ReplicaNode {
                         epoch: *epoch,
                     }];
                 }
+                let anchor = is_anchor(
+                    cfg,
+                    header.base_epoch,
+                    header.target_epoch,
+                    self.epoch(&header.object),
+                );
                 match ApplySession::begin(&mut self.vt, &mut self.disk, &mut self.store, &header) {
                     Ok(session) => {
                         // Losing delta continuity (full-image fallback)
@@ -534,7 +559,8 @@ impl ReplicaNode {
                         {
                             self.state = ReplicaState::Degraded;
                         }
-                        self.sessions.insert(ship, (header.object.clone(), session));
+                        self.sessions
+                            .insert(ship, (header.object.clone(), anchor, session));
                         Vec::new()
                     }
                     Err(SnapError::AlreadyCurrent) => {
@@ -554,7 +580,7 @@ impl ReplicaNode {
                 }
             }
             Msg::Frame { ship, frame } => {
-                let Some((_, session)) = self.sessions.get_mut(&ship) else {
+                let Some((_, _, session)) = self.sessions.get_mut(&ship) else {
                     return match self.completed.get(&ship) {
                         Some((object, epoch)) => vec![Msg::Ack {
                             ship,
@@ -590,12 +616,12 @@ impl ReplicaNode {
                         epoch: *epoch,
                     }];
                 }
-                let Some((object, session)) = self.sessions.remove(&ship) else {
+                let Some((object, anchor, session)) = self.sessions.remove(&ship) else {
                     return vec![Msg::Nak { ship, next_seq: 0 }];
                 };
                 if session.next_seq() < trailer.frames {
                     let next_seq = session.next_seq();
-                    self.sessions.insert(ship, (object, session));
+                    self.sessions.insert(ship, (object, anchor, session));
                     return vec![Msg::Nak { ship, next_seq }];
                 }
                 let table = self.dedup.entry(object.clone()).or_default();
@@ -610,7 +636,9 @@ impl ReplicaNode {
                         ObjectStore::wait(&mut self.vt, token);
                         self.bootstrapped = true;
                         self.state = ReplicaState::Streaming;
-                        self.retain_applied(&object, token.epoch, cfg.keep_applied);
+                        if anchor {
+                            self.retain_applied(&object, token.epoch, cfg.keep_applied);
+                        }
                         // The landed epoch may complete an announced cut.
                         self.refresh_cut();
                         self.completed.insert(ship, (object.clone(), token.epoch));
@@ -701,11 +729,15 @@ impl ReplicaNode {
 #[derive(Debug)]
 struct Ship {
     id: u64,
-    target_snap: String,
+    /// The primary snapshot pinned at `target_epoch` when this is an
+    /// anchor ship (see [`is_anchor`]): the link's next rejoin anchor
+    /// once acknowledged. Nothing else of a ship lives on the device —
+    /// `stream` serves every retransmit.
+    anchor: Option<String>,
     target_epoch: Epoch,
     stream: DeltaStream,
-    /// Primary instant the target snapshot was pinned — the zero point
-    /// of the ship's acknowledgement-lag measurement.
+    /// Primary instant the stream was built — the zero point of the
+    /// ship's acknowledgement-lag measurement.
     created_at: Nanos,
     last_send: Nanos,
     /// Resume point requested by the latest `Nak`, if any.
@@ -718,15 +750,40 @@ impl Ship {
     }
 }
 
+/// Sends a ship's datagrams down a link from frame `from` on, closing
+/// with the `End`; returns the frames sent. `from == 0` opens with the
+/// `Begin` — a resume point of 0 may mean the Begin itself was lost (a
+/// duplicate Begin is ignored).
+fn send_ship(down: &mut SimLink, now: Nanos, ship: &Ship, from: u64) -> u64 {
+    let id = ship.id;
+    if from == 0 {
+        let header = ship.stream.header.clone();
+        down.send(now, Msg::Begin { ship: id, header }.encode());
+    }
+    let mut frames = 0;
+    for frame in ship.stream.frames.iter().skip(from as usize) {
+        let frame = frame.clone();
+        down.send(now, Msg::Frame { ship: id, frame }.encode());
+        frames += 1;
+    }
+    let trailer = ship.stream.trailer;
+    down.send(now, Msg::End { ship: id, trailer }.encode());
+    frames
+}
+
 /// Primary-side shipping state for one (link, object) pair.
 #[derive(Debug, Default)]
 struct ObjShip {
     /// The replica's durable epoch for the object, as last reported.
     remote: Epoch,
+    /// The object's length in pages at `remote`, known once a ship of
+    /// ours landed the replica there (a `Hello` reports epochs only).
+    remote_len: Option<u64>,
     /// Epochs the replica retains as snapshots (rebase candidates).
     retained_remote: Vec<Epoch>,
-    /// The retained primary snapshot chain base: name and epoch of the
-    /// last shipped-and-acknowledged target.
+    /// The link's **rejoin anchor**: name and epoch of the pinned
+    /// target of the newest acknowledged anchor ship — an epoch both
+    /// ends retain, sparse by construction (see [`is_anchor`]).
     base: Option<(String, Epoch)>,
     inflight: Option<Ship>,
     /// Content provenance of the replica's epoch is unknown (it just
@@ -919,7 +976,7 @@ impl ReplEngine {
             .map(|l| &l.metrics)
     }
 
-    /// The per-link latency meters (`repl_ack_lag`: snapshot-pinned to
+    /// The per-link latency meters (`repl_ack_lag`: ship built to
     /// acknowledged, in virtual time).
     pub fn link_meters(&self, name: &str) -> Option<&Meters> {
         self.links
@@ -1026,6 +1083,7 @@ impl ReplEngine {
                         for status in objects {
                             let os = link.ships.entry(status.name).or_default();
                             os.remote = status.epoch;
+                            os.remote_len = None;
                             os.retained_remote = status.retained;
                             os.inflight = None;
                             os.base = None;
@@ -1043,6 +1101,7 @@ impl ReplEngine {
                         };
                         if epoch > os.remote {
                             os.remote = epoch;
+                            os.remote_len = None;
                         }
                         if os.inflight.as_ref().is_some_and(|s| s.id == ship) {
                             if let Some(ship) = os.inflight.take() {
@@ -1050,7 +1109,12 @@ impl ReplEngine {
                                     "repl_ack_lag",
                                     vt.now().saturating_sub(ship.created_at),
                                 );
-                                os.base = Some((ship.target_snap, ship.target_epoch));
+                                if ship.target_epoch == os.remote {
+                                    os.remote_len = Some(ship.stream.header.len_pages);
+                                }
+                                if let Some(name) = ship.anchor {
+                                    os.base = Some((name, ship.target_epoch));
+                                }
                                 os.divergent = false;
                                 // The receiver applied the ship, so it
                                 // inserted the same payload images —
@@ -1256,105 +1320,91 @@ impl ReplEngine {
                     continue;
                 };
                 let link = &mut self.links[li];
-                if !link.ships.contains_key(object) {
-                    link.ships.insert(object.clone(), ObjShip::default());
-                }
-                let os = link.ships.get_mut(object).expect("inserted above");
+                let os = link.ships.entry(object.clone()).or_default();
                 if os.inflight.is_some() || live <= os.remote {
                     continue;
                 }
                 if inflight_bytes >= self.cfg.max_lag_bytes {
                     continue; // over budget: coalesce until acks free it
                 }
-                // Retention cap: a link lagging too far loses its delta
-                // base (so primary-side retention stays bounded); its
-                // catch-up ships the full image instead.
+                // A link lagging too far loses its anchor; its catch-up
+                // ships the full image instead.
                 let deep_lag = live.saturating_sub(os.remote) > self.cfg.drop_base_lag;
                 if deep_lag {
                     os.base = None;
                 }
-                let (target_snap, target_epoch) =
-                    Self::target_snapshot(&mut self.owned, &mut self.next_snap, vt, ms, object)?;
+                // A link in good standing ships what the commits
+                // themselves recorded: the pages and dirty lines of
+                // exactly (remote, live], read from the live object.
+                // Without a provable record (chain pruned, or a fence /
+                // repair / restore commit in the span) the ship rebases
+                // from the newest anchor both ends retain, else carries
+                // the full image — either way diffed from a pinned target.
+                let recorded = match os.remote_len {
+                    Some(len) if !deep_lag && !os.divergent && os.remote > 0 => ms
+                        .subpage_extents(object, os.remote, live)
+                        .map(|extents| ((os.remote, len), extents)),
+                    _ => None,
+                };
+                let base = match recorded {
+                    None if !deep_lag => Self::choose_base(&self.owned, ms, object, os, live),
+                    _ => None,
+                };
+                let base_epoch = match &recorded {
+                    Some((span, _)) => Some(span.0),
+                    None => base.as_ref().map(|(_, epoch)| *epoch),
+                };
+                let anchor = is_anchor(&self.cfg, base_epoch, live, os.remote);
+                let pin = if anchor || recorded.is_none() {
+                    Some(self.pin_live(vt, ms, object)?)
+                } else {
+                    None
+                };
                 let link = &mut self.links[li];
                 let os = link.ships.get_mut(object).expect("inserted above");
-                let base = if deep_lag {
-                    None
-                } else {
-                    Self::choose_base(&self.owned, ms, object, os, target_epoch)
-                };
-                // Fine-grain dirty hints: the tracker's per-page dirty
-                // line bitmaps covering exactly (base, target], when the
-                // extent chain is unbroken over that span. The builder
-                // falls back to exact line diffs (or whole pages)
-                // without them.
-                let hints = base.as_ref().and_then(|name| {
-                    let base_epoch = ms.store().snapshot_lookup(name)?.epoch;
-                    ms.subpage_extents(object, base_epoch, target_epoch)
-                });
                 let stats_before = ms.store().stats();
-                let stream = {
-                    let (store, disk) = ms.replication_parts();
-                    DeltaStream::build(
-                        vt,
-                        disk,
-                        store,
-                        base.as_deref(),
-                        &target_snap,
-                        hints.as_ref(),
-                        Some(&mut os.dedup),
-                    )?
+                let (store, disk) = ms.replication_parts();
+                let dedup = Some(&mut os.dedup);
+                let stream = match &recorded {
+                    Some((span, extents)) => {
+                        let id = store.lookup(object).ok_or(StoreError::NotFound)?;
+                        // Ship only what is durable here: a replica must
+                        // never run ahead of the primary's own device.
+                        vt.wait_until(store.last_commit(id));
+                        DeltaStream::build_live(vt, disk, store, id, *span, extents, dedup)?
+                    }
+                    None => {
+                        let base = base.as_ref().map(|(name, _)| name.as_str());
+                        let target = pin.as_deref().expect("pinned above: no record");
+                        DeltaStream::build(vt, disk, store, base, target, None, dedup)?
+                    }
                 };
                 let stats_after = ms.store().stats();
                 link.metrics.cache_hits += stats_after.cache_hits - stats_before.cache_hits;
                 link.metrics.cache_misses += stats_after.cache_misses - stats_before.cache_misses;
                 link.metrics.hydrations += stats_after.hydrations - stats_before.hydrations;
-                if base.is_none() {
+                if stream.header.base_epoch.is_none() {
                     link.metrics.full_syncs += 1;
                 } else {
                     link.metrics.delta_syncs += 1;
                 }
+                link.metrics.recorded_syncs += u64::from(recorded.is_some());
                 let savings = stream.wire_savings();
                 link.metrics.subpage_frames += savings.subpage_frames;
                 link.metrics.wire_bytes_saved_dedup += savings.dedup_saved;
                 link.metrics.wire_bytes_saved_compress += savings.compress_saved;
-                let id = self.next_ship;
-                self.next_ship += 1;
                 let now = vt.now();
-                link.down.send(
-                    now,
-                    Msg::Begin {
-                        ship: id,
-                        header: stream.header.clone(),
-                    }
-                    .encode(),
-                );
-                for frame in &stream.frames {
-                    link.down.send(
-                        now,
-                        Msg::Frame {
-                            ship: id,
-                            frame: frame.clone(),
-                        }
-                        .encode(),
-                    );
-                }
-                link.down.send(
-                    now,
-                    Msg::End {
-                        ship: id,
-                        trailer: stream.trailer,
-                    }
-                    .encode(),
-                );
                 let ship = Ship {
-                    id,
-                    target_snap,
-                    target_epoch,
+                    id: self.next_ship,
+                    anchor: pin.filter(|_| anchor),
+                    target_epoch: live,
                     stream,
                     created_at: now,
                     last_send: now,
                     resend_from: None,
                 };
+                self.next_ship += 1;
+                send_ship(&mut link.down, now, &ship, 0);
                 inflight_bytes += ship.wire_bytes();
                 os.inflight = Some(ship);
                 report.ships_started += 1;
@@ -1364,60 +1414,64 @@ impl ReplEngine {
     }
 
     /// Finds or pins the engine-owned snapshot of `object` at its live
-    /// epoch — shared across links shipping the same epoch.
-    fn target_snapshot(
-        owned: &mut Vec<OwnedSnap>,
-        next_snap: &mut u64,
+    /// epoch — shared across links shipping the same epoch. Called for
+    /// anchor ships and for ships diffed from a snapshot pair only;
+    /// [`ReplEngine::gc_snapshots`] drops the pin once no link holds it
+    /// as its anchor.
+    fn pin_live(
+        &mut self,
         vt: &mut Vt,
         ms: &mut MemSnap,
         object: &str,
-    ) -> Result<(String, Epoch), ReplError> {
+    ) -> Result<String, ReplError> {
         let live = ms.object_epoch(object).ok_or(StoreError::NotFound)?;
-        if let Some(s) = owned.iter().find(|s| s.object == object && s.epoch == live) {
-            return Ok((s.name.clone(), s.epoch));
+        if let Some(s) = self
+            .owned
+            .iter()
+            .find(|s| s.object == object && s.epoch == live)
+        {
+            return Ok(s.name.clone());
         }
-        let name = format!("rp{}", *next_snap);
-        *next_snap += 1;
+        let name = format!("rp{}", self.next_snap);
+        self.next_snap += 1;
         let epoch = ms.msnap_snapshot_object(vt, object, &name)?;
-        owned.push(OwnedSnap {
+        self.owned.push(OwnedSnap {
             name: name.clone(),
             object: object.to_string(),
             epoch,
         });
-        Ok((name, epoch))
+        Ok(name)
     }
 
-    /// Picks the delta base for a ship, or `None` for a full image.
+    /// Picks the retained base snapshot for a ship that cannot be built
+    /// from the commits' record, or `None` for a full image.
     ///
-    /// For a link in good standing the base is the last acknowledged
-    /// target (or any primary snapshot pinned at exactly the replica's
-    /// epoch). For a divergent link — one that just (re-)attached — a
-    /// numeric epoch match proves nothing about content, so the base
-    /// must be an epoch *both* sides retain from common history: the
-    /// newest replica-retained epoch the primary also has pinned below
-    /// its own first post-promotion snapshot.
+    /// For a link in good standing the base is its rejoin anchor — the
+    /// replica retains the same epoch and rebases onto it — or else any
+    /// primary snapshot pinned at exactly the replica's epoch. For a
+    /// divergent link — one that just (re-)attached — a numeric epoch
+    /// match proves nothing about content, so the base must be an epoch
+    /// *both* sides retain from common history: the newest
+    /// replica-retained epoch the primary also has pinned below its own
+    /// first post-promotion snapshot.
     fn choose_base(
         owned: &[OwnedSnap],
         ms: &MemSnap,
         object: &str,
         os: &ObjShip,
         target_epoch: Epoch,
-    ) -> Option<String> {
+    ) -> Option<(String, Epoch)> {
         let id = ms.store().lookup(object)?;
         if !os.divergent {
-            if let Some((name, epoch)) = &os.base {
-                if *epoch == os.remote {
-                    return Some(name.clone());
-                }
-            }
             if os.remote == 0 {
                 return None;
             }
-            return ms
-                .retained_snapshots()
-                .into_iter()
-                .find(|s| s.object == id && s.epoch == os.remote)
-                .map(|s| s.name);
+            return os.base.clone().or_else(|| {
+                ms.retained_snapshots()
+                    .into_iter()
+                    .find(|s| s.object == id && s.epoch == os.remote)
+                    .map(|s| (s.name, s.epoch))
+            });
         }
         // Divergent: restrict to epochs predating the engine's own
         // snapshots (which pin post-promotion history the peer cannot
@@ -1437,7 +1491,7 @@ impl ReplEngine {
                 catalog
                     .iter()
                     .find(|s| s.object == id && s.epoch == e)
-                    .map(|s| s.name.clone())
+                    .map(|s| (s.name.clone(), e))
             })
     }
 
@@ -1494,81 +1548,23 @@ impl ReplEngine {
                 let Some(ship) = os.inflight.as_mut() else {
                     continue;
                 };
-                if let Some(from) = ship.resend_from.take() {
-                    // Nak-driven: resume the frames from the hole. A Nak
-                    // at 0 may mean the Begin itself was lost, so replay
-                    // it too (a duplicate Begin is ignored).
-                    if from == 0 {
-                        link.down.send(
-                            now,
-                            Msg::Begin {
-                                ship: ship.id,
-                                header: ship.stream.header.clone(),
-                            }
-                            .encode(),
-                        );
-                    }
-                    let mut frames = 0u64;
-                    for frame in ship.stream.frames.iter().skip(from as usize) {
-                        link.down.send(
-                            now,
-                            Msg::Frame {
-                                ship: ship.id,
-                                frame: frame.clone(),
-                            }
-                            .encode(),
-                        );
-                        frames += 1;
-                    }
-                    link.down.send(
-                        now,
-                        Msg::End {
-                            ship: ship.id,
-                            trailer: ship.stream.trailer,
-                        }
-                        .encode(),
-                    );
-                    link.metrics.retransmit_frames += frames;
-                    ship.last_send = now;
-                } else if now.saturating_sub(ship.last_send) > self.cfg.retransmit_timeout {
-                    // Timeout: even the Begin may have been lost; replay
-                    // the whole ship (duplicates are ignored).
-                    link.down.send(
-                        now,
-                        Msg::Begin {
-                            ship: ship.id,
-                            header: ship.stream.header.clone(),
-                        }
-                        .encode(),
-                    );
-                    for frame in &ship.stream.frames {
-                        link.down.send(
-                            now,
-                            Msg::Frame {
-                                ship: ship.id,
-                                frame: frame.clone(),
-                            }
-                            .encode(),
-                        );
-                    }
-                    link.down.send(
-                        now,
-                        Msg::End {
-                            ship: ship.id,
-                            trailer: ship.stream.trailer,
-                        }
-                        .encode(),
-                    );
-                    link.metrics.retransmit_frames += ship.stream.frames.len() as u64;
-                    ship.last_send = now;
-                }
+                // Nak-driven: resume the frames from the hole. Timeout:
+                // even the Begin may have been lost; replay the whole
+                // ship (duplicates are ignored).
+                let from = match ship.resend_from.take() {
+                    Some(from) => from,
+                    None if now.saturating_sub(ship.last_send) > self.cfg.retransmit_timeout => 0,
+                    None => continue,
+                };
+                link.metrics.retransmit_frames += send_ship(&mut link.down, now, ship, from);
+                ship.last_send = now;
             }
         }
     }
 
-    /// Deletes engine-owned primary snapshots no link needs anymore
-    /// (bases survive until their ship is acknowledged and replaced),
-    /// then reclaims inherited `rk-*` rebase bases a promoted replica
+    /// Deletes engine-owned primary snapshots no link needs anymore (an
+    /// anchor survives until a newer anchor ship is acknowledged), then
+    /// reclaims inherited `rk-*` rebase bases a promoted replica
     /// carried over from its replica life once every peer has caught up.
     fn gc_snapshots(&mut self, vt: &mut Vt, ms: &mut MemSnap) {
         let mut needed: Vec<&str> = Vec::new();
@@ -1577,8 +1573,8 @@ impl ReplEngine {
                 if let Some((name, _)) = &os.base {
                     needed.push(name);
                 }
-                if let Some(ship) = &os.inflight {
-                    needed.push(&ship.target_snap);
+                if let Some(name) = os.inflight.as_ref().and_then(|s| s.anchor.as_ref()) {
+                    needed.push(name);
                 }
             }
         }
@@ -1937,6 +1933,178 @@ mod tests {
             ms2.object_epoch(&object).unwrap()
         );
         assert_replica_page(&mut eng2, "old", &object, 0, 9);
+    }
+
+    fn engine_pins(ms: &MemSnap) -> usize {
+        let pins = ms.retained_snapshots();
+        pins.iter().filter(|s| s.name.starts_with("rp")).count()
+    }
+
+    fn assert_replica_matches_primary(
+        eng: &mut ReplEngine,
+        name: &str,
+        ms: &mut MemSnap,
+        vt: &mut Vt,
+        object: &str,
+    ) {
+        let id = ms.store().lookup(object).unwrap();
+        assert_eq!(
+            eng.replica(name).unwrap().epoch(object),
+            ms.store().epoch(id)
+        );
+        let (store, disk) = ms.replication_parts();
+        let (mut want, mut got) = (vec![0u8; PAGE_SIZE], vec![0u8; PAGE_SIZE]);
+        for page in 0..store.len_pages(id) {
+            store.read_page(vt, disk, id, page, &mut want).unwrap();
+            let node = eng.replica_mut(name).unwrap();
+            node.read_page(object, page, &mut got).unwrap();
+            assert_eq!(got, want, "replica {name} page {page}");
+        }
+    }
+
+    /// Steady-state ships read the commits' own record: the catalog sees
+    /// one anchor per `drop_base_lag / 2` epochs, not one pin per commit.
+    #[test]
+    fn steady_state_pins_anchors_not_commits() {
+        let (mut ms, mut vt, space, r, object) = primary();
+        let cfg = ReplConfig::default();
+        let mut eng = ReplEngine::new(cfg);
+        eng.add_replica("r1", NetConfig::calm(31)).unwrap();
+        eng.add_replica("r2", NetConfig::calm(32)).unwrap();
+        for i in 0..200u64 {
+            commit(&mut ms, &mut vt, space, &r, 1 + (i % 250) as u8);
+            assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+            // No more than the per-commit scheme held: a base and an
+            // in-flight target per (link, object), region and manifest.
+            assert!(engine_pins(&ms) <= 2 * 2 * 2, "commit {i}");
+        }
+        let per_link_object = 200u64.div_ceil(cfg.drop_base_lag / 2) + 1;
+        assert!(
+            eng.next_snap <= 2 * 2 * per_link_object,
+            "{} snapshots pinned for 200 commits",
+            eng.next_snap
+        );
+        for name in ["r1", "r2"] {
+            let m = *eng.link_metrics(name).unwrap();
+            assert_eq!(m.full_syncs, 2, "bootstrap only: {m:?}");
+            assert_eq!(m.recorded_syncs, m.delta_syncs, "{m:?}");
+            assert_replica_matches_primary(&mut eng, name, &mut ms, &mut vt, &object);
+        }
+    }
+
+    /// A ship is the epoch it was built at: commits made while its
+    /// datagrams are lost never leak into the replayed frames.
+    #[test]
+    fn retransmitted_ship_lands_its_own_epoch_not_a_newer_one() {
+        let (mut ms, mut vt, space, r, object) = primary();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("r1", NetConfig::calm(33)).unwrap();
+        commit(&mut ms, &mut vt, space, &r, 1);
+        assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+
+        let shipped = commit(&mut ms, &mut vt, space, &r, 2);
+        eng.set_partitioned("r1", true).unwrap();
+        let report = eng.tick(&mut vt, &mut ms).unwrap();
+        assert_eq!(report.ships_started, 1, "built, every datagram dropped");
+        commit(&mut ms, &mut vt, space, &r, 3);
+        commit(&mut ms, &mut vt, space, &r, 4);
+        eng.set_partitioned("r1", false).unwrap();
+        // The timeout replays the ship (a jittered End may overtake its
+        // frame and cost one Nak round more): the replica's first step
+        // forward is to the ship's own epoch and bytes.
+        let before = eng.link_metrics("r1").unwrap().retransmit_frames;
+        vt.advance(eng.config().retransmit_timeout);
+        while eng.replica("r1").unwrap().epoch(&object) < shipped {
+            vt.advance(Nanos::from_ms(1));
+            let report = eng.tick(&mut vt, &mut ms).unwrap();
+            assert_eq!(report.ships_started, 0, "replayed, not rebuilt");
+        }
+        assert_eq!(eng.replica("r1").unwrap().epoch(&object), shipped);
+        assert_replica_page(&mut eng, "r1", &object, 0, 2);
+        assert!(eng.link_metrics("r1").unwrap().retransmit_frames > before);
+
+        assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+    }
+
+    /// A fence leaves a span with no dirty-line record, and a healed
+    /// page one whose record no longer tells the whole story: neither
+    /// costs a full image — the ship rebases from the anchor both ends
+    /// retain (or stays on the record), and recorded ships resume.
+    #[test]
+    fn unprovable_span_rebases_from_the_anchor_not_a_full_image() {
+        let (mut ms, mut vt, space, r, object) = primary();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("r1", NetConfig::calm(34)).unwrap();
+        for fill in 1..=3u8 {
+            commit(&mut ms, &mut vt, space, &r, fill);
+            assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        }
+        let before = *eng.link_metrics("r1").unwrap();
+
+        let live = ms.object_epoch(&object).unwrap();
+        ms.msnap_fence(&mut vt, &object, live + 5).unwrap();
+        commit(&mut ms, &mut vt, space, &r, 4);
+        assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        let m = *eng.link_metrics("r1").unwrap();
+        assert_eq!(m.full_syncs, before.full_syncs, "{m:?}");
+        assert_eq!(m.recorded_syncs, before.recorded_syncs, "rebased: {m:?}");
+        assert!(m.delta_syncs > before.delta_syncs, "{m:?}");
+        assert_eq!(eng.replica("r1").unwrap().state(), ReplicaState::Streaming);
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+
+        // Rot the live page, scrub it into quarantine, let the replica
+        // heal it, then commit on top of the healed page.
+        {
+            let (store, disk) = ms.replication_parts();
+            let block = live_block(disk, &[4u8; PAGE_SIZE]);
+            disk.corrupt_bit(block, 200, 2);
+            while store.scrub_stats().passes == 0 {
+                store.scrub(&mut vt, disk, 64).unwrap();
+            }
+            assert_eq!(store.unrepaired_pages().len(), 1);
+        }
+        for _ in 0..64 {
+            eng.tick(&mut vt, &mut ms).unwrap();
+            vt.advance(Nanos::from_ms(10));
+        }
+        assert!(ms.store().unrepaired_pages().is_empty(), "peer repair");
+        commit(&mut ms, &mut vt, space, &r, 5);
+        assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        let after = *eng.link_metrics("r1").unwrap();
+        assert_eq!(after.full_syncs, before.full_syncs, "{after:?}");
+        assert!(after.recorded_syncs > m.recorded_syncs, "{after:?}");
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+    }
+
+    /// A link partitioned past the record the commits keep catches up
+    /// with one full image, then goes back to recorded deltas.
+    #[test]
+    fn pruned_record_costs_one_full_image_then_recorded_deltas_resume() {
+        let (mut ms, mut vt, space, r, object) = primary();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("r1", NetConfig::calm(35)).unwrap();
+        commit(&mut ms, &mut vt, space, &r, 1);
+        assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        let before = *eng.link_metrics("r1").unwrap();
+
+        eng.set_partitioned("r1", true).unwrap();
+        for i in 0..70u64 {
+            commit(&mut ms, &mut vt, space, &r, 2 + i as u8);
+            eng.tick(&mut vt, &mut ms).unwrap();
+        }
+        eng.set_partitioned("r1", false).unwrap();
+        assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(10)).unwrap());
+        let healed = *eng.link_metrics("r1").unwrap();
+        assert_eq!(healed.full_syncs, before.full_syncs + 1, "{healed:?}");
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+
+        commit(&mut ms, &mut vt, space, &r, 99);
+        assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        let after = *eng.link_metrics("r1").unwrap();
+        assert_eq!(after.full_syncs, healed.full_syncs, "{after:?}");
+        assert_eq!(after.recorded_syncs, healed.recorded_syncs + 1, "{after:?}");
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
     }
 
     #[test]

@@ -12,27 +12,40 @@
 //!
 //! Every [`ReplEngine::tick`] the engine compares each object's live
 //! committed epoch against what each replica last acknowledged. A
-//! lagging replica gets a **ship**: the engine pins the live epoch as a
-//! retained snapshot, builds a [`msnap_snap::DeltaStream`] against the
-//! replica's acknowledged base (or the full image when no base
-//! survives), and sends it down the link as one datagram per frame —
-//! `Begin`, `Frame`…, `End` ([`Msg`]). Replicas apply a completed
-//! stream as **one crash-atomic commit** and answer `Ack`; holes and
-//! corrupt frames answer `Nak{next_seq}` and the engine resumes from
-//! exactly there. A silent loss is covered by a go-back-N timeout
-//! replay. Duplicates are harmless by construction.
+//! lagging replica gets a **ship**: a [`msnap_snap::DeltaStream`] from
+//! the epoch it acknowledged to the live one, sent down the link as one
+//! datagram per frame — `Begin`, `Frame`…, `End` ([`Msg`]). The ship is
+//! **commit-fed**: its pages and 64-byte line masks are the dirty-line
+//! record the μCheckpoints of that span left behind
+//! ([`memsnap::MemSnap::subpage_extents`]) and its bytes are verified
+//! reads of the live object, so nothing is pinned, flushed or diffed,
+//! and the built frames serve every retransmit. Replicas apply a
+//! completed stream as **one crash-atomic commit** and answer `Ack`;
+//! holes and corrupt frames answer `Nak{next_seq}` and the engine
+//! resumes from exactly there. A silent loss is covered by a go-back-N
+//! timeout replay. Duplicates are harmless by construction.
+//!
+//! A sparse subset of ships are **anchor ships** — full images,
+//! rebases, and deltas whose span crosses a multiple of half
+//! [`ReplConfig::drop_base_lag`] — and only for those does the primary
+//! pin the live epoch as a retained snapshot and the replica retain
+//! the applied one: an epoch both ends hold. When a span has no
+//! provable record (the chain was pruned, or a fence / repair / restore
+//! commit sits in it) the ship rebases from that anchor — a snapshot
+//! diff of at most `drop_base_lag` epochs — and only without one does
+//! it carry the full image.
 //!
 //! # Flow control
 //!
 //! Lag is measured three ways — epochs behind, wire bytes in flight,
-//! and virtual time from snapshot to acknowledgement (the `repl_ack_lag`
-//! meter) — and budgeted by [`ReplConfig`]. Over budget, the tick
-//! reports [`TickReport::throttled`] so the ingest path stalls
+//! and virtual time from ship build to acknowledgement (the
+//! `repl_ack_lag` meter) — and budgeted by [`ReplConfig`]. Over budget,
+//! the tick reports [`TickReport::throttled`] so the ingest path stalls
 //! (bounded-staleness writes), and no new ship starts until acks drain
 //! the pipe. A replica lagging beyond [`ReplConfig::drop_base_lag`]
-//! loses its retained delta base and pays for a full image instead —
-//! retention on the primary stays bounded no matter how dead a replica
-//! is.
+//! loses its anchor and pays for a full image instead — retention on
+//! the primary stays at one anchor per link and object no matter how
+//! dead a replica is.
 //!
 //! # Failover
 //!
@@ -43,9 +56,9 @@
 //! replica's store is byte-identical to some committed primary epoch**,
 //! never a torn intermediate. The old primary can rejoin via
 //! [`ReplEngine::attach_replica`]; its `Hello` lists every epoch it
-//! retains, and the new primary diffs it forward from a commonly
-//! retained base — rebasing away the divergent tail — without a full
-//! image.
+//! retains — its anchors — and the new primary diffs it forward from a
+//! commonly retained one, rebasing away the divergent tail, without a
+//! full image.
 //!
 //! # Self-healing repair
 //!

@@ -1050,7 +1050,7 @@ mod tests {
         let cfg = RunConfig {
             // Post-promotion the store is single-shard: keep the
             // object count (tenants × stripes) inside its snapshot
-            // catalog budget (the repl engine's delta bases).
+            // catalog budget (the repl engine's rejoin anchors).
             serve: ServeConfig {
                 stripes: 2,
                 ..ServeConfig::default()

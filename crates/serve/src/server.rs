@@ -59,12 +59,18 @@ pub const SLOTS_PER_PAGE: u64 = PAGE_SIZE as u64 / SLOT_BYTES;
 /// # Snapshot catalog budget
 ///
 /// Each store shard's snapshot catalog holds ~31 entries, all of them
-/// the replication engine's delta bases (one per attached replica ×
-/// object); watches pin nothing. On the sharded primary these spread
-/// across `shards` catalogs, but a **promoted replica is
-/// single-shard**: after failover, `replicas × (tenants × stripes + 1)`
-/// delta bases must all fit in one catalog. Size failover topologies so
-/// that budget holds (e.g. fewer `stripes` or tenants).
+/// the replication engine's rejoin anchors; watches pin nothing and a
+/// steady-state ship pins nothing. An anchor is pinned when a link's
+/// ship of an object is a full image, a rebase, or crosses a multiple
+/// of `repl.drop_base_lag / 2` epochs, and replaces the link's previous
+/// one — at most one per attached replica × object, shared when the
+/// replicas acknowledge the same epoch. On the sharded primary these
+/// spread across `shards` catalogs, but a **promoted replica is
+/// single-shard** and inherits the anchors it retained as a replica
+/// (`repl.keep_applied` per object) until its re-attached peers catch
+/// up: after failover up to `replicas × (tenants × stripes + 1)`
+/// anchors must fit in one catalog. Size failover topologies so that
+/// budget holds (e.g. fewer `stripes` or tenants).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Store shards of the primary device (tenant stripes hash across
@@ -1698,6 +1704,45 @@ mod tests {
         assert!(c.put(&mut node, &mut now, "acme", 3).is_empty());
         assert_eq!(node.stats().notify_events, events_before);
         assert_eq!(node.conservative_notifies, 0);
+    }
+
+    /// Replication ships what each commit recorded and pins only sparse
+    /// anchors: the primary's catalog, and the count of snapshots ever
+    /// pinned into it, follow the objects shipped — not the commits.
+    #[test]
+    fn replicated_puts_pin_the_catalog_per_object_not_per_commit() {
+        const TENANTS: usize = 12;
+        let cfg = ServeConfig {
+            cut_every: 1,
+            ..ServeConfig::default()
+        };
+        let mut node = ServeNode::format(cfg, TENANTS, NetConfig::calm(11));
+        node.add_replica("r1", NetConfig::calm(21)).unwrap();
+        node.add_replica("r2", NetConfig::calm(22)).unwrap();
+        let mut now = Nanos::ZERO;
+        let mut clients: Vec<Client> = (0..TENANTS)
+            .map(|port| Client::hello(&mut node, &mut now, port))
+            .collect();
+        // Five commits on one stripe of every tenant.
+        for _ in 0..5 {
+            for (i, c) in clients.iter_mut().enumerate() {
+                c.put(&mut node, &mut now, &format!("t{i}"), 5);
+            }
+        }
+        let objects = node.ms.store().object_names().len();
+        assert_eq!(objects, TENANTS * node.cfg.stripes as usize + 1);
+        let catalog = node.ms.retained_snapshots();
+        assert!(catalog.len() <= objects, "{} entries", catalog.len());
+        // The engine names its pins `rp<n>` in creation order.
+        let pinned = catalog
+            .iter()
+            .filter_map(|s| s.name.strip_prefix("rp")?.parse::<usize>().ok())
+            .max()
+            .map_or(0, |n| n + 1);
+        assert!(
+            pinned <= objects,
+            "{pinned} snapshots pinned for {objects} objects and 60 commits"
+        );
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //!   frame, with an incompressible bypass to a plain [`PageFrame`]), and
 //!   a per-link [`DedupTable`] lets pages whose content was already
 //!   shipped travel as ~40-byte [`RefFrame`]s.
+//! - [`DeltaStream::build_live`] is the same frame assembly behind a
+//!   second front door: it ships an object's **current** epoch against
+//!   the epoch a replica acknowledged, taking the pages and line masks
+//!   from the dirty-line record the commits in between left behind and
+//!   the bytes from verified reads of the live object — no snapshot on
+//!   either side of the diff. Continuous replication ships this way.
 //! - [`ApplySession`] consumes frames one at a time on the replica side,
 //!   validating sequence numbers and checksums as it goes. A truncated
 //!   transfer resumes from [`ApplySession::next_seq`] — already-fed
@@ -40,8 +46,8 @@
 //!
 //! For failover, [`ApplySession::begin`] also accepts a **rebase**: if
 //! the stream's base epoch does not match the replica's live epoch but
-//! the replica retains a snapshot at exactly that epoch (a failed
-//! primary rejoining always does — the last shipped-and-acked base),
+//! the replica retains a snapshot at exactly that epoch (replication
+//! keeps such anchors on both ends for this),
 //! the session lands through [`ObjectStore::apply_image_at_base`],
 //! atomically abandoning the replica's divergent history.
 //!
@@ -777,6 +783,10 @@ impl Frame {
 /// - A session reset (hello / full resync) clears both sides.
 #[derive(Debug, Clone)]
 pub struct DedupTable {
+    /// Ceiling the table was created with.
+    max_cap: usize,
+    /// Images retained right now: `max_cap` bounded by the object's
+    /// length (see [`DedupTable::fit`]).
     cap: usize,
     hasher: fn(&[u8]) -> u64,
     /// Committed digest→image entries, oldest first.
@@ -801,6 +811,7 @@ impl DedupTable {
     /// forcing collisions; production uses [`DedupTable::new`].
     pub fn with_hasher(cap: usize, hasher: fn(&[u8]) -> u64) -> Self {
         DedupTable {
+            max_cap: cap.max(1),
             cap: cap.max(1),
             hasher,
             entries: VecDeque::new(),
@@ -854,6 +865,19 @@ impl DedupTable {
     pub fn insert(&mut self, digest: u64, bytes: Vec<u8>) {
         self.entries.retain(|(d, _)| *d != digest);
         self.entries.push_back((digest, bytes));
+        while self.entries.len() > self.cap {
+            self.entries.pop_front();
+        }
+    }
+
+    /// Bounds the table by the object it serves: an object of
+    /// `len_pages` pages has at most that many distinct live images
+    /// worth referencing, so a small object must not pin a full-size
+    /// table. Both ends call this with the stream header's
+    /// [`StreamHeader::len_pages`] — the sender before staging, the
+    /// receiver before inserting — so the tables stay in lockstep.
+    pub fn fit(&mut self, len_pages: u64) {
+        self.cap = len_pages.clamp(1, self.max_cap as u64) as usize;
         while self.entries.len() > self.cap {
             self.entries.pop_front();
         }
@@ -978,6 +1002,31 @@ pub struct WireSavings {
     pub compress_saved: u64,
 }
 
+/// Where frame assembly reads a stream's bytes — the two front doors of
+/// [`DeltaStream`] building share everything else.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// A retained snapshot pair: bytes from `target`, exact line diffs
+    /// against `base` for pages the hints do not cover.
+    Snapshots {
+        base: Option<&'a str>,
+        target: &'a str,
+    },
+    /// The object's current epoch.
+    Live,
+}
+
+/// What a stream lands: the object (id and directory name), the epoch
+/// and length it reaches, and the `(epoch, len_pages)` it is a delta
+/// against (`None`: full image).
+struct Span {
+    object: ObjectId,
+    name: String,
+    base: Option<(Epoch, u64)>,
+    target_epoch: Epoch,
+    len_pages: u64,
+}
+
 impl DeltaStream {
     /// Builds the stream shipping `target` (a retained snapshot on the
     /// primary) as a delta against `base` (another retained snapshot of
@@ -1011,31 +1060,99 @@ impl DeltaStream {
         base: Option<&str>,
         target: &str,
         extents: Option<&BTreeMap<u64, u64>>,
-        mut dedup: Option<&mut DedupTable>,
+        dedup: Option<&mut DedupTable>,
     ) -> Result<DeltaStream, SnapError> {
         let entry = store
             .snapshot_lookup(target)
-            .ok_or(StoreError::SnapshotNotFound)?
-            .clone();
-        let (base_epoch, base_len) = match base {
-            None => (None, 0),
+            .ok_or(StoreError::SnapshotNotFound)?;
+        let base_span = match base {
+            None => None,
             Some(name) => {
                 let b = store
                     .snapshot_lookup(name)
                     .ok_or(StoreError::SnapshotNotFound)?;
-                (Some(b.epoch), b.len_pages)
+                Some((b.epoch, b.len_pages))
             }
         };
         let pages = store.snapshot_diff(vt, disk, base, target)?;
-        let object = store
-            .object_name(entry.object)
-            .ok_or(StoreError::NotFound)?;
+        let span = Span {
+            object: entry.object,
+            name: store
+                .object_name(entry.object)
+                .ok_or(StoreError::NotFound)?,
+            base: base_span,
+            target_epoch: entry.epoch,
+            len_pages: entry.len_pages,
+        };
+        let source = Source::Snapshots { base, target };
+        Self::assemble(vt, disk, store, source, span, pages, extents, dedup)
+    }
+
+    /// Builds the stream that takes a replica from `base` — the
+    /// `(epoch, len_pages)` of `object` it last acknowledged — to the
+    /// object's **current** epoch, without any retained snapshot: the
+    /// pages and line masks are `extents`, the dirty-line record the
+    /// commits of `(base, current]` left behind
+    /// (`MemSnap::subpage_extents`, which the caller must have obtained
+    /// for exactly that span), and the bytes are verified reads of the
+    /// live object. Frames are chosen exactly as by
+    /// [`DeltaStream::build`]; with no base image to diff against, a
+    /// page whose line mask is zero (lines unknown) ships whole.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Store`] wrapping [`StoreError::NotFound`] for an
+    /// unknown object, or a failed or digest-mismatched page read.
+    pub fn build_live(
+        vt: &mut Vt,
+        disk: &mut Disk,
+        store: &mut ObjectStore,
+        object: ObjectId,
+        base: (Epoch, u64),
+        extents: &BTreeMap<u64, u64>,
+        dedup: Option<&mut DedupTable>,
+    ) -> Result<DeltaStream, SnapError> {
+        let span = Span {
+            object,
+            name: store.object_name(object).ok_or(StoreError::NotFound)?,
+            base: Some(base),
+            target_epoch: store.epoch(object),
+            len_pages: store.len_pages(object),
+        };
+        let pages = extents.keys().copied().collect();
+        let source = Source::Live;
+        Self::assemble(vt, disk, store, source, span, pages, Some(extents), dedup)
+    }
+
+    /// The one frame-assembly loop: reads each of `pages` from `source`,
+    /// picks its frame (reference, partial, compressed whole, plain),
+    /// stages payload images for dedup and seals the stream.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        vt: &mut Vt,
+        disk: &mut Disk,
+        store: &mut ObjectStore,
+        source: Source<'_>,
+        span: Span,
+        pages: Vec<u64>,
+        extents: Option<&BTreeMap<u64, u64>>,
+        mut dedup: Option<&mut DedupTable>,
+    ) -> Result<DeltaStream, SnapError> {
+        if let Some(table) = dedup.as_deref_mut() {
+            table.fit(span.len_pages);
+        }
+        let base_len = span.base.map_or(0, |(_, len)| len);
         let mut frames = Vec::with_capacity(pages.len());
         let mut tbuf = vec![0u8; BLOCK_SIZE];
         let mut bbuf = vec![0u8; BLOCK_SIZE];
         for (seq, page) in pages.into_iter().enumerate() {
             let seq = seq as u64;
-            store.read_page_at(vt, disk, target, page, &mut tbuf)?;
+            match source {
+                Source::Snapshots { target, .. } => {
+                    store.read_page_at(vt, disk, target, page, &mut tbuf)?;
+                }
+                Source::Live => store.read_page(vt, disk, span.object, page, &mut tbuf)?,
+            }
             let digest = dedup.as_ref().map(|t| t.digest(&tbuf));
             if let (Some(table), Some(d)) = (dedup.as_ref(), digest) {
                 if table.matches(d, &tbuf) {
@@ -1050,25 +1167,26 @@ impl DeltaStream {
             // diff against the retained base otherwise. Partial frames
             // need the receiver to hold the base content of this page,
             // so they are only emitted for pages inside the base image.
-            let in_base = base.is_some() && page < base_len;
+            let in_base = page < base_len;
             let lines: Option<u64> = match extents.and_then(|m| m.get(&page).copied()) {
                 // A zero hint on a structurally-changed page means the
                 // tracker lost the lines — treat as unknown.
-                Some(0) | None => {
-                    if in_base {
-                        store.read_page_at(vt, disk, base.unwrap_or_default(), page, &mut bbuf)?;
+                Some(0) | None => match source {
+                    Source::Snapshots {
+                        base: Some(base), ..
+                    } if in_base => {
+                        store.read_page_at(vt, disk, base, page, &mut bbuf)?;
                         let mut bits = 0u64;
                         for line in 0..LINES_PER_PAGE {
-                            let span = line * LINE_SIZE..(line + 1) * LINE_SIZE;
-                            if tbuf[span.clone()] != bbuf[span] {
+                            let range = line * LINE_SIZE..(line + 1) * LINE_SIZE;
+                            if tbuf[range.clone()] != bbuf[range] {
                                 bits |= 1 << line;
                             }
                         }
                         Some(bits)
-                    } else {
-                        None
                     }
-                }
+                    _ => None,
+                },
                 Some(bits) => in_base.then_some(bits),
             };
             let frame = match lines {
@@ -1115,10 +1233,10 @@ impl DeltaStream {
         };
         Ok(DeltaStream {
             header: StreamHeader {
-                object,
-                base_epoch,
-                target_epoch: entry.epoch,
-                len_pages: entry.len_pages,
+                object: span.name,
+                base_epoch: span.base.map(|(epoch, _)| epoch),
+                target_epoch: span.target_epoch,
+                len_pages: span.len_pages,
                 frame_count: frames.len() as u64,
                 // The consumer promotes only at complete cuts.
                 cut: store.last_cut().cloned(),
@@ -1217,6 +1335,8 @@ impl DeltaStream {
 pub struct ApplySession {
     object: ObjectId,
     target_epoch: Epoch,
+    /// Object length at the target epoch (bounds the dedup table).
+    len_pages: u64,
     expected_frames: u64,
     staged: Vec<Frame>,
     next_seq: u64,
@@ -1276,6 +1396,7 @@ impl ApplySession {
         Ok(ApplySession {
             object,
             target_epoch: header.target_epoch,
+            len_pages: header.len_pages,
             expected_frames: header.frame_count,
             // An untrusted frame count must not drive the allocation;
             // the staging vector grows as frames actually arrive.
@@ -1431,6 +1552,7 @@ impl ApplySession {
         // The stream landed: remember every payload image, in stream
         // order, exactly as the sender staged them.
         if let Some(table) = dedup {
+            table.fit(self.len_pages);
             for (_, bytes, was_ref) in &resolved {
                 if !*was_ref {
                     let d = table.digest(bytes);
@@ -2024,6 +2146,172 @@ mod tests {
             &mut replica,
             8,
         );
+    }
+
+    /// Feeds a whole stream into a fresh session and lands it.
+    fn apply(
+        vt: &mut Vt,
+        rdisk: &mut Disk,
+        replica: &mut ObjectStore,
+        stream: &DeltaStream,
+        dedup: Option<&mut DedupTable>,
+    ) {
+        let mut session = ApplySession::begin(vt, rdisk, replica, &stream.header).unwrap();
+        for f in &stream.frames {
+            session.feed(f).unwrap();
+        }
+        let token = session
+            .finish_with(vt, rdisk, replica, &stream.trailer, dedup)
+            .unwrap();
+        ObjectStore::wait(vt, token);
+    }
+
+    /// The live door ships the same frames the snapshot-pair door would
+    /// for the same span and hints — from the live object alone, leaving
+    /// the catalog untouched.
+    #[test]
+    fn live_door_builds_the_snapshot_pair_stream_without_a_snapshot() {
+        let (mut disk, mut store, mut vt, obj) = primary_with_two_snapshots();
+        let base = store.snapshot_lookup("b").unwrap();
+        let mut rdisk = Disk::new(DiskConfig::paper());
+        let mut replica = ObjectStore::format(&mut rdisk);
+        sync_to(
+            &mut vt,
+            &mut store,
+            &mut disk,
+            &mut replica,
+            &mut rdisk,
+            "b",
+        )
+        .unwrap();
+
+        // Page 1: two lines; page 3: lines unknown (zero mask, ships
+        // whole); page 6: past the base image (ships whole).
+        patch_page(
+            &mut vt,
+            &mut disk,
+            &mut store,
+            obj,
+            1,
+            &[(64, 0x77), (130, 0x78)],
+        );
+        patch_page(&mut vt, &mut disk, &mut store, obj, 3, &[(9, 0x79)]);
+        let t = store
+            .persist(&mut vt, &mut disk, obj, &[(6, &page_of(0x66))])
+            .unwrap();
+        ObjectStore::wait(&mut vt, t);
+        let extents = BTreeMap::from([(1, 0b110), (3, 0), (6, u64::MAX)]);
+
+        let catalog = store.snapshots();
+        let live = DeltaStream::build_live(
+            &mut vt,
+            &mut disk,
+            &mut store,
+            obj,
+            (base.epoch, base.len_pages),
+            &extents,
+            None,
+        )
+        .unwrap();
+        assert_eq!(store.snapshots(), catalog, "nothing is pinned");
+        assert_eq!(live.header.base_epoch, Some(base.epoch));
+        assert_eq!(live.header.target_epoch, store.epoch(obj));
+        assert_eq!(live.header.len_pages, 7);
+        assert!(matches!(&live.frames[0], Frame::Sub(sf) if sf.runs == [(64, 128)]));
+        assert!(matches!(&live.frames[1], Frame::Sub(sf) if sf.covers_whole()));
+        assert!(matches!(&live.frames[2], Frame::Sub(sf) if sf.covers_whole()));
+
+        store.snapshot_create(&mut vt, &mut disk, obj, "c").unwrap();
+        let mut pair = DeltaStream::build(
+            &mut vt,
+            &mut disk,
+            &mut store,
+            Some("b"),
+            "c",
+            Some(&extents),
+            None,
+        )
+        .unwrap();
+        // The pair door diffs a zero mask exactly; everything else —
+        // header, frames, trailer chain — is the same stream.
+        assert!(matches!(&pair.frames[1], Frame::Sub(sf) if !sf.covers_whole()));
+        pair.frames[1] = live.frames[1].clone();
+        pair.trailer.stream_sum = chain_sum(&pair.frames);
+        assert_eq!(pair, live);
+
+        apply(&mut vt, &mut rdisk, &mut replica, &live, None);
+        assert_replica_matches(
+            &mut vt,
+            &mut disk,
+            &mut store,
+            "c",
+            &mut rdisk,
+            &mut replica,
+            7,
+        );
+    }
+
+    /// A table serving a small object holds at most the object's pages,
+    /// on both ends, in lockstep — across a growth of the object too.
+    #[test]
+    fn dedup_capacity_follows_the_object_on_both_ends() {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = ObjectStore::format(&mut disk);
+        let mut vt = Vt::new(0);
+        let obj = store.create(&mut vt, &mut disk, "db").unwrap();
+        let mut rdisk = Disk::new(DiskConfig::paper());
+        let mut replica = ObjectStore::format(&mut rdisk);
+        let mut sender = DedupTable::default();
+        let mut receiver = DedupTable::default();
+
+        let mut base: Option<(Epoch, u64)> = None;
+        for i in 0..64u64 {
+            // A 4-page object for 48 ships, then it grows to 6 pages.
+            let page = if i < 48 { i % 4 } else { i % 6 };
+            let t = store
+                .persist(&mut vt, &mut disk, obj, &[(page, &noise_page(i as u8))])
+                .unwrap();
+            ObjectStore::wait(&mut vt, t);
+            let stream = match base {
+                None => {
+                    store
+                        .snapshot_create(&mut vt, &mut disk, obj, "full")
+                        .unwrap();
+                    DeltaStream::build(
+                        &mut vt,
+                        &mut disk,
+                        &mut store,
+                        None,
+                        "full",
+                        None,
+                        Some(&mut sender),
+                    )
+                }
+                Some(base) => DeltaStream::build_live(
+                    &mut vt,
+                    &mut disk,
+                    &mut store,
+                    obj,
+                    base,
+                    &BTreeMap::from([(page, 0)]),
+                    Some(&mut sender),
+                ),
+            }
+            .unwrap();
+            apply(
+                &mut vt,
+                &mut rdisk,
+                &mut replica,
+                &stream,
+                Some(&mut receiver),
+            );
+            sender.commit(); // the ack
+            base = Some((stream.header.target_epoch, stream.header.len_pages));
+            assert_eq!(sender.entries, receiver.entries, "ship {i}");
+            assert!(sender.len() as u64 <= stream.header.len_pages, "ship {i}");
+        }
+        assert_eq!(base.map(|(_, len)| len), Some(6));
+        assert_eq!(sender.len(), 6, "the cap grew with the object");
     }
 
     #[test]

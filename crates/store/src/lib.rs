@@ -58,7 +58,7 @@ pub use layout::{
     DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, MAX_DELTA_PAIRS, MAX_SHARDS, MAX_SNAPSHOTS,
 };
 pub use radix::{RadixTree, TreeError};
-pub use shard::{ExtentBroker, ObjectStore, VectorCut, DEFAULT_EXTENT_BLOCKS};
+pub use shard::{shard_of_name, ExtentBroker, ObjectStore, VectorCut, DEFAULT_EXTENT_BLOCKS};
 pub use store::{
     CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage, BULK_READ_PAGES,
     DEFAULT_CACHE_BLOCKS, MAX_IO_ATTEMPTS,

@@ -6,8 +6,8 @@
 //! batch ring, snapshot catalog) — so commits against different shards
 //! share *no* state on the hot path. Three pieces make that safe:
 //!
-//! - **Shard map.** Objects map to shards by a stable FNV-1a hash of
-//!   their name; a global [`ObjectId`] encodes `(shard << 24) | local`
+//! - **Shard map.** Objects map to shards by a stable hash of their
+//!   name ([`shard_of_name`]); a global [`ObjectId`] encodes `(shard << 24) | local`
 //!   so every existing id-based API keeps working unchanged.
 //! - **Extent broker.** A top-level [`ExtentBroker`] hands each shard
 //!   disjoint block extents on demand; shard allocators are range-
@@ -30,11 +30,12 @@
 //! superblock, cut slots, broker-fed allocator and durable cuts.
 
 use msnap_disk::{Disk, IoError, BLOCK_SIZE};
+use msnap_sim::hash::fnv1a_bytewise;
 use msnap_sim::{Category, Nanos, Vt};
 
 use crate::layout::{
-    fnv1a, CutRecord, Epoch, ObjectId, ShardLayout, SnapEntry, Superblock, CUT_SLOTS,
-    CUT_SLOT_START, MAX_SHARDS, SHARD_ID_SHIFT,
+    CutRecord, Epoch, ObjectId, ShardLayout, SnapEntry, Superblock, CUT_SLOTS, CUT_SLOT_START,
+    MAX_SHARDS, SHARD_ID_SHIFT,
 };
 use crate::store::{
     readv_blocks, CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage,
@@ -129,6 +130,14 @@ pub struct ObjectStore {
     cut_seq: u64,
     /// Newest durable cut.
     last_cut: Option<VectorCut>,
+}
+
+/// The shard of a `shards`-wide store an object name maps to: published
+/// byte-wise FNV-1a of the name modulo the width. A format constant —
+/// independent of the (word-wise) content digest — so a peer can
+/// evaluate another store's shard map from names alone.
+pub fn shard_of_name(name: &str, shards: usize) -> usize {
+    (fnv1a_bytewise(name.as_bytes()) % shards as u64) as usize
 }
 
 impl ObjectStore {
@@ -277,9 +286,9 @@ impl ObjectStore {
         self.shards.len()
     }
 
-    /// The shard an object name maps to (stable FNV-1a hash).
+    /// The shard an object name maps to.
     pub fn shard_of(&self, name: &str) -> usize {
-        (fnv1a(name.as_bytes()) % self.shards.len() as u64) as usize
+        shard_of_name(name, self.shards.len())
     }
 
     /// The shard a global object id lives on.

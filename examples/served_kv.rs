@@ -180,7 +180,7 @@ fn main() {
 
     println!("\n== act two: a 64-client fleet with a mid-run failover ==");
     // Post-promotion the store is single-shard: 2 tenants x 2 stripes
-    // keeps both rejoining links' delta bases inside its snapshot
+    // keeps both rejoining links' rejoin anchors inside its snapshot
     // catalog budget (see the ServeConfig docs).
     let fleet = FleetConfig {
         clients: 64,
