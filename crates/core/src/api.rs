@@ -34,9 +34,9 @@ const GATHER_PER_PAGE: Nanos = Nanos::from_ns(150);
 /// [`MemSnap::set_coalesce_window`]).
 const DEFAULT_COALESCE_WINDOW: Nanos = Nanos::from_us(8);
 
-/// Default depth of the `MS_ASYNC` writeback pipeline (see
-/// [`MemSnap::set_async_pipeline_depth`]).
-const DEFAULT_PIPELINE_DEPTH: usize = 8;
+/// Depth of the `MS_ASYNC` writeback pipeline: how many asynchronous
+/// μCheckpoints may be in flight before admission blocks on the oldest.
+const PIPELINE_DEPTH: usize = 8;
 
 /// Coalescing lane for `RegionSel::All` group participants, whose dirty
 /// sets may span every shard.
@@ -105,21 +105,32 @@ struct Region {
     populated: bool,
 }
 
-/// One caller's contribution to an open (not yet flushed) group commit.
+/// One taken dirty page on its way into a μCheckpoint: its region index,
+/// its dirty-list entry (kept so a failed commit can put it back —
+/// fsync-gate retry semantics) and its image. `None` persists the page
+/// **in place** from the VM page: the checkpoint-in-progress mark is the
+/// COW. `Some` is the grouped door's eager copy, fixed at enqueue — later
+/// writes to the page land in the writer's own dirty set and cannot
+/// bleed into this μCheckpoint.
+type TakenPage = (u32, DirtyPage, Option<Vec<u8>>);
+
+/// One caller's contribution to a μCheckpoint.
 #[derive(Debug)]
-struct GroupParticipant {
+struct Participant {
     thread: VthreadId,
     sel: RegionSel,
     flags: PersistFlags,
-    /// Dirty-list entries taken at enqueue, kept so a failed batch can put
-    /// them back (fsync-gate retry semantics).
-    entries: Vec<DirtyPage>,
-    /// Page images copied at enqueue: `(region index, page, bytes)`. The
-    /// eager copy is the COW — later writes to the same pages land in the
-    /// writer's own dirty set and cannot bleed into this μCheckpoint.
-    copied: Vec<(u32, u64, Vec<u8>)>,
+    pages: Vec<TakenPage>,
     /// Enqueue instant, for end-to-end latency metering.
     start: Nanos,
+}
+
+/// What one [`MemSnap::commit_batch`] made durable.
+struct Committed {
+    /// Durability instant of the whole batch.
+    completes: Nanos,
+    /// How many regions it advanced by one epoch.
+    regions: usize,
 }
 
 /// A group commit accepting participants until its window closes.
@@ -129,7 +140,7 @@ struct OpenBatch {
     /// The instant the coalescing window closes; the first poll at or
     /// after this instant flushes the batch.
     submit_at: Nanos,
-    participants: Vec<GroupParticipant>,
+    participants: Vec<Participant>,
 }
 
 /// A flushed group commit awaiting its participants' polls.
@@ -157,7 +168,6 @@ pub struct MemSnap {
     regions: Vec<Region>,
     by_name: HashMap<String, Md>,
     next_va: u64,
-    strategy: ResetStrategy,
     /// Durability instants: per-selector epoch → completion time.
     completions: HashMap<RegionSel, BTreeMap<Epoch, Nanos>>,
     /// Sticky per-region persist failures (fsync-gate semantics): once a
@@ -182,10 +192,9 @@ pub struct MemSnap {
     /// Next batch id.
     batch_seq: u64,
     /// Completion instants of in-flight `MS_ASYNC` μCheckpoints, oldest
-    /// first. Bounded by `pipeline_depth`; admission past the bound blocks
-    /// on the oldest entry (writeback backpressure).
+    /// first. Bounded by [`PIPELINE_DEPTH`]; admission past the bound
+    /// blocks on the oldest entry (writeback backpressure).
     pipeline: VecDeque<Nanos>,
-    pipeline_depth: usize,
     /// Per-object sub-page extent chains, newest [`SUBPAGE_KEEP`] commits
     /// each (see [`MemSnap::subpage_extents`]).
     subpage: HashMap<StoreObjId, BTreeMap<Epoch, SubpageRecord>>,
@@ -195,7 +204,6 @@ impl std::fmt::Debug for MemSnap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemSnap")
             .field("regions", &self.regions.len())
-            .field("strategy", &self.strategy)
             .finish()
     }
 }
@@ -234,7 +242,6 @@ impl MemSnap {
             regions: Vec::new(),
             by_name: HashMap::new(),
             next_va: REGION_VA_BASE,
-            strategy: ResetStrategy::TraceBuffer,
             completions: HashMap::new(),
             sticky: BTreeMap::new(),
             all_epoch: 0,
@@ -245,7 +252,6 @@ impl MemSnap {
             finished: HashMap::new(),
             batch_seq: 0,
             pipeline: VecDeque::new(),
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             subpage: HashMap::new(),
         }
     }
@@ -355,9 +361,18 @@ impl MemSnap {
     /// Promises that this instance will not be crashed at an instant
     /// before `at` and lets the device drop the rollback state only such
     /// a crash could need (see [`Disk::settle_until`]). For long-running
-    /// owners whose only crash point is their own advancing clock.
+    /// owners whose only crash point is their own advancing clock: every
+    /// caller's clock is at or past `at`, so nothing durable by `at` can
+    /// be waited for any more and the completion instants recorded for
+    /// [`MemSnap::msnap_wait`] are trimmed to the same horizon (each
+    /// selector keeps its newest, which is how `msnap_wait` tells an
+    /// already-durable epoch from one never issued).
     pub fn settle_until(&mut self, at: Nanos) {
         self.disk.settle_until(at);
+        for epochs in self.completions.values_mut() {
+            let newest = epochs.keys().next_back().copied();
+            epochs.retain(|epoch, completes| *completes > at || Some(*epoch) == newest);
+        }
     }
 
     /// The VM subsystem (create address spaces, inspect fault statistics).
@@ -405,13 +420,6 @@ impl MemSnap {
     /// Cost breakdown of the most recent `msnap_persist` (Table 5).
     pub fn last_persist_breakdown(&self) -> PersistBreakdown {
         self.last_breakdown
-    }
-
-    /// Selects the protection-reset strategy (default:
-    /// [`ResetStrategy::TraceBuffer`]); the alternatives exist for the
-    /// Figure 1 comparison.
-    pub fn set_reset_strategy(&mut self, strategy: ResetStrategy) {
-        self.strategy = strategy;
     }
 
     /// Creates or opens the region `name` of `pages` pages and maps it
@@ -666,7 +674,7 @@ impl MemSnap {
             return Err(e);
         }
 
-        // MS_ASYNC admission: at most `pipeline_depth` μCheckpoints may be
+        // MS_ASYNC admission: at most `PIPELINE_DEPTH` μCheckpoints may be
         // in flight; a full pipeline blocks here for the oldest one.
         let admit_wait = if flags.sync {
             Nanos::ZERO
@@ -674,6 +682,106 @@ impl MemSnap {
             self.pipeline_admit(vt)
         };
 
+        // One batch of one in-place participant per region, in region
+        // order: one scatter/gather μCheckpoint IO per object modified.
+        let mut taken = self.take(thread, sel, flags)?;
+        taken.sort_by_key(|t| t.0);
+        let mut parts: Vec<Participant> = Vec::new();
+        for t in taken {
+            match parts.last_mut() {
+                Some(p) if p.pages[0].0 == t.0 => p.pages.push(t),
+                _ => parts.push(Participant {
+                    thread,
+                    sel,
+                    flags,
+                    pages: vec![t],
+                    start,
+                }),
+            }
+        }
+        let t_init = vt.now();
+        let mut completes = vt.now();
+        let mut committed: Vec<DirtyPage> = Vec::new();
+        let mut failure: Option<MsnapError> = None;
+        for p in &mut parts {
+            if failure.is_some() {
+                // A prior region already failed: leave the rest dirty and
+                // untouched rather than checkpointing half the selector.
+                let entries = p.pages.drain(..).map(|t| t.1).collect();
+                self.vm.untake_dirty(thread, entries);
+                continue;
+            }
+            match self.commit_batch(vt, std::slice::from_mut(p)) {
+                Ok(done) => {
+                    completes = completes.max(done.completes);
+                    committed.extend(p.pages.iter().map(|t| t.1));
+                }
+                Err(e) => failure = Some(e),
+            }
+        }
+        let initiating = vt.now() - t_init;
+
+        // Freeze (checkpoint-in-progress) and re-arm tracking.
+        self.vm.freeze(&committed, completes);
+        let resetting = if committed.is_empty() {
+            Nanos::ZERO
+        } else {
+            self.vm
+                .reset_protection(vt, &committed, ResetStrategy::TraceBuffer)
+        };
+        let pages = committed.len() as u64;
+
+        if let Some(e) = failure {
+            // Regions persisted before the failure stay committed (their
+            // completions are recorded); the selector's epoch does not
+            // advance and the caller sees the error now — and again on
+            // every persist/wait until acknowledged.
+            self.last_breakdown = PersistBreakdown {
+                resetting_tracking: resetting,
+                initiating_writes: initiating,
+                waiting_on_io: admit_wait,
+                pages,
+            };
+            self.meters.record("msnap_persist", vt.now() - start);
+            return Err(e);
+        }
+
+        let all_epoch = self.stamp_all(completes);
+        let epoch = match sel {
+            RegionSel::All => all_epoch,
+            // The epoch just committed, or — nothing dirty — the current.
+            RegionSel::Region(md) => self.store.epoch(self.regions[md.0 as usize].store_obj),
+        };
+
+        // Synchronous callers block until durable; async callers join the
+        // writeback pipeline instead.
+        let mut waiting = admit_wait;
+        if flags.sync && completes > vt.now() {
+            waiting = completes - vt.now();
+            vt.charge(Category::IoWait, waiting);
+        } else if !flags.sync && pages > 0 {
+            self.pipeline.push_back(completes);
+        }
+
+        self.last_breakdown = PersistBreakdown {
+            resetting_tracking: resetting,
+            initiating_writes: initiating,
+            waiting_on_io: waiting,
+            pages,
+        };
+        self.meters.record("msnap_persist", vt.now() - start);
+        Ok(epoch)
+    }
+
+    /// Takes the dirty set a μCheckpoint of `sel` covers — the calling
+    /// thread's, or every thread's with `MS_GLOBAL` — tagging each entry
+    /// with its region; every page is in place until a door copies it.
+    fn take(
+        &mut self,
+        thread: VthreadId,
+        sel: RegionSel,
+        flags: PersistFlags,
+    ) -> Result<Vec<TakenPage>, MsnapError> {
         let filter = match sel {
             RegionSel::All => None,
             RegionSel::Region(md) => Some(
@@ -683,140 +791,122 @@ impl MemSnap {
                     .vm_obj,
             ),
         };
-
-        // Gather the dirty set (the thread's, or everyone's for
-        // MS_GLOBAL).
-        let mut entries: Vec<DirtyPage> = Vec::new();
+        let mut threads = Vec::new();
         if flags.global {
-            let mut threads = self.vm.threads_with_dirty();
-            if !threads.contains(&thread) {
-                threads.push(thread);
-            }
-            for t in threads {
-                entries.extend(self.vm.take_dirty(t, filter));
-            }
-        } else {
-            entries = self.vm.take_dirty(thread, filter);
+            threads = self.vm.threads_with_dirty();
         }
-
-        // Group by region.
-        let mut by_obj: BTreeMap<u32, Vec<DirtyPage>> = BTreeMap::new();
-        for e in entries {
-            by_obj.entry(e.object.0).or_default().push(e);
+        if !threads.contains(&thread) {
+            threads.push(thread);
         }
-
-        // Initiate one scatter/gather μCheckpoint IO per region.
-        let t_init = vt.now();
-        let mut max_completes = vt.now();
-        let mut epoch_for_sel: Epoch = 0;
-        let mut all_entries: Vec<DirtyPage> = Vec::new();
-        let mut total_pages = 0u64;
-        let mut failure: Option<MsnapError> = None;
-        for (obj, group) in by_obj {
-            let region_idx = self
-                .regions
-                .iter()
-                .position(|r| r.vm_obj.0 == obj)
-                .expect("dirty pages in tracked mappings belong to regions");
-            if failure.is_some() {
-                // A prior region already failed: leave the rest dirty and
-                // untouched rather than checkpointing half the selector.
-                self.vm.untake_dirty(thread, group);
-                continue;
+        let mut taken = Vec::new();
+        for t in threads {
+            for e in self.vm.take_dirty(t, filter) {
+                let region = match sel {
+                    RegionSel::Region(md) => md.0 as usize,
+                    RegionSel::All => self
+                        .regions
+                        .iter()
+                        .position(|r| r.vm_obj == e.object)
+                        .expect("dirty pages in tracked mappings belong to regions"),
+                };
+                taken.push((region as u32, e, None));
             }
-            let store_obj = self.regions[region_idx].store_obj;
-            let prev_epoch = self.store.epoch(store_obj);
-            let pages: Vec<(u64, &[u8])> = group
-                .iter()
-                .map(|e| (e.obj_page, self.vm.page_bytes(e)))
-                .collect();
-            total_pages += pages.len() as u64;
-            let result = self.store.persist(vt, &mut self.disk, store_obj, &pages);
-            drop(pages);
-            match result {
-                Ok(token) => {
-                    let lines = group.iter().map(|e| (e.obj_page, e.lines));
-                    self.record_subpage(store_obj, prev_epoch, token.epoch, lines);
-                    max_completes = max_completes.max(token.completes);
+        }
+        Ok(taken)
+    }
+
+    /// The one place region data reaches the store — durability first,
+    /// memory second. Merges the participants' page images per region in
+    /// page order (a later participant's image of a page wins: it was
+    /// taken later and contains the earlier writes too, so the lines
+    /// changed since the previous commit are the union), commits them
+    /// with one [`ObjectStore::persist_batch`], and only then touches
+    /// memory state. On success: each region's dirty-line record and
+    /// completion instant. On failure the store aborted and the durable
+    /// image still holds the previous epochs: every involved region arms
+    /// its fsync gate and every participant's pages go back to its dirty
+    /// set for a post-ack retry. All-or-nothing per call; the call
+    /// charges nothing itself — admission, freeze/reset and waiting are
+    /// the doors' policy.
+    fn commit_batch(
+        &mut self,
+        vt: &mut Vt,
+        parts: &mut [Participant],
+    ) -> Result<Committed, MsnapError> {
+        // Stable sort: a page's images stay in arrival order.
+        let mut taken: Vec<&TakenPage> = parts.iter().flat_map(|p| &p.pages).collect();
+        taken.sort_by_key(|t| (t.0, t.1.obj_page));
+        // `(region, page, dirty lines)` and, in step, the store's iovec.
+        let mut keys: Vec<(u32, u64, u64)> = Vec::with_capacity(taken.len());
+        let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(taken.len());
+        for (region, e, copy) in taken {
+            let bytes = match copy {
+                Some(copy) => &copy[..],
+                None => self.vm.page_bytes(e),
+            };
+            match keys.last_mut() {
+                Some(k) if (k.0, k.1) == (*region, e.obj_page) => {
+                    k.2 |= e.lines;
+                    iov.last_mut().expect("in step with keys").1 = bytes;
+                }
+                _ => {
+                    keys.push((*region, e.obj_page, e.lines));
+                    iov.push((e.obj_page, bytes));
+                }
+            }
+        }
+        // One store group per region: its run of `keys`, with the object
+        // and its previous epoch, beside the same run of the iovec.
+        let mut runs = Vec::new();
+        let mut groups = Vec::new();
+        let mut rest = &iov[..];
+        for run in keys.chunk_by(|a, b| a.0 == b.0) {
+            let obj = self.regions[run[0].0 as usize].store_obj;
+            let (pages, tail) = rest.split_at(run.len());
+            runs.push((obj, self.store.epoch(obj), run));
+            groups.push((obj, pages));
+            rest = tail;
+        }
+        match self.store.persist_batch(vt, &mut self.disk, &groups) {
+            Ok(tokens) => {
+                let mut completes = Nanos::ZERO;
+                for (&(obj, prev, run), token) in runs.iter().zip(&tokens) {
+                    let lines = run.iter().map(|k| (k.1, k.2));
+                    self.record_subpage(obj, prev, token.epoch, lines);
                     self.completions
-                        .entry(RegionSel::Region(Md(region_idx as u32)))
+                        .entry(RegionSel::Region(Md(run[0].0)))
                         .or_default()
                         .insert(token.epoch, token.completes);
-                    if sel == RegionSel::Region(Md(region_idx as u32)) {
-                        epoch_for_sel = token.epoch;
-                    }
-                    all_entries.extend(group);
+                    completes = completes.max(token.completes);
                 }
-                Err(e) => {
-                    // The store aborted cleanly: the durable image still
-                    // holds the previous epoch. Arm the fsync gate and
-                    // keep the pages dirty for a post-ack retry.
-                    total_pages -= group.len() as u64;
-                    let err = MsnapError::from(e);
-                    self.sticky.insert(region_idx as u32, err.clone());
-                    self.vm.untake_dirty(thread, group);
-                    failure = Some(err);
+                Ok(Committed {
+                    completes,
+                    regions: runs.len(),
+                })
+            }
+            Err(e) => {
+                let err = MsnapError::from(e);
+                for (.., run) in &runs {
+                    self.sticky.insert(run[0].0, err.clone());
                 }
+                for p in parts {
+                    let entries = p.pages.drain(..).map(|t| t.1).collect();
+                    self.vm.untake_dirty(p.thread, entries);
+                }
+                Err(err)
             }
         }
-        let initiating = vt.now() - t_init;
+    }
 
-        // Freeze (checkpoint-in-progress) and re-arm tracking.
-        self.vm.freeze(&all_entries, max_completes);
-        let resetting = if all_entries.is_empty() {
-            Nanos::ZERO
-        } else {
-            self.vm.reset_protection(vt, &all_entries, self.strategy)
-        };
-
-        if let Some(e) = failure {
-            // Regions persisted before the failure stay committed (their
-            // completions are recorded above); the selector's epoch does
-            // not advance and the caller sees the error now — and again on
-            // every persist/wait until acknowledged.
-            self.last_breakdown = PersistBreakdown {
-                resetting_tracking: resetting,
-                initiating_writes: initiating,
-                waiting_on_io: admit_wait,
-                pages: total_pages,
-            };
-            self.meters.record("msnap_persist", vt.now() - start);
-            return Err(e);
-        }
-
-        // Epoch bookkeeping for the all-regions selector.
+    /// Records `completes` as the durability instant of the next epoch
+    /// of the all-regions selector, which it returns.
+    fn stamp_all(&mut self, completes: Nanos) -> Epoch {
         self.all_epoch += 1;
         self.completions
             .entry(RegionSel::All)
             .or_default()
-            .insert(self.all_epoch, max_completes);
-        if sel == RegionSel::All {
-            epoch_for_sel = self.all_epoch;
-        } else if epoch_for_sel == 0 {
-            // Nothing dirty for this region: report its current epoch.
-            if let RegionSel::Region(md) = sel {
-                epoch_for_sel = self.store.epoch(self.regions[md.0 as usize].store_obj);
-            }
-        }
-
-        // Synchronous callers block until durable; async callers join the
-        // writeback pipeline instead.
-        let mut waiting = admit_wait;
-        if flags.sync && max_completes > vt.now() {
-            waiting = max_completes - vt.now();
-            vt.charge(Category::IoWait, waiting);
-        } else if !flags.sync && total_pages > 0 {
-            self.pipeline.push_back(max_completes);
-        }
-
-        self.last_breakdown = PersistBreakdown {
-            resetting_tracking: resetting,
-            initiating_writes: initiating,
-            waiting_on_io: waiting,
-            pages: total_pages,
-        };
-        self.meters.record("msnap_persist", vt.now() - start);
-        Ok(epoch_for_sel)
+            .insert(self.all_epoch, completes);
+        self.all_epoch
     }
 
     /// Sets the group-commit coalescing window: `msnap_persist_grouped`
@@ -825,13 +915,6 @@ impl MemSnap {
     /// same-instant callers merge).
     pub fn set_coalesce_window(&mut self, window: Nanos) {
         self.coalesce_window = window;
-    }
-
-    /// Sets the `MS_ASYNC` writeback pipeline depth: how many asynchronous
-    /// μCheckpoints may be in flight before `msnap_persist(MS_ASYNC)`
-    /// blocks on the oldest one. Clamped to at least 1.
-    pub fn set_async_pipeline_depth(&mut self, depth: usize) {
-        self.pipeline_depth = depth.max(1);
     }
 
     /// Joins (or opens) a group commit with the calling thread's dirty
@@ -867,54 +950,25 @@ impl MemSnap {
             self.flush_open_batch(vt, lane);
         }
 
-        let filter = match sel {
-            RegionSel::All => None,
-            RegionSel::Region(md) => Some(
-                self.regions
-                    .get(md.0 as usize)
-                    .ok_or(MsnapError::BadDescriptor)?
-                    .vm_obj,
-            ),
-        };
-        let mut entries: Vec<DirtyPage> = Vec::new();
-        if flags.global {
-            let mut threads = self.vm.threads_with_dirty();
-            if !threads.contains(&thread) {
-                threads.push(thread);
-            }
-            for t in threads {
-                entries.extend(self.vm.take_dirty(t, filter));
-            }
-        } else {
-            entries = self.vm.take_dirty(thread, filter);
-        }
-
         // Eagerly copy the page images: the μCheckpoint content is fixed
         // here, so the caller's next write needs no COW machinery.
-        let regions = &self.regions;
-        let vm = &self.vm;
-        let copied: Vec<(u32, u64, Vec<u8>)> = entries
-            .iter()
-            .map(|e| {
-                let region_idx = regions
-                    .iter()
-                    .position(|r| r.vm_obj == e.object)
-                    .expect("dirty pages in tracked mappings belong to regions");
-                (region_idx as u32, e.obj_page, vm.page_bytes(e).to_vec())
-            })
-            .collect();
-        if !entries.is_empty() {
+        let mut pages = self.take(thread, sel, flags)?;
+        if !pages.is_empty() {
+            let entries: Vec<DirtyPage> = pages.iter().map(|t| t.1).collect();
+            for t in &mut pages {
+                t.2 = Some(self.vm.page_bytes(&t.1).to_vec());
+            }
             vt.charge(Category::Memsnap, GATHER_PER_PAGE * entries.len() as u64);
             self.vm.freeze(&entries, vt.now());
-            self.vm.reset_protection(vt, &entries, self.strategy);
+            self.vm
+                .reset_protection(vt, &entries, ResetStrategy::TraceBuffer);
         }
 
-        let participant = GroupParticipant {
+        let participant = Participant {
             thread,
             sel,
             flags,
-            entries,
-            copied,
+            pages,
             start: vt.now(),
         };
         let ticket = match self.open_batches.get_mut(&lane) {
@@ -1048,12 +1102,8 @@ impl MemSnap {
     ///
     /// [`MsnapError::Store`] if the cut record cannot be written.
     pub fn msnap_cut(&mut self, vt: &mut Vt) -> Result<VectorCut, MsnapError> {
-        vt.charge(Category::Memsnap, SYSCALL_COST);
-        let mut lanes: Vec<u64> = self.open_batches.keys().copied().collect();
-        lanes.sort_unstable();
-        for lane in lanes {
-            self.flush_open_batch(vt, lane);
-        }
+        // The drain is the call's one syscall charge.
+        self.msnap_group_flush(vt);
         Ok(self.store.cut(vt, &mut self.disk)?)
     }
 
@@ -1071,7 +1121,7 @@ impl MemSnap {
         while matches!(self.pipeline.front(), Some(&c) if c <= now) {
             self.pipeline.pop_front();
         }
-        if self.pipeline.len() >= self.pipeline_depth {
+        if self.pipeline.len() >= PIPELINE_DEPTH {
             if let Some(oldest) = self.pipeline.pop_front() {
                 if oldest > vt.now() {
                     waited = oldest - vt.now();
@@ -1090,125 +1140,42 @@ impl MemSnap {
     /// participant, then a [`FinishedBatch`] for their polls. The caller
     /// (the first poller past the window, or a late enqueuer) pays the
     /// initiation cost — group commit's "leader pays" rule.
-    #[allow(clippy::type_complexity)]
     fn flush_open_batch(&mut self, vt: &mut Vt, lane: u64) {
         let mut batch = self
             .open_batches
             .remove(&lane)
             .expect("caller checked the lane's open batch");
-
-        // Merge the participants' copied pages per region; a later
-        // enqueuer's image of the same page wins (it was copied later).
-        // The buffers were copied once at enqueue — move them, the batch
-        // owns them and nothing reads `copied` after the flush.
-        let mut merged: BTreeMap<u32, BTreeMap<u64, Vec<u8>>> = BTreeMap::new();
-        for p in &mut batch.participants {
-            for (region, page, bytes) in p.copied.drain(..) {
-                merged.entry(region).or_default().insert(page, bytes);
-            }
-        }
-
-        // Union the participants' dirty-line sets per (region, page): a
-        // later enqueuer's image contains the earlier writes too, so the
-        // changed lines versus the previous commit are the union.
-        let mut merged_lines: BTreeMap<u32, BTreeMap<u64, u64>> = BTreeMap::new();
-        for p in &batch.participants {
-            for e in &p.entries {
-                if let Some(region) = self.regions.iter().position(|r| r.vm_obj == e.object) {
-                    *merged_lines
-                        .entry(region as u32)
-                        .or_default()
-                        .entry(e.obj_page)
-                        .or_insert(0) |= e.lines;
-                }
-            }
-        }
-
         let mut error: Option<MsnapError> = None;
         let mut completes = vt.now();
-        let mut epochs: HashMap<u32, Epoch> = HashMap::new();
-        if !merged.is_empty() {
+        if batch.participants.iter().any(|p| !p.pages.is_empty()) {
             let any_async = batch.participants.iter().any(|p| !p.flags.sync);
             if any_async {
                 self.pipeline_admit(vt);
             }
-            let prev_epochs: Vec<(u32, StoreObjId, Epoch)> = merged
-                .keys()
-                .map(|region| {
-                    let obj = self.regions[*region as usize].store_obj;
-                    (*region, obj, self.store.epoch(obj))
-                })
-                .collect();
-            let groups_pages: Vec<(StoreObjId, Vec<(u64, &[u8])>)> = merged
-                .iter()
-                .map(|(region, pages)| {
-                    let obj = self.regions[*region as usize].store_obj;
-                    (obj, pages.iter().map(|(p, b)| (*p, &b[..])).collect())
-                })
-                .collect();
-            let groups: Vec<(StoreObjId, &[(u64, &[u8])])> = groups_pages
-                .iter()
-                .map(|(obj, pages)| (*obj, &pages[..]))
-                .collect();
-            match self.store.persist_batch(vt, &mut self.disk, &groups) {
-                Ok(tokens) => {
-                    for ((region, _), token) in merged.iter().zip(&tokens) {
-                        completes = completes.max(token.completes);
-                        epochs.insert(*region, token.epoch);
-                        if let Some(&(_, obj, prev)) =
-                            prev_epochs.iter().find(|(r, ..)| r == region)
-                        {
-                            let lines = merged_lines.remove(region).unwrap_or_default();
-                            self.record_subpage(obj, prev, token.epoch, lines);
-                        }
-                        self.completions
-                            .entry(RegionSel::Region(Md(*region)))
-                            .or_default()
-                            .insert(token.epoch, token.completes);
-                    }
-                    self.all_epoch += 1;
-                    self.completions
-                        .entry(RegionSel::All)
-                        .or_default()
-                        .insert(self.all_epoch, completes);
+            match self.commit_batch(vt, &mut batch.participants) {
+                Ok(done) => {
+                    completes = done.completes;
+                    self.stamp_all(completes);
                     if any_async {
                         self.pipeline.push_back(completes);
                     }
                     // Several transactions coalesced into one region's
-                    // commit: the store took the plain single-object path,
-                    // so account the merge here (multi-object batches are
-                    // accounted by the store itself).
-                    if merged.len() == 1 && batch.participants.len() > 1 {
+                    // commit: the store saw a single group, so account
+                    // the merge here (multi-object batches are accounted
+                    // by the store itself).
+                    if done.regions == 1 && batch.participants.len() > 1 {
                         self.disk.note_merged(batch.participants.len() as u64);
                     }
                 }
-                Err(e) => {
-                    // All-or-nothing: the store aborted the whole batch.
-                    // Every involved region arms its fsync gate, every
-                    // participant gets its pages back, and every poll
-                    // reports the failure.
-                    let err = MsnapError::from(e);
-                    for region in merged.keys() {
-                        self.sticky.insert(*region, err.clone());
-                    }
-                    // Hand the taken entry lists straight back; the flush
-                    // is consuming the batch, so no clone is needed.
-                    for p in &mut batch.participants {
-                        self.vm
-                            .untake_dirty(p.thread, std::mem::take(&mut p.entries));
-                    }
-                    error = Some(err);
-                }
+                // All-or-nothing: every poll reports the failure.
+                Err(e) => error = Some(e),
             }
         }
 
         let mut results = HashMap::new();
         for (i, p) in batch.participants.iter().enumerate() {
             let epoch = match p.sel {
-                RegionSel::Region(md) => epochs
-                    .get(&md.0)
-                    .copied()
-                    .unwrap_or_else(|| self.store.epoch(self.regions[md.0 as usize].store_obj)),
+                RegionSel::Region(md) => self.store.epoch(self.regions[md.0 as usize].store_obj),
                 RegionSel::All => self.all_epoch,
             };
             results.insert(i as u32, (p.flags, epoch, p.start));
@@ -1544,7 +1511,9 @@ impl MemSnap {
     /// # Errors
     ///
     /// [`MsnapError::BadDescriptor`] if the snapshot does not exist or
-    /// its object is not a region.
+    /// its object is not a region; [`MsnapError::Store`] (`Io`,
+    /// `CorruptData`) if a snapshot page cannot be read or does not
+    /// verify — nothing is mapped, and a later call retries from scratch.
     pub fn msnap_open_at(
         &mut self,
         vt: &mut Vt,
@@ -1563,15 +1532,18 @@ impl MemSnap {
             .position(|r| r.store_obj == entry.object)
             .ok_or(MsnapError::BadDescriptor)?;
         let pages = self.regions[region_idx].pages;
+        // Read the whole image before anything is created or mapped: a
+        // failed read leaves the address space exactly as it was.
+        let mut image = vec![0u8; entry.len_pages.min(pages) as usize * PAGE_SIZE];
+        for (page, buf) in image.chunks_mut(PAGE_SIZE).enumerate() {
+            self.store
+                .read_page_at(vt, &mut self.disk, snapshot, page as u64, buf)?;
+        }
         let addr = self.next_va;
         self.next_va += (pages + REGION_GUARD_PAGES) * PAGE_SIZE as u64;
         let vm_obj = self.vm.create_object(pages);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        for page in 0..entry.len_pages.min(pages) {
-            self.store
-                .read_page_at(vt, &mut self.disk, snapshot, page, &mut buf)
-                .expect("snapshot entry was just looked up");
-            self.vm.populate_page(vm_obj, page, &buf);
+        for (page, buf) in image.chunks(PAGE_SIZE).enumerate() {
+            self.vm.populate_page(vm_obj, page as u64, buf);
         }
         self.vm.map(space, vm_obj, addr, TrackMode::Untracked)?;
         Ok(SnapshotView {
@@ -1596,7 +1568,12 @@ impl MemSnap {
     ///
     /// [`MsnapError::BadDescriptor`] if the snapshot does not exist or
     /// its object is not a region, the region's sticky error, or a
-    /// wrapped store error from the persisting μCheckpoint.
+    /// wrapped store error from the persisting μCheckpoint or from a
+    /// snapshot page that cannot be read or does not verify (`Io`,
+    /// `CorruptData`). A call that fails on such a read has persisted
+    /// nothing: memory is left partially rewritten (the pages before the
+    /// failing one hold the snapshot's content, dirty) and the call is
+    /// safely re-runnable — the retry rewrites only what still differs.
     pub fn msnap_rollback(
         &mut self,
         vt: &mut Vt,
@@ -1633,8 +1610,7 @@ impl MemSnap {
         for page in 0..pages {
             if page < entry.len_pages {
                 self.store
-                    .read_page_at(vt, &mut self.disk, snapshot, page, &mut want)
-                    .expect("snapshot entry was just looked up");
+                    .read_page_at(vt, &mut self.disk, snapshot, page, &mut want)?;
             } else {
                 want.fill(0);
             }
@@ -2442,41 +2418,252 @@ mod tests {
     #[test]
     fn async_pipeline_applies_backpressure_at_depth() {
         let (mut ms, mut vt, space) = fresh();
-        ms.set_async_pipeline_depth(2);
-        let t = vt.id();
         let r = ms.msnap_open(&mut vt, space, "data", 64).unwrap();
-        let mut latencies = Vec::new();
-        for i in 0..3u64 {
-            ms.write(
-                &mut vt,
-                space,
-                t,
-                r.addr + i * PAGE_SIZE as u64,
-                &[i as u8 + 1; PAGE_SIZE],
-            )
-            .unwrap();
-            let before = vt.now();
+        // One committer cannot fill the pipeline (its own initiation
+        // outlasts the IO it queued), so PIPELINE_DEPTH + 1 committers
+        // each bring their own clock to the same instant. The first
+        // PIPELINE_DEPTH admissions are free; the last finds the pipeline
+        // full and blocks on the oldest in-flight μCheckpoint.
+        let commit_at = |ms: &mut MemSnap, at: Nanos, who: u32| {
+            let mut vt = Vt::new(100 + who);
+            vt.wait_until(at);
+            let t = vt.id();
+            let va = r.addr + who as u64 * PAGE_SIZE as u64;
+            ms.write(&mut vt, space, t, va, &[who as u8 + 1; PAGE_SIZE])
+                .unwrap();
             ms.msnap_persist(&mut vt, t, RegionSel::Region(r.md), PersistFlags::async_())
                 .unwrap();
-            latencies.push(vt.now() - before);
+            ms.last_persist_breakdown().waiting_on_io
+        };
+        let t0 = vt.now();
+        for who in 0..PIPELINE_DEPTH as u32 {
+            assert_eq!(commit_at(&mut ms, t0, who), Nanos::ZERO, "free: {who}");
         }
-        // The first two admissions are free; the third finds the pipeline
-        // full and blocks on the oldest in-flight μCheckpoint.
-        assert!(latencies[0] < Nanos::from_us(15), "free: {}", latencies[0]);
-        assert!(latencies[1] < Nanos::from_us(15), "free: {}", latencies[1]);
-        assert!(
-            latencies[2] > Nanos::from_us(15),
-            "backpressure: {}",
-            latencies[2]
-        );
-        assert!(ms.last_persist_breakdown().waiting_on_io > Nanos::ZERO);
+        let blocked = commit_at(&mut ms, t0, PIPELINE_DEPTH as u32);
+        assert!(blocked > Nanos::ZERO, "admission past the depth blocks");
         // Once the device catches up, admissions are free again.
-        vt.wait_until(vt.now() + Nanos::from_secs(1));
-        ms.write(&mut vt, space, t, r.addr, &[9; 16]).unwrap();
-        let before = vt.now();
-        ms.msnap_persist(&mut vt, t, RegionSel::Region(r.md), PersistFlags::async_())
+        let later = t0 + Nanos::from_secs(1);
+        assert_eq!(commit_at(&mut ms, later, 0), Nanos::ZERO);
+    }
+
+    #[test]
+    fn all_selector_commits_a_prefix_when_a_region_fails() {
+        let (mut ms, mut vt, space) = fresh();
+        let t = vt.id();
+        let [a, b, c] = ["a", "b", "c"].map(|n| ms.msnap_open(&mut vt, space, n, 16).unwrap());
+        for (i, r) in [a, b, c].iter().enumerate() {
+            ms.write(&mut vt, space, t, r.addr, &[i as u8 + 1; 64])
+                .unwrap();
+        }
+        // One IO pair (extent, record) per region modified: hard-drop the
+        // second region's extent.
+        let plan = FaultPlan::new().at(ms.disk().io_seq() + 2, Fault::Drop { transient: false });
+        ms.set_fault_plan(plan);
+        let err = ms
+            .msnap_persist(&mut vt, t, RegionSel::All, PersistFlags::sync())
+            .unwrap_err();
+        ms.clear_fault_plan();
+        assert!(matches!(err, MsnapError::Store(_)), "got {err:?}");
+
+        // The first region stays committed, its completion recorded...
+        assert_eq!(ms.region_epoch(a.md), Some(1));
+        assert_eq!(ms.last_persist_breakdown().pages, 1);
+        ms.msnap_wait(&mut vt, RegionSel::Region(a.md), 1).unwrap();
+        // ...the second is sticky with its page back in the dirty set,
+        // and the third was never touched: dirty, healthy.
+        assert_eq!(ms.region_epoch(b.md), Some(0));
+        assert_eq!(ms.region_epoch(c.md), Some(0));
+        assert_eq!(ms.vm().dirty_count(t), 2);
+        assert_eq!(
+            ms.msnap_wait(&mut vt, RegionSel::Region(b.md), 0),
+            Err(err.clone())
+        );
+        assert_eq!(ms.msnap_ack_error(RegionSel::Region(c.md)), None);
+
+        // Acknowledged, one persist commits both.
+        assert_eq!(ms.msnap_ack_error(RegionSel::All), Some(err));
+        ms.msnap_persist(&mut vt, t, RegionSel::All, PersistFlags::sync())
             .unwrap();
-        assert!(vt.now() - before < Nanos::from_us(15));
+        assert_eq!(ms.last_persist_breakdown().pages, 2);
+        for r in [a, b, c] {
+            assert_eq!(ms.region_epoch(r.md), Some(1));
+        }
+        assert_eq!(ms.vm().dirty_count(t), 0);
+    }
+
+    #[test]
+    fn every_door_commits_exactly_once_across_grant_retries() {
+        // Every commit below writes pages never written before, so a
+        // shard's block range only grows, and each 256-block extent it
+        // consumes is granted by `with_grants` re-running a commit that
+        // aborted with `OutOfSpace`. One door per run, so every such
+        // re-run lands in that door. Whatever the door and however the
+        // façade split the commit, the re-run must not repeat a unit
+        // that already committed (one epoch per region per commit, one
+        // store commit per region commit), and the aborted attempt must
+        // charge nothing (identical commits cost the same store CPU).
+        const ROUNDS: u64 = 30;
+        const SMALL: u64 = 40;
+        const LARGE: u64 = 130; // two of these overflow one batch record
+        for door in 0..6 {
+            let mut ms = MemSnap::format_sharded(Disk::new(DiskConfig::paper()), 2);
+            let mut vt = Vt::new(0);
+            let space = ms.vm_mut().create_space();
+            let t = vt.id();
+            // `a` and `b` share a shard, `c` lives on the other one.
+            let names: Vec<String> = (0..16).map(|i| format!("region-{i}")).collect();
+            let home = ms.store().shard_of(&names[0]);
+            let same = names[1..]
+                .iter()
+                .find(|n| ms.store().shard_of(n) == home)
+                .expect("16 names collide on 2 shards");
+            let other = names[1..]
+                .iter()
+                .find(|n| ms.store().shard_of(n) != home)
+                .expect("16 names spread over 2 shards");
+            let [a, b, c] = [&names[0], same, other]
+                .map(|n| ms.msnap_open(&mut vt, space, n, ROUNDS * LARGE).unwrap());
+            let (sel_a, sel_b) = (RegionSel::Region(a.md), RegionSel::Region(b.md));
+            let sync = PersistFlags::sync();
+
+            let poll = |ms: &mut MemSnap, vt: &mut Vt, ticket: CommitTicket| loop {
+                if ms.msnap_group_poll(vt, ticket).unwrap().is_some() {
+                    break;
+                }
+            };
+            let mut charges = std::collections::BTreeSet::new();
+            let before = ms.disk().blocks_in_use();
+            for round in 0..ROUNDS {
+                // Dirties the region's next `n` fresh pages.
+                let dirty = |ms: &mut MemSnap, vt: &mut Vt, r: &RegionHandle, n: u64| {
+                    for page in round * n..(round + 1) * n {
+                        let va = r.addr + page * PAGE_SIZE as u64;
+                        ms.write(vt, space, t, va, &page.to_le_bytes()).unwrap();
+                    }
+                };
+                let epochs = [a, b, c].map(|r| ms.region_epoch(r.md).unwrap());
+                let (stats, cpu) = (ms.store().stats(), vt.costs().get(Category::FileSystem));
+                let regions: &[RegionHandle] = match door {
+                    0 => {
+                        dirty(&mut ms, &mut vt, &a, SMALL);
+                        ms.msnap_persist(&mut vt, t, sel_a, sync).unwrap();
+                        &[a]
+                    }
+                    1 => {
+                        dirty(&mut ms, &mut vt, &a, SMALL);
+                        let e = ms
+                            .msnap_persist(&mut vt, t, sel_a, PersistFlags::async_())
+                            .unwrap();
+                        ms.msnap_wait(&mut vt, sel_a, e).unwrap();
+                        &[a]
+                    }
+                    2 => {
+                        dirty(&mut ms, &mut vt, &a, SMALL);
+                        let ticket = ms.msnap_persist_grouped(&mut vt, t, sel_a, sync).unwrap();
+                        poll(&mut ms, &mut vt, ticket);
+                        &[a]
+                    }
+                    // One participant across shards: split by shard.
+                    3 => {
+                        dirty(&mut ms, &mut vt, &a, SMALL);
+                        dirty(&mut ms, &mut vt, &c, SMALL);
+                        let ticket = ms
+                            .msnap_persist_grouped(&mut vt, t, RegionSel::All, sync)
+                            .unwrap();
+                        poll(&mut ms, &mut vt, ticket);
+                        &[a, c]
+                    }
+                    // Two regions of one shard: one shared batch record
+                    // (4), or — too large for it — group by group (5).
+                    _ => {
+                        let n = if door == 4 { SMALL } else { LARGE };
+                        dirty(&mut ms, &mut vt, &a, n);
+                        dirty(&mut ms, &mut vt, &b, n);
+                        let ta = ms.msnap_persist_grouped(&mut vt, t, sel_a, sync).unwrap();
+                        let tb = ms.msnap_persist_grouped(&mut vt, t, sel_b, sync).unwrap();
+                        ms.msnap_group_flush(&mut vt);
+                        poll(&mut ms, &mut vt, ta);
+                        poll(&mut ms, &mut vt, tb);
+                        &[a, b]
+                    }
+                };
+                for (r, was) in [a, b, c].iter().zip(epochs) {
+                    let advanced = u64::from(regions.contains(r));
+                    assert_eq!(
+                        ms.region_epoch(r.md),
+                        Some(was + advanced),
+                        "door {door} round {round}: {r:?}"
+                    );
+                }
+                let now = ms.store().stats();
+                let committed = regions.len() as u64;
+                assert_eq!(
+                    now.commits - stats.commits,
+                    committed,
+                    "door {door} round {round}"
+                );
+                assert_eq!(
+                    now.batch_commits - stats.batch_commits,
+                    u64::from(door == 4)
+                );
+                // Compare the delta-only commits; the periodic full root
+                // does different work.
+                if now.delta_commits - stats.delta_commits == committed
+                    && now.nodes_written == stats.nodes_written
+                {
+                    charges.insert(vt.costs().get(Category::FileSystem) - cpu);
+                }
+            }
+            let consumed = (ms.disk().blocks_in_use() - before) as u64;
+            assert!(
+                consumed >= 4 * 256,
+                "door {door} must cross extent boundaries"
+            );
+            assert_eq!(charges.len(), 1, "door {door}: initiation {charges:?}");
+        }
+    }
+
+    #[test]
+    fn settle_until_trims_completion_instants() {
+        let (mut ms, mut vt, space) = fresh();
+        let t = vt.id();
+        let r = ms.msnap_open(&mut vt, space, "data", 4).unwrap();
+        let sel = RegionSel::Region(r.md);
+        for i in 0..10_000u64 {
+            ms.write(&mut vt, space, t, r.addr, &i.to_le_bytes())
+                .unwrap();
+            ms.msnap_persist(&mut vt, t, sel, PersistFlags::sync())
+                .unwrap();
+            if i % 100 == 99 {
+                // Everything is durable by now: only the newest survive.
+                ms.settle_until(vt.now());
+                assert!(ms.completions.values().all(|epochs| epochs.len() == 1));
+            }
+            assert!(ms.completions.values().all(|epochs| epochs.len() <= 100));
+        }
+        assert_eq!(ms.completions.len(), 2, "the region and `All`");
+
+        // A trimmed epoch is durable: the wait returns without waiting.
+        // A never-issued one is still a caller bug.
+        let waited = vt.costs().get(Category::IoWait);
+        for sel in [sel, RegionSel::All] {
+            ms.msnap_wait(&mut vt, sel, 1).unwrap();
+            ms.msnap_wait(&mut vt, sel, 9_999).unwrap();
+            assert_eq!(
+                ms.msnap_wait(&mut vt, sel, 10_001),
+                Err(MsnapError::BadDescriptor)
+            );
+        }
+        assert_eq!(vt.costs().get(Category::IoWait), waited);
+
+        // An epoch still in flight at the horizon keeps its instant.
+        ms.write(&mut vt, space, t, r.addr, &[7; 8]).unwrap();
+        let epoch = ms
+            .msnap_persist(&mut vt, t, sel, PersistFlags::async_())
+            .unwrap();
+        ms.settle_until(vt.now());
+        ms.msnap_wait(&mut vt, sel, epoch).unwrap();
+        assert!(vt.costs().get(Category::IoWait) > waited);
     }
 
     #[test]

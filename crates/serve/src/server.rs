@@ -93,8 +93,6 @@ pub struct ServeConfig {
     /// (only meaningful with replicas attached). With it, an
     /// acknowledged write survives failover by construction.
     pub ack_replicated: bool,
-    /// Group-commit coalescing window handed to the MemSnap core.
-    pub coalesce_window: Nanos,
     /// Replication engine settings.
     pub repl: ReplConfig,
 }
@@ -108,7 +106,6 @@ impl Default for ServeConfig {
             cut_every: 2,
             notify_retransmit: Nanos::from_ms(5),
             ack_replicated: true,
-            coalesce_window: Nanos::from_us(16),
             repl: ReplConfig::default(),
         }
     }
@@ -206,6 +203,11 @@ struct Session {
 
 const REPLY_CACHE: usize = 64;
 
+/// Group-commit coalescing window the node runs the MemSnap core with:
+/// a round's stripe commits enqueued within it share their lane's batch
+/// (the round force-flushes whatever is still open).
+const COALESCE_WINDOW: Nanos = Nanos::from_us(16);
+
 /// A `Put` accepted and committed, awaiting replica acknowledgement
 /// before its `PutOk` is released.
 struct PendingPut {
@@ -286,7 +288,7 @@ impl ServeNode {
     /// `client_net.seed`.
     pub fn format(cfg: ServeConfig, client_ports: usize, client_net: NetConfig) -> ServeNode {
         let mut ms = MemSnap::format_sharded(Disk::new(DiskConfig::paper()), cfg.shards);
-        ms.set_coalesce_window(cfg.coalesce_window);
+        ms.set_coalesce_window(COALESCE_WINDOW);
         let mut vt = Vt::new(0);
         let thread = vt.id();
         vt.advance(Nanos::from_ns(1));
@@ -415,7 +417,7 @@ impl ServeNode {
         // never finished its first ship is dropped (it holds no
         // replicated committed state); we recreate it empty below.
         let mut ms = MemSnap::restore_promoted(&mut vt, promo.disk)?;
-        ms.set_coalesce_window(cfg.coalesce_window);
+        ms.set_coalesce_window(COALESCE_WINDOW);
         let thread = vt.id();
         let space = ms.vm_mut().create_space();
         let names = ms.region_names();

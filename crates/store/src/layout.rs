@@ -354,6 +354,10 @@ impl RootRecord {
 /// A delta root: commits a small μCheckpoint by recording its
 /// (page → data block) mappings without rewriting tree nodes. Recovery
 /// replays consecutive deltas on top of the latest full root.
+///
+/// Also one object's share of a [`BatchRecord`]: the checksum covers
+/// *its* payload blocks only, so recovery truncation stays per-object
+/// even though the commit record is shared.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRecord {
     /// The object.
@@ -426,25 +430,6 @@ impl DeltaRecord {
     }
 }
 
-/// One object's share of a batch (group-commit) record: its epoch, its
-/// page → data-block pairs, and a checksum over *its* payload blocks, so
-/// recovery truncation stays per-object even though the commit record is
-/// shared.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchGroup {
-    /// The object.
-    pub object: ObjectId,
-    /// The object's epoch after this commit.
-    pub epoch: Epoch,
-    /// The object's length in pages after this commit.
-    pub len_pages: u64,
-    /// FNV-1a over this object's data-block images, in pair order.
-    pub payload_sum: u64,
-    /// This object's page → packed-entry mappings ([`pack_entry`] words,
-    /// same convention as [`DeltaRecord::pairs`]).
-    pub pairs: Vec<(u64, u64)>,
-}
-
 /// Fixed bytes at the head of a batch record block.
 const BATCH_HEADER: usize = 32;
 /// Fixed bytes per group before its pairs.
@@ -459,7 +444,7 @@ pub struct BatchRecord {
     /// Monotone store-wide batch sequence number (picks the ring slot).
     pub seq: u64,
     /// Per-object commit groups.
-    pub groups: Vec<BatchGroup>,
+    pub groups: Vec<DeltaRecord>,
 }
 
 impl BatchRecord {
@@ -537,7 +522,7 @@ impl BatchRecord {
                     )
                 })
                 .collect();
-            groups.push(BatchGroup {
+            groups.push(DeltaRecord {
                 object: ObjectId(r(off) as u32),
                 epoch: r(off + 8),
                 len_pages: r(off + 16),
@@ -865,14 +850,14 @@ mod tests {
         BatchRecord {
             seq: 99,
             groups: vec![
-                BatchGroup {
+                DeltaRecord {
                     object: ObjectId(1),
                     epoch: 7,
                     len_pages: 12,
                     payload_sum: 0xAB,
                     pairs: vec![(0, 100), (11, 101)],
                 },
-                BatchGroup {
+                DeltaRecord {
                     object: ObjectId(4),
                     epoch: 31,
                     len_pages: 2,
@@ -918,7 +903,7 @@ mod tests {
         }
         let rec = BatchRecord {
             seq: 1,
-            groups: vec![BatchGroup {
+            groups: vec![DeltaRecord {
                 object: ObjectId(0),
                 epoch: 1,
                 len_pages: n as u64,

@@ -53,8 +53,8 @@ mod store;
 pub use alloc::BlockAllocator;
 pub use cache::BlockCache;
 pub use layout::{
-    digest32, fnv1a, fnv1a_extend, pack_entry, unpack_entry, BatchGroup, BatchRecord, DeltaRecord,
-    Epoch, ObjectId, RootRecord, ShardLayout, SnapCatalog, SnapEntry, Superblock, BATCH_SLOTS,
+    digest32, fnv1a, fnv1a_extend, pack_entry, unpack_entry, BatchRecord, DeltaRecord, Epoch,
+    ObjectId, RootRecord, ShardLayout, SnapCatalog, SnapEntry, Superblock, BATCH_SLOTS,
     DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, MAX_DELTA_PAIRS, MAX_SHARDS, MAX_SNAPSHOTS,
 };
 pub use radix::{RadixTree, TreeError};

@@ -34,8 +34,8 @@ use msnap_sim::hash::fnv1a_bytewise;
 use msnap_sim::{Category, Nanos, Vt};
 
 use crate::layout::{
-    CutRecord, Epoch, ObjectId, ShardLayout, SnapEntry, Superblock, CUT_SLOTS, CUT_SLOT_START,
-    MAX_SHARDS, SHARD_ID_SHIFT,
+    BatchRecord, CutRecord, Epoch, ObjectId, ShardLayout, SnapEntry, Superblock, CUT_SLOTS,
+    CUT_SLOT_START, MAX_SHARDS, SHARD_ID_SHIFT,
 };
 use crate::store::{
     readv_blocks, CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage,
@@ -485,11 +485,12 @@ impl ObjectStore {
         }
     }
 
-    /// Commits a μCheckpoint. See [`StoreShard::persist`].
+    /// Commits a μCheckpoint: the one-group case of
+    /// [`ObjectStore::persist_batch`].
     ///
     /// # Errors
     ///
-    /// See [`StoreShard::persist`].
+    /// See [`StoreShard::persist_batch`].
     pub fn persist(
         &mut self,
         vt: &mut Vt,
@@ -497,21 +498,19 @@ impl ObjectStore {
         object: ObjectId,
         pages: &[(u64, &[u8])],
     ) -> Result<CommitToken, StoreError> {
-        let (shard, local) = self.split(object);
-        self.with_grants(shard, |s| s.persist(vt, disk, local, pages))
+        Ok(self.persist_batch(vt, disk, &[(object, pages)])?[0])
     }
 
-    /// Commits several objects' μCheckpoints, fanned out across their
-    /// home shards; groups landing on the same shard share one batch
-    /// record and one data extent exactly as before. Tokens return in
-    /// input order. Atomicity is per shard (as it has always been per
-    /// object): an error from one shard does not roll back another
-    /// shard's already-durable batch.
+    /// Commits several objects' μCheckpoints. This is the only place a
+    /// commit is ever split: by home shard, then — when a shard's share
+    /// is several groups too large for one batch record — group by
+    /// group. Each unit is one atomic [`StoreShard::persist_batch`] call
+    /// and its own grant-retry unit: `with_grants` only ever re-runs an
+    /// attempt that aborted whole, so no group can commit twice. Tokens
+    /// return in input order.
     ///
-    /// A shard's share that cannot use one batch record (a single group,
-    /// or too many pairs for one block) commits group by group, each
-    /// group its own grant-retry unit: `with_grants` only ever re-runs
-    /// an attempt that aborted whole, so no group can commit twice.
+    /// Atomicity is per unit: an error from one unit does not roll back
+    /// an earlier unit's already-durable commit.
     ///
     /// # Errors
     ///
@@ -523,32 +522,33 @@ impl ObjectStore {
         disk: &mut Disk,
         groups: &[(ObjectId, &[(u64, &[u8])])],
     ) -> Result<Vec<CommitToken>, StoreError> {
-        let mut by_shard: Vec<Vec<(usize, (ObjectId, &[(u64, &[u8])]))>> =
-            vec![Vec::new(); self.shards.len()];
-        for (i, &(id, pages)) in groups.iter().enumerate() {
-            let (shard, local) = self.split(id);
-            by_shard[shard].push((i, (local, pages)));
-        }
-        let mut out: Vec<Option<CommitToken>> = vec![None; groups.len()];
-        for (shard, bucket) in by_shard.iter().enumerate() {
-            let local: Vec<(ObjectId, &[(u64, &[u8])])> = bucket.iter().map(|&(_, g)| g).collect();
-            let tokens = if StoreShard::shares_a_batch_record(&local) {
-                self.with_grants(shard, |s| s.persist_batch(vt, disk, &local))?
+        // (shard, input index), shard-major and in input order within.
+        let mut order: Vec<(usize, usize)> = (0..groups.len())
+            .map(|i| (self.split(groups[i].0).0, i))
+            .collect();
+        order.sort_unstable();
+        let mut out: Vec<(usize, CommitToken)> = Vec::with_capacity(groups.len());
+        let mut local: Vec<(ObjectId, &[(u64, &[u8])])> = Vec::new();
+        for share in order.chunk_by(|a, b| a.0 == b.0) {
+            let shard = share[0].0;
+            local.clear();
+            local.extend(
+                share
+                    .iter()
+                    .map(|&(_, i)| (self.split(groups[i].0).1, groups[i].1)),
+            );
+            let unit = if BatchRecord::fits(local.iter().map(|(_, p)| p.len())) {
+                local.len()
             } else {
-                let mut tokens = Vec::with_capacity(local.len());
-                for &(object, pages) in &local {
-                    tokens.push(self.with_grants(shard, |s| s.persist(vt, disk, object, pages))?);
-                }
-                tokens
+                1
             };
-            for (&(i, _), token) in bucket.iter().zip(tokens) {
-                out[i] = Some(token);
+            for (unit, indices) in local.chunks(unit).zip(share.chunks(unit)) {
+                let tokens = self.with_grants(shard, |s| s.persist_batch(vt, disk, unit))?;
+                out.extend(indices.iter().map(|&(_, i)| i).zip(tokens));
             }
         }
-        Ok(out
-            .into_iter()
-            .map(|t| t.expect("token per group"))
-            .collect())
+        out.sort_unstable_by_key(|&(i, _)| i);
+        Ok(out.into_iter().map(|(_, token)| token).collect())
     }
 
     /// Retains the object's current epoch as a named snapshot. Snapshot

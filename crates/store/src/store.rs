@@ -19,7 +19,7 @@ use msnap_disk::{Disk, IoError, WriteToken, BLOCK_SIZE};
 use msnap_sim::{Category, Nanos, Vt};
 
 use crate::layout::{
-    self, BatchGroup, BatchRecord, DeltaRecord, DirEntry, Epoch, ObjectId, RootRecord, ShardLayout,
+    self, BatchRecord, DeltaRecord, DirEntry, Epoch, ObjectId, RootRecord, ShardLayout,
     SnapCatalog, SnapEntry, BATCH_SLOTS, DELTA_SLOTS, DIR_BLOCKS, DIR_ENTRY_LEN, ENTRIES_PER_BLOCK,
     MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN, OBJECT_META_BLOCKS, SHARD_SLAB_BLOCKS,
     SLAB_MAGIC, SNAP_CATALOG_SLOTS,
@@ -562,7 +562,7 @@ impl StoreShard {
         // the per-object replay below can fold them into its delta chain.
         let mut batch_seq = 0u64;
         let mut batch_ring: Vec<Vec<(ObjectId, Epoch)>> = vec![Vec::new(); BATCH_SLOTS as usize];
-        let mut batch_groups: HashMap<u32, Vec<BatchGroup>> = HashMap::new();
+        let mut batch_groups: HashMap<u32, Vec<DeltaRecord>> = HashMap::new();
         for (slot, block) in slab_blocks(layout.batch_ring_start(), BATCH_SLOTS).enumerate() {
             vt.charge(Category::FileSystem, costs::ROOT_PARSE);
             if let Some(rec) = BatchRecord::from_block(block) {
@@ -627,13 +627,7 @@ impl StoreShard {
             }
             for g in batch_groups.remove(&entry.id.0).unwrap_or_default() {
                 if g.epoch > base_epoch {
-                    deltas.push(DeltaRecord {
-                        object: entry.id,
-                        epoch: g.epoch,
-                        len_pages: g.len_pages,
-                        payload_sum: g.payload_sum,
-                        pairs: g.pairs,
-                    });
+                    deltas.push(g);
                 }
             }
             deltas.sort_by_key(|d| d.epoch);
@@ -962,7 +956,8 @@ impl StoreShard {
     }
 
     /// Commits a μCheckpoint: durably persists `pages` (page-index, page
-    /// image) into `object` as one atomic epoch.
+    /// image) into `object` as one atomic epoch — the one-group case of
+    /// [`StoreShard::persist_batch`].
     ///
     /// The call charges the *CPU* cost of initiating the writes and
     /// returns without blocking; the returned token carries the
@@ -971,14 +966,7 @@ impl StoreShard {
     ///
     /// # Errors
     ///
-    /// [`StoreError::OutOfSpace`] when the extent (or the tree-node
-    /// blocks of a full commit) cannot be allocated, and
-    /// [`StoreError::Io`] when a device write fails after
-    /// [`MAX_IO_ATTEMPTS`] bounded retries of transient faults. Either
-    /// way the commit aborts *cleanly*: the object stays at its previous
-    /// epoch, the in-memory tree is unchanged, and every block the
-    /// attempt allocated is returned to the allocator — a failed persist
-    /// leaks nothing and the caller may simply retry.
+    /// See [`StoreShard::persist_batch`].
     ///
     /// # Panics
     ///
@@ -990,110 +978,7 @@ impl StoreShard {
         object: ObjectId,
         pages: &[(u64, &[u8])],
     ) -> Result<CommitToken, StoreError> {
-        // Recycle blocks whose gating instant has passed. This is
-        // commit-independent maintenance: it stays applied even if this
-        // commit aborts. Pins must be materialized before anything is
-        // freed.
-        self.ensure_pins(vt, disk)?;
-        self.recycle_pending(vt.now());
-
-        // Demand-load the tree paths this commit will touch *before* any
-        // allocation or mutation: a failed node read aborts with the
-        // object untouched.
-        self.hydrate_object_paths(vt, disk, object, pages)?;
-
-        let state = &mut self.objects[object.0 as usize];
-        let epoch = state.epoch + 1;
-        let use_delta = self.delta_commits
-            && pages.len() <= MAX_DELTA_PAIRS
-            && state.deltas_since_full + 1 < DELTA_SLOTS;
-
-        let token = if use_delta {
-            // Fast path: data extent + one delta record. The in-memory
-            // tree is not touched until both writes succeed, so aborting
-            // only needs the allocator snapshot. Dirty tree nodes stay in
-            // memory; their superseded on-disk versions wait for the next
-            // full root.
-
-            // Abort-safety snapshot. The allocator is cheap to clone (a
-            // bump pointer plus the free set), and restoring it un-does
-            // every allocation of an aborted commit in one move.
-            let alloc_snapshot = self.alloc.clone();
-            let Some(first) = self.alloc.alloc_contiguous(pages.len() as u64) else {
-                return Err(StoreError::OutOfSpace);
-            };
-            vt.charge(Category::FileSystem, costs::initiate(pages.len()));
-            let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(pages.len() + 1);
-            let mut delta_pairs = Vec::with_capacity(pages.len());
-            for (i, (page, data)) in pages.iter().enumerate() {
-                let block = first + i as u64;
-                // Pair words carry the page digest in their high half, so
-                // the existing record checksum covers it.
-                delta_pairs.push((*page, layout::pack_entry(block, layout::digest32(data))));
-                iov.push((block, data));
-            }
-            let len_pages = pages
-                .iter()
-                .map(|(p, _)| p + 1)
-                .fold(state.tree.len_pages(), u64::max);
-            let payload_sum = iov
-                .iter()
-                .fold(layout::FNV_OFFSET, |h, (_, d)| layout::fnv1a_extend(h, d));
-            let record = DeltaRecord {
-                object,
-                epoch,
-                len_pages,
-                payload_sum,
-                pairs: delta_pairs,
-            };
-            let slot = state.entry.delta_slot(epoch);
-            let cache = &mut self.cache;
-            let token = (|| {
-                let data_token = writev_retry(disk, vt.now(), &iov, cache)?;
-                writev_retry(
-                    disk,
-                    data_token.completes(),
-                    &[(slot, &record.to_block())],
-                    cache,
-                )
-            })();
-            let token = match token {
-                Ok(t) => t,
-                Err(e) => {
-                    self.alloc = alloc_snapshot;
-                    return Err(e.into());
-                }
-            };
-            // Durable: apply the commit to the in-memory tree. Superseded
-            // data blocks are still referenced by older delta records in
-            // the ring (recovery re-reads them to verify `payload_sum`),
-            // so like superseded nodes they are quarantined until the next
-            // full root supersedes the whole ring — never recycled early.
-            for (page, word) in &record.pairs {
-                let (block, digest) = layout::unpack_entry(*word);
-                if let Some(old) = state.tree.set_entry(*page, block, digest) {
-                    state.node_freed_pending.push(old);
-                }
-            }
-            state.node_freed_pending.extend(state.tree.take_freed());
-            state.deltas_since_full += 1;
-            state.epoch = epoch;
-            state.chain_completes = state.chain_completes.max(token.completes());
-            state.last_commit = token.completes();
-            self.stats.delta_commits += 1;
-            CommitToken {
-                epoch,
-                completes: token.completes(),
-                bytes_written: (pages.len() as u64 + 1) * BLOCK_SIZE as u64,
-            }
-        } else {
-            // Slow path: flush dirty COW nodes and write a full root.
-            self.full_commit(vt, disk, object, pages, epoch, costs::initiate(pages.len()))?
-        };
-
-        self.stats.commits += 1;
-        self.stats.pages_written += pages.len() as u64;
-        Ok(token)
+        Ok(self.persist_batch(vt, disk, &[(object, pages)])?[0])
     }
 
     /// Shared full-commit core: COW-sets `pages` into the tree at
@@ -1219,41 +1104,43 @@ impl StoreShard {
         })
     }
 
-    /// Whether `groups` commit as one all-or-nothing batched submission
-    /// (two or more groups whose pairs fit one [`BatchRecord`] block)
-    /// rather than as serial per-group [`StoreShard::persist`] calls.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn shares_a_batch_record(groups: &[(ObjectId, &[(u64, &[u8])])]) -> bool {
-        groups.len() > 1 && BatchRecord::fits(groups.iter().map(|(_, p)| p.len()))
-    }
-
-    /// Commits several objects' μCheckpoints as **one** batched
-    /// submission (the group-commit path): a single contiguous data
-    /// extent covering every group's pages followed by a single
-    /// [`BatchRecord`] carrying each object's `(page, block)` pairs and
-    /// per-object payload checksum. `INITIATE_BASE` and the commit-record
-    /// IO are paid once for the whole batch instead of once per object.
+    /// The one atomic shard commit: durably persists every group's pages
+    /// into its object, each as one epoch, all of them or none.
     ///
-    /// Each group still commits its own epoch and gets its own
-    /// [`CommitToken`] (all sharing the batch's completion instant), and
-    /// recovery truncation stays per-object: a torn extent segment only
-    /// truncates the chains of the objects whose payload it corrupts.
+    /// A **single group** commits as a data extent plus a [`DeltaRecord`]
+    /// in the object's own ring — or, when it is oversized or the
+    /// object's delta window is full, as a full root that first flushes
+    /// the COW tree's dirty nodes. **Several groups** (the group-commit
+    /// path) commit as one contiguous data extent covering every group's
+    /// pages followed by one [`BatchRecord`] carrying each object's
+    /// `(page, block)` pairs and per-object payload checksum:
+    /// `INITIATE_BASE` and the commit-record IO are paid once for the
+    /// whole batch instead of once per object. Each group still commits
+    /// its own epoch and gets its own [`CommitToken`] (all sharing the
+    /// batch's completion instant), and recovery truncation stays
+    /// per-object: a torn extent segment only truncates the chains of
+    /// the objects whose payload it corrupts.
     ///
-    /// Batches of zero or one group, and batches too large for one
-    /// record block, fall back to [`StoreShard::persist`] per group.
+    /// Nothing is split here. A commit that spans shards or outgrows one
+    /// record is split by [`crate::ObjectStore::persist_batch`], the only
+    /// splitter, into calls of this function.
     ///
     /// # Errors
     ///
-    /// As for [`StoreShard::persist`]. The batched submission is
-    /// all-or-nothing: on error **no** group's epoch advances and every
-    /// allocated block is returned. (In the serial fallback, groups
-    /// committed before the failing one stay committed, exactly as
-    /// separate `persist` calls would.)
+    /// [`StoreError::OutOfSpace`] when the extent (or the tree-node
+    /// blocks of a full commit) cannot be allocated, and
+    /// [`StoreError::Io`] when a device write fails after
+    /// [`MAX_IO_ATTEMPTS`] bounded retries of transient faults. Either
+    /// way the commit aborts *cleanly*: every object stays at its
+    /// previous epoch, the in-memory trees are unchanged, and every block
+    /// the attempt allocated is returned to the allocator — a failed
+    /// commit leaks nothing and the caller may simply retry.
     ///
     /// # Panics
     ///
-    /// Panics if a group is empty, an object appears in more than one
-    /// group, or a page image is not exactly [`BLOCK_SIZE`] bytes.
+    /// Panics unless `groups` is one group, or several non-empty groups
+    /// of distinct objects whose pairs fit one [`BatchRecord`] block; or
+    /// if a page image is not exactly [`BLOCK_SIZE`] bytes.
     #[allow(clippy::type_complexity)]
     pub fn persist_batch(
         &mut self,
@@ -1261,63 +1148,87 @@ impl StoreShard {
         disk: &mut Disk,
         groups: &[(ObjectId, &[(u64, &[u8])])],
     ) -> Result<Vec<CommitToken>, StoreError> {
+        // Recycle blocks whose gating instant has passed. This is
+        // commit-independent maintenance: it stays applied even if this
+        // commit aborts. Pins must be materialized before anything is
+        // freed.
         self.ensure_pins(vt, disk)?;
         self.recycle_pending(vt.now());
-        // Small or oversized batches gain nothing from the shared record:
-        // take the plain per-object path (which also keeps the
-        // single-caller cost model exactly as Table 5 calibrates it).
-        if !Self::shares_a_batch_record(groups) {
-            return groups
-                .iter()
-                .map(|(obj, pages)| self.persist(vt, disk, *obj, pages))
-                .collect();
-        }
-        {
+        let shared = groups.len() != 1;
+        if shared {
+            assert!(
+                groups.len() > 1 && BatchRecord::fits(groups.iter().map(|(_, p)| p.len())),
+                "one group, or several that fit one batch record"
+            );
             let mut seen: Vec<u32> = groups.iter().map(|(o, _)| o.0).collect();
             seen.sort_unstable();
             seen.dedup();
             assert_eq!(seen.len(), groups.len(), "one group per object");
+            assert!(
+                groups.iter().all(|(_, p)| !p.is_empty()),
+                "batched groups carry at least one page"
+            );
         }
-        assert!(
-            groups.iter().all(|(_, p)| !p.is_empty()),
-            "batched groups carry at least one page"
-        );
 
-        // Demand-load every touched tree path up front: a failed node
-        // read aborts the whole batch before any group is mutated.
+        // Demand-load every tree path this commit will touch *before* any
+        // allocation or mutation: a failed node read aborts with every
+        // object untouched.
         for (object, pages) in groups {
             self.hydrate_object_paths(vt, disk, *object, pages)?;
         }
 
-        // Maintenance before the batch proper, charged to the submitter
-        // and kept even if the batch later aborts (like block recycling):
-        // any object whose chain would outgrow its delta window, and any
-        // object still live in the ring slot this batch is about to
-        // overwrite, first flushes a full root.
-        let slot = (self.batch_seq % BATCH_SLOTS) as usize;
-        for (object, _) in groups {
-            let state = &self.objects[object.0 as usize];
-            if state.deltas_since_full + 1 >= DELTA_SLOTS {
-                self.flush_full_root(vt, disk, *object)?;
+        let total_pages: usize = groups.iter().map(|(_, p)| p.len()).sum();
+        let ring_slot = self.batch_seq % BATCH_SLOTS;
+        if shared {
+            // Maintenance before the batch proper, charged to the
+            // submitter and kept even if the batch later aborts (like
+            // block recycling): any object whose chain would outgrow its
+            // delta window, and any object still live in the ring slot
+            // this batch is about to overwrite, first flushes a full root.
+            for (object, _) in groups {
+                let state = &self.objects[object.0 as usize];
+                if state.deltas_since_full + 1 >= DELTA_SLOTS {
+                    self.flush_full_root(vt, disk, *object)?;
+                }
             }
-        }
-        for (object, epoch) in self.batch_ring[slot].clone() {
+            for (object, epoch) in self.batch_ring[ring_slot as usize].clone() {
+                let state = &self.objects[object.0 as usize];
+                if epoch > state.epoch - state.deltas_since_full {
+                    self.flush_full_root(vt, disk, object)?;
+                }
+            }
+        } else {
+            let (object, pages) = groups[0];
             let state = &self.objects[object.0 as usize];
-            if epoch > state.epoch - state.deltas_since_full {
-                self.flush_full_root(vt, disk, object)?;
+            if !self.delta_commits
+                || pages.len() > MAX_DELTA_PAIRS
+                || state.deltas_since_full + 1 >= DELTA_SLOTS
+            {
+                // Slow path: flush dirty COW nodes and write a full root.
+                let (epoch, initiate) = (state.epoch + 1, costs::initiate(total_pages));
+                let token = self.full_commit(vt, disk, object, pages, epoch, initiate)?;
+                self.stats.commits += 1;
+                self.stats.pages_written += total_pages as u64;
+                return Ok(vec![token]);
             }
         }
 
-        let total_pages: usize = groups.iter().map(|(_, p)| p.len()).sum();
+        // Fast path: data extent + one commit record. The in-memory trees
+        // are not touched until both writes succeed, so aborting only
+        // needs the allocator snapshot — cheap to clone (a bump pointer
+        // plus the free set), and restoring it un-does every allocation
+        // of an aborted commit in one move. Dirty tree nodes stay in
+        // memory; their superseded on-disk versions wait for the next
+        // full root.
         let alloc_snapshot = self.alloc.clone();
         let Some(first) = self.alloc.alloc_contiguous(total_pages as u64) else {
             return Err(StoreError::OutOfSpace);
         };
-        // One initiation charge for the whole batch: this is the
+        // One initiation charge for the whole commit: this is the
         // amortization that group commit buys.
         vt.charge(Category::FileSystem, costs::initiate(total_pages));
-        let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(total_pages + 1);
-        let mut rec_groups = Vec::with_capacity(groups.len());
+        let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(total_pages);
+        let mut staged = Vec::with_capacity(groups.len());
         let mut next = first;
         for (object, pages) in groups {
             let state = &self.objects[object.0 as usize];
@@ -1328,12 +1239,14 @@ impl StoreShard {
             let mut pairs = Vec::with_capacity(pages.len());
             let mut payload_sum = layout::FNV_OFFSET;
             for (page, data) in *pages {
+                // Pair words carry the page digest in their high half, so
+                // the existing record checksum covers it.
                 pairs.push((*page, layout::pack_entry(next, layout::digest32(data))));
                 iov.push((next, *data));
                 payload_sum = layout::fnv1a_extend(payload_sum, data);
                 next += 1;
             }
-            rec_groups.push(BatchGroup {
+            staged.push(DeltaRecord {
                 object: *object,
                 epoch: state.epoch + 1,
                 len_pages,
@@ -1341,18 +1254,28 @@ impl StoreShard {
                 pairs,
             });
         }
-        let record = BatchRecord {
-            seq: self.batch_seq,
-            groups: rec_groups,
+        // The commit record: the object's own delta slot, or a shared
+        // batch-ring slot.
+        let (record_block, record) = if shared {
+            let record = BatchRecord {
+                seq: self.batch_seq,
+                groups: staged,
+            };
+            let image = record.to_block();
+            staged = record.groups;
+            (self.layout.batch_ring_start() + ring_slot, image)
+        } else {
+            let delta = &staged[0];
+            let entry = &self.objects[delta.object.0 as usize].entry;
+            (entry.delta_slot(delta.epoch), delta.to_block())
         };
-        let record_block = self.layout.batch_ring_start() + self.batch_seq % BATCH_SLOTS;
         let cache = &mut self.cache;
         let token = (|| {
             let data_token = writev_retry(disk, vt.now(), &iov, cache)?;
             writev_retry(
                 disk,
                 data_token.completes(),
-                &[(record_block, &record.to_block())],
+                &[(record_block, &record)],
                 cache,
             )
         })();
@@ -1363,11 +1286,14 @@ impl StoreShard {
                 return Err(e.into());
             }
         };
-        disk.note_merged(groups.len() as u64);
 
-        // Durable: apply every group, exactly like the delta fast path.
-        let mut tokens = Vec::with_capacity(groups.len());
-        for g in &record.groups {
+        // Durable: apply every group to its in-memory tree. Superseded
+        // data blocks are still referenced by older records in the rings
+        // (recovery re-reads them to verify `payload_sum`), so like
+        // superseded nodes they are quarantined until the next full root
+        // supersedes the whole window — never recycled early.
+        let mut tokens = Vec::with_capacity(staged.len());
+        for g in &staged {
             let state = &mut self.objects[g.object.0 as usize];
             for (page, word) in &g.pairs {
                 let (block, digest) = layout::unpack_entry(*word);
@@ -1389,12 +1315,16 @@ impl StoreShard {
                 completes: token.completes(),
             });
         }
-        self.batch_ring[slot] = record.groups.iter().map(|g| (g.object, g.epoch)).collect();
-        self.batch_seq += 1;
-        self.stats.commits += groups.len() as u64;
-        self.stats.delta_commits += groups.len() as u64;
-        self.stats.batch_commits += 1;
-        self.stats.batched_objects += groups.len() as u64;
+        if shared {
+            disk.note_merged(staged.len() as u64);
+            self.batch_ring[ring_slot as usize] =
+                staged.iter().map(|g| (g.object, g.epoch)).collect();
+            self.batch_seq += 1;
+            self.stats.batch_commits += 1;
+            self.stats.batched_objects += staged.len() as u64;
+        }
+        self.stats.commits += staged.len() as u64;
+        self.stats.delta_commits += staged.len() as u64;
         self.stats.pages_written += total_pages as u64;
         Ok(tokens)
     }

@@ -1031,3 +1031,104 @@ fn zero_digest_leaf_entry_is_corrupt_never_served() {
     assert_eq!(stats.unrepaired, 1, "no snapshot holds a clean copy");
     assert_eq!(store.unrepaired_pages().len(), 1);
 }
+
+#[test]
+fn unreadable_snapshot_pages_are_typed_errors_in_open_at_and_rollback() {
+    // `msnap_open_at` and `msnap_rollback` read a retained snapshot page
+    // by page; a read that fails or does not verify must come back as
+    // the store's typed error — never a panic — leaving `open_at` with
+    // nothing mapped and `rollback` with nothing persisted, and the same
+    // call must succeed once the device answers again.
+    const PAGES: u64 = 5;
+    let image: Vec<u8> = (0..PAGES).flat_map(|p| page_of(0xB0 + p as u8)).collect();
+    // A region persisted as `image`, pinned as "s", then overwritten; the
+    // block cache is dropped so every snapshot read reaches the device.
+    let build = || {
+        let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
+        let mut vt = Vt::new(0);
+        let thread = vt.id();
+        let space = ms.vm_mut().create_space();
+        let r = ms.msnap_open(&mut vt, space, "data", PAGES).unwrap();
+        let sel = RegionSel::Region(r.md);
+        ms.write(&mut vt, space, thread, r.addr, &image).unwrap();
+        ms.msnap_persist(&mut vt, thread, sel, PersistFlags::sync())
+            .unwrap();
+        ms.msnap_snapshot(&mut vt, r.md, "s").unwrap();
+        ms.write(&mut vt, space, thread, r.addr, &vec![0x11; image.len()])
+            .unwrap();
+        ms.msnap_persist(&mut vt, thread, sel, PersistFlags::sync())
+            .unwrap();
+        ms.replication_parts().0.drop_cache();
+        (ms, vt, space, r)
+    };
+    let fail_read = |ms: &mut MemSnap, k: u64| {
+        let disk = ms.replication_parts().1;
+        disk.set_read_fault_plan(ReadFaultPlan::new().at(disk.read_seq() + k, true));
+    };
+    let is_io = |err: &MsnapError| matches!(err, MsnapError::Store(StoreError::Io(_)));
+    let mut got = vec![0u8; image.len()];
+
+    // msnap_open_at: fail each of its block reads in turn.
+    let (clean_addr, open_reads) = {
+        let (mut ms, mut vt, space, _) = build();
+        let seq0 = ms.disk().read_seq();
+        let view = ms.msnap_open_at(&mut vt, space, "s").unwrap();
+        (view.addr, ms.disk().read_seq() - seq0)
+    };
+    assert!(open_reads >= PAGES);
+    for k in 0..open_reads {
+        let (mut ms, mut vt, space, _) = build();
+        fail_read(&mut ms, k);
+        let err = ms.msnap_open_at(&mut vt, space, "s").unwrap_err();
+        assert!(is_io(&err), "open_at read {k}: got {err:?}");
+        // Nothing was mapped or reserved: the retry lands where a clean
+        // first call does, with the snapshot's bytes.
+        let view = ms.msnap_open_at(&mut vt, space, "s").unwrap();
+        assert_eq!(view.addr, clean_addr, "open_at read {k}");
+        ms.read(&mut vt, space, view.addr, &mut got).unwrap();
+        assert_eq!(got, image, "open_at read {k}");
+    }
+
+    // msnap_rollback: likewise; a failed call persists nothing.
+    let rollback_reads = {
+        let (mut ms, mut vt, space, _) = build();
+        let (seq0, thread) = (ms.disk().read_seq(), vt.id());
+        ms.msnap_rollback(&mut vt, space, thread, "s").unwrap();
+        ms.disk().read_seq() - seq0
+    };
+    assert!(rollback_reads >= PAGES);
+    for k in 0..rollback_reads {
+        let (mut ms, mut vt, space, r) = build();
+        let thread = vt.id();
+        let epoch = ms.region_epoch(r.md).unwrap();
+        fail_read(&mut ms, k);
+        let err = ms.msnap_rollback(&mut vt, space, thread, "s").unwrap_err();
+        assert!(is_io(&err), "rollback read {k}: got {err:?}");
+        assert_eq!(ms.region_epoch(r.md), Some(epoch), "nothing persisted");
+        // Re-running the call finishes the job, durably.
+        let rolled = ms.msnap_rollback(&mut vt, space, thread, "s").unwrap();
+        assert_eq!(rolled, epoch + 1, "rollback read {k}");
+        ms.read(&mut vt, space, r.addr, &mut got).unwrap();
+        assert_eq!(got, image, "rollback read {k}");
+        let disk = ms.crash(vt.now());
+        let mut ms = MemSnap::restore(&mut vt, disk).unwrap();
+        let space = ms.vm_mut().create_space();
+        let r = ms.msnap_open(&mut vt, space, "data", 0).unwrap();
+        ms.read(&mut vt, space, r.addr, &mut got).unwrap();
+        assert_eq!(got, image, "rollback read {k}, after a crash");
+    }
+
+    // One seeded rot under the last block either call reads (a data
+    // page): detected by its digest, reported, never served.
+    let is_rot = |err: &MsnapError| matches!(err, MsnapError::Store(StoreError::CorruptData { page, .. }) if *page == PAGES - 1);
+    let (mut ms, mut vt, space, r) = build();
+    let disk = ms.replication_parts().1;
+    disk.set_read_fault_plan(ReadFaultPlan::new().rot_at(disk.read_seq() + open_reads - 1, 77, 3));
+    let err = ms.msnap_open_at(&mut vt, space, "s").unwrap_err();
+    assert!(is_rot(&err), "open_at over rot: got {err:?}");
+    let thread = vt.id();
+    let epoch = ms.region_epoch(r.md);
+    let err = ms.msnap_rollback(&mut vt, space, thread, "s").unwrap_err();
+    assert!(is_rot(&err), "rollback over rot: got {err:?}");
+    assert_eq!(ms.region_epoch(r.md), epoch, "nothing persisted");
+}
