@@ -57,6 +57,7 @@
 #![warn(missing_docs)]
 
 mod api;
+mod commit;
 mod manifest;
 mod types;
 
