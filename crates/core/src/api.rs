@@ -455,6 +455,13 @@ impl MemSnap {
         Ok(())
     }
 
+    /// The region behind a descriptor.
+    pub(crate) fn region_of(&self, md: Md) -> Result<&Region, MsnapError> {
+        self.regions
+            .get(md.0 as usize)
+            .ok_or(MsnapError::BadDescriptor)
+    }
+
     /// Looks up a region descriptor by name.
     pub fn region(&self, name: &str) -> Option<Md> {
         self.by_name.get(name).copied()
@@ -623,11 +630,7 @@ impl MemSnap {
         if let Some(e) = self.sticky_error(RegionSel::Region(md)) {
             return Err(e);
         }
-        let store_obj = self
-            .regions
-            .get(md.0 as usize)
-            .ok_or(MsnapError::BadDescriptor)?
-            .store_obj;
+        let store_obj = self.region_of(md)?.store_obj;
         let epoch = self
             .store
             .snapshot_create(vt, &mut self.disk, store_obj, name)?;

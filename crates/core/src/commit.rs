@@ -172,38 +172,26 @@ impl MemSnap {
         };
         let pages = committed.len() as u64;
 
-        if let Some(e) = failure {
+        let mut waiting = admit_wait;
+        let result = match failure {
             // Regions persisted before the failure stay committed (their
             // completions are recorded); the selector's epoch does not
             // advance and the caller sees the error now — and again on
             // every persist/wait until acknowledged.
-            self.last_breakdown = PersistBreakdown {
-                resetting_tracking: resetting,
-                initiating_writes: initiating,
-                waiting_on_io: admit_wait,
-                pages,
-            };
-            self.meters.record("msnap_persist", vt.now() - start);
-            return Err(e);
-        }
-
-        let all_epoch = self.stamp_all(completes);
-        let epoch = match sel {
-            RegionSel::All => all_epoch,
-            // The epoch just committed, or — nothing dirty — the current.
-            RegionSel::Region(md) => self.store.epoch(self.regions[md.0 as usize].store_obj),
+            Some(e) => Err(e),
+            None => {
+                self.stamp_all(completes);
+                // Synchronous callers block until durable; async callers
+                // join the writeback pipeline instead.
+                if flags.sync && completes > vt.now() {
+                    waiting = completes - vt.now();
+                    vt.charge(Category::IoWait, waiting);
+                } else if !flags.sync && pages > 0 {
+                    self.pipeline.push_back(completes);
+                }
+                Ok(self.newest_epoch(sel))
+            }
         };
-
-        // Synchronous callers block until durable; async callers join the
-        // writeback pipeline instead.
-        let mut waiting = admit_wait;
-        if flags.sync && completes > vt.now() {
-            waiting = completes - vt.now();
-            vt.charge(Category::IoWait, waiting);
-        } else if !flags.sync && pages > 0 {
-            self.pipeline.push_back(completes);
-        }
-
         self.last_breakdown = PersistBreakdown {
             resetting_tracking: resetting,
             initiating_writes: initiating,
@@ -211,7 +199,7 @@ impl MemSnap {
             pages,
         };
         self.meters.record("msnap_persist", vt.now() - start);
-        Ok(epoch)
+        result
     }
 
     /// Takes the dirty set a μCheckpoint of `sel` covers — the calling
@@ -225,22 +213,16 @@ impl MemSnap {
     ) -> Result<Vec<TakenPage>, MsnapError> {
         let filter = match sel {
             RegionSel::All => None,
-            RegionSel::Region(md) => Some(
-                self.regions
-                    .get(md.0 as usize)
-                    .ok_or(MsnapError::BadDescriptor)?
-                    .vm_obj,
-            ),
+            RegionSel::Region(md) => Some(self.region_of(md)?.vm_obj),
         };
-        let mut threads = Vec::new();
-        if flags.global {
-            threads = self.vm.threads_with_dirty();
-        }
-        if !threads.contains(&thread) {
-            threads.push(thread);
-        }
+        let others = if flags.global {
+            self.vm.threads_with_dirty()
+        } else {
+            Vec::new()
+        };
+        let caller = (!others.contains(&thread)).then_some(thread);
         let mut taken = Vec::new();
-        for t in threads {
+        for t in others.into_iter().chain(caller) {
             for e in self.vm.take_dirty(t, filter) {
                 let region = match sel {
                     RegionSel::Region(md) => md.0 as usize,
@@ -266,9 +248,12 @@ impl MemSnap {
     /// completion instant. On failure the store aborted and the durable
     /// image still holds the previous epochs: every involved region arms
     /// its fsync gate and every participant's pages go back to its dirty
-    /// set for a post-ack retry. All-or-nothing per call; the call
-    /// charges nothing itself — admission, freeze/reset and waiting are
-    /// the doors' policy.
+    /// set for a post-ack retry. All-or-nothing per call (if the store
+    /// had to split the commit and a later unit failed, the earlier
+    /// units are durable but unrecorded: the retry rewrites the same
+    /// bytes, and the gap in the dirty-line chain reads as "unknown").
+    /// The call charges nothing itself — admission, freeze/reset and
+    /// waiting are the doors' policy.
     fn commit_batch(
         &mut self,
         vt: &mut Vt,
@@ -339,15 +324,23 @@ impl MemSnap {
         }
     }
 
-    /// Records `completes` as the durability instant of the next epoch
-    /// of the all-regions selector, which it returns.
-    fn stamp_all(&mut self, completes: Nanos) -> Epoch {
+    /// Issues the next epoch of the all-regions selector, durable at
+    /// `completes`.
+    fn stamp_all(&mut self, completes: Nanos) {
         self.all_epoch += 1;
         self.completions
             .entry(RegionSel::All)
             .or_default()
             .insert(self.all_epoch, completes);
-        self.all_epoch
+    }
+
+    /// The newest epoch of `sel`: what a commit just issued, or — nothing
+    /// was dirty — what the selector already stood at.
+    fn newest_epoch(&self, sel: RegionSel) -> Epoch {
+        match sel {
+            RegionSel::All => self.all_epoch,
+            RegionSel::Region(md) => self.store.epoch(self.regions[md.0 as usize].store_obj),
+        }
     }
 
     /// Sets the group-commit coalescing window: `msnap_persist_grouped`
@@ -412,32 +405,21 @@ impl MemSnap {
             pages,
             start: vt.now(),
         };
-        let ticket = match self.open_batches.get_mut(&lane) {
-            Some(b) => {
-                b.participants.push(participant);
-                CommitTicket {
-                    batch: b.id,
-                    participant: (b.participants.len() - 1) as u32,
-                }
+        let submit_at = vt.now() + self.coalesce_window;
+        let batch = self.open_batches.entry(lane).or_insert_with(|| {
+            let id = self.batch_seq;
+            self.batch_seq += 1;
+            OpenBatch {
+                id,
+                submit_at,
+                participants: Vec::new(),
             }
-            None => {
-                let id = self.batch_seq;
-                self.batch_seq += 1;
-                self.open_batches.insert(
-                    lane,
-                    OpenBatch {
-                        id,
-                        submit_at: vt.now() + self.coalesce_window,
-                        participants: vec![participant],
-                    },
-                );
-                CommitTicket {
-                    batch: id,
-                    participant: 0,
-                }
-            }
-        };
-        Ok(ticket)
+        });
+        batch.participants.push(participant);
+        Ok(CommitTicket {
+            batch: batch.id,
+            participant: (batch.participants.len() - 1) as u32,
+        })
     }
 
     /// The coalescing lane a selector's commits serialize on: the shard
@@ -446,11 +428,7 @@ impl MemSnap {
         match sel {
             RegionSel::All => Ok(ALL_LANE),
             RegionSel::Region(md) => {
-                let region = self
-                    .regions
-                    .get(md.0 as usize)
-                    .ok_or(MsnapError::BadDescriptor)?;
-                Ok(self.store.shard_of_id(region.store_obj) as u64)
+                Ok(self.store.shard_of_id(self.region_of(md)?.store_obj) as u64)
             }
         }
     }
@@ -505,17 +483,15 @@ impl MemSnap {
         if fin.results.is_empty() {
             self.finished.remove(&ticket.batch);
         }
-        if let Some(e) = error {
-            self.meters
-                .record("msnap_persist_grouped", vt.now() - start);
-            return Err(e);
-        }
-        if flags.sync && completes > vt.now() {
+        if error.is_none() && flags.sync && completes > vt.now() {
             vt.charge(Category::IoWait, completes - vt.now());
         }
         self.meters
             .record("msnap_persist_grouped", vt.now() - start);
-        Ok(Some(epoch))
+        match error {
+            Some(e) => Err(e),
+            None => Ok(Some(epoch)),
+        }
     }
 
     /// Force-flushes the open group commit, if any, without waiting for
@@ -534,24 +510,17 @@ impl MemSnap {
     /// full, blocks on the oldest in-flight μCheckpoint. Returns the time
     /// spent blocked.
     fn pipeline_admit(&mut self, vt: &mut Vt) -> Nanos {
-        let mut waited = Nanos::ZERO;
         let now = vt.now();
         while matches!(self.pipeline.front(), Some(&c) if c <= now) {
             self.pipeline.pop_front();
         }
-        if self.pipeline.len() >= PIPELINE_DEPTH {
-            if let Some(oldest) = self.pipeline.pop_front() {
-                if oldest > vt.now() {
-                    waited = oldest - vt.now();
-                    vt.charge(Category::IoWait, waited);
-                }
-            }
-            let now = vt.now();
-            while matches!(self.pipeline.front(), Some(&c) if c <= now) {
-                self.pipeline.pop_front();
-            }
+        if self.pipeline.len() < PIPELINE_DEPTH {
+            return Nanos::ZERO;
         }
-        waited
+        // The front survived the drain, so it is still in flight.
+        let oldest = self.pipeline.pop_front().expect("the depth is not zero");
+        vt.charge(Category::IoWait, oldest - now);
+        oldest - now
     }
 
     /// Flushes the open batch: one combined μCheckpoint IO for every
@@ -590,14 +559,10 @@ impl MemSnap {
             }
         }
 
-        let mut results = HashMap::new();
-        for (i, p) in batch.participants.iter().enumerate() {
-            let epoch = match p.sel {
-                RegionSel::Region(md) => self.store.epoch(self.regions[md.0 as usize].store_obj),
-                RegionSel::All => self.all_epoch,
-            };
-            results.insert(i as u32, (p.flags, epoch, p.start));
-        }
+        let results = (0..)
+            .zip(&batch.participants)
+            .map(|(i, p)| (i, (p.flags, self.newest_epoch(p.sel), p.start)))
+            .collect();
         self.finished.insert(
             batch.id,
             FinishedBatch {

@@ -26,6 +26,12 @@
 //!   trace buffer, and either waits (`MS_SYNC`) or returns immediately
 //!   (`MS_ASYNC`).
 //! - **`msnap_wait`** blocks until a previously returned epoch is durable.
+//! - **One commit pipeline.** Every door — `msnap_persist` in place,
+//!   [`MemSnap::msnap_persist_grouped`] through a coalescing window, the
+//!   `MS_ASYNC` pipeline — takes its dirty set through one gather and
+//!   reaches the store through one private `commit_batch` (durability
+//!   first, memory second); the doors differ only in what they charge
+//!   and when they freeze and re-arm the pages (DESIGN.md §6c).
 //! - **Crash + restore**: [`MemSnap::crash`] simulates a power failure at a
 //!   chosen instant; [`MemSnap::restore`] reopens the store, and
 //!   `msnap_open` of an existing region remaps it at its original address

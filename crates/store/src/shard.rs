@@ -537,12 +537,13 @@ impl ObjectStore {
                     .iter()
                     .map(|&(_, i)| (self.split(groups[i].0).1, groups[i].1)),
             );
-            let unit = if BatchRecord::fits(local.iter().map(|(_, p)| p.len())) {
+            // The whole share as one unit if it fits one record.
+            let per_unit = if BatchRecord::fits(local.iter().map(|(_, p)| p.len())) {
                 local.len()
             } else {
                 1
             };
-            for (unit, indices) in local.chunks(unit).zip(share.chunks(unit)) {
+            for (unit, indices) in local.chunks(per_unit).zip(share.chunks(per_unit)) {
                 let tokens = self.with_grants(shard, |s| s.persist_batch(vt, disk, unit))?;
                 out.extend(indices.iter().map(|&(_, i)| i).zip(tokens));
             }

@@ -3497,6 +3497,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "one group, or several that fit one batch record")]
+    fn shard_never_splits_a_batch_that_outgrows_one_record() {
+        // Splitting is the façade's job (`ObjectStore::persist_batch`,
+        // tested there); the shard has no serial fallback to hide in.
+        let (mut disk, mut store, mut vt) = setup();
+        let a = store.create(&mut vt, &mut disk, "a").unwrap();
+        let b = store.create(&mut vt, &mut disk, "b").unwrap();
+        let p = page_of(1);
+        let pages: Vec<(u64, &[u8])> = (0..150).map(|i| (i, &p[..])).collect();
+        let _ = store.persist_batch(&mut vt, &mut disk, &[(a, &pages), (b, &pages)]);
+    }
+
+    #[test]
     fn batch_recovery_restores_every_group() {
         let (mut disk, mut store, mut vt) = setup();
         let a = store.create(&mut vt, &mut disk, "a").unwrap();
