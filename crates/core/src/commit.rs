@@ -148,8 +148,7 @@ impl MemSnap {
             if failure.is_some() {
                 // A prior region already failed: leave the rest dirty and
                 // untouched rather than checkpointing half the selector.
-                let entries = p.pages.drain(..).map(|t| t.1).collect();
-                self.vm.untake_dirty(thread, entries);
+                self.untake(p);
                 continue;
             }
             match self.commit_batch(vt, std::slice::from_mut(p)) {
@@ -316,12 +315,18 @@ impl MemSnap {
                     self.sticky.insert(run[0].0, err.clone());
                 }
                 for p in parts {
-                    let entries = p.pages.drain(..).map(|t| t.1).collect();
-                    self.vm.untake_dirty(p.thread, entries);
+                    self.untake(p);
                 }
                 Err(err)
             }
         }
+    }
+
+    /// Puts a participant's taken entries back in its thread's dirty set:
+    /// a failed μCheckpoint must not drop the pages it was persisting.
+    fn untake(&mut self, p: &mut Participant) {
+        let entries = p.pages.drain(..).map(|t| t.1).collect();
+        self.vm.untake_dirty(p.thread, entries);
     }
 
     /// Issues the next epoch of the all-regions selector, durable at
