@@ -18,7 +18,7 @@ use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_litedb::drivers::{run_online_backup, OnlineBackupConfig};
 use msnap_sim::{Nanos, Vt};
-use msnap_snap::{sync_to, DeltaStream, PageFrame, StreamTrailer};
+use msnap_snap::{sync_to, DeltaStream, StreamTrailer, WHOLE_FRAME_LEN};
 use msnap_store::ObjectStore;
 
 const OBJECT_PAGES: u64 = 1024;
@@ -40,11 +40,11 @@ fn page_image(tag: u64, page: u64) -> Vec<u8> {
 }
 
 /// Wire bytes of `stream`'s pages shipped at page granularity: one
-/// full-page frame per diffed page, no sub-page framing, dedup or
+/// stored whole-page frame per diffed page, no sub-page runs, dedup or
 /// compression — the baseline the delta formats are measured against.
 fn page_granular_bytes(stream: &DeltaStream) -> u64 {
     (stream.header.encoded_len()
-        + stream.frames.len() * PageFrame::encoded_len()
+        + stream.frames.len() * WHOLE_FRAME_LEN
         + StreamTrailer::encoded_len()) as u64
 }
 
@@ -223,7 +223,7 @@ fn sweep_delta() -> Vec<DeltaPoint> {
             .unwrap();
         // What a non-incremental backup would ship at this instant.
         let full_bytes = page_granular_bytes(
-            &DeltaStream::build(&mut vt, &mut disk, &mut store, None, &name, None, None).unwrap(),
+            &DeltaStream::build(&mut vt, &mut disk, &mut store, None, &name, None).unwrap(),
         );
         let t0 = vt.now();
         let report = sync_to(
@@ -327,16 +327,8 @@ fn sweep_small_writes() -> Vec<SmallWritePoint> {
             .snapshot_create(&mut vt, &mut disk, obj, &name)
             .unwrap();
 
-        let stream = DeltaStream::build(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            Some(&base),
-            &name,
-            None,
-            None,
-        )
-        .unwrap();
+        let stream =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some(&base), &name, None).unwrap();
         points.push(SmallWritePoint {
             writes,
             changed_bytes: writes * 64,

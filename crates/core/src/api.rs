@@ -467,11 +467,6 @@ impl MemSnap {
         self.by_name.get(name).copied()
     }
 
-    /// The fixed address of a region.
-    pub fn region_addr(&self, md: Md) -> u64 {
-        self.regions[md.0 as usize].addr
-    }
-
     /// All region names in descriptor order (the restore path's "list of
     /// all MemSnap regions in an application").
     pub fn region_names(&self) -> Vec<String> {

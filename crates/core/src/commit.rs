@@ -48,7 +48,6 @@ pub(crate) type TakenPage = (u32, DirtyPage, Option<Vec<u8>>);
 pub(crate) struct Participant {
     thread: VthreadId,
     sel: RegionSel,
-    flags: PersistFlags,
     pages: Vec<TakenPage>,
     /// Enqueue instant, for end-to-end latency metering.
     start: Nanos,
@@ -79,9 +78,9 @@ pub(crate) struct FinishedBatch {
     error: Option<MsnapError>,
     /// Durability instant of the combined commit record.
     completes: Nanos,
-    /// Per-participant `(flags, epoch, enqueue instant)`, removed as each
+    /// Per-participant `(epoch, enqueue instant)`, removed as each
     /// participant polls; the batch is pruned when the map drains.
-    results: HashMap<u32, (PersistFlags, Epoch, Nanos)>,
+    results: HashMap<u32, (Epoch, Nanos)>,
 }
 
 impl MemSnap {
@@ -125,7 +124,7 @@ impl MemSnap {
 
         // One batch of one in-place participant per region, in region
         // order: one scatter/gather μCheckpoint IO per object modified.
-        let mut taken = self.take(thread, sel, flags)?;
+        let mut taken = self.take(thread, sel, flags.global)?;
         taken.sort_by_key(|t| t.0);
         let mut parts: Vec<Participant> = Vec::new();
         for t in taken {
@@ -134,7 +133,6 @@ impl MemSnap {
                 _ => parts.push(Participant {
                     thread,
                     sel,
-                    flags,
                     pages: vec![t],
                     start,
                 }),
@@ -208,13 +206,13 @@ impl MemSnap {
         &mut self,
         thread: VthreadId,
         sel: RegionSel,
-        flags: PersistFlags,
+        global: bool,
     ) -> Result<Vec<TakenPage>, MsnapError> {
         let filter = match sel {
             RegionSel::All => None,
             RegionSel::Region(md) => Some(self.region_of(md)?.vm_obj),
         };
-        let others = if flags.global {
+        let others = if global {
             self.vm.threads_with_dirty()
         } else {
             Vec::new()
@@ -360,12 +358,15 @@ impl MemSnap {
     /// pages of `sel`, returning a [`CommitTicket`] to redeem with
     /// [`MemSnap::msnap_group_poll`].
     ///
-    /// The enqueue itself is cheap: the dirty set is taken, the page
-    /// images are copied into the coalescing buffer (an eager COW, so the
-    /// caller may keep writing immediately), and tracking is re-armed.
-    /// The combined μCheckpoint IO — one scatter/gather extent plus one
-    /// commit record for *all* participants — is initiated when the
-    /// batch's window closes, by the first poller to reach that instant.
+    /// The door is `MS_SYNC` and per-thread: the poll that redeems the
+    /// ticket blocks until the batch is durable (`MS_ASYNC` and
+    /// `MS_GLOBAL` are [`MemSnap::msnap_persist`]'s). The enqueue itself
+    /// is cheap: the dirty set is taken, the page images are copied into
+    /// the coalescing buffer (an eager COW, so the caller may keep
+    /// writing immediately), and tracking is re-armed. The combined
+    /// μCheckpoint IO — one scatter/gather extent plus one commit record
+    /// for *all* participants — is initiated when the batch's window
+    /// closes, by the first poller to reach that instant.
     ///
     /// # Errors
     ///
@@ -376,7 +377,6 @@ impl MemSnap {
         vt: &mut Vt,
         thread: VthreadId,
         sel: RegionSel,
-        flags: PersistFlags,
     ) -> Result<CommitTicket, MsnapError> {
         vt.charge(Category::Memsnap, SYSCALL_COST);
         if let Some(e) = self.sticky_error(sel) {
@@ -391,7 +391,7 @@ impl MemSnap {
 
         // Eagerly copy the page images: the μCheckpoint content is fixed
         // here, so the caller's next write needs no COW machinery.
-        let mut pages = self.take(thread, sel, flags)?;
+        let mut pages = self.take(thread, sel, false)?;
         if !pages.is_empty() {
             let entries: Vec<DirtyPage> = pages.iter().map(|t| t.1).collect();
             for t in &mut pages {
@@ -406,7 +406,6 @@ impl MemSnap {
         let participant = Participant {
             thread,
             sel,
-            flags,
             pages,
             start: vt.now(),
         };
@@ -442,9 +441,9 @@ impl MemSnap {
     ///
     /// Returns `Ok(None)` while the batch's coalescing window is still
     /// open (the caller's clock is advanced to the window close, so the
-    /// next poll makes progress). Once flushed, returns the participant's
-    /// epoch; `MS_SYNC` participants block until the batch is durable
-    /// first. Each ticket is redeemable exactly once.
+    /// next poll makes progress). Once flushed, blocks until the batch is
+    /// durable and returns the participant's epoch. Each ticket is
+    /// redeemable exactly once.
     ///
     /// # Errors
     ///
@@ -479,7 +478,7 @@ impl MemSnap {
             .finished
             .get_mut(&ticket.batch)
             .ok_or(MsnapError::BadDescriptor)?;
-        let (flags, epoch, start) = fin
+        let (epoch, start) = fin
             .results
             .remove(&ticket.participant)
             .ok_or(MsnapError::BadDescriptor)?;
@@ -488,7 +487,7 @@ impl MemSnap {
         if fin.results.is_empty() {
             self.finished.remove(&ticket.batch);
         }
-        if error.is_none() && flags.sync && completes > vt.now() {
+        if error.is_none() && completes > vt.now() {
             vt.charge(Category::IoWait, completes - vt.now());
         }
         self.meters
@@ -540,17 +539,10 @@ impl MemSnap {
         let mut error: Option<MsnapError> = None;
         let mut completes = vt.now();
         if batch.participants.iter().any(|p| !p.pages.is_empty()) {
-            let any_async = batch.participants.iter().any(|p| !p.flags.sync);
-            if any_async {
-                self.pipeline_admit(vt);
-            }
             match self.commit_batch(vt, &mut batch.participants) {
                 Ok(done) => {
                     completes = done.completes;
                     self.stamp_all(completes);
-                    if any_async {
-                        self.pipeline.push_back(completes);
-                    }
                     // Several transactions coalesced into one region's
                     // commit: the store saw a single group, so account
                     // the merge here (multi-object batches are accounted
@@ -566,7 +558,7 @@ impl MemSnap {
 
         let results = (0..)
             .zip(&batch.participants)
-            .map(|(i, p)| (i, (p.flags, self.newest_epoch(p.sel), p.start)))
+            .map(|(i, p)| (i, (self.newest_epoch(p.sel), p.start)))
             .collect();
         self.finished.insert(
             batch.id,
@@ -954,7 +946,7 @@ mod tests {
             .zip(&regions)
             .map(|(vt, r)| {
                 let t = vt.id();
-                ms.msnap_persist_grouped(vt, t, RegionSel::Region(r.md), PersistFlags::sync())
+                ms.msnap_persist_grouped(vt, t, RegionSel::Region(r.md))
                     .unwrap()
             })
             .collect();
@@ -990,10 +982,10 @@ mod tests {
         ms.write(&mut vt, space, t, a.addr, b"alpha").unwrap();
         ms.write(&mut vt, space, t, b.addr, b"bravo").unwrap();
         let ta = ms
-            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(a.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(a.md))
             .unwrap();
         let tb = ms
-            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(b.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(b.md))
             .unwrap();
         for ticket in [ta, tb] {
             let mut epoch = ms.msnap_group_poll(&mut vt, ticket).unwrap();
@@ -1028,10 +1020,10 @@ mod tests {
         let plan = FaultPlan::new().at(ms.disk().io_seq(), Fault::Drop { transient: false });
         ms.set_fault_plan(plan);
         let ta = ms
-            .msnap_persist_grouped(&mut vt, t0, RegionSel::Region(a.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t0, RegionSel::Region(a.md))
             .unwrap();
         let tb = ms
-            .msnap_persist_grouped(&mut vt, t1, RegionSel::Region(b.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t1, RegionSel::Region(b.md))
             .unwrap();
         ms.msnap_group_flush(&mut vt);
         ms.clear_fault_plan();
@@ -1072,7 +1064,7 @@ mod tests {
         let r = ms.msnap_open(&mut vt, space, "data", 16).unwrap();
         ms.write(&mut vt, space, t, r.addr, &[3; 16]).unwrap();
         let ticket = ms
-            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(r.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(r.md))
             .unwrap();
         let mut epoch = ms.msnap_group_poll(&mut vt, ticket).unwrap();
         while epoch.is_none() {
@@ -1100,7 +1092,7 @@ mod tests {
         ms.set_coalesce_window(Nanos::from_us(50_000));
         let before = vt.now();
         let ticket = ms
-            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(r.md), PersistFlags::async_())
+            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(r.md))
             .unwrap();
         // The fast path flushes on the *first* poll: no `None` round, no
         // window wait for a participant with nobody to merge with.
@@ -1140,13 +1132,13 @@ mod tests {
             ms.write(&mut vt, space, t, r.addr, &[9; 16]).unwrap();
         }
         let ta = ms
-            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(ra.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(ra.md))
             .unwrap();
         let tb = ms
-            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(rb.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(rb.md))
             .unwrap();
         let tc = ms
-            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(rc.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(rc.md))
             .unwrap();
         // Same-shard regions share a batch (and hence a ticket's batch
         // id); the other shard's lane opened its own batch.
@@ -1170,7 +1162,7 @@ mod tests {
         let t = vt.id();
         let r = ms.msnap_open(&mut vt, space, "data", 16).unwrap();
         let ticket = ms
-            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(r.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(r.md))
             .unwrap();
         ms.msnap_group_flush(&mut vt);
         assert_eq!(ms.msnap_group_poll(&mut vt, ticket).unwrap(), Some(0));
@@ -1320,7 +1312,7 @@ mod tests {
                     }
                     2 => {
                         dirty(&mut ms, &mut vt, &a, SMALL);
-                        let ticket = ms.msnap_persist_grouped(&mut vt, t, sel_a, sync).unwrap();
+                        let ticket = ms.msnap_persist_grouped(&mut vt, t, sel_a).unwrap();
                         poll(&mut ms, &mut vt, ticket);
                         &[a]
                     }
@@ -1329,7 +1321,7 @@ mod tests {
                         dirty(&mut ms, &mut vt, &a, SMALL);
                         dirty(&mut ms, &mut vt, &c, SMALL);
                         let ticket = ms
-                            .msnap_persist_grouped(&mut vt, t, RegionSel::All, sync)
+                            .msnap_persist_grouped(&mut vt, t, RegionSel::All)
                             .unwrap();
                         poll(&mut ms, &mut vt, ticket);
                         &[a, c]
@@ -1340,8 +1332,8 @@ mod tests {
                         let n = if door == 4 { SMALL } else { LARGE };
                         dirty(&mut ms, &mut vt, &a, n);
                         dirty(&mut ms, &mut vt, &b, n);
-                        let ta = ms.msnap_persist_grouped(&mut vt, t, sel_a, sync).unwrap();
-                        let tb = ms.msnap_persist_grouped(&mut vt, t, sel_b, sync).unwrap();
+                        let ta = ms.msnap_persist_grouped(&mut vt, t, sel_a).unwrap();
+                        let tb = ms.msnap_persist_grouped(&mut vt, t, sel_b).unwrap();
                         ms.msnap_group_flush(&mut vt);
                         poll(&mut ms, &mut vt, ta);
                         poll(&mut ms, &mut vt, tb);
@@ -1435,14 +1427,14 @@ mod tests {
         let r = ms.msnap_open(&mut vt, space, "data", 16).unwrap();
         ms.write(&mut vt, space, t, r.addr, &[1; 8]).unwrap();
         let t1 = ms
-            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(r.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(r.md))
             .unwrap();
         // Long after the window closed, a new enqueue arrives: it must not
         // join the expired batch.
         vt.wait_until(vt.now() + Nanos::from_us(50));
         ms.write(&mut vt, space, t, r.addr + 4096, &[2; 8]).unwrap();
         let t2 = ms
-            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(r.md), PersistFlags::sync())
+            .msnap_persist_grouped(&mut vt, t, RegionSel::Region(r.md))
             .unwrap();
         assert_ne!(t1.batch, t2.batch, "expired window starts a new batch");
         assert_eq!(ms.msnap_group_poll(&mut vt, t1).unwrap(), Some(1));

@@ -67,9 +67,9 @@ pub struct Disk {
     /// explicit queue-depth model. Popped past entries lazily at each
     /// submission; the remaining occupancy is sampled into [`IoStats`].
     inflight: BinaryHeap<Reverse<Nanos>>,
-    /// 0-based sequence number of the next block read *fallibly* — the
-    /// key [`ReadFaultPlan`] is indexed by. Infallible reads do not
-    /// consume sequence numbers.
+    /// 0-based sequence number of the next block read — the key
+    /// [`ReadFaultPlan`] is indexed by. Every read consumes one per
+    /// block: no read bypasses the plan.
     read_seq: u64,
     read_faults: ReadFaultPlan,
 }
@@ -355,31 +355,16 @@ impl Disk {
         }
     }
 
-    /// Reads one block at `now` without blocking a thread; returns the
-    /// completion instant. Missing (never-written) blocks read as zeroes.
-    /// Infallible: consults no fault plan and consumes no read sequence
-    /// number.
-    pub fn read_block_at(&mut self, now: Nanos, block: u64, out: &mut [u8]) -> Nanos {
-        self.copy_out(block, out);
-        self.schedule_read(now, 1)
-    }
-
-    /// Synchronous single-block read.
-    pub fn read_block(&mut self, vt: &mut Vt, block: u64, out: &mut [u8]) {
-        let done = self.read_block_at(vt.now(), block, out);
-        Self::wait_until(vt, done);
-    }
-
-    /// Installs a read-fault plan; every *fallible* read from now on
-    /// consults it, block by block. Replaces any previous plan. The
-    /// fallible-read sequence counter is not reset — plans are indexed by
-    /// the device lifetime counter (see [`Disk::read_seq`]).
+    /// Installs a read-fault plan; every read from now on consults it,
+    /// block by block. Replaces any previous plan. The read sequence
+    /// counter is not reset — plans are indexed by the device lifetime
+    /// counter (see [`Disk::read_seq`]).
     pub fn set_read_fault_plan(&mut self, plan: ReadFaultPlan) {
         self.read_faults = plan;
     }
 
-    /// Number of blocks read fallibly so far — the index the read fault
-    /// plan will assign to the *next* block of a [`Disk::try_readv_at`].
+    /// Number of blocks read so far — the index the read fault plan will
+    /// assign to the *next* block of a [`Disk::try_readv_at`].
     pub fn read_seq(&self) -> u64 {
         self.read_seq
     }
@@ -452,7 +437,7 @@ impl Disk {
         Ok(())
     }
 
-    /// Fallible counterpart of [`Disk::read_block_at`]: the one-block
+    /// Reads one block at `now` without blocking a thread: the one-block
     /// case of [`Disk::try_readv_at`].
     pub fn try_read_block_at(
         &mut self,
@@ -463,7 +448,7 @@ impl Disk {
         self.try_readv_at(now, &mut [(block, out)])
     }
 
-    /// Synchronous fallible single-block read: the one-block case of
+    /// Synchronous single-block read: the one-block case of
     /// [`Disk::try_readv`].
     pub fn try_read_block(
         &mut self,
@@ -630,21 +615,18 @@ mod tests {
         let mut vt = Vt::new(0);
         disk.write_block(&mut vt, 5, &block_of(0xAB)).unwrap();
         let mut out = vec![0u8; BLOCK_SIZE];
-        disk.read_block(&mut vt, 5, &mut out);
+        disk.try_read_block(&mut vt, 5, &mut out).unwrap();
         assert_eq!(out, block_of(0xAB));
     }
 
     #[test]
-    fn read_fault_plan_hits_only_scheduled_fallible_reads() {
+    fn read_fault_plan_hits_only_scheduled_reads() {
         let mut disk = Disk::new(DiskConfig::fast());
         let mut vt = Vt::new(0);
         disk.write_block(&mut vt, 5, &block_of(0xAB)).unwrap();
         disk.set_read_fault_plan(ReadFaultPlan::new().at(1, true));
         let mut out = vec![0u8; BLOCK_SIZE];
-        // Infallible reads neither consult the plan nor consume numbers.
-        disk.read_block(&mut vt, 5, &mut out);
-        assert_eq!(disk.read_seq(), 0);
-        // Fallible read 0: clean. Read 1: scheduled transient failure.
+        // Read 0: clean. Read 1: scheduled transient failure.
         disk.try_read_block(&mut vt, 5, &mut out).unwrap();
         let err = disk.try_read_block(&mut vt, 5, &mut out).unwrap_err();
         assert!(err.is_transient());
@@ -671,8 +653,6 @@ mod tests {
         out.fill(0);
         disk.try_read_block(&mut vt, 5, &mut out).unwrap();
         assert_eq!(out, want);
-        disk.read_block(&mut vt, 5, &mut out);
-        assert_eq!(out, want);
     }
 
     /// Reads `blocks` as one vectored submission at `now`; returns the
@@ -693,15 +673,13 @@ mod tests {
         let mut disk = Disk::new(DiskConfig::paper());
         let (done, _) = readv(&mut disk, Nanos::ZERO, &[3]).unwrap();
         assert_eq!(done, disk.config().segment_latency(BLOCK_SIZE));
-        // ... and so is the single-block entry point, fallible or not.
+        // ... and so is the single-block entry point.
         let mut out = vec![0u8; BLOCK_SIZE];
         let at = Nanos::from_secs(1);
         let qd1 = disk.config().segment_latency(BLOCK_SIZE);
         assert_eq!(disk.try_read_block_at(at, 3, &mut out).unwrap(), at + qd1);
-        let at = Nanos::from_secs(2);
-        assert_eq!(disk.read_block_at(at, 3, &mut out), at + qd1);
-        assert_eq!(disk.stats().reads(), 3);
-        assert_eq!(disk.stats().read_submissions(), 3);
+        assert_eq!(disk.stats().reads(), 2);
+        assert_eq!(disk.stats().read_submissions(), 2);
     }
 
     #[test]
@@ -813,10 +791,10 @@ mod tests {
         assert!(rot_a.iter().all(|&blk| blk < 8));
         for &blk in &rot_a {
             let mut out = vec![0u8; BLOCK_SIZE];
-            a.read_block(&mut vt, blk, &mut out);
+            a.try_read_block(&mut vt, blk, &mut out).unwrap();
             assert_ne!(out, block_of(blk as u8), "block {blk} not rotted");
             let mut out_b = vec![0u8; BLOCK_SIZE];
-            b.read_block(&mut vt, blk, &mut out_b);
+            b.try_read_block(&mut vt, blk, &mut out_b).unwrap();
             assert_eq!(out, out_b, "rot differs between identical seeds");
         }
     }
@@ -825,7 +803,7 @@ mod tests {
     fn unwritten_blocks_read_zero() {
         let mut disk = Disk::new(DiskConfig::fast());
         let mut out = vec![1u8; BLOCK_SIZE];
-        disk.read_block_at(Nanos::ZERO, 999, &mut out);
+        disk.try_read_block_at(Nanos::ZERO, 999, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 0));
     }
 
@@ -907,7 +885,7 @@ mod tests {
         disk.write_block(&mut vt, 0, &block_of(1)).unwrap();
         disk.write_block(&mut vt, 1, &block_of(2)).unwrap();
         let mut out = vec![0u8; BLOCK_SIZE];
-        disk.read_block(&mut vt, 0, &mut out);
+        disk.try_read_block(&mut vt, 0, &mut out).unwrap();
         assert_eq!(disk.stats().writes(), 2);
         assert_eq!(disk.stats().bytes_written(), 2 * BLOCK_SIZE as u64);
         assert_eq!(disk.stats().reads(), 1);

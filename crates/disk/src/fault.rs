@@ -251,7 +251,7 @@ impl FaultPlan {
     }
 }
 
-/// A fault scheduled against one fallible read.
+/// A fault scheduled against one block read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ReadFault {
@@ -273,10 +273,9 @@ pub enum ReadFault {
     },
 }
 
-/// A deterministic schedule of *read* faults, keyed by fallible-read
-/// index.
+/// A deterministic schedule of *read* faults, keyed by read index.
 ///
-/// The device numbers every block read fallibly
+/// The device numbers every block read
 /// ([`Disk::try_readv_at`](crate::Disk::try_readv_at) and its one-block
 /// case [`Disk::try_read_block`](crate::Disk::try_read_block)) with a
 /// 0-based sequence counter, separate from the write `io_seq`: a vectored
@@ -285,8 +284,7 @@ pub enum ReadFault {
 /// [`ReadFault::Fail`] fails the submission carrying that block with
 /// [`IoError::Failed`] — no bytes are transferred and no time is charged;
 /// a [`ReadFault::BitRot`] silently corrupts the media and serves the
-/// rotted bytes with `Ok`. The infallible read paths (`read_block_at` /
-/// `read_block`) neither consume sequence numbers nor consult the plan.
+/// rotted bytes with `Ok`. The device has no read that bypasses the plan.
 ///
 /// Like [`FaultPlan`], read plans are plain data: the same plan against
 /// the same deterministic workload injects the same faults.
@@ -301,14 +299,14 @@ impl ReadFaultPlan {
         Self::default()
     }
 
-    /// Schedules the `read`-th fallible read (0-based) to fail;
+    /// Schedules the `read`-th block read (0-based) to fail;
     /// `transient` is reported through [`IoError::is_transient`].
     pub fn at(mut self, read: u64, transient: bool) -> Self {
         self.faults.insert(read, ReadFault::Fail { transient });
         self
     }
 
-    /// Schedules silent bit rot on the `read`-th fallible read: the
+    /// Schedules silent bit rot on the `read`-th block read: the
     /// target block's media is corrupted in place and the read succeeds
     /// with the rotted bytes.
     pub fn rot_at(mut self, read: u64, byte: usize, bit: u8) -> Self {
@@ -316,7 +314,7 @@ impl ReadFaultPlan {
         self
     }
 
-    /// The fault scheduled for the `read`-th fallible read, if any.
+    /// The fault scheduled for the `read`-th block read, if any.
     pub fn fault_for(&self, read: u64) -> Option<ReadFault> {
         self.faults.get(&read).copied()
     }

@@ -32,7 +32,8 @@
 //! // run out of space or have a fault plan installed (see `FaultPlan`).
 //! disk.write_block(&mut vt, 42, &data).expect("no faults installed");
 //! let mut out = [0u8; BLOCK_SIZE];
-//! disk.read_block(&mut vt, 42, &mut out);
+//! // Reads are fallible too (see `ReadFaultPlan`).
+//! disk.try_read_block(&mut vt, 42, &mut out).expect("no faults installed");
 //! assert_eq!(out, data);
 //! ```
 

@@ -209,12 +209,9 @@ impl Backend for MemSnapBackend {
         vt: &mut Vt,
         thread: VthreadId,
     ) -> Result<Option<memsnap::CommitTicket>, CommitError> {
-        let ticket = self.ms.msnap_persist_grouped(
-            vt,
-            thread,
-            RegionSel::Region(self.region.md),
-            PersistFlags::sync(),
-        )?;
+        let ticket =
+            self.ms
+                .msnap_persist_grouped(vt, thread, RegionSel::Region(self.region.md))?;
         Ok(Some(ticket))
     }
 

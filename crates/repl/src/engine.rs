@@ -22,39 +22,36 @@ pub struct ReplConfig {
     /// which a link counts as throttled: [`TickReport::throttled`] tells
     /// the ingest path to stall until replicas catch up.
     pub max_lag_epochs: u64,
-    /// Unacknowledged wire bytes in flight per link beyond which the
-    /// link counts as throttled and no new ship starts.
-    pub max_lag_bytes: u64,
-    /// Epoch lag beyond which a lagging link's catch-up ships the full
-    /// image instead of a delta. Also spaces the **rejoin anchors**: a
-    /// ship whose span crosses a multiple of half this lag has its
-    /// target epoch retained as a snapshot on both ends, so retention
-    /// stays bounded and a rejoin diffs at most this many epochs.
-    pub drop_base_lag: u64,
     /// Virtual time without acknowledgement progress before a ship's
     /// datagrams are retransmitted from the last known resume point.
     pub retransmit_timeout: Nanos,
-    /// Retained anchor-epoch snapshots a replica keeps per object — the
-    /// candidate rebase bases a promoted replica can diff a rejoining
-    /// old primary from.
-    pub keep_applied: usize,
-    /// Epoch gap a promotion fence jumps, so a new primary's epochs
-    /// stay disjoint from the failed primary's unacknowledged history.
-    pub fence_gap: u64,
 }
 
 impl Default for ReplConfig {
     fn default() -> Self {
         ReplConfig {
             max_lag_epochs: 8,
-            max_lag_bytes: 1 << 20,
-            drop_base_lag: 64,
             retransmit_timeout: Nanos::from_ms(20),
-            keep_applied: 2,
-            fence_gap: 16,
         }
     }
 }
+
+/// Unacknowledged wire bytes in flight per link beyond which the link
+/// counts as throttled and no new ship starts.
+const MAX_LAG_BYTES: u64 = 1 << 20;
+/// Epoch lag beyond which a lagging link's catch-up ships the full image
+/// instead of a delta. Also spaces the **rejoin anchors**: a ship whose
+/// span crosses a multiple of half this lag has its target epoch
+/// retained as a snapshot on both ends, so retention stays bounded and a
+/// rejoin diffs at most this many epochs.
+const DROP_BASE_LAG: u64 = 64;
+/// Retained anchor-epoch snapshots a replica keeps per object — the
+/// candidate rebase bases a promoted replica can diff a rejoining old
+/// primary from.
+const KEEP_APPLIED: usize = 2;
+/// Epoch gap a promotion fence jumps, so a new primary's epochs stay
+/// disjoint from the failed primary's unacknowledged history.
+const FENCE_GAP: u64 = 16;
 
 /// Errors raised by the replication engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,7 +204,7 @@ pub struct Promotion {
     /// Name of the promoted replica.
     pub replica: String,
     /// The promoted replica's device, every object already fenced
-    /// [`ReplConfig::fence_gap`] epochs past its durable tip. Boot the
+    /// `FENCE_GAP` (16) epochs past its durable tip. Boot the
     /// new primary from it (`MemSnap::restore`, `MemSnapKv::restore`,
     /// …).
     pub disk: Disk,
@@ -267,10 +264,58 @@ const COMPLETED_KEEP: usize = 64;
 /// ends decide from the stream header and the epoch the replica stands
 /// at: a full image, a rebase (the base is not the replica's epoch), or
 /// a delta whose span `(base, target]` crosses a multiple of half
-/// [`ReplConfig::drop_base_lag`].
-fn is_anchor(cfg: &ReplConfig, base: Option<Epoch>, target: Epoch, replica_epoch: Epoch) -> bool {
-    let stride = (cfg.drop_base_lag / 2).max(1);
+/// [`DROP_BASE_LAG`].
+fn is_anchor(base: Option<Epoch>, target: Epoch, replica_epoch: Epoch) -> bool {
+    let stride = DROP_BASE_LAG / 2;
     base.is_none_or(|base| base != replica_epoch || target / stride > base / stride)
+}
+
+/// Answers a `RepairRequest` — the same on either end of a link — with
+/// this side's verified copy of the page, but only if it is exactly the
+/// content the requester expects: a newer, divergent or itself corrupt
+/// copy helps nothing, must not land, and stays silent.
+fn answer_repair(
+    vt: &mut Vt,
+    disk: &mut Disk,
+    store: &mut ObjectStore,
+    object: String,
+    page: u64,
+    page_digest: u32,
+) -> Option<Msg> {
+    let id = store.lookup(&object)?;
+    let mut data = vec![0u8; BLOCK_SIZE];
+    store.read_page(vt, disk, id, page, &mut data).ok()?;
+    (digest32(&data) == page_digest).then_some(Msg::RepairResponse {
+        object,
+        page,
+        page_digest,
+        data,
+    })
+}
+
+/// Lands a `RepairResponse` answering this side's own request, returning
+/// whether it healed the page. `repair_page` re-verifies the bytes
+/// against the tree's expected digest and commits them through the
+/// normal crash-atomic path; a stale, duplicate or forged response is
+/// refused there, so it is a no-op.
+fn land_repair(
+    vt: &mut Vt,
+    disk: &mut Disk,
+    store: &mut ObjectStore,
+    object: &str,
+    page: u64,
+    data: &[u8],
+) -> bool {
+    let Some(id) = store.lookup(object) else {
+        return false;
+    };
+    match store.repair_page(vt, disk, id, page, data) {
+        Ok(token) => {
+            ObjectStore::wait(vt, token);
+            true
+        }
+        Err(_) => false,
+    }
 }
 
 impl ReplicaNode {
@@ -429,14 +474,6 @@ impl ReplicaNode {
         }
     }
 
-    /// The store-directory name an [`msnap_store::ObjectId`] maps to.
-    fn object_name(store: &ObjectStore, id: msnap_store::ObjectId) -> Option<String> {
-        store
-            .object_names()
-            .into_iter()
-            .find(|n| store.lookup(n) == Some(id))
-    }
-
     /// `RepairRequest`s for every locally unrepairable page, rate-limited
     /// per (object, page) so a slow peer is not flooded.
     fn repair_requests(&mut self, timeout: Nanos) -> Vec<Msg> {
@@ -445,7 +482,7 @@ impl ReplicaNode {
         let mut live_keys = Vec::new();
         let mut out = Vec::new();
         for u in &unrepaired {
-            let Some(name) = Self::object_name(&self.store, u.object) else {
+            let Some(name) = self.store.object_name(u.object) else {
                 continue;
             };
             let key = (name.clone(), u.page);
@@ -458,7 +495,6 @@ impl ReplicaNode {
                     object: name,
                     page: u.page,
                     page_digest: u.digest,
-                    epoch: u.epoch,
                 });
                 self.repair_sent.insert(key.clone(), now);
             }
@@ -503,11 +539,12 @@ impl ReplicaNode {
     }
 
     /// Pins the just-applied anchor epoch as a retained snapshot and
-    /// prunes the per-object window to `keep` — these are the rebase
-    /// bases the primary falls back to when a span has no dirty-line
-    /// record, and the ones a promoted replica diffs a rejoining primary
-    /// from. Best effort: a full catalog only costs those deltas.
-    fn retain_applied(&mut self, object: &str, epoch: Epoch, keep: usize) {
+    /// prunes the per-object window to [`KEEP_APPLIED`] — these are the
+    /// rebase bases the primary falls back to when a span has no
+    /// dirty-line record, and the ones a promoted replica diffs a
+    /// rejoining primary from. Best effort: a full catalog only costs
+    /// those deltas.
+    fn retain_applied(&mut self, object: &str, epoch: Epoch) {
         let Some(id) = self.store.lookup(object) else {
             return;
         };
@@ -521,7 +558,7 @@ impl ReplicaNode {
         }
         let window = self.applied.entry(object.to_string()).or_default();
         window.push(name);
-        while window.len() > keep {
+        while window.len() > KEEP_APPLIED {
             let old = window.remove(0);
             let _ = self
                 .store
@@ -531,7 +568,7 @@ impl ReplicaNode {
 
     /// Processes one datagram at the replica, returning the replies to
     /// send up the link.
-    fn handle(&mut self, msg: Msg, cfg: &ReplConfig) -> Vec<Msg> {
+    fn handle(&mut self, msg: Msg) -> Vec<Msg> {
         match msg {
             Msg::Begin { ship, header } => {
                 if self.sessions.contains_key(&ship) {
@@ -545,7 +582,6 @@ impl ReplicaNode {
                     }];
                 }
                 let anchor = is_anchor(
-                    cfg,
                     header.base_epoch,
                     header.target_epoch,
                     self.epoch(&header.object),
@@ -559,6 +595,12 @@ impl ReplicaNode {
                         {
                             self.state = ReplicaState::Degraded;
                         }
+                        // The primary keeps one ship per (link, object)
+                        // in flight: a newer Begin means it abandoned
+                        // every older ship of this object (re-planned
+                        // after a Hello), whose End will never come.
+                        self.sessions
+                            .retain(|&id, (object, ..)| id > ship || *object != header.object);
                         self.sessions
                             .insert(ship, (header.object.clone(), anchor, session));
                         Vec::new()
@@ -625,7 +667,7 @@ impl ReplicaNode {
                     return vec![Msg::Nak { ship, next_seq }];
                 }
                 let table = self.dedup.entry(object.clone()).or_default();
-                match session.finish_with(
+                match session.finish(
                     &mut self.vt,
                     &mut self.disk,
                     &mut self.store,
@@ -637,7 +679,7 @@ impl ReplicaNode {
                         self.bootstrapped = true;
                         self.state = ReplicaState::Streaming;
                         if anchor {
-                            self.retain_applied(&object, token.epoch, cfg.keep_applied);
+                            self.retain_applied(&object, token.epoch);
                         }
                         // The landed epoch may complete an announced cut.
                         self.refresh_cut();
@@ -657,54 +699,33 @@ impl ReplicaNode {
                     }
                 }
             }
+            // The primary lost a page to rot and asks for our copy.
             Msg::RepairRequest {
                 object,
                 page,
                 page_digest,
-                ..
-            } => {
-                // The primary lost a page to rot: answer with our copy,
-                // but only if it is exactly the content the requester
-                // expects — a newer (or itself corrupt) copy helps
-                // nothing and must not land.
-                let Some(id) = self.store.lookup(&object) else {
-                    return Vec::new();
-                };
-                let mut data = vec![0u8; BLOCK_SIZE];
-                if self
-                    .store
-                    .read_page(&mut self.vt, &mut self.disk, id, page, &mut data)
-                    .is_err()
-                {
-                    return Vec::new();
-                }
-                if digest32(&data) != page_digest {
-                    return Vec::new();
-                }
-                vec![Msg::RepairResponse {
-                    object,
-                    page,
-                    page_digest,
-                    data,
-                }]
-            }
+            } => answer_repair(
+                &mut self.vt,
+                &mut self.disk,
+                &mut self.store,
+                object,
+                page,
+                page_digest,
+            )
+            .into_iter()
+            .collect(),
+            // A clean copy answering our own request.
             Msg::RepairResponse {
                 object, page, data, ..
             } => {
-                // A clean copy answering our own request. repair_page
-                // re-verifies the bytes against the tree's expected
-                // digest and lands them through the normal crash-atomic
-                // commit path; stale or bogus payloads are refused
-                // there, so a duplicate or forged response is a no-op.
-                let Some(id) = self.store.lookup(&object) else {
-                    return Vec::new();
-                };
-                if let Ok(token) =
-                    self.store
-                        .repair_page(&mut self.vt, &mut self.disk, id, page, &data)
-                {
-                    ObjectStore::wait(&mut self.vt, token);
-                }
+                land_repair(
+                    &mut self.vt,
+                    &mut self.disk,
+                    &mut self.store,
+                    &object,
+                    page,
+                    &data,
+                );
                 Vec::new()
             }
             Msg::CutAnnounce { seq, epochs } => {
@@ -1042,7 +1063,7 @@ impl ReplEngine {
                 node.vt.wait_until(at);
                 match Msg::decode(&payload) {
                     Ok(msg) => {
-                        for reply in node.handle(msg, &self.cfg) {
+                        for reply in node.handle(msg) {
                             link.up.send(node.vt.now(), reply.encode());
                         }
                     }
@@ -1175,7 +1196,7 @@ impl ReplEngine {
                 .max()
                 .unwrap_or(0);
             if max_remote >= live && max_remote > 0 {
-                ms.msnap_fence(vt, object, max_remote + self.cfg.fence_gap)?;
+                ms.msnap_fence(vt, object, max_remote + FENCE_GAP)?;
                 report.fences += 1;
             }
         }
@@ -1199,50 +1220,25 @@ impl ReplEngine {
         let timeout = self.cfg.retransmit_timeout;
         for link in &mut self.links {
             for msg in std::mem::take(&mut link.pending_repairs) {
+                let (store, disk) = ms.replication_parts();
                 match msg {
                     Msg::RepairRequest {
                         object,
                         page,
                         page_digest,
-                        ..
                     } => {
-                        let Some(id) = ms.store().lookup(&object) else {
-                            continue;
-                        };
-                        let (store, disk) = ms.replication_parts();
-                        let mut data = vec![0u8; BLOCK_SIZE];
-                        if store.read_page(vt, disk, id, page, &mut data).is_err() {
-                            // Our copy is corrupt too — stay silent.
-                            continue;
+                        if let Some(reply) =
+                            answer_repair(vt, disk, store, object, page, page_digest)
+                        {
+                            link.metrics.repair_requests += 1;
+                            link.down.send(vt.now(), reply.encode());
                         }
-                        if digest32(&data) != page_digest {
-                            // We hold different content than requested.
-                            continue;
-                        }
-                        link.metrics.repair_requests += 1;
-                        link.down.send(
-                            vt.now(),
-                            Msg::RepairResponse {
-                                object,
-                                page,
-                                page_digest,
-                                data,
-                            }
-                            .encode(),
-                        );
                     }
                     Msg::RepairResponse {
                         object, page, data, ..
                     } => {
-                        let Some(id) = ms.store().lookup(&object) else {
-                            continue;
-                        };
-                        let (store, disk) = ms.replication_parts();
-                        // repair_page re-verifies the payload against the
-                        // tree's expected digest, so a mismatched or
-                        // late-arriving response is refused, not applied.
-                        if let Ok(token) = store.repair_page(vt, disk, id, page, &data) {
-                            ObjectStore::wait(vt, token);
+                        let healed = land_repair(vt, disk, store, &object, page, &data);
+                        if healed {
                             link.repair_sent.remove(&(object, page));
                             link.metrics.repairs_healed += 1;
                         }
@@ -1254,23 +1250,17 @@ impl ReplEngine {
 
         // Ask the replicas for the primary's own quarantined pages.
         let store = ms.store();
-        let wants: Vec<(String, u64, u32, Epoch)> = store
+        let wants: Vec<(String, u64, u32)> = store
             .unrepaired_pages()
             .into_iter()
-            .filter_map(|u| {
-                let name = store
-                    .object_names()
-                    .into_iter()
-                    .find(|n| store.lookup(n) == Some(u.object))?;
-                Some((name, u.page, u.digest, u.epoch))
-            })
+            .filter_map(|u| Some((store.object_name(u.object)?, u.page, u.digest)))
             .collect();
         let now = vt.now();
         for link in &mut self.links {
             if !link.known {
                 continue;
             }
-            for (name, page, digest, epoch) in &wants {
+            for (name, page, digest) in &wants {
                 let key = (name.clone(), *page);
                 let due = link
                     .repair_sent
@@ -1287,7 +1277,6 @@ impl ReplEngine {
                         object: name.clone(),
                         page: *page,
                         page_digest: *digest,
-                        epoch: *epoch,
                     }
                     .encode(),
                 );
@@ -1324,12 +1313,12 @@ impl ReplEngine {
                 if os.inflight.is_some() || live <= os.remote {
                     continue;
                 }
-                if inflight_bytes >= self.cfg.max_lag_bytes {
+                if inflight_bytes >= MAX_LAG_BYTES {
                     continue; // over budget: coalesce until acks free it
                 }
                 // A link lagging too far loses its anchor; its catch-up
                 // ships the full image instead.
-                let deep_lag = live.saturating_sub(os.remote) > self.cfg.drop_base_lag;
+                let deep_lag = live.saturating_sub(os.remote) > DROP_BASE_LAG;
                 if deep_lag {
                     os.base = None;
                 }
@@ -1354,7 +1343,7 @@ impl ReplEngine {
                     Some((span, _)) => Some(span.0),
                     None => base.as_ref().map(|(_, epoch)| *epoch),
                 };
-                let anchor = is_anchor(&self.cfg, base_epoch, live, os.remote);
+                let anchor = is_anchor(base_epoch, live, os.remote);
                 let pin = if anchor || recorded.is_none() {
                     Some(self.pin_live(vt, ms, object)?)
                 } else {
@@ -1376,7 +1365,7 @@ impl ReplEngine {
                     None => {
                         let base = base.as_ref().map(|(name, _)| name.as_str());
                         let target = pin.as_deref().expect("pinned above: no record");
-                        DeltaStream::build(vt, disk, store, base, target, None, dedup)?
+                        DeltaStream::build(vt, disk, store, base, target, dedup)?
                     }
                 };
                 let stats_after = ms.store().stats();
@@ -1649,7 +1638,7 @@ impl ReplEngine {
             }
             link.metrics.lag_epochs = lag_epochs;
             link.metrics.lag_bytes = lag_bytes;
-            if lag_epochs > self.cfg.max_lag_epochs || lag_bytes > self.cfg.max_lag_bytes {
+            if lag_epochs > self.cfg.max_lag_epochs || lag_bytes > MAX_LAG_BYTES {
                 link.metrics.throttled_ticks += 1;
                 report.throttled = true;
             }
@@ -1689,7 +1678,7 @@ impl ReplEngine {
     }
 
     /// Fails over to the named replica: lets its in-flight datagrams
-    /// land, fences every object [`ReplConfig::fence_gap`] epochs past
+    /// land, fences every object `FENCE_GAP` (16) epochs past
     /// its durable tip (so the new reign's epochs can never collide with
     /// the dead primary's unacknowledged history), and returns its
     /// device ready to boot plus the surviving replicas' devices.
@@ -1725,7 +1714,7 @@ impl ReplEngine {
             let Some(id) = node.store.lookup(&object) else {
                 continue;
             };
-            let fenced = node.store.epoch(id) + self.cfg.fence_gap;
+            let fenced = node.store.epoch(id) + FENCE_GAP;
             let token = node
                 .store
                 .fence_epoch(&mut node.vt, &mut node.disk, id, fenced)?;
@@ -1854,18 +1843,15 @@ mod tests {
     #[test]
     fn deep_lag_drops_base_and_falls_back_to_full_image() {
         let (mut ms, mut vt, space, r, object) = primary();
-        let cfg = ReplConfig {
-            drop_base_lag: 2,
-            ..ReplConfig::default()
-        };
-        let mut eng = ReplEngine::new(cfg);
+        let mut eng = ReplEngine::new(ReplConfig::default());
         eng.add_replica("r1", NetConfig::calm(13)).unwrap();
         commit(&mut ms, &mut vt, space, &r, 1);
         assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
         let after_bootstrap = eng.link_metrics("r1").unwrap().full_syncs;
-        // Race ahead of the replica by more than drop_base_lag without
+        // Race ahead of the replica by more than DROP_BASE_LAG without
         // letting the engine ship.
-        for fill in 2..=6u8 {
+        let last = 2 + DROP_BASE_LAG as u8;
+        for fill in 2..=last {
             commit(&mut ms, &mut vt, space, &r, fill);
         }
         assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(10)).unwrap());
@@ -1874,7 +1860,7 @@ mod tests {
             m.full_syncs > after_bootstrap,
             "deep lag must fall back to a full image: {m:?}"
         );
-        assert_replica_page(&mut eng, "r1", &object, 0, 6);
+        assert_replica_page(&mut eng, "r1", &object, 0, last);
     }
 
     #[test]
@@ -1963,12 +1949,11 @@ mod tests {
     }
 
     /// Steady-state ships read the commits' own record: the catalog sees
-    /// one anchor per `drop_base_lag / 2` epochs, not one pin per commit.
+    /// one anchor per `DROP_BASE_LAG / 2` epochs, not one pin per commit.
     #[test]
     fn steady_state_pins_anchors_not_commits() {
         let (mut ms, mut vt, space, r, object) = primary();
-        let cfg = ReplConfig::default();
-        let mut eng = ReplEngine::new(cfg);
+        let mut eng = ReplEngine::new(ReplConfig::default());
         eng.add_replica("r1", NetConfig::calm(31)).unwrap();
         eng.add_replica("r2", NetConfig::calm(32)).unwrap();
         for i in 0..200u64 {
@@ -1978,7 +1963,7 @@ mod tests {
             // in-flight target per (link, object), region and manifest.
             assert!(engine_pins(&ms) <= 2 * 2 * 2, "commit {i}");
         }
-        let per_link_object = 200u64.div_ceil(cfg.drop_base_lag / 2) + 1;
+        let per_link_object = 200u64.div_ceil(DROP_BASE_LAG / 2) + 1;
         assert!(
             eng.next_snap <= 2 * 2 * per_link_object,
             "{} snapshots pinned for 200 commits",
@@ -2141,6 +2126,44 @@ mod tests {
         // Failover hands back the cut the promoted replica stands at.
         let promo = eng.promote("r1").unwrap();
         assert_eq!(promo.cut, Some(adopted));
+    }
+
+    /// A `Hello` heard mid-ship makes the primary abandon the ship and
+    /// re-plan under a new id; the replica must not keep the abandoned
+    /// session (and its staged frames) forever.
+    #[test]
+    fn newer_begin_drops_the_abandoned_sessions_of_its_object() {
+        let mut node = ReplicaNode::format("r1", 1);
+        let header = |object: &str| msnap_snap::StreamHeader {
+            object: object.to_string(),
+            base_epoch: None,
+            target_epoch: 5,
+            len_pages: 1,
+            frame_count: 1,
+            cut: None,
+        };
+        for ship in 1..=5 {
+            let header = header("data");
+            assert!(node.handle(Msg::Begin { ship, header }).is_empty());
+        }
+        assert_eq!(
+            node.sessions.keys().collect::<Vec<_>>(),
+            [&5],
+            "only the newest ship of the object stays open"
+        );
+        // Another object's ship is not this object's business, and a
+        // stale Begin overtaken by a newer one evicts nothing.
+        let other = header("other");
+        node.handle(Msg::Begin {
+            ship: 6,
+            header: other,
+        });
+        let stale = header("data");
+        node.handle(Msg::Begin {
+            ship: 4,
+            header: stale,
+        });
+        assert_eq!(node.sessions.keys().collect::<Vec<_>>(), [&4, &5, &6]);
     }
 
     #[test]

@@ -27,34 +27,36 @@
 //!
 //! A sparse subset of ships are **anchor ships** — full images,
 //! rebases, and deltas whose span crosses a multiple of half
-//! [`ReplConfig::drop_base_lag`] — and only for those does the primary
+//! `DROP_BASE_LAG` (64 epochs) — and only for those does the primary
 //! pin the live epoch as a retained snapshot and the replica retain
 //! the applied one: an epoch both ends hold. When a span has no
 //! provable record (the chain was pruned, or a fence / repair / restore
 //! commit sits in it) the ship rebases from that anchor — a snapshot
-//! diff of at most `drop_base_lag` epochs — and only without one does
+//! diff of at most `DROP_BASE_LAG` epochs — and only without one does
 //! it carry the full image.
 //!
 //! # Flow control
 //!
 //! Lag is measured three ways — epochs behind, wire bytes in flight,
 //! and virtual time from ship build to acknowledgement (the
-//! `repl_ack_lag` meter) — and budgeted by [`ReplConfig`]. Over budget,
-//! the tick reports [`TickReport::throttled`] so the ingest path stalls
+//! `repl_ack_lag` meter) — and budgeted: epochs by
+//! [`ReplConfig::max_lag_epochs`], bytes by `MAX_LAG_BYTES` (1 MiB; like
+//! the other constants named here, private to `engine.rs`, where the
+//! config fields with one value in use went). Over budget, the tick
+//! reports [`TickReport::throttled`] so the ingest path stalls
 //! (bounded-staleness writes), and no new ship starts until acks drain
-//! the pipe. A replica lagging beyond [`ReplConfig::drop_base_lag`]
-//! loses its anchor and pays for a full image instead — retention on
-//! the primary stays at one anchor per link and object no matter how
-//! dead a replica is.
+//! the pipe. A replica lagging beyond `DROP_BASE_LAG` loses its anchor
+//! and pays for a full image instead — retention on the primary stays
+//! at one anchor per link and object no matter how dead a replica is.
 //!
 //! # Failover
 //!
 //! [`ReplEngine::promote`] consumes the engine: in-flight datagrams
 //! land, incomplete apply sessions are discarded (their staging was
-//! volatile), and the chosen replica's objects are fenced
-//! [`ReplConfig::fence_gap`] epochs forward. The invariant: **a promoted
-//! replica's store is byte-identical to some committed primary epoch**,
-//! never a torn intermediate. The old primary can rejoin via
+//! volatile), and the chosen replica's objects are fenced `FENCE_GAP`
+//! (16) epochs forward. The invariant: **a promoted replica's store is
+//! byte-identical to some committed primary epoch**, never a torn
+//! intermediate. The old primary can rejoin via
 //! [`ReplEngine::attach_replica`]; its `Hello` lists every epoch it
 //! retains — its anchors — and the new primary diffs it forward from a
 //! commonly retained one, rebasing away the divergent tail, without a
@@ -68,11 +70,12 @@
 //! [`Msg::RepairRequest`] / [`Msg::RepairResponse`] — **both
 //! directions**: replicas scrub their own stores and request pages
 //! from the primary, and the primary broadcasts its own wants to every
-//! replica, rate-limited per page. A responder answers only when its
-//! copy's digest matches the request, and the receiving store
-//! re-verifies against its tree's expected digest before committing
-//! the healed page crash-atomically — a stale, divergent, or forged
-//! payload is refused at both ends.
+//! replica, rate-limited per page. Both ends run the one exchange
+//! (`answer_repair` / `land_repair` in `engine.rs`): a responder
+//! answers only when its copy's digest matches the request, and the
+//! receiving store re-verifies against its tree's expected digest
+//! before committing the healed page crash-atomically — a stale,
+//! divergent, or forged payload is refused at both ends.
 
 #![warn(missing_docs)]
 

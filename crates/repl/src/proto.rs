@@ -119,9 +119,6 @@ pub enum Msg {
         /// Expected content digest ([`msnap_store::digest32`]); the
         /// responder only answers if its clean copy matches.
         page_digest: u32,
-        /// The requester's committed epoch for the object, for the
-        /// responder to skip requests from a diverged peer.
-        epoch: Epoch,
     },
     /// Primary → replica: the primary's newest durable epoch-vector cut
     /// (one epoch sum per shard). A replica records the newest cut whose
@@ -226,14 +223,12 @@ impl Msg {
                 object,
                 page,
                 page_digest,
-                epoch,
             } => {
                 push_u64(&mut out, TAG_REPAIR_REQUEST);
                 push_u64(&mut out, object.len() as u64);
                 out.extend_from_slice(object.as_bytes());
                 push_u64(&mut out, *page);
                 push_u64(&mut out, *page_digest as u64);
-                push_u64(&mut out, *epoch);
             }
             Msg::CutAnnounce { seq, epochs } => {
                 push_u64(&mut out, TAG_CUT_ANNOUNCE);
@@ -337,12 +332,10 @@ impl Msg {
                 if page_digest > u32::MAX as u64 {
                     return Err(SnapError::Malformed);
                 }
-                let epoch = read_u64(buf, &mut off)?;
                 Ok(Msg::RepairRequest {
                     object,
                     page,
                     page_digest: page_digest as u32,
-                    epoch,
                 })
             }
             TAG_CUT_ANNOUNCE => {
@@ -423,7 +416,6 @@ mod tests {
                 object: "db".into(),
                 page: 77,
                 page_digest: 0xAB12_CD34,
-                epoch: 9,
             },
             Msg::CutAnnounce {
                 seq: 12,
@@ -465,8 +457,26 @@ mod tests {
         req.push(b'x');
         push_u64(&mut req, 0); // page
         push_u64(&mut req, u64::MAX); // digest out of range
-        push_u64(&mut req, 1); // epoch
         assert!(Msg::decode(&req).is_err());
+    }
+
+    #[test]
+    fn retired_full_page_frame_datagram_is_malformed() {
+        // A `Frame` datagram carrying the retired full-page frame form
+        // (magic, seq, page, checksum, 4 KiB image): one generation of
+        // every format, so it is dropped as malformed, never staged.
+        let data = vec![0x5Au8; BLOCK_SIZE];
+        let mut sum = msnap_store::fnv1a(&0u64.to_le_bytes());
+        sum = msnap_store::fnv1a_extend(sum, &7u64.to_le_bytes());
+        let mut wire = Vec::new();
+        push_u64(&mut wire, TAG_FRAME);
+        push_u64(&mut wire, 1); // ship
+        push_u64(&mut wire, 0x4d534e_41504446); // "MSN APDF"
+        push_u64(&mut wire, 0); // seq
+        push_u64(&mut wire, 7); // page
+        push_u64(&mut wire, msnap_store::fnv1a_extend(sum, &data));
+        wire.extend_from_slice(&data);
+        assert_eq!(Msg::decode(&wire), Err(SnapError::Malformed));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use memsnap::{Md, MemSnap, MsnapError, PersistFlags, RegionSel, PAGE_SIZE};
+use memsnap::{Md, MemSnap, MsnapError, RegionSel, PAGE_SIZE};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_repl::{Promotion, ReplConfig, ReplEngine};
 use msnap_sim::{Nanos, NetConfig, SimLink, SimSwitch, Vt, VthreadId};
@@ -62,15 +62,16 @@ pub const SLOTS_PER_PAGE: u64 = PAGE_SIZE as u64 / SLOT_BYTES;
 /// the replication engine's rejoin anchors; watches pin nothing and a
 /// steady-state ship pins nothing. An anchor is pinned when a link's
 /// ship of an object is a full image, a rebase, or crosses a multiple
-/// of `repl.drop_base_lag / 2` epochs, and replaces the link's previous
-/// one — at most one per attached replica × object, shared when the
-/// replicas acknowledge the same epoch. On the sharded primary these
-/// spread across `shards` catalogs, but a **promoted replica is
-/// single-shard** and inherits the anchors it retained as a replica
-/// (`repl.keep_applied` per object) until its re-attached peers catch
-/// up: after failover up to `replicas × (tenants × stripes + 1)`
-/// anchors must fit in one catalog. Size failover topologies so that
-/// budget holds (e.g. fewer `stripes` or tenants).
+/// of 32 epochs (half `msnap-repl`'s `DROP_BASE_LAG`), and replaces the
+/// link's previous one — at most one per attached replica × object,
+/// shared when the replicas acknowledge the same epoch. On the sharded
+/// primary these spread across `shards` catalogs, but a **promoted
+/// replica is single-shard** and inherits the anchors it retained as a
+/// replica (two per object, `msnap-repl`'s `KEEP_APPLIED`) until its
+/// re-attached peers catch up: after failover up to
+/// `replicas × (tenants × stripes + 1)` anchors must fit in one catalog.
+/// Size failover topologies so that budget holds (e.g. fewer `stripes`
+/// or tenants).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Store shards of the primary device (tenant stripes hash across
@@ -81,20 +82,6 @@ pub struct ServeConfig {
     /// spans several shards and its watch streams exercise cross-shard
     /// cut alignment.
     pub stripes: u64,
-    /// Pages per stripe; tenant capacity is
-    /// `stripes * pages_per_stripe *` [`SLOTS_PER_PAGE`] keys.
-    pub pages_per_stripe: u64,
-    /// Stamp an epoch-vector cut (and release notify bundles) every
-    /// this many rounds that committed writes.
-    pub cut_every: u32,
-    /// Retransmit an unacknowledged `Notify` bundle after this long.
-    pub notify_retransmit: Nanos,
-    /// Gate `PutOk` on every replica having applied the write's epoch
-    /// (only meaningful with replicas attached). With it, an
-    /// acknowledged write survives failover by construction.
-    pub ack_replicated: bool,
-    /// Replication engine settings.
-    pub repl: ReplConfig,
 }
 
 impl Default for ServeConfig {
@@ -102,11 +89,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 8,
             stripes: 4,
-            pages_per_stripe: 4,
-            cut_every: 2,
-            notify_retransmit: Nanos::from_ms(5),
-            ack_replicated: true,
-            repl: ReplConfig::default(),
         }
     }
 }
@@ -114,9 +96,18 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Keys per tenant under this configuration.
     pub fn capacity(&self) -> u64 {
-        self.stripes * self.pages_per_stripe * SLOTS_PER_PAGE
+        self.stripes * PAGES_PER_STRIPE * SLOTS_PER_PAGE
     }
 }
+
+/// Pages per stripe; tenant capacity is
+/// `stripes * PAGES_PER_STRIPE *` [`SLOTS_PER_PAGE`] keys.
+const PAGES_PER_STRIPE: u64 = 4;
+/// An epoch-vector cut is stamped (and notify bundles released) every
+/// this many rounds once a commit is waiting for one.
+const CUT_EVERY: u32 = 2;
+/// An unacknowledged `Notify` bundle is retransmitted after this long.
+const NOTIFY_RETRANSMIT: Nanos = Nanos::from_ms(5);
 
 /// Typed serving-layer failures (distinct from per-request [`ErrCode`]s,
 /// which travel back to clients).
@@ -305,7 +296,7 @@ impl ServeNode {
     pub fn add_replica(&mut self, name: &str, net: NetConfig) -> Result<(), ServeError> {
         let engine = self
             .repl
-            .get_or_insert_with(|| ReplEngine::new(self.cfg.repl));
+            .get_or_insert_with(|| ReplEngine::new(ReplConfig::default()));
         engine.add_replica(name, net)?;
         self.replica_names.push(name.to_string());
         Ok(())
@@ -325,7 +316,7 @@ impl ServeNode {
     ) -> Result<(), ServeError> {
         let engine = self
             .repl
-            .get_or_insert_with(|| ReplEngine::new(self.cfg.repl));
+            .get_or_insert_with(|| ReplEngine::new(ReplConfig::default()));
         engine.attach_replica(name, net, disk)?;
         self.replica_names.push(name.to_string());
         Ok(())
@@ -451,7 +442,7 @@ impl ServeNode {
                 let pages = if survived.contains_key(&idx) {
                     0 // open existing
                 } else {
-                    node.cfg.pages_per_stripe // recreate empty
+                    PAGES_PER_STRIPE // recreate empty
                 };
                 let handle = node.ms.msnap_open(&mut node.vt, node.space, &name, pages)?;
                 stripes.push(Stripe {
@@ -939,9 +930,9 @@ impl ServeNode {
         let mut stripes = Vec::with_capacity(self.cfg.stripes as usize);
         for idx in 0..self.cfg.stripes {
             let name = format!("t/{tenant}/{idx}");
-            let handle =
-                self.ms
-                    .msnap_open(&mut self.vt, self.space, &name, self.cfg.pages_per_stripe)?;
+            let handle = self
+                .ms
+                .msnap_open(&mut self.vt, self.space, &name, PAGES_PER_STRIPE)?;
             stripes.push(Stripe {
                 md: handle.md,
                 addr: handle.addr,
@@ -1022,12 +1013,9 @@ impl ServeNode {
                 self.ms
                     .write(&mut self.vt, self.space, self.thread, va, &slot)?;
             }
-            let ticket = self.ms.msnap_persist_grouped(
-                &mut self.vt,
-                self.thread,
-                RegionSel::Region(md),
-                PersistFlags::sync(),
-            )?;
+            let ticket =
+                self.ms
+                    .msnap_persist_grouped(&mut self.vt, self.thread, RegionSel::Region(md))?;
             tickets.push((tenant, stripe, ticket, puts));
         }
         self.ms.msnap_group_flush(&mut self.vt);
@@ -1041,7 +1029,10 @@ impl ServeNode {
             let obj = self.tenants[&tenant].stripes[stripe].obj.clone();
             for (session, req, _, _) in puts {
                 self.stats.puts += 1;
-                if self.repl.is_some() && self.cfg.ack_replicated {
+                // With replicas attached, `PutOk` waits until every one
+                // has applied the write's epoch: an acknowledged write
+                // survives failover by construction.
+                if self.repl.is_some() {
                     self.pending_puts.push(PendingPut {
                         session,
                         req,
@@ -1090,7 +1081,7 @@ impl ServeNode {
                 // the whole stripe rather than miss a change.
                 None => {
                     self.conservative_notifies += 1;
-                    (0..self.cfg.pages_per_stripe)
+                    (0..PAGES_PER_STRIPE)
                         .map(|p| self.page_key_range(idx, p))
                         .collect()
                 }
@@ -1292,7 +1283,7 @@ impl ServeNode {
         if committed_this_round || self.commits_since_cut > 0 {
             self.rounds_since_cut += 1;
         }
-        if self.commits_since_cut == 0 || self.rounds_since_cut < self.cfg.cut_every {
+        if self.commits_since_cut == 0 || self.rounds_since_cut < CUT_EVERY {
             return Ok(());
         }
         self.rounds_since_cut = 0;
@@ -1330,11 +1321,10 @@ impl ServeNode {
 
     fn retransmit_notifies(&mut self) {
         let now = self.vt.now();
-        let timeout = self.cfg.notify_retransmit;
         let mut sends: Vec<(usize, Response)> = Vec::new();
         for s in self.sessions.values_mut() {
             for bundle in s.unacked.values_mut() {
-                if now.saturating_sub(bundle.last_sent) >= timeout {
+                if now.saturating_sub(bundle.last_sent) >= NOTIFY_RETRANSMIT {
                     bundle.last_sent = now;
                     sends.push((s.port, bundle.resp.clone()));
                 }
@@ -1451,12 +1441,10 @@ mod tests {
         next_req: u64,
     }
 
-    /// A replica-less node whose every committing round stamps a cut.
+    /// A replica-less node.
     fn node(shards: usize, ports: usize) -> ServeNode {
         let cfg = ServeConfig {
             shards,
-            cut_every: 1,
-            ack_replicated: false,
             ..ServeConfig::default()
         };
         ServeNode::format(cfg, ports, NetConfig::calm(11))
@@ -1548,12 +1536,10 @@ mod tests {
                 key,
                 value: vec![key as u8],
             });
-            // The PutOk and the Notify leave in the same round or one
-            // apart; listen a little longer for the bundle.
+            // The Notify leaves with the cut, a round after the PutOk:
+            // listen once more for the bundle.
             if !heard.iter().any(|r| matches!(r, Response::Notify { .. })) {
-                for _ in 0..4 {
-                    heard.extend(deliver(node, now, self.port));
-                }
+                heard.extend(deliver(node, now, self.port));
             }
             assert!(
                 heard.iter().any(|r| matches!(r, Response::PutOk { .. })),
@@ -1660,7 +1646,7 @@ mod tests {
         let events = c.put(&mut node, &mut now, "acme", 201);
         assert_eq!(events.len(), 1);
         assert!(events[0].epoch > fenced);
-        let whole_stripe: Vec<(u64, u64)> = (0..node.cfg.pages_per_stripe)
+        let whole_stripe: Vec<(u64, u64)> = (0..PAGES_PER_STRIPE)
             .map(|p| node.page_key_range(3, p))
             .collect();
         assert_eq!(events[0].ranges, whole_stripe);
@@ -1714,11 +1700,7 @@ mod tests {
     #[test]
     fn replicated_puts_pin_the_catalog_per_object_not_per_commit() {
         const TENANTS: usize = 12;
-        let cfg = ServeConfig {
-            cut_every: 1,
-            ..ServeConfig::default()
-        };
-        let mut node = ServeNode::format(cfg, TENANTS, NetConfig::calm(11));
+        let mut node = ServeNode::format(ServeConfig::default(), TENANTS, NetConfig::calm(11));
         node.add_replica("r1", NetConfig::calm(21)).unwrap();
         node.add_replica("r2", NetConfig::calm(22)).unwrap();
         let mut now = Nanos::ZERO;

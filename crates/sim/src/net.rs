@@ -332,11 +332,6 @@ impl SimSwitch {
         &self.ports[port]
     }
 
-    /// Mutably borrows one port's link.
-    pub fn port_mut(&mut self, port: usize) -> &mut SimLink {
-        &mut self.ports[port]
-    }
-
     /// Aggregate lifetime counters over all ports.
     pub fn stats(&self) -> LinkStats {
         let mut total = LinkStats::default();

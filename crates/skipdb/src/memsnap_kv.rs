@@ -213,12 +213,9 @@ impl MemSnapKv {
                 .insert_volatile(&mut self.ms, self.space, vt, *key, value);
         }
         let thread = vt.id();
-        let ticket = self.ms.msnap_persist_grouped(
-            vt,
-            thread,
-            RegionSel::Region(self.list.region.md),
-            PersistFlags::sync(),
-        )?;
+        let ticket =
+            self.ms
+                .msnap_persist_grouped(vt, thread, RegionSel::Region(self.list.region.md))?;
         Ok(ticket)
     }
 

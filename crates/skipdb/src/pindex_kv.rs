@@ -201,7 +201,6 @@ impl PIndexKv {
                 vt,
                 thread,
                 RegionSel::Region(self.sk.carve.region.md),
-                PersistFlags::sync(),
             ) {
                 Ok(t) => lane.ticket = Some(t),
                 Err(e) => {

@@ -12,10 +12,12 @@
 //!   snapshot (relative to a retained base, or the empty image for a
 //!   full sync) and frames them: a checksummed header, one checksummed
 //!   frame per page, and a trailer binding the whole stream. The wire
-//!   bytes are proportional to the bytes that changed: [`SubPageFrame`]s
-//!   carry only the changed 64-byte lines of a page (compressed per
-//!   frame, with an incompressible bypass to a plain [`PageFrame`]), and
-//!   a per-link [`DedupTable`] lets pages whose content was already
+//!   bytes are proportional to the bytes that changed: there is one
+//!   payload frame, the [`SubPageFrame`] — byte runs of a page (only its
+//!   changed 64-byte lines, exactly diffed against the base; a whole
+//!   page is the one-run case), their payload (compressed per frame
+//!   when that pays, stored otherwise) and the patched page's digest —
+//!   and a per-link [`DedupTable`] lets pages whose content was already
 //!   shipped travel as ~40-byte [`RefFrame`]s.
 //! - [`DeltaStream::build_live`] is the same frame assembly behind a
 //!   second front door: it ships an object's **current** epoch against
@@ -27,9 +29,10 @@
 //!   validating sequence numbers and checksums as it goes. A truncated
 //!   transfer resumes from [`ApplySession::next_seq`] — already-fed
 //!   frames are not re-shipped.
-//! - [`ApplySession::finish`] verifies the trailer and lands every
-//!   staged page through [`ObjectStore::apply_image`] at the stream's
-//!   target epoch. The root-record write is the single commit point, so
+//! - [`ApplySession::finish`] verifies the trailer, resolves every
+//!   frame one way (pre-image unless the frame covers the whole page,
+//!   scatter the runs, check the digest) and lands the pages through
+//!   [`ObjectStore::apply_image`] at the stream's target epoch. The root-record write is the single commit point, so
 //!   a crash mid-apply leaves the replica at exactly its previous epoch
 //!   or exactly the target epoch — never between.
 //! - [`sync_to`] is the one-call driver: incremental when the replica's
@@ -37,7 +40,7 @@
 //!   fallback when that base is gone.
 //!
 //! Every wire structure also encodes and decodes **piecewise**
-//! ([`StreamHeader::encode`], [`PageFrame::encode`],
+//! ([`StreamHeader::encode`], [`Frame::encode`],
 //! [`StreamTrailer::encode`]), so a replication transport can ship each
 //! frame as its own datagram over a lossy link and resume from
 //! [`ApplySession::next_seq`] after drops. The decode path never
@@ -74,9 +77,7 @@ use msnap_store::{
 
 /// Magic number opening a stream header.
 const STREAM_MAGIC: u64 = 0x4d534e_41504532; // "MSN APE2"
-/// Magic number opening each full-page frame.
-const FRAME_MAGIC: u64 = 0x4d534e_41504446; // "MSN APDF"
-/// Magic number opening each sub-page frame.
+/// Magic number opening each payload frame.
 const SUB_FRAME_MAGIC: u64 = 0x4d534e_41505346; // "MSN APSF"
 /// Magic number opening each dedup-reference frame.
 const REF_FRAME_MAGIC: u64 = 0x4d534e_41505246; // "MSN APRF"
@@ -88,10 +89,12 @@ const HEADER_FIXED: usize = 80;
 /// Streams refuse to name a cut wider than the store's shard ceiling —
 /// an attacker-controlled epoch count must not drive an allocation.
 const MAX_CUT_EPOCHS: u64 = msnap_store::MAX_SHARDS as u64;
-/// Encoded size of one full-page frame.
-const FRAME_LEN: usize = 32 + BLOCK_SIZE;
-/// Encoded size of a sub-page frame before its runs and payload.
+/// Encoded size of a payload frame before its runs and payload.
 const SUB_FIXED: usize = 52;
+/// Wire size of a stored (uncompressed) whole-page payload frame — what
+/// shipping a diff page-granularly costs per page, the yardstick sub-page
+/// framing, dedup and compression are measured against.
+pub const WHOLE_FRAME_LEN: usize = SUB_FIXED + 4 + BLOCK_SIZE;
 /// Encoded size of a dedup-reference frame.
 const REF_FRAME_LEN: usize = 40;
 /// Encoded trailer size.
@@ -217,20 +220,6 @@ pub struct StreamHeader {
     pub cut: Option<VectorCut>,
 }
 
-/// One shipped page: its index, its 4 KiB image, and a checksum binding
-/// both to the frame's position in the stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PageFrame {
-    /// 0-based position in the stream.
-    pub seq: u64,
-    /// Page index within the object.
-    pub page: u64,
-    /// The page image ([`BLOCK_SIZE`] bytes).
-    pub data: Vec<u8>,
-    /// FNV-1a over `seq || page || data`.
-    pub checksum: u64,
-}
-
 /// Reads a little-endian `u64` at `off`, failing with
 /// [`SnapError::Malformed`] instead of panicking on short input —
 /// network bytes are untrusted.
@@ -342,71 +331,11 @@ impl StreamHeader {
     }
 }
 
-impl PageFrame {
-    fn compute_checksum(seq: u64, page: u64, data: &[u8]) -> u64 {
-        let mut sum = fnv1a(&seq.to_le_bytes());
-        sum = fnv1a_extend(sum, &page.to_le_bytes());
-        fnv1a_extend(sum, data)
-    }
-
-    /// Whether the frame's checksum covers its content.
-    pub fn verify(&self) -> bool {
-        self.data.len() == BLOCK_SIZE
-            && self.checksum == Self::compute_checksum(self.seq, self.page, &self.data)
-    }
-
-    /// Wire size of one frame.
-    pub const fn encoded_len() -> usize {
-        FRAME_LEN
-    }
-
-    /// Serializes the frame — one datagram's worth of stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not [`BLOCK_SIZE`] bytes (frames built by
-    /// this crate always are).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_LEN);
-        let mut fh = [0u8; 32];
-        write_u64(&mut fh, 0, FRAME_MAGIC);
-        write_u64(&mut fh, 8, self.seq);
-        write_u64(&mut fh, 16, self.page);
-        write_u64(&mut fh, 24, self.checksum);
-        out.extend_from_slice(&fh);
-        assert_eq!(self.data.len(), BLOCK_SIZE, "page frames carry one block");
-        out.extend_from_slice(&self.data);
-        out
-    }
-
-    /// Parses a frame from the front of `bytes`, returning it and the
-    /// bytes consumed. Structural only — the content checksum is checked
-    /// by [`PageFrame::verify`] / [`ApplySession::feed`], so a transport
-    /// can report [`SnapError::FrameCorrupt`] with the right sequence
-    /// number.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Malformed`] for truncation or a bad magic.
-    pub fn decode(bytes: &[u8]) -> Result<(PageFrame, usize), SnapError> {
-        if read_u64(bytes, 0)? != FRAME_MAGIC {
-            return Err(SnapError::Malformed);
-        }
-        let data = bytes.get(32..FRAME_LEN).ok_or(SnapError::Malformed)?;
-        let frame = PageFrame {
-            seq: read_u64(bytes, 8)?,
-            page: read_u64(bytes, 16)?,
-            checksum: read_u64(bytes, 24)?,
-            data: data.to_vec(),
-        };
-        Ok((frame, FRAME_LEN))
-    }
-}
-
-/// One shipped sub-page delta: sorted non-overlapping byte-range runs
-/// within a single page, their (optionally compressed) payload, and the
-/// digest of the fully-patched page so the receiver can prove its base
-/// content matched the sender's before committing.
+/// The one payload frame: sorted non-overlapping byte-range runs within
+/// a single page, their (optionally compressed) payload, and the digest
+/// of the fully-patched page so the receiver can prove its base content
+/// matched the sender's before committing. A whole page is the one-run
+/// case ([`SubPageFrame::covers_whole`]).
 ///
 /// Wire form: `magic seq page page_digest checksum` (five `u64`s),
 /// then `run_count method` (two `u16`s) and `raw_len payload_len` (two
@@ -455,9 +384,10 @@ impl SubPageFrame {
     }
 
     fn new(seq: u64, page: u64, page_digest: u64, runs: Vec<(u16, u16)>, raw: Vec<u8>) -> Self {
+        let raw_len = raw.len() as u32;
         let (method, payload) = match compress::compress(&raw) {
             Some(z) => (1, z),
-            None => (0, raw.clone()),
+            None => (0, raw),
         };
         let mut frame = SubPageFrame {
             seq,
@@ -465,7 +395,7 @@ impl SubPageFrame {
             page_digest,
             runs,
             method,
-            raw_len: raw.len() as u32,
+            raw_len,
             payload,
             checksum: 0,
         };
@@ -680,14 +610,12 @@ impl RefFrame {
     }
 }
 
-/// One stream frame: a full page image, a sub-page run delta, or a
-/// dedup reference. The wire forms are distinguished by magic, so a
-/// mixed stream decodes frame by frame.
+/// One stream frame: page bytes (runs, whole page included) or a dedup
+/// reference. The wire forms are distinguished by magic, so a mixed
+/// stream decodes frame by frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
-    /// A full 4 KiB page image.
-    Full(PageFrame),
-    /// A sub-page byte-range delta.
+    /// Byte runs of one page, with the patched page's digest.
     Sub(SubPageFrame),
     /// A content-hash reference to an already-shipped page image.
     Ref(RefFrame),
@@ -697,7 +625,6 @@ impl Frame {
     /// The frame's 0-based position in the stream.
     pub fn seq(&self) -> u64 {
         match self {
-            Frame::Full(f) => f.seq,
             Frame::Sub(f) => f.seq,
             Frame::Ref(f) => f.seq,
         }
@@ -706,7 +633,6 @@ impl Frame {
     /// The page index the frame updates.
     pub fn page(&self) -> u64 {
         match self {
-            Frame::Full(f) => f.page,
             Frame::Sub(f) => f.page,
             Frame::Ref(f) => f.page,
         }
@@ -715,7 +641,6 @@ impl Frame {
     /// The frame's content checksum (what the trailer chains).
     pub fn checksum(&self) -> u64 {
         match self {
-            Frame::Full(f) => f.checksum,
             Frame::Sub(f) => f.checksum,
             Frame::Ref(f) => f.checksum,
         }
@@ -724,7 +649,6 @@ impl Frame {
     /// Whether the frame's checksum covers its content.
     pub fn verify(&self) -> bool {
         match self {
-            Frame::Full(f) => f.verify(),
             Frame::Sub(f) => f.verify(),
             Frame::Ref(f) => f.verify(),
         }
@@ -733,7 +657,6 @@ impl Frame {
     /// Wire size of this frame.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Frame::Full(_) => FRAME_LEN,
             Frame::Sub(f) => f.encoded_len(),
             Frame::Ref(_) => REF_FRAME_LEN,
         }
@@ -742,7 +665,6 @@ impl Frame {
     /// Serializes the frame — one datagram's worth of stream.
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Frame::Full(f) => f.encode(),
             Frame::Sub(f) => f.encode(),
             Frame::Ref(f) => f.encode(),
         }
@@ -756,7 +678,6 @@ impl Frame {
     /// [`SnapError::Malformed`] for truncation or an unknown magic.
     pub fn decode(bytes: &[u8]) -> Result<(Frame, usize), SnapError> {
         match read_u64(bytes, 0)? {
-            FRAME_MAGIC => PageFrame::decode(bytes).map(|(f, n)| (Frame::Full(f), n)),
             SUB_FRAME_MAGIC => SubPageFrame::decode(bytes).map(|(f, n)| (Frame::Sub(f), n)),
             REF_FRAME_MAGIC => RefFrame::decode(bytes).map(|(f, n)| (Frame::Ref(f), n)),
             _ => Err(SnapError::Malformed),
@@ -988,13 +909,14 @@ fn chain_sum(frames: &[Frame]) -> u64 {
 }
 
 /// Wire-efficiency summary of a built stream: what sub-page framing,
-/// dedup, and compression saved relative to shipping full-page frames
+/// dedup, and compression saved relative to shipping stored whole pages
 /// (the numbers `LinkMetrics` aggregates per replication link).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WireSavings {
-    /// Frames shipped as sub-page run deltas.
+    /// Payload frames shipped ([`Frame::Sub`]: runs of a page, a whole
+    /// page included) — every frame that is not a reference.
     pub subpage_frames: u64,
-    /// Bytes saved by dedup references (full-page frame size minus the
+    /// Bytes saved by dedup references ([`WHOLE_FRAME_LEN`] minus the
     /// reference frame size, per reference).
     pub dedup_saved: u64,
     /// Bytes saved by payload compression (raw minus compressed, per
@@ -1002,18 +924,20 @@ pub struct WireSavings {
     pub compress_saved: u64,
 }
 
-/// Where frame assembly reads a stream's bytes — the two front doors of
-/// [`DeltaStream`] building share everything else.
+/// Where frame assembly reads a stream's bytes and learns its changed
+/// lines — the two front doors of [`DeltaStream`] building share
+/// everything else.
 #[derive(Clone, Copy)]
 enum Source<'a> {
-    /// A retained snapshot pair: bytes from `target`, exact line diffs
-    /// against `base` for pages the hints do not cover.
+    /// A retained snapshot pair: bytes from `target`, exact 64-byte-line
+    /// diffs against `base`.
     Snapshots {
         base: Option<&'a str>,
         target: &'a str,
     },
-    /// The object's current epoch.
-    Live,
+    /// The object's current epoch, with the dirty-line record
+    /// (page → line mask) of the commits since the base.
+    Live { extents: &'a BTreeMap<u64, u64> },
 }
 
 /// What a stream lands: the object (id and directory name), the epoch
@@ -1036,18 +960,15 @@ impl DeltaStream {
     /// changed: per diffed page it emits, in order of preference, a
     /// [`RefFrame`] (the content is already in the committed `dedup`
     /// table, byte-verified), a partial [`SubPageFrame`] covering only
-    /// the changed 64-byte lines, a compressed whole-page
-    /// [`SubPageFrame`], or a plain [`PageFrame`] when the content is
-    /// incompressible.
+    /// the changed 64-byte lines, or a whole-page [`SubPageFrame`]
+    /// (compressed when that pays, stored otherwise).
     ///
-    /// Changed lines come from `extents` (the tracker's per-page dirty
-    /// line bitmaps — a conservative superset from fine-grain write
-    /// tracking) when provided, else from an exact 64-byte-line diff
-    /// against the retained `base` snapshot. Pages whose changed lines
-    /// exceed ~50% of the page — or whose lines cannot be established —
-    /// fall back to whole-page treatment. Pages shipped as payload are
-    /// *staged* into `dedup`; the caller commits them when the stream
-    /// is acknowledged ([`DedupTable::commit`]).
+    /// Changed lines come from an exact 64-byte-line diff against the
+    /// retained `base` snapshot. Pages whose changed lines exceed ~50%
+    /// of the page — or that lie outside the base image — ship whole.
+    /// Pages shipped as payload are *staged* into `dedup`; the caller
+    /// commits them when the stream is acknowledged
+    /// ([`DedupTable::commit`]).
     ///
     /// # Errors
     ///
@@ -1059,7 +980,6 @@ impl DeltaStream {
         store: &mut ObjectStore,
         base: Option<&str>,
         target: &str,
-        extents: Option<&BTreeMap<u64, u64>>,
         dedup: Option<&mut DedupTable>,
     ) -> Result<DeltaStream, SnapError> {
         let entry = store
@@ -1085,7 +1005,7 @@ impl DeltaStream {
             len_pages: entry.len_pages,
         };
         let source = Source::Snapshots { base, target };
-        Self::assemble(vt, disk, store, source, span, pages, extents, dedup)
+        Self::assemble(vt, disk, store, source, span, pages, dedup)
     }
 
     /// Builds the stream that takes a replica from `base` — the
@@ -1120,14 +1040,13 @@ impl DeltaStream {
             len_pages: store.len_pages(object),
         };
         let pages = extents.keys().copied().collect();
-        let source = Source::Live;
-        Self::assemble(vt, disk, store, source, span, pages, Some(extents), dedup)
+        let source = Source::Live { extents };
+        Self::assemble(vt, disk, store, source, span, pages, dedup)
     }
 
     /// The one frame-assembly loop: reads each of `pages` from `source`,
-    /// picks its frame (reference, partial, compressed whole, plain),
-    /// stages payload images for dedup and seals the stream.
-    #[allow(clippy::too_many_arguments)]
+    /// picks its frame (reference, partial, whole), stages payload
+    /// images for dedup and seals the stream.
     fn assemble(
         vt: &mut Vt,
         disk: &mut Disk,
@@ -1135,7 +1054,6 @@ impl DeltaStream {
         source: Source<'_>,
         span: Span,
         pages: Vec<u64>,
-        extents: Option<&BTreeMap<u64, u64>>,
         mut dedup: Option<&mut DedupTable>,
     ) -> Result<DeltaStream, SnapError> {
         if let Some(table) = dedup.as_deref_mut() {
@@ -1151,7 +1069,7 @@ impl DeltaStream {
                 Source::Snapshots { target, .. } => {
                     store.read_page_at(vt, disk, target, page, &mut tbuf)?;
                 }
-                Source::Live => store.read_page(vt, disk, span.object, page, &mut tbuf)?,
+                Source::Live { .. } => store.read_page(vt, disk, span.object, page, &mut tbuf)?,
             }
             let digest = dedup.as_ref().map(|t| t.digest(&tbuf));
             if let (Some(table), Some(d)) = (dedup.as_ref(), digest) {
@@ -1163,33 +1081,33 @@ impl DeltaStream {
                     continue;
                 }
             }
-            // Changed-line bitmap: tracker hints when available, exact
-            // diff against the retained base otherwise. Partial frames
-            // need the receiver to hold the base content of this page,
-            // so they are only emitted for pages inside the base image.
+            // Changed-line bitmap. Partial frames need the receiver to
+            // hold the base content of this page, so they are only
+            // emitted for pages inside the base image.
             let in_base = page < base_len;
-            let lines: Option<u64> = match extents.and_then(|m| m.get(&page).copied()) {
-                // A zero hint on a structurally-changed page means the
-                // tracker lost the lines — treat as unknown.
-                Some(0) | None => match source {
-                    Source::Snapshots {
-                        base: Some(base), ..
-                    } if in_base => {
-                        store.read_page_at(vt, disk, base, page, &mut bbuf)?;
-                        let mut bits = 0u64;
-                        for line in 0..LINES_PER_PAGE {
-                            let range = line * LINE_SIZE..(line + 1) * LINE_SIZE;
-                            if tbuf[range.clone()] != bbuf[range] {
-                                bits |= 1 << line;
-                            }
+            let lines: Option<u64> = match source {
+                Source::Snapshots {
+                    base: Some(base), ..
+                } if in_base => {
+                    store.read_page_at(vt, disk, base, page, &mut bbuf)?;
+                    let mut bits = 0u64;
+                    for line in 0..LINES_PER_PAGE {
+                        let range = line * LINE_SIZE..(line + 1) * LINE_SIZE;
+                        if tbuf[range.clone()] != bbuf[range] {
+                            bits |= 1 << line;
                         }
-                        Some(bits)
                     }
-                    _ => None,
-                },
-                Some(bits) => in_base.then_some(bits),
+                    Some(bits)
+                }
+                Source::Snapshots { .. } => None,
+                // A zero mask on a committed page means the commits lost
+                // the lines — treat as unknown.
+                Source::Live { extents } => extents
+                    .get(&page)
+                    .copied()
+                    .filter(|&bits| bits != 0 && in_base),
             };
-            let frame = match lines {
+            let (runs, raw) = match lines {
                 Some(bits) if bits.count_ones() <= SUBPAGE_CUTOFF => {
                     // An exact diff of 0 lines is a provably content-
                     // identical page (epoch-only change): empty runs.
@@ -1198,31 +1116,12 @@ impl DeltaStream {
                     for (off, len) in &runs {
                         raw.extend_from_slice(&tbuf[*off as usize..(*off + *len) as usize]);
                     }
-                    Frame::Sub(SubPageFrame::new(seq, page, fnv1a(&tbuf), runs, raw))
+                    (runs, raw)
                 }
-                _ => {
-                    // Whole-page: compressed sub-page frame when that
-                    // pays, plain full frame when incompressible.
-                    let whole = SubPageFrame::new(
-                        seq,
-                        page,
-                        fnv1a(&tbuf),
-                        vec![(0, BLOCK_SIZE as u16)],
-                        tbuf.clone(),
-                    );
-                    if whole.encoded_len() < FRAME_LEN {
-                        Frame::Sub(whole)
-                    } else {
-                        Frame::Full(PageFrame {
-                            seq,
-                            page,
-                            data: tbuf.clone(),
-                            checksum: PageFrame::compute_checksum(seq, page, &tbuf),
-                        })
-                    }
-                }
+                _ => (vec![(0, BLOCK_SIZE as u16)], tbuf.clone()),
             };
-            frames.push(frame);
+            let frame = SubPageFrame::new(seq, page, fnv1a(&tbuf), runs, raw);
+            frames.push(Frame::Sub(frame));
             if let (Some(table), Some(d)) = (dedup.as_deref_mut(), digest) {
                 table.stage(d, tbuf.clone());
             }
@@ -1247,12 +1146,11 @@ impl DeltaStream {
     }
 
     /// What this stream saved relative to shipping every frame as a
-    /// full-page frame.
+    /// stored whole page ([`WHOLE_FRAME_LEN`]).
     pub fn wire_savings(&self) -> WireSavings {
         let mut s = WireSavings::default();
         for f in &self.frames {
             match f {
-                Frame::Full(_) => {}
                 Frame::Sub(sf) => {
                     s.subpage_frames += 1;
                     if sf.method == 1 {
@@ -1260,7 +1158,7 @@ impl DeltaStream {
                     }
                 }
                 Frame::Ref(_) => {
-                    s.dedup_saved += (FRAME_LEN - REF_FRAME_LEN) as u64;
+                    s.dedup_saved += (WHOLE_FRAME_LEN - REF_FRAME_LEN) as u64;
                 }
             }
         }
@@ -1465,39 +1363,24 @@ impl ApplySession {
     /// crash-atomic root switch landing the replica exactly at the
     /// target epoch.
     ///
+    /// `dedup` is the receiver-side dedup table: [`Frame::Ref`] frames
+    /// resolve against it, and every page that arrived as payload is
+    /// inserted into it after the commit succeeds (mirroring the
+    /// sender's stage-then-commit, so both tables hold the same images
+    /// at every acknowledged point). A stream built with a dedup table
+    /// must be finished with one; a stream built without takes `None`.
+    ///
     /// # Errors
     ///
     /// [`SnapError::TrailerMismatch`] if frames are missing or the
-    /// stream checksum disagrees (nothing is written), or
-    /// [`SnapError::Store`] if the commit itself fails (the replica
-    /// stays at its previous epoch).
+    /// stream checksum disagrees, [`SnapError::BaseContentMismatch`]
+    /// when a frame's patched page misses its digest (the replica's
+    /// base content is not what the sender diffed against) or a
+    /// reference cannot be resolved — the caller falls back to a full
+    /// resync — or [`SnapError::Store`] if the commit itself fails.
+    /// Nothing is written in any of these cases: the replica stays at
+    /// its previous epoch.
     pub fn finish(
-        self,
-        vt: &mut Vt,
-        disk: &mut Disk,
-        replica: &mut ObjectStore,
-        trailer: &StreamTrailer,
-    ) -> Result<CommitToken, SnapError> {
-        self.finish_with(vt, disk, replica, trailer, None)
-    }
-
-    /// [`ApplySession::finish`] with a receiver-side dedup table:
-    /// [`Frame::Ref`] frames resolve against it, and every page that
-    /// arrived as payload is inserted into it after the commit succeeds
-    /// (mirroring the sender's stage-then-commit, so both tables hold
-    /// the same images at every acknowledged point). Streams built with
-    /// a dedup table must be finished through this entry point; streams
-    /// built without one work with `None`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ApplySession::finish`], plus
-    /// [`SnapError::BaseContentMismatch`] when a sub-page frame's
-    /// patched page misses its digest (the replica's base content is
-    /// not what the sender diffed against) or a reference cannot be
-    /// resolved — the caller falls back to a full resync. Nothing is
-    /// written in either case.
-    pub fn finish_with(
         self,
         vt: &mut Vt,
         disk: &mut Disk,
@@ -1519,7 +1402,6 @@ impl ApplySession {
             let page = frame.page();
             let mismatch = SnapError::BaseContentMismatch { page };
             let (bytes, was_ref) = match frame {
-                Frame::Full(pf) => (pf.data.clone(), false),
                 Frame::Sub(sf) => {
                     let mut pb = vec![0u8; BLOCK_SIZE];
                     if !sf.covers_whole() {
@@ -1618,15 +1500,7 @@ pub fn sync_to(
         .into_iter()
         .find(|s| s.object == entry.object && s.epoch == replica_epoch)
         .map(|s| s.name);
-    let stream = DeltaStream::build(
-        vt,
-        primary_disk,
-        primary,
-        base.as_deref(),
-        target,
-        None,
-        None,
-    )?;
+    let stream = DeltaStream::build(vt, primary_disk, primary, base.as_deref(), target, None)?;
     let wire = stream.encode();
     let bytes = wire.len() as u64;
     let stream = DeltaStream::decode(&wire)?;
@@ -1634,7 +1508,7 @@ pub fn sync_to(
     for frame in &stream.frames {
         session.feed(frame)?;
     }
-    let token = session.finish(vt, replica_disk, replica, &stream.trailer)?;
+    let token = session.finish(vt, replica_disk, replica, &stream.trailer, None)?;
     ObjectStore::wait(vt, token);
     Ok(SyncReport {
         target_epoch: token.epoch,
@@ -1653,8 +1527,8 @@ mod tests {
         vec![byte; BLOCK_SIZE]
     }
 
-    /// An incompressible page: the builder ships these as plain
-    /// [`PageFrame`]s.
+    /// An incompressible page: the builder ships these as stored
+    /// (`method 0`) whole-page frames.
     fn noise_page(seed: u8) -> Vec<u8> {
         let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(seed);
         (0..BLOCK_SIZE)
@@ -1697,7 +1571,7 @@ mod tests {
     fn stream_round_trips_through_wire_form() {
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
         let stream =
-            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None).unwrap();
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None).unwrap();
         assert_eq!(stream.frames.len(), 2);
         assert_eq!(
             stream.frames.iter().map(|f| f.page()).collect::<Vec<_>>(),
@@ -1712,7 +1586,7 @@ mod tests {
     fn corrupted_wire_bytes_are_rejected() {
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots_of(noise_page);
         let stream =
-            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None).unwrap();
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None).unwrap();
         let wire = stream.encode();
 
         // Header damage.
@@ -1721,7 +1595,7 @@ mod tests {
         assert_eq!(DeltaStream::decode(&bad), Err(SnapError::Malformed));
         // Frame payload damage.
         let mut bad = wire.clone();
-        let frame0_data = stream.header.encoded_len() + 32;
+        let frame0_data = stream.header.encoded_len() + SUB_FIXED + 4;
         bad[frame0_data + 17] ^= 0x20;
         assert_eq!(
             DeltaStream::decode(&bad),
@@ -1737,8 +1611,7 @@ mod tests {
     #[test]
     fn apply_session_enforces_order_and_resumes() {
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots_of(noise_page);
-        let full =
-            DeltaStream::build(&mut vt, &mut disk, &mut store, None, "a", None, None).unwrap();
+        let full = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "a", None).unwrap();
 
         let mut rdisk = Disk::new(DiskConfig::paper());
         let mut replica = ObjectStore::format(&mut rdisk);
@@ -1753,13 +1626,14 @@ mod tests {
             })
         );
         // A corrupted frame is rejected; the retransmitted original lands.
-        let Frame::Full(pf0) = &full.frames[0] else {
-            panic!("incompressible pages ship as full frames");
+        let Frame::Sub(sf0) = &full.frames[0] else {
+            panic!("pages ship as payload frames");
         };
-        let mut torn = pf0.clone();
-        torn.data[9] ^= 1;
+        assert!(sf0.covers_whole() && sf0.method == 0, "stored whole page");
+        let mut torn = sf0.clone();
+        torn.payload[9] ^= 1;
         assert_eq!(
-            session.feed(&Frame::Full(torn)),
+            session.feed(&Frame::Sub(torn)),
             Err(SnapError::FrameCorrupt { seq: 0 })
         );
         session.feed(&full.frames[0]).unwrap();
@@ -1778,10 +1652,132 @@ mod tests {
                 &StreamTrailer {
                     frames: full.trailer.frames + 1,
                     stream_sum: 0
-                }
+                },
+                None,
             ),
             Err(SnapError::TrailerMismatch)
         ));
+    }
+
+    #[test]
+    fn incompressible_page_ships_as_a_stored_whole_page_frame() {
+        let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots_of(noise_page);
+        let mut rdisk = Disk::new(DiskConfig::paper());
+        let mut replica = ObjectStore::format(&mut rdisk);
+        sync_to(
+            &mut vt,
+            &mut store,
+            &mut disk,
+            &mut replica,
+            &mut rdisk,
+            "a",
+        )
+        .unwrap();
+        let stream =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None).unwrap();
+        assert_eq!(stream.frames.len(), 2);
+        for f in &stream.frames {
+            let Frame::Sub(sf) = f else {
+                panic!("expected a payload frame, got {f:?}");
+            };
+            assert!(sf.covers_whole() && sf.method == 0, "{sf:?}");
+            assert_eq!(f.encoded_len(), WHOLE_FRAME_LEN);
+        }
+        let Frame::Sub(sf0) = stream.frames[0].clone() else {
+            unreachable!("checked above");
+        };
+
+        // A torn payload byte fails the frame checksum at feed.
+        let mut session =
+            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &stream.header).unwrap();
+        let mut torn = sf0.clone();
+        torn.payload[100] ^= 0x04;
+        assert_eq!(
+            session.feed(&Frame::Sub(torn)),
+            Err(SnapError::FrameCorrupt { seq: 0 })
+        );
+
+        // A frame naming the wrong patched-page digest, re-sealed and
+        // re-chained so it passes every wire check, is refused at
+        // resolve; nothing lands.
+        let mut lying = stream.clone();
+        let mut wrong = sf0.clone();
+        wrong.page_digest ^= 1;
+        wrong.checksum = wrong.compute_checksum();
+        lying.frames[0] = Frame::Sub(wrong);
+        lying.trailer.stream_sum = chain_sum(&lying.frames);
+        let robj = replica.lookup("db").unwrap();
+        let at = replica.epoch(robj);
+        let mut session =
+            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &lying.header).unwrap();
+        for f in &lying.frames {
+            session.feed(f).unwrap();
+        }
+        assert_eq!(
+            session
+                .finish(&mut vt, &mut rdisk, &mut replica, &lying.trailer, None)
+                .unwrap_err(),
+            SnapError::BaseContentMismatch { page: sf0.page }
+        );
+        assert_eq!(replica.epoch(robj), at);
+
+        // The real stream lands without one pre-image read on the
+        // replica — a whole page needs no base — and byte-identically.
+        let mut session =
+            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &stream.header).unwrap();
+        for f in &stream.frames {
+            session.feed(f).unwrap();
+        }
+        let reads = |s: msnap_store::StoreStats| s.cache_hits + s.cache_misses;
+        let before = reads(replica.stats());
+        let token = session
+            .finish(&mut vt, &mut rdisk, &mut replica, &stream.trailer, None)
+            .unwrap();
+        assert_eq!(reads(replica.stats()), before, "no pre-image read");
+        ObjectStore::wait(&mut vt, token);
+        assert_replica_matches(
+            &mut vt,
+            &mut disk,
+            &mut store,
+            "b",
+            &mut rdisk,
+            &mut replica,
+            5,
+        );
+    }
+
+    #[test]
+    fn retired_full_page_frame_is_malformed() {
+        // One generation of every format: a well-formed frame of the
+        // retired full-page kind (magic, seq, page, checksum, 4 KiB),
+        // under a header and a trailer that chain it correctly, is not a
+        // frame this decoder knows — alone or inside a stream.
+        let (seq, page, data) = (0u64, 3u64, noise_page(1));
+        let mut sum = fnv1a(&seq.to_le_bytes());
+        sum = fnv1a_extend(sum, &page.to_le_bytes());
+        sum = fnv1a_extend(sum, &data);
+        let mut retired = vec![0u8; 32];
+        write_u64(&mut retired, 0, 0x4d534e_41504446); // "MSN APDF"
+        write_u64(&mut retired, 8, seq);
+        write_u64(&mut retired, 16, page);
+        write_u64(&mut retired, 24, sum);
+        retired.extend_from_slice(&data);
+        assert_eq!(Frame::decode(&retired), Err(SnapError::Malformed));
+
+        let header = StreamHeader {
+            object: "db".into(),
+            base_epoch: None,
+            target_epoch: 1,
+            len_pages: page + 1,
+            frame_count: 1,
+            cut: None,
+        };
+        let trailer = StreamTrailer {
+            frames: 1,
+            stream_sum: fnv1a_extend(msnap_store::FNV_OFFSET, &sum.to_le_bytes()),
+        };
+        let wire = [header.encode(), retired, trailer.encode()].concat();
+        assert_eq!(DeltaStream::decode(&wire), Err(SnapError::Malformed));
     }
 
     #[test]
@@ -1877,7 +1873,7 @@ mod tests {
     fn piecewise_codec_matches_the_stream_form() {
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots_of(noise_page);
         let stream =
-            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None).unwrap();
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None).unwrap();
         // header ++ frames ++ trailer, each encoded alone, is the wire form.
         let mut wire = stream.header.encode();
         for f in &stream.frames {
@@ -1891,7 +1887,7 @@ mod tests {
         let (f0, fused) = Frame::decode(&wire[used..]).unwrap();
         assert_eq!(f0, stream.frames[0]);
         assert!(f0.verify());
-        assert_eq!(fused, PageFrame::encoded_len());
+        assert_eq!(fused, WHOLE_FRAME_LEN);
         let (t, _) = StreamTrailer::decode(&wire[used + 2 * fused..]).unwrap();
         assert_eq!(t, stream.trailer);
     }
@@ -1901,13 +1897,13 @@ mod tests {
         // A replica faces untrusted network bytes: every decoder must
         // fail cleanly on garbage, truncations, and bit flips.
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
-        let wire = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b", None, None)
+        let wire = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b", None)
             .unwrap()
             .encode();
         for len in 0..wire.len() {
             assert!(DeltaStream::decode(&wire[..len]).is_err());
             let _ = StreamHeader::decode(&wire[..len]);
-            let _ = PageFrame::decode(&wire[..len]);
+            let _ = Frame::decode(&wire[..len]);
             let _ = StreamTrailer::decode(&wire[..len]);
         }
         for stride in [1usize, 7, 13] {
@@ -1940,8 +1936,7 @@ mod tests {
         let cut = store.cut(&mut vt, &mut disk).unwrap();
         assert_eq!(cut.epochs.len(), 4);
         store.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
-        let stream =
-            DeltaStream::build(&mut vt, &mut disk, &mut store, None, "s", None, None).unwrap();
+        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "s", None).unwrap();
         assert_eq!(stream.header.cut.as_ref(), Some(&cut));
         let wire = stream.encode();
         assert_eq!(wire.len(), stream.encoded_len());
@@ -1994,7 +1989,7 @@ mod tests {
         ObjectStore::wait(&mut vt, t);
         store.snapshot_create(&mut vt, &mut disk, obj, "f").unwrap();
         let stream =
-            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "f", None, None).unwrap();
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "f", None).unwrap();
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &stream.header).unwrap();
         assert!(session.is_rebase());
@@ -2002,7 +1997,7 @@ mod tests {
             session.feed(f).unwrap();
         }
         let token = session
-            .finish(&mut vt, &mut rdisk, &mut replica, &stream.trailer)
+            .finish(&mut vt, &mut rdisk, &mut replica, &stream.trailer, None)
             .unwrap();
         ObjectStore::wait(&mut vt, token);
         assert_eq!(replica.epoch(robj), diverged + 10);
@@ -2105,11 +2100,10 @@ mod tests {
         );
         store.snapshot_create(&mut vt, &mut disk, obj, "b").unwrap();
 
-        let sub =
-            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None).unwrap();
+        let sub = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None).unwrap();
         assert_eq!(sub.frames.len(), 2);
-        // What the same diff costs as one full-page frame per page.
-        let full_len = sub.header.encoded_len() + sub.frames.len() * FRAME_LEN + TRAILER_LEN;
+        // What the same diff costs as one stored whole page per frame.
+        let full_len = sub.header.encoded_len() + sub.frames.len() * WHOLE_FRAME_LEN + TRAILER_LEN;
         // Page 2 changed one 64-byte line, page 5 two lines: every frame
         // is a partial sub-page frame and the wire shrinks by >10×.
         for f in &sub.frames {
@@ -2134,7 +2128,7 @@ mod tests {
             session.feed(f).unwrap();
         }
         let token = session
-            .finish(&mut vt, &mut rdisk, &mut replica, &decoded.trailer)
+            .finish(&mut vt, &mut rdisk, &mut replica, &decoded.trailer, None)
             .unwrap();
         ObjectStore::wait(&mut vt, token);
         assert_replica_matches(
@@ -2161,14 +2155,14 @@ mod tests {
             session.feed(f).unwrap();
         }
         let token = session
-            .finish_with(vt, rdisk, replica, &stream.trailer, dedup)
+            .finish(vt, rdisk, replica, &stream.trailer, dedup)
             .unwrap();
         ObjectStore::wait(vt, token);
     }
 
     /// The live door ships the same frames the snapshot-pair door would
-    /// for the same span and hints — from the live object alone, leaving
-    /// the catalog untouched.
+    /// for the same span when the commits' record is exact — from the
+    /// live object alone, leaving the catalog untouched.
     #[test]
     fn live_door_builds_the_snapshot_pair_stream_without_a_snapshot() {
         let (mut disk, mut store, mut vt, obj) = primary_with_two_snapshots();
@@ -2222,18 +2216,11 @@ mod tests {
         assert!(matches!(&live.frames[2], Frame::Sub(sf) if sf.covers_whole()));
 
         store.snapshot_create(&mut vt, &mut disk, obj, "c").unwrap();
-        let mut pair = DeltaStream::build(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            Some("b"),
-            "c",
-            Some(&extents),
-            None,
-        )
-        .unwrap();
-        // The pair door diffs a zero mask exactly; everything else —
-        // header, frames, trailer chain — is the same stream.
+        let mut pair =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("b"), "c", None).unwrap();
+        // The pair door diffs every page exactly, so it finds the one
+        // line of page 3 the zero mask lost; everything else — header,
+        // frames, trailer chain — is the same stream.
         assert!(matches!(&pair.frames[1], Frame::Sub(sf) if !sf.covers_whole()));
         pair.frames[1] = live.frames[1].clone();
         pair.trailer.stream_sum = chain_sum(&pair.frames);
@@ -2283,7 +2270,6 @@ mod tests {
                         &mut store,
                         None,
                         "full",
-                        None,
                         Some(&mut sender),
                     )
                 }
@@ -2322,8 +2308,7 @@ mod tests {
         let (mut disk, mut store, mut vt, obj) = primary_with_two_snapshots();
         patch_page(&mut vt, &mut disk, &mut store, obj, 1, &[(64, 0x77)]);
         store.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
-        let sub =
-            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("b"), "s", None, None).unwrap();
+        let sub = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("b"), "s", None).unwrap();
         assert!(matches!(&sub.frames[0], Frame::Sub(sf) if !sf.covers_whole()));
 
         // Corrupt the replica's base content for page 1 out-of-band by
@@ -2359,7 +2344,7 @@ mod tests {
         }
         assert_eq!(
             session
-                .finish(&mut vt, &mut rdisk2, &mut replica2, &sub.trailer)
+                .finish(&mut vt, &mut rdisk2, &mut replica2, &sub.trailer, None)
                 .unwrap_err(),
             SnapError::BaseContentMismatch { page: 1 }
         );
@@ -2377,23 +2362,15 @@ mod tests {
 
         // Round 1: full sync of "b", payload images staged on the
         // sender and inserted on the receiver at commit.
-        let s1 = DeltaStream::build(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            None,
-            "b",
-            None,
-            Some(&mut sender),
-        )
-        .unwrap();
+        let s1 = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b", Some(&mut sender))
+            .unwrap();
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s1.header).unwrap();
         for f in &s1.frames {
             session.feed(f).unwrap();
         }
         let token = session
-            .finish_with(
+            .finish(
                 &mut vt,
                 &mut rdisk,
                 &mut replica,
@@ -2423,7 +2400,6 @@ mod tests {
             &mut store,
             Some("b"),
             "moved",
-            None,
             Some(&mut sender),
         )
         .unwrap();
@@ -2443,7 +2419,7 @@ mod tests {
             session.feed(f).unwrap();
         }
         let token = session
-            .finish_with(
+            .finish(
                 &mut vt,
                 &mut rdisk,
                 &mut replica,
@@ -2483,7 +2459,7 @@ mod tests {
         }
         assert_eq!(
             session
-                .finish_with(&mut vt, &mut rdisk2, &mut replica2, &s2.trailer, None)
+                .finish(&mut vt, &mut rdisk2, &mut replica2, &s2.trailer, None)
                 .unwrap_err(),
             SnapError::BaseContentMismatch { page: 1 }
         );
@@ -2527,16 +2503,8 @@ mod tests {
         store
             .snapshot_create(&mut vt, &mut disk, obj, "same")
             .unwrap();
-        let s = DeltaStream::build(
-            &mut vt,
-            &mut disk,
-            &mut store,
-            Some("b"),
-            "same",
-            None,
-            None,
-        )
-        .unwrap();
+        let s =
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("b"), "same", None).unwrap();
         assert_eq!(s.frames.len(), 1);
         let Frame::Sub(sf) = &s.frames[0] else {
             panic!("expected a sub-page frame");
@@ -2549,7 +2517,7 @@ mod tests {
             session.feed(f).unwrap();
         }
         let token = session
-            .finish(&mut vt, &mut rdisk, &mut replica, &s.trailer)
+            .finish(&mut vt, &mut rdisk, &mut replica, &s.trailer, None)
             .unwrap();
         ObjectStore::wait(&mut vt, token);
         assert_replica_matches(
@@ -2586,8 +2554,7 @@ mod tests {
         store
             .snapshot_create(&mut vt, &mut disk, obj, "tip")
             .unwrap();
-        let s = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("b"), "tip", None, None)
-            .unwrap();
+        let s = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("b"), "tip", None).unwrap();
         assert_eq!(s.frames.len(), 3);
 
         let mut session =
@@ -2605,7 +2572,7 @@ mod tests {
         }
         session.feed(&s.frames[2]).unwrap();
         let token = session
-            .finish(&mut vt, &mut rdisk, &mut replica, &s.trailer)
+            .finish(&mut vt, &mut rdisk, &mut replica, &s.trailer, None)
             .unwrap();
         ObjectStore::wait(&mut vt, token);
         assert_replica_matches(
@@ -2630,8 +2597,7 @@ mod tests {
         // (its own checksum recomputed) is not a stream this decoder
         // knows: rejected at the header, never applied.
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
-        let stream =
-            DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b", None, None).unwrap();
+        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b", None).unwrap();
         let mut wire = stream.encode();
         write_u64(&mut wire, 0, 0x4d534e_41504453); // "MSN APDS"
         let head_len = stream.header.encoded_len();
@@ -2660,7 +2626,6 @@ mod tests {
             &mut store,
             Some("b"),
             "s2",
-            None,
             Some(&mut dedup),
         )
         .unwrap()
@@ -2684,7 +2649,7 @@ mod tests {
     fn delta_against_wrong_replica_epoch_reports_base_mismatch() {
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
         let delta =
-            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None, None).unwrap();
+            DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None).unwrap();
         let mut rdisk = Disk::new(DiskConfig::paper());
         let mut replica = ObjectStore::format(&mut rdisk);
         // Fresh replica (epoch 0) cannot take a delta based at "a".

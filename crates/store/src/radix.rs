@@ -631,7 +631,7 @@ impl RadixTree {
                 Child::Empty => {}
                 Child::Data { block, .. } => out.push(*block),
                 Child::Unloaded { .. } => {
-                    panic!("disk_blocks on a partially loaded tree; use disk_blocks_with")
+                    panic!("disk_blocks on a partially loaded tree; hydrate_all first")
                 }
                 Child::Node(n) => {
                     if let Some(b) = n.disk_block {
@@ -646,12 +646,6 @@ impl RadixTree {
         let mut out = Vec::new();
         walk(&self.root, &mut out);
         out
-    }
-
-    /// [`RadixTree::disk_blocks`] with demand hydration.
-    pub fn disk_blocks_with(&mut self, read: BlockRead) -> Result<Vec<u64>, TreeError> {
-        self.hydrate_all(read)?;
-        Ok(self.disk_blocks())
     }
 
     /// Pages whose mapping differs between `base` and `target`, as

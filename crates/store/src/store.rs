@@ -816,8 +816,9 @@ impl StoreShard {
     ///
     /// [`StoreError::Exists`], [`StoreError::NameTooLong`],
     /// [`StoreError::TooManyObjects`], [`StoreError::OutOfSpace`], or —
-    /// if the directory write fails after retries — [`StoreError::Io`].
-    /// On error the store is unchanged and no blocks are leaked.
+    /// if the directory block's read fails, or its write fails after
+    /// retries — [`StoreError::Io`]. On error the store is unchanged and
+    /// no blocks are leaked.
     pub fn create(
         &mut self,
         vt: &mut Vt,
@@ -2396,7 +2397,7 @@ impl StoreShard {
         let slot = entry.id.0 as usize;
         let dir_block = self.layout.dir_start() + (slot / ENTRIES_PER_BLOCK) as u64;
         let mut buf = [0u8; BLOCK_SIZE];
-        disk.read_block(vt, dir_block, &mut buf);
+        disk.try_read_block(vt, dir_block, &mut buf)?;
         let off = (slot % ENTRIES_PER_BLOCK) * DIR_ENTRY_LEN;
         entry.encode(&mut buf[off..off + DIR_ENTRY_LEN]);
         let token = writev_retry(disk, vt.now(), &[(dir_block, &buf[..])], &mut self.cache)?;

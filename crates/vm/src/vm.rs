@@ -595,13 +595,6 @@ impl Vm {
         &self.phys[entry.phys as usize].data
     }
 
-    /// Reads one whole object page directly (zero if untouched); used by
-    /// checkpointing baselines that scan entire objects.
-    pub fn object_page_bytes(&self, object: MemObjectId, page: u64) -> Option<&[u8]> {
-        self.objects[object.0 as usize].pages[page as usize]
-            .map(|p| &self.phys[p as usize].data[..])
-    }
-
     /// Marks the pages of a μCheckpoint busy until `until` (sets the
     /// checkpoint-in-progress mark). Writes to these pages before `until`
     /// take the COW path instead of blocking.

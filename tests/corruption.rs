@@ -332,6 +332,45 @@ fn read_fault_during_node_demand_load_is_retryable() {
 }
 
 #[test]
+fn read_fault_on_the_directory_block_aborts_create_cleanly() {
+    // `create` read-modify-writes the object's directory block. A device
+    // read error there must surface as a StoreError — the object never
+    // existed, nothing was written, no block leaked — and the retry
+    // must land exactly what an unfaulted create would have.
+    let setup = || {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = ObjectStore::format(&mut disk);
+        let mut vt = Vt::new(0);
+        store.create(&mut vt, &mut disk, "first").unwrap();
+        (disk, store, vt)
+    };
+    let (mut twin_disk, mut twin, mut twin_vt) = setup();
+    twin.create(&mut twin_vt, &mut twin_disk, "second").unwrap();
+    let unfaulted_meta_base = meta_base_of(&twin_disk, 1);
+
+    let (mut disk, mut store, mut vt) = setup();
+    let writes = disk.io_seq();
+    disk.set_read_fault_plan(ReadFaultPlan::new().at(disk.read_seq(), false));
+    let err = store.create(&mut vt, &mut disk, "second").unwrap_err();
+    assert!(
+        matches!(err, StoreError::Io(_)),
+        "directory read fault surfaces as an IO error, got {err:?}"
+    );
+    assert_eq!(store.lookup("second"), None, "the object never existed");
+    assert_eq!(disk.io_seq(), writes, "nothing reached the device");
+
+    // The fault is spent: the retry succeeds, and its metadata blocks
+    // are the ones the aborted attempt gave back — the allocator is
+    // where it was.
+    let second = store.create(&mut vt, &mut disk, "second").unwrap();
+    assert_eq!(store.lookup("second"), Some(second));
+    assert_eq!(meta_base_of(&disk, 1), unfaulted_meta_base);
+    disk.settle();
+    let reopened = ObjectStore::open(&mut Vt::new(1), &mut disk).unwrap();
+    assert_eq!(reopened.object_names(), ["first", "second"]);
+}
+
+#[test]
 fn bit_rot_injected_at_read_time_is_detected_and_quarantined() {
     // Latent rot surfacing during a *normal* page read (no scrub
     // involved): the in-flight BitRot fault rots the media just before

@@ -274,20 +274,12 @@ fn delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         images.insert(epoch, pages);
     }
 
-    let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base", None, None)
+    let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base", None)
         .unwrap()
         .encode();
-    let delta_wire = DeltaStream::build(
-        &mut vt,
-        &mut pdisk,
-        &mut store,
-        Some("base"),
-        "tip",
-        None,
-        None,
-    )
-    .unwrap()
-    .encode();
+    let delta_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, Some("base"), "tip", None)
+        .unwrap()
+        .encode();
 
     let apply = |vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, wire: &[u8]| {
         let stream = DeltaStream::decode(wire).unwrap();
@@ -295,7 +287,9 @@ fn delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         for frame in &stream.frames {
             session.feed(frame).unwrap();
         }
-        session.finish(vt, disk, replica, &stream.trailer).unwrap();
+        session
+            .finish(vt, disk, replica, &stream.trailer, None)
+            .unwrap();
     };
 
     let run = || {
@@ -411,19 +405,11 @@ fn subpage_delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         images.insert(epoch, pages);
     }
 
-    let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base", None, None)
+    let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base", None)
         .unwrap()
         .encode();
-    let delta = DeltaStream::build(
-        &mut vt,
-        &mut pdisk,
-        &mut store,
-        Some("base"),
-        "tip",
-        None,
-        None,
-    )
-    .unwrap();
+    let delta =
+        DeltaStream::build(&mut vt, &mut pdisk, &mut store, Some("base"), "tip", None).unwrap();
     assert!(
         delta
             .frames
@@ -439,7 +425,9 @@ fn subpage_delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         for frame in &stream.frames {
             session.feed(frame).unwrap();
         }
-        session.finish(vt, disk, replica, &stream.trailer).unwrap();
+        session
+            .finish(vt, disk, replica, &stream.trailer, None)
+            .unwrap();
     };
 
     let run = || {

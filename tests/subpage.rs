@@ -47,14 +47,16 @@ fn apply(vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, wire: &[u8]) {
     for frame in &stream.frames {
         session.feed(frame).unwrap();
     }
-    session.finish(vt, disk, replica, &stream.trailer).unwrap();
+    session
+        .finish(vt, disk, replica, &stream.trailer, None)
+        .unwrap();
 }
 
 /// A fresh replica synced to the primary's `"base"` snapshot.
 fn replica_at_base(vt: &mut Vt, disk: &mut Disk, store: &mut ObjectStore) -> (Disk, ObjectStore) {
     let mut rdisk = Disk::new(DiskConfig::paper());
     let mut replica = ObjectStore::format(&mut rdisk);
-    let wire = DeltaStream::build(vt, disk, store, None, "base", None, None)
+    let wire = DeltaStream::build(vt, disk, store, None, "base", None)
         .unwrap()
         .encode();
     apply(vt, &mut rdisk, &mut replica, &wire);
@@ -107,7 +109,7 @@ proptest! {
         store.snapshot_create(&mut vt, &mut disk, obj, "tip").unwrap();
 
         let wire = DeltaStream::build(
-            &mut vt, &mut disk, &mut store, Some("base"), "tip", None, None,
+            &mut vt, &mut disk, &mut store, Some("base"), "tip", None,
         )
         .unwrap()
         .encode();
@@ -151,7 +153,7 @@ proptest! {
         ObjectStore::wait(&mut vt, t);
         store.snapshot_create(&mut vt, &mut disk, obj, "tip").unwrap();
         let s1 = DeltaStream::build(
-            &mut vt, &mut disk, &mut store, Some("base"), "tip", None, Some(&mut sender),
+            &mut vt, &mut disk, &mut store, Some("base"), "tip", Some(&mut sender),
         )
         .unwrap();
         let mut session =
@@ -160,7 +162,7 @@ proptest! {
             session.feed(frame).unwrap();
         }
         session
-            .finish_with(&mut vt, &mut rdisk, &mut replica, &s1.trailer, Some(&mut receiver))
+            .finish(&mut vt, &mut rdisk, &mut replica, &s1.trailer, Some(&mut receiver))
             .unwrap();
         sender.commit();
 
@@ -173,7 +175,7 @@ proptest! {
         ObjectStore::wait(&mut vt, t);
         store.snapshot_create(&mut vt, &mut disk, obj, "tip2").unwrap();
         let s2 = DeltaStream::build(
-            &mut vt, &mut disk, &mut store, Some("tip"), "tip2", None, Some(&mut sender),
+            &mut vt, &mut disk, &mut store, Some("tip"), "tip2", Some(&mut sender),
         )
         .unwrap();
         let identical = img_b == img_a;
@@ -191,7 +193,7 @@ proptest! {
             session.feed(frame).unwrap();
         }
         session
-            .finish_with(&mut vt, &mut rdisk, &mut replica, &s2.trailer, Some(&mut receiver))
+            .finish(&mut vt, &mut rdisk, &mut replica, &s2.trailer, Some(&mut receiver))
             .unwrap();
         sender.commit();
 
