@@ -31,6 +31,10 @@ mod costs {
     }
 }
 
+/// Pages of process memory outside the checkpointed region that an
+/// *application* checkpoint must also shadow and collapse: 448 MiB.
+const PROCESS_EXTRA_PAGES: u64 = 448 * 256;
+
 /// Identifier of an Aurora region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AuroraRegionId(pub u32);
@@ -93,10 +97,6 @@ pub struct Aurora {
     store: ObjectStore,
     regions: Vec<Region>,
     by_name: HashMap<String, AuroraRegionId>,
-    /// Pages of process memory outside the checkpointed region that an
-    /// *application* checkpoint must also shadow and collapse (448 MiB by
-    /// default).
-    process_extra_pages: u64,
     meters: Meters,
 }
 
@@ -117,7 +117,6 @@ impl Aurora {
             store,
             regions: Vec::new(),
             by_name: HashMap::new(),
-            process_extra_pages: 448 * 256, // 448 MiB
             meters: Meters::new(),
         }
     }
@@ -159,7 +158,6 @@ impl Aurora {
             store,
             regions,
             by_name,
-            process_extra_pages: 448 * 256,
             meters: Meters::new(),
         })
     }
@@ -170,12 +168,6 @@ impl Aurora {
         let mut disk = self.disk;
         disk.crash(at);
         disk
-    }
-
-    /// Sets how much extra process memory an application checkpoint
-    /// shadows (beyond the regions themselves).
-    pub fn set_process_extra_pages(&mut self, pages: u64) {
-        self.process_extra_pages = pages;
     }
 
     /// Per-call latency meters (`"checkpoint"`).
@@ -331,7 +323,7 @@ impl Aurora {
 
     /// Checkpoints the application: every region plus the rest of the
     /// process address space and OS state. (We model the common case of
-    /// one data region plus `process_extra_pages` of other memory.)
+    /// one data region plus 448 MiB of other memory.)
     pub fn checkpoint_app(
         &mut self,
         vt: &mut Vt,
@@ -340,7 +332,7 @@ impl Aurora {
         sync: bool,
     ) -> CheckpointReport {
         let start = vt.now();
-        let shadow_pages = self.regions[region.0 as usize].pages + self.process_extra_pages;
+        let shadow_pages = self.regions[region.0 as usize].pages + PROCESS_EXTRA_PAGES;
         let report = self.checkpoint_inner(
             vt,
             region,

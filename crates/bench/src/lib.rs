@@ -128,32 +128,17 @@ pub fn json_section_span(doc: &str, key: &str) -> Option<(usize, usize)> {
     Some((start, end))
 }
 
-/// Replaces (or inserts) the top-level `"key": <value>` member of a JSON
-/// object document, leaving every other member byte-identical. `value`
-/// is the raw JSON for the member's value.
+/// Replaces in place (or, when absent, appends) the top-level
+/// `"key": <value>` member of a JSON object document, leaving every other
+/// member byte-identical and in its position — so the shared ledger does
+/// not depend on which bench target ran last. `value` is the raw JSON for
+/// the member's value.
 pub fn splice_json_section(doc: &str, key: &str, value: &str) -> String {
-    let mut cleaned = doc.to_string();
-    if let Some((start, end)) = json_section_span(&cleaned, key) {
-        // Swallow the separating comma (preceding if present, else
-        // trailing) along with the member itself.
-        let before = cleaned[..start].trim_end();
-        if before.ends_with(',') {
-            let cut = before.len() - 1;
-            cleaned.replace_range(cut..end, "");
-        } else {
-            let mut tail = end;
-            let bytes = cleaned.as_bytes();
-            while tail < bytes.len() && bytes[tail].is_ascii_whitespace() {
-                tail += 1;
-            }
-            if tail < bytes.len() && bytes[tail] == b',' {
-                tail += 1;
-            }
-            cleaned.replace_range(start..tail, "");
-        }
+    if let Some((start, end)) = json_section_span(doc, key) {
+        return format!("{}\"{key}\": {value}{}", &doc[..start], &doc[end..]);
     }
-    let close = cleaned.rfind('}').expect("document is a JSON object");
-    let head = cleaned[..close].trim_end();
+    let close = doc.rfind('}').expect("document is a JSON object");
+    let head = doc[..close].trim_end();
     let comma = if head.ends_with('{') { "" } else { "," };
     format!("{head}{comma}\n  \"{key}\": {value}\n}}\n")
 }
@@ -189,6 +174,24 @@ mod tests {
         let reopen = splice_json_section(&replaced, "open", "[]");
         assert!(reopen.contains("\"shards\": 4"));
         assert!(reopen.contains("\"open\": []"));
+    }
+
+    #[test]
+    fn resplicing_any_section_is_the_identity() {
+        let sections = [
+            ("open", "[\n    {\"a\": [1, 2]}\n  ]"),
+            ("mid", "17"),
+            ("last", "[{\"k\": \"}\"}]"),
+        ];
+        let doc = sections.iter().fold("{\n}\n".to_string(), |doc, (k, v)| {
+            splice_json_section(&doc, k, v)
+        });
+        for (k, v) in sections {
+            assert_eq!(splice_json_section(&doc, k, v), doc, "section {k} moved");
+        }
+        // A changed value lands where the old one was.
+        let changed = splice_json_section(&doc, "mid", "18");
+        assert_eq!(changed, doc.replace("\"mid\": 17", "\"mid\": 18"));
     }
 
     #[test]

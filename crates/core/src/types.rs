@@ -101,13 +101,13 @@ pub struct RegionHandle {
 
 /// Result of
 /// [`MemSnap::msnap_open_index`](crate::MemSnap::msnap_open_index): one
-/// region carved into the fixed layout concurrent persistent indexes use.
+/// region carved into the fixed layout a concurrent persistent index uses.
 ///
 /// ```text
 /// page 0                  carve header (validated magic/geometry) +
 ///                         structure meta area (bytes 64..)
 /// pages 1 ..= writers     per-writer detectable-descriptor log pages
-/// pages 1+writers ..      slot arena (nodes, buckets)
+/// pages 1+writers ..      slot arena (nodes)
 /// ```
 ///
 /// The carve is an ordinary region: μCheckpoints of descriptor logs and
@@ -121,8 +121,7 @@ pub struct IndexCarve {
     pub writers: u32,
     /// Arena length in pages.
     pub arena_pages: u64,
-    /// Caller-defined structure tag (skiplist, hash, …), checked on
-    /// reopen.
+    /// Caller-defined structure tag, checked on reopen.
     pub kind: u32,
 }
 

@@ -232,11 +232,6 @@ impl BlockStore {
         }
     }
 
-    /// Syscall meters of the file variants (diagnostics).
-    pub fn fs_meters(&self) -> Option<msnap_sim::Meters> {
-        self.file.as_ref().map(|f| f.fs.meters().clone())
-    }
-
     /// Reads a block.
     pub fn read(&mut self, vt: &mut Vt, _conn: usize, table: u32, block: u64, out: &mut [u8]) {
         assert_eq!(out.len(), PG_BLOCK);

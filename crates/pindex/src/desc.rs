@@ -72,8 +72,7 @@ pub struct OpDesc {
     /// Operation kind.
     pub kind: OpKind,
     /// Target arena slot: the fresh node for inserts, the existing node
-    /// for updates/removes. [`crate::NIL`] for hash operations (the
-    /// bucket is re-derived from the key).
+    /// for updates/removes.
     pub node_slot: u32,
     /// The key operated on.
     pub key: u64,

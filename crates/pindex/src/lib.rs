@@ -1,5 +1,5 @@
-//! Detectably-recoverable lock-free persistent indexes over MemSnap
-//! regions.
+//! A detectably-recoverable lock-free persistent index over a MemSnap
+//! region.
 //!
 //! SkipDB's writer path serializes every mutator behind `&mut self`; the
 //! group-commit and shard lanes underneath are therefore bounded by writer
@@ -9,18 +9,12 @@
 //! of per-thread persistent logs in "Persistent Memory Transactions"
 //! (Marathe et al.) and fine-grain in-line logging (Cohen et al.).
 //!
-//! Two structures are provided, both laid out directly in a region carved
-//! by [`memsnap::MemSnap::msnap_open_index`]:
-//!
-//! - [`PSkipList`]: a lock-free skiplist. Keys and payloads live in fixed
-//!   128-byte arena slots allocated from writer-private pages; levels are
-//!   CAS-linked. Nodes are permanent once linked — updates and removes
-//!   write in place (remove = tombstone flag), so tower pointers never
-//!   dangle.
-//! - [`PHash`]: a Clevel-style resizable hash table — two bucket levels,
-//!   writes always target the newest level, and a full bucket triggers a
-//!   doubled level with cooperative migration paid a few buckets per
-//!   operation.
+//! The structure is [`PSkipList`], a lock-free skiplist laid out directly
+//! in a region carved by [`memsnap::MemSnap::msnap_open_index`]. Keys and
+//! payloads live in fixed 128-byte arena slots allocated from
+//! writer-private pages; levels are CAS-linked. Nodes are permanent once
+//! linked — updates and removes write in place (remove = tombstone flag),
+//! so tower pointers never dangle.
 //!
 //! # Detectable operations
 //!
@@ -60,12 +54,10 @@
 
 #![warn(missing_docs)]
 
-mod clevel;
 mod desc;
 mod recover;
 mod skiplist;
 
-pub use clevel::PHash;
 pub use desc::{OpDesc, OpKind, LOG_ENTRIES};
 pub use recover::RecoveryReport;
 pub use skiplist::{OpOutcome, PSkipList, PutOp, MAX_LEVELS};
@@ -89,8 +81,7 @@ pub fn op_parts(op: u64) -> (u32, u32) {
     ((op >> 32) as u32, op as u32)
 }
 
-/// Splitmix64 scramble, for deterministic per-key hashing (tower levels,
-/// bucket selection).
+/// Splitmix64 scramble, for deterministic per-key tower levels.
 pub(crate) fn scramble(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

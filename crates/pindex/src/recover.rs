@@ -38,8 +38,7 @@ use crate::skiplist::{
 };
 use crate::{op_id, op_parts, NIL};
 
-/// What recovery found and did. Returned by [`PSkipList::recover`] and
-/// [`crate::PHash::recover`].
+/// What recovery found and did. Returned by [`PSkipList::recover`].
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Live (non-tombstone) keys after recovery.
@@ -439,5 +438,57 @@ mod tests {
         let (sk, report) = PSkipList::recover(&mut ms, space, &mut vt, "sk").unwrap();
         assert_eq!(sk.get(&mut ms, &mut vt, 10), Some(b"ten".to_vec()));
         assert!(report.op_landed(0, 1));
+    }
+
+    #[test]
+    fn retired_hash_kind_fails_closed_and_untouched() {
+        // Kind tag 2 belonged to the hash table this crate once carried. A
+        // device that still holds such a carve is refused by the durable
+        // kind check — never reinterpreted as a skiplist, never rebuilt over.
+        const RETIRED_KIND: u32 = 2;
+        let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
+        let mut vt = Vt::new(0);
+        let space = ms.vm_mut().create_space();
+        let carve = ms
+            .msnap_open_index(&mut vt, space, "old", 8, 2, RETIRED_KIND)
+            .unwrap();
+        let thread = vt.id();
+        ms.write(&mut vt, space, thread, carve.arena_addr(), &[0xA5; 256])
+            .unwrap();
+        ms.write(&mut vt, space, thread, carve.log_addr(1), &[0x5A; 64])
+            .unwrap();
+        ms.msnap_persist(
+            &mut vt,
+            thread,
+            RegionSel::Region(carve.region.md),
+            PersistFlags::sync(),
+        )
+        .unwrap();
+        let len = carve.region.pages as usize * msnap_vm::PAGE_SIZE;
+        let mut before = vec![0u8; len];
+        ms.read(&mut vt, space, carve.region.addr, &mut before)
+            .unwrap();
+
+        let disk = ms.crash(vt.now());
+        let mut ms = MemSnap::restore(&mut vt, disk).unwrap();
+        let space = ms.vm_mut().create_space();
+        assert_eq!(
+            PSkipList::recover(&mut ms, space, &mut vt, "old").err(),
+            Some(MsnapError::BadDescriptor)
+        );
+        assert_eq!(
+            ms.msnap_open_index(&mut vt, space, "old", 0, 0, KIND_SKIPLIST)
+                .err(),
+            Some(MsnapError::BadDescriptor)
+        );
+
+        let region = ms.msnap_open(&mut vt, space, "old", 0).unwrap();
+        let mut after = vec![0u8; len];
+        ms.read(&mut vt, space, region.addr, &mut after).unwrap();
+        assert!(after == before, "a refused carve must not be written");
+        assert!(
+            ms.vm().threads_with_dirty().is_empty(),
+            "nothing left to persist"
+        );
     }
 }

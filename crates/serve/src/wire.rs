@@ -556,11 +556,6 @@ pub fn append_response(out: &mut Vec<u8>, r: &Response) {
     frame(out, &response_body(r));
 }
 
-/// Appends one request frame to a datagram under assembly.
-pub fn append_request(out: &mut Vec<u8>, r: &Request) {
-    frame(out, &request_body(r));
-}
-
 // ---- decoding ----------------------------------------------------------
 
 /// A bounds-checked body reader.

@@ -69,17 +69,12 @@ impl PersistentSkipList {
         self.next_page
     }
 
-    /// Whether another node still fits.
-    pub fn has_room(&self) -> bool {
-        self.next_page < self.region.pages
-    }
-
     /// Inserts or rewrites a key without persisting; the caller issues
     /// the μCheckpoint.
     ///
     /// # Panics
     ///
-    /// Panics if the region is full (check [`PersistentSkipList::has_room`]).
+    /// Panics if the region is full.
     pub fn insert_volatile(
         &mut self,
         ms: &mut MemSnap,

@@ -13,12 +13,12 @@
 //! region's linked list. Each region keeps its own epoch chain, so
 //! μCheckpoints of different tiers never serialize against each other.
 
-use memsnap::{MemSnap, PersistFlags, RegionSel};
+use memsnap::{MemSnap, MsnapError, PersistFlags, RegionSel};
 use msnap_disk::Disk;
 use msnap_sim::{Meters, Nanos, Vt};
 use msnap_vm::AsId;
 
-use crate::kv::{Kv, KvStats};
+use crate::kv::{Kv, KvError, KvStats};
 use crate::plist::PersistentSkipList;
 
 /// The tiered persistent-skip-list store. See the module docs.
@@ -41,7 +41,9 @@ fn tier_name(generation: usize) -> String {
 
 impl RotatingMemSnapKv {
     /// Creates a fresh store. Each tier's region holds `region_pages`
-    /// node pages; the active MemTable is sealed at `rotate_pages`.
+    /// node pages; the active MemTable is sealed at `rotate_pages`. A
+    /// `multi_put` batch lands in one tier, so it must hold fewer than
+    /// `region_pages` pairs (a larger one panics).
     ///
     /// # Panics
     ///
@@ -113,59 +115,59 @@ impl RotatingMemSnapKv {
         self.sealed.len() + 1
     }
 
-    /// MemTable rotations performed.
-    pub fn rotations(&self) -> u64 {
-        self.stats.flushes
-    }
-
     /// Seals the active MemTable and opens a fresh tier.
-    fn rotate(&mut self, vt: &mut Vt) {
+    fn rotate(&mut self, vt: &mut Vt) -> Result<(), MsnapError> {
         let generation = self.sealed.len() + 1;
-        let region = self
-            .ms
-            .msnap_open(vt, self.space, &tier_name(generation), self.region_pages)
-            .expect("store accepts new tiers");
+        let region =
+            self.ms
+                .msnap_open(vt, self.space, &tier_name(generation), self.region_pages)?;
         let fresh = PersistentSkipList::format(&mut self.ms, self.space, region, vt);
         let sealed = std::mem::replace(&mut self.active, fresh);
         self.sealed.push(sealed);
         self.stats.flushes += 1;
+        Ok(())
     }
 
-    fn persist_active(&mut self, vt: &mut Vt) {
-        let thread = vt.id();
-        self.ms
-            .msnap_persist(
-                vt,
-                thread,
-                RegionSel::Region(self.active.region.md),
-                PersistFlags::sync(),
-            )
-            .expect("active tier exists");
-        self.stats.commits += 1;
-    }
-
-    fn insert_one(&mut self, vt: &mut Vt, key: u64, value: &[u8]) {
-        if self.active.pages_used() >= self.rotate_pages || !self.active.has_room() {
-            self.rotate(vt);
+    /// Inserts `pairs` into one tier and commits them in one μCheckpoint.
+    /// Rotation is decided once, before the first insert: a tier sealed
+    /// mid-batch would keep its share of the batch dirty in a region no
+    /// later persist covers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch cannot fit an empty tier.
+    fn commit<V: AsRef<[u8]>>(&mut self, vt: &mut Vt, pairs: &[(u64, V)]) -> Result<(), KvError> {
+        let incoming = pairs.len() as u64;
+        assert!(
+            incoming < self.region_pages,
+            "batch of {incoming} exceeds a {}-page tier",
+            self.region_pages
+        );
+        // `rotate_pages < region_pages`: a batch that stays under the
+        // threshold also fits the region.
+        if self.active.pages_used() + incoming > self.rotate_pages {
+            self.rotate(vt)?;
         }
-        self.active
-            .insert_volatile(&mut self.ms, self.space, vt, key, value);
+        for (key, value) in pairs {
+            self.active
+                .insert_volatile(&mut self.ms, self.space, vt, *key, value.as_ref());
+        }
+        let thread = vt.id();
+        let sel = RegionSel::Region(self.active.region.md);
+        self.ms
+            .msnap_persist(vt, thread, sel, PersistFlags::sync())?;
+        self.stats.commits += 1;
+        Ok(())
     }
 }
 
 impl Kv for RotatingMemSnapKv {
-    fn put(&mut self, vt: &mut Vt, key: u64, value: &[u8]) -> Result<(), crate::KvError> {
-        self.insert_one(vt, key, value);
-        self.persist_active(vt);
-        Ok(())
+    fn put(&mut self, vt: &mut Vt, key: u64, value: &[u8]) -> Result<(), KvError> {
+        self.commit(vt, &[(key, value)])
     }
 
-    fn multi_put(&mut self, vt: &mut Vt, pairs: &[(u64, Vec<u8>)]) -> Result<(), crate::KvError> {
-        for (key, value) in pairs {
-            self.insert_one(vt, *key, value);
-        }
-        self.persist_active(vt);
-        Ok(())
+    fn multi_put(&mut self, vt: &mut Vt, pairs: &[(u64, Vec<u8>)]) -> Result<(), KvError> {
+        self.commit(vt, pairs)
     }
 
     fn get(&mut self, vt: &mut Vt, key: u64) -> Option<Vec<u8>> {

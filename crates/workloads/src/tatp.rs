@@ -4,19 +4,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The TATP tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TatpTable {
-    /// SUBSCRIBER: one row per subscriber.
-    Subscriber,
-    /// ACCESS_INFO: 1–4 rows per subscriber.
-    AccessInfo,
-    /// SPECIAL_FACILITY: 1–4 rows per subscriber.
-    SpecialFacility,
-    /// CALL_FORWARDING: 0–3 rows per special facility.
-    CallForwarding,
-}
-
 /// One TATP transaction, in the standard mix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TatpTxn {

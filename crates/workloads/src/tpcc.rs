@@ -11,8 +11,6 @@ pub const DISTRICTS_PER_WAREHOUSE: u64 = 10;
 pub const CUSTOMERS_PER_DISTRICT: u64 = 300;
 /// Items in the catalog (TPC-C: 100 000; scaled here).
 pub const ITEMS: u64 = 10_000;
-/// Stock rows per warehouse (one per item).
-pub const STOCK_PER_WAREHOUSE: u64 = ITEMS;
 
 /// One TPC-C transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -156,3 +156,70 @@ proptest! {
         }
     }
 }
+
+/// A `multi_put` is one tier and one μCheckpoint: whatever the batch size
+/// and wherever the rotation threshold falls inside it, every acked key
+/// survives a crash taken the instant the call returned.
+#[test]
+fn rotating_kv_batch_straddling_a_rotation_is_durable() {
+    use msnap_skipdb::{Kv, RotatingMemSnapKv};
+
+    const ROTATE: u64 = 8;
+    for prefill in 0..ROTATE {
+        for batch in 2..ROTATE {
+            let mut vt = Vt::new(0);
+            let disk = Disk::new(DiskConfig::paper());
+            let mut kv = RotatingMemSnapKv::format(disk, 48, ROTATE, &mut vt);
+            for key in 0..prefill {
+                kv.put(&mut vt, key, &[1; 8]).unwrap();
+            }
+            let pairs: Vec<(u64, Vec<u8>)> = (0..batch).map(|i| (100 + i, vec![2; 8])).collect();
+            kv.multi_put(&mut vt, &pairs).unwrap();
+            let rotated = kv.tiers() == 2;
+            assert_eq!(
+                rotated,
+                1 + prefill + batch > ROTATE,
+                "one rotation at most"
+            );
+
+            let disk = kv.crash(vt.now());
+            let mut vt2 = Vt::new(1);
+            let mut kv2 = RotatingMemSnapKv::restore(disk, &mut vt2);
+            for key in (0..prefill).chain(100..100 + batch) {
+                assert!(
+                    kv2.get(&mut vt2, key).is_some(),
+                    "acked key {key} lost (prefill {prefill}, batch {batch}, rotated {rotated})"
+                );
+            }
+        }
+    }
+}
+
+/// A device that runs out of blocks is an `Err` from `put`, not a panic
+/// behind the `Result`; what was acked before it stays readable.
+#[test]
+fn rotating_kv_reports_a_full_device_as_an_error() {
+    use memsnap::MsnapError;
+    use msnap_skipdb::{Kv, KvError, RotatingMemSnapKv};
+    use msnap_store::StoreError;
+
+    let mut vt = Vt::new(0);
+    let disk = Disk::new(DiskConfig::paper().with_capacity_blocks(400));
+    let mut kv = RotatingMemSnapKv::format(disk, 48, 24, &mut vt);
+    let mut acked = 0u64;
+    let err = loop {
+        match kv.put(&mut vt, acked, &[7; 8]) {
+            Ok(()) => acked += 1,
+            Err(e) => break e,
+        }
+        assert!(
+            acked < 10_000,
+            "400 blocks cannot hold this many node pages"
+        );
+    };
+    assert_eq!(err, KvError(MsnapError::Store(StoreError::OutOfSpace)));
+    assert!(acked > 0, "the device was sized to accept some puts");
+    for key in 0..acked {
+        assert_eq!(kv.get(&mut vt, key), Some(vec![7; 8]), "key {key}");
+    }
+}

@@ -1,4 +1,4 @@
-//! End-to-end proofs for the lock-free persistent indexes (`msnap-pindex`).
+//! End-to-end proofs for the lock-free persistent index (`msnap-pindex`).
 //!
 //! Three angles:
 //!
@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 use memsnap::{MemSnap, PersistFlags, RegionSel};
 use msnap_disk::{crash_at_every_io, Disk, DiskConfig};
-use msnap_pindex::{op_parts, OpOutcome, PHash, PSkipList, PutOp};
+use msnap_pindex::{op_parts, OpOutcome, PSkipList, PutOp};
 use msnap_sim::{InterleaveSched, Nanos, StepOutcome, Vt};
 use msnap_skipdb::{Kv, PIndexKv};
 
@@ -258,85 +258,6 @@ fn same_key_race_recovers_one_racer_after_any_crash() {
         },
     );
     assert!(points > 10, "race sweep too small: {points} points");
-}
-
-#[test]
-fn hash_crash_sweep_loses_nothing_acked() {
-    const KEYS: u64 = 12;
-    let run = || {
-        let mut vt = Vt::new(0);
-        let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
-        let space = ms.vm_mut().create_space();
-        let mut ph = PHash::create(&mut ms, space, &mut vt, "hash", 128, 2).unwrap();
-        let thread = vt.id();
-        let mut acks = Vec::new();
-        for k in 0..KEYS {
-            ph.put(&mut ms, &mut vt, (k % 2) as u32, k, &k.to_le_bytes());
-            ms.msnap_persist(
-                vt_ref(&mut vt),
-                thread,
-                RegionSel::Region(ph.carve.region.md),
-                PersistFlags::sync(),
-            )
-            .unwrap();
-            acks.push((k, vt.now()));
-        }
-        (ms, acks)
-    };
-    let (ms, acks) = run();
-    let reference = ms.into_disk();
-    let completions = reference.write_completions().to_vec();
-    let durable_at: Vec<(u64, Nanos)> = acks
-        .iter()
-        .map(|(k, by)| {
-            (
-                *k,
-                completions
-                    .iter()
-                    .copied()
-                    .filter(|&c| c <= *by)
-                    .max()
-                    .expect("every op persists"),
-            )
-        })
-        .collect();
-    let points = crash_at_every_io(
-        || run().0.into_disk(),
-        |disk, at| {
-            let acked_by_now = durable_at.iter().filter(|(_, d)| *d <= at).count();
-            let mut vt = Vt::new(0);
-            let recovered = MemSnap::restore(&mut vt, disk).and_then(|mut ms| {
-                let space = ms.vm_mut().create_space();
-                PHash::recover(&mut ms, space, &mut vt, "hash").map(|(ph, r)| (ms, ph, r))
-            });
-            let (mut ms, ph, report) = match recovered {
-                Ok(t) => t,
-                Err(e) => {
-                    assert_eq!(
-                        acked_by_now, 0,
-                        "restore failed ({e}) at {at} despite {acked_by_now} acked ops"
-                    );
-                    return;
-                }
-            };
-            let mut lost = 0;
-            for (k, d) in durable_at.iter().filter(|(_, d)| *d <= at) {
-                let present = ph.get(&mut ms, &mut vt, *k) == Some(k.to_le_bytes().to_vec());
-                let landed = report.op_landed((*k % 2) as u32, (*k / 2) as u32 + 1);
-                if !present || !landed {
-                    lost += 1;
-                }
-                let _ = d;
-            }
-            assert_eq!(lost, 0, "crash at {at}: {lost} lost acked hash ops");
-        },
-    );
-    assert!(points as u64 > KEYS, "hash sweep too small: {points}");
-}
-
-// `&mut Vt` reborrow helper so the closure above reads naturally.
-fn vt_ref(vt: &mut Vt) -> &mut Vt {
-    vt
 }
 
 #[test]
