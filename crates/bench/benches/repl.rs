@@ -202,7 +202,8 @@ fn main() {
         "Small-write replication vs link loss",
         "Same sweep, but each commit rewrites one 64-byte line: \
          sub-page frames keep wire bytes proportional to bytes changed, \
-         and Nak retransmits resend only the lost frames.",
+         a whole ship packs into one datagram, and a Nak names exactly \
+         the pieces that are missing, so only those are resent.",
     );
     let small_points: Vec<LossPoint> = LOSS_RATES
         .into_iter()

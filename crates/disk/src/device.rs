@@ -61,7 +61,8 @@ pub struct Disk {
     io_seq: u64,
     /// Completion instant of every write segment, in submission order —
     /// the IO boundaries [`crash_at_every_io`] sweeps. Torn tails
-    /// (never-durable segments) are excluded.
+    /// (never-durable segments) are excluded, and so are boundaries
+    /// [`Disk::settle_until`] promised no crash will land before.
     write_log: Vec<Nanos>,
     /// Completion instants of write submissions still in flight — the
     /// explicit queue-depth model. Popped past entries lazily at each
@@ -111,9 +112,10 @@ impl Disk {
         self.injector.as_ref()
     }
 
-    /// Completion instants of all write segments so far, in submission
-    /// order. These are the IO boundaries a crash can land between; see
-    /// [`crash_at_every_io`].
+    /// Completion instants of the write segments so far, in submission
+    /// order, less those at or before the latest [`Disk::settle_until`]
+    /// instant. These are the IO boundaries a crash can land between;
+    /// see [`crash_at_every_io`].
     pub fn write_completions(&self) -> &[Nanos] {
         &self.write_log
     }
@@ -484,23 +486,28 @@ impl Disk {
     /// Declares all submitted writes durable and drops rollback state.
     ///
     /// Call between workload phases to bound undo-log memory when crash
-    /// injection is not needed beyond this point.
+    /// injection is not needed beyond this point. A crash may still be
+    /// requested at any instant (it keeps everything settled here), so
+    /// [`Disk::write_completions`] is left whole — a sweep's reference
+    /// run may settle its set-up phase.
     pub fn settle(&mut self) {
-        self.settle_until(Nanos::MAX);
+        self.undo.clear();
     }
 
     /// Promises that no [`Disk::crash`] will be requested at an instant
     /// before `at`, and drops the rollback state only such a crash could
-    /// need: the pre-images of writes durable by `at`. Any later
-    /// `crash(t)` with `t >= at` leaves exactly the image it would have
-    /// left without this call. Torn writes (never durable) are kept
-    /// unless `at` is [`Nanos::MAX`].
+    /// need: the pre-images of writes durable by `at`, and their entries
+    /// in [`Disk::write_completions`] (boundaries no crash may land on
+    /// any more). Any later `crash(t)` with `t >= at` leaves exactly the
+    /// image it would have left without this call. Torn writes (never
+    /// durable) are kept unless `at` is [`Nanos::MAX`].
     ///
     /// A long-running owner whose only crash point is its own clock
-    /// calls this as the clock advances to keep the journal bounded by
-    /// the writes in flight instead of by the run's length.
+    /// calls this as the clock advances to keep both bounded by the
+    /// writes in flight instead of by the run's length.
     pub fn settle_until(&mut self, at: Nanos) {
         self.undo.retain(|u| u.completes > at);
+        self.write_log.retain(|&done| done > at);
     }
 
     /// Direct access to a block's current contents (test/diagnostic aid).
@@ -942,9 +949,14 @@ mod tests {
             for &at2 in instants[i..].iter().step_by(11) {
                 let (mut plain, _) = seeded_write_mix();
                 let (mut trimmed, _) = seeded_write_mix();
-                let journal = trimmed.undo.len();
+                let (journal, log) = (trimmed.undo.len(), trimmed.write_log.len());
                 trimmed.settle_until(at1);
                 assert!(at1 == Nanos::ZERO || trimmed.undo.len() < journal);
+                // The boundary log is bounded by the writes still in
+                // flight at `at1`, and untouched without the call.
+                assert!(trimmed.write_log.iter().all(|&done| done > at1));
+                assert!(at1 == Nanos::ZERO || trimmed.write_log.len() < log);
+                assert_eq!(plain.write_log.len(), log);
                 plain.crash(at2);
                 trimmed.crash(at2);
                 assert_eq!(plain.blocks, trimmed.blocks, "settle {at1}, crash {at2}");
@@ -1080,6 +1092,15 @@ mod tests {
         disk.writev_at(Nanos::ZERO, &iov).unwrap();
         assert_eq!(disk.write_completions().len(), 2);
         assert_eq!(disk.io_seq(), 1);
+        // Settling forgets exactly the boundaries no crash may land on
+        // any more, so the log is bounded by the writes in flight.
+        let landed = disk.write_completions().iter().copied().max().unwrap();
+        let late = disk.write_block_at(landed, 99, &data).unwrap().completes();
+        assert_eq!(disk.write_completions().len(), 3);
+        disk.settle_until(landed);
+        assert_eq!(disk.write_completions(), [late]);
+        disk.settle_until(late);
+        assert!(disk.write_completions().is_empty());
     }
 
     #[test]

@@ -3,17 +3,19 @@
 //!
 //! See the [crate docs](crate) for the protocol and failover design.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use memsnap::{MemSnap, MsnapError};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::{Meters, Nanos, NetConfig, SimLink, Vt};
-use msnap_snap::{ApplySession, DedupTable, DeltaStream, SnapError};
+use msnap_snap::{ApplySession, DedupTable, DeltaStream, Frame, SnapError, StreamTrailer};
 use msnap_store::{
     digest32, shard_of_name, Epoch, ObjectStore, ScrubStats, SnapEntry, StoreError, VectorCut,
 };
 
-use crate::proto::{Msg, ObjectStatus};
+use crate::proto::{
+    ship_msg, unpack, Msg, ObjectStatus, MAX_NAK_SEQS, TAG_BEGIN, TAG_END, TAG_FRAME, TAG_PROBE,
+};
 
 /// Tuning knobs of one [`ReplEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,8 +24,10 @@ pub struct ReplConfig {
     /// which a link counts as throttled: [`TickReport::throttled`] tells
     /// the ingest path to stall until replicas catch up.
     pub max_lag_epochs: u64,
-    /// Virtual time without acknowledgement progress before a ship's
-    /// datagrams are retransmitted from the last known resume point.
+    /// Virtual time without an answer before the primary probes a ship
+    /// with its `End` again: the initial value and the ceiling of the
+    /// per-link timer, which otherwise follows the link's measured
+    /// acknowledgement lag. Also paces the repair and cut re-sends.
     pub retransmit_timeout: Nanos,
 }
 
@@ -37,8 +41,13 @@ impl Default for ReplConfig {
 }
 
 /// Unacknowledged wire bytes in flight per link beyond which the link
-/// counts as throttled and no new ship starts.
+/// counts as throttled and no new ship starts — and the most a replica
+/// buffers of ships it cannot apply yet.
 const MAX_LAG_BYTES: u64 = 1 << 20;
+/// A down-link datagram carries one or more messages back to back, up to
+/// this many bytes (an Ethernet MTU less its headers); a larger message
+/// — a whole-page frame — travels alone.
+const DATAGRAM_BUDGET: usize = 1400;
 /// Epoch lag beyond which a lagging link's catch-up ships the full image
 /// instead of a delta. Also spaces the **rejoin anchors**: a ship whose
 /// span crosses a multiple of half this lag has its target epoch
@@ -134,7 +143,7 @@ pub struct LinkMetrics {
     pub lag_bytes: u64,
     /// Acknowledged ships.
     pub acks: u64,
-    /// Frames retransmitted (Nak- and timeout-driven).
+    /// Payload frames sent more than once (each named by a `Nak`).
     pub retransmit_frames: u64,
     /// Ships that had to carry the full image (no usable delta base).
     pub full_syncs: u64,
@@ -230,11 +239,15 @@ pub struct ReplicaNode {
     disk: Disk,
     store: ObjectStore,
     state: ReplicaState,
-    /// In-progress apply sessions keyed by ship id, with the object
-    /// name each updates and whether the ship is an anchor ship.
-    sessions: BTreeMap<u64, (String, bool, ApplySession)>,
-    /// Recently finished ships, so a retransmitted `End` whose `Ack`
-    /// was lost re-acknowledges instead of re-applying.
+    /// Ships in progress keyed by ship id: whatever of each has arrived,
+    /// in whatever order.
+    ships: BTreeMap<u64, Reassembly>,
+    /// How long past their `End` the ships that landed without a `Nak`
+    /// still had pieces arriving, when any did — what tells a hole from
+    /// mere reordering.
+    reorder: Estimator,
+    /// Recently finished ships, so a repeated `End` whose `Ack` was lost
+    /// re-acknowledges instead of re-applying.
     completed: BTreeMap<u64, (String, Epoch)>,
     /// Retained anchor-epoch snapshot names per object, oldest first.
     applied: BTreeMap<String, Vec<String>>,
@@ -256,6 +269,95 @@ pub struct ReplicaNode {
 
 /// Ships the replica remembers as finished; older entries are pruned.
 const COMPLETED_KEEP: usize = 64;
+
+/// RFC 6298's smoothed mean and deviation of a stream of durations: a
+/// link's acknowledgement lag at the primary (the retransmit timer),
+/// how far a ship's pieces trail its `End` at the replica (the reorder
+/// allowance).
+#[derive(Debug, Default, Clone, Copy)]
+struct Estimator {
+    /// Zero until the first sample (samples are positive).
+    mean: Nanos,
+    dev: Nanos,
+}
+
+impl Estimator {
+    fn sample(&mut self, s: Nanos) {
+        if self.mean == Nanos::ZERO {
+            (self.mean, self.dev) = (s, s / 2);
+        } else {
+            let err = self.mean.max(s) - self.mean.min(s);
+            self.dev = (self.dev * 3 + err) / 4;
+            self.mean = (self.mean * 7 + s) / 8;
+        }
+    }
+
+    /// `mean + 4·dev`, a value few samples exceed; `None` unsampled.
+    fn bound(&self) -> Option<Nanos> {
+        (self.mean > Nanos::ZERO).then(|| self.mean + self.dev * 4)
+    }
+}
+
+/// One ship as a replica holds it while its datagrams arrive, in any
+/// order and any number of times: the header as an open
+/// [`ApplySession`], the frames the session cannot take yet, and the
+/// trailer. The session is fed in sequence as holes fill, and the ship
+/// lands once all three are there — an early piece is data, not an
+/// error.
+#[derive(Debug, Default)]
+struct Reassembly {
+    /// The open session, with the object it updates and whether the ship
+    /// is an anchor ship; `None` until the `Begin` arrives.
+    session: Option<(String, bool, ApplySession)>,
+    /// Frames ahead of the session: slot `i` holds sequence number
+    /// `fed() + i`, `None` where that frame has not arrived.
+    ahead: VecDeque<Option<Frame>>,
+    /// The trailer, and when its `End` first arrived.
+    trailer: Option<(StreamTrailer, Nanos)>,
+    /// When the ship's holes will have outlived the reorder allowance,
+    /// armed by an `End` that did not complete it.
+    nak_at: Option<Nanos>,
+    /// A `Nak` went up: what arrives now is no sample of reordering.
+    naked: bool,
+}
+
+/// What a record and one `ahead` slot hold against the budget.
+const RECORD_BYTES: usize = std::mem::size_of::<Reassembly>();
+const SLOT_BYTES: usize = std::mem::size_of::<Option<Frame>>();
+
+impl Reassembly {
+    /// Bytes held against the node's budget ([`MAX_LAG_BYTES`]): the
+    /// record, the slots of `ahead` and the frames in them.
+    fn held(&self) -> usize {
+        let slot = |s: &Option<Frame>| SLOT_BYTES + s.as_ref().map_or(0, Frame::encoded_len);
+        RECORD_BYTES + self.ahead.iter().map(slot).sum::<usize>()
+    }
+
+    /// Frames the session has taken — the sequence number of slot 0.
+    fn fed(&self) -> u64 {
+        self.session.as_ref().map_or(0, |(.., s)| s.next_seq())
+    }
+
+    /// The `Nak` naming what the ship still lacks (its first
+    /// [`MAX_NAK_SEQS`] holes; the rest are asked for next round).
+    fn nak(&self, ship: u64) -> Msg {
+        let fed = self.fed();
+        let held = |seq: u64| {
+            let slot = usize::try_from(seq - fed).ok();
+            slot.and_then(|i| self.ahead.get(i))
+                .is_some_and(Option::is_some)
+        };
+        let frames = self.trailer.map_or(fed, |(t, _)| t.frames);
+        Msg::Nak {
+            ship,
+            begin: self.session.is_none(),
+            missing: (fed..frames)
+                .filter(|&seq| !held(seq))
+                .take(MAX_NAK_SEQS)
+                .collect(),
+        }
+    }
+}
 
 /// Whether a stream is an **anchor ship** — one whose target epoch both
 /// ends retain as a snapshot (the primary pins it when building the
@@ -346,7 +448,8 @@ impl ReplicaNode {
             disk,
             store,
             state: ReplicaState::Bootstrapping,
-            sessions: BTreeMap::new(),
+            ships: BTreeMap::new(),
+            reorder: Estimator::default(),
             completed: BTreeMap::new(),
             applied: BTreeMap::new(),
             repair_sent: BTreeMap::new(),
@@ -531,8 +634,11 @@ impl ReplicaNode {
     fn hello(&mut self) -> Msg {
         // A Hello resets the link session; the sender clears its dedup
         // tables when it hears it, so drop the receiver halves too —
-        // both sides restart from empty and stay in lockstep.
+        // both sides restart from empty and stay in lockstep. It also
+        // abandons every ship in flight, so their records go (should the
+        // Hello be lost, the ship's next `End` earns a `Nak` for all).
         self.dedup.clear();
+        self.ships.clear();
         Msg::Hello {
             objects: self.status(),
         }
@@ -566,21 +672,45 @@ impl ReplicaNode {
         }
     }
 
-    /// Processes one datagram at the replica, returning the replies to
-    /// send up the link.
-    fn handle(&mut self, msg: Msg) -> Vec<Msg> {
-        match msg {
-            Msg::Begin { ship, header } => {
-                if self.sessions.contains_key(&ship) {
-                    return Vec::new(); // duplicate Begin; session already open
-                }
-                if let Some((object, epoch)) = self.completed.get(&ship) {
-                    return vec![Msg::Ack {
-                        ship,
-                        object: object.clone(),
-                        epoch: *epoch,
-                    }];
-                }
+    /// Whether the budget has room for `cost` more bytes beside every
+    /// record in `ships`.
+    fn admit(&self, cost: usize) -> bool {
+        let total: usize = self.ships.values().map(Reassembly::held).sum();
+        total.saturating_add(cost) <= MAX_LAG_BYTES as usize
+    }
+
+    /// Remembers a finished ship and acknowledges it.
+    fn done(&mut self, ship: u64, object: String, epoch: Epoch) -> Vec<Msg> {
+        self.completed.insert(ship, (object.clone(), epoch));
+        while self.completed.len() > COMPLETED_KEEP {
+            self.completed.pop_first();
+        }
+        vec![Msg::Ack {
+            ship,
+            object,
+            epoch,
+        }]
+    }
+
+    /// Takes one piece of a ship — `Begin`, `Frame` or `End`, in any
+    /// order, any number of times — into the ship's reassembly record,
+    /// and lands the ship once all of it is there.
+    fn reassemble(&mut self, ship: u64, piece: Msg) -> Vec<Msg> {
+        if let Some((object, epoch)) = self.completed.get(&ship).cloned() {
+            // Landed already. An `End` is the primary probing after a
+            // lost `Ack`; any other late or duplicate piece needs none.
+            return match piece {
+                Msg::End { .. } => self.done(ship, object, epoch),
+                _ => Vec::new(),
+            };
+        }
+        let now = self.vt.now();
+        if !self.ships.contains_key(&ship) && !self.admit(RECORD_BYTES) {
+            return Vec::new();
+        }
+        let mut rec = self.ships.remove(&ship).unwrap_or_default();
+        match piece {
+            Msg::Begin { header, .. } if rec.session.is_none() => {
                 let anchor = is_anchor(
                     header.base_epoch,
                     header.target_epoch,
@@ -599,105 +729,128 @@ impl ReplicaNode {
                         // in flight: a newer Begin means it abandoned
                         // every older ship of this object (re-planned
                         // after a Hello), whose End will never come.
-                        self.sessions
-                            .retain(|&id, (object, ..)| id > ship || *object != header.object);
-                        self.sessions
-                            .insert(ship, (header.object.clone(), anchor, session));
-                        Vec::new()
+                        self.ships.retain(|&id, r| {
+                            id > ship || r.session.as_ref().is_none_or(|s| s.0 != header.object)
+                        });
+                        rec.session = Some((header.object, anchor, session));
                     }
                     Err(SnapError::AlreadyCurrent) => {
                         let epoch = self.epoch(&header.object);
-                        vec![Msg::Ack {
-                            ship,
-                            object: header.object,
-                            epoch,
-                        }]
+                        return self.done(ship, header.object, epoch);
                     }
                     // Base mismatch or store trouble: report full status
                     // so the primary re-plans (full image or rebase).
                     Err(_) => {
                         self.state = ReplicaState::Degraded;
-                        vec![self.hello()]
+                        return vec![self.hello()];
                     }
                 }
             }
-            Msg::Frame { ship, frame } => {
-                let Some((_, _, session)) = self.sessions.get_mut(&ship) else {
-                    return match self.completed.get(&ship) {
-                        Some((object, epoch)) => vec![Msg::Ack {
-                            ship,
-                            object: object.clone(),
-                            epoch: *epoch,
-                        }],
-                        // Frames for a ship we never saw begin: the
-                        // Begin was dropped — ask for everything.
-                        None => vec![Msg::Nak { ship, next_seq: 0 }],
-                    };
-                };
-                match session.feed(&frame) {
-                    Ok(()) => Vec::new(),
-                    // A stale duplicate (retransmit overlap): ignore.
-                    Err(SnapError::SequenceGap { expected, got }) if got < expected => Vec::new(),
-                    // A gap: frames were dropped; resume from the hole.
-                    Err(SnapError::SequenceGap { expected, .. }) => vec![Msg::Nak {
-                        ship,
-                        next_seq: expected,
-                    }],
-                    Err(SnapError::FrameCorrupt { .. }) => {
-                        let next_seq = session.next_seq();
-                        vec![Msg::Nak { ship, next_seq }]
+            Msg::Frame { frame, .. } => {
+                // Behind the session it is a duplicate; ahead of it, it
+                // waits in its slot if the budget has room for the slots
+                // up to it — a wild sequence number buys nothing.
+                let slot = frame.seq().checked_sub(rec.fed());
+                if let Some(slot) = slot.and_then(|s| usize::try_from(s).ok()) {
+                    let grow = slot.saturating_add(1).saturating_sub(rec.ahead.len());
+                    let cost = grow
+                        .saturating_mul(SLOT_BYTES)
+                        .saturating_add(frame.encoded_len());
+                    let vacant = rec.ahead.get(slot).is_none_or(Option::is_none);
+                    if vacant && self.admit(rec.held().saturating_add(cost)) {
+                        if grow > 0 {
+                            rec.ahead.resize_with(slot + 1, || None);
+                        }
+                        rec.ahead[slot] = Some(frame);
                     }
-                    Err(_) => Vec::new(),
                 }
             }
-            Msg::End { ship, trailer } => {
-                if let Some((object, epoch)) = self.completed.get(&ship) {
-                    return vec![Msg::Ack {
-                        ship,
-                        object: object.clone(),
-                        epoch: *epoch,
-                    }];
-                }
-                let Some((object, anchor, session)) = self.sessions.remove(&ship) else {
-                    return vec![Msg::Nak { ship, next_seq: 0 }];
+            Msg::End { trailer, probe, .. } => {
+                // Should this End not complete the ship, its holes earn
+                // a Nak: at once for a probe (nothing else is on its
+                // way), else when they outlive the reorder allowance —
+                // and while none has been observed, at the probe.
+                let wait = if probe {
+                    Some(Nanos::ZERO)
+                } else {
+                    self.reorder.bound()
                 };
-                if session.next_seq() < trailer.frames {
-                    let next_seq = session.next_seq();
-                    self.sessions.insert(ship, (object, anchor, session));
-                    return vec![Msg::Nak { ship, next_seq }];
+                rec.nak_at = wait.map(|w| now + w);
+                rec.trailer = Some((trailer, rec.trailer.map_or(now, |(_, at)| at)));
+            }
+            _ => {} // duplicate Begin: the session is open
+        }
+        // Holes filled: the session takes every frame now in sequence.
+        if let Some((.., session)) = rec.session.as_mut() {
+            while let Some(Some(frame)) = rec.ahead.front_mut().map(Option::take) {
+                rec.ahead.pop_front();
+                if session.feed(frame).is_err() {
+                    // Damaged in flight, its checksum says: a hole
+                    // again, for the Nak to name.
+                    rec.ahead.push_front(None);
+                    break;
                 }
-                let table = self.dedup.entry(object.clone()).or_default();
-                match session.finish(
-                    &mut self.vt,
-                    &mut self.disk,
-                    &mut self.store,
-                    &trailer,
-                    Some(table),
-                ) {
-                    Ok(token) => {
-                        ObjectStore::wait(&mut self.vt, token);
-                        self.bootstrapped = true;
-                        self.state = ReplicaState::Streaming;
-                        if anchor {
-                            self.retain_applied(&object, token.epoch);
-                        }
-                        // The landed epoch may complete an announced cut.
-                        self.refresh_cut();
-                        self.completed.insert(ship, (object.clone(), token.epoch));
-                        while self.completed.len() > COMPLETED_KEEP {
-                            self.completed.pop_first();
-                        }
-                        vec![Msg::Ack {
-                            ship,
-                            object,
-                            epoch: token.epoch,
-                        }]
-                    }
-                    Err(_) => {
-                        self.state = ReplicaState::Degraded;
-                        vec![self.hello()]
-                    }
+            }
+        }
+        let ((object, anchor, session), (trailer, end_at)) = match (rec.session.take(), rec.trailer)
+        {
+            (Some(open), Some(end)) if open.2.next_seq() >= end.0.frames => (open, end),
+            (open, _) => {
+                rec.session = open;
+                self.ships.insert(ship, rec);
+                return Vec::new();
+            }
+        };
+        let table = self.dedup.entry(object.clone()).or_default();
+        match session.finish(
+            &mut self.vt,
+            &mut self.disk,
+            &mut self.store,
+            &trailer,
+            Some(table),
+        ) {
+            Ok(token) => {
+                ObjectStore::wait(&mut self.vt, token);
+                self.bootstrapped = true;
+                self.state = ReplicaState::Streaming;
+                if anchor {
+                    self.retain_applied(&object, token.epoch);
                 }
+                // The landed epoch may complete an announced cut.
+                self.refresh_cut();
+                if !rec.naked && now > end_at {
+                    self.reorder.sample(now - end_at);
+                }
+                self.done(ship, object, token.epoch)
+            }
+            Err(_) => {
+                self.state = ReplicaState::Degraded;
+                vec![self.hello()]
+            }
+        }
+    }
+
+    /// `Nak`s for the ships whose `End` is in hand and whose holes have
+    /// outlived the reorder allowance by `until`.
+    fn overdue(&mut self, until: Nanos) -> Vec<Msg> {
+        let mut naks = Vec::new();
+        for (&ship, rec) in &mut self.ships {
+            if let Some(at) = rec.nak_at.filter(|&at| at <= until) {
+                self.vt.wait_until(at);
+                rec.nak_at = None;
+                rec.naked = true;
+                naks.push(rec.nak(ship));
+            }
+        }
+        naks
+    }
+
+    /// Processes one message at the replica, returning the replies to
+    /// send up the link.
+    fn handle(&mut self, msg: Msg) -> Vec<Msg> {
+        match msg {
+            Msg::Begin { ship, .. } | Msg::Frame { ship, .. } | Msg::End { ship, .. } => {
+                self.reassemble(ship, msg)
             }
             // The primary lost a page to rot and asks for our copy.
             Msg::RepairRequest {
@@ -761,8 +914,12 @@ struct Ship {
     /// ship's acknowledgement-lag measurement.
     created_at: Nanos,
     last_send: Nanos,
-    /// Resume point requested by the latest `Nak`, if any.
-    resend_from: Option<u64>,
+    /// The pieces the latest `Nak` asked for: the `Begin`, and frames by
+    /// sequence number.
+    wanted: Option<(bool, Vec<u64>)>,
+    /// Some piece went out twice (a `Nak` or the timer): the ship's
+    /// acknowledgement lag is ambiguous and no timer sample (Karn).
+    resent: bool,
 }
 
 impl Ship {
@@ -771,25 +928,40 @@ impl Ship {
     }
 }
 
-/// Sends a ship's datagrams down a link from frame `from` on, closing
-/// with the `End`; returns the frames sent. `from == 0` opens with the
-/// `Begin` — a resume point of 0 may mean the Begin itself was lost (a
-/// duplicate Begin is ignored).
-fn send_ship(down: &mut SimLink, now: Nanos, ship: &Ship, from: u64) -> u64 {
-    let id = ship.id;
-    if from == 0 {
-        let header = ship.stream.header.clone();
-        down.send(now, Msg::Begin { ship: id, header }.encode());
+/// Sends pieces of a ship down a link — the `Begin` if asked, the
+/// frames named, always the `End` (a probe when it is all there is) —
+/// encoded from the stream in place and packed back to back into
+/// datagrams of up to [`DATAGRAM_BUDGET`] bytes (a larger message travels
+/// alone). Returns the frames sent.
+fn send_ship(
+    down: &mut SimLink,
+    now: Nanos,
+    ship: &Ship,
+    begin: bool,
+    seqs: impl IntoIterator<Item = u64>,
+) -> u64 {
+    let (id, stream) = (ship.id, &ship.stream);
+    let frame = |seq: u64| stream.frames.get(usize::try_from(seq).ok()?);
+    let frames: Vec<&Frame> = seqs.into_iter().filter_map(frame).collect();
+    let end = if begin || !frames.is_empty() {
+        TAG_END
+    } else {
+        TAG_PROBE
+    };
+    let msgs = begin
+        .then(|| ship_msg(TAG_BEGIN, id, &stream.header.encode()))
+        .into_iter()
+        .chain(frames.iter().map(|f| ship_msg(TAG_FRAME, id, &f.encode())))
+        .chain([ship_msg(end, id, &stream.trailer.encode())]);
+    let mut gram = Vec::new();
+    for msg in msgs {
+        if !gram.is_empty() && gram.len() + msg.len() > DATAGRAM_BUDGET {
+            down.send(now, std::mem::take(&mut gram));
+        }
+        gram.extend_from_slice(&msg);
     }
-    let mut frames = 0;
-    for frame in ship.stream.frames.iter().skip(from as usize) {
-        let frame = frame.clone();
-        down.send(now, Msg::Frame { ship: id, frame }.encode());
-        frames += 1;
-    }
-    let trailer = ship.stream.trailer;
-    down.send(now, Msg::End { ship: id, trailer }.encode());
-    frames
+    down.send(now, gram);
+    frames.len() as u64
 }
 
 /// Primary-side shipping state for one (link, object) pair.
@@ -845,6 +1017,9 @@ struct Link {
     /// Newest cut announced down this link and when — re-sent each
     /// retransmit window (the announce itself may be lost).
     last_cut_sent: Option<(u64, Nanos)>,
+    /// Acknowledgement lag of the ships never sent twice: the link's
+    /// round trip, apply included, which times its `End` probes.
+    rtt: Estimator,
     meters: Meters,
     metrics: LinkMetrics,
 }
@@ -951,6 +1126,7 @@ impl ReplEngine {
             pending_repairs: Vec::new(),
             repair_sent: BTreeMap::new(),
             last_cut_sent: None,
+            rtt: Estimator::default(),
             meters: Meters::new(),
             metrics: LinkMetrics::default(),
         });
@@ -1043,7 +1219,7 @@ impl ReplEngine {
         self.ship(vt, ms, &objects, &mut report)?;
         self.announce_cuts(vt, ms);
         self.retransmit(vt);
-        self.pump();
+        self.pump_until(vt.now());
         self.refresh_lag(ms, &objects, &mut report);
         Ok(report)
     }
@@ -1052,22 +1228,33 @@ impl ReplEngine {
     /// touching the primary — usable after the primary has died to let
     /// in-flight datagrams land before a promotion.
     pub fn pump(&mut self) {
-        let horizon = Nanos::MAX;
+        self.pump_until(Nanos::MAX);
+    }
+
+    /// Lands everything in flight down the links, as [`ReplEngine::pump`]
+    /// does; `now` is how far a replica's reorder allowances may run out
+    /// once nothing more is on its way (before that, the next arrival's
+    /// instant is).
+    fn pump_until(&mut self, now: Nanos) {
         let repair_timeout = self.cfg.retransmit_timeout;
         for link in &mut self.links {
             let Some(node) = link.node.as_mut() else {
                 continue;
             };
             let cut_before = node.cut.as_ref().map(|c| c.seq);
-            while let Some((at, payload)) = link.down.poll(horizon) {
+            loop {
+                let next = link.down.next_delivery();
+                for nak in node.overdue(next.unwrap_or(now)) {
+                    link.up.send(node.vt.now(), nak.encode());
+                }
+                let Some((at, payload)) = link.down.poll(Nanos::MAX) else {
+                    break;
+                };
                 node.vt.wait_until(at);
-                match Msg::decode(&payload) {
-                    Ok(msg) => {
-                        for reply in node.handle(msg) {
-                            link.up.send(node.vt.now(), reply.encode());
-                        }
+                for msg in unpack(&payload, &mut link.metrics.malformed) {
+                    for reply in node.handle(msg) {
+                        link.up.send(node.vt.now(), reply.encode());
                     }
-                    Err(_) => link.metrics.malformed += 1,
                 }
             }
             if node.cut.as_ref().map(|c| c.seq) != cut_before {
@@ -1091,78 +1278,77 @@ impl ReplEngine {
     fn drain_up(&mut self, vt: &mut Vt, report: &mut TickReport) {
         for link in &mut self.links {
             while let Some((_, payload)) = link.up.poll(vt.now()) {
-                let msg = match Msg::decode(&payload) {
-                    Ok(m) => m,
-                    Err(_) => {
-                        link.metrics.malformed += 1;
-                        continue;
-                    }
-                };
-                match msg {
-                    Msg::Hello { objects } => {
-                        link.known = true;
-                        for status in objects {
-                            let os = link.ships.entry(status.name).or_default();
-                            os.remote = status.epoch;
-                            os.remote_len = None;
-                            os.retained_remote = status.retained;
-                            os.inflight = None;
-                            os.base = None;
-                            os.divergent = true;
-                            os.dedup.clear();
-                        }
-                    }
-                    Msg::Ack {
-                        ship,
-                        object,
-                        epoch,
-                    } => {
-                        let Some(os) = link.ships.get_mut(&object) else {
-                            continue;
-                        };
-                        if epoch > os.remote {
-                            os.remote = epoch;
-                            os.remote_len = None;
-                        }
-                        if os.inflight.as_ref().is_some_and(|s| s.id == ship) {
-                            if let Some(ship) = os.inflight.take() {
-                                link.meters.record(
-                                    "repl_ack_lag",
-                                    vt.now().saturating_sub(ship.created_at),
-                                );
-                                if ship.target_epoch == os.remote {
-                                    os.remote_len = Some(ship.stream.header.len_pages);
-                                }
-                                if let Some(name) = ship.anchor {
-                                    os.base = Some((name, ship.target_epoch));
-                                }
-                                os.divergent = false;
-                                // The receiver applied the ship, so it
-                                // inserted the same payload images —
-                                // the staged entries are now shared.
-                                os.dedup.commit();
-                                link.metrics.acks += 1;
-                                report.acks += 1;
+                for msg in unpack(&payload, &mut link.metrics.malformed) {
+                    match msg {
+                        Msg::Hello { objects } => {
+                            link.known = true;
+                            for status in objects {
+                                let os = link.ships.entry(status.name).or_default();
+                                os.remote = status.epoch;
+                                os.remote_len = None;
+                                os.retained_remote = status.retained;
+                                os.inflight = None;
+                                os.base = None;
+                                os.divergent = true;
+                                os.dedup.clear();
                             }
                         }
-                    }
-                    Msg::Nak { ship, next_seq } => {
-                        for os in link.ships.values_mut() {
-                            if let Some(s) = os.inflight.as_mut() {
-                                if s.id == ship {
-                                    let from = s.resend_from.map_or(next_seq, |f| f.min(next_seq));
-                                    s.resend_from = Some(from);
+                        Msg::Ack {
+                            ship,
+                            object,
+                            epoch,
+                        } => {
+                            let Some(os) = link.ships.get_mut(&object) else {
+                                continue;
+                            };
+                            if epoch > os.remote {
+                                os.remote = epoch;
+                                os.remote_len = None;
+                            }
+                            if os.inflight.as_ref().is_some_and(|s| s.id == ship) {
+                                if let Some(ship) = os.inflight.take() {
+                                    let lag = vt.now().saturating_sub(ship.created_at);
+                                    link.meters.record("repl_ack_lag", lag);
+                                    if !ship.resent && lag > Nanos::ZERO {
+                                        link.rtt.sample(lag);
+                                    }
+                                    if ship.target_epoch == os.remote {
+                                        os.remote_len = Some(ship.stream.header.len_pages);
+                                    }
+                                    if let Some(name) = ship.anchor {
+                                        os.base = Some((name, ship.target_epoch));
+                                    }
+                                    os.divergent = false;
+                                    // The receiver applied the ship, so it
+                                    // inserted the same payload images —
+                                    // the staged entries are now shared.
+                                    os.dedup.commit();
+                                    link.metrics.acks += 1;
+                                    report.acks += 1;
                                 }
                             }
                         }
+                        Msg::Nak {
+                            ship,
+                            begin,
+                            missing,
+                        } => {
+                            let mut inflight = link
+                                .ships
+                                .values_mut()
+                                .filter_map(|os| os.inflight.as_mut());
+                            if let Some(s) = inflight.find(|s| s.id == ship) {
+                                s.wanted = Some((begin, missing));
+                            }
+                        }
+                        // Repair traffic needs the primary's store, which this
+                        // loop cannot borrow — queue it for the repair step.
+                        m @ (Msg::RepairRequest { .. } | Msg::RepairResponse { .. }) => {
+                            link.pending_repairs.push(m);
+                        }
+                        // Begin/Frame/End never travel up the link.
+                        _ => {}
                     }
-                    // Repair traffic needs the primary's store, which this
-                    // loop cannot borrow — queue it for the repair step.
-                    m @ (Msg::RepairRequest { .. } | Msg::RepairResponse { .. }) => {
-                        link.pending_repairs.push(m);
-                    }
-                    // Begin/Frame/End never travel up the link.
-                    _ => {}
                 }
             }
         }
@@ -1390,10 +1576,12 @@ impl ReplEngine {
                     stream,
                     created_at: now,
                     last_send: now,
-                    resend_from: None,
+                    wanted: None,
+                    resent: false,
                 };
                 self.next_ship += 1;
-                send_ship(&mut link.down, now, &ship, 0);
+                let frames = ship.stream.frames.len() as u64;
+                send_ship(&mut link.down, now, &ship, true, 0..frames);
                 inflight_bytes += ship.wire_bytes();
                 os.inflight = Some(ship);
                 report.ships_started += 1;
@@ -1533,20 +1721,30 @@ impl ReplEngine {
                 }
                 link.last_hello = now;
             }
+            // RFC 6298 over the link's own acknowledgement lag, between
+            // twice its mean and the configured ceiling.
+            let ceiling = self.cfg.retransmit_timeout;
+            let floor = link.rtt.mean * 2;
+            let rto = link
+                .rtt
+                .bound()
+                .map_or(ceiling, |b| b.max(floor).min(ceiling));
             for os in link.ships.values_mut() {
                 let Some(ship) = os.inflight.as_mut() else {
                     continue;
                 };
-                // Nak-driven: resume the frames from the hole. Timeout:
-                // even the Begin may have been lost; replay the whole
-                // ship (duplicates are ignored).
-                let from = match ship.resend_from.take() {
-                    Some(from) => from,
-                    None if now.saturating_sub(ship.last_send) > self.cfg.retransmit_timeout => 0,
+                // Nak-driven: exactly the pieces the replica named, and
+                // the End. Timer: the End alone, a probe the replica
+                // answers with an Ack or with the Nak for what it lacks.
+                let (begin, missing) = match ship.wanted.take() {
+                    Some(wanted) => wanted,
+                    None if now.saturating_sub(ship.last_send) > rto => (false, Vec::new()),
                     None => continue,
                 };
-                link.metrics.retransmit_frames += send_ship(&mut link.down, now, ship, from);
+                link.metrics.retransmit_frames +=
+                    send_ship(&mut link.down, now, ship, begin, missing);
                 ship.last_send = now;
+                ship.resent = true;
             }
         }
     }
@@ -1702,7 +1900,7 @@ impl ReplEngine {
         let Some(mut node) = link.node.take() else {
             return Err(ReplError::UnknownReplica);
         };
-        node.sessions.clear();
+        node.ships.clear();
         node.state = ReplicaState::Promoted;
         // Promotion happens at (or past) the newest complete vector cut:
         // re-evaluate now that every in-flight datagram has landed.
@@ -1760,6 +1958,39 @@ mod tests {
             .unwrap()
     }
 
+    /// An incompressible page: it ships as a stored whole-page frame, a
+    /// datagram of its own.
+    fn noise_page(seed: u64) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ seed.wrapping_mul(0xA24B_AED4_963E_E407);
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        };
+        (0..PAGE_SIZE).map(|_| next()).collect()
+    }
+
+    /// Commits fresh noise over the region's first `pages` pages: the
+    /// ship that carries it is `pages` + 2 datagrams.
+    fn commit_noise(
+        ms: &mut MemSnap,
+        vt: &mut Vt,
+        space: AsId,
+        r: &RegionHandle,
+        seed: u64,
+        pages: u64,
+    ) -> Epoch {
+        let t = vt.id();
+        for p in 0..pages {
+            let addr = r.addr + p * PAGE_SIZE as u64;
+            ms.write(vt, space, t, addr, &noise_page(seed * 16 + p))
+                .unwrap();
+        }
+        ms.msnap_persist(vt, t, RegionSel::Region(r.md), PersistFlags::sync())
+            .unwrap()
+    }
+
     fn assert_replica_page(eng: &mut ReplEngine, name: &str, object: &str, page: u64, fill: u8) {
         let node = eng.replica_mut(name).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -1796,16 +2027,14 @@ mod tests {
         let (mut ms, mut vt, space, r, object) = primary();
         let mut eng = ReplEngine::new(ReplConfig::default());
         eng.add_replica("r1", NetConfig::lossy(3)).unwrap();
-        for fill in 1..=8u8 {
-            commit(&mut ms, &mut vt, space, &r, fill);
-            eng.tick(&mut vt, &mut ms).unwrap();
+        // Whole incompressible pages, a ship per commit: a ship is
+        // several datagrams, not one packed one, and only a lost frame
+        // is a retransmitted frame.
+        for seed in 1..=8 {
+            commit_noise(&mut ms, &mut vt, space, &r, seed, 4);
+            assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(30)).unwrap());
         }
-        assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(30)).unwrap());
-        assert_eq!(
-            eng.replica("r1").unwrap().epoch(&object),
-            ms.object_epoch(&object).unwrap()
-        );
-        assert_replica_page(&mut eng, "r1", &object, 0, 8);
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
         let (down, _up) = eng.link_net_stats("r1").unwrap();
         assert!(down.dropped > 0, "a 15% link drops something: {down:?}");
         let m = eng.link_metrics("r1").unwrap();
@@ -2147,7 +2376,7 @@ mod tests {
             assert!(node.handle(Msg::Begin { ship, header }).is_empty());
         }
         assert_eq!(
-            node.sessions.keys().collect::<Vec<_>>(),
+            node.ships.keys().collect::<Vec<_>>(),
             [&5],
             "only the newest ship of the object stays open"
         );
@@ -2163,7 +2392,284 @@ mod tests {
             ship: 4,
             header: stale,
         });
-        assert_eq!(node.sessions.keys().collect::<Vec<_>>(), [&4, &5, &6]);
+        assert_eq!(node.ships.keys().collect::<Vec<_>>(), [&4, &5, &6]);
+    }
+
+    /// A full image of `n` incompressible pages of object "db" as the
+    /// messages of ship 1 — `Begin`, `n` frames, `End` — with the epoch
+    /// it lands at.
+    fn ship_of(n: u64) -> (Vec<Msg>, Epoch) {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = ObjectStore::format(&mut disk);
+        let mut vt = Vt::new(0);
+        let id = store.create(&mut vt, &mut disk, "db").unwrap();
+        let pages: Vec<Vec<u8>> = (0..n).map(noise_page).collect();
+        let iov: Vec<(u64, &[u8])> = (0..n).zip(pages.iter().map(|p| &p[..])).collect();
+        let token = store.persist(&mut vt, &mut disk, id, &iov).unwrap();
+        ObjectStore::wait(&mut vt, token);
+        store
+            .snapshot_create(&mut vt, &mut disk, id, "tip")
+            .unwrap();
+        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "tip", None).unwrap();
+        assert_eq!(stream.frames.len() as u64, n);
+        let ship = 1;
+        let header = stream.header.clone();
+        let mut msgs = vec![Msg::Begin { ship, header }];
+        msgs.extend(
+            stream
+                .frames
+                .into_iter()
+                .map(|frame| Msg::Frame { ship, frame }),
+        );
+        msgs.push(Msg::End {
+            ship,
+            probe: false,
+            trailer: stream.trailer,
+        });
+        (msgs, stream.header.target_epoch)
+    }
+
+    /// Every permutation of `0..n` (Heap's algorithm).
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        fn heap(k: usize, a: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if k <= 1 {
+                return out.push(a.clone());
+            }
+            for i in 0..k {
+                heap(k - 1, a, out);
+                a.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+            }
+        }
+        let mut out = Vec::new();
+        heap(n, &mut (0..n).collect(), &mut out);
+        out.sort();
+        out.dedup();
+        assert_eq!(out.len(), (1..=n).product::<usize>());
+        out
+    }
+
+    /// Reordering alone is free: a ship's messages delivered to a
+    /// replica in any order (inside its reorder allowance) land it with
+    /// one `Ack` and not one `Nak` — nothing for the primary to resend.
+    /// Every order for 1 and 3 frames; for 8 frames (3.6 M orders) the
+    /// `Begin` and the `End` in every pair of positions around the frames
+    /// forwards, backwards and interleaved, and 200 seeded shuffles.
+    #[test]
+    fn any_arrival_order_lands_the_ship_with_one_ack_and_no_nak() {
+        for n in [1usize, 3, 8] {
+            let (msgs, epoch) = ship_of(n as u64);
+            let orders = if n < 8 {
+                permutations(n + 2)
+            } else {
+                let mut orders = Vec::new();
+                let forwards: Vec<usize> = (1..=n).collect();
+                let backwards: Vec<usize> = forwards.iter().rev().copied().collect();
+                let (odd, even): (Vec<usize>, Vec<usize>) =
+                    forwards.iter().partition(|&&i| i % 2 == 1);
+                for frames in [forwards, backwards, [even, odd].concat()] {
+                    for begin_at in 0..=n {
+                        for end_at in 0..=n + 1 {
+                            let mut order = frames.clone();
+                            order.insert(begin_at, 0);
+                            order.insert(end_at, n + 1);
+                            orders.push(order);
+                        }
+                    }
+                }
+                let mut state = 0x5EEDu64;
+                for _ in 0..200 {
+                    let mut order: Vec<usize> = (0..n + 2).collect();
+                    for i in (1..order.len()).rev() {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        order.swap(i, (state >> 33) as usize % (i + 1));
+                    }
+                    orders.push(order);
+                }
+                orders
+            };
+            for order in orders {
+                let mut node = ReplicaNode::format("r1", 1);
+                // An allowance is known, so an early End does arm a Nak.
+                node.reorder.sample(Nanos::from_us(10));
+                let mut replies = Vec::new();
+                for &i in &order {
+                    replies.extend(node.handle(msgs[i].clone()));
+                    // All of it arrives at one instant: no allowance runs out.
+                    replies.extend(node.overdue(Nanos::ZERO));
+                }
+                replies.extend(node.overdue(Nanos::MAX));
+                let object = "db".to_string();
+                let ack = Msg::Ack {
+                    ship: 1,
+                    object,
+                    epoch,
+                };
+                assert_eq!(replies, [ack], "{n} frames in order {order:?}");
+                assert!(node.ships.is_empty(), "{order:?}");
+                let mut got = vec![0u8; PAGE_SIZE];
+                for page in 0..n as u64 {
+                    node.read_page("db", page, &mut got).unwrap();
+                    assert_eq!(got, noise_page(page), "page {page} after {order:?}");
+                }
+            }
+        }
+    }
+
+    /// Takes the `victim`-th datagram in flight on a link out of it; the
+    /// rest go back in, in order. Returns the lost datagram.
+    fn lose(link: &mut SimLink, now: Nanos, victim: usize) -> Vec<u8> {
+        let mut grams = Vec::new();
+        while let Some((_, gram)) = link.poll(Nanos::MAX) {
+            grams.push(gram);
+        }
+        let lost = grams.remove(victim);
+        grams.into_iter().for_each(|gram| link.send(now, gram));
+        lost
+    }
+
+    /// One lost datagram costs one datagram: with each datagram of a ship
+    /// lost in turn — the `Begin`, each frame, the `End`, then the `Ack`
+    /// — the link converges having resent that datagram's messages and
+    /// `End`s (the closing one, the timer's probes), never the ship.
+    #[test]
+    fn one_lost_datagram_is_resent_alone() {
+        for n in [1u64, 3, 8] {
+            for victim in 0..n + 3 {
+                let (mut ms, mut vt, space, r, object) = primary();
+                let mut eng = ReplEngine::new(ReplConfig::default());
+                // No loss, no jitter: what goes missing is what `lose` takes.
+                let exact = NetConfig {
+                    jitter: Nanos::ZERO,
+                    ..NetConfig::calm(7)
+                };
+                eng.add_replica("r1", exact).unwrap();
+                commit(&mut ms, &mut vt, space, &r, 1);
+                assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+
+                // One tick by hand, to get between the send and the pump.
+                commit_noise(&mut ms, &mut vt, space, &r, 1, n);
+                let objects = ms.store().object_names();
+                let mut report = TickReport::default();
+                eng.drain_up(&mut vt, &mut report);
+                eng.ship(&mut vt, &mut ms, &objects, &mut report).unwrap();
+                assert_eq!(report.ships_started, 1);
+                let lost = if victim < n + 2 {
+                    lose(&mut eng.links[0].down, vt.now(), victim as usize)
+                } else {
+                    Vec::new()
+                };
+                eng.pump_until(vt.now());
+                if victim == n + 2 {
+                    let ack = lose(&mut eng.links[0].up, vt.now(), 0);
+                    assert!(matches!(Msg::decode(&ack), Ok((Msg::Ack { .. }, _))));
+                }
+                let resent_from = eng.links[0].down.stats().bytes_sent;
+                for _ in 0..200 {
+                    vt.advance(Nanos::from_ms(1));
+                    if eng.tick(&mut vt, &mut ms).unwrap().caught_up {
+                        break;
+                    }
+                }
+                assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+                let m = *eng.link_metrics("r1").unwrap();
+                let frame_lost = (1..=n).contains(&victim);
+                assert_eq!(m.retransmit_frames, u64::from(frame_lost), "{n}/{victim}");
+                assert_eq!(m.acks, 3, "bootstrap's two and this one: {n}/{victim}");
+                // What went down the link again: the lost datagram's
+                // worth, an End probe and the closing End (56 bytes
+                // each), a cut re-announce.
+                let resent = eng.links[0].down.stats().bytes_sent - resent_from;
+                assert!(
+                    resent <= lost.len() as u64 + 3 * 56,
+                    "{n}/{victim}: resent {resent} bytes for a lost {}",
+                    lost.len()
+                );
+            }
+        }
+    }
+
+    /// A calm link still jitters, so a ship's datagrams still arrive out
+    /// of order — and that alone never earns a retransmission.
+    #[test]
+    fn reordering_on_a_calm_link_retransmits_nothing() {
+        let (mut ms, mut vt, space, r, object) = primary();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("r1", NetConfig::calm(41)).unwrap();
+        for i in 0..200 {
+            commit_noise(&mut ms, &mut vt, space, &r, i, 1 + i % 4);
+            assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        }
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+        let m = *eng.link_metrics("r1").unwrap();
+        assert_eq!(m.retransmit_frames, 0, "{m:?}");
+        assert!(m.acks >= 200, "{m:?}");
+        // Not vacuous: Ends did overtake pieces of their ships.
+        assert!(eng.replica("r1").unwrap().reorder.mean > Nanos::ZERO);
+    }
+
+    /// A datagram damaged behind its first message delivers that message
+    /// and counts once as malformed; the link carries on.
+    #[test]
+    fn malformed_tail_costs_the_rest_of_its_datagram_only() {
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("r1", NetConfig::calm(43)).unwrap();
+        let (msgs, _) = ship_of(1);
+        let mut gram = msgs[0].encode();
+        let cut = gram.len() + 20;
+        gram.extend(msgs[1].encode());
+        gram.truncate(cut);
+        eng.links[0].down.send(Nanos::ZERO, gram);
+        eng.links[0].down.send(Nanos::ZERO, msgs[2].encode());
+        eng.pump();
+        assert_eq!(eng.link_metrics("r1").unwrap().malformed, 1);
+        let rec = &eng.replica("r1").unwrap().ships[&1];
+        assert!(rec.session.is_some() && rec.trailer.is_some() && rec.ahead.is_empty());
+    }
+
+    /// What a replica buffers of ships it cannot apply yet is bounded in
+    /// bytes, whatever the header claims and wherever the frames point.
+    #[test]
+    fn lying_frame_count_and_junk_frames_stay_inside_the_budget() {
+        let mut node = ReplicaNode::format("r1", 1);
+        let (msgs, _) = ship_of(1);
+        let Msg::Begin { mut header, .. } = msgs[0].clone() else {
+            unreachable!()
+        };
+        header.frame_count = 1 << 40;
+        assert!(node.handle(Msg::Begin { ship: 1, header }).is_empty());
+        let junk = |seq: u64| {
+            Frame::Sub(msnap_snap::SubPageFrame {
+                seq,
+                page: seq,
+                page_digest: 0,
+                runs: vec![(0, PAGE_SIZE as u16)],
+                method: 0,
+                raw_len: PAGE_SIZE as u32,
+                payload: vec![0xEE; PAGE_SIZE],
+                checksum: seq,
+            })
+        };
+        // Far more than the budget, never the frame the session waits
+        // for, some at sequence numbers no allocation could reach; and a
+        // second ship with no Begin at all.
+        let seqs = [u64::MAX, 1 << 39]
+            .into_iter()
+            .chain(1..=600)
+            .chain([1 << 40, 7]);
+        for (ship, seq) in seqs.flat_map(|seq| [(1, seq), (2, seq)]) {
+            node.handle(Msg::Frame {
+                ship,
+                frame: junk(seq),
+            });
+            let held: usize = node.ships.values().map(Reassembly::held).sum();
+            assert!(held <= MAX_LAG_BYTES as usize, "{held} bytes at seq {seq}");
+            let slots: usize = node.ships.values().map(|r| r.ahead.len()).sum();
+            assert!(slots * SLOT_BYTES <= MAX_LAG_BYTES as usize);
+        }
+        assert!(
+            node.ships[&1].ahead.len() > 100,
+            "room is used, not refused"
+        );
     }
 
     #[test]
@@ -2179,8 +2685,8 @@ mod tests {
         let (mut ms, mut vt, space, r, object) = primary();
         let mut eng = ReplEngine::new(ReplConfig::default());
         eng.add_replica("r1", NetConfig::lossy(seed)).unwrap();
-        for fill in 1..=6u8 {
-            commit(&mut ms, &mut vt, space, &r, fill);
+        for commit in 1..=6 {
+            commit_noise(&mut ms, &mut vt, space, &r, commit, 4);
             eng.tick(&mut vt, &mut ms).unwrap();
         }
         eng.settle(&mut vt, &mut ms, Nanos::from_secs(30)).unwrap();

@@ -13,17 +13,29 @@
 //! Every [`ReplEngine::tick`] the engine compares each object's live
 //! committed epoch against what each replica last acknowledged. A
 //! lagging replica gets a **ship**: a [`msnap_snap::DeltaStream`] from
-//! the epoch it acknowledged to the live one, sent down the link as one
-//! datagram per frame — `Begin`, `Frame`…, `End` ([`Msg`]). The ship is
+//! the epoch it acknowledged to the live one, sent down the link as
+//! `Begin`, `Frame`…, `End` ([`Msg`]) packed back to back into datagrams
+//! of up to 1 400 bytes — a one-line ship is one datagram. The ship is
 //! **commit-fed**: its pages and 64-byte line masks are the dirty-line
 //! record the μCheckpoints of that span left behind
 //! ([`memsnap::MemSnap::subpage_extents`]) and its bytes are verified
 //! reads of the live object, so nothing is pinned, flushed or diffed,
-//! and the built frames serve every retransmit. Replicas apply a
-//! completed stream as **one crash-atomic commit** and answer `Ack`;
-//! holes and corrupt frames answer `Nak{next_seq}` and the engine
-//! resumes from exactly there. A silent loss is covered by a go-back-N
-//! timeout replay. Duplicates are harmless by construction.
+//! and the built frames serve every retransmit.
+//!
+//! The replica **reassembles**: one record per ship takes the header,
+//! the frames and the trailer in whatever order they arrive, feeds its
+//! apply session in sequence as holes fill, lands the completed stream
+//! as **one crash-atomic commit** and answers `Ack`. Reordering costs
+//! nothing. A hole that outlives the reorder allowance — which the
+//! replica derives from how far pieces have trailed their `End` on this
+//! link — earns a `Nak` naming exactly the missing pieces, and the
+//! primary resends exactly those (**selective repeat**). A silent loss
+//! (the `End`, the `Ack`, a whole packed ship) is covered by the
+//! primary's timer — RFC 6298 over the link's own acknowledgement lag,
+//! never above [`ReplConfig::retransmit_timeout`] — which sends the
+//! `End` alone as a probe; the replica answers it at once with the `Ack`
+//! or the `Nak`. Duplicates, late and early pieces are harmless by
+//! construction (DESIGN.md §6e lists what each does).
 //!
 //! A sparse subset of ships are **anchor ships** — full images,
 //! rebases, and deltas whose span crosses a multiple of half

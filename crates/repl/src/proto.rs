@@ -1,4 +1,5 @@
-//! The replication wire protocol: one datagram per message.
+//! The replication wire protocol: self-delimiting messages, one or
+//! more to a datagram.
 //!
 //! Six message kinds move between a primary and each replica. Down the
 //! link (primary → replica) a delta stream travels as a `Begin` carrying
@@ -6,13 +7,17 @@
 //! [`StreamTrailer`] — the `msnap-snap` piecewise framing, so every page
 //! keeps its own checksum and the trailer binds the stream. Up the link
 //! travel `Hello` (a replica announcing its per-object durable state),
-//! `Ack` (a stream landed durably), and `Nak` (resume transmission from
-//! [`Msg::Nak::next_seq`]).
+//! `Ack` (a stream landed durably), and `Nak` (the pieces of a ship the
+//! replica is still missing: its `Begin` and/or frames by sequence
+//! number — selective repeat).
 //!
-//! Datagrams are self-contained and idempotent to retransmit: the link
-//! may drop, reorder, or duplicate them freely. Decoding never panics —
-//! bytes come off a network, so a malformed datagram decodes to an error
-//! and is dropped by the receiver.
+//! Every encoding delimits itself, so a sender may pack several
+//! messages back to back into one datagram and a receiver reads them off
+//! the front one at a time. Messages are self-contained and
+//! idempotent to retransmit: the link may drop, reorder, or duplicate
+//! datagrams freely. Decoding never panics — bytes come off a network,
+//! so a malformed message decodes to an error and the receiver drops it
+//! with whatever followed it in its datagram.
 //!
 //! Two further kinds serve self-healing repair and travel in *either*
 //! direction: `RepairRequest` asks the peer for a clean copy of one page
@@ -26,14 +31,16 @@ use msnap_snap::{Frame, SnapError, StreamHeader, StreamTrailer};
 use msnap_store::Epoch;
 
 const TAG_HELLO: u64 = 1;
-const TAG_BEGIN: u64 = 2;
-const TAG_FRAME: u64 = 3;
-const TAG_END: u64 = 4;
+pub(crate) const TAG_BEGIN: u64 = 2;
+pub(crate) const TAG_FRAME: u64 = 3;
+pub(crate) const TAG_END: u64 = 4;
 const TAG_ACK: u64 = 5;
 const TAG_NAK: u64 = 6;
 const TAG_REPAIR_REQUEST: u64 = 7;
 const TAG_REPAIR_RESPONSE: u64 = 8;
 const TAG_CUT_ANNOUNCE: u64 = 9;
+/// An `End` the primary's timer sent on its own (see [`Msg::End::probe`]).
+pub(crate) const TAG_PROBE: u64 = 10;
 
 /// Longest object name accepted off the wire (matches the store's
 /// directory limit with slack); longer claims are malformed.
@@ -44,6 +51,9 @@ const MAX_OBJECTS: usize = 4096;
 const MAX_RETAINED: usize = 4096;
 /// Most per-shard epochs one `CutAnnounce` may carry.
 const MAX_CUT_EPOCHS: usize = 4096;
+/// Most sequence numbers one `Nak` may name (it still fits a datagram);
+/// a replica missing more asks again once these have arrived.
+pub(crate) const MAX_NAK_SEQS: usize = 160;
 
 /// One object's durable state as a replica reports it: the committed
 /// epoch plus every epoch the replica retains as a pinned snapshot (the
@@ -89,6 +99,10 @@ pub enum Msg {
     End {
         /// Ship the trailer closes.
         ship: u64,
+        /// The primary's timer sent this `End` alone, long after anything
+        /// else of the ship: no piece is still on its way, so the answer
+        /// (`Ack`, or the `Nak` for what is missing) is due at once.
+        probe: bool,
         /// The trailer binding every frame.
         trailer: StreamTrailer,
     },
@@ -101,13 +115,15 @@ pub enum Msg {
         /// The replica's committed epoch after the apply.
         epoch: Epoch,
     },
-    /// Replica → primary: retransmit the ship's frames starting at
-    /// `next_seq` (0 asks for the `Begin` again too).
+    /// Replica → primary: the ship's `End` is in hand and these pieces
+    /// are not — resend exactly them (and the `End`).
     Nak {
-        /// The ship to resume.
+        /// The ship with holes.
         ship: u64,
-        /// First missing sequence number.
-        next_seq: u64,
+        /// The `Begin` is missing.
+        begin: bool,
+        /// Missing frame sequence numbers, ascending.
+        missing: Vec<u64>,
     },
     /// Either direction: ask the peer for a clean copy of one page whose
     /// local media rotted (scrub quarantined it with no local source).
@@ -170,8 +186,41 @@ fn read_name(buf: &[u8], off: &mut usize) -> Result<String, SnapError> {
     String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Malformed)
 }
 
+/// A ship message — `tag`, the ship, one `msnap-snap` wire piece —
+/// encoded from borrowed parts: a ship goes out straight from its
+/// stream, never through an owned [`Msg`].
+pub(crate) fn ship_msg(tag: u64, ship: u64, piece: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + piece.len());
+    push_u64(&mut out, tag);
+    push_u64(&mut out, ship);
+    out.extend_from_slice(piece);
+    out
+}
+
+/// Reads the messages packed into one datagram off its front, in order.
+/// Nothing behind a malformed message can be delimited, so it ends the
+/// datagram — that datagram only — and counts once in `malformed`; an
+/// empty datagram is malformed too.
+pub(crate) fn unpack<'a>(
+    datagram: &'a [u8],
+    malformed: &'a mut u64,
+) -> impl Iterator<Item = Msg> + 'a {
+    let mut rest = Some(datagram);
+    std::iter::from_fn(move || match Msg::decode(rest?) {
+        Ok((msg, used)) => {
+            rest = rest.map(|r| &r[used..]).filter(|r| !r.is_empty());
+            Some(msg)
+        }
+        Err(_) => {
+            *malformed += 1;
+            rest = None;
+            None
+        }
+    })
+}
+
 impl Msg {
-    /// Serializes the message to one datagram.
+    /// Serializes the message (self-delimiting) to a datagram of its own.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
@@ -188,20 +237,15 @@ impl Msg {
                     }
                 }
             }
-            Msg::Begin { ship, header } => {
-                push_u64(&mut out, TAG_BEGIN);
-                push_u64(&mut out, *ship);
-                out.extend_from_slice(&header.encode());
-            }
-            Msg::Frame { ship, frame } => {
-                push_u64(&mut out, TAG_FRAME);
-                push_u64(&mut out, *ship);
-                out.extend_from_slice(&frame.encode());
-            }
-            Msg::End { ship, trailer } => {
-                push_u64(&mut out, TAG_END);
-                push_u64(&mut out, *ship);
-                out.extend_from_slice(&trailer.encode());
+            Msg::Begin { ship, header } => return ship_msg(TAG_BEGIN, *ship, &header.encode()),
+            Msg::Frame { ship, frame } => return ship_msg(TAG_FRAME, *ship, &frame.encode()),
+            Msg::End {
+                ship,
+                probe,
+                trailer,
+            } => {
+                let tag = if *probe { TAG_PROBE } else { TAG_END };
+                return ship_msg(tag, *ship, &trailer.encode());
             }
             Msg::Ack {
                 ship,
@@ -214,10 +258,18 @@ impl Msg {
                 out.extend_from_slice(object.as_bytes());
                 push_u64(&mut out, *epoch);
             }
-            Msg::Nak { ship, next_seq } => {
+            Msg::Nak {
+                ship,
+                begin,
+                missing,
+            } => {
                 push_u64(&mut out, TAG_NAK);
                 push_u64(&mut out, *ship);
-                push_u64(&mut out, *next_seq);
+                push_u64(&mut out, u64::from(*begin));
+                push_u64(&mut out, missing.len() as u64);
+                for &seq in missing {
+                    push_u64(&mut out, seq);
+                }
             }
             Msg::RepairRequest {
                 object,
@@ -256,17 +308,18 @@ impl Msg {
         out
     }
 
-    /// Parses one datagram. Never panics or over-allocates on malformed
-    /// input — a receiver drops datagrams this rejects.
+    /// Parses the message at the front of `buf`, returning it and the
+    /// bytes it occupied. Never panics or over-allocates on malformed
+    /// input — a receiver drops what this rejects.
     ///
     /// # Errors
     ///
     /// [`SnapError::Malformed`] for structural damage (truncation, bad
     /// tag, oversized claims).
-    pub fn decode(buf: &[u8]) -> Result<Msg, SnapError> {
+    pub fn decode(buf: &[u8]) -> Result<(Msg, usize), SnapError> {
         let mut off = 0;
         let tag = read_u64(buf, &mut off)?;
-        match tag {
+        let msg = match tag {
             TAG_HELLO => {
                 let count = read_u64(buf, &mut off)? as usize;
                 if count > MAX_OBJECTS {
@@ -295,20 +348,27 @@ impl Msg {
             TAG_BEGIN => {
                 let ship = read_u64(buf, &mut off)?;
                 let rest = buf.get(off..).ok_or(SnapError::Malformed)?;
-                let (header, _) = StreamHeader::decode(rest)?;
+                let (header, used) = StreamHeader::decode(rest)?;
+                off += used;
                 Ok(Msg::Begin { ship, header })
             }
             TAG_FRAME => {
                 let ship = read_u64(buf, &mut off)?;
                 let rest = buf.get(off..).ok_or(SnapError::Malformed)?;
-                let (frame, _) = Frame::decode(rest)?;
+                let (frame, used) = Frame::decode(rest)?;
+                off += used;
                 Ok(Msg::Frame { ship, frame })
             }
-            TAG_END => {
+            TAG_END | TAG_PROBE => {
                 let ship = read_u64(buf, &mut off)?;
                 let rest = buf.get(off..).ok_or(SnapError::Malformed)?;
-                let (trailer, _) = StreamTrailer::decode(rest)?;
-                Ok(Msg::End { ship, trailer })
+                let (trailer, used) = StreamTrailer::decode(rest)?;
+                off += used;
+                Ok(Msg::End {
+                    ship,
+                    probe: tag == TAG_PROBE,
+                    trailer,
+                })
             }
             TAG_ACK => {
                 let ship = read_u64(buf, &mut off)?;
@@ -322,8 +382,18 @@ impl Msg {
             }
             TAG_NAK => {
                 let ship = read_u64(buf, &mut off)?;
-                let next_seq = read_u64(buf, &mut off)?;
-                Ok(Msg::Nak { ship, next_seq })
+                let begin = read_u64(buf, &mut off)? != 0;
+                let n = read_u64(buf, &mut off)? as usize;
+                if n > MAX_NAK_SEQS {
+                    return Err(SnapError::Malformed);
+                }
+                let missing = (0..n).map(|_| read_u64(buf, &mut off));
+                let missing = missing.collect::<Result<_, _>>()?;
+                Ok(Msg::Nak {
+                    ship,
+                    begin,
+                    missing,
+                })
             }
             TAG_REPAIR_REQUEST => {
                 let object = read_name(buf, &mut off)?;
@@ -359,10 +429,7 @@ impl Msg {
                 }
                 let end = off.checked_add(BLOCK_SIZE).ok_or(SnapError::Malformed)?;
                 let data = buf.get(off..end).ok_or(SnapError::Malformed)?.to_vec();
-                if buf.len() != end {
-                    // Trailing garbage would make retransmits ambiguous.
-                    return Err(SnapError::Malformed);
-                }
+                off = end;
                 Ok(Msg::RepairResponse {
                     object,
                     page,
@@ -371,13 +438,22 @@ impl Msg {
                 })
             }
             _ => Err(SnapError::Malformed),
-        }
+        };
+        msg.map(|m| (m, off))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The messages a datagram yields, and whether it ended malformed.
+    fn unpacked(datagram: &[u8]) -> (Vec<Msg>, bool) {
+        let mut malformed = 0;
+        let msgs = unpack(datagram, &mut malformed).collect();
+        assert!(malformed <= 1, "a datagram is malformed once");
+        (msgs, malformed == 1)
+    }
 
     #[test]
     fn every_message_kind_round_trips() {
@@ -403,10 +479,17 @@ mod tests {
             },
             Msg::Nak {
                 ship: 7,
-                next_seq: 13,
+                begin: true,
+                missing: vec![0, 2, 13],
+            },
+            Msg::Nak {
+                ship: 8,
+                begin: false,
+                missing: vec![],
             },
             Msg::End {
                 ship: 9,
+                probe: true,
                 trailer: StreamTrailer {
                     frames: 4,
                     stream_sum: 0xDEAD,
@@ -428,9 +511,15 @@ mod tests {
                 data: vec![0x5A; BLOCK_SIZE],
             },
         ];
-        for m in msgs {
-            assert_eq!(Msg::decode(&m.encode()).unwrap(), m);
+        let mut packed = Vec::new();
+        for m in &msgs {
+            let wire = m.encode();
+            assert_eq!(Msg::decode(&wire).unwrap(), (m.clone(), wire.len()));
+            packed.extend_from_slice(&wire);
         }
+        // Every encoding delimits itself: the kinds packed back to back
+        // into one datagram read off its front in order.
+        assert_eq!(unpacked(&packed), (msgs, false));
     }
 
     #[test]
@@ -446,10 +535,12 @@ mod tests {
         for len in [0, 8, 9, ok.len() - BLOCK_SIZE, ok.len() - 1] {
             assert!(Msg::decode(&ok[..len]).is_err());
         }
-        // Trailing garbage after the page payload.
+        // Trailing garbage after the page payload: the message reads off
+        // the front, the tail is what is malformed.
         let mut long = ok.clone();
         long.push(0);
-        assert!(Msg::decode(&long).is_err());
+        let (got, malformed) = unpacked(&long);
+        assert!(matches!(got[..], [Msg::RepairResponse { .. }]) && malformed);
         // A digest claim that does not fit 32 bits.
         let mut req = Vec::new();
         push_u64(&mut req, TAG_REPAIR_REQUEST);
@@ -477,6 +568,109 @@ mod tests {
         push_u64(&mut wire, msnap_store::fnv1a_extend(sum, &data));
         wire.extend_from_slice(&data);
         assert_eq!(Msg::decode(&wire), Err(SnapError::Malformed));
+    }
+
+    fn ship_datagram() -> (Vec<Msg>, Vec<u8>) {
+        let header = StreamHeader {
+            object: "db".into(),
+            base_epoch: Some(4),
+            target_epoch: 5,
+            len_pages: 16,
+            frame_count: 0,
+            cut: None,
+        };
+        let trailer = StreamTrailer {
+            frames: 0,
+            stream_sum: msnap_store::FNV_OFFSET,
+        };
+        let mut wire = ship_msg(TAG_BEGIN, 3, &header.encode());
+        wire.extend(ship_msg(TAG_END, 3, &trailer.encode()));
+        wire.extend(
+            Msg::Nak {
+                ship: 3,
+                begin: false,
+                missing: vec![1, 5],
+            }
+            .encode(),
+        );
+        let (msgs, malformed) = unpacked(&wire);
+        assert!(!malformed);
+        assert_eq!(msgs[0], Msg::Begin { ship: 3, header });
+        let (ship, probe) = (3, false);
+        assert_eq!(
+            msgs[1],
+            Msg::End {
+                ship,
+                probe,
+                trailer
+            }
+        );
+        (msgs, wire)
+    }
+
+    /// Packed decode: whatever is done to a datagram, the receiver gets
+    /// the valid prefix, one error for the rest, no panic and no
+    /// allocation beyond what the bytes hold.
+    #[test]
+    fn damaged_packed_datagrams_yield_the_valid_prefix() {
+        let (msgs, wire) = ship_datagram();
+        let bounds: Vec<usize> = msgs
+            .iter()
+            .scan(0, |at, m| {
+                *at += m.encode().len();
+                Some(*at)
+            })
+            .collect();
+        assert_eq!(*bounds.last().unwrap(), wire.len());
+        // Truncated anywhere: the messages wholly inside survive, and a
+        // cut that is not a message boundary is malformed.
+        for len in 0..wire.len() {
+            let whole = bounds.iter().filter(|&&b| b <= len).count();
+            let want = (msgs[..whole].to_vec(), !bounds.contains(&len));
+            assert_eq!(unpacked(&wire[..len]), want, "cut at {len}");
+        }
+        // One bit flipped anywhere: everything before the damaged message
+        // is intact (what follows may still frame, or not — never a panic).
+        let mut state = 0x9E37_79B9u64;
+        for at in 0..wire.len() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(at as u64);
+            let mut bad = wire.clone();
+            bad[at] ^= 1 << (state >> 61);
+            let (got, _) = unpacked(&bad);
+            let before = bounds.iter().filter(|&&b| b <= at).count();
+            assert!(got.len() >= before && got.len() <= msgs.len());
+            assert_eq!(got[..before], msgs[..before], "flip at {at}");
+        }
+        // Over-long: junk behind the last message costs only itself.
+        for junk in [&[0u8][..], &[0xFF; 9], &TAG_NAK.to_le_bytes()] {
+            let mut long = wire.clone();
+            long.extend_from_slice(junk);
+            assert_eq!(unpacked(&long), (msgs.clone(), true));
+        }
+    }
+
+    #[test]
+    fn nak_lists_are_bounded_at_decode() {
+        let nak = |seqs: &[u64]| {
+            let mut wire = Vec::new();
+            for v in [TAG_NAK, 9, 0, seqs.len() as u64] {
+                push_u64(&mut wire, v);
+            }
+            seqs.iter().for_each(|&s| push_u64(&mut wire, s));
+            Msg::decode(&wire)
+        };
+        let full: Vec<u64> = (0..MAX_NAK_SEQS as u64).collect();
+        assert!(nak(&full).is_ok());
+        let over: Vec<u64> = (0..=MAX_NAK_SEQS as u64).collect();
+        assert_eq!(nak(&over), Err(SnapError::Malformed), "over-long list");
+        // A count the bytes do not hold drives no allocation past the cap.
+        for lying in [[TAG_NAK, 9, 0, u64::MAX], [TAG_NAK, 9, 0, 100]] {
+            let mut wire = Vec::new();
+            lying.iter().for_each(|&v| push_u64(&mut wire, v));
+            assert_eq!(Msg::decode(&wire), Err(SnapError::Malformed));
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! - [`Nanos`]: a virtual-time instant/duration newtype.
 //! - [`Vt`]: a virtual thread — a clock plus a per-thread cost tracker.
-//! - [`Resource`] and [`ChannelPool`]: availability-time models for shared
-//!   hardware (a lock, a disk channel).
+//! - [`ChannelPool`]: the availability-time model for shared hardware
+//!   (a device's channels; work lands on the earliest-free one).
 //! - [`SimLink`] / [`NetConfig`]: a deterministic seeded lossy network
 //!   link (latency, bandwidth, drops, reordering, partitions) for
 //!   replication experiments.
@@ -62,7 +62,7 @@ pub use cost::{Category, CostTracker};
 pub use interleave::InterleaveSched;
 pub use lock::SimLock;
 pub use net::{LinkStats, NetConfig, SimLink, SimSwitch};
-pub use resource::{ChannelPool, Resource};
+pub use resource::ChannelPool;
 pub use sched::{Process, Scheduler, StepOutcome};
 pub use stats::{LatencyStats, Meters};
 pub use time::Nanos;

@@ -1,66 +1,9 @@
-//! Availability-time models for exclusive shared resources.
+//! The availability-time model for shared hardware: a pool of channels.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::{Nanos, Vt};
-
-/// A single exclusive resource (a lock, a serialized device) modeled by the
-/// instant it next becomes free.
-///
-/// Acquisition under the conservative scheduler: the caller starts using the
-/// resource at `max(thread_now, free_at)` and holds it for `hold`; the
-/// caller's clock is advanced to the end of the hold.
-///
-/// # Example
-///
-/// ```
-/// use msnap_sim::{Nanos, Resource, Vt};
-///
-/// let mut disk = Resource::new();
-/// let mut a = Vt::new(0);
-/// let mut b = Vt::new(1);
-/// disk.acquire(&mut a, Nanos::from_us(10)); // a holds [0, 10)
-/// disk.acquire(&mut b, Nanos::from_us(10)); // b queues: [10, 20)
-/// assert_eq!(b.now(), Nanos::from_us(20));
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct Resource {
-    free_at: Nanos,
-}
-
-impl Resource {
-    /// Creates a resource that is free immediately.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Occupies the resource for `hold`, queuing behind earlier holders.
-    ///
-    /// Returns the instant service *started* (i.e. after any queueing
-    /// delay). The thread's clock ends at `start + hold`.
-    pub fn acquire(&mut self, vt: &mut Vt, hold: Nanos) -> Nanos {
-        let start = vt.now().max(self.free_at);
-        self.free_at = start + hold;
-        vt.wait_until(self.free_at);
-        start
-    }
-
-    /// Like [`Resource::acquire`] but does not block the calling thread:
-    /// the work is queued on the resource and the completion instant is
-    /// returned, while the caller's clock is unchanged. Use for
-    /// asynchronous IO submission.
-    pub fn acquire_async(&mut self, submit_at: Nanos, hold: Nanos) -> Nanos {
-        let start = submit_at.max(self.free_at);
-        self.free_at = start + hold;
-        self.free_at
-    }
-
-    /// The instant the resource next becomes free.
-    pub fn free_at(&self) -> Nanos {
-        self.free_at
-    }
-}
+use crate::Nanos;
 
 /// A pool of `n` identical channels (e.g. NVMe submission queues backed by
 /// independent flash channels); work is placed on the earliest-free channel.
@@ -121,38 +64,6 @@ impl ChannelPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resource_serializes_holders() {
-        let mut r = Resource::new();
-        let mut a = Vt::new(0);
-        let mut b = Vt::new(1);
-        b.advance(Nanos::from_us(2));
-        let start_a = r.acquire(&mut a, Nanos::from_us(10));
-        assert_eq!(start_a, Nanos::ZERO);
-        let start_b = r.acquire(&mut b, Nanos::from_us(5));
-        assert_eq!(start_b, Nanos::from_us(10));
-        assert_eq!(b.now(), Nanos::from_us(15));
-    }
-
-    #[test]
-    fn resource_idle_gap_is_free() {
-        let mut r = Resource::new();
-        let mut a = Vt::new(0);
-        r.acquire(&mut a, Nanos::from_us(1));
-        let mut late = Vt::new(1);
-        late.advance(Nanos::from_us(100));
-        let start = r.acquire(&mut late, Nanos::from_us(1));
-        assert_eq!(start, Nanos::from_us(100));
-    }
-
-    #[test]
-    fn async_acquire_leaves_caller_clock() {
-        let mut r = Resource::new();
-        let done = r.acquire_async(Nanos::from_us(3), Nanos::from_us(7));
-        assert_eq!(done, Nanos::from_us(10));
-        assert_eq!(r.free_at(), Nanos::from_us(10));
-    }
 
     #[test]
     fn channel_pool_overlaps_work() {

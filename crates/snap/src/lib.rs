@@ -1318,14 +1318,16 @@ impl ApplySession {
         self.next_seq
     }
 
-    /// Stages one frame. Frames must arrive in sequence order and verify
-    /// their checksum; a rejected frame leaves the session unchanged, so
-    /// the sender may retransmit it.
+    /// Stages one frame, taking it over — the session is where a
+    /// received frame lives until [`ApplySession::finish`]. Frames must
+    /// arrive in sequence order and verify their checksum; a rejected
+    /// frame is dropped and leaves the session unchanged, so the sender
+    /// may retransmit it.
     ///
     /// # Errors
     ///
     /// [`SnapError::SequenceGap`] or [`SnapError::FrameCorrupt`].
-    pub fn feed(&mut self, frame: &Frame) -> Result<(), SnapError> {
+    pub fn feed(&mut self, frame: Frame) -> Result<(), SnapError> {
         if frame.seq() != self.next_seq {
             return Err(SnapError::SequenceGap {
                 expected: self.next_seq,
@@ -1335,8 +1337,8 @@ impl ApplySession {
         if !frame.verify() {
             return Err(SnapError::FrameCorrupt { seq: frame.seq() });
         }
-        self.staged.push(frame.clone());
         self.running_sum = fnv1a_extend(self.running_sum, &frame.checksum().to_le_bytes());
+        self.staged.push(frame);
         self.next_seq += 1;
         Ok(())
     }
@@ -1505,7 +1507,7 @@ pub fn sync_to(
     let bytes = wire.len() as u64;
     let stream = DeltaStream::decode(&wire)?;
     let mut session = ApplySession::begin(vt, replica_disk, replica, &stream.header)?;
-    for frame in &stream.frames {
+    for frame in stream.frames {
         session.feed(frame)?;
     }
     let token = session.finish(vt, replica_disk, replica, &stream.trailer, None)?;
@@ -1619,7 +1621,7 @@ mod tests {
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &full.header).unwrap();
         // Out-of-order feed is rejected and does not advance the session.
         assert_eq!(
-            session.feed(&full.frames[1]),
+            session.feed(full.frames[1].clone()),
             Err(SnapError::SequenceGap {
                 expected: 0,
                 got: 1
@@ -1633,15 +1635,15 @@ mod tests {
         let mut torn = sf0.clone();
         torn.payload[9] ^= 1;
         assert_eq!(
-            session.feed(&Frame::Sub(torn)),
+            session.feed(Frame::Sub(torn)),
             Err(SnapError::FrameCorrupt { seq: 0 })
         );
-        session.feed(&full.frames[0]).unwrap();
+        session.feed(full.frames[0].clone()).unwrap();
         assert_eq!(session.next_seq(), 1);
         // "Crash" of the transfer: a fresh session resumes from 0 — the
         // staging is in memory; durability comes only from finish().
         for f in &full.frames[1..] {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         // Premature finish with a wrong trailer is refused.
         assert!(matches!(
@@ -1693,7 +1695,7 @@ mod tests {
         let mut torn = sf0.clone();
         torn.payload[100] ^= 0x04;
         assert_eq!(
-            session.feed(&Frame::Sub(torn)),
+            session.feed(Frame::Sub(torn)),
             Err(SnapError::FrameCorrupt { seq: 0 })
         );
 
@@ -1711,7 +1713,7 @@ mod tests {
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &lying.header).unwrap();
         for f in &lying.frames {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         assert_eq!(
             session
@@ -1726,7 +1728,7 @@ mod tests {
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &stream.header).unwrap();
         for f in &stream.frames {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         let reads = |s: msnap_store::StoreStats| s.cache_hits + s.cache_misses;
         let before = reads(replica.stats());
@@ -1994,7 +1996,7 @@ mod tests {
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &stream.header).unwrap();
         assert!(session.is_rebase());
         for f in &stream.frames {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         let token = session
             .finish(&mut vt, &mut rdisk, &mut replica, &stream.trailer, None)
@@ -2125,7 +2127,7 @@ mod tests {
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &decoded.header).unwrap();
         for f in &decoded.frames {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         let token = session
             .finish(&mut vt, &mut rdisk, &mut replica, &decoded.trailer, None)
@@ -2152,7 +2154,7 @@ mod tests {
     ) {
         let mut session = ApplySession::begin(vt, rdisk, replica, &stream.header).unwrap();
         for f in &stream.frames {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         let token = session
             .finish(vt, rdisk, replica, &stream.trailer, dedup)
@@ -2340,7 +2342,7 @@ mod tests {
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk2, &mut replica2, &sub.header).unwrap();
         for f in &sub.frames {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         assert_eq!(
             session
@@ -2367,7 +2369,7 @@ mod tests {
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s1.header).unwrap();
         for f in &s1.frames {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         let token = session
             .finish(
@@ -2416,7 +2418,7 @@ mod tests {
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &decoded.header).unwrap();
         for f in &decoded.frames {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         let token = session
             .finish(
@@ -2455,7 +2457,7 @@ mod tests {
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk2, &mut replica2, &s2.header).unwrap();
         for f in &s2.frames {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         assert_eq!(
             session
@@ -2514,7 +2516,7 @@ mod tests {
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s.header).unwrap();
         for f in &s.frames {
-            session.feed(f).unwrap();
+            session.feed(f.clone()).unwrap();
         }
         let token = session
             .finish(&mut vt, &mut rdisk, &mut replica, &s.trailer, None)
@@ -2559,18 +2561,18 @@ mod tests {
 
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s.header).unwrap();
-        session.feed(&s.frames[0]).unwrap();
-        session.feed(&s.frames[1]).unwrap();
+        session.feed(s.frames[0].clone()).unwrap();
+        session.feed(s.frames[1].clone()).unwrap();
         // The sender resumes from an older point and replays everything:
         // already-staged frames are refused without advancing the session.
         for f in &s.frames[..2] {
             assert!(matches!(
-                session.feed(f),
+                session.feed(f.clone()),
                 Err(SnapError::SequenceGap { expected: 2, .. })
             ));
             assert_eq!(session.next_seq(), 2);
         }
-        session.feed(&s.frames[2]).unwrap();
+        session.feed(s.frames[2].clone()).unwrap();
         let token = session
             .finish(&mut vt, &mut rdisk, &mut replica, &s.trailer, None)
             .unwrap();

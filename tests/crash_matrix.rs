@@ -285,7 +285,7 @@ fn delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         let stream = DeltaStream::decode(wire).unwrap();
         let mut session = ApplySession::begin(vt, disk, replica, &stream.header).unwrap();
         for frame in &stream.frames {
-            session.feed(frame).unwrap();
+            session.feed(frame.clone()).unwrap();
         }
         session
             .finish(vt, disk, replica, &stream.trailer, None)
@@ -423,7 +423,7 @@ fn subpage_delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         let stream = DeltaStream::decode(wire).unwrap();
         let mut session = ApplySession::begin(vt, disk, replica, &stream.header).unwrap();
         for frame in &stream.frames {
-            session.feed(frame).unwrap();
+            session.feed(frame.clone()).unwrap();
         }
         session
             .finish(vt, disk, replica, &stream.trailer, None)

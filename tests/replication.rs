@@ -39,10 +39,21 @@ fn primary() -> Primary {
     }
 }
 
-/// Commit `i`: stamp page `i % PAGES` with a fill derived from `i`, then
-/// synchronously persist. Every commit yields a distinct region image.
+/// Commit `i`: overwrite page `i % PAGES` with incompressible bytes
+/// derived from `i`, then synchronously persist. Every commit yields a
+/// distinct region image, and every page ships as a datagram of its own
+/// (a compressible one would pack into its ship's single datagram and
+/// leave the link nothing to reorder).
 fn commit(p: &mut Primary, i: u64) -> Epoch {
-    let fill = 1 + (i % 250) as u8;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ (i + 1).wrapping_mul(0xA24B_AED4_963E_E407);
+    let noise: Vec<u8> = (0..PAGE_SIZE)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect();
     let page = i % PAGES;
     let t = p.vt.id();
     p.ms.write(
@@ -50,7 +61,7 @@ fn commit(p: &mut Primary, i: u64) -> Epoch {
         p.space,
         t,
         p.r.addr + page * PAGE_SIZE as u64,
-        &[fill; PAGE_SIZE],
+        &noise,
     )
     .unwrap();
     p.ms.msnap_persist(

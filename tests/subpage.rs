@@ -45,7 +45,7 @@ fn apply(vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, wire: &[u8]) {
     let stream = DeltaStream::decode(wire).unwrap();
     let mut session = ApplySession::begin(vt, disk, replica, &stream.header).unwrap();
     for frame in &stream.frames {
-        session.feed(frame).unwrap();
+        session.feed(frame.clone()).unwrap();
     }
     session
         .finish(vt, disk, replica, &stream.trailer, None)
@@ -159,7 +159,7 @@ proptest! {
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s1.header).unwrap();
         for frame in &s1.frames {
-            session.feed(frame).unwrap();
+            session.feed(frame.clone()).unwrap();
         }
         session
             .finish(&mut vt, &mut rdisk, &mut replica, &s1.trailer, Some(&mut receiver))
@@ -190,7 +190,7 @@ proptest! {
         let mut session =
             ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s2.header).unwrap();
         for frame in &s2.frames {
-            session.feed(frame).unwrap();
+            session.feed(frame.clone()).unwrap();
         }
         session
             .finish(&mut vt, &mut rdisk, &mut replica, &s2.trailer, Some(&mut receiver))
@@ -304,6 +304,9 @@ fn fixed_seed_subpage_loss_sweep_loses_no_acked_epoch() {
         let e = sweep_commit(&mut p, i);
         golden.insert(e, sweep_primary_image(&mut p));
         eng.tick(&mut p.vt, &mut p.ms).unwrap();
+        // A line commit's whole ship is one packed datagram: pace the
+        // commits so there are enough ships for 30% loss to bite.
+        p.vt.advance(Nanos::from_ms(3));
 
         let r = eng.replica("standby").unwrap().epoch(&p.object);
         if golden.contains_key(&r) {
