@@ -11,8 +11,10 @@ pub(crate) const PAGE: usize = 4096;
 pub(crate) const NODE_MAGIC: u32 = 0x534B_4E44; // "SKND"
 /// Magic of the head sentinel page (page 0).
 pub(crate) const HEAD_MAGIC: u32 = 0x534B_4844; // "SKHD"
+/// Bytes of a node page before the value: magic, key, next, value length.
+pub(crate) const NODE_HEADER: usize = 32;
 /// Maximum value length.
-pub(crate) const MAX_VALUE: usize = PAGE - 32;
+pub(crate) const MAX_VALUE: usize = PAGE - NODE_HEADER;
 
 /// Decoded node contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +36,7 @@ pub(crate) fn encode_node(key: u64, value: &[u8], next: u64) -> [u8; PAGE] {
     page[8..16].copy_from_slice(&key.to_le_bytes());
     page[16..24].copy_from_slice(&next.to_le_bytes());
     page[24..26].copy_from_slice(&(value.len() as u16).to_le_bytes());
-    page[32..32 + value.len()].copy_from_slice(value);
+    page[NODE_HEADER..NODE_HEADER + value.len()].copy_from_slice(value);
     page
 }
 
@@ -48,11 +50,8 @@ pub(crate) fn encode_head(next: u64) -> [u8; PAGE] {
 
 /// Decodes a node page; `None` if the page is not a valid node.
 pub(crate) fn decode_node(page: &[u8]) -> Option<NodeView> {
-    if u32::from_le_bytes(page[0..4].try_into().unwrap()) != NODE_MAGIC {
-        return None;
-    }
+    let next = decode_next(page)?;
     let key = u64::from_le_bytes(page[8..16].try_into().unwrap());
-    let next = u64::from_le_bytes(page[16..24].try_into().unwrap());
     let vlen = u16::from_le_bytes(page[24..26].try_into().unwrap()) as usize;
     if vlen > MAX_VALUE {
         return None;
@@ -60,8 +59,17 @@ pub(crate) fn decode_node(page: &[u8]) -> Option<NodeView> {
     Some(NodeView {
         key,
         next,
-        value: page[32..32 + vlen].to_vec(),
+        value: page[NODE_HEADER..NODE_HEADER + vlen].to_vec(),
     })
+}
+
+/// A node's next pointer from its first [`NODE_HEADER`] bytes alone;
+/// `None` if they do not open a valid node.
+pub(crate) fn decode_next(header: &[u8]) -> Option<u64> {
+    if u32::from_le_bytes(header[0..4].try_into().unwrap()) != NODE_MAGIC {
+        return None;
+    }
+    Some(u64::from_le_bytes(header[16..24].try_into().unwrap()))
 }
 
 /// Decodes the head sentinel's next pointer; `None` if page 0 is not a

@@ -6,7 +6,9 @@ use memsnap::{MemSnap, RegionHandle};
 use msnap_sim::{Category, Nanos, Vt};
 use msnap_vm::AsId;
 
-use crate::node::{decode_head, decode_node, encode_head, encode_node, PAGE};
+use crate::node::{
+    decode_head, decode_next, decode_node, encode_head, encode_node, NODE_HEADER, PAGE,
+};
 use crate::skiplist::{Insert, SkipIndex};
 
 /// Cost of one per-node spinlock acquire/release pair — the paper's
@@ -89,17 +91,20 @@ impl PersistentSkipList {
                 // Same key: rewrite the node's value in place.
                 self.index.insert(vt, key, page); // restore payload
                 vt.charge(Category::Locking, NODE_LOCK);
-                let mut buf = [0u8; PAGE];
-                ms.read(vt, space, self.region.addr + page * PAGE as u64, &mut buf)
+                // Only the header is needed (for `next`), and only the
+                // header and the value are stored: `decode_node` bounds
+                // the value by its length, so a stale tail is unreadable.
+                let mut hdr = [0u8; NODE_HEADER];
+                ms.read(vt, space, self.region.addr + page * PAGE as u64, &mut hdr)
                     .expect("region reads are infallible");
-                let node = decode_node(&buf).expect("index points at valid nodes");
-                let image = encode_node(key, value, node.next);
+                let next = decode_next(&hdr).expect("index points at valid nodes");
+                let image = encode_node(key, value, next);
                 ms.write(
                     vt,
                     space,
                     thread,
                     self.region.addr + page * PAGE as u64,
-                    &image,
+                    &image[..NODE_HEADER + value.len()],
                 )
                 .expect("region writes are infallible");
             }
@@ -125,7 +130,7 @@ impl PersistentSkipList {
                     space,
                     thread,
                     self.region.addr + page * PAGE as u64,
-                    &image,
+                    &image[..NODE_HEADER + value.len()],
                 )
                 .expect("region writes are infallible");
                 let pred = pred_payload.unwrap_or(0);

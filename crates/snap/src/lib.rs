@@ -71,6 +71,7 @@ use std::fmt;
 
 use msnap_disk::{Disk, BLOCK_SIZE};
 use msnap_sim::Vt;
+use msnap_store::lines::{gather, line_runs, scatter, LINES_PER_PAGE, LINE_SIZE};
 use msnap_store::{
     fnv1a, fnv1a_extend, CommitToken, Epoch, ObjectId, ObjectStore, StoreError, VectorCut,
 };
@@ -99,10 +100,6 @@ pub const WHOLE_FRAME_LEN: usize = SUB_FIXED + 4 + BLOCK_SIZE;
 const REF_FRAME_LEN: usize = 40;
 /// Encoded trailer size.
 const TRAILER_LEN: usize = 32;
-/// Sub-page diff granularity: one cache line.
-const LINE_SIZE: usize = 64;
-/// Lines per page (`BLOCK_SIZE / LINE_SIZE` — one `u64` bitmap).
-const LINES_PER_PAGE: usize = BLOCK_SIZE / LINE_SIZE;
 /// Above this many dirty lines (~50% of the page) a sub-page frame
 /// stops paying for itself; ship the whole page instead.
 const SUBPAGE_CUTOFF: u32 = (LINES_PER_PAGE / 2) as u32;
@@ -447,14 +444,7 @@ impl SubPageFrame {
             0 => self.payload.clone(),
             _ => compress::decompress(&self.payload, self.raw_len as usize)?,
         };
-        let mut at = 0usize;
-        for (off, len) in &self.runs {
-            let (off, len) = (*off as usize, *len as usize);
-            page.get_mut(off..off + len)?
-                .copy_from_slice(raw.get(at..at + len)?);
-            at += len;
-        }
-        Some(())
+        scatter(page, &self.runs, &raw)
     }
 
     /// Wire size of this frame.
@@ -885,23 +875,6 @@ pub struct DeltaStream {
     pub trailer: StreamTrailer,
 }
 
-/// Merges a dirty-line bitmap into sorted byte-range runs (adjacent
-/// dirty lines coalesce into one run).
-fn line_runs(bits: u64) -> Vec<(u16, u16)> {
-    let mut runs: Vec<(u16, u16)> = Vec::new();
-    for line in 0..LINES_PER_PAGE {
-        if bits & (1 << line) == 0 {
-            continue;
-        }
-        let off = (line * LINE_SIZE) as u16;
-        match runs.last_mut() {
-            Some((o, l)) if *o + *l == off => *l += LINE_SIZE as u16,
-            _ => runs.push((off, LINE_SIZE as u16)),
-        }
-    }
-    runs
-}
-
 fn chain_sum(frames: &[Frame]) -> u64 {
     frames.iter().fold(msnap_store::FNV_OFFSET, |h, f| {
         fnv1a_extend(h, &f.checksum().to_le_bytes())
@@ -1113,9 +1086,7 @@ impl DeltaStream {
                     // identical page (epoch-only change): empty runs.
                     let runs = line_runs(bits);
                     let mut raw = Vec::with_capacity(bits.count_ones() as usize * LINE_SIZE);
-                    for (off, len) in &runs {
-                        raw.extend_from_slice(&tbuf[*off as usize..(*off + *len) as usize]);
-                    }
+                    gather(&tbuf, &runs, &mut raw);
                     (runs, raw)
                 }
                 _ => (vec![(0, BLOCK_SIZE as u16)], tbuf.clone()),

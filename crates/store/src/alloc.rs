@@ -98,41 +98,74 @@ impl BlockAllocator {
     }
 
     /// Allocates `n` *contiguous* blocks and returns the first, or `None`
-    /// when no run of `n` blocks is available.
-    ///
-    /// μCheckpoint data blocks are allocated contiguously so one commit is
-    /// one sequential extent. A run from the free list is preferred (the
-    /// steady-state path once the device has wrapped once); otherwise the
-    /// bump frontier grows.
+    /// when no run of `n` blocks is available: a run from the free list
+    /// if there is one, otherwise the bump frontier grows. For callers
+    /// that address the blocks by offset (an object's metadata slots).
     #[must_use = "allocation fails when the device is full"]
     pub fn alloc_contiguous(&mut self, n: u64) -> Option<u64> {
         if n == 0 {
             return Some(self.next);
         }
-        // Look for n consecutive recycled blocks.
-        let mut run_start = None;
+        self.take_free_run(n).or_else(|| self.bump(n))
+    }
+
+    /// Allocates the `n` blocks of one commit's data extent and returns
+    /// them in write order, or `None` (nothing allocated) when the device
+    /// is full.
+    ///
+    /// A run of recycled blocks is preferred, so a commit stays one
+    /// sequential extent wherever the free list allows it. When there is
+    /// no such run the extent **scatters**: recycled blocks lowest first,
+    /// topped up from the bump frontier — a vectored write names its
+    /// blocks one by one and the device prices it by their count, not
+    /// their adjacency. Without the scatter a commit wider than any
+    /// recycled run would bump the frontier every time, recycled singles
+    /// would never be reused by data, and the free set (walked here,
+    /// cloned by every abort snapshot) would grow without bound.
+    #[must_use = "allocation fails when the device is full"]
+    pub fn alloc_extent(&mut self, n: u64) -> Option<Vec<u64>> {
+        if let Some(first) = self.take_free_run(n) {
+            return Some((first..first + n).collect());
+        }
+        let mut blocks: Vec<u64> = self.free.iter().copied().take(n as usize).collect();
+        let fresh = n - blocks.len() as u64;
+        let first = self.bump(fresh)?;
+        for b in &blocks {
+            self.free.remove(b);
+        }
+        blocks.extend(first..first + fresh);
+        Some(blocks)
+    }
+
+    /// Takes `n ≥ 1` consecutive blocks out of the free set, lowest run
+    /// first.
+    fn take_free_run(&mut self, n: u64) -> Option<u64> {
+        let mut run_start = 0;
         let mut run_len = 0u64;
         let mut prev = None;
         for &b in &self.free {
             match prev {
                 Some(p) if b == p + 1 => run_len += 1,
                 _ => {
-                    run_start = Some(b);
+                    run_start = b;
                     run_len = 1;
                 }
             }
             prev = Some(b);
             if run_len == n {
-                let first = run_start.unwrap();
-                for blk in first..first + n {
+                for blk in run_start..run_start + n {
                     self.free.remove(&blk);
                 }
-                return Some(first);
+                return Some(run_start);
             }
         }
-        // Fresh extent from the bump frontier, switching granted ranges
-        // (spilling each abandoned tail into the free set) until one
-        // fits.
+        None
+    }
+
+    /// Takes `n` fresh contiguous blocks from the bump frontier,
+    /// switching granted ranges (spilling each abandoned tail into the
+    /// free set) until one fits.
+    fn bump(&mut self, n: u64) -> Option<u64> {
         loop {
             if self.next + n <= self.limit {
                 let first = self.next;
@@ -203,6 +236,47 @@ mod tests {
         // No 3-run left (only block 7): next request bumps.
         let fresh = a.alloc_contiguous(3).unwrap();
         assert_eq!(fresh, 8);
+    }
+
+    #[test]
+    fn extent_takes_a_run_else_scatters_recycled_blocks_then_bumps() {
+        let mut a = BlockAllocator::bounded(0, 20);
+        assert_eq!(a.alloc_extent(10), Some((0..10).collect()));
+        for b in [1, 4, 5, 8] {
+            a.free(b);
+        }
+        // A recycled run that fits is one sequential extent.
+        assert_eq!(a.alloc_extent(2), Some(vec![4, 5]));
+        // No run of three: recycled singles first, the frontier for the rest.
+        assert_eq!(a.alloc_extent(3), Some(vec![1, 8, 10]));
+        assert_eq!((a.free_blocks(), a.high_water()), (0, 11));
+        // A demand the device cannot meet allocates nothing.
+        a.free(3);
+        let before = a.clone();
+        assert_eq!(a.alloc_extent(11), None);
+        assert_eq!(a, before);
+        assert_eq!(
+            a.alloc_extent(10),
+            Some(vec![3, 11, 12, 13, 14, 15, 16, 17, 18, 19])
+        );
+        assert_eq!(a.alloc_extent(0), Some(Vec::new()));
+    }
+
+    #[test]
+    fn extents_wider_than_any_recycled_run_keep_the_free_set_bounded() {
+        // Each round frees scattered singles and then asks for an extent
+        // no recycled run can hold — the shape of a full root that writes
+        // out a window of line-grain commits.
+        let mut a = BlockAllocator::bounded(0, u64::MAX);
+        let mut live: Vec<u64> = a.alloc_extent(400).unwrap();
+        for round in 0..200 {
+            for i in 0..40 {
+                a.free(live.swap_remove((round * 7 + i * 3) % live.len()));
+            }
+            live.extend(a.alloc_extent(40).unwrap());
+            assert!(a.free_blocks() < 40, "round {round}: {}", a.free_blocks());
+        }
+        assert_eq!(a.high_water(), 400, "every extent was recycled blocks");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! slab per shard, then the data area the extent broker hands out.
 
 use msnap_disk::BLOCK_SIZE;
+
+use crate::lines::LINE_SIZE;
 pub use msnap_sim::hash::{fnv1a, fnv1a_extend, FNV_OFFSET};
 
 /// A μCheckpoint epoch: each object's monotonically increasing commit
@@ -351,13 +353,25 @@ impl RootRecord {
     }
 }
 
+/// The block number an **inline** pair carries in place of a data block:
+/// the page's changed lines ride in the record's body and no data block
+/// exists. Beyond any real device, never allocated, never written.
+pub const INLINE_BLOCK: u64 = 0xFFFF_FFFF;
+
 /// A delta root: commits a small μCheckpoint by recording its
 /// (page → data block) mappings without rewriting tree nodes. Recovery
 /// replays consecutive deltas on top of the latest full root.
 ///
-/// Also one object's share of a [`BatchRecord`]: the checksum covers
-/// *its* payload blocks only, so recovery truncation stays per-object
-/// even though the commit record is shared.
+/// A pair whose block is [`INLINE_BLOCK`] is **line-grain**: the record's
+/// `body` carries the page's dirty-line mask and those lines' bytes, and
+/// the pair's digest is that of the *patched* page (the previous content
+/// with the lines applied). A record of only such pairs is a whole
+/// μCheckpoint in one block write; a record with an empty body is the
+/// page-grain case.
+///
+/// Also one object's share of a [`BatchRecord`] (always page-grain there):
+/// the checksum covers *its* payload blocks only, so recovery truncation
+/// stays per-object even though the commit record is shared.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRecord {
     /// The object.
@@ -366,25 +380,60 @@ pub struct DeltaRecord {
     pub epoch: Epoch,
     /// Object length in pages after this commit.
     pub len_pages: u64,
-    /// FNV-1a over the commit's data-block images, in pair order. Recovery
-    /// re-reads the referenced blocks and stops the replay prefix at the
-    /// first mismatch, so a torn or silently corrupted data extent cannot
-    /// surface as committed state.
+    /// FNV-1a over the commit's data-block images, in pair order (inline
+    /// pairs have none). Recovery re-reads the referenced blocks and stops
+    /// the replay prefix at the first mismatch, so a torn or silently
+    /// corrupted data extent cannot surface as committed state.
     pub payload_sum: u64,
     /// The commit's page → packed-entry mappings. The second word is a
     /// [`pack_entry`] word (block in the low half, page-content digest in
     /// the high half), so the record checksum covers the digests.
     pub pairs: Vec<(u64, u64)>,
+    /// For each inline pair, in pair order: its dirty-line mask (8 bytes,
+    /// little-endian) followed by the bytes of those lines in line order
+    /// ([`crate::lines::gather`] of [`crate::lines::line_runs`]). Covered
+    /// by the record checksum.
+    pub body: Vec<u8>,
 }
 
 impl DeltaRecord {
+    /// Encoded size of a record whose pairs are all inline, given each
+    /// page's dirty-line mask.
+    pub fn inline_len(masks: impl Iterator<Item = u64>) -> usize {
+        64 + masks
+            .map(|m| 16 + 8 + LINE_SIZE * m.count_ones() as usize)
+            .sum::<usize>()
+    }
+
+    /// The `(mask, line bytes)` of each inline pair, in pair order; `None`
+    /// unless `body` holds exactly that.
+    pub fn inline_lines(&self) -> Option<Vec<(u64, &[u8])>> {
+        let mut rest = &self.body[..];
+        let mut out = Vec::new();
+        for (_, word) in &self.pairs {
+            if unpack_entry(*word).0 != INLINE_BLOCK {
+                continue;
+            }
+            let (mask, tail) = rest.split_first_chunk::<8>()?;
+            let mask = u64::from_le_bytes(*mask);
+            let len = LINE_SIZE * mask.count_ones() as usize;
+            out.push((mask, tail.get(..len)?));
+            rest = &tail[len..];
+        }
+        rest.is_empty().then_some(out)
+    }
+
     /// Serializes into a block image.
     ///
     /// # Panics
     ///
-    /// Panics if there are more than [`MAX_DELTA_PAIRS`] pairs.
+    /// Panics if there are more than [`MAX_DELTA_PAIRS`] pairs or the
+    /// pairs and body outgrow the block.
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
         assert!(self.pairs.len() <= MAX_DELTA_PAIRS, "delta record overflow");
+        let body_at = 64 + self.pairs.len() * 16;
+        let end = body_at + self.body.len();
+        assert!(end <= BLOCK_SIZE, "delta record body overflow");
         let mut block = [0u8; BLOCK_SIZE];
         let mut w = |off: usize, v: u64| block[off..off + 8].copy_from_slice(&v.to_le_bytes());
         w(0, DELTA_MAGIC);
@@ -393,11 +442,12 @@ impl DeltaRecord {
         w(24, self.len_pages);
         w(32, self.pairs.len() as u64);
         w(48, self.payload_sum);
+        w(56, self.body.len() as u64);
         for (i, (page, data_block)) in self.pairs.iter().enumerate() {
             w(64 + i * 16, *page);
             w(64 + i * 16 + 8, *data_block);
         }
-        let end = 64 + self.pairs.len() * 16;
+        block[body_at..end].copy_from_slice(&self.body);
         let checksum = fnv1a(&block[0..40]) ^ fnv1a(&block[48..end]);
         block[40..48].copy_from_slice(&checksum.to_le_bytes());
         block
@@ -413,20 +463,24 @@ impl DeltaRecord {
         if count > MAX_DELTA_PAIRS {
             return None;
         }
-        let end = 64 + count * 16;
-        if fnv1a(&block[0..40]) ^ fnv1a(&block[48..end]) != r(40) {
+        let body_at = 64 + count * 16;
+        let end = body_at.checked_add(usize::try_from(r(56)).ok()?)?;
+        if end > BLOCK_SIZE || fnv1a(&block[0..40]) ^ fnv1a(&block[48..end]) != r(40) {
             return None;
         }
         let pairs = (0..count)
             .map(|i| (r(64 + i * 16), r(64 + i * 16 + 8)))
             .collect();
-        Some(DeltaRecord {
+        let rec = DeltaRecord {
             object: expect,
             epoch: r(16),
             len_pages: r(24),
             payload_sum: r(48),
             pairs,
-        })
+            body: block[body_at..end].to_vec(),
+        };
+        rec.inline_lines()?;
+        Some(rec)
     }
 }
 
@@ -528,6 +582,7 @@ impl BatchRecord {
                 len_pages: r(off + 16),
                 payload_sum: r(off + 24),
                 pairs,
+                body: Vec::new(),
             });
             off = pairs_end;
         }
@@ -806,9 +861,88 @@ mod tests {
             len_pages: 1000,
             payload_sum: 0xDEAD_BEEF,
             pairs: vec![(5, 100), (907, 101), (13, 102)],
+            body: Vec::new(),
         };
         let block = rec.to_block();
         assert_eq!(DeltaRecord::from_block(&block, ObjectId(3)), Some(rec));
+    }
+
+    /// A line-grain record of two pages: lines {0, 2} of page 5 and line
+    /// 63 of page 9.
+    fn inline_record() -> DeltaRecord {
+        let mut body = Vec::new();
+        body.extend_from_slice(&0b101u64.to_le_bytes());
+        body.extend_from_slice(&[0xA0; 64]);
+        body.extend_from_slice(&[0xA2; 64]);
+        body.extend_from_slice(&(1u64 << 63).to_le_bytes());
+        body.extend_from_slice(&[0xB7; 64]);
+        DeltaRecord {
+            object: ObjectId(3),
+            epoch: 18,
+            len_pages: 10,
+            payload_sum: FNV_OFFSET,
+            pairs: vec![
+                (5, pack_entry(INLINE_BLOCK, 0x1111)),
+                (9, pack_entry(INLINE_BLOCK, 0x2222)),
+            ],
+            body,
+        }
+    }
+
+    #[test]
+    fn line_grain_record_round_trips_under_the_one_checksum() {
+        let rec = inline_record();
+        assert_eq!(
+            DeltaRecord::inline_len([0b101, 1 << 63].into_iter()),
+            64 + 2 * 16 + rec.body.len()
+        );
+        let block = rec.to_block();
+        let back = DeltaRecord::from_block(&block, ObjectId(3)).unwrap();
+        assert_eq!(back, rec);
+        let lines = back.inline_lines().unwrap();
+        assert_eq!(lines.len(), 2);
+        assert_eq!((lines[0].0, lines[0].1.len()), (0b101, 128));
+        assert_eq!((lines[1].0, lines[1].1), (1 << 63, &[0xB7; 64][..]));
+        // A flipped line byte, a flipped mask bit and a lying body length
+        // are all torn records.
+        for (byte, bit) in [(64 + 32 + 8 + 70, 1), (64 + 32, 2), (56, 1)] {
+            let mut torn = block;
+            torn[byte] ^= bit;
+            assert_eq!(
+                DeltaRecord::from_block(&torn, ObjectId(3)),
+                None,
+                "byte {byte}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_body_that_does_not_match_its_inline_pairs_is_no_record() {
+        // Checksummed correctly, but the body is a line short of its mask.
+        let mut rec = inline_record();
+        rec.body.truncate(rec.body.len() - 64);
+        assert!(rec.inline_lines().is_none());
+        assert_eq!(DeltaRecord::from_block(&rec.to_block(), ObjectId(3)), None);
+        // And a page-grain pair owns no body bytes.
+        let mut rec = inline_record();
+        rec.pairs[1].1 = pack_entry(77, 0x2222);
+        assert_eq!(DeltaRecord::from_block(&rec.to_block(), ObjectId(3)), None);
+    }
+
+    #[test]
+    fn page_grain_record_is_the_body_less_case_of_the_one_format() {
+        let rec = DeltaRecord {
+            object: ObjectId(3),
+            epoch: 17,
+            len_pages: 8,
+            payload_sum: 7,
+            pairs: vec![(1, 50)],
+            body: Vec::new(),
+        };
+        let block = rec.to_block();
+        // The spare header word stays zero and nothing follows the pairs.
+        assert!(block[56..64].iter().chain(&block[80..]).all(|&b| b == 0));
+        assert_eq!(rec.inline_lines(), Some(Vec::new()));
     }
 
     #[test]
@@ -819,6 +953,7 @@ mod tests {
             len_pages: 8,
             payload_sum: 7,
             pairs: vec![(1, 50)],
+            body: Vec::new(),
         };
         let mut block = rec.to_block();
         block[70] ^= 1; // corrupt a pair
@@ -833,6 +968,7 @@ mod tests {
             len_pages: 1,
             payload_sum: 0,
             pairs: vec![(0, 1); MAX_DELTA_PAIRS],
+            body: Vec::new(),
         };
         let block = rec.to_block();
         assert!(DeltaRecord::from_block(&block, ObjectId(0)).is_some());
@@ -856,6 +992,7 @@ mod tests {
                     len_pages: 12,
                     payload_sum: 0xAB,
                     pairs: vec![(0, 100), (11, 101)],
+                    body: Vec::new(),
                 },
                 DeltaRecord {
                     object: ObjectId(4),
@@ -863,6 +1000,7 @@ mod tests {
                     len_pages: 2,
                     payload_sum: 0xCD,
                     pairs: vec![(1, 102)],
+                    body: Vec::new(),
                 },
             ],
         }
@@ -909,6 +1047,7 @@ mod tests {
                 len_pages: n as u64,
                 payload_sum: 0,
                 pairs,
+                body: Vec::new(),
             }],
         };
         let block = rec.to_block();
@@ -1029,6 +1168,7 @@ mod tests {
             len_pages: 4,
             payload_sum: 0x1234,
             pairs: vec![(0, 80)],
+            body: Vec::new(),
         };
         let mut block = rec.to_block();
         block[48] ^= 1; // corrupt the payload checksum itself

@@ -46,6 +46,7 @@
 mod alloc;
 mod cache;
 mod layout;
+pub mod lines;
 mod radix;
 mod shard;
 mod store;
@@ -55,11 +56,11 @@ pub use cache::BlockCache;
 pub use layout::{
     digest32, fnv1a, fnv1a_extend, pack_entry, unpack_entry, BatchRecord, DeltaRecord, Epoch,
     ObjectId, RootRecord, ShardLayout, SnapCatalog, SnapEntry, Superblock, BATCH_SLOTS,
-    DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, MAX_DELTA_PAIRS, MAX_SHARDS, MAX_SNAPSHOTS,
+    DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, INLINE_BLOCK, MAX_DELTA_PAIRS, MAX_SHARDS, MAX_SNAPSHOTS,
 };
 pub use radix::{RadixTree, TreeError};
 pub use shard::{shard_of_name, ExtentBroker, ObjectStore, VectorCut, DEFAULT_EXTENT_BLOCKS};
 pub use store::{
-    CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage, BULK_READ_PAGES,
-    DEFAULT_CACHE_BLOCKS, MAX_IO_ATTEMPTS,
+    CommitPage, CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage,
+    BULK_READ_PAGES, DEFAULT_CACHE_BLOCKS, MAX_IO_ATTEMPTS, OVERLAY_PAGE_BUDGET,
 };

@@ -38,8 +38,8 @@ use crate::layout::{
     CUT_SLOT_START, MAX_SHARDS, SHARD_ID_SHIFT,
 };
 use crate::store::{
-    readv_blocks, CommitToken, ScrubStats, StoreError, StoreShard, StoreStats, UnrepairedPage,
-    MAX_IO_ATTEMPTS,
+    readv_blocks, CommitPage, CommitToken, ScrubStats, StoreError, StoreShard, StoreStats,
+    UnrepairedPage, MAX_IO_ATTEMPTS,
 };
 
 /// Blocks per broker extent (1 MiB). Large enough that a shard's commit
@@ -485,8 +485,8 @@ impl ObjectStore {
         }
     }
 
-    /// Commits a μCheckpoint: the one-group case of
-    /// [`ObjectStore::persist_batch`].
+    /// Commits a μCheckpoint of whole pages: the one-group, mask-less case
+    /// of [`ObjectStore::persist_batch`].
     ///
     /// # Errors
     ///
@@ -501,8 +501,10 @@ impl ObjectStore {
         Ok(self.persist_batch(vt, disk, &[(object, pages)])?[0])
     }
 
-    /// Commits several objects' μCheckpoints. This is the only place a
-    /// commit is ever split: by home shard, then — when a shard's share
+    /// Commits several objects' μCheckpoints; each page is a
+    /// [`CommitPage`] — a `(page, image)` pair, or `(page, image, lines)`
+    /// when the committer tracked the changed lines. This is the only
+    /// place a commit is ever split: by home shard, then — when a shard's share
     /// is several groups too large for one batch record — group by
     /// group. Each unit is one atomic [`StoreShard::persist_batch`] call
     /// and its own grant-retry unit: `with_grants` only ever re-runs an
@@ -515,12 +517,11 @@ impl ObjectStore {
     /// # Errors
     ///
     /// See [`StoreShard::persist_batch`].
-    #[allow(clippy::type_complexity)]
-    pub fn persist_batch(
+    pub fn persist_batch<P: CommitPage>(
         &mut self,
         vt: &mut Vt,
         disk: &mut Disk,
-        groups: &[(ObjectId, &[(u64, &[u8])])],
+        groups: &[(ObjectId, &[P])],
     ) -> Result<Vec<CommitToken>, StoreError> {
         // (shard, input index), shard-major and in input order within.
         let mut order: Vec<(usize, usize)> = (0..groups.len())
@@ -528,7 +529,7 @@ impl ObjectStore {
             .collect();
         order.sort_unstable();
         let mut out: Vec<(usize, CommitToken)> = Vec::with_capacity(groups.len());
-        let mut local: Vec<(ObjectId, &[(u64, &[u8])])> = Vec::new();
+        let mut local: Vec<(ObjectId, &[P])> = Vec::new();
         for share in order.chunk_by(|a, b| a.0 == b.0) {
             let shard = share[0].0;
             local.clear();
@@ -896,6 +897,9 @@ fn add_stats(a: StoreStats, b: StoreStats) -> StoreStats {
         cache_misses: a.cache_misses + b.cache_misses,
         cache_evictions: a.cache_evictions + b.cache_evictions,
         hydrations: a.hydrations + b.hydrations,
+        line_commits: a.line_commits + b.line_commits,
+        line_bytes: a.line_bytes + b.line_bytes,
+        overlay_pages_flushed: a.overlay_pages_flushed + b.overlay_pages_flushed,
     }
 }
 

@@ -1,17 +1,24 @@
 //! The object store proper.
 //!
-//! Commit protocol: a μCheckpoint writes its data blocks (one contiguous,
-//! sequential extent) and then commits with a single metadata block —
-//! either a **delta record** (the commit's page → block pairs; the common
-//! case) or, every [`DELTA_SLOTS`]-th commit or for very large commits, a
-//! **full root** that first flushes the in-memory COW tree's dirty nodes.
-//! Recovery adopts the newest valid full root and replays consecutive
-//! delta records on top. Deferring node IO this way keeps the per-commit
-//! cost at "data + one block", which is what the paper's Table 5 measures
-//! (39.7 μs of IO for a 64 KiB μCheckpoint).
+//! Commit protocol: a μCheckpoint writes its data blocks (one extent,
+//! sequential wherever the allocator has a run) and then commits with a
+//! single metadata block — either a **delta record** (the commit's page →
+//! block pairs; the common case) or, every [`DELTA_SLOTS`]-th commit or
+//! for very large commits, a **full root** that first flushes the
+//! in-memory COW tree's dirty nodes. Recovery adopts the newest valid
+//! full root and replays consecutive delta records on top. Deferring node
+//! IO this way keeps the per-commit cost at "data + one block", which is
+//! what the paper's Table 5 measures (39.7 μs of IO for a 64 KiB
+//! μCheckpoint).
+//!
+//! A commit whose caller names the 64-byte lines it changed, and whose
+//! lines fit the record block, is **line-grain**: the delta record carries
+//! the lines themselves and is the commit's only write. The patched pages
+//! live in a per-object in-memory **overlay** until the next full root
+//! writes them out as data blocks (DESIGN.md §6m has the invariants).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -21,11 +28,11 @@ use msnap_sim::{Category, Nanos, Vt};
 use crate::layout::{
     self, BatchRecord, DeltaRecord, DirEntry, Epoch, ObjectId, RootRecord, ShardLayout,
     SnapCatalog, SnapEntry, BATCH_SLOTS, DELTA_SLOTS, DIR_BLOCKS, DIR_ENTRY_LEN, ENTRIES_PER_BLOCK,
-    MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN, OBJECT_META_BLOCKS, SHARD_SLAB_BLOCKS,
-    SLAB_MAGIC, SNAP_CATALOG_SLOTS,
+    INLINE_BLOCK, MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN, OBJECT_META_BLOCKS,
+    SHARD_SLAB_BLOCKS, SLAB_MAGIC, SNAP_CATALOG_SLOTS,
 };
 use crate::radix::TreeError;
-use crate::{BlockAllocator, BlockCache, RadixTree};
+use crate::{lines, BlockAllocator, BlockCache, RadixTree};
 
 /// Errors returned by the object store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,12 +247,73 @@ enum ReadFrom {
     Snapshot(usize),
 }
 
+/// Pages one object's overlay may hold before a line-sparse commit takes
+/// the full-root path instead (which writes the overlay out and empties
+/// it): bounds the memory of an object whose window of line commits keeps
+/// touching new pages.
+pub const OVERLAY_PAGE_BUDGET: usize = 256;
+
+/// One page of a μCheckpoint as [`StoreShard::persist_batch`] takes it:
+/// its index, its whole [`BLOCK_SIZE`] image and — when the committer
+/// tracked them — which 64-byte lines changed since the page's previous
+/// commit.
+pub trait CommitPage {
+    /// Page index within the object.
+    fn page(&self) -> u64;
+    /// The page's whole image.
+    fn image(&self) -> &[u8];
+    /// Dirty-line mask: bit `i` set means bytes `64·i .. 64·(i+1)` may
+    /// differ from the page's previous committed content, and **every
+    /// other line is promised unchanged**. Zero means unknown: the page
+    /// commits whole.
+    fn lines(&self) -> u64;
+}
+
+/// A whole page, changed lines unknown.
+impl CommitPage for (u64, &[u8]) {
+    fn page(&self) -> u64 {
+        self.0
+    }
+    fn image(&self) -> &[u8] {
+        self.1
+    }
+    fn lines(&self) -> u64 {
+        0
+    }
+}
+
+/// A page with its dirty-line mask.
+impl CommitPage for (u64, &[u8], u64) {
+    fn page(&self) -> u64 {
+        self.0
+    }
+    fn image(&self) -> &[u8] {
+        self.1
+    }
+    fn lines(&self) -> u64 {
+        self.2
+    }
+}
+
+/// Whether `pages` can commit as one line-grain record: every page names
+/// its changed lines, pages are distinct (strictly increasing, so replay
+/// patches each once) and pairs plus lines fit the record block.
+fn line_sparse<P: CommitPage>(pages: &[P]) -> bool {
+    !pages.is_empty()
+        && pages.iter().all(|p| p.lines() != 0)
+        && pages.windows(2).all(|w| w[0].page() < w[1].page())
+        && DeltaRecord::inline_len(pages.iter().map(|p| p.lines())) <= BLOCK_SIZE
+}
+
 /// Result of a committed μCheckpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitToken {
     /// The object's epoch after this μCheckpoint.
     pub epoch: Epoch,
-    /// Instant the μCheckpoint (commit record included) is durable.
+    /// Instant the μCheckpoint is durable: its commit record *and every
+    /// earlier commit of the object* are on the device (a commit that
+    /// overtakes its predecessor on the device is acknowledged only when
+    /// the predecessor lands — recovery replays a prefix).
     pub completes: Nanos,
     /// Payload + metadata bytes written to the device.
     pub bytes_written: u64,
@@ -258,7 +326,8 @@ pub struct StoreStats {
     pub commits: u64,
     /// Commits that used the delta-record fast path.
     pub delta_commits: u64,
-    /// Data pages written across all commits.
+    /// Data blocks written across all commits (a line-grain commit
+    /// writes none; the full root that flushes its pages counts them).
     pub pages_written: u64,
     /// Radix-tree node blocks written (full commits only).
     pub nodes_written: u64,
@@ -277,6 +346,13 @@ pub struct StoreStats {
     /// hydrating unloaded subtrees (a cache hit on a node block is a
     /// `cache_hits` increment, not a hydration).
     pub hydrations: u64,
+    /// Delta commits that were one record write carrying the dirty lines
+    /// (no data block).
+    pub line_commits: u64,
+    /// Line bytes those records carried inline.
+    pub line_bytes: u64,
+    /// Overlay pages written out as data blocks by full roots.
+    pub overlay_pages_flushed: u64,
 }
 
 /// Cumulative statistics for the online scrubber
@@ -365,6 +441,26 @@ struct ObjectState {
     /// this object's commits. Gates data-block recycling so that recovery
     /// to *any* reachable epoch finds its blocks intact.
     chain_completes: Nanos,
+    /// Durability instant of the newest full root. No delta or batch
+    /// record is *submitted* before it: epoch `e + 1` reuses the ring
+    /// slot of `e − 31`, which recovery still needs until root `e` lands.
+    root_durable: Nanos,
+    /// Pages whose newest content lives only in line-grain records: page
+    /// → (digest, whole patched image). Read before the tree, dropped
+    /// per page by a later page-grain commit of it, written out and
+    /// emptied by every full root — so trees handed to snapshots, rebase
+    /// and GC are always self-contained. Every key's tree path is
+    /// hydrated (the commit or replay that inserted it did that).
+    overlay: BTreeMap<u64, (u32, Box<[u8]>)>,
+}
+
+impl ObjectState {
+    /// Object length in pages, overlay included (a line commit past the
+    /// tree's end grows the object before any full root maps the page).
+    fn len_pages(&self) -> u64 {
+        let overlay_end = self.overlay.keys().next_back().map_or(0, |p| p + 1);
+        self.tree.len_pages().max(overlay_end)
+    }
 }
 
 /// A retained snapshot held in memory: its catalog entry, the pinned
@@ -526,9 +622,17 @@ impl StoreShard {
     /// frontier's extent from the broker state it recovers across all
     /// shards.
     ///
+    /// A line-grain record replays by patching its lines, in epoch order,
+    /// over the page's overlay image, else its tree block, else zeroes,
+    /// and is accepted only if every patched page matches its pair digest
+    /// — otherwise it is a torn candidate exactly as a `payload_sum`
+    /// mismatch is (a rotted base block under it truncates the chain
+    /// there; the stale bytes are never served).
+    ///
     /// Every read is fallible, and the fixed ranges — the slab, each
     /// object's root and delta slots, each replayed delta record's data
-    /// extent — are one vectored read apiece.
+    /// extent and its line-grain pairs' base blocks — are one vectored
+    /// read apiece.
     ///
     /// # Errors
     ///
@@ -642,6 +746,7 @@ impl StoreShard {
             // every candidate at the next epoch is tried and the first
             // one whose payload verifies extends the prefix.
             let mut epoch = base_epoch;
+            let mut overlay: BTreeMap<u64, (u32, Box<[u8]>)> = BTreeMap::new();
             let mut i = 0;
             while i < deltas.len() {
                 if deltas[i].epoch != epoch + 1 {
@@ -656,13 +761,19 @@ impl StoreShard {
                 }
                 let delta = &deltas[i];
                 i += 1;
+                let inline =
+                    |(_, word): &&(u64, u64)| layout::unpack_entry(*word).0 == INLINE_BLOCK;
+                let Some(inline_lines) = delta.inline_lines() else {
+                    continue; // an inline pair without its lines (a batch group never has one)
+                };
                 let extent = readv_blocks(
                     vt,
                     disk,
                     delta
                         .pairs
                         .iter()
-                        .map(|(_, word)| layout::unpack_entry(*word).0),
+                        .map(|(_, word)| layout::unpack_entry(*word).0)
+                        .filter(|b| *b != INLINE_BLOCK),
                 )?;
                 let mut sum = layout::FNV_OFFSET;
                 let mut digests = Vec::with_capacity(delta.pairs.len());
@@ -697,11 +808,56 @@ impl StoreShard {
                 if !meta_ok {
                     break;
                 }
-                for ((page, word), digest) in delta.pairs.iter().zip(digests) {
+                // Line-grain pairs: one vectored read of the base blocks
+                // (pages the overlay already holds need none), then patch
+                // and check each against its pair digest. Nothing is
+                // applied until every page of the record verifies.
+                let bases: Vec<Option<u64>> = delta
+                    .pairs
+                    .iter()
+                    .filter(inline)
+                    .map(|(page, _)| match overlay.contains_key(page) {
+                        true => None,
+                        false => tree.get(*page),
+                    })
+                    .collect();
+                let base_images = readv_blocks(vt, disk, bases.iter().flatten().copied())?;
+                let mut base_images = base_images.chunks(BLOCK_SIZE);
+                let mut patched = Vec::with_capacity(bases.len());
+                for (((page, word), (mask, bytes)), base) in delta
+                    .pairs
+                    .iter()
+                    .filter(inline)
+                    .zip(inline_lines)
+                    .zip(bases)
+                {
+                    let mut image: Box<[u8]> = match (overlay.get(page), base) {
+                        (Some((_, image)), _) => image.clone(),
+                        (None, Some(_)) => base_images.next().expect("one image per base").into(),
+                        (None, None) => vec![0u8; BLOCK_SIZE].into(),
+                    };
+                    lines::scatter(&mut image, &lines::line_runs(mask), bytes)
+                        .expect("inline_lines sized the bytes to the mask");
+                    let digest = layout::unpack_entry(*word).1;
+                    if layout::digest32(&image) == digest {
+                        patched.push((digest, image));
+                    }
+                }
+                if patched.len() != delta.pairs.iter().filter(inline).count() {
+                    continue; // torn, stale, or over a rotted base
+                }
+                let (mut digests, mut patched) = (digests.into_iter(), patched.into_iter());
+                for (page, word) in &delta.pairs {
                     let (block, _) = layout::unpack_entry(*word);
+                    if block == INLINE_BLOCK {
+                        overlay.insert(*page, patched.next().expect("one per inline pair"));
+                        continue;
+                    }
                     // The payload checksum above just verified the data,
                     // so the freshly computed digest is authoritative.
+                    let digest = digests.next().expect("one per data block");
                     tree.set_entry(*page, block, digest);
+                    overlay.remove(page);
                     high_water = high_water.max(block + 1);
                 }
                 epoch = delta.epoch;
@@ -730,6 +886,8 @@ impl StoreShard {
                 full_count: base.map_or(0, |b| b.flush_seq),
                 node_freed_pending: Vec::new(),
                 chain_completes: Nanos::ZERO,
+                root_durable: Nanos::ZERO,
+                overlay,
             });
         }
 
@@ -853,6 +1011,8 @@ impl StoreShard {
             full_count: 0,
             node_freed_pending: Vec::new(),
             chain_completes: Nanos::ZERO,
+            root_durable: Nanos::ZERO,
+            overlay: BTreeMap::new(),
         });
         self.by_name.insert(name.to_string(), id);
         if let Err(e) = self.write_dir_entry(vt, disk, &entry) {
@@ -884,7 +1044,7 @@ impl StoreShard {
 
     /// The object's length in pages.
     pub fn len_pages(&self, id: ObjectId) -> u64 {
-        self.objects[id.0 as usize].tree.len_pages()
+        self.objects[id.0 as usize].len_pages()
     }
 
     /// The durability instant of the object's latest μCheckpoint.
@@ -991,7 +1151,13 @@ impl StoreShard {
     /// the caller's initiation cost, charged once every allocation has
     /// succeeded (see `costs::initiate`).
     ///
-    /// On error the tree and allocator are restored; nothing leaks.
+    /// Every full root is self-contained: the overlay's pages are written
+    /// out as data blocks beside `pages` (which win where both name a
+    /// page) and the overlay is emptied, so no tree a snapshot, rebase, GC
+    /// or a reused ring slot ever sees depends on a line record.
+    ///
+    /// On error the tree, overlay and allocator are restored; nothing
+    /// leaks.
     fn full_commit(
         &mut self,
         vt: &mut Vt,
@@ -1010,17 +1176,26 @@ impl StoreShard {
         // clone cost amortized.
         let tree_snapshot = state.tree.clone();
 
-        let data_blocks = match self.alloc.alloc_contiguous(pages.len() as u64) {
-            Some(first) => first,
-            None if pages.is_empty() => 0,
-            None => return Err(StoreError::OutOfSpace),
+        let own: HashSet<u64> = match state.overlay.is_empty() {
+            true => HashSet::new(),
+            false => pages.iter().map(|(page, _)| *page).collect(),
         };
-        let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(pages.len() + 8);
+        let flushed = state.overlay.iter().filter(|(page, _)| !own.contains(page));
+        let flushed: Vec<(u64, u32, &[u8])> = flushed.map(|(p, (d, i))| (*p, *d, &i[..])).collect();
+        let Some(data_blocks) = self
+            .alloc
+            .alloc_extent((pages.len() + flushed.len()) as u64)
+        else {
+            return Err(StoreError::OutOfSpace);
+        };
+        let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(data_blocks.len() + 8);
         let mut data_freed = Vec::new();
-        for (i, (page, data)) in pages.iter().enumerate() {
-            let block = data_blocks + i as u64;
+        let own = pages
+            .iter()
+            .map(|(p, data)| (*p, layout::digest32(data), *data));
+        for ((page, digest, data), block) in own.chain(flushed.iter().copied()).zip(data_blocks) {
             iov.push((block, data));
-            if let Some(old) = state.tree.set_entry(*page, block, layout::digest32(data)) {
+            if let Some(old) = state.tree.set_entry(page, block, digest) {
                 data_freed.push(old);
             }
         }
@@ -1049,7 +1224,8 @@ impl StoreShard {
         vt.charge(Category::FileSystem, initiate);
         vt.charge(
             Category::FileSystem,
-            costs::NODE_SERIALIZE * node_writes.len() as u64,
+            costs::INITIATE_PER_PAGE * flushed.len() as u64
+                + costs::NODE_SERIALIZE * node_writes.len() as u64,
         );
         for (block, image) in &node_writes {
             iov.push((*block, image));
@@ -1085,6 +1261,10 @@ impl StoreShard {
                 return Err(e.into());
             }
         };
+        let data_written = (pages.len() + flushed.len()) as u64;
+        self.stats.overlay_pages_flushed += flushed.len() as u64;
+        self.stats.pages_written += flushed.len() as u64;
+        state.overlay.clear();
         state.full_count += 1;
         // Everything superseded up to and including this full root is
         // recyclable once it is durable.
@@ -1092,16 +1272,17 @@ impl StoreShard {
         data_freed.extend(state.tree.take_freed());
         state.deltas_since_full = 0;
         state.epoch = epoch;
+        state.root_durable = token.completes();
         state.chain_completes = state.chain_completes.max(token.completes());
-        state.last_commit = token.completes();
+        state.last_commit = state.chain_completes;
         self.pending_free
             .push(Reverse((state.chain_completes, data_freed)));
         self.stats.nodes_written += node_writes.len() as u64;
 
         Ok(CommitToken {
             epoch,
-            completes: token.completes(),
-            bytes_written: (pages.len() as u64 + node_writes.len() as u64 + 1) * BLOCK_SIZE as u64,
+            completes: state.chain_completes,
+            bytes_written: (data_written + node_writes.len() as u64 + 1) * BLOCK_SIZE as u64,
         })
     }
 
@@ -1111,7 +1292,14 @@ impl StoreShard {
     /// A **single group** commits as a data extent plus a [`DeltaRecord`]
     /// in the object's own ring — or, when it is oversized or the
     /// object's delta window is full, as a full root that first flushes
-    /// the COW tree's dirty nodes. **Several groups** (the group-commit
+    /// the COW tree's dirty nodes. When every page of the group names its
+    /// changed lines ([`CommitPage::lines`]) and they fit the record
+    /// block, the record carries the lines and is the commit's **only
+    /// write**: no data block is allocated, and the patched pages wait in
+    /// the object's overlay for the next full root (forced early if the
+    /// overlay would outgrow [`OVERLAY_PAGE_BUDGET`]). A zero mask, a
+    /// line too many or more than [`MAX_DELTA_PAIRS`] pages each fall back
+    /// to whole pages. **Several groups** (the group-commit
     /// path) commit as one contiguous data extent covering every group's
     /// pages followed by one [`BatchRecord`] carrying each object's
     /// `(page, block)` pairs and per-object payload checksum:
@@ -1121,6 +1309,13 @@ impl StoreShard {
     /// batch's completion instant), and recovery truncation stays
     /// per-object: a torn extent segment only truncates the chains of
     /// the objects whose payload it corrupts.
+    ///
+    /// Two ordering rules hold for every record written here. No delta
+    /// or batch record is submitted before its objects' newest full roots
+    /// are durable (its ring slot may be the one recovery still needs
+    /// until then), and a commit's [`CommitToken::completes`] is never
+    /// earlier than its predecessor's, so an acknowledged commit always
+    /// has a durable prefix under it.
     ///
     /// Nothing is split here. A commit that spans shards or outgrows one
     /// record is split by [`crate::ObjectStore::persist_batch`], the only
@@ -1142,12 +1337,11 @@ impl StoreShard {
     /// Panics unless `groups` is one group, or several non-empty groups
     /// of distinct objects whose pairs fit one [`BatchRecord`] block; or
     /// if a page image is not exactly [`BLOCK_SIZE`] bytes.
-    #[allow(clippy::type_complexity)]
-    pub fn persist_batch(
+    pub fn persist_batch<P: CommitPage>(
         &mut self,
         vt: &mut Vt,
         disk: &mut Disk,
-        groups: &[(ObjectId, &[(u64, &[u8])])],
+        groups: &[(ObjectId, &[P])],
     ) -> Result<Vec<CommitToken>, StoreError> {
         // Recycle blocks whose gating instant has passed. This is
         // commit-independent maintenance: it stays applied even if this
@@ -1175,7 +1369,7 @@ impl StoreShard {
         // allocation or mutation: a failed node read aborts with every
         // object untouched.
         for (object, pages) in groups {
-            self.hydrate_object_paths(vt, disk, *object, pages)?;
+            self.hydrate_object_paths(vt, disk, *object, pages.iter().map(|p| p.page()))?;
         }
 
         let total_pages: usize = groups.iter().map(|(_, p)| p.len()).sum();
@@ -1198,54 +1392,89 @@ impl StoreShard {
                     self.flush_full_root(vt, disk, object)?;
                 }
             }
-        } else {
+        }
+        let inline = !shared && self.delta_commits && line_sparse(groups[0].1);
+        if !shared {
             let (object, pages) = groups[0];
             let state = &self.objects[object.0 as usize];
             if !self.delta_commits
                 || pages.len() > MAX_DELTA_PAIRS
                 || state.deltas_since_full + 1 >= DELTA_SLOTS
+                || (inline && state.overlay.len() + pages.len() > OVERLAY_PAGE_BUDGET)
             {
                 // Slow path: flush dirty COW nodes and write a full root.
                 let (epoch, initiate) = (state.epoch + 1, costs::initiate(total_pages));
-                let token = self.full_commit(vt, disk, object, pages, epoch, initiate)?;
+                let pages: Vec<(u64, &[u8])> =
+                    pages.iter().map(|p| (p.page(), p.image())).collect();
+                let token = self.full_commit(vt, disk, object, &pages, epoch, initiate)?;
                 self.stats.commits += 1;
                 self.stats.pages_written += total_pages as u64;
                 return Ok(vec![token]);
             }
         }
 
-        // Fast path: data extent + one commit record. The in-memory trees
-        // are not touched until both writes succeed, so aborting only
-        // needs the allocator snapshot — cheap to clone (a bump pointer
-        // plus the free set), and restoring it un-does every allocation
-        // of an aborted commit in one move. Dirty tree nodes stay in
-        // memory; their superseded on-disk versions wait for the next
-        // full root.
+        // Fast path: data extent + one commit record — or, line-grain,
+        // the record alone. The in-memory trees and overlays are not
+        // touched until the writes succeed, so aborting only needs the
+        // allocator snapshot — cheap to clone (a bump pointer plus the
+        // free set), and restoring it un-does every allocation of an
+        // aborted commit in one move. Dirty tree nodes stay in memory;
+        // their superseded on-disk versions wait for the next full root.
         let alloc_snapshot = self.alloc.clone();
-        let Some(first) = self.alloc.alloc_contiguous(total_pages as u64) else {
+        let data_pages = if inline { 0 } else { total_pages };
+        let Some(blocks) = self.alloc.alloc_extent(data_pages as u64) else {
             return Err(StoreError::OutOfSpace);
         };
         // One initiation charge for the whole commit: this is the
         // amortization that group commit buys.
         vt.charge(Category::FileSystem, costs::initiate(total_pages));
-        let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(total_pages);
+        let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(data_pages);
         let mut staged = Vec::with_capacity(groups.len());
-        let mut next = first;
+        // The line-grain group's whole patched pages, in pair order.
+        let mut patched: Vec<Box<[u8]>> = Vec::new();
+        let mut blocks = blocks.into_iter();
+        let mut root_gate = Nanos::ZERO;
         for (object, pages) in groups {
             let state = &self.objects[object.0 as usize];
+            root_gate = root_gate.max(state.root_durable);
             let len_pages = pages
                 .iter()
-                .map(|(p, _)| p + 1)
-                .fold(state.tree.len_pages(), u64::max);
+                .map(|p| p.page() + 1)
+                .fold(state.len_pages(), u64::max);
             let mut pairs = Vec::with_capacity(pages.len());
             let mut payload_sum = layout::FNV_OFFSET;
-            for (page, data) in *pages {
+            let mut body = Vec::new();
+            for p in *pages {
                 // Pair words carry the page digest in their high half, so
                 // the existing record checksum covers it.
-                pairs.push((*page, layout::pack_entry(next, layout::digest32(data))));
-                iov.push((next, *data));
-                payload_sum = layout::fnv1a_extend(payload_sum, data);
-                next += 1;
+                if inline {
+                    // The patched page is the overlay's image with the
+                    // lines applied; a page the overlay does not hold yet
+                    // enters it whole, on the caller's promise that its
+                    // other lines are the committed ones.
+                    let runs = lines::line_runs(p.lines());
+                    body.extend_from_slice(&p.lines().to_le_bytes());
+                    let at = body.len();
+                    lines::gather(p.image(), &runs, &mut body);
+                    let image: Box<[u8]> = match state.overlay.get(&p.page()) {
+                        Some((_, prev)) => {
+                            let mut image = prev.clone();
+                            lines::scatter(&mut image, &runs, &body[at..])
+                                .expect("gather wrote exactly the runs");
+                            image
+                        }
+                        None => p.image().into(),
+                    };
+                    let word = layout::pack_entry(INLINE_BLOCK, layout::digest32(&image));
+                    pairs.push((p.page(), word));
+                    patched.push(image);
+                    continue;
+                }
+                let block = blocks.next().expect("one block per data page");
+                let word = layout::pack_entry(block, layout::digest32(p.image()));
+                pairs.push((p.page(), word));
+                iov.push((block, p.image()));
+                payload_sum = layout::fnv1a_extend(payload_sum, p.image());
             }
             staged.push(DeltaRecord {
                 object: *object,
@@ -1253,6 +1482,7 @@ impl StoreShard {
                 len_pages,
                 payload_sum,
                 pairs,
+                body,
             });
         }
         // The commit record: the object's own delta slot, or a shared
@@ -1272,13 +1502,12 @@ impl StoreShard {
         };
         let cache = &mut self.cache;
         let token = (|| {
-            let data_token = writev_retry(disk, vt.now(), &iov, cache)?;
-            writev_retry(
-                disk,
-                data_token.completes(),
-                &[(record_block, &record)],
-                cache,
-            )
+            let data_done = match inline {
+                true => vt.now(),
+                false => writev_retry(disk, vt.now(), &iov, cache)?.completes(),
+            };
+            let record_at = data_done.max(root_gate);
+            writev_retry(disk, record_at, &[(record_block, &record)], cache)
         })();
         let token = match token {
             Ok(t) => t,
@@ -1294,10 +1523,18 @@ impl StoreShard {
         // superseded nodes they are quarantined until the next full root
         // supersedes the whole window — never recycled early.
         let mut tokens = Vec::with_capacity(staged.len());
+        let mut patched = patched.into_iter();
         for g in &staged {
             let state = &mut self.objects[g.object.0 as usize];
             for (page, word) in &g.pairs {
                 let (block, digest) = layout::unpack_entry(*word);
+                if inline {
+                    let image = patched.next().expect("one image per inline pair");
+                    state.overlay.insert(*page, (digest, image));
+                    continue;
+                }
+                // A whole page supersedes whatever the records held.
+                state.overlay.remove(page);
                 if let Some(old) = state.tree.set_entry(*page, block, digest) {
                     state.node_freed_pending.push(old);
                 }
@@ -1306,14 +1543,14 @@ impl StoreShard {
             state.deltas_since_full += 1;
             state.epoch = g.epoch;
             state.chain_completes = state.chain_completes.max(token.completes());
-            state.last_commit = token.completes();
+            state.last_commit = state.chain_completes;
+            let data_blocks = if inline { 0 } else { g.pairs.len() as u64 };
             tokens.push(CommitToken {
                 epoch: g.epoch,
                 // The record block is shared; attribute it to the first
                 // participant so batch bytes sum correctly.
-                bytes_written: (g.pairs.len() as u64 + u64::from(tokens.is_empty()))
-                    * BLOCK_SIZE as u64,
-                completes: token.completes(),
+                bytes_written: (data_blocks + u64::from(tokens.is_empty())) * BLOCK_SIZE as u64,
+                completes: state.chain_completes,
             });
         }
         if shared {
@@ -1324,9 +1561,13 @@ impl StoreShard {
             self.stats.batch_commits += 1;
             self.stats.batched_objects += staged.len() as u64;
         }
+        if inline {
+            self.stats.line_commits += 1;
+            self.stats.line_bytes += (staged[0].body.len() - 8 * staged[0].pairs.len()) as u64;
+        }
         self.stats.commits += staged.len() as u64;
         self.stats.delta_commits += staged.len() as u64;
-        self.stats.pages_written += total_pages as u64;
+        self.stats.pages_written += data_pages as u64;
         Ok(tokens)
     }
 
@@ -1376,13 +1617,13 @@ impl StoreShard {
         vt: &mut Vt,
         disk: &mut Disk,
         object: ObjectId,
-        pages: &[(u64, &[u8])],
+        pages: impl Iterator<Item = u64>,
     ) -> Result<(), StoreError> {
         let state = &mut self.objects[object.0 as usize];
         let cache = &mut self.cache;
         let stats = &mut self.stats;
-        for (page, _) in pages {
-            state.tree.hydrate_path(*page, &mut |b, out| {
+        for page in pages {
+            state.tree.hydrate_path(page, &mut |b, out| {
                 read_block_cached(vt, disk, cache, stats, b, out, true)
             })?;
         }
@@ -1688,7 +1929,7 @@ impl StoreShard {
         if target_epoch <= state.epoch {
             return Err(StoreError::StaleEpoch);
         }
-        self.hydrate_object_paths(vt, disk, object, pages)?;
+        self.hydrate_object_paths(vt, disk, object, pages.iter().map(|(p, _)| *p))?;
         let initiate = costs::initiate(pages.len());
         let token = self.full_commit(vt, disk, object, pages, target_epoch, initiate)?;
         self.stats.commits += 1;
@@ -1798,13 +2039,18 @@ impl StoreShard {
         }
         let state = &mut self.objects[object.0 as usize];
         let divergent = std::mem::replace(&mut state.tree, base_tree);
+        // The overlay is part of the divergent history: it must not be
+        // written out over the base.
+        let divergent_overlay = std::mem::take(&mut state.overlay);
         let initiate = costs::initiate(pages.len());
         let token = match self.full_commit(vt, disk, object, pages, target_epoch, initiate) {
             Ok(t) => t,
             Err(e) => {
                 // full_commit restored the (cloned) base tree; put the
                 // divergent history back so the object is untouched.
-                self.objects[object.0 as usize].tree = divergent;
+                let state = &mut self.objects[object.0 as usize];
+                state.tree = divergent;
+                state.overlay = divergent_overlay;
                 return Err(e);
             }
         };
@@ -1968,7 +2214,9 @@ impl StoreShard {
 
     /// The store's one verified read: fills `out` (a whole number of
     /// blocks) with the pages starting at `first_page` of the tree `from`
-    /// names. Resolves every entry (hydrating nodes through the cache),
+    /// names. A live page the overlay holds is served from it — its
+    /// newest content exists nowhere else — without touching the tree.
+    /// Resolves every other entry (hydrating nodes through the cache),
     /// serves cache hits, issues the misses as one vectored device read,
     /// then checks every block against the digest its entry carries, in
     /// page order. `admit` inserts the blocks read from the device into
@@ -1987,30 +2235,38 @@ impl StoreShard {
         admit: bool,
     ) -> Result<(), StoreError> {
         assert_eq!(out.len() % BLOCK_SIZE, 0, "reads are whole pages");
-        let (tree, epoch) = match from {
+        let (tree, overlay, epoch) = match from {
             ReadFrom::Live(i) => {
                 let state = &mut self.objects[i];
-                (&mut state.tree, state.epoch)
+                (&mut state.tree, Some(&state.overlay), state.epoch)
             }
             ReadFrom::Snapshot(i) => {
                 let snap = &mut self.snapshots[i];
-                (&mut snap.tree, snap.entry.epoch)
+                (&mut snap.tree, None, snap.entry.epoch)
             }
         };
+        let overlaid = |page: u64| overlay.and_then(|o| o.get(&page));
         let cache = &mut self.cache;
         let stats = &mut self.stats;
         let n = (out.len() / BLOCK_SIZE) as u64;
         let mut entries = Vec::with_capacity(n as usize);
         for page in first_page..first_page + n {
-            entries.push(tree.get_entry_or_load(page, &mut |b, buf| {
-                read_block_cached(vt, disk, cache, stats, b, buf, true)
-            })?);
+            entries.push(match overlaid(page) {
+                Some(_) => None,
+                None => tree.get_entry_or_load(page, &mut |b, buf| {
+                    read_block_cached(vt, disk, cache, stats, b, buf, true)
+                })?,
+            });
         }
 
         let mut misses: Vec<(u64, &mut [u8])> = Vec::new();
-        for (entry, slot) in entries.iter().zip(out.chunks_mut(BLOCK_SIZE)) {
+        let slots = entries.iter().zip(out.chunks_mut(BLOCK_SIZE));
+        for (page, (entry, slot)) in (first_page..).zip(slots) {
             match entry {
-                None => slot.fill(0),
+                None => match overlaid(page) {
+                    Some((_, image)) => slot.copy_from_slice(image),
+                    None => slot.fill(0),
+                },
                 Some((block, _)) if cache.get(*block, slot) => stats.cache_hits += 1,
                 Some((block, _)) => misses.push((*block, slot)),
             }
@@ -2199,6 +2455,14 @@ impl StoreShard {
                 self.scrub_stats.corruptions_found += 1;
                 self.cache.invalidate(block);
                 self.quarantined.insert(block);
+                if self.objects[obj_idx].overlay.contains_key(&page) {
+                    // The rotted block is only the base of a page whose
+                    // newest content the overlay holds: writing the
+                    // overlay out heals it.
+                    self.flush_full_root(vt, disk, object)?;
+                    self.scrub_stats.repairs += 1;
+                    continue;
+                }
                 match self.snapshot_clean_copy(vt, disk, object, page, digest, block)? {
                     Some(data) => {
                         self.repair_commit(vt, disk, object, page, &data)?;
@@ -2308,7 +2572,9 @@ impl StoreShard {
     /// block is superseded (and stays quarantined), the root record is
     /// the single commit point, and its `flush_seq` makes recovery
     /// prefer the repaired root over the pre-repair one at the same
-    /// epoch.
+    /// epoch. `data` is a clean copy of the page's *tree block*; if the
+    /// overlay holds newer content for the page, that is what the root
+    /// writes out instead.
     fn repair_commit(
         &mut self,
         vt: &mut Vt,
@@ -2317,12 +2583,15 @@ impl StoreShard {
         page: u64,
         data: &[u8],
     ) -> Result<CommitToken, StoreError> {
-        let pages: [(u64, &[u8]); 1] = [(page, data)];
-        self.hydrate_object_paths(vt, disk, object, &pages)?;
-        let epoch = self.objects[object.0 as usize].epoch;
-        let token = self.full_commit(vt, disk, object, &pages, epoch, costs::initiate(1))?;
+        self.hydrate_object_paths(vt, disk, object, std::iter::once(page))?;
+        let state = &self.objects[object.0 as usize];
+        let pages: &[(u64, &[u8])] = match state.overlay.contains_key(&page) {
+            true => &[],
+            false => &[(page, data)],
+        };
+        let token = self.full_commit(vt, disk, object, pages, state.epoch, costs::initiate(1))?;
         self.stats.commits += 1;
-        self.stats.pages_written += 1;
+        self.stats.pages_written += pages.len() as u64;
         Ok(token)
     }
 
@@ -2446,6 +2715,8 @@ mod tests {
         let store = format_shard(&mut disk);
         (disk, store, Vt::new(0))
     }
+
+    mod line_grain;
 
     #[test]
     fn create_lookup_and_duplicate() {
