@@ -465,8 +465,12 @@ impl Disk {
     /// completed by `at` is rolled back, leaving exactly the durable image.
     ///
     /// Writes that completed at or before `at` survive. The undo log is
-    /// cleared; the device can keep being used (as a "rebooted" device).
+    /// cleared; the device can keep being used (as a "rebooted" device):
+    /// the work it had queued past `at` is gone with the power, so an IO
+    /// submitted at `at` finds idle channels.
     pub fn crash(&mut self, at: Nanos) {
+        self.channels.clamp_to(at);
+        self.inflight.retain(|Reverse(done)| *done <= at);
         // Roll back in reverse submission order so stacked overwrites of
         // the same block restore correctly.
         for entry in self.undo.drain(..).rev().collect::<Vec<_>>() {
@@ -624,6 +628,38 @@ mod tests {
         let mut out = vec![0u8; BLOCK_SIZE];
         disk.try_read_block(&mut vt, 5, &mut out).unwrap();
         assert_eq!(out, block_of(0xAB));
+    }
+
+    #[test]
+    fn a_crash_forgets_the_work_queued_behind_it() {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let one_io = disk.config().segment_latency(BLOCK_SIZE);
+        // A burst of eight writes at t = 0 on two channels: the last
+        // pair completes four IOs in.
+        let mut last = Nanos::ZERO;
+        for b in 0..8 {
+            last = disk
+                .write_block_at(Nanos::ZERO, b, &block_of(b as u8 + 1))
+                .unwrap()
+                .completes();
+        }
+        assert_eq!(last, one_io * 4);
+        // Power fails mid-burst, after the first pair.
+        let at = one_io + Nanos::from_us(1);
+        disk.crash(at);
+        let mut out = vec![0u8; BLOCK_SIZE];
+        let done = disk.try_read_block_at(at, 1, &mut out).unwrap();
+        assert_eq!(
+            done,
+            at + one_io,
+            "the read does not queue behind lost writes"
+        );
+        assert_eq!(out, block_of(2));
+        disk.try_read_block_at(at, 2, &mut out).unwrap();
+        assert_eq!(out, block_of(0), "the third write never happened");
+        // The queue-depth model forgot them too.
+        disk.write_block_at(at, 9, &block_of(9)).unwrap();
+        assert_eq!(disk.inflight.len(), 1);
     }
 
     #[test]

@@ -51,6 +51,17 @@ impl ChannelPool {
         done
     }
 
+    /// Forgets all work past `at`: every channel is free at `at` at the
+    /// latest. A power failure at `at` — what was queued or in flight
+    /// never happens, so nothing submitted afterwards waits behind it.
+    pub fn clamp_to(&mut self, at: Nanos) {
+        self.free_at = self
+            .free_at
+            .drain()
+            .map(|Reverse(t)| Reverse(t.min(at)))
+            .collect();
+    }
+
     /// The instant all currently queued work completes.
     pub fn drained_at(&self) -> Nanos {
         self.free_at
@@ -75,6 +86,32 @@ mod tests {
         assert_eq!(d2, Nanos::from_us(10));
         assert_eq!(d3, Nanos::from_us(20)); // queues behind one of the two
         assert_eq!(pool.drained_at(), Nanos::from_us(20));
+    }
+
+    #[test]
+    fn clamp_forgets_queued_work_but_not_finished_work() {
+        let mut pool = ChannelPool::new(2);
+        pool.submit(Nanos::ZERO, Nanos::from_us(5));
+        for _ in 0..4 {
+            pool.submit(Nanos::from_us(10), Nanos::from_us(10));
+        }
+        assert_eq!(pool.drained_at(), Nanos::from_us(30));
+        pool.clamp_to(Nanos::from_us(12));
+        assert_eq!(pool.drained_at(), Nanos::from_us(12));
+        // Both channels take new work at once, from the clamp instant.
+        assert_eq!(
+            pool.submit(Nanos::from_us(12), Nanos::from_us(1)),
+            Nanos::from_us(13)
+        );
+        assert_eq!(
+            pool.submit(Nanos::from_us(12), Nanos::from_us(1)),
+            Nanos::from_us(13)
+        );
+        // A channel already idle before the clamp stays where it was.
+        let mut idle = ChannelPool::new(1);
+        idle.submit(Nanos::ZERO, Nanos::from_us(3));
+        idle.clamp_to(Nanos::from_us(12));
+        assert_eq!(idle.drained_at(), Nanos::from_us(3));
     }
 
     #[test]
