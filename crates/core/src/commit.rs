@@ -275,10 +275,8 @@ impl MemSnap {
             // diff against what the store holds. Zero is "unknown": the
             // page commits whole. ROADMAP item 2 removes this restriction
             // (it is blocked on the harness, see item 1).
-            let lines = match copy.is_none() && self.open_batches.is_empty() {
-                true => e.lines,
-                false => 0,
-            };
+            let known = copy.is_none() && self.open_batches.is_empty();
+            let lines = if known { e.lines } else { 0 };
             match keys.last_mut() {
                 Some(k) if (k.0, k.1) == (*region, e.obj_page) => {
                     k.2 |= e.lines;

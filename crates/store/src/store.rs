@@ -761,8 +761,6 @@ impl StoreShard {
                 }
                 let delta = &deltas[i];
                 i += 1;
-                let inline =
-                    |(_, word): &&(u64, u64)| layout::unpack_entry(*word).0 == INLINE_BLOCK;
                 let Some(inline_lines) = delta.inline_lines() else {
                     continue; // an inline pair without its lines (a batch group never has one)
                 };
@@ -812,24 +810,22 @@ impl StoreShard {
                 // (pages the overlay already holds need none), then patch
                 // and check each against its pair digest. Nothing is
                 // applied until every page of the record verifies.
-                let bases: Vec<Option<u64>> = delta
+                let inline: Vec<(u64, u32)> = delta
                     .pairs
                     .iter()
-                    .filter(inline)
-                    .map(|(page, _)| match overlay.contains_key(page) {
-                        true => None,
-                        false => tree.get(*page),
-                    })
+                    .map(|(page, word)| (*page, layout::unpack_entry(*word)))
+                    .filter(|(_, (block, _))| *block == INLINE_BLOCK)
+                    .map(|(page, (_, digest))| (page, digest))
+                    .collect();
+                let bases: Vec<Option<u64>> = inline
+                    .iter()
+                    .map(|(page, _)| tree.get(*page).filter(|_| !overlay.contains_key(page)))
                     .collect();
                 let base_images = readv_blocks(vt, disk, bases.iter().flatten().copied())?;
                 let mut base_images = base_images.chunks(BLOCK_SIZE);
-                let mut patched = Vec::with_capacity(bases.len());
-                for (((page, word), (mask, bytes)), base) in delta
-                    .pairs
-                    .iter()
-                    .filter(inline)
-                    .zip(inline_lines)
-                    .zip(bases)
+                let mut patched = Vec::with_capacity(inline.len());
+                for (((page, digest), (mask, bytes)), base) in
+                    inline.iter().zip(inline_lines).zip(bases)
                 {
                     let mut image: Box<[u8]> = match (overlay.get(page), base) {
                         (Some((_, image)), _) => image.clone(),
@@ -838,12 +834,11 @@ impl StoreShard {
                     };
                     lines::scatter(&mut image, &lines::line_runs(mask), bytes)
                         .expect("inline_lines sized the bytes to the mask");
-                    let digest = layout::unpack_entry(*word).1;
-                    if layout::digest32(&image) == digest {
-                        patched.push((digest, image));
+                    if layout::digest32(&image) == *digest {
+                        patched.push((*digest, image));
                     }
                 }
-                if patched.len() != delta.pairs.iter().filter(inline).count() {
+                if patched.len() != inline.len() {
                     continue; // torn, stale, or over a rotted base
                 }
                 let (mut digests, mut patched) = (digests.into_iter(), patched.into_iter());
@@ -1176,12 +1171,14 @@ impl StoreShard {
         // clone cost amortized.
         let tree_snapshot = state.tree.clone();
 
-        let own: HashSet<u64> = match state.overlay.is_empty() {
-            true => HashSet::new(),
-            false => pages.iter().map(|(page, _)| *page).collect(),
-        };
-        let flushed = state.overlay.iter().filter(|(page, _)| !own.contains(page));
-        let flushed: Vec<(u64, u32, &[u8])> = flushed.map(|(p, (d, i))| (*p, *d, &i[..])).collect();
+        // The overlay pages this root writes out: all but those `pages`
+        // supersedes.
+        let mut flushed: Vec<(u64, u32, &[u8])> = Vec::new();
+        if !state.overlay.is_empty() {
+            let own: HashSet<u64> = pages.iter().map(|(page, _)| *page).collect();
+            let kept = state.overlay.iter().filter(|(page, _)| !own.contains(page));
+            flushed.extend(kept.map(|(page, (digest, image))| (*page, *digest, &image[..])));
+        }
         let Some(data_blocks) = self
             .alloc
             .alloc_extent((pages.len() + flushed.len()) as u64)
@@ -1192,7 +1189,7 @@ impl StoreShard {
         let mut data_freed = Vec::new();
         let own = pages
             .iter()
-            .map(|(p, data)| (*p, layout::digest32(data), *data));
+            .map(|(page, data)| (*page, layout::digest32(data), *data));
         for ((page, digest, data), block) in own.chain(flushed.iter().copied()).zip(data_blocks) {
             iov.push((block, data));
             if let Some(old) = state.tree.set_entry(page, block, digest) {
@@ -1418,10 +1415,11 @@ impl StoreShard {
         // touched until the writes succeed, so aborting only needs the
         // allocator snapshot — cheap to clone (a bump pointer plus the
         // free set), and restoring it un-does every allocation of an
-        // aborted commit in one move. Dirty tree nodes stay in memory;
-        // their superseded on-disk versions wait for the next full root.
-        let alloc_snapshot = self.alloc.clone();
+        // aborted commit in one move; a line-grain commit allocates
+        // nothing and takes none. Dirty tree nodes stay in memory; their
+        // superseded on-disk versions wait for the next full root.
         let data_pages = if inline { 0 } else { total_pages };
+        let alloc_snapshot = (data_pages > 0).then(|| self.alloc.clone());
         let Some(blocks) = self.alloc.alloc_extent(data_pages as u64) else {
             return Err(StoreError::OutOfSpace);
         };
@@ -1502,9 +1500,10 @@ impl StoreShard {
         };
         let cache = &mut self.cache;
         let token = (|| {
-            let data_done = match inline {
-                true => vt.now(),
-                false => writev_retry(disk, vt.now(), &iov, cache)?.completes(),
+            let data_done = if inline {
+                vt.now()
+            } else {
+                writev_retry(disk, vt.now(), &iov, cache)?.completes()
             };
             let record_at = data_done.max(root_gate);
             writev_retry(disk, record_at, &[(record_block, &record)], cache)
@@ -1512,7 +1511,9 @@ impl StoreShard {
         let token = match token {
             Ok(t) => t,
             Err(e) => {
-                self.alloc = alloc_snapshot;
+                if let Some(snapshot) = alloc_snapshot {
+                    self.alloc = snapshot;
+                }
                 return Err(e.into());
             }
         };
@@ -2585,9 +2586,10 @@ impl StoreShard {
     ) -> Result<CommitToken, StoreError> {
         self.hydrate_object_paths(vt, disk, object, std::iter::once(page))?;
         let state = &self.objects[object.0 as usize];
-        let pages: &[(u64, &[u8])] = match state.overlay.contains_key(&page) {
-            true => &[],
-            false => &[(page, data)],
+        let pages: &[(u64, &[u8])] = if state.overlay.contains_key(&page) {
+            &[]
+        } else {
+            &[(page, data)]
         };
         let token = self.full_commit(vt, disk, object, pages, state.epoch, costs::initiate(1))?;
         self.stats.commits += 1;
