@@ -273,8 +273,8 @@ impl MemSnap {
             // cut from the page earlier than it commits, so its lines (and
             // those of an in-place image that overtakes it) are not the
             // diff against what the store holds. Zero is "unknown": the
-            // page commits whole. ROADMAP item 2 removes this restriction
-            // (it is blocked on the harness, see item 1).
+            // page commits whole. ROADMAP item 2(a) removes this restriction
+            // (it is blocked on the harness, item 0).
             let known = copy.is_none() && self.open_batches.is_empty();
             let lines = if known { e.lines } else { 0 };
             match keys.last_mut() {
