@@ -18,7 +18,11 @@
 //!   through `read_pages` — plus the raw wall-clock throughput of the
 //!   page digest itself;
 //! - scrub throughput vs per-call IO budget: one full verification pass
-//!   over a 4096-page object, sliced finer or coarser.
+//!   over a 4096-page object, sliced finer or coarser — and the same 4096
+//!   pages as eight objects on one shard or on eight, where a slice must
+//!   stay one device submission;
+//! - open over a full window of line-grain records per object: replay
+//!   fetches every record's base block in one vectored read.
 //!
 //! Emits the machine-readable `BENCH_store.json` at the workspace root —
 //! virtual time only, bit-for-bit reproducible, diffed by CI — and the
@@ -30,7 +34,10 @@ use std::time::Instant;
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::Vt;
-use msnap_store::{digest32, ObjectStore, RadixTree, BULK_READ_PAGES, DEFAULT_CACHE_BLOCKS};
+use msnap_store::{
+    digest32, shard_of_name, ObjectStore, RadixTree, BULK_READ_PAGES, DEFAULT_CACHE_BLOCKS,
+    DELTA_SLOTS,
+};
 
 const SIZES: [u64; 4] = [64, 256, 1024, 4096];
 const DIRTY_PAGES: u64 = 16;
@@ -74,13 +81,38 @@ fn device_with(pages: u64) -> (Disk, Vt) {
     let mut vt = Vt::new(0);
     let obj = store.create(&mut vt, &mut disk, "db").unwrap();
     churn(&mut vt, &mut disk, &mut store, obj, 0, pages);
-    // Create-then-delete flushes the full root without retaining a pin.
-    store
-        .snapshot_create(&mut vt, &mut disk, obj, "flush")
-        .unwrap();
-    store.snapshot_delete(&mut vt, &mut disk, "flush").unwrap();
+    flush_root(&mut vt, &mut disk, &mut store, obj);
     disk.settle();
     (disk, vt)
+}
+
+/// Flushes `obj`'s full root: create-then-delete of a snapshot does it
+/// without retaining a pin.
+fn flush_root(vt: &mut Vt, disk: &mut Disk, store: &mut ObjectStore, obj: msnap_store::ObjectId) {
+    store.snapshot_create(vt, disk, obj, "flush").unwrap();
+    store.snapshot_delete(vt, disk, "flush").unwrap();
+}
+
+/// [`device_with`] for a `shards`-shard store holding `objects` objects of
+/// `pages` pages each, dealt round-robin over the shards, every tree a
+/// full root with no trailing deltas. Returns the object names too.
+fn sharded_device_with(shards: usize, objects: usize, pages: u64) -> (Disk, Vt, Vec<String>) {
+    let mut disk = Disk::new(DiskConfig::paper());
+    let mut store = ObjectStore::format_sharded(&mut disk, shards);
+    let mut vt = Vt::new(0);
+    let mut names = Vec::new();
+    let mut candidates = (0..).map(|i| format!("db{i}"));
+    for k in 0..objects {
+        let name = candidates
+            .find(|n| shard_of_name(n, shards) == k % shards)
+            .unwrap();
+        let obj = store.create(&mut vt, &mut disk, &name).unwrap();
+        churn(&mut vt, &mut disk, &mut store, obj, k as u64, pages);
+        flush_root(&mut vt, &mut disk, &mut store, obj);
+        names.push(name);
+    }
+    disk.settle();
+    (disk, vt, names)
 }
 
 struct OpenPoint {
@@ -145,6 +177,78 @@ fn sweep_open() -> Vec<OpenPoint> {
         "lazy open must stay flat across sizes: {lo:.1}us .. {hi:.1}us"
     );
     points
+}
+
+struct ReplayPoint {
+    objects: usize,
+    pages: u64,
+    records: u64,
+    open_us: f64,
+    read_submissions: u64,
+    blocks_read: u64,
+}
+
+/// Open over a full delta window of line-grain records per object, each
+/// record patching one line of a page of its own.
+fn sweep_open_replay() -> ReplayPoint {
+    header(
+        "Open over a window of line-grain records",
+        "each object: a full root, then DELTA_SLOTS - 1 one-line records on \
+         distinct pages; replay fetches all their base blocks in one \
+         vectored read per object.",
+    );
+    const OBJECTS: usize = 4;
+    const PAGES: u64 = 1024;
+    let records = DELTA_SLOTS - 1;
+    let (mut disk, mut vt, names) = sharded_device_with(1, OBJECTS, PAGES);
+    let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
+    for (k, name) in names.iter().enumerate() {
+        let obj = store.lookup(name).unwrap();
+        for r in 0..records {
+            let page = r * (PAGES / records);
+            let mut image = page_image(k as u64, page);
+            image[64..128].fill(r as u8 + 1);
+            let tokens = store
+                .persist_batch(
+                    &mut vt,
+                    &mut disk,
+                    &[(obj, &[(page, &image[..], 2u64)][..])],
+                )
+                .unwrap();
+            ObjectStore::wait(&mut vt, tokens[0]);
+        }
+    }
+    assert_eq!(store.stats().line_commits, OBJECTS as u64 * records);
+    disk.settle();
+    let (t0, subs, blocks) = (
+        vt.now(),
+        disk.stats().read_submissions(),
+        disk.stats().reads(),
+    );
+    let reopened = ObjectStore::open(&mut vt, &mut disk).unwrap();
+    for name in &names {
+        assert_eq!(reopened.epoch(reopened.lookup(name).unwrap()), 1 + records);
+    }
+    let point = ReplayPoint {
+        objects: OBJECTS,
+        pages: PAGES,
+        records,
+        open_us: (vt.now() - t0).as_us_f64(),
+        read_submissions: disk.stats().read_submissions() - subs,
+        blocks_read: disk.stats().reads() - blocks,
+    };
+    table(
+        &["objects", "pages", "records", "open us", "reads", "blocks"],
+        &[vec![
+            format!("{}", point.objects),
+            format!("{}", point.pages),
+            format!("{}", point.records),
+            us(point.open_us),
+            format!("{}", point.read_submissions),
+            format!("{}", point.blocks_read),
+        ]],
+    );
+    point
 }
 
 struct SnapPoint {
@@ -506,12 +610,76 @@ fn sweep_scrub() -> Vec<ScrubPoint> {
     points
 }
 
+struct ShardedScrubPoint {
+    shards: usize,
+    budget: u64,
+    calls: u64,
+    pages_verified: u64,
+    pass_us: f64,
+    slice_us: f64,
+}
+
+/// One full scrub pass over the same 4096 pages as eight 512-page objects,
+/// on one shard and on eight: the cursor walks the shards in turn, so a
+/// slice costs what it costs on one shard.
+fn sweep_scrub_sharded() -> Vec<ShardedScrubPoint> {
+    header(
+        "Scrub slice vs shard count",
+        "full pass over 8 x 512 pages; slice us = pass us / calls, the \
+         stall a foreground writer sees behind one budgeted call.",
+    );
+    let mut points = Vec::new();
+    for shards in [1usize, 8] {
+        for budget in [64u64, 1024] {
+            let (mut disk, mut vt, _) = sharded_device_with(shards, 8, 512);
+            let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
+            let mut calls = 0u64;
+            let t0 = vt.now();
+            while store.scrub_stats().passes == 0 {
+                store.scrub(&mut vt, &mut disk, budget).unwrap();
+                calls += 1;
+                assert!(calls < 1_000_000, "scrub never completed a pass");
+            }
+            let pass_us = (vt.now() - t0).as_us_f64();
+            let s = store.scrub_stats();
+            assert_eq!(s.corruptions_found, 0, "clean device scrubs clean");
+            points.push(ShardedScrubPoint {
+                shards,
+                budget,
+                calls,
+                pages_verified: s.pages_verified,
+                pass_us,
+                slice_us: pass_us / calls as f64,
+            });
+        }
+    }
+    table(
+        &["shards", "budget", "calls", "pages", "pass us", "slice us"],
+        &points
+            .iter()
+            .map(|p| {
+                vec![
+                    format!("{}", p.shards),
+                    format!("{}", p.budget),
+                    format!("{}", p.calls),
+                    format!("{}", p.pages_verified),
+                    us(p.pass_us),
+                    us(p.slice_us),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    points
+}
+
 fn main() {
     let open = sweep_open();
+    let replay = sweep_open_replay();
     let snapshot = sweep_snapshot();
     let reads = sweep_reads();
     let (verify, digest_gb_per_s) = sweep_verify();
     let scrub = sweep_scrub();
+    let scrub_sharded = sweep_scrub_sharded();
 
     let open_json = open
         .iter()
@@ -571,13 +739,36 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n    ");
+    let replay_json = format!(
+        "{{\"objects\":{},\"pages\":{},\"records\":{},\"open_us\":{:.3},\
+         \"read_submissions\":{},\"blocks_read\":{}}}",
+        replay.objects,
+        replay.pages,
+        replay.records,
+        replay.open_us,
+        replay.read_submissions,
+        replay.blocks_read
+    );
+    let scrub_sharded_json = scrub_sharded
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"shards\":{},\"budget\":{},\"calls\":{},\"pages_verified\":{},\
+                 \"pass_us\":{:.1},\"slice_us\":{:.1}}}",
+                p.shards, p.budget, p.calls, p.pages_verified, p.pass_us, p.slice_us
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n    ");
     let json = format!(
         "{{\n  \"bench\": \"store\",\n  \"cache_blocks\": {DEFAULT_CACHE_BLOCKS},\n  \
          \"open\": [\n    {open_json}\n  ],\n  \
+         \"open_replay\": [\n    {replay_json}\n  ],\n  \
          \"snapshot_create\": [\n    {snap_json}\n  ],\n  \
          \"reads\": [\n    {reads_json}\n  ],\n  \
          \"read_verify\": [\n    {verify_json}\n  ],\n  \
-         \"scrub\": [\n    {scrub_json}\n  ]\n}}\n"
+         \"scrub\": [\n    {scrub_json}\n  ],\n  \
+         \"scrub_sharded\": [\n    {scrub_sharded_json}\n  ]\n}}\n"
     );
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let path = format!("{root}/BENCH_store.json");

@@ -12,7 +12,7 @@ use crate::commit::{FinishedBatch, OpenBatch, DEFAULT_COALESCE_WINDOW};
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::types::{
     IndexCarve, Md, MsnapError, PersistBreakdown, PersistFlags, RegionHandle, RegionSel,
-    SnapshotView,
+    RestoreError, SnapshotView,
 };
 use crate::Epoch;
 
@@ -78,6 +78,18 @@ fn decode_carve_header(hdr: &[u8; CARVE_HDR_LEN]) -> Option<(u32, u32, u64)> {
     let arena_pages = u64::from_le_bytes(hdr[16..24].try_into().unwrap());
     Some((word(8), word(12), arena_pages))
 }
+
+/// `(first page, page count)` of each [`BULK_READ_PAGES`]-page bulk read
+/// that covers pages `0 .. len`.
+fn bulk_chunks(len: u64) -> impl Iterator<Item = (u64, u64)> {
+    (0..len)
+        .step_by(BULK_READ_PAGES as usize)
+        .map(move |first| (first, BULK_READ_PAGES.min(len - first)))
+}
+
+/// What a restore reads off the device: the open store, its manifest
+/// object, and the manifest's regions each with its store object.
+type Recovered = (ObjectStore, StoreObjId, Vec<(ManifestEntry, StoreObjId)>);
 
 #[derive(Debug)]
 pub(crate) struct Region {
@@ -198,12 +210,15 @@ impl MemSnap {
     ///
     /// # Errors
     ///
-    /// [`MsnapError::Store`] if the device holds no formatted store or a
-    /// device read fails during recovery (`StoreError::Io` — nothing is
-    /// built), [`MsnapError::BadDescriptor`] if the manifest names an object the
+    /// A [`RestoreError`] carrying the device back with
+    /// [`MsnapError::Store`] if it holds no formatted store or a device
+    /// read fails during recovery (`StoreError::Io` — nothing is built;
+    /// take `disk` out of the error and restore again),
+    /// [`MsnapError::BadDescriptor`] if the manifest names an object the
     /// catalog does not hold (a corrupt image — or a promoted replica
     /// device; see [`MemSnap::restore_promoted`]).
-    pub fn restore(vt: &mut Vt, disk: Disk) -> Result<Self, MsnapError> {
+    #[allow(clippy::result_large_err)] // the error is the device, handed back by value
+    pub fn restore(vt: &mut Vt, disk: Disk) -> Result<Self, RestoreError> {
         Self::restore_inner(vt, disk, false)
     }
 
@@ -222,34 +237,30 @@ impl MemSnap {
     ///
     /// # Errors
     ///
-    /// [`MsnapError::Store`] if the device holds no formatted store or a
-    /// device read fails during recovery.
+    /// A [`RestoreError`] carrying the device back with
+    /// [`MsnapError::Store`] if it holds no formatted store or a device
+    /// read fails during recovery.
     ///
     /// [`msnap-repl`]: ../msnap_repl/index.html
-    pub fn restore_promoted(vt: &mut Vt, disk: Disk) -> Result<Self, MsnapError> {
+    #[allow(clippy::result_large_err)] // the error is the device, handed back by value
+    pub fn restore_promoted(vt: &mut Vt, disk: Disk) -> Result<Self, RestoreError> {
         Self::restore_inner(vt, disk, true)
     }
 
+    #[allow(clippy::result_large_err)] // the error is the device, handed back by value
     fn restore_inner(
         vt: &mut Vt,
         mut disk: Disk,
         drop_unshipped: bool,
-    ) -> Result<Self, MsnapError> {
-        let mut store = ObjectStore::open(vt, &mut disk)?;
-        let manifest_obj = store
-            .lookup(MANIFEST_NAME)
-            .ok_or(MsnapError::BadDescriptor)?;
-        let manifest = Manifest::decode(|page, out| {
-            store.read_page(vt, &mut disk, manifest_obj, page, &mut out[..])
-        })?;
+    ) -> Result<Self, RestoreError> {
+        // Recovery only reads: whatever fails, the device goes back whole.
+        let (store, manifest_obj, regions) = match Self::recover(vt, &mut disk, drop_unshipped) {
+            Ok(parts) => parts,
+            Err(error) => return Err(RestoreError { error, disk }),
+        };
 
         let mut ms = Self::with_store(disk, store, manifest_obj);
-        for entry in manifest.entries {
-            let store_obj = match ms.store.lookup(&entry.name) {
-                Some(obj) => obj,
-                None if drop_unshipped => continue,
-                None => return Err(MsnapError::BadDescriptor),
-            };
+        for (entry, store_obj) in regions {
             let vm_obj = ms.vm.create_object(entry.pages);
             let md = Md(ms.regions.len() as u32);
             ms.by_name.insert(entry.name.clone(), md);
@@ -267,6 +278,30 @@ impl MemSnap {
             });
         }
         Ok(ms)
+    }
+
+    /// The fallible half of a restore; it only reads the device.
+    fn recover(
+        vt: &mut Vt,
+        disk: &mut Disk,
+        drop_unshipped: bool,
+    ) -> Result<Recovered, MsnapError> {
+        let mut store = ObjectStore::open(vt, disk)?;
+        let manifest_obj = store
+            .lookup(MANIFEST_NAME)
+            .ok_or(MsnapError::BadDescriptor)?;
+        let manifest = Manifest::decode(|page, out| {
+            store.read_page(vt, disk, manifest_obj, page, &mut out[..])
+        })?;
+        let mut regions = Vec::with_capacity(manifest.entries.len());
+        for entry in manifest.entries {
+            match store.lookup(&entry.name) {
+                Some(obj) => regions.push((entry, obj)),
+                None if drop_unshipped => {}
+                None => return Err(MsnapError::BadDescriptor),
+            }
+        }
+        Ok((store, manifest_obj, regions))
     }
 
     /// Simulates a power failure at `at`: consumes the running instance
@@ -438,9 +473,7 @@ impl MemSnap {
         let vm_obj = region.vm_obj;
         let len = self.store.len_pages(store_obj).min(region.pages);
         let vm = &mut self.vm;
-        let mut first = 0;
-        while first < len {
-            let n = BULK_READ_PAGES.min(len - first);
+        for (first, n) in bulk_chunks(len) {
             self.store.read_pages(
                 vt,
                 &mut self.disk,
@@ -449,7 +482,6 @@ impl MemSnap {
                 n,
                 &mut |page, data| vm.populate_page(vm_obj, page, data),
             )?;
-            first += n;
         }
         self.regions[md.0 as usize].populated = true;
         Ok(())
@@ -875,10 +907,13 @@ impl MemSnap {
         let pages = self.regions[region_idx].pages;
         // Read the whole image before anything is created or mapped: a
         // failed read leaves the address space exactly as it was.
-        let mut image = vec![0u8; entry.len_pages.min(pages) as usize * PAGE_SIZE];
-        for (page, buf) in image.chunks_mut(PAGE_SIZE).enumerate() {
+        let len = entry.len_pages.min(pages);
+        let mut image = Vec::with_capacity(len as usize * PAGE_SIZE);
+        for (first, n) in bulk_chunks(len) {
             self.store
-                .read_page_at(vt, &mut self.disk, snapshot, page as u64, buf)?;
+                .read_pages_at(vt, &mut self.disk, snapshot, first, n, &mut |_, data| {
+                    image.extend_from_slice(data)
+                })?;
         }
         let addr = self.next_va;
         self.next_va += (pages + REGION_GUARD_PAGES) * PAGE_SIZE as u64;
@@ -946,20 +981,26 @@ impl MemSnap {
             self.vm.map(space, vm_obj, addr, TrackMode::Tracked)?;
             self.regions[region_idx].mapped.push(space);
         }
-        let mut want = vec![0u8; PAGE_SIZE];
+        let mut want = Vec::new();
         let mut have = vec![0u8; PAGE_SIZE];
-        for page in 0..pages {
-            if page < entry.len_pages {
+        for (first, n) in bulk_chunks(pages) {
+            // Pages past the snapshot's end read as zeroes, at no IO.
+            want.clear();
+            let read =
                 self.store
-                    .read_page_at(vt, &mut self.disk, snapshot, page, &mut want)?;
-            } else {
-                want.fill(0);
+                    .read_pages_at(vt, &mut self.disk, snapshot, first, n, &mut |_, data| {
+                        want.extend_from_slice(data)
+                    });
+            // What a failing chunk delivered before its bad page is still
+            // rolled back, as a page-at-a-time loop would have left it.
+            for (page, want) in (first..).zip(want.chunks(PAGE_SIZE)) {
+                let va = addr + page * PAGE_SIZE as u64;
+                self.vm.read(vt, space, va, &mut have);
+                if have != want {
+                    self.vm.write(vt, space, thread, va, want);
+                }
             }
-            let va = addr + page * PAGE_SIZE as u64;
-            self.vm.read(vt, space, va, &mut have);
-            if have != want {
-                self.vm.write(vt, space, thread, va, &want);
-            }
+            read?;
         }
         self.msnap_persist(
             vt,
@@ -1379,6 +1420,58 @@ pub(crate) mod tests {
         let mut out = [0u8; 4];
         ms.read(&mut vt, space, view2.addr, &mut out).unwrap();
         assert_eq!(&out, b"keep");
+    }
+
+    #[test]
+    fn a_snapshot_view_pages_in_one_bulk_read_per_chunk() {
+        const PAGES: u64 = 1024;
+        let image: Vec<u8> = (0..PAGES as usize * PAGE_SIZE)
+            .map(|i| (i / PAGE_SIZE * 7 + i % 64) as u8)
+            .collect();
+        // A region persisted as `image`, pinned as "s", then overwritten;
+        // the cache is dropped so every snapshot page comes off the device.
+        let build = || {
+            let (mut ms, mut vt, space) = fresh();
+            let t = vt.id();
+            let r = ms.msnap_open(&mut vt, space, "data", PAGES).unwrap();
+            for content in [&image, &vec![0x11; image.len()]] {
+                ms.write(&mut vt, space, t, r.addr, content).unwrap();
+                ms.msnap_persist(&mut vt, t, RegionSel::Region(r.md), PersistFlags::sync())
+                    .unwrap();
+                if ms.retained_snapshots().is_empty() {
+                    ms.msnap_snapshot(&mut vt, r.md, "s").unwrap();
+                }
+            }
+            ms.store.drop_cache();
+            (ms, vt, space)
+        };
+
+        let (mut ms, mut vt, space) = build();
+        let (t0, subs) = (vt.now(), ms.disk().stats().read_submissions());
+        let view = ms.msnap_open_at(&mut vt, space, "s").unwrap();
+        let took = vt.now() - t0;
+        assert_eq!(ms.disk().stats().read_submissions() - subs, 4);
+        assert!(took <= Nanos::from_us(1_200), "{took:?}");
+        let mut got = vec![0u8; image.len()];
+        ms.read(&mut vt, space, view.addr, &mut got).unwrap();
+        assert!(got == image, "the view holds the snapshot's bytes");
+
+        // Rot under a page in the middle of the second chunk: the typed
+        // error names it, and no address was reserved or mapped.
+        let (mut ms, mut vt, space) = build();
+        let at = ms.disk.read_seq() + 300;
+        ms.disk
+            .set_read_fault_plan(msnap_disk::ReadFaultPlan::new().rot_at(at, 77, 3));
+        let next_va = ms.next_va;
+        let err = ms.msnap_open_at(&mut vt, space, "s").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MsnapError::Store(StoreError::CorruptData { page: 300, .. })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(ms.next_va, next_va);
     }
 
     #[test]

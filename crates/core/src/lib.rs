@@ -70,7 +70,7 @@ mod types;
 pub use api::MemSnap;
 pub use types::{
     CommitTicket, IndexCarve, Md, MsnapError, PersistBreakdown, PersistFlags, RegionHandle,
-    RegionSel, SnapshotView,
+    RegionSel, RestoreError, SnapshotView,
 };
 
 /// Region page size (4 KiB), re-exported from the VM.

@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use msnap_disk::Disk;
 use msnap_sim::Nanos;
 use msnap_store::StoreError;
 use msnap_vm::VmError;
@@ -230,6 +231,42 @@ impl From<StoreError> for MsnapError {
 impl From<VmError> for MsnapError {
     fn from(e: VmError) -> Self {
         MsnapError::Vm(e)
+    }
+}
+
+/// A failed [`crate::MemSnap::restore`]: why it failed, and the device it
+/// was given — untouched, so a transient failure is retried by taking
+/// `disk` back out and restoring again.
+pub struct RestoreError {
+    /// Why the restore failed.
+    pub error: MsnapError,
+    /// The device, exactly as it was passed in.
+    pub disk: Disk,
+}
+
+impl fmt::Debug for RestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RestoreError")
+            .field("error", &self.error)
+            .finish_non_exhaustive()
+    }
+}
+
+impl fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "restore: {}", self.error)
+    }
+}
+
+impl Error for RestoreError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        Some(&self.error)
+    }
+}
+
+impl From<RestoreError> for MsnapError {
+    fn from(e: RestoreError) -> Self {
+        e.error
     }
 }
 

@@ -407,7 +407,7 @@ impl ServeNode {
         // `restore_promoted`: a freshly created stripe whose object
         // never finished its first ship is dropped (it holds no
         // replicated committed state); we recreate it empty below.
-        let mut ms = MemSnap::restore_promoted(&mut vt, promo.disk)?;
+        let mut ms = MemSnap::restore_promoted(&mut vt, promo.disk).map_err(MsnapError::from)?;
         ms.set_coalesce_window(COALESCE_WINDOW);
         let thread = vt.id();
         let space = ms.vm_mut().create_space();

@@ -11,7 +11,7 @@
 //! points remain, so the MixGraph drivers and benches can compare this
 //! backend directly against the locked baseline.
 
-use memsnap::{MemSnap, PersistFlags, RegionSel};
+use memsnap::{MemSnap, MsnapError, PersistFlags, RegionSel};
 use msnap_disk::Disk;
 use msnap_pindex::{OpOutcome, PSkipList, PutOp, RecoveryReport, LOG_ENTRIES};
 use msnap_sim::{Meters, Nanos, Vt};
@@ -62,7 +62,7 @@ impl PIndexKv {
     /// the store or the carve header is durable, where there is nothing
     /// to recover (and necessarily nothing was acknowledged).
     pub fn try_restore(disk: Disk, vt: &mut Vt) -> Result<(Self, RecoveryReport), KvError> {
-        let mut ms = MemSnap::restore(vt, disk)?;
+        let mut ms = MemSnap::restore(vt, disk).map_err(MsnapError::from)?;
         let space = ms.vm_mut().create_space();
         let (sk, report) = PSkipList::recover(&mut ms, space, vt, REGION)?;
         Ok((

@@ -644,6 +644,26 @@ impl ObjectStore {
         self.shards[shard].read_page_at(vt, disk, name, page, out)
     }
 
+    /// Reads pages `first_page .. first_page + n` of the named snapshot
+    /// in bulk — one vectored, digest-verified device read for the pages
+    /// not cached — handing each to `sink` in page order.
+    ///
+    /// # Errors
+    ///
+    /// See [`StoreShard::read_pages_at`].
+    pub fn read_pages_at(
+        &mut self,
+        vt: &mut Vt,
+        disk: &mut Disk,
+        name: &str,
+        first_page: u64,
+        n: u64,
+        sink: &mut dyn FnMut(u64, &[u8]),
+    ) -> Result<(), StoreError> {
+        let shard = self.snap_shard(name).ok_or(StoreError::SnapshotNotFound)?;
+        self.shards[shard].read_pages_at(vt, disk, name, first_page, n, sink)
+    }
+
     /// Structural diff between two snapshots of the same object.
     ///
     /// # Errors
@@ -781,10 +801,14 @@ impl ObjectStore {
         self.shards[shard].read_pages(vt, disk, local, first_page, n, sink)
     }
 
-    /// Runs the online scrubber for up to `budget` device reads, split
-    /// evenly across shards (a shard that spends less donates its
-    /// remainder to later shards). Returns the summed delta; `passes`
-    /// counts full passes over *every* shard's forest.
+    /// Runs the online scrubber for up to `budget` device reads, walking
+    /// the shards in turn: the whole remaining budget goes to the
+    /// lowest-indexed shard still on the store-wide pass, and moves on
+    /// only when that shard's pass wraps — so a slice is the one vectored
+    /// submission a single shard makes of it, not one per shard. The call
+    /// that completes the store-wide pass returns without starting the
+    /// next. Returns the summed delta; `passes` counts full passes over
+    /// *every* shard's forest.
     ///
     /// # Errors
     ///
@@ -795,53 +819,41 @@ impl ObjectStore {
         disk: &mut Disk,
         budget: u64,
     ) -> Result<ScrubStats, StoreError> {
-        let passes_before = self
-            .shards
-            .iter()
-            .map(|s| s.scrub_stats().passes)
-            .min()
-            .unwrap_or(0);
-        let n = self.shards.len();
+        let pass = self.scrub_passes();
+        let behind = |s: &StoreShard| s.scrub_stats().passes == pass;
         let mut total = ScrubStats::default();
         let mut remaining = budget;
-        for shard in 0..n {
-            if remaining == 0 {
+        while remaining > 0 {
+            let Some(shard) = self.shards.iter().position(behind) else {
                 break;
-            }
-            let share = if shard + 1 == n {
-                remaining
-            } else {
-                (remaining / (n - shard) as u64).max(1)
             };
-            let delta = self.with_grants(shard, |s| s.scrub(vt, disk, share))?;
-            remaining = remaining.saturating_sub(delta.io_spent.max(1).min(share));
+            let delta = self.with_grants(shard, |s| s.scrub(vt, disk, remaining))?;
             total = add_scrub(total, delta);
+            if delta.passes == 0 {
+                break; // out of budget short of the shard's pass boundary
+            }
+            remaining = remaining.saturating_sub(delta.io_spent);
         }
-        let passes_after = self
-            .shards
-            .iter()
-            .map(|s| s.scrub_stats().passes)
-            .min()
-            .unwrap_or(0);
-        total.passes = passes_after - passes_before;
+        total.passes = self.scrub_passes() - pass;
         Ok(total)
     }
 
+    /// Store-wide scrub passes completed: the minimum over shards (a
+    /// store-wide pass requires every shard to finish one).
+    fn scrub_passes(&self) -> u64 {
+        let passes = self.shards.iter().map(|s| s.scrub_stats().passes);
+        passes.min().unwrap_or(0)
+    }
+
     /// Cumulative scrub statistics, summed across shards; `passes` is
-    /// the minimum over shards (a store-wide pass requires every shard
-    /// to finish one).
+    /// the store-wide count.
     pub fn scrub_stats(&self) -> ScrubStats {
         let mut total = self
             .shards
             .iter()
             .map(|s| s.scrub_stats())
             .fold(ScrubStats::default(), add_scrub);
-        total.passes = self
-            .shards
-            .iter()
-            .map(|s| s.scrub_stats().passes)
-            .min()
-            .unwrap_or(0);
+        total.passes = self.scrub_passes();
         total
     }
 
@@ -1062,6 +1074,127 @@ mod tests {
                 .unwrap();
             assert_eq!(out[0], i as u8);
         }
+    }
+
+    /// A `shards`-shard store on the paper's device with one object of
+    /// `pages` pages on every shard, settled.
+    fn one_object_per_shard(shards: usize, pages: u64) -> (Disk, ObjectStore, Vt) {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = ObjectStore::format_sharded(&mut disk, shards);
+        let mut vt = Vt::new(0);
+        let page = page_of(0x5c);
+        let iov: Vec<(u64, &[u8])> = (0..pages).map(|p| (p, &page[..])).collect();
+        for shard in 0..shards {
+            let name = (0..)
+                .map(|i| format!("o{i}"))
+                .find(|n| shard_of_name(n, shards) == shard)
+                .unwrap();
+            let id = store.create(&mut vt, &mut disk, &name).unwrap();
+            let token = store.persist(&mut vt, &mut disk, id, &iov).unwrap();
+            ObjectStore::wait(&mut vt, token);
+        }
+        disk.settle();
+        (disk, store, vt)
+    }
+
+    #[test]
+    fn a_scrub_slice_is_one_device_submission_however_many_shards() {
+        for shards in [4, 8] {
+            let (mut disk, mut store, mut vt) = one_object_per_shard(shards, 300);
+            // The first slice also verifies the object's resident nodes.
+            store.scrub(&mut vt, &mut disk, 64).unwrap();
+            let (t0, subs, blocks) = (
+                vt.now(),
+                disk.stats().read_submissions(),
+                disk.stats().reads(),
+            );
+            let slice = store.scrub(&mut vt, &mut disk, 64).unwrap();
+            assert_eq!((slice.pages_verified, slice.io_spent), (64, 64));
+            assert_eq!(disk.stats().read_submissions() - subs, 1, "{shards} shards");
+            assert_eq!(disk.stats().reads() - blocks, 64);
+            let took = vt.now() - t0;
+            assert!(took <= Nanos::from_us(80), "{shards} shards: {took:?}");
+        }
+    }
+
+    #[test]
+    fn the_scrub_cursor_walks_the_shards_in_turn_once_per_pass() {
+        for shards in [4usize, 8] {
+            const PAGES: u64 = 100;
+            let (mut disk, mut store, mut vt) = one_object_per_shard(shards, PAGES);
+            let spent = |s: &ObjectStore| -> Vec<u64> {
+                s.shards.iter().map(|x| x.scrub_stats().io_spent).collect()
+            };
+            let (mut verified, mut calls, mut flowed) = (0, 0, false);
+            loop {
+                let before = spent(&store);
+                let slice = store.scrub(&mut vt, &mut disk, 64).unwrap();
+                verified += slice.pages_verified;
+                calls += 1;
+                let after = spent(&store);
+                let moved: Vec<usize> = (0..shards).filter(|&i| after[i] != before[i]).collect();
+                // Only ever the shard the cursor is on — and, when its pass
+                // wraps with budget left, the one after it.
+                assert!(
+                    moved.len() <= 2 && moved.windows(2).all(|w| w[1] == w[0] + 1),
+                    "{moved:?}"
+                );
+                flowed |= moved.len() == 2;
+                assert!(slice.io_spent <= 64 && slice.passes <= 1);
+                if slice.passes == 1 {
+                    break;
+                }
+                assert!(calls < 1000, "the cursor must make progress");
+            }
+            assert!(
+                flowed,
+                "a shard's leftover budget flows into the next shard"
+            );
+            // Every page once: the completing call did not start pass two.
+            assert_eq!(verified, shards as u64 * PAGES);
+            assert_eq!(store.scrub_stats().passes, 1);
+            for shard in &store.shards {
+                let stats = shard.scrub_stats();
+                assert_eq!((stats.pages_verified, stats.passes), (PAGES, 1));
+            }
+            // The next call opens pass two on the first shard; one call with
+            // room for everything is exactly one more pass.
+            let next = store.scrub(&mut vt, &mut disk, 64).unwrap();
+            assert!(next.pages_verified > 0 && next.passes == 0);
+            assert_eq!(
+                store.shards[0].scrub_stats().pages_verified,
+                PAGES + next.pages_verified
+            );
+            let rest = store.scrub(&mut vt, &mut disk, 1 << 20).unwrap();
+            assert_eq!(rest.passes, 1);
+            assert_eq!(
+                next.pages_verified + rest.pages_verified,
+                shards as u64 * PAGES
+            );
+            assert_eq!(store.scrub_stats().passes, 2);
+        }
+    }
+
+    #[test]
+    fn a_one_shard_scrub_is_the_shards_own_call_for_call() {
+        // The façade over one shard adds nothing: the same slices, the same
+        // statistics, submissions and virtual time as driving the shard.
+        let (mut disk_a, mut facade, mut vt_a) = one_object_per_shard(1, 700);
+        let (mut disk_b, mut direct, mut vt_b) = one_object_per_shard(1, 700);
+        for budget in [64, 64, 7, 1024, 64, 1 << 20, 64] {
+            let a = facade.scrub(&mut vt_a, &mut disk_a, budget).unwrap();
+            let b = direct.shards[0]
+                .scrub(&mut vt_b, &mut disk_b, budget)
+                .unwrap();
+            assert_eq!(a, b, "budget {budget}");
+            assert_eq!(vt_a.now(), vt_b.now(), "budget {budget}");
+            assert_eq!(
+                disk_a.stats().read_submissions(),
+                disk_b.stats().read_submissions()
+            );
+        }
+        assert_eq!(facade.scrub_stats(), direct.shards[0].scrub_stats());
+        assert_eq!(facade.scrub_stats().passes, 2);
     }
 
     #[test]

@@ -631,8 +631,10 @@ impl StoreShard {
     ///
     /// Every read is fallible, and the fixed ranges — the slab, each
     /// object's root and delta slots, each replayed delta record's data
-    /// extent and its line-grain pairs' base blocks — are one vectored
-    /// read apiece.
+    /// extent — are one vectored read apiece, and the base blocks of an
+    /// object's whole chain of line-grain pairs are fetched together
+    /// before the replay (a base a page-grain pair moved mid-chain is
+    /// read when its record replays).
     ///
     /// # Errors
     ///
@@ -735,6 +737,32 @@ impl StoreShard {
                 }
             }
             deltas.sort_by_key(|d| d.epoch);
+            // Read the chain's bases once: hydrate the path of every page
+            // any candidate names, then fetch the blocks its line-grain
+            // pairs would patch — as the base root maps them — in vectored
+            // reads of up to `BULK_READ_PAGES`, instead of one short read
+            // per record. A rotted node is left for the replay loop to
+            // meet at the record it truncates.
+            let mut fetched: Vec<u64> = Vec::new();
+            for (page, word) in deltas.iter().flat_map(|d| &d.pairs) {
+                match tree.hydrate_path(*page, &mut |b, out| disk.try_readv(vt, &mut [(b, out)])) {
+                    Ok(()) if layout::unpack_entry(*word).0 == INLINE_BLOCK => {
+                        fetched.extend(tree.get(*page));
+                    }
+                    Ok(()) | Err(TreeError::CorruptNode { .. }) => {}
+                    Err(TreeError::Io(e)) => return Err(e.into()),
+                }
+            }
+            fetched.sort_unstable();
+            fetched.dedup();
+            let mut fetched_images = Vec::with_capacity(fetched.len() * BLOCK_SIZE);
+            for chunk in fetched.chunks(BULK_READ_PAGES as usize) {
+                fetched_images.extend(readv_blocks(vt, disk, chunk.iter().copied())?);
+            }
+            let prefetched = |block: u64| {
+                let at = fetched.binary_search(&block).ok()? * BLOCK_SIZE;
+                Some(&fetched_images[at..at + BLOCK_SIZE])
+            };
             // Replay the consecutive prefix. Each record's data extent is
             // re-read and checked against the record's `payload_sum`
             // before the commit is applied: a record can be durable while
@@ -806,10 +834,12 @@ impl StoreShard {
                 if !meta_ok {
                     break;
                 }
-                // Line-grain pairs: one vectored read of the base blocks
-                // (pages the overlay already holds need none), then patch
-                // and check each against its pair digest. Nothing is
-                // applied until every page of the record verifies.
+                // Line-grain pairs: take each base block from the prefetch
+                // (pages the overlay already holds need none; a page a
+                // page-grain pair moved since is read here, in one
+                // vectored read), then patch and check each against its
+                // pair digest. Nothing is applied until every page of the
+                // record verifies.
                 let inline: Vec<(u64, u32)> = delta
                     .pairs
                     .iter()
@@ -821,15 +851,19 @@ impl StoreShard {
                     .iter()
                     .map(|(page, _)| tree.get(*page).filter(|_| !overlay.contains_key(page)))
                     .collect();
-                let base_images = readv_blocks(vt, disk, bases.iter().flatten().copied())?;
-                let mut base_images = base_images.chunks(BLOCK_SIZE);
+                let moved = bases.iter().flatten().filter(|b| prefetched(**b).is_none());
+                let moved_images = readv_blocks(vt, disk, moved.copied())?;
+                let mut moved_images = moved_images.chunks(BLOCK_SIZE);
                 let mut patched = Vec::with_capacity(inline.len());
                 for (((page, digest), (mask, bytes)), base) in
                     inline.iter().zip(inline_lines).zip(bases)
                 {
                     let mut image: Box<[u8]> = match (overlay.get(page), base) {
                         (Some((_, image)), _) => image.clone(),
-                        (None, Some(_)) => base_images.next().expect("one image per base").into(),
+                        (None, Some(block)) => prefetched(block)
+                            .or_else(|| moved_images.next())
+                            .expect("one image per base")
+                            .into(),
                         (None, None) => vec![0u8; BLOCK_SIZE].into(),
                     };
                     lines::scatter(&mut image, &lines::line_runs(mask), bytes)
@@ -1829,11 +1863,37 @@ impl StoreShard {
         page: u64,
         out: &mut [u8],
     ) -> Result<(), StoreError> {
-        let idx = *self
-            .snap_by_name
-            .get(name)
-            .ok_or(StoreError::SnapshotNotFound)?;
-        self.read_verified(vt, disk, ReadFrom::Snapshot(idx), page, out, true)
+        let from = self.pinned(name)?;
+        self.read_verified(vt, disk, from, page, out, true)
+    }
+
+    /// The read source naming the retained snapshot `name`.
+    fn pinned(&self, name: &str) -> Result<ReadFrom, StoreError> {
+        let idx = self.snap_by_name.get(name);
+        idx.map(|&i| ReadFrom::Snapshot(i))
+            .ok_or(StoreError::SnapshotNotFound)
+    }
+
+    /// [`StoreShard::read_pages`] of the named snapshot: pages
+    /// `first_page .. first_page + n` as of the pinned epoch, one
+    /// vectored, digest-verified device read for those not cached, none
+    /// admitted to the cache.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::SnapshotNotFound`]; otherwise as
+    /// [`StoreShard::read_pages`], `sink` contract included.
+    pub fn read_pages_at(
+        &mut self,
+        vt: &mut Vt,
+        disk: &mut Disk,
+        name: &str,
+        first_page: u64,
+        n: u64,
+        sink: &mut dyn FnMut(u64, &[u8]),
+    ) -> Result<(), StoreError> {
+        let from = self.pinned(name)?;
+        self.read_bulk(vt, disk, from, first_page, n, sink)
     }
 
     /// Pages that differ between two retained snapshots of the same
@@ -2200,6 +2260,22 @@ impl StoreShard {
         sink: &mut dyn FnMut(u64, &[u8]),
     ) -> Result<(), StoreError> {
         let from = self.live(object)?;
+        self.read_bulk(vt, disk, from, first_page, n, sink)
+    }
+
+    /// The bulk read behind [`StoreShard::read_pages`] and
+    /// [`StoreShard::read_pages_at`]: one un-admitted verified read of
+    /// `n` pages of `from`, delivered to `sink` up to the first page
+    /// that does not verify.
+    fn read_bulk(
+        &mut self,
+        vt: &mut Vt,
+        disk: &mut Disk,
+        from: ReadFrom,
+        first_page: u64,
+        n: u64,
+        sink: &mut dyn FnMut(u64, &[u8]),
+    ) -> Result<(), StoreError> {
         let mut buf = vec![0u8; n as usize * BLOCK_SIZE];
         let res = self.read_verified(vt, disk, from, first_page, &mut buf, false);
         let good = match res {

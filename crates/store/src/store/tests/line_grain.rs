@@ -338,6 +338,102 @@ fn line_whole_page_line_on_one_page_replays_as_it_reads() {
     assert_eq!(shard.stats().line_commits, 4);
 }
 
+/// Pages 0..3 written whole under a durable full root, then `chain` as
+/// synchronous commits on top. Returns the settled device, the shard, the
+/// root's epoch and the model after each prefix of the chain.
+#[allow(clippy::type_complexity)]
+fn chain_over_a_root(chain: &[Write]) -> (Disk, StoreShard, Epoch, Vec<BTreeMap<u64, Vec<u8>>>) {
+    let (mut disk, mut shard, mut vt) = setup();
+    let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+    let mut model = BTreeMap::new();
+    for w in [(0, 0, 1), (1, 0, 2), (2, 0, 3)] {
+        commit_sync(&mut shard, &mut vt, &mut disk, obj, &mut model, w);
+    }
+    shard.flush_full_root(&mut vt, &mut disk, obj).unwrap();
+    vt.wait_until(shard.last_commit(obj));
+    let root = shard.epoch(obj);
+    let mut models = vec![model.clone()];
+    for &w in chain {
+        commit_sync(&mut shard, &mut vt, &mut disk, obj, &mut model, w);
+        models.push(model.clone());
+    }
+    disk.settle();
+    (disk, shard, root, models)
+}
+
+/// Reopens `disk`: the shard, its clock and the read submissions open made.
+fn reopen_counting(disk: &mut Disk) -> (StoreShard, Vt, u64) {
+    let mut vt = Vt::new(7);
+    let before = disk.stats().read_submissions();
+    let shard = open_shard(&mut vt, disk).unwrap();
+    (shard, vt, disk.stats().read_submissions() - before)
+}
+
+/// Line records over pages 0..3; `LINES[1]` is the one [`MOVED`] replaces.
+const LINES: [Write; 5] = [(0, 1, 9), (1, 2, 10), (1, 4, 11), (2, 8, 12), (0, 16, 13)];
+/// [`LINES`] with its second record rewriting page 1 whole: the line record
+/// after it patches a block the base root never mapped.
+const MOVED: [Write; 5] = [(0, 1, 9), (1, 0, 10), (1, 4, 11), (2, 8, 12), (0, 16, 13)];
+
+#[test]
+fn replay_reads_a_chains_bases_once_and_a_moved_base_when_its_record_replays() {
+    let obj = ObjectId(0);
+    let mut reads = Vec::new();
+    let twice: Vec<Write> = LINES.iter().chain(&LINES).copied().collect();
+    for chain in [&LINES[..], &twice, &MOVED] {
+        let (mut disk, _, root, models) = chain_over_a_root(chain);
+        let (mut reopened, mut vt, n) = reopen_counting(&mut disk);
+        assert_eq!(reopened.epoch(obj), root + chain.len() as u64);
+        let model = models.last().unwrap();
+        assert_eq!(
+            &read_all(&mut reopened, &mut vt, &mut disk, obj, model),
+            model
+        );
+        reads.push(n);
+    }
+    // One prefetch however long the chain; the whole-page record costs its
+    // data extent and the line record over it the one late base read.
+    assert_eq!(reads[1], reads[0], "ten line records read as five do");
+    assert_eq!(reads[2], reads[0] + 2, "the extent, and the moved base");
+}
+
+#[test]
+fn a_torn_record_mid_chain_ends_the_replay_at_the_same_epoch() {
+    let obj = ObjectId(0);
+    // Rot under the base the fourth record patches: records one to three
+    // replay, the fourth does not verify, the fifth is past the tip.
+    let (mut disk, shard, root, models) = chain_over_a_root(&LINES);
+    disk.corrupt_bit(shard.objects[0].tree.get(2).unwrap(), 3000, 1);
+    let (mut reopened, mut vt, _) = reopen_counting(&mut disk);
+    assert_eq!(reopened.epoch(obj), root + 3);
+    let mut buf = page_of(0);
+    for page in 0..2 {
+        reopened
+            .read_page(&mut vt, &mut disk, obj, page, &mut buf)
+            .unwrap();
+        assert_eq!(buf, models[3][&page], "page {page}");
+    }
+    let err = reopened
+        .read_page(&mut vt, &mut disk, obj, 2, &mut buf)
+        .unwrap_err();
+    assert!(
+        matches!(err, StoreError::CorruptData { page: 2, .. }),
+        "{err:?}"
+    );
+
+    // A whole-page record whose data extent is torn: the chain ends before
+    // it, and the line record after it — whose prefetched base is the
+    // page's old block — is not applied over anything.
+    let (mut disk, shard, root, models) = chain_over_a_root(&MOVED);
+    disk.corrupt_bit(shard.objects[0].tree.get(1).unwrap(), 17, 0);
+    let (mut reopened, mut vt, _) = reopen_counting(&mut disk);
+    assert_eq!(reopened.epoch(obj), root + 1);
+    assert_eq!(
+        read_all(&mut reopened, &mut vt, &mut disk, obj, &models[1]),
+        models[1]
+    );
+}
+
 #[test]
 fn rot_under_an_overlay_page_is_healed_by_scrub_or_truncates_recovery() {
     let (mut disk, mut shard, mut vt) = setup();

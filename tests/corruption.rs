@@ -433,9 +433,9 @@ fn recovered_state(store: &mut ObjectStore, vt: &mut Vt, disk: &mut Disk) -> Vec
 fn read_failure_at_any_open_time_block_is_typed_and_a_retry_recovers_the_same_state() {
     // Open reads its metadata fallibly: a device read error on any block
     // it touches — superblock, cut slots, slab, root and delta slots,
-    // replayed data extents, hydrated nodes — must surface as
-    // `StoreError::Io` with nothing half-built, and opening the same
-    // device again must recover exactly what a clean open recovers.
+    // replayed data extents, line-grain base blocks, hydrated nodes — must
+    // surface as `StoreError::Io` with nothing half-built, and opening the
+    // same device again must recover exactly what a clean open recovers.
     let mut disk = Disk::new(DiskConfig::paper());
     let mut store = ObjectStore::format_sharded(&mut disk, 2);
     let mut vt = Vt::new(0);
@@ -475,6 +475,22 @@ fn read_failure_at_any_open_time_block_is_typed_and_a_retry_recovers_the_same_st
     for token in tokens {
         ObjectStore::wait(&mut vt, token);
     }
+    // Line-grain records over "a": one patching a block the root maps (its
+    // base is in replay's prefetch read), one over a page a delta above
+    // moved (read when the record replays).
+    for (page, fill) in [(120u64, 4u8), (0, 0x40)] {
+        let mut image = p(fill);
+        image[640..704].fill(0xEE);
+        let tokens = store
+            .persist_batch(
+                &mut vt,
+                &mut disk,
+                &[(ids[0], &[(page, &image[..], 1u64 << 10)][..])],
+            )
+            .unwrap();
+        ObjectStore::wait(&mut vt, tokens[0]);
+    }
+    assert_eq!(store.stats().line_commits, 2);
     store.cut(&mut vt, &mut disk).unwrap();
     disk.crash(vt.now());
 
@@ -484,7 +500,7 @@ fn read_failure_at_any_open_time_block_is_typed_and_a_retry_recovers_the_same_st
     let open_reads = disk.read_seq() - seq0;
     assert!(open_reads > 100, "open read only {open_reads} blocks");
     let want = recovered_state(&mut clean, &mut vt, &mut disk);
-    assert!(want.iter().any(|l| l.starts_with("a epoch 4")), "{want:?}");
+    assert!(want.iter().any(|l| l.starts_with("a epoch 6")), "{want:?}");
 
     for k in 0..open_reads {
         disk.set_read_fault_plan(ReadFaultPlan::new().at(disk.read_seq() + k, true));
@@ -502,45 +518,79 @@ fn read_failure_at_any_open_time_block_is_typed_and_a_retry_recovers_the_same_st
     }
 }
 
+/// Everything `MemSnap::restore` recovers, as comparable data: per region
+/// its name, geometry, epoch and every byte (paged in on the way).
+fn restored_state(ms: &mut MemSnap, vt: &mut Vt) -> Vec<String> {
+    let space = ms.vm_mut().create_space();
+    let mut state = Vec::new();
+    for name in ms.region_names() {
+        let r = ms.msnap_open(vt, space, &name, 0).unwrap();
+        let mut bytes = vec![0u8; r.pages as usize * BLOCK_SIZE];
+        ms.read(vt, space, r.addr, &mut bytes).unwrap();
+        let epoch = ms.region_epoch(r.md).unwrap();
+        let sum = digest32(&bytes);
+        state.push(format!(
+            "{name} at {:x} pages {} epoch {epoch} bytes {sum:x}",
+            r.addr, r.pages
+        ));
+    }
+    state
+}
+
 #[test]
 fn restore_reports_any_read_failure_as_a_typed_error() {
     // `MemSnap::restore` is open plus the manifest decode; a read error
-    // anywhere in it is `MsnapError::Store(Io)`, never a panic. (`restore`
-    // consumes the device, so each probe rebuilds it.)
-    let build = || {
-        let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
-        let mut vt = Vt::new(0);
-        let thread = vt.id();
-        let space = ms.vm_mut().create_space();
-        let r = ms.msnap_open(&mut vt, space, "data", 8).unwrap();
-        for i in 0..4u8 {
-            ms.write(&mut vt, space, thread, r.addr, &[i; 8]).unwrap();
-            ms.msnap_persist(
-                &mut vt,
-                thread,
-                RegionSel::Region(r.md),
-                PersistFlags::sync(),
-            )
+    // anywhere in it — the prefetch of the line-grain chain's base blocks
+    // included — is `MsnapError::Store(Io)`, never a panic, and the error
+    // hands the device back: restoring it again recovers exactly what a
+    // clean restore does.
+    let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
+    let mut vt = Vt::new(0);
+    let thread = vt.id();
+    let space = ms.vm_mut().create_space();
+    let r = ms.msnap_open(&mut vt, space, "data", 8).unwrap();
+    let other = ms.msnap_open(&mut vt, space, "other", 4).unwrap();
+    let sync = PersistFlags::sync();
+    let whole = vec![0x5a; 3 * BLOCK_SIZE];
+    ms.write(&mut vt, space, thread, r.addr, &whole).unwrap();
+    ms.msnap_persist(&mut vt, thread, RegionSel::Region(r.md), sync)
+        .unwrap();
+    for i in 0..4u8 {
+        let at = r.addr + (i as u64 % 3) * BLOCK_SIZE as u64 + 64 * i as u64;
+        ms.write(&mut vt, space, thread, at, &[i; 8]).unwrap();
+        ms.msnap_persist(&mut vt, thread, RegionSel::Region(r.md), sync)
             .unwrap();
-        }
-        ms.crash(vt.now())
-    };
-    let mut disk = build();
+    }
+    ms.write(&mut vt, space, thread, other.addr + 9, b"other")
+        .unwrap();
+    ms.msnap_persist(&mut vt, thread, RegionSel::Region(other.md), sync)
+        .unwrap();
+    assert!(ms.store().stats().line_commits >= 4, "line-grain chain");
+    let mut disk = ms.crash(vt.now());
+
+    let mut vt = Vt::new(1);
     let seq0 = disk.read_seq();
-    let restore_reads = {
-        let mut vt = Vt::new(1);
-        let ms = MemSnap::restore(&mut vt, disk).unwrap();
-        ms.disk().read_seq() - seq0
-    };
+    let mut clean = MemSnap::restore(&mut vt, disk).unwrap();
+    let restore_reads = clean.disk().read_seq() - seq0;
+    let want = restored_state(&mut clean, &mut vt);
+    assert!(want[0].contains("epoch 5"), "{want:?}");
+    disk = clean.into_disk();
+
     for k in 0..restore_reads {
-        disk = build();
         disk.set_read_fault_plan(ReadFaultPlan::new().at(disk.read_seq() + k, true));
-        let mut vt = Vt::new(1);
-        let err = MemSnap::restore(&mut vt, disk).map(|_| ()).unwrap_err();
+        let err = MemSnap::restore(&mut vt, disk).unwrap_err();
         assert!(
-            matches!(&err, MsnapError::Store(StoreError::Io(e)) if e.is_transient()),
+            matches!(&err.error, MsnapError::Store(StoreError::Io(e)) if e.is_transient()),
             "restore-time read {k}: got {err:?}"
         );
+        let mut retry = MemSnap::restore(&mut vt, err.disk)
+            .unwrap_or_else(|e| panic!("retry after failed read {k}: {e:?}"));
+        assert_eq!(
+            restored_state(&mut retry, &mut vt),
+            want,
+            "retry after failed restore-time read {k}"
+        );
+        disk = retry.into_disk();
     }
 }
 
@@ -774,6 +824,68 @@ fn scrub_interleaved_with_writes_reports_no_false_corruption() {
             .unwrap();
         assert_eq!(buf[0], want, "page {page}");
     }
+
+    // With shards the cursor reaches the last one last. Rot there, under
+    // writes to the first shard and two-block slices, is still found and
+    // healed before the store-wide pass completes.
+    for shards in [4, 8] {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = ObjectStore::format_sharded(&mut disk, shards);
+        let mut vt = Vt::new(0);
+        let busy = store
+            .create(&mut vt, &mut disk, &name_on_shard(&store, 0))
+            .unwrap();
+        let cold = store
+            .create(&mut vt, &mut disk, &name_on_shard(&store, shards - 1))
+            .unwrap();
+        let pages: Vec<(u64, Vec<u8>)> = (0..8).map(|p| (p, page_of(0xC0 + p as u8))).collect();
+        let refs: Vec<(u64, &[u8])> = pages.iter().map(|(p, d)| (*p, &d[..])).collect();
+        // Two media copies of every cold page, the snapshot pinning one.
+        let token = store.persist(&mut vt, &mut disk, cold, &refs).unwrap();
+        ObjectStore::wait(&mut vt, token);
+        store
+            .snapshot_create(&mut vt, &mut disk, cold, "s")
+            .unwrap();
+        let token = store.persist(&mut vt, &mut disk, cold, &refs).unwrap();
+        ObjectStore::wait(&mut vt, token);
+        disk.settle();
+        disk.corrupt_bit(live_block_of(&disk, &pages[3].1), 77, 2);
+        store.drop_cache();
+
+        let mut round = 0u64;
+        while store.scrub_stats().passes == 0 {
+            round += 1;
+            let p = page_of((round % 64) as u8);
+            let token = store
+                .persist(&mut vt, &mut disk, busy, &[(round % 16, &p)])
+                .unwrap();
+            ObjectStore::wait(&mut vt, token);
+            store.scrub(&mut vt, &mut disk, 2).unwrap();
+            assert!(round < 10_000, "scrub cursor must make progress");
+        }
+        let stats = store.scrub_stats();
+        assert_eq!(
+            (stats.corruptions_found, stats.repairs, stats.unrepaired),
+            (1, 1, 0),
+            "{shards} shards: found and healed within one store-wide pass"
+        );
+        assert_eq!(store.quarantined_blocks(), 1);
+        for (page, want) in &pages {
+            let mut buf = page_of(0);
+            store
+                .read_page(&mut vt, &mut disk, cold, *page, &mut buf)
+                .unwrap();
+            assert_eq!(&buf, want, "{shards} shards: cold page {page}");
+        }
+    }
+}
+
+/// A name a store of this width places on `shard`.
+fn name_on_shard(store: &ObjectStore, shard: usize) -> String {
+    (0..)
+        .map(|i| format!("o{i}"))
+        .find(|n| store.shard_of(n) == shard)
+        .unwrap()
 }
 
 #[test]
@@ -833,10 +945,19 @@ fn seeded_rot_sweep_is_fully_detected_and_healed() {
     // detected; every page (all snapshot-covered here) must heal
     // byte-for-byte; nothing may be served corrupt, live or after a
     // reopen. CI runs this with the same fixed seed.
+    // With shards the object sits on the last one, behind empty shards the
+    // cursor crosses for free: same reads, same counts.
+    for shards in [1, 4, 8] {
+        seeded_rot_sweep(shards);
+    }
+}
+
+fn seeded_rot_sweep(shards: usize) {
     let mut disk = Disk::new(DiskConfig::paper());
-    let mut store = ObjectStore::format(&mut disk);
+    let mut store = ObjectStore::format_sharded(&mut disk, shards);
     let mut vt = Vt::new(0);
-    let obj = store.create(&mut vt, &mut disk, "o").unwrap();
+    let name = name_on_shard(&store, shards - 1);
+    let obj = store.create(&mut vt, &mut disk, &name).unwrap();
     const PAGES: u64 = 8;
     let pages: Vec<(u64, Vec<u8>)> = (0..PAGES).map(|p| (p, page_of(0x40 + p as u8))).collect();
     let refs: Vec<(u64, &[u8])> = pages.iter().map(|(p, d)| (*p, &d[..])).collect();
@@ -889,7 +1010,7 @@ fn seeded_rot_sweep_is_fully_detected_and_healed() {
     disk.settle();
     let mut vt = Vt::new(1);
     let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
-    let obj = store.lookup("o").unwrap();
+    let obj = store.lookup(&name).unwrap();
     for (page, want) in &pages {
         let mut buf = page_of(0);
         store
@@ -1073,8 +1194,8 @@ fn zero_digest_leaf_entry_is_corrupt_never_served() {
 
 #[test]
 fn unreadable_snapshot_pages_are_typed_errors_in_open_at_and_rollback() {
-    // `msnap_open_at` and `msnap_rollback` read a retained snapshot page
-    // by page; a read that fails or does not verify must come back as
+    // `msnap_open_at` and `msnap_rollback` read a retained snapshot in
+    // bulk chunks; a read that fails or does not verify must come back as
     // the store's typed error — never a panic — leaving `open_at` with
     // nothing mapped and `rollback` with nothing persisted, and the same
     // call must succeed once the device answers again.

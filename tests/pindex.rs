@@ -22,7 +22,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use memsnap::{MemSnap, PersistFlags, RegionSel};
+use memsnap::{MemSnap, MsnapError, PersistFlags, RegionSel};
 use msnap_disk::{crash_at_every_io, Disk, DiskConfig};
 use msnap_pindex::{op_parts, OpOutcome, PSkipList, PutOp};
 use msnap_sim::{InterleaveSched, Nanos, StepOutcome, Vt};
@@ -92,10 +92,12 @@ fn audit_crash_point(disk: Disk, at: Nanos, acked: &[Acked]) {
     let mut vt = Vt::new(0);
     // A crash can land before the store or carve header is durable; then
     // there is nothing to recover — and nothing may have been acked.
-    let recovered = MemSnap::restore(&mut vt, disk).and_then(|mut ms| {
-        let space = ms.vm_mut().create_space();
-        PSkipList::recover(&mut ms, space, &mut vt, "sweep").map(|(sk, r)| (ms, sk, r))
-    });
+    let recovered = MemSnap::restore(&mut vt, disk)
+        .map_err(MsnapError::from)
+        .and_then(|mut ms| {
+            let space = ms.vm_mut().create_space();
+            PSkipList::recover(&mut ms, space, &mut vt, "sweep").map(|(sk, r)| (ms, sk, r))
+        });
     let (mut ms, sk, report) = match recovered {
         Ok(t) => t,
         Err(e) => {
@@ -225,10 +227,12 @@ fn same_key_race_recovers_one_racer_after_any_crash() {
             let mut vt = Vt::new(0);
             // Pre-setup crash points leave nothing to recover; once the
             // first racer's commit is durable, recovery must succeed.
-            let recovered = MemSnap::restore(&mut vt, disk).and_then(|mut ms| {
-                let space = ms.vm_mut().create_space();
-                PSkipList::recover(&mut ms, space, &mut vt, "race").map(|(sk, r)| (ms, sk, r))
-            });
+            let recovered = MemSnap::restore(&mut vt, disk)
+                .map_err(MsnapError::from)
+                .and_then(|mut ms| {
+                    let space = ms.vm_mut().create_space();
+                    PSkipList::recover(&mut ms, space, &mut vt, "race").map(|(sk, r)| (ms, sk, r))
+                });
             let (mut ms, sk, report) = match recovered {
                 Ok(t) => t,
                 Err(e) => {
