@@ -65,8 +65,9 @@ pub(crate) struct Committed {
 #[derive(Debug)]
 pub(crate) struct OpenBatch {
     id: u64,
-    /// The instant the coalescing window closes; the first poll at or
-    /// after this instant flushes the batch.
+    /// The instant the batch closes — the coalescing window after the
+    /// opener, or the instant the device frees a channel if that is
+    /// later; the first poll at or after this instant flushes the batch.
     submit_at: Nanos,
     participants: Vec<Participant>,
 }
@@ -376,8 +377,13 @@ impl MemSnap {
     /// the coalescing buffer (an eager COW, so the caller may keep
     /// writing immediately), and tracking is re-armed. The combined
     /// μCheckpoint IO — one scatter/gather extent plus one commit record
-    /// for *all* participants — is initiated when the batch's window
-    /// closes, by the first poller to reach that instant.
+    /// for *all* participants — is initiated when the batch closes, by
+    /// the first poller to reach that instant. A batch closes when its
+    /// window does, or — device pacing — when the device frees a channel
+    /// if every channel is still busy then: a submission made earlier
+    /// would only queue behind the work in flight, so holding the batch
+    /// costs it no more than its flusher's CPU after the device frees,
+    /// and lets later enqueuers share the IO.
     ///
     /// # Errors
     ///
@@ -420,7 +426,7 @@ impl MemSnap {
             pages,
             start: vt.now(),
         };
-        let submit_at = vt.now() + self.coalesce_window;
+        let submit_at = (vt.now() + self.coalesce_window).max(self.disk.idle_at());
         let batch = self.open_batches.entry(lane).or_insert_with(|| {
             let id = self.batch_seq;
             self.batch_seq += 1;
@@ -450,10 +456,11 @@ impl MemSnap {
 
     /// Polls a group commit joined via [`MemSnap::msnap_persist_grouped`].
     ///
-    /// Returns `Ok(None)` while the batch's coalescing window is still
-    /// open (the caller's clock is advanced to the window close, so the
-    /// next poll makes progress). Once flushed, blocks until the batch is
-    /// durable and returns the participant's epoch. Each ticket is
+    /// Returns `Ok(None)` while the batch is still open (the caller's
+    /// clock is advanced to the batch close, so the next poll makes
+    /// progress); a lone participant flushes on its first poll when the
+    /// device has an idle channel. Once flushed, blocks until the batch
+    /// is durable and returns the participant's epoch. Each ticket is
     /// redeemable exactly once.
     ///
     /// # Errors
@@ -475,11 +482,14 @@ impl MemSnap {
             .find(|(_, b)| b.id == ticket.batch)
             .map(|(&lane, b)| (lane, b.submit_at, b.participants.len()));
         if let Some((lane, submit_at, participants)) = open {
-            // Solo fast path: a lone participant polling its own batch
-            // skips the group machinery — waiting out the window buys
-            // nothing (there is nobody to merge with) and coalescing at
-            // one thread only adds latency.
-            if participants > 1 && vt.now() < submit_at {
+            // Solo fast path: a lone participant polling its own batch on
+            // a device with an idle channel skips the group machinery —
+            // waiting out the window buys nothing (there is nobody to
+            // merge with) and coalescing at one thread only adds latency.
+            // On a saturated device its IO would only queue, so it waits
+            // for the batch close like a shared batch does.
+            let solo = participants == 1 && vt.now() >= self.disk.idle_at();
+            if !solo && vt.now() < submit_at {
                 vt.wait_until(submit_at);
                 return Ok(None);
             }
@@ -1017,12 +1027,115 @@ mod tests {
         assert_eq!(&out, b"bravo");
     }
 
+    /// Keeps the device busy: an async 24-page commit of a fresh region
+    /// `name` by thread `t`, three 8-block segments on both channels.
+    /// Returns the instant a channel frees.
+    fn saturate(ms: &mut MemSnap, vt: &mut Vt, space: msnap_vm::AsId, name: &str) -> Nanos {
+        let t = vt.id();
+        let r = ms.msnap_open(vt, space, name, 24).unwrap();
+        for p in 0..24u64 {
+            let va = r.addr + p * PAGE_SIZE as u64;
+            ms.write(vt, space, t, va, &[p as u8 + 1; PAGE_SIZE])
+                .unwrap();
+        }
+        ms.msnap_persist(vt, t, RegionSel::Region(r.md), PersistFlags::async_())
+            .unwrap();
+        let idle = ms.disk().idle_at();
+        assert!(
+            idle > vt.now() + DEFAULT_COALESCE_WINDOW,
+            "both channels busy"
+        );
+        idle
+    }
+
+    /// Where the data extent of the newest commit began service: its
+    /// completion less the service time of `pages` blocks in one segment.
+    fn extent_start(ms: &MemSnap, pages: usize) -> Nanos {
+        let segments = ms.disk().write_completions();
+        let done = segments[segments.len() - 2];
+        done - ms.disk().config().segment_latency(pages * PAGE_SIZE)
+    }
+
+    #[test]
+    fn a_held_batch_shares_one_commit_behind_a_busy_device() {
+        // Writer `i` enqueues page `i` of "data" at 1 + 12·i µs into the
+        // busy period of a 24-page commit.
+        let setup = || {
+            let (mut ms, mut vt0, space) = fresh();
+            let r = ms.msnap_open(&mut vt0, space, "data", 16).unwrap();
+            let idle = saturate(&mut ms, &mut vt0, space, "big");
+            (ms, vt0.now(), space, RegionSel::Region(r.md), r.addr, idle)
+        };
+        // An immediate flush of the opener alone starts when the device
+        // frees a channel.
+        let (mut ms, t0, space, sel, addr, idle) = setup();
+        let mut vt = Vt::new(1);
+        vt.wait_until(t0 + Nanos::from_us(1));
+        let t = vt.id();
+        ms.write(&mut vt, space, t, addr, &[9; 64]).unwrap();
+        ms.msnap_persist_grouped(&mut vt, t, sel).unwrap();
+        ms.msnap_group_flush(&mut vt);
+        assert_eq!(extent_start(&ms, 1), idle);
+
+        let (mut ms, t0, space, sel, addr, idle) = setup();
+        let (ios, merged) = (ms.disk().io_seq(), ms.disk().stats().merged_parts());
+        // Three writers enqueue at distinct instants, all inside the busy
+        // period and two of them past the opener's coalescing window.
+        let mut vts = [Vt::new(1), Vt::new(2), Vt::new(3)];
+        let mut tickets = Vec::new();
+        for (i, vt) in (0u64..).zip(&mut vts) {
+            vt.wait_until(t0 + Nanos::from_us(1 + 12 * i));
+            let t = vt.id();
+            ms.write(vt, space, t, addr + i * PAGE_SIZE as u64, &[9; 64])
+                .unwrap();
+            tickets.push(ms.msnap_persist_grouped(vt, t, sel).unwrap());
+        }
+        assert!(
+            vts[2].now() < idle,
+            "the last one enqueues before the device frees"
+        );
+        assert!(
+            tickets.iter().all(|t| t.batch == tickets[0].batch),
+            "one batch"
+        );
+        // Every first poll — the opener's, alone or not, included — is held
+        // until the device frees a channel.
+        for (vt, ticket) in vts.iter_mut().zip(&tickets) {
+            assert_eq!(ms.msnap_group_poll(vt, *ticket).unwrap(), None);
+            assert_eq!(vt.now(), idle);
+        }
+        let fs = vts[0].costs().get(Category::FileSystem);
+        for (vt, ticket) in vts.iter_mut().zip(&tickets) {
+            assert_eq!(ms.msnap_group_poll(vt, *ticket).unwrap(), Some(1));
+        }
+        // One extent + one record carrying all three.
+        assert_eq!(ms.disk().io_seq() - ios, 2);
+        assert_eq!(ms.disk().stats().merged_parts() - merged, 3);
+        // The extent (three blocks, one segment) starts where the opener's
+        // immediate flush did, plus only the flusher's own CPU after the
+        // device freed: its poll and the initiation, charged once for all
+        // three participants.
+        let initiation = vts[0].costs().get(Category::FileSystem) - fs;
+        assert_eq!(extent_start(&ms, 3), idle + SYSCALL_COST + initiation);
+    }
+
     #[test]
     fn faulted_batch_sticky_fails_every_participant() {
+        // On an idle device the batch is flushed explicitly; on a busy one
+        // it is held and flushed by a poll once a channel frees.
+        for busy in [false, true] {
+            faulted_batch_fails_every_participant(busy);
+        }
+    }
+
+    fn faulted_batch_fails_every_participant(busy: bool) {
         let (mut ms, mut vt, space) = fresh();
         ms.set_coalesce_window(Nanos::from_us(10));
         let a = ms.msnap_open(&mut vt, space, "a", 16).unwrap();
         let b = ms.msnap_open(&mut vt, space, "b", 16).unwrap();
+        if busy {
+            saturate(&mut ms, &mut vt, space, "big");
+        }
         let t0 = VthreadId(0);
         let t1 = VthreadId(1);
         ms.write(&mut vt, space, t0, a.addr, &[1; 32]).unwrap();
@@ -1036,12 +1149,16 @@ mod tests {
         let tb = ms
             .msnap_persist_grouped(&mut vt, t1, RegionSel::Region(b.md))
             .unwrap();
-        ms.msnap_group_flush(&mut vt);
-        ms.clear_fault_plan();
+        if busy {
+            assert_eq!(ms.msnap_group_poll(&mut vt, ta).unwrap(), None, "held");
+        } else {
+            ms.msnap_group_flush(&mut vt);
+        }
         // Every participant of the faulted batch fails, not just the one
         // whose pages happened to hit the bad block.
         let ea = ms.msnap_group_poll(&mut vt, ta).unwrap_err();
         let eb = ms.msnap_group_poll(&mut vt, tb).unwrap_err();
+        ms.clear_fault_plan();
         assert!(matches!(ea, MsnapError::Store(_)));
         assert_eq!(ea, eb);
         // Both regions' fsync gates are armed...

@@ -136,6 +136,13 @@ impl Disk {
         &self.stats
     }
 
+    /// The instant a write submitted now would begin service: the
+    /// earliest a channel is free. Before it every channel is busy with
+    /// work already submitted, so a new submission waits for it anyway.
+    pub fn idle_at(&self) -> Nanos {
+        self.channels.free_at()
+    }
+
     /// Resets IO statistics (e.g. after workload warm-up).
     pub fn reset_stats(&mut self) {
         self.stats = IoStats::new();
@@ -660,6 +667,32 @@ mod tests {
         // The queue-depth model forgot them too.
         disk.write_block_at(at, 9, &block_of(9)).unwrap();
         assert_eq!(disk.inflight.len(), 1);
+    }
+
+    #[test]
+    fn idle_at_is_the_earliest_channel_completion() {
+        let mut disk = Disk::new(DiskConfig::paper());
+        assert_eq!(disk.idle_at(), Nanos::ZERO);
+        // 24 blocks at t = 0: three 8-block segments on two channels.
+        let data = block_of(7);
+        let iov: Vec<(u64, &[u8])> = (0..24).map(|b| (b, &data[..])).collect();
+        disk.writev_at(Nanos::ZERO, &iov).unwrap();
+        let segments = disk.write_completions();
+        assert_eq!(segments.len(), 3);
+        let earliest = segments.iter().copied().min();
+        assert_eq!(Some(disk.idle_at()), earliest, "the first channel to free");
+        // A write submitted before it begins service at it.
+        let idle = disk.idle_at();
+        let one_io = disk.config().segment_latency(BLOCK_SIZE);
+        let done = disk
+            .write_block_at(Nanos::from_us(1), 99, &block_of(9))
+            .unwrap()
+            .completes();
+        assert_eq!(done, idle + one_io);
+        // A crash forgets the queue: the device is idle by the crash.
+        let at = Nanos::from_us(20);
+        disk.crash(at);
+        assert!(disk.idle_at() <= at);
     }
 
     #[test]

@@ -337,24 +337,25 @@ pub fn run_group_commit(cfg: &GroupCommitConfig) -> GroupCommitReport {
         let cfg = cfg.clone();
         // One transaction phase per atomic step: begin+write+enqueue in
         // one step, each poll in its own step, so other threads' enqueues
-        // interleave into the open window.
+        // interleave into the open window. The poll that blocks until
+        // durable ends its step too: running the next transaction in it
+        // would carry this thread's clock past batch closes that threads
+        // with earlier clocks have yet to reach.
         let mut txn = 0u64;
         let mut pending: Option<(memsnap::CommitTicket, Nanos)> = None;
         sched.spawn(move |vt: &mut Vt| {
             let thread = vt.id();
             let mut db = db.borrow_mut();
             if let Some((ticket, t0)) = pending {
-                match db
+                if db
                     .commit_poll(vt, ticket)
                     .expect("driver runs without fault injection")
                 {
-                    true => {
-                        latency.borrow_mut().record(vt.now() - t0);
-                        pending = None;
-                        txn += 1;
-                    }
-                    false => return StepOutcome::Continue,
+                    latency.borrow_mut().record(vt.now() - t0);
+                    pending = None;
+                    txn += 1;
                 }
+                return StepOutcome::Continue;
             }
             if txn >= cfg.txns_per_thread {
                 return StepOutcome::Done;

@@ -62,6 +62,12 @@ impl ChannelPool {
             .collect();
     }
 
+    /// The instant the earliest-free channel takes new work: a submission
+    /// made before it queues, one made at or after it starts at once.
+    pub fn free_at(&self) -> Nanos {
+        self.free_at.peek().map_or(Nanos::ZERO, |Reverse(t)| *t)
+    }
+
     /// The instant all currently queued work completes.
     pub fn drained_at(&self) -> Nanos {
         self.free_at
@@ -112,6 +118,25 @@ mod tests {
         idle.submit(Nanos::ZERO, Nanos::from_us(3));
         idle.clamp_to(Nanos::from_us(12));
         assert_eq!(idle.drained_at(), Nanos::from_us(3));
+    }
+
+    #[test]
+    fn free_at_is_the_earliest_free_channel() {
+        let mut pool = ChannelPool::new(2);
+        assert_eq!(pool.free_at(), Nanos::ZERO, "an idle pool is free now");
+        pool.submit(Nanos::ZERO, Nanos::from_us(30));
+        assert_eq!(pool.free_at(), Nanos::ZERO, "one channel still idle");
+        pool.submit(Nanos::ZERO, Nanos::from_us(10));
+        assert_eq!(pool.free_at(), Nanos::from_us(10));
+        // Work submitted before `free_at` starts at it: the peek is the
+        // instant `submit` would begin service.
+        assert_eq!(
+            pool.submit(Nanos::from_us(4), Nanos::from_us(5)),
+            Nanos::from_us(15)
+        );
+        assert_eq!(pool.free_at(), Nanos::from_us(15));
+        pool.clamp_to(Nanos::from_us(12));
+        assert_eq!(pool.free_at(), Nanos::from_us(12));
     }
 
     #[test]

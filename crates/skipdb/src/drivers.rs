@@ -302,23 +302,24 @@ pub fn run_kv_group_commit(cfg: &KvGroupConfig) -> KvGroupReport {
         let cfg = cfg.clone();
         // One transaction phase per atomic step — the inserts and enqueue
         // together, then each poll on its own — so other threads' enqueues
-        // land inside the open window.
+        // land inside the open window. The poll that blocks until durable
+        // ends its step too: running the next transaction in it would carry
+        // this thread's clock past batch closes that threads with earlier
+        // clocks have yet to reach.
         let mut txn = 0u64;
         let mut pending: Option<(memsnap::CommitTicket, Nanos)> = None;
         sched.spawn(move |vt: &mut Vt| {
             let mut kv = kv.borrow_mut();
             if let Some((ticket, t0)) = pending {
-                match kv
+                if kv
                     .persist_poll(vt, ticket)
                     .expect("driver runs without fault injection")
                 {
-                    true => {
-                        latency.borrow_mut().record(vt.now() - t0);
-                        pending = None;
-                        txn += 1;
-                    }
-                    false => return StepOutcome::Continue,
+                    latency.borrow_mut().record(vt.now() - t0);
+                    pending = None;
+                    txn += 1;
                 }
+                return StepOutcome::Continue;
             }
             if txn >= cfg.txns_per_thread {
                 return StepOutcome::Done;

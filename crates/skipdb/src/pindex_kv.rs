@@ -175,7 +175,9 @@ impl PIndexKv {
                         self.stats.commits += 1;
                         lane.done = true;
                     }
-                    Ok(None) => vt.advance(Nanos::from_us(1)),
+                    // The poll moved the clock to the batch close: the
+                    // next one flushes.
+                    Ok(None) => {}
                     Err(e) => {
                         first_err.get_or_insert(KvError(e));
                         lane.done = true;
@@ -329,6 +331,58 @@ mod tests {
         // The concurrent path coalesces: fewer commits than writers'
         // individual persists would need is allowed, more is not.
         assert!(kv.stats().commits as usize <= writers as usize);
+    }
+
+    #[test]
+    fn a_held_writer_pays_nothing_for_its_held_poll() {
+        use msnap_vm::PAGE_SIZE;
+        // One writer behind a device kept busy by an async 24-page commit
+        // of another region: its first poll is held until a channel frees.
+        let busy = || {
+            let (mut kv, mut vt0) = fresh(1);
+            let t = vt0.id();
+            let ms = kv.memsnap_mut();
+            let space = ms.vm_mut().create_space();
+            let r = ms.msnap_open(&mut vt0, space, "busy", 24).unwrap();
+            for p in 0..24u64 {
+                let va = r.addr + p * PAGE_SIZE as u64;
+                ms.write(&mut vt0, space, t, va, &[1; PAGE_SIZE]).unwrap();
+            }
+            ms.msnap_persist(&mut vt0, t, RegionSel::Region(r.md), PersistFlags::async_())
+                .unwrap();
+            let mut vt = Vt::new(1);
+            vt.wait_until(vt0.now());
+            (kv, vt)
+        };
+        let pairs: Vec<(u64, Vec<u8>)> = (0..4u64).map(|k| (k, vec![k as u8; 8])).collect();
+
+        // By hand: the puts, the enqueue, then polls until durable.
+        let (mut kv, mut vt) = busy();
+        for (key, value) in &pairs {
+            let mut op = kv.sk.begin_put(0, *key, value);
+            while op.step(&mut kv.sk, &mut kv.ms, &mut vt) != OpOutcome::Finished {}
+        }
+        let (t, sel) = (vt.id(), RegionSel::Region(kv.sk.carve.region.md));
+        let ticket = kv.ms.msnap_persist_grouped(&mut vt, t, sel).unwrap();
+        assert_eq!(
+            kv.ms.msnap_group_poll(&mut vt, ticket).unwrap(),
+            None,
+            "held"
+        );
+        assert!(kv.ms.msnap_group_poll(&mut vt, ticket).unwrap().is_some());
+        let durable = *kv.ms.disk().write_completions().last().unwrap();
+        assert_eq!(
+            vt.now(),
+            durable,
+            "the poll returns at the record's completion"
+        );
+
+        // The concurrent driver ends the writer's clock at the same
+        // instant: a held poll adds no residue to its latency.
+        let (mut kv, mut driven) = busy();
+        kv.multi_put_concurrent(std::slice::from_mut(&mut driven), &[pairs])
+            .unwrap();
+        assert_eq!(driven.now(), durable);
     }
 
     #[test]

@@ -267,41 +267,100 @@ fn same_key_race_recovers_one_racer_after_any_crash() {
 #[test]
 fn pindex_kv_group_commit_sweep_is_atomic_per_batch() {
     // The SkipDB backend's concurrent path: every writer's batch rides a
-    // group commit. Whatever the crash point, each batch must be
-    // all-or-nothing.
-    const BATCH: u64 = 8;
+    // group commit. Eight writers, three rounds; each round they start 6 µs
+    // apart, so they enqueue past each other's coalescing windows while
+    // earlier commits still hold the device: their batches are held until
+    // it frees a channel and one commit carries several writers' batches.
+    // Whatever the crash point, every batch acked by then is present in
+    // full, every batch is all-or-nothing, and no key appears twice.
+    const WRITERS: u32 = 8;
+    const ROUNDS: u64 = 3;
+    const BATCH: u64 = 4;
+    let key = |round: u64, w: u64, i: u64| round * 10_000 + w * 100 + i;
     let run = || {
         let mut boot = Vt::new(0);
-        let mut kv = PIndexKv::format(Disk::new(DiskConfig::paper()), 256, WRITERS, &mut boot);
-        let mut vts: Vec<Vt> = (0..WRITERS).map(Vt::new).collect();
-        let batches: Vec<Vec<(u64, Vec<u8>)>> = (0..u64::from(WRITERS))
-            .map(|w| {
-                (0..BATCH)
-                    .map(|i| (w * 100 + i, (w * 100 + i).to_le_bytes().to_vec()))
-                    .collect()
-            })
-            .collect();
-        kv.multi_put_concurrent(&mut vts, &batches).unwrap();
-        kv.into_disk()
-    };
-    let points = crash_at_every_io(run, |disk, at| {
-        let mut vt = Vt::new(0);
-        // Atomicity is vacuous where the store itself is not yet
-        // durable: all batches read as absent, which is "nothing".
-        let Ok((mut kv, _report)) = PIndexKv::try_restore(disk, &mut vt) else {
-            return;
-        };
-        for w in 0..u64::from(WRITERS) {
-            let present = (0..BATCH)
-                .filter(|i| kv.get(&mut vt, w * 100 + i).is_some())
-                .count() as u64;
-            assert!(
-                present == 0 || present == BATCH,
-                "crash at {at}: writer {w} batch torn, {present}/{BATCH} keys"
-            );
+        let mut kv = PIndexKv::format(Disk::new(DiskConfig::paper()), 512, WRITERS, &mut boot);
+        let mut vts: Vec<Vt> = (0..WRITERS).map(|w| Vt::new(w + 1)).collect();
+        // `(round, writer, ack instant)` per batch.
+        let mut acks = Vec::new();
+        for round in 0..ROUNDS {
+            let start = vts.iter().map(Vt::now).max().unwrap_or(Nanos::ZERO);
+            for (w, vt) in (0u64..).zip(&mut vts) {
+                vt.wait_until(start + Nanos::from_us(6 * w));
+            }
+            let batches: Vec<Vec<(u64, Vec<u8>)>> = (0..u64::from(WRITERS))
+                .map(|w| {
+                    (0..BATCH)
+                        .map(|i| (key(round, w, i), key(round, w, i).to_le_bytes().to_vec()))
+                        .collect()
+                })
+                .collect();
+            kv.multi_put_concurrent(&mut vts, &batches).unwrap();
+            acks.extend((0..u64::from(WRITERS)).map(|w| (round, w, vts[w as usize].now())));
         }
-    });
-    assert!(points > 4, "group sweep too small: {points} points");
+        (kv, acks)
+    };
+    let (kv, acks) = run();
+    let stats = kv.memsnap().disk().stats();
+    let (merged, parts) = (stats.merged_submissions(), stats.merged_parts());
+    assert!(
+        merged > 0 && parts >= 3 * merged,
+        "held batches carry several writers: {parts} batches in {merged} commits"
+    );
+    let reference = kv.into_disk();
+    let completions = reference.write_completions().to_vec();
+    let durable_by: Vec<(u64, u64, Nanos)> = acks
+        .iter()
+        .map(|&(round, w, by)| {
+            let done = completions.iter().copied().filter(|&c| c <= by).max();
+            (round, w, done.expect("every batch wrote"))
+        })
+        .collect();
+
+    let points = crash_at_every_io(
+        || run().0.into_disk(),
+        |disk, at| {
+            let mut vt = Vt::new(0);
+            let Ok((mut kv, _report)) = PIndexKv::try_restore(disk, &mut vt) else {
+                assert!(
+                    durable_by.iter().all(|&(.., done)| done > at),
+                    "restore failed at {at} despite acked batches"
+                );
+                return;
+            };
+            let mut lost = 0;
+            for &(round, w, done) in &durable_by {
+                let present = (0..BATCH)
+                    .filter(|&i| {
+                        let k = key(round, w, i);
+                        kv.get(&mut vt, k) == Some(k.to_le_bytes().to_vec())
+                    })
+                    .count() as u64;
+                assert!(
+                    present == 0 || present == BATCH,
+                    "crash at {at}: round {round} writer {w} torn, {present}/{BATCH} keys"
+                );
+                if done <= at && present == 0 {
+                    lost += 1;
+                }
+            }
+            let keys: Vec<u64> = kv
+                .seek(&mut vt, 0, usize::MAX)
+                .iter()
+                .map(|e| e.0)
+                .collect();
+            let duplicated = keys.windows(2).filter(|w| w[0] == w[1]).count();
+            assert_eq!(
+                (lost, duplicated),
+                (0, 0),
+                "crash at {at}: lost acked, duplicated"
+            );
+        },
+    );
+    assert!(
+        points as u64 > ROUNDS,
+        "sweep must straddle every round, got {points}"
+    );
 }
 
 // ---------------------------------------------------------------------------
