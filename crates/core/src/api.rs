@@ -868,7 +868,9 @@ impl MemSnap {
     ) -> Result<Epoch, MsnapError> {
         vt.charge(Category::Memsnap, SYSCALL_COST);
         let id = self.store.lookup(object).ok_or(MsnapError::BadDescriptor)?;
-        let token = self.store.fence_epoch(vt, &mut self.disk, id, epoch)?;
+        let token = self
+            .store
+            .apply_image(vt, &mut self.disk, id, None, &[], epoch)?;
         ObjectStore::wait(vt, token);
         Ok(token.epoch)
     }

@@ -51,8 +51,9 @@
 //! the stream's base epoch does not match the replica's live epoch but
 //! the replica retains a snapshot at exactly that epoch (replication
 //! keeps such anchors on both ends for this),
-//! the session lands through [`ObjectStore::apply_image_at_base`],
-//! atomically abandoning the replica's divergent history.
+//! the session lands through [`ObjectStore::apply_image`] with that
+//! snapshot as its base, atomically abandoning the replica's divergent
+//! history.
 //!
 //! The stream's frame checksums protect bytes **in flight**; at-rest
 //! integrity on the replica is the store's own: `apply_image`
@@ -1212,7 +1213,7 @@ pub struct ApplySession {
     running_sum: u64,
     /// A retained snapshot on the replica at exactly the stream's base
     /// epoch, when the replica's *live* epoch has diverged past it: the
-    /// failover rebase path ([`ObjectStore::apply_image_at_base`]).
+    /// failover rebase path: [`ObjectStore::apply_image`] over this base.
     rebase_from: Option<String>,
 }
 
@@ -1331,10 +1332,9 @@ impl ApplySession {
     }
 
     /// Verifies the trailer against everything staged and commits the
-    /// stream through [`ObjectStore::apply_image`] (or
-    /// [`ObjectStore::apply_image_at_base`] for a rebase session) — one
-    /// crash-atomic root switch landing the replica exactly at the
-    /// target epoch.
+    /// stream through [`ObjectStore::apply_image`] (over the retained
+    /// base snapshot for a rebase session) — one crash-atomic root switch
+    /// landing the replica exactly at the target epoch.
     ///
     /// `dedup` is the receiver-side dedup table: [`Frame::Ref`] frames
     /// resolve against it, and every page that arrived as payload is
@@ -1398,12 +1398,8 @@ impl ApplySession {
             resolved.push((page, bytes, was_ref));
         }
         let iov: Vec<(u64, &[u8])> = resolved.iter().map(|(p, d, _)| (*p, &d[..])).collect();
-        let token = match &self.rebase_from {
-            None => replica.apply_image(vt, disk, self.object, &iov, self.target_epoch)?,
-            Some(base) => {
-                replica.apply_image_at_base(vt, disk, self.object, base, &iov, self.target_epoch)?
-            }
-        };
+        let base = self.rebase_from.as_deref();
+        let token = replica.apply_image(vt, disk, self.object, base, &iov, self.target_epoch)?;
         // The stream landed: remember every payload image, in stream
         // order, exactly as the sender staged them.
         if let Some(table) = dedup {
@@ -1957,7 +1953,7 @@ mod tests {
         // the delta a → fence. The replica's live epoch mismatches the
         // base, but it retains "acked" at exactly the base epoch: rebase.
         let t = store
-            .fence_epoch(&mut vt, &mut disk, obj, diverged + 10)
+            .apply_image(&mut vt, &mut disk, obj, None, &[], diverged + 10)
             .unwrap();
         ObjectStore::wait(&mut vt, t);
         store.snapshot_create(&mut vt, &mut disk, obj, "f").unwrap();
@@ -2306,7 +2302,7 @@ mod tests {
         }
         let iov: Vec<(u64, &[u8])> = pages.iter().map(|(p, d)| (*p, &d[..])).collect();
         let t = replica2
-            .apply_image(&mut vt, &mut rdisk2, r2obj, &iov, base_epoch)
+            .apply_image(&mut vt, &mut rdisk2, r2obj, None, &iov, base_epoch)
             .unwrap();
         ObjectStore::wait(&mut vt, t);
 
