@@ -423,6 +423,13 @@ impl DeltaRecord {
         rest.is_empty().then_some(out)
     }
 
+    /// The data blocks of the page-grain pairs, in pair order: the
+    /// commit's data extent.
+    pub(crate) fn data_blocks(&self) -> impl Iterator<Item = u64> + '_ {
+        let blocks = self.pairs.iter().map(|(_, word)| unpack_entry(*word).0);
+        blocks.filter(|block| *block != INLINE_BLOCK)
+    }
+
     /// Serializes into a block image.
     ///
     /// # Panics
