@@ -715,6 +715,72 @@ fn unrepairable_rot_is_quarantined_reported_and_healable_by_peer_data() {
 }
 
 #[test]
+fn a_commit_that_rewrites_a_reported_page_drops_its_report() {
+    // The report names a rotted block. Any later commit of the page — a
+    // delta record, a line record, a full root — supersedes that block,
+    // so the report must go with it: a report that outlives the block
+    // keeps replication asking for a digest no copy may carry any more.
+    for door in ["record", "line record", "full root"] {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = ObjectStore::format(&mut disk);
+        let mut vt = Vt::new(0);
+        let obj = store.create(&mut vt, &mut disk, "o").unwrap();
+        let p = page_of(0x7A);
+        let token = store.persist(&mut vt, &mut disk, obj, &[(0, &p)]).unwrap();
+        ObjectStore::wait(&mut vt, token);
+        disk.settle();
+        disk.corrupt_bit(live_block_of(&disk, &p), 9, 2);
+        store.drop_cache();
+        store.scrub(&mut vt, &mut disk, 1 << 20).unwrap();
+        assert_eq!(store.unrepaired_pages().len(), 1, "{door}");
+
+        // The rewrite keeps every line but the first, as a line record
+        // promises.
+        let mut new = p.clone();
+        new[..64].fill(0x11);
+        let token = match door {
+            "record" => store.persist(&mut vt, &mut disk, obj, &[(0, &new)]),
+            "line record" => {
+                let pages = [(0, &new[..], 1u64)];
+                store
+                    .persist_batch(&mut vt, &mut disk, &[(obj, &pages[..])])
+                    .map(|t| t[0])
+            }
+            _ => {
+                let epoch = store.epoch(obj) + 1;
+                store.apply_image(&mut vt, &mut disk, obj, None, &[(0, &new)], epoch)
+            }
+        };
+        ObjectStore::wait(&mut vt, token.unwrap());
+        assert!(
+            store.unrepaired_pages().is_empty(),
+            "{door}: report dropped"
+        );
+
+        // A later pass reports nothing again: the rotted block is gone
+        // from the tree, or — under a line record — healed by writing the
+        // overlay out.
+        let before = store.scrub_stats();
+        store.scrub(&mut vt, &mut disk, 1 << 20).unwrap();
+        store.scrub(&mut vt, &mut disk, 1 << 20).unwrap();
+        assert_eq!(store.scrub_stats().unrepaired, before.unrepaired, "{door}");
+        assert!(store.unrepaired_pages().is_empty(), "{door}");
+        let mut buf = page_of(0);
+        store
+            .read_page(&mut vt, &mut disk, obj, 0, &mut buf)
+            .unwrap();
+        assert_eq!(buf, new, "{door}");
+        assert_eq!(
+            store
+                .repair_page(&mut vt, &mut disk, obj, 0, &p)
+                .unwrap_err(),
+            StoreError::RepairMismatch,
+            "{door}: the old bytes are stale now"
+        );
+    }
+}
+
+#[test]
 fn page_in_of_a_rotted_page_is_a_typed_error_and_retries_after_repair() {
     // The first msnap_open after a restore pages the region back in
     // through the verified read path. Rot under one committed page must
