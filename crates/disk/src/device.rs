@@ -68,6 +68,12 @@ pub struct Disk {
     /// explicit queue-depth model. Popped past entries lazily at each
     /// submission; the remaining occupancy is sampled into [`IoStats`].
     inflight: BinaryHeap<Reverse<Nanos>>,
+    /// Unfaulted one-block writes still in flight, by block: `(service
+    /// start, completion)`. [`Disk::amend_at`] may replace the payload of
+    /// one whose service has not started. An entry goes with the next
+    /// write to its block and, like `inflight`, once a submission at or
+    /// past its completion is seen.
+    queued: HashMap<u64, (Nanos, Nanos)>,
     /// 0-based sequence number of the next block read — the key
     /// [`ReadFaultPlan`] is indexed by. Every read consumes one per
     /// block: no read bypasses the plan.
@@ -89,6 +95,7 @@ impl Disk {
             io_seq: 0,
             write_log: Vec::new(),
             inflight: BinaryHeap::new(),
+            queued: HashMap::new(),
             read_seq: 0,
             read_faults: ReadFaultPlan::new(),
         }
@@ -193,6 +200,7 @@ impl Disk {
         let io = self.io_seq;
         self.io_seq += 1;
         let fault = self.injector.as_mut().and_then(|inj| inj.consult(io));
+        let amendable = iov.len() == 1 && fault.is_none();
         // Index of the first iov entry the device silently loses (torn
         // write); `iov.len()` means none.
         let mut torn_from = iov.len();
@@ -213,6 +221,9 @@ impl Disk {
             Some(Fault::LatencySpike { extra }) => spike = extra,
             None => {}
         }
+        for (block, _) in iov {
+            self.queued.remove(block);
+        }
 
         // Schedule segments across channels (see `segment_cost`).
         let blocks_per_segment = (self.cfg.stripe_bytes / BLOCK_SIZE).max(1);
@@ -224,6 +235,9 @@ impl Disk {
             let latency = self.segment_cost(seg_index, seg_blocks) + spike;
             seg_index += 1;
             let done = self.channels.submit(now, latency);
+            if amendable {
+                self.queued.insert(iov[0].0, (done - latency, done));
+            }
             // A fully torn segment never becomes durable; a partially torn
             // one is durable only up to the tear. Lost blocks are applied
             // to the live image (the device acked them and serves them
@@ -258,6 +272,7 @@ impl Disk {
         while matches!(self.inflight.peek(), Some(Reverse(done)) if *done <= now) {
             self.inflight.pop();
         }
+        self.queued.retain(|_, (_, done)| *done > now);
         self.inflight.push(Reverse(completes));
         self.stats.record_depth(self.inflight.len() as u64);
 
@@ -284,6 +299,35 @@ impl Disk {
         data: &[u8],
     ) -> Result<WriteToken, IoError> {
         self.writev_at(now, &[(block, data)])
+    }
+
+    /// Replaces the payload of the one-block write queued to `block` with
+    /// `data`, if the device has not started serving it by `now`: the
+    /// host queue forms a request when a channel picks it up, so bytes
+    /// handed over before then ride the same IO. Returns that write's
+    /// token — its completion instant is unchanged, and no submission is
+    /// made or counted. Refuses (`None`, nothing changes) when the
+    /// newest write to `block` was vectored, carried a fault, or has
+    /// started service.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not exactly [`BLOCK_SIZE`] bytes.
+    pub fn amend_at(&mut self, now: Nanos, block: u64, data: &[u8]) -> Option<WriteToken> {
+        assert_eq!(
+            data.len(),
+            BLOCK_SIZE,
+            "block {block}: a write is one block"
+        );
+        let (start, completes) = *self.queued.get(&block)?;
+        if start <= now {
+            return None;
+        }
+        self.blocks.insert(block, data.into());
+        Some(WriteToken {
+            completes,
+            bytes: BLOCK_SIZE,
+        })
     }
 
     /// Synchronous scatter/gather write: submits at the thread's current
@@ -478,6 +522,7 @@ impl Disk {
     pub fn crash(&mut self, at: Nanos) {
         self.channels.clamp_to(at);
         self.inflight.retain(|Reverse(done)| *done <= at);
+        self.queued.clear();
         // Roll back in reverse submission order so stacked overwrites of
         // the same block restore correctly.
         for entry in self.undo.drain(..).rev().collect::<Vec<_>>() {
@@ -667,6 +712,79 @@ mod tests {
         // The queue-depth model forgot them too.
         disk.write_block_at(at, 9, &block_of(9)).unwrap();
         assert_eq!(disk.inflight.len(), 1);
+    }
+
+    /// A paper device whose two channels are busy until one write's
+    /// latency, with a third one-block write to block 7 queued behind
+    /// them, and that write's token.
+    fn one_write_queued() -> (Disk, WriteToken) {
+        let mut disk = Disk::new(DiskConfig::paper());
+        for b in 0..2 {
+            disk.write_block_at(Nanos::ZERO, b, &block_of(1)).unwrap();
+        }
+        let queued = disk.write_block_at(Nanos::ZERO, 7, &block_of(2)).unwrap();
+        (disk, queued)
+    }
+
+    #[test]
+    fn amend_replaces_a_queued_write_until_its_service_starts() {
+        let (mut disk, queued) = one_write_queued();
+        let one_io = disk.config().segment_latency(BLOCK_SIZE);
+        assert_eq!(queued.completes(), one_io * 2, "it starts at one_io");
+        let (ios, writes) = (disk.io_seq(), disk.stats().writes());
+        let amended = disk.amend_at(one_io - Nanos::from_ns(1), 7, &block_of(3));
+        assert_eq!(amended, Some(queued), "the same write, the same completion");
+        assert_eq!(disk.peek(7).unwrap(), &block_of(3)[..]);
+        assert_eq!((disk.io_seq(), disk.stats().writes()), (ios, writes));
+        // Once a channel has picked it up, the payload is fixed.
+        assert_eq!(disk.amend_at(one_io, 7, &block_of(4)), None);
+        assert_eq!(disk.peek(7).unwrap(), &block_of(3)[..]);
+        // The amended bytes are durable exactly when the write is.
+        disk.crash(queued.completes());
+        assert_eq!(disk.peek(7).unwrap(), &block_of(3)[..]);
+        let (mut torn, _) = one_write_queued();
+        torn.amend_at(Nanos::ZERO, 7, &block_of(3)).unwrap();
+        torn.crash(queued.completes() - Nanos::from_ns(1));
+        assert!(torn.peek(7).is_none(), "the pre-image");
+        assert_eq!(
+            torn.amend_at(Nanos::ZERO, 7, &block_of(5)),
+            None,
+            "a crash forgets"
+        );
+    }
+
+    #[test]
+    fn only_the_newest_unfaulted_one_block_write_is_amendable() {
+        let (mut disk, _) = one_write_queued();
+        let data = block_of(2);
+        // Queued, but vectored; and block 7's one-block write superseded
+        // by a vectored one.
+        disk.writev_at(Nanos::ZERO, &[(5, &data[..]), (6, &data[..])])
+            .unwrap();
+        disk.writev_at(Nanos::ZERO, &[(7, &data[..]), (8, &data[..])])
+            .unwrap();
+        // A one-block write that carried a fault.
+        let mut spiked = Disk::new(DiskConfig::paper());
+        let spike = Fault::LatencySpike {
+            extra: Nanos::from_us(1),
+        };
+        spiked.set_fault_plan(FaultPlan::new().at(2, spike));
+        for b in 0..3 {
+            spiked.write_block_at(Nanos::ZERO, b, &data).unwrap();
+        }
+        let refuses = |disk: &mut Disk, block: u64| {
+            assert_eq!(disk.amend_at(Nanos::ZERO, block, &block_of(9)), None);
+            assert_eq!(disk.peek(block).unwrap(), &data[..], "block {block}");
+        };
+        refuses(&mut disk, 5);
+        refuses(&mut disk, 7);
+        refuses(&mut spiked, 2);
+        // A write nobody amended is forgotten once a submission at or
+        // past its completion is seen.
+        let late = disk.write_block_at(Nanos::ZERO, 9, &data).unwrap();
+        assert!(disk.queued.contains_key(&9));
+        disk.write_block_at(late.completes(), 10, &data).unwrap();
+        assert!(!disk.queued.contains_key(&9));
     }
 
     #[test]

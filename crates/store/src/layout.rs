@@ -285,6 +285,26 @@ pub fn unpack_entry(word: u64) -> (u64, u32) {
     (word & 0xFFFF_FFFF, (word >> 32) as u32)
 }
 
+/// The [`DeltaRecord::tag`] of a record that extends the tip committed
+/// by a block with this checksum: folded to 32 bits and kept off 0, the
+/// untagged mark. An object with no root or record yet has checksum 0.
+pub(crate) fn tag_of(checksum: u64) -> u32 {
+    ((checksum ^ (checksum >> 32)) as u32).max(1)
+}
+
+/// [`tag_of`] the checksum word of a root, delta or batch record block:
+/// the tag of a record that extends the tip this block commits. Any
+/// other block reads as checksum 0.
+pub(crate) fn tip_tag(block: &[u8]) -> u32 {
+    let r = |off: usize| u64::from_le_bytes(block[off..off + 8].try_into().unwrap());
+    tag_of(match r(0) {
+        ROOT_MAGIC => r(64),
+        DELTA_MAGIC => r(40),
+        BATCH_MAGIC => r(24),
+        _ => 0,
+    })
+}
+
 /// A committed full root: written to one of the object's two alternating
 /// root slots whenever the in-memory COW tree is flushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -369,15 +389,30 @@ pub const INLINE_BLOCK: u64 = 0xFFFF_FFFF;
 /// μCheckpoint in one block write; a record with an empty body is the
 /// page-grain case.
 ///
-/// Also one object's share of a [`BatchRecord`] (always page-grain there):
-/// the checksum covers *its* payload blocks only, so recovery truncation
-/// stays per-object even though the commit record is shared.
+/// A line-grain record may cover several consecutive μCheckpoints: a
+/// commit that arrives while its object's record is still queued on the
+/// device folds into it (DESIGN.md §6m, R3). It covers epochs
+/// `epoch - span ..= epoch` and stays in the ring slot of its first.
+///
+/// Also one object's share of a [`BatchRecord`] (always page-grain and
+/// one epoch there): the checksum covers *its* payload blocks only, so
+/// recovery truncation stays per-object even though the commit record is
+/// shared.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRecord {
     /// The object.
     pub object: ObjectId,
-    /// Epoch of this μCheckpoint.
+    /// Epoch of the newest μCheckpoint this record covers.
     pub epoch: Epoch,
+    /// How many epochs below `epoch` the record also covers (0 for one
+    /// commit; below [`DELTA_SLOTS`] and at most `epoch`).
+    pub span: u64,
+    /// The tip the record extends: the checksum of the root or record
+    /// block that committed epoch `epoch - span - 1`, folded to 32 bits
+    /// and kept off 0 — or 0, an untagged record (a batch group, or one
+    /// an older build wrote). Replay accepts a tagged record only on top
+    /// of that tip.
+    pub tag: u32,
     /// Object length in pages after this commit.
     pub len_pages: u64,
     /// FNV-1a over the commit's data-block images, in pair order (inline
@@ -397,6 +432,11 @@ pub struct DeltaRecord {
 }
 
 impl DeltaRecord {
+    /// The oldest epoch the record covers.
+    pub(crate) fn first_epoch(&self) -> Epoch {
+        self.epoch - self.span
+    }
+
     /// Encoded size of a record whose pairs are all inline, given each
     /// page's dirty-line mask.
     pub fn inline_len(masks: impl Iterator<Item = u64>) -> usize {
@@ -434,10 +474,14 @@ impl DeltaRecord {
     ///
     /// # Panics
     ///
-    /// Panics if there are more than [`MAX_DELTA_PAIRS`] pairs or the
-    /// pairs and body outgrow the block.
+    /// Panics if there are more than [`MAX_DELTA_PAIRS`] pairs, the pairs
+    /// and body outgrow the block, or `span` is out of range.
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
         assert!(self.pairs.len() <= MAX_DELTA_PAIRS, "delta record overflow");
+        assert!(
+            self.span < DELTA_SLOTS && self.span <= self.epoch,
+            "delta record span"
+        );
         let body_at = 64 + self.pairs.len() * 16;
         let end = body_at + self.body.len();
         assert!(end <= BLOCK_SIZE, "delta record body overflow");
@@ -447,9 +491,9 @@ impl DeltaRecord {
         w(8, self.object.0 as u64);
         w(16, self.epoch);
         w(24, self.len_pages);
-        w(32, self.pairs.len() as u64);
+        w(32, self.pairs.len() as u64 | self.span << 32);
         w(48, self.payload_sum);
-        w(56, self.body.len() as u64);
+        w(56, self.body.len() as u64 | u64::from(self.tag) << 32);
         for (i, (page, data_block)) in self.pairs.iter().enumerate() {
             w(64 + i * 16, *page);
             w(64 + i * 16 + 8, *data_block);
@@ -466,21 +510,24 @@ impl DeltaRecord {
         if r(0) != DELTA_MAGIC || r(8) != expect.0 as u64 {
             return None;
         }
-        let count = r(32) as usize;
-        if count > MAX_DELTA_PAIRS {
+        let (count, span) = (r(32) & 0xFFFF_FFFF, r(32) >> 32);
+        let (body_len, tag) = (r(56) & 0xFFFF_FFFF, (r(56) >> 32) as u32);
+        if count > MAX_DELTA_PAIRS as u64 || span >= DELTA_SLOTS || span > r(16) {
             return None;
         }
-        let body_at = 64 + count * 16;
-        let end = body_at.checked_add(usize::try_from(r(56)).ok()?)?;
+        let body_at = 64 + count as usize * 16;
+        let end = body_at + body_len as usize;
         if end > BLOCK_SIZE || fnv1a(&block[0..40]) ^ fnv1a(&block[48..end]) != r(40) {
             return None;
         }
-        let pairs = (0..count)
+        let pairs = (0..count as usize)
             .map(|i| (r(64 + i * 16), r(64 + i * 16 + 8)))
             .collect();
         let rec = DeltaRecord {
             object: expect,
             epoch: r(16),
+            span,
+            tag,
             len_pages: r(24),
             payload_sum: r(48),
             pairs,
@@ -586,6 +633,8 @@ impl BatchRecord {
             groups.push(DeltaRecord {
                 object: ObjectId(r(off) as u32),
                 epoch: r(off + 8),
+                span: 0,
+                tag: 0,
                 len_pages: r(off + 16),
                 payload_sum: r(off + 24),
                 pairs,
@@ -865,6 +914,8 @@ mod tests {
         let rec = DeltaRecord {
             object: ObjectId(3),
             epoch: 17,
+            span: 0,
+            tag: 0,
             len_pages: 1000,
             payload_sum: 0xDEAD_BEEF,
             pairs: vec![(5, 100), (907, 101), (13, 102)],
@@ -886,6 +937,8 @@ mod tests {
         DeltaRecord {
             object: ObjectId(3),
             epoch: 18,
+            span: 0,
+            tag: 0,
             len_pages: 10,
             payload_sum: FNV_OFFSET,
             pairs: vec![
@@ -936,19 +989,92 @@ mod tests {
         assert_eq!(DeltaRecord::from_block(&rec.to_block(), ObjectId(3)), None);
     }
 
+    /// `rec` encoded with `span` written into its header as is — past
+    /// what `to_block` accepts — and the checksum recomputed.
+    fn with_raw_span(rec: &DeltaRecord, span: u64) -> [u8; BLOCK_SIZE] {
+        let mut block = rec.to_block();
+        block[36..40].copy_from_slice(&(span as u32).to_le_bytes());
+        let end = 64 + rec.pairs.len() * 16 + rec.body.len();
+        let checksum = fnv1a(&block[0..40]) ^ fnv1a(&block[48..end]);
+        block[40..48].copy_from_slice(&checksum.to_le_bytes());
+        block
+    }
+
+    #[test]
+    fn a_folded_record_round_trips_its_span_and_tag_under_the_checksum() {
+        let mut rec = inline_record();
+        rec.span = 3;
+        rec.tag = 0xABCD_0123;
+        assert_eq!(rec.first_epoch(), 15);
+        let block = rec.to_block();
+        assert_eq!(
+            DeltaRecord::from_block(&block, ObjectId(3)),
+            Some(rec.clone())
+        );
+        assert_eq!(with_raw_span(&rec, 3), block);
+        // The span and the tag share their words with the pair count and
+        // the body length, under the one checksum.
+        for byte in [36, 60] {
+            let mut torn = block;
+            torn[byte] ^= 1;
+            assert_eq!(
+                DeltaRecord::from_block(&torn, ObjectId(3)),
+                None,
+                "byte {byte}"
+            );
+        }
+        let checksum = u64::from_le_bytes(block[40..48].try_into().unwrap());
+        assert_eq!(tip_tag(&block), tag_of(checksum));
+    }
+
+    #[test]
+    fn a_span_past_the_ring_or_below_epoch_zero_is_no_record() {
+        let mut rec = inline_record();
+        for (epoch, span, valid) in [
+            (40, DELTA_SLOTS - 1, true),
+            (40, DELTA_SLOTS, false),
+            (40, u32::MAX as u64, false),
+            (5, 5, true),
+            (5, 6, false),
+        ] {
+            rec.epoch = epoch;
+            let parsed = DeltaRecord::from_block(&with_raw_span(&rec, span), ObjectId(3));
+            assert_eq!(
+                parsed.map(|r| r.span),
+                valid.then_some(span),
+                "{epoch} {span}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_tag_folds_its_checksum_and_is_never_the_untagged_mark() {
+        assert_eq!(tag_of(0x1234_5678_0000_00FF), 0x1234_5687);
+        assert_eq!(tag_of(0), 1, "an object with no record yet");
+        assert_eq!(tag_of(0xDEAD_BEEF_DEAD_BEEF), 1);
+        assert_eq!(tip_tag(&[0u8; BLOCK_SIZE]), tag_of(0));
+    }
+
     #[test]
     fn page_grain_record_is_the_body_less_case_of_the_one_format() {
         let rec = DeltaRecord {
             object: ObjectId(3),
             epoch: 17,
+            span: 0,
+            tag: 0,
             len_pages: 8,
             payload_sum: 7,
             pairs: vec![(1, 50)],
             body: Vec::new(),
         };
         let block = rec.to_block();
-        // The spare header word stays zero and nothing follows the pairs.
-        assert!(block[56..64].iter().chain(&block[80..]).all(|&b| b == 0));
+        // A one-epoch untagged record's span and tag halves stay zero — the
+        // bytes older builds write — and nothing follows the pairs.
+        let mut zero = block[36..40]
+            .iter()
+            .chain(&block[56..64])
+            .chain(&block[80..]);
+        assert!(zero.all(|&b| b == 0));
         assert_eq!(rec.inline_lines(), Some(Vec::new()));
     }
 
@@ -957,6 +1083,8 @@ mod tests {
         let rec = DeltaRecord {
             object: ObjectId(3),
             epoch: 17,
+            span: 0,
+            tag: 0,
             len_pages: 8,
             payload_sum: 7,
             pairs: vec![(1, 50)],
@@ -972,6 +1100,8 @@ mod tests {
         let rec = DeltaRecord {
             object: ObjectId(0),
             epoch: 1,
+            span: 0,
+            tag: 0,
             len_pages: 1,
             payload_sum: 0,
             pairs: vec![(0, 1); MAX_DELTA_PAIRS],
@@ -996,6 +1126,8 @@ mod tests {
                 DeltaRecord {
                     object: ObjectId(1),
                     epoch: 7,
+                    span: 0,
+                    tag: 0,
                     len_pages: 12,
                     payload_sum: 0xAB,
                     pairs: vec![(0, 100), (11, 101)],
@@ -1004,6 +1136,8 @@ mod tests {
                 DeltaRecord {
                     object: ObjectId(4),
                     epoch: 31,
+                    span: 0,
+                    tag: 0,
                     len_pages: 2,
                     payload_sum: 0xCD,
                     pairs: vec![(1, 102)],
@@ -1051,6 +1185,8 @@ mod tests {
             groups: vec![DeltaRecord {
                 object: ObjectId(0),
                 epoch: 1,
+                span: 0,
+                tag: 0,
                 len_pages: n as u64,
                 payload_sum: 0,
                 pairs,
@@ -1172,6 +1308,8 @@ mod tests {
         let rec = DeltaRecord {
             object: ObjectId(2),
             epoch: 9,
+            span: 0,
+            tag: 0,
             len_pages: 4,
             payload_sum: 0x1234,
             pairs: vec![(0, 80)],

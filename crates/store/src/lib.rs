@@ -16,7 +16,10 @@
 //!   batch record in the shard's ring for a whole group commit. If the
 //!   caller names the 64-byte lines it changed and they fit, the record
 //!   carries the lines and is the only write; the patched pages wait in
-//!   the object's in-memory **overlay**, which reads consult first.
+//!   the object's in-memory **overlay**, which reads consult first. A
+//!   line commit that arrives while its object's previous line record is
+//!   still queued on the device **folds** into that record and writes
+//!   nothing; every record carries the tag of the tip it extends.
 //! - Every 32nd commit (or an oversized one) is a **full root**: dirty
 //!   nodes and overlay pages are written, then a root record into one of
 //!   two alternating slots. Recovery adopts the newest valid root and

@@ -1082,6 +1082,7 @@ fn add_stats(a: StoreStats, b: StoreStats) -> StoreStats {
         line_commits: a.line_commits + b.line_commits,
         line_bytes: a.line_bytes + b.line_bytes,
         overlay_pages_flushed: a.overlay_pages_flushed + b.overlay_pages_flushed,
+        absorbed_commits: a.absorbed_commits + b.absorbed_commits,
     }
 }
 

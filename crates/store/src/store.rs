@@ -15,7 +15,9 @@
 //! lines fit the record block, is **line-grain**: the delta record carries
 //! the lines themselves and is the commit's only write. The patched pages
 //! live in a per-object in-memory **overlay** until the next full root
-//! writes them out as data blocks (DESIGN.md §6m has the invariants).
+//! writes them out as data blocks (DESIGN.md §6m has the invariants). A
+//! line commit whose object's previous line record is still queued on
+//! the device folds into it and issues no write (rule R3).
 //!
 //! Each path is a further `impl StoreShard` in a child module, tests
 //! beside it: [`commit`], [`overlay`] (with the one record-apply),
@@ -302,6 +304,10 @@ pub struct StoreStats {
     pub line_bytes: u64,
     /// Overlay pages written out as data blocks by full roots.
     pub overlay_pages_flushed: u64,
+    /// Line commits that issued no write: each folded into its object's
+    /// newest line record while that record was still queued on the
+    /// device, and is durable with it (also counted in `line_commits`).
+    pub absorbed_commits: u64,
 }
 
 /// CPU cost constants for store operations.
@@ -359,6 +365,13 @@ struct ObjectState {
     /// and GC are always self-contained. Every key's tree path is
     /// hydrated (the commit or replay that inserted it did that).
     overlay: BTreeMap<u64, (u32, Box<[u8]>)>,
+    /// The tag the object's next record carries: `tag_of` the checksum
+    /// of the root or record block that committed `epoch`.
+    tip: u32,
+    /// The object's newest record, while it is a line record the next
+    /// line commit may fold into (R3): its ring slot and what it holds.
+    /// Any other commit, a full root above all, ends the chain.
+    queued: Option<(u64, DeltaRecord)>,
 }
 
 impl ObjectState {
@@ -375,6 +388,8 @@ impl ObjectState {
             chain_completes: Nanos::ZERO,
             root_durable: Nanos::ZERO,
             overlay: BTreeMap::new(),
+            tip: layout::tag_of(0),
+            queued: None,
         }
     }
 }

@@ -63,6 +63,48 @@ fn line_sparse<P: CommitPage>(pages: &[P]) -> bool {
         && DeltaRecord::inline_len(pages.iter().map(|p| p.lines())) <= BLOCK_SIZE
 }
 
+/// The line record `queued` with the next line commit of its object,
+/// `next`, folded in: the union of their pages, in page order, each under
+/// the union of its masks with those lines gathered from `image(page)` —
+/// the page's patched image after `next` — and the newer pair's digest
+/// word, so no page is re-hashed. It keeps `queued`'s first epoch and
+/// tag. `None` if it outgrows the record block.
+fn fold<'a>(
+    queued: &DeltaRecord,
+    next: &DeltaRecord,
+    image: impl Fn(u64) -> &'a [u8],
+) -> Option<DeltaRecord> {
+    let mut pages: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    for record in [queued, next] {
+        let lines = record.inline_lines().expect("a line record's body");
+        for ((page, word), (mask, _)) in record.pairs.iter().zip(lines) {
+            let entry = pages.entry(*page).or_default();
+            *entry = (entry.0 | mask, *word);
+        }
+    }
+    if DeltaRecord::inline_len(pages.values().map(|(mask, _)| *mask)) > BLOCK_SIZE {
+        return None;
+    }
+    let mut body = Vec::new();
+    for (page, (mask, _)) in &pages {
+        body.extend_from_slice(&mask.to_le_bytes());
+        lines::gather(image(*page), &lines::line_runs(*mask), &mut body);
+    }
+    Some(DeltaRecord {
+        object: next.object,
+        epoch: next.epoch,
+        span: next.epoch - queued.first_epoch(),
+        tag: queued.tag,
+        len_pages: next.len_pages,
+        payload_sum: layout::FNV_OFFSET,
+        pairs: pages
+            .into_iter()
+            .map(|(page, (_, word))| (page, word))
+            .collect(),
+        body,
+    })
+}
+
 impl StoreShard {
     /// Shared full-commit core: COW-sets `pages` into the tree at
     /// `epoch`, flushes every dirty node, writes data + nodes as one
@@ -168,6 +210,7 @@ impl StoreShard {
             flush_seq: state.full_count + 1,
         };
         let slot = state.entry.root_slot(state.full_count + 1);
+        let root_block = record.to_block();
         let cache = &mut self.cache;
         let token = (|| {
             let record_at = if iov.is_empty() {
@@ -175,7 +218,7 @@ impl StoreShard {
             } else {
                 writev_retry(disk, vt.now(), &iov, cache)?.completes()
             };
-            writev_retry(disk, record_at, &[(slot, &record.to_block())], cache)
+            writev_retry(disk, record_at, &[(slot, &root_block)], cache)
         })();
         let token = match token {
             Ok(t) => t,
@@ -195,6 +238,8 @@ impl StoreShard {
         self.unrepaired
             .retain(|u| u.object != object || !landed(u.page));
         state.overlay.clear();
+        state.queued = None;
+        state.tip = layout::tip_tag(&root_block);
         state.full_count += 1;
         // Everything superseded up to and including this full root is
         // recyclable once it is durable.
@@ -368,6 +413,9 @@ impl StoreShard {
             staged.push(DeltaRecord {
                 object: *object,
                 epoch: state.epoch + 1,
+                span: 0,
+                // A batch group has no word to carry a tag.
+                tag: if shared { 0 } else { state.tip },
                 len_pages,
                 payload_sum,
                 pairs,
@@ -389,16 +437,25 @@ impl StoreShard {
             let entry = &self.objects[delta.object.0 as usize].entry;
             (entry.delta_slot(delta.epoch), delta.to_block())
         };
+        // R3: a line record rides its object's queued one if it can.
+        let absorbed = if inline {
+            self.absorb(disk, vt.now(), &staged[0], &patched)
+        } else {
+            None
+        };
         let cache = &mut self.cache;
-        let token = (|| {
-            let data_done = if inline {
-                vt.now()
-            } else {
-                writev_retry(disk, vt.now(), &iov, cache)?.completes()
-            };
-            let record_at = data_done.max(root_gate);
-            writev_retry(disk, record_at, &[(record_block, &record)], cache)
-        })();
+        let token = match absorbed {
+            Some(token) => Ok(token),
+            None => (|| {
+                let data_done = if inline {
+                    vt.now()
+                } else {
+                    writev_retry(disk, vt.now(), &iov, cache)?.completes()
+                };
+                let record_at = data_done.max(root_gate);
+                writev_retry(disk, record_at, &[(record_block, &record)], cache)
+            })(),
+        };
         let token = match token {
             Ok(t) => t,
             Err(e) => {
@@ -423,13 +480,19 @@ impl StoreShard {
             state.chain_completes = state.chain_completes.max(token.completes());
             state.last_commit = state.chain_completes;
             let data_blocks = if inline { 0 } else { g.pairs.len() as u64 };
+            // The record block is shared; attribute it to the first
+            // participant so batch bytes sum correctly. An absorbed
+            // commit wrote none.
+            let record_blocks = u64::from(tokens.is_empty() && absorbed.is_none());
             tokens.push(CommitToken {
                 epoch: g.epoch,
-                // The record block is shared; attribute it to the first
-                // participant so batch bytes sum correctly.
-                bytes_written: (data_blocks + u64::from(tokens.is_empty())) * BLOCK_SIZE as u64,
+                bytes_written: (data_blocks + record_blocks) * BLOCK_SIZE as u64,
                 completes: state.chain_completes,
             });
+            if absorbed.is_none() {
+                state.tip = layout::tip_tag(&record);
+                state.queued = inline.then(|| (record_block, g.clone()));
+            }
         }
         if shared {
             disk.note_merged(staged.len() as u64);
@@ -442,11 +505,41 @@ impl StoreShard {
         if inline {
             self.stats.line_commits += 1;
             self.stats.line_bytes += (staged[0].body.len() - 8 * staged[0].pairs.len()) as u64;
+            self.stats.absorbed_commits += u64::from(absorbed.is_some());
         }
         self.stats.commits += staged.len() as u64;
         self.stats.delta_commits += staged.len() as u64;
         self.stats.pages_written += data_pages as u64;
         Ok(tokens)
+    }
+
+    /// R3 (DESIGN.md §6m): lands the line record `next`, whose pages'
+    /// patched images are `patched`, by folding it into its object's
+    /// queued line record — if the device has not started writing that
+    /// record's slot by `now` and the fold fits the block. The folded
+    /// record replaces the queued one in place, so the returned token is
+    /// the queued write's and no IO is issued. `None` changes nothing.
+    fn absorb(
+        &mut self,
+        disk: &mut Disk,
+        now: Nanos,
+        next: &DeltaRecord,
+        patched: &[Box<[u8]>],
+    ) -> Option<WriteToken> {
+        let state = &mut self.objects[next.object.0 as usize];
+        let (slot, queued) = state.queued.as_ref()?;
+        let image = |page| match next.pairs.binary_search_by_key(&page, |(p, _)| *p) {
+            Ok(i) => &patched[i][..],
+            Err(_) => &state.overlay[&page].1[..],
+        };
+        let folded = fold(queued, next, image)?;
+        let block = folded.to_block();
+        let slot = *slot;
+        let token = disk.amend_at(now, slot, &block)?;
+        self.cache.invalidate(slot);
+        state.tip = layout::tip_tag(&block);
+        state.queued = Some((slot, folded));
+        Some(token)
     }
 
     /// Demand-loads the tree paths `pages` will touch, before any commit

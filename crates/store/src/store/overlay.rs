@@ -24,8 +24,11 @@ impl StoreShard {
     /// commits built. An inline pair's patched page (the next of
     /// `patched`) enters the overlay under the pair's digest; a page pair
     /// maps its block in the tree and takes the page out of the overlay.
-    /// The record's epoch becomes the object's. Returns the blocks the
-    /// tree stopped referencing.
+    /// The record's epoch becomes the object's, and every epoch it covers
+    /// counts against the delta window — a folded record is as many
+    /// commits as it spans, so full roots stay every [`DELTA_SLOTS`]
+    /// epochs and no two live records share a ring slot. Returns the
+    /// blocks the tree stopped referencing.
     pub(super) fn apply_record(
         &mut self,
         record: &DeltaRecord,
@@ -45,7 +48,7 @@ impl StoreShard {
             }
         }
         superseded.extend(state.tree.take_freed());
-        state.deltas_since_full += 1;
+        state.deltas_since_full += record.span + 1;
         state.epoch = record.epoch;
         // Each landed page supersedes the rotted block a scrub report may
         // name (an inline page's whole image is in the overlay).

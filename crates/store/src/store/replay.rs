@@ -4,44 +4,50 @@
 
 use super::*;
 
-/// The newest valid full root in an object's two root slots. `flush_seq`
-/// breaks ties when both slots hold the *same* epoch: a repair commit
-/// rewrites the root at the current epoch, and recovery must adopt the
-/// repaired (higher-sequence) one.
-fn newest_root(vt: &mut Vt, root_slots: &[u8], object: ObjectId) -> Option<RootRecord> {
-    let mut newest: Option<RootRecord> = None;
+/// The newest valid full root in an object's two root slots, with the
+/// tag a record extending it carries. `flush_seq` breaks ties when both
+/// slots hold the *same* epoch: a repair commit rewrites the root at the
+/// current epoch, and recovery must adopt the repaired (higher-sequence)
+/// one.
+fn newest_root(vt: &mut Vt, root_slots: &[u8], object: ObjectId) -> Option<(RootRecord, u32)> {
+    let mut newest: Option<(RootRecord, u32)> = None;
     for block in root_slots.chunks(BLOCK_SIZE) {
         vt.charge(Category::FileSystem, costs::ROOT_PARSE);
         if let Some(rec) = RootRecord::from_block(block, object) {
-            if newest.is_none_or(|b| {
+            if newest.is_none_or(|(b, _)| {
                 rec.epoch > b.epoch || (rec.epoch == b.epoch && rec.flush_seq > b.flush_seq)
             }) {
-                newest = Some(rec);
+                newest = Some((rec, layout::tip_tag(block)));
             }
         }
     }
     newest
 }
 
-/// The candidate records of `object` above epoch `above`, in epoch
-/// order: the valid records of its delta ring, then its `groups` from the
-/// batch ring (a batched commit is a delta whose record happens to be
-/// shared with other objects). Candidates of one epoch keep that order.
+/// A candidate record, with the tag a record extending it carries.
+type Tagged = (DeltaRecord, u32);
+
+/// The candidate records of `object` above epoch `above`, in order of
+/// their first epoch: the valid records of its delta ring, then its
+/// `groups` from the batch ring (a batched commit is a delta whose record
+/// happens to be shared with other objects). Candidates of one first
+/// epoch keep that order.
 fn record_suffix(
     vt: &mut Vt,
     delta_slots: &[u8],
-    groups: Vec<DeltaRecord>,
+    groups: Vec<Tagged>,
     object: ObjectId,
     above: Epoch,
-) -> Vec<DeltaRecord> {
+) -> Vec<Tagged> {
     let mut records = Vec::new();
     for block in delta_slots.chunks(BLOCK_SIZE) {
         vt.charge(Category::FileSystem, costs::ROOT_PARSE);
-        records.extend(DeltaRecord::from_block(block, object));
+        let tip = layout::tip_tag(block);
+        records.extend(DeltaRecord::from_block(block, object).map(|r| (r, tip)));
     }
     records.extend(groups);
-    records.retain(|r| r.epoch > above);
-    records.sort_by_key(|r| r.epoch);
+    records.retain(|(r, _)| r.epoch > above);
+    records.sort_by_key(|(r, _)| r.first_epoch());
     records
 }
 
@@ -64,8 +70,8 @@ enum Candidate {
     /// It extends the chain: land it with these patched pages, one per
     /// inline pair.
     Verified(Vec<Box<[u8]>>),
-    /// It does not extend the chain (a duplicate epoch, or it does not
-    /// verify); a later candidate of the next epoch may.
+    /// It does not extend the chain (it overlaps it, carries another
+    /// history's tag, or does not verify); a later candidate may.
     Rejected,
     /// The chain ends before it.
     ChainEnds,
@@ -133,14 +139,15 @@ impl StoreShard {
         // Scan the batch ring once: rebuild the next sequence number and
         // the slot occupancy, and bucket each record's groups by object so
         // the per-object replay below can fold them into its delta chain.
-        let mut batch_groups: HashMap<u32, Vec<DeltaRecord>> = HashMap::new();
+        let mut batch_groups: HashMap<u32, Vec<Tagged>> = HashMap::new();
         for (slot, block) in slab_blocks(layout.batch_ring_start(), BATCH_SLOTS).enumerate() {
             vt.charge(Category::FileSystem, costs::ROOT_PARSE);
             if let Some(rec) = BatchRecord::from_block(block) {
                 shard.batch_seq = shard.batch_seq.max(rec.seq + 1);
                 shard.batch_ring[slot] = rec.groups.iter().map(|g| (g.object, g.epoch)).collect();
+                let tip = layout::tip_tag(block);
                 for g in rec.groups {
-                    batch_groups.entry(g.object.0).or_default().push(g);
+                    batch_groups.entry(g.object.0).or_default().push((g, tip));
                 }
             }
         }
@@ -209,7 +216,7 @@ impl StoreShard {
         vt: &mut Vt,
         disk: &mut Disk,
         entry: DirEntry,
-        groups: Vec<DeltaRecord>,
+        groups: Vec<Tagged>,
     ) -> Result<u64, StoreError> {
         assert_eq!(
             entry.id.0 as usize,
@@ -227,24 +234,25 @@ impl StoreShard {
             delta_slots,
             groups,
             entry.id,
-            root.map_or(0, |r| r.epoch),
+            root.map_or(0, |(r, _)| r.epoch),
         );
         // The newest durable root's `high_water` is the allocator frontier
         // as of that commit; the frontier is monotone, so it covers every
         // data and node block any earlier commit of any object allocated.
         // No tree walk needed.
-        let mut high_water = root.map_or(meta_end, |r| {
+        let mut high_water = root.map_or(meta_end, |(r, _)| {
             meta_end.max(r.high_water).max(r.tree_root + 1)
         });
         let object = entry.id;
         self.adopt_object(entry, root);
-        let bases = self.prefetch_bases(vt, disk, object, &records)?;
-        for record in &records {
+        let bases = self.prefetch_bases(vt, disk, object, records.iter().map(|(r, _)| r))?;
+        for (record, tip) in &records {
             match self.check_record(vt, disk, record, &bases)? {
                 Candidate::Verified(patched) => {
                     // The superseded blocks of a replayed record are
                     // garbage below the recovered frontier.
                     self.apply_record(record, &mut patched.into_iter());
+                    self.objects[object.0 as usize].tip = *tip;
                     high_water = record.data_blocks().fold(high_water, |h, b| h.max(b + 1));
                 }
                 Candidate::Rejected => {}
@@ -254,15 +262,16 @@ impl StoreShard {
         Ok(high_water)
     }
 
-    /// Appends the object `entry` names to the directory, at the epoch of
-    /// its full root `root` (an empty tree at epoch 0 without one).
-    fn adopt_object(&mut self, entry: DirEntry, root: Option<RootRecord>) {
+    /// Appends the object `entry` names to the directory, at the epoch and
+    /// tip of its full root `root` (an empty tree at epoch 0 without one).
+    fn adopt_object(&mut self, entry: DirEntry, root: Option<(RootRecord, u32)>) {
         self.by_name.insert(entry.name.clone(), entry.id);
         let mut state = ObjectState::new(entry);
-        if let Some(r) = root {
+        if let Some((r, tip)) = root {
             state.tree = RadixTree::from_committed_digest(r.tree_root, r.root_digest, r.len_pages);
             state.epoch = r.epoch;
             state.full_count = r.flush_seq;
+            state.tip = tip;
         }
         self.objects.push(state);
     }
@@ -273,16 +282,16 @@ impl StoreShard {
     /// vectored reads of up to [`BULK_READ_PAGES`], instead of one short
     /// read per record. A rotted node is left for the replay to meet at
     /// the record it truncates.
-    fn prefetch_bases(
+    fn prefetch_bases<'a>(
         &mut self,
         vt: &mut Vt,
         disk: &mut Disk,
         object: ObjectId,
-        records: &[DeltaRecord],
+        records: impl Iterator<Item = &'a DeltaRecord>,
     ) -> Result<Prefetch, StoreError> {
         let tree = &mut self.objects[object.0 as usize].tree;
         let mut blocks: Vec<u64> = Vec::new();
-        for (page, word) in records.iter().flat_map(|d| &d.pairs) {
+        for (page, word) in records.flat_map(|d| &d.pairs) {
             match tree.hydrate_path(*page, &mut |b, out| disk.try_readv(vt, &mut [(b, out)])) {
                 Ok(()) if layout::unpack_entry(*word).0 == INLINE_BLOCK => {
                     blocks.extend(tree.get(*page));
@@ -306,13 +315,17 @@ impl StoreShard {
     /// `payload_sum`: a record can be durable while its data was torn or
     /// bit-flipped (the device "lied"), and the checksum is what keeps
     /// such a commit — and everything after it — out of the recovered
-    /// prefix. With the batch ring a *stale* record (a truncated-future
-    /// epoch whose slot was not yet reused) can share an epoch with the
-    /// live chain, so a candidate that fails is only [`Candidate::Rejected`]
-    /// and the next one of its epoch is tried. Line-grain pairs patch their
-    /// lines over the overlay's image, else the tree block (from `bases`,
-    /// or read here if a page-grain pair moved it), else zeroes, and each
-    /// patched page must match its pair digest. Nothing is applied here.
+    /// prefix. A *stale* record — a truncated future whose slot was not
+    /// yet reused, a duplicate in the batch ring, or a single record in a
+    /// slot a folded record skipped — can start at the live chain's next
+    /// epoch or below it, so a candidate that fails is only
+    /// [`Candidate::Rejected`] and the next one is tried; one that starts
+    /// at or below the tip overlaps the chain and is rejected outright,
+    /// and a tagged one must carry the tip's tag (DESIGN.md §6m).
+    /// Line-grain pairs patch their lines over the overlay's image, else
+    /// the tree block (from `bases`, or read here if a page-grain pair
+    /// moved it), else zeroes, and each patched page must match its pair
+    /// digest. Nothing is applied here.
     fn check_record(
         &mut self,
         vt: &mut Vt,
@@ -321,11 +334,14 @@ impl StoreShard {
         bases: &Prefetch,
     ) -> Result<Candidate, StoreError> {
         let state = &mut self.objects[record.object.0 as usize];
-        if record.epoch <= state.epoch {
-            return Ok(Candidate::Rejected); // a duplicate of a verified epoch
+        if record.first_epoch() <= state.epoch {
+            return Ok(Candidate::Rejected); // stale: it overlaps the chain
         }
-        if record.epoch != state.epoch + 1 {
+        if record.first_epoch() != state.epoch + 1 {
             return Ok(Candidate::ChainEnds); // past the chain tip
+        }
+        if record.tag != 0 && record.tag != state.tip {
+            return Ok(Candidate::Rejected); // it extends another history
         }
         let Some(inline_lines) = record.inline_lines() else {
             // An inline pair without its lines (a batch group never has one).

@@ -1,7 +1,9 @@
 //! What line-grain delta records promise (DESIGN.md §6m): the overlay is
 //! read first and never outlives a full root (I1, I2), replay patches in
-//! epoch order and trusts only the pair digest (I3), and the two ordering
-//! rules (R1, R2) hold whatever the device pool looks like.
+//! epoch order and trusts only the pair digest (I3), the two ordering
+//! rules (R1, R2) hold whatever the device pool looks like, and a commit
+//! folds into its object's record only while that record is queued (R3),
+//! on top of the tip its tag names.
 
 use super::*;
 use msnap_disk::{crash_at_every_io, Fault, FaultPlan};
@@ -255,6 +257,260 @@ fn a_commit_that_overtakes_its_predecessor_is_acked_with_it() {
         read_all(&mut reopened, &mut vt, &mut disk, obj, &settled),
         settled
     );
+}
+
+#[test]
+fn a_truncated_future_record_does_not_come_back_after_a_second_crash() {
+    // Life 1: e + 1's line record lands, e's record does not; recovery
+    // stops at e − 1 (as in the overtaking test above).
+    let cfg = DiskConfig {
+        channels: 4,
+        ..DiskConfig::paper()
+    };
+    let mut disk = Disk::new(cfg);
+    let mut shard = format_shard(&mut disk);
+    let mut vt_a = Vt::new(0);
+    let obj = shard.create(&mut vt_a, &mut disk, "o").unwrap();
+    let mut model = BTreeMap::new();
+    for w in [(0, 0, 1), (1, 0, 2)] {
+        commit_sync(&mut shard, &mut vt_a, &mut disk, obj, &mut model, w);
+    }
+    let mut settled = model.clone();
+    let e = shard.epoch(obj) + 1;
+    let mut vt_b = Vt::new(1);
+    vt_b.wait_until(vt_a.now());
+    vt_a.wait_until(vt_a.now() + Nanos::from_us(40));
+    commit(
+        &mut shard,
+        &mut vt_a,
+        &mut disk,
+        obj,
+        &mut model,
+        (0, 0, 3),
+        true,
+    );
+    commit(
+        &mut shard,
+        &mut vt_b,
+        &mut disk,
+        obj,
+        &mut model,
+        (1, 1, 4),
+        true,
+    );
+    let rec_e1 = *disk.write_completions().last().unwrap();
+    disk.crash(rec_e1 + Nanos::from_us(1));
+    let mut vt = Vt::new(2);
+    vt.wait_until(rec_e1 + Nanos::from_us(1));
+    let mut shard = open_shard(&mut vt, &mut disk).unwrap();
+    assert_eq!(shard.epoch(obj), e - 1);
+
+    // Life 2: a different epoch e, on page 0 only, so life 1's e + 1 —
+    // one line of page 1 — still verifies over its base. It was never
+    // acknowledged and extends a history this life does not have.
+    commit_sync(
+        &mut shard,
+        &mut vt,
+        &mut disk,
+        obj,
+        &mut settled,
+        (0, 1 << 9, 5),
+    );
+    assert_eq!(shard.epoch(obj), e);
+    disk.crash(vt.now());
+    let mut vt = Vt::new(3);
+    let mut reopened = open_shard(&mut vt, &mut disk).unwrap();
+    assert_eq!(reopened.epoch(obj), e, "life 1's e + 1 must stay dead");
+    assert_eq!(
+        read_all(&mut reopened, &mut vt, &mut disk, obj, &settled),
+        settled
+    );
+}
+
+/// Creates a second object and commits 24 whole pages of it without
+/// waiting: both channels of the paper device stay busy for a few tens
+/// of µs.
+fn saturate(shard: &mut StoreShard, vt: &mut Vt, disk: &mut Disk) {
+    let busy = shard.create(vt, disk, "busy").unwrap();
+    let page = page_of(0xB5);
+    let pages: Vec<(u64, &[u8])> = (0..24).map(|p| (p, &page[..])).collect();
+    shard
+        .persist_batch(vt, disk, &[(busy, &pages[..])])
+        .unwrap();
+}
+
+#[test]
+fn a_commit_before_its_objects_record_starts_rides_it() {
+    let (mut disk, mut shard, mut vt) = setup();
+    let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+    let mut model = BTreeMap::new();
+    commit_sync(&mut shard, &mut vt, &mut disk, obj, &mut model, (0, 0, 1));
+    saturate(&mut shard, &mut vt, &mut disk);
+    let one_write = disk.config().segment_latency(BLOCK_SIZE);
+
+    let first = commit(
+        &mut shard,
+        &mut vt,
+        &mut disk,
+        obj,
+        &mut model,
+        (0, 1 << 1, 2),
+        true,
+    );
+    let starts = first.completes - one_write;
+    assert!(starts > vt.now(), "the record waits for a channel");
+    let ios = disk.io_seq();
+    let riding = commit(
+        &mut shard,
+        &mut vt,
+        &mut disk,
+        obj,
+        &mut model,
+        (1, 1 << 2, 3),
+        true,
+    );
+    assert!(vt.now() < starts);
+    assert_eq!(disk.io_seq(), ios, "no submission of its own");
+    assert_eq!(riding.epoch, first.epoch + 1);
+    assert_eq!(riding.completes, first.completes, "acked with the record");
+    assert_eq!(riding.bytes_written, 0);
+    assert_eq!(shard.stats().absorbed_commits, 1);
+    let slot = shard.objects[obj.0 as usize].entry.delta_slot(first.epoch);
+    let folded = DeltaRecord::from_block(disk.peek(slot).unwrap(), obj).unwrap();
+    assert_eq!(
+        (folded.first_epoch(), folded.epoch),
+        (first.epoch, riding.epoch)
+    );
+    assert_eq!(folded.pairs.len(), 2);
+
+    // Once the device has picked the record up, the next commit writes
+    // its own.
+    vt.wait_until(starts);
+    let late = commit(
+        &mut shard,
+        &mut vt,
+        &mut disk,
+        obj,
+        &mut model,
+        (0, 1 << 3, 4),
+        true,
+    );
+    assert_eq!(disk.io_seq(), ios + 1);
+    assert!(late.completes > first.completes);
+    assert_eq!(shard.stats().absorbed_commits, 1);
+    assert_eq!(shard.stats().line_commits, 3);
+    ObjectStore::wait(&mut vt, late);
+    assert_reads_back(&mut shard, &mut vt, &mut disk, obj, &model);
+}
+
+/// `threads` virtual threads on the min-clock rule, each committing
+/// `per_thread` one-line writes to one object and waiting for each
+/// before its next, behind a saturating commit of another object. Returns
+/// the device, each commit's durability instant and the model after it,
+/// in epoch order, and how many commits were absorbed.
+#[allow(clippy::type_complexity)]
+fn drive_threads(
+    threads: u32,
+    per_thread: u64,
+) -> (Disk, Vec<(Nanos, BTreeMap<u64, Vec<u8>>)>, u64) {
+    let (mut disk, mut shard, mut vt) = setup();
+    let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+    saturate(&mut shard, &mut vt, &mut disk);
+    let mut clocks: Vec<Vt> = (0..threads).map(Vt::new).collect();
+    for clock in &mut clocks {
+        clock.wait_until(vt.now());
+    }
+    let mut model = BTreeMap::new();
+    let mut acked = Vec::new();
+    for w in one_line_writes(threads as u64 * per_thread) {
+        let clock = clocks.iter_mut().min_by_key(|c| c.now()).unwrap();
+        let token = commit(&mut shard, clock, &mut disk, obj, &mut model, w, true);
+        ObjectStore::wait(clock, token);
+        acked.push((token.completes, model.clone()));
+    }
+    (disk, acked, shard.stats().absorbed_commits)
+}
+
+#[test]
+fn every_io_boundary_of_folding_threads_recovers_an_acked_prefix() {
+    let (_, acked, absorbed) = drive_threads(4, 12);
+    assert!(absorbed >= 8, "{absorbed} commits folded");
+    assert!(
+        acked.windows(2).all(|w| w[0].0 <= w[1].0),
+        "acks in epoch order"
+    );
+    let points = crash_at_every_io(
+        || drive_threads(4, 12).0,
+        |disk, at| {
+            let durable = acked.iter().filter(|(done, _)| *done <= at).count();
+            let Some((epoch, got)) = recover(disk) else {
+                assert_eq!(durable, 0, "crash at {at:?} lost the object");
+                return;
+            };
+            let epoch = epoch as usize;
+            assert!(epoch >= durable, "{at:?}: epoch {epoch} < {durable} acked");
+            let mut want: BTreeMap<u64, Vec<u8>> = (0..3).map(|p| (p, page_of(0))).collect();
+            if epoch > 0 {
+                want.extend(acked[epoch - 1].1.clone());
+            }
+            assert_eq!(got, want, "crash at {at:?}, epoch {epoch}");
+        },
+    );
+    assert!(points > 48, "{points} crash points");
+}
+
+#[test]
+fn replay_follows_a_folded_record_past_stale_and_overlapping_ones() {
+    let obj = ObjectId(0);
+    // A full root at r, then r + 1, then r + 2 ..= r + 4 folded into one
+    // record in slot r + 2, then r + 5.
+    let (mut disk, mut shard, root, mut models) = chain_over_a_root(&[(0, 1, 9)]);
+    let mut model = models.pop().unwrap();
+    let mut vt = Vt::new(4);
+    vt.wait_until(shard.last_commit(obj));
+    saturate(&mut shard, &mut vt, &mut disk);
+    for w in [(1, 2, 10), (2, 4, 11), (1, 8, 12)] {
+        commit(&mut shard, &mut vt, &mut disk, obj, &mut model, w, true);
+    }
+    assert_eq!(shard.stats().absorbed_commits, 2);
+    vt.wait_until(shard.last_commit(obj));
+    commit_sync(&mut shard, &mut vt, &mut disk, obj, &mut model, (0, 16, 13));
+    assert_eq!(shard.epoch(obj), root + 5);
+
+    // Stale records from another history in the two slots the fold
+    // skipped: a single record of r + 3, and one covering r + 4 ..= r + 5
+    // — past the live tip's epoch, but overlapping it.
+    let entry = shard.objects[0].entry.clone();
+    let stale = |epoch, span| DeltaRecord {
+        object: obj,
+        epoch,
+        span,
+        tag: 0,
+        len_pages: 3,
+        payload_sum: layout::FNV_OFFSET,
+        pairs: vec![(0, layout::pack_entry(INLINE_BLOCK, 0x5757))],
+        body: [&1u64.to_le_bytes()[..], &[0x57; 64]].concat(),
+    };
+    for (slot, record) in [
+        (root + 3, stale(root + 3, 0)),
+        (root + 4, stale(root + 5, 1)),
+    ] {
+        disk.write_block_at(vt.now(), entry.delta_slot(slot), &record.to_block())
+            .unwrap();
+    }
+    disk.settle();
+    let (mut reopened, mut vt, _) = reopen_counting(&mut disk);
+    assert_eq!(reopened.epoch(obj), root + 5, "the live tip");
+    assert_eq!(
+        read_all(&mut reopened, &mut vt, &mut disk, obj, &model),
+        model
+    );
+    // The folded record counts every epoch it covers against the window,
+    // so the recovered object takes its next full root when the live one
+    // would have.
+    let window = |s: &StoreShard| s.objects[0].deltas_since_full;
+    assert_eq!(window(&reopened), window(&shard));
+    assert_eq!(window(&reopened), 5);
 }
 
 #[test]

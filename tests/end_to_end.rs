@@ -233,6 +233,50 @@ fn sls_crash_cycle_two_regions() {
     assert_eq!(&buf, b"only-once");
 }
 
+/// An in-place μCheckpoint issued while its region's previous record is
+/// still queued on a busy device rides that record: no write of its own,
+/// counted in `StoreStats::absorbed_commits`, and restored after a crash
+/// at the record's completion.
+#[test]
+fn a_commit_behind_its_regions_queued_record_rides_it() {
+    let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
+    let mut vt = Vt::new(0);
+    let space = ms.vm_mut().create_space();
+    let t = vt.id();
+    let busy = ms.msnap_open(&mut vt, space, "busy", 24).unwrap();
+    let r = ms.msnap_open(&mut vt, space, "data", 16).unwrap();
+    let sel = RegionSel::Region(r.md);
+    // 24 whole pages of another region in flight keep both channels of
+    // the paper device busy.
+    for p in 0..24 {
+        let va = busy.addr + p * PAGE_SIZE as u64;
+        ms.write(&mut vt, space, t, va, &[7; PAGE_SIZE]).unwrap();
+    }
+    let busy_sel = RegionSel::Region(busy.md);
+    ms.msnap_persist(&mut vt, t, busy_sel, PersistFlags::async_())
+        .unwrap();
+
+    let ios = ms.disk().io_seq();
+    ms.write(&mut vt, space, t, r.addr, &[1; 8]).unwrap();
+    let first = ms.msnap_persist(&mut vt, t, sel, PersistFlags::async_());
+    ms.write(&mut vt, space, t, r.addr + 64, &[2; 8]).unwrap();
+    let second = ms.msnap_persist(&mut vt, t, sel, PersistFlags::async_());
+    let (first, second) = (first.unwrap(), second.unwrap());
+    assert_eq!((second, ms.disk().io_seq()), (first + 1, ios + 1));
+    let stats = ms.store().stats();
+    assert_eq!((stats.line_commits, stats.absorbed_commits), (2, 1));
+    ms.msnap_wait(&mut vt, sel, second).unwrap();
+
+    let disk = ms.crash(vt.now());
+    let mut vt2 = Vt::new(1);
+    let mut ms2 = MemSnap::restore(&mut vt2, disk).unwrap();
+    let space2 = ms2.vm_mut().create_space();
+    let r2 = ms2.msnap_open(&mut vt2, space2, "data", 0).unwrap();
+    let mut buf = [0u8; 72];
+    ms2.read(&mut vt2, space2, r2.addr, &mut buf).unwrap();
+    assert_eq!((&buf[..8], &buf[64..]), (&[1; 8][..], &[2; 8][..]));
+}
+
 /// Replication acceptance: a replica whose device suffers transient IO
 /// faults mid-apply still catches up to the primary's newest retained
 /// snapshot through delta streams alone — one initial full image, and
