@@ -31,6 +31,8 @@
 //! - [`CostTracker`] / [`Category`]: CPU-time attribution used to reproduce
 //!   the paper's CPU-breakdown tables (Tables 1 and 8).
 //! - [`hash`]: the workspace's one FNV-1a (64- and 32-bit).
+//! - [`wire`]: the little-endian `put_*` appenders and bounds-checked
+//!   [`wire::Reader`] every wire format is written and read with.
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@ mod sched;
 mod stats;
 mod time;
 mod vthread;
+pub mod wire;
 
 pub use cost::{Category, CostTracker};
 pub use interleave::InterleaveSched;
