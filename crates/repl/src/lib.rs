@@ -88,6 +88,18 @@
 //! receiving store re-verifies against its tree's expected digest
 //! before committing the healed page crash-atomically — a stale,
 //! divergent, or forged payload is refused at both ends.
+//!
+//! # Module map
+//!
+//! - `proto.rs`: the wire messages ([`Msg`]) and their packing into
+//!   datagrams.
+//! - `engine.rs`: [`ReplEngine`] — the links, the tick and its timers,
+//!   promotion, and what both ends share (the anchor rule, the repair
+//!   exchange). Its two halves:
+//!   - `engine/ship.rs`, the sender: planning, building and sending each
+//!     ship, and the snapshots ships pin;
+//!   - `engine/replica.rs`, the receiver: [`ReplicaNode`] — reassembly,
+//!     apply, `Nak`s, repair and cuts.
 
 #![warn(missing_docs)]
 
