@@ -19,7 +19,8 @@
 //!   (group-committed μCheckpoints per tenant stripe), notify
 //!   (dirty-line-record fan-out, released at epoch-vector cut
 //!   boundaries), read (bounded-staleness replica routing) — plus
-//!   crash/promotion re-homing.
+//!   crash/promotion re-homing. The actors live in `server/control.rs`,
+//!   `server/write.rs` (write, notify, cut) and `server/read.rs`.
 //! - [`harness`]: a seeded fleet of oracle clients driving Zipfian
 //!   tenant×key skew, with mid-run failover injection and
 //!   exactly-once watch verification.
