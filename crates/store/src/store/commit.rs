@@ -414,8 +414,7 @@ impl StoreShard {
                 object: *object,
                 epoch: state.epoch + 1,
                 span: 0,
-                // A batch group has no word to carry a tag.
-                tag: if shared { 0 } else { state.tip },
+                tag: state.tip,
                 len_pages,
                 payload_sum,
                 pairs,

@@ -327,6 +327,74 @@ fn a_truncated_future_record_does_not_come_back_after_a_second_crash() {
     );
 }
 
+#[test]
+fn a_truncated_future_batch_group_does_not_come_back_after_a_second_crash() {
+    // As above, but life 1 commits e + 1 as a page-grain batch with a
+    // second object: the batch record overtakes e's record.
+    let cfg = DiskConfig {
+        channels: 4,
+        ..DiskConfig::paper()
+    };
+    let mut disk = Disk::new(cfg);
+    let mut shard = format_shard(&mut disk);
+    let mut vt_a = Vt::new(0);
+    let obj = shard.create(&mut vt_a, &mut disk, "o").unwrap();
+    let other = shard.create(&mut vt_a, &mut disk, "other").unwrap();
+    let mut model = BTreeMap::new();
+    for w in [(0, 0, 1), (1, 0, 2)] {
+        commit_sync(&mut shard, &mut vt_a, &mut disk, obj, &mut model, w);
+    }
+    let mut settled = model.clone();
+    let e = shard.epoch(obj) + 1;
+    let mut vt_b = Vt::new(1);
+    vt_b.wait_until(vt_a.now());
+    vt_a.wait_until(vt_a.now() + Nanos::from_us(40));
+    commit(
+        &mut shard,
+        &mut vt_a,
+        &mut disk,
+        obj,
+        &mut model,
+        (0, 0, 3),
+        true,
+    );
+    let (image, page) = (apply(&mut model, (1, 0, 4)), page_of(0x0E));
+    let groups: [(ObjectId, &[(u64, &[u8])]); 2] =
+        [(obj, &[(1, &image[..])]), (other, &[(0, &page[..])])];
+    let tokens = shard.persist_batch(&mut vt_b, &mut disk, &groups).unwrap();
+    assert_eq!(tokens[0].epoch, e + 1);
+    let landed = disk.write_completions();
+    let (rec_e, rec_e1) = (landed[landed.len() - 3], landed[landed.len() - 1]);
+    assert!(rec_e1 < rec_e, "the batch record completes first");
+    disk.crash(rec_e1 + Nanos::from_us(1));
+    let mut vt = Vt::new(2);
+    vt.wait_until(rec_e1 + Nanos::from_us(1));
+    let mut shard = open_shard(&mut vt, &mut disk).unwrap();
+    assert_eq!(shard.epoch(obj), e - 1);
+
+    // Life 2: a different epoch e, one line of page 0. Life 1's group of
+    // e + 1 — page 1 whole, its data extent intact — would verify, but
+    // it was never acknowledged and extends a history this life does not
+    // have.
+    commit_sync(
+        &mut shard,
+        &mut vt,
+        &mut disk,
+        obj,
+        &mut settled,
+        (0, 1 << 9, 5),
+    );
+    assert_eq!(shard.epoch(obj), e);
+    disk.crash(vt.now());
+    let mut vt = Vt::new(3);
+    let mut reopened = open_shard(&mut vt, &mut disk).unwrap();
+    assert_eq!(reopened.epoch(obj), e, "life 1's e + 1 must stay dead");
+    assert_eq!(
+        read_all(&mut reopened, &mut vt, &mut disk, obj, &settled),
+        settled
+    );
+}
+
 /// Creates a second object and commits 24 whole pages of it without
 /// waiting: both channels of the paper device stay busy for a few tens
 /// of µs.
