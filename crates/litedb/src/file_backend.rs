@@ -66,16 +66,6 @@ impl FileBackend {
         }
     }
 
-    /// Overrides the WAL checkpoint threshold.
-    pub fn set_checkpoint_bytes(&mut self, bytes: u64) {
-        self.checkpoint_bytes = bytes;
-    }
-
-    /// Overrides the userspace page-cache capacity.
-    pub fn set_cache_pages(&mut self, pages: usize) {
-        self.cache_cap = pages;
-    }
-
     /// Simulates a crash at `at` followed by recovery: the buffer cache
     /// is lost, the device rolls back incomplete writes, and the WAL is
     /// replayed up to its last intact record.
@@ -251,7 +241,7 @@ mod tests {
     #[test]
     fn checkpoint_fires_at_threshold() {
         let (mut b, mut vt) = setup();
-        b.set_checkpoint_bytes(16 * PAGE_SIZE as u64);
+        b.checkpoint_bytes = 16 * PAGE_SIZE as u64;
         let t = vt.id();
         for i in 0..20u64 {
             b.write_page(&mut vt, t, i, &page_of(i as u8));
@@ -289,7 +279,7 @@ mod tests {
     #[test]
     fn cache_eviction_falls_back_to_files() {
         let (mut b, mut vt) = setup();
-        b.set_cache_pages(8);
+        b.cache_cap = 8;
         let t = vt.id();
         for i in 0..32u64 {
             b.write_page(&mut vt, t, i, &page_of(i as u8));

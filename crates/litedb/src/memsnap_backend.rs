@@ -113,11 +113,6 @@ impl MemSnapBackend {
         &mut self.ms
     }
 
-    /// Enables strict property-③ checking in the VM (tests).
-    pub fn set_strict_isolation(&mut self, strict: bool) {
-        self.ms.vm_mut().set_strict_isolation(strict);
-    }
-
     /// Installs a deterministic fault plan on the underlying device
     /// (robustness testing).
     pub fn set_fault_plan(&mut self, plan: msnap_disk::FaultPlan) {

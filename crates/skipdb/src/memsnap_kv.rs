@@ -87,11 +87,6 @@ impl MemSnapKv {
         &mut self.ms
     }
 
-    /// Enables strict property-③ checking in the VM (tests).
-    pub fn set_strict_isolation(&mut self, strict: bool) {
-        self.ms.vm_mut().set_strict_isolation(strict);
-    }
-
     /// Node pages allocated so far (diagnostics).
     pub fn pages_used(&self) -> u64 {
         self.list.pages_used()

@@ -392,7 +392,7 @@ mod tests {
                 let run = |read: fn(&mut StoreShard, &mut Vt, &mut Disk, ObjectId, u64, u64) -> ReadOutcome| {
                     let (mut disk, mut shard, mut vt, obj, blocks) =
                         build_object(&pages, per_commit, reopen);
-                    shard.set_cache_capacity(cache_blocks);
+                    shard.cache = BlockCache::new(cache_blocks);
                     disk.seeded_rot(rot.0, &blocks, rot.1);
                     let mut buf = page_of(0);
                     for &page in &warm {
