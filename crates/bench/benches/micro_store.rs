@@ -12,7 +12,7 @@ fn bench_radix(c: &mut Criterion) {
             RadixTree::new,
             |mut tree| {
                 for i in 0..1000u64 {
-                    tree.set((i * 7919) % 100_000, 100 + i);
+                    tree.set_entry((i * 7919) % 100_000, 100 + i, i as u32);
                 }
                 tree
             },
@@ -25,7 +25,7 @@ fn bench_radix(c: &mut Criterion) {
             || {
                 let mut tree = RadixTree::new();
                 for i in 0..1000u64 {
-                    tree.set((i * 7919) % 100_000, 100 + i);
+                    tree.set_entry((i * 7919) % 100_000, 100 + i, i as u32);
                 }
                 tree
             },

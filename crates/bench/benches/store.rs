@@ -287,7 +287,7 @@ fn sweep_snapshot() -> Vec<SnapPoint> {
         // Clone costs on a standalone tree of the same shape.
         let mut tree = RadixTree::new();
         for p in 0..pages {
-            tree.set(p, 1_000 + p);
+            tree.set_entry(p, 1_000 + p, p as u32);
         }
         let mut next = 1u64;
         let mut writes = Vec::new();

@@ -15,16 +15,25 @@
 //! proportional to the *subsequently dirtied* set instead of the object.
 //!
 //! A committed subtree need not be resident: [`Child::Unloaded`] records
-//! the node's disk block without reading it, and the tree hydrates nodes on
-//! first touch ([`RadixTree::hydrate_path`]). Opening an object is
-//! therefore O(1) IO — just the root record — and
-//! [`RadixTree::diff_pages_with`] skips shared subtrees by comparing block
-//! numbers *without* hydrating either side.
+//! the node's disk block and the digest of its image without reading it,
+//! and every hydration, the root's included, verifies the image it reads
+//! against that digest. The tree has one surface, lazy and fallible:
+//!
+//! - open: [`RadixTree::new`], or [`RadixTree::from_committed_digest`]
+//!   (O(1), nothing read);
+//! - read: [`RadixTree::get_entry_or_load`], [`RadixTree::entries_from`]
+//!   (page order), or [`RadixTree::hydrate_path`] then [`RadixTree::get`];
+//! - write: [`RadixTree::hydrate_path`], [`RadixTree::set_entry`], then
+//!   [`RadixTree::commit`];
+//! - compare: [`RadixTree::diff_pages_with`], which skips shared subtrees
+//!   by block number *without* hydrating either side;
+//! - blocks: [`RadixTree::hydrate_all`], then [`RadixTree::disk_blocks`].
 
 use std::sync::Arc;
 
 use crate::layout::{digest32, pack_entry, unpack_entry, DIGEST_NONE};
 use msnap_disk::{IoError, BLOCK_SIZE};
+use msnap_sim::wire::Reader;
 
 /// Children per node: one 4 KiB block of u64 entry words.
 pub const FANOUT: usize = BLOCK_SIZE / 8;
@@ -78,8 +87,7 @@ impl std::error::Error for TreeError {}
 enum Child {
     Empty,
     /// At the last level: a data block number plus the digest32 of the
-    /// page contents ([`DIGEST_NONE`] only when set through the
-    /// digest-less [`RadixTree::set`]).
+    /// page contents.
     Data {
         block: u64,
         digest: u32,
@@ -135,18 +143,19 @@ impl Node {
     /// Parses a node image read from `block`. Children at interior levels
     /// come back [`Child::Unloaded`]; nothing below is read. `disk_digest`
     /// is the digest of `buf` itself (the caller has already verified it
-    /// against the parent's expectation where one exists).
+    /// against the parent's expectation).
     fn parse(block: u64, buf: &[u8; BLOCK_SIZE], level: usize) -> Node {
         let mut node = Node::new();
         node.disk_block = Some(block);
         node.disk_digest = digest32(buf);
-        for i in 0..FANOUT {
-            let v = u64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
-            if v == 0 {
+        let mut r = Reader::new(buf);
+        for child in &mut node.children {
+            // A zero word is an empty slot; FANOUT words fill the block.
+            let Ok(word @ 1..) = r.u64() else {
                 continue;
-            }
-            let (b, digest) = unpack_entry(v);
-            node.children[i] = if level == LEVELS - 1 {
+            };
+            let (b, digest) = unpack_entry(word);
+            *child = if level == LEVELS - 1 {
                 Child::Data { block: b, digest }
             } else {
                 Child::Unloaded { block: b, digest }
@@ -175,9 +184,9 @@ impl Node {
 }
 
 /// Replaces an [`Child::Unloaded`] slot with its resident node (reading it
-/// via `read`) and returns a mutable reference to the node. The image read
-/// back is verified against the digest the parent recorded; a mismatch is
-/// [`TreeError::CorruptNode`].
+/// via `read`) and returns a mutable reference to the node. Every image
+/// read back, the root's included, is verified against the digest its
+/// parent or record carries; a mismatch is [`TreeError::CorruptNode`].
 /// On any error the slot is left `Unloaded` — nothing is poisoned and a
 /// retry starts from the same state.
 fn hydrate_slot<'a>(
@@ -188,12 +197,7 @@ fn hydrate_slot<'a>(
     if let Child::Unloaded { block, digest } = *slot {
         let mut buf = [0u8; BLOCK_SIZE];
         read(block, &mut buf)?;
-        // The store never hands this a zero digest: every root record,
-        // catalog entry and node image it opens carries real ones. The
-        // skip exists only for the digest-less test surface
-        // (`from_committed`, `load`, `set`) the property tests and micro
-        // benches drive directly.
-        if digest != DIGEST_NONE && digest32(&buf) != digest {
+        if digest32(&buf) != digest {
             return Err(TreeError::CorruptNode { block });
         }
         *slot = Child::Node(Arc::new(Node::parse(block, &buf, level)));
@@ -206,12 +210,12 @@ fn hydrate_slot<'a>(
 
 /// An object's page index: in-memory COW radix tree with dirty tracking.
 ///
-/// `set` marks the touched root-to-leaf path dirty; [`RadixTree::commit`]
-/// assigns fresh blocks to every dirty node (children before parents) and
-/// emits their serialized images, returning the new root block. Blocks
-/// superseded by the commit are reported for recycling — committed nodes
-/// are never mutated in place, which is the COW invariant the crash-
-/// consistency argument rests on.
+/// [`RadixTree::set_entry`] marks the touched root-to-leaf path dirty;
+/// [`RadixTree::commit`] assigns fresh blocks to every dirty node
+/// (children before parents) and emits their serialized images, returning
+/// the new root block. Blocks superseded by the commit are reported for
+/// recycling — committed nodes are never mutated in place, which is the
+/// COW invariant the crash-consistency argument rests on.
 ///
 /// Cloning is O(1): nodes are `Arc`-shared and copied lazily, path by
 /// path, as either side mutates. A clone taken of a dirty tree keeps its
@@ -242,18 +246,10 @@ impl RadixTree {
         Self::default()
     }
 
-    /// Wraps a committed root block without reading anything: O(1). Nodes
-    /// hydrate on first touch. `root_block == 0` yields an empty tree.
-    /// The root hydrates unverified (no known digest): a helper for tests
-    /// and benches that drive the tree without a store; the store always
-    /// uses [`RadixTree::from_committed_digest`].
-    pub fn from_committed(root_block: u64, len_pages: u64) -> Self {
-        Self::from_committed_digest(root_block, DIGEST_NONE, len_pages)
-    }
-
-    /// [`RadixTree::from_committed`] with the root record's digest of the
-    /// root node image, so the very first hydration is verified too —
-    /// closing the Merkle chain at the top.
+    /// Wraps a committed root block and the record's digest of its image
+    /// without reading anything: O(1). Nodes hydrate on first touch, the
+    /// root's verified against `root_digest` — closing the Merkle chain at
+    /// the top. `root_block == 0` yields an empty tree.
     pub fn from_committed_digest(root_block: u64, root_digest: u32, len_pages: u64) -> Self {
         RadixTree {
             root: if root_block == 0 {
@@ -267,26 +263,6 @@ impl RadixTree {
             freed: Vec::new(),
             len_pages,
         }
-    }
-
-    /// Loads a committed tree eagerly from disk.
-    ///
-    /// `read` reads one block into the provided buffer (the store charges
-    /// the IO cost). `root_block == 0` yields an empty tree. This is the
-    /// pre-lazy-hydration path, kept for ablation and for callers that
-    /// know they will touch everything.
-    pub fn load(
-        root_block: u64,
-        len_pages: u64,
-        read: &mut dyn FnMut(u64, &mut [u8; BLOCK_SIZE]),
-    ) -> Self {
-        let mut tree = Self::from_committed(root_block, len_pages);
-        tree.hydrate_all(&mut |b, out| {
-            read(b, out);
-            Ok(())
-        })
-        .expect("infallible read callback");
-        tree
     }
 
     /// Reads every unloaded node so the whole tree is resident.
@@ -310,8 +286,9 @@ impl RadixTree {
     }
 
     /// Hydrates the root-to-leaf path for `page` without dirtying it.
-    /// After this returns `Ok`, [`RadixTree::get`] and [`RadixTree::set`]
-    /// on `page` cannot cross an unloaded node. On error nothing has been
+    /// After this returns `Ok`, [`RadixTree::get`] and
+    /// [`RadixTree::set_entry`] on `page` cannot cross an unloaded node,
+    /// so a write hydrates before it mutates. On error nothing has been
     /// mutated except already-completed hydrations (which are semantically
     /// neutral), so retrying is safe.
     pub fn hydrate_path(&mut self, page: u64, read: BlockRead) -> Result<(), TreeError> {
@@ -332,12 +309,6 @@ impl RadixTree {
         Ok(())
     }
 
-    /// The data block holding `page`, hydrating the path on demand.
-    pub fn get_or_load(&mut self, page: u64, read: BlockRead) -> Result<Option<u64>, TreeError> {
-        self.hydrate_path(page, read)?;
-        Ok(self.get(page))
-    }
-
     /// The `(data block, content digest)` entry for `page`, hydrating the
     /// path on demand.
     pub fn get_entry_or_load(
@@ -349,26 +320,12 @@ impl RadixTree {
         Ok(self.get_entry(page))
     }
 
-    /// [`RadixTree::set_entry`] with demand hydration. The path is
-    /// hydrated *before* any mutation, so an IO error leaves the mapping
-    /// unchanged.
-    pub fn set_entry_with(
-        &mut self,
-        page: u64,
-        data_block: u64,
-        digest: u32,
-        read: BlockRead,
-    ) -> Result<Option<u64>, TreeError> {
-        self.hydrate_path(page, read)?;
-        Ok(self.set_entry(page, data_block, digest))
-    }
-
     /// The data block holding `page`, if the page has been written.
     ///
     /// # Panics
     ///
-    /// Panics if the lookup crosses an unloaded subtree — use
-    /// [`RadixTree::get_or_load`] on lazily opened trees.
+    /// Panics if the lookup crosses an unloaded subtree — hydrate the
+    /// path first ([`RadixTree::hydrate_path`]).
     pub fn get(&self, page: u64) -> Option<u64> {
         self.get_entry(page).map(|(b, _)| b)
     }
@@ -379,20 +336,19 @@ impl RadixTree {
     ///
     /// Panics if the lookup crosses an unloaded subtree — use
     /// [`RadixTree::get_entry_or_load`] on lazily opened trees.
-    #[allow(clippy::needless_range_loop)] // SHIFT is indexed by level on purpose
     pub fn get_entry(&self, page: u64) -> Option<(u64, u32)> {
         assert!(page < MAX_PAGES, "page index out of range");
         let mut child = &self.root;
-        for level in 0..LEVELS {
+        for (level, &shift) in SHIFT.iter().enumerate() {
             let node = match child {
                 Child::Empty => return None,
                 Child::Unloaded { .. } => {
-                    panic!("get crossed an unloaded subtree; use get_or_load")
+                    panic!("get crossed an unloaded subtree; use get_entry_or_load")
                 }
                 Child::Node(n) => n,
                 Child::Data { .. } => unreachable!("Data children only exist at the last level"),
             };
-            let idx = ((page >> SHIFT[level]) as usize) & (FANOUT - 1);
+            let idx = ((page >> shift) as usize) & (FANOUT - 1);
             child = &node.children[idx];
             if level == LEVELS - 1 {
                 return match child {
@@ -405,13 +361,6 @@ impl RadixTree {
         unreachable!()
     }
 
-    /// Points `page` at `data_block` with no recorded content digest —
-    /// [`RadixTree::set_entry`] with [`DIGEST_NONE`]. Kept for callers
-    /// (and tests) that manage blocks without page contents in hand.
-    pub fn set(&mut self, page: u64, data_block: u64) -> Option<u64> {
-        self.set_entry(page, data_block, DIGEST_NONE)
-    }
-
     /// Points `page` at `data_block` (recording `digest` as the digest32
     /// of its contents), COW-dirtying the path. Returns the replaced data
     /// block, if any (the caller recycles it after commit). Shared nodes
@@ -421,8 +370,7 @@ impl RadixTree {
     /// # Panics
     ///
     /// Panics if `page >= MAX_PAGES`, `data_block == 0`, or the path
-    /// crosses an unloaded subtree (use [`RadixTree::set_entry_with`]).
-    #[allow(clippy::needless_range_loop)] // SHIFT is indexed by level on purpose
+    /// crosses an unloaded subtree ([`RadixTree::hydrate_path`] first).
     pub fn set_entry(&mut self, page: u64, data_block: u64, digest: u32) -> Option<u64> {
         assert!(page < MAX_PAGES, "page index out of range");
         assert!(data_block != 0, "block 0 is reserved");
@@ -431,11 +379,11 @@ impl RadixTree {
             self.root = Child::Node(Arc::new(Node::new()));
         }
         let mut slot = &mut self.root;
-        for level in 0..LEVELS {
+        for (level, &shift) in SHIFT.iter().enumerate() {
             let node = match slot {
                 Child::Node(n) => Arc::make_mut(n),
                 Child::Unloaded { .. } => {
-                    panic!("set crossed an unloaded subtree; use set_entry_with")
+                    panic!("set_entry crossed an unloaded subtree; hydrate_path first")
                 }
                 _ => unreachable!("interior slots always hold nodes here"),
             };
@@ -443,7 +391,7 @@ impl RadixTree {
             if let Some(b) = node.disk_block.take() {
                 self.freed.push(b);
             }
-            let idx = ((page >> SHIFT[level]) as usize) & (FANOUT - 1);
+            let idx = ((page >> shift) as usize) & (FANOUT - 1);
             if level == LEVELS - 1 {
                 let old = match node.children[idx] {
                     Child::Data { block, .. } => Some(block),
@@ -584,47 +532,16 @@ impl RadixTree {
         }
     }
 
-    /// Every disk block reachable from the committed tree: all node
-    /// blocks plus all data blocks. This is the block set a retained
-    /// snapshot pins.
+    /// Every disk block the tree references, parents before children:
+    /// each committed node's block and every data block. Of a committed
+    /// tree this is the block set a retained snapshot pins; of an
+    /// abandoned (possibly mid-delta-window) history, the footprint the
+    /// rebase path quarantines for recycling. A dirty node has no block
+    /// of its own yet, but the blocks below it are real and listed.
     ///
     /// # Panics
     ///
-    /// Panics if any node is dirty (callers commit first) or not resident
-    /// (use [`RadixTree::reachable_blocks_with`]).
-    pub fn reachable_blocks(&self) -> Vec<u64> {
-        fn walk(child: &Child, out: &mut Vec<u64>) {
-            match child {
-                Child::Empty => {}
-                Child::Data { block, .. } => out.push(*block),
-                Child::Unloaded { .. } => {
-                    panic!("reachable_blocks on a partially loaded tree; use reachable_blocks_with")
-                }
-                Child::Node(n) => {
-                    out.push(n.disk_block.expect("reachable_blocks on a dirty tree"));
-                    for c in &n.children {
-                        walk(c, out);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, &mut out);
-        out
-    }
-
-    /// [`RadixTree::reachable_blocks`] with demand hydration: reads any
-    /// unloaded nodes (enumerating a subtree requires its contents).
-    pub fn reachable_blocks_with(&mut self, read: BlockRead) -> Result<Vec<u64>, TreeError> {
-        self.hydrate_all(read)?;
-        Ok(self.reachable_blocks())
-    }
-
-    /// Every disk block the tree references, tolerating dirty nodes: a
-    /// dirty node has no committed block of its own yet, but the data
-    /// blocks and committed nodes below it are real. This is the on-disk
-    /// footprint an abandoned (possibly mid-delta-window) history leaves
-    /// behind, which the rebase path quarantines for recycling.
+    /// Panics on an unloaded subtree — [`RadixTree::hydrate_all`] first.
     pub fn disk_blocks(&self) -> Vec<u64> {
         fn walk(child: &Child, out: &mut Vec<u64>) {
             match child {
@@ -649,71 +566,16 @@ impl RadixTree {
     }
 
     /// Pages whose mapping differs between `base` and `target`, as
-    /// `(page, target data block)` pairs in page order. Subtrees whose
-    /// committed block numbers match on both sides are skipped without
-    /// descent — the COW invariant makes equal block numbers imply equal
-    /// content, *provided* neither tree's blocks can have been recycled
-    /// in between (true for retained snapshots, whose blocks are pinned).
-    /// A dirty node compares unequal to everything, which is conservative
+    /// `(page, target data block)` pairs in page order; with no `base`,
+    /// every page of `target`. Subtrees whose committed block numbers
+    /// match on both sides are skipped without descent — zero hydration
+    /// reads for shared state. The COW invariant makes equal block numbers
+    /// imply equal content, *provided* neither tree's blocks can have been
+    /// recycled in between (true for retained snapshots, whose blocks are
+    /// pinned). Only *divergent* subtrees are hydrated, on both sides. A
+    /// dirty node compares unequal to everything, which is conservative
     /// but never wrong. Pages present only in `base` are not reported
     /// (the store never deletes pages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the walk must descend into an unloaded subtree — use
-    /// [`RadixTree::diff_pages_with`] on lazily opened trees. (Shared
-    /// unloaded subtrees are still skipped by block number.)
-    pub fn diff_pages(base: &RadixTree, target: &RadixTree) -> Vec<(u64, u64)> {
-        fn walk(
-            a: Option<&Child>,
-            b: &Child,
-            prefix: u64,
-            level: usize,
-            out: &mut Vec<(u64, u64)>,
-        ) {
-            if let Some(ac) = a {
-                if ac.committed_ref().is_some() && ac.committed_ref() == b.committed_ref() {
-                    return; // shared committed subtree
-                }
-            }
-            let bn = match b {
-                Child::Empty => return,
-                Child::Node(n) => n,
-                Child::Unloaded { .. } => {
-                    panic!("diff_pages descended into an unloaded subtree; use diff_pages_with")
-                }
-                Child::Data { .. } => unreachable!("handled at the level above"),
-            };
-            let an = match a {
-                Some(Child::Node(n)) => Some(&**n),
-                Some(Child::Unloaded { .. }) => {
-                    panic!("diff_pages descended into an unloaded subtree; use diff_pages_with")
-                }
-                _ => None,
-            };
-            for (i, child) in bn.children.iter().enumerate() {
-                let idx = prefix | ((i as u64) << SHIFT[level]);
-                let ac = an.map(|n| &n.children[i]);
-                if level == LEVELS - 1 {
-                    if let Child::Data { block: db, .. } = child {
-                        if !matches!(ac, Some(Child::Data { block: ab, .. }) if ab == db) {
-                            out.push((idx, *db));
-                        }
-                    }
-                } else if !matches!(child, Child::Empty) {
-                    walk(ac, child, idx, level + 1, out);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(Some(&base.root), &target.root, 0, 0, &mut out);
-        out
-    }
-
-    /// [`RadixTree::diff_pages`] over possibly-lazy trees. Shared
-    /// committed subtrees are skipped by comparing block numbers — zero
-    /// hydration reads for shared state; only *divergent* subtrees are
-    /// hydrated (on both sides) to walk their pages.
     pub fn diff_pages_with(
         base: Option<&mut RadixTree>,
         target: &mut RadixTree,
@@ -736,12 +598,12 @@ impl RadixTree {
                 return Ok(());
             }
             let bn = hydrate_slot(b, level, read)?;
-            let mut an = None;
-            if let Some(slot) = a {
-                if matches!(slot, Child::Node(_) | Child::Unloaded { .. }) {
-                    an = Some(hydrate_slot(slot, level, read)?);
+            let mut an = match a {
+                Some(slot @ (Child::Node(_) | Child::Unloaded { .. })) => {
+                    Some(hydrate_slot(slot, level, read)?)
                 }
-            }
+                _ => None,
+            };
             for i in 0..FANOUT {
                 let idx = prefix | ((i as u64) << SHIFT[level]);
                 let child = &mut bn.children[i];
@@ -770,44 +632,12 @@ impl RadixTree {
         Ok(out)
     }
 
-    /// All `(page, data_block)` pairs, in page order (test/recovery aid).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a partially loaded tree — hydrate first.
-    pub fn pages(&self) -> Vec<(u64, u64)> {
-        fn walk(child: &Child, prefix: u64, level: usize, out: &mut Vec<(u64, u64)>) {
-            match child {
-                Child::Empty => {}
-                Child::Data { block, .. } => out.push((prefix, *block)),
-                Child::Unloaded { .. } => {
-                    panic!("pages() on a partially loaded tree; hydrate first")
-                }
-                Child::Node(n) => {
-                    for (i, c) in n.children.iter().enumerate() {
-                        let idx = prefix | ((i as u64) << SHIFT[level]);
-                        walk(c, idx, level + 1, out);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        if let Child::Node(n) = &self.root {
-            for (i, c) in n.children.iter().enumerate() {
-                walk(c, (i as u64) << SHIFT[0], 1, &mut out);
-            }
-        } else if let Child::Unloaded { .. } = &self.root {
-            panic!("pages() on a partially loaded tree; hydrate first");
-        }
-        out
-    }
-
-    /// Up to `limit` committed leaf entries with page index `>= start`,
-    /// as `(page, data block, digest)` triples in page order, hydrating
-    /// only the subtrees the range forces it to descend into. This is the
+    /// Up to `limit` leaf entries with page index `>= start`, as
+    /// `(page, data block, digest)` triples in page order, hydrating only
+    /// the subtrees the range forces it to descend into. This is the
     /// scrub cursor's enumeration primitive: a scrub pass resumes at
     /// `start` and subtrees entirely below the cursor are skipped without
-    /// IO.
+    /// IO. `entries_from(0, usize::MAX, read)` lists every entry.
     pub fn entries_from(
         &mut self,
         start: u64,
@@ -958,6 +788,22 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
+    /// The hydration read of a tree built in memory, which needs none.
+    fn no_read(b: u64, _: &mut [u8; BLOCK_SIZE]) -> Result<(), IoError> {
+        panic!("a resident tree read block {b}")
+    }
+
+    /// Every `(page, data block)` of `t`, in page order.
+    fn page_blocks(t: &mut RadixTree, read: BlockRead) -> Vec<(u64, u64)> {
+        let entries = t.entries_from(0, usize::MAX, read).unwrap();
+        entries.into_iter().map(|(p, b, _)| (p, b)).collect()
+    }
+
+    /// [`RadixTree::diff_pages_with`] of two resident trees.
+    fn diff(base: &mut RadixTree, target: &mut RadixTree) -> Vec<(u64, u64)> {
+        RadixTree::diff_pages_with(Some(base), target, &mut no_read).unwrap()
+    }
+
     #[test]
     fn get_on_empty_tree() {
         let t = RadixTree::new();
@@ -968,9 +814,10 @@ mod tests {
     #[test]
     fn set_and_get() {
         let mut t = RadixTree::new();
-        assert_eq!(t.set(5, 100), None);
-        assert_eq!(t.set(5, 200), Some(100));
+        assert_eq!(t.set_entry(5, 100, 1), None);
+        assert_eq!(t.set_entry(5, 200, 2), Some(100));
         assert_eq!(t.get(5), Some(200));
+        assert_eq!(t.get_entry(5), Some((200, 2)));
         assert_eq!(t.get(6), None);
         assert_eq!(t.len_pages(), 6);
     }
@@ -979,9 +826,9 @@ mod tests {
     fn sparse_indices_do_not_collide() {
         let mut t = RadixTree::new();
         // Same low bits, different levels.
-        t.set(1, 10);
-        t.set(1 + FANOUT as u64, 11);
-        t.set(1 + (FANOUT * FANOUT) as u64, 12);
+        t.set_entry(1, 10, 1);
+        t.set_entry(1 + FANOUT as u64, 11, 1);
+        t.set_entry(1 + (FANOUT * FANOUT) as u64, 12, 1);
         assert_eq!(t.get(1), Some(10));
         assert_eq!(t.get(1 + FANOUT as u64), Some(11));
         assert_eq!(t.get(1 + (FANOUT * FANOUT) as u64), Some(12));
@@ -991,7 +838,7 @@ mod tests {
     fn commit_then_reload_round_trips() {
         let mut t = RadixTree::new();
         for p in [0u64, 7, 511, 512, 513, 300_000] {
-            t.set(p, 1000 + p);
+            t.set_entry(p, 1000 + p, p as u32);
         }
         let mut next = 10u64;
         let mut writes = Vec::new();
@@ -1006,18 +853,27 @@ mod tests {
         assert_eq!(t.dirty_nodes(), 0);
 
         let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
-        let loaded = RadixTree::load(root, t.len_pages(), &mut |b, out| {
-            out.copy_from_slice(&blocks[&b]);
-        });
-        assert_eq!(loaded.pages(), t.pages());
+        let mut loaded =
+            RadixTree::from_committed_digest(root, t.committed_root_digest(), t.len_pages());
+        loaded
+            .hydrate_all(&mut |b, out| {
+                out.copy_from_slice(&blocks[&b]);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(loaded.unloaded_nodes(), 0);
         assert_eq!(loaded.len_pages(), t.len_pages());
+        assert_eq!(
+            loaded.entries_from(0, usize::MAX, &mut no_read),
+            t.entries_from(0, usize::MAX, &mut no_read)
+        );
     }
 
     #[test]
     fn commit_is_incremental() {
         let mut t = RadixTree::new();
-        t.set(0, 100);
-        t.set(513, 101); // different L1 subtree than page 0
+        t.set_entry(0, 100, 1);
+        t.set_entry(513, 101, 1); // different L1 subtree than page 0
         let mut next = 10u64;
         let mut alloc = move || {
             next += 1;
@@ -1029,7 +885,7 @@ mod tests {
         assert!(first_commit_nodes >= 3); // root + 2 subtree paths
 
         // Touch one page: only its path (3 nodes) should be rewritten.
-        t.set(0, 200);
+        t.set_entry(0, 200, 2);
         let mut writes = Vec::new();
         t.commit(&mut alloc, &mut writes);
         assert_eq!(writes.len(), LEVELS);
@@ -1038,7 +894,7 @@ mod tests {
     #[test]
     fn cow_never_reuses_committed_blocks() {
         let mut t = RadixTree::new();
-        t.set(0, 100);
+        t.set_entry(0, 100, 1);
         let mut next = 10u64;
         let mut alloc = move || {
             next += 1;
@@ -1046,7 +902,7 @@ mod tests {
         };
         let mut w1 = Vec::new();
         let root1 = t.commit(&mut alloc, &mut w1);
-        t.set(0, 200);
+        t.set_entry(0, 200, 2);
         let mut w2 = Vec::new();
         let root2 = t.commit(&mut alloc, &mut w2);
         assert_ne!(root1, root2);
@@ -1062,35 +918,25 @@ mod tests {
     #[test]
     fn dirty_nodes_counts_paths() {
         let mut t = RadixTree::new();
-        t.set(0, 100);
+        t.set_entry(0, 100, 1);
         assert_eq!(t.dirty_nodes(), LEVELS);
     }
 
+    /// A committed resident tree mapping each page to its block, with the
+    /// block number standing in for the content digest.
     fn committed(pages: &[(u64, u64)], next: &mut u64) -> RadixTree {
-        let mut t = RadixTree::new();
-        for (p, b) in pages {
-            t.set(*p, *b);
-        }
-        let mut writes = Vec::new();
-        t.commit(
-            &mut || {
-                *next += 1;
-                *next
-            },
-            &mut writes,
-        );
-        t
+        committed_on_disk(pages, next).0
     }
 
-    /// Commits `pages` into a block map and returns a *lazy* tree over it
-    /// plus the map, for hydration tests.
+    /// Commits `pages` and returns the committed resident tree, a *lazy*
+    /// tree over the same root, and the emitted block images.
     fn committed_on_disk(
         pages: &[(u64, u64)],
         next: &mut u64,
-    ) -> (RadixTree, HashMap<u64, Box<[u8]>>) {
+    ) -> (RadixTree, RadixTree, HashMap<u64, Box<[u8]>>) {
         let mut t = RadixTree::new();
         for (p, b) in pages {
-            t.set(*p, *b);
+            t.set_entry(*p, *b, *b as u32);
         }
         let mut writes = Vec::new();
         let root = t.commit(
@@ -1100,31 +946,37 @@ mod tests {
             },
             &mut writes,
         );
-        let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
-        (RadixTree::from_committed(root, t.len_pages()), blocks)
+        let lazy = RadixTree::from_committed_digest(root, t.committed_root_digest(), t.len_pages());
+        (t, lazy, writes.into_iter().collect())
     }
 
     #[test]
-    fn reachable_blocks_covers_nodes_and_data() {
+    fn disk_blocks_lists_nodes_and_data_and_tolerates_dirty_nodes() {
         let mut next = 1_000u64;
-        let t = committed(&[(0, 100), (513, 101)], &mut next);
-        let blocks = t.reachable_blocks();
-        assert!(blocks.contains(&t.committed_root()));
+        let mut t = committed(&[(0, 100), (513, 101)], &mut next);
+        let blocks = t.disk_blocks();
+        assert_eq!(blocks[0], t.committed_root(), "parents before children");
         assert!(blocks.contains(&100) && blocks.contains(&101));
         // root + shared L1 node + two leaf nodes + 2 data blocks
         assert_eq!(blocks.len(), 4 + 2);
-        assert!(RadixTree::new().reachable_blocks().is_empty());
+        assert!(RadixTree::new().disk_blocks().is_empty());
         assert_eq!(RadixTree::new().committed_root(), 0);
+        // Dirtying page 0's path leaves page 513's leaf and both data blocks.
+        t.set_entry(0, 200, 200);
+        let mut dirty = t.disk_blocks();
+        dirty.sort_unstable();
+        assert_eq!(dirty.len(), 3);
+        assert_eq!(&dirty[..2], &[101, 200]);
     }
 
     #[test]
     fn diff_skips_shared_subtrees_and_finds_changes() {
         let mut next = 1_000u64;
-        let base = committed(&[(0, 100), (513, 101), (300_000, 102)], &mut next);
+        let mut base = committed(&[(0, 100), (513, 101), (300_000, 102)], &mut next);
         // Target: shares base's committed subtrees for untouched pages.
         let mut target = base.clone();
-        target.set(513, 200); // overwrite
-        target.set(7, 201); // new page in page 0's subtree
+        target.set_entry(513, 200, 200); // overwrite
+        target.set_entry(7, 201, 201); // new page in page 0's subtree
         let mut writes = Vec::new();
         target.commit(
             &mut || {
@@ -1133,41 +985,40 @@ mod tests {
             },
             &mut writes,
         );
+        assert_eq!(diff(&mut base, &mut target), vec![(7, 201), (513, 200)]);
+        assert_eq!(diff(&mut target.clone(), &mut target), vec![]);
+        // Diff against an empty base, or none, is the full image.
+        let full = page_blocks(&mut base, &mut no_read);
+        assert_eq!(diff(&mut RadixTree::new(), &mut base), full);
         assert_eq!(
-            RadixTree::diff_pages(&base, &target),
-            vec![(7, 201), (513, 200)]
-        );
-        assert_eq!(RadixTree::diff_pages(&target, &target), vec![]);
-        // Diff against an empty base is the full image.
-        assert_eq!(
-            RadixTree::diff_pages(&RadixTree::new(), &base),
-            base.pages()
+            RadixTree::diff_pages_with(None, &mut base, &mut no_read).unwrap(),
+            full
         );
     }
 
     #[test]
     fn diff_treats_dirty_nodes_conservatively() {
         let mut next = 1_000u64;
-        let base = committed(&[(0, 100)], &mut next);
+        let mut base = committed(&[(0, 100)], &mut next);
         let mut target = base.clone();
-        target.set(0, 100); // same mapping, but the path is now dirty
-        assert_eq!(RadixTree::diff_pages(&base, &target), vec![]);
-        target.set(1, 300);
-        assert_eq!(RadixTree::diff_pages(&base, &target), vec![(1, 300)]);
+        target.set_entry(0, 100, 100); // same mapping, but the path is now dirty
+        assert_eq!(diff(&mut base, &mut target), vec![]);
+        target.set_entry(1, 300, 300);
+        assert_eq!(diff(&mut base, &mut target), vec![(1, 300)]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn page_out_of_range_panics() {
         let mut t = RadixTree::new();
-        t.set(MAX_PAGES, 1);
+        t.set_entry(MAX_PAGES, 1, 1);
     }
 
     #[test]
     #[should_panic(expected = "reserved")]
     fn block_zero_rejected() {
         let mut t = RadixTree::new();
-        t.set(0, 0);
+        t.set_entry(0, 0, 1);
     }
 
     // ---- Arc sharing & lazy hydration ------------------------------------
@@ -1178,7 +1029,7 @@ mod tests {
         let mut a = committed(&[(0, 100), (513, 101)], &mut next);
         let b = a.clone();
         // Mutating `a` must not leak into `b`.
-        a.set(0, 200);
+        a.set_entry(0, 200, 200);
         assert_eq!(a.get(0), Some(200));
         assert_eq!(b.get(0), Some(100));
         assert_eq!(b.dirty_nodes(), 0, "clone must stay clean");
@@ -1193,7 +1044,7 @@ mod tests {
         // keep its dirty nodes (and freed list) across the commit.
         let mut next = 1_000u64;
         let mut t = committed(&[(0, 100)], &mut next);
-        t.set(0, 200);
+        t.set_entry(0, 200, 200);
         let snapshot = t.clone();
         let mut writes = Vec::new();
         t.commit(
@@ -1211,38 +1062,37 @@ mod tests {
     #[test]
     fn lazy_tree_hydrates_only_the_touched_path() {
         let mut next = 1_000u64;
-        let (mut lazy, blocks) =
+        let (_, mut lazy, blocks) =
             committed_on_disk(&[(0, 100), (513, 101), (300_000, 102)], &mut next);
         assert_eq!(lazy.unloaded_nodes(), 1, "only the root slot pre-hydration");
         let mut reads = Vec::new();
         let got = lazy
-            .get_or_load(0, &mut |b, out| {
+            .get_entry_or_load(0, &mut |b, out| {
                 reads.push(b);
                 out.copy_from_slice(&blocks[&b]);
                 Ok(())
             })
             .unwrap();
-        assert_eq!(got, Some(100));
+        assert_eq!(got, Some((100, 100)));
         assert_eq!(reads.len(), LEVELS, "one read per level on the path");
         assert!(lazy.unloaded_nodes() > 0, "other subtrees stay unloaded");
         // A second read of the same page costs nothing.
         let got = lazy
-            .get_or_load(0, &mut |_b, _out| panic!("path already resident"))
+            .get_entry_or_load(0, &mut |_b, _out| panic!("path already resident"))
             .unwrap();
-        assert_eq!(got, Some(100));
+        assert_eq!(got, Some((100, 100)));
     }
 
     #[test]
     fn lazy_set_entry_hydrates_then_dirties() {
         let mut next = 1_000u64;
-        let (mut lazy, blocks) = committed_on_disk(&[(0, 100), (513, 101)], &mut next);
-        let old = lazy
-            .set_entry_with(0, 999, DIGEST_NONE, &mut |b, out| {
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(old, Some(100));
+        let (_, mut lazy, blocks) = committed_on_disk(&[(0, 100), (513, 101)], &mut next);
+        lazy.hydrate_path(0, &mut |b, out| {
+            out.copy_from_slice(&blocks[&b]);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(lazy.set_entry(0, 999, 999), Some(100));
         assert_eq!(lazy.dirty_nodes(), LEVELS);
         assert_eq!(lazy.take_freed().len(), LEVELS, "superseded path recycled");
     }
@@ -1250,8 +1100,8 @@ mod tests {
     #[test]
     fn failed_hydration_leaves_tree_retryable() {
         let mut next = 1_000u64;
-        let (mut lazy, blocks) = committed_on_disk(&[(0, 100)], &mut next);
-        let err = lazy.get_or_load(0, &mut |b, _out| {
+        let (_, mut lazy, blocks) = committed_on_disk(&[(0, 100)], &mut next);
+        let err = lazy.get_entry_or_load(0, &mut |b, _out| {
             Err(IoError::Failed {
                 block: b,
                 transient: true,
@@ -1261,25 +1111,26 @@ mod tests {
         assert_eq!(lazy.dirty_nodes(), 0, "failure must not dirty anything");
         // Retry with a working device succeeds from the same state.
         let got = lazy
-            .get_or_load(0, &mut |b, out| {
+            .get_entry_or_load(0, &mut |b, out| {
                 out.copy_from_slice(&blocks[&b]);
                 Ok(())
             })
             .unwrap();
-        assert_eq!(got, Some(100));
+        assert_eq!(got, Some((100, 100)));
     }
 
     #[test]
     fn commit_preserves_unloaded_subtrees_without_reading() {
         let mut next = 1_000u64;
-        let (mut lazy, blocks) = committed_on_disk(&[(0, 100), (513, 101)], &mut next);
+        let (_, mut lazy, blocks) = committed_on_disk(&[(0, 100), (513, 101)], &mut next);
         let old_root = lazy.committed_root();
-        // Dirty one path; the sibling subtree stays unloaded.
-        lazy.set_entry_with(0, 999, DIGEST_NONE, &mut |b, out| {
+        let mut read = |b: u64, out: &mut [u8; BLOCK_SIZE]| {
             out.copy_from_slice(&blocks[&b]);
             Ok(())
-        })
-        .unwrap();
+        };
+        // Dirty one path; the sibling subtree stays unloaded.
+        lazy.hydrate_path(0, &mut read).unwrap();
+        lazy.set_entry(0, 999, 999);
         let mut writes = Vec::new();
         let new_root = lazy.commit(
             &mut || {
@@ -1292,13 +1143,8 @@ mod tests {
         assert_eq!(writes.len(), LEVELS, "only the dirtied path is rewritten");
         assert!(lazy.unloaded_nodes() > 0, "sibling subtree never hydrated");
         // The recommitted tree still resolves the untouched page.
-        let got = lazy
-            .get_or_load(513, &mut |b, out| {
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(got, Some(101));
+        let got = lazy.get_entry_or_load(513, &mut read).unwrap();
+        assert_eq!(got, Some((101, 101)));
     }
 
     #[test]
@@ -1306,7 +1152,7 @@ mod tests {
         let mut next = 1_000u64;
         let mut t = RadixTree::new();
         for (p, b) in [(0u64, 100u64), (513, 101), (300_000, 102)] {
-            t.set(p, b);
+            t.set_entry(p, b, b as u32);
         }
         let mut blocks: HashMap<u64, Box<[u8]>> = HashMap::new();
         let mut writes = Vec::new();
@@ -1317,9 +1163,10 @@ mod tests {
             },
             &mut writes,
         );
+        let digest1 = t.committed_root_digest();
         blocks.extend(writes);
         // Advance the tree by one page and commit again.
-        t.set(513, 200);
+        t.set_entry(513, 200, 200);
         let mut writes = Vec::new();
         let root2 = t.commit(
             &mut || {
@@ -1328,10 +1175,11 @@ mod tests {
             },
             &mut writes,
         );
+        let digest2 = t.committed_root_digest();
         blocks.extend(writes);
 
-        let mut base = RadixTree::from_committed(root1, t.len_pages());
-        let mut target = RadixTree::from_committed(root2, t.len_pages());
+        let mut base = RadixTree::from_committed_digest(root1, digest1, t.len_pages());
+        let mut target = RadixTree::from_committed_digest(root2, digest2, t.len_pages());
         let mut reads = Vec::new();
         let diff = RadixTree::diff_pages_with(Some(&mut base), &mut target, &mut |b, out| {
             reads.push(b);
@@ -1349,8 +1197,8 @@ mod tests {
             reads.len()
         );
         // Equal lazy trees diff with zero reads: the root refs match.
-        let mut x = RadixTree::from_committed(root2, t.len_pages());
-        let mut y = RadixTree::from_committed(root2, t.len_pages());
+        let mut x = RadixTree::from_committed_digest(root2, digest2, t.len_pages());
+        let mut y = RadixTree::from_committed_digest(root2, digest2, t.len_pages());
         let diff = RadixTree::diff_pages_with(Some(&mut x), &mut y, &mut |_b, _out| {
             panic!("identical trees must not hydrate")
         })
@@ -1418,7 +1266,7 @@ mod tests {
         let mut lazy =
             RadixTree::from_committed_digest(root, t.committed_root_digest(), t.len_pages());
         let err = lazy
-            .get_or_load(0, &mut |b, out| {
+            .get_entry_or_load(0, &mut |b, out| {
                 out.copy_from_slice(&blocks[&b]);
                 Ok(())
             })
@@ -1427,21 +1275,20 @@ mod tests {
         // The slot stays unloaded: fixing the media makes the read succeed.
         blocks.get_mut(&l1).unwrap()[3] ^= 0x40;
         let got = lazy
-            .get_or_load(0, &mut |b, out| {
+            .get_entry_or_load(0, &mut |b, out| {
                 out.copy_from_slice(&blocks[&b]);
                 Ok(())
             })
             .unwrap();
-        assert_eq!(got, Some(100));
+        assert_eq!(got, Some((100, 0x1234)));
     }
 
     #[test]
-    fn unverified_roots_hydrate_and_record_image_digests() {
-        // The digest-less helpers: entry words carry no high bits.
-        // Hydration must accept them (digest DIGEST_NONE) and parse() must
-        // record the actual image digest so later commits chain the tree.
+    fn a_root_opened_without_its_digest_fails_verification() {
+        // No hydration is exempt, the root's included: a root opened with
+        // DIGEST_NONE matches no image, because no image digests to it.
         let mut t = RadixTree::new();
-        t.set(0, 100); // DIGEST_NONE entry
+        t.set_entry(0, 100, 0x1234);
         let mut next = 1_000u64;
         let mut writes = Vec::new();
         let root = t.commit(
@@ -1452,23 +1299,19 @@ mod tests {
             &mut writes,
         );
         let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
-        let mut lazy = RadixTree::from_committed(root, t.len_pages()); // no root digest
-        assert_eq!(
-            lazy.get_entry_or_load(0, &mut |b, out| {
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
-            })
-            .unwrap(),
-            Some((100, DIGEST_NONE))
-        );
-        // Hydration recorded the actual root-image digest.
-        assert_ne!(lazy.committed_root_digest(), DIGEST_NONE);
+        let mut lazy = RadixTree::from_committed_digest(root, DIGEST_NONE, t.len_pages());
+        let got = lazy.get_entry_or_load(0, &mut |b, out| {
+            out.copy_from_slice(&blocks[&b]);
+            Ok(())
+        });
+        assert_eq!(got, Err(TreeError::CorruptNode { block: root }));
+        assert_eq!(lazy.unloaded_nodes(), 1, "the root stays unloaded");
     }
 
     #[test]
     fn entries_from_resumes_at_the_cursor_without_extra_hydration() {
         let mut next = 1_000u64;
-        let (mut lazy, blocks) =
+        let (_, mut lazy, blocks) =
             committed_on_disk(&[(0, 100), (513, 101), (300_000, 102)], &mut next);
         let mut reads = Vec::new();
         let got = lazy
@@ -1528,9 +1371,9 @@ mod tests {
         let mut a = committed(&[(0, 100), (513, 101)], &mut next);
         let mut b = a.clone();
         let mut c = a.deep_clone();
-        a.set(0, 1);
-        b.set(0, 2);
-        c.set(0, 3);
+        a.set_entry(0, 1, 1);
+        b.set_entry(0, 2, 2);
+        c.set_entry(0, 3, 3);
         assert_eq!(a.get(0), Some(1));
         assert_eq!(b.get(0), Some(2));
         assert_eq!(c.get(0), Some(3));

@@ -78,7 +78,7 @@ impl StoreShard {
                 // through the ordinary superseded path inside full_commit
                 // (and stay withheld while pinned); blocks still reachable
                 // from the rebased tree are live.
-                let live: HashSet<u64> = state.tree.reachable_blocks().into_iter().collect();
+                let live: HashSet<u64> = state.tree.disk_blocks().into_iter().collect();
                 let dead: Vec<u64> = tree
                     .disk_blocks()
                     .into_iter()

@@ -27,9 +27,10 @@ impl StoreShard {
                 let snap = &mut self.snapshots[i];
                 let cache = &mut self.cache;
                 let stats = &mut self.stats;
-                snap.tree.reachable_blocks_with(&mut |b, out| {
+                snap.tree.hydrate_all(&mut |b, out| {
                     read_block_cached(vt, disk, cache, stats, b, out, true)
-                })?
+                })?;
+                snap.tree.disk_blocks()
             };
             for &b in &blocks {
                 *self.snap_pins.entry(b).or_insert(0) += 1;
@@ -85,7 +86,7 @@ impl StoreShard {
         };
         let tree = state.tree.clone();
         let root_durable = state.chain_completes;
-        let blocks = tree.reachable_blocks();
+        let blocks = tree.disk_blocks();
         for &b in &blocks {
             *self.snap_pins.entry(b).or_insert(0) += 1;
         }

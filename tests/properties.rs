@@ -2,54 +2,73 @@
 
 use proptest::prelude::*;
 
-use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
+use msnap_disk::{Disk, DiskConfig, IoError, BLOCK_SIZE};
 use msnap_sim::{LatencyStats, Nanos, Vt, VthreadId};
 use msnap_store::{ObjectStore, RadixTree};
 use msnap_vm::{TrackMode, Vm, PAGE_SIZE};
 
 // ---- Radix tree ≅ BTreeMap --------------------------------------------
 
+/// The hydration read of a tree built in memory, which needs none.
+fn no_read(b: u64, _: &mut [u8; BLOCK_SIZE]) -> Result<(), IoError> {
+    panic!("a resident tree read block {b}")
+}
+
+/// Every `(page, block, digest)` entry of a resident tree, in page order.
+fn entries(tree: &mut RadixTree) -> Vec<(u64, u64, u32)> {
+    tree.entries_from(0, usize::MAX, &mut no_read).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The COW radix tree behaves exactly like a map from page to block,
-    /// across arbitrary interleavings of set/get/commit.
+    /// The COW radix tree behaves exactly like a map from page to
+    /// `(block, digest)`, across arbitrary interleavings of
+    /// set/get/commit.
     #[test]
-    fn radix_tree_matches_model(ops in prop::collection::vec((0u64..100_000, 1u64..1_000_000), 1..200)) {
+    fn radix_tree_matches_model(ops in prop::collection::vec((0u64..100_000, 1u64..1_000_000, any::<u32>()), 1..200)) {
         let mut tree = RadixTree::new();
         let mut model = std::collections::BTreeMap::new();
         let mut next_block = 1u64;
         let mut writes = Vec::new();
-        for (i, (page, block)) in ops.iter().enumerate() {
-            let old = tree.set(*page, *block);
-            let model_old = model.insert(*page, *block);
-            prop_assert_eq!(old, model_old);
+        for (i, (page, block, digest)) in ops.iter().enumerate() {
+            let old = tree.set_entry(*page, *block, *digest);
+            let model_old = model.insert(*page, (*block, *digest));
+            prop_assert_eq!(old, model_old.map(|(b, _)| b));
             if i % 17 == 0 {
                 tree.commit(&mut || { next_block += 1; next_block + 10_000_000 }, &mut writes);
             }
         }
-        for (page, block) in &model {
-            prop_assert_eq!(tree.get(*page), Some(*block));
+        for (page, entry) in &model {
+            prop_assert_eq!(tree.get_entry(*page), Some(*entry));
         }
-        prop_assert_eq!(tree.pages().len(), model.len());
+        let listed: Vec<_> = model.iter().map(|(p, (b, d))| (*p, *b, *d)).collect();
+        prop_assert_eq!(entries(&mut tree), listed);
     }
 
-    /// Committing and reloading a tree from its emitted blocks is an
-    /// identity, from any dirty state.
+    /// Committing a tree from any dirty state and reopening it from its
+    /// emitted blocks the way the store does, every node verified
+    /// against its recorded digest, is an identity.
     #[test]
     fn radix_commit_reload_identity(pages in prop::collection::btree_set(0u64..50_000, 1..100)) {
         let mut tree = RadixTree::new();
         for (i, page) in pages.iter().enumerate() {
-            tree.set(*page, 1_000 + i as u64);
+            tree.set_entry(*page, 1_000 + i as u64, i as u32);
         }
         let mut next = 1u64;
         let mut writes = Vec::new();
         let root = tree.commit(&mut || { next += 1; next }, &mut writes);
         let blocks: std::collections::HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
-        let loaded = RadixTree::load(root, tree.len_pages(), &mut |b, out| {
-            out.copy_from_slice(&blocks[&b]);
-        });
-        prop_assert_eq!(loaded.pages(), tree.pages());
+        let mut reopened =
+            RadixTree::from_committed_digest(root, tree.committed_root_digest(), tree.len_pages());
+        let listed = reopened
+            .entries_from(0, usize::MAX, &mut |b, out| {
+                out.copy_from_slice(&blocks[&b]);
+                Ok(())
+            })
+            .unwrap();
+        prop_assert_eq!(reopened.unloaded_nodes(), 0);
+        prop_assert_eq!(listed, entries(&mut tree));
     }
 
     /// An Arc-shared O(1) clone diverged on both sides behaves exactly
@@ -63,7 +82,7 @@ proptest! {
     ) {
         let mut tree = RadixTree::new();
         for (page, block) in &base {
-            tree.set(*page, *block);
+            tree.set_entry(*page, *block, *block as u32);
         }
         let mut next = 1u64;
         let mut writes = Vec::new();
@@ -74,44 +93,66 @@ proptest! {
         let mut deep_l = shared_l.deep_clone();
         let mut deep_r = shared_r.deep_clone();
         for (page, block) in &left {
-            prop_assert_eq!(shared_l.set(*page, *block), deep_l.set(*page, *block));
+            let digest = *block as u32;
+            prop_assert_eq!(
+                shared_l.set_entry(*page, *block, digest),
+                deep_l.set_entry(*page, *block, digest)
+            );
         }
         for (page, block) in &right {
-            prop_assert_eq!(shared_r.set(*page, *block), deep_r.set(*page, *block));
+            let digest = *block as u32;
+            prop_assert_eq!(
+                shared_r.set_entry(*page, *block, digest),
+                deep_r.set_entry(*page, *block, digest)
+            );
         }
         // Neither side's mutations leaked into the other (the deep
         // copies never shared structure, so they are the oracle).
-        prop_assert_eq!(shared_l.pages(), deep_l.pages());
-        prop_assert_eq!(shared_r.pages(), deep_r.pages());
+        prop_assert_eq!(entries(&mut shared_l), entries(&mut deep_l));
+        prop_assert_eq!(entries(&mut shared_r), entries(&mut deep_r));
     }
 
-    /// Diffing partially-hydrated trees gives the same answer as diffing
-    /// fully-resident ones: equal committed block numbers substitute for
-    /// descending into (or even loading) shared subtrees.
+    /// Diffing partially-hydrated trees gives the diff of the two
+    /// page → block models the trees were built from: equal committed
+    /// block numbers substitute for descending into (or even loading)
+    /// shared subtrees. The oracle shares no code with the tree, so it
+    /// checks the skip rule itself.
     #[test]
     fn lazy_diff_matches_eager_diff(
         base in prop::collection::vec((0u64..50_000, 1u64..1_000_000), 1..100),
-        delta in prop::collection::vec((0u64..50_000, 1u64..1_000_000), 1..50),
+        delta in prop::collection::vec((any::<bool>(), any::<usize>(), 0u64..50_000, 1u64..1_000_000), 1..50),
         prehydrate in prop::collection::vec(0u64..50_000, 0..10),
     ) {
         let mut next = 10_000u64;
         let mut tree_a = RadixTree::new();
+        let mut model_a = std::collections::BTreeMap::new();
         for (page, block) in &base {
-            tree_a.set(*page, *block);
+            tree_a.set_entry(*page, *block, *block as u32);
+            model_a.insert(*page, *block);
         }
         let mut writes = Vec::new();
         let root_a = tree_a.commit(&mut || { next += 1; next }, &mut writes);
         let mut tree_b = tree_a.clone();
-        for (page, block) in &delta {
-            tree_b.set(*page, *block);
+        let mut model_b = model_a.clone();
+        // About half the delta overwrites a page the base already maps.
+        for (overwrite, pick, fresh, block) in &delta {
+            let page = if *overwrite { base[pick % base.len()].0 } else { *fresh };
+            tree_b.set_entry(page, *block, *block as u32);
+            model_b.insert(page, *block);
         }
         let root_b = tree_b.commit(&mut || { next += 1; next }, &mut writes);
         let blocks: std::collections::HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
 
-        let eager = RadixTree::diff_pages(&tree_a, &tree_b);
+        let model_diff: Vec<(u64, u64)> = model_b
+            .iter()
+            .filter(|&(page, block)| model_a.get(page) != Some(block))
+            .map(|(page, block)| (*page, *block))
+            .collect();
 
-        let mut lazy_a = RadixTree::from_committed(root_a, tree_a.len_pages());
-        let mut lazy_b = RadixTree::from_committed(root_b, tree_b.len_pages());
+        let mut lazy_a =
+            RadixTree::from_committed_digest(root_a, tree_a.committed_root_digest(), tree_a.len_pages());
+        let mut lazy_b =
+            RadixTree::from_committed_digest(root_b, tree_b.committed_root_digest(), tree_b.len_pages());
         let mut read = |b: u64, out: &mut [u8; BLOCK_SIZE]| {
             out.copy_from_slice(&blocks[&b][..]);
             Ok(())
@@ -127,7 +168,7 @@ proptest! {
         }
         let lazy =
             RadixTree::diff_pages_with(Some(&mut lazy_a), &mut lazy_b, &mut read).unwrap();
-        prop_assert_eq!(lazy, eager);
+        prop_assert_eq!(lazy, model_diff);
     }
 }
 
