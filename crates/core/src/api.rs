@@ -4,6 +4,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use msnap_disk::Disk;
 use msnap_sim::hash::fnv1a32;
+use msnap_sim::wire::{put_u32, put_u64, Reader};
 use msnap_sim::{Category, Meters, Nanos, Vt, VthreadId};
 use msnap_store::{ObjectId as StoreObjId, ObjectStore, ScrubStats, VectorCut, BULK_READ_PAGES};
 use msnap_vm::{AsId, MemObjectId, TrackMode, Vm, PAGE_SIZE};
@@ -53,30 +54,33 @@ const CARVE_VERSION: u32 = 1;
 /// [`IndexCarve::META_OFF`] is reserved, and beyond it structure-owned).
 const CARVE_HDR_LEN: usize = 32;
 
-fn encode_carve_header(kind: u32, writers: u32, arena_pages: u64) -> [u8; CARVE_HDR_LEN] {
-    let mut hdr = [0u8; CARVE_HDR_LEN];
-    hdr[0..4].copy_from_slice(&CARVE_MAGIC.to_le_bytes());
-    hdr[4..8].copy_from_slice(&CARVE_VERSION.to_le_bytes());
-    hdr[8..12].copy_from_slice(&kind.to_le_bytes());
-    hdr[12..16].copy_from_slice(&writers.to_le_bytes());
-    hdr[16..24].copy_from_slice(&arena_pages.to_le_bytes());
-    let cs = fnv1a32(&hdr[0..28]);
-    hdr[28..32].copy_from_slice(&cs.to_le_bytes());
+/// The [`CARVE_HDR_LEN`]-byte carve header: magic, version, kind,
+/// writers, arena pages, a reserved zero word, then the checksum of
+/// everything before it.
+fn encode_carve_header(kind: u32, writers: u32, arena_pages: u64) -> Vec<u8> {
+    let mut hdr = Vec::with_capacity(CARVE_HDR_LEN);
+    put_u32(&mut hdr, CARVE_MAGIC);
+    put_u32(&mut hdr, CARVE_VERSION);
+    put_u32(&mut hdr, kind);
+    put_u32(&mut hdr, writers);
+    put_u64(&mut hdr, arena_pages);
+    put_u32(&mut hdr, 0);
+    let sum = fnv1a32(&hdr);
+    put_u32(&mut hdr, sum);
     hdr
 }
 
 /// Decodes and validates a carve header, returning
 /// `(kind, writers, arena_pages)`.
-fn decode_carve_header(hdr: &[u8; CARVE_HDR_LEN]) -> Option<(u32, u32, u64)> {
-    let word = |at: usize| u32::from_le_bytes(hdr[at..at + 4].try_into().unwrap());
-    if word(0) != CARVE_MAGIC || word(4) != CARVE_VERSION {
-        return None;
-    }
-    if word(28) != fnv1a32(&hdr[0..28]) {
-        return None;
-    }
-    let arena_pages = u64::from_le_bytes(hdr[16..24].try_into().unwrap());
-    Some((word(8), word(12), arena_pages))
+fn decode_carve_header(hdr: &[u8]) -> Option<(u32, u32, u64)> {
+    let mut r = Reader::new(hdr);
+    let (magic, version) = (r.u32().ok()?, r.u32().ok()?);
+    let (kind, writers, arena_pages) = (r.u32().ok()?, r.u32().ok()?, r.u64().ok()?);
+    r.u32().ok()?; // reserved
+    let sealed = r.at();
+    let sum = r.u32().ok()?;
+    (magic == CARVE_MAGIC && version == CARVE_VERSION && sum == fnv1a32(&hdr[..sealed]))
+        .then_some((kind, writers, arena_pages))
 }
 
 /// `(first page, page count)` of each [`BULK_READ_PAGES`]-page bulk read
@@ -1120,6 +1124,21 @@ pub(crate) mod tests {
         assert_eq!(decode_carve_header(&hdr), Some((3, 8, 128)));
         hdr[17] ^= 1;
         assert_eq!(decode_carve_header(&hdr), None);
+    }
+
+    #[test]
+    fn carve_header_bytes_are_fixed() {
+        // Field by field, independent of the wire helpers: carves written
+        // by any build of this codec must keep opening.
+        let mut want = Vec::new();
+        for word in [CARVE_MAGIC, CARVE_VERSION, 3, 8] {
+            want.extend_from_slice(&word.to_le_bytes());
+        }
+        want.extend_from_slice(&128u64.to_le_bytes());
+        want.extend_from_slice(&[0; 4]);
+        want.extend_from_slice(&fnv1a32(&want).to_le_bytes());
+        assert_eq!(want.len(), CARVE_HDR_LEN);
+        assert_eq!(encode_carve_header(3, 8, 128), want);
     }
 
     #[test]
