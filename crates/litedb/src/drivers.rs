@@ -297,6 +297,15 @@ pub struct GroupCommitReport {
     pub batch_commits: u64,
 }
 
+/// Downcasts a [`LiteDb`]'s backend to the [`memsnap::MemSnap`] it runs on.
+fn memsnap_of(db: &mut LiteDb) -> &mut memsnap::MemSnap {
+    db.backend_mut()
+        .as_any_mut()
+        .and_then(|a| a.downcast_mut::<MemSnapBackend>())
+        .expect("the driver runs on the MemSnap backend")
+        .memsnap_mut()
+}
+
 /// Runs `cfg.threads` writer threads over one MemSnap-backed database,
 /// committing through the cross-thread group-commit path (or the
 /// uncoalesced sync path, for the ablation baseline). Thread `t` writes
@@ -320,13 +329,7 @@ pub fn run_group_commit(cfg: &GroupCommitConfig) -> GroupCommitReport {
     db.commit(&mut vt0, setup)
         .expect("setup runs without fault injection");
     db.reset_metrics();
-    if let Some(b) = db
-        .backend_mut()
-        .as_any_mut()
-        .and_then(|a| a.downcast_mut::<MemSnapBackend>())
-    {
-        b.memsnap_mut().reset_disk_stats();
-    }
+    memsnap_of(&mut db).reset_disk_stats();
 
     let db = Rc::new(RefCell::new(db));
     let latency = Rc::new(RefCell::new(LatencyStats::new()));
@@ -498,12 +501,7 @@ pub fn run_online_backup(cfg: &OnlineBackupConfig) -> OnlineBackupReport {
         if (txn + 1) % cfg.backup_every != 0 && txn + 1 != cfg.txns {
             continue;
         }
-        let ms = db
-            .backend_mut()
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<MemSnapBackend>())
-            .expect("the backup driver runs on the MemSnap backend")
-            .memsnap_mut();
+        let ms = memsnap_of(&mut db);
         let md = ms.region("backup.db").expect("the region exists");
         let name = format!("bk{txn}");
         ms.msnap_snapshot(&mut vt, md, &name)
@@ -537,13 +535,7 @@ pub fn run_online_backup(cfg: &OnlineBackupConfig) -> OnlineBackupReport {
 
     // Verify the standby byte for byte against the final snapshot.
     if let Some(name) = &last_backup {
-        let ms = db
-            .backend_mut()
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<MemSnapBackend>())
-            .expect("the backup driver runs on the MemSnap backend")
-            .memsnap_mut();
-        let (store, pdisk) = ms.replication_parts();
+        let (store, pdisk) = memsnap_of(&mut db).replication_parts();
         let entry = store.snapshot_lookup(name).expect("just created").clone();
         let robj = replica.lookup("backup.db").expect("replica was synced");
         let mut want = vec![0u8; 4096];
@@ -599,15 +591,6 @@ pub struct ReplicatedReport {
     pub replicas_consistent: bool,
     /// Virtual wall-clock time of the whole run.
     pub wall: Nanos,
-}
-
-/// Downcasts a [`LiteDb`]'s backend to the primary [`memsnap::MemSnap`].
-fn memsnap_of(db: &mut LiteDb) -> &mut memsnap::MemSnap {
-    db.backend_mut()
-        .as_any_mut()
-        .and_then(|a| a.downcast_mut::<MemSnapBackend>())
-        .expect("the replication driver runs on the MemSnap backend")
-        .memsnap_mut()
 }
 
 /// The replicated-LiteDB experiment: a primary commits write

@@ -255,11 +255,6 @@ impl Vm {
         MemObjectId(self.objects.len() as u32 - 1)
     }
 
-    /// Number of pages in `object`.
-    pub fn object_pages(&self, object: MemObjectId) -> u64 {
-        self.objects[object.0 as usize].pages.len() as u64
-    }
-
     /// Maps `object` at `va` in `space`.
     ///
     /// # Errors
