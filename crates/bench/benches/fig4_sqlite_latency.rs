@@ -1,10 +1,10 @@
 //! Figure 4: SQLite transaction latency (average and 99th percentile)
 //! vs transaction size, MemSnap vs the WAL+checkpoint baseline.
 
+use msnap_bench::litedb::{run_dbbench, DbbenchConfig, DbbenchReport};
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_fs::FsKind;
-use msnap_litedb::drivers::{run_dbbench, DbbenchConfig, DbbenchReport};
 use msnap_litedb::{FileBackend, LiteDb, MemSnapBackend};
 use msnap_sim::Vt;
 use msnap_workloads::dbbench::KeyOrder;

@@ -1,10 +1,10 @@
 //! Figure 5: TATP throughput vs database size, MemSnap vs the WAL
 //! baseline.
 
+use msnap_bench::litedb::{run_tatp, setup_tatp};
 use msnap_bench::{header, table};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_fs::FsKind;
-use msnap_litedb::drivers::{run_tatp, setup_tatp};
 use msnap_litedb::{FileBackend, LiteDb, MemSnapBackend};
 use msnap_sim::{Nanos, Vt};
 

@@ -1,8 +1,8 @@
 //! Figure 6: PostgreSQL TPC-C across four storage stacks — transactions
 //! per second, device write throughput, and IO/s.
 
+use msnap_bench::tpcc::{run, setup, TpccConfig};
 use msnap_bench::{header, table};
-use msnap_pgdb::tpcc::{run, setup, TpccConfig};
 use msnap_pgdb::StoreVariant;
 use msnap_sim::{Nanos, Vt};
 

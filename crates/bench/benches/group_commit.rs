@@ -7,10 +7,10 @@
 //! readable `BENCH_persist.json` trajectory point at the workspace root
 //! (p50/p99 latency, IOs per commit, queue depth per configuration).
 
+use msnap_bench::litedb::{run_group_commit, GroupCommitConfig};
+use msnap_bench::skipdb::{run_kv_group_commit, KvGroupConfig};
 use msnap_bench::{header, table, us};
-use msnap_litedb::drivers::{run_group_commit, GroupCommitConfig};
 use msnap_sim::Nanos;
-use msnap_skipdb::drivers::{run_kv_group_commit, KvGroupConfig};
 
 const THREADS: [u32; 4] = [1, 2, 4, 8];
 const WINDOWS_US: [u64; 3] = [2, 8, 32];

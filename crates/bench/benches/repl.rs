@@ -16,12 +16,12 @@
 //! Emits the machine-readable `BENCH_repl.json` at the workspace root.
 
 use memsnap::{MemSnap, PersistFlags, RegionSel, PAGE_SIZE};
+use msnap_bench::litedb::{run_replicated, ReplicatedConfig};
+use msnap_bench::skipdb::{run_replicated_kv, KvReplConfig};
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig};
-use msnap_litedb::drivers::{run_replicated, ReplicatedConfig};
 use msnap_repl::{ReplConfig, ReplEngine};
 use msnap_sim::{Nanos, NetConfig, Vt};
-use msnap_skipdb::drivers::{run_replicated_kv, KvReplConfig};
 
 const COMMITS: u64 = 24;
 const REGION_PAGES: u64 = 8;

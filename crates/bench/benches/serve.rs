@@ -14,9 +14,10 @@
 //!
 //! Emits the machine-readable `BENCH_serve.json` at the workspace root.
 
+use msnap_bench::serve::run;
+use msnap_bench::serve::{FleetConfig, RunConfig, RunReport};
 use msnap_bench::{header, table, us};
-use msnap_serve::harness::run;
-use msnap_serve::{FleetConfig, RunConfig, RunReport, ServeConfig};
+use msnap_serve::ServeConfig;
 use msnap_sim::{Nanos, NetConfig};
 
 const CONNECTIONS: usize = 1024;

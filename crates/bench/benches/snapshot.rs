@@ -14,9 +14,9 @@
 //! Emits the machine-readable `BENCH_snapshot.json` at the workspace
 //! root.
 
+use msnap_bench::litedb::{run_online_backup, OnlineBackupConfig};
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
-use msnap_litedb::drivers::{run_online_backup, OnlineBackupConfig};
 use msnap_sim::{Nanos, Vt};
 use msnap_snap::{sync_to, DeltaStream, StreamTrailer, WHOLE_FRAME_LEN};
 use msnap_store::ObjectStore;

@@ -5,10 +5,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use msnap_bench::skipdb::{fill, run_mixgraph, MixGraphConfig};
 use msnap_bench::{header, table};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_sim::{Category, Vt};
-use msnap_skipdb::drivers::{fill, run_mixgraph, MixGraphConfig};
 use msnap_skipdb::BaselineKv;
 
 /// Paper rows: (category, paper %).

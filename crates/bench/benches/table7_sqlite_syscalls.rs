@@ -2,10 +2,10 @@
 //! SQLite under dbbench — `msnap_persist` for the MemSnap build vs
 //! `fsync`/`write`/`read` for the WAL baseline.
 
+use msnap_bench::litedb::{run_dbbench, DbbenchConfig, DbbenchReport};
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_fs::FsKind;
-use msnap_litedb::drivers::{run_dbbench, DbbenchConfig, DbbenchReport};
 use msnap_litedb::{FileBackend, LiteDb, MemSnapBackend};
 use msnap_sim::Vt;
 use msnap_workloads::dbbench::KeyOrder;

@@ -1,10 +1,10 @@
 //! Table 8: SQLite CPU usage and total dbbench execution time, baseline
 //! vs MemSnap, random and sequential IO.
 
+use msnap_bench::litedb::{run_dbbench, DbbenchConfig, DbbenchReport};
 use msnap_bench::{header, table};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_fs::FsKind;
-use msnap_litedb::drivers::{run_dbbench, DbbenchConfig, DbbenchReport};
 use msnap_litedb::{FileBackend, LiteDb, MemSnapBackend};
 use msnap_sim::{Category, Nanos, Vt};
 use msnap_workloads::dbbench::KeyOrder;

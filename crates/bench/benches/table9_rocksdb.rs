@@ -5,10 +5,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use msnap_bench::skipdb::{fill, run_mixgraph, MixGraphConfig, MixGraphReport};
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_sim::Vt;
-use msnap_skipdb::drivers::{fill, run_mixgraph, MixGraphConfig, MixGraphReport};
 use msnap_skipdb::{AuroraKv, BaselineKv, Kv, MemSnapKv};
 
 fn cfg() -> MixGraphConfig {

@@ -1,12 +1,26 @@
-//! Shared formatting for the benchmark harnesses.
+//! The one experiment harness, plus table formatting.
 //!
 //! Every table and figure of the MemSnap paper has a `harness = false`
 //! bench target in this crate; `cargo bench` regenerates all of them.
 //! Each harness prints the paper's reported values next to this
 //! reproduction's measured values so EXPERIMENTS.md can be audited
 //! directly from the output.
+//!
+//! The workload drivers those benches, the root integration tests and
+//! the examples share live here, outside the program crates:
+//!
+//! - [`litedb`]: dbbench, TATP, online backup and replicated LiteDB
+//!   (§7.1);
+//! - [`skipdb`]: MixGraph, the §7.2 torture test and KV failover;
+//! - [`tpcc`]: TPC-C over the four PgDB storage stacks (Figure 6);
+//! - [`serve`]: the seeded oracle fleet driving one `ServeNode`.
 
 #![warn(missing_docs)]
+
+pub mod litedb;
+pub mod serve;
+pub mod skipdb;
+pub mod tpcc;
 
 /// Prints a section header.
 pub fn header(title: &str, note: &str) {

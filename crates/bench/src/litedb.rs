@@ -13,8 +13,7 @@ use msnap_sim::{CostTracker, LatencyStats, Meters, Nanos, Scheduler, StepOutcome
 use msnap_workloads::dbbench::{DbBench, KeyOrder, WriteBatch};
 use msnap_workloads::tatp::{Tatp, TatpTxn};
 
-use crate::backend::BackendStats;
-use crate::{LiteDb, MemSnapBackend, TableId};
+use msnap_litedb::{BackendStats, LiteDb, MemSnapBackend, TableId};
 
 /// dbbench parameters (paper defaults: 2 M kvs over 1 M keys; scale down
 /// for CI).
@@ -731,9 +730,9 @@ pub fn run_replicated(cfg: &ReplicatedConfig) -> ReplicatedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FileBackend;
     use msnap_disk::{Disk, DiskConfig};
     use msnap_fs::FsKind;
+    use msnap_litedb::FileBackend;
 
     fn memsnap_db(vt: &mut Vt) -> LiteDb {
         let backend = MemSnapBackend::format_with_capacity(

@@ -26,8 +26,8 @@ use rand::{Rng, SeedableRng};
 
 use msnap_workloads::dist::TenantKeyZipf;
 
-use crate::server::{key_page_range, key_stripe, ServeConfig, ServeError, ServeNode};
-use crate::wire::{self, ErrCode, NotifyEvent, Request, Response};
+use msnap_serve::server::{key_page_range, key_stripe, ServeConfig, ServeError, ServeNode};
+use msnap_serve::wire::{self, ErrCode, NotifyEvent, Request, Response};
 
 /// Shape of the simulated client fleet.
 #[derive(Debug, Clone)]

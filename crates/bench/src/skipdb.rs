@@ -6,7 +6,7 @@ use std::rc::Rc;
 use msnap_sim::{CostTracker, LatencyStats, Nanos, Scheduler, StepOutcome, Vt};
 use msnap_workloads::mixgraph::{MixGraph, MixOp};
 
-use crate::Kv;
+use msnap_skipdb::Kv;
 
 /// MixGraph run parameters (paper: 20 M keys, 12 threads; scale down for
 /// CI).
@@ -152,8 +152,8 @@ pub fn torture_memsnap(
     crash_fraction: f64,
     seed: u64,
 ) -> TortureOutcome {
-    use crate::MemSnapKv;
     use msnap_disk::{Disk, DiskConfig};
+    use msnap_skipdb::MemSnapKv;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -270,7 +270,7 @@ pub struct KvGroupReport {
 }
 
 /// Runs `cfg.threads` writer threads over one shared
-/// [`MemSnapKv`](crate::MemSnapKv),
+/// [`MemSnapKv`](msnap_skipdb::MemSnapKv),
 /// committing through the cross-thread group-commit path (or uncoalesced
 /// MultiPuts for the ablation baseline). Thread `t` writes keys
 /// `t*1_000_000 + i` so transactions never collide.
@@ -280,8 +280,8 @@ pub struct KvGroupReport {
 /// enqueue is what lets the next thread keep inserting into the same
 /// region while the window is open.
 pub fn run_kv_group_commit(cfg: &KvGroupConfig) -> KvGroupReport {
-    use crate::MemSnapKv;
     use msnap_disk::{Disk, DiskConfig};
+    use msnap_skipdb::MemSnapKv;
 
     let mut vt0 = Vt::new(u32::MAX); // setup thread
     let mut kv = MemSnapKv::format(Disk::new(DiskConfig::paper()), 1 << 15, &mut vt0);
@@ -375,14 +375,14 @@ pub struct SnapshotScanReport {
 }
 
 /// The snapshot-scan experiment: fill a
-/// [`MemSnapKv`](crate::MemSnapKv), pin a retained
+/// [`MemSnapKv`](msnap_skipdb::MemSnapKv), pin a retained
 /// snapshot, keep writing (new keys *and* overwrites of old ones), then
 /// scan the snapshot. The scan must see the exact pre-churn state —
 /// RocksDB's long-running-iterator use case, but against a durable
 /// retained epoch instead of an in-memory sequence number.
 pub fn run_snapshot_scan(keys: u64, churn: u64) -> SnapshotScanReport {
-    use crate::MemSnapKv;
     use msnap_disk::{Disk, DiskConfig};
+    use msnap_skipdb::MemSnapKv;
 
     let mut vt = Vt::new(u32::MAX);
     let mut kv = MemSnapKv::format(
@@ -467,7 +467,7 @@ pub struct KvReplReport {
 
 /// One replicated MultiPut batch; throttles on the engine's lag budget.
 fn replicated_batch(
-    kv: &mut crate::MemSnapKv,
+    kv: &mut msnap_skipdb::MemSnapKv,
     vt: &mut Vt,
     eng: &mut msnap_repl::ReplEngine,
     batch: u64,
@@ -493,7 +493,7 @@ fn replicated_batch(
     }
 }
 
-/// The KV failover experiment: a [`MemSnapKv`](crate::MemSnapKv) primary
+/// The KV failover experiment: a [`MemSnapKv`](msnap_skipdb::MemSnapKv) primary
 /// replicates MultiPut batches to a standby, the primary is killed with
 /// one batch committed locally but unacknowledged behind a partition,
 /// and the standby is promoted. The promoted store must be an exact
@@ -503,8 +503,8 @@ fn replicated_batch(
 /// re-attaches as a replica and must converge with the new primary while
 /// it keeps committing batches.
 pub fn run_replicated_kv(cfg: &KvReplConfig) -> KvReplReport {
-    use crate::MemSnapKv;
     use msnap_disk::{Disk, DiskConfig};
+    use msnap_skipdb::MemSnapKv;
 
     let mut vt = Vt::new(0);
     let capacity = (cfg.batches_before_crash + cfg.extra_batches + 2) * cfg.keys_per_batch * 2 + 64;
@@ -644,8 +644,8 @@ pub fn run_replicated_kv(cfg: &KvReplConfig) -> KvReplReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AuroraKv, BaselineKv, MemSnapKv};
     use msnap_disk::{Disk, DiskConfig};
+    use msnap_skipdb::{AuroraKv, BaselineKv, MemSnapKv};
 
     fn small_cfg() -> MixGraphConfig {
         MixGraphConfig {

@@ -9,7 +9,7 @@ use msnap_disk::{Disk, DiskConfig};
 use msnap_sim::{Category, LatencyStats, Nanos, Scheduler, StepOutcome, Vt};
 use msnap_workloads::tpcc::{Tpcc, TpccTxn, DISTRICTS_PER_WAREHOUSE, ITEMS};
 
-use crate::{BlockStore, IoReport, PgDb, PgTable, StoreVariant, PG_BLOCK};
+use msnap_pgdb::{BlockStore, IoReport, PgDb, PgTable, StoreVariant, PG_BLOCK};
 
 /// Table ids in the TPC-C schema.
 const T_WAREHOUSE: PgTable = PgTable(0);

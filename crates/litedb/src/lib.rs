@@ -46,7 +46,6 @@
 
 mod backend;
 mod btree;
-pub mod drivers;
 mod engine;
 mod file_backend;
 mod memsnap_backend;

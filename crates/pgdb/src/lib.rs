@@ -25,14 +25,13 @@
 //!   `msnap_persist` covering the transaction's dirty pages across all
 //!   regions.
 //!
-//! The TPC-C driver ([`tpcc`]) reports transactions/s, disk MiB/s and
-//! IO/s for each variant — the three panels of Figure 6.
+//! The TPC-C driver (in `msnap-bench`) reports transactions/s, disk
+//! MiB/s and IO/s for each variant — the three panels of Figure 6.
 
 #![warn(missing_docs)]
 
 mod engine;
 mod store;
-pub mod tpcc;
 
 pub use engine::{PgDb, PgTable};
 pub use store::{BlockStore, IoReport, StoreVariant, PG_BLOCK};

@@ -21,18 +21,17 @@
 //!   boundaries), read (bounded-staleness replica routing) — plus
 //!   crash/promotion re-homing. The actors live in `server/control.rs`,
 //!   `server/write.rs` (write, notify, cut) and `server/read.rs`.
-//! - [`harness`]: a seeded fleet of oracle clients driving Zipfian
-//!   tenant×key skew, with mid-run failover injection and
-//!   exactly-once watch verification.
+//!
+//! The seeded fleet of oracle clients that drives a node (Zipfian
+//! tenant×key skew, mid-run failover, exactly-once watch checks) is
+//! test and bench code: it lives in `msnap-bench`.
 //!
 //! [`SimSwitch`]: msnap_sim::SimSwitch
 
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod server;
 pub mod wire;
 
-pub use harness::{FailoverReport, FleetConfig, RunConfig, RunReport};
 pub use server::{ServeConfig, ServeError, ServeNode};
 pub use wire::{ErrCode, NotifyEvent, Request, Response, WireError, WireStats};

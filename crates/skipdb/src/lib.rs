@@ -18,8 +18,8 @@
 //!   checkpointing — every write triggers a stop-the-world shadow
 //!   checkpoint, reproducing the overheads of Tables 9/10.
 //!
-//! All three implement [`Kv`], so the MixGraph driver ([`drivers`])
-//! measures them identically.
+//! All three implement [`Kv`], so the MixGraph driver (in
+//! `msnap-bench`) measures them identically.
 //!
 //! # Example
 //!
@@ -38,7 +38,6 @@
 
 mod aurora_kv;
 mod baseline;
-pub mod drivers;
 mod kv;
 mod memsnap_kv;
 mod node;

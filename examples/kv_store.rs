@@ -10,9 +10,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use msnap_bench::skipdb::{fill, run_mixgraph, torture_memsnap, MixGraphConfig};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_sim::Vt;
-use msnap_skipdb::drivers::{fill, run_mixgraph, torture_memsnap, MixGraphConfig};
 use msnap_skipdb::{BaselineKv, Kv, MemSnapKv};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

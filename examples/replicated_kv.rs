@@ -15,10 +15,10 @@
 //! Run with: `cargo run --example replicated_kv`
 
 use memsnap::{MemSnap, PersistFlags, RegionSel, PAGE_SIZE};
+use msnap_bench::skipdb::{run_replicated_kv, KvReplConfig};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_repl::{ReplConfig, ReplEngine};
 use msnap_sim::{Nanos, NetConfig, Vt};
-use msnap_skipdb::drivers::{run_replicated_kv, KvReplConfig};
 
 fn main() {
     println!("== replicated KV over a 15%-loss WAN link ==");

@@ -8,16 +8,17 @@
 //! commit's own dirty-line record, never by diffing or scanning the
 //! store.
 //!
-//! Act two runs the seeded oracle fleet from [`msnap_serve::harness`]:
+//! Act two runs the seeded oracle fleet from [`msnap_bench::serve`]:
 //! 64 Zipfian clients, a primary crash mid-run, a replica promoted at a
 //! cut boundary, and the oracle's verdict that no acknowledged write
 //! was lost and every session re-homed.
 //!
 //! Run with: `cargo run --example served_kv`
 
-use msnap_serve::harness::run;
+use msnap_bench::serve::run;
+use msnap_bench::serve::{FleetConfig, RunConfig};
 use msnap_serve::wire::{decode_responses, encode_request};
-use msnap_serve::{FleetConfig, Request, Response, RunConfig, ServeConfig, ServeNode};
+use msnap_serve::{Request, Response, ServeConfig, ServeNode};
 use msnap_sim::{Nanos, NetConfig};
 
 /// Advances the node `rounds` quanta, collecting every response each

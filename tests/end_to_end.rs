@@ -66,7 +66,7 @@ fn headline_latency_claims() {
 /// (random dbbench; scaled here, so we assert >2x) and the TATP benefit.
 #[test]
 fn sqlite_case_study_speedup() {
-    use msnap_litedb::drivers::{run_dbbench, DbbenchConfig};
+    use msnap_bench::litedb::{run_dbbench, DbbenchConfig};
     use msnap_litedb::{FileBackend, LiteDb, MemSnapBackend};
     use msnap_workloads::dbbench::KeyOrder;
 
@@ -100,7 +100,7 @@ fn sqlite_case_study_speedup() {
 /// memsnap beats the WAL baseline (Table 9 ordering).
 #[test]
 fn rocksdb_case_study_ordering() {
-    use msnap_skipdb::drivers::{fill, run_mixgraph, MixGraphConfig};
+    use msnap_bench::skipdb::{fill, run_mixgraph, MixGraphConfig};
     use msnap_skipdb::{AuroraKv, BaselineKv, MemSnapKv};
 
     let cfg = MixGraphConfig {
@@ -146,7 +146,7 @@ fn rocksdb_case_study_ordering() {
 /// Figure 6's orderings, asserted end to end.
 #[test]
 fn postgres_case_study_ordering() {
-    use msnap_pgdb::tpcc::{run, setup, TpccConfig};
+    use msnap_bench::tpcc::{run, setup, TpccConfig};
     use msnap_pgdb::StoreVariant;
 
     let cfg = TpccConfig {

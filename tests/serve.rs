@@ -4,8 +4,9 @@
 
 use proptest::prelude::*;
 
-use msnap_serve::harness::run;
-use msnap_serve::{FleetConfig, RunConfig, ServeConfig};
+use msnap_bench::serve::run;
+use msnap_bench::serve::{FleetConfig, RunConfig};
+use msnap_serve::ServeConfig;
 use msnap_sim::{Nanos, NetConfig};
 
 proptest! {

@@ -7,7 +7,7 @@
 //! to a new instance and verify that the values sum up to the correct
 //! amount."
 
-use msnap_skipdb::drivers::torture_memsnap;
+use msnap_bench::skipdb::torture_memsnap;
 
 #[test]
 fn torture_many_seeds_and_crash_points() {
