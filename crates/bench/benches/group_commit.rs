@@ -7,8 +7,7 @@
 //! readable `BENCH_persist.json` trajectory point at the workspace root
 //! (p50/p99 latency, IOs per commit, queue depth per configuration).
 
-use msnap_bench::litedb::{run_group_commit, GroupCommitConfig};
-use msnap_bench::skipdb::{run_kv_group_commit, KvGroupConfig};
+use msnap_bench::group_commit::{run_group_commit, GroupCommitConfig, GroupCommitReport, GroupDb};
 use msnap_bench::{header, table, us};
 use msnap_sim::Nanos;
 
@@ -17,116 +16,76 @@ const WINDOWS_US: [u64; 3] = [2, 8, 32];
 const TXNS_PER_THREAD: u64 = 32;
 const KEYS_PER_TXN: u64 = 4;
 
-/// One measured configuration, normalized across the two drivers.
+/// One measured configuration.
 struct Point {
-    db: &'static str,
-    threads: u32,
-    window_us: u64,
-    coalesced: bool,
-    txns: u64,
-    p50: Nanos,
-    p99: Nanos,
-    mean: Nanos,
-    disk_writes: u64,
-    merged_submissions: u64,
-    merged_parts: u64,
-    avg_queue_depth: f64,
-    wall: Nanos,
+    cfg: GroupCommitConfig,
+    report: GroupCommitReport,
 }
 
 impl Point {
+    fn run(db: GroupDb, threads: u32, window_us: u64, coalesced: bool) -> Point {
+        let cfg = GroupCommitConfig {
+            db,
+            threads,
+            txns_per_thread: TXNS_PER_THREAD,
+            keys_per_txn: KEYS_PER_TXN,
+            window: Nanos::from_us(window_us),
+            coalesced,
+        };
+        Point {
+            report: run_group_commit(&cfg),
+            cfg,
+        }
+    }
+
+    fn window_us(&self) -> u64 {
+        self.cfg.window.as_ns() / 1_000
+    }
+
     fn ios_per_commit(&self) -> f64 {
-        self.disk_writes as f64 / self.txns as f64
+        self.report.disk_writes as f64 / self.report.txns as f64
     }
 
     fn json(&self) -> String {
+        let (cfg, r) = (&self.cfg, &self.report);
         format!(
             "{{\"db\":\"{}\",\"threads\":{},\"window_us\":{},\"coalesced\":{},\
              \"txns\":{},\"p50_us\":{:.3},\"p99_us\":{:.3},\"mean_us\":{:.3},\
              \"disk_writes\":{},\"ios_per_commit\":{:.3},\
              \"merged_submissions\":{},\"merged_parts\":{},\
              \"avg_queue_depth\":{:.3},\"wall_us\":{:.1}}}",
-            self.db,
-            self.threads,
-            self.window_us,
-            self.coalesced,
-            self.txns,
-            self.p50.as_us_f64(),
-            self.p99.as_us_f64(),
-            self.mean.as_us_f64(),
-            self.disk_writes,
+            cfg.db.name(),
+            cfg.threads,
+            self.window_us(),
+            cfg.coalesced,
+            r.txns,
+            r.commit_latency.percentile(50.0).as_us_f64(),
+            r.commit_latency.percentile(99.0).as_us_f64(),
+            r.commit_latency.mean().as_us_f64(),
+            r.disk_writes,
             self.ios_per_commit(),
-            self.merged_submissions,
-            self.merged_parts,
-            self.avg_queue_depth,
-            self.wall.as_us_f64(),
+            r.merged_submissions,
+            r.merged_parts,
+            r.avg_queue_depth,
+            r.wall.as_us_f64(),
         )
     }
 
     fn row(&self) -> Vec<String> {
+        let r = &self.report;
         vec![
-            if self.coalesced {
-                format!("{} us window", self.window_us)
+            if self.cfg.coalesced {
+                format!("{} us window", self.window_us())
             } else {
                 "uncoalesced".into()
             },
-            format!("{}", self.threads),
-            us(self.p50.as_us_f64()),
-            us(self.p99.as_us_f64()),
+            format!("{}", self.cfg.threads),
+            us(r.commit_latency.percentile(50.0).as_us_f64()),
+            us(r.commit_latency.percentile(99.0).as_us_f64()),
             format!("{:.2}", self.ios_per_commit()),
-            format!("{}/{}", self.merged_parts, self.merged_submissions),
-            format!("{:.2}", self.avg_queue_depth),
+            format!("{}/{}", r.merged_parts, r.merged_submissions),
+            format!("{:.2}", r.avg_queue_depth),
         ]
-    }
-}
-
-fn litedb_point(threads: u32, window_us: u64, coalesced: bool) -> Point {
-    let report = run_group_commit(&GroupCommitConfig {
-        threads,
-        txns_per_thread: TXNS_PER_THREAD,
-        keys_per_txn: KEYS_PER_TXN,
-        window: Nanos::from_us(window_us),
-        coalesced,
-    });
-    Point {
-        db: "litedb",
-        threads,
-        window_us,
-        coalesced,
-        txns: report.txns,
-        p50: report.commit_latency.percentile(50.0),
-        p99: report.commit_latency.percentile(99.0),
-        mean: report.commit_latency.mean(),
-        disk_writes: report.disk_writes,
-        merged_submissions: report.merged_submissions,
-        merged_parts: report.merged_parts,
-        avg_queue_depth: report.avg_queue_depth,
-        wall: report.wall,
-    }
-}
-
-fn skipdb_point(threads: u32, window_us: u64, coalesced: bool) -> Point {
-    let report = run_kv_group_commit(&KvGroupConfig {
-        threads,
-        txns_per_thread: TXNS_PER_THREAD,
-        keys_per_txn: KEYS_PER_TXN,
-        window: Nanos::from_us(window_us),
-        coalesced,
-    });
-    Point {
-        db: "skipdb",
-        threads,
-        window_us,
-        coalesced,
-        txns: report.txns,
-        p50: report.commit_latency.percentile(50.0),
-        p99: report.commit_latency.percentile(99.0),
-        mean: report.commit_latency.mean(),
-        disk_writes: report.disk_writes,
-        merged_submissions: report.merged_submissions,
-        merged_parts: report.merged_parts,
-        avg_queue_depth: report.avg_queue_depth,
-        wall: report.wall,
     }
 }
 
@@ -140,9 +99,9 @@ const COLUMNS: [&str; 7] = [
     "queue depth",
 ];
 
-fn sweep(db: &'static str, run: fn(u32, u64, bool) -> Point) -> Vec<Point> {
+fn sweep(db: GroupDb) -> Vec<Point> {
     header(
-        &format!("Group commit ablation: {db}"),
+        &format!("Group commit ablation: {}", db.name()),
         &format!(
             "{TXNS_PER_THREAD} txns/thread x {KEYS_PER_TXN} keys/txn; \
              coalescing windows {WINDOWS_US:?} us vs the per-thread sync path."
@@ -151,11 +110,11 @@ fn sweep(db: &'static str, run: fn(u32, u64, bool) -> Point) -> Vec<Point> {
     let mut points = Vec::new();
     let mut rows = Vec::new();
     for threads in THREADS {
-        let solo = run(threads, 0, false);
+        let solo = Point::run(db, threads, 0, false);
         rows.push(solo.row());
         points.push(solo);
         for window_us in WINDOWS_US {
-            let grouped = run(threads, window_us, true);
+            let grouped = Point::run(db, threads, window_us, true);
             rows.push(grouped.row());
             points.push(grouped);
         }
@@ -165,29 +124,29 @@ fn sweep(db: &'static str, run: fn(u32, u64, bool) -> Point) -> Vec<Point> {
     // The headline claim at 8 threads, widest window.
     let solo = points
         .iter()
-        .find(|p| p.threads == 8 && !p.coalesced)
+        .find(|p| p.cfg.threads == 8 && !p.cfg.coalesced)
         .unwrap();
     let best = points
         .iter()
-        .filter(|p| p.threads == 8 && p.coalesced)
-        .min_by(|a, b| a.disk_writes.cmp(&b.disk_writes))
+        .filter(|p| p.cfg.threads == 8 && p.cfg.coalesced)
+        .min_by_key(|p| p.report.disk_writes)
         .unwrap();
     println!();
     println!(
         "8 threads: {:.2}x fewer device submissions ({} -> {}), \
          mean commit latency {} -> {} us",
-        solo.disk_writes as f64 / best.disk_writes as f64,
-        solo.disk_writes,
-        best.disk_writes,
-        us(solo.mean.as_us_f64()),
-        us(best.mean.as_us_f64()),
+        solo.report.disk_writes as f64 / best.report.disk_writes as f64,
+        solo.report.disk_writes,
+        best.report.disk_writes,
+        us(solo.report.commit_latency.mean().as_us_f64()),
+        us(best.report.commit_latency.mean().as_us_f64()),
     );
     points
 }
 
 fn main() {
-    let mut points = sweep("litedb", litedb_point);
-    points.extend(sweep("skipdb", skipdb_point));
+    let mut points = sweep(GroupDb::LiteDb);
+    points.extend(sweep(GroupDb::SkipDb));
 
     // Machine-readable trajectory point at the workspace root; each entry
     // is one (db, threads, window, coalesced) configuration.

@@ -17,6 +17,7 @@
 
 use memsnap::{MemSnap, PersistFlags, RegionSel, PAGE_SIZE};
 use msnap_bench::litedb::{run_replicated, ReplicatedConfig};
+use msnap_bench::replica::throttled_tick;
 use msnap_bench::skipdb::{run_replicated_kv, KvReplConfig};
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig};
@@ -53,8 +54,7 @@ fn loss_point(loss: f64, small: bool) -> LossPoint {
     let r = ms.msnap_open(&mut vt, space, "data", REGION_PAGES).unwrap();
     let t = vt.id();
 
-    let cfg = ReplConfig::default();
-    let mut eng = ReplEngine::new(cfg);
+    let mut eng = ReplEngine::new(ReplConfig::default());
     eng.add_replica("standby", NetConfig::with_loss(9, loss))
         .unwrap();
     // Bootstrap: first image ships before the steady-state measurement.
@@ -91,11 +91,7 @@ fn loss_point(loss: f64, small: bool) -> LossPoint {
         }
         ms.msnap_persist(&mut vt, t, RegionSel::Region(r.md), PersistFlags::sync())
             .unwrap();
-        let mut tick = eng.tick(&mut vt, &mut ms).unwrap();
-        while tick.throttled {
-            vt.advance(cfg.retransmit_timeout / 2);
-            tick = eng.tick(&mut vt, &mut ms).unwrap();
-        }
+        throttled_tick(&mut vt, &mut eng, &mut ms, |_| {});
         let lag = eng.link_metrics("standby").unwrap().lag_epochs;
         lag_sum += lag;
         max_lag = max_lag.max(lag);

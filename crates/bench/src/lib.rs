@@ -12,12 +12,18 @@
 //! - [`litedb`]: dbbench, TATP, online backup and replicated LiteDB
 //!   (§7.1);
 //! - [`skipdb`]: MixGraph, the §7.2 torture test and KV failover;
+//! - [`group_commit`]: one multi-thread group-commit driver over LiteDB
+//!   or SkipDB;
+//! - [`replica`]: the flow-controlled tick and the replica byte-compare
+//!   both replicated drivers share;
 //! - [`tpcc`]: TPC-C over the four PgDB storage stacks (Figure 6);
 //! - [`serve`]: the seeded oracle fleet driving one `ServeNode`.
 
 #![warn(missing_docs)]
 
+pub mod group_commit;
 pub mod litedb;
+pub mod replica;
 pub mod serve;
 pub mod skipdb;
 pub mod tpcc;

@@ -1,19 +1,18 @@
-//! Workload drivers: dbbench, TATP, and the multi-thread group-commit
-//! driver over a [`LiteDb`] instance.
+//! LiteDB workload drivers: dbbench, TATP, online backup and
+//! replication over a [`LiteDb`] instance.
 //!
-//! These reproduce the paper's §7.1 experiments; the bench harnesses in
-//! `msnap-bench` call them once per configuration and print the paper's
-//! tables.
+//! These reproduce the paper's §7.1 experiments; the bench harnesses
+//! call them once per configuration and print the paper's tables.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::ops::Range;
 
 use msnap_disk::{Disk, DiskConfig};
-use msnap_sim::{CostTracker, LatencyStats, Meters, Nanos, Scheduler, StepOutcome, Vt};
+use msnap_litedb::{BackendStats, LiteDb, MemSnapBackend, TableId};
+use msnap_sim::{CostTracker, LatencyStats, Meters, Nanos, Vt, VthreadId};
 use msnap_workloads::dbbench::{DbBench, KeyOrder, WriteBatch};
 use msnap_workloads::tatp::{Tatp, TatpTxn};
 
-use msnap_litedb::{BackendStats, LiteDb, MemSnapBackend, TableId};
+use crate::replica::{replicas_match, throttled_tick};
 
 /// dbbench parameters (paper defaults: 2 M kvs over 1 M keys; scale down
 /// for CI).
@@ -257,160 +256,38 @@ pub fn run_tatp(
     }
 }
 
-/// Parameters of the multi-thread group-commit driver
-/// ([`run_group_commit`]).
-#[derive(Debug, Clone)]
-pub struct GroupCommitConfig {
-    /// Concurrent writer threads.
-    pub threads: u32,
-    /// Transactions per thread.
-    pub txns_per_thread: u64,
-    /// Keys written per transaction.
-    pub keys_per_txn: u64,
-    /// Group-commit coalescing window.
-    pub window: Nanos,
-    /// `true`: commit via enqueue/poll through the coalescer. `false`:
-    /// each thread commits synchronously under the write lock (the
-    /// uncoalesced baseline the ablation compares against).
-    pub coalesced: bool,
+/// A fresh MemSnap-backed database named `name`, with one `kv` table.
+pub(crate) fn kv_table(vt: &mut Vt, name: &str) -> (LiteDb, TableId) {
+    let backend =
+        MemSnapBackend::format_with_capacity(Disk::new(DiskConfig::paper()), name, 1 << 14, vt);
+    let mut db = LiteDb::new(Box::new(backend), vt);
+    let table = db.create_table(vt, "kv");
+    (db, table)
 }
 
-/// Results of one [`run_group_commit`] run.
-#[derive(Debug, Clone)]
-pub struct GroupCommitReport {
-    /// Transactions committed durably.
-    pub txns: u64,
-    /// Virtual wall-clock time of the run (max over threads).
-    pub wall: Nanos,
-    /// Per-transaction commit latency (begin → durable).
-    pub commit_latency: LatencyStats,
-    /// Disk write submissions during the run.
-    pub disk_writes: u64,
-    /// Submissions that carried more than one transaction.
-    pub merged_submissions: u64,
-    /// Transactions carried by merged submissions.
-    pub merged_parts: u64,
-    /// Mean device write-queue occupancy at submission.
-    pub avg_queue_depth: f64,
-    /// Store-level batch commits (shared commit records written).
-    pub batch_commits: u64,
+/// Begins the calling thread's transaction and writes `keys` to `table`
+/// with their dbbench values.
+pub(crate) fn write_keys(
+    db: &mut LiteDb,
+    vt: &mut Vt,
+    table: TableId,
+    keys: Range<u64>,
+) -> VthreadId {
+    let thread = vt.id();
+    db.begin(vt, thread);
+    for key in keys {
+        db.put(vt, thread, table, key, &WriteBatch::value_for(key));
+    }
+    thread
 }
 
 /// Downcasts a [`LiteDb`]'s backend to the [`memsnap::MemSnap`] it runs on.
-fn memsnap_of(db: &mut LiteDb) -> &mut memsnap::MemSnap {
+pub(crate) fn memsnap_of(db: &mut LiteDb) -> &mut memsnap::MemSnap {
     db.backend_mut()
         .as_any_mut()
         .and_then(|a| a.downcast_mut::<MemSnapBackend>())
         .expect("the driver runs on the MemSnap backend")
         .memsnap_mut()
-}
-
-/// Runs `cfg.threads` writer threads over one MemSnap-backed database,
-/// committing through the cross-thread group-commit path (or the
-/// uncoalesced sync path, for the ablation baseline). Thread `t` writes
-/// keys `t*1_000_000 + i` so every thread's transactions are disjoint.
-pub fn run_group_commit(cfg: &GroupCommitConfig) -> GroupCommitReport {
-    let mut vt0 = Vt::new(u32::MAX); // setup thread
-    let mut backend = MemSnapBackend::format_with_capacity(
-        Disk::new(DiskConfig::paper()),
-        "group.db",
-        1 << 14,
-        &mut vt0,
-    );
-    backend.memsnap_mut().set_coalesce_window(cfg.window);
-    let mut db = LiteDb::new(Box::new(backend), &mut vt0);
-    let table = db.create_table(&mut vt0, "kv");
-    // Dirty pages belong to their first writer: persist the setup
-    // thread's pages (the fresh table root) so the workers' per-thread
-    // commits start from a clean slate.
-    let setup = vt0.id();
-    db.begin(&mut vt0, setup);
-    db.commit(&mut vt0, setup)
-        .expect("setup runs without fault injection");
-    db.reset_metrics();
-    memsnap_of(&mut db).reset_disk_stats();
-
-    let db = Rc::new(RefCell::new(db));
-    let latency = Rc::new(RefCell::new(LatencyStats::new()));
-    let mut sched = Scheduler::new();
-    for t in 0..cfg.threads {
-        let db = Rc::clone(&db);
-        let latency = Rc::clone(&latency);
-        let cfg = cfg.clone();
-        // One transaction phase per atomic step: begin+write+enqueue in
-        // one step, each poll in its own step, so other threads' enqueues
-        // interleave into the open window. The poll that blocks until
-        // durable ends its step too: running the next transaction in it
-        // would carry this thread's clock past batch closes that threads
-        // with earlier clocks have yet to reach.
-        let mut txn = 0u64;
-        let mut pending: Option<(memsnap::CommitTicket, Nanos)> = None;
-        sched.spawn(move |vt: &mut Vt| {
-            let thread = vt.id();
-            let mut db = db.borrow_mut();
-            if let Some((ticket, t0)) = pending {
-                if db
-                    .commit_poll(vt, ticket)
-                    .expect("driver runs without fault injection")
-                {
-                    latency.borrow_mut().record(vt.now() - t0);
-                    pending = None;
-                    txn += 1;
-                }
-                return StepOutcome::Continue;
-            }
-            if txn >= cfg.txns_per_thread {
-                return StepOutcome::Done;
-            }
-            let t0 = vt.now();
-            db.begin(vt, thread);
-            let base = t as u64 * 1_000_000 + txn * cfg.keys_per_txn;
-            for k in 0..cfg.keys_per_txn {
-                db.put(
-                    vt,
-                    thread,
-                    table,
-                    base + k,
-                    &WriteBatch::value_for(base + k),
-                );
-            }
-            if cfg.coalesced {
-                let ticket = db
-                    .commit_enqueue(vt, thread)
-                    .expect("driver runs without fault injection")
-                    .expect("memsnap backend issues tickets");
-                pending = Some((ticket, t0));
-            } else {
-                db.commit(vt, thread)
-                    .expect("driver runs without fault injection");
-                latency.borrow_mut().record(vt.now() - t0);
-                txn += 1;
-            }
-            StepOutcome::Continue
-        });
-    }
-    let vts = sched.run_to_completion();
-    let wall = vts.iter().map(|vt| vt.now()).max().unwrap_or(Nanos::ZERO);
-
-    let db = Rc::try_unwrap(db).expect("all threads done").into_inner();
-    let backend = db
-        .into_backend()
-        .into_any()
-        .downcast::<MemSnapBackend>()
-        .expect("memsnap backend");
-    let ms = backend.memsnap();
-    let disk = ms.disk().stats();
-    let commit_latency = latency.borrow().clone();
-    GroupCommitReport {
-        txns: cfg.threads as u64 * cfg.txns_per_thread,
-        wall,
-        commit_latency,
-        disk_writes: disk.writes(),
-        merged_submissions: disk.merged_submissions(),
-        merged_parts: disk.merged_parts(),
-        avg_queue_depth: disk.avg_queue_depth(),
-        batch_commits: ms.store().stats().batch_commits,
-    }
 }
 
 /// Parameters of the online-backup driver ([`run_online_backup`]).
@@ -462,15 +339,7 @@ pub fn run_online_backup(cfg: &OnlineBackupConfig) -> OnlineBackupReport {
     use msnap_store::ObjectStore;
 
     let mut vt = Vt::new(0);
-    let backend = MemSnapBackend::format_with_capacity(
-        Disk::new(DiskConfig::paper()),
-        "backup.db",
-        1 << 14,
-        &mut vt,
-    );
-    let mut db = LiteDb::new(Box::new(backend), &mut vt);
-    let table = db.create_table(&mut vt, "kv");
-    let thread = vt.id();
+    let (mut db, table) = kv_table(&mut vt, "backup.db");
 
     let mut rdisk = Disk::new(DiskConfig::paper());
     let mut replica = ObjectStore::format(&mut rdisk);
@@ -488,11 +357,8 @@ pub fn run_online_backup(cfg: &OnlineBackupConfig) -> OnlineBackupReport {
     };
     let mut last_backup: Option<String> = None;
     for txn in 0..cfg.txns {
-        db.begin(&mut vt, thread);
-        for k in 0..cfg.keys_per_txn {
-            let key = txn * cfg.keys_per_txn + k;
-            db.put(&mut vt, thread, table, key, &WriteBatch::value_for(key));
-        }
+        let keys = txn * cfg.keys_per_txn..(txn + 1) * cfg.keys_per_txn;
+        let thread = write_keys(&mut db, &mut vt, table, keys);
         db.commit(&mut vt, thread)
             .expect("the backup workload runs without fault injection");
         report.txns += 1;
@@ -588,8 +454,6 @@ pub struct ReplicatedReport {
     /// Whether every replica's final image matches the primary byte for
     /// byte.
     pub replicas_consistent: bool,
-    /// Virtual wall-clock time of the whole run.
-    pub wall: Nanos,
 }
 
 /// The replicated-LiteDB experiment: a primary commits write
@@ -602,15 +466,7 @@ pub struct ReplicatedReport {
 /// byte-for-byte comparison of every replica against the primary.
 pub fn run_replicated(cfg: &ReplicatedConfig) -> ReplicatedReport {
     let mut vt = Vt::new(0);
-    let backend = MemSnapBackend::format_with_capacity(
-        Disk::new(DiskConfig::paper()),
-        "replicated.db",
-        1 << 14,
-        &mut vt,
-    );
-    let mut db = LiteDb::new(Box::new(backend), &mut vt);
-    let table = db.create_table(&mut vt, "kv");
-    let thread = vt.id();
+    let (mut db, table) = kv_table(&mut vt, "replicated.db");
 
     let mut eng = msnap_repl::ReplEngine::new(cfg.repl);
     let names: Vec<String> = (0..cfg.replicas).map(|i| format!("replica{i}")).collect();
@@ -636,16 +492,11 @@ pub fn run_replicated(cfg: &ReplicatedConfig) -> ReplicatedReport {
         delta_syncs: 0,
         read_your_writes: true,
         replicas_consistent: false,
-        wall: Nanos::ZERO,
     };
     for txn in 0..cfg.txns {
-        db.begin(&mut vt, thread);
-        let mut last_key = 0;
-        for k in 0..cfg.keys_per_txn {
-            let key = txn * cfg.keys_per_txn + k;
-            db.put(&mut vt, thread, table, key, &WriteBatch::value_for(key));
-            last_key = key;
-        }
+        let keys = txn * cfg.keys_per_txn..(txn + 1) * cfg.keys_per_txn;
+        let last_key = keys.end - 1;
+        let thread = write_keys(&mut db, &mut vt, table, keys);
         db.commit(&mut vt, thread)
             .expect("the replication workload runs without fault injection");
         report.txns += 1;
@@ -654,22 +505,12 @@ pub fn run_replicated(cfg: &ReplicatedConfig) -> ReplicatedReport {
         report.read_your_writes &= db.get(&mut vt, table, last_key).as_deref()
             == Some(&WriteBatch::value_for(last_key)[..]);
 
-        let mut tick = eng
-            .tick(&mut vt, memsnap_of(&mut db))
-            .expect("the replication workload runs without fault injection");
-        for name in &names {
-            let lag = eng.link_metrics(name).expect("link exists").lag_epochs;
-            report.max_lag_epochs = report.max_lag_epochs.max(lag);
-        }
-        // Lag-driven flow control: over budget, the ingest path stalls
-        // (bounding replica staleness) until acks drain the backlog.
-        while tick.throttled {
-            report.throttle_stalls += 1;
-            vt.advance(cfg.repl.retransmit_timeout / 2);
-            tick = eng
-                .tick(&mut vt, memsnap_of(&mut db))
-                .expect("the replication workload runs without fault injection");
-        }
+        report.throttle_stalls += throttled_tick(&mut vt, &mut eng, memsnap_of(&mut db), |eng| {
+            for name in &names {
+                let lag = eng.link_metrics(name).expect("link exists").lag_epochs;
+                report.max_lag_epochs = report.max_lag_epochs.max(lag);
+            }
+        });
     }
     let settled = eng
         .settle(&mut vt, memsnap_of(&mut db), Nanos::from_secs(120))
@@ -684,46 +525,14 @@ pub fn run_replicated(cfg: &ReplicatedConfig) -> ReplicatedReport {
 
     // Byte-for-byte verification of every replica against the primary's
     // final committed image.
-    let ms = memsnap_of(&mut db);
-    let md = ms.region("replicated.db").expect("the region exists");
-    let object = ms
-        .region_object_name(md)
-        .expect("the region exists")
-        .to_string();
-    let live = ms.object_epoch(&object).expect("the object exists");
-    ms.msnap_snapshot_object(&mut vt, &object, "rfinal")
-        .expect("the replication workload runs without fault injection");
-    let pages = {
-        let (store, pdisk) = ms.replication_parts();
-        store
-            .snapshot_diff(&mut vt, pdisk, None, "rfinal")
-            .expect("the snapshot is retained")
-    };
-    let mut consistent = settled;
-    for name in &names {
-        consistent &= eng.replica(name).expect("replica exists").epoch(&object) == live;
-        let mut want = vec![0u8; 4096];
-        let mut got = vec![0u8; 4096];
-        for &page in &pages {
-            {
-                let ms = memsnap_of(&mut db);
-                let (store, pdisk) = ms.replication_parts();
-                store
-                    .read_page_at(&mut vt, pdisk, "rfinal", page, &mut want)
-                    .expect("the snapshot is retained");
-            }
-            eng.replica_mut(name)
-                .expect("replica exists")
-                .read_page(&object, page, &mut got)
-                .expect("the replica was synced");
-            consistent &= want == got;
-        }
-    }
-    memsnap_of(&mut db)
-        .msnap_snapshot_delete(&mut vt, "rfinal")
-        .expect("the snapshot is retained");
-    report.replicas_consistent = consistent;
-    report.wall = vt.now();
+    let matched = replicas_match(
+        &mut vt,
+        memsnap_of(&mut db),
+        &mut eng,
+        "replicated.db",
+        &names,
+    );
+    report.replicas_consistent = settled && matched;
     report
 }
 
@@ -819,38 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_coalesces_multi_thread_transactions() {
-        let cfg = GroupCommitConfig {
-            threads: 4,
-            txns_per_thread: 8,
-            keys_per_txn: 4,
-            window: Nanos::from_us(32),
-            coalesced: true,
-        };
-        let grouped = run_group_commit(&cfg);
-        let solo = run_group_commit(&GroupCommitConfig {
-            coalesced: false,
-            ..cfg.clone()
-        });
-        assert_eq!(grouped.txns, 32);
-        assert_eq!(grouped.commit_latency.count(), 32);
-        // All threads share one region, so a shared batch is one delta
-        // commit carrying several transactions (no multi-object record).
-        assert!(
-            grouped.merged_submissions > 0 && grouped.merged_parts > grouped.merged_submissions,
-            "threads actually shared batches: {} merged submissions, {} parts",
-            grouped.merged_submissions,
-            grouped.merged_parts
-        );
-        assert!(
-            grouped.disk_writes < solo.disk_writes,
-            "coalesced {} IOs should beat uncoalesced {}",
-            grouped.disk_writes,
-            solo.disk_writes
-        );
-    }
-
-    #[test]
     fn online_backup_ships_one_full_image_then_deltas() {
         let report = run_online_backup(&OnlineBackupConfig {
             txns: 12,
@@ -868,51 +645,6 @@ mod tests {
             report.delta_pages,
             report.full_equivalent_pages
         );
-    }
-
-    #[test]
-    fn replicated_primary_serves_rw_and_replicas_converge() {
-        let report = run_replicated(&ReplicatedConfig {
-            txns: 12,
-            keys_per_txn: 4,
-            replicas: 2,
-            net: msnap_sim::NetConfig::calm(11),
-            repl: msnap_repl::ReplConfig::default(),
-        });
-        assert_eq!(report.txns, 12);
-        assert!(
-            report.read_your_writes,
-            "primary reads never wait on the links"
-        );
-        assert!(
-            report.replicas_consistent,
-            "replicas must converge to the primary"
-        );
-        assert!(
-            report.delta_syncs > 0,
-            "steady state ships deltas, not images"
-        );
-        assert!(report.bytes_shipped > 0);
-    }
-
-    #[test]
-    fn replicated_lossy_link_throttles_ingest() {
-        let report = run_replicated(&ReplicatedConfig {
-            txns: 16,
-            keys_per_txn: 8,
-            replicas: 1,
-            net: msnap_sim::NetConfig::lossy(5),
-            repl: msnap_repl::ReplConfig {
-                max_lag_epochs: 2,
-                ..Default::default()
-            },
-        });
-        assert!(
-            report.throttle_stalls > 0,
-            "a lossy link must trip flow control"
-        );
-        assert!(report.replicas_consistent);
-        assert!(report.read_your_writes);
     }
 
     #[test]

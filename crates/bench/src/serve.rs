@@ -211,6 +211,7 @@ struct AckedPut {
 }
 
 /// Exactly-once, cut-ordered subscriber state.
+#[derive(Clone)]
 struct WatchState {
     tenant: usize,
     lo: u64,
@@ -339,15 +340,25 @@ impl Client {
                 tenant, key, value, ..
             } = inflight.request
             {
-                let tenant_idx: usize = tenant
-                    .strip_prefix('t')
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(0);
-                self.retry_puts.push((tenant_idx, key, value));
+                self.retry_puts.push((tenant_index(&tenant), key, value));
             }
         }
         self.reconnects += 1;
         self.hello(node, now, staleness);
+    }
+
+    /// Watches the home tenant's whole key range.
+    fn subscribe(&mut self, node: &mut ServeNode, now: Nanos, capacity: u64) {
+        let req = self.next_req;
+        self.next_req += 1;
+        let request = Request::Subscribe {
+            session: self.session,
+            req,
+            tenant: format!("t{}", self.home_tenant),
+            lo: 0,
+            hi: capacity,
+        };
+        self.send(node, now, request, OpKind::Subscribe);
     }
 
     fn record(&mut self, kind: OpKind, sample: Nanos) {
@@ -382,20 +393,7 @@ impl Client {
                 self.inflight.retain(|_, i| i.kind != OpKind::Hello);
                 if self.subscriber {
                     self.phase = Phase::Subscribing;
-                    let req = self.next_req;
-                    self.next_req += 1;
-                    self.send(
-                        node,
-                        now,
-                        Request::Subscribe {
-                            session,
-                            req,
-                            tenant: format!("t{}", self.home_tenant),
-                            lo: 0,
-                            hi: capacity,
-                        },
-                        OpKind::Subscribe,
-                    );
+                    self.subscribe(node, now, capacity);
                 } else {
                     self.phase = Phase::Ready;
                 }
@@ -416,15 +414,7 @@ impl Client {
                     received: BTreeMap::new(),
                 };
                 if self.golden.is_none() {
-                    self.golden = Some(WatchState {
-                        tenant: state.tenant,
-                        lo: state.lo,
-                        hi: state.hi,
-                        from_epochs: state.from_epochs.clone(),
-                        last_processed: 0,
-                        pending: BTreeMap::new(),
-                        received: BTreeMap::new(),
-                    });
+                    self.golden = Some(state.clone());
                 }
                 self.watch = Some(state);
                 self.phase = Phase::Ready;
@@ -438,12 +428,8 @@ impl Client {
                     tenant, key, value, ..
                 } = inflight.request
                 {
-                    let tenant_idx: usize = tenant
-                        .strip_prefix('t')
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0);
                     self.acked.push(AckedPut {
-                        tenant: tenant_idx,
+                        tenant: tenant_index(&tenant),
                         key,
                         value,
                         epoch,
@@ -579,21 +565,7 @@ impl Client {
             && !self.inflight.values().any(|i| i.kind == OpKind::Subscribe)
         {
             self.next_op_at = now + fleet.think;
-            let req = self.next_req;
-            self.next_req += 1;
-            let session = self.session;
-            self.send(
-                node,
-                now,
-                Request::Subscribe {
-                    session,
-                    req,
-                    tenant: format!("t{}", self.home_tenant),
-                    lo: 0,
-                    hi: capacity,
-                },
-                OpKind::Subscribe,
-            );
+            self.subscribe(node, now, capacity);
             return;
         }
         if self.phase != Phase::Ready || now < self.next_op_at {
@@ -869,12 +841,8 @@ fn do_failover(
                 tenant, key, value, ..
             } = &inflight.request
             {
-                let tenant_idx: usize = tenant
-                    .strip_prefix('t')
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(0);
                 unacked
-                    .entry((tenant_idx, *key))
+                    .entry((tenant_index(tenant), *key))
                     .or_default()
                     .push(value.clone());
             }
@@ -914,6 +882,14 @@ fn do_failover(
         rehomed_subscribers: 0,
         reconnected_sessions: 0,
     })
+}
+
+/// The index of tenant `t<i>` (0 for a malformed name).
+fn tenant_index(tenant: &str) -> usize {
+    tenant
+        .strip_prefix('t')
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
 }
 
 /// True when the union of `inner` lies inside the union of `outer`.

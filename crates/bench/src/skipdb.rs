@@ -1,12 +1,17 @@
-//! MixGraph driver and the §7.2 consistency torture test.
+//! SkipDB workload drivers: MixGraph, the §7.2 consistency torture
+//! test, and KV failover.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
+use msnap_disk::{Disk, DiskConfig};
+use msnap_repl::ReplEngine;
 use msnap_sim::{CostTracker, LatencyStats, Nanos, Scheduler, StepOutcome, Vt};
+use msnap_skipdb::{Kv, MemSnapKv};
 use msnap_workloads::mixgraph::{MixGraph, MixOp};
 
-use msnap_skipdb::Kv;
+use crate::replica::{replicas_match, throttled_tick};
 
 /// MixGraph run parameters (paper: 20 M keys, 12 threads; scale down for
 /// CI).
@@ -39,17 +44,8 @@ pub struct MixGraphReport {
 
 /// Pre-fills the store with every key (batched MultiPuts).
 pub fn fill<K: Kv>(kv: &mut K, vt: &mut Vt, keys: u64, batch: usize) {
-    let mut pairs = Vec::with_capacity(batch);
-    for key in 0..keys {
-        pairs.push((key, MixOp::value_bytes(key).to_vec()));
-        if pairs.len() == batch {
-            kv.multi_put(vt, &pairs)
-                .expect("the fill workload runs without fault injection");
-            pairs.clear();
-        }
-    }
-    if !pairs.is_empty() {
-        kv.multi_put(vt, &pairs)
+    for start in (0..keys).step_by(batch) {
+        kv.multi_put(vt, &pairs(start..keys.min(start + batch as u64)))
             .expect("the fill workload runs without fault injection");
     }
 }
@@ -152,8 +148,6 @@ pub fn torture_memsnap(
     crash_fraction: f64,
     seed: u64,
 ) -> TortureOutcome {
-    use msnap_disk::{Disk, DiskConfig};
-    use msnap_skipdb::MemSnapKv;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -232,196 +226,6 @@ pub fn torture_memsnap(
     }
 }
 
-/// Cross-thread group-commit driver parameters (KV variant of the LiteDB
-/// ablation: same sweep axes, MultiPut transactions instead of B-tree
-/// transactions).
-#[derive(Debug, Clone)]
-pub struct KvGroupConfig {
-    /// Writer threads.
-    pub threads: u32,
-    /// MultiPut transactions each thread commits.
-    pub txns_per_thread: u64,
-    /// Keys per MultiPut.
-    pub keys_per_txn: u64,
-    /// Coalescing window to configure on the store.
-    pub window: Nanos,
-    /// `true` routes commits through the group-commit path; `false` runs
-    /// the uncoalesced per-thread `multi_put` baseline.
-    pub coalesced: bool,
-}
-
-/// Results of a [`run_kv_group_commit`] run.
-#[derive(Debug, Clone)]
-pub struct KvGroupReport {
-    /// MultiPut transactions committed.
-    pub txns: u64,
-    /// Virtual wall-clock time (latest thread finish).
-    pub wall: Nanos,
-    /// Enqueue-to-durable latency per transaction.
-    pub commit_latency: LatencyStats,
-    /// Device write submissions.
-    pub disk_writes: u64,
-    /// Merged submissions the coalescer reported to the device.
-    pub merged_submissions: u64,
-    /// Commits carried by those merged submissions.
-    pub merged_parts: u64,
-    /// Mean device write-queue occupancy at submission.
-    pub avg_queue_depth: f64,
-}
-
-/// Runs `cfg.threads` writer threads over one shared
-/// [`MemSnapKv`](msnap_skipdb::MemSnapKv),
-/// committing through the cross-thread group-commit path (or uncoalesced
-/// MultiPuts for the ablation baseline). Thread `t` writes keys
-/// `t*1_000_000 + i` so transactions never collide.
-///
-/// All threads share the skiplist region, so a coalesced batch is one
-/// delta μCheckpoint carrying several MultiPuts; the eager page copy at
-/// enqueue is what lets the next thread keep inserting into the same
-/// region while the window is open.
-pub fn run_kv_group_commit(cfg: &KvGroupConfig) -> KvGroupReport {
-    use msnap_disk::{Disk, DiskConfig};
-    use msnap_skipdb::MemSnapKv;
-
-    let mut vt0 = Vt::new(u32::MAX); // setup thread
-    let mut kv = MemSnapKv::format(Disk::new(DiskConfig::paper()), 1 << 15, &mut vt0);
-    kv.memsnap_mut().set_coalesce_window(cfg.window);
-    // Dirty pages belong to their first writer: persist the setup
-    // thread's pages (the skiplist head) so the workers' per-thread
-    // enqueues start from a clean slate.
-    kv.multi_put(&mut vt0, &[])
-        .expect("setup runs without fault injection");
-    kv.memsnap_mut().reset_disk_stats();
-
-    let kv = Rc::new(RefCell::new(kv));
-    let latency = Rc::new(RefCell::new(LatencyStats::new()));
-    let mut sched = Scheduler::new();
-    for t in 0..cfg.threads {
-        let kv = Rc::clone(&kv);
-        let latency = Rc::clone(&latency);
-        let cfg = cfg.clone();
-        // One transaction phase per atomic step — the inserts and enqueue
-        // together, then each poll on its own — so other threads' enqueues
-        // land inside the open window. The poll that blocks until durable
-        // ends its step too: running the next transaction in it would carry
-        // this thread's clock past batch closes that threads with earlier
-        // clocks have yet to reach.
-        let mut txn = 0u64;
-        let mut pending: Option<(memsnap::CommitTicket, Nanos)> = None;
-        sched.spawn(move |vt: &mut Vt| {
-            let mut kv = kv.borrow_mut();
-            if let Some((ticket, t0)) = pending {
-                if kv
-                    .persist_poll(vt, ticket)
-                    .expect("driver runs without fault injection")
-                {
-                    latency.borrow_mut().record(vt.now() - t0);
-                    pending = None;
-                    txn += 1;
-                }
-                return StepOutcome::Continue;
-            }
-            if txn >= cfg.txns_per_thread {
-                return StepOutcome::Done;
-            }
-            let t0 = vt.now();
-            let base = t as u64 * 1_000_000 + txn * cfg.keys_per_txn;
-            let pairs: Vec<(u64, Vec<u8>)> = (0..cfg.keys_per_txn)
-                .map(|k| (base + k, MixOp::value_bytes(base + k).to_vec()))
-                .collect();
-            if cfg.coalesced {
-                let ticket = kv
-                    .multi_put_enqueue(vt, &pairs)
-                    .expect("driver runs without fault injection");
-                pending = Some((ticket, t0));
-            } else {
-                kv.multi_put(vt, &pairs)
-                    .expect("driver runs without fault injection");
-                latency.borrow_mut().record(vt.now() - t0);
-                txn += 1;
-            }
-            StepOutcome::Continue
-        });
-    }
-    let vts = sched.run_to_completion();
-    let wall = vts.iter().map(|vt| vt.now()).max().unwrap_or(Nanos::ZERO);
-
-    let kv = Rc::try_unwrap(kv).expect("all threads done").into_inner();
-    let disk = kv.memsnap().disk().stats();
-    let commit_latency = latency.borrow().clone();
-    KvGroupReport {
-        txns: cfg.threads as u64 * cfg.txns_per_thread,
-        wall,
-        commit_latency,
-        disk_writes: disk.writes(),
-        merged_submissions: disk.merged_submissions(),
-        merged_parts: disk.merged_parts(),
-        avg_queue_depth: disk.avg_queue_depth(),
-    }
-}
-
-/// Results of the snapshot-scan experiment ([`run_snapshot_scan`]).
-#[derive(Debug, Clone)]
-pub struct SnapshotScanReport {
-    /// Keys committed before the snapshot was pinned.
-    pub keys_at_snapshot: u64,
-    /// Keys inserted or overwritten after the snapshot.
-    pub churn_keys: u64,
-    /// Entries the snapshot scan returned.
-    pub scanned: u64,
-    /// Whether the scan saw exactly the pre-snapshot state: every old
-    /// key with its original value, none of the churn.
-    pub point_in_time: bool,
-}
-
-/// The snapshot-scan experiment: fill a
-/// [`MemSnapKv`](msnap_skipdb::MemSnapKv), pin a retained
-/// snapshot, keep writing (new keys *and* overwrites of old ones), then
-/// scan the snapshot. The scan must see the exact pre-churn state —
-/// RocksDB's long-running-iterator use case, but against a durable
-/// retained epoch instead of an in-memory sequence number.
-pub fn run_snapshot_scan(keys: u64, churn: u64) -> SnapshotScanReport {
-    use msnap_disk::{Disk, DiskConfig};
-    use msnap_skipdb::MemSnapKv;
-
-    let mut vt = Vt::new(u32::MAX);
-    let mut kv = MemSnapKv::format(
-        Disk::new(DiskConfig::paper()),
-        (keys + churn) * 2 + 64,
-        &mut vt,
-    );
-    fill(&mut kv, &mut vt, keys, 256);
-    kv.snapshot(&mut vt, "scan")
-        .expect("fresh catalog has room");
-
-    // Churn: overwrite the first half of the old keys with poison values
-    // and insert brand-new keys past the old range.
-    for k in 0..churn {
-        let (key, val) = if k % 2 == 0 && k / 2 < keys {
-            (k / 2, vec![0xAA; 24])
-        } else {
-            (keys + k, MixOp::value_bytes(keys + k).to_vec())
-        };
-        kv.put(&mut vt, key, &val)
-            .expect("the churn workload runs without fault injection");
-    }
-
-    let scanned = kv
-        .snapshot_scan(&mut vt, "scan")
-        .expect("the snapshot is retained");
-    let point_in_time = scanned.len() as u64 == keys
-        && scanned
-            .iter()
-            .enumerate()
-            .all(|(i, (k, v))| *k == i as u64 && v[..] == MixOp::value_bytes(*k)[..]);
-    SnapshotScanReport {
-        keys_at_snapshot: keys,
-        churn_keys: churn,
-        scanned: scanned.len() as u64,
-        point_in_time,
-    }
-}
-
 /// Parameters of the replicated-KV failover experiment
 /// ([`run_replicated_kv`]).
 #[derive(Debug, Clone)]
@@ -465,35 +269,29 @@ pub struct KvReplReport {
     pub final_len: u64,
 }
 
+/// The MultiPut batch writing `keys` with their MixGraph values.
+pub(crate) fn pairs(keys: Range<u64>) -> Vec<(u64, Vec<u8>)> {
+    keys.map(|key| (key, MixOp::value_bytes(key).to_vec()))
+        .collect()
+}
+
 /// One replicated MultiPut batch; throttles on the engine's lag budget.
 fn replicated_batch(
-    kv: &mut msnap_skipdb::MemSnapKv,
+    kv: &mut MemSnapKv,
     vt: &mut Vt,
-    eng: &mut msnap_repl::ReplEngine,
+    eng: &mut ReplEngine,
     batch: u64,
     keys_per_batch: u64,
 ) {
-    let pairs: Vec<(u64, Vec<u8>)> = (0..keys_per_batch)
-        .map(|k| {
-            let key = batch * keys_per_batch + k;
-            (key, MixOp::value_bytes(key).to_vec())
-        })
-        .collect();
-    kv.multi_put(vt, &pairs)
-        .expect("the replication workload runs without fault injection");
-    let step = eng.config().retransmit_timeout / 2;
-    let mut tick = eng
-        .tick(vt, kv.memsnap_mut())
-        .expect("the replication workload runs without fault injection");
-    while tick.throttled {
-        vt.advance(step);
-        tick = eng
-            .tick(vt, kv.memsnap_mut())
-            .expect("the replication workload runs without fault injection");
-    }
+    kv.multi_put(
+        vt,
+        &pairs(batch * keys_per_batch..(batch + 1) * keys_per_batch),
+    )
+    .expect("the replication workload runs without fault injection");
+    throttled_tick(vt, eng, kv.memsnap_mut(), |_| {});
 }
 
-/// The KV failover experiment: a [`MemSnapKv`](msnap_skipdb::MemSnapKv) primary
+/// The KV failover experiment: a [`MemSnapKv`] primary
 /// replicates MultiPut batches to a standby, the primary is killed with
 /// one batch committed locally but unacknowledged behind a partition,
 /// and the standby is promoted. The promoted store must be an exact
@@ -503,13 +301,10 @@ fn replicated_batch(
 /// re-attaches as a replica and must converge with the new primary while
 /// it keeps committing batches.
 pub fn run_replicated_kv(cfg: &KvReplConfig) -> KvReplReport {
-    use msnap_disk::{Disk, DiskConfig};
-    use msnap_skipdb::MemSnapKv;
-
     let mut vt = Vt::new(0);
     let capacity = (cfg.batches_before_crash + cfg.extra_batches + 2) * cfg.keys_per_batch * 2 + 64;
     let mut kv = MemSnapKv::format(Disk::new(DiskConfig::paper()), capacity, &mut vt);
-    let mut eng = msnap_repl::ReplEngine::new(cfg.repl);
+    let mut eng = ReplEngine::new(cfg.repl);
     eng.add_replica("standby", cfg.net)
         .expect("the engine is fresh");
     eng.settle(&mut vt, kv.memsnap_mut(), Nanos::from_secs(120))
@@ -563,7 +358,7 @@ pub fn run_replicated_kv(cfg: &KvReplConfig) -> KvReplReport {
     // Re-attach the old primary's crashed device as a replica of the new
     // primary; its unacknowledged batch is divergent history the engine
     // must fence away before deltas resume.
-    let mut eng2 = msnap_repl::ReplEngine::new(cfg.repl);
+    let mut eng2 = ReplEngine::new(cfg.repl);
     let net2 = msnap_sim::NetConfig {
         seed: cfg.net.seed.wrapping_add(1),
         ..cfg.net
@@ -588,45 +383,13 @@ pub fn run_replicated_kv(cfg: &KvReplConfig) -> KvReplReport {
 
     // Byte-for-byte comparison of the re-attached replica against the
     // new primary's final committed image.
-    let ms = kv2.memsnap_mut();
-    let md = ms.region("memtable").expect("the region exists");
-    let object = ms
-        .region_object_name(md)
-        .expect("the region exists")
-        .to_string();
-    let live = ms.object_epoch(&object).expect("the object exists");
-    ms.msnap_snapshot_object(&mut vt2, &object, "kfinal")
-        .expect("the replication workload runs without fault injection");
-    let pages = {
-        let (store, pdisk) = ms.replication_parts();
-        store
-            .snapshot_diff(&mut vt2, pdisk, None, "kfinal")
-            .expect("the snapshot is retained")
-    };
-    let mut converged = settled
-        && eng2
-            .replica("old-primary")
-            .expect("attached")
-            .epoch(&object)
-            == live;
-    let mut want = vec![0u8; memsnap::PAGE_SIZE];
-    let mut got = vec![0u8; memsnap::PAGE_SIZE];
-    for &page in &pages {
-        {
-            let (store, pdisk) = kv2.memsnap_mut().replication_parts();
-            store
-                .read_page_at(&mut vt2, pdisk, "kfinal", page, &mut want)
-                .expect("the snapshot is retained");
-        }
-        eng2.replica_mut("old-primary")
-            .expect("attached")
-            .read_page(&object, page, &mut got)
-            .expect("the replica was synced");
-        converged &= want == got;
-    }
-    kv2.memsnap_mut()
-        .msnap_snapshot_delete(&mut vt2, "kfinal")
-        .expect("the snapshot is retained");
+    let matched = replicas_match(
+        &mut vt2,
+        kv2.memsnap_mut(),
+        &mut eng2,
+        "memtable",
+        &["old-primary"],
+    );
     let m = eng2.link_metrics("old-primary").expect("attached");
 
     KvReplReport {
@@ -636,7 +399,7 @@ pub fn run_replicated_kv(cfg: &KvReplConfig) -> KvReplReport {
         failover_latency,
         reattach_full_syncs: m.full_syncs,
         reattach_delta_syncs: m.delta_syncs,
-        reattach_converged: converged,
+        reattach_converged: settled && matched,
         final_len: kv2.len() as u64,
     }
 }
@@ -644,8 +407,7 @@ pub fn run_replicated_kv(cfg: &KvReplConfig) -> KvReplReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msnap_disk::{Disk, DiskConfig};
-    use msnap_skipdb::{AuroraKv, BaselineKv, MemSnapKv};
+    use msnap_skipdb::{AuroraKv, BaselineKv};
 
     fn small_cfg() -> MixGraphConfig {
         MixGraphConfig {
@@ -665,31 +427,6 @@ mod tests {
         assert_eq!(report.ops, 600);
         assert!(report.kops > 0.0);
         assert_eq!(report.latency.count(), 600);
-    }
-
-    #[test]
-    fn snapshot_scan_sees_the_pinned_state_through_churn() {
-        let report = run_snapshot_scan(64, 48);
-        assert_eq!(report.scanned, 64);
-        assert!(
-            report.point_in_time,
-            "the retained snapshot must show exactly the pre-churn image"
-        );
-    }
-
-    #[test]
-    fn snapshot_scan_coexists_with_live_reads() {
-        let mut vt = Vt::new(u32::MAX);
-        let mut kv = MemSnapKv::format(Disk::new(DiskConfig::paper()), 512, &mut vt);
-        fill(&mut kv, &mut vt, 16, 8);
-        kv.snapshot(&mut vt, "s").unwrap();
-        kv.put(&mut vt, 3, &[0xEE; 8]).unwrap();
-        // The live store shows the overwrite; the snapshot the original.
-        assert_eq!(kv.get(&mut vt, 3).unwrap(), vec![0xEE; 8]);
-        let snap = kv.snapshot_scan(&mut vt, "s").unwrap();
-        assert_eq!(snap[3].1[..], MixOp::value_bytes(3)[..]);
-        kv.snapshot_delete(&mut vt, "s").unwrap();
-        assert!(kv.snapshot_scan(&mut vt, "s").is_err());
     }
 
     /// The headline Table 9 ordering: memsnap > baseline > aurora
@@ -731,76 +468,6 @@ mod tests {
             "memsnap/aurora ratio {:.1}",
             memsnap.kops / aurora.kops
         );
-    }
-
-    #[test]
-    fn kv_group_commit_coalesces_multi_thread_multiputs() {
-        let base = KvGroupConfig {
-            threads: 4,
-            txns_per_thread: 8,
-            keys_per_txn: 4,
-            window: Nanos::from_us(32),
-            coalesced: true,
-        };
-        let grouped = run_kv_group_commit(&base);
-        let solo = run_kv_group_commit(&KvGroupConfig {
-            coalesced: false,
-            ..base.clone()
-        });
-
-        assert_eq!(grouped.txns, 32);
-        assert_eq!(grouped.commit_latency.count(), 32);
-        // All threads share one skiplist region, so a shared batch is one
-        // delta μCheckpoint carrying several MultiPuts — the coalescer
-        // reports the merge to the device.
-        assert!(
-            grouped.merged_submissions > 0 && grouped.merged_parts > grouped.merged_submissions,
-            "threads actually shared batches: {} batches, {} parts",
-            grouped.merged_submissions,
-            grouped.merged_parts
-        );
-        assert!(
-            grouped.disk_writes < solo.disk_writes,
-            "coalescing reduces device submissions: {} grouped vs {} solo",
-            grouped.disk_writes,
-            solo.disk_writes
-        );
-    }
-
-    #[test]
-    fn replicated_kv_promotes_a_prefix_and_resyncs_the_old_primary() {
-        let report = run_replicated_kv(&KvReplConfig {
-            batches_before_crash: 6,
-            extra_batches: 4,
-            keys_per_batch: 8,
-            net: msnap_sim::NetConfig::calm(23),
-            repl: msnap_repl::ReplConfig::default(),
-        });
-        assert_eq!(report.visible_batches, 6, "settled batches all survive");
-        assert!(
-            report.prefix_consistent,
-            "failover must surface an exact committed batch prefix: {report:?}"
-        );
-        assert!(report.failover_latency > Nanos::ZERO);
-        assert!(
-            report.reattach_converged,
-            "the old primary must converge with the promoted one: {report:?}"
-        );
-        assert!(report.reattach_delta_syncs > 0, "{report:?}");
-        assert_eq!(report.final_len, (6 + 4) * 8);
-    }
-
-    #[test]
-    fn replicated_kv_survives_a_lossy_link() {
-        let report = run_replicated_kv(&KvReplConfig {
-            batches_before_crash: 4,
-            extra_batches: 2,
-            keys_per_batch: 4,
-            net: msnap_sim::NetConfig::lossy(31),
-            repl: msnap_repl::ReplConfig::default(),
-        });
-        assert!(report.prefix_consistent, "{report:?}");
-        assert!(report.reattach_converged, "{report:?}");
     }
 
     #[test]

@@ -415,6 +415,58 @@ mod tests {
         );
     }
 
+    /// A distinct value per key.
+    fn value(key: u64) -> Vec<u8> {
+        format!("v{key}").into_bytes()
+    }
+
+    /// Commits keys `0..n` with [`value`], eight to a MultiPut.
+    fn fill(kv: &mut MemSnapKv, vt: &mut Vt, n: u64) {
+        let pairs: Vec<(u64, Vec<u8>)> = (0..n).map(|k| (k, value(k))).collect();
+        for chunk in pairs.chunks(8) {
+            kv.multi_put(vt, chunk).unwrap();
+        }
+    }
+
+    #[test]
+    fn snapshot_scan_coexists_with_live_reads() {
+        let (mut kv, mut vt) = fresh();
+        fill(&mut kv, &mut vt, 16);
+        kv.snapshot(&mut vt, "s").unwrap();
+        kv.put(&mut vt, 3, &[0xEE; 8]).unwrap();
+        // The live store shows the overwrite; the snapshot the original.
+        assert_eq!(kv.get(&mut vt, 3).unwrap(), vec![0xEE; 8]);
+        let snap = kv.snapshot_scan(&mut vt, "s").unwrap();
+        assert_eq!(snap[3].1, value(3));
+        kv.snapshot_delete(&mut vt, "s").unwrap();
+        assert!(kv.snapshot_scan(&mut vt, "s").is_err());
+    }
+
+    /// Churn after the pin overwrites half the old keys and inserts new
+    /// ones; the scan still returns exactly the pre-churn image.
+    #[test]
+    fn snapshot_scan_sees_the_pinned_state_through_churn() {
+        let (keys, churn) = (64, 48);
+        let (mut kv, mut vt) = fresh();
+        fill(&mut kv, &mut vt, keys);
+        kv.snapshot(&mut vt, "scan").unwrap();
+        for k in 0..churn {
+            let (key, val) = if k % 2 == 0 {
+                (k / 2, vec![0xAA; 24])
+            } else {
+                (keys + k, value(keys + k))
+            };
+            kv.put(&mut vt, key, &val).unwrap();
+        }
+        assert_eq!(kv.len() as u64, keys + churn / 2, "the live tree churned");
+        let pinned: Vec<(u64, Vec<u8>)> = (0..keys).map(|k| (k, value(k))).collect();
+        assert_eq!(
+            kv.snapshot_scan(&mut vt, "scan").unwrap(),
+            pinned,
+            "the retained snapshot must show exactly the pre-churn image"
+        );
+    }
+
     #[test]
     fn background_scrub_is_clean_and_keeps_snapshot_scans_stable() {
         let (mut kv, mut vt) = fresh();
