@@ -591,10 +591,7 @@ impl Disk {
         let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut next = move || {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
+            msnap_sim::hash::splitmix64(state)
         };
         let mut pool: Vec<u64> = candidates.to_vec();
         let mut rotted = Vec::new();

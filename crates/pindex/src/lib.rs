@@ -83,10 +83,7 @@ pub fn op_parts(op: u64) -> (u32, u32) {
 
 /// Splitmix64 scramble, for deterministic per-key tower levels.
 pub(crate) fn scramble(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    msnap_sim::hash::splitmix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]

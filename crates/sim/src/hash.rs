@@ -14,7 +14,9 @@
 //!
 //! It lives in the substrate crate because every other crate already
 //! depends on it; `msnap_store` re-exports the 64-bit functions, which
-//! is where the record and stream code imports them from.
+//! is where the record and stream code imports them from. The module
+//! also holds the one splitmix64 mixer ([`splitmix64`]), which seeds and
+//! scatters the simulation's deterministic choices.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -66,6 +68,16 @@ pub fn fnv1a32(bytes: &[u8]) -> u32 {
     h
 }
 
+/// The splitmix64 output mix: scatters a 64-bit state so that adjacent
+/// inputs give unrelated outputs. Callers step their own state (the
+/// reference generator adds the golden gamma `0x9E37_79B9_7F4A_7C15`
+/// before each mix).
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,6 +93,34 @@ mod tests {
         assert_eq!(fnv1a32(b""), 0x811C_9DC5);
         assert_eq!(fnv1a32(b"a"), 0xe40c292c);
         assert_eq!(fnv1a32(b"foobar"), 0xbf9cf968);
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_generator() {
+        // The first three outputs of the reference generator (state +=
+        // gamma, then the mix) seeded with 0 and with 1234567.
+        const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+        let outputs = |seed: u64| {
+            let steps = (1..=3u64).map(|i| seed.wrapping_add(GAMMA.wrapping_mul(i)));
+            steps.map(splitmix64).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            outputs(0),
+            [
+                0xE220_A839_7B1D_CDAF,
+                0x6E78_9E6A_A1B9_65F4,
+                0x06C4_5D18_8009_454F
+            ]
+        );
+        assert_eq!(
+            outputs(1_234_567),
+            [
+                0x599E_D017_FB08_FC85,
+                0x2C73_F084_5854_0FA5,
+                0x883E_BCE5_A3F2_7C77
+            ]
+        );
+        assert_eq!(splitmix64(0), 0);
     }
 
     #[test]

@@ -60,10 +60,7 @@ impl InterleaveSched {
     pub fn new(seed: u64) -> Self {
         // Splitmix the seed so adjacent seeds give unrelated schedules,
         // and so seed 0 is usable (xorshift state must be non-zero).
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = crate::hash::splitmix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
         InterleaveSched {
             slots: Vec::new(),
             state: z | 1,

@@ -30,7 +30,8 @@
 //!   percentiles and named call-site statistics.
 //! - [`CostTracker`] / [`Category`]: CPU-time attribution used to reproduce
 //!   the paper's CPU-breakdown tables (Tables 1 and 8).
-//! - [`hash`]: the workspace's one FNV-1a (64- and 32-bit).
+//! - [`hash`]: the workspace's one FNV-1a (64- and 32-bit) and one
+//!   splitmix64 mixer.
 //! - [`wire`]: the little-endian `put_*` appenders and bounds-checked
 //!   [`wire::Reader`] every wire format is written and read with.
 //!

@@ -351,10 +351,7 @@ impl SimSwitch {
 /// Splitmix-style seed derivation so per-port RNG streams are
 /// decorrelated from each other and from the base seed.
 fn derive_seed(base: u64, salt: u64) -> u64 {
-    let mut z = base ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    crate::hash::splitmix64(base ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]
