@@ -1,6 +1,6 @@
 //! The four storage stacks of Figure 6.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use memsnap::{MemSnap, PersistFlags, RegionHandle, RegionSel};
 use msnap_disk::Disk;
@@ -75,14 +75,14 @@ struct FileState {
     flush_queue: std::collections::VecDeque<Nanos>,
     table_fds: Vec<Fd>,
     /// Authoritative block images (buffer cache / mapped memory).
-    blocks: HashMap<(u32, u64), Box<[u8]>>,
+    blocks: BTreeMap<(u32, u64), Box<[u8]>>,
     /// Per-connection transaction dirty sets.
-    txn_dirty: Vec<HashSet<(u32, u64)>>,
+    txn_dirty: Vec<BTreeSet<(u32, u64)>>,
     /// Blocks dirtied since the last checkpoint (full-page-write and
     /// checkpoint bookkeeping).
-    since_ckpt: HashSet<(u32, u64)>,
+    since_ckpt: BTreeSet<(u32, u64)>,
     /// mmap variants: pages already write-faulted this interval.
-    faulted: HashSet<(u32, u64)>,
+    faulted: BTreeSet<(u32, u64)>,
     ckpt_wal_bytes: u64,
     checkpoints: u64,
     /// A checkpoint in progress suppresses new requests until this
@@ -172,10 +172,10 @@ impl BlockStore {
                         wal,
                         flush_queue: std::collections::VecDeque::new(),
                         table_fds,
-                        blocks: HashMap::new(),
-                        txn_dirty: (0..nconns).map(|_| HashSet::new()).collect(),
-                        since_ckpt: HashSet::new(),
-                        faulted: HashSet::new(),
+                        blocks: BTreeMap::new(),
+                        txn_dirty: (0..nconns).map(|_| BTreeSet::new()).collect(),
+                        since_ckpt: BTreeSet::new(),
+                        faulted: BTreeSet::new(),
                         ckpt_wal_bytes: 16 << 20,
                         checkpoints: 0,
                         ckpt_busy_until: Nanos::ZERO,
@@ -359,7 +359,7 @@ impl BlockStore {
             _ => {
                 let bufdirect = self.variant == StoreVariant::FfsMmapBufdirect;
                 let f = self.file.as_mut().expect("file state");
-                let dirty: Vec<(u32, u64)> = f.txn_dirty[conn].drain().collect();
+                let dirty = std::mem::take(&mut f.txn_dirty[conn]);
                 if dirty.is_empty() {
                     return;
                 }
@@ -452,9 +452,8 @@ impl BlockStore {
     /// instant the last table flush completes.
     fn checkpoint(f: &mut FileState, at: Nanos, variant: StoreVariant, conn_vt: &mut Vt) -> Nanos {
         // PostgreSQL sorts checkpoint writes so the file system can
-        // coalesce them into sequential runs.
-        let mut dirty: Vec<(u32, u64)> = f.since_ckpt.drain().collect();
-        dirty.sort_unstable();
+        // coalesce them into sequential runs: the set iterates in order.
+        let dirty = std::mem::take(&mut f.since_ckpt);
         let msync = variant != StoreVariant::Baseline;
         if msync {
             conn_vt.charge(Category::Memsnap, costs::MSYNC_TABLE_SCAN);
@@ -463,23 +462,24 @@ impl BlockStore {
                 costs::MSYNC_PER_BLOCK * dirty.len() as u64,
             );
         }
-        let mut touched_fds = HashSet::new();
+        let mut touched = BTreeSet::new();
         let mut writer = Vt::new(u32::MAX - 7);
         writer.wait_until(at);
         for (table, block) in dirty {
             let fd = f.table_fds[table as usize];
             let data = f.blocks[&(table, block)].clone();
             f.fs.write(&mut writer, &mut f.disk, fd, block * PG_BLOCK as u64, &data);
-            touched_fds.insert(fd);
+            touched.insert(table);
         }
         // Each file's flush is issued at the same instant on its own
         // scratch clock (the checkpointer overlaps them).
         let issue_at = writer.now();
         let mut latest = issue_at;
-        for fd in touched_fds {
+        for table in touched {
             let mut flusher = Vt::new(u32::MAX - 8);
             flusher.wait_until(issue_at);
-            let end = f.fs.fsync(&mut flusher, &mut f.disk, fd);
+            let end =
+                f.fs.fsync(&mut flusher, &mut f.disk, f.table_fds[table as usize]);
             latest = latest.max(end);
         }
         let mut resetter = Vt::new(u32::MAX - 9);
@@ -682,6 +682,45 @@ mod tests {
         assert_eq!(out, block_of(7));
         restored.read(&mut vt2, 0, 0, 6, &mut out);
         assert_eq!(out, block_of(0), "uncommitted block lost");
+    }
+
+    /// Eight-block transactions on four connections over six tables,
+    /// through several checkpoints: where the clock ends and what the
+    /// device saw.
+    fn small_workload(variant: StoreVariant) -> (Nanos, u64, u64, u64) {
+        let mut vt = Vt::new(0);
+        let disk = Disk::new(DiskConfig::paper());
+        let mut store = BlockStore::new(variant, disk, 6, 4, 256, &mut vt);
+        store.set_ckpt_wal_bytes(64 * 1024);
+        let t = vt.id();
+        for txn in 0..96u64 {
+            let conn = (txn % 4) as usize;
+            for i in 0..8u64 {
+                let (table, block) = ((txn + i) as u32 % 6, (txn * 7 + i * 13) % 96);
+                store.write(&mut vt, conn, t, table, block, &block_of(txn as u8));
+            }
+            store.commit(&mut vt, conn, t);
+        }
+        let io = store.io_report(vt.now());
+        let checkpoints = store.checkpoints();
+        (vt.now(), io.bytes_written, checkpoints, io.iops.to_bits())
+    }
+
+    /// The file variants iterate their dirty sets in one order, so one
+    /// workload repeats exactly within a process.
+    #[test]
+    fn file_variants_repeat_exactly() {
+        for variant in [
+            StoreVariant::Baseline,
+            StoreVariant::FfsMmap,
+            StoreVariant::FfsMmapBufdirect,
+        ] {
+            let first = small_workload(variant);
+            assert!(first.2 >= 2, "{variant:?} checkpoints: {first:?}");
+            for _ in 0..4 {
+                assert_eq!(small_workload(variant), first, "{variant:?}");
+            }
+        }
     }
 
     #[test]
