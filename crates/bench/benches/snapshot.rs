@@ -15,10 +15,11 @@
 //! root.
 
 use msnap_bench::litedb::{run_online_backup, OnlineBackupConfig};
+use msnap_bench::replica::sync_to;
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::{Nanos, Vt};
-use msnap_snap::{sync_to, DeltaStream, StreamTrailer, WHOLE_FRAME_LEN};
+use msnap_snap::{DeltaStream, StreamTrailer, WHOLE_FRAME_LEN};
 use msnap_store::ObjectStore;
 
 const OBJECT_PAGES: u64 = 1024;

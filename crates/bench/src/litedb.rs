@@ -372,7 +372,7 @@ pub fn run_online_backup(cfg: &OnlineBackupConfig) -> OnlineBackupReport {
         ms.msnap_snapshot(&mut vt, md, &name)
             .expect("the backup workload runs without fault injection");
         let (store, pdisk) = ms.replication_parts();
-        let sync = msnap_snap::sync_to(&mut vt, store, pdisk, &mut replica, &mut rdisk, &name)
+        let sync = crate::replica::sync_to(&mut vt, store, pdisk, &mut replica, &mut rdisk, &name)
             .expect("the backup workload runs without fault injection");
         report.backups += 1;
         report.bytes_shipped += sync.bytes;

@@ -1,9 +1,13 @@
-//! What the replicated drivers share: the flow-controlled tick and the
-//! byte-for-byte replica check.
+//! What the replicated drivers share: the flow-controlled tick, the
+//! byte-for-byte replica check, and the one-call snapshot sync the
+//! online-backup driver and the `snapshot` bench ship with.
 
 use memsnap::{MemSnap, PAGE_SIZE};
+use msnap_disk::Disk;
 use msnap_repl::ReplEngine;
 use msnap_sim::Vt;
+use msnap_snap::{retained_at, ApplySession, DeltaStream, SnapError};
+use msnap_store::{Epoch, ObjectStore, StoreError};
 
 /// One engine tick under lag-driven flow control. While a link is over
 /// its lag budget, ingest stalls half a retransmit timeout and ticks
@@ -78,11 +82,75 @@ pub(crate) fn replicas_match(
     matched
 }
 
+/// Outcome of one [`sync_to`] catch-up round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SyncReport {
+    /// Epoch the replica landed at.
+    pub target_epoch: Epoch,
+    /// Pages shipped.
+    pub pages: u64,
+    /// Wire bytes of the stream.
+    pub bytes: u64,
+    /// Whether the round fell back to a full image (no usable base).
+    pub full_sync: bool,
+}
+
+/// Ships the retained snapshot `target` from the primary to the replica:
+/// incrementally when the primary still retains a snapshot at exactly
+/// the replica's epoch (the delta base), as a full image otherwise —
+/// the base-epoch-gone fallback. The built stream lands through
+/// [`ApplySession::finish`], which checks every frame's checksum and the
+/// trailer's binding on every sync.
+///
+/// # Errors
+///
+/// [`SnapError::AlreadyCurrent`] if the replica is at or past the
+/// target, or any build/apply error. A failed apply leaves the replica
+/// at its previous epoch; the call may simply be retried.
+pub fn sync_to(
+    vt: &mut Vt,
+    primary: &mut ObjectStore,
+    primary_disk: &mut Disk,
+    replica: &mut ObjectStore,
+    replica_disk: &mut Disk,
+    target: &str,
+) -> Result<SyncReport, SnapError> {
+    let entry = primary
+        .snapshot_lookup(target)
+        .ok_or(StoreError::SnapshotNotFound)?
+        .clone();
+    let object_name = primary
+        .object_name(entry.object)
+        .ok_or(StoreError::NotFound)?;
+    let replica_epoch = replica
+        .lookup(&object_name)
+        .map_or(0, |id| replica.epoch(id));
+    if replica_epoch >= entry.epoch {
+        return Err(SnapError::AlreadyCurrent);
+    }
+    // A delta needs a retained base at exactly the replica's epoch; when
+    // reclamation (snapshot_delete) has dropped it, fall back to full.
+    let base = retained_at(primary, entry.object, replica_epoch);
+    let stream = DeltaStream::build(vt, primary_disk, primary, base.as_deref(), target, None)?;
+    let session = ApplySession::begin(vt, replica_disk, replica, &stream.header)?;
+    let frames = stream.frames.iter();
+    let token = session.finish(vt, replica_disk, replica, frames, &stream.trailer, None)?;
+    ObjectStore::wait(vt, token);
+    Ok(SyncReport {
+        target_epoch: token.epoch,
+        pages: stream.trailer.frames,
+        bytes: stream.encoded_len() as u64,
+        full_sync: base.is_none(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
+    use msnap_disk::DiskConfig;
     use msnap_repl::ReplConfig;
     use msnap_sim::{Nanos, NetConfig};
 
+    use super::*;
     use crate::litedb::{run_replicated, ReplicatedConfig};
     use crate::skipdb::{run_replicated_kv, KvReplConfig};
 
@@ -159,5 +227,77 @@ mod tests {
         );
         assert!(lite.read_your_writes);
         assert!(kv.prefix_consistent, "{kv:?}");
+    }
+
+    fn page_of(byte: u8) -> Vec<u8> {
+        vec![byte; PAGE_SIZE]
+    }
+
+    #[test]
+    fn sync_to_uses_delta_when_base_is_retained_and_full_otherwise() {
+        // Object "db": five pages under snapshot "a", pages 1 and 3
+        // rewritten under snapshot "b".
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = ObjectStore::format(&mut disk);
+        let mut vt = Vt::new(0);
+        let obj = store.create(&mut vt, &mut disk, "db").unwrap();
+        for (pages, fill, snap) in [(&[0u64, 1, 2, 3, 4][..], 0x10, "a"), (&[1, 3], 0x90, "b")] {
+            for &i in pages {
+                let p = page_of(fill + i as u8);
+                let t = store.persist(&mut vt, &mut disk, obj, &[(i, &p)]).unwrap();
+                ObjectStore::wait(&mut vt, t);
+            }
+            store
+                .snapshot_create(&mut vt, &mut disk, obj, snap)
+                .unwrap();
+        }
+        let mut rdisk = Disk::new(DiskConfig::paper());
+        let mut replica = ObjectStore::format(&mut rdisk);
+        let mut sync = |vt: &mut Vt, store: &mut ObjectStore, disk: &mut Disk, target: &str| {
+            sync_to(vt, store, disk, &mut replica, &mut rdisk, target)
+        };
+
+        // First round: replica at epoch 0, no base retained → full sync.
+        let r1 = sync(&mut vt, &mut store, &mut disk, "a").unwrap();
+        assert!(r1.full_sync);
+        assert_eq!(r1.pages, 5);
+
+        // Second round: replica sits exactly at snapshot "a" → delta.
+        let r2 = sync(&mut vt, &mut store, &mut disk, "b").unwrap();
+        assert!(!r2.full_sync);
+        assert_eq!(r2.pages, 2, "only the changed pages ship");
+        assert!(r2.bytes < r1.bytes);
+        assert_eq!(r2.target_epoch, store.snapshot_lookup("b").unwrap().epoch);
+
+        // Already-current replica refuses the round.
+        assert_eq!(
+            sync(&mut vt, &mut store, &mut disk, "b").unwrap_err(),
+            SnapError::AlreadyCurrent
+        );
+
+        // Base gone (snapshot deleted on the primary): advance the
+        // primary, snapshot again, delete "b" — the replica at "b" must
+        // fall back to a full image for "c".
+        let p = page_of(0xEE);
+        let t = store.persist(&mut vt, &mut disk, obj, &[(0, &p)]).unwrap();
+        ObjectStore::wait(&mut vt, t);
+        store.snapshot_create(&mut vt, &mut disk, obj, "c").unwrap();
+        store.snapshot_delete(&mut vt, &mut disk, "b").unwrap();
+        let r3 = sync(&mut vt, &mut store, &mut disk, "c").unwrap();
+        assert!(r3.full_sync, "missing base epoch must fall back to full");
+
+        // Replica image equals the target snapshot byte-for-byte.
+        let robj = replica.lookup("db").unwrap();
+        assert_eq!(replica.epoch(robj), r3.target_epoch);
+        let (mut want, mut got) = (page_of(0), page_of(0));
+        for page in 0..5u64 {
+            store
+                .read_page_at(&mut vt, &mut disk, "c", page, &mut want)
+                .unwrap();
+            replica
+                .read_page(&mut vt, &mut rdisk, robj, page, &mut got)
+                .unwrap();
+            assert_eq!(got, want, "replica page {page} diverges");
+        }
     }
 }

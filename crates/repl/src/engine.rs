@@ -12,7 +12,7 @@ mod ship;
 
 pub use replica::ReplicaNode;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use memsnap::{MemSnap, MsnapError};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
@@ -1657,7 +1657,7 @@ mod tests {
         eng.pump();
         assert_eq!(eng.link_metrics("r1").unwrap().malformed, 1);
         let rec = &eng.replica("r1").unwrap().ships[&1];
-        assert!(rec.session.is_some() && rec.trailer.is_some() && rec.ahead.is_empty());
+        assert!(rec.session.is_some() && rec.trailer.is_some() && rec.frames.is_empty());
     }
 
     /// What a replica buffers of ships it cannot apply yet is bounded in
@@ -1697,13 +1697,120 @@ mod tests {
             });
             let held: usize = node.ships.values().map(Reassembly::held).sum();
             assert!(held <= MAX_LAG_BYTES as usize, "{held} bytes at seq {seq}");
-            let slots: usize = node.ships.values().map(|r| r.ahead.len()).sum();
+            let slots: usize = node.ships.values().map(|r| r.frames.len()).sum();
             assert!(slots * SLOT_BYTES <= MAX_LAG_BYTES as usize);
         }
         assert!(
-            node.ships[&1].ahead.len() > 100,
+            node.ships[&1].frames.len() > 100,
             "room is used, not refused"
         );
+    }
+
+    /// The `Ack` a replica owes for landing ship 1 of object "db".
+    fn ack_of(epoch: Epoch) -> Msg {
+        let object = "db".to_string();
+        Msg::Ack {
+            ship: 1,
+            object,
+            epoch,
+        }
+    }
+
+    /// The frames a ship has delivered in order are its own, not the
+    /// budget's: a full image past [`MAX_LAG_BYTES`] sent in order lands.
+    #[test]
+    fn in_order_ship_larger_than_the_budget_lands_with_one_ack() {
+        let (msgs, epoch) = ship_of(300);
+        let bytes: usize = msgs.iter().map(|m| m.encode().len()).sum();
+        assert!(bytes > MAX_LAG_BYTES as usize, "{bytes} bytes");
+        let mut node = ReplicaNode::format("r1", 1);
+        let replies: Vec<Msg> = msgs.into_iter().flat_map(|m| node.handle(m)).collect();
+        assert_eq!(replies, [ack_of(epoch)]);
+        let mut got = vec![0u8; PAGE_SIZE];
+        node.read_page("db", 299, &mut got).unwrap();
+        assert_eq!(got, noise_page(299));
+    }
+
+    /// A frame the replica already holds in order changes nothing when it
+    /// comes again: no reply, not one byte more held.
+    #[test]
+    fn duplicate_of_an_in_order_frame_is_ignored() {
+        let (msgs, epoch) = ship_of(3);
+        let mut node = ReplicaNode::format("r1", 1);
+        for msg in &msgs[..3] {
+            assert!(node.handle(msg.clone()).is_empty());
+        }
+        let held = node.ships[&1].held();
+        for msg in &msgs[1..3] {
+            assert!(node.handle(msg.clone()).is_empty());
+            assert_eq!(node.ships[&1].held(), held);
+        }
+        let replies: Vec<Msg> = msgs[3..]
+            .iter()
+            .flat_map(|m| node.handle(m.clone()))
+            .collect();
+        assert_eq!(replies, [ack_of(epoch)]);
+    }
+
+    /// A frame damaged in flight is a hole: the next `Nak` names it
+    /// first, and the ship lands once the good frame arrives.
+    #[test]
+    fn torn_frame_is_the_first_hole_the_nak_names() {
+        let (msgs, epoch) = ship_of(3);
+        let torn = torn(&msgs[2]);
+        let mut node = ReplicaNode::format("r1", 1);
+        for msg in [&msgs[0], &msgs[1], &torn, &msgs[3], &msgs[4]] {
+            assert!(node.handle(msg.clone()).is_empty());
+        }
+        let Msg::End { trailer, .. } = msgs[4].clone() else {
+            unreachable!("ship_of ends with the End")
+        };
+        let probe = Msg::End {
+            ship: 1,
+            probe: true,
+            trailer,
+        };
+        assert!(node.handle(probe).is_empty());
+        let naks = node.overdue(Nanos::MAX);
+        assert!(
+            matches!(&naks[..], [Msg::Nak { missing, .. }] if missing[..] == [1]),
+            "{naks:?}"
+        );
+        assert_eq!(node.handle(msgs[2].clone()), [ack_of(epoch)]);
+        let mut got = vec![0u8; PAGE_SIZE];
+        node.read_page("db", 1, &mut got).unwrap();
+        assert_eq!(got, noise_page(1));
+    }
+
+    /// `frame` with one payload bit flipped, as a link that tears bytes
+    /// would deliver it.
+    fn torn(frame: &Msg) -> Msg {
+        let mut torn = frame.clone();
+        let Msg::Frame {
+            frame: Frame::Sub(sf),
+            ..
+        } = &mut torn
+        else {
+            unreachable!("ship_of ships payload frames")
+        };
+        sf.payload[7] ^= 1;
+        torn
+    }
+
+    /// A torn frame early in an in-order ship larger than the budget
+    /// leaves the rest of the ship past the prefix, over the budget; the
+    /// good frame still fills the hole and the ship lands.
+    #[test]
+    fn torn_frame_of_a_ship_larger_than_the_budget_is_refilled() {
+        let (mut msgs, epoch) = ship_of(300);
+        let good = msgs[2].clone();
+        msgs[2] = torn(&good);
+        let mut node = ReplicaNode::format("r1", 1);
+        for msg in msgs {
+            assert!(node.handle(msg).is_empty());
+        }
+        assert!(node.ships[&1].held() > MAX_LAG_BYTES as usize);
+        assert_eq!(node.handle(good), [ack_of(epoch)]);
     }
 
     #[test]

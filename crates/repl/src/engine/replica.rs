@@ -1,6 +1,6 @@
 //! The receiving end of a link: a [`ReplicaNode`] takes each ship's
-//! `Begin`, frames and `End` in any order into one reassembly record,
-//! feeds its apply session as holes fill, lands the ship as one
+//! `Begin`, frames and `End` in any order into one reassembly record —
+//! the ship's one frame buffer — lands the complete ship as one
 //! crash-atomic commit and answers `Ack` — or, once a hole outlives the
 //! reorder allowance, the `Nak` naming it. It also answers repair
 //! requests, asks for its own rot, and tracks the announced cuts.
@@ -76,18 +76,20 @@ impl Estimator {
 
 /// One ship as a replica holds it while its datagrams arrive, in any
 /// order and any number of times: the header as an open
-/// [`ApplySession`], the frames the session cannot take yet, and the
-/// trailer. The session is fed in sequence as holes fill, and the ship
-/// lands once all three are there — an early piece is data, not an
+/// [`ApplySession`], the ship's one frame buffer, and the trailer. The
+/// ship lands once all of it is there — an early piece is data, not an
 /// error.
 #[derive(Debug, Default)]
 pub(super) struct Reassembly {
     /// The open session, with the object it updates and whether the ship
     /// is an anchor ship; `None` until the `Begin` arrives.
     pub(super) session: Option<(String, bool, ApplySession)>,
-    /// Frames ahead of the session: slot `i` holds sequence number
-    /// `fed() + i`, `None` where that frame has not arrived.
-    pub(super) ahead: VecDeque<Option<Frame>>,
+    /// The ship's frames: slot `seq` holds frame `seq`, `None` where it
+    /// has not arrived (or arrived damaged).
+    pub(super) frames: Vec<Option<Frame>>,
+    /// Length of the filled in-order prefix of `frames`; it grows only
+    /// once the session is open.
+    prefix: usize,
     /// The trailer, and when its `End` first arrived.
     pub(super) trailer: Option<(StreamTrailer, Nanos)>,
     /// When the ship's holes will have outlived the reorder allowance,
@@ -97,37 +99,34 @@ pub(super) struct Reassembly {
     naked: bool,
 }
 
-/// What a record and one `ahead` slot hold against the budget.
+/// What a record and one frame slot hold against the budget.
 const RECORD_BYTES: usize = std::mem::size_of::<Reassembly>();
 pub(super) const SLOT_BYTES: usize = std::mem::size_of::<Option<Frame>>();
 
 impl Reassembly {
     /// Bytes held against the node's budget ([`MAX_LAG_BYTES`]): the
-    /// record, the slots of `ahead` and the frames in them.
+    /// record, and the slots past the in-order prefix with the frames in
+    /// them. The prefix is the ship's own, so an in-order ship of any
+    /// size lands.
     pub(super) fn held(&self) -> usize {
         let slot = |s: &Option<Frame>| SLOT_BYTES + s.as_ref().map_or(0, Frame::encoded_len);
-        RECORD_BYTES + self.ahead.iter().map(slot).sum::<usize>()
-    }
-
-    /// Frames the session has taken — the sequence number of slot 0.
-    fn fed(&self) -> u64 {
-        self.session.as_ref().map_or(0, |(.., s)| s.next_seq())
+        RECORD_BYTES + self.frames[self.prefix..].iter().map(slot).sum::<usize>()
     }
 
     /// The `Nak` naming what the ship still lacks (its first
     /// [`MAX_NAK_SEQS`] holes; the rest are asked for next round).
     fn nak(&self, ship: u64) -> Msg {
-        let fed = self.fed();
+        let prefix = self.prefix as u64;
         let held = |seq: u64| {
-            let slot = usize::try_from(seq - fed).ok();
-            slot.and_then(|i| self.ahead.get(i))
+            let slot = usize::try_from(seq).ok();
+            slot.and_then(|i| self.frames.get(i))
                 .is_some_and(Option::is_some)
         };
-        let frames = self.trailer.map_or(fed, |(t, _)| t.frames);
+        let frames = self.trailer.map_or(prefix, |(t, _)| t.frames);
         Msg::Nak {
             ship,
             begin: self.session.is_none(),
-            missing: (fed..frames)
+            missing: (prefix..frames)
                 .filter(|&seq| !held(seq))
                 .take(MAX_NAK_SEQS)
                 .collect(),
@@ -432,21 +431,24 @@ impl ReplicaNode {
                 }
             }
             Msg::Frame { frame, .. } => {
-                // Behind the session it is a duplicate; ahead of it, it
-                // waits in its slot if the budget has room for the slots
-                // up to it — a wild sequence number buys nothing.
-                let slot = frame.seq().checked_sub(rec.fed());
-                if let Some(slot) = slot.and_then(|s| usize::try_from(s).ok()) {
-                    let grow = slot.saturating_add(1).saturating_sub(rec.ahead.len());
+                // In a filled slot (the whole prefix is) it is a
+                // duplicate; else it waits in its slot if the budget has
+                // room for the slots up to it — a wild sequence number
+                // buys nothing. The slot right after an open session's
+                // prefix joins the prefix at once and is never charged, so
+                // a ship's first hole fills however full the budget is.
+                if let Ok(slot) = usize::try_from(frame.seq()) {
+                    let grow = slot.saturating_add(1).saturating_sub(rec.frames.len());
                     let cost = grow
                         .saturating_mul(SLOT_BYTES)
                         .saturating_add(frame.encoded_len());
-                    let vacant = rec.ahead.get(slot).is_none_or(Option::is_none);
-                    if vacant && self.admit(rec.held().saturating_add(cost)) {
+                    let vacant = rec.frames.get(slot).is_none_or(Option::is_none);
+                    let joins = rec.session.is_some() && slot == rec.prefix;
+                    if vacant && (joins || self.admit(rec.held().saturating_add(cost))) {
                         if grow > 0 {
-                            rec.ahead.resize_with(slot + 1, || None);
+                            rec.frames.resize_with(slot + 1, || None);
                         }
-                        rec.ahead[slot] = Some(frame);
+                        rec.frames[slot] = Some(frame);
                     }
                 }
             }
@@ -465,23 +467,15 @@ impl ReplicaNode {
             }
             _ => {} // duplicate Begin: the session is open
         }
-        // Holes filled: the session takes every frame now in sequence.
-        if let Some((.., session)) = rec.session.as_mut() {
-            while let Some(Some(frame)) = rec.ahead.front_mut().map(Option::take) {
-                rec.ahead.pop_front();
-                if session.feed(frame).is_err() {
-                    // Damaged in flight, its checksum says: a hole
-                    // again, for the Nak to name.
-                    rec.ahead.push_front(None);
-                    break;
-                }
+        // Holes filled: the prefix takes every frame now in sequence.
+        if rec.session.is_some() {
+            while rec.frames.get(rec.prefix).is_some_and(Option::is_some) {
+                rec.prefix += 1;
             }
         }
-        let ((object, anchor, session), (trailer, end_at)) = match (rec.session.take(), rec.trailer)
-        {
-            (Some(open), Some(end)) if open.2.next_seq() >= end.0.frames => (open, end),
-            (open, _) => {
-                rec.session = open;
+        let ((object, anchor, session), (trailer, end_at)) = match (&rec.session, rec.trailer) {
+            (Some(open), Some(end)) if rec.prefix as u64 >= end.0.frames => (open, end),
+            _ => {
                 self.ships.insert(ship, rec);
                 return Vec::new();
             }
@@ -491,6 +485,7 @@ impl ReplicaNode {
             &mut self.vt,
             &mut self.disk,
             &mut self.store,
+            rec.frames[..rec.prefix].iter().flatten(),
             &trailer,
             Some(table),
         ) {
@@ -498,15 +493,23 @@ impl ReplicaNode {
                 ObjectStore::wait(&mut self.vt, token);
                 self.bootstrapped = true;
                 self.state = ReplicaState::Streaming;
-                if anchor {
-                    self.retain_applied(&object, token.epoch);
+                if *anchor {
+                    self.retain_applied(object, token.epoch);
                 }
                 // The landed epoch may complete an announced cut.
                 self.refresh_cut();
                 if !rec.naked && now > end_at {
                     self.reorder.sample(now - end_at);
                 }
-                self.done(ship, object, token.epoch)
+                self.done(ship, object.clone(), token.epoch)
+            }
+            // Damaged in flight, its checksum says: a hole again, for the
+            // next Nak to name; the session stays open.
+            Err(SnapError::FrameCorrupt { seq }) => {
+                rec.prefix = seq as usize;
+                rec.frames[rec.prefix] = None;
+                self.ships.insert(ship, rec);
+                Vec::new()
             }
             Err(_) => {
                 self.state = ReplicaState::Degraded;

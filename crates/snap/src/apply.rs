@@ -1,22 +1,18 @@
-//! Landing a stream on a replica: [`ApplySession`], and the one-call
-//! [`sync_to`] driver.
+//! Landing a stream on a replica: [`ApplySession`].
 
 use super::*;
 
-/// Replica-side application of one delta stream: feed frames in order
-/// (resuming from [`ApplySession::next_seq`] after an interruption),
-/// then [`ApplySession::finish`] to land the whole stream as one
-/// crash-atomic commit.
+/// Replica-side application of one delta stream: [`ApplySession::begin`]
+/// decides from the header whether (and onto what) the stream lands,
+/// and [`ApplySession::finish`] checks the complete ship — its frames
+/// and its trailer — and lands it as one crash-atomic commit.
 #[derive(Debug)]
 pub struct ApplySession {
     object: ObjectId,
     target_epoch: Epoch,
     /// Object length at the target epoch (bounds the dedup table).
     len_pages: u64,
-    expected_frames: u64,
-    staged: Vec<Frame>,
-    next_seq: u64,
-    running_sum: u64,
+    frame_count: u64,
     /// A retained snapshot on the replica at exactly the stream's base
     /// epoch, when the replica's *live* epoch has diverged past it: the
     /// failover rebase path: [`ObjectStore::apply_image`] over this base.
@@ -67,12 +63,7 @@ impl ApplySession {
             object,
             target_epoch: header.target_epoch,
             len_pages: header.len_pages,
-            expected_frames: header.frame_count,
-            // An untrusted frame count must not drive the allocation;
-            // the staging vector grows as frames actually arrive.
-            staged: Vec::new(),
-            next_seq: 0,
-            running_sum: msnap_store::FNV_OFFSET,
+            frame_count: header.frame_count,
             rebase_from,
         })
     }
@@ -82,37 +73,6 @@ impl ApplySession {
     /// [`ApplySession::finish`].
     pub fn is_rebase(&self) -> bool {
         self.rebase_from.is_some()
-    }
-
-    /// The sequence number the session expects next — the resume point
-    /// after an interrupted transfer.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Stages one frame, taking it over — the session is where a
-    /// received frame lives until [`ApplySession::finish`]. Frames must
-    /// arrive in sequence order and verify their checksum; a rejected
-    /// frame is dropped and leaves the session unchanged, so the sender
-    /// may retransmit it.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::SequenceGap`] or [`SnapError::FrameCorrupt`].
-    pub fn feed(&mut self, frame: Frame) -> Result<(), SnapError> {
-        if frame.seq() != self.next_seq {
-            return Err(SnapError::SequenceGap {
-                expected: self.next_seq,
-                got: frame.seq(),
-            });
-        }
-        if !frame.verify() {
-            return Err(SnapError::FrameCorrupt { seq: frame.seq() });
-        }
-        self.running_sum = fnv1a_extend(self.running_sum, &frame.checksum().to_le_bytes());
-        self.staged.push(frame);
-        self.next_seq += 1;
-        Ok(())
     }
 
     /// Reads the replica's pre-image of `page` — its live content, or
@@ -131,10 +91,15 @@ impl ApplySession {
         }
     }
 
-    /// Verifies the trailer against everything staged and commits the
-    /// stream through [`ObjectStore::apply_image`] (over the retained
-    /// base snapshot for a rebase session) — one crash-atomic root switch
-    /// landing the replica exactly at the target epoch.
+    /// Lands a complete ship: runs the one stream-binding check over
+    /// `frames` and `trailer` — frames `0, 1, 2, …` in order, each covered
+    /// by its checksum, exactly as many as the header and the trailer
+    /// count, chained as the trailer sums them — then commits them
+    /// through [`ObjectStore::apply_image`] (over the retained base
+    /// snapshot for a rebase session): one crash-atomic root switch
+    /// landing the replica exactly at the target epoch. This is the only
+    /// place a received frame's checksum is checked. The session stays
+    /// open, so a caller that re-receives a damaged frame finishes again.
     ///
     /// `dedup` is the receiver-side dedup table: [`Frame::Ref`] frames
     /// resolve against it, and every page that arrived as payload is
@@ -145,33 +110,46 @@ impl ApplySession {
     ///
     /// # Errors
     ///
-    /// [`SnapError::TrailerMismatch`] if frames are missing or the
-    /// stream checksum disagrees, [`SnapError::BaseContentMismatch`]
+    /// [`SnapError::Malformed`] for a frame out of sequence,
+    /// [`SnapError::FrameCorrupt`] for the first frame its checksum does
+    /// not cover, [`SnapError::TrailerMismatch`] if frames are missing
+    /// or the stream checksum disagrees, [`SnapError::BaseContentMismatch`]
     /// when a frame's patched page misses its digest (the replica's
     /// base content is not what the sender diffed against) or a
     /// reference cannot be resolved — the caller falls back to a full
     /// resync — or [`SnapError::Store`] if the commit itself fails.
     /// Nothing is written in any of these cases: the replica stays at
     /// its previous epoch.
-    pub fn finish(
-        self,
+    pub fn finish<'a>(
+        &self,
         vt: &mut Vt,
         disk: &mut Disk,
         replica: &mut ObjectStore,
+        frames: impl Iterator<Item = &'a Frame> + Clone,
         trailer: &StreamTrailer,
         dedup: Option<&mut DedupTable>,
     ) -> Result<CommitToken, SnapError> {
-        if self.next_seq != self.expected_frames
-            || trailer.frames != self.expected_frames
-            || trailer.stream_sum != self.running_sum
+        let mut count = 0;
+        for frame in frames.clone() {
+            if frame.seq() != count {
+                return Err(SnapError::Malformed);
+            }
+            if !frame.verify() {
+                return Err(SnapError::FrameCorrupt { seq: count });
+            }
+            count += 1;
+        }
+        if count != self.frame_count
+            || trailer.frames != count
+            || trailer.stream_sum != chain_sum(frames.clone())
         {
             return Err(SnapError::TrailerMismatch);
         }
         // Resolve every frame to a full page image in memory before
         // touching the store: the commit below stays a single
         // crash-atomic root switch over whole pages.
-        let mut resolved: Vec<(u64, Vec<u8>, bool)> = Vec::with_capacity(self.staged.len());
-        for frame in &self.staged {
+        let mut resolved: Vec<(u64, Vec<u8>, bool)> = Vec::with_capacity(count as usize);
+        for frame in frames {
             let page = frame.page();
             let mismatch = SnapError::BaseContentMismatch { page };
             let (bytes, was_ref) = match frame {
@@ -222,72 +200,4 @@ pub fn retained_at(store: &ObjectStore, object: ObjectId, epoch: Epoch) -> Optio
     let mut catalog = store.snapshots().into_iter();
     let entry = catalog.find(|s| s.object == object && s.epoch == epoch);
     entry.map(|s| s.name)
-}
-
-/// Outcome of one [`sync_to`] catch-up round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyncReport {
-    /// Epoch the replica landed at.
-    pub target_epoch: Epoch,
-    /// Pages shipped.
-    pub pages: u64,
-    /// Wire bytes of the stream.
-    pub bytes: u64,
-    /// Whether the round fell back to a full image (no usable base).
-    pub full_sync: bool,
-}
-
-/// Ships the retained snapshot `target` from the primary to the replica:
-/// incrementally when the primary still retains a snapshot at exactly
-/// the replica's epoch (the delta base), as a full image otherwise —
-/// the base-epoch-gone fallback. The stream round-trips through its
-/// wire encoding, so every checksum in the framing is exercised on
-/// every sync.
-///
-/// # Errors
-///
-/// [`SnapError::AlreadyCurrent`] if the replica is at or past the
-/// target, or any build/decode/apply error. A failed apply leaves the
-/// replica at its previous epoch; the call may simply be retried.
-#[allow(clippy::too_many_arguments)]
-pub fn sync_to(
-    vt: &mut Vt,
-    primary: &mut ObjectStore,
-    primary_disk: &mut Disk,
-    replica: &mut ObjectStore,
-    replica_disk: &mut Disk,
-    target: &str,
-) -> Result<SyncReport, SnapError> {
-    let entry = primary
-        .snapshot_lookup(target)
-        .ok_or(StoreError::SnapshotNotFound)?
-        .clone();
-    let object_name = primary
-        .object_name(entry.object)
-        .ok_or(StoreError::NotFound)?;
-    let replica_epoch = replica
-        .lookup(&object_name)
-        .map_or(0, |id| replica.epoch(id));
-    if replica_epoch >= entry.epoch {
-        return Err(SnapError::AlreadyCurrent);
-    }
-    // A delta needs a retained base at exactly the replica's epoch; when
-    // reclamation (snapshot_delete) has dropped it, fall back to full.
-    let base = retained_at(primary, entry.object, replica_epoch);
-    let stream = DeltaStream::build(vt, primary_disk, primary, base.as_deref(), target, None)?;
-    let wire = stream.encode();
-    let bytes = wire.len() as u64;
-    let stream = DeltaStream::decode(&wire)?;
-    let mut session = ApplySession::begin(vt, replica_disk, replica, &stream.header)?;
-    for frame in stream.frames {
-        session.feed(frame)?;
-    }
-    let token = session.finish(vt, replica_disk, replica, &stream.trailer, None)?;
-    ObjectStore::wait(vt, token);
-    Ok(SyncReport {
-        target_epoch: token.epoch,
-        pages: stream.trailer.frames,
-        bytes,
-        full_sync: base.is_none(),
-    })
 }

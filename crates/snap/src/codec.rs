@@ -1,5 +1,5 @@
-//! The stream's wire forms — header, frames, trailer, whole stream —
-//! each encoded and decoded on its own; decoding never panics.
+//! The stream's wire forms — header, frames, trailer — each encoded and
+//! decoded on its own; decoding never panics.
 
 use super::*;
 
@@ -31,7 +31,7 @@ impl StreamHeader {
     }
 
     /// Serializes the header to its checksummed, self-delimiting wire
-    /// form (the first piece of [`DeltaStream::encode`]). The cut, when
+    /// form (the first piece of a stream on the wire). The cut, when
     /// present, is framed as `cut_seq` and `cut_len` in the fixed part
     /// (`cut_len = 0` means no cut) followed by the epoch vector after
     /// the name bytes; the checksum binds all of it.
@@ -506,8 +506,8 @@ pub struct DeltaStream {
     pub trailer: StreamTrailer,
 }
 
-pub(super) fn chain_sum(frames: &[Frame]) -> u64 {
-    frames.iter().fold(msnap_store::FNV_OFFSET, |h, f| {
+pub(super) fn chain_sum<'a>(frames: impl IntoIterator<Item = &'a Frame>) -> u64 {
+    frames.into_iter().fold(msnap_store::FNV_OFFSET, |h, f| {
         fnv1a_extend(h, &f.checksum().to_le_bytes())
     })
 }
@@ -555,56 +555,5 @@ impl DeltaStream {
         self.header.encoded_len()
             + self.frames.iter().map(Frame::encoded_len).sum::<usize>()
             + TRAILER_LEN
-    }
-
-    /// Serializes the stream to its wire form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&self.header.encode());
-        for f in &self.frames {
-            out.extend_from_slice(&f.encode());
-        }
-        out.extend_from_slice(&self.trailer.encode());
-        out
-    }
-
-    /// Parses and fully validates a wire-form stream: header checksum,
-    /// every frame checksum, and the trailer binding. Never panics (or
-    /// over-allocates) on malformed input.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Malformed`] for structural damage,
-    /// [`SnapError::FrameCorrupt`] / [`SnapError::TrailerMismatch`] for
-    /// checksum failures.
-    pub fn decode(bytes: &[u8]) -> Result<DeltaStream, SnapError> {
-        let (header, mut off) = StreamHeader::decode(bytes)?;
-        // An attacker-controlled frame count must not drive the
-        // allocation — cap the reserve by what the bytes could hold
-        // (the smallest frame is a reference frame).
-        let cap = (header.frame_count as usize).min(bytes.len() / REF_FRAME_LEN + 1);
-        let mut frames = Vec::with_capacity(cap);
-        for seq in 0..header.frame_count {
-            let rest = bytes.get(off..).ok_or(SnapError::Malformed)?;
-            let (frame, used) = Frame::decode(rest)?;
-            if frame.seq() != seq {
-                return Err(SnapError::Malformed);
-            }
-            if !frame.verify() {
-                return Err(SnapError::FrameCorrupt { seq });
-            }
-            frames.push(frame);
-            off += used;
-        }
-        let rest = bytes.get(off..).ok_or(SnapError::Malformed)?;
-        let (trailer, _) = StreamTrailer::decode(rest)?;
-        if trailer.frames != frames.len() as u64 || trailer.stream_sum != chain_sum(&frames) {
-            return Err(SnapError::TrailerMismatch);
-        }
-        Ok(DeltaStream {
-            header,
-            frames,
-            trailer,
-        })
     }
 }

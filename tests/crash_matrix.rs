@@ -274,21 +274,15 @@ fn delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         images.insert(epoch, pages);
     }
 
-    let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base", None)
-        .unwrap()
-        .encode();
-    let delta_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, Some("base"), "tip", None)
-        .unwrap()
-        .encode();
+    let full = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base", None).unwrap();
+    let delta =
+        DeltaStream::build(&mut vt, &mut pdisk, &mut store, Some("base"), "tip", None).unwrap();
 
-    let apply = |vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, wire: &[u8]| {
-        let stream = DeltaStream::decode(wire).unwrap();
-        let mut session = ApplySession::begin(vt, disk, replica, &stream.header).unwrap();
-        for frame in &stream.frames {
-            session.feed(frame.clone()).unwrap();
-        }
+    let apply = |vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, stream: &DeltaStream| {
+        let session = ApplySession::begin(vt, disk, replica, &stream.header).unwrap();
+        let frames = stream.frames.iter();
         session
-            .finish(vt, disk, replica, &stream.trailer, None)
+            .finish(vt, disk, replica, frames, &stream.trailer, None)
             .unwrap();
     };
 
@@ -298,9 +292,9 @@ fn delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         let mut replica = ObjectStore::format(&mut rdisk);
         // Land the base image and settle it; the sweep then exercises
         // crashes during the *delta* apply only.
-        apply(&mut vt, &mut rdisk, &mut replica, &full_wire);
+        apply(&mut vt, &mut rdisk, &mut replica, &full);
         rdisk.settle();
-        apply(&mut vt, &mut rdisk, &mut replica, &delta_wire);
+        apply(&mut vt, &mut rdisk, &mut replica, &delta);
         rdisk
     };
 
@@ -405,9 +399,7 @@ fn subpage_delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         images.insert(epoch, pages);
     }
 
-    let full_wire = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base", None)
-        .unwrap()
-        .encode();
+    let full = DeltaStream::build(&mut vt, &mut pdisk, &mut store, None, "base", None).unwrap();
     let delta =
         DeltaStream::build(&mut vt, &mut pdisk, &mut store, Some("base"), "tip", None).unwrap();
     assert!(
@@ -417,16 +409,12 @@ fn subpage_delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
             .any(|f| matches!(f, Frame::Sub(s) if !s.covers_whole())),
         "the sweep must actually exercise partial sub-page frames"
     );
-    let delta_wire = delta.encode();
 
-    let apply = |vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, wire: &[u8]| {
-        let stream = DeltaStream::decode(wire).unwrap();
-        let mut session = ApplySession::begin(vt, disk, replica, &stream.header).unwrap();
-        for frame in &stream.frames {
-            session.feed(frame.clone()).unwrap();
-        }
+    let apply = |vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, stream: &DeltaStream| {
+        let session = ApplySession::begin(vt, disk, replica, &stream.header).unwrap();
+        let frames = stream.frames.iter();
         session
-            .finish(vt, disk, replica, &stream.trailer, None)
+            .finish(vt, disk, replica, frames, &stream.trailer, None)
             .unwrap();
     };
 
@@ -434,9 +422,9 @@ fn subpage_delta_apply_crash_sweep_lands_at_base_or_target_epoch() {
         let mut vt = Vt::new(7);
         let mut rdisk = Disk::new(DiskConfig::paper());
         let mut replica = ObjectStore::format(&mut rdisk);
-        apply(&mut vt, &mut rdisk, &mut replica, &full_wire);
+        apply(&mut vt, &mut rdisk, &mut replica, &full);
         rdisk.settle();
-        apply(&mut vt, &mut rdisk, &mut replica, &delta_wire);
+        apply(&mut vt, &mut rdisk, &mut replica, &delta);
         rdisk
     };
 

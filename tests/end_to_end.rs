@@ -285,8 +285,9 @@ fn a_commit_behind_its_regions_queued_record_rides_it() {
 /// one shipped base alive on the primary.
 #[test]
 fn faulted_replica_catches_up_with_deltas_alone() {
+    use msnap_bench::replica::sync_to;
     use msnap_disk::{Fault, FaultPlan, BLOCK_SIZE};
-    use msnap_snap::{sync_to, SnapError};
+    use msnap_snap::SnapError;
     use msnap_store::{ObjectStore, StoreError, MAX_IO_ATTEMPTS};
 
     const PAGES: u64 = 16;

@@ -558,7 +558,7 @@ proptest! {
         prefix in prop::collection::vec(prop::collection::vec(0u64..64, 1..5), 1..25),
         suffix in prop::collection::vec(prop::collection::vec(0u64..64, 1..5), 1..25),
     ) {
-        use msnap_snap::sync_to;
+        use msnap_bench::replica::sync_to;
 
         let mut pdisk = Disk::new(DiskConfig::paper());
         let mut store = ObjectStore::format(&mut pdisk);

@@ -40,15 +40,18 @@ fn seeded_store(seed: u8) -> (Vt, Disk, ObjectStore, msnap_store::ObjectId) {
     (vt, disk, store, obj)
 }
 
-/// Applies one wire-encoded stream to `replica`, without a dedup table.
-fn apply(vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, wire: &[u8]) {
-    let stream = DeltaStream::decode(wire).unwrap();
-    let mut session = ApplySession::begin(vt, disk, replica, &stream.header).unwrap();
-    for frame in &stream.frames {
-        session.feed(frame.clone()).unwrap();
-    }
+/// Lands one built stream on `replica`.
+fn apply(
+    vt: &mut Vt,
+    disk: &mut Disk,
+    replica: &mut ObjectStore,
+    stream: &DeltaStream,
+    dedup: Option<&mut DedupTable>,
+) {
+    let session = ApplySession::begin(vt, disk, replica, &stream.header).unwrap();
+    let frames = stream.frames.iter();
     session
-        .finish(vt, disk, replica, &stream.trailer, None)
+        .finish(vt, disk, replica, frames, &stream.trailer, dedup)
         .unwrap();
 }
 
@@ -56,10 +59,8 @@ fn apply(vt: &mut Vt, disk: &mut Disk, replica: &mut ObjectStore, wire: &[u8]) {
 fn replica_at_base(vt: &mut Vt, disk: &mut Disk, store: &mut ObjectStore) -> (Disk, ObjectStore) {
     let mut rdisk = Disk::new(DiskConfig::paper());
     let mut replica = ObjectStore::format(&mut rdisk);
-    let wire = DeltaStream::build(vt, disk, store, None, "base", None)
-        .unwrap()
-        .encode();
-    apply(vt, &mut rdisk, &mut replica, &wire);
+    let full = DeltaStream::build(vt, disk, store, None, "base", None).unwrap();
+    apply(vt, &mut rdisk, &mut replica, &full, None);
     (rdisk, replica)
 }
 
@@ -108,14 +109,13 @@ proptest! {
         ObjectStore::wait(&mut vt, t);
         store.snapshot_create(&mut vt, &mut disk, obj, "tip").unwrap();
 
-        let wire = DeltaStream::build(
+        let delta = DeltaStream::build(
             &mut vt, &mut disk, &mut store, Some("base"), "tip", None,
         )
-        .unwrap()
-        .encode();
+        .unwrap();
 
         let (mut rdisk, mut replica) = replica_at_base(&mut vt, &mut disk, &mut store);
-        apply(&mut vt, &mut rdisk, &mut replica, &wire);
+        apply(&mut vt, &mut rdisk, &mut replica, &delta, None);
         let got = replica_pages(&mut vt, &mut rdisk, &mut replica);
         let mut want = vec![0u8; BLOCK_SIZE];
         for p in 0..PAGES {
@@ -156,14 +156,7 @@ proptest! {
             &mut vt, &mut disk, &mut store, Some("base"), "tip", Some(&mut sender),
         )
         .unwrap();
-        let mut session =
-            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s1.header).unwrap();
-        for frame in &s1.frames {
-            session.feed(frame.clone()).unwrap();
-        }
-        session
-            .finish(&mut vt, &mut rdisk, &mut replica, &s1.trailer, Some(&mut receiver))
-            .unwrap();
+        apply(&mut vt, &mut rdisk, &mut replica, &s1, Some(&mut receiver));
         sender.commit();
 
         // Second epoch: page 1 gets a page that collides with page 0's
@@ -187,14 +180,7 @@ proptest! {
                 );
             }
         }
-        let mut session =
-            ApplySession::begin(&mut vt, &mut rdisk, &mut replica, &s2.header).unwrap();
-        for frame in &s2.frames {
-            session.feed(frame.clone()).unwrap();
-        }
-        session
-            .finish(&mut vt, &mut rdisk, &mut replica, &s2.trailer, Some(&mut receiver))
-            .unwrap();
+        apply(&mut vt, &mut rdisk, &mut replica, &s2, Some(&mut receiver));
         sender.commit();
 
         // Whatever form shipped, the replica is byte-identical.
