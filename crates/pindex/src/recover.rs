@@ -440,34 +440,61 @@ mod tests {
         assert!(report.op_landed(0, 1));
     }
 
+    /// The 32-byte carve header, field by field and independent of the
+    /// codec: magic "PIXC", version 1, kind, writers, arena pages, a zero
+    /// word, then the FNV-1a of everything before it.
+    pub(crate) fn fixed_header(kind: u32, writers: u32, arena_pages: u64) -> Vec<u8> {
+        let mut want = Vec::new();
+        for word in [0x5049_5843, 1, kind, writers] {
+            want.extend_from_slice(&u32::to_le_bytes(word));
+        }
+        want.extend_from_slice(&arena_pages.to_le_bytes());
+        want.extend_from_slice(&[0; 4]);
+        want.extend_from_slice(&msnap_sim::hash::fnv1a32(&want).to_le_bytes());
+        want
+    }
+
     #[test]
-    fn retired_hash_kind_fails_closed_and_untouched() {
-        // Kind tag 2 belonged to the hash table this crate once carried. A
-        // device that still holds such a carve is refused by the durable
-        // kind check — never reinterpreted as a skiplist, never rebuilt over.
-        const RETIRED_KIND: u32 = 2;
+    fn fresh_create_leaves_the_fixed_carve_header_durable() {
+        let (ms, _space, sk, mut vt) = fresh();
+        let disk = ms.crash(vt.now());
+        let mut ms = MemSnap::restore(&mut vt, disk).unwrap();
+        let space = ms.vm_mut().create_space();
+        let region = ms.msnap_open(&mut vt, space, "sk", 0).unwrap();
+        assert_eq!(region.addr, sk.carve.region.addr);
+        let mut have = [0u8; 32];
+        ms.read(&mut vt, space, region.addr, &mut have).unwrap();
+        assert_eq!(have[..], fixed_header(1, 4, 64)[..]);
+    }
+
+    /// Persists `page0` at the start of an 11-page plain region, with
+    /// bytes where a 2-writer, 8-page carve keeps writer 1's log and its
+    /// arena; crashes, restores, and checks that [`PSkipList::recover`]
+    /// refuses the region and writes nothing.
+    fn assert_refused_untouched(page0: &[u8]) {
         let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
         let mut vt = Vt::new(0);
         let space = ms.vm_mut().create_space();
-        let carve = ms
-            .msnap_open_index(&mut vt, space, "old", 8, 2, RETIRED_KIND)
-            .unwrap();
+        let region = ms.msnap_open(&mut vt, space, "old", 1 + 2 + 8).unwrap();
+        let page = msnap_vm::PAGE_SIZE as u64;
         let thread = vt.id();
-        ms.write(&mut vt, space, thread, carve.arena_addr(), &[0xA5; 256])
-            .unwrap();
-        ms.write(&mut vt, space, thread, carve.log_addr(1), &[0x5A; 64])
-            .unwrap();
+        for (addr, bytes) in [
+            (region.addr, page0),
+            (region.addr + 2 * page, &[0x5A; 64][..]),
+            (region.addr + 3 * page, &[0xA5; 256][..]),
+        ] {
+            ms.write(&mut vt, space, thread, addr, bytes).unwrap();
+        }
         ms.msnap_persist(
             &mut vt,
             thread,
-            RegionSel::Region(carve.region.md),
+            RegionSel::Region(region.md),
             PersistFlags::sync(),
         )
         .unwrap();
-        let len = carve.region.pages as usize * msnap_vm::PAGE_SIZE;
+        let len = region.pages as usize * msnap_vm::PAGE_SIZE;
         let mut before = vec![0u8; len];
-        ms.read(&mut vt, space, carve.region.addr, &mut before)
-            .unwrap();
+        ms.read(&mut vt, space, region.addr, &mut before).unwrap();
 
         let disk = ms.crash(vt.now());
         let mut ms = MemSnap::restore(&mut vt, disk).unwrap();
@@ -476,19 +503,30 @@ mod tests {
             PSkipList::recover(&mut ms, space, &mut vt, "old").err(),
             Some(MsnapError::BadDescriptor)
         );
-        assert_eq!(
-            ms.msnap_open_index(&mut vt, space, "old", 0, 0, KIND_SKIPLIST)
-                .err(),
-            Some(MsnapError::BadDescriptor)
-        );
 
         let region = ms.msnap_open(&mut vt, space, "old", 0).unwrap();
         let mut after = vec![0u8; len];
         ms.read(&mut vt, space, region.addr, &mut after).unwrap();
-        assert!(after == before, "a refused carve must not be written");
+        assert!(after == before, "a refused region must not be written");
         assert!(
             ms.vm().threads_with_dirty().is_empty(),
             "nothing left to persist"
         );
+    }
+
+    #[test]
+    fn plain_region_fails_closed_and_untouched() {
+        assert_refused_untouched(b"plain bytes, no carve header");
+    }
+
+    #[test]
+    fn retired_hash_kind_fails_closed_and_untouched() {
+        // Kind word 2 belonged to the hash table this crate once carried.
+        // A device that still holds such a carve is refused — never
+        // reinterpreted as a skiplist, never rebuilt over. So is any other
+        // kind word.
+        for kind in [2, 0, u32::MAX] {
+            assert_refused_untouched(&fixed_header(kind, 2, 8));
+        }
     }
 }
