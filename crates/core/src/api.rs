@@ -3,8 +3,6 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use msnap_disk::Disk;
-use msnap_sim::hash::fnv1a32;
-use msnap_sim::wire::{put_u32, put_u64, Reader};
 use msnap_sim::{Category, Meters, Nanos, Vt, VthreadId};
 use msnap_store::{ObjectId as StoreObjId, ObjectStore, ScrubStats, VectorCut, BULK_READ_PAGES};
 use msnap_vm::{AsId, MemObjectId, TrackMode, Vm, PAGE_SIZE};
@@ -12,8 +10,8 @@ use msnap_vm::{AsId, MemObjectId, TrackMode, Vm, PAGE_SIZE};
 use crate::commit::{FinishedBatch, OpenBatch, DEFAULT_COALESCE_WINDOW};
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::types::{
-    IndexCarve, Md, MsnapError, PersistBreakdown, PersistFlags, RegionHandle, RegionSel,
-    RestoreError, SnapshotView,
+    Md, MsnapError, PersistBreakdown, PersistFlags, RegionHandle, RegionSel, RestoreError,
+    SnapshotView,
 };
 use crate::Epoch;
 
@@ -44,43 +42,6 @@ struct SubpageRecord {
     prev: Epoch,
     /// Page → dirty-line bitmap (bit `i` covers bytes `i*64..(i+1)*64`).
     pages: BTreeMap<u64, u64>,
-}
-
-/// Magic of an index-carve header ("PIXC").
-const CARVE_MAGIC: u32 = 0x5049_5843;
-/// Carve header format version.
-const CARVE_VERSION: u32 = 1;
-/// Encoded carve header length (the rest of page 0 up to
-/// [`IndexCarve::META_OFF`] is reserved, and beyond it structure-owned).
-const CARVE_HDR_LEN: usize = 32;
-
-/// The [`CARVE_HDR_LEN`]-byte carve header: magic, version, kind,
-/// writers, arena pages, a reserved zero word, then the checksum of
-/// everything before it.
-fn encode_carve_header(kind: u32, writers: u32, arena_pages: u64) -> Vec<u8> {
-    let mut hdr = Vec::with_capacity(CARVE_HDR_LEN);
-    put_u32(&mut hdr, CARVE_MAGIC);
-    put_u32(&mut hdr, CARVE_VERSION);
-    put_u32(&mut hdr, kind);
-    put_u32(&mut hdr, writers);
-    put_u64(&mut hdr, arena_pages);
-    put_u32(&mut hdr, 0);
-    let sum = fnv1a32(&hdr);
-    put_u32(&mut hdr, sum);
-    hdr
-}
-
-/// Decodes and validates a carve header, returning
-/// `(kind, writers, arena_pages)`.
-fn decode_carve_header(hdr: &[u8]) -> Option<(u32, u32, u64)> {
-    let mut r = Reader::new(hdr);
-    let (magic, version) = (r.u32().ok()?, r.u32().ok()?);
-    let (kind, writers, arena_pages) = (r.u32().ok()?, r.u32().ok()?, r.u64().ok()?);
-    r.u32().ok()?; // reserved
-    let sealed = r.at();
-    let sum = r.u32().ok()?;
-    (magic == CARVE_MAGIC && version == CARVE_VERSION && sum == fnv1a32(&hdr[..sealed]))
-        .then_some((kind, writers, arena_pages))
 }
 
 /// `(first page, page count)` of each [`BULK_READ_PAGES`]-page bulk read
@@ -507,79 +468,6 @@ impl MemSnap {
     /// all MemSnap regions in an application").
     pub fn region_names(&self) -> Vec<String> {
         self.regions.iter().map(|r| r.name.clone()).collect()
-    }
-
-    /// Creates or reopens a region carved for a concurrent persistent
-    /// index: a durable carve header on page 0, one private
-    /// detectable-descriptor log page per writer, and a slot arena of
-    /// `arena_pages` (see [`IndexCarve`] for the layout).
-    ///
-    /// On a fresh create the header — magic, structure `kind`, writer
-    /// count, arena geometry — is persisted synchronously before the call
-    /// returns, so every later μCheckpoint of the carve finds the
-    /// geometry already durable. On reopen (`arena_pages == 0` accepted,
-    /// as for [`MemSnap::msnap_open`]) the header is validated and the
-    /// carve re-derived from it; passing non-zero geometry that differs
-    /// from the durable header is a [`MsnapError::LengthMismatch`].
-    ///
-    /// # Errors
-    ///
-    /// [`MsnapError::BadDescriptor`] for zero `writers`/`arena_pages` on
-    /// a fresh create, for reopening a region that carries no valid carve
-    /// header, or for a `kind` mismatch; [`MsnapError::LengthMismatch`]
-    /// for geometry that contradicts the durable header; or a wrapped
-    /// store/VM error from the open or the header persist.
-    pub fn msnap_open_index(
-        &mut self,
-        vt: &mut Vt,
-        space: AsId,
-        name: &str,
-        arena_pages: u64,
-        writers: u32,
-        kind: u32,
-    ) -> Result<IndexCarve, MsnapError> {
-        if self.by_name.contains_key(name) {
-            let region = self.msnap_open(vt, space, name, 0)?;
-            let mut hdr = [0u8; CARVE_HDR_LEN];
-            self.read(vt, space, region.addr, &mut hdr)?;
-            let Some((h_kind, h_writers, h_arena)) = decode_carve_header(&hdr) else {
-                return Err(MsnapError::BadDescriptor);
-            };
-            if h_kind != kind {
-                return Err(MsnapError::BadDescriptor);
-            }
-            if (writers != 0 && writers != h_writers)
-                || (arena_pages != 0 && arena_pages != h_arena)
-            {
-                return Err(MsnapError::LengthMismatch);
-            }
-            return Ok(IndexCarve {
-                region,
-                writers: h_writers,
-                arena_pages: h_arena,
-                kind,
-            });
-        }
-        if writers == 0 || arena_pages == 0 {
-            return Err(MsnapError::BadDescriptor);
-        }
-        let total = 1 + writers as u64 + arena_pages;
-        let region = self.msnap_open(vt, space, name, total)?;
-        let thread = vt.id();
-        let hdr = encode_carve_header(kind, writers, arena_pages);
-        self.write(vt, space, thread, region.addr, &hdr)?;
-        self.msnap_persist(
-            vt,
-            thread,
-            RegionSel::Region(region.md),
-            PersistFlags::sync(),
-        )?;
-        Ok(IndexCarve {
-            region,
-            writers,
-            arena_pages,
-            kind,
-        })
     }
 
     /// Writes through the VM with dirty tracking (convenience wrapper over
@@ -1060,85 +948,6 @@ pub(crate) mod tests {
         let vt = Vt::new(0);
         let space = ms.vm_mut().create_space();
         (ms, vt, space)
-    }
-
-    #[test]
-    fn index_carve_layout_and_reopen() {
-        let (mut ms, mut vt, space) = fresh();
-        let carve = ms
-            .msnap_open_index(&mut vt, space, "idx", 32, 4, 7)
-            .unwrap();
-        assert_eq!(carve.region.pages, 1 + 4 + 32);
-        assert_eq!(carve.log_addr(0), carve.region.addr + PAGE_SIZE as u64);
-        assert_eq!(carve.arena_addr(), carve.region.addr + 5 * PAGE_SIZE as u64);
-
-        // The header is durable before any index write: crash immediately
-        // and the reopen still re-derives the carve.
-        let disk = ms.crash(vt.now());
-        let mut vt2 = Vt::new(1);
-        let mut ms2 = MemSnap::restore(&mut vt2, disk).unwrap();
-        let space2 = ms2.vm_mut().create_space();
-        let reopened = ms2
-            .msnap_open_index(&mut vt2, space2, "idx", 0, 0, 7)
-            .unwrap();
-        assert_eq!(reopened.writers, 4);
-        assert_eq!(reopened.arena_pages, 32);
-        assert_eq!(reopened.region.addr, carve.region.addr, "fixed address");
-    }
-
-    #[test]
-    fn index_carve_rejects_mismatches() {
-        let (mut ms, mut vt, space) = fresh();
-        ms.msnap_open_index(&mut vt, space, "idx", 32, 4, 7)
-            .unwrap();
-        // Wrong structure kind.
-        assert_eq!(
-            ms.msnap_open_index(&mut vt, space, "idx", 0, 0, 8),
-            Err(MsnapError::BadDescriptor)
-        );
-        // Contradicting geometry.
-        assert_eq!(
-            ms.msnap_open_index(&mut vt, space, "idx", 64, 4, 7),
-            Err(MsnapError::LengthMismatch)
-        );
-        assert_eq!(
-            ms.msnap_open_index(&mut vt, space, "idx", 32, 2, 7),
-            Err(MsnapError::LengthMismatch)
-        );
-        // Degenerate fresh geometry.
-        assert_eq!(
-            ms.msnap_open_index(&mut vt, space, "idx2", 0, 4, 7),
-            Err(MsnapError::BadDescriptor)
-        );
-        // A plain region is not a carve.
-        ms.msnap_open(&mut vt, space, "plain", 8).unwrap();
-        assert_eq!(
-            ms.msnap_open_index(&mut vt, space, "plain", 0, 0, 7),
-            Err(MsnapError::BadDescriptor)
-        );
-    }
-
-    #[test]
-    fn carve_header_checksum_rejects_corruption() {
-        let mut hdr = encode_carve_header(3, 8, 128);
-        assert_eq!(decode_carve_header(&hdr), Some((3, 8, 128)));
-        hdr[17] ^= 1;
-        assert_eq!(decode_carve_header(&hdr), None);
-    }
-
-    #[test]
-    fn carve_header_bytes_are_fixed() {
-        // Field by field, independent of the wire helpers: carves written
-        // by any build of this codec must keep opening.
-        let mut want = Vec::new();
-        for word in [CARVE_MAGIC, CARVE_VERSION, 3, 8] {
-            want.extend_from_slice(&word.to_le_bytes());
-        }
-        want.extend_from_slice(&128u64.to_le_bytes());
-        want.extend_from_slice(&[0; 4]);
-        want.extend_from_slice(&fnv1a32(&want).to_le_bytes());
-        assert_eq!(want.len(), CARVE_HDR_LEN);
-        assert_eq!(encode_carve_header(3, 8, 128), want);
     }
 
     #[test]

@@ -69,8 +69,8 @@ mod types;
 
 pub use api::MemSnap;
 pub use types::{
-    CommitTicket, IndexCarve, Md, MsnapError, PersistBreakdown, PersistFlags, RegionHandle,
-    RegionSel, RestoreError, SnapshotView,
+    CommitTicket, Md, MsnapError, PersistBreakdown, PersistFlags, RegionHandle, RegionSel,
+    RestoreError, SnapshotView,
 };
 
 /// Region page size (4 KiB), re-exported from the VM.

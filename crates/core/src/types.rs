@@ -100,58 +100,6 @@ pub struct RegionHandle {
     pub pages: u64,
 }
 
-/// Result of
-/// [`MemSnap::msnap_open_index`](crate::MemSnap::msnap_open_index): one
-/// region carved into the fixed layout a concurrent persistent index uses.
-///
-/// ```text
-/// page 0                  carve header (validated magic/geometry) +
-///                         structure meta area (bytes 64..)
-/// pages 1 ..= writers     per-writer detectable-descriptor log pages
-/// pages 1+writers ..      slot arena (nodes)
-/// ```
-///
-/// The carve is an ordinary region: μCheckpoints of descriptor logs and
-/// arena pages ride the normal per-thread commit and group-commit lanes,
-/// and the geometry is re-derived from the durable header on reopen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexCarve {
-    /// The backing region.
-    pub region: RegionHandle,
-    /// Writer slots carved out (one descriptor-log page each).
-    pub writers: u32,
-    /// Arena length in pages.
-    pub arena_pages: u64,
-    /// Caller-defined structure tag, checked on reopen.
-    pub kind: u32,
-}
-
-impl IndexCarve {
-    /// Byte offset of the structure-owned meta area within the header
-    /// page (the carve header occupies bytes `0..META_OFF`).
-    pub const META_OFF: u64 = 64;
-
-    /// Address of the structure meta area (header page, bytes 64..).
-    pub fn meta_addr(&self) -> u64 {
-        self.region.addr + Self::META_OFF
-    }
-
-    /// Address of one writer's private descriptor-log page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `writer >= self.writers`.
-    pub fn log_addr(&self, writer: u32) -> u64 {
-        assert!(writer < self.writers, "writer {writer} of {}", self.writers);
-        self.region.addr + (1 + writer as u64) * msnap_vm::PAGE_SIZE as u64
-    }
-
-    /// Base address of the slot arena.
-    pub fn arena_addr(&self) -> u64 {
-        self.region.addr + (1 + self.writers as u64) * msnap_vm::PAGE_SIZE as u64
-    }
-}
-
 /// Result of [`MemSnap::msnap_open_at`](crate::MemSnap::msnap_open_at): a
 /// read-only mapping of one retained snapshot's image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! Detectable operation descriptors: the per-writer persistent log.
 //!
 //! Each writer owns one private log page of the carve
-//! ([`memsnap::IndexCarve::log_addr`]) holding a ring of
+//! ([`Carve::log_addr`]) holding a ring of
 //! [`LOG_ENTRIES`] fixed 64-byte entries. An operation writes its entry —
 //! including the full inline value — *before* its linearizing CAS, and a
 //! later operation with the same ring position overwrites it. Because the
@@ -16,11 +16,12 @@
 //! dirty set, or an un-replayable operation could be overwritten. The
 //! drivers in `msnap-skipdb` enforce this per batch.
 
-use memsnap::{IndexCarve, MemSnap};
+use memsnap::MemSnap;
 use msnap_sim::hash::fnv1a32;
 use msnap_sim::Vt;
 use msnap_vm::AsId;
 
+use crate::carve::Carve;
 use crate::{op_id, MAX_VALUE};
 
 /// Entries per writer log ring (one 4 KiB page of 64-byte entries).
@@ -152,7 +153,7 @@ impl OpDesc {
 
     /// Writes this descriptor into its writer's log ring. One atomic
     /// step; must precede the operation's linearizing CAS.
-    pub(crate) fn publish(&self, ms: &mut MemSnap, space: AsId, vt: &mut Vt, carve: &IndexCarve) {
+    pub(crate) fn publish(&self, ms: &mut MemSnap, space: AsId, vt: &mut Vt, carve: &Carve) {
         let addr = carve.log_addr(self.writer) + (self.ring_pos() * DESC_SIZE) as u64;
         let thread = vt.id();
         ms.write(vt, space, thread, addr, &self.encode())
@@ -172,7 +173,7 @@ pub(crate) fn scan_ring(
     ms: &mut MemSnap,
     space: AsId,
     vt: &mut Vt,
-    carve: &IndexCarve,
+    carve: &Carve,
     writer: u32,
 ) -> Vec<OpDesc> {
     let mut page = vec![0u8; LOG_ENTRIES * DESC_SIZE];

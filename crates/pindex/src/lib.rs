@@ -10,7 +10,7 @@
 //! (Marathe et al.) and fine-grain in-line logging (Cohen et al.).
 //!
 //! The structure is [`PSkipList`], a lock-free skiplist laid out directly
-//! in a region carved by [`memsnap::MemSnap::msnap_open_index`]. Keys and
+//! in one MemSnap region, carved by this crate ([`Carve`]). Keys and
 //! payloads live in fixed 128-byte arena slots allocated from
 //! writer-private pages; levels are CAS-linked. Nodes are permanent once
 //! linked — updates and removes write in place (remove = tombstone flag),
@@ -54,10 +54,12 @@
 
 #![warn(missing_docs)]
 
+mod carve;
 mod desc;
 mod recover;
 mod skiplist;
 
+pub use carve::Carve;
 pub use desc::{OpDesc, OpKind, LOG_ENTRIES};
 pub use recover::RecoveryReport;
 pub use skiplist::{OpOutcome, PSkipList, PutOp, MAX_LEVELS};

@@ -31,10 +31,10 @@ use memsnap::{MemSnap, MsnapError, PersistFlags, RegionSel};
 use msnap_sim::Vt;
 use msnap_vm::AsId;
 
+use crate::carve::Carve;
 use crate::desc::{scan_ring, OpDesc, OpKind};
 use crate::skiplist::{
-    decode_node, level_for, NodeImg, PSkipList, HEAD_SLOT, KIND_SKIPLIST, MAX_LEVELS, SLOT,
-    SLOTS_PER_PAGE,
+    decode_node, level_for, NodeImg, PSkipList, HEAD_SLOT, MAX_LEVELS, SLOT, SLOTS_PER_PAGE,
 };
 use crate::{op_id, op_parts, NIL};
 
@@ -95,7 +95,7 @@ impl PSkipList {
         vt: &mut Vt,
         name: &str,
     ) -> Result<(Self, RecoveryReport), MsnapError> {
-        let carve = ms.msnap_open_index(vt, space, name, 0, 0, KIND_SKIPLIST)?;
+        let carve = Carve::open(ms, vt, space, name, 0, 0)?;
         let mut sk = PSkipList::attach(carve, space, carve.writers);
         let mut report = RecoveryReport::default();
 
@@ -349,7 +349,7 @@ impl PSkipList {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use msnap_disk::{Disk, DiskConfig};
 

@@ -1,6 +1,6 @@
 //! The lock-free persistent skiplist.
 //!
-//! Layout, inside one [`memsnap::IndexCarve`]:
+//! Layout, inside one [`Carve`]:
 //!
 //! - **Arena slots**: fixed 128-byte nodes, 32 per page. Slot 0 is the
 //!   head sentinel. Slots are allocated from *writer-private chunks* of
@@ -22,11 +22,12 @@
 //! a seeded [`msnap_sim::InterleaveSched`] can interleave concurrent
 //! writers between them.
 
-use memsnap::{IndexCarve, MemSnap, MsnapError};
+use memsnap::{MemSnap, MsnapError};
 use msnap_sim::hash::fnv1a32;
 use msnap_sim::{Category, Nanos, Vt};
 use msnap_vm::{AsId, PAGE_SIZE};
 
+use crate::carve::Carve;
 use crate::desc::{OpDesc, OpKind};
 use crate::{op_id, scramble, MAX_VALUE, NIL};
 
@@ -42,9 +43,6 @@ pub(crate) const SLOTS_PER_PAGE: u32 = (PAGE_SIZE / SLOT) as u32;
 pub(crate) const NODE_MAGIC: u32 = 0x5058_4E44; // "PXND"
 pub(crate) const HEAD_MAGIC: u32 = 0x5058_4844; // "PXHD"
 const META_MAGIC: u32 = 0x5058_534D; // "PXSM"
-
-/// The carve `kind` tag of a skiplist.
-pub(crate) const KIND_SKIPLIST: u32 = 1;
 
 /// Head sentinel slot.
 pub(crate) const HEAD_SLOT: u32 = 0;
@@ -181,7 +179,7 @@ pub enum OpOutcome {
 #[derive(Debug)]
 pub struct PSkipList {
     /// The backing carve.
-    pub carve: IndexCarve,
+    pub carve: Carve,
     space: AsId,
     next_seq: Vec<u32>,
     alloc: Vec<Option<ChunkAlloc>>,
@@ -203,7 +201,7 @@ impl PSkipList {
         arena_pages: u64,
         writers: u32,
     ) -> Result<Self, MsnapError> {
-        let carve = ms.msnap_open_index(vt, space, name, arena_pages, writers, KIND_SKIPLIST)?;
+        let carve = Carve::open(ms, vt, space, name, arena_pages, writers)?;
         let sk = PSkipList::attach(carve, space, writers);
         let thread = vt.id();
         let mut meta = [0u8; 8];
@@ -223,7 +221,7 @@ impl PSkipList {
 
     /// Wraps a carve without touching storage (recovery constructs the
     /// instance after repairing the structure).
-    pub(crate) fn attach(carve: IndexCarve, space: AsId, writers: u32) -> Self {
+    pub(crate) fn attach(carve: Carve, space: AsId, writers: u32) -> Self {
         PSkipList {
             carve,
             space,
