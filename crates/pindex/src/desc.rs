@@ -18,6 +18,7 @@
 
 use memsnap::MemSnap;
 use msnap_sim::hash::fnv1a32;
+use msnap_sim::wire::Reader;
 use msnap_sim::Vt;
 use msnap_vm::AsId;
 
@@ -121,33 +122,25 @@ impl OpDesc {
     /// Decodes and validates one ring entry; `None` for empty or torn
     /// entries.
     pub fn decode(writer: u32, b: &[u8]) -> Option<OpDesc> {
-        if b.len() < DESC_SIZE {
-            return None;
-        }
-        let word = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
-        if word(0) != DESC_MAGIC {
-            return None;
-        }
-        if word(32) != desc_checksum(b) {
-            return None;
-        }
-        let kind = OpKind::decode(b[8])?;
-        let vlen = u16::from_le_bytes(b[10..12].try_into().unwrap()) as usize;
-        if vlen > MAX_VALUE {
-            return None;
-        }
-        let seq = word(4);
-        if seq == 0 {
+        let b = b.get(..DESC_SIZE)?;
+        let mut r = Reader::new(b);
+        let (magic, seq, kind) = (r.u32().ok()?, r.u32().ok()?, r.u8().ok()?);
+        r.u8().ok()?; // pad
+        let vlen = usize::from(r.u16().ok()?);
+        let (node_slot, key, prev_op) = (r.u32().ok()?, r.u64().ok()?, r.u64().ok()?);
+        let sum = r.u32().ok()?;
+        r.u32().ok()?; // pad
+        if magic != DESC_MAGIC || sum != desc_checksum(b) || vlen > MAX_VALUE || seq == 0 {
             return None;
         }
         Some(OpDesc {
             writer,
             seq,
-            kind,
-            node_slot: word(12),
-            key: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-            prev_op: u64::from_le_bytes(b[24..32].try_into().unwrap()),
-            value: b[40..40 + vlen].to_vec(),
+            kind: OpKind::decode(kind)?,
+            node_slot,
+            key,
+            prev_op,
+            value: r.take(vlen).ok()?.to_vec(),
         })
     }
 
@@ -218,6 +211,17 @@ mod tests {
         b[20] ^= 0xFF; // key byte
         assert_eq!(OpDesc::decode(3, &b), None);
         assert_eq!(OpDesc::decode(0, &[0u8; DESC_SIZE]), None);
+    }
+
+    #[test]
+    fn every_bit_flip_is_refused() {
+        let good = sample().encode();
+        for bit in 0..DESC_SIZE * 8 {
+            let mut b = good;
+            b[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(OpDesc::decode(3, &b), None, "bit {bit}");
+        }
+        assert_eq!(OpDesc::decode(3, &good[..DESC_SIZE - 1]), None);
     }
 
     #[test]

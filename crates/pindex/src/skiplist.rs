@@ -24,6 +24,7 @@
 
 use memsnap::{MemSnap, MsnapError};
 use msnap_sim::hash::fnv1a32;
+use msnap_sim::wire::Reader;
 use msnap_sim::{Category, Nanos, Vt};
 use msnap_vm::{AsId, PAGE_SIZE};
 
@@ -117,40 +118,35 @@ pub(crate) fn encode_node(img: &NodeImg) -> [u8; SLOT] {
 /// covered by the checksum (they change independently via CAS) — they
 /// are validated structurally by traversal and recovery.
 pub(crate) fn decode_node(b: &[u8]) -> Option<NodeImg> {
-    if b.len() < SLOT {
-        return None;
-    }
-    let word = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
-    let magic = word(0);
+    let mut r = Reader::new(b.get(..SLOT)?);
+    let magic = r.u32().ok()?;
     let is_head = magic == HEAD_MAGIC;
     if !is_head && magic != NODE_MAGIC {
         return None;
     }
-    let vlen = u16::from_le_bytes(b[6..8].try_into().unwrap()) as usize;
+    let (level, tomb) = (r.u8().ok()?, r.u8().ok()? != 0);
+    let vlen = usize::from(r.u16().ok()?);
     if vlen > MAX_VALUE {
         return None;
     }
+    let (key, op_id, prev_op) = (r.u64().ok()?, r.u64().ok()?, r.u64().ok()?);
+    let sum = r.u32().ok()?;
     let mut next = [NIL; MAX_LEVELS];
-    for (l, n) in next.iter_mut().enumerate() {
-        *n = word(36 + l * 4);
+    for n in &mut next {
+        *n = r.u32().ok()?;
     }
     let img = NodeImg {
         is_head,
-        level: b[4],
-        tomb: b[5] != 0,
-        key: u64::from_le_bytes(b[8..16].try_into().unwrap()),
-        op_id: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-        prev_op: u64::from_le_bytes(b[24..32].try_into().unwrap()),
+        level,
+        tomb,
+        key,
+        op_id,
+        prev_op,
         next,
-        value: b[68..68 + vlen].to_vec(),
+        value: r.take(vlen).ok()?.to_vec(),
     };
-    if word(32) != node_checksum(&img) {
-        return None;
-    }
-    if img.level == 0 || img.level > MAX_LEVELS as u8 {
-        return None;
-    }
-    Some(img)
+    let level_ok = (1..=MAX_LEVELS as u8).contains(&img.level);
+    (level_ok && sum == node_checksum(&img)).then_some(img)
 }
 
 /// Deterministic tower height of a key (p = 1/4 geometric, capped).
@@ -317,10 +313,11 @@ impl PSkipList {
         let mut meta = [0u8; 8];
         ms.read(vt, self.space, self.carve.meta_addr(), &mut meta)
             .expect("header is mapped");
-        if u32::from_le_bytes(meta[0..4].try_into().unwrap()) != META_MAGIC {
+        let mut r = Reader::new(&meta);
+        if r.u32().ok()? != META_MAGIC {
             return None;
         }
-        Some(u32::from_le_bytes(meta[4..8].try_into().unwrap()))
+        r.u32().ok()
     }
 
     pub(crate) fn write_chunks_granted(&self, ms: &mut MemSnap, vt: &mut Vt, chunks: u32) {
@@ -746,6 +743,31 @@ mod tests {
         b[70] ^= 1; // value byte
         assert_eq!(decode_node(&b), None);
         assert_eq!(decode_node(&[0u8; SLOT]), None);
+    }
+
+    #[test]
+    fn every_bit_flip_outside_the_next_pointers_is_refused() {
+        let img = NodeImg {
+            is_head: false,
+            level: 2,
+            tomb: false,
+            key: 0xFEED,
+            op_id: op_id(2, 5),
+            prev_op: op_id(1, 1),
+            next: [3, 4, NIL, NIL, NIL, NIL, NIL, NIL],
+            value: b"payload".to_vec(),
+        };
+        let good = encode_node(&img);
+        for bit in 0..SLOT * 8 {
+            let mut b = good;
+            b[bit / 8] ^= 1 << (bit % 8);
+            let got = decode_node(&b);
+            let in_next = (36..68).contains(&(bit / 8));
+            // A flip past the value is in bytes no decoder reads.
+            let unread = bit / 8 >= 68 + img.value.len();
+            assert_eq!(got.is_some(), in_next || unread, "bit {bit}");
+        }
+        assert_eq!(decode_node(&good[..SLOT - 1]), None);
     }
 
     #[test]
