@@ -8,7 +8,7 @@ use msnap_store::{ObjectId as StoreObjId, ObjectStore, ScrubStats, VectorCut, BU
 use msnap_vm::{AsId, MemObjectId, TrackMode, Vm, PAGE_SIZE};
 
 use crate::commit::{FinishedBatch, OpenBatch, DEFAULT_COALESCE_WINDOW};
-use crate::manifest::{Manifest, ManifestEntry};
+use crate::manifest::{self, ManifestEntry};
 use crate::types::{
     Md, MsnapError, PersistBreakdown, PersistFlags, RegionHandle, RegionSel, RestoreError,
     SnapshotView,
@@ -179,7 +179,8 @@ impl MemSnap {
     /// [`MsnapError::Store`] if it holds no formatted store or a device
     /// read fails during recovery (`StoreError::Io` — nothing is built;
     /// take `disk` out of the error and restore again),
-    /// [`MsnapError::BadDescriptor`] if the manifest names an object the
+    /// [`MsnapError::CorruptManifest`] if the region manifest does not
+    /// decode, [`MsnapError::BadDescriptor`] if it names an object the
     /// catalog does not hold (a corrupt image — or a promoted replica
     /// device; see [`MemSnap::restore_promoted`]).
     #[allow(clippy::result_large_err)] // the error is the device, handed back by value
@@ -255,11 +256,11 @@ impl MemSnap {
         let manifest_obj = store
             .lookup(MANIFEST_NAME)
             .ok_or(MsnapError::BadDescriptor)?;
-        let manifest = Manifest::decode(|page, out| {
+        let entries = manifest::decode(store.len_pages(manifest_obj), |page, out| {
             store.read_page(vt, disk, manifest_obj, page, &mut out[..])
         })?;
-        let mut regions = Vec::with_capacity(manifest.entries.len());
-        for entry in manifest.entries {
+        let mut regions = Vec::with_capacity(entries.len());
+        for entry in entries {
             match store.lookup(&entry.name) {
                 Some(obj) => regions.push((entry, obj)),
                 None if drop_unshipped => {}
@@ -911,19 +912,16 @@ impl MemSnap {
     /// [`MsnapError::Store`] when the manifest μCheckpoint fails; the
     /// in-memory region table is unchanged on disk (previous epoch).
     fn persist_manifest(&mut self, vt: &mut Vt) -> Result<(), MsnapError> {
-        let manifest = Manifest {
-            entries: self
-                .regions
-                .iter()
-                .map(|r| ManifestEntry {
-                    name: r.name.clone(),
-                    addr: r.addr,
-                    pages: r.pages,
-                })
-                .collect(),
-            shard_count: self.store.shard_count(),
-        };
-        let pages = manifest.encode_pages();
+        let entries: Vec<ManifestEntry> = self
+            .regions
+            .iter()
+            .map(|r| ManifestEntry {
+                name: r.name.clone(),
+                addr: r.addr,
+                pages: r.pages,
+            })
+            .collect();
+        let pages = manifest::encode_pages(&entries);
         let iov: Vec<(u64, &[u8])> = pages
             .iter()
             .enumerate()
@@ -948,6 +946,27 @@ pub(crate) mod tests {
         let vt = Vt::new(0);
         let space = ms.vm_mut().create_space();
         (ms, vt, space)
+    }
+
+    #[test]
+    fn garbled_manifest_fails_restore_with_a_typed_error() {
+        let (mut ms, mut vt, space) = fresh();
+        ms.msnap_open(&mut vt, space, "data", 4).unwrap();
+        // A framed body of eight bytes that is no manifest record.
+        let mut page = [0u8; PAGE_SIZE];
+        page[..8].copy_from_slice(&8u64.to_le_bytes());
+        page[8..16].copy_from_slice(b"garbled!");
+        let name = ms.manifest_object_name();
+        let (store, disk) = ms.replication_parts();
+        let obj = store.lookup(name).unwrap();
+        let token = store
+            .persist(&mut vt, disk, obj, &[(0, &page[..])])
+            .unwrap();
+        ObjectStore::wait(&mut vt, token);
+
+        let disk = ms.crash(vt.now());
+        let err = MemSnap::restore(&mut vt, disk).err().map(|e| e.error);
+        assert_eq!(err, Some(MsnapError::CorruptManifest));
     }
 
     #[test]

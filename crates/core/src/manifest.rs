@@ -1,8 +1,20 @@
-//! The region manifest: name → (fixed address, length) mapping persisted
-//! in the object store so regions re-open at the same address after a
-//! crash.
+//! The region manifest: name → (fixed address, length) of every region,
+//! persisted in the object store so regions reopen at the same address
+//! after a crash.
+//!
+//! One binary record, written with `msnap_sim::wire`'s `put_*` and read
+//! with its [`Reader`]: a `u32` region count, then per region a `u16`
+//! name length, the UTF-8 name, the `u64` address and the `u64` length
+//! in pages. The record is framed by its `u64` byte length and spread
+//! over as many whole pages as it needs. A body that does not decode
+//! exactly — short, with bytes left over, a name that is not UTF-8, or a
+//! frame longer than the object — is [`MsnapError::CorruptManifest`].
 
+use msnap_sim::wire::{put_u16, put_u32, put_u64, Reader};
+use msnap_store::StoreError;
 use msnap_vm::PAGE_SIZE;
+
+use crate::MsnapError;
 
 /// One region's persistent metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,182 +24,166 @@ pub(crate) struct ManifestEntry {
     pub pages: u64,
 }
 
-/// The manifest: serialized as a length-prefixed text table, one region
-/// per line (`name addr pages`), padded to whole pages. A sharded store
-/// additionally records its shard map as a `@shards N` directive line —
-/// two tokens, so pre-shard decoders skip it silently, and a manifest
-/// without the directive decodes as `shard_count = 1`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Manifest {
-    pub entries: Vec<ManifestEntry>,
-    /// Shard count of the store that wrote this manifest (the shard map
-    /// is `msnap_store::shard_of_name`, so the count is the whole map).
-    pub shard_count: usize,
-}
-
-impl Default for Manifest {
-    fn default() -> Self {
-        Manifest {
-            entries: Vec::new(),
-            shard_count: 1,
-        }
+/// Encodes the manifest of `entries` as framed whole pages.
+pub(crate) fn encode_pages(entries: &[ManifestEntry]) -> Vec<[u8; PAGE_SIZE]> {
+    let mut body = Vec::new();
+    put_u32(&mut body, entries.len() as u32);
+    for e in entries {
+        // The store refuses names longer than its directory's NAME_LEN
+        // before a region reaches the manifest.
+        put_u16(&mut body, e.name.len() as u16);
+        body.extend_from_slice(e.name.as_bytes());
+        put_u64(&mut body, e.addr);
+        put_u64(&mut body, e.pages);
     }
-}
-
-impl Manifest {
-    pub fn encode_pages(&self) -> Vec<[u8; PAGE_SIZE]> {
-        let mut body = String::new();
-        if self.shard_count > 1 {
-            body.push_str(&format!("@shards {}\n", self.shard_count));
-        }
-        for e in &self.entries {
-            body.push_str(&format!("{} {:#x} {}\n", e.name, e.addr, e.pages));
-        }
-        let bytes = body.as_bytes();
-        let mut framed = Vec::with_capacity(8 + bytes.len());
-        framed.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        framed.extend_from_slice(bytes);
-
-        let mut pages = Vec::new();
-        for chunk in framed.chunks(PAGE_SIZE) {
+    let mut framed = Vec::with_capacity(8 + body.len());
+    put_u64(&mut framed, body.len() as u64);
+    framed.extend_from_slice(&body);
+    framed
+        .chunks(PAGE_SIZE)
+        .map(|chunk| {
             let mut page = [0u8; PAGE_SIZE];
             page[..chunk.len()].copy_from_slice(chunk);
-            pages.push(page);
-        }
-        if pages.is_empty() {
-            pages.push([0u8; PAGE_SIZE]);
-        }
-        pages
-    }
-
-    /// Decodes from a page reader (`read(page_index, &mut buf)`).
-    ///
-    /// # Errors
-    ///
-    /// The reader's error for the first page it cannot deliver.
-    pub fn decode<E>(
-        mut read: impl FnMut(u64, &mut [u8; PAGE_SIZE]) -> Result<(), E>,
-    ) -> Result<Manifest, E> {
-        let mut first = [0u8; PAGE_SIZE];
-        read(0, &mut first)?;
-        let len = u64::from_le_bytes(first[..8].try_into().unwrap()) as usize;
-        let mut framed = Vec::with_capacity(len);
-        framed.extend_from_slice(&first[8..PAGE_SIZE.min(8 + len)]);
-        let mut page = 1u64;
-        while framed.len() < len {
-            let mut buf = [0u8; PAGE_SIZE];
-            read(page, &mut buf)?;
-            let take = (len - framed.len()).min(PAGE_SIZE);
-            framed.extend_from_slice(&buf[..take]);
-            page += 1;
-        }
-        let body = String::from_utf8_lossy(&framed);
-        let mut entries = Vec::new();
-        let mut shard_count = 1;
-        for line in body.lines() {
-            let mut parts = line.split_whitespace();
-            if let Some("@shards") = parts.next() {
-                shard_count = parts
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or(1);
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let (Some(name), Some(addr), Some(pages)) = (parts.next(), parts.next(), parts.next())
-            else {
-                continue;
-            };
-            let addr = u64::from_str_radix(addr.trim_start_matches("0x"), 16).unwrap_or(0);
-            let pages = pages.parse().unwrap_or(0);
-            entries.push(ManifestEntry {
-                name: name.to_string(),
-                addr,
-                pages,
-            });
-        }
-        Ok(Manifest {
-            entries,
-            shard_count,
+            page
         })
+        .collect()
+}
+
+/// Decodes the manifest of a `len_pages`-page object from a page reader
+/// (`read(page_index, &mut buf)`).
+///
+/// # Errors
+///
+/// The reader's error for the first page it cannot deliver, or
+/// [`MsnapError::CorruptManifest`] for a record that does not decode.
+pub(crate) fn decode(
+    len_pages: u64,
+    mut read: impl FnMut(u64, &mut [u8; PAGE_SIZE]) -> Result<(), StoreError>,
+) -> Result<Vec<ManifestEntry>, MsnapError> {
+    let mut page = [0u8; PAGE_SIZE];
+    read(0, &mut page)?;
+    let end = Reader::new(&page)
+        .u64()
+        .ok()
+        .and_then(|len| len.checked_add(8))
+        .filter(|&end| end <= len_pages.saturating_mul(PAGE_SIZE as u64))
+        .ok_or(MsnapError::CorruptManifest)? as usize;
+    let mut framed = page.to_vec();
+    for index in 1..end.div_ceil(PAGE_SIZE) as u64 {
+        read(index, &mut page)?;
+        framed.extend_from_slice(&page);
     }
+    decode_body(&framed[8..end]).ok_or(MsnapError::CorruptManifest)
+}
+
+/// The entries of an unframed record body, if it decodes exactly.
+fn decode_body(body: &[u8]) -> Option<Vec<ManifestEntry>> {
+    let mut r = Reader::new(body);
+    let count = r.u32().ok()?;
+    let entries = (0..count)
+        .map(|_| {
+            let name_len = r.u16().ok()?;
+            let name = std::str::from_utf8(r.take(name_len.into()).ok()?).ok()?;
+            Some(ManifestEntry {
+                name: name.to_string(),
+                addr: r.u64().ok()?,
+                pages: r.u64().ok()?,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    r.rest().is_empty().then_some(entries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip(m: &Manifest) -> Manifest {
-        let pages = m.encode_pages();
-        Manifest::decode(|i, out| {
-            *out = *pages.get(i as usize).unwrap_or(&[0u8; PAGE_SIZE]);
-            Ok::<(), std::convert::Infallible>(())
+    fn decode_pages(pages: &[[u8; PAGE_SIZE]]) -> Result<Vec<ManifestEntry>, MsnapError> {
+        decode(pages.len() as u64, |i, out| {
+            *out = pages[i as usize];
+            Ok(())
         })
-        .unwrap()
+    }
+
+    fn round_trip(entries: &[ManifestEntry]) -> Vec<ManifestEntry> {
+        decode_pages(&encode_pages(entries)).unwrap()
+    }
+
+    fn entry(name: &str, addr: u64, pages: u64) -> ManifestEntry {
+        ManifestEntry {
+            name: name.into(),
+            addr,
+            pages,
+        }
     }
 
     #[test]
     fn empty_manifest_round_trips() {
-        let m = Manifest::default();
-        assert_eq!(round_trip(&m), m);
+        assert_eq!(encode_pages(&[]).len(), 1);
+        assert_eq!(round_trip(&[]), []);
     }
 
     #[test]
     fn entries_round_trip() {
-        let m = Manifest {
-            entries: vec![
-                ManifestEntry {
-                    name: "sqlite.db".into(),
-                    addr: 0x7800_0000_0000,
-                    pages: 1024,
-                },
-                ManifestEntry {
-                    name: "pg/base/16384".into(),
-                    addr: 0x7800_4000_0000,
-                    pages: 64,
-                },
-            ],
-            shard_count: 1,
-        };
-        assert_eq!(round_trip(&m), m);
-    }
-
-    #[test]
-    fn shard_directive_round_trips_and_old_decoders_skip_it() {
-        let m = Manifest {
-            entries: vec![ManifestEntry {
-                name: "t".into(),
-                addr: 0x7800_0000_0000,
-                pages: 4,
-            }],
-            shard_count: 8,
-        };
-        let decoded = round_trip(&m);
-        assert_eq!(decoded, m);
-        // The directive is a two-token line, which the entry parser
-        // (what a pre-shard decoder runs) cannot mistake for a region.
-        assert_eq!(decoded.entries.len(), 1);
-        // A garbled count degrades to single-shard, never panics.
-        let mut garbled = m.clone();
-        garbled.shard_count = 1;
-        assert_eq!(garbled.encode_pages().len(), 1);
+        let entries = [
+            entry("sqlite.db", 0x7800_0000_0000, 1024),
+            entry("pg/base/16384", 0x7800_4000_0000, 64),
+        ];
+        assert_eq!(round_trip(&entries), entries);
     }
 
     #[test]
     fn large_manifest_spans_pages() {
         let entries: Vec<ManifestEntry> = (0..200)
-            .map(|i| ManifestEntry {
-                name: format!("region-with-a-rather-long-name-{i:05}"),
-                addr: 0x7800_0000_0000 + i * 0x100_0000,
-                pages: i + 1,
+            .map(|i| {
+                let name = format!("region-with-a-rather-long-name-{i:05}");
+                entry(&name, 0x7800_0000_0000 + i * 0x100_0000, i + 1)
             })
             .collect();
-        let m = Manifest {
-            entries,
-            shard_count: 1,
+        assert!(encode_pages(&entries).len() > 1);
+        assert_eq!(round_trip(&entries), entries);
+    }
+
+    #[test]
+    fn records_that_do_not_decode_exactly_are_corrupt() {
+        let framed = |body: &[u8]| {
+            let mut page = [0u8; PAGE_SIZE];
+            page[..8].copy_from_slice(&(body.len() as u64).to_le_bytes());
+            page[8..8 + body.len()].copy_from_slice(body);
+            [page]
         };
-        assert!(m.encode_pages().len() > 1);
-        assert_eq!(round_trip(&m), m);
+        let good = encode_pages(&[entry("t", 0x7800_0000_0000, 4)])[0];
+        let body_len = 4 + 2 + 1 + 16;
+        for (what, pages) in [
+            ("short", framed(&good[8..8 + body_len - 1])),
+            (
+                "trailing bytes",
+                framed(&[&good[8..8 + body_len], &[0][..]].concat()),
+            ),
+            (
+                "non-UTF-8 name",
+                framed(&[&[1, 0, 0, 0, 1, 0, 0xFF][..], &[0; 16]].concat()),
+            ),
+            ("a frame past the object", {
+                let mut page = good;
+                page[..8].copy_from_slice(&(PAGE_SIZE as u64).to_le_bytes());
+                [page]
+            }),
+            ("a length that overflows", {
+                let mut page = good;
+                page[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+                [page]
+            }),
+        ] {
+            assert_eq!(
+                decode_pages(&pages),
+                Err(MsnapError::CorruptManifest),
+                "{what}"
+            );
+        }
+        assert_eq!(
+            decode_pages(&framed(&good[8..8 + body_len])).unwrap().len(),
+            1
+        );
     }
 }

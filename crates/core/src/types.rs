@@ -147,6 +147,8 @@ pub enum MsnapError {
     Store(StoreError),
     /// Error from the VM subsystem.
     Vm(VmError),
+    /// The durable region manifest does not decode.
+    CorruptManifest,
 }
 
 impl fmt::Display for MsnapError {
@@ -156,6 +158,7 @@ impl fmt::Display for MsnapError {
             MsnapError::LengthMismatch => f.write_str("region exists with a different length"),
             MsnapError::Store(e) => write!(f, "object store: {e}"),
             MsnapError::Vm(e) => write!(f, "vm: {e}"),
+            MsnapError::CorruptManifest => f.write_str("region manifest does not decode"),
         }
     }
 }
@@ -253,5 +256,6 @@ mod tests {
         assert!(e.to_string().contains("object store"));
         let e: MsnapError = VmError::Overlap.into();
         assert!(e.to_string().contains("vm"));
+        assert!(MsnapError::CorruptManifest.to_string().contains("manifest"));
     }
 }
