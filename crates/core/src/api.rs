@@ -27,9 +27,10 @@ const MANIFEST_NAME: &str = "__msnap_manifest";
 pub(crate) const SYSCALL_COST: Nanos = Nanos::from_ns(500);
 
 /// How many per-commit sub-page extent records each object retains
-/// (see [`MemSnap::subpage_extents`]); matches the replication engine's
-/// deepest delta lag before it drops the base anyway.
-const SUBPAGE_KEEP: usize = 64;
+/// (see [`MemSnap::subpage_extents`]). `msnap-repl` takes its deepest
+/// delta lag from this value: a ship that spans more commits than are
+/// recorded could only fall back to a rebase.
+pub const SUBPAGE_KEEP: usize = 64;
 
 /// Dirty-line record of one μCheckpoint commit: which 64-byte lines of
 /// which pages changed between `prev` and the epoch the record is keyed

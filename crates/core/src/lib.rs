@@ -67,7 +67,7 @@ mod commit;
 mod manifest;
 mod types;
 
-pub use api::MemSnap;
+pub use api::{MemSnap, SUBPAGE_KEEP};
 pub use types::{
     CommitTicket, Md, MsnapError, PersistBreakdown, PersistFlags, RegionHandle, RegionSel,
     RestoreError, SnapshotView,

@@ -66,8 +66,10 @@ const DATAGRAM_BUDGET: usize = 1400;
 /// instead of a delta. Also spaces the **rejoin anchors**: a ship whose
 /// span crosses a multiple of half this lag has its target epoch
 /// retained as a snapshot on both ends, so retention stays bounded and a
-/// rejoin diffs at most this many epochs.
-const DROP_BASE_LAG: u64 = 64;
+/// rejoin diffs at most this many epochs. It is the depth of the
+/// primary's recorded history, so a deeper lag could not ship from the
+/// record anyway.
+const DROP_BASE_LAG: u64 = memsnap::SUBPAGE_KEEP as u64;
 /// Retained anchor-epoch snapshots a replica keeps per object — the
 /// candidate rebase bases a promoted replica can diff a rejoining old
 /// primary from.
