@@ -922,12 +922,8 @@ impl MemSnap {
                 pages: r.pages,
             })
             .collect();
-        let pages = manifest::encode_pages(&entries);
-        let iov: Vec<(u64, &[u8])> = pages
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as u64, &p[..]))
-            .collect();
+        let bytes = manifest::encode(&entries);
+        let iov: Vec<(u64, &[u8])> = (0..).zip(bytes.chunks(PAGE_SIZE)).collect();
         let token = self
             .store
             .persist(vt, &mut self.disk, self.manifest_obj, &iov)?;

@@ -33,7 +33,10 @@
 //!   first, memory second); the doors differ only in what they charge
 //!   and when they freeze and re-arm the pages (DESIGN.md §6c).
 //! - **Crash + restore**: [`MemSnap::crash`] simulates a power failure at a
-//!   chosen instant; [`MemSnap::restore`] reopens the store, and
+//!   chosen instant; [`MemSnap::restore`] reopens the store and reads the
+//!   region manifest — one binary record of every region's name, address
+//!   and length, which fails the restore with
+//!   [`MsnapError::CorruptManifest`] if it does not decode — and
 //!   `msnap_open` of an existing region remaps it at its original address
 //!   and pages the durable image back in.
 //!

@@ -24,8 +24,9 @@ pub(crate) struct ManifestEntry {
     pub pages: u64,
 }
 
-/// Encodes the manifest of `entries` as framed whole pages.
-pub(crate) fn encode_pages(entries: &[ManifestEntry]) -> Vec<[u8; PAGE_SIZE]> {
+/// Encodes the manifest of `entries`, framed and zero-padded to whole
+/// pages.
+pub(crate) fn encode(entries: &[ManifestEntry]) -> Vec<u8> {
     let mut body = Vec::new();
     put_u32(&mut body, entries.len() as u32);
     for e in entries {
@@ -39,14 +40,8 @@ pub(crate) fn encode_pages(entries: &[ManifestEntry]) -> Vec<[u8; PAGE_SIZE]> {
     let mut framed = Vec::with_capacity(8 + body.len());
     put_u64(&mut framed, body.len() as u64);
     framed.extend_from_slice(&body);
+    framed.resize(framed.len().next_multiple_of(PAGE_SIZE), 0);
     framed
-        .chunks(PAGE_SIZE)
-        .map(|chunk| {
-            let mut page = [0u8; PAGE_SIZE];
-            page[..chunk.len()].copy_from_slice(chunk);
-            page
-        })
-        .collect()
 }
 
 /// Decodes the manifest of a `len_pages`-page object from a page reader
@@ -98,15 +93,16 @@ fn decode_body(body: &[u8]) -> Option<Vec<ManifestEntry>> {
 mod tests {
     use super::*;
 
-    fn decode_pages(pages: &[[u8; PAGE_SIZE]]) -> Result<Vec<ManifestEntry>, MsnapError> {
-        decode(pages.len() as u64, |i, out| {
-            *out = pages[i as usize];
+    fn decode_bytes(bytes: &[u8]) -> Result<Vec<ManifestEntry>, MsnapError> {
+        assert_eq!(bytes.len() % PAGE_SIZE, 0);
+        decode((bytes.len() / PAGE_SIZE) as u64, |i, out| {
+            out.copy_from_slice(&bytes[i as usize * PAGE_SIZE..][..PAGE_SIZE]);
             Ok(())
         })
     }
 
     fn round_trip(entries: &[ManifestEntry]) -> Vec<ManifestEntry> {
-        decode_pages(&encode_pages(entries)).unwrap()
+        decode_bytes(&encode(entries)).unwrap()
     }
 
     fn entry(name: &str, addr: u64, pages: u64) -> ManifestEntry {
@@ -119,7 +115,7 @@ mod tests {
 
     #[test]
     fn empty_manifest_round_trips() {
-        assert_eq!(encode_pages(&[]).len(), 1);
+        assert_eq!(encode(&[]).len(), PAGE_SIZE);
         assert_eq!(round_trip(&[]), []);
     }
 
@@ -140,50 +136,37 @@ mod tests {
                 entry(&name, 0x7800_0000_0000 + i * 0x100_0000, i + 1)
             })
             .collect();
-        assert!(encode_pages(&entries).len() > 1);
+        assert!(encode(&entries).len() > PAGE_SIZE);
         assert_eq!(round_trip(&entries), entries);
     }
 
     #[test]
     fn records_that_do_not_decode_exactly_are_corrupt() {
         let framed = |body: &[u8]| {
-            let mut page = [0u8; PAGE_SIZE];
+            let mut page = vec![0u8; PAGE_SIZE];
             page[..8].copy_from_slice(&(body.len() as u64).to_le_bytes());
             page[8..8 + body.len()].copy_from_slice(body);
-            [page]
+            page
         };
-        let good = encode_pages(&[entry("t", 0x7800_0000_0000, 4)])[0];
-        let body_len = 4 + 2 + 1 + 16;
-        for (what, pages) in [
-            ("short", framed(&good[8..8 + body_len - 1])),
-            (
-                "trailing bytes",
-                framed(&[&good[8..8 + body_len], &[0][..]].concat()),
-            ),
+        let good = encode(&[entry("t", 0x7800_0000_0000, 4)]);
+        let body = &good[8..8 + 4 + 2 + 1 + 16];
+        let with_len = |len: u64| [&len.to_le_bytes()[..], &good[8..]].concat();
+        for (what, page) in [
+            ("short", framed(&body[..body.len() - 1])),
+            ("trailing bytes", framed(&[body, &[0]].concat())),
             (
                 "non-UTF-8 name",
                 framed(&[&[1, 0, 0, 0, 1, 0, 0xFF][..], &[0; 16]].concat()),
             ),
-            ("a frame past the object", {
-                let mut page = good;
-                page[..8].copy_from_slice(&(PAGE_SIZE as u64).to_le_bytes());
-                [page]
-            }),
-            ("a length that overflows", {
-                let mut page = good;
-                page[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-                [page]
-            }),
+            ("a frame past the object", with_len(PAGE_SIZE as u64)),
+            ("a length that overflows", with_len(u64::MAX)),
         ] {
             assert_eq!(
-                decode_pages(&pages),
+                decode_bytes(&page),
                 Err(MsnapError::CorruptManifest),
                 "{what}"
             );
         }
-        assert_eq!(
-            decode_pages(&framed(&good[8..8 + body_len])).unwrap().len(),
-            1
-        );
+        assert_eq!(decode_bytes(&framed(body)).unwrap().len(), 1);
     }
 }

@@ -26,8 +26,7 @@ const VERSION: u32 = 1;
 /// The header's kind word: a skiplist. It is checked like the version;
 /// a carve of any other kind (2 was the retired hash table) is refused.
 const KIND: u32 = 1;
-/// Encoded header length (the rest of page 0 up to [`META_OFF`] is
-/// reserved, and beyond it structure-owned).
+/// Encoded header length; page 0 is reserved up to [`META_OFF`].
 const HDR_LEN: usize = 32;
 /// Byte offset of the structure-owned meta area within the header page.
 const META_OFF: u64 = 64;
@@ -48,8 +47,7 @@ fn encode_header(writers: u32, arena_pages: u64) -> Vec<u8> {
     hdr
 }
 
-/// Decodes and validates a carve header, returning
-/// `(writers, arena_pages)`.
+/// Decodes and validates a carve header: `(writers, arena_pages)`.
 fn decode_header(hdr: &[u8]) -> Option<(u32, u64)> {
     let mut r = Reader::new(hdr);
     let (magic, version, kind) = (r.u32().ok()?, r.u32().ok()?, r.u32().ok()?);
@@ -67,9 +65,9 @@ pub struct Carve {
     /// The backing region.
     pub region: RegionHandle,
     /// Writer slots carved out (one descriptor-log page each).
-    pub writers: u32,
+    pub(crate) writers: u32,
     /// Arena length in pages.
-    pub arena_pages: u64,
+    pub(crate) arena_pages: u64,
 }
 
 impl Carve {

@@ -10,7 +10,10 @@
 //! (Marathe et al.) and fine-grain in-line logging (Cohen et al.).
 //!
 //! The structure is [`PSkipList`], a lock-free skiplist laid out directly
-//! in one MemSnap region, carved by this crate ([`Carve`]). Keys and
+//! in one MemSnap region. The crate owns that region's layout ([`Carve`]:
+//! a checked header, per-writer log pages, a node arena) and reaches the
+//! region through `msnap_open`, `read`, `write` and `msnap_persist`
+//! only, so every write it makes rides an ordinary μCheckpoint. Keys and
 //! payloads live in fixed 128-byte arena slots allocated from
 //! writer-private pages; levels are CAS-linked. Nodes are permanent once
 //! linked — updates and removes write in place (remove = tombstone flag),

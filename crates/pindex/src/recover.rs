@@ -96,7 +96,7 @@ impl PSkipList {
         name: &str,
     ) -> Result<(Self, RecoveryReport), MsnapError> {
         let carve = Carve::open(ms, vt, space, name, 0, 0)?;
-        let mut sk = PSkipList::attach(carve, space, carve.writers);
+        let mut sk = PSkipList::attach(carve, space);
         let mut report = RecoveryReport::default();
 
         // -- 1. arena scan: every checksum-valid node, chain or no chain.

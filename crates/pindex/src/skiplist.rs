@@ -83,16 +83,17 @@ impl NodeImg {
     }
 }
 
+/// FNV-1a-32 of slot bytes 4..32 and the value, built on the stack.
 fn node_checksum(img: &NodeImg) -> u32 {
-    let mut payload = Vec::with_capacity(64);
-    payload.push(img.level);
-    payload.push(u8::from(img.tomb));
-    payload.extend_from_slice(&(img.value.len() as u16).to_le_bytes());
-    payload.extend_from_slice(&img.key.to_le_bytes());
-    payload.extend_from_slice(&img.op_id.to_le_bytes());
-    payload.extend_from_slice(&img.prev_op.to_le_bytes());
-    payload.extend_from_slice(&img.value);
-    fnv1a32(&payload)
+    let (mut payload, end) = ([0u8; 28 + MAX_VALUE], 28 + img.value.len());
+    payload[0] = img.level;
+    payload[1] = u8::from(img.tomb);
+    payload[2..4].copy_from_slice(&(img.value.len() as u16).to_le_bytes());
+    payload[4..12].copy_from_slice(&img.key.to_le_bytes());
+    payload[12..20].copy_from_slice(&img.op_id.to_le_bytes());
+    payload[20..28].copy_from_slice(&img.prev_op.to_le_bytes());
+    payload[28..end].copy_from_slice(&img.value);
+    fnv1a32(&payload[..end])
 }
 
 pub(crate) fn encode_node(img: &NodeImg) -> [u8; SLOT] {
@@ -198,7 +199,7 @@ impl PSkipList {
         writers: u32,
     ) -> Result<Self, MsnapError> {
         let carve = Carve::open(ms, vt, space, name, arena_pages, writers)?;
-        let sk = PSkipList::attach(carve, space, writers);
+        let sk = PSkipList::attach(carve, space);
         let thread = vt.id();
         let mut meta = [0u8; 8];
         meta[0..4].copy_from_slice(&META_MAGIC.to_le_bytes());
@@ -217,12 +218,12 @@ impl PSkipList {
 
     /// Wraps a carve without touching storage (recovery constructs the
     /// instance after repairing the structure).
-    pub(crate) fn attach(carve: Carve, space: AsId, writers: u32) -> Self {
+    pub(crate) fn attach(carve: Carve, space: AsId) -> Self {
         PSkipList {
             carve,
             space,
-            next_seq: vec![1; writers as usize],
-            alloc: vec![None; writers as usize],
+            next_seq: vec![1; carve.writers as usize],
+            alloc: vec![None; carve.writers as usize],
             live: 0,
         }
     }

@@ -17,6 +17,7 @@ pub struct Reader<'a> {
     at: usize,
 }
 
+// Inlined across crates: pindex decodes a node at every traversal hop.
 impl<'a> Reader<'a> {
     /// A reader at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
@@ -29,37 +30,44 @@ impl<'a> Reader<'a> {
     }
 
     /// The bytes not read yet.
+    #[inline]
     pub fn rest(&self) -> &'a [u8] {
         &self.buf[self.at..]
     }
 
     /// The next `n` bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], Short> {
         let s = self.rest().get(..n).ok_or(Short)?;
         self.at += n;
         Ok(s)
     }
 
+    #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N], Short> {
         Ok(self.take(N)?.try_into().expect("take(N) yields N bytes"))
     }
 
     /// The next byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, Short> {
         Ok(self.take(1)?[0])
     }
 
     /// The next little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, Short> {
         self.array().map(u16::from_le_bytes)
     }
 
     /// The next little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, Short> {
         self.array().map(u32::from_le_bytes)
     }
 
     /// The next little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, Short> {
         self.array().map(u64::from_le_bytes)
     }
