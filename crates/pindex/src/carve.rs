@@ -147,10 +147,23 @@ impl Carve {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::recover::tests::fixed_header;
     use msnap_disk::{Disk, DiskConfig};
+
+    /// The 32-byte carve header, field by field and independent of the
+    /// codec: magic "PIXC", version 1, kind, writers, arena pages, a zero
+    /// word, then the FNV-1a of everything before it.
+    pub(crate) fn fixed_header(kind: u32, writers: u32, arena_pages: u64) -> Vec<u8> {
+        let mut want = Vec::new();
+        for word in [0x5049_5843, 1, kind, writers] {
+            want.extend_from_slice(&u32::to_le_bytes(word));
+        }
+        want.extend_from_slice(&arena_pages.to_le_bytes());
+        want.extend_from_slice(&[0; 4]);
+        want.extend_from_slice(&msnap_sim::hash::fnv1a32(&want).to_le_bytes());
+        want
+    }
 
     fn fresh() -> (MemSnap, Vt, AsId) {
         let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));

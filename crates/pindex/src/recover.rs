@@ -349,8 +349,9 @@ impl PSkipList {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
+    use crate::carve::tests::fixed_header;
     use msnap_disk::{Disk, DiskConfig};
 
     fn fresh() -> (MemSnap, AsId, PSkipList, Vt) {
@@ -438,20 +439,6 @@ pub(crate) mod tests {
         let (sk, report) = PSkipList::recover(&mut ms, space, &mut vt, "sk").unwrap();
         assert_eq!(sk.get(&mut ms, &mut vt, 10), Some(b"ten".to_vec()));
         assert!(report.op_landed(0, 1));
-    }
-
-    /// The 32-byte carve header, field by field and independent of the
-    /// codec: magic "PIXC", version 1, kind, writers, arena pages, a zero
-    /// word, then the FNV-1a of everything before it.
-    pub(crate) fn fixed_header(kind: u32, writers: u32, arena_pages: u64) -> Vec<u8> {
-        let mut want = Vec::new();
-        for word in [0x5049_5843, 1, kind, writers] {
-            want.extend_from_slice(&u32::to_le_bytes(word));
-        }
-        want.extend_from_slice(&arena_pages.to_le_bytes());
-        want.extend_from_slice(&[0; 4]);
-        want.extend_from_slice(&msnap_sim::hash::fnv1a32(&want).to_le_bytes());
-        want
     }
 
     #[test]
