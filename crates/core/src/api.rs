@@ -1144,9 +1144,11 @@ pub(crate) mod tests {
         let snap_epoch = ms.msnap_snapshot(&mut vt, r.md, "before-churn").unwrap();
 
         // Churn page 0 through enough μCheckpoints for at least two
-        // full-root flushes (one every DELTA_SLOTS=32 delta commits).
-        let deltas_before = ms.store().stats().delta_commits;
-        let commits_before = ms.store().stats().commits;
+        // full-root flushes: a compaction root every COMPACT_AFTER = 20
+        // epochs, written beside a commit that stays a delta record (so
+        // `commits − delta_commits` does not see it), or an inline root
+        // at most every DELTA_SLOTS = 32.
+        let before = ms.store().stats();
         for i in 0..68u64 {
             ms.write(&mut vt, space, t, r.addr, &[i as u8; PAGE_SIZE])
                 .unwrap();
@@ -1155,8 +1157,10 @@ pub(crate) mod tests {
                 .unwrap();
             ms.msnap_wait(&mut vt, RegionSel::Region(r.md), e).unwrap();
         }
-        let fulls = (ms.store().stats().commits - commits_before)
-            - (ms.store().stats().delta_commits - deltas_before);
+        let after = ms.store().stats();
+        let inline =
+            (after.commits - before.commits) - (after.delta_commits - before.delta_commits);
+        let fulls = inline + (after.compaction_roots - before.compaction_roots);
         assert!(fulls >= 2, "churn crossed {fulls} full-root flushes");
 
         // The retained image is intact, byte for byte, at a fresh address.

@@ -275,7 +275,7 @@ impl MemSnap {
             // those of an in-place image that overtakes it) are not the
             // diff against what the store holds. Zero is "unknown": the
             // page commits whole. ROADMAP item 2(a) removes this restriction
-            // (it is blocked on the harness, item 0).
+            // (it is blocked on the harness, item 0(a)).
             let known = copy.is_none() && self.open_batches.is_empty();
             let lines = if known { e.lines } else { 0 };
             match keys.last_mut() {
@@ -1523,8 +1523,8 @@ mod tests {
                     now.batch_commits - stats.batch_commits,
                     u64::from(door == 4)
                 );
-                // Compare the delta-only commits; the periodic full root
-                // does different work.
+                // Compare the delta-only commits; a full root, inline or
+                // compaction, does different work.
                 if now.delta_commits - stats.delta_commits == committed
                     && now.nodes_written == stats.nodes_written
                 {

@@ -309,10 +309,23 @@ impl CutRecord {
     }
 }
 
-/// Delta-record slots per object. Every `DELTA_SLOTS`-th commit flushes
-/// the COW tree nodes and writes a full root, so a delta slot is never
-/// reused before a newer full root covers it.
+/// Delta-record slots per object: the record of epoch `x` lands in slot
+/// `x mod DELTA_SLOTS`, over the record of `x − DELTA_SLOTS`. It is
+/// submitted only once a durable root covers that epoch (rule R1′,
+/// DESIGN.md §6m), and no record is ever more than `DELTA_SLOTS − 1`
+/// epochs above its object's newest root: a commit that would be takes
+/// the inline full-root path instead.
 pub const DELTA_SLOTS: u64 = 32;
+/// Epochs above its newest root after which an object's next in-place
+/// commit first writes a compaction root: a data-less full root at the
+/// current epoch, which no commit's acknowledgement waits for. The
+/// previous root covers the records up to `DELTA_SLOTS` epochs above
+/// it, so the slack `DELTA_SLOTS − COMPACT_AFTER` (12 epochs) is how
+/// long the compaction root has to land before a record waits on it:
+/// one root is ≈ 56 blocks on the paper's device (overlay pages, nodes
+/// and the root block), a few record latencies, while an object commits
+/// at most one epoch per record latency.
+pub const COMPACT_AFTER: u64 = 20;
 /// Blocks reserved per object at creation: two alternating full-root
 /// slots followed by the delta ring.
 pub(crate) const OBJECT_META_BLOCKS: u64 = 2 + DELTA_SLOTS;
@@ -415,6 +428,12 @@ pub struct RootRecord {
     /// when both hold the *same* epoch — a repair commit rewrites the root
     /// at the current epoch, and recovery must adopt the repaired one.
     pub flush_seq: u64,
+    /// The tag a record extending this root carries ([`DeltaRecord::tag`]),
+    /// or 0 for the tag of this root's own block. A compaction root, written
+    /// off the commit path at an epoch a record already committed, keeps
+    /// that record's tag here, so the record above it verifies whether
+    /// replay starts at this root or at the one before it.
+    pub tip: u32,
 }
 
 impl RootRecord {
@@ -424,6 +443,7 @@ impl RootRecord {
         seal(ROOT_MAGIC, |out| {
             put_words(out, &[object, self.epoch, self.tree_root, self.len_pages]);
             put_words(out, &[self.high_water, digest, self.flush_seq]);
+            put_words(out, &[u64::from(self.tip)]);
         })
     }
 
@@ -439,9 +459,20 @@ impl RootRecord {
                 high_water: r.u64()?,
                 root_digest: word32(r)?,
                 flush_seq: r.u64()?,
+                tip: word32(r)?,
             })
         });
         root.filter(|root| root.object == expect)
+    }
+
+    /// The tag a record extending this root carries; `block` is the
+    /// root's own image.
+    pub(crate) fn tip_of(&self, block: &[u8]) -> u32 {
+        if self.tip == 0 {
+            tip_tag(block)
+        } else {
+            self.tip
+        }
     }
 }
 
@@ -819,9 +850,45 @@ mod tests {
             high_water: 5000,
             root_digest: 0xDEAD_1234,
             flush_seq: 17,
+            tip: 0,
         };
         let block = rec.to_block();
         assert_eq!(RootRecord::from_block(&block, ObjectId(7)), Some(rec));
+    }
+
+    #[test]
+    fn a_roots_tip_word_round_trips_and_is_sealed() {
+        let kept = RootRecord {
+            tip: 0x5EED_7199,
+            ..sample_root()
+        };
+        let block = kept.to_block();
+        assert_eq!(RootRecord::from_block(&block, kept.object), Some(kept));
+        // A compaction root names the tag it keeps; any other root names
+        // its own block's.
+        assert_eq!(kept.tip_of(&block), 0x5EED_7199);
+        let own = RootRecord { tip: 0, ..kept };
+        let own_block = own.to_block();
+        assert_eq!(own.tip_of(&own_block), tip_tag(&own_block));
+        // The word sits at bytes 72–79, inside the seal: a flip of any of
+        // its bits is no root at all, not a root with another tip.
+        for byte in 72..80 {
+            for bit in 0..8 {
+                let mut torn = block;
+                torn[byte] ^= 1 << bit;
+                assert_eq!(
+                    RootRecord::from_block(&torn, kept.object),
+                    None,
+                    "{byte}.{bit}"
+                );
+            }
+        }
+        // A tip past 32 bits does not decode.
+        let mut wide = block;
+        wide[76] = 1;
+        let sum = checksum(&wide, 80);
+        wide[8..16].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(RootRecord::from_block(&wide, kept.object), None);
     }
 
     #[test]
@@ -834,6 +901,7 @@ mod tests {
             high_water: 11,
             root_digest: 7,
             flush_seq: 1,
+            tip: 0,
         };
         let mut block = rec.to_block();
         block[28] ^= 0xFF; // epoch
@@ -857,6 +925,7 @@ mod tests {
             high_water: 11,
             root_digest: 0,
             flush_seq: 0,
+            tip: 0,
         };
         let block = rec.to_block();
         assert_eq!(RootRecord::from_block(&block, ObjectId(2)), None);
@@ -1456,6 +1525,7 @@ mod tests {
             high_water: 5000,
             root_digest: 0xDEAD_1234,
             flush_seq: 17,
+            tip: 0x0BAD_CAFE,
         }
     }
 
@@ -1525,7 +1595,7 @@ mod tests {
             Sample {
                 name: "root",
                 block: sample_root().to_block(),
-                len: 72,
+                len: 80,
                 decodes: Box::new(|b| RootRecord::from_block(b, ObjectId(7)).is_some()),
             },
             Sample {

@@ -20,9 +20,13 @@
 //!   line commit that arrives while its object's previous line record is
 //!   still queued on the device **folds** into that record and writes
 //!   nothing; every record carries the tag of the tip it extends.
-//! - Every 32nd commit (or an oversized one) is a **full root**: dirty
-//!   nodes and overlay pages are written, then a root record into one of
-//!   two alternating slots. Recovery adopts the newest valid root and
+//! - A **full root** writes dirty nodes and overlay pages, then a root
+//!   record into one of two alternating slots. Every 20th epoch an
+//!   in-place commit first writes one as a **compaction root** that no
+//!   acknowledgement waits for, and a record waits only for the root
+//!   that covers the ring slot it reuses; an oversized commit, or one 31
+//!   epochs above its object's newest root, is itself a full root.
+//!   Recovery adopts the newest valid root and
 //!   replays the records above it through the apply the commit path uses,
 //!   so "region data is consistent after a crash" (paper §4).
 //! - Reads verify every block against its digest and go through a CLOCK
@@ -71,7 +75,8 @@ pub use cache::BlockCache;
 pub use layout::{
     digest32, fnv1a, fnv1a_extend, pack_entry, unpack_entry, BatchRecord, DeltaRecord, Epoch,
     ObjectId, RootRecord, ShardLayout, SnapCatalog, SnapEntry, Superblock, BATCH_SLOTS,
-    DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, INLINE_BLOCK, MAX_DELTA_PAIRS, MAX_SHARDS, MAX_SNAPSHOTS,
+    COMPACT_AFTER, DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, INLINE_BLOCK, MAX_DELTA_PAIRS, MAX_SHARDS,
+    MAX_SNAPSHOTS,
 };
 pub use radix::{RadixTree, TreeError};
 pub use shard::{shard_of_name, ExtentBroker, ObjectStore, VectorCut, DEFAULT_EXTENT_BLOCKS};

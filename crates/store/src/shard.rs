@@ -1072,6 +1072,8 @@ fn add_stats(a: StoreStats, b: StoreStats) -> StoreStats {
         line_bytes: a.line_bytes + b.line_bytes,
         overlay_pages_flushed: a.overlay_pages_flushed + b.overlay_pages_flushed,
         absorbed_commits: a.absorbed_commits + b.absorbed_commits,
+        compaction_roots: a.compaction_roots + b.compaction_roots,
+        root_gated_records: a.root_gated_records + b.root_gated_records,
     }
 }
 
@@ -1123,7 +1125,7 @@ mod tests {
         let obj = store.create(&mut vt, &mut disk, "o").unwrap();
         let pages = [page_of(1), page_of(2), page_of(3)];
         let mut costs = std::collections::BTreeSet::new();
-        let mut straddles = 0;
+        let (mut straddles, mut compactions) = (0, 0);
         for round in 0..400u64 {
             let iov: Vec<(u64, &[u8])> = pages
                 .iter()
@@ -1134,6 +1136,10 @@ mod tests {
             let tok = store.persist(&mut vt, &mut disk, obj, &iov).unwrap();
             let (dt, s1) = (vt.now() - t0, store.stats());
             ObjectStore::wait(&mut vt, tok);
+            if s1.compaction_roots != s0.compaction_roots {
+                compactions += 1;
+                continue; // so does the commit that wrote a compaction root
+            }
             if s1.delta_commits == s0.delta_commits {
                 continue; // the periodic full root does different work
             }
@@ -1146,6 +1152,7 @@ mod tests {
             ));
         }
         assert!(straddles >= 3, "the run must cross extent boundaries");
+        assert!(compactions >= 400 / 21, "{compactions} compaction roots");
         assert_eq!(
             costs.len(),
             1,

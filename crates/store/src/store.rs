@@ -3,13 +3,16 @@
 //! Commit protocol: a μCheckpoint writes its data blocks (one extent,
 //! sequential wherever the allocator has a run) and then commits with a
 //! single metadata block — either a **delta record** (the commit's page →
-//! block pairs; the common case) or, every [`DELTA_SLOTS`]-th commit or
-//! for very large commits, a **full root** that first flushes the
-//! in-memory COW tree's dirty nodes. Recovery adopts the newest valid
-//! full root and replays consecutive delta records on top. Deferring node
-//! IO this way keeps the per-commit cost at "data + one block", which is
-//! what the paper's Table 5 measures (39.7 μs of IO for a 64 KiB
-//! μCheckpoint).
+//! block pairs; the common case) or, for very large commits, a **full
+//! root** that first flushes the in-memory COW tree's dirty nodes. Every
+//! [`COMPACT_AFTER`] epochs an in-place commit first writes a
+//! **compaction root** — a data-less full root that no acknowledgement
+//! waits for — and lands as its usual record; a commit still
+//! [`DELTA_SLOTS`] − 1 epochs above its object's newest root is an inline
+//! full root. Recovery adopts the newest valid full root and replays
+//! consecutive delta records on top. Deferring node IO this way keeps the
+//! per-commit cost at "data + one block", which is what the paper's
+//! Table 5 measures (39.7 μs of IO for a 64 KiB μCheckpoint).
 //!
 //! A commit whose caller names the 64-byte lines it changed, and whose
 //! lines fit the record block, is **line-grain**: the delta record carries
@@ -33,6 +36,7 @@ mod scrub;
 mod snapshot;
 
 pub use commit::CommitPage;
+use commit::Root;
 pub use overlay::OVERLAY_PAGE_BUDGET;
 pub use scrub::{ScrubStats, UnrepairedPage};
 
@@ -46,9 +50,9 @@ use msnap_sim::{Category, Nanos, Vt};
 
 use crate::layout::{
     self, BatchRecord, DeltaRecord, DirEntry, Epoch, ObjectId, RootRecord, ShardLayout,
-    SnapCatalog, SnapEntry, BATCH_SLOTS, DELTA_SLOTS, DIR_BLOCKS, DIR_ENTRY_LEN, ENTRIES_PER_BLOCK,
-    INLINE_BLOCK, MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN, OBJECT_META_BLOCKS,
-    SHARD_SLAB_BLOCKS, SNAP_CATALOG_SLOTS,
+    SnapCatalog, SnapEntry, BATCH_SLOTS, COMPACT_AFTER, DELTA_SLOTS, DIR_BLOCKS, DIR_ENTRY_LEN,
+    ENTRIES_PER_BLOCK, INLINE_BLOCK, MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN,
+    OBJECT_META_BLOCKS, SHARD_SLAB_BLOCKS, SNAP_CATALOG_SLOTS,
 };
 use crate::radix::TreeError;
 #[cfg(doc)]
@@ -309,6 +313,13 @@ pub struct StoreStats {
     /// newest line record while that record was still queued on the
     /// device, and is durable with it (also counted in `line_commits`).
     pub absorbed_commits: u64,
+    /// Compaction roots written: data-less full roots an in-place commit
+    /// wrote off its commit path ([`COMPACT_AFTER`]). Not commits: they
+    /// count in neither `commits` nor `delta_commits`.
+    pub compaction_roots: u64,
+    /// Records whose submission rule R1′ held past their data: no root
+    /// covering the ring slot they reuse was durable yet.
+    pub root_gated_records: u64,
 }
 
 /// CPU cost constants for store operations.
@@ -343,6 +354,7 @@ struct ObjectState {
     tree: RadixTree,
     epoch: Epoch,
     last_commit: Nanos,
+    /// Epochs above the newest full root, a compaction root included.
     deltas_since_full: u64,
     /// Alternates the full-root slot (consecutive full roots never share
     /// a slot).
@@ -355,10 +367,12 @@ struct ObjectState {
     /// this object's commits. Gates data-block recycling so that recovery
     /// to *any* reachable epoch finds its blocks intact.
     chain_completes: Nanos,
-    /// Durability instant of the newest full root. No delta or batch
-    /// record is *submitted* before it: epoch `e + 1` reuses the ring
-    /// slot of `e − 31`, which recovery still needs until root `e` lands.
-    root_durable: Nanos,
+    /// The previous and the newest full root — what the two root slots
+    /// hold — as `(epoch, durability instant)`. R1′: the record of epoch
+    /// `x` reuses the ring slot of `x − DELTA_SLOTS`, which recovery
+    /// needs until a root at or above that epoch is durable, so it is not
+    /// *submitted* before [`ObjectState::covered_at`] that epoch.
+    roots: [(Epoch, Nanos); 2],
     /// Pages whose newest content lives only in line-grain records: page
     /// → (digest, whole patched image). Read before the tree, dropped
     /// per page by a later page-grain commit of it, written out and
@@ -367,7 +381,8 @@ struct ObjectState {
     /// hydrated (the commit or replay that inserted it did that).
     overlay: BTreeMap<u64, (u32, Box<[u8]>)>,
     /// The tag the object's next record carries: `tag_of` the checksum
-    /// of the root or record block that committed `epoch`.
+    /// of the root or record block that committed `epoch`. A compaction
+    /// root leaves it as it is (and stores it in its `tip` word).
     tip: u32,
     /// The object's newest record, while it is a line record the next
     /// line commit may fold into (R3): its ring slot and what it holds.
@@ -387,11 +402,19 @@ impl ObjectState {
             full_count: 0,
             node_freed_pending: Vec::new(),
             chain_completes: Nanos::ZERO,
-            root_durable: Nanos::ZERO,
+            roots: [(0, Nanos::ZERO); 2],
             overlay: BTreeMap::new(),
             tip: layout::tag_of(0),
             queued: None,
         }
+    }
+
+    /// When a root at or above `epoch` is durable: the earlier of the two
+    /// roots that covers it (the newest if neither does).
+    fn covered_at(&self, epoch: Epoch) -> Nanos {
+        let [previous, newest] = self.roots;
+        let covering = [previous, newest].into_iter().find(|(e, _)| *e >= epoch);
+        covering.unwrap_or(newest).1
     }
 }
 
@@ -445,7 +468,9 @@ pub(crate) struct StoreShard {
     /// What each batch-ring slot currently holds: the `(object, epoch)`
     /// of every group in the record occupying it. A slot entry is *live*
     /// while its epoch is newer than the object's latest full root, and a
-    /// live entry forces a full-root flush before the slot is reused.
+    /// live entry forces a full-root flush before the slot is reused; the
+    /// batch record that reuses it waits until a root covering each entry
+    /// is durable (R1′).
     batch_ring: Vec<Vec<(ObjectId, Epoch)>>,
     /// Next store-wide batch sequence number.
     batch_seq: u64,

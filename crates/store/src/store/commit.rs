@@ -105,20 +105,37 @@ fn fold<'a>(
     })
 }
 
-impl StoreShard {
-    /// Shared full-commit core: COW-sets `pages` into the tree at
-    /// `epoch`, flushes every dirty node, writes data + nodes as one
-    /// extent followed by a full root record, and updates all commit
-    /// state. `epoch` may equal the object's current epoch (a data-less
-    /// root flush) or jump ahead of it (replica image application); the
-    /// root record is the single commit point either way. `initiate` is
-    /// the caller's initiation cost, charged once every allocation has
+/// What a full root is to its object's chain of commits.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum Root {
+    /// A root in the chain: its block becomes the tip the next record
+    /// extends, and the object's acknowledgements wait for it. Carries the
+    /// caller's initiation cost, charged once every allocation has
     /// succeeded (see `costs::initiate`).
+    Chain(Nanos),
+    /// A compaction root (DESIGN.md §6m): data-less, at the current
+    /// epoch, written off the commit path. It keeps the tip — its `tip`
+    /// word names it — and no acknowledgement waits for it.
+    Compaction,
+}
+
+impl StoreShard {
+    /// Shared full-commit core, the store's one root writer: COW-sets
+    /// `pages` into the tree at `epoch`, flushes every dirty node, writes
+    /// data + nodes as one extent followed by a full root record, and
+    /// updates all commit state. `epoch` may equal the object's current
+    /// epoch (a data-less root flush) or jump ahead of it (replica image
+    /// application); the root record is the single commit point either
+    /// way.
     ///
     /// Every full root is self-contained: the overlay's pages are written
     /// out as data blocks beside `pages` (which win where both name a
     /// page) and the overlay is emptied, so no tree a snapshot, rebase, GC
-    /// or a reused ring slot ever sees depends on a line record.
+    /// or a reused ring slot ever sees depends on a line record. The root
+    /// record is submitted only once every commit it covers and the
+    /// newest root are durable: its tree maps the data blocks of records
+    /// still in flight, and it overwrites the slot of the root before
+    /// that one.
     ///
     /// On error the tree, overlay and allocator are restored; nothing
     /// leaks.
@@ -129,8 +146,12 @@ impl StoreShard {
         object: ObjectId,
         pages: &[(u64, &[u8])],
         epoch: Epoch,
-        initiate: Nanos,
+        kind: Root,
     ) -> Result<CommitToken, StoreError> {
+        let initiate = match kind {
+            Root::Chain(initiate) => initiate,
+            Root::Compaction => Nanos::ZERO,
+        };
         let alloc_snapshot = self.alloc.clone();
         let state = &mut self.objects[object.0 as usize];
         // The tree must be mutated *before* the IO (node images are
@@ -208,17 +229,23 @@ impl StoreShard {
             high_water: self.alloc.high_water(),
             root_digest: state.tree.committed_root_digest(),
             flush_seq: state.full_count + 1,
+            tip: if kind == Root::Compaction {
+                state.tip
+            } else {
+                0
+            },
         };
         let slot = state.entry.root_slot(state.full_count + 1);
         let root_block = record.to_block();
+        let covered = state.chain_completes.max(state.roots[1].1);
         let cache = &mut self.cache;
         let token = (|| {
-            let record_at = if iov.is_empty() {
+            let data_done = if iov.is_empty() {
                 vt.now()
             } else {
                 writev_retry(disk, vt.now(), &iov, cache)?.completes()
             };
-            writev_retry(disk, record_at, &[(slot, &root_block)], cache)
+            writev_retry(disk, data_done.max(covered), &[(slot, &root_block)], cache)
         })();
         let token = match token {
             Ok(t) => t,
@@ -239,7 +266,6 @@ impl StoreShard {
             .retain(|u| u.object != object || !landed(u.page));
         state.overlay.clear();
         state.queued = None;
-        state.tip = layout::tip_tag(&root_block);
         state.full_count += 1;
         // Everything superseded up to and including this full root is
         // recyclable once it is durable.
@@ -247,18 +273,36 @@ impl StoreShard {
         data_freed.extend(state.tree.take_freed());
         state.deltas_since_full = 0;
         state.epoch = epoch;
-        state.root_durable = token.completes();
-        state.chain_completes = state.chain_completes.max(token.completes());
-        state.last_commit = state.chain_completes;
-        self.pending_free
-            .push(Reverse((state.chain_completes, data_freed)));
+        // The root landed after everything it covers: it is the chain's
+        // durability frontier, though a compaction root does not move it.
+        let landed = token.completes();
+        state.roots = [state.roots[1], (epoch, landed)];
+        if kind != Root::Compaction {
+            state.tip = layout::tip_tag(&root_block);
+            state.chain_completes = landed;
+            state.last_commit = landed;
+        }
+        self.pending_free.push(Reverse((landed, data_freed)));
         self.stats.nodes_written += node_writes.len() as u64;
 
         Ok(CommitToken {
             epoch,
-            completes: state.chain_completes,
+            completes: landed,
             bytes_written: (data_written + node_writes.len() as u64 + 1) * BLOCK_SIZE as u64,
         })
+    }
+
+    /// Writes `object`'s compaction root (DESIGN.md §6m) and counts it.
+    /// Maintenance, like block recycling: a failure changes nothing, and
+    /// the commit that asked for it lands as its usual record either way.
+    fn compact(&mut self, vt: &mut Vt, disk: &mut Disk, object: ObjectId) {
+        let epoch = self.objects[object.0 as usize].epoch;
+        if self
+            .full_commit(vt, disk, object, &[], epoch, Root::Compaction)
+            .is_ok()
+        {
+            self.stats.compaction_roots += 1;
+        }
     }
 
     /// One atomic unit of [`crate::ObjectStore::persist_batch`], the only
@@ -339,10 +383,14 @@ impl StoreShard {
                 let (epoch, initiate) = (state.epoch + 1, costs::initiate(total_pages));
                 let pages: Vec<(u64, &[u8])> =
                     pages.iter().map(|p| (p.page(), p.image())).collect();
-                let token = self.full_commit(vt, disk, object, &pages, epoch, initiate)?;
+                let token =
+                    self.full_commit(vt, disk, object, &pages, epoch, Root::Chain(initiate))?;
                 self.stats.commits += 1;
                 self.stats.pages_written += total_pages as u64;
                 return Ok(vec![token]);
+            }
+            if state.deltas_since_full >= COMPACT_AFTER && state.roots[1].1 <= vt.now() {
+                self.compact(vt, disk, object);
             }
         }
 
@@ -367,10 +415,20 @@ impl StoreShard {
         // The line-grain group's whole patched pages, in pair order.
         let mut patched: Vec<Box<[u8]>> = Vec::new();
         let mut blocks = blocks.into_iter();
+        // R1′: the record waits for a durable root over every slot it
+        // reuses: each group's delta-ring slot (the record of epoch x
+        // reuses the slot of x − DELTA_SLOTS) and, for a batch record,
+        // every group its batch-ring slot held.
         let mut root_gate = Nanos::ZERO;
+        if shared {
+            for (object, epoch) in &self.batch_ring[ring_slot as usize] {
+                root_gate = root_gate.max(self.objects[object.0 as usize].covered_at(*epoch));
+            }
+        }
         for (object, pages) in groups {
             let state = &self.objects[object.0 as usize];
-            root_gate = root_gate.max(state.root_durable);
+            root_gate =
+                root_gate.max(state.covered_at((state.epoch + 1).saturating_sub(DELTA_SLOTS)));
             let len_pages = pages
                 .iter()
                 .map(|p| p.page() + 1)
@@ -443,6 +501,7 @@ impl StoreShard {
             None
         };
         let cache = &mut self.cache;
+        let mut held = false;
         let token = match absorbed {
             Some(token) => Ok(token),
             None => (|| {
@@ -452,6 +511,7 @@ impl StoreShard {
                     writev_retry(disk, vt.now(), &iov, cache)?.completes()
                 };
                 let record_at = data_done.max(root_gate);
+                held = record_at > data_done;
                 writev_retry(disk, record_at, &[(record_block, &record)], cache)
             })(),
         };
@@ -506,6 +566,7 @@ impl StoreShard {
             self.stats.line_bytes += (staged[0].body.len() - 8 * staged[0].pairs.len()) as u64;
             self.stats.absorbed_commits += u64::from(absorbed.is_some());
         }
+        self.stats.root_gated_records += u64::from(held);
         self.stats.commits += staged.len() as u64;
         self.stats.delta_commits += staged.len() as u64;
         self.stats.pages_written += data_pages as u64;
@@ -598,7 +659,7 @@ impl StoreShard {
         object: ObjectId,
     ) -> Result<(), StoreError> {
         let epoch = self.objects[object.0 as usize].epoch;
-        self.full_commit(vt, disk, object, &[], epoch, Nanos::ZERO)?;
+        self.full_commit(vt, disk, object, &[], epoch, Root::Chain(Nanos::ZERO))?;
         Ok(())
     }
 }

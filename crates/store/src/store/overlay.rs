@@ -26,9 +26,10 @@ impl StoreShard {
     /// maps its block in the tree and takes the page out of the overlay.
     /// The record's epoch becomes the object's, and every epoch it covers
     /// counts against the delta window — a folded record is as many
-    /// commits as it spans, so full roots stay every [`DELTA_SLOTS`]
-    /// epochs and no two live records share a ring slot. Returns the
-    /// blocks the tree stopped referencing.
+    /// commits as it spans, so a compaction root still comes after
+    /// [`COMPACT_AFTER`] epochs, no record is [`DELTA_SLOTS`] epochs above
+    /// its object's newest root, and no two live records share a ring
+    /// slot. Returns the blocks the tree stopped referencing.
     pub(super) fn apply_record(
         &mut self,
         record: &DeltaRecord,

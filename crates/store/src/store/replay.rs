@@ -5,7 +5,8 @@
 use super::*;
 
 /// The newest valid full root in an object's two root slots, with the
-/// tag a record extending it carries. `flush_seq` breaks ties when both
+/// tag a record extending it carries (its `tip` word, or its own block's
+/// tag when that is 0). `flush_seq` breaks ties when both
 /// slots hold the *same* epoch: a repair commit rewrites the root at the
 /// current epoch, and recovery must adopt the repaired (higher-sequence)
 /// one.
@@ -17,7 +18,7 @@ fn newest_root(vt: &mut Vt, root_slots: &[u8], object: ObjectId) -> Option<(Root
             if newest.is_none_or(|(b, _)| {
                 rec.epoch > b.epoch || (rec.epoch == b.epoch && rec.flush_seq > b.flush_seq)
             }) {
-                newest = Some((rec, layout::tip_tag(block)));
+                newest = Some((rec, rec.tip_of(block)));
             }
         }
     }
@@ -275,6 +276,7 @@ impl StoreShard {
             state.epoch = r.epoch;
             state.full_count = r.flush_seq;
             state.tip = tip;
+            state.roots = [(r.epoch, Nanos::ZERO); 2];
         }
         self.objects.push(state);
     }

@@ -64,7 +64,7 @@ impl StoreShard {
             }
         };
         let initiate = costs::initiate(pages.len());
-        let token = self.full_commit(vt, disk, object, pages, target_epoch, initiate);
+        let token = self.full_commit(vt, disk, object, pages, target_epoch, Root::Chain(initiate));
         if let Some((tree, overlay, base_blocks)) = divergent {
             let state = &mut self.objects[object.0 as usize];
             if token.is_err() {

@@ -302,7 +302,8 @@ impl StoreShard {
         } else {
             &[(page, data)]
         };
-        let token = self.full_commit(vt, disk, object, pages, state.epoch, costs::initiate(1))?;
+        let initiate = Root::Chain(costs::initiate(1));
+        let token = self.full_commit(vt, disk, object, pages, state.epoch, initiate)?;
         self.stats.commits += 1;
         self.stats.pages_written += pages.len() as u64;
         Ok(token)

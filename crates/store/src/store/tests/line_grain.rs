@@ -152,14 +152,14 @@ fn drive(writes: &[Write], line_grain: bool) -> (Disk, Vec<(Nanos, BTreeMap<u64,
     (disk, acked)
 }
 
-/// The object's recovered epoch and pages `0..3`, or `None` before the
-/// object exists.
-fn recover(mut disk: Disk) -> Option<(Epoch, BTreeMap<u64, Vec<u8>>)> {
+/// Reopens a crashed device: the object's epoch and pages `0..pages`,
+/// or `None` before the object exists.
+fn recover(mut disk: Disk, pages: u64) -> Option<(Epoch, BTreeMap<u64, Vec<u8>>)> {
     let mut vt = Vt::new(3);
     let mut shard = open_shard(&mut vt, &mut disk).unwrap();
     let obj = shard.lookup("o")?;
-    let pages: BTreeMap<u64, Vec<u8>> = (0..3).map(|p| (p, page_of(0))).collect();
-    let got = read_all(&mut shard, &mut vt, &mut disk, obj, &pages);
+    let want: BTreeMap<u64, Vec<u8>> = (0..pages).map(|p| (p, page_of(0))).collect();
+    let got = read_all(&mut shard, &mut vt, &mut disk, obj, &want);
     Some((shard.epoch(obj), got))
 }
 
@@ -175,7 +175,7 @@ fn every_io_boundary_of_a_line_grain_run_recovers_an_acked_prefix() {
         || drive(&writes, true).0,
         |disk, at| {
             let durable = acked.iter().filter(|(done, _)| *done <= at).count();
-            let Some((epoch, got)) = recover(disk) else {
+            let Some((epoch, got)) = recover(disk, 3) else {
                 assert_eq!(durable, 0, "crash at {at:?} lost the object");
                 return;
             };
@@ -471,17 +471,24 @@ fn a_commit_before_its_objects_record_starts_rides_it() {
     assert_reads_back(&mut shard, &mut vt, &mut disk, obj, &model);
 }
 
-/// `threads` virtual threads on the min-clock rule, each committing
-/// `per_thread` one-line writes to one object and waiting for each
-/// before its next, behind a saturating commit of another object. Returns
-/// the device, each commit's durability instant and the model after it,
-/// in epoch order, and how many commits were absorbed.
+/// `threads` virtual threads on the min-clock rule on a paper device of
+/// `channels` channels, together making the one-line `writes` to one
+/// object, each thread waiting for its commit before its next, behind a
+/// saturating commit of another object. Returns the device, each
+/// commit's durability instant and the model after it, in epoch order,
+/// and the shard's statistics.
 #[allow(clippy::type_complexity)]
 fn drive_threads(
+    channels: usize,
     threads: u32,
-    per_thread: u64,
-) -> (Disk, Vec<(Nanos, BTreeMap<u64, Vec<u8>>)>, u64) {
-    let (mut disk, mut shard, mut vt) = setup();
+    writes: &[Write],
+) -> (Disk, Vec<(Nanos, BTreeMap<u64, Vec<u8>>)>, StoreStats) {
+    let mut disk = Disk::new(DiskConfig {
+        channels,
+        ..DiskConfig::paper()
+    });
+    let mut shard = format_shard(&mut disk);
+    let mut vt = Vt::new(0);
     let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
     saturate(&mut shard, &mut vt, &mut disk);
     let mut clocks: Vec<Vt> = (0..threads).map(Vt::new).collect();
@@ -490,39 +497,29 @@ fn drive_threads(
     }
     let mut model = BTreeMap::new();
     let mut acked = Vec::new();
-    for w in one_line_writes(threads as u64 * per_thread) {
+    for &w in writes {
         let clock = clocks.iter_mut().min_by_key(|c| c.now()).unwrap();
         let token = commit(&mut shard, clock, &mut disk, obj, &mut model, w, true);
         ObjectStore::wait(clock, token);
         acked.push((token.completes, model.clone()));
     }
-    (disk, acked, shard.stats().absorbed_commits)
+    (disk, acked, shard.stats())
 }
 
 #[test]
 fn every_io_boundary_of_folding_threads_recovers_an_acked_prefix() {
-    let (_, acked, absorbed) = drive_threads(4, 12);
+    let writes = one_line_writes(48);
+    let (_, acked, stats) = drive_threads(2, 4, &writes);
+    let absorbed = stats.absorbed_commits;
     assert!(absorbed >= 8, "{absorbed} commits folded");
     assert!(
         acked.windows(2).all(|w| w[0].0 <= w[1].0),
         "acks in epoch order"
     );
+    let none = BTreeMap::new();
     let points = crash_at_every_io(
-        || drive_threads(4, 12).0,
-        |disk, at| {
-            let durable = acked.iter().filter(|(done, _)| *done <= at).count();
-            let Some((epoch, got)) = recover(disk) else {
-                assert_eq!(durable, 0, "crash at {at:?} lost the object");
-                return;
-            };
-            let epoch = epoch as usize;
-            assert!(epoch >= durable, "{at:?}: epoch {epoch} < {durable} acked");
-            let mut want: BTreeMap<u64, Vec<u8>> = (0..3).map(|p| (p, page_of(0))).collect();
-            if epoch > 0 {
-                want.extend(acked[epoch - 1].1.clone());
-            }
-            assert_eq!(got, want, "crash at {at:?}, epoch {epoch}");
-        },
+        || drive_threads(2, 4, &writes).0,
+        |disk, at| check_recovered(recover(disk, 3), at, 3, (0, &none), &acked),
     );
     assert!(points > 48, "{points} crash points");
 }
@@ -581,62 +578,263 @@ fn replay_follows_a_folded_record_past_stale_and_overlapping_ones() {
     assert_eq!(window(&reopened), 5);
 }
 
-#[test]
-fn a_line_commit_behind_an_in_flight_full_root_waits_for_it() {
-    let cfg = DiskConfig {
+/// A four-channel pool, so a record issued behind a root can land first.
+fn four_channels() -> DiskConfig {
+    DiskConfig {
         channels: 4,
         ..DiskConfig::paper()
-    };
-    let mut disk = Disk::new(cfg);
+    }
+}
+
+/// One-line writes spread over `pages` pages.
+fn spread_writes(n: u64, pages: u64) -> Vec<Write> {
+    (0..n)
+        .map(|i| (i % pages, 1 << (i * 7 % 64), (i % 251) as u8 + 1))
+        .collect()
+}
+
+/// 80 synchronous one-line commits on a four-channel pool, with the root
+/// record of the third compaction root — at epoch 60, written by commit
+/// 61 — held `spike` on the device. Returns the device, each commit's
+/// durability instant and the model after it, the instant that root
+/// lands, and the shard's statistics.
+#[allow(clippy::type_complexity)]
+fn a_slow_compaction_root(
+    spike: Nanos,
+) -> (
+    Disk,
+    Vec<(Nanos, BTreeMap<u64, Vec<u8>>)>,
+    Nanos,
+    StoreStats,
+) {
+    let mut disk = Disk::new(four_channels());
     let mut shard = format_shard(&mut disk);
     let mut vt = Vt::new(0);
     let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
     let mut model = BTreeMap::new();
-    // Fill the delta window: the next commit is the full root, and the
-    // one after reuses the ring slot of the window's first delta.
-    let writes = one_line_writes(DELTA_SLOTS - 1);
-    for &w in &writes {
-        commit_sync(&mut shard, &mut vt, &mut disk, obj, &mut model, w);
+    let mut acked = Vec::new();
+    for (i, w) in one_line_writes(80).into_iter().enumerate() {
+        if i == 60 {
+            assert_eq!(shard.objects[0].deltas_since_full, COMPACT_AFTER);
+            // The compaction root's extent is the next submission, its
+            // root record the one after.
+            let slow = Fault::LatencySpike { extra: spike };
+            disk.set_fault_plan(FaultPlan::new().at(disk.io_seq() + 1, slow));
+        }
+        let token = commit(&mut shard, &mut vt, &mut disk, obj, &mut model, w, true);
+        ObjectStore::wait(&mut vt, token);
+        acked.push((token.completes, model.clone()));
     }
-    let acked = model.clone();
-    let nodes = shard.stats().nodes_written;
-    let root = commit(
-        &mut shard,
-        &mut vt,
-        &mut disk,
-        obj,
-        &mut model,
-        (0, 2, 0xEE),
-        true,
+    let [previous, newest] = shard.objects[0].roots;
+    assert_eq!(
+        (previous.0, newest.0),
+        (40, 60),
+        "compaction roots at 20, 40, 60"
+    );
+    (disk, acked, newest.1, shard.stats())
+}
+
+#[test]
+fn a_line_commit_behind_an_in_flight_full_root_waits_for_it() {
+    // R1′: the record of epoch x reuses the ring slot of x − 32, so it is
+    // submitted once a root at or above that epoch is durable — and waits
+    // for nothing else. The compaction root at 60 is held on the device;
+    // the root at 40 covers records up to 72, so only record 73 waits.
+    let spike = Nanos::from_ms(5);
+    let (_, _, lands, _) = a_slow_compaction_root(spike);
+
+    // Every acknowledged commit recovers whether the crash comes just
+    // before the root lands — replay starts at root 40, and record 73 has
+    // not overwritten record 41 — or as it lands: replay starts at root
+    // 60, and record 61 extends it through the tip word the root kept.
+    for at in [lands - Nanos::from_ns(1), lands] {
+        let (mut disk, acked, _, _) = a_slow_compaction_root(spike);
+        disk.crash(at);
+        let durable = acked.iter().filter(|(done, _)| *done <= at).count();
+        let (epoch, got) = recover(disk, 3).unwrap();
+        assert!(
+            epoch as usize >= durable,
+            "crash at {at:?}: {epoch} of {durable} acknowledged commits recovered"
+        );
+        assert_eq!(got, acked[epoch as usize - 1].1, "crash at {at:?}");
+        assert_eq!((durable, epoch), (72, 72), "crash at {at:?}");
+    }
+
+    let (disk, acked, _, stats) = a_slow_compaction_root(spike);
+    let one_write = disk.config().segment_latency(BLOCK_SIZE);
+    assert_eq!(stats.compaction_roots, 3);
+    assert_eq!(
+        (stats.commits, stats.delta_commits),
+        (80, 80),
+        "no commit was a root"
     );
     assert!(
-        shard.stats().nodes_written > nodes,
-        "that was the full root"
+        acked[71].0 < lands - spike / 2,
+        "61 ..= 72 did not wait for the root"
     );
-    assert!(root.completes > vt.now(), "and it is still in flight");
-    let next = commit(
+    assert_eq!(
+        acked[72].0,
+        lands + one_write,
+        "73 was submitted as it landed"
+    );
+    assert_eq!(stats.root_gated_records, 1);
+}
+
+#[test]
+fn a_compaction_root_lands_after_the_records_it_covers() {
+    // A compaction root's tree maps the data blocks of the records below
+    // it. Commit 20 is a whole page whose data extent the device holds
+    // back; commit 21, issued at once, writes the compaction root at 20.
+    // That root must not land before the extent: a crash between the two
+    // would recover epoch 20 over a page the device never got.
+    let mut disk = Disk::new(four_channels());
+    let mut shard = format_shard(&mut disk);
+    let mut vt = Vt::new(0);
+    let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+    let mut model = BTreeMap::new();
+    let writes = one_line_writes(21);
+    for &w in &writes[..19] {
+        commit_sync(&mut shard, &mut vt, &mut disk, obj, &mut model, w);
+    }
+    let mut settled: BTreeMap<u64, Vec<u8>> = (0..3).map(|p| (p, page_of(0))).collect();
+    settled.extend(model.clone());
+    let spike = Nanos::from_ms(1);
+    let slow = Fault::LatencySpike { extra: spike };
+    disk.set_fault_plan(FaultPlan::new().at(disk.io_seq(), slow));
+    let start = vt.now();
+    let whole = commit(
         &mut shard,
         &mut vt,
         &mut disk,
         obj,
         &mut model,
-        (1, 4, 0xEF),
+        (0, 0, 0xD0),
         true,
     );
-    // R1: submitted at the root's durability instant, not now.
-    let one_write = disk.config().segment_latency(BLOCK_SIZE);
-    assert_eq!(next.completes, root.completes + one_write);
-
-    // Just before the root lands, every acknowledged delta of the old
-    // window is still recoverable: its slot was not overwritten early.
-    disk.crash(root.completes - Nanos::from_ns(1));
-    let mut vt = Vt::new(2);
-    let mut reopened = open_shard(&mut vt, &mut disk).unwrap();
-    assert_eq!(reopened.epoch(obj), DELTA_SLOTS - 1);
-    assert_eq!(
-        read_all(&mut reopened, &mut vt, &mut disk, obj, &acked),
-        acked
+    commit(
+        &mut shard, &mut vt, &mut disk, obj, &mut model, writes[20], true,
     );
+    assert_eq!(shard.stats().compaction_roots, 1);
+    assert!(whole.completes > start + spike);
+    let root_lands = shard.objects[0].roots[1].1;
+
+    disk.crash(start + spike / 2);
+    let (epoch, got) = recover(disk, 3).unwrap();
+    assert_eq!(
+        (epoch, got),
+        (19, settled),
+        "the chain below the held extent"
+    );
+    assert!(
+        root_lands > whole.completes,
+        "the root waited for the chain"
+    );
+}
+
+/// Checks one recovered object against the commits of one life: the
+/// epoch is at least `floor` and every commit durable by `at`, and the
+/// pages are the model at that epoch (`models[e - 1]`, or `base` at or
+/// below `base_epoch`).
+fn check_recovered(
+    got: Option<(Epoch, BTreeMap<u64, Vec<u8>>)>,
+    at: Nanos,
+    pages: u64,
+    (base_epoch, base): (Epoch, &BTreeMap<u64, Vec<u8>>),
+    acked: &[(Nanos, BTreeMap<u64, Vec<u8>>)],
+) {
+    let durable = acked.iter().filter(|(done, _)| *done <= at).count() as u64;
+    let Some((epoch, got)) = got else {
+        assert_eq!(base_epoch + durable, 0, "crash at {at:?} lost the object");
+        return;
+    };
+    assert!(
+        epoch >= base_epoch + durable,
+        "{at:?}: epoch {epoch} < {base_epoch} + {durable} acked"
+    );
+    let mut want: BTreeMap<u64, Vec<u8>> = (0..pages).map(|p| (p, page_of(0))).collect();
+    if epoch > base_epoch {
+        want.extend(acked[(epoch - base_epoch - 1) as usize].1.clone());
+    } else {
+        assert_eq!(epoch, base_epoch, "{at:?}");
+        want.extend(base.clone());
+    }
+    assert_eq!(got, want, "crash at {at:?}, epoch {epoch}");
+}
+
+#[test]
+fn every_io_boundary_across_compaction_roots_recovers_an_acked_prefix() {
+    let writes = spread_writes(124, 24);
+    for channels in [2, 4] {
+        for threads in [1, 4, 8] {
+            let (_, acked, stats) = drive_threads(channels, threads, &writes);
+            assert!(
+                stats.compaction_roots >= 5,
+                "{channels}×{threads}: {} compaction roots",
+                stats.compaction_roots
+            );
+            assert_eq!(
+                stats.commits, stats.delta_commits,
+                "{channels}×{threads}: no inline root"
+            );
+            let none = BTreeMap::new();
+            let points = crash_at_every_io(
+                || drive_threads(channels, threads, &writes).0,
+                |disk, at| check_recovered(recover(disk, 24), at, 24, (0, &none), &acked),
+            );
+            assert!(points > 100, "{channels}×{threads}: {points} crash points");
+        }
+    }
+}
+
+#[test]
+fn a_second_life_across_compaction_roots_recovers_an_acked_prefix_at_every_io_boundary() {
+    // Life 1: four threads, 50 commits, cut while commits and the
+    // compaction root at 40 are in flight. Life 2: 70 synchronous commits
+    // on top of what recovered — three more compaction roots — and a
+    // crash at every one of its IO boundaries.
+    let first = spread_writes(50, 24);
+    let second: Vec<Write> = spread_writes(120, 24).split_off(50);
+    let (_, acked_first, _) = drive_threads(4, 4, &first);
+    let cut = acked_first[44].0 - Nanos::from_ns(1);
+    let life_two = |pool: &mut Option<(Epoch, BTreeMap<u64, Vec<u8>>, Nanos)>| {
+        let (mut disk, _, _) = drive_threads(4, 4, &first);
+        disk.crash(cut);
+        let mut vt = Vt::new(5);
+        vt.wait_until(cut);
+        let mut shard = open_shard(&mut vt, &mut disk).unwrap();
+        let obj = shard.lookup("o").unwrap();
+        let recovered = shard.epoch(obj);
+        let pages: BTreeMap<u64, Vec<u8>> = (0..24).map(|p| (p, page_of(0))).collect();
+        let mut model = read_all(&mut shard, &mut vt, &mut disk, obj, &pages);
+        let mut acked = Vec::new();
+        let start = vt.now();
+        let before = shard.stats();
+        for &w in &second {
+            let token = commit(&mut shard, &mut vt, &mut disk, obj, &mut model, w, true);
+            ObjectStore::wait(&mut vt, token);
+            acked.push((token.completes, model.clone()));
+        }
+        assert!(shard.stats().compaction_roots - before.compaction_roots >= 3);
+        *pool = Some((recovered, model, start));
+        (disk, acked)
+    };
+    let mut seen = None;
+    let (_, acked) = life_two(&mut seen);
+    let (recovered, _, start) = seen.clone().unwrap();
+    assert!(recovered >= 44, "life 1 recovered {recovered}");
+    let base = acked_first[recovered as usize - 1].1.clone();
+    let mut points = 0;
+    crash_at_every_io(
+        || life_two(&mut None).0,
+        |disk, at| {
+            if at < start {
+                return; // a boundary of the first life
+            }
+            points += 1;
+            check_recovered(recover(disk, 24), at, 24, (recovered, &base), &acked);
+        },
+    );
+    assert!(points > 2 * 70, "{points} second-life crash points");
 }
 
 #[test]
@@ -1078,8 +1276,8 @@ mod equivalence {
             let cut = (cut % writes.len() as u64) as usize;
             with_lines.crash(acked_lines[cut].0);
             with_pages.crash(acked_pages[cut].0);
-            let got_lines = recover(with_lines).expect("the object exists");
-            let got_pages = recover(with_pages).expect("the object exists");
+            let got_lines = recover(with_lines, 3).expect("the object exists");
+            let got_pages = recover(with_pages, 3).expect("the object exists");
             prop_assert_eq!(got_lines.0, cut as u64 + 1);
             prop_assert_eq!(&got_lines, &got_pages);
             let mut want: BTreeMap<u64, Vec<u8>> = (0..3).map(|p| (p, page_of(0))).collect();

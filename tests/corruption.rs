@@ -1231,6 +1231,7 @@ fn zero_digest_leaf_entry_is_corrupt_never_served() {
         high_water: root_b + 1,
         root_digest: digest32(&root),
         flush_seq: 1,
+        tip: 0,
     };
     for (block, img) in [
         (mid_b, &mid[..]),
