@@ -7,7 +7,7 @@
 //! exceeds the checkpoint threshold its frames are copied into the DB
 //! file with random writes and both files are fsynced.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use msnap_disk::Disk;
 use msnap_fs::{Fd, FileSystem, FsKind, WriteAheadLog};
@@ -31,7 +31,9 @@ pub struct FileBackend {
     db_fd: Fd,
     wal: WriteAheadLog,
     /// Latest WAL frame per page (SQLite's shared-memory WAL index).
-    wal_latest: HashMap<u64, Box<[u8]>>,
+    /// Ordered, so a checkpoint writes its frames back in page order and
+    /// a crash inside it lands the same way in every process.
+    wal_latest: BTreeMap<u64, Box<[u8]>>,
     /// Pages already journaled in the current transaction (SQLite appends
     /// a WAL frame on the first modification of a page per transaction).
     txn_pages: std::collections::HashSet<u64>,
@@ -55,7 +57,7 @@ impl FileBackend {
             disk,
             db_fd,
             wal,
-            wal_latest: HashMap::new(),
+            wal_latest: BTreeMap::new(),
             txn_pages: std::collections::HashSet::new(),
             cache: HashMap::new(),
             cache_order: VecDeque::new(),
@@ -103,7 +105,8 @@ impl FileBackend {
         // Copy every WAL frame into the DB file (random in-place writes),
         // fsync the DB, then truncate and fsync the WAL — the expensive
         // operation the paper's Table 7 attributes the fsync tail to.
-        let frames: Vec<(u64, Box<[u8]>)> = self.wal_latest.drain().collect();
+        let frames: Vec<(u64, Box<[u8]>)> =
+            std::mem::take(&mut self.wal_latest).into_iter().collect();
         for (page, data) in &frames {
             self.fs.write(
                 vt,
