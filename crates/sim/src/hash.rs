@@ -1,16 +1,22 @@
 //! The one non-cryptographic hash every on-disk record, wire frame and
 //! content digest in the workspace is built on: the FNV-1a mixing step
-//! (`h = (h ^ x) * P`) absorbing **eight bytes at a time**.
+//! (`h = (h ^ x) * P`), absorbing little-endian **8-byte words in four
+//! interleaved lanes**.
 //!
-//! The 64-bit functions fold little-endian 8-byte words into the state
-//! and finish a trailing fragment shorter than a word byte by byte.
-//! Inputs shorter than eight bytes therefore hash exactly as published
-//! FNV-1a does; longer inputs do not — the hash is an internal format,
-//! and a page-sized digest costs an eighth of the multiplies. The
-//! 32-bit function is byte-wise FNV-1a throughout, and so is
-//! [`fnv1a_bytewise`], the hash of short keys whose value is a
-//! *placement* (object name → store shard): where an object lives must
-//! not depend on how fast pages are digested.
+//! [`fnv1a_extend`] runs each 32-byte block of its input through four
+//! lanes, one word per lane. Every lane starts at the running hash, and
+//! the lanes are folded back into it with the same step. The four
+//! multiply chains are independent, so the CPU overlaps them, and a
+//! 4 KiB page digests about three times faster than through one chain of
+//! 512 dependent multiplies. Whatever is left after the last block is
+//! absorbed serially: whole words, then single bytes. Inputs shorter than
+//! 32 bytes never reach the lanes, and inputs shorter than eight bytes
+//! hash exactly as published FNV-1a does. Longer inputs do not, because
+//! the hash is an internal format (DESIGN.md §6l). The 32-bit function
+//! is byte-wise FNV-1a throughout, and so is [`fnv1a_bytewise`], the hash
+//! of short keys whose value is a *placement* (object name → store
+//! shard): where an object lives must not depend on how fast pages are
+//! digested.
 //!
 //! It lives in the substrate crate because every other crate already
 //! depends on it; `msnap_store` re-exports the 64-bit functions, which
@@ -24,27 +30,49 @@ pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x100000001b3;
 
+/// Bytes the four lanes absorb per round: one 8-byte word each.
+const BLOCK: usize = 32;
+
+/// One FNV-1a step: mix `x` into `hash`.
+#[inline(always)]
+fn step(hash: u64, x: u64) -> u64 {
+    (hash ^ x).wrapping_mul(FNV_PRIME)
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+}
+
 /// Extends a 64-bit hash with more bytes (for checksumming a payload
 /// spread over several buffers).
 ///
-/// Whole 8-byte little-endian words are absorbed first, then the
-/// remaining bytes one at a time, so a payload hashed in pieces equals
-/// the payload hashed whole only when **every piece but the last is a
-/// multiple of eight bytes long**.
+/// The input's whole 32-byte blocks go through four lanes, each seeded
+/// with `hash` and absorbing one word of every block; the lanes are then
+/// folded into `hash` in order. The remaining whole words follow one at
+/// a time, then the remaining bytes. A payload hashed in pieces therefore
+/// equals the payload hashed whole only while **the whole payload is
+/// shorter than 32 bytes** and every piece but the last is a whole number
+/// of words: a reader must hash the same pieces as the writer did.
 pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    let mut words = bytes.chunks_exact(8);
+    let mut blocks = bytes.chunks_exact(BLOCK);
+    if bytes.len() >= BLOCK {
+        let mut lanes = [hash; 4];
+        for block in &mut blocks {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = step(*lane, word(w));
+            }
+        }
+        hash = lanes.into_iter().fold(hash, step);
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
     for w in &mut words {
-        let w = u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
-        hash = (hash ^ w).wrapping_mul(FNV_PRIME);
+        hash = step(hash, word(w));
     }
     absorb_bytes(hash, words.remainder())
 }
 
-fn absorb_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
+fn absorb_bytes(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| step(h, u64::from(b)))
 }
 
 /// Published FNV-1a 64-bit, one byte at a time whatever the length —
@@ -123,17 +151,92 @@ mod tests {
         assert_eq!(splitmix64(0), 0);
     }
 
+    /// `len` bytes of a fixed pattern that differs from word to word and
+    /// from block to block.
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + i / 251) as u8).collect()
+    }
+
     #[test]
     fn extends_incrementally() {
-        // Every piece but the last a whole number of words.
+        // Pieces compose while the whole input is shorter than a block and
+        // every piece but the last is a whole number of words ...
         assert_eq!(
             fnv1a_extend(fnv1a(b"hello wo"), b"rld"),
             fnv1a(b"hello world")
         );
-        assert_eq!(
-            fnv1a_extend(fnv1a(b"sixteen byte pre"), b"fix, then a tail"),
-            fnv1a(b"sixteen byte prefix, then a tail")
+        let short = b"thirty-one bytes, in two pieces";
+        assert_eq!(short.len(), BLOCK - 1);
+        for cut in (0..=short.len()).step_by(8) {
+            assert_eq!(
+                fnv1a_extend(fnv1a(&short[..cut]), &short[cut..]),
+                fnv1a(short)
+            );
+        }
+        // ... and stop composing once it reaches one, so a reader hashes
+        // the pieces its writer hashed: a data extent's `payload_sum` is
+        // folded page by page on both sides, never hashed whole.
+        let whole = b"sixteen byte prefix, then a tail";
+        assert_eq!(whole.len(), BLOCK);
+        assert_ne!(
+            fnv1a_extend(fnv1a(&whole[..16]), &whole[16..]),
+            fnv1a(whole)
         );
+        let extent = patterned(2 * 4096);
+        let by_page = extent.chunks(4096).fold(FNV_OFFSET, fnv1a_extend);
+        assert_eq!(
+            by_page,
+            fnv1a_extend(fnv1a(&extent[..4096]), &extent[4096..])
+        );
+        assert_ne!(by_page, fnv1a(&extent));
+    }
+
+    /// The lane schedule written out by index, one step at a time.
+    fn scalar_reference(bytes: &[u8]) -> u64 {
+        let step = |h: u64, x: u64| (h ^ x).wrapping_mul(FNV_PRIME);
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let blocks = bytes.len() / 32;
+        let mut h = FNV_OFFSET;
+        if blocks > 0 {
+            let mut lanes = [h; 4];
+            for b in 0..blocks {
+                for (i, lane) in lanes.iter_mut().enumerate() {
+                    *lane = step(*lane, word(32 * b + 8 * i));
+                }
+            }
+            for lane in lanes {
+                h = step(h, lane);
+            }
+        }
+        let mut at = 32 * blocks;
+        while at + 8 <= bytes.len() {
+            h = step(h, word(at));
+            at += 8;
+        }
+        for &b in &bytes[at..] {
+            h = step(h, u64::from(b));
+        }
+        h
+    }
+
+    #[test]
+    fn lanes_match_the_scalar_reference() {
+        let pinned = [
+            (31, 0xac0a_4461_475b_5844),
+            (32, 0x502b_a22f_6101_6541),
+            (33, 0x3b8a_3781_d55f_b093),
+            (64, 0x48c5_27fd_10e7_3cd1),
+            (4096, 0x9e9a_0528_578c_48ad),
+        ];
+        for (len, want) in pinned {
+            let input = patterned(len);
+            assert_eq!(scalar_reference(&input), want, "reference, {len} bytes");
+            assert_eq!(fnv1a(&input), want, "fnv1a, {len} bytes");
+        }
+        for len in 0..200 {
+            let input = patterned(len);
+            assert_eq!(fnv1a(&input), scalar_reference(&input), "{len} bytes");
+        }
     }
 
     #[test]

@@ -963,6 +963,17 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_of_a_page_changes_its_digest() {
+        let mut page: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i * 131 + i / 97) as u8).collect();
+        let digest = digest32(&page);
+        for bit in 0..BLOCK_SIZE * 8 {
+            page[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(digest32(&page), digest, "flipping bit {bit}");
+            page[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
     fn entry_words_pack_and_unpack() {
         let word = pack_entry(0xABCD, 0x1234_5678);
         assert_eq!(unpack_entry(word), (0xABCD, 0x1234_5678));
