@@ -21,7 +21,8 @@ use msnap_snap::{
     retained_at, ApplySession, DedupTable, DeltaStream, Frame, SnapError, StreamTrailer,
 };
 use msnap_store::{
-    digest32, shard_of_name, Epoch, ObjectStore, ScrubStats, SnapEntry, StoreError, VectorCut,
+    digest32, shard_of_name, Epoch, ObjectId, ObjectStore, ScrubStats, SnapEntry, StoreError,
+    VectorCut,
 };
 
 use replica::Estimator;
@@ -343,6 +344,15 @@ fn land_repair(
     }
 }
 
+/// Every object of `store` by name and id. Ids, not epochs: a fence
+/// moves an epoch inside the tick that lists them.
+fn resolved_objects(store: &ObjectStore) -> Vec<(String, ObjectId)> {
+    let names = store.object_names().into_iter();
+    names
+        .filter_map(|name| store.lookup(&name).map(|id| (name, id)))
+        .collect()
+}
+
 /// One attached replica: both link directions, the node itself, and the
 /// per-object shipping state.
 struct Link {
@@ -539,7 +549,7 @@ impl ReplEngine {
         let mut report = TickReport::default();
         // Nothing in a tick creates or removes primary objects: list
         // them once for every step that walks them.
-        let objects = ms.store().object_names();
+        let objects = resolved_objects(ms.store());
         self.drain_up(vt, &mut report);
         self.fence_divergent(vt, ms, &objects, &mut report)?;
         self.repair(vt, ms);
@@ -694,13 +704,11 @@ impl ReplEngine {
         &mut self,
         vt: &mut Vt,
         ms: &mut MemSnap,
-        objects: &[String],
+        objects: &[(String, ObjectId)],
         report: &mut TickReport,
     ) -> Result<(), ReplError> {
-        for object in objects {
-            let Some(live) = ms.object_epoch(object) else {
-                continue;
-            };
+        for (object, id) in objects {
+            let live = ms.store().epoch(*id);
             let max_remote = self
                 .links
                 .iter()
@@ -850,7 +858,12 @@ impl ReplEngine {
         }
     }
 
-    fn refresh_lag(&mut self, ms: &MemSnap, objects: &[String], report: &mut TickReport) {
+    fn refresh_lag(
+        &mut self,
+        ms: &MemSnap,
+        objects: &[(String, ObjectId)],
+        report: &mut TickReport,
+    ) {
         let mut caught_up = true;
         for link in &mut self.links {
             if !link.known {
@@ -859,10 +872,8 @@ impl ReplEngine {
             }
             let mut lag_epochs = 0u64;
             let mut lag_bytes = 0u64;
-            for object in objects {
-                let Some(live) = ms.object_epoch(object) else {
-                    continue;
-                };
+            for (object, id) in objects {
+                let live = ms.store().epoch(*id);
                 let (remote, inflight) = link.ships.get(object).map_or((0, 0), |os| {
                     (os.remote, os.inflight.as_ref().map_or(0, Ship::wire_bytes))
                 });
@@ -1584,7 +1595,7 @@ mod tests {
 
                 // One tick by hand, to get between the send and the pump.
                 commit_noise(&mut ms, &mut vt, space, &r, 1, n);
-                let objects = ms.store().object_names();
+                let objects = resolved_objects(ms.store());
                 let mut report = TickReport::default();
                 eng.drain_up(&mut vt, &mut report);
                 eng.ship(&mut vt, &mut ms, &objects, &mut report).unwrap();

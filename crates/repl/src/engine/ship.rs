@@ -113,7 +113,7 @@ impl ReplEngine {
         &mut self,
         vt: &mut Vt,
         ms: &mut MemSnap,
-        objects: &[String],
+        objects: &[(String, ObjectId)],
         report: &mut TickReport,
     ) -> Result<(), ReplError> {
         for li in 0..self.links.len() {
@@ -129,12 +129,14 @@ impl ReplEngine {
                 .filter_map(|os| os.inflight.as_ref())
                 .map(Ship::wire_bytes)
                 .sum();
-            for object in objects {
-                let Some(live) = ms.object_epoch(object) else {
-                    continue;
-                };
+            for (object, id) in objects {
+                let (object, id) = (object.as_str(), *id);
+                let live = ms.store().epoch(id);
                 let link = &mut self.links[li];
-                let os = link.ships.entry(object.clone()).or_default();
+                if !link.ships.contains_key(object) {
+                    link.ships.insert(object.to_string(), ObjShip::default());
+                }
+                let os = link.ships.get_mut(object).expect("inserted above");
                 if os.inflight.is_some() || live <= os.remote {
                     continue;
                 }
@@ -161,7 +163,7 @@ impl ReplEngine {
                     _ => None,
                 };
                 let base = match recorded {
-                    None if !deep_lag => Self::choose_base(&self.owned, ms, object, os, live),
+                    None if !deep_lag => Self::choose_base(&self.owned, ms, object, id, os, live),
                     _ => None,
                 };
                 let base_epoch = match &recorded {
@@ -181,7 +183,6 @@ impl ReplEngine {
                 let dedup = Some(&mut os.dedup);
                 let stream = match &recorded {
                     Some((span, extents)) => {
-                        let id = store.lookup(object).ok_or(StoreError::NotFound)?;
                         // Ship only what is durable here: a replica must
                         // never run ahead of the primary's own device.
                         vt.wait_until(store.last_commit(id));
@@ -274,10 +275,10 @@ impl ReplEngine {
         owned: &[OwnedSnap],
         ms: &MemSnap,
         object: &str,
+        id: ObjectId,
         os: &ObjShip,
         target_epoch: Epoch,
     ) -> Option<(String, Epoch)> {
-        let id = ms.store().lookup(object)?;
         if !os.divergent {
             if os.remote == 0 {
                 return None;
