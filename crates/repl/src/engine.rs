@@ -29,7 +29,8 @@ use replica::Estimator;
 use ship::{send_ship, ObjShip, OwnedSnap, Ship};
 
 use crate::proto::{
-    ship_msg, unpack, Msg, ObjectStatus, MAX_NAK_SEQS, TAG_BEGIN, TAG_END, TAG_FRAME, TAG_PROBE,
+    ship_msg, unpack, Msg, ObjectStatus, MAX_NAK_SEQS, SHIP_MSG_HEAD, TAG_BEGIN, TAG_END,
+    TAG_FRAME, TAG_PROBE,
 };
 
 /// Tuning knobs of one [`ReplEngine`].
@@ -39,10 +40,11 @@ pub struct ReplConfig {
     /// which a link counts as throttled: [`TickReport::throttled`] tells
     /// the ingest path to stall until replicas catch up.
     pub max_lag_epochs: u64,
-    /// Virtual time without an answer before the primary probes a ship
-    /// with its `End` again: the initial value and the ceiling of the
-    /// per-link timer, which otherwise follows the link's measured
-    /// acknowledgement lag. Also paces the repair and cut re-sends.
+    /// Virtual time without an answer before the primary sends a ship's
+    /// tail-loss probe: the initial value and the ceiling of the
+    /// per-link probe timeout, which otherwise follows the link's
+    /// measured acknowledgement lag. Also paces the repair and cut
+    /// re-sends.
     pub retransmit_timeout: Nanos,
 }
 
@@ -160,7 +162,8 @@ pub struct LinkMetrics {
     pub lag_bytes: u64,
     /// Acknowledged ships.
     pub acks: u64,
-    /// Payload frames sent more than once (each named by a `Nak`).
+    /// Payload frames sent more than once (named by a `Nak`, or carried
+    /// by a tail-loss probe).
     pub retransmit_frames: u64,
     /// Ships that had to carry the full image (no usable delta base).
     pub full_syncs: u64,
@@ -378,7 +381,7 @@ struct Link {
     /// retransmit window (the announce itself may be lost).
     last_cut_sent: Option<(u64, Nanos)>,
     /// Acknowledgement lag of the ships never sent twice: the link's
-    /// round trip, apply included, which times its `End` probes.
+    /// round trip, apply included, which times its tail-loss probes.
     rtt: Estimator,
     meters: Meters,
     metrics: LinkMetrics,
@@ -830,28 +833,25 @@ impl ReplEngine {
                 }
                 link.last_hello = now;
             }
-            // RFC 6298 over the link's own acknowledgement lag, between
-            // twice its mean and the configured ceiling.
-            let ceiling = self.cfg.retransmit_timeout;
-            let floor = link.rtt.mean * 2;
-            let rto = link
-                .rtt
-                .bound()
-                .map_or(ceiling, |b| b.max(floor).min(ceiling));
+            let pto = link.rtt.probe_timeout(self.cfg.retransmit_timeout);
             for os in link.ships.values_mut() {
                 let Some(ship) = os.inflight.as_mut() else {
                     continue;
                 };
                 // Nak-driven: exactly the pieces the replica named, and
-                // the End. Timer: the End alone, a probe the replica
-                // answers with an Ack or with the Nak for what it lacks.
-                let (begin, missing) = match ship.wanted.take() {
-                    Some(wanted) => wanted,
-                    None if now.saturating_sub(ship.last_send) > rto => (false, Vec::new()),
+                // the End. Timer: a tail-loss probe — the ship's tail
+                // that fits one datagram, its End a probe the replica
+                // answers at once with an Ack or the Nak for what it lacks.
+                let (begin, seqs, probe) = match ship.wanted.take() {
+                    Some((begin, missing)) => (begin, missing, false),
+                    None if now.saturating_sub(ship.last_send) > pto => {
+                        let (begin, tail) = ship.tail();
+                        (begin, tail.collect(), true)
+                    }
                     None => continue,
                 };
                 link.metrics.retransmit_frames +=
-                    send_ship(&mut link.down, now, ship, begin, missing);
+                    send_ship(&mut link.down, now, ship, begin, seqs, probe);
                 ship.last_send = now;
                 ship.resent = true;
             }
@@ -1575,9 +1575,11 @@ mod tests {
     }
 
     /// One lost datagram costs one datagram: with each datagram of a ship
-    /// lost in turn — the `Begin`, each frame, the `End`, then the `Ack`
-    /// — the link converges having resent that datagram's messages and
-    /// `End`s (the closing one, the timer's probes), never the ship.
+    /// of whole-page frames lost in turn — the `Begin`, each frame, the
+    /// `End`, then the `Ack` — the link converges having resent that
+    /// datagram's messages, the closing `End` and at most one tail-loss
+    /// probe (a bare `End`: no whole-page frame fits its datagram), never
+    /// the ship.
     #[test]
     fn one_lost_datagram_is_resent_alone() {
         for n in [1u64, 3, 8] {
@@ -1633,6 +1635,117 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A packed one-datagram ship, then its `Ack`, lost in turn on a
+    /// jitter-free calm link: the timer fires once, one probe timeout
+    /// (the learned lag and a millisecond) after the send, and its
+    /// tail-loss probe — the whole ship again, one datagram — lands it
+    /// (or is acknowledged anew) with no `Nak` round after it.
+    #[test]
+    fn lost_packed_ship_or_its_ack_costs_one_probe() {
+        // Ticks in 100 µs steps until caught up, so the timer learns the
+        // link's own lag; returns how often the in-flight ship was resent
+        // (by the timer or a Nak) and when the link caught up.
+        let run = |eng: &mut ReplEngine, vt: &mut Vt, ms: &mut MemSnap, object: &str| {
+            let last_send = |eng: &ReplEngine| {
+                let os = eng.links[0].ships.get(object)?;
+                os.inflight.as_ref().map(|s| s.last_send)
+            };
+            let mut resends = 0;
+            for _ in 0..1000 {
+                vt.advance(Nanos::from_us(100));
+                let was = last_send(eng);
+                let report = eng.tick(vt, ms).unwrap();
+                resends += usize::from(last_send(eng).is_some_and(|at| Some(at) != was));
+                if report.caught_up {
+                    return (resends, vt.now());
+                }
+            }
+            panic!("not caught up")
+        };
+        for lose_ack in [false, true] {
+            let (mut ms, mut vt, space, r, object) = primary();
+            let mut eng = ReplEngine::new(ReplConfig::default());
+            let exact = NetConfig {
+                jitter: Nanos::ZERO,
+                ..NetConfig::calm(7)
+            };
+            eng.add_replica("r1", exact).unwrap();
+            commit(&mut ms, &mut vt, space, &r, 1);
+            run(&mut eng, &mut vt, &mut ms, &object);
+
+            let shipped = commit(&mut ms, &mut vt, space, &r, 2);
+            let objects = resolved_objects(ms.store());
+            let mut report = TickReport::default();
+            let before = *eng.links[0].down.stats();
+            eng.drain_up(&mut vt, &mut report);
+            eng.ship(&mut vt, &mut ms, &objects, &mut report).unwrap();
+            let (sent, sent_at) = (*eng.links[0].down.stats(), vt.now());
+            assert_eq!(sent.sent - before.sent, 1, "a packed ship: one datagram");
+            let gram = sent.bytes_sent - before.bytes_sent;
+            if lose_ack {
+                eng.pump_until(vt.now());
+                assert_eq!(eng.replica("r1").unwrap().epoch(&object), shipped);
+                let ack = lose(&mut eng.links[0].up, vt.now(), 0);
+                assert!(matches!(Msg::decode(&ack), Ok((Msg::Ack { .. }, _))));
+            } else {
+                lose(&mut eng.links[0].down, vt.now(), 0);
+            }
+            let pto = eng.links[0]
+                .rtt
+                .probe_timeout(eng.config().retransmit_timeout);
+            assert!(pto < Nanos::from_ms(2), "learned, not the ceiling: {pto:?}");
+            let (resends, done) = run(&mut eng, &mut vt, &mut ms, &object);
+            assert_eq!(
+                resends, 1,
+                "one timer fire, no Nak round: lose_ack {lose_ack}"
+            );
+            // One probe timeout, one round trip, two tick steps of slack.
+            let round = eng.links[0].rtt.mean;
+            let took = done - sent_at;
+            assert!(took <= pto + round + Nanos::from_us(200), "took {took:?}");
+            assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+            assert_eq!(
+                eng.link_metrics("r1").unwrap().acks,
+                3,
+                "lose_ack {lose_ack}"
+            );
+            let after = *eng.links[0].down.stats();
+            assert_eq!(
+                after.sent - sent.sent,
+                1,
+                "the probe alone: lose_ack {lose_ack}"
+            );
+            let resent = after.bytes_sent - sent.bytes_sent;
+            let end = (SHIP_MSG_HEAD + StreamTrailer::encoded_len()) as u64;
+            assert!(
+                resent <= gram + end,
+                "lose_ack {lose_ack}: resent {resent} bytes for a lost {gram}"
+            );
+        }
+    }
+
+    /// The probe timeout is RFC 9002's: the mean lag plus four deviations
+    /// or one millisecond, whichever is more, under the ceiling.
+    #[test]
+    fn probe_timeout_is_mean_plus_four_deviations_or_a_millisecond() {
+        let ceiling = Nanos::from_ms(20);
+        let mut steady = Estimator::default();
+        assert_eq!(steady.probe_timeout(ceiling), ceiling, "unsampled");
+        for _ in 0..64 {
+            steady.sample(Nanos::from_us(300));
+        }
+        assert_eq!(steady.probe_timeout(ceiling), Nanos::from_us(1300));
+
+        let mut spread = Estimator::default();
+        for i in 0..64 {
+            spread.sample(Nanos::from_ms(if i % 2 == 0 { 2 } else { 6 }));
+        }
+        let bound = spread.bound().unwrap();
+        assert!(bound > spread.mean + Nanos::from_ms(1), "{spread:?}");
+        assert_eq!(spread.probe_timeout(ceiling), bound);
+        assert_eq!(spread.probe_timeout(Nanos::from_ms(3)), Nanos::from_ms(3));
     }
 
     /// A calm link still jitters, so a ship's datagrams still arrive out

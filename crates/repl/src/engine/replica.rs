@@ -72,7 +72,24 @@ impl Estimator {
     pub(super) fn bound(&self) -> Option<Nanos> {
         (self.mean > Nanos::ZERO).then(|| self.mean + self.dev * 4)
     }
+
+    /// RFC 9002's probe timeout over these samples, `mean + max(4·dev,
+    /// GRANULARITY)`, at most `ceiling` (and `ceiling` unsampled). Its
+    /// `max_ack_delay` term is zero: a replica acknowledges a ship the
+    /// moment it lands.
+    pub(super) fn probe_timeout(&self, ceiling: Nanos) -> Nanos {
+        if self.mean == Nanos::ZERO {
+            return ceiling;
+        }
+        (self.mean + (self.dev * 4).max(GRANULARITY)).min(ceiling)
+    }
 }
+
+/// The least slack a probe timeout leaves above the mean lag (QUIC's
+/// kGranularity): a link whose lag barely varies — a busy LAN replica
+/// acks in ≈ 1 ms and rarely in more than 1.5× that — is not probed for
+/// a ship that is merely slow.
+const GRANULARITY: Nanos = Nanos::from_ms(1);
 
 /// One ship as a replica holds it while its datagrams arrive, in any
 /// order and any number of times: the header as an open

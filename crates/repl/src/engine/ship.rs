@@ -32,28 +32,42 @@ impl Ship {
     pub(super) fn wire_bytes(&self) -> u64 {
         self.stream.encoded_len() as u64
     }
+
+    /// What the timer's tail-loss probe carries besides its `End`: the
+    /// longest suffix of the ship that packs into one datagram with it —
+    /// frames taken from the back, and the `Begin` if every frame fit.
+    /// A lost one-datagram ship (or its lost `Ack`) is resent whole.
+    pub(super) fn tail(&self) -> (bool, std::ops::Range<u64>) {
+        let msg = |piece: usize| SHIP_MSG_HEAD + piece;
+        let mut room = DATAGRAM_BUDGET - msg(StreamTrailer::encoded_len());
+        let frames = &self.stream.frames;
+        let mut first = frames.len();
+        while first > 0 && msg(frames[first - 1].encoded_len()) <= room {
+            room -= msg(frames[first - 1].encoded_len());
+            first -= 1;
+        }
+        let begin = first == 0 && msg(self.stream.header.encoded_len()) <= room;
+        (begin, first as u64..frames.len() as u64)
+    }
 }
 
 /// Sends pieces of a ship down a link — the `Begin` if asked, the
-/// frames named, always the `End` (a probe when it is all there is) —
-/// encoded from the stream in place and packed back to back into
-/// datagrams of up to [`DATAGRAM_BUDGET`] bytes (a larger message travels
-/// alone). Returns the frames sent.
+/// frames named, always the `End` (under `TAG_PROBE` for the timer's
+/// probe) — encoded from the stream in place and packed back to back
+/// into datagrams of up to [`DATAGRAM_BUDGET`] bytes (a larger message
+/// travels alone). Returns the frames sent.
 pub(super) fn send_ship(
     down: &mut SimLink,
     now: Nanos,
     ship: &Ship,
     begin: bool,
     seqs: impl IntoIterator<Item = u64>,
+    probe: bool,
 ) -> u64 {
     let (id, stream) = (ship.id, &ship.stream);
     let frame = |seq: u64| stream.frames.get(usize::try_from(seq).ok()?);
     let frames: Vec<&Frame> = seqs.into_iter().filter_map(frame).collect();
-    let end = if begin || !frames.is_empty() {
-        TAG_END
-    } else {
-        TAG_PROBE
-    };
+    let end = if probe { TAG_PROBE } else { TAG_END };
     let msgs = begin
         .then(|| ship_msg(TAG_BEGIN, id, &stream.header.encode()))
         .into_iter()
@@ -221,7 +235,7 @@ impl ReplEngine {
                 };
                 self.next_ship += 1;
                 let frames = ship.stream.frames.len() as u64;
-                send_ship(&mut link.down, now, &ship, true, 0..frames);
+                send_ship(&mut link.down, now, &ship, true, 0..frames, false);
                 inflight_bytes += ship.wire_bytes();
                 os.inflight = Some(ship);
                 report.ships_started += 1;

@@ -31,10 +31,12 @@
 //! link — earns a `Nak` naming exactly the missing pieces, and the
 //! primary resends exactly those (**selective repeat**). A silent loss
 //! (the `End`, the `Ack`, a whole packed ship) is covered by the
-//! primary's timer — RFC 6298 over the link's own acknowledgement lag,
-//! never above [`ReplConfig::retransmit_timeout`] — which sends the
-//! `End` alone as a probe; the replica answers it at once with the `Ack`
-//! or the `Nak`. Duplicates, late and early pieces are harmless by
+//! primary's timer — RFC 9002's probe timeout over the link's own
+//! acknowledgement lag, never above [`ReplConfig::retransmit_timeout`] —
+//! which sends a **tail-loss probe**: as much of the ship's tail as fits
+//! one datagram with its `End` (a packed ship whole), the `End` marked
+//! as a probe so the replica answers it at once with the `Ack` or the
+//! `Nak`. Duplicates, late and early pieces are harmless by
 //! construction (DESIGN.md §6e lists what each does).
 //!
 //! A sparse subset of ships are **anchor ships** — full images,

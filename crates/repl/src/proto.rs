@@ -187,11 +187,14 @@ where
     Ok(piece)
 }
 
+/// Bytes a ship message adds to its piece: the tag and the ship id.
+pub(crate) const SHIP_MSG_HEAD: usize = 16;
+
 /// A ship message — `tag`, the ship, one `msnap-snap` wire piece —
 /// encoded from borrowed parts: a ship goes out straight from its
 /// stream, never through an owned [`Msg`].
 pub(crate) fn ship_msg(tag: u64, ship: u64, piece: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + piece.len());
+    let mut out = Vec::with_capacity(SHIP_MSG_HEAD + piece.len());
     put_u64(&mut out, tag);
     put_u64(&mut out, ship);
     out.extend_from_slice(piece);
