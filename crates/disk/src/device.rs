@@ -490,17 +490,6 @@ impl Disk {
         Ok(())
     }
 
-    /// Reads one block at `now` without blocking a thread: the one-block
-    /// case of [`Disk::try_readv_at`].
-    pub fn try_read_block_at(
-        &mut self,
-        now: Nanos,
-        block: u64,
-        out: &mut [u8],
-    ) -> Result<Nanos, IoError> {
-        self.try_readv_at(now, &mut [(block, out)])
-    }
-
     /// Synchronous single-block read: the one-block case of
     /// [`Disk::try_readv`].
     pub fn try_read_block(
@@ -697,14 +686,14 @@ mod tests {
         let at = one_io + Nanos::from_us(1);
         disk.crash(at);
         let mut out = vec![0u8; BLOCK_SIZE];
-        let done = disk.try_read_block_at(at, 1, &mut out).unwrap();
+        let done = disk.try_readv_at(at, &mut [(1, &mut out)]).unwrap();
         assert_eq!(
             done,
             at + one_io,
             "the read does not queue behind lost writes"
         );
         assert_eq!(out, block_of(2));
-        disk.try_read_block_at(at, 2, &mut out).unwrap();
+        disk.try_readv_at(at, &mut [(2, &mut out)]).unwrap();
         assert_eq!(out, block_of(0), "the third write never happened");
         // The queue-depth model forgot them too.
         disk.write_block_at(at, 9, &block_of(9)).unwrap();
@@ -864,11 +853,14 @@ mod tests {
         let mut disk = Disk::new(DiskConfig::paper());
         let (done, _) = readv(&mut disk, Nanos::ZERO, &[3]).unwrap();
         assert_eq!(done, disk.config().segment_latency(BLOCK_SIZE));
-        // ... and so is the single-block entry point.
+        // ... and so is one submitted later, on an idle device.
         let mut out = vec![0u8; BLOCK_SIZE];
         let at = Nanos::from_secs(1);
         let qd1 = disk.config().segment_latency(BLOCK_SIZE);
-        assert_eq!(disk.try_read_block_at(at, 3, &mut out).unwrap(), at + qd1);
+        assert_eq!(
+            disk.try_readv_at(at, &mut [(3, &mut out)]).unwrap(),
+            at + qd1
+        );
         assert_eq!(disk.stats().reads(), 2);
         assert_eq!(disk.stats().read_submissions(), 2);
     }
@@ -994,7 +986,8 @@ mod tests {
     fn unwritten_blocks_read_zero() {
         let mut disk = Disk::new(DiskConfig::fast());
         let mut out = vec![1u8; BLOCK_SIZE];
-        disk.try_read_block_at(Nanos::ZERO, 999, &mut out).unwrap();
+        disk.try_readv_at(Nanos::ZERO, &mut [(999, &mut out)])
+            .unwrap();
         assert!(out.iter().all(|&b| b == 0));
     }
 

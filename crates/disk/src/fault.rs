@@ -161,18 +161,6 @@ impl FaultProfile {
             latency_spike: 0.03,
         }
     }
-
-    /// Transient drops and latency spikes only — every fault is
-    /// recoverable by retrying, so workloads should complete.
-    pub fn transient_only() -> Self {
-        FaultProfile {
-            torn: 0.0,
-            bit_flip: 0.0,
-            drop: 0.05,
-            transient_fraction: 1.0,
-            latency_spike: 0.05,
-        }
-    }
 }
 
 /// A deterministic schedule of faults, keyed by write-submission index.
@@ -422,7 +410,16 @@ mod tests {
 
     #[test]
     fn transient_only_profile_never_loses_data() {
-        let plan = FaultPlan::seeded(1, 2_000, &FaultProfile::transient_only());
+        // Transient drops and latency spikes only: every fault is
+        // recoverable by retrying.
+        let profile = FaultProfile {
+            torn: 0.0,
+            bit_flip: 0.0,
+            drop: 0.05,
+            transient_fraction: 1.0,
+            latency_spike: 0.05,
+        };
+        let plan = FaultPlan::seeded(1, 2_000, &profile);
         for io in 0..2_000 {
             match plan.fault_for(io) {
                 None | Some(Fault::LatencySpike { .. }) | Some(Fault::Drop { transient: true }) => {

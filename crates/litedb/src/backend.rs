@@ -70,30 +70,6 @@ pub trait Backend {
     /// transaction is aborted, not partially durable.
     fn commit(&mut self, vt: &mut Vt, thread: VthreadId) -> Result<(), CommitError>;
 
-    /// Initiates a commit without waiting for durability; pair with
-    /// [`Backend::sync`]. The paper's `MS_ASYNC` usage: "MemSnap's
-    /// asynchronous mode lets a thread unlock the data in memory after
-    /// msnap_persist to unblock other transactions". Backends without an
-    /// asynchronous path (the WAL baseline) fall back to a synchronous
-    /// commit.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Backend::commit`].
-    fn commit_async(&mut self, vt: &mut Vt, thread: VthreadId) -> Result<(), CommitError> {
-        self.commit(vt, thread)
-    }
-
-    /// Blocks until every initiated commit is durable.
-    ///
-    /// # Errors
-    ///
-    /// [`CommitError`] when a previously initiated commit turns out to
-    /// have failed (the fsync-gate report of an asynchronous abort).
-    fn sync(&mut self, _vt: &mut Vt) -> Result<(), CommitError> {
-        Ok(())
-    }
-
     /// Enqueues `thread`'s writes into a cross-thread group commit and
     /// returns a ticket for [`Backend::commit_poll`], or `None` if the
     /// backend committed durably right here (the default for backends

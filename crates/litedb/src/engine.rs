@@ -151,40 +151,6 @@ impl LiteDb {
         result
     }
 
-    /// Commits asynchronously (`MS_ASYNC`): the μCheckpoint IO is
-    /// initiated and the write lock released immediately, unblocking the
-    /// next transaction while the previous one drains — the paper's
-    /// "asynchronous mode lets a thread unlock the data in memory after
-    /// msnap_persist". Call [`LiteDb::sync`] before acknowledging.
-    ///
-    /// # Errors
-    ///
-    /// As for [`LiteDb::commit`]; the lock is released either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thread` does not hold the write lock.
-    pub fn commit_nosync(&mut self, vt: &mut Vt, thread: VthreadId) -> Result<(), CommitError> {
-        assert_eq!(
-            self.writer_thread,
-            Some(thread),
-            "commit outside a transaction"
-        );
-        let result = self.backend.commit_async(vt, thread);
-        self.writer_thread = None;
-        self.writer.unlock(vt);
-        result
-    }
-
-    /// Blocks until every asynchronously committed transaction is durable.
-    ///
-    /// # Errors
-    ///
-    /// [`CommitError`] when an initiated commit turns out to have failed.
-    pub fn sync(&mut self, vt: &mut Vt) -> Result<(), CommitError> {
-        self.backend.sync(vt)
-    }
-
     /// Enqueues the transaction into a cross-thread group commit and
     /// releases the write lock *immediately* — this is what lets several
     /// threads' transactions land in the same coalescing window: the next
@@ -400,84 +366,6 @@ mod tests {
         let scan = db.scan_from(&mut vt, t, 90, 100);
         assert_eq!(scan.len(), 10);
         assert_eq!(scan[0].0, 90);
-    }
-
-    #[test]
-    fn async_commits_pipeline_and_remain_durable() {
-        // Back-to-back transactions with MS_ASYNC overlap their IO; a
-        // final sync makes everything durable.
-        let lat = |nosync: bool| {
-            let mut vt = Vt::new(0);
-            let mut db = memsnap_db(&mut vt);
-            let t = db.create_table(&mut vt, "kv");
-            let thread = vt.id();
-            let t0 = vt.now();
-            for i in 0..16u64 {
-                db.begin(&mut vt, thread);
-                db.put(&mut vt, thread, t, i, &[i as u8; 128]);
-                if nosync {
-                    db.commit_nosync(&mut vt, thread).unwrap();
-                } else {
-                    db.commit(&mut vt, thread).unwrap();
-                }
-            }
-            db.sync(&mut vt).unwrap();
-            (vt.now() - t0, db)
-        };
-        let (async_time, mut db) = lat(true);
-        let (sync_time, _) = lat(false);
-        assert!(
-            async_time < sync_time,
-            "pipelined {async_time} should beat serialized {sync_time}"
-        );
-        // Everything is durable after sync.
-        let mut vt = Vt::new(2);
-        let table = db.create_table(&mut vt, "kv");
-        for i in 0..16u64 {
-            assert_eq!(db.get(&mut vt, table, i), Some(vec![i as u8; 128]));
-        }
-    }
-
-    #[test]
-    fn async_commit_without_sync_may_lose_tail_but_stays_prefix() {
-        let mut vt = Vt::new(0);
-        let backend = MemSnapBackend::format_with_capacity(
-            Disk::new(DiskConfig::paper()),
-            "t.db",
-            4096,
-            &mut vt,
-        );
-        let mut db = LiteDb::new(Box::new(backend), &mut vt);
-        let t = db.create_table(&mut vt, "kv");
-        let thread = vt.id();
-        for i in 0..8u64 {
-            db.begin(&mut vt, thread);
-            db.put(&mut vt, thread, t, i, &i.to_le_bytes());
-            db.commit_nosync(&mut vt, thread).unwrap();
-        }
-        // Crash immediately: some tail of async commits may be lost, but
-        // recovery must be a *prefix* (μCheckpoints are ordered).
-        let crash_at = vt.now();
-        let backend = db
-            .into_backend()
-            .into_any()
-            .downcast::<MemSnapBackend>()
-            .expect("memsnap backend");
-        let disk = backend.crash(crash_at);
-        let mut vt2 = Vt::new(1);
-        let restored = MemSnapBackend::restore(disk, "t.db", &mut vt2);
-        let mut db2 = LiteDb::new(Box::new(restored), &mut vt2);
-        let t2 = db2.create_table(&mut vt2, "kv");
-        let mut seen_missing = false;
-        for i in 0..8u64 {
-            match db2.get(&mut vt2, t2, i) {
-                Some(v) => {
-                    assert!(!seen_missing, "hole in the committed prefix at key {i}");
-                    assert_eq!(v, i.to_le_bytes().to_vec());
-                }
-                None => seen_missing = true,
-            }
-        }
     }
 
     #[test]

@@ -24,8 +24,6 @@ pub struct MemSnapBackend {
     space: AsId,
     region: RegionHandle,
     stats: BackendStats,
-    /// Epoch of the most recent asynchronous commit (for `sync`).
-    pending_epoch: Option<memsnap::Epoch>,
 }
 
 impl MemSnapBackend {
@@ -54,7 +52,6 @@ impl MemSnapBackend {
             space,
             region,
             stats: BackendStats::default(),
-            pending_epoch: None,
         }
     }
 
@@ -86,7 +83,6 @@ impl MemSnapBackend {
             space,
             region,
             stats: BackendStats::default(),
-            pending_epoch: None,
         })
     }
 
@@ -176,26 +172,6 @@ impl Backend for MemSnapBackend {
             PersistFlags::sync(),
         )?;
         self.stats.commits += 1;
-        Ok(())
-    }
-
-    fn commit_async(&mut self, vt: &mut Vt, thread: VthreadId) -> Result<(), CommitError> {
-        let epoch = self.ms.msnap_persist(
-            vt,
-            thread,
-            RegionSel::Region(self.region.md),
-            PersistFlags::async_(),
-        )?;
-        self.pending_epoch = Some(epoch);
-        self.stats.commits += 1;
-        Ok(())
-    }
-
-    fn sync(&mut self, vt: &mut Vt) -> Result<(), CommitError> {
-        if let Some(epoch) = self.pending_epoch.take() {
-            self.ms
-                .msnap_wait(vt, RegionSel::Region(self.region.md), epoch)?;
-        }
         Ok(())
     }
 

@@ -536,14 +536,6 @@ pub fn encode_request(r: &Request) -> Vec<u8> {
     out
 }
 
-/// Encodes one response as a single frame (standalone datagram).
-pub fn encode_response(r: &Response) -> Vec<u8> {
-    let body = response_body(r);
-    let mut out = Vec::with_capacity(FRAME_HEADER + body.len());
-    frame(&mut out, &body);
-    out
-}
-
 /// Appends one response frame to a datagram under assembly (the
 /// server's per-connection round batch).
 pub fn append_response(out: &mut Vec<u8>, r: &Response) {
@@ -932,7 +924,8 @@ mod tests {
     fn responses_round_trip_including_batches() {
         let all = sample_responses();
         for r in &all {
-            let dg = encode_response(r);
+            let mut dg = Vec::new();
+            append_response(&mut dg, r);
             assert_eq!(decode_responses(&dg).unwrap(), vec![r.clone()]);
         }
         // One datagram carrying every frame, length-prefix framed.
@@ -1019,7 +1012,8 @@ mod tests {
         }
         // Mutated valid frames: single-byte flips anywhere must either
         // fail the checksum or still parse to *something*, never panic.
-        let dg = encode_response(&sample_responses()[8].clone());
+        let mut dg = Vec::new();
+        append_response(&mut dg, &sample_responses()[8]);
         for i in 0..dg.len() {
             let mut m = dg.clone();
             m[i] ^= 0x40;

@@ -50,13 +50,6 @@ impl Nanos {
         Nanos(s * 1_000_000_000)
     }
 
-    /// Creates a duration from a fractional count of microseconds.
-    ///
-    /// Negative inputs saturate to zero.
-    pub fn from_us_f64(us: f64) -> Self {
-        Nanos((us * 1_000.0).max(0.0).round() as u64)
-    }
-
     /// Raw nanosecond count.
     pub const fn as_ns(self) -> u64 {
         self.0
@@ -164,8 +157,6 @@ mod tests {
         assert_eq!(Nanos::from_us(7).as_ns(), 7_000);
         assert_eq!(Nanos::from_ms(3).as_ns(), 3_000_000);
         assert_eq!(Nanos::from_secs(2).as_ns(), 2_000_000_000);
-        assert_eq!(Nanos::from_us_f64(1.5).as_ns(), 1_500);
-        assert_eq!(Nanos::from_us_f64(-4.0), Nanos::ZERO);
     }
 
     #[test]

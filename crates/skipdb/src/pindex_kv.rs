@@ -305,6 +305,28 @@ mod tests {
     }
 
     #[test]
+    fn multi_put_of_a_full_descriptor_ring_commits_and_reads_back() {
+        let (mut kv, mut vt) = fresh(1);
+        let pairs: Vec<(u64, Vec<u8>)> = (0..LOG_ENTRIES as u64)
+            .map(|k| (k, k.to_le_bytes().to_vec()))
+            .collect();
+        kv.multi_put(&mut vt, &pairs).unwrap();
+        assert_eq!(kv.stats().commits, 1);
+        assert_eq!(kv.len(), LOG_ENTRIES);
+        for (k, v) in &pairs {
+            assert_eq!(kv.get(&mut vt, *k).as_ref(), Some(v));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "descriptor ring")]
+    fn multi_put_past_the_descriptor_ring_fails_closed() {
+        let (mut kv, mut vt) = fresh(1);
+        let pairs: Vec<(u64, Vec<u8>)> = (0..=LOG_ENTRIES as u64).map(|k| (k, vec![1])).collect();
+        let _ = kv.multi_put(&mut vt, &pairs);
+    }
+
+    #[test]
     fn concurrent_batches_land_atomically_and_completely() {
         let writers = 4u32;
         let (mut kv, mut vt0) = fresh(writers);

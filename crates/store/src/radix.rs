@@ -465,21 +465,6 @@ impl RadixTree {
         std::mem::take(&mut self.freed)
     }
 
-    /// Number of dirty (uncommitted) nodes. Unloaded subtrees are clean
-    /// by construction.
-    pub fn dirty_nodes(&self) -> usize {
-        fn count(child: &Child) -> usize {
-            match child {
-                Child::Node(n) => {
-                    let own = usize::from(n.disk_block.is_none());
-                    own + n.children.iter().map(count).sum::<usize>()
-                }
-                _ => 0,
-            }
-        }
-        count(&self.root)
-    }
-
     /// Number of unloaded (non-resident) subtree roots — a hydration-state
     /// probe for tests and benches.
     pub fn unloaded_nodes(&self) -> usize {
@@ -799,6 +784,21 @@ mod tests {
         entries.into_iter().map(|(p, b, _)| (p, b)).collect()
     }
 
+    /// Number of dirty (uncommitted) nodes of `t`. Unloaded subtrees are
+    /// clean by construction.
+    fn dirty_nodes(t: &RadixTree) -> usize {
+        fn count(child: &Child) -> usize {
+            match child {
+                Child::Node(n) => {
+                    let own = usize::from(n.disk_block.is_none());
+                    own + n.children.iter().map(count).sum::<usize>()
+                }
+                _ => 0,
+            }
+        }
+        count(&t.root)
+    }
+
     /// [`RadixTree::diff_pages_with`] of two resident trees.
     fn diff(base: &mut RadixTree, target: &mut RadixTree) -> Vec<(u64, u64)> {
         RadixTree::diff_pages_with(Some(base), target, &mut no_read).unwrap()
@@ -850,7 +850,7 @@ mod tests {
             &mut writes,
         );
         assert_ne!(root, 0);
-        assert_eq!(t.dirty_nodes(), 0);
+        assert_eq!(dirty_nodes(&t), 0);
 
         let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
         let mut loaded =
@@ -919,7 +919,7 @@ mod tests {
     fn dirty_nodes_counts_paths() {
         let mut t = RadixTree::new();
         t.set_entry(0, 100, 1);
-        assert_eq!(t.dirty_nodes(), LEVELS);
+        assert_eq!(dirty_nodes(&t), LEVELS);
     }
 
     /// A committed resident tree mapping each page to its block, with the
@@ -1032,7 +1032,7 @@ mod tests {
         a.set_entry(0, 200, 200);
         assert_eq!(a.get(0), Some(200));
         assert_eq!(b.get(0), Some(100));
-        assert_eq!(b.dirty_nodes(), 0, "clone must stay clean");
+        assert_eq!(dirty_nodes(&b), 0, "clone must stay clean");
         // Untouched subtree still shared: diff sees only the change.
         assert_eq!(b.get(513), Some(101));
     }
@@ -1054,8 +1054,8 @@ mod tests {
             },
             &mut writes,
         );
-        assert_eq!(t.dirty_nodes(), 0);
-        assert_eq!(snapshot.dirty_nodes(), LEVELS, "snapshot must stay dirty");
+        assert_eq!(dirty_nodes(&t), 0);
+        assert_eq!(dirty_nodes(&snapshot), LEVELS, "snapshot must stay dirty");
         assert_eq!(snapshot.get(0), Some(200));
     }
 
@@ -1093,7 +1093,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(lazy.set_entry(0, 999, 999), Some(100));
-        assert_eq!(lazy.dirty_nodes(), LEVELS);
+        assert_eq!(dirty_nodes(&lazy), LEVELS);
         assert_eq!(lazy.take_freed().len(), LEVELS, "superseded path recycled");
     }
 
@@ -1108,7 +1108,7 @@ mod tests {
             })
         });
         assert!(err.is_err());
-        assert_eq!(lazy.dirty_nodes(), 0, "failure must not dirty anything");
+        assert_eq!(dirty_nodes(&lazy), 0, "failure must not dirty anything");
         // Retry with a working device succeeds from the same state.
         let got = lazy
             .get_entry_or_load(0, &mut |b, out| {
@@ -1343,7 +1343,7 @@ mod tests {
         // Pick a leaf-level node (last in parents-before-children order).
         let (victim, _) = *nodes.last().unwrap();
         assert!(t.dirty_committed_node(victim));
-        assert!(t.dirty_nodes() >= 2, "victim and its ancestors are dirty");
+        assert!(dirty_nodes(&t) >= 2, "victim and its ancestors are dirty");
         let freed = t.take_freed();
         assert!(
             !freed.contains(&victim),

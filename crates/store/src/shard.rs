@@ -92,11 +92,6 @@ impl ExtentBroker {
         self.next = end;
         Some(range)
     }
-
-    /// First block the broker has not yet granted.
-    pub fn next_block(&self) -> u64 {
-        self.next
-    }
 }
 
 /// A named cross-shard consistency point: per-shard epoch sums
@@ -1115,6 +1110,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "shard_count must be in")]
+    fn format_refuses_zero_shards() {
+        let mut disk = Disk::new(DiskConfig::paper());
+        ObjectStore::format_sharded(&mut disk, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard_count must be in")]
+    fn format_refuses_more_than_max_shards() {
+        let mut disk = Disk::new(DiskConfig::paper());
+        ObjectStore::format_sharded(&mut disk, MAX_SHARDS + 1);
+    }
+
+    #[test]
     fn commit_straddling_an_extent_boundary_costs_the_same() {
         // Identical delta commits; some of them exhaust the shard's
         // granted range and are re-run by `with_grants` after a broker
@@ -1132,7 +1141,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, p)| (round * 3 + i as u64, &p[..]))
                 .collect();
-            let (t0, s0, b0) = (vt.now(), store.stats(), store.broker.next_block());
+            let (t0, s0, b0) = (vt.now(), store.stats(), store.broker.next);
             let tok = store.persist(&mut vt, &mut disk, obj, &iov).unwrap();
             let (dt, s1) = (vt.now() - t0, store.stats());
             ObjectStore::wait(&mut vt, tok);
@@ -1143,7 +1152,7 @@ mod tests {
             if s1.delta_commits == s0.delta_commits {
                 continue; // the periodic full root does different work
             }
-            straddles += u32::from(store.broker.next_block() != b0);
+            straddles += u32::from(store.broker.next != b0);
             costs.insert((
                 dt,
                 s1.commits - s0.commits,
@@ -1175,11 +1184,11 @@ mod tests {
         let pages: Vec<(u64, &[u8])> = (0..150).map(|i| (i, &page[..])).collect();
         let mut grants = 0;
         for round in 1..=8u64 {
-            let (b0, commits) = (store.broker.next_block(), store.stats().commits);
+            let (b0, commits) = (store.broker.next, store.stats().commits);
             let tokens = store
                 .persist_batch(&mut vt, &mut disk, &[(a, &pages), (b, &pages)])
                 .unwrap();
-            grants += u32::from(store.broker.next_block() != b0);
+            grants += u32::from(store.broker.next != b0);
             assert_eq!(
                 tokens.iter().map(|t| t.epoch).collect::<Vec<_>>(),
                 [round, round]

@@ -198,6 +198,11 @@ pub struct Vm {
     /// seeded fault-plan replays iterate threads deterministically.
     threads: BTreeMap<VthreadId, Vec<DirtyPage>>,
     stats: VmStats,
+    /// Isolation checking: a write to a page already dirtied by a
+    /// *different* thread (and not yet flushed) panics. Off on every
+    /// program path; the unit test
+    /// `strict_isolation_catches_cross_thread_dirty` turns it on to check
+    /// the paper's property ③.
     strict_isolation: bool,
 }
 
@@ -224,13 +229,6 @@ impl Vm {
             stats: VmStats::default(),
             strict_isolation: false,
         }
-    }
-
-    /// Enables isolation checking: a write to a page already dirtied by a
-    /// *different* thread (and not yet flushed) panics. Used by tests to
-    /// verify the paper's property ③ in the database integrations.
-    pub fn set_strict_isolation(&mut self, strict: bool) {
-        self.strict_isolation = strict;
     }
 
     /// Fault and maintenance counters.
@@ -882,7 +880,7 @@ mod tests {
     #[test]
     fn strict_isolation_catches_cross_thread_dirty() {
         let (mut vm, mut vt, space, _) = setup(4);
-        vm.set_strict_isolation(true);
+        vm.strict_isolation = true;
         vm.write(&mut vt, space, VthreadId(0), VA, &[1]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             vm.write(&mut vt, space, VthreadId(1), VA, &[2]);

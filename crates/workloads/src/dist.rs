@@ -208,11 +208,6 @@ impl ContendedWriters {
         start..start + self.tail_keys
     }
 
-    /// Whether a key lies in the shared contended range.
-    pub fn is_hot(&self, key: u64) -> bool {
-        key < self.hot_keys
-    }
-
     /// Which thread's private tail a key belongs to (`None` for hot or
     /// out-of-domain keys).
     pub fn owner(&self, key: u64) -> Option<usize> {
@@ -398,7 +393,7 @@ mod tests {
                 let t = i % threads;
                 let key = d.sample(t, &mut rng);
                 prop_assert!(key < d.domain(), "key {} out of domain", key);
-                if !d.is_hot(key) {
+                if key >= d.hot_keys {
                     prop_assert_eq!(d.owner(key), Some(t), "tail not private");
                     prop_assert!(d.tail_range(t).contains(&key));
                 }
@@ -416,7 +411,7 @@ mod tests {
             let mut head = 0u64;
             for i in 0..samples {
                 let key = d.sample(i as usize % 8, &mut rng);
-                if d.is_hot(key) {
+                if key < d.hot_keys {
                     hot += 1;
                     if key < 13 {
                         head += 1; // top ~10% of the hot range

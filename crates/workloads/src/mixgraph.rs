@@ -8,8 +8,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::dist::BoundedPareto;
 
-/// Key size: 48 bytes (paper: "48-byte keys").
-pub const KEY_SIZE: usize = 48;
 /// Value size: 100 bytes (paper: "100-byte value pairs").
 pub const VALUE_SIZE: usize = 100;
 
@@ -25,13 +23,6 @@ pub enum MixOp {
 }
 
 impl MixOp {
-    /// The 48-byte key encoding for a key id.
-    pub fn key_bytes(key: u64) -> [u8; KEY_SIZE] {
-        let mut k = [0u8; KEY_SIZE];
-        k[..8].copy_from_slice(&key.to_be_bytes());
-        k
-    }
-
     /// The 100-byte value for a key (deterministic).
     pub fn value_bytes(key: u64) -> [u8; VALUE_SIZE] {
         let mut v = [0u8; VALUE_SIZE];
@@ -129,10 +120,7 @@ mod tests {
     }
 
     #[test]
-    fn keys_and_values_encode() {
-        let k = MixOp::key_bytes(7);
-        assert_eq!(k.len(), KEY_SIZE);
-        assert_eq!(&k[..8], &7u64.to_be_bytes());
+    fn values_differ_per_key() {
         assert_ne!(MixOp::value_bytes(1), MixOp::value_bytes(2));
     }
 

@@ -53,17 +53,6 @@ pub enum TatpTxn {
 }
 
 impl TatpTxn {
-    /// Whether the transaction writes (must commit durably).
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            TatpTxn::UpdateSubscriberData { .. }
-                | TatpTxn::UpdateLocation { .. }
-                | TatpTxn::InsertCallForwarding { .. }
-                | TatpTxn::DeleteCallForwarding { .. }
-        )
-    }
-
     /// The subscriber the transaction touches.
     pub fn sid(&self) -> u64 {
         match self {
@@ -154,7 +143,17 @@ mod tests {
     fn mix_is_80_20() {
         let mut g = Tatp::new(100_000, 11);
         let n = 50_000;
-        let writes = (0..n).filter(|_| g.next_txn().is_write()).count();
+        let writes = (0..n)
+            .filter(|_| {
+                matches!(
+                    g.next_txn(),
+                    TatpTxn::UpdateSubscriberData { .. }
+                        | TatpTxn::UpdateLocation { .. }
+                        | TatpTxn::InsertCallForwarding { .. }
+                        | TatpTxn::DeleteCallForwarding { .. }
+                )
+            })
+            .count();
         let pct = writes as f64 / n as f64 * 100.0;
         assert!((pct - 20.0).abs() < 1.5, "write mix {pct:.1}%");
     }
