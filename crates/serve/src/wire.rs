@@ -4,7 +4,7 @@
 //! A datagram carries one or more *frames*; each frame is
 //!
 //! ```text
-//! [body_len: u32 LE][fnv1a(body): u64 LE][body]
+//! [body_len: varint][fnv1a(body): u64 LE][body]
 //! ```
 //!
 //! and each body is one tagged [`Request`] or [`Response`]. Batching
@@ -15,11 +15,18 @@
 //! link is lossy, not corrupting — a bad checksum means an encoder bug,
 //! so it is surfaced, not skipped).
 //!
-//! Every multi-byte integer is little-endian. Strings carry a `u16`
-//! length, values a `u16` length, vectors a `u32` element count; all
-//! lengths are validated against the remaining body before allocation.
+//! Every integer in a body — ids, keys, epochs, counters, and the
+//! lengths of strings, values and vectors — is an unsigned LEB128
+//! varint ([`msnap_sim::wire`]), so a field costs its significant bytes:
+//! a key under 128 is one byte. Each value has one accepted spelling, the
+//! shortest; a padded or over-64-bit varint is [`WireError::NonCanonical`]
+//! even under a valid checksum. Tags, the error code and the two flags of
+//! a `GetOk` are single bytes, and a flag is 0 or 1. The frame checksum
+//! is the one fixed-width field. A declared count is checked against the
+//! smallest encoding of that many elements in the rest of the body
+//! before anything is allocated.
 
-use msnap_sim::wire::{put_u16, put_u32, put_u64, Reader, Short};
+use msnap_sim::wire::{put_u64, put_varint, Reader, Short, VarintError, MAX_VARINT_BYTES};
 use msnap_store::fnv1a;
 
 /// Hard cap on one stored value; a slot is 64 bytes with 2 bytes of
@@ -29,8 +36,8 @@ pub const MAX_VALUE_BYTES: usize = 62;
 /// Hard cap on a tenant name on the wire.
 pub const MAX_TENANT_BYTES: usize = 128;
 
-/// Frame header bytes (length prefix + checksum).
-pub const FRAME_HEADER: usize = 4 + 8;
+/// The most bytes a frame header takes: a varint length and the checksum.
+const MAX_FRAME_HEADER: usize = MAX_VARINT_BYTES + 8;
 
 /// Typed decode failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +53,9 @@ pub enum WireError {
     BadLength,
     /// A tenant name is not valid UTF-8.
     BadString,
+    /// A varint that is not its value's shortest spelling, or is over
+    /// 64 bits.
+    NonCanonical,
 }
 
 impl std::fmt::Display for WireError {
@@ -56,6 +66,7 @@ impl std::fmt::Display for WireError {
             WireError::BadTag(t) => write!(f, "unknown message tag {t:#04x}"),
             WireError::BadLength => f.write_str("length field out of bounds"),
             WireError::BadString => f.write_str("invalid UTF-8 in string field"),
+            WireError::NonCanonical => f.write_str("varint not in its shortest spelling"),
         }
     }
 }
@@ -318,18 +329,21 @@ pub enum Response {
 
 // ---- encoding ----------------------------------------------------------
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u16(buf, s.len() as u16);
-    buf.extend_from_slice(s.as_bytes());
-}
-fn put_val(buf: &mut Vec<u8>, v: &[u8]) {
-    put_u16(buf, v.len() as u16);
+/// A string or value: its length, then its bytes.
+fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
+    put_varint(buf, v.len() as u64);
     buf.extend_from_slice(v);
+}
+
+fn put_varints(buf: &mut Vec<u8>, vs: &[u64]) {
+    for &v in vs {
+        put_varint(buf, v);
+    }
 }
 
 /// Appends one framed message body to `out`.
 fn frame(out: &mut Vec<u8>, body: &[u8]) {
-    put_u32(out, body.len() as u32);
+    put_varint(out, body.len() as u64);
     put_u64(out, fnv1a(body));
     out.extend_from_slice(body);
 }
@@ -339,7 +353,7 @@ fn request_body(r: &Request) -> Vec<u8> {
     match r {
         Request::Hello { staleness } => {
             b.push(0x01);
-            put_u64(&mut b, *staleness);
+            put_varint(&mut b, *staleness);
         }
         Request::Put {
             session,
@@ -349,11 +363,10 @@ fn request_body(r: &Request) -> Vec<u8> {
             value,
         } => {
             b.push(0x02);
-            put_u64(&mut b, *session);
-            put_u64(&mut b, *req);
-            put_str(&mut b, tenant);
-            put_u64(&mut b, *key);
-            put_val(&mut b, value);
+            put_varints(&mut b, &[*session, *req]);
+            put_bytes(&mut b, tenant.as_bytes());
+            put_varint(&mut b, *key);
+            put_bytes(&mut b, value);
         }
         Request::Get {
             session,
@@ -362,10 +375,9 @@ fn request_body(r: &Request) -> Vec<u8> {
             key,
         } => {
             b.push(0x03);
-            put_u64(&mut b, *session);
-            put_u64(&mut b, *req);
-            put_str(&mut b, tenant);
-            put_u64(&mut b, *key);
+            put_varints(&mut b, &[*session, *req]);
+            put_bytes(&mut b, tenant.as_bytes());
+            put_varint(&mut b, *key);
         }
         Request::Scan {
             session,
@@ -375,11 +387,9 @@ fn request_body(r: &Request) -> Vec<u8> {
             hi,
         } => {
             b.push(0x04);
-            put_u64(&mut b, *session);
-            put_u64(&mut b, *req);
-            put_str(&mut b, tenant);
-            put_u64(&mut b, *lo);
-            put_u64(&mut b, *hi);
+            put_varints(&mut b, &[*session, *req]);
+            put_bytes(&mut b, tenant.as_bytes());
+            put_varints(&mut b, &[*lo, *hi]);
         }
         Request::Subscribe {
             session,
@@ -389,11 +399,9 @@ fn request_body(r: &Request) -> Vec<u8> {
             hi,
         } => {
             b.push(0x05);
-            put_u64(&mut b, *session);
-            put_u64(&mut b, *req);
-            put_str(&mut b, tenant);
-            put_u64(&mut b, *lo);
-            put_u64(&mut b, *hi);
+            put_varints(&mut b, &[*session, *req]);
+            put_bytes(&mut b, tenant.as_bytes());
+            put_varints(&mut b, &[*lo, *hi]);
         }
         Request::Unsubscribe {
             session,
@@ -401,19 +409,15 @@ fn request_body(r: &Request) -> Vec<u8> {
             watch,
         } => {
             b.push(0x06);
-            put_u64(&mut b, *session);
-            put_u64(&mut b, *req);
-            put_u64(&mut b, *watch);
+            put_varints(&mut b, &[*session, *req, *watch]);
         }
         Request::StatsReq { session, req } => {
             b.push(0x07);
-            put_u64(&mut b, *session);
-            put_u64(&mut b, *req);
+            put_varints(&mut b, &[*session, *req]);
         }
         Request::NotifyAck { session, cut_seq } => {
             b.push(0x08);
-            put_u64(&mut b, *session);
-            put_u64(&mut b, *cut_seq);
+            put_varints(&mut b, &[*session, *cut_seq]);
         }
     }
     b
@@ -428,14 +432,11 @@ fn response_body(r: &Response) -> Vec<u8> {
             capacity,
         } => {
             b.push(0x81);
-            put_u64(&mut b, *session);
-            put_u64(&mut b, *stripes);
-            put_u64(&mut b, *capacity);
+            put_varints(&mut b, &[*session, *stripes, *capacity]);
         }
         Response::PutOk { req, epoch } => {
             b.push(0x82);
-            put_u64(&mut b, *req);
-            put_u64(&mut b, *epoch);
+            put_varints(&mut b, &[*req, *epoch]);
         }
         Response::GetOk {
             req,
@@ -444,24 +445,22 @@ fn response_body(r: &Response) -> Vec<u8> {
             value,
         } => {
             b.push(0x83);
-            put_u64(&mut b, *req);
-            put_u64(&mut b, *epoch);
+            put_varints(&mut b, &[*req, *epoch]);
             b.push(u8::from(*from_replica));
             match value {
                 Some(v) => {
                     b.push(1);
-                    put_val(&mut b, v);
+                    put_bytes(&mut b, v);
                 }
                 None => b.push(0),
             }
         }
         Response::ScanOk { req, pairs } => {
             b.push(0x84);
-            put_u64(&mut b, *req);
-            put_u32(&mut b, pairs.len() as u32);
+            put_varints(&mut b, &[*req, pairs.len() as u64]);
             for (k, v) in pairs {
-                put_u64(&mut b, *k);
-                put_val(&mut b, v);
+                put_varint(&mut b, *k);
+                put_bytes(&mut b, v);
             }
         }
         Response::SubOk {
@@ -470,34 +469,31 @@ fn response_body(r: &Response) -> Vec<u8> {
             from_epochs,
         } => {
             b.push(0x85);
-            put_u64(&mut b, *req);
-            put_u64(&mut b, *watch);
-            put_u32(&mut b, from_epochs.len() as u32);
-            for e in from_epochs {
-                put_u64(&mut b, *e);
-            }
+            put_varints(&mut b, &[*req, *watch, from_epochs.len() as u64]);
+            put_varints(&mut b, from_epochs);
         }
         Response::UnsubOk { req } => {
             b.push(0x86);
-            put_u64(&mut b, *req);
+            put_varint(&mut b, *req);
         }
         Response::StatsOk { req, stats } => {
             b.push(0x87);
-            put_u64(&mut b, *req);
-            for v in [
-                stats.sessions,
-                stats.watches,
-                stats.puts,
-                stats.gets,
-                stats.scans,
-                stats.notify_bundles,
-                stats.notify_events,
-                stats.cuts,
-                stats.replica_reads,
-                stats.primary_reads,
-            ] {
-                put_u64(&mut b, v);
-            }
+            put_varints(
+                &mut b,
+                &[
+                    *req,
+                    stats.sessions,
+                    stats.watches,
+                    stats.puts,
+                    stats.gets,
+                    stats.scans,
+                    stats.notify_bundles,
+                    stats.notify_events,
+                    stats.cuts,
+                    stats.replica_reads,
+                    stats.primary_reads,
+                ],
+            );
         }
         Response::Notify {
             cut_seq,
@@ -505,23 +501,17 @@ fn response_body(r: &Response) -> Vec<u8> {
             events,
         } => {
             b.push(0x88);
-            put_u64(&mut b, *cut_seq);
-            put_u64(&mut b, *prev_seq);
-            put_u32(&mut b, events.len() as u32);
+            put_varints(&mut b, &[*cut_seq, *prev_seq, events.len() as u64]);
             for e in events {
-                put_u64(&mut b, e.watch);
-                put_u64(&mut b, e.stripe);
-                put_u64(&mut b, e.epoch);
-                put_u32(&mut b, e.ranges.len() as u32);
-                for (lo, hi) in &e.ranges {
-                    put_u64(&mut b, *lo);
-                    put_u64(&mut b, *hi);
+                put_varints(&mut b, &[e.watch, e.stripe, e.epoch, e.ranges.len() as u64]);
+                for &(lo, hi) in &e.ranges {
+                    put_varints(&mut b, &[lo, hi]);
                 }
             }
         }
         Response::Err { req, code } => {
             b.push(0x89);
-            put_u64(&mut b, *req);
+            put_varint(&mut b, *req);
             b.push(code.to_byte());
         }
     }
@@ -531,7 +521,7 @@ fn response_body(r: &Response) -> Vec<u8> {
 /// Encodes one request as a single-frame datagram.
 pub fn encode_request(r: &Request) -> Vec<u8> {
     let body = request_body(r);
-    let mut out = Vec::with_capacity(FRAME_HEADER + body.len());
+    let mut out = Vec::with_capacity(MAX_FRAME_HEADER + body.len());
     frame(&mut out, &body);
     out
 }
@@ -550,21 +540,54 @@ impl From<Short> for WireError {
     }
 }
 
-fn read_str(r: &mut Reader) -> Result<String, WireError> {
-    let n = r.u16()? as usize;
-    if n > MAX_TENANT_BYTES {
-        return Err(WireError::BadLength);
+impl From<VarintError> for WireError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::Short => WireError::Truncated,
+            VarintError::NonCanonical => WireError::NonCanonical,
+        }
     }
+}
+
+/// `n` as a length, if it is at most `cap`.
+fn bounded(n: u64, cap: usize) -> Result<usize, WireError> {
+    match usize::try_from(n) {
+        Ok(n) if n <= cap => Ok(n),
+        _ => Err(WireError::BadLength),
+    }
+}
+
+/// A length of at most `cap`.
+fn read_len(r: &mut Reader, cap: usize) -> Result<usize, WireError> {
+    bounded(r.varint()?, cap)
+}
+
+/// A vector's element count, refused before anything is allocated when
+/// the rest of the body cannot hold that many elements of at least
+/// `min` bytes each.
+fn read_count(r: &mut Reader, min: usize) -> Result<usize, WireError> {
+    let n = r.varint()?;
+    bounded(n, r.rest().len() / min)
+}
+
+fn read_str(r: &mut Reader) -> Result<String, WireError> {
+    let n = read_len(r, MAX_TENANT_BYTES)?;
     String::from_utf8(r.take(n)?.to_vec()).map_err(|_| WireError::BadString)
 }
 
-/// A value: a `u16` length, then that many bytes, at most `cap`.
+/// A value: a length of at most `cap`, then that many bytes.
 fn read_val(r: &mut Reader, cap: usize) -> Result<Vec<u8>, WireError> {
-    let n = r.u16()? as usize;
-    if n > cap {
-        return Err(WireError::BadLength);
-    }
+    let n = read_len(r, cap)?;
     Ok(r.take(n)?.to_vec())
+}
+
+/// A flag byte: 0 or 1.
+fn read_flag(r: &mut Reader) -> Result<bool, WireError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        t => Err(WireError::BadTag(t)),
+    }
 }
 
 /// Splits a datagram into checksum-verified frame bodies.
@@ -572,7 +595,8 @@ fn deframe(datagram: &[u8]) -> Result<Vec<&[u8]>, WireError> {
     let mut r = Reader::new(datagram);
     let mut bodies = Vec::new();
     while !r.rest().is_empty() {
-        let len = r.u32()? as usize;
+        // A length past `usize` runs past the datagram like any other.
+        let len = usize::try_from(r.varint()?).unwrap_or(usize::MAX);
         let crc = r.u64()?;
         let body = r.take(len)?;
         if fnv1a(body) != crc {
@@ -587,49 +611,49 @@ fn parse_request(body: &[u8]) -> Result<Request, WireError> {
     let mut r = Reader::new(body);
     let req = match r.u8()? {
         0x01 => Request::Hello {
-            staleness: r.u64()?,
+            staleness: r.varint()?,
         },
         0x02 => Request::Put {
-            session: r.u64()?,
-            req: r.u64()?,
+            session: r.varint()?,
+            req: r.varint()?,
             tenant: read_str(&mut r)?,
-            key: r.u64()?,
+            key: r.varint()?,
             // Bounded by the body alone: the server answers an
             // oversized value with `ErrCode::ValueTooLarge`.
             value: read_val(&mut r, usize::MAX)?,
         },
         0x03 => Request::Get {
-            session: r.u64()?,
-            req: r.u64()?,
+            session: r.varint()?,
+            req: r.varint()?,
             tenant: read_str(&mut r)?,
-            key: r.u64()?,
+            key: r.varint()?,
         },
         0x04 => Request::Scan {
-            session: r.u64()?,
-            req: r.u64()?,
+            session: r.varint()?,
+            req: r.varint()?,
             tenant: read_str(&mut r)?,
-            lo: r.u64()?,
-            hi: r.u64()?,
+            lo: r.varint()?,
+            hi: r.varint()?,
         },
         0x05 => Request::Subscribe {
-            session: r.u64()?,
-            req: r.u64()?,
+            session: r.varint()?,
+            req: r.varint()?,
             tenant: read_str(&mut r)?,
-            lo: r.u64()?,
-            hi: r.u64()?,
+            lo: r.varint()?,
+            hi: r.varint()?,
         },
         0x06 => Request::Unsubscribe {
-            session: r.u64()?,
-            req: r.u64()?,
-            watch: r.u64()?,
+            session: r.varint()?,
+            req: r.varint()?,
+            watch: r.varint()?,
         },
         0x07 => Request::StatsReq {
-            session: r.u64()?,
-            req: r.u64()?,
+            session: r.varint()?,
+            req: r.varint()?,
         },
         0x08 => Request::NotifyAck {
-            session: r.u64()?,
-            cut_seq: r.u64()?,
+            session: r.varint()?,
+            cut_seq: r.varint()?,
         },
         t => return Err(WireError::BadTag(t)),
     };
@@ -643,54 +667,40 @@ fn parse_response(body: &[u8]) -> Result<Response, WireError> {
     let mut r = Reader::new(body);
     let resp = match r.u8()? {
         0x81 => Response::HelloOk {
-            session: r.u64()?,
-            stripes: r.u64()?,
-            capacity: r.u64()?,
+            session: r.varint()?,
+            stripes: r.varint()?,
+            capacity: r.varint()?,
         },
         0x82 => Response::PutOk {
-            req: r.u64()?,
-            epoch: r.u64()?,
+            req: r.varint()?,
+            epoch: r.varint()?,
         },
-        0x83 => {
-            let req = r.u64()?;
-            let epoch = r.u64()?;
-            let from_replica = r.u8()? != 0;
-            let value = match r.u8()? {
-                0 => None,
-                1 => Some(read_val(&mut r, MAX_VALUE_BYTES)?),
-                t => return Err(WireError::BadTag(t)),
-            };
-            Response::GetOk {
-                req,
-                epoch,
-                from_replica,
-                value,
-            }
-        }
+        0x83 => Response::GetOk {
+            req: r.varint()?,
+            epoch: r.varint()?,
+            from_replica: read_flag(&mut r)?,
+            value: match read_flag(&mut r)? {
+                false => None,
+                true => Some(read_val(&mut r, MAX_VALUE_BYTES)?),
+            },
+        },
         0x84 => {
-            let req = r.u64()?;
-            let n = r.u32()? as usize;
-            // A pair is at least 10 bytes; reject counts the body
-            // cannot possibly hold before allocating.
-            if n > body.len() / 10 + 1 {
-                return Err(WireError::BadLength);
-            }
+            let req = r.varint()?;
+            // A pair is a key and a value length: at least 2 bytes.
+            let n = read_count(&mut r, 2)?;
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
-                pairs.push((r.u64()?, read_val(&mut r, MAX_VALUE_BYTES)?));
+                pairs.push((r.varint()?, read_val(&mut r, MAX_VALUE_BYTES)?));
             }
             Response::ScanOk { req, pairs }
         }
         0x85 => {
-            let req = r.u64()?;
-            let watch = r.u64()?;
-            let n = r.u32()? as usize;
-            if n > body.len() / 8 + 1 {
-                return Err(WireError::BadLength);
-            }
+            let req = r.varint()?;
+            let watch = r.varint()?;
+            let n = read_count(&mut r, 1)?;
             let mut from_epochs = Vec::with_capacity(n);
             for _ in 0..n {
-                from_epochs.push(r.u64()?);
+                from_epochs.push(r.varint()?);
             }
             Response::SubOk {
                 req,
@@ -698,12 +708,12 @@ fn parse_response(body: &[u8]) -> Result<Response, WireError> {
                 from_epochs,
             }
         }
-        0x86 => Response::UnsubOk { req: r.u64()? },
+        0x86 => Response::UnsubOk { req: r.varint()? },
         0x87 => {
-            let req = r.u64()?;
+            let req = r.varint()?;
             let mut v = [0u64; 10];
             for slot in &mut v {
-                *slot = r.u64()?;
+                *slot = r.varint()?;
             }
             Response::StatsOk {
                 req,
@@ -722,24 +732,20 @@ fn parse_response(body: &[u8]) -> Result<Response, WireError> {
             }
         }
         0x88 => {
-            let cut_seq = r.u64()?;
-            let prev_seq = r.u64()?;
-            let n = r.u32()? as usize;
-            if n > body.len() / 28 + 1 {
-                return Err(WireError::BadLength);
-            }
+            let cut_seq = r.varint()?;
+            let prev_seq = r.varint()?;
+            // An event is a watch, a stripe, an epoch and a range count.
+            let n = read_count(&mut r, 4)?;
             let mut events = Vec::with_capacity(n);
             for _ in 0..n {
-                let watch = r.u64()?;
-                let stripe = r.u64()?;
-                let epoch = r.u64()?;
-                let m = r.u32()? as usize;
-                if m > body.len() / 16 + 1 {
-                    return Err(WireError::BadLength);
-                }
+                let watch = r.varint()?;
+                let stripe = r.varint()?;
+                let epoch = r.varint()?;
+                // A range is two bounds.
+                let m = read_count(&mut r, 2)?;
                 let mut ranges = Vec::with_capacity(m);
                 for _ in 0..m {
-                    ranges.push((r.u64()?, r.u64()?));
+                    ranges.push((r.varint()?, r.varint()?));
                 }
                 events.push(NotifyEvent {
                     watch,
@@ -755,7 +761,7 @@ fn parse_response(body: &[u8]) -> Result<Response, WireError> {
             }
         }
         0x89 => Response::Err {
-            req: r.u64()?,
+            req: r.varint()?,
             code: ErrCode::from_byte(r.u8()?)?,
         },
         t => return Err(WireError::BadTag(t)),
@@ -952,8 +958,13 @@ mod tests {
     /// `Truncated` (the length prefix promises more), and so is every
     /// strict prefix of its body framed on its own (the body reader runs
     /// off the end) — except where a vector's declared count outruns what
-    /// the prefix could hold, which is `BadLength` before any read: the
-    /// `SubOk` sample's four epochs against its 21-23 byte prefixes.
+    /// the rest of the prefix could hold at the count's per-element
+    /// minimum, which is `BadLength` before any element is read: the
+    /// `ScanOk` sample's two pairs (2 bytes each) against its 3-6 byte
+    /// prefixes, the `SubOk` sample's four epochs (1 byte each) against
+    /// its 4-7 byte prefixes, and the `Notify` sample's one event
+    /// (4 bytes) and then its two ranges (2 bytes each) against its 4-11
+    /// byte prefixes.
     #[test]
     fn every_strict_prefix_is_truncated() {
         let requests = sample_requests()
@@ -981,10 +992,16 @@ mod tests {
                     "tag {tag:#04x} cut at {len}"
                 );
             }
+            let bad_length = match tag {
+                0x84 => 3..7,
+                0x85 => 4..8,
+                0x88 => 4..12,
+                _ => 0..0,
+            };
             for len in 0..body.len() {
                 let mut short = Vec::new();
                 frame(&mut short, &body[..len]);
-                let want = match tag == 0x85 && (21..24).contains(&len) {
+                let want = match bad_length.contains(&len) {
                     true => WireError::BadLength,
                     false => WireError::Truncated,
                 };
@@ -995,6 +1012,250 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every message with every integer field, count element and length
+    /// set to `v`'s extreme: `v` itself, and the empty or longest string
+    /// and value.
+    fn extremes(v: u64) -> (Vec<Request>, Vec<Response>) {
+        let (tenant, value) = match v {
+            0 => (String::new(), Vec::new()),
+            _ => ("t".repeat(MAX_TENANT_BYTES), vec![0xFF; MAX_VALUE_BYTES]),
+        };
+        let requests = vec![
+            Request::Hello { staleness: v },
+            Request::Put {
+                session: v,
+                req: v,
+                tenant: tenant.clone(),
+                key: v,
+                value: value.clone(),
+            },
+            Request::Get {
+                session: v,
+                req: v,
+                tenant: tenant.clone(),
+                key: v,
+            },
+            Request::Scan {
+                session: v,
+                req: v,
+                tenant: tenant.clone(),
+                lo: v,
+                hi: v,
+            },
+            Request::Subscribe {
+                session: v,
+                req: v,
+                tenant,
+                lo: v,
+                hi: v,
+            },
+            Request::Unsubscribe {
+                session: v,
+                req: v,
+                watch: v,
+            },
+            Request::StatsReq { session: v, req: v },
+            Request::NotifyAck {
+                session: v,
+                cut_seq: v,
+            },
+        ];
+        let responses = vec![
+            Response::HelloOk {
+                session: v,
+                stripes: v,
+                capacity: v,
+            },
+            Response::PutOk { req: v, epoch: v },
+            Response::GetOk {
+                req: v,
+                epoch: v,
+                from_replica: v != 0,
+                value: Some(value.clone()),
+            },
+            Response::ScanOk {
+                req: v,
+                pairs: vec![(v, value.clone()), (v, value)],
+            },
+            Response::SubOk {
+                req: v,
+                watch: v,
+                from_epochs: vec![v; 3],
+            },
+            Response::UnsubOk { req: v },
+            Response::StatsOk {
+                req: v,
+                stats: WireStats {
+                    sessions: v,
+                    watches: v,
+                    puts: v,
+                    gets: v,
+                    scans: v,
+                    notify_bundles: v,
+                    notify_events: v,
+                    cuts: v,
+                    replica_reads: v,
+                    primary_reads: v,
+                },
+            },
+            Response::Notify {
+                cut_seq: v,
+                prev_seq: v,
+                events: vec![
+                    NotifyEvent {
+                        watch: v,
+                        stripe: v,
+                        epoch: v,
+                        ranges: vec![(v, v); 2],
+                    };
+                    2
+                ],
+            },
+            Response::Err {
+                req: v,
+                code: ErrCode::BadRequest,
+            },
+        ];
+        (requests, responses)
+    }
+
+    #[test]
+    fn every_field_round_trips_at_zero_and_at_u64_max() {
+        for v in [0, u64::MAX] {
+            let (requests, responses) = extremes(v);
+            for r in requests {
+                let dg = encode_request(&r);
+                assert_eq!(decode_requests(&dg), Ok(vec![r]));
+            }
+            let mut batch = Vec::new();
+            for r in &responses {
+                append_response(&mut batch, r);
+            }
+            assert_eq!(decode_responses(&batch), Ok(responses));
+        }
+        // A field costs its significant bytes: 1 at zero, 10 at u64::MAX.
+        let put_ok = |v| response_body(&Response::PutOk { req: v, epoch: v }).len();
+        assert_eq!((put_ok(0), put_ok(u64::MAX)), (1 + 2, 1 + 2 * 10));
+    }
+
+    /// Flipping any one bit of any sample datagram — header, checksum or
+    /// body — is a typed error: never a panic, and never a message.
+    #[test]
+    fn every_single_bit_flip_is_a_typed_error() {
+        let (max_requests, max_responses) = extremes(u64::MAX);
+        let mut datagrams: Vec<(bool, Vec<u8>)> = sample_requests()
+            .iter()
+            .chain(&max_requests)
+            .map(|r| (false, encode_request(r)))
+            .collect();
+        let mut batch = Vec::new();
+        for r in sample_responses().iter().chain(&max_responses) {
+            let mut dg = Vec::new();
+            append_response(&mut dg, r);
+            append_response(&mut batch, r);
+            datagrams.push((true, dg));
+        }
+        datagrams.push((true, batch));
+        for (response, dg) in datagrams {
+            for bit in 0..dg.len() * 8 {
+                let mut m = dg.clone();
+                m[bit / 8] ^= 1 << (bit % 8);
+                let got = match response {
+                    false => decode_requests(&m).map(drop),
+                    true => decode_responses(&m).map(drop),
+                };
+                assert!(got.is_err(), "bit {bit} of {dg:x?}");
+            }
+        }
+    }
+
+    /// The parser itself refuses a second spelling of a value: each body
+    /// below carries a valid checksum.
+    #[test]
+    fn a_second_spelling_under_a_valid_checksum_is_refused() {
+        let framed = |body: &[u8]| {
+            let mut dg = Vec::new();
+            frame(&mut dg, body);
+            dg
+        };
+        // `PutOk { req: 1, epoch: 5 }`, then with `req` padded to 2 bytes.
+        assert_eq!(
+            decode_responses(&framed(&[0x82, 0x01, 0x05])),
+            Ok(vec![Response::PutOk { req: 1, epoch: 5 }])
+        );
+        assert_eq!(
+            decode_responses(&framed(&[0x82, 0x81, 0x00, 0x05])),
+            Err(WireError::NonCanonical)
+        );
+        // A padded tenant length, and a staleness over 64 bits.
+        assert_eq!(
+            decode_requests(&framed(&[0x03, 1, 1, 0x80, 0x00, 7])),
+            Err(WireError::NonCanonical)
+        );
+        let mut hello = vec![0x01];
+        hello.extend([0xFF; 9]);
+        hello.push(0x02);
+        assert_eq!(
+            decode_requests(&framed(&hello)),
+            Err(WireError::NonCanonical)
+        );
+        // A padded frame length.
+        let body = [0x82, 0x01, 0x05];
+        let mut dg = vec![0x80 | body.len() as u8, 0x00];
+        dg.extend(fnv1a(&body).to_le_bytes());
+        dg.extend(body);
+        assert_eq!(decode_responses(&dg), Err(WireError::NonCanonical));
+        // A flag is 0 or 1: 2 is not a second spelling of `true`.
+        assert_eq!(
+            decode_responses(&framed(&[0x83, 1, 5, 2, 0])),
+            Err(WireError::BadTag(2))
+        );
+        assert_eq!(
+            decode_responses(&framed(&[0x83, 1, 5, 1, 2])),
+            Err(WireError::BadTag(2))
+        );
+    }
+
+    /// A declared count past what the rest of the body can hold at the
+    /// element's minimum size is `BadLength`. The counts below are
+    /// `u64::MAX`: allocating for one first would abort the test.
+    #[test]
+    fn a_count_the_body_cannot_hold_is_refused_before_allocation() {
+        let huge = |prefix: &[u8]| {
+            let mut body = prefix.to_vec();
+            put_varint(&mut body, u64::MAX);
+            body.extend([0; 16]);
+            let mut dg = Vec::new();
+            frame(&mut dg, &body);
+            decode_responses(&dg)
+        };
+        // ScanOk pairs, SubOk epochs, Notify events, an event's ranges.
+        for prefix in [
+            &[0x84, 1][..],
+            &[0x85, 1, 1],
+            &[0x88, 1, 0],
+            &[0x88, 1, 0, 1, 1, 0, 1],
+        ] {
+            assert_eq!(huge(prefix), Err(WireError::BadLength), "{prefix:x?}");
+        }
+        // At the minimum, the count is exact: three 1-byte epochs fit in
+        // three bytes, and a fourth is refused before any is read.
+        let sub_ok = |n: u8| {
+            let mut dg = Vec::new();
+            frame(&mut dg, &[0x85, 1, 1, n, 7, 7, 7]);
+            decode_responses(&dg)
+        };
+        assert_eq!(
+            sub_ok(3),
+            Ok(vec![Response::SubOk {
+                req: 1,
+                watch: 1,
+                from_epochs: vec![7; 3]
+            }])
+        );
+        assert_eq!(sub_ok(4), Err(WireError::BadLength));
     }
 
     /// Decoding arbitrary bytes never panics and never fabricates a
@@ -1009,15 +1270,6 @@ mod tests {
             }
             let _ = decode_requests(&buf);
             let _ = decode_responses(&buf);
-        }
-        // Mutated valid frames: single-byte flips anywhere must either
-        // fail the checksum or still parse to *something*, never panic.
-        let mut dg = Vec::new();
-        append_response(&mut dg, &sample_responses()[8]);
-        for i in 0..dg.len() {
-            let mut m = dg.clone();
-            m[i] ^= 0x40;
-            let _ = decode_responses(&m);
         }
     }
 

@@ -322,9 +322,9 @@ pub const DELTA_SLOTS: u64 = 32;
 /// previous root covers the records up to `DELTA_SLOTS` epochs above
 /// it, so the slack `DELTA_SLOTS − COMPACT_AFTER` (12 epochs) is how
 /// long the compaction root has to land before a record waits on it:
-/// one root is ≈ 56 blocks on the paper's device (overlay pages, nodes
-/// and the root block), a few record latencies, while an object commits
-/// at most one epoch per record latency.
+/// one root is ≈ 38 blocks on `kv-mixgraph` (≈ 18.5 overlay pages,
+/// ≈ 18.75 nodes and the root block), a few record latencies, while an
+/// object commits at most one epoch per record latency.
 pub const COMPACT_AFTER: u64 = 20;
 /// Blocks reserved per object at creation: two alternating full-root
 /// slots followed by the delta ring.

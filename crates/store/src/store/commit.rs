@@ -156,9 +156,10 @@ impl StoreShard {
         let state = &mut self.objects[object.0 as usize];
         // The tree must be mutated *before* the IO (node images are
         // serialized from it), so abort restores a pre-commit clone. Full
-        // commits are the rare path (every DELTA_SLOTS-th commit,
-        // oversized commits, snapshot/image flushes), which keeps the
-        // clone cost amortized.
+        // commits are the rare path (a compaction root every
+        // COMPACT_AFTER epochs, oversized commits, snapshot flushes and
+        // every replica ship landing through `apply_image`), which keeps
+        // the clone cost amortized.
         let tree_snapshot = state.tree.clone();
 
         // The overlay pages this root writes out: all but those `pages`
