@@ -15,6 +15,7 @@ use msnap_disk::BLOCK_SIZE;
 use msnap_sim::wire::{put_u32, put_u64, Reader, Short};
 
 use crate::lines::LINE_SIZE;
+use crate::radix::MAX_PAGES;
 pub use msnap_sim::hash::{fnv1a, fnv1a_extend, FNV_OFFSET};
 
 /// Bytes read off the device that are not the record they claim to be:
@@ -322,9 +323,11 @@ pub const DELTA_SLOTS: u64 = 32;
 /// previous root covers the records up to `DELTA_SLOTS` epochs above
 /// it, so the slack `DELTA_SLOTS − COMPACT_AFTER` (12 epochs) is how
 /// long the compaction root has to land before a record waits on it:
-/// one root is ≈ 38 blocks on `kv-mixgraph` (≈ 18.5 overlay pages,
-/// ≈ 18.75 nodes and the root block), a few record latencies, while an
-/// object commits at most one epoch per record latency.
+/// one root is ≈ 24 blocks on `kv-mixgraph` (≈ 18.5 overlay pages,
+/// ≈ 4.2 nodes — the two fullest leaves of a ≈ 249-entry journal and
+/// the interior nodes above them — and the root block; 27 at most), a
+/// few record latencies, while an object commits at most one epoch per
+/// record latency.
 pub const COMPACT_AFTER: u64 = 20;
 /// Blocks reserved per object at creation: two alternating full-root
 /// slots followed by the delta ring.
@@ -399,9 +402,16 @@ pub(crate) fn tip_tag(block: &[u8]) -> u32 {
     tag_of(r.take(8).and_then(|_| r.u64()).unwrap_or(0))
 }
 
+/// Bytes before a root record's journal: the seal and eight field words.
+const ROOT_HEADER: usize = SEAL_LEN + 64;
+/// Maximum `(page, packed entry)` pairs in a root record's journal: what
+/// fits the root block after its header.
+pub const JOURNAL_CAP: usize = (BLOCK_SIZE - ROOT_HEADER) / 16;
+
 /// A committed full root: written to one of the object's two alternating
-/// root slots whenever the in-memory COW tree is flushed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// root slots whenever the in-memory COW tree is flushed — wholly, or, by
+/// a compaction root, as far as its journal cannot hold the rest.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RootRecord {
     /// The object this root belongs to.
     pub object: ObjectId,
@@ -434,32 +444,67 @@ pub struct RootRecord {
     /// that record's tag here, so the record above it verifies whether
     /// replay starts at this root or at the one before it.
     pub tip: u32,
+    /// The mappings this root holds beyond `tree_root`'s leaves, in page
+    /// order: `(page, pack_entry(block, digest))` for every page whose
+    /// leaf the tree still holds at an older image. Empty for every root
+    /// but a compaction root, which writes only the leaves this cannot
+    /// hold ([`JOURNAL_CAP`], DESIGN.md §6m). Replay applies them over
+    /// the tree.
+    pub journal: Vec<(u64, u64)>,
 }
 
 impl RootRecord {
-    /// Serializes the record into a zero-padded block image.
+    /// Serializes the record into a zero-padded block image: the eight
+    /// field words (the last is `tip` | journal count << 32), then the
+    /// journal's pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the journal holds more than [`JOURNAL_CAP`] pairs.
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
+        assert!(self.journal.len() <= JOURNAL_CAP, "root journal overflow");
         let (object, digest) = (u64::from(self.object.0), u64::from(self.root_digest));
+        let tip = u64::from(self.tip) | (self.journal.len() as u64) << 32;
         seal(ROOT_MAGIC, |out| {
             put_words(out, &[object, self.epoch, self.tree_root, self.len_pages]);
-            put_words(out, &[self.high_water, digest, self.flush_seq]);
-            put_words(out, &[u64::from(self.tip)]);
+            put_words(out, &[self.high_water, digest, self.flush_seq, tip]);
+            for (page, word) in &self.journal {
+                put_words(out, &[*page, *word]);
+            }
         })
     }
 
     /// Parses and validates a root-slot block; `None` if the slot is
-    /// empty, torn, or belongs to a different object.
+    /// empty, torn, or belongs to a different object, or its journal is
+    /// not one replay can apply: more than [`JOURNAL_CAP`] pairs, pages
+    /// out of order or at or past `len_pages`, or a block that is 0 or at
+    /// or past `high_water`.
     pub fn from_block(block: &[u8], expect: ObjectId) -> Option<RootRecord> {
         let root = unseal(block, ROOT_MAGIC, |r| {
+            let (object, epoch) = (ObjectId(word32(r)?), r.u64()?);
+            let (tree_root, len_pages, high_water) = (r.u64()?, r.u64()?, r.u64()?);
+            let (root_digest, flush_seq) = (word32(r)?, r.u64()?);
+            let (tip, n) = (r.u32()?, r.u32()? as usize);
+            ensure(n <= JOURNAL_CAP)?;
+            let pages = len_pages.min(MAX_PAGES);
+            let mut journal: Vec<(u64, u64)> = Vec::with_capacity(n);
+            for _ in 0..n {
+                let (page, word) = (r.u64()?, r.u64()?);
+                let after = journal.last().is_none_or(|(last, _)| page > *last);
+                let block = unpack_entry(word).0;
+                ensure(after && page < pages && block != 0 && block < high_water)?;
+                journal.push((page, word));
+            }
             Ok(RootRecord {
-                object: ObjectId(word32(r)?),
-                epoch: r.u64()?,
-                tree_root: r.u64()?,
-                len_pages: r.u64()?,
-                high_water: r.u64()?,
-                root_digest: word32(r)?,
-                flush_seq: r.u64()?,
-                tip: word32(r)?,
+                object,
+                epoch,
+                tree_root,
+                len_pages,
+                high_water,
+                root_digest,
+                flush_seq,
+                tip,
+                journal,
             })
         });
         root.filter(|root| root.object == expect)
@@ -851,6 +896,7 @@ mod tests {
             root_digest: 0xDEAD_1234,
             flush_seq: 17,
             tip: 0,
+            journal: Vec::new(),
         };
         let block = rec.to_block();
         assert_eq!(RootRecord::from_block(&block, ObjectId(7)), Some(rec));
@@ -863,7 +909,10 @@ mod tests {
             ..sample_root()
         };
         let block = kept.to_block();
-        assert_eq!(RootRecord::from_block(&block, kept.object), Some(kept));
+        assert_eq!(
+            RootRecord::from_block(&block, kept.object),
+            Some(kept.clone())
+        );
         // A compaction root names the tag it keeps; any other root names
         // its own block's.
         assert_eq!(kept.tip_of(&block), 0x5EED_7199);
@@ -902,6 +951,7 @@ mod tests {
             root_digest: 7,
             flush_seq: 1,
             tip: 0,
+            journal: Vec::new(),
         };
         let mut block = rec.to_block();
         block[28] ^= 0xFF; // epoch
@@ -926,6 +976,7 @@ mod tests {
             root_digest: 0,
             flush_seq: 0,
             tip: 0,
+            journal: Vec::new(),
         };
         let block = rec.to_block();
         assert_eq!(RootRecord::from_block(&block, ObjectId(2)), None);
@@ -1537,6 +1588,19 @@ mod tests {
             root_digest: 0xDEAD_1234,
             flush_seq: 17,
             tip: 0x0BAD_CAFE,
+            journal: Vec::new(),
+        }
+    }
+
+    /// A compaction root journaling three pages over its tree.
+    fn sample_journaled_root() -> RootRecord {
+        RootRecord {
+            journal: vec![
+                (0, pack_entry(4000, 0x1111_2222)),
+                (57, pack_entry(4001, 0x3333_4444)),
+                (98, pack_entry(4999, 0x5555_6666)),
+            ],
+            ..sample_root()
         }
     }
 
@@ -1610,6 +1674,12 @@ mod tests {
                 decodes: Box::new(|b| RootRecord::from_block(b, ObjectId(7)).is_some()),
             },
             Sample {
+                name: "journaled root",
+                block: sample_journaled_root().to_block(),
+                len: 80 + 16 * sample_journaled_root().journal.len(),
+                decodes: Box::new(|b| RootRecord::from_block(b, ObjectId(7)).is_some()),
+            },
+            Sample {
                 name: "batch",
                 block: batch.to_block(),
                 // Each group is a delta record's bytes after its seal.
@@ -1654,11 +1724,12 @@ mod tests {
         assert_eq!(Superblock::from_block(&sb.to_block()), Some(sb));
         let cut = sample_cut();
         assert_eq!(CutRecord::from_block(&cut.to_block()), Some(cut));
-        let root = sample_root();
-        assert_eq!(
-            RootRecord::from_block(&root.to_block(), root.object),
-            Some(root)
-        );
+        for root in [sample_root(), sample_journaled_root()] {
+            assert_eq!(
+                RootRecord::from_block(&root.to_block(), root.object),
+                Some(root)
+            );
+        }
         for d in sample_deltas() {
             assert_eq!(DeltaRecord::from_block(&d.to_block(), d.object), Some(d));
         }
@@ -1682,6 +1753,67 @@ mod tests {
                     assert!(!(s.decodes)(&torn), "{}: byte {byte} bit {bit}", s.name);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_bit_flip_past_a_journaled_root_leaves_the_same_root() {
+        // The padding is outside the seal: a flip there costs nothing, and
+        // the root still decodes to exactly what was written.
+        let root = sample_journaled_root();
+        let block = root.to_block();
+        for byte in 80 + 16 * root.journal.len()..BLOCK_SIZE {
+            for bit in 0..8 {
+                let mut rotted = block;
+                rotted[byte] ^= 1 << bit;
+                assert_eq!(
+                    RootRecord::from_block(&rotted, root.object).as_ref(),
+                    Some(&root),
+                    "byte {byte} bit {bit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_journal_replay_could_not_apply_is_no_root() {
+        let root = sample_journaled_root();
+        let end = |n: usize| 80 + 16 * n;
+        // A count past the cap, with or without the pairs behind it.
+        for n in [JOURNAL_CAP + 1, u32::MAX as usize] {
+            let mut block = root.to_block();
+            put(&mut block, 72, u64::from(root.tip) | (n as u64) << 32);
+            reseal(&mut block, end(n.min(JOURNAL_CAP + 1)).min(BLOCK_SIZE));
+            assert_eq!(RootRecord::from_block(&block, root.object), None, "{n}");
+        }
+        // The largest journal there is still is one.
+        let full = RootRecord {
+            journal: (0..JOURNAL_CAP as u64)
+                .map(|i| (i * 397, pack_entry(4000 + i, 7)))
+                .collect(),
+            len_pages: 100_000,
+            ..root.clone()
+        };
+        assert_eq!(full.journal.len(), JOURNAL_CAP);
+        let block = full.to_block();
+        assert_eq!(RootRecord::from_block(&block, full.object), Some(full));
+        // Entry k's page is the word at 80 + 16k, its packed entry the
+        // word after. The sample maps pages 0, 57 and 98 of 99 to blocks
+        // below 5000.
+        for (at, v, why) in [
+            (112, root.len_pages, "a page at len_pages"),
+            (112, u64::MAX, "a page past len_pages"),
+            (104, pack_entry(0, 9), "block 0"),
+            (104, pack_entry(root.high_water, 9), "a block at high_water"),
+            (120, pack_entry(INLINE_BLOCK, 9), "a block past high_water"),
+            (96, 0, "a page twice"),
+            (96, 98, "a page out of order"),
+            (112, 57, "a page out of order"),
+        ] {
+            let mut block = root.to_block();
+            put(&mut block, at, v);
+            reseal(&mut block, end(root.journal.len()));
+            assert_eq!(RootRecord::from_block(&block, root.object), None, "{why}");
         }
     }
 

@@ -75,8 +75,8 @@ pub use cache::BlockCache;
 pub use layout::{
     digest32, fnv1a, fnv1a_extend, pack_entry, unpack_entry, BatchRecord, DeltaRecord, Epoch,
     ObjectId, RootRecord, ShardLayout, SnapCatalog, SnapEntry, Superblock, BATCH_SLOTS,
-    COMPACT_AFTER, DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, INLINE_BLOCK, MAX_DELTA_PAIRS, MAX_SHARDS,
-    MAX_SNAPSHOTS,
+    COMPACT_AFTER, DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, INLINE_BLOCK, JOURNAL_CAP,
+    MAX_DELTA_PAIRS, MAX_SHARDS, MAX_SNAPSHOTS,
 };
 pub use radix::{RadixTree, TreeError};
 pub use shard::{shard_of_name, ExtentBroker, ObjectStore, VectorCut, DEFAULT_EXTENT_BLOCKS};

@@ -24,7 +24,8 @@
 //! - read: [`RadixTree::get_entry_or_load`], [`RadixTree::entries_from`]
 //!   (page order), or [`RadixTree::hydrate_path`] then [`RadixTree::get`];
 //! - write: [`RadixTree::hydrate_path`], [`RadixTree::set_entry`], then
-//!   [`RadixTree::commit`];
+//!   [`RadixTree::commit`] (or [`RadixTree::commit_leaves`], which writes
+//!   some dirty leaves and leaves the rest at their last image);
 //! - compare: [`RadixTree::diff_pages_with`], which skips shared subtrees
 //!   by block number *without* hydrating either side;
 //! - blocks: [`RadixTree::hydrate_all`], then [`RadixTree::disk_blocks`].
@@ -129,6 +130,12 @@ struct Node {
     /// digest32 of the committed image (valid while `disk_block` is
     /// `Some`); [`DIGEST_NONE`] while the node is dirty.
     disk_digest: u32,
+    /// While the node is dirty: the image the last commit left for it, as
+    /// `(block, digest)`, or `None` if no commit wrote a node here. A
+    /// parent written by [`RadixTree::commit_leaves`] over a dirty child
+    /// it leaves out refers to this, and the commit that writes the node
+    /// supersedes it.
+    base: Option<(u64, u32)>,
 }
 
 impl Node {
@@ -137,7 +144,23 @@ impl Node {
             children: vec![Child::Empty; FANOUT],
             disk_block: None,
             disk_digest: DIGEST_NONE,
+            base: None,
         }
+    }
+
+    /// Marks the node modified: its committed image, if it is clean,
+    /// becomes its base.
+    fn dirty(&mut self) {
+        if let Some(block) = self.disk_block.take() {
+            self.base = Some((block, self.disk_digest));
+            self.disk_digest = DIGEST_NONE;
+        }
+    }
+
+    /// The image a committed parent refers to: the node's own if it is
+    /// clean, else its base.
+    fn on_disk(&self) -> Option<(u64, u32)> {
+        self.disk_block.map(|b| (b, self.disk_digest)).or(self.base)
     }
 
     /// Parses a node image read from `block`. Children at interior levels
@@ -171,11 +194,7 @@ impl Node {
                 Child::Empty => 0,
                 Child::Data { block, digest } => pack_entry(*block, *digest),
                 Child::Unloaded { block, digest } => pack_entry(*block, *digest),
-                Child::Node(n) => pack_entry(
-                    n.disk_block
-                        .expect("serialize called before children were assigned blocks"),
-                    n.disk_digest,
-                ),
+                Child::Node(n) => n.on_disk().map_or(0, |(b, d)| pack_entry(b, d)),
             };
             block[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
         }
@@ -387,10 +406,7 @@ impl RadixTree {
                 }
                 _ => unreachable!("interior slots always hold nodes here"),
             };
-            // Dirty the node; recycle its committed image.
-            if let Some(b) = node.disk_block.take() {
-                self.freed.push(b);
-            }
+            node.dirty();
             let idx = ((page >> shift) as usize) & (FANOUT - 1);
             if level == LEVELS - 1 {
                 let old = match node.children[idx] {
@@ -425,42 +441,84 @@ impl RadixTree {
         alloc: &mut dyn FnMut() -> u64,
         writes: &mut Vec<(u64, Box<[u8]>)>,
     ) -> u64 {
+        self.commit_leaves(&|_| true, alloc, writes).0
+    }
+
+    /// [`RadixTree::commit`] of the dirty leaves `flush` selects, by leaf
+    /// index (`page / FANOUT`), and of the interior nodes above them. The
+    /// images emitted form a tree in which every dirty leaf left out is
+    /// still its base: those leaves stay dirty, and so does every
+    /// interior node above one, whose new image becomes its base. Returns
+    /// that tree's root block and digest (`(0, DIGEST_NONE)` when it is
+    /// empty). The images a commit writes over — the bases of the nodes it
+    /// writes — are reported by [`RadixTree::take_freed`].
+    pub fn commit_leaves(
+        &mut self,
+        flush: &dyn Fn(u64) -> bool,
+        alloc: &mut dyn FnMut() -> u64,
+        writes: &mut Vec<(u64, Box<[u8]>)>,
+    ) -> (u64, u32) {
+        /// Commits what `flush` selects under `slot`, whose first page is
+        /// `prefix`; returns whether the slot's on-disk image changed.
         fn commit_slot(
             slot: &mut Child,
+            (level, prefix): (usize, u64),
+            flush: &dyn Fn(u64) -> bool,
             alloc: &mut dyn FnMut() -> u64,
             writes: &mut Vec<(u64, Box<[u8]>)>,
-        ) -> u64 {
-            match slot {
-                Child::Empty => 0,
-                Child::Data { block, .. } => *block,
-                Child::Unloaded { block, .. } => *block, // clean on disk, never read
-                Child::Node(arc) => {
-                    if let Some(b) = arc.disk_block {
-                        return b; // clean subtree
-                    }
-                    let node = Arc::make_mut(arc);
-                    for child in &mut node.children {
-                        if let Child::Node(_) = child {
-                            commit_slot(child, alloc, writes);
-                        }
-                    }
+            freed: &mut Vec<u64>,
+        ) -> bool {
+            let Child::Node(arc) = slot else {
+                return false; // empty, a data block, or clean on disk
+            };
+            if arc.disk_block.is_some() || (level == LEVELS - 1 && !flush(prefix / FANOUT as u64)) {
+                return false; // clean, or a leaf left out
+            }
+            let node = Arc::make_mut(arc);
+            let (mut changed, mut dirty_left) = (false, false);
+            if level < LEVELS - 1 {
+                for (i, child) in node.children.iter_mut().enumerate() {
+                    let at = (level + 1, prefix | ((i as u64) << SHIFT[level]));
                     // Children first: their fresh (block, digest) pairs
                     // must be final before this node's image — the Merkle
                     // chain is built bottom-up.
-                    let block = alloc();
-                    node.disk_block = Some(block);
-                    let image = node.serialize();
-                    node.disk_digest = digest32(&image);
-                    writes.push((block, Box::new(image)));
-                    block
+                    changed |= commit_slot(child, at, flush, alloc, writes, freed);
+                    dirty_left |= matches!(child, Child::Node(n) if n.disk_block.is_none());
+                }
+                if dirty_left && !changed {
+                    return false; // its base still holds every child's image
                 }
             }
+            let block = alloc();
+            let image = node.serialize();
+            let digest = digest32(&image);
+            writes.push((block, Box::new(image)));
+            freed.extend(node.base.take().map(|(b, _)| b));
+            if dirty_left {
+                node.base = Some((block, digest));
+            } else {
+                node.disk_block = Some(block);
+                node.disk_digest = digest;
+            }
+            true
         }
 
-        commit_slot(&mut self.root, alloc, writes)
+        commit_slot(
+            &mut self.root,
+            (0, 0),
+            flush,
+            alloc,
+            writes,
+            &mut self.freed,
+        );
+        match &self.root {
+            Child::Node(n) => n.on_disk().unwrap_or((0, DIGEST_NONE)),
+            _ => (0, DIGEST_NONE),
+        }
     }
 
-    /// Drains the list of blocks superseded since the last drain.
+    /// Drains the list of committed node images superseded by the commits
+    /// since the last drain.
     pub fn take_freed(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.freed)
     }
@@ -521,8 +579,8 @@ impl RadixTree {
     /// each committed node's block and every data block. Of a committed
     /// tree this is the block set a retained snapshot pins; of an
     /// abandoned (possibly mid-delta-window) history, the footprint the
-    /// rebase path quarantines for recycling. A dirty node has no block
-    /// of its own yet, but the blocks below it are real and listed.
+    /// rebase path quarantines for recycling. A dirty node lists its base,
+    /// the image the last commit left for it, if there is one.
     ///
     /// # Panics
     ///
@@ -536,9 +594,7 @@ impl RadixTree {
                     panic!("disk_blocks on a partially loaded tree; hydrate_all first")
                 }
                 Child::Node(n) => {
-                    if let Some(b) = n.disk_block {
-                        out.push(b);
-                    }
+                    out.extend(n.on_disk().map(|(b, _)| b));
                     for c in &n.children {
                         walk(c, out);
                     }
@@ -703,10 +759,10 @@ impl RadixTree {
 
     /// Heals a resident committed node whose *media* copy rotted: marks
     /// the node and every ancestor dirty so the next full commit rewrites
-    /// the path to fresh blocks from the good in-memory copies. Ancestor
-    /// blocks are reported as superseded (recyclable); the rotted block
-    /// itself is **not** — the caller quarantines it. Returns `false` if
-    /// no resident node holds `block`.
+    /// the path to fresh blocks from the good in-memory copies. That
+    /// commit reports every image on the path as superseded, the rotted
+    /// one included: the caller quarantines it, so it is never recycled.
+    /// Returns `false` if no resident node holds `block`.
     pub fn dirty_committed_node(&mut self, block: u64) -> bool {
         fn contains(node: &Node, target: u64) -> bool {
             if node.disk_block == Some(target) {
@@ -716,7 +772,7 @@ impl RadixTree {
                 .iter()
                 .any(|c| matches!(c, Child::Node(n) if contains(n, target)))
         }
-        fn dirty_path(slot: &mut Child, target: u64, freed: &mut Vec<u64>) -> bool {
+        fn dirty_path(slot: &mut Child, target: u64) -> bool {
             let Child::Node(arc) = slot else {
                 return false;
             };
@@ -724,26 +780,17 @@ impl RadixTree {
                 return false;
             }
             let node = Arc::make_mut(arc);
-            if node.disk_block == Some(target) {
-                node.disk_block = None; // rotted: quarantined by the caller
-                node.disk_digest = DIGEST_NONE;
-                return true;
-            }
-            for child in &mut node.children {
-                if dirty_path(child, target, freed) {
-                    break;
+            if node.disk_block != Some(target) {
+                for child in &mut node.children {
+                    if dirty_path(child, target) {
+                        break;
+                    }
                 }
             }
-            if let Some(b) = node.disk_block.take() {
-                freed.push(b); // healthy ancestor image, superseded
-            }
-            node.disk_digest = DIGEST_NONE;
+            node.dirty();
             true
         }
-        let mut freed = Vec::new();
-        let found = dirty_path(&mut self.root, block, &mut freed);
-        self.freed.extend(freed);
-        found
+        dirty_path(&mut self.root, block)
     }
 
     /// A structurally independent copy sharing no nodes with `self` — the
@@ -756,6 +803,7 @@ impl RadixTree {
                     children: n.children.iter().map(deep).collect(),
                     disk_block: n.disk_block,
                     disk_digest: n.disk_digest,
+                    base: n.base,
                 })),
                 other => other.clone(),
             }
@@ -961,12 +1009,15 @@ mod tests {
         assert_eq!(blocks.len(), 4 + 2);
         assert!(RadixTree::new().disk_blocks().is_empty());
         assert_eq!(RadixTree::new().committed_root(), 0);
-        // Dirtying page 0's path leaves page 513's leaf and both data blocks.
+        // Dirtying page 0's path keeps its three images as the path's
+        // bases, page 513's leaf and both data blocks.
+        let root = t.committed_root();
         t.set_entry(0, 200, 200);
         let mut dirty = t.disk_blocks();
         dirty.sort_unstable();
-        assert_eq!(dirty.len(), 3);
+        assert_eq!(dirty.len(), 6);
         assert_eq!(&dirty[..2], &[101, 200]);
+        assert!(dirty.contains(&root));
     }
 
     #[test]
@@ -1094,6 +1145,11 @@ mod tests {
         .unwrap();
         assert_eq!(lazy.set_entry(0, 999, 999), Some(100));
         assert_eq!(dirty_nodes(&lazy), LEVELS);
+        assert!(
+            lazy.take_freed().is_empty(),
+            "the images stay until written over"
+        );
+        lazy.commit(&mut || 2_000, &mut Vec::new());
         assert_eq!(lazy.take_freed().len(), LEVELS, "superseded path recycled");
     }
 

@@ -41,7 +41,7 @@ pub use overlay::OVERLAY_PAGE_BUDGET;
 pub use scrub::{ScrubStats, UnrepairedPage};
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -51,10 +51,10 @@ use msnap_sim::{Category, Nanos, Vt};
 use crate::layout::{
     self, BatchRecord, DeltaRecord, DirEntry, Epoch, ObjectId, RootRecord, ShardLayout,
     SnapCatalog, SnapEntry, BATCH_SLOTS, COMPACT_AFTER, DELTA_SLOTS, DIR_BLOCKS, DIR_ENTRY_LEN,
-    ENTRIES_PER_BLOCK, INLINE_BLOCK, MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN,
-    OBJECT_META_BLOCKS, SHARD_SLAB_BLOCKS, SNAP_CATALOG_SLOTS,
+    ENTRIES_PER_BLOCK, INLINE_BLOCK, JOURNAL_CAP, MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS,
+    NAME_LEN, OBJECT_META_BLOCKS, SHARD_SLAB_BLOCKS, SNAP_CATALOG_SLOTS,
 };
-use crate::radix::TreeError;
+use crate::radix::{TreeError, FANOUT};
 #[cfg(doc)]
 use crate::ObjectStore;
 use crate::{lines, BlockAllocator, BlockCache, RadixTree};
@@ -347,6 +347,11 @@ mod costs {
     }
 }
 
+/// The radix-tree leaf that maps `page`.
+fn leaf_of(page: u64) -> u64 {
+    page / FANOUT as u64
+}
+
 struct ObjectState {
     entry: DirEntry,
     /// The object's page index, always current in memory; dirty nodes are
@@ -359,10 +364,23 @@ struct ObjectState {
     /// Alternates the full-root slot (consecutive full roots never share
     /// a slot).
     full_count: u64,
-    /// Node blocks superseded since the last full commit: recyclable only
-    /// after the *next* full root is durable (recovery replays deltas on
-    /// top of the previous full root's nodes until then).
-    node_freed_pending: Vec<u64>,
+    /// Blocks superseded since the newest root that only the records
+    /// above it named (and that root's journal): recyclable once the
+    /// *next* root is durable, because recovery replays those records on
+    /// top of the newest root until then.
+    root_freed_pending: Vec<u64>,
+    /// Data blocks superseded since the newest root that a leaf of its
+    /// tree still names, by leaf index: recyclable only once a root that
+    /// writes that leaf is durable. Until then every root recovery may
+    /// adopt names that leaf's image, whatever its journal overrides.
+    node_freed_pending: BTreeMap<u64, Vec<u64>>,
+    /// The tree the newest root names: its root block and root digest.
+    flushed: (u64, u32),
+    /// Every mapping the in-memory tree holds beyond that tree, page →
+    /// packed entry: what a compaction root carries in its block in place
+    /// of the leaves (DESIGN.md §6m). Emptied by every root that writes
+    /// every dirty node.
+    journal: BTreeMap<u64, u64>,
     /// Monotone durability frontier: max completion instant over all of
     /// this object's commits. Gates data-block recycling so that recovery
     /// to *any* reachable epoch finds its blocks intact.
@@ -400,12 +418,28 @@ impl ObjectState {
             last_commit: Nanos::ZERO,
             deltas_since_full: 0,
             full_count: 0,
-            node_freed_pending: Vec::new(),
+            root_freed_pending: Vec::new(),
+            node_freed_pending: BTreeMap::new(),
+            flushed: (0, layout::DIGEST_NONE),
+            journal: BTreeMap::new(),
             chain_completes: Nanos::ZERO,
             roots: [(0, Nanos::ZERO); 2],
             overlay: BTreeMap::new(),
             tip: layout::tag_of(0),
             queued: None,
+        }
+    }
+
+    /// Queues the block a remap of `page` superseded for its gate: the
+    /// next root if only records or a journal named it (the journal holds
+    /// `page`), else the next root that writes `page`'s leaf, because the
+    /// newest root's tree names it there.
+    fn supersede(&mut self, page: u64, old: Option<u64>) {
+        if self.journal.contains_key(&page) {
+            self.root_freed_pending.extend(old);
+        } else if let Some(old) = old {
+            let leaf = self.node_freed_pending.entry(leaf_of(page));
+            leaf.or_default().push(old);
         }
     }
 

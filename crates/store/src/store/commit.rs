@@ -119,11 +119,33 @@ pub(super) enum Root {
     Compaction,
 }
 
+/// The leaves a compaction root whose journal would be `journal` writes:
+/// none while it fits [`JOURNAL_CAP`], else those holding the most of its
+/// entries, most first (the lower leaf on a tie), until the rest fits.
+fn leaves_to_flush(journal: &BTreeMap<u64, u64>) -> BTreeSet<u64> {
+    let mut per_leaf: BTreeMap<u64, usize> = BTreeMap::new();
+    for page in journal.keys() {
+        *per_leaf.entry(leaf_of(*page)).or_default() += 1;
+    }
+    let mut by_size: Vec<(u64, usize)> = per_leaf.into_iter().collect();
+    by_size.sort_by_key(|(leaf, entries)| (Reverse(*entries), *leaf));
+    let mut left = journal.len();
+    let mut leaves = BTreeSet::new();
+    for (leaf, entries) in by_size {
+        if left <= JOURNAL_CAP {
+            break;
+        }
+        leaves.insert(leaf);
+        left -= entries;
+    }
+    leaves
+}
+
 impl StoreShard {
     /// Shared full-commit core, the store's one root writer: COW-sets
-    /// `pages` into the tree at `epoch`, flushes every dirty node, writes
-    /// data + nodes as one extent followed by a full root record, and
-    /// updates all commit state. `epoch` may equal the object's current
+    /// `pages` into the tree at `epoch`, flushes the dirty nodes `kind`
+    /// calls for, writes data + nodes as one extent followed by a full
+    /// root record, and updates all commit state. `epoch` may equal the object's current
     /// epoch (a data-less root flush) or jump ahead of it (replica image
     /// application); the root record is the single commit point either
     /// way.
@@ -131,11 +153,16 @@ impl StoreShard {
     /// Every full root is self-contained: the overlay's pages are written
     /// out as data blocks beside `pages` (which win where both name a
     /// page) and the overlay is emptied, so no tree a snapshot, rebase, GC
-    /// or a reused ring slot ever sees depends on a line record. The root
-    /// record is submitted only once every commit it covers and the
-    /// newest root are durable: its tree maps the data blocks of records
-    /// still in flight, and it overwrites the slot of the root before
-    /// that one.
+    /// or a reused ring slot ever sees depends on a line record. A
+    /// compaction root writes no node while the mappings its tree holds
+    /// beyond the newest root's fit [`JOURNAL_CAP`]: its record names
+    /// that root's tree and journals them. Past the cap it writes the
+    /// leaves holding the most of them, with the interior nodes above
+    /// those, and journals the rest (DESIGN.md §6m). Every other root
+    /// writes every dirty node and an empty journal. The root record is
+    /// submitted only once every commit it covers and the newest root are
+    /// durable: its tree maps the data blocks of records still in flight,
+    /// and it overwrites the slot of the root before that one.
     ///
     /// On error the tree, overlay and allocator are restored; nothing
     /// leaks.
@@ -177,38 +204,60 @@ impl StoreShard {
             return Err(StoreError::OutOfSpace);
         };
         let mut iov: Vec<(u64, &[u8])> = Vec::with_capacity(data_blocks.len() + 8);
-        let mut data_freed = Vec::new();
+        // The blocks this root's remaps supersede, queued for their gates
+        // once it is durable.
+        let mut superseded = Vec::new();
+        let journaled = kind == Root::Compaction;
+        let mut journal = BTreeMap::new();
+        if journaled {
+            journal.clone_from(&state.journal);
+        }
         let own = pages
             .iter()
             .map(|(page, data)| (*page, layout::digest32(data), *data));
         for ((page, digest, data), block) in own.chain(flushed.iter().copied()).zip(data_blocks) {
             iov.push((block, data));
-            if let Some(old) = state.tree.set_entry(page, block, digest) {
-                data_freed.push(old);
+            superseded.push((page, state.tree.set_entry(page, block, digest)));
+            if journaled {
+                journal.insert(page, layout::pack_entry(block, digest));
             }
         }
-        // The commit closure cannot fail, so allocator exhaustion is
-        // flagged and handed out of never-written scratch blocks, then
-        // the whole commit aborts.
-        let mut exhausted = false;
-        let mut scratch = SCRATCH_BLOCK_BASE;
+        // A compaction root writes the leaves its journal cannot hold; any
+        // other root writes every dirty node.
+        let leaves = if journaled {
+            leaves_to_flush(&journal)
+        } else {
+            BTreeSet::new()
+        };
+        journal.retain(|page, _| !leaves.contains(&leaf_of(*page)));
         let mut node_writes = Vec::new();
-        let tree_root = state.tree.commit(
-            &mut || match self.alloc.alloc() {
-                Some(b) => b,
-                None => {
-                    exhausted = true;
-                    scratch += 1;
-                    scratch
-                }
-            },
-            &mut node_writes,
-        );
-        if exhausted {
-            state.tree = tree_snapshot;
-            self.alloc = alloc_snapshot;
-            return Err(StoreError::OutOfSpace);
-        }
+        let (tree_root, root_digest) = if journaled && leaves.is_empty() {
+            state.flushed
+        } else {
+            // The commit closure cannot fail, so allocator exhaustion is
+            // flagged and handed out of never-written scratch blocks, then
+            // the whole commit aborts.
+            let mut exhausted = false;
+            let mut scratch = SCRATCH_BLOCK_BASE;
+            let root = state.tree.commit_leaves(
+                &|leaf| !journaled || leaves.contains(&leaf),
+                &mut || match self.alloc.alloc() {
+                    Some(b) => b,
+                    None => {
+                        exhausted = true;
+                        scratch += 1;
+                        scratch
+                    }
+                },
+                &mut node_writes,
+            );
+            if exhausted {
+                state.tree = tree_snapshot;
+                self.alloc = alloc_snapshot;
+                return Err(StoreError::OutOfSpace);
+            }
+            root
+        };
         vt.charge(Category::FileSystem, initiate);
         vt.charge(
             Category::FileSystem,
@@ -228,13 +277,14 @@ impl StoreShard {
             // block any earlier commit allocated, which is what lets
             // `open` skip the O(object) tree walk.
             high_water: self.alloc.high_water(),
-            root_digest: state.tree.committed_root_digest(),
+            root_digest,
             flush_seq: state.full_count + 1,
             tip: if kind == Root::Compaction {
                 state.tip
             } else {
                 0
             },
+            journal: journal.iter().map(|(page, word)| (*page, *word)).collect(),
         };
         let slot = state.entry.root_slot(state.full_count + 1);
         let root_block = record.to_block();
@@ -268,10 +318,29 @@ impl StoreShard {
         state.overlay.clear();
         state.queued = None;
         state.full_count += 1;
-        // Everything superseded up to and including this full root is
-        // recyclable once it is durable.
-        data_freed.append(&mut state.node_freed_pending);
+        // Recyclable once this root is durable: what only the records
+        // below it and the root before it named, the node images it wrote
+        // over, and the data blocks the leaves it wrote named. A leaf it
+        // left out still names its blocks: they wait for the root that
+        // writes that leaf.
+        for (page, old) in superseded {
+            state.supersede(page, old);
+        }
+        let mut data_freed = std::mem::take(&mut state.root_freed_pending);
         data_freed.extend(state.tree.take_freed());
+        if journaled {
+            for leaf in &leaves {
+                data_freed.extend(state.node_freed_pending.remove(leaf).unwrap_or_default());
+            }
+        } else {
+            data_freed.extend(
+                std::mem::take(&mut state.node_freed_pending)
+                    .into_values()
+                    .flatten(),
+            );
+        }
+        state.journal = journal;
+        state.flushed = (tree_root, root_digest);
         state.deltas_since_full = 0;
         state.epoch = epoch;
         // The root landed after everything it covers: it is the chain's
@@ -283,7 +352,9 @@ impl StoreShard {
             state.chain_completes = landed;
             state.last_commit = landed;
         }
-        self.pending_free.push(Reverse((landed, data_freed)));
+        if !data_freed.is_empty() {
+            self.pending_free.push(Reverse((landed, data_freed)));
+        }
         self.stats.nodes_written += node_writes.len() as u64;
 
         Ok(CommitToken {
@@ -534,9 +605,8 @@ impl StoreShard {
         let mut tokens = Vec::with_capacity(staged.len());
         let mut patched = patched.into_iter();
         for g in &staged {
-            let superseded = self.apply_record(g, &mut patched);
+            self.apply_record(g, &mut patched);
             let state = &mut self.objects[g.object.0 as usize];
-            state.node_freed_pending.extend(superseded);
             state.chain_completes = state.chain_completes.max(token.completes());
             state.last_commit = state.chain_completes;
             let data_blocks = if inline { 0 } else { g.pairs.len() as u64 };
@@ -739,7 +809,10 @@ mod tests {
             let t = store.persist(&mut vt, &mut disk, obj, &[(i, &p)]).unwrap();
             ObjectStore::wait(&mut vt, t);
         }
-        assert!(store.stats().nodes_written > 0, "a full commit happened");
+        // The root at epoch 20 is a compaction root whose 20 remapped
+        // pages fit its journal: a full root, but no node write.
+        assert!(store.stats().compaction_roots > 0, "a full root happened");
+        assert_eq!(store.stats().nodes_written, 0);
         assert!(store.stats().delta_commits >= DELTA_SLOTS - 1);
     }
 

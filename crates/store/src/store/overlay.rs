@@ -29,14 +29,14 @@ impl StoreShard {
     /// commits as it spans, so a compaction root still comes after
     /// [`COMPACT_AFTER`] epochs, no record is [`DELTA_SLOTS`] epochs above
     /// its object's newest root, and no two live records share a ring
-    /// slot. Returns the blocks the tree stopped referencing.
+    /// slot. The blocks the tree stops referencing wait for their gate
+    /// (see [`ObjectState::supersede`]).
     pub(super) fn apply_record(
         &mut self,
         record: &DeltaRecord,
         patched: &mut impl Iterator<Item = Box<[u8]>>,
-    ) -> Vec<u64> {
+    ) {
         let state = &mut self.objects[record.object.0 as usize];
-        let mut superseded = Vec::new();
         for (page, word) in &record.pairs {
             let (block, digest) = layout::unpack_entry(*word);
             if block == INLINE_BLOCK {
@@ -45,10 +45,11 @@ impl StoreShard {
             } else {
                 // A whole page supersedes whatever the records held.
                 state.overlay.remove(page);
-                superseded.extend(state.tree.set_entry(*page, block, digest));
+                let old = state.tree.set_entry(*page, block, digest);
+                state.supersede(*page, old);
+                state.journal.insert(*page, *word);
             }
         }
-        superseded.extend(state.tree.take_freed());
         state.deltas_since_full += record.span + 1;
         state.epoch = record.epoch;
         // Each landed page supersedes the rotted block a scrub report may
@@ -56,6 +57,5 @@ impl StoreShard {
         let landed = |page| record.pairs.iter().any(|(p, _)| *p == page);
         self.unrepaired
             .retain(|u| u.object != record.object || !landed(u.page));
-        superseded
     }
 }

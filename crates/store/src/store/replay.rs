@@ -15,10 +15,11 @@ fn newest_root(vt: &mut Vt, root_slots: &[u8], object: ObjectId) -> Option<(Root
     for block in root_slots.chunks(BLOCK_SIZE) {
         vt.charge(Category::FileSystem, costs::ROOT_PARSE);
         if let Some(rec) = RootRecord::from_block(block, object) {
-            if newest.is_none_or(|(b, _)| {
+            if newest.as_ref().is_none_or(|(b, _)| {
                 rec.epoch > b.epoch || (rec.epoch == b.epoch && rec.flush_seq > b.flush_seq)
             }) {
-                newest = Some((rec, rec.tip_of(block)));
+                let tip = rec.tip_of(block);
+                newest = Some((rec, tip));
             }
         }
     }
@@ -238,23 +239,23 @@ impl StoreShard {
             delta_slots,
             groups,
             entry.id,
-            root.map_or(0, |(r, _)| r.epoch),
+            root.as_ref().map_or(0, |(r, _)| r.epoch),
         );
         // The newest durable root's `high_water` is the allocator frontier
         // as of that commit; the frontier is monotone, so it covers every
-        // data and node block any earlier commit of any object allocated.
-        // No tree walk needed.
-        let mut high_water = root.map_or(meta_end, |(r, _)| {
+        // data and node block any earlier commit of any object allocated
+        // (its journal's blocks included). No tree walk needed.
+        let mut high_water = root.as_ref().map_or(meta_end, |(r, _)| {
             meta_end.max(r.high_water).max(r.tree_root + 1)
         });
         let object = entry.id;
-        self.adopt_object(entry, root);
+        self.adopt_object(vt, disk, entry, root)?;
         let bases = self.prefetch_bases(vt, disk, object, records.iter().map(|(r, _)| r))?;
         for (record, tip) in &records {
             match self.check_record(vt, disk, record, &bases)? {
                 Candidate::Verified(patched) => {
-                    // The superseded blocks of a replayed record are
-                    // garbage below the recovered frontier.
+                    // The blocks a replayed record supersedes wait for
+                    // their gates, as they did when it committed.
                     self.apply_record(record, &mut patched.into_iter());
                     self.objects[object.0 as usize].tip = *tip;
                     high_water = record.data_blocks().fold(high_water, |h, b| h.max(b + 1));
@@ -267,18 +268,47 @@ impl StoreShard {
     }
 
     /// Appends the object `entry` names to the directory, at the epoch and
-    /// tip of its full root `root` (an empty tree at epoch 0 without one).
-    fn adopt_object(&mut self, entry: DirEntry, root: Option<(RootRecord, u32)>) {
-        self.by_name.insert(entry.name.clone(), entry.id);
+    /// tip of its full root `root` (an empty tree at epoch 0 without one),
+    /// with the root's journal applied over the tree it names: each
+    /// entry's path is hydrated and the entry set, so the object's next
+    /// compaction root journals on from it, and each block an entry
+    /// overrides waits for the root that writes its leaf. A journal page
+    /// whose path crosses a rotted node stays under that node, where every
+    /// read of it fails `CorruptMeta`, as any page under a rotted unloaded
+    /// node does.
+    fn adopt_object(
+        &mut self,
+        vt: &mut Vt,
+        disk: &mut Disk,
+        entry: DirEntry,
+        root: Option<(RootRecord, u32)>,
+    ) -> Result<(), StoreError> {
         let mut state = ObjectState::new(entry);
         if let Some((r, tip)) = root {
             state.tree = RadixTree::from_committed_digest(r.tree_root, r.root_digest, r.len_pages);
+            state.flushed = (r.tree_root, r.root_digest);
             state.epoch = r.epoch;
             state.full_count = r.flush_seq;
             state.tip = tip;
             state.roots = [(r.epoch, Nanos::ZERO); 2];
+            for (page, word) in r.journal {
+                let read = &mut |b, out: &mut [u8; BLOCK_SIZE]| disk.try_readv(vt, &mut [(b, out)]);
+                match state.tree.hydrate_path(page, read) {
+                    Ok(()) => {
+                        let (block, digest) = layout::unpack_entry(word);
+                        let old = state.tree.set_entry(page, block, digest);
+                        state.supersede(page, old);
+                        state.journal.insert(page, word);
+                    }
+                    Err(TreeError::CorruptNode { .. }) => {}
+                    Err(TreeError::Io(e)) => return Err(e.into()),
+                }
+            }
         }
+        self.by_name
+            .insert(state.entry.name.clone(), state.entry.id);
         self.objects.push(state);
+        Ok(())
     }
 
     /// Reads the bases of an object's whole chain once: hydrates the path

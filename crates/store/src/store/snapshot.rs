@@ -260,6 +260,13 @@ mod tests {
     use crate::store::tests::{open_shard, page_of, setup};
     use crate::ObjectStore;
 
+    /// A node-flushing root, durable, and the recycling behind it.
+    fn flush_nodes(store: &mut StoreShard, vt: &mut Vt, disk: &mut Disk, obj: ObjectId) {
+        store.flush_full_root(vt, disk, obj).unwrap();
+        vt.wait_until(store.last_commit(obj));
+        store.recycle_pending(vt.now());
+    }
+
     #[test]
     fn snapshot_pinned_blocks_survive_full_root_flushes() {
         // Extends the quarantine regression above to retained epochs:
@@ -288,6 +295,9 @@ mod tests {
             let t = store.persist(&mut vt, &mut disk, obj, &[(0, &p)]).unwrap();
             ObjectStore::wait(&mut vt, t);
         }
+        // Those roots journal page 0 over the snapshot's tree; a block
+        // that tree's leaf names passes its gate once a root writes it.
+        flush_nodes(&mut store, &mut vt, &mut disk, obj);
         assert!(
             store.withheld_blocks() > 0,
             "expired-but-pinned blocks must be withheld, not freed"
@@ -328,6 +338,7 @@ mod tests {
             let t = store.persist(&mut vt, &mut disk, obj, &[(0, &q)]).unwrap();
             ObjectStore::wait(&mut vt, t);
         }
+        flush_nodes(&mut store, &mut vt, &mut disk, obj);
         assert!(store.withheld_blocks() > 0);
         let free_before = store.alloc.free_blocks();
         store.snapshot_delete(&mut vt, &mut disk, "old").unwrap();

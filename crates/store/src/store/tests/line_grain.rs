@@ -1237,6 +1237,278 @@ fn every_full_root_writes_the_overlay_out() {
     }
 }
 
+// ---- journaled compaction roots -----------------------------------------
+
+/// The root record in `obj`'s slot for its `flush_seq`-th full root.
+fn root_in_slot(disk: &Disk, shard: &StoreShard, obj: ObjectId, flush_seq: u64) -> RootRecord {
+    let slot = shard.objects[obj.0 as usize].entry.root_slot(flush_seq);
+    RootRecord::from_block(disk.peek(slot).unwrap(), obj).expect("a valid root")
+}
+
+/// Whole-page commits of `pages`, one commit per chunk, synchronous.
+fn whole_pages(
+    shard: &mut StoreShard,
+    vt: &mut Vt,
+    disk: &mut Disk,
+    obj: ObjectId,
+    model: &mut BTreeMap<u64, Vec<u8>>,
+    chunks: &[&[u64]],
+) {
+    for chunk in chunks {
+        let fill = model.len() as u8 + 1;
+        let images: Vec<Vec<u8>> = chunk.iter().map(|p| apply(model, (*p, 0, fill))).collect();
+        let pages: Vec<(u64, &[u8])> = chunk
+            .iter()
+            .copied()
+            .zip(images.iter().map(|i| &i[..]))
+            .collect();
+        let token = shard.persist(vt, disk, obj, &pages).unwrap();
+        ObjectStore::wait(vt, token);
+    }
+}
+
+#[test]
+fn a_journal_holds_exactly_its_cap_and_the_next_remap_writes_the_fullest_leaf() {
+    let (mut disk, mut shard, mut vt) = setup();
+    let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+    let mut model = BTreeMap::new();
+    // 20 page-grain commits remap exactly JOURNAL_CAP pages, seven apart.
+    let pages: Vec<u64> = (0..JOURNAL_CAP as u64).map(|i| i * 7).collect();
+    let chunks: Vec<&[u64]> = pages.chunks(JOURNAL_CAP.div_ceil(20)).collect();
+    assert_eq!(chunks.len(), 20);
+    whole_pages(&mut shard, &mut vt, &mut disk, obj, &mut model, &chunks);
+    // The next commit (page 0 again) first writes the compaction root.
+    whole_pages(&mut shard, &mut vt, &mut disk, obj, &mut model, &[&[0]]);
+    let stats = shard.stats();
+    assert_eq!((stats.compaction_roots, stats.nodes_written), (1, 0));
+    let root = root_in_slot(&disk, &shard, obj, 1);
+    assert_eq!((root.epoch, root.tree_root), (20, 0));
+    assert_eq!(
+        root.journal.len(),
+        JOURNAL_CAP,
+        "a full journal is a journal"
+    );
+    assert_reads_back(&mut shard, &mut vt, &mut disk, obj, &model);
+    let reopened = open_shard(&mut Vt::new(2), &mut disk).unwrap();
+    assert_eq!(reopened.objects[0].journal.len(), JOURNAL_CAP);
+
+    // Nineteen more commits, one of them a page no journal entry names:
+    // the next compaction root would journal JOURNAL_CAP + 1 pages. It
+    // writes the leaf holding the most of them — leaf 0, pages 0, 5 and
+    // every seventh page below 512 — with the interior nodes above it,
+    // and journals the rest.
+    let mut more: Vec<&[u64]> = vec![&[0]; 19];
+    more[9] = &[5];
+    whole_pages(&mut shard, &mut vt, &mut disk, obj, &mut model, &more);
+    whole_pages(&mut shard, &mut vt, &mut disk, obj, &mut model, &[&[0]]);
+    let stats = shard.stats();
+    assert_eq!(stats.compaction_roots, 2);
+    assert_eq!(
+        stats.nodes_written, 3,
+        "leaf 0, the interior node and the root"
+    );
+    let root = root_in_slot(&disk, &shard, obj, 2);
+    let leaf_0 = 1 + 512_usize.div_ceil(7);
+    assert_eq!(root.epoch, 40);
+    assert_eq!(root.journal.len(), JOURNAL_CAP + 1 - leaf_0);
+    assert!(root.tree_root != 0);
+    assert!(root.journal.iter().all(|(page, _)| *page >= 512));
+    assert_reads_back(&mut shard, &mut vt, &mut disk, obj, &model);
+}
+
+/// Pages 0..3 written whole under a durable root that writes every node
+/// (epoch 3), 20 line commits over them — the compaction root at epoch 23
+/// journals the three pages it writes out, over that root's tree — then,
+/// once that root is durable, nine whole-page commits of pages 10..19:
+/// epoch 33. Returns the device, the shard, the model and the blocks the
+/// first root's leaf maps pages 0..3 to.
+fn a_journal_over_a_flushed_tree() -> (Disk, StoreShard, BTreeMap<u64, Vec<u8>>, Vec<u64>) {
+    let (mut disk, mut shard, mut vt) = setup();
+    let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+    let mut model = BTreeMap::new();
+    for w in [(0, 0, 1), (1, 0, 2), (2, 0, 3)] {
+        commit_sync(&mut shard, &mut vt, &mut disk, obj, &mut model, w);
+    }
+    shard.flush_full_root(&mut vt, &mut disk, obj).unwrap();
+    vt.wait_until(shard.last_commit(obj));
+    let nodes = shard.stats().nodes_written;
+    let leaves = (0..3)
+        .map(|p| shard.objects[0].tree.get(p).unwrap())
+        .collect();
+    for w in one_line_writes(21) {
+        commit_sync(&mut shard, &mut vt, &mut disk, obj, &mut model, w);
+    }
+    assert_eq!(shard.stats().compaction_roots, 1);
+    assert_eq!(shard.stats().nodes_written, nodes, "a journaled root");
+    vt.wait_until(shard.objects[0].roots[1].1);
+    let pages: Vec<u64> = (10..19).collect();
+    let chunks: Vec<&[u64]> = pages.chunks(1).collect();
+    whole_pages(&mut shard, &mut vt, &mut disk, obj, &mut model, &chunks);
+    assert_eq!(shard.epoch(obj), 33);
+    disk.settle();
+    (disk, shard, model, leaves)
+}
+
+#[test]
+fn an_overridden_block_waits_for_the_root_that_writes_its_leaf() {
+    // The journaled root overrides the blocks its tree's leaf names for
+    // pages 0..3. Those blocks stay allocated until a root that writes
+    // that leaf is durable, so recovery starts from either slot while the
+    // newer one holds a journal: recycled when the journaled root landed,
+    // the whole-page commits after it would reuse them, and the older
+    // root's records would patch their lines over another page's bytes.
+    let (disk, shard, model, leaves) = a_journal_over_a_flushed_tree();
+    let obj = ObjectId(0);
+    let newer = root_in_slot(&disk, &shard, obj, 2);
+    let older = root_in_slot(&disk, &shard, obj, 1);
+    assert_eq!((newer.epoch, newer.journal.len()), (23, 3));
+    assert_eq!((older.epoch, older.journal.len()), (3, 0));
+    assert_eq!(
+        newer.tree_root, older.tree_root,
+        "the journal rides the older root's tree"
+    );
+    let pending: Vec<u64> = shard.objects[0]
+        .node_freed_pending
+        .values()
+        .flatten()
+        .copied()
+        .collect();
+    assert!(
+        leaves.iter().all(|b| pending.contains(b)),
+        "{leaves:?} wait for a root that writes leaf 0: {pending:?}"
+    );
+    for corrupt in [None, Some(newer.flush_seq)] {
+        let (mut disk, shard, _, _) = a_journal_over_a_flushed_tree();
+        if let Some(flush_seq) = corrupt {
+            let block = shard.objects[0].entry.root_slot(flush_seq);
+            disk.corrupt_bit(block, 20, 0);
+        }
+        let mut vt = Vt::new(3);
+        let mut reopened = open_shard(&mut vt, &mut disk).unwrap();
+        assert_eq!(reopened.epoch(obj), 33, "newer slot corrupted: {corrupt:?}");
+        let got = read_all(&mut reopened, &mut vt, &mut disk, obj, &model);
+        assert_eq!(got, model, "newer slot corrupted: {corrupt:?}");
+    }
+}
+
+#[test]
+fn any_bit_flip_of_a_journaled_root_recovers_the_same_state() {
+    // Each bit of the record (and every 61st byte of the padding after
+    // it): the slot is rejected and recovery starts at the older root —
+    // whose leaves still name what the journal overrode — or the flip is
+    // in padding and the root is adopted as written. Either way the
+    // object reopens at epoch 33 holding the model.
+    let (mut disk, shard, model, _) = a_journal_over_a_flushed_tree();
+    let obj = ObjectId(0);
+    let newer = root_in_slot(&disk, &shard, obj, 2);
+    let slot = shard.objects[0].entry.root_slot(newer.flush_seq);
+    let end = 80 + 16 * newer.journal.len();
+    let bytes = (0..end).chain((end..BLOCK_SIZE).step_by(61));
+    let mut rejected = 0;
+    for byte in bytes {
+        for bit in 0..8 {
+            disk.corrupt_bit(slot, byte, bit);
+            rejected +=
+                usize::from(RootRecord::from_block(disk.peek(slot).unwrap(), obj).is_none());
+            let mut vt = Vt::new(3);
+            let mut reopened = open_shard(&mut vt, &mut disk).unwrap();
+            assert_eq!(reopened.epoch(obj), 33, "byte {byte} bit {bit}");
+            let got = read_all(&mut reopened, &mut vt, &mut disk, obj, &model);
+            assert_eq!(got, model, "byte {byte} bit {bit}");
+            disk.corrupt_bit(slot, byte, bit);
+        }
+    }
+    assert_eq!(rejected, 8 * end, "every bit of the record is sealed");
+}
+
+/// The 300 pages [`drive_wide`] writes, 97 apart: ≈ 60 leaves.
+fn wide_pages() -> impl Iterator<Item = u64> {
+    (0..300).map(|j| j * 97)
+}
+
+/// `commits` commits of eight one-line pages each over [`wide_pages`],
+/// issued by `threads` threads on a two-channel pool: every compaction
+/// root writes ≈ 160 overlay pages, and the journal passes its cap at
+/// every second one. Returns the device, each commit's durability
+/// instant with the digest of every page after it, and the statistics.
+fn drive_wide(threads: u32, commits: u64) -> (Disk, Vec<(Nanos, Vec<u32>)>, StoreStats) {
+    let mut disk = Disk::new(DiskConfig::paper());
+    let mut shard = format_shard(&mut disk);
+    let mut vt = Vt::new(0);
+    let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+    let mut clocks: Vec<Vt> = (0..threads).map(Vt::new).collect();
+    let mut model = BTreeMap::new();
+    let mut digests = vec![layout::digest32(&page_of(0)); 300];
+    let mut acked = Vec::new();
+    for i in 0..commits {
+        let mut writes: Vec<Write> = (0..8)
+            .map(|m| {
+                (
+                    (i * 8 + m) % 300 * 97,
+                    1 << ((i + m) % 64),
+                    (i % 251) as u8 + 1,
+                )
+            })
+            .collect();
+        writes.sort_unstable();
+        let images: Vec<Vec<u8>> = writes.iter().map(|w| apply(&mut model, *w)).collect();
+        let pages: Vec<(u64, &[u8], u64)> = writes
+            .iter()
+            .zip(&images)
+            .map(|(w, image)| (w.0, &image[..], w.1))
+            .collect();
+        let clock = clocks.iter_mut().min_by_key(|c| c.now()).unwrap();
+        let token = shard
+            .persist_batch(clock, &mut disk, &[(obj, &pages[..])])
+            .unwrap()[0];
+        ObjectStore::wait(clock, token);
+        for (w, image) in writes.iter().zip(&images) {
+            digests[(w.0 / 97) as usize] = layout::digest32(image);
+        }
+        acked.push((token.completes, digests.clone()));
+    }
+    (disk, acked, shard.stats())
+}
+
+#[test]
+fn every_io_boundary_across_a_journal_overflow_recovers_an_acked_prefix() {
+    for threads in [1, 4] {
+        let (_, acked, stats) = drive_wide(threads, 90);
+        assert!(stats.compaction_roots >= 4, "{threads}: {stats:?}");
+        assert_eq!(
+            stats.line_commits, 90,
+            "{threads}: every commit a line record"
+        );
+        assert!(stats.nodes_written > 0, "{threads}: a journal overflowed");
+        let points = crash_at_every_io(
+            || drive_wide(threads, 90).0,
+            |mut disk, at| {
+                let durable = acked.iter().filter(|(done, _)| *done <= at).count();
+                let mut vt = Vt::new(3);
+                let mut shard = open_shard(&mut vt, &mut disk).unwrap();
+                let Some(obj) = shard.lookup("o") else {
+                    assert_eq!(durable, 0, "crash at {at:?} lost the object");
+                    return;
+                };
+                let epoch = shard.epoch(obj) as usize;
+                assert!(epoch >= durable, "{at:?}: epoch {epoch} < {durable} acked");
+                let mut got = Vec::new();
+                for page in wide_pages() {
+                    let mut buf = page_of(0);
+                    shard
+                        .read_page(&mut vt, &mut disk, obj, page, &mut buf)
+                        .unwrap();
+                    got.push(layout::digest32(&buf));
+                }
+                let zero = vec![layout::digest32(&page_of(0)); 300];
+                let want = epoch.checked_sub(1).map_or(&zero, |e| &acked[e].1);
+                assert_eq!(&got, want, "crash at {at:?}, epoch {epoch}");
+            },
+        );
+        assert!(points > 90, "{threads}: {points} crash points");
+    }
+}
+
 mod equivalence {
     use super::*;
     use proptest::prelude::*;

@@ -1232,6 +1232,7 @@ fn zero_digest_leaf_entry_is_corrupt_never_served() {
         root_digest: digest32(&root),
         flush_seq: 1,
         tip: 0,
+        journal: Vec::new(),
     };
     for (block, img) in [
         (mid_b, &mid[..]),
