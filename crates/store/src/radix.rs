@@ -737,35 +737,36 @@ impl RadixTree {
         Ok(out)
     }
 
-    /// Every *resident* committed node's `(disk block, image digest)`,
-    /// parents before children. Dirty nodes (no committed image) and
-    /// unloaded subtrees (verified at hydration time instead) are skipped.
-    /// This is the scrub's node-media worklist.
-    pub fn committed_nodes(&self) -> Vec<(u64, u32)> {
-        fn walk(child: &Child, out: &mut Vec<(u64, u32)>) {
+    /// Every *resident* committed node image as `(disk block, image
+    /// digest)`, parents before children: each clean node's own and, with
+    /// `bases`, each dirty node's base, which the last commit's tree still
+    /// names. Unloaded subtrees (verified at hydration time instead) are
+    /// skipped. This is the scrub's node-media worklist.
+    pub fn committed_nodes(&self, bases: bool) -> Vec<(u64, u32)> {
+        fn walk(child: &Child, bases: bool, out: &mut Vec<(u64, u32)>) {
             if let Child::Node(n) = child {
-                if let Some(b) = n.disk_block {
-                    out.push((b, n.disk_digest));
-                }
+                out.extend(n.disk_block.map(|b| (b, n.disk_digest)));
+                out.extend(n.base.filter(|_| bases));
                 for c in &n.children {
-                    walk(c, out);
+                    walk(c, bases, out);
                 }
             }
         }
         let mut out = Vec::new();
-        walk(&self.root, &mut out);
+        walk(&self.root, bases, &mut out);
         out
     }
 
-    /// Heals a resident committed node whose *media* copy rotted: marks
-    /// the node and every ancestor dirty so the next full commit rewrites
-    /// the path to fresh blocks from the good in-memory copies. That
-    /// commit reports every image on the path as superseded, the rotted
-    /// one included: the caller quarantines it, so it is never recycled.
-    /// Returns `false` if no resident node holds `block`.
+    /// Heals a resident node whose committed image's *media* copy rotted
+    /// (its own, or its base if it is dirty): marks the node and every
+    /// ancestor dirty so the next full commit rewrites the path to fresh
+    /// blocks from the good in-memory copies. That commit reports every
+    /// image on the path as superseded, the rotted one included: the
+    /// caller quarantines it, so it is never recycled. Returns `false` if
+    /// no resident node's committed image is `block`.
     pub fn dirty_committed_node(&mut self, block: u64) -> bool {
         fn contains(node: &Node, target: u64) -> bool {
-            if node.disk_block == Some(target) {
+            if node.on_disk().is_some_and(|(b, _)| b == target) {
                 return true;
             }
             node.children
@@ -780,7 +781,7 @@ impl RadixTree {
                 return false;
             }
             let node = Arc::make_mut(arc);
-            if node.disk_block != Some(target) {
+            if node.on_disk().is_none_or(|(b, _)| b != target) {
                 for child in &mut node.children {
                     if dirty_path(child, target) {
                         break;
@@ -1394,7 +1395,7 @@ mod tests {
     fn dirty_committed_node_heals_a_path() {
         let mut next = 1_000u64;
         let mut t = committed(&[(0, 100), (513, 101)], &mut next);
-        let nodes = t.committed_nodes();
+        let nodes = t.committed_nodes(false);
         assert_eq!(nodes.len(), 4, "root + shared L1 node + two leaf nodes");
         // Pick a leaf-level node (last in parents-before-children order).
         let (victim, _) = *nodes.last().unwrap();

@@ -381,6 +381,10 @@ struct ObjectState {
     /// of the leaves (DESIGN.md §6m). Emptied by every root that writes
     /// every dirty node.
     journal: BTreeMap<u64, u64>,
+    /// Whether the newest root carries a journal: then the tree it names
+    /// holds leaves older than the in-memory tree's, whose images scrub
+    /// verifies because recovery from that root reads them.
+    journaled: bool,
     /// Monotone durability frontier: max completion instant over all of
     /// this object's commits. Gates data-block recycling so that recovery
     /// to *any* reachable epoch finds its blocks intact.
@@ -422,6 +426,7 @@ impl ObjectState {
             node_freed_pending: BTreeMap::new(),
             flushed: (0, layout::DIGEST_NONE),
             journal: BTreeMap::new(),
+            journaled: false,
             chain_completes: Nanos::ZERO,
             roots: [(0, Nanos::ZERO); 2],
             overlay: BTreeMap::new(),

@@ -339,6 +339,7 @@ impl StoreShard {
                     .flatten(),
             );
         }
+        state.journaled = !journal.is_empty();
         state.journal = journal;
         state.flushed = (tree_root, root_digest);
         state.deltas_since_full = 0;

@@ -287,6 +287,7 @@ impl StoreShard {
         if let Some((r, tip)) = root {
             state.tree = RadixTree::from_committed_digest(r.tree_root, r.root_digest, r.len_pages);
             state.flushed = (r.tree_root, r.root_digest);
+            state.journaled = !r.journal.is_empty();
             state.epoch = r.epoch;
             state.full_count = r.flush_seq;
             state.tip = tip;

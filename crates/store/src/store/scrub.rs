@@ -69,12 +69,15 @@ impl StoreShard {
             let object = self.objects[obj_idx].entry.id;
 
             // Phase 1 (on entering an object): verify the media of its
-            // resident committed nodes, a budget's worth per read.
+            // resident committed nodes, a budget's worth per read — and,
+            // while its newest root journals over leaves it did not write,
+            // of those leaves' images, which recovery from it reads.
             if start_page == 0 {
                 loop {
-                    let mut worklist: Vec<(u64, u32)> = self.objects[obj_idx]
+                    let state = &self.objects[obj_idx];
+                    let mut worklist: Vec<(u64, u32)> = state
                         .tree
-                        .committed_nodes()
+                        .committed_nodes(state.journaled)
                         .into_iter()
                         .filter(|(b, _)| !self.scrub_verified.contains(b))
                         .collect();

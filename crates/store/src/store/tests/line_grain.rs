@@ -1421,6 +1421,42 @@ fn any_bit_flip_of_a_journaled_root_recovers_the_same_state() {
     assert_eq!(rejected, 8 * end, "every bit of the record is sealed");
 }
 
+#[test]
+fn scrub_heals_a_leaf_image_only_the_roots_still_name() {
+    // The journaled root names the first root's tree, and in memory the
+    // leaf under pages 0..19 is dirty: its image on disk is a base that
+    // only the two roots reach. Rot it: scrub verifies it like any
+    // committed node, quarantines it and heals it with a root that writes
+    // the leaf, so the object reopens whole.
+    let (mut disk, mut shard, model, _) = a_journal_over_a_flushed_tree();
+    let obj = ObjectId(0);
+    let older = root_in_slot(&disk, &shard, obj, 1);
+    assert!(shard.objects[0].journaled);
+    let bases = shard.objects[0].tree.committed_nodes(true);
+    assert_eq!(
+        bases.len(),
+        3,
+        "the first root's root, interior node and leaf"
+    );
+    assert_eq!(bases[0].0, older.tree_root);
+    let (leaf, _) = bases[2];
+    disk.corrupt_bit(leaf, 100, 1);
+    let mut vt = Vt::new(4);
+    vt.wait_until(shard.last_commit(obj));
+    let found = shard.scrub(&mut vt, &mut disk, 1 << 20).unwrap();
+    assert_eq!((found.corruptions_found, found.repairs), (1, 1));
+    assert!(shard.quarantined.contains(&leaf));
+    vt.wait_until(shard.last_commit(obj));
+    disk.settle();
+    let mut vt = Vt::new(5);
+    let mut reopened = open_shard(&mut vt, &mut disk).unwrap();
+    assert_eq!(reopened.epoch(obj), 33);
+    assert_eq!(
+        read_all(&mut reopened, &mut vt, &mut disk, obj, &model),
+        model
+    );
+}
+
 /// The 300 pages [`drive_wide`] writes, 97 apart: ≈ 60 leaves.
 fn wide_pages() -> impl Iterator<Item = u64> {
     (0..300).map(|j| j * 97)
