@@ -22,7 +22,9 @@
 //! - open: [`RadixTree::new`], or [`RadixTree::from_committed_digest`]
 //!   (O(1), nothing read);
 //! - read: [`RadixTree::get_entry_or_load`], [`RadixTree::entries_from`]
-//!   (page order), or [`RadixTree::hydrate_path`] then [`RadixTree::get`];
+//!   (page order), or [`RadixTree::hydrate_path`] (or
+//!   [`RadixTree::hydrate_paths`], a level per read) then
+//!   [`RadixTree::get`];
 //! - write: [`RadixTree::hydrate_path`], [`RadixTree::set_entry`], then
 //!   [`RadixTree::commit`] (or [`RadixTree::commit_leaves`], which writes
 //!   some dirty leaves and leaves the rest at their last image);
@@ -30,6 +32,7 @@
 //!   by block number *without* hydrating either side;
 //! - blocks: [`RadixTree::hydrate_all`], then [`RadixTree::disk_blocks`].
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::layout::{digest32, pack_entry, unpack_entry, DIGEST_NONE};
@@ -48,6 +51,11 @@ const SHIFT: [u32; LEVELS] = [18, 9, 0];
 /// Fallible single-block read used for demand hydration. The store wires
 /// this to the device (charging simulated IO) and its block cache.
 pub type BlockRead<'a> = &'a mut dyn FnMut(u64, &mut [u8; BLOCK_SIZE]) -> Result<(), IoError>;
+
+/// Fallible vectored read of whole blocks, `(block, buffer)` pairs, the
+/// shape of [`msnap_disk::Disk::try_readv`]: what
+/// [`RadixTree::hydrate_paths`] reads a level's nodes with.
+pub type BlocksRead<'a> = &'a mut dyn FnMut(&mut [(u64, &mut [u8])]) -> Result<(), IoError>;
 
 /// Error from a tree operation that hydrates nodes on demand.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -328,6 +336,78 @@ impl RadixTree {
         Ok(())
     }
 
+    /// [`RadixTree::hydrate_path`] of every page of `pages`, a level at a
+    /// time: the unloaded nodes the paths cross at one level are read in
+    /// one `read`, so the paths cost `LEVELS` reads, not one per node. A
+    /// node whose image fails its digest stays unloaded, and the paths
+    /// under it stop there: [`RadixTree::hydrate_path`] of such a page
+    /// reports [`TreeError::CorruptNode`].
+    pub fn hydrate_paths(&mut self, pages: &[u64], read: BlocksRead) -> Result<(), IoError> {
+        for level in 0..LEVELS {
+            let mut wanted: Vec<(u64, u32)> = pages
+                .iter()
+                .filter_map(|&page| match self.slot_at(page, level) {
+                    Some(Child::Unloaded { block, digest }) => Some((*block, *digest)),
+                    _ => None,
+                })
+                .collect();
+            wanted.sort_unstable();
+            wanted.dedup();
+            if wanted.is_empty() {
+                continue;
+            }
+            let mut images = vec![[0u8; BLOCK_SIZE]; wanted.len()];
+            let mut iov: Vec<(u64, &mut [u8])> = wanted
+                .iter()
+                .zip(images.iter_mut())
+                .map(|((block, _), image)| (*block, &mut image[..]))
+                .collect();
+            read(&mut iov)?;
+            let nodes: HashMap<u64, Arc<Node>> = wanted
+                .iter()
+                .zip(&images)
+                .filter(|((_, digest), image)| digest32(&image[..]) == *digest)
+                .map(|((block, _), image)| (*block, Arc::new(Node::parse(*block, image, level))))
+                .collect();
+            for &page in pages {
+                if let Some(slot) = self.slot_at_mut(page, level) {
+                    if let Child::Unloaded { block, .. } = slot {
+                        if let Some(node) = nodes.get(block) {
+                            *slot = Child::Node(Arc::clone(node));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The slot `level` steps below the root on `page`'s path, if every
+    /// node above it is resident.
+    fn slot_at(&self, page: u64, level: usize) -> Option<&Child> {
+        assert!(page < MAX_PAGES, "page index out of range");
+        let mut slot = &self.root;
+        for &shift in &SHIFT[..level] {
+            let Child::Node(node) = slot else {
+                return None;
+            };
+            slot = &node.children[((page >> shift) as usize) & (FANOUT - 1)];
+        }
+        Some(slot)
+    }
+
+    /// [`RadixTree::slot_at`], mutably.
+    fn slot_at_mut(&mut self, page: u64, level: usize) -> Option<&mut Child> {
+        let mut slot = &mut self.root;
+        for &shift in &SHIFT[..level] {
+            let Child::Node(node) = slot else {
+                return None;
+            };
+            slot = &mut Arc::make_mut(node).children[((page >> shift) as usize) & (FANOUT - 1)];
+        }
+        Some(slot)
+    }
+
     /// The `(data block, content digest)` entry for `page`, hydrating the
     /// path on demand.
     pub fn get_entry_or_load(
@@ -513,7 +593,9 @@ impl RadixTree {
         );
         match &self.root {
             Child::Node(n) => n.on_disk().unwrap_or((0, DIGEST_NONE)),
-            _ => (0, DIGEST_NONE),
+            Child::Unloaded { block, digest } => (*block, *digest),
+            Child::Empty => (0, DIGEST_NONE),
+            Child::Data { .. } => unreachable!("the root is never a data block"),
         }
     }
 
@@ -916,6 +998,57 @@ mod tests {
             loaded.entries_from(0, usize::MAX, &mut no_read),
             t.entries_from(0, usize::MAX, &mut no_read)
         );
+    }
+
+    #[test]
+    fn hydrate_paths_reads_a_level_per_read_and_stops_under_a_rotted_node() {
+        let mut t = RadixTree::new();
+        let pages: Vec<u64> = (0..40).map(|i| i * 700 + (i % 3) * 300_000).collect();
+        for &p in &pages {
+            t.set_entry(p, 1_000_000 + p, p as u32);
+        }
+        let mut next = 10u64;
+        let mut writes = Vec::new();
+        let root = t.commit(
+            &mut || {
+                next += 1;
+                next
+            },
+            &mut writes,
+        );
+        let mut blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
+        let nodes = blocks.len();
+        // Rot the leaf mapping the last page.
+        let Some(Child::Node(leaf)) = t.slot_at(*pages.last().unwrap(), LEVELS - 1) else {
+            panic!("a committed tree is resident");
+        };
+        let rotted = leaf.disk_block.unwrap();
+        blocks.get_mut(&rotted).unwrap()[0] ^= 1;
+        let mut loaded =
+            RadixTree::from_committed_digest(root, t.committed_root_digest(), t.len_pages());
+        let mut reads = Vec::new();
+        loaded
+            .hydrate_paths(&pages, &mut |iov| {
+                reads.push(iov.len());
+                for (b, out) in iov.iter_mut() {
+                    out.copy_from_slice(&blocks[b]);
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(reads.len(), LEVELS, "one read per level");
+        assert_eq!(reads.iter().sum::<usize>(), nodes, "each node once");
+        assert_eq!(loaded.unloaded_nodes(), 1, "the rotted leaf");
+        let (last, rest) = pages.split_last().unwrap();
+        for &p in rest {
+            loaded.hydrate_path(p, &mut no_read).unwrap();
+            assert_eq!(loaded.get_entry(p), t.get_entry(p));
+        }
+        let err = loaded.hydrate_path(*last, &mut |b, out| {
+            out.copy_from_slice(&blocks[&b]);
+            Ok(())
+        });
+        assert_eq!(err, Err(TreeError::CorruptNode { block: rotted }));
     }
 
     #[test]

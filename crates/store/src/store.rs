@@ -374,12 +374,10 @@ struct ObjectState {
     /// writes that leaf is durable. Until then every root recovery may
     /// adopt names that leaf's image, whatever its journal overrides.
     node_freed_pending: BTreeMap<u64, Vec<u64>>,
-    /// The tree the newest root names: its root block and root digest.
-    flushed: (u64, u32),
-    /// Every mapping the in-memory tree holds beyond that tree, page →
-    /// packed entry: what a compaction root carries in its block in place
-    /// of the leaves (DESIGN.md §6m). Emptied by every root that writes
-    /// every dirty node.
+    /// Every mapping the in-memory tree holds beyond the tree the newest
+    /// root names, page → packed entry: what a compaction root carries
+    /// in its block in place of the leaves (DESIGN.md §6m). Emptied by
+    /// every root that writes every dirty node.
     journal: BTreeMap<u64, u64>,
     /// Whether the newest root carries a journal: then the tree it names
     /// holds leaves older than the in-memory tree's, whose images scrub
@@ -424,7 +422,6 @@ impl ObjectState {
             full_count: 0,
             root_freed_pending: Vec::new(),
             node_freed_pending: BTreeMap::new(),
-            flushed: (0, layout::DIGEST_NONE),
             journal: BTreeMap::new(),
             journaled: false,
             chain_completes: Nanos::ZERO,

@@ -231,33 +231,28 @@ impl StoreShard {
         };
         journal.retain(|page, _| !leaves.contains(&leaf_of(*page)));
         let mut node_writes = Vec::new();
-        let (tree_root, root_digest) = if journaled && leaves.is_empty() {
-            state.flushed
-        } else {
-            // The commit closure cannot fail, so allocator exhaustion is
-            // flagged and handed out of never-written scratch blocks, then
-            // the whole commit aborts.
-            let mut exhausted = false;
-            let mut scratch = SCRATCH_BLOCK_BASE;
-            let root = state.tree.commit_leaves(
-                &|leaf| !journaled || leaves.contains(&leaf),
-                &mut || match self.alloc.alloc() {
-                    Some(b) => b,
-                    None => {
-                        exhausted = true;
-                        scratch += 1;
-                        scratch
-                    }
-                },
-                &mut node_writes,
-            );
-            if exhausted {
-                state.tree = tree_snapshot;
-                self.alloc = alloc_snapshot;
-                return Err(StoreError::OutOfSpace);
-            }
-            root
-        };
+        // The commit closure cannot fail, so allocator exhaustion is
+        // flagged and handed out of never-written scratch blocks, then
+        // the whole commit aborts.
+        let mut exhausted = false;
+        let mut scratch = SCRATCH_BLOCK_BASE;
+        let (tree_root, root_digest) = state.tree.commit_leaves(
+            &|leaf| !journaled || leaves.contains(&leaf),
+            &mut || match self.alloc.alloc() {
+                Some(b) => b,
+                None => {
+                    exhausted = true;
+                    scratch += 1;
+                    scratch
+                }
+            },
+            &mut node_writes,
+        );
+        if exhausted {
+            state.tree = tree_snapshot;
+            self.alloc = alloc_snapshot;
+            return Err(StoreError::OutOfSpace);
+        }
         vt.charge(Category::FileSystem, initiate);
         vt.charge(
             Category::FileSystem,
@@ -341,7 +336,6 @@ impl StoreShard {
         }
         state.journaled = !journal.is_empty();
         state.journal = journal;
-        state.flushed = (tree_root, root_digest);
         state.deltas_since_full = 0;
         state.epoch = epoch;
         // The root landed after everything it covers: it is the chain's

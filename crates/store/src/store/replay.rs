@@ -269,10 +269,11 @@ impl StoreShard {
 
     /// Appends the object `entry` names to the directory, at the epoch and
     /// tip of its full root `root` (an empty tree at epoch 0 without one),
-    /// with the root's journal applied over the tree it names: each
-    /// entry's path is hydrated and the entry set, so the object's next
-    /// compaction root journals on from it, and each block an entry
-    /// overrides waits for the root that writes its leaf. A journal page
+    /// with the root's journal applied over the tree it names: the
+    /// entries' paths are hydrated, a level per vectored read, and each
+    /// entry set, so the object's next compaction root journals on from
+    /// it, and each block an entry overrides waits for the root that
+    /// writes its leaf. A journal page
     /// whose path crosses a rotted node stays under that node, where every
     /// read of it fails `CorruptMeta`, as any page under a rotted unloaded
     /// node does.
@@ -286,12 +287,13 @@ impl StoreShard {
         let mut state = ObjectState::new(entry);
         if let Some((r, tip)) = root {
             state.tree = RadixTree::from_committed_digest(r.tree_root, r.root_digest, r.len_pages);
-            state.flushed = (r.tree_root, r.root_digest);
             state.journaled = !r.journal.is_empty();
             state.epoch = r.epoch;
             state.full_count = r.flush_seq;
             state.tip = tip;
             state.roots = [(r.epoch, Nanos::ZERO); 2];
+            let pages: Vec<u64> = r.journal.iter().map(|(page, _)| *page).collect();
+            hydrate_paths(vt, disk, &mut state.tree, &pages)?;
             for (page, word) in r.journal {
                 let read = &mut |b, out: &mut [u8; BLOCK_SIZE]| disk.try_readv(vt, &mut [(b, out)]);
                 match state.tree.hydrate_path(page, read) {
@@ -313,7 +315,8 @@ impl StoreShard {
     }
 
     /// Reads the bases of an object's whole chain once: hydrates the path
-    /// of every page any candidate record names, then fetches the blocks
+    /// of every page any candidate record names, a level per vectored
+    /// read, then fetches the blocks
     /// its line-grain pairs would patch — as the root maps them — in
     /// vectored reads of up to [`BULK_READ_PAGES`], instead of one short
     /// read per record. A rotted node is left for the replay to meet at
@@ -326,8 +329,11 @@ impl StoreShard {
         records: impl Iterator<Item = &'a DeltaRecord>,
     ) -> Result<Prefetch, StoreError> {
         let tree = &mut self.objects[object.0 as usize].tree;
+        let pairs: Vec<&(u64, u64)> = records.flat_map(|d| &d.pairs).collect();
+        let pages: Vec<u64> = pairs.iter().map(|(page, _)| *page).collect();
+        hydrate_paths(vt, disk, tree, &pages)?;
         let mut blocks: Vec<u64> = Vec::new();
-        for (page, word) in records.flat_map(|d| &d.pairs) {
+        for (page, word) in pairs {
             match tree.hydrate_path(*page, &mut |b, out| disk.try_readv(vt, &mut [(b, out)])) {
                 Ok(()) if layout::unpack_entry(*word).0 == INLINE_BLOCK => {
                     blocks.extend(tree.get(*page));
@@ -447,6 +453,22 @@ impl StoreShard {
         }
         Ok(Candidate::Verified(patched))
     }
+}
+
+/// [`RadixTree::hydrate_paths`] of `tree` from the device, in vectored
+/// reads of up to [`BULK_READ_PAGES`] nodes.
+fn hydrate_paths(
+    vt: &mut Vt,
+    disk: &mut Disk,
+    tree: &mut RadixTree,
+    pages: &[u64],
+) -> Result<(), IoError> {
+    tree.hydrate_paths(pages, &mut |iov| {
+        for chunk in iov.chunks_mut(BULK_READ_PAGES as usize) {
+            disk.try_readv(vt, chunk)?;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

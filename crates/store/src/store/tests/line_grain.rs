@@ -1316,6 +1316,35 @@ fn a_journal_holds_exactly_its_cap_and_the_next_remap_writes_the_fullest_leaf() 
     assert_reads_back(&mut shard, &mut vt, &mut disk, obj, &model);
 }
 
+/// A root written over an object no write has touched since a reopen —
+/// its tree still one unloaded root block — names that tree: a snapshot
+/// or a full root of it loses no page across the next reopen.
+#[test]
+fn a_root_over_an_untouched_reopened_object_names_its_tree() {
+    for snapshot in [false, true] {
+        let (mut disk, mut shard, mut vt) = setup();
+        let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+        let mut model = BTreeMap::new();
+        let chunks: &[&[u64]] = &[&[0, 1], &[600, 2], &[1 << 18]];
+        whole_pages(&mut shard, &mut vt, &mut disk, obj, &mut model, chunks);
+        shard.flush_full_root(&mut vt, &mut disk, obj).unwrap();
+        vt.wait_until(shard.last_commit(obj));
+        disk.settle();
+        let mut vt = Vt::new(2);
+        let mut shard = open_shard(&mut vt, &mut disk).unwrap();
+        assert_eq!(shard.objects[0].tree.unloaded_nodes(), 1);
+        if snapshot {
+            shard.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
+        } else {
+            shard.flush_full_root(&mut vt, &mut disk, obj).unwrap();
+        }
+        vt.wait_until(shard.last_commit(obj));
+        let root = root_in_slot(&disk, &shard, obj, shard.objects[0].full_count);
+        assert!(root.tree_root != 0, "snapshot {snapshot}");
+        assert_reads_back(&mut shard, &mut vt, &mut disk, obj, &model);
+    }
+}
+
 /// Pages 0..3 written whole under a durable root that writes every node
 /// (epoch 3), 20 line commits over them — the compaction root at epoch 23
 /// journals the three pages it writes out, over that root's tree — then,
