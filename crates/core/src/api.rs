@@ -584,8 +584,11 @@ impl MemSnap {
     ///
     /// `budget` caps the pages examined this call; the cursor persists
     /// in memory, so calling this from an idle loop scrubs the whole
-    /// store incrementally. Cumulative totals (including completed
-    /// `passes`) are at [`ObjectStore::scrub_stats`].
+    /// store incrementally. A slice submits its data read and returns
+    /// without waiting for it: what it reports verified is the previous
+    /// slice's read (waited for only if it has not landed), plus each
+    /// digest it checked at 212 ns. Cumulative totals (including
+    /// completed `passes`) are at [`ObjectStore::scrub_stats`].
     ///
     /// # Errors
     ///

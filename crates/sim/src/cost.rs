@@ -177,21 +177,24 @@ impl CostTracker {
     pub fn iter(&self) -> impl Iterator<Item = (Category, Nanos)> + '_ {
         self.by_category.iter().map(|(c, d)| (*c, *d))
     }
-
-    /// Fraction of total time in `category`, in `[0, 1]`; zero if empty.
-    pub fn fraction(&self, category: Category) -> f64 {
-        let total = self.total().as_ns();
-        if total == 0 {
-            0.0
-        } else {
-            self.get(category).as_ns() as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostTracker {
+        /// Fraction of total time in `category`, in `[0, 1]`; zero if
+        /// empty.
+        fn fraction(&self, category: Category) -> f64 {
+            let total = self.total().as_ns();
+            if total == 0 {
+                0.0
+            } else {
+                self.get(category).as_ns() as f64 / total as f64
+            }
+        }
+    }
 
     #[test]
     fn add_and_get() {

@@ -460,6 +460,16 @@ impl RadixTree {
         unreachable!()
     }
 
+    /// The `(data block, content digest)` entry for `page` if its path is
+    /// resident: `None` if the page is unwritten or the path crosses an
+    /// unloaded node.
+    pub fn resident_entry(&self, page: u64) -> Option<(u64, u32)> {
+        match self.slot_at(page, LEVELS)? {
+            Child::Data { block, digest } => Some((*block, *digest)),
+            _ => None,
+        }
+    }
+
     /// Points `page` at `data_block` (recording `digest` as the digest32
     /// of its contents), COW-dirtying the path. Returns the replaced data
     /// block, if any (the caller recycles it after commit). Shared nodes
@@ -820,22 +830,22 @@ impl RadixTree {
     }
 
     /// Every *resident* committed node image as `(disk block, image
-    /// digest)`, parents before children: each clean node's own and, with
-    /// `bases`, each dirty node's base, which the last commit's tree still
-    /// names. Unloaded subtrees (verified at hydration time instead) are
-    /// skipped. This is the scrub's node-media worklist.
-    pub fn committed_nodes(&self, bases: bool) -> Vec<(u64, u32)> {
-        fn walk(child: &Child, bases: bool, out: &mut Vec<(u64, u32)>) {
+    /// digest)`, parents before children: each clean node's own and each
+    /// dirty node's base, which the newest root's tree still names and
+    /// recovery reads. Unloaded subtrees (verified at hydration time
+    /// instead) are skipped. This is the scrub's node-media worklist.
+    pub fn committed_nodes(&self) -> Vec<(u64, u32)> {
+        fn walk(child: &Child, out: &mut Vec<(u64, u32)>) {
             if let Child::Node(n) = child {
                 out.extend(n.disk_block.map(|b| (b, n.disk_digest)));
-                out.extend(n.base.filter(|_| bases));
+                out.extend(n.base);
                 for c in &n.children {
-                    walk(c, bases, out);
+                    walk(c, out);
                 }
             }
         }
         let mut out = Vec::new();
-        walk(&self.root, bases, &mut out);
+        walk(&self.root, &mut out);
         out
     }
 
@@ -1528,7 +1538,7 @@ mod tests {
     fn dirty_committed_node_heals_a_path() {
         let mut next = 1_000u64;
         let mut t = committed(&[(0, 100), (513, 101)], &mut next);
-        let nodes = t.committed_nodes(false);
+        let nodes = t.committed_nodes();
         assert_eq!(nodes.len(), 4, "root + shared L1 node + two leaf nodes");
         // Pick a leaf-level node (last in parents-before-children order).
         let (victim, _) = *nodes.last().unwrap();

@@ -245,12 +245,33 @@ pub(crate) fn readv_blocks(
     disk: &mut Disk,
     blocks: impl IntoIterator<Item = u64>,
 ) -> Result<Vec<u8>, IoError> {
+    let (buf, lands) = submit_readv(vt.now(), disk, blocks)?;
+    wait_io(vt, lands);
+    Ok(buf)
+}
+
+/// Submits `blocks` at `now` as one vectored read without waiting for
+/// it: their images back to back, in iteration order, and the instant
+/// the read lands.
+pub(crate) fn submit_readv(
+    now: Nanos,
+    disk: &mut Disk,
+    blocks: impl IntoIterator<Item = u64>,
+) -> Result<(Vec<u8>, Nanos), IoError> {
     let blocks: Vec<u64> = blocks.into_iter().collect();
     let mut buf = vec![0u8; blocks.len() * BLOCK_SIZE];
     let mut iov: Vec<(u64, &mut [u8])> =
         blocks.into_iter().zip(buf.chunks_mut(BLOCK_SIZE)).collect();
-    disk.try_readv(vt, &mut iov)?;
-    Ok(buf)
+    let lands = disk.try_readv_at(now, &mut iov)?;
+    Ok((buf, lands))
+}
+
+/// Blocks `vt` until `at`, charging the wait as [`Category::IoWait`].
+pub(crate) fn wait_io(vt: &mut Vt, at: Nanos) {
+    let wait = at.saturating_sub(vt.now());
+    if wait > Nanos::ZERO {
+        vt.charge(Category::IoWait, wait);
+    }
 }
 
 /// Pages per bulk-read submission (1 MiB of buffer): the chunk
@@ -326,7 +347,7 @@ pub struct StoreStats {
 ///
 /// Calibrated against the paper's Table 5: "Initiating Writes" for a
 /// 64 KiB (16-page) μCheckpoint costs 6.5 μs.
-mod costs {
+pub(crate) mod costs {
     use msnap_sim::Nanos;
 
     /// Fixed cost of assembling and submitting a μCheckpoint IO.
@@ -337,6 +358,9 @@ mod costs {
     pub const NODE_SERIALIZE: Nanos = Nanos::from_ns(250);
     /// Cost of a root/delta-slot parse during recovery.
     pub const ROOT_PARSE: Nanos = Nanos::from_ns(400);
+    /// Cost of digesting one 4 KiB image on scrub's verify path:
+    /// `BENCH_host.json`'s page digest, 4 KiB at 19.36 GB/s.
+    pub const DIGEST_PAGE: Nanos = Nanos::from_ns(212);
 
     /// Cost of initiating a μCheckpoint of `pages` pages. Charged only
     /// once the commit's blocks are allocated: an attempt that aborts
@@ -379,10 +403,6 @@ struct ObjectState {
     /// in its block in place of the leaves (DESIGN.md §6m). Emptied by
     /// every root that writes every dirty node.
     journal: BTreeMap<u64, u64>,
-    /// Whether the newest root carries a journal: then the tree it names
-    /// holds leaves older than the in-memory tree's, whose images scrub
-    /// verifies because recovery from that root reads them.
-    journaled: bool,
     /// Monotone durability frontier: max completion instant over all of
     /// this object's commits. Gates data-block recycling so that recovery
     /// to *any* reachable epoch finds its blocks intact.
@@ -423,7 +443,6 @@ impl ObjectState {
             root_freed_pending: Vec::new(),
             node_freed_pending: BTreeMap::new(),
             journal: BTreeMap::new(),
-            journaled: false,
             chain_completes: Nanos::ZERO,
             roots: [(0, Nanos::ZERO); 2],
             overlay: BTreeMap::new(),
@@ -528,6 +547,9 @@ pub(crate) struct StoreShard {
     /// Committed COW nodes are shared across objects and snapshots, so
     /// each block is read once per pass. Cleared when the pass wraps.
     scrub_verified: HashSet<u64>,
+    /// The scrub's one submitted, not yet verified data read: the next
+    /// slice verifies it (DESIGN.md §6g).
+    scrub_ahead: Option<scrub::ReadAhead>,
     /// Cumulative scrub statistics.
     scrub_stats: ScrubStats,
     /// Corrupt pages with no clean local source, waiting for a peer
@@ -569,6 +591,7 @@ impl StoreShard {
             quarantined: HashSet::new(),
             scrub_cursor: (0, 0),
             scrub_verified: HashSet::new(),
+            scrub_ahead: None,
             scrub_stats: ScrubStats::default(),
             unrepaired: Vec::new(),
         }

@@ -334,7 +334,6 @@ impl StoreShard {
                     .flatten(),
             );
         }
-        state.journaled = !journal.is_empty();
         state.journal = journal;
         state.deltas_since_full = 0;
         state.epoch = epoch;

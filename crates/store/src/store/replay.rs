@@ -287,7 +287,6 @@ impl StoreShard {
         let mut state = ObjectState::new(entry);
         if let Some((r, tip)) = root {
             state.tree = RadixTree::from_committed_digest(r.tree_root, r.root_digest, r.len_pages);
-            state.journaled = !r.journal.is_empty();
             state.epoch = r.epoch;
             state.full_count = r.flush_seq;
             state.tip = tip;

@@ -5,11 +5,15 @@
 use super::*;
 
 /// Cumulative statistics for the online scrubber
-/// ([`ObjectStore::scrub`]).
+/// ([`ObjectStore::scrub`]). Pages are counted when their read is
+/// verified, one slice after it was submitted, so `pages_verified` and
+/// `passes` lag `io_spent` by one slice.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubStats {
     /// Leaf pages whose data block was read back and verified against
-    /// the digest the radix entry carries.
+    /// the digest the radix entry carries. A page whose block a commit
+    /// freed or rewrote between its read and its verification is not
+    /// counted.
     pub pages_verified: u64,
     /// Committed radix-node media images read back and verified.
     pub nodes_verified: u64,
@@ -24,7 +28,8 @@ pub struct ScrubStats {
     pub unrepaired: u64,
     /// Device block reads the scrub spent — its IO budget consumption.
     pub io_spent: u64,
-    /// Full passes over the radix forest completed.
+    /// Full passes over the radix forest completed: counted once the
+    /// pass's last read is verified.
     pub passes: u64,
 }
 
@@ -46,6 +51,17 @@ pub struct UnrepairedPage {
     pub epoch: Epoch,
 }
 
+/// A slice's data-block read, submitted and not yet verified: the pages
+/// it covers as `(page, block, digest)`, the digests of the images the
+/// device returned for them, in the same order, and the instant the read
+/// lands. The next slice, or the pass wrap, verifies it (DESIGN.md §6g).
+pub(super) struct ReadAhead {
+    object: ObjectId,
+    entries: Vec<(u64, u64, u32)>,
+    sums: Vec<u32>,
+    lands: Nanos,
+}
+
 impl StoreShard {
     /// One slice of [`crate::ObjectStore::scrub`] over this shard's forest,
     /// resuming at its cursor. Returns the statistics delta of the call.
@@ -60,7 +76,11 @@ impl StoreShard {
         while budget > 0 {
             let (obj_idx, start_page) = self.scrub_cursor;
             if obj_idx >= self.objects.len() {
-                // Pass complete: wrap the cursor and forget per-pass memos.
+                // Pass complete once its last read is verified: wrap the
+                // cursor and forget per-pass memos.
+                if let Some(ahead) = self.scrub_ahead.take() {
+                    self.verify_read(vt, disk, ahead)?;
+                }
                 self.scrub_stats.passes += 1;
                 self.scrub_verified.clear();
                 self.scrub_cursor = (0, 0);
@@ -69,15 +89,14 @@ impl StoreShard {
             let object = self.objects[obj_idx].entry.id;
 
             // Phase 1 (on entering an object): verify the media of its
-            // resident committed nodes, a budget's worth per read — and,
-            // while its newest root journals over leaves it did not write,
-            // of those leaves' images, which recovery from it reads.
+            // resident committed nodes, dirty nodes' bases included, a
+            // budget's worth per read.
             if start_page == 0 {
                 loop {
                     let state = &self.objects[obj_idx];
                     let mut worklist: Vec<(u64, u32)> = state
                         .tree
-                        .committed_nodes(state.journaled)
+                        .committed_nodes()
                         .into_iter()
                         .filter(|(b, _)| !self.scrub_verified.contains(b))
                         .collect();
@@ -93,6 +112,10 @@ impl StoreShard {
                     let images = readv_blocks(vt, disk, worklist.iter().map(|(b, _)| *b))?;
                     budget -= worklist.len() as u64;
                     self.scrub_stats.io_spent += worklist.len() as u64;
+                    vt.charge(
+                        Category::FileSystem,
+                        costs::DIGEST_PAGE * worklist.len() as u64,
+                    );
                     let mut corrupt = None;
                     for ((block, digest), image) in
                         worklist.into_iter().zip(images.chunks(BLOCK_SIZE))
@@ -118,10 +141,12 @@ impl StoreShard {
                 }
             }
 
-            // Phase 2: enumerate leaf entries from the cursor, read their
-            // data blocks in one vectored submission, and verify each
-            // against its digest. Hydration reads go straight to the
-            // device too (and verify node digests on the way down).
+            // Phase 2: enumerate leaf entries from the cursor and submit
+            // their data blocks as one vectored read without waiting for
+            // it; then verify the previous slice's read, which has had a
+            // slice's time to land. Hydration reads go straight to the
+            // device, synchronously (and verify node digests on the way
+            // down).
             let limit = budget.min(BULK_READ_PAGES) as usize;
             let mut hydration_io = 0u64;
             let entries = {
@@ -155,56 +180,108 @@ impl StoreShard {
             let take = entries.len().min(budget as usize);
             let resume_at = entries.get(take).map(|(page, _, _)| *page);
             entries.truncate(take);
-            let images = readv_blocks(vt, disk, entries.iter().map(|(_, b, _)| *b))?;
+            let (images, lands) = submit_readv(vt.now(), disk, entries.iter().map(|(_, b, _)| *b))?;
             budget -= take as u64;
             self.scrub_stats.io_spent += take as u64;
-            let mut next_page = start_page;
-            for ((page, block, digest), image) in entries.into_iter().zip(images.chunks(BLOCK_SIZE))
-            {
-                next_page = page + 1;
-                if layout::digest32(image) == digest {
-                    self.scrub_stats.pages_verified += 1;
-                    continue;
-                }
-                // Rotted page data: quarantine, then repair — newest
-                // retained snapshot with an independent clean copy first,
-                // else hand the page to replication.
-                self.scrub_stats.corruptions_found += 1;
-                self.cache.invalidate(block);
-                self.quarantined.insert(block);
-                if self.objects[obj_idx].overlay.contains_key(&page) {
-                    // The rotted block is only the base of a page whose
-                    // newest content the overlay holds: writing the
-                    // overlay out heals it.
-                    self.flush_full_root(vt, disk, object)?;
-                    self.scrub_stats.repairs += 1;
-                    continue;
-                }
-                match self.snapshot_clean_copy(vt, disk, object, page, digest, block)? {
-                    Some(data) => {
-                        self.repair_commit(vt, disk, object, page, &data)?;
-                        self.scrub_stats.repairs += 1;
-                    }
-                    None => {
-                        self.scrub_stats.unrepaired += 1;
-                        let epoch = self.objects[obj_idx].epoch;
-                        self.unrepaired.push(UnrepairedPage {
-                            object,
-                            page,
-                            block,
-                            digest,
-                            epoch,
-                        });
-                    }
-                }
-            }
             self.scrub_cursor = match resume_at {
                 Some(page) => (obj_idx, page),
-                None if full_chunk => (obj_idx, next_page),
+                None if full_chunk => (obj_idx, entries.last().map_or(start_page, |e| e.0 + 1)),
                 None => (obj_idx + 1, 0),
             };
+            if entries.is_empty() {
+                continue;
+            }
+            // The images are hashed as they are copied out; the caller
+            // pays for each digest when it is checked.
+            let sums = images.chunks(BLOCK_SIZE).map(layout::digest32).collect();
+            let ahead = ReadAhead {
+                object,
+                entries,
+                sums,
+                lands,
+            };
+            if let Some(previous) = self.scrub_ahead.replace(ahead) {
+                self.verify_read(vt, disk, previous)?;
+            }
         }
         Ok(self.scrub_delta(before))
+    }
+
+    /// Verifies a read-ahead, waiting for it to land first. On an error
+    /// the cursor goes back to the page that failed and the newer
+    /// read-ahead is dropped, so the next call re-reads what this one
+    /// left unverified.
+    fn verify_read(
+        &mut self,
+        vt: &mut Vt,
+        disk: &mut Disk,
+        ahead: ReadAhead,
+    ) -> Result<(), StoreError> {
+        wait_io(vt, ahead.lands);
+        for (entry, sum) in ahead.entries.into_iter().zip(ahead.sums) {
+            if let Err(e) = self.verify_page(vt, disk, ahead.object, entry, sum) {
+                self.scrub_cursor = (ahead.object.0 as usize, entry.0);
+                self.scrub_ahead = None;
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks one read-ahead page, whose image digested to `sum`, and
+    /// quarantines and repairs it if it rotted — while the tree still
+    /// maps the page to the block and digest it was read for. Otherwise
+    /// a commit freed or rewrote the block after the read was submitted:
+    /// the image is stale, not rot, and the page's new block waits for
+    /// the next pass.
+    fn verify_page(
+        &mut self,
+        vt: &mut Vt,
+        disk: &mut Disk,
+        object: ObjectId,
+        (page, block, digest): (u64, u64, u32),
+        sum: u32,
+    ) -> Result<(), StoreError> {
+        let obj_idx = object.0 as usize;
+        if self.objects[obj_idx].tree.resident_entry(page) != Some((block, digest)) {
+            return Ok(());
+        }
+        vt.charge(Category::FileSystem, costs::DIGEST_PAGE);
+        if sum == digest {
+            self.scrub_stats.pages_verified += 1;
+            return Ok(());
+        }
+        // Rotted page data: quarantine, then repair — newest retained
+        // snapshot with an independent clean copy first, else hand the
+        // page to replication.
+        self.scrub_stats.corruptions_found += 1;
+        self.cache.invalidate(block);
+        self.quarantined.insert(block);
+        if self.objects[obj_idx].overlay.contains_key(&page) {
+            // The rotted block is only the base of a page whose newest
+            // content the overlay holds: writing the overlay out heals it.
+            self.flush_full_root(vt, disk, object)?;
+            self.scrub_stats.repairs += 1;
+            return Ok(());
+        }
+        match self.snapshot_clean_copy(vt, disk, object, page, digest, block)? {
+            Some(data) => {
+                self.repair_commit(vt, disk, object, page, &data)?;
+                self.scrub_stats.repairs += 1;
+            }
+            None => {
+                self.scrub_stats.unrepaired += 1;
+                let epoch = self.objects[obj_idx].epoch;
+                self.unrepaired.push(UnrepairedPage {
+                    object,
+                    page,
+                    block,
+                    digest,
+                    epoch,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Cumulative scrub statistics of this shard (`passes` counts its own
@@ -351,5 +428,208 @@ impl StoreShard {
             self.scrub_stats.repairs += 1;
         }
         Ok(token)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::tests::{open_shard, page_of, setup};
+    use crate::ObjectStore;
+
+    /// One object of `pages` pages, page `p` filled with `p`'s low byte,
+    /// committed and settled.
+    fn one_object(pages: u64) -> (Disk, StoreShard, Vt, ObjectId) {
+        let (mut disk, mut shard, mut vt) = setup();
+        let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+        let images: Vec<Vec<u8>> = (0..pages).map(|p| page_of(p as u8)).collect();
+        let iov: Vec<(u64, &[u8])> = (0..pages).zip(images.iter().map(|i| &i[..])).collect();
+        let token = shard.persist(&mut vt, &mut disk, obj, &iov).unwrap();
+        ObjectStore::wait(&mut vt, token);
+        disk.settle();
+        (disk, shard, vt, obj)
+    }
+
+    /// The block the object's tree maps `page` to.
+    fn block_of(shard: &StoreShard, obj: ObjectId, page: u64) -> u64 {
+        shard.objects[obj.0 as usize].tree.get(page).unwrap()
+    }
+
+    /// The pages the pending read-ahead covers.
+    fn read_ahead_pages(shard: &StoreShard) -> Vec<u64> {
+        let ahead = shard.scrub_ahead.as_ref().expect("a read is in flight");
+        ahead.entries.iter().map(|(page, _, _)| *page).collect()
+    }
+
+    /// Commits a fresh page at a time until one lands on `block`: the
+    /// page that now owns it.
+    fn reuse(
+        shard: &mut StoreShard,
+        vt: &mut Vt,
+        disk: &mut Disk,
+        obj: ObjectId,
+        block: u64,
+    ) -> u64 {
+        (1_000..1_064)
+            .find(|&page| {
+                let token = shard
+                    .persist(vt, disk, obj, &[(page, &page_of(0xEE))])
+                    .unwrap();
+                ObjectStore::wait(vt, token);
+                block_of(shard, obj, page) == block
+            })
+            .expect("the freed block is reallocated")
+    }
+
+    /// Scrubs until this shard's pass wraps; the pass's statistics.
+    fn finish_pass(shard: &mut StoreShard, vt: &mut Vt, disk: &mut Disk) -> ScrubStats {
+        let before = shard.scrub_stats();
+        while shard.scrub_stats().passes == before.passes {
+            shard.scrub(vt, disk, 64).unwrap();
+        }
+        shard.scrub_delta(before)
+    }
+
+    #[test]
+    fn a_block_rewritten_under_a_read_ahead_is_neither_reported_nor_counted() {
+        // Page 5's block rots, and a slice reads it. Before the next
+        // slice verifies that read, a commit over page 5 frees the block
+        // and a later commit reuses it. The rotted image is stale, not
+        // rot: scrub must not report it, quarantine a block another page
+        // owns now, or count the page as verified.
+        let (mut disk, mut shard, mut vt, obj) = one_object(128);
+        let old = block_of(&shard, obj, 5);
+        disk.corrupt_bit(old, 40, 3);
+        shard.scrub(&mut vt, &mut disk, 64).unwrap();
+        let ahead = read_ahead_pages(&shard);
+        assert!(ahead.contains(&5));
+
+        let token = shard
+            .persist(&mut vt, &mut disk, obj, &[(5, &page_of(0xA5))])
+            .unwrap();
+        ObjectStore::wait(&mut vt, token);
+        // The old block is free once a root writes page 5's leaf.
+        shard.flush_full_root(&mut vt, &mut disk, obj).unwrap();
+        vt.wait_until(shard.last_commit(obj));
+        let owner = reuse(&mut shard, &mut vt, &mut disk, obj, old);
+
+        let slice = shard.scrub(&mut vt, &mut disk, 64).unwrap();
+        assert_eq!(slice.pages_verified, ahead.len() as u64 - 1);
+        assert_eq!(slice.corruptions_found, 0);
+        assert!(shard.quarantined.is_empty());
+        assert_eq!(
+            finish_pass(&mut shard, &mut vt, &mut disk).corruptions_found,
+            0
+        );
+        let pages = 128 + (owner - 1_000 + 1);
+        let verified = shard.scrub_stats().pages_verified;
+        assert_eq!(verified, pages - 1, "every page but page 5, once");
+
+        // Rot on page 5's new block is found on the next pass.
+        let new = block_of(&shard, obj, 5);
+        disk.corrupt_bit(new, 7, 1);
+        let pass = finish_pass(&mut shard, &mut vt, &mut disk);
+        assert_eq!(pass.corruptions_found, 1);
+        let reported = shard.unrepaired_pages();
+        assert_eq!(
+            (reported.len(), reported[0].page, reported[0].block),
+            (1, 5, new)
+        );
+    }
+
+    #[test]
+    fn a_page_dropped_under_a_read_ahead_is_neither_reported_nor_counted() {
+        // The store deletes pages by rebasing an object onto a snapshot
+        // taken before they were written, as a replica discards divergent
+        // history. Pages 5.. go under a pending read, page 5's rotted
+        // block among them, and a later commit reuses that block.
+        let (mut disk, mut shard, mut vt) = setup();
+        let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+        let images: Vec<Vec<u8>> = (0..128).map(|p| page_of(p as u8)).collect();
+        let iov: Vec<(u64, &[u8])> = (0..128).zip(images.iter().map(|i| &i[..])).collect();
+        let token = shard.persist(&mut vt, &mut disk, obj, &iov[..5]).unwrap();
+        ObjectStore::wait(&mut vt, token);
+        shard.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
+        let token = shard.persist(&mut vt, &mut disk, obj, &iov[5..]).unwrap();
+        ObjectStore::wait(&mut vt, token);
+        disk.settle();
+        let old = block_of(&shard, obj, 5);
+        disk.corrupt_bit(old, 40, 3);
+        shard.scrub(&mut vt, &mut disk, 64).unwrap();
+        let ahead = read_ahead_pages(&shard);
+        assert!(ahead.contains(&5));
+
+        let epoch = shard.epoch(obj) + 1;
+        let token = shard
+            .apply_image(&mut vt, &mut disk, obj, Some("s"), &[], epoch)
+            .unwrap();
+        ObjectStore::wait(&mut vt, token);
+        vt.wait_until(shard.last_commit(obj));
+        let owner = reuse(&mut shard, &mut vt, &mut disk, obj, old);
+
+        // Of the pages read ahead, only the five the snapshot kept count.
+        let pass = finish_pass(&mut shard, &mut vt, &mut disk);
+        assert_eq!(pass.corruptions_found, 0);
+        assert!(shard.quarantined.is_empty());
+        assert_eq!(pass.pages_verified, 5 + (owner - 1_000 + 1));
+
+        // Rot on the block's new owner is found on the next pass, and
+        // reported against that page.
+        disk.corrupt_bit(old, 7, 1);
+        let pass = finish_pass(&mut shard, &mut vt, &mut disk);
+        assert_eq!(pass.corruptions_found, 1);
+        let reported = shard.unrepaired_pages();
+        assert_eq!(
+            (reported.len(), reported[0].page, reported[0].block),
+            (1, owner, old)
+        );
+    }
+
+    #[test]
+    fn a_power_failure_with_a_read_in_flight_restores_a_clean_store() {
+        // A snapshot holds a clean copy of page 5 and its live block
+        // rots; a slice reads the rotted block, then a commit gives
+        // page 5 new bytes. Verifying the stale image as rot would
+        // "repair" page 5 back to the snapshot's bytes and lose that
+        // write. The power fails while the next slice's read is in
+        // flight; the restored store reads every write back and a full
+        // pass finds nothing.
+        let (mut disk, mut shard, mut vt, obj) = one_object(128);
+        shard.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
+        let token = shard
+            .persist(&mut vt, &mut disk, obj, &[(5, &page_of(5))])
+            .unwrap();
+        ObjectStore::wait(&mut vt, token);
+        // Under a root, so that recovery does not replay the rotted block.
+        shard.flush_full_root(&mut vt, &mut disk, obj).unwrap();
+        vt.wait_until(shard.last_commit(obj));
+        disk.settle();
+        disk.corrupt_bit(block_of(&shard, obj, 5), 40, 3);
+        shard.scrub(&mut vt, &mut disk, 64).unwrap();
+        assert!(read_ahead_pages(&shard).contains(&5));
+        let token = shard
+            .persist(&mut vt, &mut disk, obj, &[(5, &page_of(0xA5))])
+            .unwrap();
+        ObjectStore::wait(&mut vt, token);
+
+        let slice = shard.scrub(&mut vt, &mut disk, 64).unwrap();
+        assert_eq!(slice.corruptions_found, 0);
+        let (_, digest) = shard.objects[0].tree.get_entry(5).unwrap();
+        assert_eq!(digest, layout::digest32(&page_of(0xA5)), "no stale repair");
+        assert!(shard.scrub_ahead.as_ref().unwrap().lands > vt.now());
+        disk.crash(vt.now());
+
+        let mut vt = Vt::new(1);
+        let mut shard = open_shard(&mut vt, &mut disk).unwrap();
+        let mut buf = page_of(0);
+        for page in 0..128 {
+            let want = if page == 5 { 0xA5 } else { page as u8 };
+            shard
+                .read_page(&mut vt, &mut disk, obj, page, &mut buf)
+                .unwrap();
+            assert_eq!(buf, page_of(want), "page {page}");
+        }
+        let pass = finish_pass(&mut shard, &mut vt, &mut disk);
+        assert_eq!((pass.pages_verified, pass.corruptions_found), (128, 0));
     }
 }

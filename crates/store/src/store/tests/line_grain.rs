@@ -1460,8 +1460,8 @@ fn scrub_heals_a_leaf_image_only_the_roots_still_name() {
     let (mut disk, mut shard, model, _) = a_journal_over_a_flushed_tree();
     let obj = ObjectId(0);
     let older = root_in_slot(&disk, &shard, obj, 1);
-    assert!(shard.objects[0].journaled);
-    let bases = shard.objects[0].tree.committed_nodes(true);
+    assert!(!root_in_slot(&disk, &shard, obj, 2).journal.is_empty());
+    let bases = shard.objects[0].tree.committed_nodes();
     assert_eq!(
         bases.len(),
         3,

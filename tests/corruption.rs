@@ -1075,9 +1075,11 @@ fn seeded_rot_sweep(shards: usize) {
     assert_eq!(stats.unrepaired, 0);
     assert_eq!(store.quarantined_blocks(), rotted.len());
     // Batched or not, scrub reads the same blocks: the counts the serial
-    // read loops reported for this seed.
+    // read loops reported for this seed, plus the base images of the
+    // three-node path the second commit dirtied, which the newest root
+    // still names and scrub verifies like any committed node.
     assert_eq!(stats.pages_verified, 3);
-    assert_eq!(stats.io_spent, 13);
+    assert_eq!(stats.io_spent, 16);
 
     for (page, want) in &pages {
         let mut buf = page_of(0);
