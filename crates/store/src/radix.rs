@@ -17,15 +17,15 @@
 //! A committed subtree need not be resident: [`Child::Unloaded`] records
 //! the node's disk block and the digest of its image without reading it,
 //! and every hydration, the root's included, verifies the image it reads
-//! against that digest. The tree has one surface, lazy and fallible:
+//! against that digest. Every hydration reads through one vectored
+//! [`BlocksRead`]. The tree has one surface, lazy and fallible:
 //!
 //! - open: [`RadixTree::new`], or [`RadixTree::from_committed_digest`]
 //!   (O(1), nothing read);
 //! - read: [`RadixTree::get_entry_or_load`], [`RadixTree::entries_from`]
-//!   (page order), or [`RadixTree::hydrate_path`] (or
-//!   [`RadixTree::hydrate_paths`], a level per read) then
-//!   [`RadixTree::get`];
-//! - write: [`RadixTree::hydrate_path`], [`RadixTree::set_entry`], then
+//!   (page order), or [`RadixTree::hydrate_paths`] (many pages' paths, a
+//!   level per read) then [`RadixTree::get`];
+//! - write: [`RadixTree::hydrate_paths`], [`RadixTree::set_entry`], then
 //!   [`RadixTree::commit`] (or [`RadixTree::commit_leaves`], which writes
 //!   some dirty leaves and leaves the rest at their last image);
 //! - compare: [`RadixTree::diff_pages_with`], which skips shared subtrees
@@ -48,13 +48,10 @@ pub const MAX_PAGES: u64 = (FANOUT as u64).pow(LEVELS as u32);
 
 const SHIFT: [u32; LEVELS] = [18, 9, 0];
 
-/// Fallible single-block read used for demand hydration. The store wires
-/// this to the device (charging simulated IO) and its block cache.
-pub type BlockRead<'a> = &'a mut dyn FnMut(u64, &mut [u8; BLOCK_SIZE]) -> Result<(), IoError>;
-
 /// Fallible vectored read of whole blocks, `(block, buffer)` pairs, the
-/// shape of [`msnap_disk::Disk::try_readv`]: what
-/// [`RadixTree::hydrate_paths`] reads a level's nodes with.
+/// shape of [`msnap_disk::Disk::try_readv`]: the one reader every
+/// hydration reads nodes with, a walk's single node as a one-entry read.
+/// The store wires it to the device and its block cache.
 pub type BlocksRead<'a> = &'a mut dyn FnMut(&mut [(u64, &mut [u8])]) -> Result<(), IoError>;
 
 /// Error from a tree operation that hydrates nodes on demand.
@@ -171,14 +168,23 @@ impl Node {
         self.disk_block.map(|b| (b, self.disk_digest)).or(self.base)
     }
 
-    /// Parses a node image read from `block`. Children at interior levels
-    /// come back [`Child::Unloaded`]; nothing below is read. `disk_digest`
-    /// is the digest of `buf` itself (the caller has already verified it
-    /// against the parent's expectation).
-    fn parse(block: u64, buf: &[u8; BLOCK_SIZE], level: usize) -> Node {
+    /// Parses a node image read from `block` once it matches `digest`,
+    /// the digest its parent or record carries: every image read back,
+    /// the root's included, is verified, and a mismatch is
+    /// [`TreeError::CorruptNode`]. Children at interior levels come back
+    /// [`Child::Unloaded`]; nothing below is read.
+    fn parse(
+        block: u64,
+        digest: u32,
+        buf: &[u8; BLOCK_SIZE],
+        level: usize,
+    ) -> Result<Node, TreeError> {
+        if digest32(buf) != digest {
+            return Err(TreeError::CorruptNode { block });
+        }
         let mut node = Node::new();
         node.disk_block = Some(block);
-        node.disk_digest = digest32(buf);
+        node.disk_digest = digest;
         let mut r = Reader::new(buf);
         for child in &mut node.children {
             // A zero word is an empty slot; FANOUT words fill the block.
@@ -192,7 +198,7 @@ impl Node {
                 Child::Unloaded { block: b, digest }
             };
         }
-        node
+        Ok(node)
     }
 
     fn serialize(&self) -> [u8; BLOCK_SIZE] {
@@ -211,23 +217,18 @@ impl Node {
 }
 
 /// Replaces an [`Child::Unloaded`] slot with its resident node (reading it
-/// via `read`) and returns a mutable reference to the node. Every image
-/// read back, the root's included, is verified against the digest its
-/// parent or record carries; a mismatch is [`TreeError::CorruptNode`].
-/// On any error the slot is left `Unloaded` — nothing is poisoned and a
-/// retry starts from the same state.
+/// via `read`, a one-entry read) and returns a mutable reference to the
+/// node. On any error the slot is left `Unloaded` — nothing is poisoned
+/// and a retry starts from the same state.
 fn hydrate_slot<'a>(
     slot: &'a mut Child,
     level: usize,
-    read: BlockRead,
+    read: BlocksRead,
 ) -> Result<&'a mut Node, TreeError> {
     if let Child::Unloaded { block, digest } = *slot {
-        let mut buf = [0u8; BLOCK_SIZE];
-        read(block, &mut buf)?;
-        if digest32(&buf) != digest {
-            return Err(TreeError::CorruptNode { block });
-        }
-        *slot = Child::Node(Arc::new(Node::parse(block, &buf, level)));
+        let mut image = [0u8; BLOCK_SIZE];
+        read(&mut [(block, &mut image[..])])?;
+        *slot = Child::Node(Arc::new(Node::parse(block, digest, &image, level)?));
     }
     match slot {
         Child::Node(n) => Ok(Arc::make_mut(n)),
@@ -293,8 +294,8 @@ impl RadixTree {
     }
 
     /// Reads every unloaded node so the whole tree is resident.
-    pub fn hydrate_all(&mut self, read: BlockRead) -> Result<(), TreeError> {
-        fn rec(slot: &mut Child, level: usize, read: BlockRead) -> Result<(), TreeError> {
+    pub fn hydrate_all(&mut self, read: BlocksRead) -> Result<(), TreeError> {
+        fn rec(slot: &mut Child, level: usize, read: BlocksRead) -> Result<(), TreeError> {
             match slot {
                 Child::Empty | Child::Data { .. } => Ok(()),
                 _ => {
@@ -312,37 +313,19 @@ impl RadixTree {
         rec(&mut self.root, 0, read)
     }
 
-    /// Hydrates the root-to-leaf path for `page` without dirtying it.
-    /// After this returns `Ok`, [`RadixTree::get`] and
-    /// [`RadixTree::set_entry`] on `page` cannot cross an unloaded node,
-    /// so a write hydrates before it mutates. On error nothing has been
-    /// mutated except already-completed hydrations (which are semantically
-    /// neutral), so retrying is safe.
-    pub fn hydrate_path(&mut self, page: u64, read: BlockRead) -> Result<(), TreeError> {
-        assert!(page < MAX_PAGES, "page index out of range");
-        let mut slot = &mut self.root;
-        for (level, &shift) in SHIFT.iter().enumerate() {
-            match slot {
-                Child::Empty | Child::Data { .. } => return Ok(()),
-                _ => {}
-            }
-            let node = hydrate_slot(slot, level, read)?;
-            if level == LEVELS - 1 {
-                return Ok(());
-            }
-            let idx = ((page >> shift) as usize) & (FANOUT - 1);
-            slot = &mut node.children[idx];
-        }
-        Ok(())
-    }
-
-    /// [`RadixTree::hydrate_path`] of every page of `pages`, a level at a
-    /// time: the unloaded nodes the paths cross at one level are read in
-    /// one `read`, so the paths cost `LEVELS` reads, not one per node. A
-    /// node whose image fails its digest stays unloaded, and the paths
-    /// under it stop there: [`RadixTree::hydrate_path`] of such a page
-    /// reports [`TreeError::CorruptNode`].
-    pub fn hydrate_paths(&mut self, pages: &[u64], read: BlocksRead) -> Result<(), IoError> {
+    /// Hydrates the root-to-leaf paths of `pages` without dirtying them,
+    /// a level at a time: the unloaded nodes the paths cross at one level
+    /// are read in one `read`. Afterwards [`RadixTree::get`] and
+    /// [`RadixTree::set_entry`] on those pages cannot cross an unloaded
+    /// node. Only the path to a slot it fills is copied (`Arc::make_mut`),
+    /// so reading resident paths leaves every node shared with clones.
+    /// A node whose image fails its digest stays unloaded; every path not
+    /// under one is still hydrated, and then the first rotted node
+    /// (shallowest level, lowest block) is [`TreeError::CorruptNode`]. On
+    /// any error the hydrations done stay (they are semantically neutral)
+    /// and a retry is safe.
+    pub fn hydrate_paths(&mut self, pages: &[u64], read: BlocksRead) -> Result<(), TreeError> {
+        let mut rotted = None;
         for level in 0..LEVELS {
             let mut wanted: Vec<(u64, u32)> = pages
                 .iter()
@@ -363,23 +346,31 @@ impl RadixTree {
                 .map(|((block, _), image)| (*block, &mut image[..]))
                 .collect();
             read(&mut iov)?;
-            let nodes: HashMap<u64, Arc<Node>> = wanted
-                .iter()
-                .zip(&images)
-                .filter(|((_, digest), image)| digest32(&image[..]) == *digest)
-                .map(|((block, _), image)| (*block, Arc::new(Node::parse(*block, image, level))))
-                .collect();
-            for &page in pages {
-                if let Some(slot) = self.slot_at_mut(page, level) {
-                    if let Child::Unloaded { block, .. } = slot {
-                        if let Some(node) = nodes.get(block) {
-                            *slot = Child::Node(Arc::clone(node));
-                        }
+            let mut nodes = HashMap::new();
+            for (&(block, digest), image) in wanted.iter().zip(&images) {
+                match Node::parse(block, digest, image, level) {
+                    Ok(node) => {
+                        nodes.insert(block, Arc::new(node));
+                    }
+                    Err(e) => {
+                        rotted.get_or_insert(e);
                     }
                 }
             }
+            for &page in pages {
+                let Some(Child::Unloaded { block, .. }) = self.slot_at(page, level) else {
+                    continue;
+                };
+                let Some(node) = nodes.get(block) else {
+                    continue; // its image is rotted
+                };
+                let node = Child::Node(Arc::clone(node));
+                *self
+                    .slot_at_mut(page, level)
+                    .expect("its parent is resident") = node;
+            }
         }
-        Ok(())
+        rotted.map_or(Ok(()), Err)
     }
 
     /// The slot `level` steps below the root on `page`'s path, if every
@@ -413,9 +404,9 @@ impl RadixTree {
     pub fn get_entry_or_load(
         &mut self,
         page: u64,
-        read: BlockRead,
+        read: BlocksRead,
     ) -> Result<Option<(u64, u32)>, TreeError> {
-        self.hydrate_path(page, read)?;
+        self.hydrate_paths(&[page], read)?;
         Ok(self.get_entry(page))
     }
 
@@ -424,7 +415,7 @@ impl RadixTree {
     /// # Panics
     ///
     /// Panics if the lookup crosses an unloaded subtree — hydrate the
-    /// path first ([`RadixTree::hydrate_path`]).
+    /// path first ([`RadixTree::hydrate_paths`]).
     pub fn get(&self, page: u64) -> Option<u64> {
         self.get_entry(page).map(|(b, _)| b)
     }
@@ -479,7 +470,7 @@ impl RadixTree {
     /// # Panics
     ///
     /// Panics if `page >= MAX_PAGES`, `data_block == 0`, or the path
-    /// crosses an unloaded subtree ([`RadixTree::hydrate_path`] first).
+    /// crosses an unloaded subtree ([`RadixTree::hydrate_paths`] first).
     pub fn set_entry(&mut self, page: u64, data_block: u64, digest: u32) -> Option<u64> {
         assert!(page < MAX_PAGES, "page index out of range");
         assert!(data_block != 0, "block 0 is reserved");
@@ -492,7 +483,7 @@ impl RadixTree {
             let node = match slot {
                 Child::Node(n) => Arc::make_mut(n),
                 Child::Unloaded { .. } => {
-                    panic!("set_entry crossed an unloaded subtree; hydrate_path first")
+                    panic!("set_entry crossed an unloaded subtree; hydrate_paths first")
                 }
                 _ => unreachable!("interior slots always hold nodes here"),
             };
@@ -712,14 +703,14 @@ impl RadixTree {
     pub fn diff_pages_with(
         base: Option<&mut RadixTree>,
         target: &mut RadixTree,
-        read: BlockRead,
+        read: BlocksRead,
     ) -> Result<Vec<(u64, u64)>, TreeError> {
         fn walk(
             a: Option<&mut Child>,
             b: &mut Child,
             prefix: u64,
             level: usize,
-            read: BlockRead,
+            read: BlocksRead,
             out: &mut Vec<(u64, u64)>,
         ) -> Result<(), TreeError> {
             if let Some(ac) = &a {
@@ -775,7 +766,7 @@ impl RadixTree {
         &mut self,
         start: u64,
         limit: usize,
-        read: BlockRead,
+        read: BlocksRead,
     ) -> Result<Vec<(u64, u64, u32)>, TreeError> {
         fn walk(
             slot: &mut Child,
@@ -783,7 +774,7 @@ impl RadixTree {
             level: usize,
             start: u64,
             limit: usize,
-            read: BlockRead,
+            read: BlocksRead,
             out: &mut Vec<(u64, u64, u32)>,
         ) -> Result<(), TreeError> {
             if out.len() >= limit {
@@ -915,12 +906,23 @@ mod tests {
     use std::collections::HashMap;
 
     /// The hydration read of a tree built in memory, which needs none.
-    fn no_read(b: u64, _: &mut [u8; BLOCK_SIZE]) -> Result<(), IoError> {
-        panic!("a resident tree read block {b}")
+    fn no_read(iov: &mut [(u64, &mut [u8])]) -> Result<(), IoError> {
+        panic!("a resident tree read block {}", iov[0].0)
+    }
+
+    /// Serves a hydration read from the committed images `blocks`.
+    fn serve(
+        blocks: &HashMap<u64, Box<[u8]>>,
+        iov: &mut [(u64, &mut [u8])],
+    ) -> Result<(), IoError> {
+        for (b, out) in iov.iter_mut() {
+            out.copy_from_slice(&blocks[b]);
+        }
+        Ok(())
     }
 
     /// Every `(page, data block)` of `t`, in page order.
-    fn page_blocks(t: &mut RadixTree, read: BlockRead) -> Vec<(u64, u64)> {
+    fn page_blocks(t: &mut RadixTree, read: BlocksRead) -> Vec<(u64, u64)> {
         let entries = t.entries_from(0, usize::MAX, read).unwrap();
         entries.into_iter().map(|(p, b, _)| (p, b)).collect()
     }
@@ -996,12 +998,7 @@ mod tests {
         let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
         let mut loaded =
             RadixTree::from_committed_digest(root, t.committed_root_digest(), t.len_pages());
-        loaded
-            .hydrate_all(&mut |b, out| {
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
-            })
-            .unwrap();
+        loaded.hydrate_all(&mut |iov| serve(&blocks, iov)).unwrap();
         assert_eq!(loaded.unloaded_nodes(), 0);
         assert_eq!(loaded.len_pages(), t.len_pages());
         assert_eq!(
@@ -1037,27 +1034,20 @@ mod tests {
         let mut loaded =
             RadixTree::from_committed_digest(root, t.committed_root_digest(), t.len_pages());
         let mut reads = Vec::new();
-        loaded
-            .hydrate_paths(&pages, &mut |iov| {
-                reads.push(iov.len());
-                for (b, out) in iov.iter_mut() {
-                    out.copy_from_slice(&blocks[b]);
-                }
-                Ok(())
-            })
-            .unwrap();
+        let err = loaded.hydrate_paths(&pages, &mut |iov| {
+            reads.push(iov.len());
+            serve(&blocks, iov)
+        });
+        assert_eq!(err, Err(TreeError::CorruptNode { block: rotted }));
         assert_eq!(reads.len(), LEVELS, "one read per level");
         assert_eq!(reads.iter().sum::<usize>(), nodes, "each node once");
         assert_eq!(loaded.unloaded_nodes(), 1, "the rotted leaf");
         let (last, rest) = pages.split_last().unwrap();
         for &p in rest {
-            loaded.hydrate_path(p, &mut no_read).unwrap();
+            loaded.hydrate_paths(&[p], &mut no_read).unwrap();
             assert_eq!(loaded.get_entry(p), t.get_entry(p));
         }
-        let err = loaded.hydrate_path(*last, &mut |b, out| {
-            out.copy_from_slice(&blocks[&b]);
-            Ok(())
-        });
+        let err = loaded.hydrate_paths(&[*last], &mut |iov| serve(&blocks, iov));
         assert_eq!(err, Err(TreeError::CorruptNode { block: rotted }));
     }
 
@@ -1232,6 +1222,58 @@ mod tests {
         assert_eq!(b.get(513), Some(101));
     }
 
+    /// The committed blocks of `a`'s nodes that `b` holds resident at the
+    /// same place without sharing them (`Arc::ptr_eq`), parents first.
+    fn unshared(a: &RadixTree, b: &RadixTree) -> Vec<u64> {
+        fn walk(a: &Child, b: &Child, out: &mut Vec<u64>) {
+            if let (Child::Node(x), Child::Node(y)) = (a, b) {
+                if !Arc::ptr_eq(x, y) {
+                    out.push(x.disk_block.expect("a read dirties nothing"));
+                }
+                for (ca, cb) in x.children.iter().zip(&y.children) {
+                    walk(ca, cb, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(&a.root, &b.root, &mut out);
+        out
+    }
+
+    #[test]
+    fn reads_keep_the_nodes_a_clone_shares() {
+        // Pages 0, 513 and 1024 sit in three leaves under one L1 node;
+        // page 300 000 under another.
+        let mut next = 1_000u64;
+        let (_, mut lazy, blocks) = committed_on_disk(
+            &[(0, 100), (513, 101), (1024, 102), (300_000, 103)],
+            &mut next,
+        );
+        let resident = [0, 513, 300_000];
+        lazy.hydrate_paths(&resident, &mut |iov| serve(&blocks, iov))
+            .unwrap();
+        let clone = lazy.clone();
+        assert_eq!(
+            lazy.get_entry_or_load(513, &mut no_read),
+            Ok(Some((101, 101)))
+        );
+        lazy.hydrate_paths(&resident, &mut no_read).unwrap();
+        assert_eq!(
+            unshared(&lazy, &clone),
+            vec![],
+            "resident reads copy nothing"
+        );
+        // Filling page 1024's leaf copies the path above it, nothing else.
+        lazy.hydrate_paths(&[0, 1024, 300_000], &mut |iov| serve(&blocks, iov))
+            .unwrap();
+        let Some(Child::Node(l1)) = lazy.slot_at(1024, 1) else {
+            panic!("the path is resident");
+        };
+        let path = vec![lazy.committed_root(), l1.disk_block.unwrap()];
+        assert_eq!(unshared(&lazy, &clone), path);
+        assert_eq!(lazy.get(1024), Some(102));
+    }
+
     #[test]
     fn abort_snapshot_of_dirty_tree_survives_commit() {
         // The store clones a *dirty* tree as its abort snapshot, commits
@@ -1262,10 +1304,9 @@ mod tests {
         assert_eq!(lazy.unloaded_nodes(), 1, "only the root slot pre-hydration");
         let mut reads = Vec::new();
         let got = lazy
-            .get_entry_or_load(0, &mut |b, out| {
-                reads.push(b);
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
+            .get_entry_or_load(0, &mut |iov| {
+                reads.push(iov[0].0);
+                serve(&blocks, iov)
             })
             .unwrap();
         assert_eq!(got, Some((100, 100)));
@@ -1273,7 +1314,7 @@ mod tests {
         assert!(lazy.unloaded_nodes() > 0, "other subtrees stay unloaded");
         // A second read of the same page costs nothing.
         let got = lazy
-            .get_entry_or_load(0, &mut |_b, _out| panic!("path already resident"))
+            .get_entry_or_load(0, &mut |_| panic!("path already resident"))
             .unwrap();
         assert_eq!(got, Some((100, 100)));
     }
@@ -1282,11 +1323,8 @@ mod tests {
     fn lazy_set_entry_hydrates_then_dirties() {
         let mut next = 1_000u64;
         let (_, mut lazy, blocks) = committed_on_disk(&[(0, 100), (513, 101)], &mut next);
-        lazy.hydrate_path(0, &mut |b, out| {
-            out.copy_from_slice(&blocks[&b]);
-            Ok(())
-        })
-        .unwrap();
+        lazy.hydrate_paths(&[0], &mut |iov| serve(&blocks, iov))
+            .unwrap();
         assert_eq!(lazy.set_entry(0, 999, 999), Some(100));
         assert_eq!(dirty_nodes(&lazy), LEVELS);
         assert!(
@@ -1301,9 +1339,9 @@ mod tests {
     fn failed_hydration_leaves_tree_retryable() {
         let mut next = 1_000u64;
         let (_, mut lazy, blocks) = committed_on_disk(&[(0, 100)], &mut next);
-        let err = lazy.get_entry_or_load(0, &mut |b, _out| {
+        let err = lazy.get_entry_or_load(0, &mut |iov| {
             Err(IoError::Failed {
-                block: b,
+                block: iov[0].0,
                 transient: true,
             })
         });
@@ -1311,10 +1349,7 @@ mod tests {
         assert_eq!(dirty_nodes(&lazy), 0, "failure must not dirty anything");
         // Retry with a working device succeeds from the same state.
         let got = lazy
-            .get_entry_or_load(0, &mut |b, out| {
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
-            })
+            .get_entry_or_load(0, &mut |iov| serve(&blocks, iov))
             .unwrap();
         assert_eq!(got, Some((100, 100)));
     }
@@ -1324,12 +1359,9 @@ mod tests {
         let mut next = 1_000u64;
         let (_, mut lazy, blocks) = committed_on_disk(&[(0, 100), (513, 101)], &mut next);
         let old_root = lazy.committed_root();
-        let mut read = |b: u64, out: &mut [u8; BLOCK_SIZE]| {
-            out.copy_from_slice(&blocks[&b]);
-            Ok(())
-        };
+        let mut read = |iov: &mut [(u64, &mut [u8])]| serve(&blocks, iov);
         // Dirty one path; the sibling subtree stays unloaded.
-        lazy.hydrate_path(0, &mut read).unwrap();
+        lazy.hydrate_paths(&[0], &mut read).unwrap();
         lazy.set_entry(0, 999, 999);
         let mut writes = Vec::new();
         let new_root = lazy.commit(
@@ -1381,10 +1413,9 @@ mod tests {
         let mut base = RadixTree::from_committed_digest(root1, digest1, t.len_pages());
         let mut target = RadixTree::from_committed_digest(root2, digest2, t.len_pages());
         let mut reads = Vec::new();
-        let diff = RadixTree::diff_pages_with(Some(&mut base), &mut target, &mut |b, out| {
-            reads.push(b);
-            out.copy_from_slice(&blocks[&b]);
-            Ok(())
+        let diff = RadixTree::diff_pages_with(Some(&mut base), &mut target, &mut |iov| {
+            reads.push(iov[0].0);
+            serve(&blocks, iov)
         })
         .unwrap();
         assert_eq!(diff, vec![(513, 200)]);
@@ -1399,7 +1430,7 @@ mod tests {
         // Equal lazy trees diff with zero reads: the root refs match.
         let mut x = RadixTree::from_committed_digest(root2, digest2, t.len_pages());
         let mut y = RadixTree::from_committed_digest(root2, digest2, t.len_pages());
-        let diff = RadixTree::diff_pages_with(Some(&mut x), &mut y, &mut |_b, _out| {
+        let diff = RadixTree::diff_pages_with(Some(&mut x), &mut y, &mut |_| {
             panic!("identical trees must not hydrate")
         })
         .unwrap();
@@ -1424,10 +1455,7 @@ mod tests {
         assert_ne!(root_digest, DIGEST_NONE);
         let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
         let mut lazy = RadixTree::from_committed_digest(root, root_digest, t.len_pages());
-        let mut read = |b: u64, out: &mut [u8; BLOCK_SIZE]| {
-            out.copy_from_slice(&blocks[&b]);
-            Ok(())
-        };
+        let mut read = |iov: &mut [(u64, &mut [u8])]| serve(&blocks, iov);
         assert_eq!(
             lazy.get_entry_or_load(0, &mut read).unwrap(),
             Some((100, 0xAAAA))
@@ -1466,19 +1494,13 @@ mod tests {
         let mut lazy =
             RadixTree::from_committed_digest(root, t.committed_root_digest(), t.len_pages());
         let err = lazy
-            .get_entry_or_load(0, &mut |b, out| {
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
-            })
+            .get_entry_or_load(0, &mut |iov| serve(&blocks, iov))
             .unwrap_err();
         assert_eq!(err, TreeError::CorruptNode { block: l1 });
         // The slot stays unloaded: fixing the media makes the read succeed.
         blocks.get_mut(&l1).unwrap()[3] ^= 0x40;
         let got = lazy
-            .get_entry_or_load(0, &mut |b, out| {
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
-            })
+            .get_entry_or_load(0, &mut |iov| serve(&blocks, iov))
             .unwrap();
         assert_eq!(got, Some((100, 0x1234)));
     }
@@ -1500,10 +1522,7 @@ mod tests {
         );
         let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
         let mut lazy = RadixTree::from_committed_digest(root, DIGEST_NONE, t.len_pages());
-        let got = lazy.get_entry_or_load(0, &mut |b, out| {
-            out.copy_from_slice(&blocks[&b]);
-            Ok(())
-        });
+        let got = lazy.get_entry_or_load(0, &mut |iov| serve(&blocks, iov));
         assert_eq!(got, Err(TreeError::CorruptNode { block: root }));
         assert_eq!(lazy.unloaded_nodes(), 1, "the root stays unloaded");
     }
@@ -1515,10 +1534,9 @@ mod tests {
             committed_on_disk(&[(0, 100), (513, 101), (300_000, 102)], &mut next);
         let mut reads = Vec::new();
         let got = lazy
-            .entries_from(1, 10, &mut |b, out| {
-                reads.push(b);
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
+            .entries_from(1, 10, &mut |iov| {
+                reads.push(iov[0].0);
+                serve(&blocks, iov)
             })
             .unwrap();
         assert_eq!(
@@ -1528,7 +1546,7 @@ mod tests {
         );
         // Limit cuts the enumeration short.
         let got = lazy
-            .entries_from(0, 1, &mut |_b, _out| panic!("tree is resident now"))
+            .entries_from(0, 1, &mut |_| panic!("tree is resident now"))
             .unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 0);

@@ -206,36 +206,51 @@ fn writev_retry(
 /// Default block-cache capacity, in 4 KiB blocks (1 MiB of cached state).
 pub const DEFAULT_CACHE_BLOCKS: usize = 256;
 
-/// Reads `block` into `out` through the store's block cache, charging
-/// device IO only on a miss. `node` marks radix-node demand loads so
-/// [`StoreStats::hydrations`] counts exactly the tree reads that reached
-/// the device.
-///
-/// A free function (not a method) so callers can borrow the cache and
-/// stats disjointly from an object's tree while a hydration closure is
-/// live.
-fn read_block_cached(
+/// Reads the blocks of `iov` through the store's block cache: hits are
+/// served from it, the misses go to the device as one vectored read and,
+/// if `admit`, into the cache. Returns the number of misses. A free
+/// function, so a caller can borrow the cache and stats apart from an
+/// object's tree while a hydration closure is live.
+fn read_cached(
     vt: &mut Vt,
     disk: &mut Disk,
     cache: &mut BlockCache,
     stats: &mut StoreStats,
-    block: u64,
-    out: &mut [u8],
-    node: bool,
-) -> Result<(), IoError> {
-    if cache.get(block, out) {
-        stats.cache_hits += 1;
-        return Ok(());
+    iov: &mut [(u64, &mut [u8])],
+    admit: bool,
+) -> Result<u64, IoError> {
+    let mut misses: Vec<(u64, &mut [u8])> = Vec::new();
+    for (block, buf) in iov.iter_mut() {
+        if cache.get(*block, buf) {
+            stats.cache_hits += 1;
+        } else {
+            misses.push((*block, &mut **buf));
+        }
     }
-    disk.try_read_block(vt, block, out)?;
-    stats.cache_misses += 1;
-    if node {
-        stats.hydrations += 1;
+    disk.try_readv(vt, &mut misses)?;
+    stats.cache_misses += misses.len() as u64;
+    if admit {
+        for (block, data) in &misses {
+            if cache.insert(*block, data) {
+                stats.cache_evictions += 1;
+            }
+        }
     }
-    if cache.insert(block, out) {
-        stats.cache_evictions += 1;
+    Ok(misses.len() as u64)
+}
+
+/// The reader a tree hydrates its nodes through: [`read_cached`], each
+/// node admitted and each miss counted in [`StoreStats::hydrations`].
+fn node_reader<'a>(
+    vt: &'a mut Vt,
+    disk: &'a mut Disk,
+    cache: &'a mut BlockCache,
+    stats: &'a mut StoreStats,
+) -> impl FnMut(&mut [(u64, &mut [u8])]) -> Result<(), IoError> + 'a {
+    move |iov| {
+        stats.hydrations += read_cached(vt, disk, cache, stats, iov, true)?;
+        Ok(())
     }
-    Ok(())
 }
 
 /// Reads `blocks` straight from the device (no cache) as one vectored
@@ -319,9 +334,12 @@ pub struct StoreStats {
     pub cache_misses: u64,
     /// Cache slots reclaimed by the CLOCK sweep to admit a new block.
     pub cache_evictions: u64,
-    /// Radix-node demand loads that reached the device: the IO cost of
-    /// hydrating unloaded subtrees (a cache hit on a node block is a
-    /// `cache_hits` increment, not a hydration).
+    /// Radix-node demand loads that reached the device through the block
+    /// cache: the IO cost of hydrating unloaded subtrees for reads,
+    /// commits, snapshots, repair and rebase (a cache hit on a node block
+    /// is a `cache_hits` increment, not a hydration). Open's replay and
+    /// scrub read nodes straight from the device and are not counted
+    /// here; scrub counts its node reads in [`ScrubStats::io_spent`].
     pub hydrations: u64,
     /// Delta commits that were one record write carrying the dirty lines
     /// (no data block).

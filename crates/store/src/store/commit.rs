@@ -677,14 +677,10 @@ impl StoreShard {
         object: ObjectId,
         pages: impl Iterator<Item = u64>,
     ) -> Result<(), StoreError> {
+        let pages: Vec<u64> = pages.collect();
         let state = &mut self.objects[object.0 as usize];
-        let cache = &mut self.cache;
-        let stats = &mut self.stats;
-        for page in pages {
-            state.tree.hydrate_path(page, &mut |b, out| {
-                read_block_cached(vt, disk, cache, stats, b, out, true)
-            })?;
-        }
+        let read = &mut node_reader(vt, disk, &mut self.cache, &mut self.stats);
+        state.tree.hydrate_paths(&pages, read)?;
         Ok(())
     }
 
@@ -777,6 +773,30 @@ mod tests {
         }
         let t = store.persist(&mut vt, &mut disk, b, &[(0, &p)]).unwrap();
         assert_eq!(t.epoch, 1, "objects have independent epochs");
+    }
+
+    #[test]
+    fn a_commit_onto_a_reopened_tree_hydrates_a_level_per_read() {
+        let (mut disk, mut store, mut vt) = setup();
+        let obj = store.create(&mut vt, &mut disk, "db").unwrap();
+        let (old, new) = (page_of(1), page_of(2));
+        let leaves = [0u64, 512, 1024, 1536];
+        let pages: Vec<(u64, &[u8])> = leaves.iter().map(|&p| (p, &old[..])).collect();
+        let token = store.persist(&mut vt, &mut disk, obj, &pages).unwrap();
+        ObjectStore::wait(&mut vt, token);
+        store.flush_full_root(&mut vt, &mut disk, obj).unwrap();
+        disk.settle();
+
+        let mut vt = Vt::new(1);
+        let mut store = open_shard(&mut vt, &mut disk).unwrap();
+        let obj = store.lookup("db").unwrap();
+        let submissions = disk.stats().read_submissions();
+        let hydrations = store.stats().hydrations;
+        let pages: Vec<(u64, &[u8])> = leaves.iter().map(|&p| (p + 1, &new[..])).collect();
+        store.persist(&mut vt, &mut disk, obj, &pages).unwrap();
+        // The root, the L1 node and the four leaves, a level per read.
+        assert_eq!(disk.stats().read_submissions() - submissions, 3);
+        assert_eq!(store.stats().hydrations - hydrations, 6);
     }
 
     #[test]

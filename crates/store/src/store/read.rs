@@ -148,37 +148,27 @@ impl StoreShard {
         let cache = &mut self.cache;
         let stats = &mut self.stats;
         let n = (out.len() / BLOCK_SIZE) as u64;
-        let mut entries = Vec::with_capacity(n as usize);
-        for page in first_page..first_page + n {
-            entries.push(match overlaid(page) {
+        let pages: Vec<u64> = (first_page..first_page + n)
+            .filter(|&page| overlaid(page).is_none())
+            .collect();
+        tree.hydrate_paths(&pages, &mut node_reader(vt, disk, cache, stats))?;
+        let entries: Vec<Option<(u64, u32)>> = (first_page..first_page + n)
+            .map(|page| match overlaid(page) {
                 Some(_) => None,
-                None => tree.get_entry_or_load(page, &mut |b, buf| {
-                    read_block_cached(vt, disk, cache, stats, b, buf, true)
-                })?,
-            });
-        }
+                None => tree.get_entry(page),
+            })
+            .collect();
 
-        let mut misses: Vec<(u64, &mut [u8])> = Vec::new();
+        let mut mapped: Vec<(u64, &mut [u8])> = Vec::new();
         let slots = entries.iter().zip(out.chunks_mut(BLOCK_SIZE));
         for (page, (entry, slot)) in (first_page..).zip(slots) {
-            match entry {
-                None => match overlaid(page) {
-                    Some((_, image)) => slot.copy_from_slice(image),
-                    None => slot.fill(0),
-                },
-                Some((block, _)) if cache.get(*block, slot) => stats.cache_hits += 1,
-                Some((block, _)) => misses.push((*block, slot)),
+            match (entry, overlaid(page)) {
+                (Some((block, _)), _) => mapped.push((*block, slot)),
+                (None, Some((_, image))) => slot.copy_from_slice(image),
+                (None, None) => slot.fill(0),
             }
         }
-        disk.try_readv(vt, &mut misses)?;
-        stats.cache_misses += misses.len() as u64;
-        if admit {
-            for (block, data) in &misses {
-                if cache.insert(*block, data) {
-                    stats.cache_evictions += 1;
-                }
-            }
-        }
+        read_cached(vt, disk, cache, stats, &mut mapped, admit)?;
 
         let mapped = entries.iter().zip(out.chunks_mut(BLOCK_SIZE));
         for (page, (entry, slot)) in (first_page..).zip(mapped) {

@@ -294,16 +294,11 @@ impl StoreShard {
             let pages: Vec<u64> = r.journal.iter().map(|(page, _)| *page).collect();
             hydrate_paths(vt, disk, &mut state.tree, &pages)?;
             for (page, word) in r.journal {
-                let read = &mut |b, out: &mut [u8; BLOCK_SIZE]| disk.try_readv(vt, &mut [(b, out)]);
-                match state.tree.hydrate_path(page, read) {
-                    Ok(()) => {
-                        let (block, digest) = layout::unpack_entry(word);
-                        let old = state.tree.set_entry(page, block, digest);
-                        state.supersede(page, old);
-                        state.journal.insert(page, word);
-                    }
-                    Err(TreeError::CorruptNode { .. }) => {}
-                    Err(TreeError::Io(e)) => return Err(e.into()),
+                if hydrate_paths(vt, disk, &mut state.tree, &[page])? {
+                    let (block, digest) = layout::unpack_entry(word);
+                    let old = state.tree.set_entry(page, block, digest);
+                    state.supersede(page, old);
+                    state.journal.insert(page, word);
                 }
             }
         }
@@ -333,12 +328,10 @@ impl StoreShard {
         hydrate_paths(vt, disk, tree, &pages)?;
         let mut blocks: Vec<u64> = Vec::new();
         for (page, word) in pairs {
-            match tree.hydrate_path(*page, &mut |b, out| disk.try_readv(vt, &mut [(b, out)])) {
-                Ok(()) if layout::unpack_entry(*word).0 == INLINE_BLOCK => {
-                    blocks.extend(tree.get(*page));
-                }
-                Ok(()) | Err(TreeError::CorruptNode { .. }) => {}
-                Err(TreeError::Io(e)) => return Err(e.into()),
+            if hydrate_paths(vt, disk, tree, &[*page])?
+                && layout::unpack_entry(*word).0 == INLINE_BLOCK
+            {
+                blocks.extend(tree.get(*page));
             }
         }
         blocks.sort_unstable();
@@ -399,13 +392,8 @@ impl StoreShard {
         // here (crash-atomically, before any of this record's pairs
         // apply) instead of panicking — scrub surfaces the rot afterwards.
         for (page, _) in &record.pairs {
-            match state
-                .tree
-                .hydrate_path(*page, &mut |b, out| disk.try_readv(vt, &mut [(b, out)]))
-            {
-                Ok(()) => {}
-                Err(TreeError::Io(e)) => return Err(e.into()),
-                Err(TreeError::CorruptNode { .. }) => return Ok(Candidate::ChainEnds),
+            if !hydrate_paths(vt, disk, &mut state.tree, &[*page])? {
+                return Ok(Candidate::ChainEnds);
             }
         }
         let inline: Vec<(u64, u32)> = record
@@ -455,19 +443,24 @@ impl StoreShard {
 }
 
 /// [`RadixTree::hydrate_paths`] of `tree` from the device, in vectored
-/// reads of up to [`BULK_READ_PAGES`] nodes.
+/// reads of up to [`BULK_READ_PAGES`] nodes: whether every path is
+/// resident, `false` if one crosses a rotted node. Replay hydrates a batch
+/// of pages, then each page alone, which reads only a rotted node again.
 fn hydrate_paths(
     vt: &mut Vt,
     disk: &mut Disk,
     tree: &mut RadixTree,
     pages: &[u64],
-) -> Result<(), IoError> {
-    tree.hydrate_paths(pages, &mut |iov| {
-        for chunk in iov.chunks_mut(BULK_READ_PAGES as usize) {
-            disk.try_readv(vt, chunk)?;
-        }
-        Ok(())
-    })
+) -> Result<bool, IoError> {
+    let read = &mut |iov: &mut [(u64, &mut [u8])]| {
+        iov.chunks_mut(BULK_READ_PAGES as usize)
+            .try_for_each(|chunk| disk.try_readv(vt, chunk))
+    };
+    match tree.hydrate_paths(pages, read) {
+        Ok(()) => Ok(true),
+        Err(TreeError::CorruptNode { .. }) => Ok(false),
+        Err(TreeError::Io(e)) => Err(e),
+    }
 }
 
 #[cfg(test)]

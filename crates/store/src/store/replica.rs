@@ -54,11 +54,8 @@ impl StoreShard {
                 // rebase root is durable. Its overlay is divergent history
                 // too and must not be written out over the base.
                 let state = &mut self.objects[object.0 as usize];
-                let cache = &mut self.cache;
-                let stats = &mut self.stats;
-                state.tree.hydrate_all(&mut |b, out| {
-                    read_block_cached(vt, disk, cache, stats, b, out, true)
-                })?;
+                let read = &mut node_reader(vt, disk, &mut self.cache, &mut self.stats);
+                state.tree.hydrate_all(read)?;
                 let tree = std::mem::replace(&mut state.tree, base_tree);
                 Some((tree, std::mem::take(&mut state.overlay), base_blocks))
             }

@@ -151,9 +151,9 @@ impl StoreShard {
             let mut hydration_io = 0u64;
             let entries = {
                 let state = &mut self.objects[obj_idx];
-                state.tree.entries_from(start_page, limit, &mut |b, out| {
-                    hydration_io += 1;
-                    disk.try_read_block(vt, b, out)
+                state.tree.entries_from(start_page, limit, &mut |iov| {
+                    hydration_io += iov.len() as u64;
+                    disk.try_readv(vt, iov)
                 })
             };
             self.scrub_stats.io_spent += hydration_io;
@@ -338,7 +338,7 @@ impl StoreShard {
                 let snap = &mut self.snapshots[i];
                 match snap
                     .tree
-                    .get_entry_or_load(page, &mut |b, out| disk.try_read_block(vt, b, out))
+                    .get_entry_or_load(page, &mut |iov| disk.try_readv(vt, iov))
                 {
                     Ok(e) => e,
                     Err(TreeError::Io(e)) => return Err(e.into()),
@@ -403,11 +403,10 @@ impl StoreShard {
             .objects
             .get_mut(object.0 as usize)
             .ok_or(StoreError::NotFound)?;
-        let cache = &mut self.cache;
-        let stats = &mut self.stats;
-        let entry = state.tree.get_entry_or_load(page, &mut |b, buf| {
-            read_block_cached(vt, disk, cache, stats, b, buf, true)
-        })?;
+        let entry = state.tree.get_entry_or_load(
+            page,
+            &mut node_reader(vt, disk, &mut self.cache, &mut self.stats),
+        )?;
         let Some((block, digest)) = entry else {
             return Err(StoreError::NotFound);
         };

@@ -25,11 +25,8 @@ impl StoreShard {
             }
             let blocks = {
                 let snap = &mut self.snapshots[i];
-                let cache = &mut self.cache;
-                let stats = &mut self.stats;
-                snap.tree.hydrate_all(&mut |b, out| {
-                    read_block_cached(vt, disk, cache, stats, b, out, true)
-                })?;
+                let read = &mut node_reader(vt, disk, &mut self.cache, &mut self.stats);
+                snap.tree.hydrate_all(read)?;
                 snap.tree.disk_blocks()
             };
             for &b in &blocks {
@@ -69,11 +66,8 @@ impl StoreShard {
         // node with the live tree (the clone itself is O(1)).
         {
             let state = &mut self.objects[object.0 as usize];
-            let cache = &mut self.cache;
-            let stats = &mut self.stats;
-            state.tree.hydrate_all(&mut |b, out| {
-                read_block_cached(vt, disk, cache, stats, b, out, true)
-            })?;
+            let read = &mut node_reader(vt, disk, &mut self.cache, &mut self.stats);
+            state.tree.hydrate_all(read)?;
         }
         let state = &self.objects[object.0 as usize];
         let entry = SnapEntry {
@@ -196,11 +190,8 @@ impl StoreShard {
                 }
             }
         };
-        let cache = &mut self.cache;
-        let stats = &mut self.stats;
-        let pairs = RadixTree::diff_pages_with(base_tree, target_tree, &mut |b, out| {
-            read_block_cached(vt, disk, cache, stats, b, out, true)
-        })?;
+        let read = &mut node_reader(vt, disk, &mut self.cache, &mut self.stats);
+        let pairs = RadixTree::diff_pages_with(base_tree, target_tree, read)?;
         Ok(pairs.into_iter().map(|(page, _)| page).collect())
     }
 

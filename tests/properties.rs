@@ -1,17 +1,29 @@
 //! Property-based tests of the core invariants (DESIGN.md §6).
 
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 use msnap_disk::{Disk, DiskConfig, IoError, BLOCK_SIZE};
 use msnap_sim::{LatencyStats, Nanos, Vt, VthreadId};
-use msnap_store::{ObjectStore, RadixTree};
+use msnap_store::{ObjectStore, RadixTree, TreeError};
 use msnap_vm::{TrackMode, Vm, PAGE_SIZE};
 
 // ---- Radix tree ≅ BTreeMap --------------------------------------------
 
+/// The radix tree's fixed height: a path crosses one node a level.
+const LEVELS: usize = 3;
+
 /// The hydration read of a tree built in memory, which needs none.
-fn no_read(b: u64, _: &mut [u8; BLOCK_SIZE]) -> Result<(), IoError> {
-    panic!("a resident tree read block {b}")
+fn no_read(iov: &mut [(u64, &mut [u8])]) -> Result<(), IoError> {
+    panic!("a resident tree read block {}", iov[0].0)
+}
+
+/// Serves a hydration read from the committed node images `blocks`.
+fn serve(blocks: &HashMap<u64, Box<[u8]>>, iov: &mut [(u64, &mut [u8])]) -> Result<(), IoError> {
+    for (b, out) in iov.iter_mut() {
+        out.copy_from_slice(&blocks[b]);
+    }
+    Ok(())
 }
 
 /// Every `(page, block, digest)` entry of a resident tree, in page order.
@@ -58,14 +70,11 @@ proptest! {
         let mut next = 1u64;
         let mut writes = Vec::new();
         let root = tree.commit(&mut || { next += 1; next }, &mut writes);
-        let blocks: std::collections::HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
+        let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
         let mut reopened =
             RadixTree::from_committed_digest(root, tree.committed_root_digest(), tree.len_pages());
         let listed = reopened
-            .entries_from(0, usize::MAX, &mut |b, out| {
-                out.copy_from_slice(&blocks[&b]);
-                Ok(())
-            })
+            .entries_from(0, usize::MAX, &mut |iov| serve(&blocks, iov))
             .unwrap();
         prop_assert_eq!(reopened.unloaded_nodes(), 0);
         prop_assert_eq!(listed, entries(&mut tree));
@@ -117,11 +126,17 @@ proptest! {
     /// block numbers substitute for descending into (or even loading)
     /// shared subtrees. The oracle shares no code with the tree, so it
     /// checks the skip rule itself.
+    ///
+    /// Hydrating every path of the target in one batch equals hydrating
+    /// them page by page: the same entries, each node block read once, a
+    /// level per read; and with the node `rot` picks rotted, the same
+    /// report of it, every other page's path resident.
     #[test]
     fn lazy_diff_matches_eager_diff(
         base in prop::collection::vec((0u64..50_000, 1u64..1_000_000), 1..100),
         delta in prop::collection::vec((any::<bool>(), any::<usize>(), 0u64..50_000, 1u64..1_000_000), 1..50),
         prehydrate in prop::collection::vec(0u64..50_000, 0..10),
+        rot in any::<usize>(),
     ) {
         let mut next = 10_000u64;
         let mut tree_a = RadixTree::new();
@@ -141,7 +156,7 @@ proptest! {
             model_b.insert(page, *block);
         }
         let root_b = tree_b.commit(&mut || { next += 1; next }, &mut writes);
-        let blocks: std::collections::HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
+        let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
 
         let model_diff: Vec<(u64, u64)> = model_b
             .iter()
@@ -153,22 +168,64 @@ proptest! {
             RadixTree::from_committed_digest(root_a, tree_a.committed_root_digest(), tree_a.len_pages());
         let mut lazy_b =
             RadixTree::from_committed_digest(root_b, tree_b.committed_root_digest(), tree_b.len_pages());
-        let mut read = |b: u64, out: &mut [u8; BLOCK_SIZE]| {
-            out.copy_from_slice(&blocks[&b][..]);
-            Ok(())
-        };
+        let mut read = |iov: &mut [(u64, &mut [u8])]| serve(&blocks, iov);
         // Hydrate an arbitrary subset of paths on alternating sides so
         // the diff walks a mix of resident and unloaded nodes.
         for (i, page) in prehydrate.iter().enumerate() {
             if i % 2 == 0 {
-                lazy_a.hydrate_path(*page, &mut read).unwrap();
+                lazy_a.hydrate_paths(&[*page], &mut read).unwrap();
             } else {
-                lazy_b.hydrate_path(*page, &mut read).unwrap();
+                lazy_b.hydrate_paths(&[*page], &mut read).unwrap();
             }
         }
         let lazy =
             RadixTree::diff_pages_with(Some(&mut lazy_a), &mut lazy_b, &mut read).unwrap();
         prop_assert_eq!(lazy, model_diff);
+
+        let pages: Vec<u64> = model_b.keys().copied().collect();
+        let nodes = tree_b.committed_nodes();
+        let (rotted, _) = nodes[rot % nodes.len()];
+        let mut rotten = blocks.clone();
+        rotten.get_mut(&rotted).unwrap()[0] ^= 1;
+        for (images, rotted_run) in [(&blocks, false), (&rotten, true)] {
+            let reopen = || {
+                RadixTree::from_committed_digest(root_b, tree_b.committed_root_digest(), tree_b.len_pages())
+            };
+            let (mut batch, mut twin) = (reopen(), reopen());
+            let (mut reads, mut read_blocks) = (0, Vec::new());
+            let batched = batch.hydrate_paths(&pages, &mut |iov| {
+                reads += 1;
+                read_blocks.extend(iov.iter().map(|(b, _)| *b));
+                serve(images, iov)
+            });
+            prop_assert!(reads <= LEVELS);
+            let read_once: HashSet<u64> = read_blocks.iter().copied().collect();
+            prop_assert_eq!(read_once.len(), read_blocks.len(), "each node read once");
+            let rot_found = Err(TreeError::CorruptNode { block: rotted });
+            let mut under_rot = 0;
+            for &page in &pages {
+                let single = twin.hydrate_paths(&[page], &mut |iov| serve(images, iov));
+                let entry = batch.resident_entry(page);
+                prop_assert_eq!(entry, twin.resident_entry(page));
+                if single.is_ok() {
+                    prop_assert_eq!(entry.map(|(b, _)| b), model_b.get(&page).copied());
+                } else {
+                    prop_assert_eq!(&single, &rot_found);
+                    prop_assert_eq!(entry, None);
+                    under_rot += 1;
+                }
+            }
+            if !rotted_run {
+                prop_assert_eq!(batched, Ok(()));
+                prop_assert_eq!(reads, LEVELS);
+                prop_assert_eq!(read_blocks.len(), nodes.len());
+                prop_assert_eq!(under_rot, 0);
+                prop_assert_eq!(entries(&mut batch), entries(&mut twin));
+            } else {
+                prop_assert_eq!(batched, rot_found);
+                prop_assert!(under_rot > 0);
+            }
+        }
     }
 }
 
