@@ -8,7 +8,13 @@
 # and a failing one is reported by name after its own message. The
 # script exits non-zero if any guard failed.
 #
-# Run from the repository root: `.github/guards.sh [guard ...]`.
+# `--selftest` proves the guards instead: every guard has one or more
+# recorded perturbations (see `perturbations` below), each applied to a
+# temporary copy of the repository's files, and each must fail its own
+# guard and no other.
+#
+# Run from the repository root: `.github/guards.sh [guard ...]` or
+# `.github/guards.sh --selftest`.
 set -uo pipefail
 shopt -s globstar
 
@@ -425,7 +431,118 @@ guard_loss_recovery() {
     fi
 }
 
+# Each fact is held once: the copies the program derives, and the
+# counters it never read, stay deleted.
+guard_held_once() {
+    if grep -rnwE 'deltas_since_full|pins_ready|CutRecord|QueuedOp|replica_fallbacks' crates/*/src tests examples \
+        || grep -rnw 'bytes_written' crates/store/src; then
+        echo "derived state stays deleted: read the window, the pins, the cut, the request and the device bytes from their one source" >&2
+        return 1
+    fi
+}
+
+# The recorded perturbations, one `perturb guard file sed-script` each:
+# the sed script turns `file` into a tree its guard must reject.
+perturbations() {
+    perturb hash crates/store/src/lib.rs '$a const PRIME: u64 = 0x100000001b3;'
+    perturb pin crates/repl/src/engine/ship.rs '$a // ms.msnap_snapshot_object(vt, object, name)'
+    perturb commit_pipeline crates/core/src/commit.rs '$a // ms.set_reset_strategy(strategy)'
+    perturb commit_pipeline crates/core/src/api.rs '1i fn second() { store.persist_batch(vt, disk, groups); }'
+    perturb reader_decode crates/core/src/manifest.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
+    perturb pindex_carve crates/core/src/api.rs '$a // CARVE_MAGIC'
+    perturb binary_manifest crates/core/src/manifest.rs '$a // @shards 4'
+    perturb history_depth crates/repl/src/engine.rs 's/^const DROP_BASE_LAG: u64 = .*;/const DROP_BASE_LAG: u64 = 64;/'
+    perturb verified_radix crates/store/src/radix.rs '1i // if digest != DIGEST_NONE {'
+    perturb radix_surface crates/store/src/radix.rs '$a // fn hydrate_path(page)'
+    perturb record_codec crates/store/src/layout.rs '$a // const GROUP_HEADER: usize = 24;'
+    perturb chain_rule crates/store/src/store/replay.rs '$a // if record.tag == 0 { accept }'
+    perturb payload_frame crates/snap/src/lib.rs '$a // Frame::Full(page)'
+    perturb retired_fields crates/serve/src/lib.rs '$a // pub cut_every: u32,'
+    perturb pindex_structure crates/pindex/src/lib.rs '$a // PHash'
+    perturb fault_plan_reads crates/store/src/store/read.rs '$a // disk.read_block(block)'
+    perturb experiment_harness crates/core/src/lib.rs '$a pub mod harness;'
+    perturb workloads crates/serve/src/lib.rs '$a // use msnap_workloads::dist;'
+    perturb landing_step crates/snap/src/apply.rs '$a // fn feed(frame)'
+    perturb stream_pieces crates/snap/src/codec.rs '/^impl DeltaStream/a \    // fn encode(&self) -> Vec<u8>'
+    perturb sync_to crates/repl/src/lib.rs '$a // fn sync_to(primary, replica)'
+    perturb splitmix64 crates/store/src/lib.rs '$a // z * 0x94d049bb133111eb'
+    perturb image_door crates/core/src/api.rs '$a // store.fence_epoch(id)'
+    perturb public_store crates/store/src/lib.rs '$a // pub use store::StoreShard;'
+    perturb file_size crates/store/src/shard.rs "1i $(printf '// padding\\n%.0s' $(seq 150))"
+    perturb surface crates/sim/src/time.rs '1i pub fn uncalled_probe() {}'
+    perturb surface .github/surface-allowlist.txt '$a crates/sim/src/sched.rs run_until tests/pindex.rs'
+    perturb wire crates/serve/src/wire.rs '$a // put_u32(out, v)'
+    perturb wire BENCH_judged.json 's/"serve.wire_bytes_per_op": [0-9.]+/"serve.wire_bytes_per_op": 183.2/'
+    perturb root_size BENCH_judged.json 's/"io_amp": [0-9.]+/"io_amp": 130.4/'
+    perturb background_scrub BENCH_judged.json 's/"put_tail_us": [0-9.]+/"put_tail_us": 112.6/'
+    perturb scrub_slice BENCH_store.json 's/("shards":8,"budget":64,[^}]*"slice_us":)[0-9.]+/\1120.5/'
+    perturb device_pacing BENCH_persist.json '/"db":"litedb","threads":8,"window_us":2,/s/"disk_writes":[0-9]+/"disk_writes":512/'
+    perturb line_grain BENCH_persist.json '/"db":"skipdb","threads":1,"window_us":0/s/"ios_per_commit":[0-9.]+/"ios_per_commit":2.0/'
+    perturb fold BENCH_persist.json '/"db":"skipdb","threads":8,"window_us":0/s/"ios_per_commit":[0-9.]+/"ios_per_commit":1.0/'
+    perturb loss_recovery BENCH_repl.json '/"loss":0.00/s/"retransmit_frames":[0-9]+/"retransmit_frames":76/'
+    perturb loss_recovery crates/repl/src/engine.rs '$a // fn resend_from(seq)'
+    perturb held_once crates/store/src/store.rs 's/^    queued: Option<DeltaRecord>,$/&\n    deltas_since_full: u64,/'
+    perturb held_once crates/store/src/store.rs 's/^    pub completes: Nanos,$/&\n    pub bytes_written: u64,/'
+}
+
+# Runs every guard in a scratch copy of the repository's files once as
+# they are (all must pass) and once per perturbation (exactly its guard
+# must fail), restoring the perturbed file after each.
+selftest() {
+    local root tmp bad=0 cases=0
+    root=$(pwd)
+    tmp=$(mktemp -d)
+    trap "rm -rf '$tmp'" EXIT
+    git ls-files -z --cached --others --exclude-standard \
+        | while IFS= read -r -d '' f; do [ -f "$f" ] && printf '%s\0' "$f"; done \
+        | xargs -0 cp --parents -t "$tmp"
+    # The guards that fail in the scratch copy, one a line.
+    failing() {
+        (cd "$tmp" && bash .github/guards.sh 2>&1 >/dev/null) | sed -n 's/^FAILED guard: //p' | sort
+    }
+    local base
+    base=$(failing)
+    if [ -n "$base" ]; then
+        echo "selftest: the unperturbed copy fails:" $base >&2
+        return 1
+    fi
+    local covered=()
+    perturb() {
+        local guard=$1 file=$2 script=$3 got
+        cases=$((cases + 1))
+        covered+=("$guard")
+        sed -E -i -e "$script" "$tmp/$file"
+        if cmp -s "$root/$file" "$tmp/$file"; then
+            echo "selftest: the $guard perturbation no longer changes $file" >&2
+            bad=1
+        else
+            got=$(failing)
+            if [ "$got" != "$guard" ]; then
+                echo "selftest: the $guard perturbation of $file failed: '${got//$'\n'/ }', not just $guard" >&2
+                bad=1
+            fi
+        fi
+        cp "$root/$file" "$tmp/$file"
+    }
+    perturbations
+    local name
+    for name in $all; do
+        if [[ " ${covered[*]} " != *" $name "* ]]; then
+            echo "selftest: guard $name has no recorded perturbation" >&2
+            bad=1
+        fi
+    done
+    if [ "$bad" -ne 0 ]; then
+        return 1
+    fi
+    echo "selftest: $cases perturbations, each failed its own guard and no other"
+}
+
 all=$(compgen -A function guard_ | sed 's/^guard_//')
+if [ "${1:-}" = --selftest ]; then
+    selftest
+    exit
+fi
 if [ $# -eq 0 ]; then
     set -- $all
 fi

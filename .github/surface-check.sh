@@ -5,15 +5,16 @@
 # `#[cfg(test)]` of a program-crate source file (every crate except
 # `bench` and `compat-*`; files under a `tests/` directory are test code)
 # that no other non-test line of any program crate names. A line that
-# declares a fn of the same name does not count as naming it.
+# declares a fn of the same name does not count as naming it, and neither
+# does a comment line (`//`, `///`, `//!`): a doc link is not a call.
 #
 # That list must equal the `path name` columns of the allowlist exactly.
 # Each allowlist line is `path name user`, where `user` is the file that
 # reaches the fn: a root test, a bench, an example, a `benchmark/src`
 # file, or a unit test of a program crate. The user must name the fn on a
-# line that is not a `fn` declaration of it (in a program-crate file,
-# below its first `#[cfg(test)]`), so a stale entry fails as well as a new
-# uncalled fn.
+# line that is neither a comment nor a `fn` declaration of it (in a
+# program-crate file, below its first `#[cfg(test)]`), so a stale entry
+# fails as well as a new uncalled fn.
 #
 # Run from the repository root: `.github/surface-check.sh`.
 set -euo pipefail
@@ -41,7 +42,7 @@ done
 found=$(awk '
     FNR == 1 { intest = 0 }
     /^#\[cfg\(test\)\]/ { intest = 1 }
-    intest { next }
+    intest || /^[ \t]*\/\// { next }
     {
         if (match($0, /^[ \t]*pub(\(crate\))?[ \t]+((const|unsafe|async)[ \t]+)*fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
             d = substr($0, RSTART, RLENGTH)
@@ -103,7 +104,8 @@ while read -r path name user rest; do
     else
         body=$(cat "$user")
     fi
-    if ! echo "$body" | grep -vE "(^|[^A-Za-z0-9_])fn[[:space:]]+$name([^A-Za-z0-9_]|$)" \
+    if ! echo "$body" | grep -vE '^[[:space:]]*//' \
+        | grep -vE "(^|[^A-Za-z0-9_])fn[[:space:]]+$name([^A-Za-z0-9_]|$)" \
         | grep -w "$name" >/dev/null; then
         echo "$allow: $user does not use $path's $name: remove the entry or name its real user" >&2
         status=1

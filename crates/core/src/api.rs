@@ -625,9 +625,9 @@ impl MemSnap {
     }
 
     /// The committed epoch of any store object by directory name — the
-    /// regions, and bookkeeping objects such as the manifest (see
-    /// [`MemSnap::manifest_object_name`]), which replication must ship
-    /// too for a replica to be promotable.
+    /// regions, and bookkeeping objects such as the region manifest
+    /// (`__msnap_manifest`), which replication must ship too for a
+    /// replica to be promotable.
     pub fn object_epoch(&self, name: &str) -> Option<Epoch> {
         self.store.lookup(name).map(|id| self.store.epoch(id))
     }
@@ -704,15 +704,6 @@ impl MemSnap {
     /// carries), read-only.
     pub fn region_object_name(&self, md: Md) -> Option<&str> {
         self.regions.get(md.0 as usize).map(|r| r.name.as_str())
-    }
-
-    /// The store-directory name of the region manifest object. The
-    /// manifest is an ordinary store object holding the region table;
-    /// shipping it alongside the regions is what lets
-    /// [`MemSnap::restore`] bring a replica's disk up as a full
-    /// instance after a promotion.
-    pub fn manifest_object_name(&self) -> &'static str {
-        MANIFEST_NAME
     }
 
     /// The retained-snapshot catalog, read-only (name, object, pinned
@@ -956,9 +947,8 @@ pub(crate) mod tests {
         let mut page = [0u8; PAGE_SIZE];
         page[..8].copy_from_slice(&8u64.to_le_bytes());
         page[8..16].copy_from_slice(b"garbled!");
-        let name = ms.manifest_object_name();
         let (store, disk) = ms.replication_parts();
-        let obj = store.lookup(name).unwrap();
+        let obj = store.lookup(MANIFEST_NAME).unwrap();
         let token = store
             .persist(&mut vt, disk, obj, &[(0, &page[..])])
             .unwrap();
@@ -1346,13 +1336,13 @@ pub(crate) mod tests {
         assert_eq!(ms.object_epoch("nope"), None);
         // The manifest is an ordinary object, visible by name: opening
         // the region committed a manifest update.
-        let manifest = ms.manifest_object_name().to_string();
-        assert!(ms.object_epoch(&manifest).unwrap() > 0);
+        assert!(ms.object_epoch(MANIFEST_NAME).unwrap() > 0);
 
         // Snapshot the region and the manifest; both land in the
         // read-only catalog view.
         let pinned = ms.msnap_snapshot(&mut vt, r.md, "r1").unwrap();
-        ms.msnap_snapshot_object(&mut vt, &manifest, "m1").unwrap();
+        ms.msnap_snapshot_object(&mut vt, MANIFEST_NAME, "m1")
+            .unwrap();
         let snaps = ms.retained_snapshots();
         assert_eq!(snaps.len(), 2);
         let r1 = snaps.iter().find(|s| s.name == "r1").unwrap();

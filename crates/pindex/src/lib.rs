@@ -35,7 +35,7 @@
 //!
 //! Operations are steppable state machines ([`PutOp`]): each
 //! [`PutOp::step`] performs one atomic action (log write, node write,
-//! linearizing CAS), so [`msnap_sim::InterleaveSched`] can drive
+//! linearizing CAS), so [`msnap_sim::Scheduler::seeded`] can drive
 //! seed-reproducible thread schedules between the atomic steps for
 //! linearizability and recovery proofs.
 //!

@@ -19,8 +19,8 @@
 //!
 //! Every mutation is a steppable state machine ([`PutOp`]): descriptor
 //! publish, node write, and linearizing CAS are separate atomic steps, so
-//! a seeded [`msnap_sim::InterleaveSched`] can interleave concurrent
-//! writers between them.
+//! a seeded scheduler ([`msnap_sim::Scheduler::seeded`]) can interleave
+//! concurrent writers between them.
 
 use memsnap::{MemSnap, MsnapError};
 use msnap_sim::hash::fnv1a32;

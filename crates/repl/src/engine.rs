@@ -657,11 +657,12 @@ impl ReplEngine {
                                     if !ship.resent && lag > Nanos::ZERO {
                                         link.rtt.sample(lag);
                                     }
-                                    if ship.target_epoch == os.remote {
-                                        os.remote_len = Some(ship.stream.header.len_pages);
+                                    let header = &ship.stream.header;
+                                    if header.target_epoch == os.remote {
+                                        os.remote_len = Some(header.len_pages);
                                     }
                                     if let Some(name) = ship.anchor {
-                                        os.base = Some((name, ship.target_epoch));
+                                        os.base = Some((name, header.target_epoch));
                                     }
                                     os.divergent = false;
                                     // The receiver applied the ship, so it

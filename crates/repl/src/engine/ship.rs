@@ -9,12 +9,11 @@ use super::*;
 #[derive(Debug)]
 pub(super) struct Ship {
     pub(super) id: u64,
-    /// The primary snapshot pinned at `target_epoch` when this is an
-    /// anchor ship (see [`is_anchor`]): the link's next rejoin anchor
-    /// once acknowledged. Nothing else of a ship lives on the device —
-    /// `stream` serves every retransmit.
+    /// The primary snapshot pinned at the stream's target epoch when
+    /// this is an anchor ship (see [`is_anchor`]): the link's next
+    /// rejoin anchor once acknowledged. Nothing else of a ship lives on
+    /// the device — `stream` serves every retransmit.
     pub(super) anchor: Option<String>,
-    pub(super) target_epoch: Epoch,
     pub(super) stream: DeltaStream,
     /// Primary instant the stream was built — the zero point of the
     /// ship's acknowledgement-lag measurement.
@@ -226,7 +225,6 @@ impl ReplEngine {
                 let ship = Ship {
                     id: self.next_ship,
                     anchor: pin.filter(|_| anchor),
-                    target_epoch: live,
                     stream,
                     created_at: now,
                     last_send: now,

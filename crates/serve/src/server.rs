@@ -51,7 +51,7 @@ use std::collections::{BTreeMap, VecDeque};
 use memsnap::{Md, MemSnap, MsnapError, RegionSel, PAGE_SIZE};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_repl::{Promotion, ReplConfig, ReplEngine};
-use msnap_sim::{Nanos, NetConfig, SimLink, SimSwitch, Vt, VthreadId};
+use msnap_sim::{Nanos, NetConfig, SimLink, SimSwitch, Vt};
 use msnap_store::lines::{line_runs, LINE_SIZE};
 use msnap_vm::AsId;
 
@@ -218,35 +218,10 @@ struct PendingPut {
     epoch: u64,
 }
 
-/// A queued client operation, decoded and bound to its session.
-enum QueuedOp {
-    Put {
-        session: u64,
-        req: u64,
-        tenant: String,
-        key: u64,
-        value: Vec<u8>,
-    },
-    Get {
-        session: u64,
-        req: u64,
-        tenant: String,
-        key: u64,
-    },
-    Scan {
-        session: u64,
-        req: u64,
-        tenant: String,
-        lo: u64,
-        hi: u64,
-    },
-}
-
 /// The serving node. See the module docs for the actor structure.
 pub struct ServeNode {
     cfg: ServeConfig,
     vt: Vt,
-    thread: VthreadId,
     ms: MemSnap,
     space: AsId,
     repl: Option<ReplEngine>,
@@ -264,20 +239,18 @@ pub struct ServeNode {
     next_watch: u64,
     /// Write mailbox: puts persist across rounds so a replication
     /// throttle stalls ingest instead of dropping it.
-    write_mailbox: VecDeque<QueuedOp>,
-    read_queue: Vec<QueuedOp>,
+    write_mailbox: VecDeque<Request>,
+    /// Admitted gets and scans, served by this round's read actor.
+    read_queue: Vec<Request>,
     pending_puts: Vec<PendingPut>,
     /// Per-port response frames accumulated this round.
     outbox: BTreeMap<usize, Vec<u8>>,
     throttled: bool,
-    rounds: u64,
     rounds_since_cut: u32,
     commits_since_cut: u64,
     stats: WireStats,
     /// Datagrams rejected by the wire decoder.
     pub malformed: u64,
-    /// Reads a replica failed to serve and the primary absorbed.
-    pub replica_fallbacks: u64,
     /// Watch events widened to the whole stripe because the commit's
     /// dirty-line chain could not prove the notified interval covered.
     pub conservative_notifies: u64,
@@ -291,10 +264,9 @@ impl ServeNode {
         let mut ms = MemSnap::format_sharded(Disk::new(DiskConfig::paper()), cfg.shards);
         ms.set_coalesce_window(COALESCE_WINDOW);
         let mut vt = Vt::new(0);
-        let thread = vt.id();
         vt.advance(Nanos::from_ns(1));
         let space = ms.vm_mut().create_space();
-        ServeNode::assemble(cfg, ms, vt, thread, space, None, client_ports, client_net)
+        ServeNode::assemble(cfg, ms, vt, space, None, client_ports, client_net)
     }
 
     /// Attaches a replica to this node's replication engine (created on
@@ -332,12 +304,10 @@ impl ServeNode {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         cfg: ServeConfig,
         ms: MemSnap,
         vt: Vt,
-        thread: VthreadId,
         space: AsId,
         repl: Option<ReplEngine>,
         client_ports: usize,
@@ -363,7 +333,6 @@ impl ServeNode {
         ServeNode {
             cfg,
             vt,
-            thread,
             ms,
             space,
             repl,
@@ -381,12 +350,10 @@ impl ServeNode {
             pending_puts: Vec::new(),
             outbox: BTreeMap::new(),
             throttled: false,
-            rounds: 0,
             rounds_since_cut: 0,
             commits_since_cut: 0,
             stats: WireStats::default(),
             malformed: 0,
-            replica_fallbacks: 0,
             conservative_notifies: 0,
         }
     }
@@ -419,11 +386,9 @@ impl ServeNode {
         // replicated committed state); we recreate it empty below.
         let mut ms = MemSnap::restore_promoted(&mut vt, promo.disk).map_err(MsnapError::from)?;
         ms.set_coalesce_window(COALESCE_WINDOW);
-        let thread = vt.id();
         let space = ms.vm_mut().create_space();
         let names = ms.region_names();
-        let mut node =
-            ServeNode::assemble(cfg, ms, vt, thread, space, None, client_ports, client_net);
+        let mut node = ServeNode::assemble(cfg, ms, vt, space, None, client_ports, client_net);
         // Rebuild the tenant table from the shipped manifest: every
         // region named `t/<tenant>/<idx>` is a stripe. A tenant may be
         // partial — a stripe created just before the crash may never
@@ -540,7 +505,6 @@ impl ServeNode {
         if self.vt.now() < now {
             self.vt.wait_until(now);
         }
-        self.rounds += 1;
         // The node's only crash point is `crash(self)` at its own clock,
         // so rollback state for writes already durable is dead weight.
         self.ms.settle_until(self.vt.now());
@@ -548,7 +512,7 @@ impl ServeNode {
         let committed = self.write_actor()?;
         self.notify_actor(&committed);
         self.read_actor()?;
-        self.maybe_cut(!committed.is_empty())?;
+        self.maybe_cut()?;
         self.repl_round()?;
         self.retransmit_notifies();
         self.flush_outbox();

@@ -95,7 +95,7 @@ impl ServeNode {
                     return; // duplicate of an accepted, still-pending put
                 }
                 s.inflight.push(req);
-                self.write_mailbox.push_back(QueuedOp::Put {
+                self.write_mailbox.push_back(Request::Put {
                     session,
                     req,
                     tenant,
@@ -103,39 +103,10 @@ impl ServeNode {
                     value,
                 });
             }
-            Request::Get {
-                session,
-                req,
-                tenant,
-                key,
-            } => {
-                if !self.admit(port, session, req) {
-                    return;
+            op @ (Request::Get { session, req, .. } | Request::Scan { session, req, .. }) => {
+                if self.admit(port, session, req) {
+                    self.read_queue.push(op);
                 }
-                self.read_queue.push(QueuedOp::Get {
-                    session,
-                    req,
-                    tenant,
-                    key,
-                });
-            }
-            Request::Scan {
-                session,
-                req,
-                tenant,
-                lo,
-                hi,
-            } => {
-                if !self.admit(port, session, req) {
-                    return;
-                }
-                self.read_queue.push(QueuedOp::Scan {
-                    session,
-                    req,
-                    tenant,
-                    lo,
-                    hi,
-                });
             }
             Request::Subscribe {
                 session,

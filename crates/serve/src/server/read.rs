@@ -10,7 +10,7 @@ impl ServeNode {
         let ops = std::mem::take(&mut self.read_queue);
         for op in ops {
             match op {
-                QueuedOp::Get {
+                Request::Get {
                     session,
                     req,
                     tenant,
@@ -19,7 +19,7 @@ impl ServeNode {
                     let resp = self.serve_get(session, req, &tenant, key)?;
                     self.reply(session, req, resp);
                 }
-                QueuedOp::Scan {
+                Request::Scan {
                     session,
                     req,
                     tenant,
@@ -30,7 +30,7 @@ impl ServeNode {
                     self.stats.scans += 1;
                     self.reply(session, req, resp);
                 }
-                QueuedOp::Put { .. } => unreachable!("puts go to the write mailbox"),
+                _ => unreachable!("the read queue holds gets and scans"),
             }
         }
         Ok(())
@@ -84,26 +84,21 @@ impl ServeNode {
                 let Some(node) = engine.replica_mut(&name) else {
                     continue;
                 };
+                // A replica that cannot serve (e.g. mid-bootstrap) leaves
+                // the read to the next one, else the primary.
                 let mut buf = vec![0u8; PAGE_SIZE];
-                match node.read_page(&obj, page, &mut buf) {
-                    Ok(()) => {
-                        self.read_cursor = (self.read_cursor + i + 1) % n;
-                        self.stats.replica_reads += 1;
-                        let at = (offset % PAGE_SIZE as u64) as usize;
-                        let value = decode_slot(&buf[at..at + SLOT_BYTES as usize]);
-                        let epoch = engine.replica(&name).map_or(0, |r| r.epoch(&obj));
-                        return Ok(Response::GetOk {
-                            req,
-                            epoch,
-                            from_replica: true,
-                            value,
-                        });
-                    }
-                    Err(_) => {
-                        // Replica could not serve (e.g. mid-bootstrap):
-                        // primary absorbs the read.
-                        self.replica_fallbacks += 1;
-                    }
+                if node.read_page(&obj, page, &mut buf).is_ok() {
+                    self.read_cursor = (self.read_cursor + i + 1) % n;
+                    self.stats.replica_reads += 1;
+                    let at = (offset % PAGE_SIZE as u64) as usize;
+                    let value = decode_slot(&buf[at..at + SLOT_BYTES as usize]);
+                    let epoch = engine.replica(&name).map_or(0, |r| r.epoch(&obj));
+                    return Ok(Response::GetOk {
+                        req,
+                        epoch,
+                        from_replica: true,
+                        value,
+                    });
                 }
             }
         }

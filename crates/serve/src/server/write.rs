@@ -17,13 +17,13 @@ impl ServeNode {
             // stall is client-visible as put latency, never data loss.
             return Ok(Vec::new());
         }
-        let ops: Vec<QueuedOp> = self.write_mailbox.drain(..).collect();
+        let ops: Vec<Request> = self.write_mailbox.drain(..).collect();
         // (tenant, stripe) -> (session, req, key, value) puts, in
         // BTreeMap order for determinism.
         type StripePuts = BTreeMap<(String, usize), Vec<(u64, u64, u64, Vec<u8>)>>;
         let mut by_stripe: StripePuts = BTreeMap::new();
         for op in ops {
-            let QueuedOp::Put {
+            let Request::Put {
                 session,
                 req,
                 tenant,
@@ -56,6 +56,7 @@ impl ServeNode {
         // Write the slots through the VM, then join one group commit
         // per stripe; the core coalesces same-lane stripes further.
         let mut tickets = Vec::new();
+        let thread = self.vt.id();
         for ((tenant, stripe), puts) in by_stripe {
             let (addr, md) = {
                 let s = &self.tenants[&tenant].stripes[stripe];
@@ -65,12 +66,11 @@ impl ServeNode {
             for (_, _, key, value) in &puts {
                 let va = addr + slot_offset(self.cfg.stripes, *key);
                 encode_slot(&mut slot, value);
-                self.ms
-                    .write(&mut self.vt, self.space, self.thread, va, &slot)?;
+                self.ms.write(&mut self.vt, self.space, thread, va, &slot)?;
             }
             let ticket =
                 self.ms
-                    .msnap_persist_grouped(&mut self.vt, self.thread, RegionSel::Region(md))?;
+                    .msnap_persist_grouped(&mut self.vt, thread, RegionSel::Region(md))?;
             tickets.push((tenant, stripe, ticket, puts));
         }
         self.ms.msnap_group_flush(&mut self.vt);
@@ -188,15 +188,16 @@ impl ServeNode {
 
     /// Stamps an epoch-vector cut when due and releases each session's
     /// buffered events as one cut-aligned bundle.
-    pub(super) fn maybe_cut(&mut self, committed_this_round: bool) -> Result<(), ServeError> {
+    pub(super) fn maybe_cut(&mut self) -> Result<(), ServeError> {
         // Age the cut timer on *every* round once something is waiting:
         // if only committing rounds counted, the final commits before a
         // quiet spell would sit buffered forever (their cut would wait
         // on a future commit that never comes).
-        if committed_this_round || self.commits_since_cut > 0 {
-            self.rounds_since_cut += 1;
+        if self.commits_since_cut == 0 {
+            return Ok(());
         }
-        if self.commits_since_cut == 0 || self.rounds_since_cut < CUT_EVERY {
+        self.rounds_since_cut += 1;
+        if self.rounds_since_cut < CUT_EVERY {
             return Ok(());
         }
         self.rounds_since_cut = 0;

@@ -23,9 +23,9 @@
 //! - [`SimLock`]: a virtual-time mutex usable from conservatively scheduled
 //!   virtual threads.
 //! - [`Scheduler`] and [`Process`]: a conservative (min-clock-first)
-//!   discrete-event scheduler for multi-threaded workloads.
-//! - [`InterleaveSched`]: a seeded pseudo-random interleaving scheduler
-//!   for reproducible concurrency proofs (linearizability, recovery).
+//!   discrete-event scheduler for multi-threaded workloads, or with
+//!   [`Scheduler::seeded`] a seeded pseudo-random interleaving for
+//!   reproducible concurrency proofs (linearizability, recovery).
 //! - [`LatencyStats`] / [`Meters`]: log-linear histograms for latency
 //!   percentiles and named call-site statistics.
 //! - [`CostTracker`] / [`Category`]: CPU-time attribution used to reproduce
@@ -52,7 +52,6 @@
 
 mod cost;
 pub mod hash;
-mod interleave;
 mod lock;
 mod net;
 mod resource;
@@ -63,7 +62,6 @@ mod vthread;
 pub mod wire;
 
 pub use cost::{Category, CostTracker};
-pub use interleave::InterleaveSched;
 pub use lock::SimLock;
 pub use net::{LinkStats, NetConfig, SimLink, SimSwitch};
 pub use resource::ChannelPool;

@@ -265,21 +265,35 @@ impl Superblock {
     }
 }
 
-/// A durable epoch-vector cut: the coordinator's stamp of every shard's
-/// epoch sum, taken by the drain→stamp→release fuzzy-cut protocol and
-/// written to the alternating cut slot `seq % CUT_SLOTS` *after* every
-/// member commit is durable. Recovery adopts the valid slot with the
-/// highest `seq`; a torn cut write falls back to the previous cut, so
-/// the named cut is always one whose every component really committed.
+/// A named cross-shard consistency point: per-shard epoch sums
+/// `[e_0..e_{N-1}]` stamped atomically after draining in-flight
+/// commits. Snapshots, delta streams, and replication promote only
+/// complete cuts, so no reader ever observes object A at epoch `N`
+/// and object B at `N−1` across shards.
+///
+/// On the device a cut is taken by the drain→stamp→release fuzzy-cut
+/// protocol and written to the alternating cut slot `seq % CUT_SLOTS`
+/// *after* every member commit is durable. Recovery adopts the valid
+/// slot with the highest `seq`; a torn cut write falls back to the
+/// previous cut, so the named cut is always one whose every component
+/// really committed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CutRecord {
+pub struct VectorCut {
     /// Monotone cut sequence number (picks the slot).
     pub seq: u64,
-    /// Per-shard epoch sums, indexed by shard.
+    /// Per-shard epoch sums at the stamp instant, indexed by shard.
     pub epochs: Vec<Epoch>,
 }
 
-impl CutRecord {
+impl VectorCut {
+    /// Whether this cut is *complete* under the given per-shard epoch
+    /// sums: every component has been reached. A replica promotes only
+    /// at announced cuts that are complete under its own recovered
+    /// epochs.
+    pub fn complete_under(&self, epochs: &[u64]) -> bool {
+        self.epochs.len() == epochs.len() && self.epochs.iter().zip(epochs).all(|(c, e)| c <= e)
+    }
+
     /// The cut slot this sequence number writes to.
     pub(crate) fn slot(seq: u64) -> u64 {
         CUT_SLOT_START + seq % CUT_SLOTS
@@ -300,12 +314,12 @@ impl CutRecord {
 
     /// Parses and validates a cut-slot block; `None` if the slot is
     /// empty or torn.
-    pub fn from_block(block: &[u8]) -> Option<CutRecord> {
+    pub fn from_block(block: &[u8]) -> Option<VectorCut> {
         unseal(block, CUT_MAGIC, |r| {
             let seq = r.u64()?;
             let n = count(r, MAX_SHARDS)?;
             let epochs = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-            Ok(CutRecord { seq, epochs })
+            Ok(VectorCut { seq, epochs })
         })
     }
 }
@@ -1513,24 +1527,24 @@ mod tests {
 
     #[test]
     fn cut_record_round_trips_and_rejects_torn() {
-        let cut = CutRecord {
+        let cut = VectorCut {
             seq: 7,
             epochs: vec![12, 0, 99, 3],
         };
         let block = cut.to_block();
-        assert_eq!(CutRecord::from_block(&block), Some(cut));
-        let mut torn = CutRecord {
+        assert_eq!(VectorCut::from_block(&block), Some(cut));
+        let mut torn = VectorCut {
             seq: 7,
             epochs: vec![12, 0, 99, 3],
         }
         .to_block();
         torn[40] ^= 1; // second component
-        assert_eq!(CutRecord::from_block(&torn), None);
-        assert_eq!(CutRecord::from_block(&[0u8; BLOCK_SIZE]), None);
+        assert_eq!(VectorCut::from_block(&torn), None);
+        assert_eq!(VectorCut::from_block(&[0u8; BLOCK_SIZE]), None);
         // Slots alternate.
-        assert_eq!(CutRecord::slot(0), CUT_SLOT_START);
-        assert_eq!(CutRecord::slot(1), CUT_SLOT_START + 1);
-        assert_eq!(CutRecord::slot(2), CUT_SLOT_START);
+        assert_eq!(VectorCut::slot(0), CUT_SLOT_START);
+        assert_eq!(VectorCut::slot(1), CUT_SLOT_START + 1);
+        assert_eq!(VectorCut::slot(2), CUT_SLOT_START);
     }
 
     #[test]
@@ -1604,8 +1618,8 @@ mod tests {
         }
     }
 
-    fn sample_cut() -> CutRecord {
-        CutRecord {
+    fn sample_cut() -> VectorCut {
+        VectorCut {
             seq: 7,
             epochs: vec![12, 0, 99, 3],
         }
@@ -1665,7 +1679,7 @@ mod tests {
                 name: "cut",
                 block: sample_cut().to_block(),
                 len: 32 + 8 * sample_cut().epochs.len(),
-                decodes: Box::new(|b| CutRecord::from_block(b).is_some()),
+                decodes: Box::new(|b| VectorCut::from_block(b).is_some()),
             },
             Sample {
                 name: "root",
@@ -1723,7 +1737,7 @@ mod tests {
         let sb = sample_superblock();
         assert_eq!(Superblock::from_block(&sb.to_block()), Some(sb));
         let cut = sample_cut();
-        assert_eq!(CutRecord::from_block(&cut.to_block()), Some(cut));
+        assert_eq!(VectorCut::from_block(&cut.to_block()), Some(cut));
         for root in [sample_root(), sample_journaled_root()] {
             assert_eq!(
                 RootRecord::from_block(&root.to_block(), root.object),
@@ -1842,13 +1856,13 @@ mod tests {
         let mut block = sample_cut().to_block();
         put(&mut block, 24, MAX_SHARDS as u64 + 1);
         reseal(&mut block, 32 + 8 * (MAX_SHARDS + 1));
-        assert_eq!(CutRecord::from_block(&block), None);
+        assert_eq!(VectorCut::from_block(&block), None);
         put(&mut block, 24, u64::MAX);
-        assert_eq!(CutRecord::from_block(&block), None);
+        assert_eq!(VectorCut::from_block(&block), None);
         put(&mut block, 24, MAX_SHARDS as u64);
         reseal(&mut block, 32 + 8 * MAX_SHARDS);
         assert_eq!(
-            CutRecord::from_block(&block).unwrap().epochs.len(),
+            VectorCut::from_block(&block).unwrap().epochs.len(),
             MAX_SHARDS
         );
     }

@@ -74,12 +74,12 @@ pub use alloc::BlockAllocator;
 pub use cache::BlockCache;
 pub use layout::{
     digest32, fnv1a, fnv1a_extend, pack_entry, unpack_entry, BatchRecord, DeltaRecord, Epoch,
-    ObjectId, RootRecord, ShardLayout, SnapCatalog, SnapEntry, Superblock, BATCH_SLOTS,
+    ObjectId, RootRecord, ShardLayout, SnapCatalog, SnapEntry, Superblock, VectorCut, BATCH_SLOTS,
     COMPACT_AFTER, DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, INLINE_BLOCK, JOURNAL_CAP,
     MAX_DELTA_PAIRS, MAX_SHARDS, MAX_SNAPSHOTS,
 };
 pub use radix::{RadixTree, TreeError};
-pub use shard::{shard_of_name, ExtentBroker, ObjectStore, VectorCut, DEFAULT_EXTENT_BLOCKS};
+pub use shard::{shard_of_name, ExtentBroker, ObjectStore, DEFAULT_EXTENT_BLOCKS};
 pub use store::{
     CommitPage, CommitToken, ScrubStats, StoreError, StoreStats, UnrepairedPage, BULK_READ_PAGES,
     DEFAULT_CACHE_BLOCKS, MAX_IO_ATTEMPTS, OVERLAY_PAGE_BUDGET,

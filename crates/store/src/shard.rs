@@ -34,7 +34,7 @@ use msnap_sim::hash::fnv1a_bytewise;
 use msnap_sim::{Nanos, Vt};
 
 use crate::layout::{
-    BatchRecord, CutRecord, Epoch, ObjectId, ShardLayout, SnapEntry, Superblock, CUT_SLOTS,
+    BatchRecord, Epoch, ObjectId, ShardLayout, SnapEntry, Superblock, VectorCut, CUT_SLOTS,
     CUT_SLOT_START, MAX_SHARDS, SHARD_ID_SHIFT,
 };
 use crate::store::{
@@ -94,37 +94,12 @@ impl ExtentBroker {
     }
 }
 
-/// A named cross-shard consistency point: per-shard epoch sums
-/// `[e_0..e_{N-1}]` stamped atomically after draining in-flight
-/// commits. Snapshots, delta streams, and replication promote only
-/// complete cuts, so no reader ever observes object A at epoch `N`
-/// and object B at `N−1` across shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VectorCut {
-    /// Monotone cut sequence number.
-    pub seq: u64,
-    /// Per-shard epoch sums at the stamp instant, indexed by shard.
-    pub epochs: Vec<u64>,
-}
-
-impl VectorCut {
-    /// Whether this cut is *complete* under the given per-shard epoch
-    /// sums: every component has been reached. A replica promotes only
-    /// at announced cuts that are complete under its own recovered
-    /// epochs.
-    pub fn complete_under(&self, epochs: &[u64]) -> bool {
-        self.epochs.len() == epochs.len() && self.epochs.iter().zip(epochs).all(|(c, e)| c <= e)
-    }
-}
-
 /// The copy-on-write object store: the crate's one public store type.
 /// Owns `N ≥ 1` shards, the [`ExtentBroker`] partitioning the data area
 /// between them, and the epoch-vector cut state.
 pub struct ObjectStore {
     shards: Vec<StoreShard>,
     broker: ExtentBroker,
-    /// Next cut sequence number.
-    cut_seq: u64,
     /// Newest durable cut.
     last_cut: Option<VectorCut>,
 }
@@ -166,15 +141,15 @@ impl ObjectStore {
             .expect("formatting a faulty device is unsupported");
         // Cut slot 1 holds the genesis cut (seq 0, all epochs 0); slot 2
         // is zeroed so recovery never mistakes stale bytes for a cut.
-        let genesis = CutRecord {
+        let genesis = VectorCut {
             seq: 0,
             epochs: vec![0; shard_count],
         };
-        disk.write_block_at(Nanos::ZERO, CutRecord::slot(0), &genesis.to_block())
+        disk.write_block_at(Nanos::ZERO, VectorCut::slot(0), &genesis.to_block())
             .expect("formatting a faulty device is unsupported");
         let zero = [0u8; BLOCK_SIZE];
         for slot in CUT_SLOT_START..CUT_SLOT_START + CUT_SLOTS {
-            if slot != CutRecord::slot(0) {
+            if slot != VectorCut::slot(0) {
                 disk.write_block_at(Nanos::ZERO, slot, &zero)
                     .expect("formatting a faulty device is unsupported");
             }
@@ -195,11 +170,7 @@ impl ObjectStore {
         ObjectStore {
             shards,
             broker,
-            cut_seq: 1,
-            last_cut: Some(VectorCut {
-                seq: 0,
-                epochs: vec![0; shard_count],
-            }),
+            last_cut: Some(genesis),
         }
     }
 
@@ -258,22 +229,17 @@ impl ObjectStore {
         // check is a corruption guard, not an expected path.
         let sums: Vec<u64> = shards.iter().map(|s| s.epoch_sum()).collect();
         let mut best: Option<VectorCut> = None;
-        for slot in cut_slots.chunks(BLOCK_SIZE) {
-            if let Some(rec) = CutRecord::from_block(slot) {
-                let cut = VectorCut {
-                    seq: rec.seq,
-                    epochs: rec.epochs,
-                };
-                if cut.complete_under(&sums) && best.as_ref().is_none_or(|b| cut.seq > b.seq) {
-                    best = Some(cut);
-                }
+        for cut in cut_slots
+            .chunks(BLOCK_SIZE)
+            .filter_map(VectorCut::from_block)
+        {
+            if cut.complete_under(&sums) && best.as_ref().is_none_or(|b| cut.seq > b.seq) {
+                best = Some(cut);
             }
         }
-        let cut_seq = best.as_ref().map_or(0, |b| b.seq + 1);
         Ok(ObjectStore {
             shards,
             broker,
-            cut_seq,
             last_cut: best,
         })
     }
@@ -433,12 +399,8 @@ impl ObjectStore {
     /// [`StoreError::Io`] if the cut record cannot be written.
     pub fn cut(&mut self, vt: &mut Vt, disk: &mut Disk) -> Result<VectorCut, StoreError> {
         let cut = VectorCut {
-            seq: self.cut_seq,
+            seq: self.last_cut.as_ref().map_or(0, |c| c.seq + 1),
             epochs: self.epoch_vector(),
-        };
-        let rec = CutRecord {
-            seq: cut.seq,
-            epochs: cut.epochs.clone(),
         };
         let at = self
             .shards
@@ -447,10 +409,9 @@ impl ObjectStore {
             .max()
             .unwrap_or(Nanos::ZERO)
             .max(vt.now());
-        let iov = [(CutRecord::slot(rec.seq), &rec.to_block()[..])];
+        let iov = [(VectorCut::slot(cut.seq), &cut.to_block()[..])];
         let token = retry_transient(disk, at, &iov).map_err(StoreError::Io)?;
         Disk::wait(vt, token);
-        self.cut_seq += 1;
         self.last_cut = Some(cut.clone());
         Ok(cut)
     }
@@ -1406,10 +1367,19 @@ mod tests {
         assert_eq!(cut.seq, 1, "genesis cut is seq 0");
         assert_eq!(cut.epochs.iter().sum::<u64>(), 1);
         disk.crash(vt.now());
-        let reopened = ObjectStore::open(&mut vt, &mut disk).unwrap();
+        let mut reopened = ObjectStore::open(&mut vt, &mut disk).unwrap();
         let recovered = reopened.last_cut().expect("cut survives crash");
         assert_eq!(recovered, &cut);
         assert!(recovered.complete_under(&reopened.epoch_vector()));
+        // The recovered cut numbers the next one.
+        let next = reopened.cut(&mut vt, &mut disk).unwrap();
+        assert_eq!(next.seq, 2);
+        // A torn seq-2 cut falls back to seq 1, which numbers the next
+        // cut 2 again.
+        disk.corrupt_bit(VectorCut::slot(2), 20, 3);
+        let mut torn = ObjectStore::open(&mut vt, &mut disk).unwrap();
+        assert_eq!(torn.last_cut(), Some(&cut));
+        assert_eq!(torn.cut(&mut vt, &mut disk).unwrap().seq, 2);
     }
 
     #[test]

@@ -307,8 +307,6 @@ pub struct CommitToken {
     /// overtakes its predecessor on the device is acknowledged only when
     /// the predecessor lands — recovery replays a prefix).
     pub completes: Nanos,
-    /// Payload + metadata bytes written to the device.
-    pub bytes_written: u64,
 }
 
 /// Aggregate store statistics.
@@ -400,9 +398,6 @@ struct ObjectState {
     /// flushed on full commits only.
     tree: RadixTree,
     epoch: Epoch,
-    last_commit: Nanos,
-    /// Epochs above the newest full root, a compaction root included.
-    deltas_since_full: u64,
     /// Alternates the full-root slot (consecutive full roots never share
     /// a slot).
     full_count: u64,
@@ -443,9 +438,10 @@ struct ObjectState {
     /// root leaves it as it is (and stores it in its `tip` word).
     tip: u32,
     /// The object's newest record, while it is a line record the next
-    /// line commit may fold into (R3): its ring slot and what it holds.
-    /// Any other commit, a full root above all, ends the chain.
-    queued: Option<(u64, DeltaRecord)>,
+    /// line commit may fold into (R3). It sits in the ring slot of its
+    /// first epoch. Any other commit, a full root above all, ends the
+    /// chain.
+    queued: Option<DeltaRecord>,
 }
 
 impl ObjectState {
@@ -455,8 +451,6 @@ impl ObjectState {
             entry,
             tree: RadixTree::new(),
             epoch: 0,
-            last_commit: Nanos::ZERO,
-            deltas_since_full: 0,
             full_count: 0,
             root_freed_pending: Vec::new(),
             node_freed_pending: BTreeMap::new(),
@@ -480,6 +474,11 @@ impl ObjectState {
             let leaf = self.node_freed_pending.entry(leaf_of(page));
             leaf.or_default().push(old);
         }
+    }
+
+    /// Epochs above the newest full root, a compaction root included.
+    fn window(&self) -> u64 {
+        self.epoch - self.roots[1].0
     }
 
     /// When a root at or above `epoch` is durable: the earlier of the two
@@ -527,9 +526,6 @@ pub(crate) struct StoreShard {
     /// Snapshot name → index into `snapshots`, so per-page snapshot reads
     /// do not linear-scan the catalog.
     snap_by_name: HashMap<String, usize>,
-    /// False while some snapshot adopted by `open` has not yet had its
-    /// pin set enumerated. No block may be freed until this is true.
-    pins_ready: bool,
     /// Next snapshot-catalog sequence number.
     snap_seq: u64,
     /// Pin refcount per disk block reachable from a retained snapshot.
@@ -597,7 +593,6 @@ impl StoreShard {
             pending_free: BinaryHeap::new(),
             snapshots: Vec::new(),
             snap_by_name: HashMap::new(),
-            pins_ready: true,
             snap_seq: 0,
             snap_pins: HashMap::new(),
             withheld: HashSet::new(),
@@ -702,7 +697,7 @@ impl StoreShard {
 
     /// The durability instant of the object's latest μCheckpoint.
     pub fn last_commit(&self, id: ObjectId) -> Nanos {
-        self.objects[id.0 as usize].last_commit
+        self.objects[id.0 as usize].chain_completes
     }
 
     /// Store-wide statistics.

@@ -301,7 +301,6 @@ impl StoreShard {
                 return Err(e.into());
             }
         };
-        let data_written = (pages.len() + flushed.len()) as u64;
         self.stats.overlay_pages_flushed += flushed.len() as u64;
         self.stats.pages_written += flushed.len() as u64;
         // Every page this root wrote supersedes the rotted block a scrub
@@ -335,7 +334,6 @@ impl StoreShard {
             );
         }
         state.journal = journal;
-        state.deltas_since_full = 0;
         state.epoch = epoch;
         // The root landed after everything it covers: it is the chain's
         // durability frontier, though a compaction root does not move it.
@@ -344,7 +342,6 @@ impl StoreShard {
         if kind != Root::Compaction {
             state.tip = layout::tip_tag(&root_block);
             state.chain_completes = landed;
-            state.last_commit = landed;
         }
         if !data_freed.is_empty() {
             self.pending_free.push(Reverse((landed, data_freed)));
@@ -354,7 +351,6 @@ impl StoreShard {
         Ok(CommitToken {
             epoch,
             completes: landed,
-            bytes_written: (data_written + node_writes.len() as u64 + 1) * BLOCK_SIZE as u64,
         })
     }
 
@@ -425,13 +421,13 @@ impl StoreShard {
             // this batch is about to overwrite, first flushes a full root.
             for (object, _) in groups {
                 let state = &self.objects[object.0 as usize];
-                if state.deltas_since_full + 1 >= DELTA_SLOTS {
+                if state.window() + 1 >= DELTA_SLOTS {
                     self.flush_full_root(vt, disk, *object)?;
                 }
             }
             for (object, epoch) in self.batch_ring[ring_slot as usize].clone() {
                 let state = &self.objects[object.0 as usize];
-                if epoch > state.epoch - state.deltas_since_full {
+                if epoch > state.roots[1].0 {
                     self.flush_full_root(vt, disk, object)?;
                 }
             }
@@ -442,7 +438,7 @@ impl StoreShard {
             let state = &self.objects[object.0 as usize];
             if !self.delta_commits
                 || pages.len() > MAX_DELTA_PAIRS
-                || state.deltas_since_full + 1 >= DELTA_SLOTS
+                || state.window() + 1 >= DELTA_SLOTS
                 || (inline && state.overlay.len() + pages.len() > OVERLAY_PAGE_BUDGET)
             {
                 // Slow path: flush dirty COW nodes and write a full root.
@@ -455,7 +451,7 @@ impl StoreShard {
                 self.stats.pages_written += total_pages as u64;
                 return Ok(vec![token]);
             }
-            if state.deltas_since_full >= COMPACT_AFTER && state.roots[1].1 <= vt.now() {
+            if state.window() >= COMPACT_AFTER && state.roots[1].1 <= vt.now() {
                 self.compact(vt, disk, object);
             }
         }
@@ -602,20 +598,13 @@ impl StoreShard {
             self.apply_record(g, &mut patched);
             let state = &mut self.objects[g.object.0 as usize];
             state.chain_completes = state.chain_completes.max(token.completes());
-            state.last_commit = state.chain_completes;
-            let data_blocks = if inline { 0 } else { g.pairs.len() as u64 };
-            // The record block is shared; attribute it to the first
-            // participant so batch bytes sum correctly. An absorbed
-            // commit wrote none.
-            let record_blocks = u64::from(tokens.is_empty() && absorbed.is_none());
             tokens.push(CommitToken {
                 epoch: g.epoch,
-                bytes_written: (data_blocks + record_blocks) * BLOCK_SIZE as u64,
                 completes: state.chain_completes,
             });
             if absorbed.is_none() {
                 state.tip = layout::tip_tag(&record);
-                state.queued = inline.then(|| (record_block, g.clone()));
+                state.queued = inline.then(|| g.clone());
             }
         }
         if shared {
@@ -652,18 +641,18 @@ impl StoreShard {
         patched: &[Box<[u8]>],
     ) -> Option<WriteToken> {
         let state = &mut self.objects[next.object.0 as usize];
-        let (slot, queued) = state.queued.as_ref()?;
+        let queued = state.queued.as_ref()?;
         let image = |page| match next.pairs.binary_search_by_key(&page, |(p, _)| *p) {
             Ok(i) => &patched[i][..],
             Err(_) => &state.overlay[&page].1[..],
         };
         let folded = fold(queued, next, image)?;
         let block = folded.to_block();
-        let slot = *slot;
+        let slot = state.entry.delta_slot(folded.first_epoch());
         let token = disk.amend_at(now, slot, &block)?;
         self.cache.invalidate(slot);
         state.tip = layout::tip_tag(&block);
-        state.queued = Some((slot, folded));
+        state.queued = Some(folded);
         Some(token)
     }
 

@@ -50,7 +50,6 @@ impl StoreShard {
                 state.journal.insert(*page, *word);
             }
         }
-        state.deltas_since_full += record.span + 1;
         state.epoch = record.epoch;
         // Each landed page supersedes the rotted block a scrub report may
         // name (an inline page's whole image is in the overlay).

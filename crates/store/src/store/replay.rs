@@ -211,7 +211,6 @@ impl StoreShard {
                 pinned: false,
             });
         }
-        shard.pins_ready = shard.snapshots.is_empty();
         shard.alloc = BlockAllocator::bounded(high_water, high_water);
         Ok(shard)
     }

@@ -16,9 +16,6 @@ impl StoreShard {
     /// is per-snapshot atomic: a failed read leaves the remaining
     /// snapshots unpinned and the call retryable.
     pub(super) fn ensure_pins(&mut self, vt: &mut Vt, disk: &mut Disk) -> Result<(), StoreError> {
-        if self.pins_ready {
-            return Ok(());
-        }
         for i in 0..self.snapshots.len() {
             if self.snapshots[i].pinned {
                 continue;
@@ -36,7 +33,6 @@ impl StoreShard {
             snap.blocks = blocks;
             snap.pinned = true;
         }
-        self.pins_ready = true;
         Ok(())
     }
 
@@ -312,6 +308,60 @@ mod tests {
                 .unwrap();
             assert_eq!(&out, p, "snapshot page {i} lost across recovery");
         }
+    }
+
+    #[test]
+    fn pins_adopted_at_open_hold_after_a_delete_before_any_commit() {
+        let (mut disk, mut store, mut vt) = setup();
+        let obj = store.create(&mut vt, &mut disk, "db").unwrap();
+        let mut pages: Vec<Vec<u8>> = (0..4).map(|i| page_of(0xB0 + i as u8)).collect();
+        for (i, p) in pages.iter().enumerate() {
+            let t = store
+                .persist(&mut vt, &mut disk, obj, &[(i as u64, p)])
+                .unwrap();
+            ObjectStore::wait(&mut vt, t);
+        }
+        store.snapshot_create(&mut vt, &mut disk, obj, "a").unwrap();
+        pages[1] = page_of(0xC1);
+        let t = store
+            .persist(&mut vt, &mut disk, obj, &[(1, &pages[1])])
+            .unwrap();
+        ObjectStore::wait(&mut vt, t);
+        store.snapshot_create(&mut vt, &mut disk, obj, "b").unwrap();
+        disk.settle();
+
+        // Both snapshots come back unpinned; one goes before any commit
+        // has materialized the pins.
+        let mut vt = Vt::new(1);
+        let mut store = open_shard(&mut vt, &mut disk).unwrap();
+        store.snapshot_delete(&mut vt, &mut disk, "a").unwrap();
+        // Churn page 0 across two delta windows, then write every node:
+        // every block only the survivor still names passes its gate.
+        for i in 0..(2 * DELTA_SLOTS + 4) {
+            let p = page_of(i as u8);
+            let t = store.persist(&mut vt, &mut disk, obj, &[(0, &p)]).unwrap();
+            ObjectStore::wait(&mut vt, t);
+        }
+        flush_nodes(&mut store, &mut vt, &mut disk, obj);
+
+        let mut out = page_of(0);
+        for (i, p) in pages.iter().enumerate() {
+            store
+                .read_page_at(&mut vt, &mut disk, "b", i as u64, &mut out)
+                .unwrap();
+            assert_eq!(&out, p, "snapshot page {i} changed under churn");
+        }
+        let entry = store.snapshot_lookup("b").unwrap();
+        let mut tree =
+            RadixTree::from_committed_digest(entry.tree_root, entry.root_digest, entry.len_pages);
+        tree.hydrate_all(&mut node_reader(
+            &mut vt,
+            &mut disk,
+            &mut store.cache,
+            &mut store.stats,
+        ))
+        .unwrap();
+        assert_eq!(store.pinned_blocks(), tree.disk_blocks().len());
     }
 
     #[test]

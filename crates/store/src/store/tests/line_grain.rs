@@ -441,7 +441,6 @@ fn a_commit_before_its_objects_record_starts_rides_it() {
     assert_eq!(disk.io_seq(), ios, "no submission of its own");
     assert_eq!(riding.epoch, first.epoch + 1);
     assert_eq!(riding.completes, first.completes, "acked with the record");
-    assert_eq!(riding.bytes_written, 0);
     assert_eq!(shard.stats().absorbed_commits, 1);
     let slot = shard.objects[obj.0 as usize].entry.delta_slot(first.epoch);
     let folded = DeltaRecord::from_block(disk.peek(slot).unwrap(), obj).unwrap();
@@ -573,7 +572,7 @@ fn replay_follows_a_folded_record_past_stale_and_overlapping_ones() {
     // The folded record counts every epoch it covers against the window,
     // so the recovered object takes its next full root when the live one
     // would have.
-    let window = |s: &StoreShard| s.objects[0].deltas_since_full;
+    let window = |s: &StoreShard| s.objects[0].window();
     assert_eq!(window(&reopened), window(&shard));
     assert_eq!(window(&reopened), 5);
 }
@@ -615,7 +614,7 @@ fn a_slow_compaction_root(
     let mut acked = Vec::new();
     for (i, w) in one_line_writes(80).into_iter().enumerate() {
         if i == 60 {
-            assert_eq!(shard.objects[0].deltas_since_full, COMPACT_AFTER);
+            assert_eq!(shard.objects[0].window(), COMPACT_AFTER);
             // The compaction root's extent is the next submission, its
             // root record the one after.
             let slow = Fault::LatencySpike { extra: spike };

@@ -157,7 +157,6 @@ struct PhysPage {
     /// The page is part of an in-flight μCheckpoint until this instant
     /// (the paper's "checkpoint in progress" flag, time-resolved).
     cip_until: Nanos,
-    owner: (MemObjectId, u64),
     /// Reverse map: every PTE mapping this page, across address spaces.
     rmap: Vec<(AsId, PteLoc)>,
     /// Thread that holds this page in its dirty set, for optional
@@ -299,12 +298,11 @@ impl Vm {
         (m.va_start <= va).then_some(*m)
     }
 
-    fn alloc_phys(&mut self, owner: (MemObjectId, u64)) -> u32 {
+    fn alloc_phys(&mut self) -> u32 {
         if let Some(id) = self.free_phys.pop() {
             let p = &mut self.phys[id as usize];
             p.data.fill(0);
             p.cip_until = Nanos::ZERO;
-            p.owner = owner;
             p.rmap.clear();
             p.dirty_owner = None;
             p.dirty_lines = 0;
@@ -313,7 +311,6 @@ impl Vm {
             self.phys.push(PhysPage {
                 data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
                 cip_until: Nanos::ZERO,
-                owner,
                 rmap: Vec::new(),
                 dirty_owner: None,
                 dirty_lines: 0,
@@ -337,7 +334,7 @@ impl Vm {
         let phys = match self.objects[m.object.0 as usize].pages[obj_page as usize] {
             Some(p) => p,
             None => {
-                let p = self.alloc_phys((m.object, obj_page));
+                let p = self.alloc_phys();
                 self.objects[m.object.0 as usize].pages[obj_page as usize] = Some(p);
                 p
             }
@@ -398,7 +395,7 @@ impl Vm {
                     // keeps servicing the in-flight IO (our disk model
                     // captured its bytes at submission, so it is returned
                     // to the free list immediately).
-                    phys = self.cow_replace(vt, phys, (m.object, obj_page));
+                    phys = self.cow_replace(phys, (m.object, obj_page));
                     self.stats.cow_faults += 1;
                     vt.charge(Category::PageFault, costs::COW_FAULT);
                 } else {
@@ -457,8 +454,8 @@ impl Vm {
 
     /// COW-duplicates `old_phys`, repointing every PTE in its reverse map.
     /// Returns the new physical page.
-    fn cow_replace(&mut self, _vt: &mut Vt, old_phys: u32, owner: (MemObjectId, u64)) -> u32 {
-        let new_phys = self.alloc_phys(owner);
+    fn cow_replace(&mut self, old_phys: u32, owner: (MemObjectId, u64)) -> u32 {
+        let new_phys = self.alloc_phys();
         let (old_data, rmap, old_lines) = {
             let old = &mut self.phys[old_phys as usize];
             (
@@ -525,7 +522,7 @@ impl Vm {
         let phys = match self.objects[object.0 as usize].pages[page as usize] {
             Some(p) => p,
             None => {
-                let p = self.alloc_phys((object, page));
+                let p = self.alloc_phys();
                 self.objects[object.0 as usize].pages[page as usize] = Some(p);
                 p
             }

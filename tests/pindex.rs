@@ -13,7 +13,7 @@
 //!   key; whatever the crash point, the recovered value must be one of
 //!   the racers' values and its op id must be accounted for.
 //! - **Seeded-interleaving linearizability** (proptest): every schedule
-//!   [`InterleaveSched`] generates must leave a final state explainable
+//!   [`Scheduler::seeded`] generates must leave a final state explainable
 //!   as *some* sequential permutation of the operations that respects
 //!   real-time order — and the same seed must reproduce the same
 //!   schedule, state, and proof.
@@ -25,7 +25,7 @@ use std::rc::Rc;
 use memsnap::{MemSnap, MsnapError, PersistFlags, RegionSel};
 use msnap_disk::{crash_at_every_io, Disk, DiskConfig};
 use msnap_pindex::{op_parts, OpOutcome, PSkipList, PutOp};
-use msnap_sim::{InterleaveSched, Nanos, StepOutcome, Vt};
+use msnap_sim::{Nanos, Scheduler, StepOutcome, Vt};
 use msnap_skipdb::{Kv, PIndexKv};
 
 const WRITERS: u32 = 4;
@@ -401,7 +401,7 @@ fn run_interleaved(
     let steps = Rc::new(Cell::new(0u64));
     let records = Rc::new(RefCell::new(Vec::<OpRecord>::new()));
 
-    let mut sched = InterleaveSched::new(seed);
+    let mut sched = Scheduler::seeded(seed);
     for (w, plan) in plans.iter().enumerate() {
         let shared = Rc::clone(&shared);
         let steps = Rc::clone(&steps);
