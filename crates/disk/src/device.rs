@@ -1,7 +1,7 @@
 //! The simulated block device.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 
 use msnap_sim::{Category, ChannelPool, Nanos, Vt};
 
@@ -30,6 +30,28 @@ impl WriteToken {
     pub fn bytes(&self) -> usize {
         self.bytes
     }
+}
+
+/// Handle for a read submitted in the idle class
+/// ([`Disk::submit_idle_readv`]); pass it to [`Disk::idle_read_lands`].
+#[derive(Debug)]
+#[must_use = "an idle read lands only once it is waited on or pushed by foreground IO"]
+pub struct IdleRead {
+    id: u64,
+}
+
+/// One segment of an idle-class read that no channel has taken yet.
+#[derive(Debug)]
+struct IdleSegment {
+    read: u64,
+    submitted: Nanos,
+    /// What the same segment of an eager read costs.
+    cost: Nanos,
+    /// That cost leaves out the setup: in an eager read the segment
+    /// streams on after an earlier one on its channel.
+    streams: bool,
+    /// The read's last segment: it lands with this one.
+    last: bool,
 }
 
 /// One rollback record: the pre-image of a block overwritten by a write
@@ -79,6 +101,15 @@ pub struct Disk {
     /// block: no read bypasses the plan.
     read_seq: u64,
     read_faults: ReadFaultPlan,
+    /// Idle-class read segments no channel has taken yet, in submission
+    /// order (DESIGN.md §6g). Foreground submissions pass them.
+    idle: VecDeque<IdleSegment>,
+    /// Every idle read not yet waited on, by id: the instant its
+    /// segments placed so far complete.
+    idle_lands: HashMap<u64, Nanos>,
+    /// Id of the next idle read; ids start at 1 and tag its segments on
+    /// the channels.
+    next_idle: u64,
 }
 
 impl Disk {
@@ -98,6 +129,9 @@ impl Disk {
             queued: HashMap::new(),
             read_seq: 0,
             read_faults: ReadFaultPlan::new(),
+            idle: VecDeque::new(),
+            idle_lands: HashMap::new(),
+            next_idle: 1,
         }
     }
 
@@ -146,6 +180,7 @@ impl Disk {
     /// The instant a write submitted now would begin service: the
     /// earliest a channel is free. Before it every channel is busy with
     /// work already submitted, so a new submission waits for it anyway.
+    /// Idle-class segments no channel has taken yet are not counted.
     pub fn idle_at(&self) -> Nanos {
         self.channels.free_at()
     }
@@ -225,15 +260,13 @@ impl Disk {
             self.queued.remove(block);
         }
 
-        // Schedule segments across channels (see `segment_cost`).
-        let blocks_per_segment = (self.cfg.stripe_bytes / BLOCK_SIZE).max(1);
+        // Schedule segments across channels (see `segment_cost`), after
+        // the idle reads a channel would have started before `now`.
+        self.place_idle(|_, start| start < now);
         let mut completes = now;
         let mut i = 0;
-        let mut seg_index = 0;
-        while i < iov.len() {
-            let seg_blocks = blocks_per_segment.min(iov.len() - i);
+        for (seg_index, seg_blocks) in self.segments(iov.len()).enumerate() {
             let latency = self.segment_cost(seg_index, seg_blocks) + spike;
-            seg_index += 1;
             let done = self.channels.submit(now, latency);
             if amendable {
                 self.queued.insert(iov[0].0, (done - latency, done));
@@ -381,23 +414,61 @@ impl Disk {
 
     /// Schedules one read submission of `blocks` blocks at `now` by the
     /// same rule as [`Disk::writev_at`]: stripe-sized segments, each on
-    /// the earliest-free channel. Returns the instant the last segment
+    /// the earliest-free channel, after the idle reads a channel would
+    /// have started before `now`. Returns the instant the last segment
     /// completes and records the submission in [`IoStats`].
     fn schedule_read(&mut self, now: Nanos, blocks: usize) -> Nanos {
-        let blocks_per_segment = (self.cfg.stripe_bytes / BLOCK_SIZE).max(1);
+        self.place_idle(|_, start| start < now);
         let mut completes = now;
-        let mut left = blocks;
-        let mut seg_index = 0;
-        while left > 0 {
-            let seg_blocks = blocks_per_segment.min(left);
+        for (seg_index, seg_blocks) in self.segments(blocks).enumerate() {
             let latency = self.segment_cost(seg_index, seg_blocks);
-            seg_index += 1;
             completes = completes.max(self.channels.submit(now, latency));
-            left -= seg_blocks;
         }
-        self.stats
-            .record_read(blocks * BLOCK_SIZE, completes.saturating_sub(now));
+        self.stats.record_read(blocks * BLOCK_SIZE);
+        let latency = completes.saturating_sub(now);
+        self.stats.record_read_latency(latency);
         completes
+    }
+
+    /// The block counts of the stripe-sized segments `blocks` blocks
+    /// split into, in order.
+    fn segments(&self, blocks: usize) -> impl Iterator<Item = usize> {
+        let per = (self.cfg.stripe_bytes / BLOCK_SIZE).max(1);
+        (0..blocks.div_ceil(per)).map(move |i| per.min(blocks - i * per))
+    }
+
+    /// Puts waiting idle-class segments onto channels, oldest first,
+    /// while `go(read, start)` holds for the next one, `start` being the
+    /// instant a channel would take it. A segment costs what the same
+    /// segment of an eager read costs, plus the setup again unless its
+    /// channel just finished the previous segment of the same read at
+    /// `start`. The read whose last segment is placed has landed: its
+    /// latency is recorded.
+    fn place_idle(&mut self, mut go: impl FnMut(u64, Nanos) -> bool) {
+        while let Some(seg) = self.idle.front() {
+            let start = seg.submitted.max(self.channels.free_at());
+            if !go(seg.read, start) {
+                break;
+            }
+            let seg = self.idle.pop_front().expect("peeked segment exists");
+            let setup = self.cfg.setup;
+            let done = self
+                .channels
+                .submit_tagged(seg.submitted, seg.read, |follows| {
+                    if seg.streams && !follows {
+                        seg.cost + setup
+                    } else {
+                        seg.cost
+                    }
+                });
+            if let Some(lands) = self.idle_lands.get_mut(&seg.read) {
+                *lands = (*lands).max(done);
+                if seg.last {
+                    self.stats
+                        .record_read_latency(lands.saturating_sub(seg.submitted));
+                }
+            }
+        }
     }
 
     /// Charges `vt` the wait until `done` as [`Category::IoWait`].
@@ -456,6 +527,80 @@ impl Disk {
         if iov.is_empty() {
             return Ok(now);
         }
+        self.transfer(iov)?;
+        Ok(self.schedule_read(now, iov.len()))
+    }
+
+    /// Submits a scatter/gather read at `now` in the idle class: the
+    /// maintenance reads no acknowledgement waits for. The bytes are
+    /// copied and the [`ReadFaultPlan`] consulted here, exactly as by
+    /// [`Disk::try_readv_at`], and the read is counted in [`IoStats`]; its
+    /// stripe-sized segments then wait for the device. A foreground
+    /// submission at `t` first puts onto a channel each waiting segment
+    /// a channel would have started before `t`, then takes its own
+    /// channel: it waits at most for segments already in service, never
+    /// for the rest of the read. [`Disk::idle_read_lands`] places the
+    /// rest.
+    ///
+    /// A segment costs what the same segment of an eager read costs,
+    /// plus the setup again unless it starts on the channel the previous
+    /// segment of the same read just left: alone, an idle read lands
+    /// when the eager read would have. [`Disk::crash`] drops the
+    /// waiting segments.
+    ///
+    /// # Errors
+    ///
+    /// As [`Disk::try_readv_at`]: nothing is submitted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any buffer is not exactly [`BLOCK_SIZE`] bytes.
+    pub fn submit_idle_readv(
+        &mut self,
+        now: Nanos,
+        iov: &mut [(u64, &mut [u8])],
+    ) -> Result<IdleRead, IoError> {
+        self.transfer(iov)?;
+        let id = self.next_idle;
+        self.next_idle += 1;
+        self.idle_lands.insert(id, now);
+        if iov.is_empty() {
+            return Ok(IdleRead { id });
+        }
+        self.stats.record_read(iov.len() * BLOCK_SIZE);
+        for (seg_index, seg_blocks) in self.segments(iov.len()).enumerate() {
+            self.idle.push_back(IdleSegment {
+                read: id,
+                submitted: now,
+                cost: self.segment_cost(seg_index, seg_blocks),
+                streams: seg_index >= self.cfg.channels,
+                last: false,
+            });
+        }
+        if let Some(seg) = self.idle.back_mut() {
+            seg.last = true;
+        }
+        Ok(IdleRead { id })
+    }
+
+    /// The instant the idle read `read` lands, once the device has
+    /// placed the rest of it (and every idle read submitted before it):
+    /// its caller is about to wait for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Disk::crash`] dropped the read.
+    pub fn idle_read_lands(&mut self, read: IdleRead) -> Nanos {
+        self.place_idle(|id, _| id <= read.id);
+        self.idle_lands
+            .remove(&read.id)
+            .expect("a crash dropped this idle read")
+    }
+
+    /// Consults the read fault plan for every block of `iov`, in order,
+    /// then copies each block's current contents out. See
+    /// [`Disk::try_readv_at`] for the errors.
+    fn transfer(&mut self, iov: &mut [(u64, &mut [u8])]) -> Result<(), IoError> {
         for (block, _) in iov.iter() {
             let seq = self.read_seq;
             self.read_seq += 1;
@@ -478,7 +623,7 @@ impl Disk {
         for (block, out) in iov.iter_mut() {
             self.copy_out(*block, out);
         }
-        Ok(self.schedule_read(now, iov.len()))
+        Ok(())
     }
 
     /// Synchronous scatter/gather read: submits at the thread's current
@@ -506,10 +651,12 @@ impl Disk {
     ///
     /// Writes that completed at or before `at` survive. The undo log is
     /// cleared; the device can keep being used (as a "rebooted" device):
-    /// the work it had queued past `at` is gone with the power, so an IO
-    /// submitted at `at` finds idle channels.
+    /// the work it had queued past `at` is gone with the power, idle-class
+    /// reads included, so an IO submitted at `at` finds idle channels.
     pub fn crash(&mut self, at: Nanos) {
         self.channels.clamp_to(at);
+        self.idle.clear();
+        self.idle_lands.clear();
         self.inflight.retain(|Reverse(done)| *done <= at);
         self.queued.clear();
         // Roll back in reverse submission order so stacked overwrites of
@@ -951,6 +1098,139 @@ mod tests {
         // The retry is a fresh submission past the plan.
         readv(&mut disk, Nanos::ZERO, &[0, 1, 2, 3]).unwrap();
         assert_eq!(disk.read_seq(), 14);
+    }
+
+    /// Submits `blocks` in the idle class at `now`; the handle and the
+    /// bytes.
+    fn idle_readv(
+        disk: &mut Disk,
+        now: Nanos,
+        blocks: &[u64],
+    ) -> Result<(IdleRead, Vec<u8>), IoError> {
+        let mut buf = vec![0u8; blocks.len() * BLOCK_SIZE];
+        let mut iov: Vec<(u64, &mut [u8])> = blocks
+            .iter()
+            .copied()
+            .zip(buf.chunks_mut(BLOCK_SIZE))
+            .collect();
+        let read = disk.submit_idle_readv(now, &mut iov)?;
+        Ok((read, buf))
+    }
+
+    /// A paper device with `blocks` distinct blocks written at t = 0.
+    fn written(blocks: u64) -> Disk {
+        let mut disk = Disk::new(DiskConfig::paper());
+        for b in 0..blocks {
+            disk.write_block_at(Nanos::ZERO, b, &block_of(b as u8 + 1))
+                .unwrap();
+        }
+        disk
+    }
+
+    #[test]
+    fn an_idle_read_alone_lands_when_the_eager_read_would() {
+        for blocks in [1u64, 8, 16, 17, 64, 256] {
+            // On an idle device, and queued behind writes in flight.
+            for (prior, at) in [(0, Nanos::from_secs(1)), (3, Nanos::from_us(5))] {
+                let addrs: Vec<u64> = (0..blocks).collect();
+                let mut eager = written(prior);
+                let mut idle = written(prior);
+                let (lands, bytes) = readv(&mut eager, at, &addrs).unwrap();
+                let (read, idle_bytes) = idle_readv(&mut idle, at, &addrs).unwrap();
+                assert_eq!(idle.stats().reads(), eager.stats().reads());
+                assert_eq!(idle.stats().read_latency().count(), 0, "not landed yet");
+                assert_eq!(idle.idle_read_lands(read), lands, "{blocks} blocks");
+                assert_eq!(idle_bytes, bytes);
+                assert_eq!(idle.channels.drained_at(), eager.channels.drained_at());
+                let (i, e) = (idle.stats(), eager.stats());
+                assert_eq!(i.read_submissions(), e.read_submissions());
+                assert_eq!(i.read_latency().count(), 1);
+                assert_eq!(i.read_latency().max(), e.read_latency().max());
+            }
+        }
+    }
+
+    #[test]
+    fn a_write_waits_for_the_idle_segment_in_service_not_the_whole_read() {
+        let cfg = DiskConfig::paper();
+        let segment = cfg.segment_latency(cfg.stripe_bytes);
+        let one_io = cfg.segment_latency(BLOCK_SIZE);
+        let addrs: Vec<u64> = (0..64).collect();
+        let at = Nanos::from_us(1);
+        // An eager read holds both channels for its four segments each.
+        let mut eager = Disk::new(cfg.clone());
+        let (eager_lands, _) = readv(&mut eager, Nanos::ZERO, &addrs).unwrap();
+        let behind = eager.write_block_at(at, 99, &block_of(9)).unwrap();
+        assert_eq!(behind.completes(), eager_lands + one_io);
+
+        let mut disk = Disk::new(cfg.clone());
+        let (read, _) = idle_readv(&mut disk, Nanos::ZERO, &addrs).unwrap();
+        let write = disk.write_block_at(at, 99, &block_of(9)).unwrap();
+        assert_eq!(
+            write.completes(),
+            segment + one_io,
+            "it starts when the first segment in service ends"
+        );
+        assert_eq!(disk.idle.len(), 6, "the two segments in service only");
+        // The read streams on over the other channel and pays the setup
+        // again where the write came between.
+        let lands = disk.idle_read_lands(read);
+        assert!(lands > eager_lands, "{lands:?} vs {eager_lands:?}");
+        assert!(lands <= eager_lands + one_io + cfg.setup);
+        assert!(disk.idle.is_empty());
+        assert_eq!(disk.stats().read_latency().max(), lands);
+    }
+
+    #[test]
+    fn a_crash_drops_the_waiting_idle_segments() {
+        let mut disk = written(64);
+        let addrs: Vec<u64> = (0..64).collect();
+        let (_dropped, _) = idle_readv(&mut disk, Nanos::ZERO, &addrs).unwrap();
+        disk.write_block_at(Nanos::from_us(1), 99, &block_of(9))
+            .unwrap();
+        assert!(!disk.idle.is_empty());
+        let at = Nanos::from_us(2);
+        disk.crash(at);
+        assert!(disk.idle.is_empty() && disk.idle_lands.is_empty());
+        let (done, _) = readv(&mut disk, at, &[0]).unwrap();
+        let one_io = disk.config().segment_latency(BLOCK_SIZE);
+        assert_eq!(done, at + one_io, "nothing of the read is left to wait for");
+        assert_eq!(
+            disk.stats().read_latency().count(),
+            1,
+            "the idle read never landed"
+        );
+    }
+
+    #[test]
+    fn idle_and_eager_reads_consume_the_same_read_fault_sequence() {
+        let addrs: Vec<u64> = (0..8).collect();
+        for plan in [
+            ReadFaultPlan::new().at(5, false),
+            ReadFaultPlan::new().rot_at(2, 40, 3).at(12, true),
+        ] {
+            let mut eager = written(8);
+            let mut idle = written(8);
+            eager.set_read_fault_plan(plan.clone());
+            idle.set_read_fault_plan(plan);
+            for _ in 0..2 {
+                let want = readv(&mut eager, Nanos::ZERO, &addrs);
+                let got = idle_readv(&mut idle, Nanos::ZERO, &addrs);
+                assert_eq!(idle.read_seq(), eager.read_seq());
+                match (want, got) {
+                    (Ok((_, want)), Ok((read, got))) => {
+                        assert_eq!(got, want);
+                        let _ = idle.idle_read_lands(read);
+                    }
+                    (Err(want), Err(got)) => assert_eq!(got, want),
+                    (want, got) => panic!("{want:?} vs {got:?}"),
+                }
+                assert_eq!(idle.stats().reads(), eager.stats().reads());
+                for b in &addrs {
+                    assert_eq!(idle.peek(*b), eager.peek(*b), "block {b}");
+                }
+            }
+        }
     }
 
     #[test]

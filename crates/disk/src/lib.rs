@@ -15,6 +15,9 @@
 //!   that makes MemSnap's scatter/gather writes beat QD1 direct IO at
 //!   large sizes, and a bulk read cost far less than a loop of one-block
 //!   reads.
+//! - Reads no acknowledgement waits for (the scrubber's) go to an idle
+//!   class ([`Disk::submit_idle_readv`]): their segments take a channel
+//!   only where no foreground submission wants it.
 //! - Writes become durable at their *completion instant*; [`Disk::crash`]
 //!   rolls back every write that had not completed, which is the failure
 //!   model the paper's COW object store defends against.
@@ -44,7 +47,7 @@ mod fault;
 mod model;
 mod stats;
 
-pub use device::{crash_at_every_io, Disk, WriteToken};
+pub use device::{crash_at_every_io, Disk, IdleRead, WriteToken};
 pub use fault::{
     Fault, FaultInjector, FaultPlan, FaultProfile, InjectedFault, IoError, ReadFault, ReadFaultPlan,
 };

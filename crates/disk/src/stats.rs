@@ -37,12 +37,15 @@ impl IoStats {
         self.write_latency.record(latency);
     }
 
-    /// One read submission of `bytes` (whole blocks) completing after
-    /// `latency`.
-    pub(crate) fn record_read(&mut self, bytes: usize, latency: Nanos) {
+    /// One read submission of `bytes` (whole blocks).
+    pub(crate) fn record_read(&mut self, bytes: usize) {
         self.reads += (bytes / BLOCK_SIZE) as u64;
         self.read_submissions += 1;
         self.bytes_read += bytes as u64;
+    }
+
+    /// A read submission landed `latency` after it was submitted.
+    pub(crate) fn record_read_latency(&mut self, latency: Nanos) {
         self.read_latency.record(latency);
     }
 
@@ -93,7 +96,8 @@ impl IoStats {
     }
 
     /// End-to-end latency distribution of read submissions: one sample
-    /// per submission, submit to last block.
+    /// per submission, submit to last block, recorded once an idle-class
+    /// read's last segment is placed.
     pub fn read_latency(&self) -> &LatencyStats {
         &self.read_latency
     }
@@ -155,10 +159,12 @@ mod tests {
         let mut s = IoStats::new();
         s.record_write(4096, Nanos::from_us(17));
         s.record_write(8192, Nanos::from_us(18));
-        s.record_read(4096, Nanos::from_us(17));
+        s.record_read(4096);
+        s.record_read_latency(Nanos::from_us(17));
         assert_eq!(s.writes(), 2);
         assert_eq!(s.reads(), 1);
-        s.record_read(4 * 4096, Nanos::from_us(23));
+        s.record_read(4 * 4096);
+        s.record_read_latency(Nanos::from_us(23));
         assert_eq!(s.reads(), 5, "reads count blocks");
         assert_eq!(s.read_submissions(), 2);
         assert_eq!(s.read_latency().count(), 2, "one sample per submission");

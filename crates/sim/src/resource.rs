@@ -1,8 +1,5 @@
 //! The availability-time model for shared hardware: a pool of channels.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::Nanos;
 
 /// A pool of `n` identical channels (e.g. NVMe submission queues backed by
@@ -14,7 +11,15 @@ use crate::Nanos;
 /// direct writes at large sizes.
 #[derive(Debug, Clone)]
 pub struct ChannelPool {
-    free_at: BinaryHeap<Reverse<Nanos>>,
+    channels: Vec<Channel>,
+}
+
+/// One channel: the instant it takes new work, and the tag of the work it
+/// took last (`None` for untagged work).
+#[derive(Debug, Clone, Copy)]
+struct Channel {
+    free_at: Nanos,
+    last: Option<u64>,
 }
 
 impl ChannelPool {
@@ -26,28 +31,60 @@ impl ChannelPool {
     pub fn new(channels: usize) -> Self {
         assert!(channels > 0, "channel pool needs at least one channel");
         ChannelPool {
-            free_at: (0..channels).map(|_| Reverse(Nanos::ZERO)).collect(),
+            channels: vec![
+                Channel {
+                    free_at: Nanos::ZERO,
+                    last: None,
+                };
+                channels
+            ],
         }
     }
 
     /// Number of channels in the pool.
     pub fn channels(&self) -> usize {
-        self.free_at.len()
+        self.channels.len()
     }
 
     /// Schedules `hold` of work starting no earlier than `submit_at` on the
     /// earliest-free channel; returns the completion instant.
     pub fn submit(&mut self, submit_at: Nanos, hold: Nanos) -> Nanos {
-        // Invariant: `new` rejects zero channels and every pop below is
-        // paired with a push, so the heap is never empty here; an empty
-        // pool would only mean an idle channel at time zero anyway.
-        let earliest = match self.free_at.pop() {
-            Some(Reverse(t)) => t,
-            None => Nanos::ZERO,
+        self.place(submit_at, None, |_| hold)
+    }
+
+    /// [`ChannelPool::submit`] for work tagged `tag`: `hold` is told
+    /// whether the channel's last work carried the same tag and ends
+    /// exactly where this work starts — a stream the channel continues
+    /// without a new setup.
+    pub fn submit_tagged(
+        &mut self,
+        submit_at: Nanos,
+        tag: u64,
+        hold: impl FnOnce(bool) -> Nanos,
+    ) -> Nanos {
+        self.place(submit_at, Some(tag), hold)
+    }
+
+    fn place(
+        &mut self,
+        submit_at: Nanos,
+        tag: Option<u64>,
+        hold: impl FnOnce(bool) -> Nanos,
+    ) -> Nanos {
+        // The earliest-free channel, the lowest on a tie. `new` rejects
+        // zero channels, so there is one.
+        let channel = self
+            .channels
+            .iter_mut()
+            .min_by_key(|c| c.free_at)
+            .expect("a pool has a channel");
+        let start = submit_at.max(channel.free_at);
+        let follows = tag.is_some() && channel.last == tag && channel.free_at == start;
+        let done = start + hold(follows);
+        *channel = Channel {
+            free_at: done,
+            last: tag,
         };
-        let start = submit_at.max(earliest);
-        let done = start + hold;
-        self.free_at.push(Reverse(done));
         done
     }
 
@@ -55,24 +92,26 @@ impl ChannelPool {
     /// latest. A power failure at `at` — what was queued or in flight
     /// never happens, so nothing submitted afterwards waits behind it.
     pub fn clamp_to(&mut self, at: Nanos) {
-        self.free_at = self
-            .free_at
-            .drain()
-            .map(|Reverse(t)| Reverse(t.min(at)))
-            .collect();
+        for channel in &mut self.channels {
+            channel.free_at = channel.free_at.min(at);
+        }
     }
 
     /// The instant the earliest-free channel takes new work: a submission
     /// made before it queues, one made at or after it starts at once.
     pub fn free_at(&self) -> Nanos {
-        self.free_at.peek().map_or(Nanos::ZERO, |Reverse(t)| *t)
+        self.channels
+            .iter()
+            .map(|c| c.free_at)
+            .min()
+            .unwrap_or(Nanos::ZERO)
     }
 
     /// The instant all currently queued work completes.
     pub fn drained_at(&self) -> Nanos {
-        self.free_at
+        self.channels
             .iter()
-            .map(|Reverse(t)| *t)
+            .map(|c| c.free_at)
             .max()
             .unwrap_or(Nanos::ZERO)
     }
@@ -137,6 +176,28 @@ mod tests {
         assert_eq!(pool.free_at(), Nanos::from_us(15));
         pool.clamp_to(Nanos::from_us(12));
         assert_eq!(pool.free_at(), Nanos::from_us(12));
+    }
+
+    #[test]
+    fn tagged_work_follows_on_only_from_its_own_tag_ending_where_it_starts() {
+        let mut pool = ChannelPool::new(1);
+        let mut seen = Vec::new();
+        let ten = Nanos::from_us(10);
+        for (at, tag) in [(0, 7), (0, 7), (0, 8), (0, 8), (0, 0), (0, 8), (100, 8)] {
+            let at = Nanos::from_us(at);
+            if tag == 0 {
+                pool.submit(at, ten);
+                continue;
+            }
+            pool.submit_tagged(at, tag, |follows| {
+                seen.push(follows);
+                ten
+            });
+        }
+        // A fresh channel; streams on; another tag; streams on; untagged
+        // work came between; a gap.
+        assert_eq!(seen, [false, true, false, true, false, false]);
+        assert_eq!(pool.drained_at(), Nanos::from_us(110));
     }
 
     #[test]

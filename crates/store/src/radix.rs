@@ -761,62 +761,63 @@ impl RadixTree {
     /// the subtrees the range forces it to descend into. This is the
     /// scrub cursor's enumeration primitive: a scrub pass resumes at
     /// `start` and subtrees entirely below the cursor are skipped without
-    /// IO. `entries_from(0, usize::MAX, read)` lists every entry.
+    /// IO. `entries_from(0, usize::MAX, read)` lists every entry. The
+    /// walk reads resident nodes in place and fills an unloaded one
+    /// through [`RadixTree::hydrate_paths`], so only the path to a slot
+    /// it fills is copied: nodes it only reads stay shared with clones.
     pub fn entries_from(
         &mut self,
         start: u64,
         limit: usize,
         read: BlocksRead,
     ) -> Result<Vec<(u64, u64, u32)>, TreeError> {
+        /// Appends the entries of `child`'s subtree from `start` on until
+        /// `out` holds `limit`, or stops at the first unloaded node in
+        /// range and returns the first page of the range under it.
         fn walk(
-            slot: &mut Child,
+            child: &Child,
             prefix: u64,
             level: usize,
             start: u64,
             limit: usize,
-            read: BlocksRead,
             out: &mut Vec<(u64, u64, u32)>,
-        ) -> Result<(), TreeError> {
+        ) -> Option<u64> {
             if out.len() >= limit {
-                return Ok(());
+                return None;
             }
-            match slot {
-                Child::Empty => Ok(()),
+            match child {
+                Child::Empty => None,
                 Child::Data { block, digest } => {
                     if prefix >= start {
                         out.push((prefix, *block, *digest));
                     }
-                    Ok(())
+                    None
                 }
-                _ => {
+                Child::Unloaded { .. } | Child::Node(_) => {
                     // Pages under a node at `level` span FANOUT^(LEVELS-level).
                     let span = (FANOUT as u64).pow((LEVELS - level) as u32);
                     if prefix + span <= start {
-                        return Ok(()); // entirely behind the cursor
+                        return None; // entirely behind the cursor
                     }
-                    let node = hydrate_slot(slot, level, read)?;
+                    let Child::Node(node) = child else {
+                        return Some(prefix.max(start));
+                    };
                     let shift = SHIFT[level];
-                    for i in 0..FANOUT {
-                        if out.len() >= limit {
-                            break;
-                        }
+                    (0..FANOUT).find_map(|i| {
                         let idx = prefix | ((i as u64) << shift);
-                        walk(
-                            &mut node.children[i],
-                            idx,
-                            level + 1,
-                            start,
-                            limit,
-                            read,
-                            out,
-                        )?;
-                    }
-                    Ok(())
+                        walk(&node.children[i], idx, level + 1, start, limit, out)
+                    })
                 }
             }
         }
         let mut out = Vec::new();
-        walk(&mut self.root, 0, 0, start, limit, read, &mut out)?;
+        let mut from = start;
+        // Each stop hydrates the unloaded nodes on one path, a node a
+        // read, in the order a depth-first descent meets them.
+        while let Some(page) = walk(&self.root, 0, 0, from, limit, &mut out) {
+            self.hydrate_paths(&[page], read)?;
+            from = page;
+        }
         Ok(out)
     }
 
@@ -1272,6 +1273,43 @@ mod tests {
         let path = vec![lazy.committed_root(), l1.disk_block.unwrap()];
         assert_eq!(unshared(&lazy, &clone), path);
         assert_eq!(lazy.get(1024), Some(102));
+    }
+
+    #[test]
+    fn a_walk_keeps_the_nodes_a_clone_shares() {
+        // As above; the walk reads resident nodes in place and fills
+        // page 1024's leaf, the one node not resident.
+        let mut next = 1_000u64;
+        let (_, mut lazy, blocks) = committed_on_disk(
+            &[(0, 100), (513, 101), (1024, 102), (300_000, 103)],
+            &mut next,
+        );
+        lazy.hydrate_paths(&[0, 513, 300_000], &mut |iov| serve(&blocks, iov))
+            .unwrap();
+        let clone = lazy.clone();
+        let two = lazy.entries_from(0, 2, &mut no_read).unwrap();
+        assert_eq!(two.iter().map(|e| e.0).collect::<Vec<_>>(), [0, 513]);
+        let tail = lazy.entries_from(2_000, 10, &mut no_read).unwrap();
+        assert_eq!(tail, [(300_000, 103, 103)]);
+        assert_eq!(
+            unshared(&lazy, &clone),
+            vec![],
+            "resident walks copy nothing"
+        );
+        let mut reads = 0;
+        let all = lazy
+            .entries_from(0, usize::MAX, &mut |iov| {
+                reads += iov.len();
+                serve(&blocks, iov)
+            })
+            .unwrap();
+        assert_eq!(all.len(), 4);
+        assert_eq!(reads, 1, "the one unloaded leaf");
+        let Some(Child::Node(l1)) = lazy.slot_at(1024, 1) else {
+            panic!("the path is resident");
+        };
+        let path = vec![lazy.committed_root(), l1.disk_block.unwrap()];
+        assert_eq!(unshared(&lazy, &clone), path);
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
-use msnap_disk::{Disk, IoError, WriteToken, BLOCK_SIZE};
+use msnap_disk::{Disk, IdleRead, IoError, WriteToken, BLOCK_SIZE};
 use msnap_sim::{Category, Nanos, Vt};
 
 use crate::layout::{
@@ -260,25 +260,25 @@ pub(crate) fn readv_blocks(
     disk: &mut Disk,
     blocks: impl IntoIterator<Item = u64>,
 ) -> Result<Vec<u8>, IoError> {
-    let (buf, lands) = submit_readv(vt.now(), disk, blocks)?;
+    let now = vt.now();
+    let (buf, lands) = gather(blocks, |iov| disk.try_readv_at(now, iov))?;
     wait_io(vt, lands);
     Ok(buf)
 }
 
-/// Submits `blocks` at `now` as one vectored read without waiting for
-/// it: their images back to back, in iteration order, and the instant
-/// the read lands.
-pub(crate) fn submit_readv(
-    now: Nanos,
-    disk: &mut Disk,
+/// Hands `submit` one vectored read of `blocks` into a fresh buffer;
+/// returns their images back to back, in iteration order, and what
+/// `submit` returned.
+pub(crate) fn gather<T>(
     blocks: impl IntoIterator<Item = u64>,
-) -> Result<(Vec<u8>, Nanos), IoError> {
+    submit: impl FnOnce(&mut [(u64, &mut [u8])]) -> Result<T, IoError>,
+) -> Result<(Vec<u8>, T), IoError> {
     let blocks: Vec<u64> = blocks.into_iter().collect();
     let mut buf = vec![0u8; blocks.len() * BLOCK_SIZE];
     let mut iov: Vec<(u64, &mut [u8])> =
         blocks.into_iter().zip(buf.chunks_mut(BLOCK_SIZE)).collect();
-    let lands = disk.try_readv_at(now, &mut iov)?;
-    Ok((buf, lands))
+    let submitted = submit(&mut iov)?;
+    Ok((buf, submitted))
 }
 
 /// Blocks `vt` until `at`, charging the wait as [`Category::IoWait`].

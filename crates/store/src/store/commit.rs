@@ -356,7 +356,7 @@ impl StoreShard {
 
     /// Writes `object`'s compaction root (DESIGN.md §6m) and counts it.
     /// Maintenance, like block recycling: a failure changes nothing, and
-    /// the commit that asked for it lands as its usual record either way.
+    /// the commit that asked for it has submitted its record already.
     fn compact(&mut self, vt: &mut Vt, disk: &mut Disk, object: ObjectId) {
         let epoch = self.objects[object.0 as usize].epoch;
         if self
@@ -450,9 +450,6 @@ impl StoreShard {
                 self.stats.commits += 1;
                 self.stats.pages_written += total_pages as u64;
                 return Ok(vec![token]);
-            }
-            if state.window() >= COMPACT_AFTER && state.roots[1].1 <= vt.now() {
-                self.compact(vt, disk, object);
             }
         }
 
@@ -624,6 +621,16 @@ impl StoreShard {
         self.stats.commits += staged.len() as u64;
         self.stats.delta_commits += staged.len() as u64;
         self.stats.pages_written += data_pages as u64;
+        // The commit whose record fills its object's window writes the
+        // compaction root behind that record, once the newest root is
+        // durable: the record never queues behind the root's extent.
+        if !shared {
+            let object = staged[0].object;
+            let state = &self.objects[object.0 as usize];
+            if state.window() >= COMPACT_AFTER && state.roots[1].1 <= vt.now() {
+                self.compact(vt, disk, object);
+            }
+        }
         Ok(tokens)
     }
 

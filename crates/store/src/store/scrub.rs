@@ -51,15 +51,16 @@ pub struct UnrepairedPage {
     pub epoch: Epoch,
 }
 
-/// A slice's data-block read, submitted and not yet verified: the pages
-/// it covers as `(page, block, digest)`, the digests of the images the
-/// device returned for them, in the same order, and the instant the read
-/// lands. The next slice, or the pass wrap, verifies it (DESIGN.md §6g).
+/// A slice's data-block read, submitted in the device's idle class and
+/// not yet verified: the pages it covers as `(page, block, digest)`, the
+/// digests of the images the device returned for them, in the same
+/// order, and the read's handle. The next slice, or the pass wrap,
+/// verifies it (DESIGN.md §6g).
 pub(super) struct ReadAhead {
     object: ObjectId,
     entries: Vec<(u64, u64, u32)>,
     sums: Vec<u32>,
-    lands: Nanos,
+    read: IdleRead,
 }
 
 impl StoreShard {
@@ -142,11 +143,11 @@ impl StoreShard {
             }
 
             // Phase 2: enumerate leaf entries from the cursor and submit
-            // their data blocks as one vectored read without waiting for
-            // it; then verify the previous slice's read, which has had a
-            // slice's time to land. Hydration reads go straight to the
-            // device, synchronously (and verify node digests on the way
-            // down).
+            // their data blocks as one vectored read in the device's idle
+            // class, so commits pass it; then verify the previous slice's
+            // read, which has had a slice's time to land. Hydration reads
+            // go straight to the device, synchronously, in the foreground
+            // (and verify node digests on the way down).
             let limit = budget.min(BULK_READ_PAGES) as usize;
             let mut hydration_io = 0u64;
             let entries = {
@@ -180,7 +181,10 @@ impl StoreShard {
             let take = entries.len().min(budget as usize);
             let resume_at = entries.get(take).map(|(page, _, _)| *page);
             entries.truncate(take);
-            let (images, lands) = submit_readv(vt.now(), disk, entries.iter().map(|(_, b, _)| *b))?;
+            let now = vt.now();
+            let (images, read) = gather(entries.iter().map(|(_, b, _)| *b), |iov| {
+                disk.submit_idle_readv(now, iov)
+            })?;
             budget -= take as u64;
             self.scrub_stats.io_spent += take as u64;
             self.scrub_cursor = match resume_at {
@@ -189,6 +193,8 @@ impl StoreShard {
                 None => (obj_idx + 1, 0),
             };
             if entries.is_empty() {
+                // Nothing was read: the handle lands at once.
+                disk.idle_read_lands(read);
                 continue;
             }
             // The images are hashed as they are copied out; the caller
@@ -198,7 +204,7 @@ impl StoreShard {
                 object,
                 entries,
                 sums,
-                lands,
+                read,
             };
             if let Some(previous) = self.scrub_ahead.replace(ahead) {
                 self.verify_read(vt, disk, previous)?;
@@ -209,19 +215,21 @@ impl StoreShard {
 
     /// Verifies a read-ahead, waiting for it to land first. On an error
     /// the cursor goes back to the page that failed and the newer
-    /// read-ahead is dropped, so the next call re-reads what this one
-    /// left unverified.
+    /// read-ahead is dropped unverified (the device still lands it), so
+    /// the next call re-reads what this one left unverified.
     fn verify_read(
         &mut self,
         vt: &mut Vt,
         disk: &mut Disk,
         ahead: ReadAhead,
     ) -> Result<(), StoreError> {
-        wait_io(vt, ahead.lands);
+        wait_io(vt, disk.idle_read_lands(ahead.read));
         for (entry, sum) in ahead.entries.into_iter().zip(ahead.sums) {
             if let Err(e) = self.verify_page(vt, disk, ahead.object, entry, sum) {
                 self.scrub_cursor = (ahead.object.0 as usize, entry.0);
-                self.scrub_ahead = None;
+                if let Some(newer) = self.scrub_ahead.take() {
+                    disk.idle_read_lands(newer.read);
+                }
                 return Err(e);
             }
         }
@@ -585,6 +593,53 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_after_a_slice_waits_for_one_read_segment_at_most() {
+        // One-line commits with a slice after every 4th, as a burst of
+        // puts beside a background scrub. The slice's data read waits in
+        // the device's idle class: the commit after it passes every
+        // segment not yet in service, so it waits at most one 32 KiB
+        // segment beyond its own write.
+        let (mut disk, mut shard, mut vt, obj) = one_object(2_048);
+        let cfg = disk.config().clone();
+        let one_write = cfg.segment_latency(BLOCK_SIZE);
+        let segment = cfg.segment_latency(cfg.stripe_bytes);
+        assert!(segment <= Nanos::from_us(30));
+        let rotted = block_of(&shard, obj, 2_000);
+        disk.corrupt_bit(rotted, 9, 2);
+        let mut after_slice = Vec::new();
+        for i in 0..64u64 {
+            let page = i * 7 % 1_024;
+            let mut image = page_of(page as u8);
+            image[..64].fill(i as u8 + 1);
+            let t0 = vt.now();
+            let token = shard
+                .persist_batch(
+                    &mut vt,
+                    &mut disk,
+                    &[(obj, &[(page, &image[..], 1u64)][..])],
+                )
+                .unwrap()[0];
+            let own = t0 + costs::initiate(1) + one_write;
+            ObjectStore::wait(&mut vt, token);
+            if i % 4 == 0 && i > 0 {
+                after_slice.push(token.completes.saturating_sub(own));
+            }
+            if i % 4 == 3 {
+                shard.scrub(&mut vt, &mut disk, 64).unwrap();
+            }
+        }
+        let worst = after_slice.iter().copied().max().unwrap();
+        assert!(worst > Nanos::ZERO, "a segment was in service");
+        assert!(worst <= segment, "{worst:?} beyond its own write");
+        // The slices reached page 1 023; a full pass still finds the rot.
+        assert_eq!(shard.scrub_stats().corruptions_found, 0);
+        let pass = finish_pass(&mut shard, &mut vt, &mut disk);
+        assert_eq!(pass.corruptions_found, 1);
+        let reported = shard.unrepaired_pages();
+        assert_eq!((reported.len(), reported[0].block), (1, rotted));
+    }
+
+    #[test]
     fn a_power_failure_with_a_read_in_flight_restores_a_clean_store() {
         // A snapshot holds a clean copy of page 5 and its live block
         // rots; a slice reads the rotted block, then a commit gives
@@ -615,7 +670,11 @@ mod tests {
         assert_eq!(slice.corruptions_found, 0);
         let (_, digest) = shard.objects[0].tree.get_entry(5).unwrap();
         assert_eq!(digest, layout::digest32(&page_of(0xA5)), "no stale repair");
-        assert!(shard.scrub_ahead.as_ref().unwrap().lands > vt.now());
+        let ahead = shard.scrub_ahead.take().expect("a read is in flight");
+        assert!(
+            disk.idle_read_lands(ahead.read) > vt.now(),
+            "the read has not landed"
+        );
         disk.crash(vt.now());
 
         let mut vt = Vt::new(1);

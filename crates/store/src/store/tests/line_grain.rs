@@ -594,9 +594,9 @@ fn spread_writes(n: u64, pages: u64) -> Vec<Write> {
 
 /// 80 synchronous one-line commits on a four-channel pool, with the root
 /// record of the third compaction root — at epoch 60, written by commit
-/// 61 — held `spike` on the device. Returns the device, each commit's
-/// durability instant and the model after it, the instant that root
-/// lands, and the shard's statistics.
+/// 60 behind its own record — held `spike` on the device. Returns the
+/// device, each commit's durability instant and the model after it, the
+/// instant that root lands, and the shard's statistics.
 #[allow(clippy::type_complexity)]
 fn a_slow_compaction_root(
     spike: Nanos,
@@ -613,12 +613,12 @@ fn a_slow_compaction_root(
     let mut model = BTreeMap::new();
     let mut acked = Vec::new();
     for (i, w) in one_line_writes(80).into_iter().enumerate() {
-        if i == 60 {
-            assert_eq!(shard.objects[0].window(), COMPACT_AFTER);
-            // The compaction root's extent is the next submission, its
-            // root record the one after.
+        if i == 59 {
+            assert_eq!(shard.objects[0].window(), COMPACT_AFTER - 1);
+            // The commit's record is the next submission, the compaction
+            // root's extent the one after, and its root record the third.
             let slow = Fault::LatencySpike { extra: spike };
-            disk.set_fault_plan(FaultPlan::new().at(disk.io_seq() + 1, slow));
+            disk.set_fault_plan(FaultPlan::new().at(disk.io_seq() + 2, slow));
         }
         let token = commit(&mut shard, &mut vt, &mut disk, obj, &mut model, w, true);
         ObjectStore::wait(&mut vt, token);
@@ -627,10 +627,10 @@ fn a_slow_compaction_root(
     let [previous, newest] = shard.objects[0].roots;
     assert_eq!(
         (previous.0, newest.0),
-        (40, 60),
-        "compaction roots at 20, 40, 60"
+        (60, 80),
+        "compaction roots at 20, 40, 60 and 80"
     );
-    (disk, acked, newest.1, shard.stats())
+    (disk, acked, previous.1, shard.stats())
 }
 
 #[test]
@@ -661,7 +661,7 @@ fn a_line_commit_behind_an_in_flight_full_root_waits_for_it() {
 
     let (disk, acked, _, stats) = a_slow_compaction_root(spike);
     let one_write = disk.config().segment_latency(BLOCK_SIZE);
-    assert_eq!(stats.compaction_roots, 3);
+    assert_eq!(stats.compaction_roots, 4);
     assert_eq!(
         (stats.commits, stats.delta_commits),
         (80, 80),
