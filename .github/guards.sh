@@ -69,7 +69,7 @@ guard_commit_pipeline() {
 # Crash-surviving bytes decode through one reader.
 guard_reader_decode() {
     local f n
-    for f in crates/store/src/layout.rs crates/store/src/radix.rs crates/core/src/*.rs crates/pindex/src/*.rs; do
+    for f in crates/store/src/layout.rs crates/store/src/radix.rs crates/core/src/*.rs crates/pindex/src/*.rs crates/fs/src/*.rs; do
         n=$(awk '/^#\[cfg\(test\)\]/ { exit } /try_into\(\)\.unwrap\(\)/ { n++ } END { print n + 0 }' "$f")
         if [ "$n" -gt 0 ]; then
             echo "$f has $n try_into().unwrap() above its tests: decode through msnap_sim::wire::Reader" >&2
@@ -113,11 +113,24 @@ guard_verified_radix() {
 }
 
 # One radix surface: no resident-only twin, one node reader, one path
-# hydration, one cached read.
+# hydration, one fill step, one cached read.
 guard_radix_surface() {
     if grep -nE 'fn (load|pages|set|get_or_load|set_entry_with|from_committed|diff_pages)\(|fn reachable_blocks' crates/store/src/radix.rs \
-        || grep -rnE 'fn hydrate_path\(|\bBlockRead\b|read_block_cached' crates; then
-        echo "RadixTree has one surface, lazy and digest-verified: the resident-only twin, the per-node reader (BlockRead), the per-page hydrate_path and read_block_cached stay deleted" >&2
+        || grep -rnE 'fn hydrate_path\(|\bBlockRead\b|read_block_cached|hydrate_slot|hydrate_all' crates; then
+        echo "RadixTree has one surface, lazy and digest-verified: the resident-only twin, the per-node reader (BlockRead), the per-page hydrate_path, the copying hydrate_slot and hydrate_all, and read_block_cached stay deleted" >&2
+        return 1
+    fi
+}
+
+# A radix walk copies only what it writes: Arc::make_mut stays in the
+# four places that write the tree (slot_at_mut, set_entry, commit_slot,
+# dirty_committed_node), so a node a walk only reads stays shared with
+# every snapshot that holds it.
+guard_radix_copies() {
+    local n
+    n=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } index($0, "Arc::make_mut(") { n++ } END { print n + 0 }' crates/store/src/radix.rs)
+    if [ "$n" -gt 4 ]; then
+        echo "crates/store/src/radix.rs has $n Arc::make_mut( code lines above its tests (at most 4): a walk reads nodes by shared reference and fills through the one fill step" >&2
         return 1
     fi
 }
@@ -451,11 +464,14 @@ perturbations() {
     perturb commit_pipeline crates/core/src/commit.rs '$a // ms.set_reset_strategy(strategy)'
     perturb commit_pipeline crates/core/src/api.rs '1i fn second() { store.persist_batch(vt, disk, groups); }'
     perturb reader_decode crates/core/src/manifest.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
+    perturb reader_decode crates/fs/src/wal.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
     perturb pindex_carve crates/core/src/api.rs '$a // CARVE_MAGIC'
     perturb binary_manifest crates/core/src/manifest.rs '$a // @shards 4'
     perturb history_depth crates/repl/src/engine.rs 's/^const DROP_BASE_LAG: u64 = .*;/const DROP_BASE_LAG: u64 = 64;/'
     perturb verified_radix crates/store/src/radix.rs '1i // if digest != DIGEST_NONE {'
     perturb radix_surface crates/store/src/radix.rs '$a // fn hydrate_path(page)'
+    perturb radix_surface crates/store/src/store/snapshot.rs '$a // snap.tree.hydrate_all(read)?;'
+    perturb radix_copies crates/store/src/radix.rs '1i fn copy(node: &mut Arc<Node>) -> &mut Node { Arc::make_mut(node) }'
     perturb record_codec crates/store/src/layout.rs '$a // const GROUP_HEADER: usize = 24;'
     perturb chain_rule crates/store/src/store/replay.rs '$a // if record.tag == 0 { accept }'
     perturb payload_frame crates/snap/src/lib.rs '$a // Frame::Full(page)'

@@ -6,6 +6,7 @@
 
 use msnap_disk::Disk;
 use msnap_sim::hash::fnv1a;
+use msnap_sim::wire::Reader;
 use msnap_sim::Vt;
 
 use crate::{Fd, FileSystem};
@@ -100,7 +101,8 @@ impl WriteAheadLog {
 
     /// Replays intact records in order, stopping at the first torn or
     /// absent record; positions the append offset after the last intact
-    /// record.
+    /// record. A length word that runs past the file, however large, is a
+    /// torn tail.
     pub fn replay(&mut self, vt: &mut Vt, disk: &mut Disk, fs: &mut FileSystem) -> Vec<WalRecord> {
         let mut records = Vec::new();
         let mut offset = 0u64;
@@ -111,9 +113,12 @@ impl WriteAheadLog {
             }
             let mut header = [0u8; 16];
             fs.read(vt, disk, self.fd, offset, &mut header);
-            let len = u64::from_le_bytes(header[0..8].try_into().unwrap());
-            let checksum = u64::from_le_bytes(header[8..16].try_into().unwrap());
-            if len == 0 || offset + 16 + len > size {
+            let mut r = Reader::new(&header);
+            let (Ok(len), Ok(checksum)) = (r.u64(), r.u64()) else {
+                break;
+            };
+            let end = (offset + 16).checked_add(len);
+            if len == 0 || end.is_none_or(|end| end > size) {
                 break;
             }
             let mut payload = vec![0u8; len as usize];
@@ -172,6 +177,24 @@ mod tests {
         let records = wal.replay(&mut vt, &mut disk, &mut fs);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].payload, b"durable");
+    }
+
+    #[test]
+    fn a_length_word_past_the_file_is_a_torn_tail() {
+        let (mut fs, mut disk, mut vt) = setup();
+        let mut wal = WriteAheadLog::create(&mut vt, &mut fs, "wal");
+        wal.append(&mut vt, &mut disk, &mut fs, b"good");
+        // A header whose length word wraps `offset + 16 + len`.
+        let mut header = (u64::MAX - 8).to_le_bytes().to_vec();
+        header.extend_from_slice(&0u64.to_le_bytes());
+        fs.write(&mut vt, &mut disk, wal.fd(), wal.len(), &header);
+        wal.sync(&mut vt, &mut disk, &mut fs);
+
+        let mut wal = WriteAheadLog::attach(&fs, "wal").unwrap();
+        let records = wal.replay(&mut vt, &mut disk, &mut fs);
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].payload, b"good");
+        assert_eq!(wal.len(), 16 + 4, "appends resume after the good record");
     }
 
     #[test]

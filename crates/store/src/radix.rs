@@ -30,7 +30,13 @@
 //!   some dirty leaves and leaves the rest at their last image);
 //! - compare: [`RadixTree::diff_pages_with`], which skips shared subtrees
 //!   by block number *without* hydrating either side;
-//! - blocks: [`RadixTree::hydrate_all`], then [`RadixTree::disk_blocks`].
+//! - blocks: [`RadixTree::disk_blocks`], which fills the nodes it meets
+//!   unloaded, a node a read.
+//!
+//! Every walk reads resident nodes by shared reference and fills an
+//! unloaded one through the one fill step, which copies only the
+//! ancestors of the slot it fills: a node a walk only reads stays shared
+//! with every clone that holds it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -216,24 +222,35 @@ impl Node {
     }
 }
 
-/// Replaces an [`Child::Unloaded`] slot with its resident node (reading it
-/// via `read`, a one-entry read) and returns a mutable reference to the
-/// node. On any error the slot is left `Unloaded` — nothing is poisoned
-/// and a retry starts from the same state.
-fn hydrate_slot<'a>(
-    slot: &'a mut Child,
-    level: usize,
-    read: BlocksRead,
-) -> Result<&'a mut Node, TreeError> {
-    if let Child::Unloaded { block, digest } = *slot {
-        let mut image = [0u8; BLOCK_SIZE];
-        read(&mut [(block, &mut image[..])])?;
-        *slot = Child::Node(Arc::new(Node::parse(block, digest, &image, level)?));
+/// Visits `slot`, whose first page and level are `at`, and the resident
+/// subtree under it in pre-order, which is `(first page, level)` order,
+/// leaving out each subtree whose pages all lie before page `from`. Stops
+/// at the first slot `visit` returns `true` for and returns its place.
+fn preorder(
+    slot: &Child,
+    at: (u64, usize),
+    from: u64,
+    visit: &mut dyn FnMut(&Child, (u64, usize)) -> bool,
+) -> Option<(u64, usize)> {
+    if visit(slot, at) {
+        return Some(at);
     }
-    match slot {
-        Child::Node(n) => Ok(Arc::make_mut(n)),
-        _ => unreachable!("hydrate_slot called on a non-node child"),
-    }
+    let Child::Node(node) = slot else {
+        return None;
+    };
+    let (prefix, level) = at;
+    let shift = SHIFT[level];
+    (first_child(prefix, level, from)..FANOUT).find_map(|i| {
+        let page = prefix | ((i as u64) << shift);
+        preorder(&node.children[i], (page, level + 1), from, visit)
+    })
+}
+
+/// The first child of the node at `(prefix, level)` whose pages reach
+/// page `from`: a walk resuming at `from` starts there, without scanning
+/// the slots behind it.
+fn first_child(prefix: u64, level: usize, from: u64) -> usize {
+    usize::try_from(from.saturating_sub(prefix) >> SHIFT[level]).unwrap_or(FANOUT)
 }
 
 /// An object's page index: in-memory COW radix tree with dirty tracking.
@@ -293,82 +310,78 @@ impl RadixTree {
         }
     }
 
-    /// Reads every unloaded node so the whole tree is resident.
-    pub fn hydrate_all(&mut self, read: BlocksRead) -> Result<(), TreeError> {
-        fn rec(slot: &mut Child, level: usize, read: BlocksRead) -> Result<(), TreeError> {
-            match slot {
-                Child::Empty | Child::Data { .. } => Ok(()),
-                _ => {
-                    let node = hydrate_slot(slot, level, read)?;
-                    if level == LEVELS - 1 {
-                        return Ok(());
-                    }
-                    for child in &mut node.children {
-                        rec(child, level + 1, read)?;
-                    }
-                    Ok(())
-                }
-            }
-        }
-        rec(&mut self.root, 0, read)
-    }
-
     /// Hydrates the root-to-leaf paths of `pages` without dirtying them,
-    /// a level at a time: the unloaded nodes the paths cross at one level
-    /// are read in one `read`. Afterwards [`RadixTree::get`] and
-    /// [`RadixTree::set_entry`] on those pages cannot cross an unloaded
-    /// node. Only the path to a slot it fills is copied (`Arc::make_mut`),
-    /// so reading resident paths leaves every node shared with clones.
-    /// A node whose image fails its digest stays unloaded; every path not
-    /// under one is still hydrated, and then the first rotted node
-    /// (shallowest level, lowest block) is [`TreeError::CorruptNode`]. On
-    /// any error the hydrations done stay (they are semantically neutral)
-    /// and a retry is safe.
+    /// a level at a time through the tree's one fill step: the unloaded
+    /// nodes the paths cross at one level are read in one `read`.
+    /// Afterwards [`RadixTree::get`] and [`RadixTree::set_entry`] on those
+    /// pages cannot cross an unloaded node. A node whose image fails its digest
+    /// stays unloaded; every path not under one is still hydrated, and
+    /// then the first rotted node (shallowest level, lowest block) is
+    /// [`TreeError::CorruptNode`]. On any error the hydrations done stay
+    /// (they are semantically neutral) and a retry is safe.
     pub fn hydrate_paths(&mut self, pages: &[u64], read: BlocksRead) -> Result<(), TreeError> {
         let mut rotted = None;
         for level in 0..LEVELS {
-            let mut wanted: Vec<(u64, u32)> = pages
-                .iter()
-                .filter_map(|&page| match self.slot_at(page, level) {
-                    Some(Child::Unloaded { block, digest }) => Some((*block, *digest)),
-                    _ => None,
-                })
-                .collect();
-            wanted.sort_unstable();
-            wanted.dedup();
-            if wanted.is_empty() {
-                continue;
+            match self.fill(pages, level, read) {
+                Err(e @ TreeError::CorruptNode { .. }) => {
+                    rotted.get_or_insert(e);
+                }
+                filled => filled?,
             }
-            let mut images = vec![[0u8; BLOCK_SIZE]; wanted.len()];
-            let mut iov: Vec<(u64, &mut [u8])> = wanted
-                .iter()
-                .zip(images.iter_mut())
-                .map(|((block, _), image)| (*block, &mut image[..]))
-                .collect();
-            read(&mut iov)?;
-            let mut nodes = HashMap::new();
-            for (&(block, digest), image) in wanted.iter().zip(&images) {
-                match Node::parse(block, digest, image, level) {
-                    Ok(node) => {
-                        nodes.insert(block, Arc::new(node));
-                    }
-                    Err(e) => {
-                        rotted.get_or_insert(e);
-                    }
+        }
+        rotted.map_or(Ok(()), Err)
+    }
+
+    /// The tree's one fill step: reads the unloaded slots that `pages`
+    /// reach at `level` in one `read`, verifies each image against the
+    /// digest its parent recorded, and installs it. Only the ancestors of
+    /// a slot it fills are copied (`Arc::make_mut`), so every node it
+    /// passes stays shared with clones. A node whose image fails its
+    /// digest stays unloaded: the others are installed, and then the
+    /// rotted one with the lowest block is [`TreeError::CorruptNode`].
+    fn fill(&mut self, pages: &[u64], level: usize, read: BlocksRead) -> Result<(), TreeError> {
+        let mut wanted: Vec<(u64, u32)> = pages
+            .iter()
+            .filter_map(|&page| match self.slot_at(page, level) {
+                Some(Child::Unloaded { block, digest }) => Some((*block, *digest)),
+                _ => None,
+            })
+            .collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        if wanted.is_empty() {
+            return Ok(());
+        }
+        let mut images = vec![[0u8; BLOCK_SIZE]; wanted.len()];
+        let mut iov: Vec<(u64, &mut [u8])> = wanted
+            .iter()
+            .zip(images.iter_mut())
+            .map(|((block, _), image)| (*block, &mut image[..]))
+            .collect();
+        read(&mut iov)?;
+        let mut rotted = None;
+        let mut nodes = HashMap::new();
+        for (&(block, digest), image) in wanted.iter().zip(&images) {
+            match Node::parse(block, digest, image, level) {
+                Ok(node) => {
+                    nodes.insert(block, Arc::new(node));
+                }
+                Err(e) => {
+                    rotted.get_or_insert(e);
                 }
             }
-            for &page in pages {
-                let Some(Child::Unloaded { block, .. }) = self.slot_at(page, level) else {
-                    continue;
-                };
-                let Some(node) = nodes.get(block) else {
-                    continue; // its image is rotted
-                };
-                let node = Child::Node(Arc::clone(node));
-                *self
-                    .slot_at_mut(page, level)
-                    .expect("its parent is resident") = node;
-            }
+        }
+        for &page in pages {
+            let Some(Child::Unloaded { block, .. }) = self.slot_at(page, level) else {
+                continue;
+            };
+            let Some(node) = nodes.get(block) else {
+                continue; // its image is rotted
+            };
+            let node = Child::Node(Arc::clone(node));
+            *self
+                .slot_at_mut(page, level)
+                .expect("its parent is resident") = node;
         }
         rotted.map_or(Ok(()), Err)
     }
@@ -609,14 +622,12 @@ impl RadixTree {
     /// Number of unloaded (non-resident) subtree roots — a hydration-state
     /// probe for tests and benches.
     pub fn unloaded_nodes(&self) -> usize {
-        fn count(child: &Child) -> usize {
-            match child {
-                Child::Unloaded { .. } => 1,
-                Child::Node(n) => n.children.iter().map(count).sum(),
-                _ => 0,
-            }
-        }
-        count(&self.root)
+        let mut n = 0;
+        preorder(&self.root, (0, 0), 0, &mut |slot, _| {
+            n += usize::from(matches!(slot, Child::Unloaded { .. }));
+            false
+        });
+        n
     }
 
     /// Object length in pages (highest written page + 1).
@@ -663,30 +674,26 @@ impl RadixTree {
     /// tree this is the block set a retained snapshot pins; of an
     /// abandoned (possibly mid-delta-window) history, the footprint the
     /// rebase path quarantines for recycling. A dirty node lists its base,
-    /// the image the last commit left for it, if there is one.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unloaded subtree — [`RadixTree::hydrate_all`] first.
-    pub fn disk_blocks(&self) -> Vec<u64> {
-        fn walk(child: &Child, out: &mut Vec<u64>) {
-            match child {
-                Child::Empty => {}
-                Child::Data { block, .. } => out.push(*block),
-                Child::Unloaded { .. } => {
-                    panic!("disk_blocks on a partially loaded tree; hydrate_all first")
-                }
-                Child::Node(n) => {
-                    out.extend(n.on_disk().map(|(b, _)| b));
-                    for c in &n.children {
-                        walk(c, out);
-                    }
-                }
-            }
-        }
+    /// the image the last commit left for it, if there is one. The walk
+    /// reads resident nodes in place and fills each unloaded node it meets
+    /// through the one fill step, a node a read, in pre-order.
+    pub fn disk_blocks(&mut self, read: BlocksRead) -> Result<Vec<u64>, TreeError> {
         let mut out = Vec::new();
-        walk(&self.root, &mut out);
-        out
+        let mut from = (0, 0);
+        while let Some(at) = preorder(&self.root, (0, 0), from.0, &mut |slot, at| {
+            match slot {
+                _ if at < from => {} // an ancestor of the last node filled
+                Child::Data { block, .. } => out.push(*block),
+                Child::Node(n) => out.extend(n.on_disk().map(|(b, _)| b)),
+                Child::Unloaded { .. } => return true,
+                Child::Empty => {}
+            }
+            false
+        }) {
+            self.fill(&[at.0], at.1, read)?;
+            from = at;
+        }
+        Ok(out)
     }
 
     /// Pages whose mapping differs between `base` and `target`, as
@@ -696,63 +703,73 @@ impl RadixTree {
     /// reads for shared state. The COW invariant makes equal block numbers
     /// imply equal content, *provided* neither tree's blocks can have been
     /// recycled in between (true for retained snapshots, whose blocks are
-    /// pinned). Only *divergent* subtrees are hydrated, on both sides. A
-    /// dirty node compares unequal to everything, which is conservative
-    /// but never wrong. Pages present only in `base` are not reported
-    /// (the store never deletes pages).
+    /// pinned). Only *divergent* subtrees are hydrated: at each divergent
+    /// pair the target's node, then the base's, each through the one fill
+    /// step; nodes the walk only reads stay shared with clones. A dirty
+    /// node compares unequal to everything, which is conservative but
+    /// never wrong. Pages present only in `base` are not reported (the
+    /// store never deletes pages).
     pub fn diff_pages_with(
-        base: Option<&mut RadixTree>,
+        mut base: Option<&mut RadixTree>,
         target: &mut RadixTree,
         read: BlocksRead,
     ) -> Result<Vec<(u64, u64)>, TreeError> {
+        /// Appends the differing pages of `b`'s subtree from page `from`
+        /// on, or stops at the first divergent pair with an unloaded side
+        /// and returns its place and whether that side is the base.
         fn walk(
-            a: Option<&mut Child>,
-            b: &mut Child,
-            prefix: u64,
-            level: usize,
-            read: BlocksRead,
+            a: Option<&Child>,
+            b: &Child,
+            (prefix, level): (u64, usize),
+            from: u64,
             out: &mut Vec<(u64, u64)>,
-        ) -> Result<(), TreeError> {
-            if let Some(ac) = &a {
-                if ac.committed_ref().is_some() && ac.committed_ref() == b.committed_ref() {
-                    return Ok(()); // shared committed subtree: no hydration
-                }
+        ) -> Option<(u64, usize, bool)> {
+            if a.and_then(Child::committed_ref)
+                .is_some_and(|r| Some(r) == b.committed_ref())
+            {
+                return None; // shared committed subtree: no hydration
             }
-            if matches!(b, Child::Empty) {
-                return Ok(());
-            }
-            let bn = hydrate_slot(b, level, read)?;
-            let mut an = match a {
-                Some(slot @ (Child::Node(_) | Child::Unloaded { .. })) => {
-                    Some(hydrate_slot(slot, level, read)?)
-                }
+            let bn = match b {
+                Child::Node(n) => n,
+                Child::Unloaded { .. } => return Some((prefix, level, false)),
+                _ => return None,
+            };
+            let an = match a {
+                Some(Child::Node(n)) => Some(n),
+                Some(Child::Unloaded { .. }) => return Some((prefix, level, true)),
                 _ => None,
             };
-            for i in 0..FANOUT {
-                let idx = prefix | ((i as u64) << SHIFT[level]);
-                let child = &mut bn.children[i];
-                let ac = an.as_deref_mut().map(|n| &mut n.children[i]);
-                if level == LEVELS - 1 {
-                    if let Child::Data { block: db, .. } = child {
-                        if !matches!(&ac, Some(Child::Data { block: ab, .. }) if ab == db) {
-                            out.push((idx, *db));
+            let shift = SHIFT[level];
+            (first_child(prefix, level, from)..FANOUT).find_map(|i| {
+                let page = prefix | ((i as u64) << shift);
+                let ac = an.map(|n| &n.children[i]);
+                match &bn.children[i] {
+                    Child::Data { block, .. } => {
+                        if !matches!(ac, Some(Child::Data { block: ab, .. }) if ab == block) {
+                            out.push((page, *block));
                         }
+                        None
                     }
-                } else if !matches!(child, Child::Empty) {
-                    walk(ac, child, idx, level + 1, read, out)?;
+                    child => walk(ac, child, (page, level + 1), from, out),
                 }
-            }
-            Ok(())
+            })
         }
         let mut out = Vec::new();
-        walk(
-            base.map(|t| &mut t.root),
-            &mut target.root,
-            0,
-            0,
-            read,
+        let mut from = 0;
+        while let Some((page, level, in_base)) = walk(
+            base.as_deref().map(|t| &t.root),
+            &target.root,
+            (0, 0),
+            from,
             &mut out,
-        )?;
+        ) {
+            let tree = match base.as_deref_mut() {
+                Some(b) if in_base => b,
+                _ => &mut *target,
+            };
+            tree.fill(&[page], level, read)?;
+            from = page;
+        }
         Ok(out)
     }
 
@@ -762,61 +779,35 @@ impl RadixTree {
     /// scrub cursor's enumeration primitive: a scrub pass resumes at
     /// `start` and subtrees entirely below the cursor are skipped without
     /// IO. `entries_from(0, usize::MAX, read)` lists every entry. The
-    /// walk reads resident nodes in place and fills an unloaded one
-    /// through [`RadixTree::hydrate_paths`], so only the path to a slot
-    /// it fills is copied: nodes it only reads stay shared with clones.
+    /// walk reads resident nodes in place and fills each unloaded node it
+    /// meets through the one fill step, a node a read, so only the path
+    /// to a slot it fills is copied: nodes it only reads stay shared with
+    /// clones.
     pub fn entries_from(
         &mut self,
         start: u64,
         limit: usize,
         read: BlocksRead,
     ) -> Result<Vec<(u64, u64, u32)>, TreeError> {
-        /// Appends the entries of `child`'s subtree from `start` on until
-        /// `out` holds `limit`, or stops at the first unloaded node in
-        /// range and returns the first page of the range under it.
-        fn walk(
-            child: &Child,
-            prefix: u64,
-            level: usize,
-            start: u64,
-            limit: usize,
-            out: &mut Vec<(u64, u64, u32)>,
-        ) -> Option<u64> {
-            if out.len() >= limit {
-                return None;
-            }
-            match child {
-                Child::Empty => None,
-                Child::Data { block, digest } => {
-                    if prefix >= start {
-                        out.push((prefix, *block, *digest));
-                    }
-                    None
-                }
-                Child::Unloaded { .. } | Child::Node(_) => {
-                    // Pages under a node at `level` span FANOUT^(LEVELS-level).
-                    let span = (FANOUT as u64).pow((LEVELS - level) as u32);
-                    if prefix + span <= start {
-                        return None; // entirely behind the cursor
-                    }
-                    let Child::Node(node) = child else {
-                        return Some(prefix.max(start));
-                    };
-                    let shift = SHIFT[level];
-                    (0..FANOUT).find_map(|i| {
-                        let idx = prefix | ((i as u64) << shift);
-                        walk(&node.children[i], idx, level + 1, start, limit, out)
-                    })
-                }
-            }
-        }
         let mut out = Vec::new();
         let mut from = start;
-        // Each stop hydrates the unloaded nodes on one path, a node a
-        // read, in the order a depth-first descent meets them.
-        while let Some(page) = walk(&self.root, 0, 0, from, limit, &mut out) {
-            self.hydrate_paths(&[page], read)?;
-            from = page;
+        while let Some((page, level)) =
+            preorder(&self.root, (0, 0), from, &mut |slot, (page, _)| {
+                match slot {
+                    _ if out.len() >= limit => return true,
+                    Child::Data { block, digest } => out.push((page, *block, *digest)),
+                    Child::Unloaded { .. } => return true,
+                    _ => {}
+                }
+                false
+            })
+        {
+            if out.len() >= limit {
+                break;
+            }
+            // The node's pages may begin behind the cursor.
+            from = from.max(page);
+            self.fill(&[from], level, read)?;
         }
         Ok(out)
     }
@@ -827,17 +818,13 @@ impl RadixTree {
     /// recovery reads. Unloaded subtrees (verified at hydration time
     /// instead) are skipped. This is the scrub's node-media worklist.
     pub fn committed_nodes(&self) -> Vec<(u64, u32)> {
-        fn walk(child: &Child, out: &mut Vec<(u64, u32)>) {
-            if let Child::Node(n) = child {
-                out.extend(n.disk_block.map(|b| (b, n.disk_digest)));
-                out.extend(n.base);
-                for c in &n.children {
-                    walk(c, out);
-                }
-            }
-        }
         let mut out = Vec::new();
-        walk(&self.root, &mut out);
+        preorder(&self.root, (0, 0), 0, &mut |slot, _| {
+            if let Child::Node(n) = slot {
+                out.extend(n.on_disk());
+            }
+            false
+        });
         out
     }
 
@@ -902,7 +889,7 @@ impl RadixTree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::HashMap;
 
@@ -999,7 +986,8 @@ mod tests {
         let blocks: HashMap<u64, Box<[u8]>> = writes.into_iter().collect();
         let mut loaded =
             RadixTree::from_committed_digest(root, t.committed_root_digest(), t.len_pages());
-        loaded.hydrate_all(&mut |iov| serve(&blocks, iov)).unwrap();
+        let listed = loaded.disk_blocks(&mut |iov| serve(&blocks, iov)).unwrap();
+        assert_eq!(listed, t.disk_blocks(&mut no_read).unwrap());
         assert_eq!(loaded.unloaded_nodes(), 0);
         assert_eq!(loaded.len_pages(), t.len_pages());
         assert_eq!(
@@ -1137,18 +1125,18 @@ mod tests {
     fn disk_blocks_lists_nodes_and_data_and_tolerates_dirty_nodes() {
         let mut next = 1_000u64;
         let mut t = committed(&[(0, 100), (513, 101)], &mut next);
-        let blocks = t.disk_blocks();
+        let blocks = t.disk_blocks(&mut no_read).unwrap();
         assert_eq!(blocks[0], t.committed_root(), "parents before children");
         assert!(blocks.contains(&100) && blocks.contains(&101));
         // root + shared L1 node + two leaf nodes + 2 data blocks
         assert_eq!(blocks.len(), 4 + 2);
-        assert!(RadixTree::new().disk_blocks().is_empty());
+        assert_eq!(RadixTree::new().disk_blocks(&mut no_read), Ok(vec![]));
         assert_eq!(RadixTree::new().committed_root(), 0);
         // Dirtying page 0's path keeps its three images as the path's
         // bases, page 513's leaf and both data blocks.
         let root = t.committed_root();
         t.set_entry(0, 200, 200);
-        let mut dirty = t.disk_blocks();
+        let mut dirty = t.disk_blocks(&mut no_read).unwrap();
         dirty.sort_unstable();
         assert_eq!(dirty.len(), 6);
         assert_eq!(&dirty[..2], &[101, 200]);
@@ -1224,12 +1212,15 @@ mod tests {
     }
 
     /// The committed blocks of `a`'s nodes that `b` holds resident at the
-    /// same place without sharing them (`Arc::ptr_eq`), parents first.
-    fn unshared(a: &RadixTree, b: &RadixTree) -> Vec<u64> {
+    /// same place with the same committed block without sharing them
+    /// (`Arc::ptr_eq`), parents first. `a` must be clean: a read dirties
+    /// nothing. `b` may have written nodes; those are not listed.
+    pub(crate) fn unshared(a: &RadixTree, b: &RadixTree) -> Vec<u64> {
         fn walk(a: &Child, b: &Child, out: &mut Vec<u64>) {
             if let (Child::Node(x), Child::Node(y)) = (a, b) {
-                if !Arc::ptr_eq(x, y) {
-                    out.push(x.disk_block.expect("a read dirties nothing"));
+                let xb = x.disk_block.expect("a read dirties nothing");
+                if y.disk_block == Some(xb) && !Arc::ptr_eq(x, y) {
+                    out.push(xb);
                 }
                 for (ca, cb) in x.children.iter().zip(&y.children) {
                     walk(ca, cb, out);
@@ -1310,6 +1301,58 @@ mod tests {
         };
         let path = vec![lazy.committed_root(), l1.disk_block.unwrap()];
         assert_eq!(unshared(&lazy, &clone), path);
+    }
+
+    #[test]
+    fn listing_and_diffing_keep_the_nodes_a_clone_shares() {
+        // As above: listing the blocks fills page 1024's leaf, the one
+        // node not resident, and copies only the path above it.
+        let mut next = 1_000u64;
+        let (_, mut lazy, blocks) = committed_on_disk(
+            &[(0, 100), (513, 101), (1024, 102), (300_000, 103)],
+            &mut next,
+        );
+        lazy.hydrate_paths(&[0, 513, 300_000], &mut |iov| serve(&blocks, iov))
+            .unwrap();
+        let clone = lazy.clone();
+        let mut reads = Vec::new();
+        let listed = lazy
+            .disk_blocks(&mut |iov| {
+                reads.extend(iov.iter().map(|(b, _)| *b));
+                serve(&blocks, iov)
+            })
+            .unwrap();
+        assert_eq!(
+            listed.len(),
+            7 + 4,
+            "root, two L1 nodes, four leaves, four pages"
+        );
+        let Some(Child::Node(l1)) = lazy.slot_at(1024, 1) else {
+            panic!("the path is resident");
+        };
+        let Some(Child::Unloaded { block: leaf, .. }) = clone.slot_at(1024, 2) else {
+            panic!("the clone still lacks the leaf");
+        };
+        assert_eq!(reads, [*leaf]);
+        let path = vec![lazy.committed_root(), l1.disk_block.unwrap()];
+        assert_eq!(unshared(&lazy, &clone), path);
+        // On a resident clone, listing and diffing read nodes in place.
+        let mut base = lazy.clone();
+        assert_eq!(base.disk_blocks(&mut no_read), Ok(listed));
+        let mut target = lazy.clone();
+        target.set_entry(513, 200, 200);
+        target.commit(
+            &mut || {
+                next += 1;
+                next
+            },
+            &mut Vec::new(),
+        );
+        let before = target.clone();
+        assert_eq!(diff(&mut base, &mut target), [(513, 200)]);
+        assert_eq!(unshared(&base, &lazy), vec![], "the base copies nothing");
+        assert_eq!(unshared(&target, &before), vec![], "nor does the target");
+        assert_eq!(unshared(&target, &lazy), vec![], "nor the pages it kept");
     }
 
     #[test]

@@ -715,6 +715,13 @@ impl StoreShard {
         self.alloc.high_water()
     }
 
+    /// Quarantines `block`, whose media failed digest verification: a
+    /// rotted block leaves the cache and never returns to the allocator.
+    fn quarantine(&mut self, block: u64) {
+        self.cache.invalidate(block);
+        self.quarantined.insert(block);
+    }
+
     /// Sum of all object epochs: the shard's logical clock. Every commit
     /// advances exactly one object's epoch by one, so this sum is a
     /// monotone counter that recovery reconstructs for free from the

@@ -119,6 +119,26 @@ pub(super) enum Root {
     Compaction,
 }
 
+/// The one landing step of a commit: the data extent, if there is one,
+/// then the one block `record` at the later of the extent's completion
+/// and `gate`. Returns the record's token and whether `gate` held the
+/// record past the extent.
+fn land(
+    disk: &mut Disk,
+    now: Nanos,
+    extent: Option<&[(u64, &[u8])]>,
+    record: (u64, &[u8]),
+    gate: Nanos,
+    cache: &mut BlockCache,
+) -> Result<(WriteToken, bool), IoError> {
+    let data_done = match extent {
+        Some(iov) => writev_retry(disk, now, iov, cache)?.completes(),
+        None => now,
+    };
+    let at = data_done.max(gate);
+    Ok((writev_retry(disk, at, &[record], cache)?, at > data_done))
+}
+
 /// The leaves a compaction root whose journal would be `journal` writes:
 /// none while it fits [`JOURNAL_CAP`], else those holding the most of its
 /// entries, most first (the lower leaf on a tie), until the rest fits.
@@ -284,17 +304,10 @@ impl StoreShard {
         let slot = state.entry.root_slot(state.full_count + 1);
         let root_block = record.to_block();
         let covered = state.chain_completes.max(state.roots[1].1);
-        let cache = &mut self.cache;
-        let token = (|| {
-            let data_done = if iov.is_empty() {
-                vt.now()
-            } else {
-                writev_retry(disk, vt.now(), &iov, cache)?.completes()
-            };
-            writev_retry(disk, data_done.max(covered), &[(slot, &root_block)], cache)
-        })();
-        let token = match token {
-            Ok(t) => t,
+        let extent = (!iov.is_empty()).then_some(&iov[..]);
+        let record = (slot, &root_block[..]);
+        let token = match land(disk, vt.now(), extent, record, covered, &mut self.cache) {
+            Ok((t, _)) => t,
             Err(e) => {
                 state.tree = tree_snapshot;
                 self.alloc = alloc_snapshot;
@@ -559,23 +572,16 @@ impl StoreShard {
         } else {
             None
         };
-        let cache = &mut self.cache;
-        let mut held = false;
-        let token = match absorbed {
-            Some(token) => Ok(token),
-            None => (|| {
-                let data_done = if inline {
-                    vt.now()
-                } else {
-                    writev_retry(disk, vt.now(), &iov, cache)?.completes()
-                };
-                let record_at = data_done.max(root_gate);
-                held = record_at > data_done;
-                writev_retry(disk, record_at, &[(record_block, &record)], cache)
-            })(),
+        let landed = match absorbed {
+            Some(token) => Ok((token, false)),
+            None => {
+                let extent = (!inline).then_some(&iov[..]);
+                let record = (record_block, &record[..]);
+                land(disk, vt.now(), extent, record, root_gate, &mut self.cache)
+            }
         };
-        let token = match token {
-            Ok(t) => t,
+        let (token, held) = match landed {
+            Ok(landed) => landed,
             Err(e) => {
                 if let Some(snapshot) = alloc_snapshot {
                     self.alloc = snapshot;

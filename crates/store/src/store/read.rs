@@ -177,8 +177,7 @@ impl StoreShard {
             };
             if layout::digest32(slot) != digest {
                 // Never serve rotted bytes: quarantine and surface.
-                cache.invalidate(block);
-                self.quarantined.insert(block);
+                self.quarantine(block);
                 slot.fill(0);
                 return Err(StoreError::CorruptData { page, block, epoch });
             }

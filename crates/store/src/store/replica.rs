@@ -49,20 +49,24 @@ impl StoreShard {
                 None
             }
             Some((base_tree, base_blocks)) => {
-                // Hydrate the live (about-to-be-divergent) tree up front:
-                // the post-commit quarantine walk must not fail once the
-                // rebase root is durable. Its overlay is divergent history
-                // too and must not be written out over the base.
+                // The blocks only the abandoned history reaches. A block
+                // it shares with the rebased tree is in the base's pin set
+                // (and goes through the ordinary superseded path inside
+                // full_commit, withheld while pinned); the rebase
+                // allocates every other block of the rebased tree. Its
+                // overlay is divergent history too and must not be
+                // written out over the base.
                 let state = &mut self.objects[object.0 as usize];
                 let read = &mut node_reader(vt, disk, &mut self.cache, &mut self.stats);
-                state.tree.hydrate_all(read)?;
+                let mut dead = state.tree.disk_blocks(read)?;
+                dead.retain(|b| !base_blocks.contains(b));
                 let tree = std::mem::replace(&mut state.tree, base_tree);
-                Some((tree, std::mem::take(&mut state.overlay), base_blocks))
+                Some((tree, std::mem::take(&mut state.overlay), dead))
             }
         };
         let initiate = costs::initiate(pages.len());
         let token = self.full_commit(vt, disk, object, pages, target_epoch, Root::Chain(initiate));
-        if let Some((tree, overlay, base_blocks)) = divergent {
+        if let Some((tree, overlay, dead)) = divergent {
             let state = &mut self.objects[object.0 as usize];
             if token.is_err() {
                 // full_commit restored the (cloned) base tree; put the
@@ -70,17 +74,6 @@ impl StoreShard {
                 state.tree = tree;
                 state.overlay = overlay;
             } else {
-                // Quarantine the blocks only the abandoned history
-                // reached. Blocks shared with the base snapshot went
-                // through the ordinary superseded path inside full_commit
-                // (and stay withheld while pinned); blocks still reachable
-                // from the rebased tree are live.
-                let live: HashSet<u64> = state.tree.disk_blocks().into_iter().collect();
-                let dead: Vec<u64> = tree
-                    .disk_blocks()
-                    .into_iter()
-                    .filter(|b| !live.contains(b) && !base_blocks.contains(b))
-                    .collect();
                 self.pending_free
                     .push(Reverse((state.chain_completes, dead)));
             }

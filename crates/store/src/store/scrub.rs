@@ -133,8 +133,7 @@ impl StoreShard {
                     // quarantine the block and rewrite the path through a
                     // crash-atomic full-root flush, then rescan.
                     self.scrub_stats.corruptions_found += 1;
-                    self.cache.invalidate(block);
-                    self.quarantined.insert(block);
+                    self.quarantine(block);
                     let resident = self.objects[obj_idx].tree.dirty_committed_node(block);
                     debug_assert!(resident, "committed_nodes listed a resident node");
                     self.flush_full_root(vt, disk, object)?;
@@ -169,8 +168,7 @@ impl StoreShard {
                     // metadata, and move to the next object.
                     self.scrub_stats.corruptions_found += 1;
                     self.scrub_stats.unrepaired += 1;
-                    self.cache.invalidate(block);
-                    self.quarantined.insert(block);
+                    self.quarantine(block);
                     self.scrub_cursor = (obj_idx + 1, 0);
                     continue;
                 }
@@ -263,8 +261,7 @@ impl StoreShard {
         // snapshot with an independent clean copy first, else hand the
         // page to replication.
         self.scrub_stats.corruptions_found += 1;
-        self.cache.invalidate(block);
-        self.quarantined.insert(block);
+        self.quarantine(block);
         if self.objects[obj_idx].overlay.contains_key(&page) {
             // The rotted block is only the base of a page whose newest
             // content the overlay holds: writing the overlay out heals it.
@@ -427,8 +424,7 @@ impl StoreShard {
         disk.try_read_block(vt, block, &mut buf)?;
         let was_corrupt = layout::digest32(&buf) != digest;
         if was_corrupt {
-            self.cache.invalidate(block);
-            self.quarantined.insert(block);
+            self.quarantine(block);
         }
         let token = self.repair_commit(vt, disk, object, page, data)?;
         if was_corrupt {

@@ -20,12 +20,8 @@ impl StoreShard {
             if self.snapshots[i].pinned {
                 continue;
             }
-            let blocks = {
-                let snap = &mut self.snapshots[i];
-                let read = &mut node_reader(vt, disk, &mut self.cache, &mut self.stats);
-                snap.tree.hydrate_all(read)?;
-                snap.tree.disk_blocks()
-            };
+            let read = &mut node_reader(vt, disk, &mut self.cache, &mut self.stats);
+            let blocks = self.snapshots[i].tree.disk_blocks(read)?;
             for &b in &blocks {
                 *self.snap_pins.entry(b).or_insert(0) += 1;
             }
@@ -57,14 +53,12 @@ impl StoreShard {
             return Err(StoreError::NotFound);
         }
         self.flush_full_root(vt, disk, object)?;
-        // Hydrate the live tree before cloning so the pin enumeration
-        // below is infallible and the snapshot shares every resident
-        // node with the live tree (the clone itself is O(1)).
-        {
-            let state = &mut self.objects[object.0 as usize];
+        // Listing the pins hydrates the live tree before the O(1) clone,
+        // so the snapshot shares every node with the live tree.
+        let blocks = {
             let read = &mut node_reader(vt, disk, &mut self.cache, &mut self.stats);
-            state.tree.hydrate_all(read)?;
-        }
+            self.objects[object.0 as usize].tree.disk_blocks(read)?
+        };
         let state = &self.objects[object.0 as usize];
         let entry = SnapEntry {
             name: name.to_string(),
@@ -76,7 +70,6 @@ impl StoreShard {
         };
         let tree = state.tree.clone();
         let root_durable = state.chain_completes;
-        let blocks = tree.disk_blocks();
         for &b in &blocks {
             *self.snap_pins.entry(b).or_insert(0) += 1;
         }
@@ -244,8 +237,10 @@ impl StoreShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix::tests::unshared;
     use crate::store::tests::{open_shard, page_of, setup};
     use crate::ObjectStore;
+    use msnap_disk::{Fault, FaultPlan, ReadFaultPlan};
 
     /// A node-flushing root, durable, and the recycling behind it.
     fn flush_nodes(store: &mut StoreShard, vt: &mut Vt, disk: &mut Disk, obj: ObjectId) {
@@ -354,14 +349,15 @@ mod tests {
         let entry = store.snapshot_lookup("b").unwrap();
         let mut tree =
             RadixTree::from_committed_digest(entry.tree_root, entry.root_digest, entry.len_pages);
-        tree.hydrate_all(&mut node_reader(
-            &mut vt,
-            &mut disk,
-            &mut store.cache,
-            &mut store.stats,
-        ))
-        .unwrap();
-        assert_eq!(store.pinned_blocks(), tree.disk_blocks().len());
+        let blocks = tree
+            .disk_blocks(&mut node_reader(
+                &mut vt,
+                &mut disk,
+                &mut store.cache,
+                &mut store.stats,
+            ))
+            .unwrap();
+        assert_eq!(store.pinned_blocks(), blocks.len());
     }
 
     #[test]
@@ -478,5 +474,125 @@ mod tests {
                 .unwrap_err(),
             StoreError::SnapshotNotFound
         );
+    }
+
+    /// An object over five leaves (pages 0, 513, 1 024 and 1 536 under
+    /// one L1 node, 300 000 under another), snapshot "a", page 0
+    /// rewritten, snapshot "b".
+    fn two_snapshots() -> (Disk, StoreShard, Vt, ObjectId) {
+        let (mut disk, mut store, mut vt) = setup();
+        let obj = store.create(&mut vt, &mut disk, "db").unwrap();
+        for (i, page) in [0u64, 513, 1024, 1536, 300_000].into_iter().enumerate() {
+            let p = page_of(0x10 + i as u8);
+            let t = store
+                .persist(&mut vt, &mut disk, obj, &[(page, &p)])
+                .unwrap();
+            ObjectStore::wait(&mut vt, t);
+        }
+        store.snapshot_create(&mut vt, &mut disk, obj, "a").unwrap();
+        let p = page_of(0xEE);
+        let t = store.persist(&mut vt, &mut disk, obj, &[(0, &p)]).unwrap();
+        ObjectStore::wait(&mut vt, t);
+        store.snapshot_create(&mut vt, &mut disk, obj, "b").unwrap();
+        (disk, store, vt, obj)
+    }
+
+    /// The tree of snapshot `name`.
+    fn snap_tree<'a>(store: &'a StoreShard, name: &str) -> &'a RadixTree {
+        &store.snapshots[store.snap_by_name[name]].tree
+    }
+
+    #[test]
+    fn snapshot_create_keeps_the_nodes_an_older_snapshot_shares() {
+        let (_, store, _, obj) = two_snapshots();
+        let live = &store.objects[obj.0 as usize].tree;
+        // Page 0's path was written; the other four leaves and the L1
+        // node above page 300 000 stay one copy.
+        assert_eq!(unshared(snap_tree(&store, "a"), live), vec![]);
+        assert_eq!(unshared(snap_tree(&store, "b"), live), vec![]);
+    }
+
+    #[test]
+    fn snapshot_diff_keeps_the_nodes_the_live_tree_shares() {
+        let (mut disk, mut store, mut vt, obj) = two_snapshots();
+        let diff = store.snapshot_diff(&mut vt, &mut disk, Some("a"), "b");
+        assert_eq!(diff, Ok(vec![0]));
+        let live = &store.objects[obj.0 as usize].tree;
+        assert_eq!(unshared(snap_tree(&store, "b"), live), vec![]);
+        assert_eq!(
+            unshared(snap_tree(&store, "a"), snap_tree(&store, "b")),
+            vec![]
+        );
+    }
+
+    #[test]
+    fn a_rebase_keeps_the_nodes_the_snapshots_share() {
+        let (mut disk, mut store, mut vt, obj) = two_snapshots();
+        let epoch = store.objects[obj.0 as usize].epoch;
+        let p = page_of(0x77);
+        // A rebase that fails puts the divergent tree back whole.
+        disk.set_fault_plan(FaultPlan::new().at(disk.io_seq(), Fault::Drop { transient: false }));
+        let failed = store.apply_image(&mut vt, &mut disk, obj, Some("a"), &[(513, &p)], epoch + 1);
+        assert!(failed.is_err());
+        disk.clear_fault_plan();
+        let live = &store.objects[obj.0 as usize].tree;
+        assert_eq!(unshared(snap_tree(&store, "b"), live), vec![]);
+        // One that lands shares every node but page 513's path with "a".
+        let t = store
+            .apply_image(&mut vt, &mut disk, obj, Some("a"), &[(513, &p)], epoch + 1)
+            .unwrap();
+        ObjectStore::wait(&mut vt, t);
+        let live = &store.objects[obj.0 as usize].tree;
+        assert_eq!(unshared(snap_tree(&store, "a"), live), vec![]);
+        assert_eq!(
+            unshared(snap_tree(&store, "a"), snap_tree(&store, "b")),
+            vec![]
+        );
+    }
+
+    #[test]
+    fn a_reopened_store_diffs_and_pins_with_the_same_reads() {
+        // `(block reads, read submissions, hydrations)` of a diff, then of
+        // the pins, on a reopened store, a node a read: the divergent
+        // pairs target first, then the rest of "a" depth-first; "b"'s
+        // other nodes are cache hits. The figures and the block order are
+        // pinned: reading nodes in place must change no device read.
+        let reopened = || {
+            let (mut disk, _, _, _) = two_snapshots();
+            disk.settle();
+            let mut vt = Vt::new(1);
+            let store = open_shard(&mut vt, &mut disk).unwrap();
+            (disk, store, vt)
+        };
+        let counts = |disk: &Disk, store: &StoreShard| {
+            let io = disk.stats();
+            (io.reads(), io.read_submissions(), store.stats.hydrations)
+        };
+        let (mut disk, mut store, mut vt) = reopened();
+        let at_open = counts(&disk, &store);
+        let diff = store.snapshot_diff(&mut vt, &mut disk, Some("a"), "b");
+        assert_eq!(diff, Ok(vec![0]));
+        let after_diff = counts(&disk, &store);
+        store.ensure_pins(&mut vt, &mut disk).unwrap();
+        let after_pins = counts(&disk, &store);
+        let delta = |a: (u64, u64, u64), b: (u64, u64, u64)| (b.0 - a.0, b.1 - a.1, b.2 - a.2);
+        assert_eq!(delta(at_open, after_diff), (6, 6, 6));
+        assert_eq!(delta(after_diff, after_pins), (5, 5, 5));
+        // The blocks in read order: failing the k-th read names it.
+        let mut blocks = Vec::new();
+        loop {
+            let (mut disk, mut store, mut vt) = reopened();
+            let k = disk.read_seq() + blocks.len() as u64;
+            disk.set_read_fault_plan(ReadFaultPlan::new().at(k, false));
+            let run = store
+                .snapshot_diff(&mut vt, &mut disk, Some("a"), "b")
+                .and_then(|_| store.ensure_pins(&mut vt, &mut disk));
+            match run {
+                Ok(()) => break,
+                Err(StoreError::Io(IoError::Failed { block, .. })) => blocks.push(block),
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert_eq!(blocks, [96, 92, 95, 89, 94, 85, 86, 87, 88, 91, 90]);
     }
 }
