@@ -345,9 +345,10 @@ guard_root_size() {
 # verifies the previous slice's, so every crash-recover run's put tail
 # stays at or under 80 µs.
 guard_background_scrub() {
-    # ≈ 73 with idle-class reads; ≈ 88 when the read holds both
-    # channels ahead of the next put; ≈ 112 when a slice waits on its
-    # own read.
+    # 71.0 / 71.2 / 73.4 with idle-class reads and compaction roots
+    # (69.6–73.2 with idle-class reads and foreground roots); ≈ 88 when
+    # the read holds both channels ahead of the next put; ≈ 112 when a
+    # slice waits on its own read.
     awk '
       /"workload":/ {
         match($0, /"workload": "[^"]*"/)
@@ -364,6 +365,51 @@ guard_background_scrub() {
       END {
         if (runs == 0 || seen != runs) {
           printf "BENCH_judged.json: %d crash-recover runs, %d put_tail_us values\n", runs, seen > "/dev/stderr"
+          bad = 1
+        }
+        exit bad
+      }' BENCH_judged.json
+}
+
+# Compaction is the device's only idle-class writer: one caller of
+# submit_idle_writev, the store's landing step.
+guard_idle_writer() {
+    local callers
+    callers=$(grep -rn 'submit_idle_writev(' crates/*/src tests examples --include=*.rs \
+        | grep -v '^crates/disk/src/' || true)
+    if [ "$(printf '%s' "$callers" | grep -c .)" -ne 1 ] \
+        || ! printf '%s' "$callers" | grep -q '^crates/store/src/store/commit.rs:'; then
+        printf '%s\n' "$callers" >&2
+        echo "submit_idle_writev has one caller, land in crates/store/src/store/commit.rs: compaction roots are the only idle-class writes" >&2
+        return 1
+    fi
+}
+
+# A compaction root is an idle-class write placed behind its object's
+# sixth commit at the latest, so every kv-mixgraph run's put tail stays
+# at or under 74 µs.
+guard_idle_roots() {
+    # 68.8 / 69.3 / 69.3 with idle-class roots placed by the sixth
+    # commit; 79.3–80.2 when each root's extent and record take the
+    # channels right behind the record that filled the window; ≈ 84.6
+    # (seed 5, --seconds 6) when a root waits in the idle class until the
+    # record 13 epochs above it needs it.
+    awk '
+      /"workload":/ {
+        match($0, /"workload": "[^"]*"/)
+        wl = substr($0, RSTART + 13, RLENGTH - 14)
+        if (wl == "kv-mixgraph") runs++
+      }
+      /"put_tail_us":/ && wl == "kv-mixgraph" {
+        v = $2; sub(/,$/, "", v); seen++
+        if (v + 0 > 74) {
+          printf "BENCH_judged.json kv-mixgraph put_tail_us is %s (> 74): a compaction root must yield to commits and be placed by its sixth commit\n", v > "/dev/stderr"
+          bad = 1
+        }
+      }
+      END {
+        if (runs == 0 || seen != runs) {
+          printf "BENCH_judged.json: %d kv-mixgraph runs, %d put_tail_us values\n", runs, seen > "/dev/stderr"
           bad = 1
         }
         exit bad
@@ -492,7 +538,9 @@ perturbations() {
     perturb wire crates/serve/src/wire.rs '$a // put_u32(out, v)'
     perturb wire BENCH_judged.json 's/"serve.wire_bytes_per_op": [0-9.]+/"serve.wire_bytes_per_op": 183.2/'
     perturb root_size BENCH_judged.json 's/"io_amp": [0-9.]+/"io_amp": 130.4/'
-    perturb background_scrub BENCH_judged.json 's/"put_tail_us": [0-9.]+/"put_tail_us": 84.9/'
+    perturb background_scrub BENCH_judged.json '/"workload": "crash-recover"/,/"put_tail_us"/s/"put_tail_us": [0-9.]+/"put_tail_us": 84.9/'
+    perturb idle_writer crates/store/src/store/scrub.rs '$a // disk.submit_idle_writev(now, iov, gate)'
+    perturb idle_roots BENCH_judged.json '/"workload": "kv-mixgraph"/,/"put_tail_us"/s/"put_tail_us": [0-9.]+/"put_tail_us": 79.8/'
     perturb scrub_slice BENCH_store.json 's/("shards":8,"budget":64,[^}]*"slice_us":)[0-9.]+/\1120.5/'
     perturb device_pacing BENCH_persist.json '/"db":"litedb","threads":8,"window_us":2,/s/"disk_writes":[0-9]+/"disk_writes":512/'
     perturb line_grain BENCH_persist.json '/"db":"skipdb","threads":1,"window_us":0/s/"ios_per_commit":[0-9.]+/"ios_per_commit":2.0/'

@@ -20,12 +20,19 @@ fn cfg() -> MixGraphConfig {
     }
 }
 
-fn bench<K: Kv + 'static>(mut kv: K, boot: &mut Vt) -> (MixGraphReport, msnap_sim::Meters) {
+/// Fills `kv`, hands it to `filled`, then runs the mix.
+fn bench<K: Kv + 'static>(
+    mut kv: K,
+    boot: &mut Vt,
+    filled: impl FnOnce(&mut K),
+) -> (MixGraphReport, msnap_sim::Meters, K) {
     fill(&mut kv, boot, cfg().keys, 256);
+    filled(&mut kv);
     let kv = Rc::new(RefCell::new(kv));
     let report = run_mixgraph(Rc::clone(&kv), &cfg(), boot.now());
     let meters = kv.borrow().meters();
-    (report, meters)
+    let kv = Rc::try_unwrap(kv).ok().expect("the run released the store");
+    (report, meters, kv.into_inner())
 }
 
 fn main() {
@@ -35,19 +42,22 @@ fn main() {
     );
 
     let mut boot = Vt::new(u32::MAX);
-    let (ms, ms_meters) = bench(
+    let (ms, ms_meters, ms_kv) = bench(
         MemSnapKv::format(Disk::new(DiskConfig::paper()), 1 << 16, &mut boot),
         &mut boot,
+        |kv| kv.memsnap_mut().reset_disk_stats(),
     );
     let mut boot = Vt::new(u32::MAX);
-    let (wal, wal_meters) = bench(
+    let (wal, wal_meters, _) = bench(
         BaselineKv::format(Disk::new(DiskConfig::paper()), 4 << 20, &mut boot),
         &mut boot,
+        |_| {},
     );
     let mut boot = Vt::new(u32::MAX);
-    let (aur, aur_meters) = bench(
+    let (aur, aur_meters, _) = bench(
         AuroraKv::format(Disk::new(DiskConfig::paper()), 1 << 16, 12, &mut boot),
         &mut boot,
+        |_| {},
     );
 
     let row = |name: &str, paper: (f64, f64, f64), r: &MixGraphReport| {
@@ -94,6 +104,19 @@ fn main() {
         }
     }
     table(&["call", "latency us", "count"], &rows);
+    // The mix's device IO, the fill left out. The idle class carries the
+    // compaction roots (no MixGraph op scrubs), so its share of the
+    // bytes written is the roots' share.
+    let io = ms_kv.memsnap().disk().stats();
+    let ((_, idle_written), (busy, idle_busy)) = (io.idle_bytes(), io.channel_busy());
+    println!();
+    println!(
+        "memsnap device IO by class: idle-class (compaction root) writes {:.1} % of {:.1} MiB \
+         written, {:.1} % of channel-busy time",
+        idle_written as f64 * 100.0 / io.bytes_written() as f64,
+        io.bytes_written() as f64 / (1 << 20) as f64,
+        idle_busy.as_ns() as f64 * 100.0 / (busy + idle_busy).as_ns() as f64,
+    );
     println!();
     println!(
         "Shape checks (paper): memsnap > baseline > aurora in throughput; \

@@ -32,33 +32,49 @@ impl WriteToken {
     }
 }
 
-/// Handle for a read submitted in the idle class
-/// ([`Disk::submit_idle_readv`]); pass it to [`Disk::idle_read_lands`].
+/// Handle for an IO submitted in the idle class ([`Disk::submit_idle_readv`],
+/// [`Disk::submit_idle_writev`]); pass it to [`Disk::idle_lands`].
 #[derive(Debug)]
-#[must_use = "an idle read lands only once it is waited on or pushed by foreground IO"]
-pub struct IdleRead {
+#[must_use = "an idle IO lands only once it is waited on or pushed by foreground IO"]
+pub struct IdleIo {
     id: u64,
 }
 
-/// One segment of an idle-class read that no channel has taken yet.
+/// One segment of an idle-class IO that no channel has taken yet.
 #[derive(Debug)]
 struct IdleSegment {
-    read: u64,
-    submitted: Nanos,
-    /// What the same segment of an eager read costs.
+    io: u64,
+    /// A write segment's undo entries carry this id until it is placed
+    /// (0 for a read segment, or one the fault plan tore whole).
+    id: u64,
+    /// The earliest it may start: its submission, or a write's gate.
+    not_before: Nanos,
+    /// What the same segment of an eager IO costs.
     cost: Nanos,
-    /// That cost leaves out the setup: in an eager read the segment
+    /// That cost leaves out the setup: in an eager IO the segment
     /// streams on after an earlier one on its channel.
     streams: bool,
-    /// The read's last segment: it lands with this one.
-    last: bool,
+    /// A write's record: it starts only once the rest has landed.
+    record: bool,
+}
+
+/// What the fault plan did to one admitted write submission.
+struct Faults {
+    /// Index of the first iov entry the device silently loses (torn
+    /// write); `iov.len()` means none.
+    torn_from: usize,
+    flip: Option<(usize, usize, u8)>,
+    spike: Nanos,
+    clean: bool,
 }
 
 /// One rollback record: the pre-image of a block overwritten by a write
-/// that completes at `completes`.
+/// that completes at `completes`, or, while `segment` is not 0, when that
+/// idle segment completes once placed.
 #[derive(Debug)]
 struct UndoEntry {
     completes: Nanos,
+    segment: u64,
     block: u64,
     prev: Option<Box<[u8]>>,
 }
@@ -101,14 +117,15 @@ pub struct Disk {
     /// block: no read bypasses the plan.
     read_seq: u64,
     read_faults: ReadFaultPlan,
-    /// Idle-class read segments no channel has taken yet, in submission
+    /// Idle-class segments no channel has taken yet, in submission
     /// order (DESIGN.md §6g). Foreground submissions pass them.
     idle: VecDeque<IdleSegment>,
-    /// Every idle read not yet waited on, by id: the instant its
-    /// segments placed so far complete.
-    idle_lands: HashMap<u64, Nanos>,
-    /// Id of the next idle read; ids start at 1 and tag its segments on
-    /// the channels.
+    /// Every idle IO not yet waited on, by id: when it was submitted,
+    /// when its segments placed so far complete, and whether it writes.
+    idle_ios: HashMap<u64, (Nanos, Nanos, bool)>,
+    /// Completion of each placed idle write segment, by id.
+    placed: HashMap<u64, Nanos>,
+    /// Next id of an idle IO (its channel tag) or write segment, from 1.
     next_idle: u64,
 }
 
@@ -130,7 +147,8 @@ impl Disk {
             read_seq: 0,
             read_faults: ReadFaultPlan::new(),
             idle: VecDeque::new(),
-            idle_lands: HashMap::new(),
+            idle_ios: HashMap::new(),
+            placed: HashMap::new(),
             next_idle: 1,
         }
     }
@@ -210,93 +228,27 @@ impl Disk {
     /// Panics if any entry is not exactly [`BLOCK_SIZE`] bytes (a caller
     /// bug, not a device fault).
     pub fn writev_at(&mut self, now: Nanos, iov: &[(u64, &[u8])]) -> Result<WriteToken, IoError> {
-        let total: usize = iov.iter().map(|(_, d)| d.len()).sum();
-        for (block, data) in iov {
-            assert_eq!(
-                data.len(),
-                BLOCK_SIZE,
-                "block {block}: write entries must be BLOCK_SIZE bytes"
-            );
-        }
-
-        if let Some(cap) = self.cfg.capacity_blocks {
-            if let Some((block, _)) = iov.iter().find(|(b, _)| *b >= cap) {
-                return Err(IoError::NoSpace {
-                    block: *block,
-                    capacity_blocks: cap,
-                });
-            }
-        }
-
-        // Consult the fault plan. Every submission consumes a sequence
-        // number, including dropped ones, so a retry is a *new* submission
-        // the plan may treat differently — that is what makes transient
-        // faults recoverable.
-        let io = self.io_seq;
-        self.io_seq += 1;
-        let fault = self.injector.as_mut().and_then(|inj| inj.consult(io));
-        let amendable = iov.len() == 1 && fault.is_none();
-        // Index of the first iov entry the device silently loses (torn
-        // write); `iov.len()` means none.
-        let mut torn_from = iov.len();
-        let mut flip: Option<(usize, usize, u8)> = None;
-        let mut spike = Nanos::ZERO;
-        match fault {
-            Some(Fault::Drop { transient }) => {
-                let block = iov.first().map(|(b, _)| *b).unwrap_or(0);
-                return Err(IoError::Failed { block, transient });
-            }
-            Some(Fault::Torn { prefix_blocks }) => {
-                torn_from = prefix_blocks.min(iov.len());
-            }
-            Some(Fault::BitFlip { entry, byte, bit }) if !iov.is_empty() => {
-                flip = Some((entry % iov.len(), byte % BLOCK_SIZE, bit % 8));
-            }
-            Some(Fault::BitFlip { .. }) => {}
-            Some(Fault::LatencySpike { extra }) => spike = extra,
-            None => {}
-        }
-        for (block, _) in iov {
-            self.queued.remove(block);
-        }
+        let faults = self.admit(iov)?;
+        let amendable = iov.len() == 1 && faults.clean;
 
         // Schedule segments across channels (see `segment_cost`), after
-        // the idle reads a channel would have started before `now`.
+        // the idle IO a channel would have started before `now`.
         self.place_idle(|_, start| start < now);
         let mut completes = now;
         let mut i = 0;
         for (seg_index, seg_blocks) in self.segments(iov.len()).enumerate() {
-            let latency = self.segment_cost(seg_index, seg_blocks) + spike;
+            let latency = self.segment_cost(seg_index, seg_blocks) + faults.spike;
             let done = self.channels.submit(now, latency);
+            self.stats.record_busy(latency, false);
             if amendable {
                 self.queued.insert(iov[0].0, (done - latency, done));
             }
-            // A fully torn segment never becomes durable; a partially torn
-            // one is durable only up to the tear. Lost blocks are applied
-            // to the live image (the device acked them and serves them
-            // from cache) but their undo records carry `Nanos::MAX`, so
-            // any crash rolls them back.
-            for (k, (block, data)) in iov[i..i + seg_blocks].iter().enumerate() {
-                let lost = i + k >= torn_from;
-                let prev = self.blocks.insert(*block, data.to_vec().into_boxed_slice());
-                self.undo.push(UndoEntry {
-                    completes: if lost { Nanos::MAX } else { done },
-                    block: *block,
-                    prev,
-                });
-            }
-            if i < torn_from {
+            self.apply(iov, i..i + seg_blocks, &faults, (done, 0));
+            if i < faults.torn_from {
                 self.write_log.push(done);
             }
             completes = completes.max(done);
             i += seg_blocks;
-        }
-
-        if let Some((entry, byte, bit)) = flip {
-            let block = iov[entry].0;
-            if let Some(data) = self.blocks.get_mut(&block) {
-                data[byte] ^= 1 << bit;
-            }
         }
 
         // Queue-depth model: retire submissions that completed by `now`,
@@ -309,12 +261,89 @@ impl Disk {
         self.inflight.push(Reverse(completes));
         self.stats.record_depth(self.inflight.len() as u64);
 
+        let total = iov.len() * BLOCK_SIZE;
+        self.stats.record_write(total, false);
         self.stats
-            .record_write(total, completes.saturating_sub(now));
+            .record_write_latency(completes.saturating_sub(now));
         Ok(WriteToken {
             completes,
             bytes: total,
         })
+    }
+
+    /// The checks and the fault plan every write submission passes first
+    /// (see [`Disk::writev_at`] for the errors). A dropped submission
+    /// consumes a sequence number too, so a retry is a *new* submission.
+    fn admit(&mut self, iov: &[(u64, &[u8])]) -> Result<Faults, IoError> {
+        for (block, data) in iov {
+            assert_eq!(
+                data.len(),
+                BLOCK_SIZE,
+                "block {block}: write entries must be BLOCK_SIZE bytes"
+            );
+        }
+        if let Some(cap) = self.cfg.capacity_blocks {
+            if let Some((block, _)) = iov.iter().find(|(b, _)| *b >= cap) {
+                return Err(IoError::NoSpace {
+                    block: *block,
+                    capacity_blocks: cap,
+                });
+            }
+        }
+        let io = self.io_seq;
+        self.io_seq += 1;
+        let fault = self.injector.as_mut().and_then(|inj| inj.consult(io));
+        let mut faults = Faults {
+            torn_from: iov.len(),
+            flip: None,
+            spike: Nanos::ZERO,
+            clean: fault.is_none(),
+        };
+        match fault {
+            Some(Fault::Drop { transient }) => {
+                let block = iov.first().map(|(b, _)| *b).unwrap_or(0);
+                return Err(IoError::Failed { block, transient });
+            }
+            Some(Fault::Torn { prefix_blocks }) => faults.torn_from = prefix_blocks.min(iov.len()),
+            Some(Fault::BitFlip { entry, byte, bit }) if !iov.is_empty() => {
+                faults.flip = Some((entry % iov.len(), byte % BLOCK_SIZE, bit % 8));
+            }
+            Some(Fault::BitFlip { .. }) => {}
+            Some(Fault::LatencySpike { extra }) => faults.spike = extra,
+            None => {}
+        }
+        for (block, _) in iov {
+            self.queued.remove(block);
+        }
+        Ok(faults)
+    }
+
+    /// Applies the entries `range` of `iov` (one segment) to the live
+    /// image, with the fault plan's bit flip, each undo entry durable at
+    /// `completes` or once idle `segment` is placed. Blocks past a tear
+    /// are applied too, but never become durable.
+    fn apply(
+        &mut self,
+        iov: &[(u64, &[u8])],
+        range: std::ops::Range<usize>,
+        faults: &Faults,
+        (completes, segment): (Nanos, u64),
+    ) {
+        for k in range {
+            let (block, data) = iov[k];
+            let mut image: Box<[u8]> = data.into();
+            if let Some((_, byte, bit)) = faults.flip.filter(|flip| flip.0 == k) {
+                image[byte] ^= 1 << bit;
+            }
+            let prev = self.blocks.insert(block, image);
+            let lost = k >= faults.torn_from;
+            self.undo.push(UndoEntry {
+                completes: if lost { Nanos::MAX } else { completes },
+                segment: if lost { 0 } else { segment },
+                block,
+                prev,
+            });
+        }
     }
 
     /// Reports that the submission just issued carried `parts` logical
@@ -414,7 +443,7 @@ impl Disk {
 
     /// Schedules one read submission of `blocks` blocks at `now` by the
     /// same rule as [`Disk::writev_at`]: stripe-sized segments, each on
-    /// the earliest-free channel, after the idle reads a channel would
+    /// the earliest-free channel, after the idle IO a channel would
     /// have started before `now`. Returns the instant the last segment
     /// completes and records the submission in [`IoStats`].
     fn schedule_read(&mut self, now: Nanos, blocks: usize) -> Nanos {
@@ -423,8 +452,9 @@ impl Disk {
         for (seg_index, seg_blocks) in self.segments(blocks).enumerate() {
             let latency = self.segment_cost(seg_index, seg_blocks);
             completes = completes.max(self.channels.submit(now, latency));
+            self.stats.record_busy(latency, false);
         }
-        self.stats.record_read(blocks * BLOCK_SIZE);
+        self.stats.record_read(blocks * BLOCK_SIZE, false);
         let latency = completes.saturating_sub(now);
         self.stats.record_read_latency(latency);
         completes
@@ -438,34 +468,44 @@ impl Disk {
     }
 
     /// Puts waiting idle-class segments onto channels, oldest first,
-    /// while `go(read, start)` holds for the next one, `start` being the
+    /// while `go(io, start)` holds for the next one, `start` being the
     /// instant a channel would take it. A segment costs what the same
-    /// segment of an eager read costs, plus the setup again unless its
-    /// channel just finished the previous segment of the same read at
-    /// `start`. The read whose last segment is placed has landed: its
-    /// latency is recorded.
+    /// segment of an eager IO costs, plus the setup again unless its
+    /// channel just finished the previous segment of the same IO at
+    /// `start`. A write segment becomes durable at its completion; the IO
+    /// whose last segment is placed has landed, and its latency is
+    /// recorded.
     fn place_idle(&mut self, mut go: impl FnMut(u64, Nanos) -> bool) {
         while let Some(seg) = self.idle.front() {
-            let start = seg.submitted.max(self.channels.free_at());
-            if !go(seg.read, start) {
+            let lands = self.idle_ios[&seg.io].1;
+            let floor = seg
+                .not_before
+                .max(if seg.record { lands } else { Nanos::ZERO });
+            if !go(seg.io, floor.max(self.channels.free_at())) {
                 break;
             }
             let seg = self.idle.pop_front().expect("peeked segment exists");
+            let mut hold = seg.cost;
             let setup = self.cfg.setup;
-            let done = self
-                .channels
-                .submit_tagged(seg.submitted, seg.read, |follows| {
-                    if seg.streams && !follows {
-                        seg.cost + setup
-                    } else {
-                        seg.cost
-                    }
-                });
-            if let Some(lands) = self.idle_lands.get_mut(&seg.read) {
-                *lands = (*lands).max(done);
-                if seg.last {
-                    self.stats
-                        .record_read_latency(lands.saturating_sub(seg.submitted));
+            let done = self.channels.submit_tagged(floor, seg.io, |follows| {
+                if seg.streams && !follows {
+                    hold += setup;
+                }
+                hold
+            });
+            self.stats.record_busy(hold, true);
+            if seg.id != 0 {
+                self.placed.insert(seg.id, done);
+                self.write_log.push(done);
+            }
+            let (submitted, lands, write) = self.idle_ios.get_mut(&seg.io).expect("waiting");
+            *lands = (*lands).max(done);
+            if self.idle.front().is_none_or(|next| next.io != seg.io) {
+                let latency = lands.saturating_sub(*submitted);
+                if *write {
+                    self.stats.record_write_latency(latency);
+                } else {
+                    self.stats.record_read_latency(latency);
                 }
             }
         }
@@ -539,14 +579,13 @@ impl Disk {
     /// submission at `t` first puts onto a channel each waiting segment
     /// a channel would have started before `t`, then takes its own
     /// channel: it waits at most for segments already in service, never
-    /// for the rest of the read. [`Disk::idle_read_lands`] places the
-    /// rest.
+    /// for the rest of the read. [`Disk::idle_lands`] places the rest.
     ///
     /// A segment costs what the same segment of an eager read costs,
     /// plus the setup again unless it starts on the channel the previous
     /// segment of the same read just left: alone, an idle read lands
     /// when the eager read would have. [`Disk::crash`] drops the
-    /// waiting segments.
+    /// segments no channel would have started by then.
     ///
     /// # Errors
     ///
@@ -559,42 +598,103 @@ impl Disk {
         &mut self,
         now: Nanos,
         iov: &mut [(u64, &mut [u8])],
-    ) -> Result<IdleRead, IoError> {
+    ) -> Result<IdleIo, IoError> {
         self.transfer(iov)?;
-        let id = self.next_idle;
-        self.next_idle += 1;
-        self.idle_lands.insert(id, now);
-        if iov.is_empty() {
-            return Ok(IdleRead { id });
+        if !iov.is_empty() {
+            self.stats.record_read(iov.len() * BLOCK_SIZE, true);
         }
-        self.stats.record_read(iov.len() * BLOCK_SIZE);
-        for (seg_index, seg_blocks) in self.segments(iov.len()).enumerate() {
-            self.idle.push_back(IdleSegment {
-                read: id,
-                submitted: now,
-                cost: self.segment_cost(seg_index, seg_blocks),
-                streams: seg_index >= self.cfg.channels,
-                last: false,
-            });
-        }
-        if let Some(seg) = self.idle.back_mut() {
-            seg.last = true;
-        }
-        Ok(IdleRead { id })
+        Ok(self.queue_idle(now, iov.len(), None))
     }
 
-    /// The instant the idle read `read` lands, once the device has
-    /// placed the rest of it (and every idle read submitted before it):
-    /// its caller is about to wait for it.
+    /// Submits a scatter/gather write at `now` in the idle class: the
+    /// maintenance writes no acknowledgement waits for. Its last entry
+    /// is a record: its segment starts only once every other segment has
+    /// landed, and not before `gate`. At submission it does what
+    /// [`Disk::writev_at`] does (the checks, one sequence number, every
+    /// fault of the plan, the bytes visible at once, the counts in
+    /// [`IoStats`]); its segments are then placed as an idle read's are
+    /// ([`Disk::submit_idle_readv`]), and each is durable at its
+    /// completion once placed, a boundary [`crash_at_every_io`] sweeps.
+    /// [`Disk::crash`] places what a channel would have started by then
+    /// and rolls back the rest, so on a quiet device an idle write is
+    /// durable exactly when the eager extent and record would be.
+    ///
+    /// # Errors
+    ///
+    /// As [`Disk::writev_at`]: nothing is written.
     ///
     /// # Panics
     ///
-    /// Panics if a [`Disk::crash`] dropped the read.
-    pub fn idle_read_lands(&mut self, read: IdleRead) -> Nanos {
-        self.place_idle(|id, _| id <= read.id);
-        self.idle_lands
-            .remove(&read.id)
-            .expect("a crash dropped this idle read")
+    /// As [`Disk::writev_at`].
+    pub fn submit_idle_writev(
+        &mut self,
+        now: Nanos,
+        iov: &[(u64, &[u8])],
+        gate: Nanos,
+    ) -> Result<IdleIo, IoError> {
+        let faults = self.admit(iov)?;
+        self.stats.record_write(iov.len() * BLOCK_SIZE, true);
+        Ok(self.queue_idle(now, iov.len(), Some((iov, &faults, gate))))
+    }
+
+    /// Queues the stripe-sized segments of an idle IO of `blocks` blocks
+    /// submitted at `now` and returns its handle. A write keeps its last
+    /// block apart as a record behind the rest, and applies each
+    /// segment's blocks with undo entries durable once it is placed.
+    #[allow(clippy::type_complexity)]
+    fn queue_idle(
+        &mut self,
+        now: Nanos,
+        blocks: usize,
+        write: Option<(&[(u64, &[u8])], &Faults, Nanos)>,
+    ) -> IdleIo {
+        let io = self.next_idle;
+        self.idle_ios.insert(io, (now, now, write.is_some()));
+        let body = blocks - usize::from(write.is_some() && blocks > 0);
+        let record = (blocks > body).then_some((0, 1));
+        let mut i = 0;
+        for (seg_index, seg_blocks) in self.segments(body).enumerate().chain(record) {
+            self.next_idle += 1;
+            let mut seg = IdleSegment {
+                io,
+                id: 0,
+                not_before: now,
+                cost: self.segment_cost(seg_index, seg_blocks),
+                streams: seg_index >= self.cfg.channels,
+                record: i == body,
+            };
+            if let Some((iov, faults, gate)) = write {
+                let torn = i >= faults.torn_from;
+                seg.id = if torn { 0 } else { self.next_idle };
+                seg.cost += faults.spike;
+                if seg.record {
+                    seg.not_before = now.max(gate);
+                }
+                self.apply(iov, i..i + seg_blocks, faults, (Nanos::MAX, seg.id));
+            }
+            self.idle.push_back(seg);
+            i += seg_blocks;
+        }
+        self.next_idle += 1;
+        IdleIo { id: io }
+    }
+
+    /// The instant the idle IO `io` lands: places the waiting segments of
+    /// `io` and of the idle IO before it that a channel would start before
+    /// `by`, then answers unless one of `io`'s still waits. At `by` =
+    /// [`Nanos::MAX`] it places the rest: its caller waits for it. Once
+    /// answered, `io` is spent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Disk::crash`] dropped the IO, or `io` is spent.
+    pub fn idle_lands(&mut self, io: &IdleIo, by: Nanos) -> Option<Nanos> {
+        self.place_idle(|id, start| id <= io.id && start < by);
+        if self.idle.front().is_some_and(|seg| seg.io <= io.id) {
+            return None;
+        }
+        let (_, lands, _) = self.idle_ios.remove(&io.id).expect("a crash dropped it");
+        Some(lands)
     }
 
     /// Consults the read fault plan for every block of `iov`, in order,
@@ -649,20 +749,26 @@ impl Disk {
     /// Simulates a power failure at instant `at`: every write that had not
     /// completed by `at` is rolled back, leaving exactly the durable image.
     ///
-    /// Writes that completed at or before `at` survive. The undo log is
-    /// cleared; the device can keep being used (as a "rebooted" device):
-    /// the work it had queued past `at` is gone with the power, idle-class
-    /// reads included, so an IO submitted at `at` finds idle channels.
+    /// Writes that completed at or before `at` survive, idle segments a
+    /// channel would have started before `at` placed first. The undo log
+    /// is cleared; the device can keep being used (as a "rebooted"
+    /// device): the work it had queued past `at` is gone with the power,
+    /// idle IO included, so an IO submitted at `at` finds idle channels.
     pub fn crash(&mut self, at: Nanos) {
+        self.place_idle(|_, start| start < at);
         self.channels.clamp_to(at);
         self.idle.clear();
-        self.idle_lands.clear();
+        self.idle_ios.clear();
         self.inflight.retain(|Reverse(done)| *done <= at);
         self.queued.clear();
         // Roll back in reverse submission order so stacked overwrites of
         // the same block restore correctly.
         for entry in self.undo.drain(..).rev().collect::<Vec<_>>() {
-            if entry.completes > at {
+            let durable = match entry.segment {
+                0 => entry.completes,
+                segment => self.placed.get(&segment).copied().unwrap_or(Nanos::MAX),
+            };
+            if durable > at {
                 match entry.prev {
                     Some(prev) => {
                         self.blocks.insert(entry.block, prev);
@@ -673,6 +779,7 @@ impl Disk {
                 }
             }
         }
+        self.placed.clear();
     }
 
     /// Declares all submitted writes durable and drops rollback state.
@@ -684,6 +791,7 @@ impl Disk {
     /// run may settle its set-up phase.
     pub fn settle(&mut self) {
         self.undo.clear();
+        self.placed.clear();
     }
 
     /// Promises that no [`Disk::crash`] will be requested at an instant
@@ -692,12 +800,19 @@ impl Disk {
     /// in [`Disk::write_completions`] (boundaries no crash may land on
     /// any more). Any later `crash(t)` with `t >= at` leaves exactly the
     /// image it would have left without this call. Torn writes (never
-    /// durable) are kept unless `at` is [`Nanos::MAX`].
+    /// durable) and idle segments still waiting are kept unless `at` is
+    /// [`Nanos::MAX`].
     ///
     /// A long-running owner whose only crash point is its own clock
     /// calls this as the clock advances to keep both bounded by the
     /// writes in flight instead of by the run's length.
     pub fn settle_until(&mut self, at: Nanos) {
+        for entry in &mut self.undo {
+            if let Some(&done) = self.placed.get(&entry.segment) {
+                (entry.completes, entry.segment) = (done, 0);
+            }
+        }
+        self.placed.clear();
         self.undo.retain(|u| u.completes > at);
         self.write_log.retain(|&done| done > at);
     }
@@ -774,7 +889,9 @@ pub fn crash_at_every_io(
     mut run: impl FnMut() -> Disk,
     mut check: impl FnMut(Disk, Nanos),
 ) -> usize {
-    let reference = run();
+    let mut reference = run();
+    reference.place_idle(|_, _| true); // where a quiet device puts them
+
     let submissions = reference.io_seq();
     let mut boundaries = BTreeSet::new();
     boundaries.insert(Nanos::ZERO);
@@ -1106,7 +1223,7 @@ mod tests {
         disk: &mut Disk,
         now: Nanos,
         blocks: &[u64],
-    ) -> Result<(IdleRead, Vec<u8>), IoError> {
+    ) -> Result<(IdleIo, Vec<u8>), IoError> {
         let mut buf = vec![0u8; blocks.len() * BLOCK_SIZE];
         let mut iov: Vec<(u64, &mut [u8])> = blocks
             .iter()
@@ -1139,7 +1256,11 @@ mod tests {
                 let (read, idle_bytes) = idle_readv(&mut idle, at, &addrs).unwrap();
                 assert_eq!(idle.stats().reads(), eager.stats().reads());
                 assert_eq!(idle.stats().read_latency().count(), 0, "not landed yet");
-                assert_eq!(idle.idle_read_lands(read), lands, "{blocks} blocks");
+                assert_eq!(
+                    idle.idle_lands(&read, Nanos::MAX).unwrap(),
+                    lands,
+                    "{blocks} blocks"
+                );
                 assert_eq!(idle_bytes, bytes);
                 assert_eq!(idle.channels.drained_at(), eager.channels.drained_at());
                 let (i, e) = (idle.stats(), eager.stats());
@@ -1174,7 +1295,7 @@ mod tests {
         assert_eq!(disk.idle.len(), 6, "the two segments in service only");
         // The read streams on over the other channel and pays the setup
         // again where the write came between.
-        let lands = disk.idle_read_lands(read);
+        let lands = disk.idle_lands(&read, Nanos::MAX).unwrap();
         assert!(lands > eager_lands, "{lands:?} vs {eager_lands:?}");
         assert!(lands <= eager_lands + one_io + cfg.setup);
         assert!(disk.idle.is_empty());
@@ -1191,7 +1312,7 @@ mod tests {
         assert!(!disk.idle.is_empty());
         let at = Nanos::from_us(2);
         disk.crash(at);
-        assert!(disk.idle.is_empty() && disk.idle_lands.is_empty());
+        assert!(disk.idle.is_empty() && disk.idle_ios.is_empty());
         let (done, _) = readv(&mut disk, at, &[0]).unwrap();
         let one_io = disk.config().segment_latency(BLOCK_SIZE);
         assert_eq!(done, at + one_io, "nothing of the read is left to wait for");
@@ -1220,7 +1341,7 @@ mod tests {
                 match (want, got) {
                     (Ok((_, want)), Ok((read, got))) => {
                         assert_eq!(got, want);
-                        let _ = idle.idle_read_lands(read);
+                        let _ = idle.idle_lands(&read, Nanos::MAX).unwrap();
                     }
                     (Err(want), Err(got)) => assert_eq!(got, want),
                     (want, got) => panic!("{want:?} vs {got:?}"),
@@ -1230,6 +1351,264 @@ mod tests {
                     assert_eq!(idle.peek(*b), eager.peek(*b), "block {b}");
                 }
             }
+        }
+    }
+
+    /// `blocks` distinct blocks filled with `fill`, as a write's iov: the
+    /// last one a record block.
+    fn images(blocks: u64, fill: u8) -> Vec<(u64, Vec<u8>)> {
+        (0..blocks).map(|b| (100 + b, block_of(fill))).collect()
+    }
+
+    fn iov_of(images: &[(u64, Vec<u8>)]) -> Vec<(u64, &[u8])> {
+        images.iter().map(|(b, d)| (*b, &d[..])).collect()
+    }
+
+    /// What the store's eager landing step does: the extent, then the
+    /// record at the later of its completion and `gate`. Returns the
+    /// record's completion.
+    fn land_eager(disk: &mut Disk, now: Nanos, iov: &[(u64, &[u8])], gate: Nanos) -> Nanos {
+        let (record, extent) = iov.split_last().expect("a record");
+        let data_done = match extent.is_empty() {
+            true => now,
+            false => disk.writev_at(now, extent).unwrap().completes(),
+        };
+        let at = data_done.max(gate);
+        disk.writev_at(at, &[*record]).unwrap().completes()
+    }
+
+    #[test]
+    fn an_idle_write_alone_lands_when_the_eager_write_would() {
+        for blocks in [1u64, 2, 8, 9, 16, 17, 64, 256] {
+            // On an idle device, and queued behind writes in flight; with
+            // and without a gate past the extent.
+            for (prior, at) in [(0, Nanos::from_secs(1)), (3, Nanos::from_us(5))] {
+                for gate in [Nanos::ZERO, at + Nanos::from_us(400)] {
+                    let data = images(blocks, 7);
+                    let iov = iov_of(&data);
+                    let mut eager = written(prior);
+                    let mut idle = written(prior);
+                    let lands = land_eager(&mut eager, at, &iov, gate);
+                    let io = idle.submit_idle_writev(at, &iov, gate).unwrap();
+                    assert_eq!(idle.io_seq(), prior + 1, "one submission");
+                    assert_eq!(idle.stats().bytes_written(), eager.stats().bytes_written());
+                    assert_eq!(idle.stats().idle_bytes(), (0, blocks * BLOCK_SIZE as u64));
+                    assert_eq!(idle.stats().write_latency().count(), prior, "not landed");
+                    let what = format!("{blocks} blocks, gate {gate:?}, prior {prior}");
+                    assert_eq!(idle.idle_lands(&io, Nanos::MAX), Some(lands), "{what}");
+                    assert_eq!(idle.channels.drained_at(), eager.channels.drained_at());
+                    let ((fg, _), (_, background)) =
+                        (eager.stats().channel_busy(), idle.stats().channel_busy());
+                    assert_eq!(background + idle.stats().channel_busy().0, fg, "{what}");
+                    let latency = idle.stats().write_latency();
+                    assert_eq!(latency.count(), prior + 1, "{what}");
+                    if prior == 0 {
+                        assert_eq!(latency.max(), lands - at, "{what}");
+                    }
+                    for (block, image) in &iov {
+                        assert_eq!(idle.peek(*block), Some(*image));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A paper device with two one-block writes, the idle write of
+    /// `blocks` (its last a record gated at `gate`) at 1 µs, and a
+    /// foreground write at 40 µs; or the same with the eager landing step.
+    fn idle_or_eager_run(blocks: u64, gate: Nanos, idle: bool) -> Disk {
+        let mut disk = written(2);
+        let data = images(blocks, 9);
+        let iov = iov_of(&data);
+        let at = Nanos::from_us(1);
+        if idle {
+            let _pending = disk.submit_idle_writev(at, &iov, gate).unwrap();
+        } else {
+            land_eager(&mut disk, at, &iov, gate);
+        }
+        disk
+    }
+
+    #[test]
+    fn at_every_crash_instant_an_idle_write_is_as_durable_as_the_eager_one() {
+        for (blocks, gate) in [
+            (1, Nanos::ZERO),
+            (20, Nanos::ZERO),
+            (40, Nanos::from_us(900)),
+        ] {
+            let eager = idle_or_eager_run(blocks, gate, false);
+            let mut instants: BTreeSet<Nanos> = BTreeSet::new();
+            for &done in eager.write_completions() {
+                instants.extend([done - Nanos::from_ns(1), done, done + Nanos::from_ns(1)]);
+            }
+            instants.extend([Nanos::ZERO, Nanos::MAX]);
+            let idle_points = crash_at_every_io(
+                || idle_or_eager_run(blocks, gate, true),
+                |_, at| {
+                    instants.insert(at);
+                },
+            );
+            assert!(idle_points > 2, "{idle_points}");
+            for &at in &instants {
+                let mut eager = idle_or_eager_run(blocks, gate, false);
+                let mut idle = idle_or_eager_run(blocks, gate, true);
+                eager.crash(at);
+                idle.crash(at);
+                assert_eq!(
+                    idle.blocks, eager.blocks,
+                    "{blocks} blocks, crash at {at:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_write_waits_for_the_idle_write_segment_in_service_not_the_whole_write() {
+        let cfg = DiskConfig::paper();
+        let segment = cfg.segment_latency(cfg.stripe_bytes);
+        let one_io = cfg.segment_latency(BLOCK_SIZE);
+        let data = images(65, 3);
+        let mut disk = Disk::new(cfg.clone());
+        let io = disk
+            .submit_idle_writev(Nanos::ZERO, &iov_of(&data), Nanos::ZERO)
+            .unwrap();
+        let write = disk
+            .write_block_at(Nanos::from_us(1), 99, &block_of(9))
+            .unwrap();
+        assert_eq!(write.completes(), segment + one_io);
+        assert_eq!(
+            disk.idle.len(),
+            7,
+            "two of eight extent segments in service"
+        );
+        let lands = disk.idle_lands(&io, Nanos::MAX).unwrap();
+        assert!(lands > write.completes());
+        // Two segments pay the setup, six stream on, and the one after
+        // the write pays it again; then the record.
+        let (fg, idle) = disk.stats().channel_busy();
+        assert_eq!(fg, one_io);
+        let streamed = segment - cfg.setup;
+        assert_eq!(idle, segment * 2 + streamed * 6 + cfg.setup + one_io);
+    }
+
+    #[test]
+    fn a_crash_drops_the_unplaced_segments_and_rolls_back_a_placed_one_in_service() {
+        let cfg = DiskConfig::paper();
+        let segment = cfg.segment_latency(cfg.stripe_bytes);
+        let data = images(33, 4);
+        let idle = |gate| {
+            let mut disk = Disk::new(cfg.clone());
+            let _pending = disk
+                .submit_idle_writev(Nanos::ZERO, &iov_of(&data), gate)
+                .unwrap();
+            disk
+        };
+        let durable = |disk: &Disk| (100..133).filter(|b| disk.peek(*b).is_some()).count();
+        // Crashed while the first two segments are in service: they
+        // were placed, but complete after the crash.
+        let mut disk = idle(Nanos::ZERO);
+        disk.crash(segment - Nanos::from_ns(1));
+        assert_eq!(durable(&disk), 0);
+        assert!(disk.idle.is_empty() && disk.idle_ios.is_empty() && disk.placed.is_empty());
+        // Just after they complete: the next two were placed at
+        // `segment` and are in service; the record was never placed.
+        let mut disk = idle(Nanos::ZERO);
+        disk.crash(segment + Nanos::from_ns(1));
+        assert_eq!(durable(&disk), 16);
+        // Long after: all of it, but a record gated past the crash
+        // never started.
+        let mut disk = idle(Nanos::from_secs(1));
+        disk.crash(Nanos::from_ms(10));
+        assert_eq!(durable(&disk), 32, "the extent, not the record");
+        assert_eq!(disk.write_completions().len(), 4, "one boundary a segment");
+        // The device is quiet after the crash.
+        let at = Nanos::from_ms(10);
+        let done = disk.write_block_at(at, 7, &block_of(1)).unwrap();
+        assert_eq!(done.completes(), at + cfg.segment_latency(BLOCK_SIZE));
+    }
+
+    #[test]
+    fn idle_and_eager_writes_consume_the_same_fault_sequence() {
+        let data = images(20, 5);
+        let iov = iov_of(&data);
+        let flip = Fault::BitFlip {
+            entry: 13,
+            byte: 77,
+            bit: 2,
+        };
+        for fault in [
+            Fault::Drop { transient: true },
+            Fault::Torn { prefix_blocks: 11 },
+            Fault::Torn { prefix_blocks: 19 },
+            flip.clone(),
+        ] {
+            let mut eager = written(0);
+            let mut idle = written(0);
+            for disk in [&mut eager, &mut idle] {
+                disk.set_fault_plan(FaultPlan::new().at(1, fault.clone()).at(2, flip.clone()));
+            }
+            for _ in 0..3 {
+                let want = eager.writev_at(Nanos::ZERO, &iov);
+                let got = idle.submit_idle_writev(Nanos::ZERO, &iov, Nanos::ZERO);
+                assert_eq!(got.as_ref().err(), want.as_ref().err(), "{fault:?}");
+                if let Ok(io) = got {
+                    idle.idle_lands(&io, Nanos::MAX).unwrap();
+                }
+                assert_eq!(idle.io_seq(), eager.io_seq());
+                assert_eq!(idle.blocks, eager.blocks, "{fault:?}: the live image");
+            }
+            let injected = |disk: &Disk| disk.fault_injector().unwrap().injected().to_vec();
+            assert_eq!(injected(&idle), injected(&eager));
+            eager.crash(Nanos::MAX - Nanos::from_ns(1));
+            idle.crash(Nanos::MAX - Nanos::from_ns(1));
+            assert_eq!(idle.blocks, eager.blocks, "{fault:?}: the durable image");
+        }
+        // A latency spike lengthens every segment alike.
+        let spike = Fault::LatencySpike {
+            extra: Nanos::from_us(300),
+        };
+        let mut eager = written(0);
+        let mut idle = written(0);
+        eager.set_fault_plan(FaultPlan::new().at(0, spike.clone()));
+        idle.set_fault_plan(FaultPlan::new().at(0, spike));
+        let done = eager.write_block_at(Nanos::ZERO, 1, &block_of(1)).unwrap();
+        let io = idle
+            .submit_idle_writev(Nanos::ZERO, &[(1, &block_of(1)[..])], Nanos::ZERO)
+            .unwrap();
+        assert_eq!(idle.idle_lands(&io, Nanos::MAX), Some(done.completes()));
+    }
+
+    #[test]
+    fn a_record_segment_is_never_durable_before_its_extent_or_its_gate() {
+        // Behind the extent alone (a one-segment extent on an idle
+        // device: the record would otherwise finish first), and behind a
+        // gate past it.
+        let gated = Nanos::from_us(700);
+        for (blocks, prior, gate) in [(9, 0, Nanos::ZERO), (40, 5, Nanos::ZERO), (40, 0, gated)] {
+            let data = images(blocks, 6);
+            let record = data.last().unwrap().0;
+            let run = || {
+                let mut disk = written(prior);
+                let _pending = disk
+                    .submit_idle_writev(Nanos::ZERO, &iov_of(&data), gate)
+                    .unwrap();
+                disk.write_block_at(Nanos::from_us(50), 999, &block_of(1))
+                    .unwrap();
+                disk
+            };
+            let (mut with_record, mut points) = (0, 0);
+            crash_at_every_io(run, |disk, at| {
+                points += 1;
+                if disk.peek(record).is_some() {
+                    with_record += 1;
+                    assert!(at >= gate, "{prior}: the record before its gate, {at:?}");
+                    assert!(data.iter().all(|(b, _)| disk.peek(*b).is_some()));
+                }
+            });
+            assert!(
+                with_record > 0 && with_record < points,
+                "{prior}: {with_record}"
+            );
         }
     }
 

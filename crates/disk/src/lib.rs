@@ -15,9 +15,11 @@
 //!   that makes MemSnap's scatter/gather writes beat QD1 direct IO at
 //!   large sizes, and a bulk read cost far less than a loop of one-block
 //!   reads.
-//! - Reads no acknowledgement waits for (the scrubber's) go to an idle
-//!   class ([`Disk::submit_idle_readv`]): their segments take a channel
-//!   only where no foreground submission wants it.
+//! - IO no acknowledgement waits for — the scrubber's reads, the store's
+//!   compaction roots — goes to an idle class ([`Disk::submit_idle_readv`],
+//!   [`Disk::submit_idle_writev`]): its segments take a channel only
+//!   where no foreground submission wants it, and an idle write segment
+//!   is durable only once placed.
 //! - Writes become durable at their *completion instant*; [`Disk::crash`]
 //!   rolls back every write that had not completed, which is the failure
 //!   model the paper's COW object store defends against.
@@ -47,7 +49,7 @@ mod fault;
 mod model;
 mod stats;
 
-pub use device::{crash_at_every_io, Disk, IdleRead, WriteToken};
+pub use device::{crash_at_every_io, Disk, IdleIo, WriteToken};
 pub use fault::{
     Fault, FaultInjector, FaultPlan, FaultProfile, InjectedFault, IoError, ReadFault, ReadFaultPlan,
 };

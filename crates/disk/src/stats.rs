@@ -23,6 +23,10 @@ pub struct IoStats {
     max_depth: u64,
     merged_submissions: u64,
     merged_parts: u64,
+    idle_bytes_read: u64,
+    idle_bytes_written: u64,
+    /// Channel-busy time, foreground and idle class.
+    busy: [Nanos; 2],
 }
 
 impl IoStats {
@@ -31,22 +35,34 @@ impl IoStats {
         Self::default()
     }
 
-    pub(crate) fn record_write(&mut self, bytes: usize, latency: Nanos) {
+    /// One write submission of `bytes`.
+    pub(crate) fn record_write(&mut self, bytes: usize, idle: bool) {
         self.writes += 1;
         self.bytes_written += bytes as u64;
+        self.idle_bytes_written += if idle { bytes as u64 } else { 0 };
+    }
+
+    /// A write submission landed `latency` after it was submitted.
+    pub(crate) fn record_write_latency(&mut self, latency: Nanos) {
         self.write_latency.record(latency);
     }
 
     /// One read submission of `bytes` (whole blocks).
-    pub(crate) fn record_read(&mut self, bytes: usize) {
+    pub(crate) fn record_read(&mut self, bytes: usize, idle: bool) {
         self.reads += (bytes / BLOCK_SIZE) as u64;
         self.read_submissions += 1;
         self.bytes_read += bytes as u64;
+        self.idle_bytes_read += if idle { bytes as u64 } else { 0 };
     }
 
     /// A read submission landed `latency` after it was submitted.
     pub(crate) fn record_read_latency(&mut self, latency: Nanos) {
         self.read_latency.record(latency);
+    }
+
+    /// One segment held a channel for `hold`.
+    pub(crate) fn record_busy(&mut self, hold: Nanos, idle: bool) {
+        self.busy[usize::from(idle)] += hold;
     }
 
     pub(crate) fn record_depth(&mut self, depth: u64) {
@@ -90,7 +106,19 @@ impl IoStats {
         self.bytes_written
     }
 
-    /// End-to-end latency distribution of write IOs.
+    /// Of [`IoStats::bytes_read`] and [`IoStats::bytes_written`], those
+    /// of the idle class: the maintenance IO no acknowledgement waits for.
+    pub fn idle_bytes(&self) -> (u64, u64) {
+        (self.idle_bytes_read, self.idle_bytes_written)
+    }
+
+    /// Channel-busy time summed over the channels: foreground, idle class.
+    pub fn channel_busy(&self) -> (Nanos, Nanos) {
+        (self.busy[0], self.busy[1])
+    }
+
+    /// End-to-end latency distribution of write submissions, one sample
+    /// each, recorded once an idle-class write's last segment is placed.
     pub fn write_latency(&self) -> &LatencyStats {
         &self.write_latency
     }
@@ -157,14 +185,17 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut s = IoStats::new();
-        s.record_write(4096, Nanos::from_us(17));
-        s.record_write(8192, Nanos::from_us(18));
-        s.record_read(4096);
+        s.record_write(4096, false);
+        s.record_write_latency(Nanos::from_us(17));
+        s.record_write(8192, true);
+        s.record_write_latency(Nanos::from_us(18));
+        s.record_read(4096, false);
         s.record_read_latency(Nanos::from_us(17));
         assert_eq!(s.writes(), 2);
         assert_eq!(s.reads(), 1);
-        s.record_read(4 * 4096);
+        s.record_read(4 * 4096, true);
         s.record_read_latency(Nanos::from_us(23));
+        assert_eq!(s.idle_bytes(), (4 * 4096, 8192), "idle bytes apart");
         assert_eq!(s.reads(), 5, "reads count blocks");
         assert_eq!(s.read_submissions(), 2);
         assert_eq!(s.read_latency().count(), 2, "one sample per submission");
@@ -190,7 +221,7 @@ mod tests {
     #[test]
     fn throughput_derivations() {
         let mut s = IoStats::new();
-        s.record_write(1024 * 1024, Nanos::from_us(250));
+        s.record_write(1024 * 1024, false);
         let mib = s.write_mib_per_sec(Nanos::from_secs(2));
         assert!((mib - 0.5).abs() < 1e-9);
         assert!((s.iops(Nanos::from_secs(2)) - 0.5).abs() < 1e-9);

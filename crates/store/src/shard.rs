@@ -410,7 +410,7 @@ impl ObjectStore {
             .unwrap_or(Nanos::ZERO)
             .max(vt.now());
         let iov = [(VectorCut::slot(cut.seq), &cut.to_block()[..])];
-        let token = retry_transient(disk, at, &iov).map_err(StoreError::Io)?;
+        let token = retry_transient(|| disk.writev_at(at, &iov)).map_err(StoreError::Io)?;
         Disk::wait(vt, token);
         self.last_cut = Some(cut.clone());
         Ok(cut)

@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
-use msnap_disk::{Disk, IdleRead, IoError, WriteToken, BLOCK_SIZE};
+use msnap_disk::{Disk, IdleIo, IoError, WriteToken, BLOCK_SIZE};
 use msnap_sim::{Category, Nanos, Vt};
 
 use crate::layout::{
@@ -169,17 +169,15 @@ impl From<TreeError> for StoreError {
 /// retried at most this many times in total before the commit aborts.
 pub const MAX_IO_ATTEMPTS: u32 = 3;
 
-/// Submits `iov`, retrying transient failures up to [`MAX_IO_ATTEMPTS`]
+/// Runs `submit`, retrying transient failures up to [`MAX_IO_ATTEMPTS`]
 /// total attempts. Each retry is a fresh submission (a new fault-plan
 /// index), which is what makes transient faults survivable.
-pub(crate) fn retry_transient(
-    disk: &mut Disk,
-    at: Nanos,
-    iov: &[(u64, &[u8])],
-) -> Result<WriteToken, IoError> {
+pub(crate) fn retry_transient<T>(
+    mut submit: impl FnMut() -> Result<T, IoError>,
+) -> Result<T, IoError> {
     let mut attempts = 1;
     loop {
-        match disk.writev_at(at, iov) {
+        match submit() {
             Err(e) if e.is_transient() && attempts < MAX_IO_ATTEMPTS => attempts += 1,
             other => return other,
         }
@@ -196,7 +194,7 @@ fn writev_retry(
     iov: &[(u64, &[u8])],
     cache: &mut BlockCache,
 ) -> Result<WriteToken, IoError> {
-    let token = retry_transient(disk, at, iov)?;
+    let token = retry_transient(|| disk.writev_at(at, iov))?;
     for (block, _) in iov {
         cache.invalidate(*block);
     }
@@ -424,8 +422,13 @@ struct ObjectState {
     /// hold — as `(epoch, durability instant)`. R1′: the record of epoch
     /// `x` reuses the ring slot of `x − DELTA_SLOTS`, which recovery
     /// needs until a root at or above that epoch is durable, so it is not
-    /// *submitted* before [`ObjectState::covered_at`] that epoch.
+    /// *submitted* before [`StoreShard::covered_at`] that epoch. The
+    /// newest root's instant is [`Nanos::MAX`] while `landing` holds it.
     roots: [(Epoch, Nanos); 2],
+    /// The newest root while it is an idle-class write the device has
+    /// not placed whole (a compaction root): its handle, and the blocks
+    /// it frees once durable. [`StoreShard::root_lands`] settles it.
+    landing: Option<(IdleIo, Vec<u64>)>,
     /// Pages whose newest content lives only in line-grain records: page
     /// → (digest, whole patched image). Read before the tree, dropped
     /// per page by a later page-grain commit of it, written out and
@@ -457,6 +460,7 @@ impl ObjectState {
             journal: BTreeMap::new(),
             chain_completes: Nanos::ZERO,
             roots: [(0, Nanos::ZERO); 2],
+            landing: None,
             overlay: BTreeMap::new(),
             tip: layout::tag_of(0),
             queued: None,
@@ -479,14 +483,6 @@ impl ObjectState {
     /// Epochs above the newest full root, a compaction root included.
     fn window(&self) -> u64 {
         self.epoch - self.roots[1].0
-    }
-
-    /// When a root at or above `epoch` is durable: the earlier of the two
-    /// roots that covers it (the newest if neither does).
-    fn covered_at(&self, epoch: Epoch) -> Nanos {
-        let [previous, newest] = self.roots;
-        let covering = [previous, newest].into_iter().find(|(e, _)| *e >= epoch);
-        covering.unwrap_or(newest).1
     }
 }
 

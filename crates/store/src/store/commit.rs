@@ -119,10 +119,24 @@ pub(super) enum Root {
     Compaction,
 }
 
+/// The epoch above its newest root at which an object's commit places
+/// that root behind its own record if it is still waiting: halfway
+/// through the epochs the previous root covers (R1′, DESIGN.md §6m).
+pub(super) const PLACE_ROOT_AT: u64 = (DELTA_SLOTS - COMPACT_AFTER) / 2;
+
+/// Where a landing step put its writes: in the foreground (the record's
+/// token, and whether the gate held it past the extent), or in the idle
+/// class (the handle its durability keys on).
+enum Landed {
+    Now(WriteToken, bool),
+    Idle(IdleIo),
+}
+
 /// The one landing step of a commit: the data extent, if there is one,
 /// then the one block `record` at the later of the extent's completion
-/// and `gate`. Returns the record's token and whether `gate` held the
-/// record past the extent.
+/// and `gate`. In the foreground both are submitted at once; `idle` (a
+/// compaction root) submits them as one idle-class write, whose record
+/// the device starts after the extent and not before `gate`.
 fn land(
     disk: &mut Disk,
     now: Nanos,
@@ -130,13 +144,24 @@ fn land(
     record: (u64, &[u8]),
     gate: Nanos,
     cache: &mut BlockCache,
-) -> Result<(WriteToken, bool), IoError> {
+    idle: bool,
+) -> Result<Landed, IoError> {
+    if idle {
+        let mut iov = extent.unwrap_or_default().to_vec();
+        iov.push(record);
+        let io = retry_transient(|| disk.submit_idle_writev(now, &iov, gate))?;
+        for (block, _) in &iov {
+            cache.invalidate(*block);
+        }
+        return Ok(Landed::Idle(io));
+    }
     let data_done = match extent {
         Some(iov) => writev_retry(disk, now, iov, cache)?.completes(),
         None => now,
     };
     let at = data_done.max(gate);
-    Ok((writev_retry(disk, at, &[record], cache)?, at > data_done))
+    let token = writev_retry(disk, at, &[record], cache)?;
+    Ok(Landed::Now(token, at > data_done))
 }
 
 /// The leaves a compaction root whose journal would be `journal` writes:
@@ -199,6 +224,8 @@ impl StoreShard {
             Root::Chain(initiate) => initiate,
             Root::Compaction => Nanos::ZERO,
         };
+        // Its record overwrites the slot of the root before the newest.
+        let newest = self.root_lands(disk, object, Nanos::MAX);
         let alloc_snapshot = self.alloc.clone();
         let state = &mut self.objects[object.0 as usize];
         // The tree must be mutated *before* the IO (node images are
@@ -303,11 +330,12 @@ impl StoreShard {
         };
         let slot = state.entry.root_slot(state.full_count + 1);
         let root_block = record.to_block();
-        let covered = state.chain_completes.max(state.roots[1].1);
+        let covered = state.chain_completes.max(newest.expect("forced"));
         let extent = (!iov.is_empty()).then_some(&iov[..]);
         let record = (slot, &root_block[..]);
-        let token = match land(disk, vt.now(), extent, record, covered, &mut self.cache) {
-            Ok((t, _)) => t,
+        let (now, idle) = (vt.now(), kind == Root::Compaction);
+        let written = match land(disk, now, extent, record, covered, &mut self.cache, idle) {
+            Ok(written) => written,
             Err(e) => {
                 state.tree = tree_snapshot;
                 self.alloc = alloc_snapshot;
@@ -348,9 +376,16 @@ impl StoreShard {
         }
         state.journal = journal;
         state.epoch = epoch;
-        // The root landed after everything it covers: it is the chain's
+        // The root lands after everything it covers: it is the chain's
         // durability frontier, though a compaction root does not move it.
-        let landed = token.completes();
+        // An idle one's instant is unknown until the device places it.
+        let landed = match written {
+            Landed::Now(token, _) => token.completes(),
+            Landed::Idle(io) => {
+                state.landing = Some((io, std::mem::take(&mut data_freed)));
+                Nanos::MAX
+            }
+        };
         state.roots = [state.roots[1], (epoch, landed)];
         if kind != Root::Compaction {
             state.tip = layout::tip_tag(&root_block);
@@ -493,14 +528,14 @@ impl StoreShard {
         // every group its batch-ring slot held.
         let mut root_gate = Nanos::ZERO;
         if shared {
-            for (object, epoch) in &self.batch_ring[ring_slot as usize] {
-                root_gate = root_gate.max(self.objects[object.0 as usize].covered_at(*epoch));
+            for (object, epoch) in self.batch_ring[ring_slot as usize].clone() {
+                root_gate = root_gate.max(self.covered_at(disk, object, epoch));
             }
         }
         for (object, pages) in groups {
+            let reused = (self.objects[object.0 as usize].epoch + 1).saturating_sub(DELTA_SLOTS);
+            root_gate = root_gate.max(self.covered_at(disk, *object, reused));
             let state = &self.objects[object.0 as usize];
-            root_gate =
-                root_gate.max(state.covered_at((state.epoch + 1).saturating_sub(DELTA_SLOTS)));
             let len_pages = pages
                 .iter()
                 .map(|p| p.page() + 1)
@@ -567,21 +602,23 @@ impl StoreShard {
             (entry.delta_slot(delta.epoch), delta.to_block())
         };
         // R3: a line record rides its object's queued one if it can.
+        let now = vt.now();
         let absorbed = if inline {
-            self.absorb(disk, vt.now(), &staged[0], &patched)
+            self.absorb(disk, now, &staged[0], &patched)
         } else {
             None
         };
         let landed = match absorbed {
-            Some(token) => Ok((token, false)),
+            Some(token) => Ok(Landed::Now(token, false)),
             None => {
                 let extent = (!inline).then_some(&iov[..]);
                 let record = (record_block, &record[..]);
-                land(disk, vt.now(), extent, record, root_gate, &mut self.cache)
+                land(disk, now, extent, record, root_gate, &mut self.cache, false)
             }
         };
         let (token, held) = match landed {
-            Ok(landed) => landed,
+            Ok(Landed::Now(token, held)) => (token, held),
+            Ok(Landed::Idle(_)) => unreachable!("a record lands in the foreground"),
             Err(e) => {
                 if let Some(snapshot) = alloc_snapshot {
                     self.alloc = snapshot;
@@ -627,17 +664,50 @@ impl StoreShard {
         self.stats.commits += staged.len() as u64;
         self.stats.delta_commits += staged.len() as u64;
         self.stats.pages_written += data_pages as u64;
-        // The commit whose record fills its object's window writes the
-        // compaction root behind that record, once the newest root is
-        // durable: the record never queues behind the root's extent.
+        // Each object asks whether its newest root has landed, and the
+        // commit PLACE_ROOT_AT epochs above it places it behind its own
+        // record. The commit whose record fills its object's window
+        // writes the compaction root behind that record, once the newest
+        // root is durable: the record never queues behind the root.
+        for g in &staged {
+            let due = self.objects[g.object.0 as usize].window() >= PLACE_ROOT_AT;
+            self.root_lands(disk, g.object, if due { Nanos::MAX } else { now });
+        }
         if !shared {
             let object = staged[0].object;
             let state = &self.objects[object.0 as usize];
-            if state.window() >= COMPACT_AFTER && state.roots[1].1 <= vt.now() {
+            if state.window() >= COMPACT_AFTER && state.roots[1].1 <= now {
                 self.compact(vt, disk, object);
             }
         }
         Ok(tokens)
+    }
+
+    /// When `object`'s newest root is durable, or `None` while the device
+    /// would not have placed it by `by` ([`Disk::idle_lands`]). Once
+    /// known, the instant replaces the handle and the blocks the root
+    /// frees queue for it.
+    fn root_lands(&mut self, disk: &mut Disk, object: ObjectId, by: Nanos) -> Option<Nanos> {
+        let state = &mut self.objects[object.0 as usize];
+        if let Some((io, _)) = &state.landing {
+            let landed = disk.idle_lands(io, by)?;
+            let (_, freed) = state.landing.take().expect("checked above");
+            state.roots[1].1 = landed;
+            if !freed.is_empty() {
+                self.pending_free.push(Reverse((landed, freed)));
+            }
+        }
+        Some(state.roots[1].1)
+    }
+
+    /// When a root of `object` at or above `epoch` is durable: the earlier
+    /// of the two that covers it, placing the newest if it is needed.
+    fn covered_at(&mut self, disk: &mut Disk, object: ObjectId, epoch: Epoch) -> Nanos {
+        let previous = self.objects[object.0 as usize].roots[0];
+        if previous.0 >= epoch {
+            return previous.1;
+        }
+        self.root_lands(disk, object, Nanos::MAX).expect("forced")
     }
 
     /// R3 (DESIGN.md §6m): lands the line record `next`, whose pages'

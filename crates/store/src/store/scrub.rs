@@ -60,7 +60,7 @@ pub(super) struct ReadAhead {
     object: ObjectId,
     entries: Vec<(u64, u64, u32)>,
     sums: Vec<u32>,
-    read: IdleRead,
+    read: IdleIo,
 }
 
 impl StoreShard {
@@ -192,7 +192,7 @@ impl StoreShard {
             };
             if entries.is_empty() {
                 // Nothing was read: the handle lands at once.
-                disk.idle_read_lands(read);
+                disk.idle_lands(&read, Nanos::MAX);
                 continue;
             }
             // The images are hashed as they are copied out; the caller
@@ -221,12 +221,15 @@ impl StoreShard {
         disk: &mut Disk,
         ahead: ReadAhead,
     ) -> Result<(), StoreError> {
-        wait_io(vt, disk.idle_read_lands(ahead.read));
+        wait_io(
+            vt,
+            disk.idle_lands(&ahead.read, Nanos::MAX).expect("forced"),
+        );
         for (entry, sum) in ahead.entries.into_iter().zip(ahead.sums) {
             if let Err(e) = self.verify_page(vt, disk, ahead.object, entry, sum) {
                 self.scrub_cursor = (ahead.object.0 as usize, entry.0);
                 if let Some(newer) = self.scrub_ahead.take() {
-                    disk.idle_read_lands(newer.read);
+                    disk.idle_lands(&newer.read, Nanos::MAX);
                 }
                 return Err(e);
             }
@@ -668,7 +671,7 @@ mod tests {
         assert_eq!(digest, layout::digest32(&page_of(0xA5)), "no stale repair");
         let ahead = shard.scrub_ahead.take().expect("a read is in flight");
         assert!(
-            disk.idle_read_lands(ahead.read) > vt.now(),
+            disk.idle_lands(&ahead.read, Nanos::MAX).unwrap() > vt.now(),
             "the read has not landed"
         );
         disk.crash(vt.now());

@@ -6,6 +6,7 @@
 //! on top of the tip its tag names.
 
 use super::*;
+use crate::store::commit::PLACE_ROOT_AT;
 use msnap_disk::{crash_at_every_io, Fault, FaultPlan};
 
 /// One write of a workload: page, dirty-line mask, fill byte. The fill
@@ -615,10 +616,11 @@ fn a_slow_compaction_root(
     for (i, w) in one_line_writes(80).into_iter().enumerate() {
         if i == 59 {
             assert_eq!(shard.objects[0].window(), COMPACT_AFTER - 1);
-            // The commit's record is the next submission, the compaction
-            // root's extent the one after, and its root record the third.
+            // The commit's record is the next submission, and the
+            // compaction root, its extent and root record as one idle
+            // write, the one after.
             let slow = Fault::LatencySpike { extra: spike };
-            disk.set_fault_plan(FaultPlan::new().at(disk.io_seq() + 2, slow));
+            disk.set_fault_plan(FaultPlan::new().at(disk.io_seq() + 1, slow));
         }
         let token = commit(&mut shard, &mut vt, &mut disk, obj, &mut model, w, true);
         ObjectStore::wait(&mut vt, token);
@@ -1496,8 +1498,18 @@ fn wide_pages() -> impl Iterator<Item = u64> {
 /// journal beside the overlay pages the compaction roots write out
 /// (≈ 130 a root), and the journal passes its cap at every second root.
 /// Returns the device, each commit's durability instant with the digest
-/// of every page after it, and the statistics.
-fn drive_wide(threads: u32, commits: u64) -> (Disk, Vec<(Nanos, Vec<u32>)>, StoreStats) {
+/// of every page after it, the statistics, and each compaction root's
+/// submission instant and epoch.
+#[allow(clippy::type_complexity)]
+fn drive_wide(
+    threads: u32,
+    commits: u64,
+) -> (
+    Disk,
+    Vec<(Nanos, Vec<u32>)>,
+    StoreStats,
+    Vec<(Nanos, Epoch)>,
+) {
     let mut disk = Disk::new(DiskConfig::paper());
     let mut shard = format_shard(&mut disk);
     let mut vt = Vt::new(0);
@@ -1505,7 +1517,7 @@ fn drive_wide(threads: u32, commits: u64) -> (Disk, Vec<(Nanos, Vec<u32>)>, Stor
     let mut clocks: Vec<Vt> = (0..threads).map(Vt::new).collect();
     let mut model = BTreeMap::new();
     let mut digests = vec![layout::digest32(&page_of(0)); 300];
-    let mut acked = Vec::new();
+    let (mut acked, mut roots) = (Vec::new(), Vec::new());
     for i in 0..commits {
         let mut writes: Vec<Write> = (0..8)
             .map(|m| {
@@ -1521,22 +1533,26 @@ fn drive_wide(threads: u32, commits: u64) -> (Disk, Vec<(Nanos, Vec<u32>)>, Stor
             .map(|(w, image)| (w.0, &image[..], w.1))
             .collect();
         let clock = clocks.iter_mut().min_by_key(|c| c.now()).unwrap();
+        let (submitted, before) = (clock.now(), shard.stats().compaction_roots);
         let token = shard
             .persist_batch(clock, &mut disk, &[(obj, &pages[..])])
             .unwrap()[0];
+        if shard.stats().compaction_roots > before {
+            roots.push((submitted, shard.epoch(obj)));
+        }
         ObjectStore::wait(clock, token);
         for (w, image) in writes.iter().zip(&images) {
             digests[(w.0 / 97) as usize] = layout::digest32(image);
         }
         acked.push((token.completes, digests.clone()));
     }
-    (disk, acked, shard.stats())
+    (disk, acked, shard.stats(), roots)
 }
 
 #[test]
 fn every_io_boundary_across_a_journal_overflow_recovers_an_acked_prefix() {
     for threads in [1, 4] {
-        let (_, acked, stats) = drive_wide(threads, 90);
+        let (_, acked, stats, roots) = drive_wide(threads, 90);
         assert!(stats.compaction_roots >= 4, "{threads}: {stats:?}");
         assert_eq!(
             (stats.line_commits, stats.delta_commits),
@@ -1544,6 +1560,11 @@ fn every_io_boundary_across_a_journal_overflow_recovers_an_acked_prefix() {
             "{threads}: every commit a record, one in five page-grain"
         );
         assert!(stats.nodes_written > 0, "{threads}: a journal overflowed");
+        // A compaction root is an idle write of ≈ 130 blocks: sixteen
+        // segments and its record, each a boundary the sweep crashes on
+        // once the device places it, so the crash finds the newest root
+        // submitted by then unplaced, partly placed or in service.
+        let (mut in_flight, mut landed) = (0, 0);
         let points = crash_at_every_io(
             || drive_wide(threads, 90).0,
             |mut disk, at| {
@@ -1554,6 +1575,14 @@ fn every_io_boundary_across_a_journal_overflow_recovers_an_acked_prefix() {
                     assert_eq!(durable, 0, "crash at {at:?} lost the object");
                     return;
                 };
+                let adopted = shard.objects[obj.0 as usize].roots[1].0;
+                if let Some(&(_, root)) = roots.iter().rev().find(|(t, _)| *t <= at) {
+                    if adopted < root {
+                        in_flight += 1;
+                    } else {
+                        landed += 1;
+                    }
+                }
                 let epoch = shard.epoch(obj) as usize;
                 assert!(epoch >= durable, "{at:?}: epoch {epoch} < {durable} acked");
                 let mut got = Vec::new();
@@ -1570,6 +1599,200 @@ fn every_io_boundary_across_a_journal_overflow_recovers_an_acked_prefix() {
             },
         );
         assert!(points > 90, "{threads}: {points} crash points");
+        assert!(
+            in_flight >= 16 && landed > 0,
+            "{threads}: {in_flight} / {landed}"
+        );
+    }
+}
+
+/// What [`drive_busy`] saw after one commit of "o".
+struct BusyCommit {
+    token: CommitToken,
+    window: u64,
+    /// The newest root is an idle write the device has not placed whole.
+    landing: bool,
+    /// When that root lands, once known.
+    root_lands: Nanos,
+    submissions: u64,
+}
+
+/// `commits` one-line commits of object "o" over 24 pages, each behind a
+/// 16-block write of another tenant straight to the device, the clock
+/// moving 24 µs a round past the commit. Every submission is made at the clock, and
+/// each round brings more work than the two channels clear in it, so
+/// every channel is wanted before it frees and no idle segment ever
+/// finds a gap (asserted). Checks after every commit of "o" that its
+/// window stays under `DELTA_SLOTS` and that a root covering the ring
+/// slot its record reused was durable before the record. Returns the
+/// device, each commit of "o"'s durability instant with its pages, and
+/// what each commit saw.
+#[allow(clippy::type_complexity)]
+fn drive_busy(commits: u64) -> (Disk, Vec<(Nanos, BTreeMap<u64, Vec<u8>>)>, Vec<BusyCommit>) {
+    let mut disk = Disk::new(DiskConfig::paper());
+    let mut shard = format_shard(&mut disk);
+    let mut vt = Vt::new(0);
+    let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+    let filler = page_of(0xEE);
+    let tenant: Vec<(u64, &[u8])> = (0..16).map(|b| (1 << 40 | b, &filler[..])).collect();
+    let (mut model, mut acked, mut seen) = (BTreeMap::new(), Vec::new(), Vec::new());
+    for i in 0..commits {
+        assert!(
+            i == 0 || disk.idle_at() > vt.now(),
+            "round {i}: a channel is free"
+        );
+        disk.writev_at(vt.now(), &tenant).unwrap();
+        let ios = disk.io_seq();
+        let w = (i % 24, 1 << (i % 64), (i % 251) as u8 + 1);
+        let token = commit(&mut shard, &mut vt, &mut disk, obj, &mut model, w, true);
+        let state = &shard.objects[obj.0 as usize];
+        assert!(state.window() < DELTA_SLOTS, "window {}", state.window());
+        // The ring slot the record sits in: a folded commit's is its
+        // queued record's.
+        let slot = state
+            .queued
+            .as_ref()
+            .map_or(token.epoch, |q| q.first_epoch());
+        let reused = slot.saturating_sub(DELTA_SLOTS);
+        if reused > 0 {
+            let covering = state.roots.into_iter().find(|(e, _)| *e >= reused);
+            let (_, lands) = covering.expect("a root covers the slot");
+            assert!(lands < token.completes, "record {slot} before its root");
+        }
+        seen.push(BusyCommit {
+            token,
+            window: state.window(),
+            landing: state.landing.is_some(),
+            root_lands: state.roots[1].1,
+            submissions: disk.io_seq() - ios,
+        });
+        acked.push((token.completes, model.clone()));
+        vt.advance(Nanos::from_us(24));
+    }
+    (disk, acked, seen)
+}
+
+#[test]
+fn on_a_device_kept_busy_roots_land_only_when_forced() {
+    let (_, acked, seen) = drive_busy(120);
+    let roots = seen.iter().filter(|c| c.window == 0).count();
+    assert!(roots >= 5, "{roots} compaction roots");
+    for c in seen.iter().skip(20) {
+        // No root found a gap: each waited until its sixth commit.
+        assert_eq!(
+            c.landing,
+            c.window < PLACE_ROOT_AT,
+            "epoch {}",
+            c.token.epoch
+        );
+    }
+    let points = crash_at_every_io(
+        || drive_busy(120).0,
+        |disk, at| {
+            let durable = acked.iter().filter(|(done, _)| *done <= at).count();
+            let Some((epoch, got)) = recover(disk, 24) else {
+                assert_eq!(durable, 0, "crash at {at:?} lost the object");
+                return;
+            };
+            let epoch = epoch as usize;
+            assert!(epoch >= durable, "{at:?}: epoch {epoch} < {durable} acked");
+            let mut want: BTreeMap<u64, Vec<u8>> = (0..24).map(|p| (p, page_of(0))).collect();
+            if epoch > 0 {
+                want.extend(acked[epoch - 1].1.clone());
+            }
+            assert_eq!(got, want, "crash at {at:?}, epoch {epoch}");
+        },
+    );
+    assert!(points > 2 * 120, "{points} crash points");
+}
+
+#[test]
+fn an_unplaced_root_is_placed_right_behind_the_record_of_its_sixth_commit() {
+    let (_, _, seen) = drive_busy(60);
+    let mut promoted = 0;
+    for pair in seen.windows(2).filter(|p| p[1].window == PLACE_ROOT_AT) {
+        let [before, sixth] = pair else {
+            unreachable!()
+        };
+        if !before.landing {
+            continue; // the object's first window: no compaction root yet
+        }
+        assert!(!sixth.landing, "epoch {}", sixth.token.epoch);
+        assert!(sixth.submissions <= 1, "placing the root submits nothing");
+        assert!(
+            sixth.root_lands > sixth.token.completes,
+            "behind the record"
+        );
+        promoted += 1;
+    }
+    assert!(promoted >= 2, "{promoted}");
+}
+
+/// Nineteen synchronous line commits of "o" over 19 pages, then the
+/// twentieth issued behind a 48-page commit of "b": the compaction root
+/// it writes (19 overlay pages in three segments, then its record) is
+/// submitted while both channels are busy. Returns the device, the
+/// shard, "o"'s acknowledged commits and the root's submission instant.
+#[allow(clippy::type_complexity)]
+fn a_root_behind_foreground_io() -> (
+    Disk,
+    StoreShard,
+    Vec<(Nanos, BTreeMap<u64, Vec<u8>>)>,
+    Nanos,
+) {
+    let mut disk = Disk::new(DiskConfig::paper());
+    let mut shard = format_shard(&mut disk);
+    let mut vt = Vt::new(0);
+    let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
+    let busy = shard.create(&mut vt, &mut disk, "b").unwrap();
+    let (mut model, mut acked) = (BTreeMap::new(), Vec::new());
+    for i in 0..COMPACT_AFTER {
+        if i == COMPACT_AFTER - 1 {
+            let filler = page_of(0xEE);
+            let filler: Vec<(u64, &[u8])> = (0..48).map(|p| (p, &filler[..])).collect();
+            shard.persist(&mut vt, &mut disk, busy, &filler).unwrap();
+        }
+        let w = (i, 1 << (i % 64), i as u8 + 1);
+        let token = commit(&mut shard, &mut vt, &mut disk, obj, &mut model, w, true);
+        acked.push((token.completes, model.clone()));
+        if i < COMPACT_AFTER - 1 {
+            ObjectStore::wait(&mut vt, token);
+        }
+    }
+    (disk, shard, acked, vt.now())
+}
+
+#[test]
+fn a_crash_recovers_a_prefix_whether_the_root_is_unplaced_partly_placed_or_placed() {
+    let (mut disk, mut shard, acked, submitted) = a_root_behind_foreground_io();
+    assert_eq!(shard.stats().compaction_roots, 1);
+    assert!(
+        disk.idle_at() > submitted,
+        "no channel could start the root"
+    );
+    let before = disk.write_completions().len();
+    let (io, _) = shard.objects[0].landing.take().expect("the root waits");
+    let lands = disk.idle_lands(&io, Nanos::MAX).unwrap();
+    let segments = disk.write_completions()[before..].to_vec();
+    assert_eq!(segments.len(), 4, "three extent segments and the record");
+    assert_eq!(segments.last(), Some(&lands));
+    for (at, state, root) in [
+        (submitted, "unplaced", 0),
+        (segments[0], "partly placed", 0),
+        (lands - Nanos::from_ns(1), "placed, in service", 0),
+        (lands, "durable", COMPACT_AFTER),
+    ] {
+        let (mut disk, ..) = a_root_behind_foreground_io();
+        disk.crash(at);
+        let durable = acked.iter().filter(|(done, _)| *done <= at).count();
+        let mut vt = Vt::new(3);
+        let mut shard = open_shard(&mut vt, &mut disk).unwrap();
+        let obj = shard.lookup("o").unwrap();
+        assert_eq!(shard.objects[0].roots[1].0, root, "{state}");
+        let epoch = shard.epoch(obj) as usize;
+        assert!(epoch >= durable, "{state}: epoch {epoch} < {durable} acked");
+        let got = read_all(&mut shard, &mut vt, &mut disk, obj, &acked[epoch - 1].1);
+        assert_eq!(got, acked[epoch - 1].1, "{state}");
     }
 }
 
