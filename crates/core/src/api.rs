@@ -1140,7 +1140,7 @@ pub(crate) mod tests {
         // full-root flushes: a compaction root every COMPACT_AFTER = 20
         // epochs, written beside a commit that stays a delta record (so
         // `commits − delta_commits` does not see it), or an inline root
-        // at most every DELTA_SLOTS = 32.
+        // at most every DELTA_SLOTS = 256.
         let before = ms.store().stats();
         for i in 0..68u64 {
             ms.write(&mut vt, space, t, r.addr, &[i as u8; PAGE_SIZE])

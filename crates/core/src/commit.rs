@@ -890,16 +890,23 @@ mod tests {
 
     #[test]
     fn out_of_space_surfaces_as_sticky_store_error() {
-        let cfg = DiskConfig::paper().with_capacity_blocks(160);
+        // The format, the metadata of two objects (the region and the
+        // manifest: two root slots and a delta ring each), and 92 blocks.
+        let capacity = 92 + 2 * (2 + msnap_store::DELTA_SLOTS);
+        let cfg = DiskConfig::paper().with_capacity_blocks(capacity);
         let mut ms = MemSnap::format(Disk::new(cfg));
         let mut vt = Vt::new(0);
         let space = ms.vm_mut().create_space();
         let t = vt.id();
         // Distinct pages every round: recycling cannot help, the block map
-        // must grow until the 160-block device fills up.
-        let r = ms.msnap_open(&mut vt, space, "data", 256).unwrap();
+        // must grow until the device fills up.
+        // More pages than the overlay holds and than a delta window
+        // spans: past the point where a compaction root fails quietly,
+        // a commit must take the full-root path and meet the full device.
+        let pages = 2 * msnap_store::DELTA_SLOTS;
+        let r = ms.msnap_open(&mut vt, space, "data", pages).unwrap();
         let mut hit = None;
-        for i in 0..256u64 {
+        for i in 0..pages {
             ms.write(
                 &mut vt,
                 space,
@@ -916,7 +923,7 @@ mod tests {
                 }
             }
         }
-        let err = hit.expect("a 160-block device must fill up");
+        let err = hit.expect("the device must fill up");
         assert_eq!(err, MsnapError::Store(StoreError::OutOfSpace));
         // Sticky until acknowledged, then the region is still readable:
         // the abort left the previous epoch intact.

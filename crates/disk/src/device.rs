@@ -70,7 +70,8 @@ struct Faults {
 
 /// One rollback record: the pre-image of a block overwritten by a write
 /// that completes at `completes`, or, while `segment` is not 0, when that
-/// idle segment completes once placed.
+/// idle segment completes once placed. The pre-image is stored as the
+/// device stores blocks (see [`stored`]).
 #[derive(Debug)]
 struct UndoEntry {
     completes: Nanos,
@@ -79,9 +80,26 @@ struct UndoEntry {
     prev: Option<Box<[u8]>>,
 }
 
+/// What the device keeps of a block image: `data` (a whole block)
+/// without its trailing zero bytes, which reads pad back
+/// ([`Disk::copy_out`]). A ring slot or record block is mostly zeroes,
+/// so this is what a written block costs the host. The scan reads a
+/// word at a time: the last non-zero word, then its zero high bytes.
+fn stored(data: &[u8]) -> Box<[u8]> {
+    let (words, _) = data.as_chunks::<8>();
+    let end = words
+        .iter()
+        .rposition(|w| u64::from_le_bytes(*w) != 0)
+        .map_or(0, |i| {
+            8 * i + 8 - u64::from_le_bytes(words[i]).leading_zeros() as usize / 8
+        });
+    data[..end].into()
+}
+
 /// A simulated striped NVMe device.
 ///
-/// Contents are real bytes (4 KiB blocks); time is virtual. Writes are
+/// Contents are real bytes (4 KiB blocks, each held without its trailing
+/// zeroes); time is virtual. Writes are
 /// applied to the in-memory image immediately on submission and become
 /// *durable* at their completion instant; [`Disk::crash`] rolls the image
 /// back to exactly the durable prefix. See the crate docs for the latency
@@ -120,9 +138,9 @@ pub struct Disk {
     /// Idle-class segments no channel has taken yet, in submission
     /// order (DESIGN.md §6g). Foreground submissions pass them.
     idle: VecDeque<IdleSegment>,
-    /// Every idle IO not yet waited on, by id: when it was submitted,
-    /// when its segments placed so far complete, and whether it writes.
-    idle_ios: HashMap<u64, (Nanos, Nanos, bool)>,
+    /// Every idle IO not yet waited on, by id: when it was submitted, and
+    /// when its segments placed so far complete.
+    idle_ios: HashMap<u64, (Nanos, Nanos)>,
     /// Completion of each placed idle write segment, by id.
     placed: HashMap<u64, Nanos>,
     /// Next id of an idle IO (its channel tag) or write segment, from 1.
@@ -331,10 +349,14 @@ impl Disk {
     ) {
         for k in range {
             let (block, data) = iov[k];
-            let mut image: Box<[u8]> = data.into();
-            if let Some((_, byte, bit)) = faults.flip.filter(|flip| flip.0 == k) {
-                image[byte] ^= 1 << bit;
-            }
+            let image = match faults.flip.filter(|flip| flip.0 == k) {
+                Some((_, byte, bit)) => {
+                    let mut flipped = data.to_vec();
+                    flipped[byte] ^= 1 << bit;
+                    stored(&flipped)
+                }
+                None => stored(data),
+            };
             let prev = self.blocks.insert(block, image);
             let lost = k >= faults.torn_from;
             self.undo.push(UndoEntry {
@@ -385,7 +407,7 @@ impl Disk {
         if start <= now {
             return None;
         }
-        self.blocks.insert(block, data.into());
+        self.blocks.insert(block, stored(data));
         Some(WriteToken {
             completes,
             bytes: BLOCK_SIZE,
@@ -431,14 +453,13 @@ impl Disk {
         }
     }
 
-    /// Copies `block`'s current contents into `out`; missing
-    /// (never-written) blocks read as zeroes.
+    /// Copies `block`'s current contents into `out`, its trailing zeroes
+    /// padded back; missing (never-written) blocks read as zeroes.
     fn copy_out(&self, block: u64, out: &mut [u8]) {
         assert_eq!(out.len(), BLOCK_SIZE, "reads are whole blocks");
-        match self.blocks.get(&block) {
-            Some(data) => out.copy_from_slice(data),
-            None => out.fill(0),
-        }
+        let data = self.blocks.get(&block).map_or(&[][..], |b| &b[..]);
+        out[..data.len()].copy_from_slice(data);
+        out[data.len()..].fill(0);
     }
 
     /// Schedules one read submission of `blocks` blocks at `now` by the
@@ -473,8 +494,8 @@ impl Disk {
     /// segment of an eager IO costs, plus the setup again unless its
     /// channel just finished the previous segment of the same IO at
     /// `start`. A write segment becomes durable at its completion; the IO
-    /// whose last segment is placed has landed, and its latency is
-    /// recorded.
+    /// whose last segment is placed has landed, and its latency, waits
+    /// for gaps included, is recorded in the idle class's histogram.
     fn place_idle(&mut self, mut go: impl FnMut(u64, Nanos) -> bool) {
         while let Some(seg) = self.idle.front() {
             let lands = self.idle_ios[&seg.io].1;
@@ -498,15 +519,11 @@ impl Disk {
                 self.placed.insert(seg.id, done);
                 self.write_log.push(done);
             }
-            let (submitted, lands, write) = self.idle_ios.get_mut(&seg.io).expect("waiting");
+            let (submitted, lands) = self.idle_ios.get_mut(&seg.io).expect("waiting");
             *lands = (*lands).max(done);
             if self.idle.front().is_none_or(|next| next.io != seg.io) {
-                let latency = lands.saturating_sub(*submitted);
-                if *write {
-                    self.stats.record_write_latency(latency);
-                } else {
-                    self.stats.record_read_latency(latency);
-                }
+                self.stats
+                    .record_idle_latency(lands.saturating_sub(*submitted));
             }
         }
     }
@@ -649,7 +666,7 @@ impl Disk {
         write: Option<(&[(u64, &[u8])], &Faults, Nanos)>,
     ) -> IdleIo {
         let io = self.next_idle;
-        self.idle_ios.insert(io, (now, now, write.is_some()));
+        self.idle_ios.insert(io, (now, now));
         let body = blocks - usize::from(write.is_some() && blocks > 0);
         let record = (blocks > body).then_some((0, 1));
         let mut i = 0;
@@ -693,7 +710,7 @@ impl Disk {
         if self.idle.front().is_some_and(|seg| seg.io <= io.id) {
             return None;
         }
-        let (_, lands, _) = self.idle_ios.remove(&io.id).expect("a crash dropped it");
+        let (_, lands) = self.idle_ios.remove(&io.id).expect("a crash dropped it");
         Some(lands)
     }
 
@@ -817,17 +834,24 @@ impl Disk {
         self.write_log.retain(|&done| done > at);
     }
 
-    /// Direct access to a block's current contents (test/diagnostic aid).
-    pub fn peek(&self, block: u64) -> Option<&[u8]> {
-        self.blocks.get(&block).map(|b| &b[..])
+    /// A copy of a written block's whole current contents, its trailing
+    /// zeroes included; `None` if it was never written (test/diagnostic
+    /// aid).
+    pub fn peek(&self, block: u64) -> Option<Vec<u8>> {
+        self.blocks.contains_key(&block).then(|| {
+            let mut image = vec![0u8; BLOCK_SIZE];
+            self.copy_out(block, &mut image);
+            image
+        })
     }
 
     /// Fault injection: flips one bit of a stored block, bypassing the
     /// timing model and the undo journal — models media corruption for
     /// recovery tests. No-op if the block was never written.
     pub fn corrupt_bit(&mut self, block: u64, byte: usize, bit: u8) {
-        if let Some(data) = self.blocks.get_mut(&block) {
-            data[byte % BLOCK_SIZE] ^= 1 << (bit % 8);
+        if let Some(mut image) = self.peek(block) {
+            image[byte % BLOCK_SIZE] ^= 1 << (bit % 8);
+            self.blocks.insert(block, stored(&image));
         }
     }
 
@@ -1255,7 +1279,7 @@ mod tests {
                 let (lands, bytes) = readv(&mut eager, at, &addrs).unwrap();
                 let (read, idle_bytes) = idle_readv(&mut idle, at, &addrs).unwrap();
                 assert_eq!(idle.stats().reads(), eager.stats().reads());
-                assert_eq!(idle.stats().read_latency().count(), 0, "not landed yet");
+                assert_eq!(idle.stats().idle_latency().count(), 0, "not landed yet");
                 assert_eq!(
                     idle.idle_lands(&read, Nanos::MAX).unwrap(),
                     lands,
@@ -1265,8 +1289,9 @@ mod tests {
                 assert_eq!(idle.channels.drained_at(), eager.channels.drained_at());
                 let (i, e) = (idle.stats(), eager.stats());
                 assert_eq!(i.read_submissions(), e.read_submissions());
-                assert_eq!(i.read_latency().count(), 1);
-                assert_eq!(i.read_latency().max(), e.read_latency().max());
+                assert_eq!(i.read_latency().count(), 0, "foreground reads only");
+                assert_eq!(i.idle_latency().count(), 1);
+                assert_eq!(i.idle_latency().max(), e.read_latency().max());
             }
         }
     }
@@ -1299,7 +1324,7 @@ mod tests {
         assert!(lands > eager_lands, "{lands:?} vs {eager_lands:?}");
         assert!(lands <= eager_lands + one_io + cfg.setup);
         assert!(disk.idle.is_empty());
-        assert_eq!(disk.stats().read_latency().max(), lands);
+        assert_eq!(disk.stats().idle_latency().max(), lands);
     }
 
     #[test]
@@ -1316,9 +1341,10 @@ mod tests {
         let (done, _) = readv(&mut disk, at, &[0]).unwrap();
         let one_io = disk.config().segment_latency(BLOCK_SIZE);
         assert_eq!(done, at + one_io, "nothing of the read is left to wait for");
+        assert_eq!(disk.stats().read_latency().count(), 1, "the eager read");
         assert_eq!(
-            disk.stats().read_latency().count(),
-            1,
+            disk.stats().idle_latency().count(),
+            0,
             "the idle read never landed"
         );
     }
@@ -1393,20 +1419,19 @@ mod tests {
                     assert_eq!(idle.io_seq(), prior + 1, "one submission");
                     assert_eq!(idle.stats().bytes_written(), eager.stats().bytes_written());
                     assert_eq!(idle.stats().idle_bytes(), (0, blocks * BLOCK_SIZE as u64));
-                    assert_eq!(idle.stats().write_latency().count(), prior, "not landed");
+                    assert_eq!(idle.stats().idle_latency().count(), 0, "not landed");
                     let what = format!("{blocks} blocks, gate {gate:?}, prior {prior}");
                     assert_eq!(idle.idle_lands(&io, Nanos::MAX), Some(lands), "{what}");
                     assert_eq!(idle.channels.drained_at(), eager.channels.drained_at());
                     let ((fg, _), (_, background)) =
                         (eager.stats().channel_busy(), idle.stats().channel_busy());
                     assert_eq!(background + idle.stats().channel_busy().0, fg, "{what}");
-                    let latency = idle.stats().write_latency();
-                    assert_eq!(latency.count(), prior + 1, "{what}");
-                    if prior == 0 {
-                        assert_eq!(latency.max(), lands - at, "{what}");
-                    }
+                    assert_eq!(idle.stats().write_latency().count(), prior, "{what}");
+                    let latency = idle.stats().idle_latency();
+                    assert_eq!(latency.count(), 1, "{what}");
+                    assert_eq!(latency.max(), lands - at, "{what}");
                     for (block, image) in &iov {
-                        assert_eq!(idle.peek(*block), Some(*image));
+                        assert_eq!(idle.peek(*block).as_deref(), Some(*image));
                     }
                 }
             }
@@ -1648,6 +1673,114 @@ mod tests {
         disk.try_readv_at(Nanos::ZERO, &mut [(999, &mut out)])
             .unwrap();
         assert!(out.iter().all(|&b| b == 0));
+    }
+
+    /// A record-like image: a short head with a zero gap in it, then
+    /// zeroes to the end of the block.
+    fn zero_tailed(head: u8) -> Vec<u8> {
+        let mut image = vec![0u8; BLOCK_SIZE];
+        image[..37].fill(head);
+        image[41] = head;
+        image
+    }
+
+    fn read_back(disk: &mut Disk, block: u64) -> Vec<u8> {
+        let mut out = vec![0xEE; BLOCK_SIZE];
+        disk.try_readv_at(Nanos::ZERO, &mut [(block, &mut out)])
+            .unwrap();
+        out
+    }
+
+    #[test]
+    fn a_zero_tailed_block_round_trips_through_every_write_and_fault() {
+        let (a, b, c) = (zero_tailed(1), zero_tailed(2), zero_tailed(3));
+        let zeroes = block_of(0);
+        // amend_at over a queued one-block write.
+        let (mut disk, queued) = one_write_queued();
+        assert_eq!(disk.amend_at(Nanos::ZERO, 7, &c), Some(queued));
+        assert_eq!(disk.peek(7), Some(c.clone()));
+        // writev_at, with an all-zero block beside it.
+        let at = Nanos::from_us(500);
+        let first = disk
+            .writev_at(at, &[(1, &a[..]), (2, &zeroes[..])])
+            .unwrap();
+        assert_eq!(disk.peek(1), Some(a.clone()));
+        assert_eq!(read_back(&mut disk, 1), a);
+        assert_eq!(disk.peek(2), Some(zeroes.clone()), "written, all zero");
+        assert_eq!(disk.blocks[&1].len(), 42, "the zero tail is not kept");
+        assert!(disk.blocks[&2].is_empty());
+        // An idle write, its record included.
+        let io = disk
+            .submit_idle_writev(at, &[(3, &b[..]), (4, &c[..])], Nanos::ZERO)
+            .unwrap();
+        let landed = disk.idle_lands(&io, Nanos::MAX).unwrap();
+        assert_eq!(
+            (disk.peek(3), disk.peek(4)),
+            (Some(b.clone()), Some(c.clone()))
+        );
+        // Crash rollback restores the zero-tailed pre-image.
+        let over = disk.write_block_at(landed, 1, &b).unwrap();
+        assert_eq!(read_back(&mut disk, 1), b);
+        disk.crash(over.completes() - Nanos::from_ns(1));
+        assert!(first.completes() < over.completes());
+        assert_eq!(disk.peek(1), Some(a.clone()), "the pre-image");
+        assert_eq!(read_back(&mut disk, 1), a);
+        assert_eq!(disk.peek(7), Some(c.clone()), "durable before the crash");
+        // A bit flip inside the trimmed tail is on the media, and a
+        // second flip of the same bit restores the block exactly.
+        disk.corrupt_bit(1, 4_000, 2);
+        let mut rotted = a.clone();
+        rotted[4_000] ^= 1 << 2;
+        assert_eq!(disk.peek(1), Some(rotted.clone()));
+        assert_eq!(read_back(&mut disk, 1), rotted);
+        disk.corrupt_bit(1, 4_000, 2);
+        assert_eq!(disk.peek(1), Some(a.clone()));
+        assert_eq!(disk.blocks[&1].len(), 42);
+        // seeded_rot flips exactly one bit wherever it lands, the tail
+        // included.
+        let mut in_tail = 0;
+        for seed in 0..16 {
+            let mut rot = Disk::new(DiskConfig::paper());
+            rot.write_block_at(Nanos::ZERO, 3, &b).unwrap();
+            assert_eq!(rot.seeded_rot(seed, &[3, 9], 1), vec![3], "9 is unwritten");
+            let got = read_back(&mut rot, 3);
+            let diff: Vec<usize> = (0..BLOCK_SIZE).filter(|&i| got[i] != b[i]).collect();
+            assert_eq!(diff.len(), 1, "seed {seed}");
+            assert_eq!((got[diff[0]] ^ b[diff[0]]).count_ones(), 1, "seed {seed}");
+            assert_eq!(rot.peek(3), Some(got));
+            in_tail += usize::from(diff[0] >= 42);
+        }
+        assert!(in_tail > 0, "no seed rotted a tail byte");
+    }
+
+    #[test]
+    fn an_idle_writes_wait_never_enters_the_write_latency() {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let one_io = disk.config().segment_latency(BLOCK_SIZE);
+        let data = images(4, 7);
+        let io = disk
+            .submit_idle_writev(Nanos::ZERO, &iov_of(&data), Nanos::ZERO)
+            .unwrap();
+        // Foreground writes made at the clock keep both channels busy:
+        // the idle write finds no gap for ten IO times.
+        for round in 0..10u64 {
+            for b in 0..2 {
+                disk.write_block_at(one_io * round, b, &block_of(1))
+                    .unwrap();
+            }
+        }
+        assert_eq!(disk.idle.len(), 2, "nothing placed yet");
+        let lands = disk.idle_lands(&io, Nanos::MAX).unwrap();
+        assert!(lands > one_io * 10, "{lands:?}");
+        let stats = disk.stats();
+        assert_eq!(stats.write_latency().count(), 20);
+        assert_eq!(stats.write_latency().max(), one_io, "commit IO only");
+        assert_eq!(stats.idle_latency().count(), 1);
+        assert_eq!(
+            stats.idle_latency().max(),
+            lands,
+            "the wait is the idle class's"
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub struct IoStats {
     bytes_written: u64,
     write_latency: LatencyStats,
     read_latency: LatencyStats,
+    idle_latency: LatencyStats,
     depth_samples: u64,
     depth_sum: u64,
     max_depth: u64,
@@ -42,7 +43,8 @@ impl IoStats {
         self.idle_bytes_written += if idle { bytes as u64 } else { 0 };
     }
 
-    /// A write submission landed `latency` after it was submitted.
+    /// A foreground write submission landed `latency` after it was
+    /// submitted.
     pub(crate) fn record_write_latency(&mut self, latency: Nanos) {
         self.write_latency.record(latency);
     }
@@ -55,9 +57,16 @@ impl IoStats {
         self.idle_bytes_read += if idle { bytes as u64 } else { 0 };
     }
 
-    /// A read submission landed `latency` after it was submitted.
+    /// A foreground read submission landed `latency` after it was
+    /// submitted.
     pub(crate) fn record_read_latency(&mut self, latency: Nanos) {
         self.read_latency.record(latency);
+    }
+
+    /// An idle-class IO, read or write, landed `latency` after it was
+    /// submitted: its waits for gaps included.
+    pub(crate) fn record_idle_latency(&mut self, latency: Nanos) {
+        self.idle_latency.record(latency);
     }
 
     /// One segment held a channel for `hold`.
@@ -117,17 +126,25 @@ impl IoStats {
         (self.busy[0], self.busy[1])
     }
 
-    /// End-to-end latency distribution of write submissions, one sample
-    /// each, recorded once an idle-class write's last segment is placed.
+    /// End-to-end latency distribution of foreground write submissions,
+    /// one sample each. Idle-class writes are in
+    /// [`IoStats::idle_latency`].
     pub fn write_latency(&self) -> &LatencyStats {
         &self.write_latency
     }
 
-    /// End-to-end latency distribution of read submissions: one sample
-    /// per submission, submit to last block, recorded once an idle-class
-    /// read's last segment is placed.
+    /// End-to-end latency distribution of foreground read submissions:
+    /// one sample per submission, submit to last block. Idle-class reads
+    /// are in [`IoStats::idle_latency`].
     pub fn read_latency(&self) -> &LatencyStats {
         &self.read_latency
+    }
+
+    /// End-to-end latency distribution of idle-class IO, reads and writes:
+    /// one sample per submission, from submission until its last segment
+    /// lands, so it holds the waits for foreground IO to leave a gap.
+    pub fn idle_latency(&self) -> &LatencyStats {
+        &self.idle_latency
     }
 
     /// Mean write-queue occupancy sampled at each submission (the
@@ -202,6 +219,21 @@ mod tests {
         assert_eq!(s.bytes_written(), 12288);
         assert_eq!(s.bytes_read(), 5 * 4096);
         assert_eq!(s.write_latency().count(), 2);
+    }
+
+    #[test]
+    fn idle_latency_is_kept_apart_from_foreground_latency() {
+        let mut s = IoStats::new();
+        s.record_write_latency(Nanos::from_us(17));
+        s.record_read_latency(Nanos::from_us(18));
+        s.record_idle_latency(Nanos::from_us(900));
+        s.record_idle_latency(Nanos::from_us(1_100));
+        assert_eq!(s.write_latency().count(), 1);
+        assert_eq!(s.read_latency().count(), 1);
+        assert_eq!(s.idle_latency().count(), 2);
+        assert_eq!(s.write_latency().max(), Nanos::from_us(17), "no idle wait");
+        assert_eq!(s.read_latency().max(), Nanos::from_us(18), "no idle wait");
+        assert_eq!(s.idle_latency().max(), Nanos::from_us(1_100));
     }
 
     #[test]

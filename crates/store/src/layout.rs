@@ -131,8 +131,11 @@ const BATCH_MAGIC: u64 = 0x4d534e_41504254; // "MSN APBT"
 const SLAB_MAGIC: u64 = 0x4d534e41_50535550; // "MSNA PSUP"
 /// Magic number of the store superblock at block 0. The superblock
 /// carries the shard count and extent-broker granularity; the cut slots
-/// and the per-shard metadata slabs follow it.
-const SUPER_MAGIC: u64 = 0x4d534e41_50535533; // "MSNA PSU3"
+/// and the per-shard metadata slabs follow it. "PSU4" devices have
+/// [`DELTA_SLOTS`] = 256 ring slots per object; a "PSU3" device's
+/// 32-slot rings would be misread, so it does not open (DESIGN.md §6l
+/// keeps one generation).
+const SUPER_MAGIC: u64 = 0x4d534e41_50535534; // "MSNA PSU4"
 /// Magic number of an epoch-vector cut record block.
 const CUT_MAGIC: u64 = 0x4d534e_41504354; // "MSN APCT"
 /// Magic number of a snapshot-catalog block.
@@ -324,24 +327,26 @@ impl VectorCut {
     }
 }
 
-/// Delta-record slots per object: the record of epoch `x` lands in slot
-/// `x mod DELTA_SLOTS`, over the record of `x − DELTA_SLOTS`. It is
-/// submitted only once a durable root covers that epoch (rule R1′,
-/// DESIGN.md §6m), and no record is ever more than `DELTA_SLOTS − 1`
-/// epochs above its object's newest root: a commit that would be takes
-/// the inline full-root path instead.
-pub const DELTA_SLOTS: u64 = 32;
+/// Delta-record slots per object: a record whose first epoch is `x`
+/// lands in slot `x mod DELTA_SLOTS`, over the record of
+/// `x − DELTA_SLOTS`. It is submitted only once a durable root covers
+/// that epoch (rule R1′, DESIGN.md §6m), and no record is ever more than
+/// `DELTA_SLOTS − 1` epochs above its object's newest root: a commit that
+/// would be takes the inline full-root path instead. So a chain above a
+/// durable root at `r` ends by `r + DELTA_SLOTS`, whose record sits in
+/// the slot of `r` itself. The superblock's magic names the ring size.
+pub const DELTA_SLOTS: u64 = 256;
 /// Epochs above its newest root after which an object's next in-place
 /// commit first writes a compaction root: a data-less full root at the
-/// current epoch, which no commit's acknowledgement waits for. The
-/// previous root covers the records up to `DELTA_SLOTS` epochs above
-/// it, so the slack `DELTA_SLOTS − COMPACT_AFTER` (12 epochs) is how
-/// long the compaction root has to land before a record waits on it:
-/// one root is ≈ 24 blocks on `kv-mixgraph` (≈ 18.5 overlay pages,
-/// ≈ 4.2 nodes — the two fullest leaves of a ≈ 249-entry journal and
-/// the interior nodes above them — and the root block; 27 at most), a
-/// few record latencies, while an object commits at most one epoch per
-/// record latency.
+/// current epoch, which no commit's acknowledgement waits for, written
+/// once the newest root has landed. The previous root covers the
+/// records up to `DELTA_SLOTS` epochs above it, so the slack
+/// `DELTA_SLOTS − COMPACT_AFTER` (236 epochs) is how long a compaction
+/// root may wait in the device's idle class for a gap before a record
+/// waits on it; the object's commit `PLACE_ROOT_AT` (118) epochs above
+/// the root places it if no gap did. On a device with gaps roots come
+/// every 20 epochs; on a saturated one as often as they land
+/// (`kv-mixgraph`, seed 5: every 107 epochs, median 110).
 pub const COMPACT_AFTER: u64 = 20;
 /// Blocks reserved per object at creation: two alternating full-root
 /// slots followed by the delta ring.
@@ -1167,9 +1172,9 @@ mod tests {
     fn a_span_past_the_ring_or_below_epoch_zero_is_no_record() {
         let mut rec = inline_record();
         for (epoch, span, valid) in [
-            (40, DELTA_SLOTS - 1, true),
-            (40, DELTA_SLOTS, false),
-            (40, u32::MAX as u64, false),
+            (DELTA_SLOTS + 8, DELTA_SLOTS - 1, true),
+            (DELTA_SLOTS + 8, DELTA_SLOTS, false),
+            (DELTA_SLOTS + 8, u32::MAX as u64, false),
             (5, 5, true),
             (5, 6, false),
         ] {
@@ -1523,6 +1528,37 @@ mod tests {
             extent_blocks: 8,
         };
         assert_eq!(Superblock::from_block(&zero.to_block()), None);
+    }
+
+    #[test]
+    fn a_device_of_the_32_slot_generation_opens_as_a_typed_error() {
+        use crate::{ObjectStore, StoreError};
+        use msnap_disk::{Disk, DiskConfig};
+        use msnap_sim::Vt;
+        // A store with a committed object, whose superblock then carries
+        // the previous generation's magic ("MSNA PSU3", 32-slot rings),
+        // sealed and otherwise valid.
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = ObjectStore::format(&mut disk);
+        let mut vt = Vt::new(0);
+        let obj = store.create(&mut vt, &mut disk, "db").unwrap();
+        let page = vec![7u8; BLOCK_SIZE];
+        let t = store
+            .persist(&mut vt, &mut disk, obj, &[(0, &page)])
+            .unwrap();
+        ObjectStore::wait(&mut vt, t);
+        let sb = Superblock::from_block(&disk.peek(0).unwrap()).expect("formatted");
+        let psu3 = seal(0x4d534e41_50535533, |out| {
+            put_words(out, &[sb.shard_count, sb.extent_blocks])
+        });
+        assert_eq!(psu3[16..], sb.to_block()[16..], "the fields are the same");
+        disk.write_block(&mut vt, 0, &psu3).unwrap();
+        assert_eq!(Superblock::from_block(&psu3), None);
+        // Its rings would be read with the wrong stride: it does not open.
+        assert_eq!(
+            ObjectStore::open(&mut vt, &mut disk).err(),
+            Some(StoreError::NotFormatted)
+        );
     }
 
     #[test]

@@ -1102,7 +1102,10 @@ mod tests {
         let pages = [page_of(1), page_of(2), page_of(3)];
         let mut costs = std::collections::BTreeSet::new();
         let (mut straddles, mut compactions) = (0, 0);
-        for round in 0..400u64 {
+        // Long enough to cross several extents past the first grant,
+        // which the object's 258-block metadata range doubles.
+        let rounds = 600u64;
+        for round in 0..rounds {
             let iov: Vec<(u64, &[u8])> = pages
                 .iter()
                 .enumerate()
@@ -1128,7 +1131,7 @@ mod tests {
             ));
         }
         assert!(straddles >= 3, "the run must cross extent boundaries");
-        assert!(compactions >= 400 / 21, "{compactions} compaction roots");
+        assert!(compactions >= rounds / 21, "{compactions} compaction roots");
         assert_eq!(
             costs.len(),
             1,
@@ -1389,7 +1392,7 @@ mod tests {
         // wedge or leak epochs.
         let mut cfg = DiskConfig::paper();
         let floor = ShardLayout::sharded(0, 2).data_floor;
-        cfg.capacity_blocks = Some(floor + 96);
+        cfg.capacity_blocks = Some(floor + crate::layout::OBJECT_META_BLOCKS + 62);
         let mut disk = Disk::new(cfg);
         let mut store = ObjectStore::format_sharded(&mut disk, 2);
         let mut vt = Vt::new(0);

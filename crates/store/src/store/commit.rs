@@ -121,7 +121,8 @@ pub(super) enum Root {
 
 /// The epoch above its newest root at which an object's commit places
 /// that root behind its own record if it is still waiting: halfway
-/// through the epochs the previous root covers (R1′, DESIGN.md §6m).
+/// through the slack the previous root leaves it (R1′, DESIGN.md §6m),
+/// 118 epochs.
 pub(super) const PLACE_ROOT_AT: u64 = (DELTA_SLOTS - COMPACT_AFTER) / 2;
 
 /// Where a landing step put its writes: in the foreground (the record's
@@ -968,7 +969,8 @@ mod tests {
     #[test]
     fn persist_out_of_space_aborts_cleanly() {
         let floor = ShardLayout::sharded(0, 1).data_floor;
-        let mut disk = Disk::new(DiskConfig::fast().with_capacity_blocks(floor + 40));
+        let capacity = floor + OBJECT_META_BLOCKS + 6;
+        let mut disk = Disk::new(DiskConfig::fast().with_capacity_blocks(capacity));
         let mut store = format_shard(&mut disk);
         let mut vt = Vt::new(0);
         let obj = store.create(&mut vt, &mut disk, "db").unwrap();

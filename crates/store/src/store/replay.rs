@@ -29,28 +29,64 @@ fn newest_root(vt: &mut Vt, root_slots: &[u8], object: ObjectId) -> Option<(Root
 /// A candidate record, with the tag a record extending it carries.
 type Tagged = (DeltaRecord, u32);
 
-/// The candidate records of `object` above epoch `above`, in order of
-/// their first epoch: the valid records of its delta ring, then its
-/// `groups` from the batch ring (a batched commit is a delta whose record
-/// happens to be shared with other objects). Candidates of one first
-/// epoch keep that order.
+/// Ring slots open reads in one submission while it walks an object's
+/// chain.
+const RING_CHUNK: u64 = 32;
+
+/// The candidate records of `entry`'s object above its root at epoch
+/// `above`, whose block's tag is `tip`, in order of their first epoch:
+/// the valid records of its delta ring, then its `groups` from the batch
+/// ring (a batched commit is a delta whose record happens to be shared
+/// with other objects). Candidates of one first epoch keep that order.
+///
+/// A record lives in the ring slot of its first epoch, and no first
+/// epoch above the root is past `above + DELTA_SLOTS` (R1′, DESIGN.md
+/// §6m): that record reuses the slot of the root's own epoch. So the
+/// ring is read in epoch order from `above + 1`, [`RING_CHUNK`] slots a
+/// read, until no chain of candidates reaches a tip whose next slot is
+/// unread ([`reach`]): a record past the read slots could never land.
 fn record_suffix(
     vt: &mut Vt,
-    delta_slots: &[u8],
+    disk: &mut Disk,
+    entry: &DirEntry,
     groups: Vec<Tagged>,
-    object: ObjectId,
-    above: Epoch,
-) -> Vec<Tagged> {
-    let mut records = Vec::new();
-    for block in delta_slots.chunks(BLOCK_SIZE) {
-        vt.charge(Category::FileSystem, costs::ROOT_PARSE);
-        let tip = layout::tip_tag(block);
-        records.extend(DeltaRecord::from_block(block, object).map(|r| (r, tip)));
+    (above, tip): (Epoch, u32),
+) -> Result<Vec<Tagged>, IoError> {
+    let last = above + DELTA_SLOTS;
+    let mut records: Vec<Tagged> = Vec::new();
+    let mut read = above;
+    while read < last && reach((above, tip), records.iter().chain(&groups)) >= read {
+        let upto = (read + RING_CHUNK).min(last);
+        let slots = readv_blocks(vt, disk, (read + 1..=upto).map(|e| entry.delta_slot(e)))?;
+        for block in slots.chunks(BLOCK_SIZE) {
+            vt.charge(Category::FileSystem, costs::ROOT_PARSE);
+            let tip = layout::tip_tag(block);
+            records.extend(DeltaRecord::from_block(block, entry.id).map(|r| (r, tip)));
+        }
+        read = upto;
     }
     records.extend(groups);
     records.retain(|(r, _)| r.epoch > above);
     records.sort_by_key(|(r, _)| r.first_epoch());
-    records
+    Ok(records)
+}
+
+/// The highest tip a chain of `candidates` reaches from the root at
+/// epoch `above` whose tag is `tip`, each link a candidate that starts
+/// right above the tip and carries its tag. Data and digests are not
+/// checked, so replay lands no record past it.
+fn reach<'a>((above, tip): (Epoch, u32), candidates: impl Iterator<Item = &'a Tagged>) -> Epoch {
+    let mut sorted: Vec<&Tagged> = candidates.collect();
+    sorted.sort_by_key(|(r, _)| r.first_epoch());
+    let mut tips = HashSet::from([(above, tip)]);
+    let mut highest = above;
+    for (r, own) in sorted {
+        if r.first_epoch() > above && tips.contains(&(r.first_epoch() - 1, r.tag)) {
+            tips.insert((r.epoch, *own));
+            highest = highest.max(r.epoch);
+        }
+    }
+    highest
 }
 
 /// The base blocks [`StoreShard::prefetch_bases`] read for one object's
@@ -227,19 +263,15 @@ impl StoreShard {
         entry: DirEntry,
         groups: Vec<Tagged>,
     ) -> Result<u64, StoreError> {
-        // The object's metadata — two root slots, then the delta ring —
-        // is one contiguous range: one vectored read.
+        // The two root slots, then the delta ring above the newest root
+        // as far as its chain can reach.
         let meta_end = entry.meta_base + OBJECT_META_BLOCKS;
-        let meta = readv_blocks(vt, disk, entry.meta_base..meta_end)?;
-        let (root_slots, delta_slots) = meta.split_at(2 * BLOCK_SIZE);
-        let root = newest_root(vt, root_slots, entry.id);
-        let records = record_suffix(
-            vt,
-            delta_slots,
-            groups,
-            entry.id,
-            root.as_ref().map_or(0, |(r, _)| r.epoch),
-        );
+        let root_slots = readv_blocks(vt, disk, entry.meta_base..entry.meta_base + 2)?;
+        let root = newest_root(vt, &root_slots, entry.id);
+        let base = root
+            .as_ref()
+            .map_or((0, layout::tag_of(0)), |(r, tip)| (r.epoch, *tip));
+        let records = record_suffix(vt, disk, &entry, groups, base)?;
         // The newest durable root's `high_water` is the allocator frontier
         // as of that commit; the frontier is monotone, so it covers every
         // data and node block any earlier commit of any object allocated
@@ -644,8 +676,9 @@ mod tests {
         // crash and corrupt nothing: every intermediate delta record must
         // still verify, i.e. its superseded data block was not recycled.
         let mut last = Nanos::ZERO;
-        for i in 1..DELTA_SLOTS as u8 {
-            let p = page_of(i);
+        let byte = |i: u64| (i % 255) as u8 + 1;
+        for i in 1..DELTA_SLOTS {
+            let p = page_of(byte(i));
             let t = store.persist(&mut vt, &mut disk, obj, &[(0, &p)]).unwrap();
             ObjectStore::wait(&mut vt, t);
             last = t.completes;
@@ -659,7 +692,89 @@ mod tests {
         store2
             .read_page(&mut vt2, &mut disk, obj2, 0, &mut out)
             .unwrap();
-        assert_eq!(out, page_of((DELTA_SLOTS - 1) as u8));
+        assert_eq!(out, page_of(byte(DELTA_SLOTS - 1)));
+    }
+
+    /// `n` one-line commits, each to a fresh page, on a four-channel
+    /// pool, the compaction root at `COMPACT_AFTER` held on the device
+    /// far past the last of them: until it lands the chain above epoch 0
+    /// is `n` records long. Returns the device, crashed right after the
+    /// last commit, and each page's image.
+    fn chain_above_a_held_root(n: u64) -> (Disk, Vec<Vec<u8>>) {
+        use msnap_disk::{Fault, FaultPlan};
+        let mut disk = Disk::new(DiskConfig {
+            channels: 4,
+            ..DiskConfig::paper()
+        });
+        let mut store = crate::store::tests::format_shard(&mut disk);
+        let mut vt = Vt::new(0);
+        let obj = store.create(&mut vt, &mut disk, "db").unwrap();
+        let mut images = Vec::new();
+        let mut last = Nanos::ZERO;
+        for i in 0..n {
+            if i + 1 == COMPACT_AFTER {
+                // The record, then the root as one idle write.
+                let slow = Fault::LatencySpike {
+                    extra: Nanos::from_ms(50),
+                };
+                disk.set_fault_plan(FaultPlan::new().at(disk.io_seq() + 1, slow));
+            }
+            let mut image = page_of(0);
+            image[..64].fill((i % 255) as u8 + 1);
+            let page = [(i, &image[..], 1u64)];
+            let t = store
+                .persist_batch(&mut vt, &mut disk, &[(obj, &page[..])])
+                .unwrap()[0];
+            ObjectStore::wait(&mut vt, t);
+            last = t.completes;
+            images.push(image);
+        }
+        assert_eq!(store.stats().line_commits, n, "every commit one record");
+        let held = store.objects[0].roots[1].1 > last;
+        assert!(n < COMPACT_AFTER || held, "the root is held");
+        disk.crash(last);
+        (disk, images)
+    }
+
+    #[test]
+    fn a_chain_through_every_ring_slot_above_its_root_recovers_whole() {
+        // Epochs 1 ..= DELTA_SLOTS fill the ring: the last reuses the slot
+        // of the root's own epoch, 0, and still extends the chain.
+        let (mut disk, images) = chain_above_a_held_root(DELTA_SLOTS);
+        let mut vt = Vt::new(1);
+        let mut store = open_shard(&mut vt, &mut disk).unwrap();
+        let obj = store.lookup("db").unwrap();
+        assert_eq!(store.objects[0].roots[1].0, 0, "no root landed");
+        assert_eq!(store.epoch(obj), DELTA_SLOTS);
+        let mut out = page_of(0);
+        for (page, image) in images.iter().enumerate() {
+            store
+                .read_page(&mut vt, &mut disk, obj, page as u64, &mut out)
+                .unwrap();
+            assert_eq!(&out, image, "page {page}");
+        }
+    }
+
+    #[test]
+    fn open_reads_the_ring_only_as_far_as_the_chain_reaches() {
+        let ring_reads = |n: u64| {
+            let (mut disk, _) = chain_above_a_held_root(n);
+            let before = disk.stats().clone();
+            let mut vt = Vt::new(1);
+            let store = open_shard(&mut vt, &mut disk).unwrap();
+            assert_eq!(store.epoch(store.lookup("db").unwrap()), n);
+            let after = disk.stats();
+            (
+                after.reads() - before.reads(),
+                after.read_submissions() - before.read_submissions(),
+            )
+        };
+        let (short, long) = (ring_reads(3), ring_reads(100));
+        // The slab and the two root slots, then 32 ring slots a read: one
+        // read reaches epoch 3, and four reach epoch 100.
+        assert_eq!(long.0 - short.0, 3 * RING_CHUNK);
+        assert_eq!(long.1 - short.1, 3);
+        assert!(short.0 < DELTA_SLOTS, "{short:?}: not the whole ring");
     }
 
     #[test]

@@ -593,6 +593,10 @@ mod tests {
                 Err(e) => panic!("{e}"),
             }
         }
-        assert_eq!(blocks, [96, 92, 95, 89, 94, 85, 86, 87, 88, 91, 90]);
+        // Block numbers past the end of the object's metadata range.
+        let (_, store, _) = reopened();
+        let meta_end = store.objects[0].entry.meta_base + OBJECT_META_BLOCKS;
+        let past: Vec<u64> = blocks.iter().map(|b| b - meta_end).collect();
+        assert_eq!(past, [16, 12, 15, 9, 14, 5, 6, 7, 8, 11, 10]);
     }
 }

@@ -102,7 +102,7 @@ fn overlay_pages(shard: &StoreShard, obj: ObjectId) -> usize {
 /// One-line writes over three pages, enough of them to cross a full root.
 fn one_line_writes(n: u64) -> Vec<Write> {
     (0..n)
-        .map(|i| (i % 3, 1 << (i * 7 % 64), i as u8 + 1))
+        .map(|i| (i % 3, 1 << (i * 7 % 64), (i % 255) as u8 + 1))
         .collect()
 }
 
@@ -444,7 +444,7 @@ fn a_commit_before_its_objects_record_starts_rides_it() {
     assert_eq!(riding.completes, first.completes, "acked with the record");
     assert_eq!(shard.stats().absorbed_commits, 1);
     let slot = shard.objects[obj.0 as usize].entry.delta_slot(first.epoch);
-    let folded = DeltaRecord::from_block(disk.peek(slot).unwrap(), obj).unwrap();
+    let folded = DeltaRecord::from_block(&disk.peek(slot).unwrap(), obj).unwrap();
     assert_eq!(
         (folded.first_epoch(), folded.epoch),
         (first.epoch, riding.epoch)
@@ -483,6 +483,27 @@ fn drive_threads(
     threads: u32,
     writes: &[Write],
 ) -> (Disk, Vec<(Nanos, BTreeMap<u64, Vec<u8>>)>, StoreStats) {
+    let mut acked = Vec::new();
+    let (disk, stats) = drive_threads_acking(channels, threads, writes, |done, model| {
+        acked.push((done, model.clone()))
+    });
+    (disk, acked, stats)
+}
+
+/// The device [`drive_threads`] leaves, without a copy of the model per
+/// commit: what a crash sweep re-runs.
+fn threads_disk(channels: usize, threads: u32, writes: &[Write]) -> Disk {
+    drive_threads_acking(channels, threads, writes, |_, _| {}).0
+}
+
+/// [`drive_threads`], handing `ack` each commit's durability instant and
+/// the model after it, in epoch order.
+fn drive_threads_acking(
+    channels: usize,
+    threads: u32,
+    writes: &[Write],
+    mut ack: impl FnMut(Nanos, &BTreeMap<u64, Vec<u8>>),
+) -> (Disk, StoreStats) {
     let mut disk = Disk::new(DiskConfig {
         channels,
         ..DiskConfig::paper()
@@ -496,14 +517,13 @@ fn drive_threads(
         clock.wait_until(vt.now());
     }
     let mut model = BTreeMap::new();
-    let mut acked = Vec::new();
     for &w in writes {
         let clock = clocks.iter_mut().min_by_key(|c| c.now()).unwrap();
         let token = commit(&mut shard, clock, &mut disk, obj, &mut model, w, true);
         ObjectStore::wait(clock, token);
-        acked.push((token.completes, model.clone()));
+        ack(token.completes, &model);
     }
-    (disk, acked, shard.stats())
+    (disk, shard.stats())
 }
 
 #[test]
@@ -518,7 +538,7 @@ fn every_io_boundary_of_folding_threads_recovers_an_acked_prefix() {
     );
     let none = BTreeMap::new();
     let points = crash_at_every_io(
-        || drive_threads(2, 4, &writes).0,
+        || threads_disk(2, 4, &writes),
         |disk, at| check_recovered(recover(disk, 3), at, 3, (0, &none), &acked),
     );
     assert!(points > 48, "{points} crash points");
@@ -593,11 +613,16 @@ fn spread_writes(n: u64, pages: u64) -> Vec<Write> {
         .collect()
 }
 
-/// 80 synchronous one-line commits on a four-channel pool, with the root
-/// record of the third compaction root — at epoch 60, written by commit
-/// 60 behind its own record — held `spike` on the device. Returns the
-/// device, each commit's durability instant and the model after it, the
-/// instant that root lands, and the shard's statistics.
+/// The one record [`a_slow_compaction_root`] holds for its slow root:
+/// the root at 40 covers the ring slots of records up to 40 +
+/// `DELTA_SLOTS`, and the record after reuses the slot of 41.
+const GATED: u64 = 40 + DELTA_SLOTS + 1;
+
+/// `GATED` + 23 synchronous one-line commits on a four-channel pool, with
+/// the root record of the third compaction root — at epoch 60, written
+/// by commit 60 behind its own record — held `spike` on the device.
+/// Returns the device, each commit's durability instant and the model
+/// after it, the instant that root lands, and the shard's statistics.
 #[allow(clippy::type_complexity)]
 fn a_slow_compaction_root(
     spike: Nanos,
@@ -613,7 +638,8 @@ fn a_slow_compaction_root(
     let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
     let mut model = BTreeMap::new();
     let mut acked = Vec::new();
-    for (i, w) in one_line_writes(80).into_iter().enumerate() {
+    let mut slow = None;
+    for (i, w) in one_line_writes(GATED + 23).into_iter().enumerate() {
         if i == 59 {
             assert_eq!(shard.objects[0].window(), COMPACT_AFTER - 1);
             // The commit's record is the next submission, and the
@@ -625,29 +651,37 @@ fn a_slow_compaction_root(
         let token = commit(&mut shard, &mut vt, &mut disk, obj, &mut model, w, true);
         ObjectStore::wait(&mut vt, token);
         acked.push((token.completes, model.clone()));
+        if i as u64 + 1 == GATED {
+            slow = Some(shard.objects[0].roots[1]);
+        }
     }
+    let (slow, lands) = slow.expect("the run reaches the gated record");
+    assert_eq!(slow, 60, "no compaction root while the root at 60 waits");
     let [previous, newest] = shard.objects[0].roots;
     assert_eq!(
         (previous.0, newest.0),
-        (60, 80),
-        "compaction roots at 20, 40, 60 and 80"
+        (GATED + 1, GATED + 21),
+        "compaction roots at 20, 40 and 60, then every 20 once 60 landed"
     );
-    (disk, acked, previous.1, shard.stats())
+    (disk, acked, lands, shard.stats())
 }
 
 #[test]
 fn a_line_commit_behind_an_in_flight_full_root_waits_for_it() {
-    // R1′: the record of epoch x reuses the ring slot of x − 32, so it is
-    // submitted once a root at or above that epoch is durable — and waits
-    // for nothing else. The compaction root at 60 is held on the device;
-    // the root at 40 covers records up to 72, so only record 73 waits.
+    // R1′: the record of epoch x reuses the ring slot of x − DELTA_SLOTS,
+    // so it is submitted once a root at or above that epoch is durable —
+    // and waits for nothing else. The compaction root at 60 is held on
+    // the device; the root at 40 covers records up to 40 + DELTA_SLOTS,
+    // so only record GATED waits.
     let spike = Nanos::from_ms(5);
     let (_, _, lands, _) = a_slow_compaction_root(spike);
 
     // Every acknowledged commit recovers whether the crash comes just
-    // before the root lands — replay starts at root 40, and record 73 has
-    // not overwritten record 41 — or as it lands: replay starts at root
-    // 60, and record 61 extends it through the tip word the root kept.
+    // before the root lands — replay starts at root 40, its chain fills
+    // every ring slot up to the one of the root's own epoch, and record
+    // GATED has not overwritten record 41 — or as it lands: replay starts
+    // at root 60, and record 61 extends it through the tip word the root
+    // kept.
     for at in [lands - Nanos::from_ns(1), lands] {
         let (mut disk, acked, _, _) = a_slow_compaction_root(spike);
         disk.crash(at);
@@ -658,25 +692,27 @@ fn a_line_commit_behind_an_in_flight_full_root_waits_for_it() {
             "crash at {at:?}: {epoch} of {durable} acknowledged commits recovered"
         );
         assert_eq!(got, acked[epoch as usize - 1].1, "crash at {at:?}");
-        assert_eq!((durable, epoch), (72, 72), "crash at {at:?}");
+        let before = GATED as usize - 1;
+        assert_eq!((durable, epoch), (before, before as u64), "crash at {at:?}");
     }
 
     let (disk, acked, _, stats) = a_slow_compaction_root(spike);
     let one_write = disk.config().segment_latency(BLOCK_SIZE);
-    assert_eq!(stats.compaction_roots, 4);
+    assert_eq!(stats.compaction_roots, 5);
     assert_eq!(
         (stats.commits, stats.delta_commits),
-        (80, 80),
+        (GATED + 23, GATED + 23),
         "no commit was a root"
     );
+    let gated = GATED as usize - 1;
     assert!(
-        acked[71].0 < lands - spike / 2,
-        "61 ..= 72 did not wait for the root"
+        acked[gated - 1].0 < lands - spike / 2,
+        "61 ..= GATED - 1 did not wait for the root"
     );
     assert_eq!(
-        acked[72].0,
+        acked[gated].0,
         lands + one_write,
-        "73 was submitted as it landed"
+        "GATED was submitted as it landed"
     );
     assert_eq!(stats.root_gated_records, 1);
 }
@@ -764,7 +800,9 @@ fn check_recovered(
 
 #[test]
 fn every_io_boundary_across_compaction_roots_recovers_an_acked_prefix() {
-    let writes = spread_writes(124, 24);
+    // Long enough for five roots on the busiest pool, where each waits
+    // for a gap or for its commit PLACE_ROOT_AT epochs up.
+    let writes = spread_writes(400, 24);
     for channels in [2, 4] {
         for threads in [1, 4, 8] {
             let (_, acked, stats) = drive_threads(channels, threads, &writes);
@@ -779,7 +817,7 @@ fn every_io_boundary_across_compaction_roots_recovers_an_acked_prefix() {
             );
             let none = BTreeMap::new();
             let points = crash_at_every_io(
-                || drive_threads(channels, threads, &writes).0,
+                || threads_disk(channels, threads, &writes),
                 |disk, at| check_recovered(recover(disk, 24), at, 24, (0, &none), &acked),
             );
             assert!(points > 100, "{channels}×{threads}: {points} crash points");
@@ -984,7 +1022,7 @@ fn rot_under_an_overlay_page_is_healed_by_scrub_or_truncates_recovery() {
         let mut crashed = Disk::new(DiskConfig::paper());
         for b in 0..shard.high_water() {
             if let Some(data) = disk.peek(b) {
-                crashed.write_block_at(Nanos::ZERO, b, data).unwrap();
+                crashed.write_block_at(Nanos::ZERO, b, &data).unwrap();
             }
         }
         crashed.settle();
@@ -1243,7 +1281,7 @@ fn every_full_root_writes_the_overlay_out() {
 /// The root record in `obj`'s slot for its `flush_seq`-th full root.
 fn root_in_slot(disk: &Disk, shard: &StoreShard, obj: ObjectId, flush_seq: u64) -> RootRecord {
     let slot = shard.objects[obj.0 as usize].entry.root_slot(flush_seq);
-    RootRecord::from_block(disk.peek(slot).unwrap(), obj).expect("a valid root")
+    RootRecord::from_block(&disk.peek(slot).unwrap(), obj).expect("a valid root")
 }
 
 /// Whole-page commits of `pages`, one commit per chunk, synchronous.
@@ -1439,7 +1477,7 @@ fn any_bit_flip_of_a_journaled_root_recovers_the_same_state() {
         for bit in 0..8 {
             disk.corrupt_bit(slot, byte, bit);
             rejected +=
-                usize::from(RootRecord::from_block(disk.peek(slot).unwrap(), obj).is_none());
+                usize::from(RootRecord::from_block(&disk.peek(slot).unwrap(), obj).is_none());
             let mut vt = Vt::new(3);
             let mut reopened = open_shard(&mut vt, &mut disk).unwrap();
             assert_eq!(reopened.epoch(obj), 33, "byte {byte} bit {bit}");
@@ -1551,12 +1589,14 @@ fn drive_wide(
 
 #[test]
 fn every_io_boundary_across_a_journal_overflow_recovers_an_acked_prefix() {
-    for threads in [1, 4] {
-        let (_, acked, stats, roots) = drive_wide(threads, 90);
+    // Four threads keep the device busy, so each root waits for a gap
+    // and the next compaction for it: roots come ≈ 70 epochs apart.
+    for (threads, commits) in [(1, 90), (4, 240)] {
+        let (_, acked, stats, roots) = drive_wide(threads, commits);
         assert!(stats.compaction_roots >= 4, "{threads}: {stats:?}");
         assert_eq!(
             (stats.line_commits, stats.delta_commits),
-            (72, 90),
+            (commits * 4 / 5, commits),
             "{threads}: every commit a record, one in five page-grain"
         );
         assert!(stats.nodes_written > 0, "{threads}: a journal overflowed");
@@ -1566,7 +1606,7 @@ fn every_io_boundary_across_a_journal_overflow_recovers_an_acked_prefix() {
         // submitted by then unplaced, partly placed or in service.
         let (mut in_flight, mut landed) = (0, 0);
         let points = crash_at_every_io(
-            || drive_wide(threads, 90).0,
+            || drive_wide(threads, commits).0,
             |mut disk, at| {
                 let durable = acked.iter().filter(|(done, _)| *done <= at).count();
                 let mut vt = Vt::new(3);
@@ -1598,7 +1638,10 @@ fn every_io_boundary_across_a_journal_overflow_recovers_an_acked_prefix() {
                 assert_eq!(&got, want, "crash at {at:?}, epoch {epoch}");
             },
         );
-        assert!(points > 90, "{threads}: {points} crash points");
+        assert!(
+            points > commits as usize,
+            "{threads}: {points} crash points"
+        );
         assert!(
             in_flight >= 16 && landed > 0,
             "{threads}: {in_flight} / {landed}"
@@ -1614,6 +1657,8 @@ struct BusyCommit {
     landing: bool,
     /// When that root lands, once known.
     root_lands: Nanos,
+    /// The epoch of the root before it.
+    previous: Epoch,
     submissions: u64,
 }
 
@@ -1629,13 +1674,30 @@ struct BusyCommit {
 /// what each commit saw.
 #[allow(clippy::type_complexity)]
 fn drive_busy(commits: u64) -> (Disk, Vec<(Nanos, BTreeMap<u64, Vec<u8>>)>, Vec<BusyCommit>) {
+    let mut acked = Vec::new();
+    let (disk, seen) = drive_busy_acking(commits, |done, model| acked.push((done, model.clone())));
+    (disk, acked, seen)
+}
+
+/// The device [`drive_busy`] leaves, without a copy of the model per
+/// commit: what a crash sweep re-runs.
+fn busy_disk(commits: u64) -> Disk {
+    drive_busy_acking(commits, |_, _| {}).0
+}
+
+/// [`drive_busy`], handing `ack` each commit's durability instant and
+/// the model after it.
+fn drive_busy_acking(
+    commits: u64,
+    mut ack: impl FnMut(Nanos, &BTreeMap<u64, Vec<u8>>),
+) -> (Disk, Vec<BusyCommit>) {
     let mut disk = Disk::new(DiskConfig::paper());
     let mut shard = format_shard(&mut disk);
     let mut vt = Vt::new(0);
     let obj = shard.create(&mut vt, &mut disk, "o").unwrap();
     let filler = page_of(0xEE);
     let tenant: Vec<(u64, &[u8])> = (0..16).map(|b| (1 << 40 | b, &filler[..])).collect();
-    let (mut model, mut acked, mut seen) = (BTreeMap::new(), Vec::new(), Vec::new());
+    let (mut model, mut seen) = (BTreeMap::new(), Vec::new());
     for i in 0..commits {
         assert!(
             i == 0 || disk.idle_at() > vt.now(),
@@ -1664,30 +1726,43 @@ fn drive_busy(commits: u64) -> (Disk, Vec<(Nanos, BTreeMap<u64, Vec<u8>>)>, Vec<
             window: state.window(),
             landing: state.landing.is_some(),
             root_lands: state.roots[1].1,
+            previous: state.roots[0].0,
             submissions: disk.io_seq() - ios,
         });
-        acked.push((token.completes, model.clone()));
+        ack(token.completes, &model);
         vt.advance(Nanos::from_us(24));
     }
-    (disk, acked, seen)
+    (disk, seen)
 }
 
 #[test]
 fn on_a_device_kept_busy_roots_land_only_when_forced() {
-    let (_, acked, seen) = drive_busy(120);
+    // Each root waits PLACE_ROOT_AT epochs, lands, and only then lets
+    // the next compaction write one: five roots take ≈ 620 commits.
+    let (_, _, seen) = drive_busy(620);
     let roots = seen.iter().filter(|c| c.window == 0).count();
     assert!(roots >= 5, "{roots} compaction roots");
     for c in seen.iter().skip(20) {
-        // No root found a gap: each waited until its sixth commit.
+        // No root found a gap: each waited until the commit
+        // PLACE_ROOT_AT epochs above it, or until a record reused a ring
+        // slot the root before it does not cover (R1′), whichever came
+        // first.
+        let covered = c.token.epoch <= c.previous + DELTA_SLOTS;
         assert_eq!(
             c.landing,
-            c.window < PLACE_ROOT_AT,
+            c.window < PLACE_ROOT_AT && covered,
             "epoch {}",
             c.token.epoch
         );
     }
+    // The sweep covers the first root unplaced, forced, in service and
+    // durable, and the second unplaced.
+    let (_, acked, seen) = drive_busy(160);
+    let forced = seen.iter().filter(|c| c.window == PLACE_ROOT_AT).count();
+    assert_eq!(forced, 1);
+    assert!(seen.last().is_some_and(|c| c.landing));
     let points = crash_at_every_io(
-        || drive_busy(120).0,
+        || busy_disk(160),
         |disk, at| {
             let durable = acked.iter().filter(|(done, _)| *done <= at).count();
             let Some((epoch, got)) = recover(disk, 24) else {
@@ -1703,12 +1778,13 @@ fn on_a_device_kept_busy_roots_land_only_when_forced() {
             assert_eq!(got, want, "crash at {at:?}, epoch {epoch}");
         },
     );
-    assert!(points > 2 * 120, "{points} crash points");
+    assert!(points > 2 * 160, "{points} crash points");
 }
 
 #[test]
-fn an_unplaced_root_is_placed_right_behind_the_record_of_its_sixth_commit() {
-    let (_, _, seen) = drive_busy(60);
+fn an_unplaced_root_is_placed_right_behind_the_record_of_its_forcing_commit() {
+    // Roots at 20 and ≈ 156, forced PLACE_ROOT_AT epochs up.
+    let (_, _, seen) = drive_busy(300);
     let mut promoted = 0;
     for pair in seen.windows(2).filter(|p| p[1].window == PLACE_ROOT_AT) {
         let [before, sixth] = pair else {

@@ -40,7 +40,7 @@ fn build(n: u64) -> (Disk, Vt) {
 fn find_delta_block(disk: &Disk, epoch: u64) -> Option<u64> {
     (0..4096u64).find(|&block| {
         disk.peek(block)
-            .and_then(|data| DeltaRecord::from_block(data, ObjectId(0)))
+            .and_then(|data| DeltaRecord::from_block(&data, ObjectId(0)))
             .is_some_and(|d| d.epoch == epoch)
     })
 }
@@ -108,7 +108,7 @@ fn corrupted_full_root_falls_back_to_previous_root() {
     // Find the newest full root by decoding every block as one.
     let (root_epoch, root_block) = (0..4096u64)
         .filter_map(|block| {
-            let root = RootRecord::from_block(disk.peek(block)?, ObjectId(0))?;
+            let root = RootRecord::from_block(&disk.peek(block)?, ObjectId(0))?;
             Some((root.epoch, block))
         })
         .max()
@@ -260,7 +260,7 @@ fn corruption_in_a_data_block_does_not_break_recovery() {
         .read_page(&mut vt, &mut disk, obj, 1, &mut before)
         .unwrap();
     for block in 0..8192u64 {
-        if disk.peek(block).is_some_and(|d| d == &before[..]) {
+        if disk.peek(block).is_some_and(|d| d == before) {
             disk.corrupt_bit(block, 5, 5);
             break;
         }

@@ -201,10 +201,14 @@ fn rotating_kv_batch_straddling_a_rotation_is_durable() {
 fn rotating_kv_reports_a_full_device_as_an_error() {
     use memsnap::MsnapError;
     use msnap_skipdb::{Kv, KvError, RotatingMemSnapKv};
-    use msnap_store::StoreError;
+    use msnap_store::{StoreError, DELTA_SLOTS};
 
     let mut vt = Vt::new(0);
-    let disk = Disk::new(DiskConfig::paper().with_capacity_blocks(400));
+    // The format, the metadata of two objects (the manifest and the first
+    // tier: two root slots and a delta ring each), and room for some
+    // node pages.
+    let capacity = 332 + 2 * (2 + DELTA_SLOTS);
+    let disk = Disk::new(DiskConfig::paper().with_capacity_blocks(capacity));
     let mut kv = RotatingMemSnapKv::format(disk, 48, 24, &mut vt);
     let mut acked = 0u64;
     let err = loop {
@@ -214,7 +218,7 @@ fn rotating_kv_reports_a_full_device_as_an_error() {
         }
         assert!(
             acked < 10_000,
-            "400 blocks cannot hold this many node pages"
+            "{capacity} blocks cannot hold this many node pages"
         );
     };
     assert_eq!(err, KvError(MsnapError::Store(StoreError::OutOfSpace)));
