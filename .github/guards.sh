@@ -135,10 +135,15 @@ guard_radix_copies() {
     fi
 }
 
-# One record codec: a batch group is a delta record.
+# One record codec and one record ring: a batch group is a delta record
+# in its own object's ring.
 guard_record_codec() {
     if grep -rn 'GROUP_HEADER' crates/store/src; then
         echo "a batch group is a delta record: encode and decode it with DeltaRecord's codec" >&2
+        return 1
+    fi
+    if grep -rnE 'BatchRecord|BATCH_SLOTS|batch_ring' crates/*/src; then
+        echo "a group commit writes each object's DeltaRecord into that object's own ring: the shard keeps no second record ring" >&2
         return 1
     fi
 }
@@ -521,6 +526,7 @@ perturbations() {
     perturb radix_surface crates/store/src/store/snapshot.rs '$a // snap.tree.hydrate_all(read)?;'
     perturb radix_copies crates/store/src/radix.rs '1i fn copy(node: &mut Arc<Node>) -> &mut Node { Arc::make_mut(node) }'
     perturb record_codec crates/store/src/layout.rs '$a // const GROUP_HEADER: usize = 24;'
+    perturb record_codec crates/store/src/store.rs '$a // let slot = self.batch_seq % BATCH_SLOTS;'
     perturb chain_rule crates/store/src/store/replay.rs '$a // if record.tag == 0 { accept }'
     perturb payload_frame crates/snap/src/lib.rs '$a // Frame::Full(page)'
     perturb retired_fields crates/serve/src/lib.rs '$a // pub cut_every: u32,'

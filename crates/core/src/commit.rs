@@ -87,8 +87,13 @@ pub(crate) struct FinishedBatch {
 impl MemSnap {
     /// Persists a μCheckpoint: the dirty pages of the calling `thread`
     /// (or of all threads with [`PersistFlags::global`]) restricted to
-    /// `sel`, atomically, into the object store. Returns the epoch to pass
-    /// to [`MemSnap::msnap_wait`].
+    /// `sel` into the object store, each region's pages as one
+    /// crash-atomic epoch of its object. Returns the epoch to pass to
+    /// [`MemSnap::msnap_wait`].
+    ///
+    /// A persist of several regions ([`RegionSel::All`]) is crash-atomic
+    /// per region only: each region commits on its own, so a crash can
+    /// leave one region at its new epoch and another at its old one.
     ///
     /// With `flags.sync` the call blocks until durable; with `MS_ASYNC` it
     /// returns after initiating the IO, and concurrent writes to in-flight
@@ -376,14 +381,17 @@ impl MemSnap {
     /// is cheap: the dirty set is taken, the page images are copied into
     /// the coalescing buffer (an eager COW, so the caller may keep
     /// writing immediately), and tracking is re-armed. The combined
-    /// μCheckpoint IO — one scatter/gather extent plus one commit record
-    /// for *all* participants — is initiated when the batch closes, by
+    /// μCheckpoint IO — per shard, one scatter/gather extent for *all*
+    /// participants plus one vectored write of each object's delta
+    /// record — is initiated when the batch closes, by
     /// the first poller to reach that instant. A batch closes when its
     /// window does, or — device pacing — when the device frees a channel
     /// if every channel is still busy then: a submission made earlier
     /// would only queue behind the work in flight, so holding the batch
     /// costs it no more than its flusher's CPU after the device frees,
-    /// and lets later enqueuers share the IO.
+    /// and lets later enqueuers share the IO. A batch is crash-atomic per
+    /// object, not across objects: a crash leaves each region a prefix
+    /// of its own epochs.
     ///
     /// # Errors
     ///
@@ -666,8 +674,8 @@ mod tests {
     use super::*;
     use crate::api::tests::fresh;
     use crate::types::RegionHandle;
-    use msnap_disk::{Disk, DiskConfig, Fault, FaultPlan};
-    use msnap_store::StoreError;
+    use msnap_disk::{crash_at_every_io, Disk, DiskConfig, Fault, FaultPlan};
+    use msnap_store::{StoreError, COMPACT_AFTER, MAX_DELTA_PAIRS};
     use msnap_vm::PAGE_SIZE;
 
     #[test]
@@ -1206,7 +1214,7 @@ mod tests {
             epoch = ms.msnap_group_poll(&mut vt, ticket).unwrap();
         }
         assert_eq!(epoch, Some(1));
-        // A lone participant is a plain delta commit, not a batch record.
+        // A lone participant is a plain delta commit, not a batched submission.
         assert_eq!(ms.store().stats().batch_commits, 0);
         assert_eq!(
             ms.store().stats().delta_commits,
@@ -1426,7 +1434,9 @@ mod tests {
         // charge nothing (identical commits cost the same store CPU).
         const ROUNDS: u64 = 30;
         const SMALL: u64 = 40;
-        const LARGE: u64 = 130; // two of these overflow one batch record
+        // One page past a delta record: each such group commits alone, as
+        // a full root.
+        const LARGE: u64 = MAX_DELTA_PAIRS as u64 + 1;
         for door in doors {
             let mut ms = MemSnap::format_sharded(Disk::new(DiskConfig::paper()), 2);
             let mut vt = Vt::new(0);
@@ -1497,8 +1507,8 @@ mod tests {
                         poll(&mut ms, &mut vt, ticket);
                         &[a, c]
                     }
-                    // Two regions of one shard: one shared batch record
-                    // (4), or — too large for it — group by group (5).
+                    // Two regions of one shard: one unit (4), or — too
+                    // large for one delta record each — group by group (5).
                     _ => {
                         let n = if door == 4 { SMALL } else { LARGE };
                         dirty(&mut ms, &mut vt, &a, n);
@@ -1531,11 +1541,12 @@ mod tests {
                     u64::from(door == 4)
                 );
                 // Compare the delta-only commits; a full root, inline or
-                // compaction, does different work.
-                if now.delta_commits - stats.delta_commits == committed
-                    && now.nodes_written == stats.nodes_written
-                {
-                    charges.insert(vt.costs().get(Category::FileSystem) - cpu);
+                // compaction, does different work. Door 5 commits only full
+                // roots: those writing as many nodes do the same work.
+                let nodes = now.nodes_written - stats.nodes_written;
+                let delta_only = now.delta_commits - stats.delta_commits == committed && nodes == 0;
+                if delta_only || door == 5 {
+                    charges.insert((nodes, vt.costs().get(Category::FileSystem) - cpu));
                 }
             }
             let consumed = (ms.disk().blocks_in_use() - before) as u64;
@@ -1543,7 +1554,11 @@ mod tests {
                 consumed >= 4 * 256,
                 "door {door} must cross extent boundaries"
             );
-            assert_eq!(charges.len(), 1, "door {door}: initiation {charges:?}");
+            let shapes: std::collections::BTreeSet<u64> = charges.iter().map(|c| c.0).collect();
+            assert!(
+                !charges.is_empty() && shapes.len() == charges.len(),
+                "door {door}: initiation {charges:?}"
+            );
             let line_commits = ms.store().stats().line_commits;
             assert_eq!(line_commits > 0, bytes < PAGE_SIZE, "door {door}");
         }
@@ -1660,5 +1675,79 @@ mod tests {
         ms.msnap_persist(&mut vt, t, RegionSel::Region(r.md), PersistFlags::sync())
             .unwrap();
         assert_eq!(ms.meters().get("msnap_persist").unwrap().count(), 1);
+    }
+
+    /// Persists two regions of one shard together, `rounds` times: round
+    /// `k` writes page `k % 4` of each with `k`. Returns the instance and
+    /// the instant each round's synchronous persist returned.
+    fn persist_two_regions(rounds: u64) -> (MemSnap, Vec<Nanos>) {
+        let (mut ms, mut vt, space) = fresh();
+        let t = vt.id();
+        let regions = [
+            ms.msnap_open(&mut vt, space, "a", 4).unwrap(),
+            ms.msnap_open(&mut vt, space, "b", 4).unwrap(),
+        ];
+        let mut acked = Vec::new();
+        for round in 1..=rounds {
+            for r in &regions {
+                let at = r.addr + (round % 4) * PAGE_SIZE as u64;
+                ms.write(&mut vt, space, t, at, &[round as u8; PAGE_SIZE])
+                    .unwrap();
+            }
+            ms.msnap_persist(&mut vt, t, RegionSel::All, PersistFlags::sync())
+                .unwrap();
+            acked.push(vt.now());
+        }
+        (ms, acked)
+    }
+
+    #[test]
+    fn every_io_boundary_of_a_two_region_persist_leaves_each_region_a_prefix() {
+        // A persist of several regions is crash-atomic per region: at any
+        // crash instant, across a compaction root, each region holds the
+        // state of some prefix of the rounds — every acknowledged one at
+        // least — and the two prefixes need not agree.
+        let rounds = COMPACT_AFTER + 8;
+        let (ms, acked) = persist_two_regions(rounds);
+        assert!(ms.store().stats().compaction_roots >= 2);
+        let points = crash_at_every_io(
+            || persist_two_regions(rounds).0.into_disk(),
+            |disk, at| {
+                let durable = acked.iter().filter(|done| **done <= at).count() as u64;
+                let mut vt = Vt::new(1);
+                let Ok(mut ms) = MemSnap::restore(&mut vt, disk) else {
+                    assert_eq!(durable, 0, "restore failed at {at:?}");
+                    return;
+                };
+                let space = ms.vm_mut().create_space();
+                for name in ["a", "b"] {
+                    let Ok(r) = ms.msnap_open(&mut vt, space, name, 0) else {
+                        assert_eq!(durable, 0, "region {name} lost at {at:?}");
+                        continue;
+                    };
+                    let mut first = [0u8; 4];
+                    for (page, byte) in first.iter_mut().enumerate() {
+                        let at = r.addr + page as u64 * PAGE_SIZE as u64;
+                        ms.read(&mut vt, space, at, std::slice::from_mut(byte))
+                            .unwrap();
+                    }
+                    // Round k leaves page k % 4 holding k, so the newest
+                    // round a region holds is its largest byte.
+                    let k = u64::from(*first.iter().max().unwrap());
+                    let want: Vec<u8> = (0..4u64)
+                        .map(|page| {
+                            let last = (1..=k).rev().find(|round| round % 4 == page);
+                            last.unwrap_or(0) as u8
+                        })
+                        .collect();
+                    assert_eq!(first.to_vec(), want, "{name} at {at:?}: torn round {k}");
+                    assert!(
+                        (durable..=rounds).contains(&k),
+                        "{name} at {at:?}: round {k}, {durable} acknowledged"
+                    );
+                }
+            },
+        );
+        assert!(points > rounds as usize, "{points} crash points");
     }
 }

@@ -26,7 +26,9 @@ impl fmt::Display for Md {
 pub enum RegionSel {
     /// A single region.
     Region(Md),
-    /// All regions ("persists all modifications across all regions").
+    /// All regions ("persists all modifications across all regions"),
+    /// each as its own μCheckpoint: crash-atomic per region, not across
+    /// regions.
     All,
 }
 

@@ -1,5 +1,5 @@
 //! On-disk layout: superblock, cut slots, shard slabs, directory entries,
-//! root, delta, batch and snapshot-catalog records.
+//! root, delta and snapshot-catalog records.
 //!
 //! There is one generation of every record (DESIGN.md §6l): block 0 is
 //! the store superblock, the two cut slots follow, then one metadata
@@ -125,17 +125,15 @@ impl std::fmt::Display for ObjectId {
 const ROOT_MAGIC: u64 = 0x4d534e_41505232; // "MSN APR2"
 /// Magic number of a delta record block.
 const DELTA_MAGIC: u64 = 0x4d534e_41504454; // "MSN APDT"
-/// Magic number of a batch (group-commit) record block.
-const BATCH_MAGIC: u64 = 0x4d534e_41504254; // "MSN APBT"
 /// Magic number of the head block of each shard's metadata slab.
 const SLAB_MAGIC: u64 = 0x4d534e41_50535550; // "MSNA PSUP"
 /// Magic number of the store superblock at block 0. The superblock
 /// carries the shard count and extent-broker granularity; the cut slots
-/// and the per-shard metadata slabs follow it. "PSU4" devices have
-/// [`DELTA_SLOTS`] = 256 ring slots per object; a "PSU3" device's
-/// 32-slot rings would be misread, so it does not open (DESIGN.md §6l
-/// keeps one generation).
-const SUPER_MAGIC: u64 = 0x4d534e41_50535534; // "MSNA PSU4"
+/// and the per-shard metadata slabs follow it. "PSU5" devices have
+/// [`DELTA_SLOTS`] = 256 ring slots per object and slabs of directory
+/// and catalog only; a "PSU4" device's slabs would be misread, so it
+/// does not open (DESIGN.md §6l keeps one generation).
+const SUPER_MAGIC: u64 = 0x4d534e41_50535535; // "MSNA PSU5"
 /// Magic number of an epoch-vector cut record block.
 const CUT_MAGIC: u64 = 0x4d534e_41504354; // "MSN APCT"
 /// Magic number of a snapshot-catalog block.
@@ -153,7 +151,7 @@ pub(crate) fn is_slab_head(block: &[u8]) -> bool {
 }
 
 // Slab-relative offsets: a shard's metadata slab is its magic block,
-// the object directory, the batch ring and the snapshot catalog.
+// the object directory and the snapshot catalog.
 
 /// Block holding the slab magic.
 pub(crate) const SLAB_HEAD: u64 = 0;
@@ -161,16 +159,10 @@ pub(crate) const SLAB_HEAD: u64 = 0;
 pub(crate) const DIR_START: u64 = 1;
 /// Number of directory blocks.
 pub(crate) const DIR_BLOCKS: u64 = 8;
-/// First block of the store-wide batch-record ring (group commit).
-pub(crate) const BATCH_RING_START: u64 = DIR_START + DIR_BLOCKS;
-/// Batch-record slots shared by all objects. A slot is reused only after
-/// every object it mentions has flushed a newer full root, so a live
-/// batch commit is never overwritten.
-pub const BATCH_SLOTS: u64 = 32;
 /// First block of the snapshot catalog: two alternating slots written
 /// with a sequence number, so a torn catalog write leaves the previous
 /// catalog intact (same dual-slot discipline as the per-object roots).
-pub(crate) const SNAP_CATALOG_START: u64 = BATCH_RING_START + BATCH_SLOTS;
+pub(crate) const SNAP_CATALOG_START: u64 = DIR_START + DIR_BLOCKS;
 /// Snapshot-catalog slots.
 pub(crate) const SNAP_CATALOG_SLOTS: u64 = 2;
 /// Blocks in one shard's metadata slab.
@@ -219,11 +211,6 @@ impl ShardLayout {
     /// First directory block.
     pub(crate) fn dir_start(&self) -> u64 {
         self.base + DIR_START
-    }
-
-    /// First batch-ring block.
-    pub(crate) fn batch_ring_start(&self) -> u64 {
-        self.base + BATCH_RING_START
     }
 
     /// First snapshot-catalog block.
@@ -352,11 +339,8 @@ pub const COMPACT_AFTER: u64 = 20;
 /// slots followed by the delta ring.
 pub(crate) const OBJECT_META_BLOCKS: u64 = 2 + DELTA_SLOTS;
 
-/// Bytes of a delta record's six field words: what follows the seal in a
-/// delta slot, and what heads each group of a batch record.
-const DELTA_FIELDS: usize = 48;
-/// Bytes before a delta record's pairs.
-const DELTA_HEADER: usize = SEAL_LEN + DELTA_FIELDS;
+/// Bytes before a delta record's pairs: the seal and six field words.
+const DELTA_HEADER: usize = SEAL_LEN + 48;
 /// Maximum (page, block) pairs in one delta record.
 pub const MAX_DELTA_PAIRS: usize = (BLOCK_SIZE - DELTA_HEADER) / 16;
 
@@ -413,7 +397,7 @@ pub(crate) fn tag_of(checksum: u64) -> u32 {
     ((checksum ^ (checksum >> 32)) as u32).max(1)
 }
 
-/// [`tag_of`] the checksum at byte 8 of a sealed root, delta or batch
+/// [`tag_of`] the checksum at byte 8 of a sealed root or delta
 /// record block: the tag of a record that extends the tip this block
 /// commits.
 pub(crate) fn tip_tag(block: &[u8]) -> u32 {
@@ -561,10 +545,10 @@ pub const INLINE_BLOCK: u64 = 0xFFFF_FFFF;
 /// device folds into it (DESIGN.md §6m, R3). It covers epochs
 /// `epoch - span ..= epoch` and stays in the ring slot of its first.
 ///
-/// Each group of a [`BatchRecord`] is one of these too, in the same bytes
-/// as in a delta slot: its `payload_sum` covers *its* data blocks only,
-/// so recovery truncation stays per-object even though the commit record
-/// is shared.
+/// A group commit of several objects writes one of these per object,
+/// each in its own object's ring: its `payload_sum` covers *its* data
+/// blocks only, so recovery truncation stays per-object even though the
+/// groups share one data extent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRecord {
     /// The object.
@@ -632,121 +616,61 @@ impl DeltaRecord {
         blocks.filter(|block| *block != INLINE_BLOCK)
     }
 
-    /// Appends the record after its seal: the six field words (object,
-    /// epoch, `len_pages`, pair count | `span` << 32, `payload_sum`, body
-    /// length | `tag` << 32), the pairs, then the body. A delta slot and a
-    /// batch group hold the same bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are more than [`MAX_DELTA_PAIRS`] pairs or `span`
-    /// is out of range.
-    fn put(&self, out: &mut Vec<u8>) {
-        assert!(self.pairs.len() <= MAX_DELTA_PAIRS, "delta record overflow");
-        assert!(
-            self.span < DELTA_SLOTS && self.span <= self.epoch,
-            "delta record span"
-        );
-        let count = self.pairs.len() as u64 | self.span << 32;
-        let body = self.body.len() as u64 | u64::from(self.tag) << 32;
-        put_words(out, &[u64::from(self.object.0), self.epoch, self.len_pages]);
-        put_words(out, &[count, self.payload_sum, body]);
-        for (page, word) in &self.pairs {
-            put_words(out, &[*page, *word]);
-        }
-        out.extend_from_slice(&self.body);
-    }
-
-    /// Reads what [`DeltaRecord::put`] appends; `Invalid` for a count or
-    /// span out of range, or a body that is not what the inline pairs
-    /// call for.
-    fn read(r: &mut Reader) -> Result<DeltaRecord, Invalid> {
-        let object = ObjectId(word32(r)?);
-        let (epoch, len_pages) = (r.u64()?, r.u64()?);
-        let (count, span) = (r.u32()? as usize, u64::from(r.u32()?));
-        let payload_sum = r.u64()?;
-        let (body_len, tag) = (r.u32()? as usize, r.u32()?);
-        ensure(count <= MAX_DELTA_PAIRS && span < DELTA_SLOTS && span <= epoch)?;
-        let pairs = (0..count)
-            .map(|_| Ok((r.u64()?, r.u64()?)))
-            .collect::<Result<_, Short>>()?;
-        let record = DeltaRecord {
-            object,
-            epoch,
-            span,
-            tag,
-            len_pages,
-            payload_sum,
-            pairs,
-            body: r.take(body_len)?.to_vec(),
-        };
-        ensure(record.inline_lines().is_some())?;
-        Ok(record)
-    }
-
-    /// Serializes into a block image.
+    /// Serializes into a block image: after the seal, the six field words
+    /// (object, epoch, `len_pages`, pair count | `span` << 32,
+    /// `payload_sum`, body length | `tag` << 32), the pairs, then the
+    /// body.
     ///
     /// # Panics
     ///
     /// Panics if there are more than [`MAX_DELTA_PAIRS`] pairs, the pairs
     /// and body outgrow the block, or `span` is out of range.
     pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
-        seal(DELTA_MAGIC, |out| self.put(out))
+        assert!(self.pairs.len() <= MAX_DELTA_PAIRS, "delta record overflow");
+        assert!(
+            self.span < DELTA_SLOTS && self.span <= self.epoch,
+            "delta record span"
+        );
+        seal(DELTA_MAGIC, |out| {
+            let count = self.pairs.len() as u64 | self.span << 32;
+            let body = self.body.len() as u64 | u64::from(self.tag) << 32;
+            put_words(out, &[u64::from(self.object.0), self.epoch, self.len_pages]);
+            put_words(out, &[count, self.payload_sum, body]);
+            for (page, word) in &self.pairs {
+                put_words(out, &[*page, *word]);
+            }
+            out.extend_from_slice(&self.body);
+        })
     }
 
-    /// Parses and validates a delta-slot block.
+    /// Parses and validates a delta-slot block; `None` for another
+    /// object's record, a count or span out of range, or a body that is
+    /// not what the inline pairs call for.
     pub fn from_block(block: &[u8], expect: ObjectId) -> Option<DeltaRecord> {
-        unseal(block, DELTA_MAGIC, DeltaRecord::read).filter(|d| d.object == expect)
-    }
-}
-
-/// Bytes before a batch record's first group: seal, sequence, group count.
-const BATCH_HEADER: usize = SEAL_LEN + 16;
-
-/// A batch record: one commit block covering several objects' deltas at
-/// once (the group-commit path). Written to the shared
-/// [`BATCH_SLOTS`]-entry ring; recovery folds each group into the owning
-/// object's delta chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchRecord {
-    /// Monotone store-wide batch sequence number (picks the ring slot).
-    pub seq: u64,
-    /// Per-object commit groups.
-    pub groups: Vec<DeltaRecord>,
-}
-
-impl BatchRecord {
-    /// Whether a record of body-less groups with these pair counts fits
-    /// one block.
-    pub fn fits(pair_counts: impl Iterator<Item = usize>) -> bool {
-        BATCH_HEADER + pair_counts.map(|n| DELTA_FIELDS + n * 16).sum::<usize>() <= BLOCK_SIZE
-    }
-
-    /// Serializes into a block image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record does not fit one block (callers check with
-    /// [`BatchRecord::fits`] first), or a group would not encode as a
-    /// delta record.
-    pub fn to_block(&self) -> [u8; BLOCK_SIZE] {
-        seal(BATCH_MAGIC, |out| {
-            put_words(out, &[self.seq, self.groups.len() as u64]);
-            self.groups.iter().for_each(|g| g.put(out));
+        unseal(block, DELTA_MAGIC, |r| {
+            let object = ObjectId(word32(r)?);
+            let (epoch, len_pages) = (r.u64()?, r.u64()?);
+            let (count, span) = (r.u32()? as usize, u64::from(r.u32()?));
+            let payload_sum = r.u64()?;
+            let (body_len, tag) = (r.u32()? as usize, r.u32()?);
+            ensure(count <= MAX_DELTA_PAIRS && span < DELTA_SLOTS && span <= epoch)?;
+            let pairs = (0..count)
+                .map(|_| Ok((r.u64()?, r.u64()?)))
+                .collect::<Result<_, Short>>()?;
+            let record = DeltaRecord {
+                object,
+                epoch,
+                span,
+                tag,
+                len_pages,
+                payload_sum,
+                pairs,
+                body: r.take(body_len)?.to_vec(),
+            };
+            ensure(record.inline_lines().is_some())?;
+            Ok(record)
         })
-    }
-
-    /// Parses and validates a batch-slot block; `None` if the slot is
-    /// empty or torn.
-    pub fn from_block(block: &[u8]) -> Option<BatchRecord> {
-        unseal(block, BATCH_MAGIC, |r| {
-            let seq = r.u64()?;
-            let n = count(r, (BLOCK_SIZE - BATCH_HEADER) / DELTA_FIELDS)?;
-            let groups = (0..n)
-                .map(|_| DeltaRecord::read(r))
-                .collect::<Result<_, _>>()?;
-            Ok(BatchRecord { seq, groups })
-        })
+        .filter(|d| d.object == expect)
     }
 }
 
@@ -1257,92 +1181,6 @@ mod tests {
         let block = [0u8; BLOCK_SIZE];
         assert_eq!(RootRecord::from_block(&block, ObjectId(0)), None);
         assert_eq!(DeltaRecord::from_block(&block, ObjectId(0)), None);
-        assert_eq!(BatchRecord::from_block(&block), None);
-    }
-
-    /// Two page-grain groups and a folded line-grain one: a batch group is
-    /// a delta record, tag, span and body included.
-    fn sample_batch() -> BatchRecord {
-        let mut lines = inline_record();
-        lines.span = 2;
-        lines.tag = 0x0BAD_CAFE;
-        BatchRecord {
-            seq: 99,
-            groups: vec![
-                DeltaRecord {
-                    object: ObjectId(1),
-                    epoch: 7,
-                    span: 0,
-                    tag: 0x1111_2222,
-                    len_pages: 12,
-                    payload_sum: 0xAB,
-                    pairs: vec![(0, 100), (11, 101)],
-                    body: Vec::new(),
-                },
-                DeltaRecord {
-                    object: ObjectId(4),
-                    epoch: 31,
-                    span: 0,
-                    tag: 0x3333_4444,
-                    len_pages: 2,
-                    payload_sum: 0xCD,
-                    pairs: vec![(1, 102)],
-                    body: Vec::new(),
-                },
-                lines,
-            ],
-        }
-    }
-
-    #[test]
-    fn batch_record_round_trips() {
-        let rec = sample_batch();
-        let block = rec.to_block();
-        assert_eq!(BatchRecord::from_block(&block), Some(rec));
-    }
-
-    #[test]
-    fn torn_batch_record_rejected() {
-        let mut block = sample_batch().to_block();
-        block[40] ^= 1; // corrupt a group header
-        assert_eq!(BatchRecord::from_block(&block), None);
-        let mut block = sample_batch().to_block();
-        block[9] ^= 0x80; // corrupt the checksum itself
-        assert_eq!(BatchRecord::from_block(&block), None);
-    }
-
-    #[test]
-    fn batch_payload_sum_participates_in_the_checksum() {
-        let mut block = sample_batch().to_block();
-        block[32 + 32] ^= 1; // first group's payload_sum field
-        assert_eq!(BatchRecord::from_block(&block), None);
-    }
-
-    #[test]
-    fn batch_capacity_check_matches_encoding() {
-        // The largest record `fits` accepts must actually encode.
-        let mut pairs = Vec::new();
-        let mut n = 0usize;
-        while BatchRecord::fits([n + 1].into_iter()) {
-            n += 1;
-            pairs.push((n as u64, 1000 + n as u64));
-        }
-        let rec = BatchRecord {
-            seq: 1,
-            groups: vec![DeltaRecord {
-                object: ObjectId(0),
-                epoch: 1,
-                span: 0,
-                tag: 0,
-                len_pages: n as u64,
-                payload_sum: 0,
-                pairs,
-                body: Vec::new(),
-            }],
-        };
-        let block = rec.to_block();
-        assert_eq!(BatchRecord::from_block(&block), Some(rec));
-        assert!(!BatchRecord::fits([n + 1].into_iter()));
     }
 
     fn sample_catalog() -> SnapCatalog {
@@ -1531,13 +1369,13 @@ mod tests {
     }
 
     #[test]
-    fn a_device_of_the_32_slot_generation_opens_as_a_typed_error() {
+    fn a_device_of_the_previous_generation_opens_as_a_typed_error() {
         use crate::{ObjectStore, StoreError};
         use msnap_disk::{Disk, DiskConfig};
         use msnap_sim::Vt;
         // A store with a committed object, whose superblock then carries
-        // the previous generation's magic ("MSNA PSU3", 32-slot rings),
-        // sealed and otherwise valid.
+        // the previous generation's magic ("MSNA PSU4", a shared record
+        // ring in each slab), sealed and otherwise valid.
         let mut disk = Disk::new(DiskConfig::paper());
         let mut store = ObjectStore::format(&mut disk);
         let mut vt = Vt::new(0);
@@ -1548,13 +1386,13 @@ mod tests {
             .unwrap();
         ObjectStore::wait(&mut vt, t);
         let sb = Superblock::from_block(&disk.peek(0).unwrap()).expect("formatted");
-        let psu3 = seal(0x4d534e41_50535533, |out| {
+        let psu4 = seal(0x4d534e41_50535534, |out| {
             put_words(out, &[sb.shard_count, sb.extent_blocks])
         });
-        assert_eq!(psu3[16..], sb.to_block()[16..], "the fields are the same");
-        disk.write_block(&mut vt, 0, &psu3).unwrap();
-        assert_eq!(Superblock::from_block(&psu3), None);
-        // Its rings would be read with the wrong stride: it does not open.
+        assert_eq!(psu4[16..], sb.to_block()[16..], "the fields are the same");
+        disk.write_block(&mut vt, 0, &psu4).unwrap();
+        assert_eq!(Superblock::from_block(&psu4), None);
+        // Its slabs would be read with the wrong stride: it does not open.
         assert_eq!(
             ObjectStore::open(&mut vt, &mut disk).err(),
             Some(StoreError::NotFormatted)
@@ -1588,10 +1426,6 @@ mod tests {
         let single = ShardLayout::sharded(0, 1);
         assert_eq!(single.slab_head(), SHARD_SLAB_START + SLAB_HEAD);
         assert_eq!(single.dir_start(), SHARD_SLAB_START + DIR_START);
-        assert_eq!(
-            single.batch_ring_start(),
-            SHARD_SLAB_START + BATCH_RING_START
-        );
         assert_eq!(
             single.snap_slot(1),
             SHARD_SLAB_START + SNAP_CATALOG_START + 1
@@ -1703,7 +1537,6 @@ mod tests {
     /// Every sealed record the store writes, one of each shape.
     fn samples() -> Vec<Sample> {
         let delta_len = |d: &DeltaRecord| 64 + 16 * d.pairs.len() + d.body.len();
-        let batch = sample_batch();
         let mut out = vec![
             Sample {
                 name: "superblock",
@@ -1728,18 +1561,6 @@ mod tests {
                 block: sample_journaled_root().to_block(),
                 len: 80 + 16 * sample_journaled_root().journal.len(),
                 decodes: Box::new(|b| RootRecord::from_block(b, ObjectId(7)).is_some()),
-            },
-            Sample {
-                name: "batch",
-                block: batch.to_block(),
-                // Each group is a delta record's bytes after its seal.
-                len: 32
-                    + batch
-                        .groups
-                        .iter()
-                        .map(|g| delta_len(g) - 16)
-                        .sum::<usize>(),
-                decodes: Box::new(|b| BatchRecord::from_block(b).is_some()),
             },
             Sample {
                 name: "catalog",
@@ -1783,8 +1604,6 @@ mod tests {
         for d in sample_deltas() {
             assert_eq!(DeltaRecord::from_block(&d.to_block(), d.object), Some(d));
         }
-        let batch = sample_batch();
-        assert_eq!(BatchRecord::from_block(&batch.to_block()), Some(batch));
         let cat = sample_catalog();
         assert_eq!(SnapCatalog::from_block(&cat.to_block()), Some(cat));
         for s in samples() {
@@ -1918,30 +1737,6 @@ mod tests {
             put(&mut block, at, word & !0xFFFF_FFFF | v);
             reseal(&mut block, BLOCK_SIZE);
             assert_eq!(DeltaRecord::from_block(&block, d.object), None, "{at}: {v}");
-        }
-    }
-
-    #[test]
-    fn a_batch_whose_groups_outrun_the_block_is_no_record() {
-        // More groups than the block holds, and a group with more pairs
-        // than the block holds.
-        let batch = sample_batch();
-        let len = 32
-            + batch
-                .groups
-                .iter()
-                .map(|g| 48 + 16 * g.pairs.len() + g.body.len())
-                .sum::<usize>();
-        for (at, v) in [
-            (24, (BLOCK_SIZE as u64 - 32) / 48 + 1),
-            (24, u64::MAX),
-            (32 + 24, 253),
-            (32 + 24, u64::MAX),
-        ] {
-            let mut block = batch.to_block();
-            put(&mut block, at, v);
-            reseal(&mut block, len);
-            assert_eq!(BatchRecord::from_block(&block), None, "{at}: {v}");
         }
     }
 

@@ -12,9 +12,10 @@
 //!   one node per 4 KiB block, each entry carrying its child's digest).
 //! - A μCheckpoint writes its pages as one bump-allocated extent
 //!   (sequential on disk even for random page updates) and commits with
-//!   **one record block**: a delta record in the object's ring, or one
-//!   batch record in the shard's ring for a whole group commit. If the
-//!   caller names the 64-byte lines it changed and they fit, the record
+//!   **one record block**, a delta record in the object's own ring. A
+//!   group commit of several objects shares one extent and writes each
+//!   object's record into that object's ring, all in one vectored
+//!   submission. If the caller names the 64-byte lines it changed and they fit, the record
 //!   carries the lines and is the only write; the patched pages wait in
 //!   the object's in-memory **overlay**, which reads consult first. A
 //!   line commit that arrives while its object's previous line record is
@@ -24,7 +25,7 @@
 //!   record into one of two alternating slots. Every 20th epoch an
 //!   in-place commit first writes one as a **compaction root** that no
 //!   acknowledgement waits for, and a record waits only for the root
-//!   that covers the ring slot it reuses; an oversized commit, or one 31
+//!   that covers the ring slot it reuses; an oversized commit, or one 255
 //!   epochs above its object's newest root, is itself a full root.
 //!   Recovery adopts the newest valid root and
 //!   replays the records above it through the apply the commit path uses,
@@ -73,10 +74,10 @@ mod store;
 pub use alloc::BlockAllocator;
 pub use cache::BlockCache;
 pub use layout::{
-    digest32, fnv1a, fnv1a_extend, pack_entry, unpack_entry, BatchRecord, DeltaRecord, Epoch,
-    ObjectId, RootRecord, ShardLayout, SnapCatalog, SnapEntry, Superblock, VectorCut, BATCH_SLOTS,
-    COMPACT_AFTER, DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, INLINE_BLOCK, JOURNAL_CAP,
-    MAX_DELTA_PAIRS, MAX_SHARDS, MAX_SNAPSHOTS,
+    digest32, fnv1a, fnv1a_extend, pack_entry, unpack_entry, DeltaRecord, Epoch, ObjectId,
+    RootRecord, ShardLayout, SnapCatalog, SnapEntry, Superblock, VectorCut, COMPACT_AFTER,
+    DELTA_SLOTS, DIGEST_NONE, FNV_OFFSET, INLINE_BLOCK, JOURNAL_CAP, MAX_DELTA_PAIRS, MAX_SHARDS,
+    MAX_SNAPSHOTS,
 };
 pub use radix::{RadixTree, TreeError};
 pub use shard::{shard_of_name, ExtentBroker, ObjectStore, DEFAULT_EXTENT_BLOCKS};

@@ -1,9 +1,9 @@
 //! The store façade: `N ≥ 1` [`StoreShard`]s behind one [`ObjectStore`].
 //!
 //! A single [`StoreShard`] serializes every mutator on one allocator
-//! frontier and one batch ring. This module partitions the device into
-//! `N` shards — each a complete store (own allocator, radix forest,
-//! batch ring, snapshot catalog) — so commits against different shards
+//! frontier. This module partitions the device into `N` shards — each a
+//! complete store (own allocator, radix forest, directory, snapshot
+//! catalog) — so commits against different shards
 //! share *no* state on the hot path. Three pieces make that safe:
 //!
 //! - **Shard map.** Objects map to shards by a stable hash of their
@@ -34,15 +34,15 @@ use msnap_sim::hash::fnv1a_bytewise;
 use msnap_sim::{Nanos, Vt};
 
 use crate::layout::{
-    BatchRecord, Epoch, ObjectId, ShardLayout, SnapEntry, Superblock, VectorCut, CUT_SLOTS,
-    CUT_SLOT_START, MAX_SHARDS, SHARD_ID_SHIFT,
+    Epoch, ObjectId, ShardLayout, SnapEntry, Superblock, VectorCut, CUT_SLOTS, CUT_SLOT_START,
+    MAX_DELTA_PAIRS, MAX_SHARDS, SHARD_ID_SHIFT,
 };
 use crate::store::{
     readv_blocks, retry_transient, wait_io, CommitPage, CommitToken, ScrubStats, StoreError,
     StoreShard, StoreStats, UnrepairedPage,
 };
 #[cfg(doc)]
-use crate::{DeltaRecord, MAX_DELTA_PAIRS, MAX_IO_ATTEMPTS, OVERLAY_PAGE_BUDGET};
+use crate::{DeltaRecord, MAX_IO_ATTEMPTS, OVERLAY_PAGE_BUDGET};
 
 /// Blocks per broker extent (1 MiB). Large enough that a shard's commit
 /// extents stay device-sequential, small enough that idle shards do not
@@ -470,13 +470,14 @@ impl ObjectStore {
     /// lines.
     ///
     /// This is the only place a commit is ever split: by home shard,
-    /// then — when a shard's share is several groups too large for one
-    /// [`BatchRecord`] — group by group. Each unit is one atomic shard
-    /// commit, all of its groups or none, and its own grant-retry unit:
-    /// `with_grants` only ever re-runs an attempt that aborted whole, so
-    /// no group can commit twice. Tokens return in input order.
-    /// Atomicity is per unit: an error from one unit does not roll back
-    /// an earlier unit's already-durable commit.
+    /// then — when a group of a shard's share of several is too large for
+    /// one delta record ([`MAX_DELTA_PAIRS`] pages) — group by group. Each
+    /// unit is one shard commit whose groups abort together (an error
+    /// commits none of them; a crash is atomic per group, below), and its
+    /// own grant-retry unit: `with_grants` only ever re-runs an attempt
+    /// that aborted whole, so no group can commit twice. Tokens return in
+    /// input order. An error from one unit does not roll back an earlier
+    /// unit's already-durable commit.
     ///
     /// A unit of **one group** commits as a data extent plus a
     /// [`DeltaRecord`] in the object's own ring — or, when it is oversized
@@ -490,19 +491,19 @@ impl ObjectStore {
     /// a line too many or more than [`MAX_DELTA_PAIRS`] pages each fall
     /// back to whole pages. A unit of **several groups** (the group-commit
     /// path) commits as one contiguous data extent covering every group's
-    /// pages followed by one [`BatchRecord`] carrying each object's
-    /// `(page, block)` pairs and per-object payload checksum:
-    /// `INITIATE_BASE` and the commit-record IO are paid once for the
-    /// whole batch instead of once per object. Each group still commits
-    /// its own epoch and gets its own [`CommitToken`] (all sharing the
-    /// batch's completion instant), and recovery truncation stays
-    /// per-object: a torn extent segment only truncates the chains of
-    /// the objects whose payload it corrupts.
+    /// pages followed by one vectored write of each group's
+    /// [`DeltaRecord`], into its own object's ring: `INITIATE_BASE` and
+    /// the two submissions are paid once for the whole batch instead of
+    /// once per object. Each group commits its own epoch and gets its own
+    /// [`CommitToken`] (all sharing the batch's completion instant), and
+    /// recovery is per-object: a crash, or a torn extent segment, leaves
+    /// each object a prefix of its own chain, so after a crash one group
+    /// of a unit may have landed and another not. Every group then follows
+    /// its object's compaction rule, as a lone commit does.
     ///
-    /// Two ordering rules hold for every record written. No delta or
-    /// batch record is submitted before its objects' newest full roots
-    /// are durable (its ring slot may be the one recovery still needs
-    /// until then), and a commit's [`CommitToken::completes`] is never
+    /// Two ordering rules hold for every record written. No record is
+    /// submitted before a durable root covers the ring slot it reuses
+    /// (recovery may still need the record there until then), and a commit's [`CommitToken::completes`] is never
     /// earlier than its predecessor's, so an acknowledged commit always
     /// has a durable prefix under it.
     ///
@@ -520,8 +521,8 @@ impl ObjectStore {
     /// # Panics
     ///
     /// Panics if a page image is not exactly [`BLOCK_SIZE`] bytes, or if
-    /// groups that share one batch record name the same object or carry
-    /// no pages.
+    /// groups that share one unit name the same object or carry no
+    /// pages.
     pub fn persist_batch<P: CommitPage>(
         &mut self,
         vt: &mut Vt,
@@ -543,8 +544,8 @@ impl ObjectStore {
                     .iter()
                     .map(|&(_, i)| (self.split(groups[i].0).1, groups[i].1)),
             );
-            // The whole share as one unit if it fits one record.
-            let per_unit = if BatchRecord::fits(local.iter().map(|(_, p)| p.len())) {
+            // The whole share as one unit if each group fits one record.
+            let per_unit = if local.iter().all(|(_, p)| p.len() <= MAX_DELTA_PAIRS) {
                 local.len()
             } else {
                 1
@@ -1141,19 +1142,23 @@ mod tests {
 
     #[test]
     fn oversize_batch_commits_each_group_exactly_once() {
-        // Two 150-page groups do not fit one batch record, so they commit
-        // serially; the second regularly runs off the end of the shard's
-        // granted range. The grant retry must re-run that group alone —
-        // never the already-committed first one.
+        // A group one page past a delta record does not share a unit, so
+        // the two commit serially, each a full root of fresh pages; the
+        // second regularly runs off the end of the shard's granted range.
+        // The grant retry must re-run that group alone — never the
+        // already-committed first one.
         let mut disk = Disk::new(DiskConfig::paper());
         let mut store = ObjectStore::format(&mut disk);
         let mut vt = Vt::new(0);
         let a = store.create(&mut vt, &mut disk, "a").unwrap();
         let b = store.create(&mut vt, &mut disk, "b").unwrap();
         let page = page_of(7);
-        let pages: Vec<(u64, &[u8])> = (0..150).map(|i| (i, &page[..])).collect();
+        let n = MAX_DELTA_PAIRS as u64 + 1;
         let mut grants = 0;
         for round in 1..=8u64 {
+            let pages: Vec<(u64, &[u8])> = (round * n..(round + 1) * n)
+                .map(|i| (i, &page[..]))
+                .collect();
             let (b0, commits) = (store.broker.next, store.stats().commits);
             let tokens = store
                 .persist_batch(&mut vt, &mut disk, &[(a, &pages), (b, &pages)])
@@ -1168,6 +1173,7 @@ mod tests {
             ObjectStore::wait(&mut vt, tokens[1]);
         }
         assert!(grants >= 4, "the run must cross extent boundaries");
+        assert_eq!(store.stats().batch_commits, 0, "no unit shared");
     }
 
     #[test]

@@ -49,10 +49,10 @@ use msnap_disk::{Disk, IdleIo, IoError, WriteToken, BLOCK_SIZE};
 use msnap_sim::{Category, Nanos, Vt};
 
 use crate::layout::{
-    self, BatchRecord, DeltaRecord, DirEntry, Epoch, ObjectId, RootRecord, ShardLayout,
-    SnapCatalog, SnapEntry, BATCH_SLOTS, COMPACT_AFTER, DELTA_SLOTS, DIR_BLOCKS, DIR_ENTRY_LEN,
-    ENTRIES_PER_BLOCK, INLINE_BLOCK, JOURNAL_CAP, MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS,
-    NAME_LEN, OBJECT_META_BLOCKS, SHARD_SLAB_BLOCKS, SNAP_CATALOG_SLOTS,
+    self, DeltaRecord, DirEntry, Epoch, ObjectId, RootRecord, ShardLayout, SnapCatalog, SnapEntry,
+    COMPACT_AFTER, DELTA_SLOTS, DIR_BLOCKS, DIR_ENTRY_LEN, ENTRIES_PER_BLOCK, INLINE_BLOCK,
+    JOURNAL_CAP, MAX_DELTA_PAIRS, MAX_OBJECTS, MAX_SNAPSHOTS, NAME_LEN, OBJECT_META_BLOCKS,
+    SHARD_SLAB_BLOCKS, SNAP_CATALOG_SLOTS,
 };
 use crate::radix::{TreeError, FANOUT};
 #[cfg(doc)]
@@ -320,7 +320,8 @@ pub struct StoreStats {
     /// Radix-tree node blocks written (full commits only).
     pub nodes_written: u64,
     /// Batched (group-commit) submissions: each covers several objects'
-    /// μCheckpoints with one data extent and one commit record.
+    /// μCheckpoints with one data extent and one vectored write of their
+    /// records.
     pub batch_commits: u64,
     /// Per-object μCheckpoints committed through batched submissions.
     pub batched_objects: u64,
@@ -504,7 +505,7 @@ struct SnapState {
 }
 
 /// One shard of the copy-on-write object store: a complete store in its
-/// own right (allocator, radix forest, batch ring, snapshot catalog)
+/// own right (allocator, radix forest, directory, snapshot catalog)
 /// whose metadata slab lives at a [`ShardLayout`]-determined base. The
 /// [`crate::ObjectStore`] wrapper owns `N ≥ 1` of these plus the extent
 /// broker that partitions the data area between them. See the crate and
@@ -530,15 +531,6 @@ pub(crate) struct StoreShard {
     /// Pinned blocks whose recycle gate has already passed: they return
     /// to the allocator the moment their last pin drops.
     withheld: HashSet<u64>,
-    /// What each batch-ring slot currently holds: the `(object, epoch)`
-    /// of every group in the record occupying it. A slot entry is *live*
-    /// while its epoch is newer than the object's latest full root, and a
-    /// live entry forces a full-root flush before the slot is reused; the
-    /// batch record that reuses it waits until a root covering each entry
-    /// is durable (R1′).
-    batch_ring: Vec<Vec<(ObjectId, Epoch)>>,
-    /// Next store-wide batch sequence number.
-    batch_seq: u64,
     stats: StoreStats,
     /// Ablation knob: disable the delta-record fast path (every commit
     /// flushes tree nodes and writes a full root).
@@ -577,7 +569,7 @@ impl fmt::Debug for StoreShard {
 }
 
 impl StoreShard {
-    /// An empty shard at `layout` — no objects, snapshots or ring records,
+    /// An empty shard at `layout` — no objects or snapshots,
     /// a cold cache — whose allocator hands out nothing until a grant
     /// arrives: the one constructor `format_at` and `open_at` build on.
     fn new(layout: ShardLayout) -> Self {
@@ -592,8 +584,6 @@ impl StoreShard {
             snap_seq: 0,
             snap_pins: HashMap::new(),
             withheld: HashSet::new(),
-            batch_ring: vec![Vec::new(); BATCH_SLOTS as usize],
-            batch_seq: 0,
             stats: StoreStats::default(),
             delta_commits: true,
             cache: BlockCache::new(DEFAULT_CACHE_BLOCKS),
@@ -619,12 +609,8 @@ impl StoreShard {
             .expect("formatting a faulty device is unsupported");
         let zero = [0u8; BLOCK_SIZE];
         let dir = layout.dir_start();
-        let ring = layout.batch_ring_start();
         let cat = layout.snap_catalog_start();
-        for b in (dir..dir + DIR_BLOCKS)
-            .chain(ring..ring + BATCH_SLOTS)
-            .chain(cat..cat + SNAP_CATALOG_SLOTS)
-        {
+        for b in (dir..dir + DIR_BLOCKS).chain(cat..cat + SNAP_CATALOG_SLOTS) {
             disk.write_block_at(Nanos::ZERO, b, &zero)
                 .expect("formatting a faulty device is unsupported");
         }

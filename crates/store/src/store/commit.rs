@@ -1,6 +1,6 @@
 //! The commit path: one atomic shard commit stages a μCheckpoint's pages
-//! and lands them with a delta record, a batch record, a line-grain
-//! record alone, or a full root that flushes the COW tree.
+//! and lands them with a delta record per object, a line-grain record
+//! alone, or a full root that flushes the COW tree.
 
 use super::*;
 
@@ -134,22 +134,23 @@ enum Landed {
 }
 
 /// The one landing step of a commit: the data extent, if there is one,
-/// then the one block `record` at the later of the extent's completion
-/// and `gate`. In the foreground both are submitted at once; `idle` (a
-/// compaction root) submits them as one idle-class write, whose record
-/// the device starts after the extent and not before `gate`.
+/// then its one-block `records` as one vectored write at the later of the
+/// extent's completion and `gate`. In the foreground both are submitted
+/// at once; `idle` (a compaction root) submits them as one idle-class
+/// write, whose record the device starts after the extent and not before
+/// `gate`.
 fn land(
     disk: &mut Disk,
     now: Nanos,
     extent: Option<&[(u64, &[u8])]>,
-    record: (u64, &[u8]),
+    records: &[(u64, &[u8])],
     gate: Nanos,
     cache: &mut BlockCache,
     idle: bool,
 ) -> Result<Landed, IoError> {
     if idle {
         let mut iov = extent.unwrap_or_default().to_vec();
-        iov.push(record);
+        iov.extend_from_slice(records);
         let io = retry_transient(|| disk.submit_idle_writev(now, &iov, gate))?;
         for (block, _) in &iov {
             cache.invalidate(*block);
@@ -161,7 +162,7 @@ fn land(
         None => now,
     };
     let at = data_done.max(gate);
-    let token = writev_retry(disk, at, &[record], cache)?;
+    let token = writev_retry(disk, at, records, cache)?;
     Ok(Landed::Now(token, at > data_done))
 }
 
@@ -333,9 +334,9 @@ impl StoreShard {
         let root_block = record.to_block();
         let covered = state.chain_completes.max(newest.expect("forced"));
         let extent = (!iov.is_empty()).then_some(&iov[..]);
-        let record = (slot, &root_block[..]);
+        let record = [(slot, &root_block[..])];
         let (now, idle) = (vt.now(), kind == Root::Compaction);
-        let written = match land(disk, now, extent, record, covered, &mut self.cache, idle) {
+        let written = match land(disk, now, extent, &record, covered, &mut self.cache, idle) {
             Ok(written) => written,
             Err(e) => {
                 state.tree = tree_snapshot;
@@ -416,15 +417,19 @@ impl StoreShard {
         }
     }
 
-    /// One atomic unit of [`crate::ObjectStore::persist_batch`], the only
+    /// One unit of [`crate::ObjectStore::persist_batch`], the only
     /// splitter: every group's pages land in its object, each as one
-    /// epoch, all of them or none.
+    /// epoch; an error lands none of them. Several groups share one data
+    /// extent, and each group's record goes into its own object's ring,
+    /// all in one vectored write; a crash leaves each object a prefix of
+    /// its own chain, not the unit all or nothing.
     ///
     /// # Panics
     ///
     /// Panics unless `groups` is one group, or several non-empty groups
-    /// of distinct objects whose pairs fit one [`BatchRecord`] block; or
-    /// if a page image is not exactly [`BLOCK_SIZE`] bytes.
+    /// of distinct objects that each fit one delta record
+    /// ([`MAX_DELTA_PAIRS`] pages); or if a page image is not exactly
+    /// [`BLOCK_SIZE`] bytes.
     pub fn persist_batch<P: CommitPage>(
         &mut self,
         vt: &mut Vt,
@@ -440,8 +445,8 @@ impl StoreShard {
         let shared = groups.len() != 1;
         if shared {
             assert!(
-                groups.len() > 1 && BatchRecord::fits(groups.iter().map(|(_, p)| p.len())),
-                "one group, or several that fit one batch record"
+                groups.len() > 1 && groups.iter().all(|(_, p)| p.len() <= MAX_DELTA_PAIRS),
+                "one group, or several that each fit one delta record"
             );
             let mut seen: Vec<u32> = groups.iter().map(|(o, _)| o.0).collect();
             seen.sort_unstable();
@@ -461,23 +466,14 @@ impl StoreShard {
         }
 
         let total_pages: usize = groups.iter().map(|(_, p)| p.len()).sum();
-        let ring_slot = self.batch_seq % BATCH_SLOTS;
         if shared {
             // Maintenance before the batch proper, charged to the
             // submitter and kept even if the batch later aborts (like
             // block recycling): any object whose chain would outgrow its
-            // delta window, and any object still live in the ring slot
-            // this batch is about to overwrite, first flushes a full root.
+            // delta window first flushes a full root.
             for (object, _) in groups {
-                let state = &self.objects[object.0 as usize];
-                if state.window() + 1 >= DELTA_SLOTS {
+                if self.objects[object.0 as usize].window() + 1 >= DELTA_SLOTS {
                     self.flush_full_root(vt, disk, *object)?;
-                }
-            }
-            for (object, epoch) in self.batch_ring[ring_slot as usize].clone() {
-                let state = &self.objects[object.0 as usize];
-                if epoch > state.roots[1].0 {
-                    self.flush_full_root(vt, disk, object)?;
                 }
             }
         }
@@ -523,16 +519,9 @@ impl StoreShard {
         // The line-grain group's whole patched pages, in pair order.
         let mut patched: Vec<Box<[u8]>> = Vec::new();
         let mut blocks = blocks.into_iter();
-        // R1′: the record waits for a durable root over every slot it
-        // reuses: each group's delta-ring slot (the record of epoch x
-        // reuses the slot of x − DELTA_SLOTS) and, for a batch record,
-        // every group its batch-ring slot held.
+        // R1′: the records wait for a durable root over every slot they
+        // reuse (the record of epoch x reuses the slot of x − DELTA_SLOTS).
         let mut root_gate = Nanos::ZERO;
-        if shared {
-            for (object, epoch) in self.batch_ring[ring_slot as usize].clone() {
-                root_gate = root_gate.max(self.covered_at(disk, object, epoch));
-            }
-        }
         for (object, pages) in groups {
             let reused = (self.objects[object.0 as usize].epoch + 1).saturating_sub(DELTA_SLOTS);
             root_gate = root_gate.max(self.covered_at(disk, *object, reused));
@@ -587,20 +576,24 @@ impl StoreShard {
                 body,
             });
         }
-        // The commit record: the object's own delta slot, or a shared
-        // batch-ring slot.
-        let (record_block, record) = if shared {
-            let record = BatchRecord {
-                seq: self.batch_seq,
-                groups: staged,
-            };
-            let image = record.to_block();
-            staged = record.groups;
-            (self.layout.batch_ring_start() + ring_slot, image)
+        // Each record goes into its own object's delta slot; a lone
+        // group's record and its write vector stay on the stack.
+        let slot = |d: &DeltaRecord| self.objects[d.object.0 as usize].entry.delta_slot(d.epoch);
+        let (lone, many): ([_; 1], Vec<_>);
+        let images: &[(u64, [u8; BLOCK_SIZE])] = if shared {
+            many = staged.iter().map(|d| (slot(d), d.to_block())).collect();
+            &many
         } else {
-            let delta = &staged[0];
-            let entry = &self.objects[delta.object.0 as usize].entry;
-            (entry.delta_slot(delta.epoch), delta.to_block())
+            lone = [(slot(&staged[0]), staged[0].to_block())];
+            &lone
+        };
+        let (lone, many): ([_; 1], Vec<_>);
+        let records: &[(u64, &[u8])] = if shared {
+            many = images.iter().map(|(b, i)| (*b, &i[..])).collect();
+            &many
+        } else {
+            lone = [(images[0].0, &images[0].1[..])];
+            &lone
         };
         // R3: a line record rides its object's queued one if it can.
         let now = vt.now();
@@ -612,9 +605,8 @@ impl StoreShard {
         let landed = match absorbed {
             Some(token) => Ok(Landed::Now(token, false)),
             None => {
-                let extent = (!inline).then_some(&iov[..]);
-                let record = (record_block, &record[..]);
-                land(disk, now, extent, record, root_gate, &mut self.cache, false)
+                let (extent, cache) = ((!inline).then_some(&iov[..]), &mut self.cache);
+                land(disk, now, extent, records, root_gate, cache, false)
             }
         };
         let (token, held) = match landed {
@@ -635,7 +627,7 @@ impl StoreShard {
         // supersedes the whole window — never recycled early.
         let mut tokens = Vec::with_capacity(staged.len());
         let mut patched = patched.into_iter();
-        for g in &staged {
+        for (g, (_, image)) in staged.iter().zip(images) {
             self.apply_record(g, &mut patched);
             let state = &mut self.objects[g.object.0 as usize];
             state.chain_completes = state.chain_completes.max(token.completes());
@@ -644,15 +636,12 @@ impl StoreShard {
                 completes: state.chain_completes,
             });
             if absorbed.is_none() {
-                state.tip = layout::tip_tag(&record);
+                state.tip = layout::tip_tag(image);
                 state.queued = inline.then(|| g.clone());
             }
         }
         if shared {
             disk.note_merged(staged.len() as u64);
-            self.batch_ring[ring_slot as usize] =
-                staged.iter().map(|g| (g.object, g.epoch)).collect();
-            self.batch_seq += 1;
             self.stats.batch_commits += 1;
             self.stats.batched_objects += staged.len() as u64;
         }
@@ -673,12 +662,9 @@ impl StoreShard {
         for g in &staged {
             let due = self.objects[g.object.0 as usize].window() >= PLACE_ROOT_AT;
             self.root_lands(disk, g.object, if due { Nanos::MAX } else { now });
-        }
-        if !shared {
-            let object = staged[0].object;
-            let state = &self.objects[object.0 as usize];
+            let state = &self.objects[g.object.0 as usize];
             if state.window() >= COMPACT_AFTER && state.roots[1].1 <= now {
-                self.compact(vt, disk, object);
+                self.compact(vt, disk, g.object);
             }
         }
         Ok(tokens)
@@ -782,8 +768,7 @@ impl StoreShard {
 
     /// Flushes `object`'s COW tree and writes a full root at its
     /// *current* epoch (no data, no epoch advance). This supersedes every
-    /// delta and batch record of the object, freeing its delta window and
-    /// releasing its claim on batch-ring slots.
+    /// delta record of the object, freeing its delta window.
     ///
     /// On error the tree and allocator are restored; nothing leaks.
     pub(super) fn flush_full_root(
@@ -804,7 +789,7 @@ mod tests {
     use super::*;
     use crate::store::tests::{format_shard, open_shard, page_of, setup};
     use crate::ObjectStore;
-    use msnap_disk::DiskConfig;
+    use msnap_disk::{crash_at_every_io, DiskConfig};
 
     #[test]
     fn persist_then_read_round_trips() {
@@ -1126,7 +1111,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_persist_is_two_ios_for_many_objects() {
+    fn batch_persist_is_two_ios_with_each_record_in_its_own_slot() {
         let (mut disk, mut store, mut vt) = setup();
         let a = store.create(&mut vt, &mut disk, "a").unwrap();
         let b = store.create(&mut vt, &mut disk, "b").unwrap();
@@ -1141,7 +1126,7 @@ mod tests {
         let groups: Vec<(ObjectId, &[(u64, &[u8])])> =
             vec![(a, &ga[..]), (b, &gb[..]), (c, &gc[..])];
         let tokens = store.persist_batch(&mut vt, &mut disk, &groups).unwrap();
-        // One data extent + one shared batch record for all three objects.
+        // One data extent + one vectored write of the three records.
         assert_eq!(disk.stats().writes() - before, 2);
         assert_eq!(tokens.len(), 3);
         assert!(tokens.iter().all(|t| t.epoch == 1));
@@ -1151,6 +1136,21 @@ mod tests {
         assert_eq!(store.stats().batch_commits, 1);
         assert_eq!(store.stats().batched_objects, 3);
         assert_eq!(store.stats().commits, 3);
+        // Each record is its own object's epoch-1 record, in that object's
+        // own slot, and its block is the tip the object's next record
+        // extends.
+        for (obj, group) in [(a, &ga[..]), (b, &gb[..]), (c, &gc[..])] {
+            let state = &store.objects[obj.0 as usize];
+            let block = disk.peek(state.entry.delta_slot(1)).unwrap();
+            let record = DeltaRecord::from_block(&block, obj).expect("its own record");
+            assert_eq!(record.epoch, 1);
+            let pages: Vec<u64> = record.pairs.iter().map(|(page, _)| *page).collect();
+            assert_eq!(
+                pages,
+                group.iter().map(|(page, _)| *page).collect::<Vec<_>>()
+            );
+            assert_eq!(state.tip, layout::tip_tag(&block));
+        }
 
         let mut out = page_of(0);
         for (obj, page, want) in [(a, 0, &p1), (a, 5, &p2), (b, 9, &p2), (c, 0, &p3)] {
@@ -1189,12 +1189,12 @@ mod tests {
         let groups: Vec<(ObjectId, &[(u64, &[u8])])> = vec![(a, &ga[..])];
         let tokens = store.persist_batch(&mut vt, &mut disk, &groups).unwrap();
         assert_eq!(tokens.len(), 1);
-        assert_eq!(store.stats().batch_commits, 0, "no batch record written");
+        assert_eq!(store.stats().batch_commits, 0, "no batched submission");
         assert_eq!(store.stats().delta_commits, 1);
     }
 
     #[test]
-    #[should_panic(expected = "one group, or several that fit one batch record")]
+    #[should_panic(expected = "one group, or several that each fit one delta record")]
     fn shard_never_splits_a_batch_that_outgrows_one_record() {
         // Splitting is the façade's job (`ObjectStore::persist_batch`,
         // tested there); the shard has no serial fallback to hide in.
@@ -1202,8 +1202,8 @@ mod tests {
         let a = store.create(&mut vt, &mut disk, "a").unwrap();
         let b = store.create(&mut vt, &mut disk, "b").unwrap();
         let p = page_of(1);
-        let pages: Vec<(u64, &[u8])> = (0..150).map(|i| (i, &p[..])).collect();
-        let _ = store.persist_batch(&mut vt, &mut disk, &[(a, &pages), (b, &pages)]);
+        let pages: Vec<(u64, &[u8])> = (0..=MAX_DELTA_PAIRS as u64).map(|i| (i, &p[..])).collect();
+        let _ = store.persist_batch(&mut vt, &mut disk, &[(a, &pages[..1]), (b, &pages)]);
     }
 
     #[test]
@@ -1299,7 +1299,7 @@ mod tests {
         let t = store.persist_batch(&mut vt, &mut disk, &groups).unwrap();
         vt.wait_until(t[0].completes);
 
-        // Hard-fail the shared commit record: neither object may advance.
+        // Hard-fail the write of both records: neither object may advance.
         disk.set_fault_plan(
             FaultPlan::new().at(disk.io_seq() + 1, Fault::Drop { transient: false }),
         );
@@ -1326,48 +1326,126 @@ mod tests {
     }
 
     #[test]
-    fn batch_ring_reuse_flushes_live_objects_first() {
+    fn an_object_committed_only_in_batches_compacts_and_recovers_whole() {
+        // `a` and `b` commit only through two-object units, for more
+        // epochs than their rings hold. Each group follows its object's
+        // compaction rule, so roots keep both windows short: no chain
+        // full root is ever needed.
         let (mut disk, mut store, mut vt) = setup();
         let a = store.create(&mut vt, &mut disk, "a").unwrap();
         let b = store.create(&mut vt, &mut disk, "b").unwrap();
-        let c = store.create(&mut vt, &mut disk, "c").unwrap();
-        // Batch 0 includes `a`; then b+c batch until the ring wraps and
-        // slot 0 is reused. `a` never commits again, so its batch-0 group
-        // stays live until the reuse forces its full root.
-        let pa = page_of(9);
-        let ga = [(0, &pa[..])];
-        let gb = [(0, &pa[..])];
-        let gc = [(0, &pa[..])];
-        let groups: Vec<(ObjectId, &[(u64, &[u8])])> =
-            vec![(a, &ga[..]), (b, &gb[..]), (c, &gc[..])];
-        let t = store.persist_batch(&mut vt, &mut disk, &groups).unwrap();
-        vt.wait_until(t[0].completes);
+        let rounds = DELTA_SLOTS + 40;
         let mut last = Nanos::ZERO;
-        for round in 0..BATCH_SLOTS {
-            let pb = page_of((round % 200) as u8);
-            let gb = [(1 + round, &pb[..])];
-            let gc = [(1 + round, &pb[..])];
-            let groups: Vec<(ObjectId, &[(u64, &[u8])])> = vec![(b, &gb[..]), (c, &gc[..])];
+        for round in 0..rounds {
+            let p = page_of(round as u8);
+            let ga = [(round % 8, &p[..])];
+            let gb = [(100 + round % 8, &p[..])];
+            let groups: Vec<(ObjectId, &[(u64, &[u8])])> = vec![(a, &ga[..]), (b, &gb[..])];
             let t = store.persist_batch(&mut vt, &mut disk, &groups).unwrap();
             last = t[0].completes;
             vt.wait_until(last);
+            for obj in [a, b] {
+                assert!(store.objects[obj.0 as usize].window() <= COMPACT_AFTER);
+            }
         }
+        let stats = store.stats();
+        assert_eq!(stats.batch_commits, rounds);
         assert!(
-            store.stats().nodes_written > 0,
-            "ring reuse must have flushed a full root"
+            stats.compaction_roots >= 2 * (rounds / COMPACT_AFTER - 1),
+            "{stats:?}"
         );
-        // After the wrap `a`'s batch-0 record is gone; its state must
-        // survive via its full root.
+        assert_eq!(stats.nodes_written, 0, "no chain full root: {stats:?}");
+
         disk.crash(last);
         let mut vt2 = Vt::new(1);
         let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
-        let a2 = store2.lookup("a").unwrap();
-        assert_eq!(store2.epoch(a2), 1, "a's epoch survives ring reuse");
         let mut out = page_of(0);
-        store2
-            .read_page(&mut vt2, &mut disk, a2, 0, &mut out)
-            .unwrap();
-        assert_eq!(out, pa);
+        for (name, base) in [("a", 0), ("b", 100)] {
+            let obj = store2.lookup(name).unwrap();
+            assert_eq!(store2.epoch(obj), rounds, "{name}");
+            for round in rounds - 8..rounds {
+                store2
+                    .read_page(&mut vt2, &mut disk, obj, base + round % 8, &mut out)
+                    .unwrap();
+                assert_eq!(out, page_of(round as u8), "{name}: round {round}");
+            }
+        }
+    }
+
+    /// Units of the objects "a", "b" and "c" (two rounds in three all
+    /// three, the third "a" and "c"), one page each, `rounds` times, the
+    /// clock moving 25 µs a round without waiting for the device: object
+    /// epoch `e` writes page `(e − 1) % 4` full of byte `e`. Returns the
+    /// device, each object's commit durability instants in epoch order,
+    /// and the compaction roots written.
+    fn drive_units(rounds: u64) -> (Disk, Vec<Vec<Nanos>>, u64) {
+        let (mut disk, mut store, mut vt) = setup();
+        let ids: Vec<ObjectId> = ["a", "b", "c"]
+            .iter()
+            .map(|name| store.create(&mut vt, &mut disk, name).unwrap())
+            .collect();
+        let mut acked = vec![Vec::new(); ids.len()];
+        for round in 0..rounds {
+            let members: &[usize] = if round % 3 == 2 { &[0, 2] } else { &[0, 1, 2] };
+            let images: Vec<(u64, Vec<u8>)> = members
+                .iter()
+                .map(|&i| {
+                    let epoch = store.epoch(ids[i]) + 1;
+                    ((epoch - 1) % 4, page_of(epoch as u8))
+                })
+                .collect();
+            let pages: Vec<[(u64, &[u8]); 1]> = images
+                .iter()
+                .map(|(page, image)| [(*page, &image[..])])
+                .collect();
+            let groups: Vec<(ObjectId, &[(u64, &[u8])])> = members
+                .iter()
+                .zip(&pages)
+                .map(|(&i, group)| (ids[i], &group[..]))
+                .collect();
+            let tokens = store.persist_batch(&mut vt, &mut disk, &groups).unwrap();
+            for (&i, token) in members.iter().zip(tokens) {
+                acked[i].push(token.completes);
+            }
+            vt.advance(Nanos::from_us(25));
+        }
+        (disk, acked, store.stats().compaction_roots)
+    }
+
+    #[test]
+    fn every_io_boundary_of_batches_across_a_compaction_root_recovers_an_acked_prefix() {
+        let rounds = COMPACT_AFTER + 10;
+        let (_, acked, roots) = drive_units(rounds);
+        assert!(roots >= 2, "{roots} compaction roots");
+        let points = crash_at_every_io(
+            || drive_units(rounds).0,
+            |mut disk, at| {
+                let mut vt = Vt::new(3);
+                let mut shard = open_shard(&mut vt, &mut disk).unwrap();
+                for (name, acked) in ["a", "b", "c"].iter().zip(&acked) {
+                    let durable = acked.iter().filter(|done| **done <= at).count() as u64;
+                    let Some(obj) = shard.lookup(name) else {
+                        assert_eq!(durable, 0, "crash at {at:?} lost {name}");
+                        continue;
+                    };
+                    let epoch = shard.epoch(obj);
+                    assert!(
+                        (durable..=acked.len() as u64).contains(&epoch),
+                        "{name} at {at:?}: epoch {epoch}, {durable} acked"
+                    );
+                    for page in 0..4 {
+                        let last = (1..=epoch).rev().find(|e| (e - 1) % 4 == page);
+                        let mut out = page_of(0);
+                        shard
+                            .read_page(&mut vt, &mut disk, obj, page, &mut out)
+                            .unwrap();
+                        let want = page_of(last.map_or(0, |e| e as u8));
+                        assert_eq!(out, want, "{name} at {at:?}: page {page}, epoch {epoch}");
+                    }
+                }
+            },
+        );
+        assert!(points > rounds as usize, "{points} crash points");
     }
 
     #[test]

@@ -35,9 +35,7 @@ const RING_CHUNK: u64 = 32;
 
 /// The candidate records of `entry`'s object above its root at epoch
 /// `above`, whose block's tag is `tip`, in order of their first epoch:
-/// the valid records of its delta ring, then its `groups` from the batch
-/// ring (a batched commit is a delta whose record happens to be shared
-/// with other objects). Candidates of one first epoch keep that order.
+/// the valid records of its delta ring.
 ///
 /// A record lives in the ring slot of its first epoch, and no first
 /// epoch above the root is past `above + DELTA_SLOTS` (R1′, DESIGN.md
@@ -49,13 +47,12 @@ fn record_suffix(
     vt: &mut Vt,
     disk: &mut Disk,
     entry: &DirEntry,
-    groups: Vec<Tagged>,
     (above, tip): (Epoch, u32),
 ) -> Result<Vec<Tagged>, IoError> {
     let last = above + DELTA_SLOTS;
     let mut records: Vec<Tagged> = Vec::new();
     let mut read = above;
-    while read < last && reach((above, tip), records.iter().chain(&groups)) >= read {
+    while read < last && reach((above, tip), &records) >= read {
         let upto = (read + RING_CHUNK).min(last);
         let slots = readv_blocks(vt, disk, (read + 1..=upto).map(|e| entry.delta_slot(e)))?;
         for block in slots.chunks(BLOCK_SIZE) {
@@ -65,7 +62,6 @@ fn record_suffix(
         }
         read = upto;
     }
-    records.extend(groups);
     records.retain(|(r, _)| r.epoch > above);
     records.sort_by_key(|(r, _)| r.first_epoch());
     Ok(records)
@@ -75,8 +71,8 @@ fn record_suffix(
 /// epoch `above` whose tag is `tip`, each link a candidate that starts
 /// right above the tip and carries its tag. Data and digests are not
 /// checked, so replay lands no record past it.
-fn reach<'a>((above, tip): (Epoch, u32), candidates: impl Iterator<Item = &'a Tagged>) -> Epoch {
-    let mut sorted: Vec<&Tagged> = candidates.collect();
+fn reach((above, tip): (Epoch, u32), candidates: &[Tagged]) -> Epoch {
+    let mut sorted: Vec<&Tagged> = candidates.iter().collect();
     sorted.sort_by_key(|(r, _)| r.first_epoch());
     let mut tips = HashSet::from([(above, tip)]);
     let mut highest = above;
@@ -163,8 +159,8 @@ impl StoreShard {
         disk: &mut Disk,
         layout: ShardLayout,
     ) -> Result<Self, StoreError> {
-        // The slab — magic block, directory, batch ring, snapshot catalog
-        // — is one contiguous range: one vectored read.
+        // The slab — magic block, directory, snapshot catalog — is one
+        // contiguous range: one vectored read.
         let slab = readv_blocks(vt, disk, layout.base..layout.base + SHARD_SLAB_BLOCKS)?;
         let slab_blocks = |start: u64, count: u64| {
             let at = (start - layout.base) as usize * BLOCK_SIZE;
@@ -174,22 +170,6 @@ impl StoreShard {
             return Err(StoreError::NotFormatted);
         }
         let mut shard = StoreShard::new(layout);
-
-        // Scan the batch ring once: rebuild the next sequence number and
-        // the slot occupancy, and bucket each record's groups by object so
-        // the per-object replay below can fold them into its delta chain.
-        let mut batch_groups: HashMap<u32, Vec<Tagged>> = HashMap::new();
-        for (slot, block) in slab_blocks(layout.batch_ring_start(), BATCH_SLOTS).enumerate() {
-            vt.charge(Category::FileSystem, costs::ROOT_PARSE);
-            if let Some(rec) = BatchRecord::from_block(block) {
-                shard.batch_seq = shard.batch_seq.max(rec.seq + 1);
-                shard.batch_ring[slot] = rec.groups.iter().map(|g| (g.object, g.epoch)).collect();
-                let tip = layout::tip_tag(block);
-                for g in rec.groups {
-                    batch_groups.entry(g.object.0).or_default().push((g, tip));
-                }
-            }
-        }
 
         // Directory ids are dense: an entry that does not decode, or is
         // not the next id, is a rotted directory block.
@@ -202,8 +182,7 @@ impl StoreShard {
                     Ok(Some(entry)) if entry.id.0 as usize == shard.objects.len() => entry,
                     _ => return Err(StoreError::CorruptMeta { block }),
                 };
-                let groups = batch_groups.remove(&entry.id.0).unwrap_or_default();
-                high_water = high_water.max(shard.replay_object(vt, disk, entry, groups)?);
+                high_water = high_water.max(shard.replay_object(vt, disk, entry)?);
             }
         }
 
@@ -252,8 +231,8 @@ impl StoreShard {
     }
 
     /// Recovers one object: adopt its newest valid full root, then replay
-    /// the consecutive suffix of its records above it — its own delta
-    /// ring plus its `groups` from the batch ring — through
+    /// the consecutive suffix of its records above it in its delta ring
+    /// through
     /// [`StoreShard::apply_record`], the rule the commit path lands them
     /// with. Returns the allocator frontier the recovered state reaches.
     fn replay_object(
@@ -261,7 +240,6 @@ impl StoreShard {
         vt: &mut Vt,
         disk: &mut Disk,
         entry: DirEntry,
-        groups: Vec<Tagged>,
     ) -> Result<u64, StoreError> {
         // The two root slots, then the delta ring above the newest root
         // as far as its chain can reach.
@@ -271,7 +249,7 @@ impl StoreShard {
         let base = root
             .as_ref()
             .map_or((0, layout::tag_of(0)), |(r, tip)| (r.epoch, *tip));
-        let records = record_suffix(vt, disk, &entry, groups, base)?;
+        let records = record_suffix(vt, disk, &entry, base)?;
         // The newest durable root's `high_water` is the allocator frontier
         // as of that commit; the frontier is monotone, so it covers every
         // data and node block any earlier commit of any object allocated
@@ -381,8 +359,8 @@ impl StoreShard {
     /// bit-flipped (the device "lied"), and the checksum is what keeps
     /// such a commit — and everything after it — out of the recovered
     /// prefix. A *stale* record — a truncated future whose slot was not
-    /// yet reused, a duplicate in the batch ring, or a single record in a
-    /// slot a folded record skipped — can start at the live chain's next
+    /// yet reused, or a single record in a slot a folded record skipped —
+    /// can start at the live chain's next
     /// epoch or below it, so a candidate that fails is only
     /// [`Candidate::Rejected`] and the next one is tried; one that starts
     /// at or below the tip overlaps the chain and is rejected outright,

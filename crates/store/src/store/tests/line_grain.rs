@@ -331,7 +331,7 @@ fn a_truncated_future_record_does_not_come_back_after_a_second_crash() {
 #[test]
 fn a_truncated_future_batch_group_does_not_come_back_after_a_second_crash() {
     // As above, but life 1 commits e + 1 as a page-grain batch with a
-    // second object: the batch record overtakes e's record.
+    // second object: its record in the batch overtakes e's record.
     let cfg = DiskConfig {
         channels: 4,
         ..DiskConfig::paper()
@@ -366,7 +366,7 @@ fn a_truncated_future_batch_group_does_not_come_back_after_a_second_crash() {
     assert_eq!(tokens[0].epoch, e + 1);
     let landed = disk.write_completions();
     let (rec_e, rec_e1) = (landed[landed.len() - 3], landed[landed.len() - 1]);
-    assert!(rec_e1 < rec_e, "the batch record completes first");
+    assert!(rec_e1 < rec_e, "the batch's records complete first");
     disk.crash(rec_e1 + Nanos::from_us(1));
     let mut vt = Vt::new(2);
     vt.wait_until(rec_e1 + Nanos::from_us(1));

@@ -465,7 +465,7 @@ fn read_failure_at_any_open_time_block_is_typed_and_a_retry_recovers_the_same_st
         .unwrap();
     ObjectStore::wait(&mut vt, token);
     // A full root under "a" (so replay hydrates committed nodes), a
-    // catalog entry, then deltas and a shared batch record on top.
+    // catalog entry, then deltas and a two-object batch on top.
     store
         .snapshot_create(&mut vt, &mut disk, ids[0], "s")
         .unwrap();
