@@ -20,7 +20,7 @@ fn run(memsnap: bool, subscribers: u64) -> f64 {
             1 << 17,
             &mut vt,
         );
-        LiteDb::new(Box::new(be), &mut vt)
+        LiteDb::open(Box::new(be), &mut vt).unwrap()
     } else {
         let be = FileBackend::format(
             Disk::new(DiskConfig::paper()),
@@ -28,7 +28,7 @@ fn run(memsnap: bool, subscribers: u64) -> f64 {
             "tatp.db",
             &mut vt,
         );
-        LiteDb::new(Box::new(be), &mut vt)
+        LiteDb::open(Box::new(be), &mut vt).unwrap()
     };
     let tables = setup_tatp(&mut db, &mut vt, subscribers);
     db.reset_metrics();

@@ -22,7 +22,7 @@ fn run(memsnap: bool, order: KeyOrder) -> DbbenchReport {
             1 << 17,
             &mut vt,
         );
-        LiteDb::new(Box::new(be), &mut vt)
+        LiteDb::open(Box::new(be), &mut vt).unwrap()
     } else {
         let be = FileBackend::format(
             Disk::new(DiskConfig::paper()),
@@ -30,7 +30,7 @@ fn run(memsnap: bool, order: KeyOrder) -> DbbenchReport {
             "bench.db",
             &mut vt,
         );
-        LiteDb::new(Box::new(be), &mut vt)
+        LiteDb::open(Box::new(be), &mut vt).unwrap()
     };
     run_dbbench(
         &mut db,

@@ -260,7 +260,7 @@ pub fn run_tatp(
 pub(crate) fn kv_table(vt: &mut Vt, name: &str) -> (LiteDb, TableId) {
     let backend =
         MemSnapBackend::format_with_capacity(Disk::new(DiskConfig::paper()), name, 1 << 14, vt);
-    let mut db = LiteDb::new(Box::new(backend), vt);
+    let mut db = LiteDb::open(Box::new(backend), vt).unwrap();
     let table = db.create_table(vt, "kv");
     (db, table)
 }
@@ -550,13 +550,13 @@ mod tests {
             1 << 14,
             vt,
         );
-        LiteDb::new(Box::new(backend), vt)
+        LiteDb::open(Box::new(backend), vt).unwrap()
     }
 
     fn file_db(vt: &mut Vt) -> LiteDb {
         let backend =
             FileBackend::format(Disk::new(DiskConfig::paper()), FsKind::Ffs, "bench.db", vt);
-        LiteDb::new(Box::new(backend), vt)
+        LiteDb::open(Box::new(backend), vt).unwrap()
     }
 
     fn small_cfg(order: KeyOrder) -> DbbenchConfig {

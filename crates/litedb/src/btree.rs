@@ -4,7 +4,19 @@
 //! Nodes are whole 4 KiB pages (paper property ②: data-structure nodes
 //! are page-aligned). All page IO goes through the [`Backend`] trait, so
 //! the same tree runs over the WAL baseline and the MemSnap region.
+//!
+//! Every page carries an FNV-1a checksum in header bytes 4..8, and a
+//! database is verified whole when it opens ([`BTreeForest::check`]):
+//! recovery names the first page that fails, never panics on it. The
+//! operations after that decode pages totally through
+//! [`msnap_sim::wire::Reader`] — a page that does not decode reads as
+//! empty — so bytes that change under an open database cannot panic it
+//! either.
 
+use std::collections::BTreeSet;
+
+use msnap_sim::hash::{fnv1a, fnv1a_extend, splitmix64};
+use msnap_sim::wire::{Reader, Short};
 use msnap_sim::{Category, Nanos, Vt, VthreadId};
 
 use crate::backend::Backend;
@@ -19,27 +31,72 @@ pub const MAX_VALUE: usize = 1024;
 const TYPE_LEAF: u8 = 1;
 const TYPE_INTERIOR: u8 = 2;
 
-const LEAF_HDR: usize = 16; // type, nkeys, next_leaf
-const INT_HDR: usize = 16; // type, nkeys, child0
+const LEAF_HDR: usize = 16; // type, nkeys, checksum, next_leaf
+const INT_HDR: usize = 16; // type, nkeys, checksum, child0
 const LEAF_ENTRY_FIXED: usize = 10; // key + vlen
 const INT_ENTRY: usize = 16; // key + child
+/// Where every page (the meta page too) keeps its checksum.
+const SUM_AT: usize = 4;
 
 /// CPU cost of examining one B-tree page (search within node).
 const NODE_VISIT: Nanos = Nanos::from_ns(150);
 
 type Page = [u8; PAGE_SIZE];
 
-fn read_u16(p: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes(p[off..off + 2].try_into().unwrap())
+/// A page of the database failed its checksum or does not decode as the
+/// page its parent names: recovery refuses the database.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CorruptPage {
+    /// The page number.
+    pub page: u64,
 }
+
+impl std::fmt::Display for CorruptPage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "database page {} is corrupt", self.page)
+    }
+}
+
+impl std::error::Error for CorruptPage {}
+
 fn write_u16(p: &mut [u8], off: usize, v: u16) {
     p[off..off + 2].copy_from_slice(&v.to_le_bytes());
 }
-fn read_u64(p: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(p[off..off + 8].try_into().unwrap())
-}
 fn write_u64(p: &mut [u8], off: usize, v: u64) {
     p[off..off + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// The page's checksum: FNV-1a over everything but the checksum itself,
+/// mixed so that its low half depends on every bit.
+fn page_sum(p: &Page) -> u32 {
+    splitmix64(fnv1a_extend(fnv1a(&p[..SUM_AT]), &p[SUM_AT + 4..])) as u32
+}
+
+/// Seals `p` with its checksum and writes it as page `page_no`.
+fn write_page(
+    vt: &mut Vt,
+    backend: &mut dyn Backend,
+    thread: VthreadId,
+    page_no: u64,
+    p: &mut Page,
+) {
+    let sum = page_sum(p);
+    p[SUM_AT..SUM_AT + 4].copy_from_slice(&sum.to_le_bytes());
+    backend.write_page(vt, thread, page_no, p);
+}
+
+/// Reads page `page_no` into `out`, refusing it if its checksum fails.
+fn read_checked(
+    vt: &mut Vt,
+    backend: &mut dyn Backend,
+    page_no: u64,
+    out: &mut Page,
+) -> Result<(), CorruptPage> {
+    backend.read_page(vt, page_no, out);
+    match Reader::new(&out[SUM_AT..]).u32() {
+        Ok(sum) if sum == page_sum(out) => Ok(()),
+        _ => Err(CorruptPage { page: page_no }),
+    }
 }
 
 // ---- Leaf page accessors ------------------------------------------------
@@ -49,30 +106,29 @@ fn leaf_init(p: &mut Page) {
     p[0] = TYPE_LEAF;
 }
 
-fn leaf_nkeys(p: &Page) -> usize {
-    read_u16(p, 2) as usize
+/// The entry count of a node page (its header bytes 2..4).
+fn nkeys(p: &Page) -> usize {
+    Reader::new(&p[2..]).u16().map_or(0, usize::from)
 }
 
 fn leaf_next(p: &Page) -> u64 {
-    read_u64(p, 8)
+    Reader::new(&p[8..]).u64().unwrap_or(0)
 }
 
 fn leaf_set_next(p: &mut Page, next: u64) {
     write_u64(p, 8, next);
 }
 
-/// Decodes all leaf entries.
-fn leaf_entries(p: &Page) -> Vec<(u64, Vec<u8>)> {
-    let n = leaf_nkeys(p);
-    let mut off = LEAF_HDR;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = read_u64(p, off);
-        let vlen = read_u16(p, off + 8) as usize;
-        out.push((key, p[off + 10..off + 10 + vlen].to_vec()));
-        off += LEAF_ENTRY_FIXED + vlen;
-    }
-    out
+/// Decodes all leaf entries; `Short` if they run past the page.
+fn leaf_entries(p: &Page) -> Result<Vec<(u64, Vec<u8>)>, Short> {
+    let mut r = Reader::new(&p[LEAF_HDR..]);
+    (0..nkeys(p))
+        .map(|_| {
+            let key = r.u64()?;
+            let vlen = usize::from(r.u16()?);
+            Ok((key, r.take(vlen)?.to_vec()))
+        })
+        .collect()
 }
 
 /// Re-encodes leaf entries; returns `false` if they do not fit.
@@ -115,18 +171,25 @@ fn interior_write(p: &mut Page, child0: u64, entries: &[(u64, u64)]) -> bool {
     true
 }
 
-fn interior_read(p: &Page) -> (u64, Vec<(u64, u64)>) {
-    let n = read_u16(p, 2) as usize;
-    let child0 = read_u64(p, 8);
-    let entries = (0..n)
-        .map(|i| {
-            (
-                read_u64(p, INT_HDR + i * INT_ENTRY),
-                read_u64(p, INT_HDR + i * INT_ENTRY + 8),
-            )
-        })
-        .collect();
-    (child0, entries)
+/// Decodes an interior node: `child0`, then `(key, child)` entries from
+/// [`INT_HDR`] on; `Short` if they run past the page.
+fn interior_read(p: &Page) -> Result<(u64, Vec<(u64, u64)>), Short> {
+    let mut r = Reader::new(&p[8..]);
+    let child0 = r.u64()?;
+    let entries = (0..nkeys(p))
+        .map(|_| Ok((r.u64()?, r.u64()?)))
+        .collect::<Result<_, Short>>()?;
+    Ok((child0, entries))
+}
+
+/// Whether `keys` strictly increase from `lo` on and stay below `hi`.
+fn ordered(mut keys: impl Iterator<Item = u64>, lo: u64, hi: Option<u64>) -> bool {
+    let mut next = lo;
+    keys.all(|k| {
+        let fits = k >= next && hi.is_none_or(|h| k < h);
+        next = k.saturating_add(1);
+        fits
+    })
 }
 
 /// Child to descend into for `key`.
@@ -143,12 +206,11 @@ fn interior_child_for(child0: u64, entries: &[(u64, u64)], key: u64) -> u64 {
 // ---- Meta page -----------------------------------------------------------
 
 fn meta_read(p: &Page) -> (u64, [u64; MAX_TABLES]) {
-    let npages = read_u64(p, 8);
-    let mut roots = [0u64; MAX_TABLES];
-    for (i, r) in roots.iter_mut().enumerate() {
-        *r = read_u64(p, 16 + i * 8);
-    }
-    (npages, roots)
+    // The page count at 8, then the roots: 34 words, well inside a page.
+    let mut r = Reader::new(&p[8..]);
+    let mut word = || r.u64().unwrap_or(0);
+    let npages = word();
+    (npages, std::array::from_fn(|_| word()))
 }
 
 fn meta_write(p: &mut Page, npages: u64, roots: &[u64; MAX_TABLES]) {
@@ -171,14 +233,80 @@ impl BTreeForest {
     pub fn init(vt: &mut Vt, backend: &mut dyn Backend, thread: VthreadId) {
         let mut meta = [0u8; PAGE_SIZE];
         meta_write(&mut meta, 1, &[0u64; MAX_TABLES]);
-        backend.write_page(vt, thread, 0, &meta);
+        write_page(vt, backend, thread, 0, &mut meta);
     }
 
     /// Whether the backend holds an initialized database.
     pub fn is_initialized(vt: &mut Vt, backend: &mut dyn Backend) -> bool {
         let mut meta = [0u8; PAGE_SIZE];
         backend.read_page(vt, 0, &mut meta);
-        u32::from_le_bytes(meta[0..4].try_into().unwrap()) == META_MAGIC
+        Reader::new(&meta).u32() == Ok(META_MAGIC)
+    }
+
+    /// Verifies the whole forest before the database is trusted: the
+    /// meta page and every page reachable from a tree root pass their
+    /// checksums and decode, lie below the allocation frontier, are
+    /// reached once, and hold their keys in order inside the range their
+    /// parent gives them; each tree's leaves chain in key order.
+    ///
+    /// # Errors
+    ///
+    /// [`CorruptPage`] naming the first page (in depth-first key order)
+    /// that breaks a rule.
+    pub fn check(vt: &mut Vt, backend: &mut dyn Backend) -> Result<(), CorruptPage> {
+        let mut page = [0u8; PAGE_SIZE];
+        read_checked(vt, backend, 0, &mut page)?;
+        let (npages, roots) = meta_read(&page);
+        let meta_ok = Reader::new(&page).u32() == Ok(META_MAGIC)
+            && (1..=backend.capacity_pages()).contains(&npages);
+        if !meta_ok {
+            return Err(CorruptPage { page: 0 });
+        }
+        let mut seen = BTreeSet::from([0]);
+        for root in roots.into_iter().filter(|&r| r != 0) {
+            // (page, keys from, keys below): children go on last-first, so
+            // leaves come off the stack in key order.
+            let mut stack = vec![(root, 0, None)];
+            let mut leaves: Vec<(u64, u64)> = Vec::new();
+            while let Some((page_no, lo, hi)) = stack.pop() {
+                let bad = CorruptPage { page: page_no };
+                if page_no >= npages || !seen.insert(page_no) {
+                    return Err(bad);
+                }
+                read_checked(vt, backend, page_no, &mut page)?;
+                match page[0] {
+                    TYPE_LEAF => {
+                        let entries = leaf_entries(&page).map_err(|_| bad)?;
+                        if !ordered(entries.iter().map(|(k, _)| *k), lo, hi) {
+                            return Err(bad);
+                        }
+                        leaves.push((page_no, leaf_next(&page)));
+                    }
+                    TYPE_INTERIOR => {
+                        let (child0, entries) = interior_read(&page).map_err(|_| bad)?;
+                        if !ordered(entries.iter().map(|(k, _)| *k), lo, hi) {
+                            return Err(bad);
+                        }
+                        // Child i holds the keys from separator i − 1 (the
+                        // node's own bound for child0) below separator i.
+                        for i in (0..=entries.len()).rev() {
+                            let (from, child) = match i {
+                                0 => (lo, child0),
+                                _ => entries[i - 1],
+                            };
+                            stack.push((child, from, entries.get(i).map(|e| e.0).or(hi)));
+                        }
+                    }
+                    _ => return Err(bad),
+                }
+            }
+            for (i, &(leaf, next)) in leaves.iter().enumerate() {
+                if next != leaves.get(i + 1).map_or(0, |l| l.0) {
+                    return Err(CorruptPage { page: leaf });
+                }
+            }
+        }
+        Ok(())
     }
 
     fn alloc_page(
@@ -193,7 +321,7 @@ impl BTreeForest {
             "database full: {npages} pages"
         );
         meta_write(meta, npages + 1, &roots);
-        backend.write_page(vt, thread, 0, meta);
+        write_page(vt, backend, thread, 0, meta);
         npages
     }
 
@@ -216,11 +344,11 @@ impl BTreeForest {
         let root = Self::alloc_page(vt, backend, thread, &mut meta);
         let mut leaf = [0u8; PAGE_SIZE];
         leaf_init(&mut leaf);
-        backend.write_page(vt, thread, root, &leaf);
+        write_page(vt, backend, thread, root, &mut leaf);
         let (npages, mut roots) = meta_read(&meta);
         roots[slot] = root;
         meta_write(&mut meta, npages, &roots);
-        backend.write_page(vt, thread, 0, &meta);
+        write_page(vt, backend, thread, 0, &mut meta);
         root
     }
 
@@ -244,15 +372,16 @@ impl BTreeForest {
             match page[0] {
                 TYPE_LEAF => {
                     return leaf_entries(&page)
+                        .unwrap_or_default()
                         .into_iter()
                         .find(|(k, _)| *k == key)
                         .map(|(_, v)| v);
                 }
                 TYPE_INTERIOR => {
-                    let (child0, entries) = interior_read(&page);
+                    let (child0, entries) = interior_read(&page).unwrap_or_default();
                     page_no = interior_child_for(child0, &entries, key);
                 }
-                t => panic!("corrupt page {page_no}: type {t}"),
+                _ => return None,
             }
         }
     }
@@ -277,13 +406,13 @@ impl BTreeForest {
             if page[0] == TYPE_LEAF {
                 break;
             }
-            let (child0, entries) = interior_read(&page);
+            let (child0, entries) = interior_read(&page).unwrap_or_default();
             page_no = interior_child_for(child0, &entries, key);
         }
         // Walk leaves via next pointers.
         let mut out = Vec::new();
         loop {
-            for (k, v) in leaf_entries(&page) {
+            for (k, v) in leaf_entries(&page).unwrap_or_default() {
                 if k >= key {
                     out.push((k, v));
                     if out.len() == limit {
@@ -328,19 +457,19 @@ impl BTreeForest {
                 break;
             }
             path.push(page_no);
-            let (child0, entries) = interior_read(&page);
+            let (child0, entries) = interior_read(&page).unwrap_or_default();
             page_no = interior_child_for(child0, &entries, key);
         }
 
         // Insert into the leaf.
-        let mut entries = leaf_entries(&page);
+        let mut entries = leaf_entries(&page).unwrap_or_default();
         match entries.binary_search_by_key(&key, |(k, _)| *k) {
             Ok(i) => entries[i].1 = value.to_vec(),
             Err(i) => entries.insert(i, (key, value.to_vec())),
         }
         let next = leaf_next(&page);
         if leaf_write_entries(&mut page, next, &entries) {
-            backend.write_page(vt, thread, page_no, &page);
+            write_page(vt, backend, thread, page_no, &mut page);
             return;
         }
 
@@ -354,8 +483,8 @@ impl BTreeForest {
         let mut right = [0u8; PAGE_SIZE];
         assert!(leaf_write_entries(&mut right, next, &right_entries));
         assert!(leaf_write_entries(&mut page, new_leaf_no, &entries));
-        backend.write_page(vt, thread, page_no, &page);
-        backend.write_page(vt, thread, new_leaf_no, &right);
+        write_page(vt, backend, thread, page_no, &mut page);
+        write_page(vt, backend, thread, new_leaf_no, &mut right);
 
         // Propagate the separator up the path.
         let mut sep = (sep_key, new_leaf_no);
@@ -365,11 +494,11 @@ impl BTreeForest {
                 Some(parent_no) => {
                     let mut parent = [0u8; PAGE_SIZE];
                     backend.read_page(vt, parent_no, &mut parent);
-                    let (child0, mut ents) = interior_read(&parent);
+                    let (child0, mut ents) = interior_read(&parent).unwrap_or_default();
                     let pos = ents.partition_point(|&(k, _)| k <= sep.0);
                     ents.insert(pos, sep);
                     if interior_write(&mut parent, child0, &ents) {
-                        backend.write_page(vt, thread, parent_no, &parent);
+                        write_page(vt, backend, thread, parent_no, &mut parent);
                         return;
                     }
                     // Interior split.
@@ -380,8 +509,8 @@ impl BTreeForest {
                     let mut right_page = [0u8; PAGE_SIZE];
                     assert!(interior_write(&mut right_page, right_child0, &right_ents));
                     assert!(interior_write(&mut parent, child0, &ents));
-                    backend.write_page(vt, thread, parent_no, &parent);
-                    backend.write_page(vt, thread, new_int_no, &right_page);
+                    write_page(vt, backend, thread, parent_no, &mut parent);
+                    write_page(vt, backend, thread, new_int_no, &mut right_page);
                     sep = (up_key, new_int_no);
                     child_below = parent_no;
                 }
@@ -390,11 +519,11 @@ impl BTreeForest {
                     let new_root_no = Self::alloc_page(vt, backend, thread, &mut meta);
                     let mut new_root = [0u8; PAGE_SIZE];
                     assert!(interior_write(&mut new_root, child_below, &[sep]));
-                    backend.write_page(vt, thread, new_root_no, &new_root);
+                    write_page(vt, backend, thread, new_root_no, &mut new_root);
                     let (npages, mut roots) = meta_read(&meta);
                     roots[slot] = new_root_no;
                     meta_write(&mut meta, npages, &roots);
-                    backend.write_page(vt, thread, 0, &meta);
+                    write_page(vt, backend, thread, 0, &mut meta);
                     return;
                 }
             }
@@ -422,16 +551,16 @@ impl BTreeForest {
             if page[0] == TYPE_LEAF {
                 break;
             }
-            let (child0, entries) = interior_read(&page);
+            let (child0, entries) = interior_read(&page).unwrap_or_default();
             page_no = interior_child_for(child0, &entries, key);
         }
-        let mut entries = leaf_entries(&page);
+        let mut entries = leaf_entries(&page).unwrap_or_default();
         match entries.binary_search_by_key(&key, |(k, _)| *k) {
             Ok(i) => {
                 entries.remove(i);
                 let next = leaf_next(&page);
                 assert!(leaf_write_entries(&mut page, next, &entries));
-                backend.write_page(vt, thread, page_no, &page);
+                write_page(vt, backend, thread, page_no, &mut page);
                 true
             }
             Err(_) => false,

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use msnap_sim::{SimLock, Vt, VthreadId};
 
 use crate::backend::{Backend, BackendStats, CommitError};
-use crate::btree::BTreeForest;
+use crate::btree::{BTreeForest, CorruptPage};
 
 /// Handle to a table (a B-tree slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,18 +35,27 @@ impl std::fmt::Debug for LiteDb {
 }
 
 impl LiteDb {
-    /// Opens a database over `backend`, formatting it if empty.
-    pub fn new(mut backend: Box<dyn Backend>, vt: &mut Vt) -> Self {
-        if !BTreeForest::is_initialized(vt, backend.as_mut()) {
+    /// Opens the database `backend` holds — recovery: every page is
+    /// verified first — or formats an empty backend.
+    ///
+    /// # Errors
+    ///
+    /// [`CorruptPage`] naming the first page that fails its checksum or
+    /// does not decode as the tree says it should; the database is not
+    /// opened.
+    pub fn open(mut backend: Box<dyn Backend>, vt: &mut Vt) -> Result<Self, CorruptPage> {
+        if BTreeForest::is_initialized(vt, backend.as_mut()) {
+            BTreeForest::check(vt, backend.as_mut())?;
+        } else {
             BTreeForest::init(vt, backend.as_mut(), vt.id());
         }
-        LiteDb {
+        Ok(LiteDb {
             backend,
             tables: HashMap::new(),
             next_slot: 0,
             writer: SimLock::new(),
             writer_thread: None,
-        }
+        })
     }
 
     /// Creates table `name`, or re-attaches to it after a restore
@@ -235,12 +244,12 @@ mod tests {
     fn memsnap_db(vt: &mut Vt) -> LiteDb {
         let backend =
             MemSnapBackend::format_with_capacity(Disk::new(DiskConfig::paper()), "t.db", 4096, vt);
-        LiteDb::new(Box::new(backend), vt)
+        LiteDb::open(Box::new(backend), vt).unwrap()
     }
 
     fn file_db(vt: &mut Vt) -> LiteDb {
         let backend = FileBackend::format(Disk::new(DiskConfig::paper()), FsKind::Ffs, "t.db", vt);
-        LiteDb::new(Box::new(backend), vt)
+        LiteDb::open(Box::new(backend), vt).unwrap()
     }
 
     #[test]
@@ -258,6 +267,59 @@ mod tests {
             assert_eq!(db.get(&mut vt, t, 2), Some(b"two".to_vec()));
             assert_eq!(db.get(&mut vt, t, 3), None);
         }
+    }
+
+    /// A recovered database with one bit of one page flipped — each bit
+    /// of the first 64 bytes and every 97th bit after, of the meta page,
+    /// the root and a leaf — is refused as `CorruptPage` naming that page;
+    /// the unflipped image opens as the model.
+    #[test]
+    fn flipped_bit_in_a_recovered_btree_page_is_refused_by_name() {
+        use crate::btree::BTreeForest;
+        use std::collections::BTreeMap;
+        let mut vt = Vt::new(0);
+        let mut db = memsnap_db(&mut vt);
+        let t = db.create_table(&mut vt, "kv");
+        let thread = vt.id();
+        let mut model = BTreeMap::new();
+        for k in 0..300u64 {
+            let (key, value) = (k * 7919 % 1000, vec![k as u8; 40]);
+            db.begin(&mut vt, thread);
+            db.put(&mut vt, thread, t, key, &value);
+            db.commit(&mut vt, thread).unwrap();
+            model.insert(key, value);
+        }
+        let now = vt.now();
+        let backend = db.into_backend().into_any().downcast::<MemSnapBackend>();
+        let disk = backend.unwrap().crash(now);
+        let mut vt = Vt::new(1);
+        let mut backend: Box<dyn Backend> =
+            Box::new(MemSnapBackend::restore(disk, "t.db", &mut vt));
+        let root = BTreeForest::tree_root(&mut vt, backend.as_mut(), 0);
+        assert!(root > 1, "page 1, the first root, is a leaf now");
+        let thread = vt.id();
+        let mut page = [0u8; crate::PAGE_SIZE];
+        for p in [0, root, 1] {
+            backend.read_page(&mut vt, p, &mut page);
+            let clean = page;
+            for bit in (0..512).chain((512..crate::PAGE_SIZE * 8).step_by(97)) {
+                page[bit / 8] ^= 1 << (bit % 8);
+                backend.write_page(&mut vt, thread, p, &page);
+                backend.commit(&mut vt, thread).unwrap();
+                assert_eq!(
+                    BTreeForest::check(&mut vt, backend.as_mut()),
+                    Err(CorruptPage { page: p }),
+                    "bit {bit} of page {p}"
+                );
+                page = clean;
+            }
+            backend.write_page(&mut vt, thread, p, &page);
+            backend.commit(&mut vt, thread).unwrap();
+        }
+        let mut db = LiteDb::open(backend, &mut vt).unwrap();
+        let t = db.create_table(&mut vt, "kv");
+        let all = db.scan_from(&mut vt, t, 0, usize::MAX);
+        assert_eq!(all, model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -322,7 +384,7 @@ mod tests {
             4096,
             &mut vt,
         );
-        let mut db = LiteDb::new(Box::new(backend), &mut vt);
+        let mut db = LiteDb::open(Box::new(backend), &mut vt).unwrap();
         let t = db.create_table(&mut vt, "kv");
         let thread = vt.id();
         db.begin(&mut vt, thread);
@@ -344,7 +406,7 @@ mod tests {
 
         let mut vt2 = Vt::new(1);
         let restored = MemSnapBackend::restore(disk, "t.db", &mut vt2);
-        let mut db2 = LiteDb::new(Box::new(restored), &mut vt2);
+        let mut db2 = LiteDb::open(Box::new(restored), &mut vt2).unwrap();
         let t2 = db2.create_table(&mut vt2, "kv");
         for k in 0..100u64 {
             assert_eq!(db2.get(&mut vt2, t2, k), Some(k.to_le_bytes().to_vec()));

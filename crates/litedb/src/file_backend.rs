@@ -6,11 +6,18 @@
 //! in the same transaction); a commit fsyncs the WAL; once the WAL
 //! exceeds the checkpoint threshold its frames are copied into the DB
 //! file with random writes and both files are fsynced.
+//!
+//! A frame is the page number and the page image; the top bit of the
+//! page number marks a transaction's last frame, its commit frame, as
+//! SQLite's WAL does. Recovery applies a transaction only once its commit
+//! frame replays intact, so a log torn or damaged inside a transaction
+//! recovers the transactions before it.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use msnap_disk::Disk;
 use msnap_fs::{Fd, FileSystem, FsKind, WriteAheadLog};
+use msnap_sim::wire::Reader;
 use msnap_sim::{Category, Meters, Nanos, Vt, VthreadId};
 
 use crate::backend::{Backend, BackendStats, CommitError};
@@ -22,6 +29,9 @@ pub const DEFAULT_CHECKPOINT_BYTES: u64 = 4 << 20;
 
 /// CPU cost of a page-cache hit (userspace lookup, no syscall).
 const CACHE_HIT: Nanos = Nanos::from_ns(200);
+
+/// The flag on a frame's page number that ends its transaction.
+const COMMIT_FRAME: u64 = 1 << 63;
 
 /// The WAL-and-checkpoint baseline backend. See the module docs.
 #[derive(Debug)]
@@ -70,17 +80,25 @@ impl FileBackend {
 
     /// Simulates a crash at `at` followed by recovery: the buffer cache
     /// is lost, the device rolls back incomplete writes, and the WAL is
-    /// replayed up to its last intact record.
+    /// replayed up to its last intact record — each transaction whose
+    /// commit frame is among them, and nothing of the one after.
     pub fn crash_and_recover(&mut self, vt: &mut Vt, at: Nanos) {
         self.disk.crash(at);
         self.fs.discard_cache(&self.disk);
         self.cache.clear();
         self.cache_order.clear();
         self.wal_latest.clear();
+        let mut txn = Vec::new();
         for record in self.wal.replay(vt, &mut self.disk, &mut self.fs) {
-            let page = u64::from_le_bytes(record.payload[0..8].try_into().unwrap());
-            self.wal_latest
-                .insert(page, record.payload[8..].to_vec().into_boxed_slice());
+            let mut r = Reader::new(&record.payload);
+            // A record that is not one frame ends the log.
+            let (Ok(word), Ok(image), []) = (r.u64(), r.take(PAGE_SIZE), r.rest()) else {
+                break;
+            };
+            txn.push((word & !COMMIT_FRAME, Box::from(image)));
+            if word & COMMIT_FRAME != 0 {
+                self.wal_latest.extend(txn.drain(..));
+            }
         }
     }
 
@@ -157,9 +175,15 @@ impl Backend for FileBackend {
         // page) and fsyncs the log.
         let mut pages: Vec<u64> = self.txn_pages.drain().collect();
         pages.sort_unstable();
+        let last = pages.last().copied();
         for page in pages {
+            let word = if Some(page) == last {
+                page | COMMIT_FRAME
+            } else {
+                page
+            };
             let mut frame = Vec::with_capacity(8 + PAGE_SIZE);
-            frame.extend_from_slice(&page.to_le_bytes());
+            frame.extend_from_slice(&word.to_le_bytes());
             frame.extend_from_slice(&self.wal_latest[&page]);
             self.wal.append(vt, &mut self.disk, &mut self.fs, &frame);
             self.stats.pages_persisted += 1;
@@ -225,6 +249,65 @@ mod tests {
         let mut out = page_of(0);
         b.read_page(&mut vt, 5, &mut out);
         assert_eq!(out, page_of(0xAA));
+    }
+
+    /// A bit flipped in any one WAL record — its length, its checksum,
+    /// its page word (the commit flag included) or its image — recovers
+    /// exactly the transactions committed before that record's: never a
+    /// torn one, never a panic.
+    #[test]
+    fn flipped_bit_in_a_wal_record_recovers_the_transactions_before_it() {
+        use crate::LiteDb;
+        use std::collections::BTreeMap;
+        // Eight transactions of twelve puts; returns the backend, the
+        // table after each transaction, and each frame's transaction.
+        let build = || {
+            let (backend, mut vt) = setup();
+            let mut db = LiteDb::open(Box::new(backend), &mut vt).unwrap();
+            let t = db.create_table(&mut vt, "kv");
+            let thread = vt.id();
+            let (mut model, mut models, mut txn_of) = (BTreeMap::new(), vec![vec![]], vec![]);
+            for txn in 0..8u64 {
+                db.begin(&mut vt, thread);
+                for i in 0..12u64 {
+                    let (key, value) = ((txn * 12 + i) * 37 % 500, vec![(txn + i) as u8; 90]);
+                    db.put(&mut vt, thread, t, key, &value);
+                    model.insert(key, value);
+                }
+                db.commit(&mut vt, thread).unwrap();
+                let frames = db.backend_stats().pages_persisted as usize;
+                txn_of.resize(frames, txn as usize);
+                models.push(model.clone().into_iter().collect::<Vec<_>>());
+            }
+            let backend = db.into_backend().into_any().downcast::<FileBackend>();
+            (*backend.unwrap(), vt, models, txn_of)
+        };
+        let (_, _, models, txn_of) = build();
+        assert!(txn_of.len() > 2 * 8, "transactions of several frames");
+        let frame = (16 + 8 + PAGE_SIZE) as u64;
+        // Bits of the length and checksum words, of the page word (bit 127
+        // of the frame's first 16 bytes is the commit flag), of the image.
+        let bits = [
+            0, 13, 40, 63, 64, 77, 100, 127, 128, 133, 190, 191, 200, 9_000, 32_900,
+        ];
+        for (record, &txn) in txn_of.iter().enumerate() {
+            for bit in bits {
+                let (mut b, mut vt, _, _) = build();
+                let at = record as u64 * frame + bit / 8;
+                let fd = b.wal.fd();
+                let mut byte = [0u8];
+                b.fs.read(&mut vt, &mut b.disk, fd, at, &mut byte);
+                byte[0] ^= 1 << (bit % 8);
+                b.fs.write(&mut vt, &mut b.disk, fd, at, &byte);
+                b.fs.fsync(&mut vt, &mut b.disk, fd);
+                let now = vt.now();
+                b.crash_and_recover(&mut vt, now);
+                let mut db = LiteDb::open(Box::new(b), &mut vt).unwrap();
+                let t = db.create_table(&mut vt, "kv");
+                let all = db.scan_from(&mut vt, t, 0, usize::MAX);
+                assert_eq!(all, models[txn], "bit {bit} of record {record}");
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!
 //! let mut vt = Vt::new(0);
 //! let backend = MemSnapBackend::format(Disk::new(DiskConfig::paper()), "bank.db", &mut vt);
-//! let mut db = LiteDb::new(Box::new(backend), &mut vt);
+//! let mut db = LiteDb::open(Box::new(backend), &mut vt).unwrap();
 //! let accounts = db.create_table(&mut vt, "accounts");
 //!
 //! let thread = vt.id();
@@ -51,6 +51,7 @@ mod file_backend;
 mod memsnap_backend;
 
 pub use backend::{Backend, BackendStats, CommitError};
+pub use btree::CorruptPage;
 pub use engine::{LiteDb, TableId};
 pub use file_backend::FileBackend;
 pub use memsnap_backend::MemSnapBackend;

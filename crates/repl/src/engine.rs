@@ -383,6 +383,9 @@ struct Link {
     /// Acknowledgement lag of the ships never sent twice: the link's
     /// round trip, apply included, which times its tail-loss probes.
     rtt: Estimator,
+    /// The link has shown loss — the probe timer fired, or a `Nak` came
+    /// up — so every ship's packed `End` also goes out alone.
+    lossy: bool,
     meters: Meters,
     metrics: LinkMetrics,
 }
@@ -481,6 +484,7 @@ impl ReplEngine {
             repair_sent: BTreeMap::new(),
             last_cut_sent: None,
             rtt: Estimator::default(),
+            lossy: false,
             meters: Meters::new(),
             metrics: LinkMetrics::default(),
         });
@@ -679,6 +683,7 @@ impl ReplEngine {
                             begin,
                             missing,
                         } => {
+                            link.lossy = true;
                             let mut inflight = link
                                 .ships
                                 .values_mut()
@@ -846,13 +851,14 @@ impl ReplEngine {
                 let (begin, seqs, probe) = match ship.wanted.take() {
                     Some((begin, missing)) => (begin, missing, false),
                     None if now.saturating_sub(ship.last_send) > pto => {
+                        link.lossy = true;
                         let (begin, tail) = ship.tail();
                         (begin, tail.collect(), true)
                     }
                     None => continue,
                 };
                 link.metrics.retransmit_frames +=
-                    send_ship(&mut link.down, now, ship, begin, seqs, probe);
+                    send_ship(&mut link.down, now, ship, begin, seqs, probe, link.lossy);
                 ship.last_send = now;
                 ship.resent = true;
             }
@@ -1578,9 +1584,9 @@ mod tests {
     /// One lost datagram costs one datagram: with each datagram of a ship
     /// of whole-page frames lost in turn — the `Begin`, each frame, the
     /// `End`, then the `Ack` — the link converges having resent that
-    /// datagram's messages, the closing `End` and at most one tail-loss
-    /// probe (a bare `End`: no whole-page frame fits its datagram), never
-    /// the ship.
+    /// datagram's messages, the closing `End` and its spare (the link has
+    /// shown loss by then) and at most one tail-loss probe (a bare `End`:
+    /// no whole-page frame fits its datagram), never the ship.
     #[test]
     fn one_lost_datagram_is_resent_alone() {
         for n in [1u64, 3, 8] {
@@ -1626,11 +1632,11 @@ mod tests {
                 assert_eq!(m.retransmit_frames, u64::from(frame_lost), "{n}/{victim}");
                 assert_eq!(m.acks, 3, "bootstrap's two and this one: {n}/{victim}");
                 // What went down the link again: the lost datagram's
-                // worth, an End probe and the closing End (56 bytes
-                // each), a cut re-announce.
+                // worth, an End probe, the closing End and its spare
+                // alone (56 bytes each), a cut re-announce.
                 let resent = eng.links[0].down.stats().bytes_sent - resent_from;
                 assert!(
-                    resent <= lost.len() as u64 + 3 * 56,
+                    resent <= lost.len() as u64 + 4 * 56,
                     "{n}/{victim}: resent {resent} bytes for a lost {}",
                     lost.len()
                 );
@@ -1641,40 +1647,13 @@ mod tests {
     /// A packed one-datagram ship, then its `Ack`, lost in turn on a
     /// jitter-free calm link: the timer fires once, one probe timeout
     /// (the learned lag and a millisecond) after the send, and its
-    /// tail-loss probe — the whole ship again, one datagram — lands it
-    /// (or is acknowledged anew) with no `Nak` round after it.
+    /// tail-loss probe — the whole ship again, one datagram, then its
+    /// `End` alone, since the timer marked the link lossy — lands it (or
+    /// is acknowledged anew) with no `Nak` round after it.
     #[test]
     fn lost_packed_ship_or_its_ack_costs_one_probe() {
-        // Ticks in 100 µs steps until caught up, so the timer learns the
-        // link's own lag; returns how often the in-flight ship was resent
-        // (by the timer or a Nak) and when the link caught up.
-        let run = |eng: &mut ReplEngine, vt: &mut Vt, ms: &mut MemSnap, object: &str| {
-            let last_send = |eng: &ReplEngine| {
-                let os = eng.links[0].ships.get(object)?;
-                os.inflight.as_ref().map(|s| s.last_send)
-            };
-            let mut resends = 0;
-            for _ in 0..1000 {
-                vt.advance(Nanos::from_us(100));
-                let was = last_send(eng);
-                let report = eng.tick(vt, ms).unwrap();
-                resends += usize::from(last_send(eng).is_some_and(|at| Some(at) != was));
-                if report.caught_up {
-                    return (resends, vt.now());
-                }
-            }
-            panic!("not caught up")
-        };
         for lose_ack in [false, true] {
-            let (mut ms, mut vt, space, r, object) = primary();
-            let mut eng = ReplEngine::new(ReplConfig::default());
-            let exact = NetConfig {
-                jitter: Nanos::ZERO,
-                ..NetConfig::calm(7)
-            };
-            eng.add_replica("r1", exact).unwrap();
-            commit(&mut ms, &mut vt, space, &r, 1);
-            run(&mut eng, &mut vt, &mut ms, &object);
+            let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
 
             let shipped = commit(&mut ms, &mut vt, space, &r, 2);
             let objects = resolved_objects(ms.store());
@@ -1697,7 +1676,7 @@ mod tests {
                 .rtt
                 .probe_timeout(eng.config().retransmit_timeout);
             assert!(pto < Nanos::from_ms(2), "learned, not the ceiling: {pto:?}");
-            let (resends, done) = run(&mut eng, &mut vt, &mut ms, &object);
+            let (resends, done) = run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
             assert_eq!(
                 resends, 1,
                 "one timer fire, no Nak round: lose_ack {lose_ack}"
@@ -1715,16 +1694,210 @@ mod tests {
             let after = *eng.links[0].down.stats();
             assert_eq!(
                 after.sent - sent.sent,
-                1,
-                "the probe alone: lose_ack {lose_ack}"
+                2,
+                "the probe and its spare End: lose_ack {lose_ack}"
             );
             let resent = after.bytes_sent - sent.bytes_sent;
             let end = (SHIP_MSG_HEAD + StreamTrailer::encoded_len()) as u64;
             assert!(
-                resent <= gram + end,
+                resent <= gram + 2 * end,
                 "lose_ack {lose_ack}: resent {resent} bytes for a lost {gram}"
             );
         }
+    }
+
+    /// Ticks in 100 µs steps until caught up, so the timer learns the
+    /// link's own lag; returns how often the in-flight ship was resent
+    /// (by the timer or a Nak) and when the link caught up.
+    fn run_until_caught_up(
+        eng: &mut ReplEngine,
+        vt: &mut Vt,
+        ms: &mut MemSnap,
+        object: &str,
+    ) -> (usize, Nanos) {
+        let last_send = |eng: &ReplEngine| {
+            let os = eng.links[0].ships.get(object)?;
+            os.inflight.as_ref().map(|s| s.last_send)
+        };
+        let mut resends = 0;
+        for _ in 0..1000 {
+            vt.advance(Nanos::from_us(100));
+            let was = last_send(eng);
+            let report = eng.tick(vt, ms).unwrap();
+            resends += usize::from(last_send(eng).is_some_and(|at| Some(at) != was));
+            if report.caught_up {
+                return (resends, vt.now());
+            }
+        }
+        panic!("not caught up")
+    }
+
+    /// A primary and one replica over a jitter-free calm link, caught up
+    /// on a first commit in 100 µs ticks: the timer knows the link's lag.
+    fn learned_link() -> (MemSnap, Vt, AsId, RegionHandle, String, ReplEngine) {
+        let (mut ms, mut vt, space, r, object) = primary();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        let exact = NetConfig {
+            jitter: Nanos::ZERO,
+            ..NetConfig::calm(7)
+        };
+        eng.add_replica("r1", exact).unwrap();
+        commit(&mut ms, &mut vt, space, &r, 1);
+        run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
+        (ms, vt, space, r, object, eng)
+    }
+
+    /// Commits one more page image and sends its ship, one packed
+    /// datagram, by hand; returns when it went.
+    fn ship_one(
+        eng: &mut ReplEngine,
+        vt: &mut Vt,
+        ms: &mut MemSnap,
+        space: AsId,
+        r: &RegionHandle,
+    ) -> Nanos {
+        commit(ms, vt, space, r, 2);
+        let objects = resolved_objects(ms.store());
+        let mut report = TickReport::default();
+        eng.drain_up(vt, &mut report);
+        eng.ship(vt, ms, &objects, &mut report).unwrap();
+        assert_eq!(report.ships_started, 1);
+        vt.now()
+    }
+
+    /// Once the replica has seen loss, a lost `Ack` costs nothing: its
+    /// twin lands the ship at the primary one round trip after the send.
+    /// The timer never fires, and nothing is resent.
+    #[test]
+    fn doubled_ack_survives_a_lost_first_ack_without_a_probe() {
+        let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
+        eng.links[0].node.as_mut().unwrap().lossy = true;
+        let acks_before = eng.links[0].up.stats().sent;
+        let sent_at = ship_one(&mut eng, &mut vt, &mut ms, space, &r);
+        eng.pump_until(vt.now());
+        assert_eq!(
+            eng.links[0].up.stats().sent - acks_before,
+            2,
+            "the Ack, twice"
+        );
+        let ack = lose(&mut eng.links[0].up, vt.now(), 0);
+        assert!(matches!(Msg::decode(&ack), Ok((Msg::Ack { .. }, _))));
+        let pto = eng.links[0]
+            .rtt
+            .probe_timeout(eng.config().retransmit_timeout);
+        let (resends, done) = run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
+        assert_eq!(resends, 0, "the timer never fired");
+        assert_eq!(eng.link_metrics("r1").unwrap().retransmit_frames, 0);
+        let round = eng.links[0].rtt.mean;
+        assert!(
+            done - sent_at <= round + Nanos::from_us(200),
+            "took {:?}",
+            done - sent_at
+        );
+        assert!(
+            round + Nanos::from_us(200) < pto,
+            "a probe would have been later"
+        );
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+    }
+
+    /// Both `Ack`s of a doubled pair reach the primary, and the ship
+    /// counts once: one acknowledgement, one lag sample, one timer
+    /// sample.
+    #[test]
+    fn doubled_ack_counts_once() {
+        let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
+        eng.links[0].node.as_mut().unwrap().lossy = true;
+        let acks = eng.link_metrics("r1").unwrap().acks;
+        let lags = |eng: &ReplEngine| {
+            let meters = eng.link_meters("r1").unwrap();
+            meters.get("repl_ack_lag").unwrap().count()
+        };
+        let (lags_before, mut rtt) = (lags(&eng), eng.links[0].rtt);
+        let sent_at = ship_one(&mut eng, &mut vt, &mut ms, space, &r);
+        let up_before = eng.links[0].up.stats().delivered;
+        let (_, done) = run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
+        assert_eq!(
+            eng.links[0].up.stats().delivered - up_before,
+            2,
+            "both Acks arrived"
+        );
+        assert_eq!(eng.link_metrics("r1").unwrap().acks, acks + 1);
+        assert_eq!(lags(&eng), lags_before + 1);
+        rtt.sample(done - sent_at);
+        assert_eq!(eng.links[0].rtt, rtt, "one timer sample");
+    }
+
+    /// A calm link never shows loss: 200 ships of 1–4 pages over a
+    /// jittering calm link send one `Ack` each and no spare `End`, and
+    /// both directions carry exactly the datagrams and bytes they carried
+    /// before loss-gated redundancy existed.
+    #[test]
+    fn calm_link_sends_one_ack_a_ship_and_no_spare_end() {
+        let (mut ms, mut vt, space, r, _) = primary();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("r1", NetConfig::calm(41)).unwrap();
+        for i in 0..200 {
+            commit_noise(&mut ms, &mut vt, space, &r, i, 1 + i % 4);
+            assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        }
+        assert!(!eng.links[0].lossy && !eng.replica("r1").unwrap().lossy);
+        let m = *eng.link_metrics("r1").unwrap();
+        let (down, up) = eng.link_net_stats("r1").unwrap();
+        assert_eq!(m.retransmit_frames, 0);
+        assert_eq!(up.sent, 1 + m.acks, "the Hello, then one Ack a ship");
+        // Both directions exactly as they were before the loss gate
+        // existed, on this seed and schedule.
+        assert_eq!((down.sent, down.bytes_sent), (1002, 2_118_799));
+        assert_eq!((up.sent, up.bytes_sent, m.acks), (202, 7_264, 201));
+    }
+
+    /// A second `End` for a ship still missing a piece keeps the `Nak`
+    /// deadline the first armed, and a probe `End` still earns the `Nak`
+    /// at once.
+    #[test]
+    fn repeated_end_keeps_the_armed_nak_deadline() {
+        let (msgs, epoch) = ship_of(3);
+        let mut node = ReplicaNode::format("r1", 1);
+        node.reorder.sample(Nanos::from_us(100));
+        let bound = node.reorder.bound().unwrap();
+        for msg in [&msgs[0], &msgs[1], &msgs[3]] {
+            assert!(node.handle(msg.clone()).is_empty());
+        }
+        let armed = node.vt.now();
+        assert!(
+            node.handle(msgs[4].clone()).is_empty(),
+            "frame 1 is missing"
+        );
+        node.vt.advance(bound / 2);
+        assert!(node.handle(msgs[4].clone()).is_empty());
+        assert!(node.lossy, "an End it already holds");
+        assert!(
+            node.overdue(armed + bound - Nanos::from_ns(1)).is_empty(),
+            "not yet"
+        );
+        let naks = node.overdue(armed + bound);
+        assert!(
+            matches!(&naks[..], [Msg::Nak { missing, .. }] if missing[..] == [1]),
+            "due at the first End's deadline, not postponed: {naks:?}"
+        );
+        // The Nak is spent; a probe asks again at once.
+        let Msg::End { trailer, .. } = msgs[4].clone() else {
+            unreachable!("ship_of ends with the End")
+        };
+        node.vt.advance(bound / 4);
+        let probe = Msg::End {
+            ship: 1,
+            probe: true,
+            trailer,
+        };
+        assert!(node.handle(probe).is_empty());
+        let naks = node.overdue(node.vt.now());
+        assert!(
+            matches!(&naks[..], [Msg::Nak { missing, .. }] if missing[..] == [1]),
+            "{naks:?}"
+        );
+        assert_eq!(node.handle(msgs[2].clone()), [ack_of(epoch), ack_of(epoch)]);
     }
 
     /// The probe timeout is RFC 9002's: the mean lag plus four deviations
@@ -1903,7 +2076,9 @@ mod tests {
             matches!(&naks[..], [Msg::Nak { missing, .. }] if missing[..] == [1]),
             "{naks:?}"
         );
-        assert_eq!(node.handle(msgs[2].clone()), [ack_of(epoch)]);
+        // The node answered a probe: its link has shown loss, so the
+        // Ack goes up twice.
+        assert_eq!(node.handle(msgs[2].clone()), [ack_of(epoch), ack_of(epoch)]);
         let mut got = vec![0u8; PAGE_SIZE];
         node.read_page("db", 1, &mut got).unwrap();
         assert_eq!(got, noise_page(1));

@@ -4,6 +4,13 @@
 //! crash-atomic commit and answers `Ack` — or, once a hole outlives the
 //! reorder allowance, the `Nak` naming it. It also answers repair
 //! requests, asks for its own rot, and tracks the announced cuts.
+//!
+//! Once its link has shown loss — a probe `End` arrived, or an `End` of a
+//! ship it already holds or has landed (every resend carries the ship's
+//! `End`) — the node sends each `Ack` twice, back to back: a lost `Ack`
+//! stalls its object's one ship in flight for a probe timeout, and the
+//! primary ignores an `Ack` for a ship no longer in flight. A link that
+//! has shown no loss gets one `Ack` a ship.
 
 use super::*;
 
@@ -41,6 +48,8 @@ pub struct ReplicaNode {
     /// stage-then-commit. Cleared whenever a `Hello` goes up the link.
     dedup: BTreeMap<String, DedupTable>,
     bootstrapped: bool,
+    /// The link has shown loss: every `Ack` goes up twice.
+    pub(super) lossy: bool,
 }
 
 /// Ships the replica remembers as finished; older entries are pruned.
@@ -50,7 +59,7 @@ const COMPLETED_KEEP: usize = 64;
 /// link's acknowledgement lag at the primary (the retransmit timer),
 /// how far a ship's pieces trail its `End` at the replica (the reorder
 /// allowance).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(super) struct Estimator {
     /// Zero until the first sample (samples are positive).
     pub(super) mean: Nanos,
@@ -188,6 +197,7 @@ impl ReplicaNode {
             cut: None,
             dedup: BTreeMap::new(),
             bootstrapped,
+            lossy: false,
         }
     }
 
@@ -380,17 +390,19 @@ impl ReplicaNode {
         total.saturating_add(cost) <= MAX_LAG_BYTES as usize
     }
 
-    /// Remembers a finished ship and acknowledges it.
+    /// Remembers a finished ship and acknowledges it — twice on a link
+    /// that has shown loss.
     fn done(&mut self, ship: u64, object: String, epoch: Epoch) -> Vec<Msg> {
         self.completed.insert(ship, (object.clone(), epoch));
         while self.completed.len() > COMPLETED_KEEP {
             self.completed.pop_first();
         }
-        vec![Msg::Ack {
+        let ack = Msg::Ack {
             ship,
             object,
             epoch,
-        }]
+        };
+        vec![ack; 1 + usize::from(self.lossy)]
     }
 
     /// Takes one piece of a ship — `Begin`, `Frame` or `End`, in any
@@ -401,7 +413,10 @@ impl ReplicaNode {
             // Landed already. An `End` is the primary probing after a
             // lost `Ack`; any other late or duplicate piece needs none.
             return match piece {
-                Msg::End { .. } => self.done(ship, object, epoch),
+                Msg::End { .. } => {
+                    self.lossy = true;
+                    self.done(ship, object, epoch)
+                }
                 _ => Vec::new(),
             };
         }
@@ -473,13 +488,15 @@ impl ReplicaNode {
                 // Should this End not complete the ship, its holes earn
                 // a Nak: at once for a probe (nothing else is on its
                 // way), else when they outlive the reorder allowance —
-                // and while none has been observed, at the probe.
+                // and while none has been observed, at the probe. A
+                // repeated End keeps an earlier deadline.
                 let wait = if probe {
                     Some(Nanos::ZERO)
                 } else {
                     self.reorder.bound()
                 };
-                rec.nak_at = wait.map(|w| now + w);
+                rec.nak_at = rec.nak_at.into_iter().chain(wait.map(|w| now + w)).min();
+                self.lossy |= probe || rec.trailer.is_some();
                 rec.trailer = Some((trailer, rec.trailer.map_or(now, |(_, at)| at)));
             }
             _ => {} // duplicate Begin: the session is open

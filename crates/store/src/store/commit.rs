@@ -1003,6 +1003,140 @@ mod tests {
         }
     }
 
+    /// Pages a commit of [`drive_dry_ring`] writes: 20 of them overflow
+    /// a compaction root's journal, so every root needs node blocks.
+    const DRY_PAGES: u64 = 13;
+
+    /// One object on a shard granted exactly each commit's data extent:
+    /// every compaction root fails for space, swallowed, and the object
+    /// climbs to `DELTA_SLOTS − 1` epochs above its only root (epoch 0).
+    /// Then one commit on the same exact grant; then, with space granted,
+    /// that commit again and `extra` more. Before each commit the ring
+    /// slot it writes must hold no record a durable root does not cover.
+    /// Returns the device, the commit tokens in order, and the error of
+    /// the commit the chain root would not fit.
+    fn drive_dry_ring(extra: u64) -> (Disk, Vec<CommitToken>, StoreError) {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = StoreShard::format_at(&mut disk, ShardLayout::sharded(0, 1));
+        disk.settle();
+        let mut vt = Vt::new(0);
+        // Grants follow each other, as the extent broker's do: a grant
+        // the refused commit left unused stays granted.
+        let mut end = store.high_water();
+        let mut grant = |store: &mut StoreShard, n: u64| {
+            store.grant_range(end, end + n);
+            end += n;
+        };
+        grant(&mut store, OBJECT_META_BLOCKS);
+        let obj = store.create(&mut vt, &mut disk, "db").unwrap();
+        let mut tokens = Vec::new();
+        let commit = |store: &mut StoreShard, disk: &mut Disk, vt: &mut Vt, epoch: u64| {
+            // R1′ as the device sees it: the slot holds no record, or one
+            // at or below the newest durable root.
+            let state = &store.objects[obj.0 as usize];
+            let slot = state.entry.delta_slot(epoch);
+            let (root, landed) = state.roots[1];
+            let held = disk.peek(slot);
+            if let Some(old) = held.and_then(|b| DeltaRecord::from_block(&b, obj)) {
+                assert!(
+                    old.epoch <= root && landed <= vt.now(),
+                    "epoch {epoch} overwrites the record of {} over a root at {root}",
+                    old.epoch
+                );
+            }
+            let page = page_of(epoch as u8);
+            let pages: Vec<(u64, &[u8])> = (0..DRY_PAGES)
+                .map(|i| (epoch * DRY_PAGES + i, &page[..]))
+                .collect();
+            let token = store.persist(vt, disk, obj, &pages);
+            if let Ok(token) = token {
+                ObjectStore::wait(vt, token);
+            }
+            token
+        };
+        for epoch in 1..DELTA_SLOTS {
+            grant(&mut store, DRY_PAGES);
+            tokens.push(commit(&mut store, &mut disk, &mut vt, epoch).unwrap());
+        }
+        let state = &store.objects[obj.0 as usize];
+        assert_eq!(state.window(), DELTA_SLOTS - 1);
+        assert_eq!(
+            store.stats().compaction_roots,
+            0,
+            "every root failed for space"
+        );
+        // The next commit must be a chain root: on the data extent's
+        // grant alone its nodes do not fit, and nothing is written.
+        grant(&mut store, DRY_PAGES);
+        let (io_seq, commits) = (disk.io_seq(), store.stats().commits);
+        let err = commit(&mut store, &mut disk, &mut vt, DELTA_SLOTS).unwrap_err();
+        assert_eq!(disk.io_seq(), io_seq, "a refused commit writes nothing");
+        assert_eq!(store.stats().commits, commits);
+        assert_eq!(store.epoch(obj), DELTA_SLOTS - 1);
+        grant(&mut store, 1 << 12);
+        let deltas = store.stats().delta_commits;
+        tokens.push(commit(&mut store, &mut disk, &mut vt, DELTA_SLOTS).unwrap());
+        let state = &store.objects[obj.0 as usize];
+        assert_eq!(
+            state.roots[1].0, DELTA_SLOTS,
+            "a chain root at the window's end"
+        );
+        assert_eq!(store.stats().delta_commits, deltas);
+        // Records resume over the first lap's slots, each now covered.
+        for epoch in DELTA_SLOTS + 1..=DELTA_SLOTS + extra {
+            tokens.push(commit(&mut store, &mut disk, &mut vt, epoch).unwrap());
+        }
+        (disk, tokens, err)
+    }
+
+    /// The ring's window fails closed: an object whose compaction roots
+    /// all fail for space reaches the end of its 256-slot ring's window,
+    /// where the next commit is a chain root or `OutOfSpace`, never a
+    /// record over a slot no durable root covers; a crash at every IO
+    /// boundary of the last commits recovers an acknowledged prefix.
+    #[test]
+    fn ring_window_without_roots_ends_in_a_chain_root_or_out_of_space() {
+        let extra = 3;
+        let (_, tokens, err) = drive_dry_ring(extra);
+        assert_eq!(err, StoreError::OutOfSpace);
+        assert_eq!(tokens.len() as u64, DELTA_SLOTS + extra);
+        // The sweep covers the commits from the last few records of the
+        // full window on.
+        let from = tokens[tokens.len() - extra as usize - 4].completes;
+        // No compaction root lands, so nothing waits in the idle class.
+        let reference = drive_dry_ring(extra).0;
+        let mut points = BTreeSet::new();
+        for &done in reference.write_completions().iter().filter(|&&d| d >= from) {
+            points.insert(done - Nanos::from_ns(1));
+            points.insert(done);
+        }
+        assert!(points.len() >= 10, "{} crash points", points.len());
+        for at in points {
+            let mut disk = drive_dry_ring(extra).0;
+            disk.crash(at);
+            let mut vt = Vt::new(3);
+            let mut shard = open_shard(&mut vt, &mut disk).unwrap();
+            let obj = shard.lookup("db").unwrap();
+            let durable = tokens.iter().filter(|t| t.completes <= at).count() as u64;
+            let epoch = shard.epoch(obj);
+            assert!(
+                (durable..=tokens.len() as u64).contains(&epoch),
+                "crash at {at:?}: epoch {epoch}, {durable} acked"
+            );
+            // The newest commits' pages, and the first page of the rest.
+            let mut out = page_of(0);
+            for e in (1..=epoch).rev() {
+                let pages = if e + 8 > epoch { DRY_PAGES } else { 1 };
+                for page in e * DRY_PAGES..e * DRY_PAGES + pages {
+                    shard
+                        .read_page(&mut vt, &mut disk, obj, page, &mut out)
+                        .unwrap();
+                    assert_eq!(out, page_of(e as u8), "crash at {at:?}: page {page}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn transient_faults_are_retried_and_hidden() {
         use msnap_disk::{Fault, FaultPlan};

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         4096,
         &mut vt,
     );
-    let mut db = LiteDb::new(Box::new(backend), &mut vt);
+    let mut db = LiteDb::open(Box::new(backend), &mut vt).unwrap();
     let accounts = db.create_table(&mut vt, "accounts");
     let thread = vt.id();
 
@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Recover and audit.
     let mut vt2 = Vt::new(1);
     let restored = MemSnapBackend::restore(disk, "ledger.db", &mut vt2);
-    let mut db2 = LiteDb::new(Box::new(restored), &mut vt2);
+    let mut db2 = LiteDb::open(Box::new(restored), &mut vt2).unwrap();
     let accounts2 = db2.create_table(&mut vt2, "accounts");
     let total: u64 = (0..ACCOUNTS)
         .map(|a| balance(&mut db2, &mut vt2, accounts2, a))

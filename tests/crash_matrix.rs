@@ -60,7 +60,7 @@ fn assert_recovers_prefix(disk: Disk, committed: u64, context: &str) {
             return;
         }
     };
-    let mut db2 = LiteDb::new(Box::new(restored), &mut vt2);
+    let mut db2 = LiteDb::open(Box::new(restored), &mut vt2).unwrap();
     let table = db2.create_table(&mut vt2, "kv");
 
     let expected = expected_state(committed);
@@ -79,7 +79,7 @@ fn assert_recovers_prefix(disk: Disk, committed: u64, context: &str) {
 fn fresh_db(vt: &mut Vt) -> LiteDb {
     let backend =
         MemSnapBackend::format_with_capacity(Disk::new(DiskConfig::paper()), "m", 4096, vt);
-    LiteDb::new(Box::new(backend), vt)
+    LiteDb::open(Box::new(backend), vt).unwrap()
 }
 
 fn into_disk(db: LiteDb) -> Disk {
@@ -175,7 +175,7 @@ fn dropped_commit_write_surfaces_as_a_sticky_abort() {
         backend.memsnap().disk().io_seq(),
         Fault::Drop { transient: false },
     ));
-    let mut db = LiteDb::new(Box::new(backend), &mut vt);
+    let mut db = LiteDb::open(Box::new(backend), &mut vt).unwrap();
     let table = db.create_table(&mut vt, "kv");
     let thread = vt.id();
 
@@ -205,7 +205,7 @@ fn dropped_commit_write_surfaces_as_a_sticky_abort() {
         backend.ack_error().is_some(),
         "the abort is reported exactly once"
     );
-    let mut db = LiteDb::new(backend, &mut vt);
+    let mut db = LiteDb::open(backend, &mut vt).unwrap();
     let table = db.create_table(&mut vt, "kv");
     db.begin(&mut vt, thread);
     db.put(&mut vt, thread, table, 3, &9u64.to_le_bytes());

@@ -28,7 +28,7 @@ proptest! {
             1 << 13,
             &mut vt,
         );
-        let mut db = LiteDb::new(Box::new(backend), &mut vt);
+        let mut db = LiteDb::open(Box::new(backend), &mut vt).unwrap();
         let table = db.create_table(&mut vt, "kv");
         let thread = vt.id();
         let mut model = std::collections::BTreeMap::new();
@@ -68,7 +68,7 @@ proptest! {
         let disk = backend.crash(crash_at);
         let mut vt2 = Vt::new(1);
         let restored = MemSnapBackend::restore(disk, "p.db", &mut vt2);
-        let mut db2 = LiteDb::new(Box::new(restored), &mut vt2);
+        let mut db2 = LiteDb::open(Box::new(restored), &mut vt2).unwrap();
         let table2 = db2.create_table(&mut vt2, "kv");
         for (key, v) in &model {
             prop_assert_eq!(db2.get(&mut vt2, table2, *key), Some(vec![*v; 16]));

@@ -84,12 +84,12 @@ fn sqlite_case_study_speedup() {
         1 << 15,
         &mut vt,
     );
-    let mut db = LiteDb::new(Box::new(be), &mut vt);
+    let mut db = LiteDb::open(Box::new(be), &mut vt).unwrap();
     let ms = run_dbbench(&mut db, &mut vt, &cfg);
 
     let mut vt = Vt::new(0);
     let be = FileBackend::format(Disk::new(DiskConfig::paper()), FsKind::Ffs, "db", &mut vt);
-    let mut db = LiteDb::new(Box::new(be), &mut vt);
+    let mut db = LiteDb::open(Box::new(be), &mut vt).unwrap();
     let wal = run_dbbench(&mut db, &mut vt, &cfg);
 
     let speedup = wal.wall.as_ns() as f64 / ms.wall.as_ns() as f64;

@@ -42,7 +42,7 @@ fn run_grouped_workload() -> (LiteDb, TableId, Vec<(u32, u64, Nanos)>) {
     backend
         .memsnap_mut()
         .set_coalesce_window(Nanos::from_us(16));
-    let mut db = LiteDb::new(Box::new(backend), &mut vt0);
+    let mut db = LiteDb::open(Box::new(backend), &mut vt0).unwrap();
     let table = db.create_table(&mut vt0, "kv");
     // Persist the setup thread's dirty pages (the fresh table's root):
     // dirty pages belong to their first writer, so anything the setup
@@ -148,7 +148,7 @@ fn every_io_boundary_recovers_grouped_commits_consistently() {
                     return;
                 }
             };
-            let mut db2 = LiteDb::new(Box::new(restored), &mut vt2);
+            let mut db2 = LiteDb::open(Box::new(restored), &mut vt2).unwrap();
             let table = db2.create_table(&mut vt2, "kv");
 
             // Every transaction acknowledged by the crash point survives
