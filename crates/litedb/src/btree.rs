@@ -9,9 +9,9 @@
 //! database is verified whole when it opens ([`BTreeForest::check`]):
 //! recovery names the first page that fails, never panics on it. The
 //! operations after that decode pages totally through
-//! [`msnap_sim::wire::Reader`] — a page that does not decode reads as
-//! empty — so bytes that change under an open database cannot panic it
-//! either.
+//! [`msnap_sim::wire::Reader`], and a descent is bounded: a page that
+//! does not decode reads as empty, so a lookup over bytes that change
+//! under an open database returns less, and does not panic.
 
 use std::collections::BTreeSet;
 
@@ -40,6 +40,10 @@ const SUM_AT: usize = 4;
 
 /// CPU cost of examining one B-tree page (search within node).
 const NODE_VISIT: Nanos = Nanos::from_ns(150);
+/// Levels a descent follows before it gives up: far above any tree the
+/// allocator's page count allows, so only a cycle of damaged pointers
+/// reaches it.
+const MAX_DEPTH: usize = 64;
 
 type Page = [u8; PAGE_SIZE];
 
@@ -359,31 +363,41 @@ impl BTreeForest {
         meta_read(&meta).1[slot]
     }
 
-    /// Point lookup.
-    pub fn get(vt: &mut Vt, backend: &mut dyn Backend, slot: usize, key: u64) -> Option<Vec<u8>> {
+    /// Walks from `slot`'s root to the leaf for `key`, reading each node
+    /// into `page`: the interior pages passed, root first, and the leaf's
+    /// page number. `None` for an absent tree, or a path that does not
+    /// reach a leaf within [`MAX_DEPTH`] levels.
+    fn descend(
+        vt: &mut Vt,
+        backend: &mut dyn Backend,
+        slot: usize,
+        key: u64,
+        page: &mut Page,
+    ) -> Option<(Vec<u64>, u64)> {
         let mut page_no = Self::tree_root(vt, backend, slot);
-        if page_no == 0 {
-            return None;
-        }
-        let mut page = [0u8; PAGE_SIZE];
-        loop {
-            backend.read_page(vt, page_no, &mut page);
+        let mut path = Vec::new();
+        while page_no != 0 && path.len() < MAX_DEPTH {
+            backend.read_page(vt, page_no, page);
             vt.charge(Category::OtherUserspace, NODE_VISIT);
             match page[0] {
-                TYPE_LEAF => {
-                    return leaf_entries(&page)
-                        .unwrap_or_default()
-                        .into_iter()
-                        .find(|(k, _)| *k == key)
-                        .map(|(_, v)| v);
-                }
+                TYPE_LEAF => return Some((path, page_no)),
                 TYPE_INTERIOR => {
-                    let (child0, entries) = interior_read(&page).unwrap_or_default();
+                    path.push(page_no);
+                    let (child0, entries) = interior_read(page).unwrap_or_default();
                     page_no = interior_child_for(child0, &entries, key);
                 }
                 _ => return None,
             }
         }
+        None
+    }
+
+    /// Point lookup.
+    pub fn get(vt: &mut Vt, backend: &mut dyn Backend, slot: usize, key: u64) -> Option<Vec<u8>> {
+        let mut page = [0u8; PAGE_SIZE];
+        Self::descend(vt, backend, slot, key, &mut page)?;
+        let entries = leaf_entries(&page).unwrap_or_default();
+        entries.into_iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// Range scan: up to `limit` entries with keys ≥ `key`, in order.
@@ -394,20 +408,9 @@ impl BTreeForest {
         key: u64,
         limit: usize,
     ) -> Vec<(u64, Vec<u8>)> {
-        let mut page_no = Self::tree_root(vt, backend, slot);
-        if page_no == 0 {
-            return Vec::new();
-        }
         let mut page = [0u8; PAGE_SIZE];
-        // Descend to the leaf containing `key`.
-        loop {
-            backend.read_page(vt, page_no, &mut page);
-            vt.charge(Category::OtherUserspace, NODE_VISIT);
-            if page[0] == TYPE_LEAF {
-                break;
-            }
-            let (child0, entries) = interior_read(&page).unwrap_or_default();
-            page_no = interior_child_for(child0, &entries, key);
+        if Self::descend(vt, backend, slot, key, &mut page).is_none() {
+            return Vec::new();
         }
         // Walk leaves via next pointers.
         let mut out = Vec::new();
@@ -433,7 +436,8 @@ impl BTreeForest {
     ///
     /// # Panics
     ///
-    /// Panics if the value exceeds [`MAX_VALUE`] or the tree is absent.
+    /// Panics if the value exceeds [`MAX_VALUE`], or the tree is absent
+    /// or no longer leads to a leaf.
     pub fn insert(
         vt: &mut Vt,
         backend: &mut dyn Backend,
@@ -443,23 +447,10 @@ impl BTreeForest {
         value: &[u8],
     ) {
         assert!(value.len() <= MAX_VALUE, "value exceeds MAX_VALUE");
-        let root = Self::tree_root(vt, backend, slot);
-        assert_ne!(root, 0, "table does not exist");
-
-        // Descend, recording the path.
-        let mut path: Vec<u64> = Vec::new();
-        let mut page_no = root;
         let mut page = [0u8; PAGE_SIZE];
-        loop {
-            backend.read_page(vt, page_no, &mut page);
-            vt.charge(Category::OtherUserspace, NODE_VISIT);
-            if page[0] == TYPE_LEAF {
-                break;
-            }
-            path.push(page_no);
-            let (child0, entries) = interior_read(&page).unwrap_or_default();
-            page_no = interior_child_for(child0, &entries, key);
-        }
+        let Some((mut path, page_no)) = Self::descend(vt, backend, slot, key, &mut page) else {
+            panic!("table does not exist");
+        };
 
         // Insert into the leaf.
         let mut entries = leaf_entries(&page).unwrap_or_default();
@@ -540,20 +531,10 @@ impl BTreeForest {
         slot: usize,
         key: u64,
     ) -> bool {
-        let mut page_no = Self::tree_root(vt, backend, slot);
-        if page_no == 0 {
-            return false;
-        }
         let mut page = [0u8; PAGE_SIZE];
-        loop {
-            backend.read_page(vt, page_no, &mut page);
-            vt.charge(Category::OtherUserspace, NODE_VISIT);
-            if page[0] == TYPE_LEAF {
-                break;
-            }
-            let (child0, entries) = interior_read(&page).unwrap_or_default();
-            page_no = interior_child_for(child0, &entries, key);
-        }
+        let Some((_, page_no)) = Self::descend(vt, backend, slot, key, &mut page) else {
+            return false;
+        };
         let mut entries = leaf_entries(&page).unwrap_or_default();
         match entries.binary_search_by_key(&key, |(k, _)| *k) {
             Ok(i) => {
