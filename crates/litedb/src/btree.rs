@@ -8,10 +8,11 @@
 //! Every page carries an FNV-1a checksum in header bytes 4..8, and a
 //! database is verified whole when it opens ([`BTreeForest::check`]):
 //! recovery names the first page that fails, never panics on it. The
-//! operations after that decode pages totally through
-//! [`msnap_sim::wire::Reader`], and a descent is bounded: a page that
-//! does not decode reads as empty, so a lookup over bytes that change
-//! under an open database returns less, and does not panic.
+//! operations after that decode pages through [`msnap_sim::wire::Reader`]
+//! and verify each page they read; a descent is bounded. Should bytes
+//! change under an open database, a lookup or scan returns less, and an
+//! insert or delete panics naming the page: a write never seals a page
+//! it could not read.
 
 use std::collections::BTreeSet;
 
@@ -46,6 +47,8 @@ const NODE_VISIT: Nanos = Nanos::from_ns(150);
 const MAX_DEPTH: usize = 64;
 
 type Page = [u8; PAGE_SIZE];
+/// A leaf's `(key, value)` entries, in key order.
+type Entries = Vec<(u64, Vec<u8>)>;
 
 /// A page of the database failed its checksum or does not decode as the
 /// page its parent names: recovery refuses the database.
@@ -124,7 +127,7 @@ fn leaf_set_next(p: &mut Page, next: u64) {
 }
 
 /// Decodes all leaf entries; `Short` if they run past the page.
-fn leaf_entries(p: &Page) -> Result<Vec<(u64, Vec<u8>)>, Short> {
+fn leaf_entries(p: &Page) -> Result<Entries, Short> {
     let mut r = Reader::new(&p[LEAF_HDR..]);
     (0..nkeys(p))
         .map(|_| {
@@ -240,11 +243,24 @@ impl BTreeForest {
         write_page(vt, backend, thread, 0, &mut meta);
     }
 
-    /// Whether the backend holds an initialized database.
-    pub fn is_initialized(vt: &mut Vt, backend: &mut dyn Backend) -> bool {
+    /// Whether page 0 was never written: a backend to format. Any other
+    /// image is a database, whatever its magic says, and goes through
+    /// [`BTreeForest::check`].
+    pub fn is_blank(vt: &mut Vt, backend: &mut dyn Backend) -> bool {
         let mut meta = [0u8; PAGE_SIZE];
         backend.read_page(vt, 0, &mut meta);
-        Reader::new(&meta).u32() == Ok(META_MAGIC)
+        meta.iter().all(|&b| b == 0)
+    }
+
+    /// Reads the meta page for a write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it fails its checksum.
+    fn meta_for_write(vt: &mut Vt, backend: &mut dyn Backend) -> Page {
+        let mut meta = [0u8; PAGE_SIZE];
+        read_checked(vt, backend, 0, &mut meta).unwrap_or_else(|e| panic!("{e}"));
+        meta
     }
 
     /// Verifies the whole forest before the database is trusted: the
@@ -340,8 +356,7 @@ impl BTreeForest {
         thread: VthreadId,
         slot: usize,
     ) -> u64 {
-        let mut meta = [0u8; PAGE_SIZE];
-        backend.read_page(vt, 0, &mut meta);
+        let mut meta = Self::meta_for_write(vt, backend);
         let (_, roots) = meta_read(&meta);
         assert!(slot < MAX_TABLES, "table slot out of range");
         assert_eq!(roots[slot], 0, "table slot already in use");
@@ -363,40 +378,71 @@ impl BTreeForest {
         meta_read(&meta).1[slot]
     }
 
-    /// Walks from `slot`'s root to the leaf for `key`, reading each node
-    /// into `page`: the interior pages passed, root first, and the leaf's
-    /// page number. `None` for an absent tree, or a path that does not
-    /// reach a leaf within [`MAX_DEPTH`] levels.
+    /// Walks from `slot`'s root to the leaf for `key`, reading and
+    /// verifying each node into `page`: the interior pages passed, root
+    /// first, and the leaf's page number. `Ok(None)` for an absent tree.
+    ///
+    /// # Errors
+    ///
+    /// [`CorruptPage`] for a page (the meta page too) that fails its
+    /// checksum, is no node, or is an interior node that does not decode,
+    /// and for the page at which a path passes [`MAX_DEPTH`] levels.
     fn descend(
         vt: &mut Vt,
         backend: &mut dyn Backend,
         slot: usize,
         key: u64,
         page: &mut Page,
-    ) -> Option<(Vec<u64>, u64)> {
-        let mut page_no = Self::tree_root(vt, backend, slot);
+    ) -> Result<Option<(Vec<u64>, u64)>, CorruptPage> {
+        read_checked(vt, backend, 0, page)?;
+        let mut page_no = meta_read(page).1[slot];
         let mut path = Vec::new();
-        while page_no != 0 && path.len() < MAX_DEPTH {
-            backend.read_page(vt, page_no, page);
+        while page_no != 0 {
+            let bad = CorruptPage { page: page_no };
+            if path.len() == MAX_DEPTH {
+                return Err(bad);
+            }
+            read_checked(vt, backend, page_no, page)?;
             vt.charge(Category::OtherUserspace, NODE_VISIT);
             match page[0] {
-                TYPE_LEAF => return Some((path, page_no)),
+                TYPE_LEAF => return Ok(Some((path, page_no))),
                 TYPE_INTERIOR => {
                     path.push(page_no);
-                    let (child0, entries) = interior_read(page).unwrap_or_default();
+                    let (child0, entries) = interior_read(page).map_err(|_| bad)?;
                     page_no = interior_child_for(child0, &entries, key);
                 }
-                _ => return None,
+                _ => return Err(bad),
             }
         }
-        None
+        Ok(None)
+    }
+
+    /// [`BTreeForest::descend`] for a write, to the leaf's decoded
+    /// entries: `None` for an absent tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the page that the descent refuses, or a leaf that
+    /// does not decode.
+    fn descend_for_write(
+        vt: &mut Vt,
+        backend: &mut dyn Backend,
+        slot: usize,
+        key: u64,
+        page: &mut Page,
+    ) -> Option<(Vec<u64>, u64, Entries)> {
+        let (path, page_no) =
+            Self::descend(vt, backend, slot, key, page).unwrap_or_else(|e| panic!("{e}"))?;
+        let entries =
+            leaf_entries(page).unwrap_or_else(|_| panic!("{}", CorruptPage { page: page_no }));
+        Some((path, page_no, entries))
     }
 
     /// Point lookup.
     pub fn get(vt: &mut Vt, backend: &mut dyn Backend, slot: usize, key: u64) -> Option<Vec<u8>> {
         let mut page = [0u8; PAGE_SIZE];
-        Self::descend(vt, backend, slot, key, &mut page)?;
-        let entries = leaf_entries(&page).unwrap_or_default();
+        Self::descend(vt, backend, slot, key, &mut page).ok()??;
+        let entries = leaf_entries(&page).ok()?;
         entries.into_iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
@@ -409,10 +455,13 @@ impl BTreeForest {
         limit: usize,
     ) -> Vec<(u64, Vec<u8>)> {
         let mut page = [0u8; PAGE_SIZE];
-        if Self::descend(vt, backend, slot, key, &mut page).is_none() {
+        if !matches!(
+            Self::descend(vt, backend, slot, key, &mut page),
+            Ok(Some(_))
+        ) {
             return Vec::new();
         }
-        // Walk leaves via next pointers.
+        // Walk leaves via next pointers, to the first that fails.
         let mut out = Vec::new();
         loop {
             for (k, v) in leaf_entries(&page).unwrap_or_default() {
@@ -424,10 +473,9 @@ impl BTreeForest {
                 }
             }
             let next = leaf_next(&page);
-            if next == 0 {
+            if next == 0 || read_checked(vt, backend, next, &mut page).is_err() {
                 return out;
             }
-            backend.read_page(vt, next, &mut page);
             vt.charge(Category::OtherUserspace, NODE_VISIT);
         }
     }
@@ -436,8 +484,8 @@ impl BTreeForest {
     ///
     /// # Panics
     ///
-    /// Panics if the value exceeds [`MAX_VALUE`], or the tree is absent
-    /// or no longer leads to a leaf.
+    /// Panics if the value exceeds [`MAX_VALUE`], the tree is absent, or
+    /// a page the insert reads fails its checksum or does not decode.
     pub fn insert(
         vt: &mut Vt,
         backend: &mut dyn Backend,
@@ -448,12 +496,13 @@ impl BTreeForest {
     ) {
         assert!(value.len() <= MAX_VALUE, "value exceeds MAX_VALUE");
         let mut page = [0u8; PAGE_SIZE];
-        let Some((mut path, page_no)) = Self::descend(vt, backend, slot, key, &mut page) else {
+        let Some((mut path, page_no, mut entries)) =
+            Self::descend_for_write(vt, backend, slot, key, &mut page)
+        else {
             panic!("table does not exist");
         };
 
         // Insert into the leaf.
-        let mut entries = leaf_entries(&page).unwrap_or_default();
         match entries.binary_search_by_key(&key, |(k, _)| *k) {
             Ok(i) => entries[i].1 = value.to_vec(),
             Err(i) => entries.insert(i, (key, value.to_vec())),
@@ -465,8 +514,7 @@ impl BTreeForest {
         }
 
         // Leaf split.
-        let mut meta = [0u8; PAGE_SIZE];
-        backend.read_page(vt, 0, &mut meta);
+        let mut meta = Self::meta_for_write(vt, backend);
         let new_leaf_no = Self::alloc_page(vt, backend, thread, &mut meta);
         let mid = entries.len() / 2;
         let right_entries = entries.split_off(mid);
@@ -484,8 +532,11 @@ impl BTreeForest {
             match path.pop() {
                 Some(parent_no) => {
                     let mut parent = [0u8; PAGE_SIZE];
-                    backend.read_page(vt, parent_no, &mut parent);
-                    let (child0, mut ents) = interior_read(&parent).unwrap_or_default();
+                    let decoded = read_checked(vt, backend, parent_no, &mut parent)
+                        .ok()
+                        .and_then(|()| interior_read(&parent).ok());
+                    let (child0, mut ents) =
+                        decoded.unwrap_or_else(|| panic!("{}", CorruptPage { page: parent_no }));
                     let pos = ents.partition_point(|&(k, _)| k <= sep.0);
                     ents.insert(pos, sep);
                     if interior_write(&mut parent, child0, &ents) {
@@ -524,6 +575,11 @@ impl BTreeForest {
     /// Removes `key`; returns whether it was present. (Leaves may
     /// underflow; merging is not implemented, as in many embedded
     /// engines.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if a page the delete reads fails its checksum or does not
+    /// decode.
     pub fn delete(
         vt: &mut Vt,
         backend: &mut dyn Backend,
@@ -532,10 +588,11 @@ impl BTreeForest {
         key: u64,
     ) -> bool {
         let mut page = [0u8; PAGE_SIZE];
-        let Some((_, page_no)) = Self::descend(vt, backend, slot, key, &mut page) else {
+        let Some((_, page_no, mut entries)) =
+            Self::descend_for_write(vt, backend, slot, key, &mut page)
+        else {
             return false;
         };
-        let mut entries = leaf_entries(&page).unwrap_or_default();
         match entries.binary_search_by_key(&key, |(k, _)| *k) {
             Ok(i) => {
                 entries.remove(i);
@@ -720,6 +777,35 @@ mod tests {
             BTreeForest::get(&mut vt, &mut b, 1, 7),
             Some(b"t1".to_vec())
         );
+    }
+
+    /// A leaf that changes under an open forest: a lookup returns less,
+    /// and an insert or a delete refuses to write over it.
+    #[test]
+    fn writes_refuse_a_leaf_that_fails_its_checksum() {
+        for delete in [false, true] {
+            let (mut b, mut vt) = setup();
+            let t = vt.id();
+            BTreeForest::insert(&mut vt, &mut b, t, 0, 7, b"v");
+            b.pages.get_mut(&1).unwrap()[LEAF_HDR] ^= 1;
+            assert_eq!(BTreeForest::get(&mut vt, &mut b, 0, 7), None);
+            assert!(BTreeForest::scan_from(&mut vt, &mut b, 0, 0, 10).is_empty());
+            let damaged = b.pages[&1];
+            let write = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if delete {
+                    BTreeForest::delete(&mut vt, &mut b, t, 0, 7);
+                } else {
+                    BTreeForest::insert(&mut vt, &mut b, t, 0, 8, b"w");
+                }
+            }));
+            let msg = write.expect_err("a write over a damaged leaf");
+            assert_eq!(
+                msg.downcast_ref::<String>().map(String::as_str),
+                Some("database page 1 is corrupt"),
+                "delete {delete}"
+            );
+            assert_eq!(b.pages[&1], damaged, "nothing sealed over it");
+        }
     }
 
     #[test]

@@ -36,18 +36,19 @@ impl std::fmt::Debug for LiteDb {
 
 impl LiteDb {
     /// Opens the database `backend` holds — recovery: every page is
-    /// verified first — or formats an empty backend.
+    /// verified first — or formats a backend whose meta page (page 0)
+    /// was never written.
     ///
     /// # Errors
     ///
     /// [`CorruptPage`] naming the first page that fails its checksum or
-    /// does not decode as the tree says it should; the database is not
-    /// opened.
+    /// does not decode as the tree says it should (a damaged meta page
+    /// is page 0, never a reason to format); the database is not opened.
     pub fn open(mut backend: Box<dyn Backend>, vt: &mut Vt) -> Result<Self, CorruptPage> {
-        if BTreeForest::is_initialized(vt, backend.as_mut()) {
-            BTreeForest::check(vt, backend.as_mut())?;
-        } else {
+        if BTreeForest::is_blank(vt, backend.as_mut()) {
             BTreeForest::init(vt, backend.as_mut(), vt.id());
+        } else {
+            BTreeForest::check(vt, backend.as_mut())?;
         }
         Ok(LiteDb {
             backend,
@@ -240,6 +241,8 @@ mod tests {
     use msnap_disk::{Disk, DiskConfig};
     use msnap_fs::FsKind;
     use msnap_sim::Nanos;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn memsnap_db(vt: &mut Vt) -> LiteDb {
         let backend =
@@ -269,10 +272,48 @@ mod tests {
         }
     }
 
+    /// A backend that the test and each `LiteDb::open` share, so one
+    /// recovered image can be damaged and reopened bit after bit.
+    struct Shared(Rc<RefCell<MemSnapBackend>>);
+
+    impl Backend for Shared {
+        fn read_page(&mut self, vt: &mut Vt, page: u64, out: &mut [u8; crate::PAGE_SIZE]) {
+            self.0.borrow_mut().read_page(vt, page, out);
+        }
+        fn write_page(
+            &mut self,
+            vt: &mut Vt,
+            thread: VthreadId,
+            page: u64,
+            data: &[u8; crate::PAGE_SIZE],
+        ) {
+            self.0.borrow_mut().write_page(vt, thread, page, data);
+        }
+        fn commit(&mut self, vt: &mut Vt, thread: VthreadId) -> Result<(), CommitError> {
+            self.0.borrow_mut().commit(vt, thread)
+        }
+        fn capacity_pages(&self) -> u64 {
+            self.0.borrow().capacity_pages()
+        }
+        fn stats(&self) -> BackendStats {
+            self.0.borrow().stats()
+        }
+        fn meters(&self) -> msnap_sim::Meters {
+            self.0.borrow().meters()
+        }
+        fn reset_metrics(&mut self) {
+            self.0.borrow_mut().reset_metrics();
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
     /// A recovered database with one bit of one page flipped — each bit
     /// of the first 64 bytes and every 97th bit after, of the meta page,
-    /// the root and a leaf — is refused as `CorruptPage` naming that page;
-    /// the unflipped image opens as the model.
+    /// the root and a leaf — is refused by `LiteDb::open` as
+    /// `CorruptPage` naming that page, and is not formatted over; the
+    /// unflipped image opens as the model.
     #[test]
     fn flipped_bit_in_a_recovered_btree_page_is_refused_by_name() {
         use crate::btree::BTreeForest;
@@ -293,9 +334,9 @@ mod tests {
         let backend = db.into_backend().into_any().downcast::<MemSnapBackend>();
         let disk = backend.unwrap().crash(now);
         let mut vt = Vt::new(1);
-        let mut backend: Box<dyn Backend> =
-            Box::new(MemSnapBackend::restore(disk, "t.db", &mut vt));
-        let root = BTreeForest::tree_root(&mut vt, backend.as_mut(), 0);
+        let shared = Rc::new(RefCell::new(MemSnapBackend::restore(disk, "t.db", &mut vt)));
+        let mut backend = Shared(Rc::clone(&shared));
+        let root = BTreeForest::tree_root(&mut vt, &mut backend, 0);
         assert!(root > 1, "page 1, the first root, is a leaf now");
         let thread = vt.id();
         let mut page = [0u8; crate::PAGE_SIZE];
@@ -306,9 +347,10 @@ mod tests {
                 page[bit / 8] ^= 1 << (bit % 8);
                 backend.write_page(&mut vt, thread, p, &page);
                 backend.commit(&mut vt, thread).unwrap();
+                let opened = LiteDb::open(Box::new(Shared(Rc::clone(&shared))), &mut vt);
                 assert_eq!(
-                    BTreeForest::check(&mut vt, backend.as_mut()),
-                    Err(CorruptPage { page: p }),
+                    opened.err(),
+                    Some(CorruptPage { page: p }),
                     "bit {bit} of page {p}"
                 );
                 page = clean;
@@ -316,7 +358,7 @@ mod tests {
             backend.write_page(&mut vt, thread, p, &page);
             backend.commit(&mut vt, thread).unwrap();
         }
-        let mut db = LiteDb::open(backend, &mut vt).unwrap();
+        let mut db = LiteDb::open(Box::new(backend), &mut vt).unwrap();
         let t = db.create_table(&mut vt, "kv");
         let all = db.scan_from(&mut vt, t, 0, usize::MAX);
         assert_eq!(all, model.into_iter().collect::<Vec<_>>());

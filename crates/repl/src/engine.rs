@@ -383,9 +383,6 @@ struct Link {
     /// Acknowledgement lag of the ships never sent twice: the link's
     /// round trip, apply included, which times its tail-loss probes.
     rtt: Estimator,
-    /// The link has shown loss — the probe timer fired, or a `Nak` came
-    /// up — so every ship's packed `End` also goes out alone.
-    lossy: bool,
     meters: Meters,
     metrics: LinkMetrics,
 }
@@ -484,7 +481,6 @@ impl ReplEngine {
             repair_sent: BTreeMap::new(),
             last_cut_sent: None,
             rtt: Estimator::default(),
-            lossy: false,
             meters: Meters::new(),
             metrics: LinkMetrics::default(),
         });
@@ -683,7 +679,6 @@ impl ReplEngine {
                             begin,
                             missing,
                         } => {
-                            link.lossy = true;
                             let mut inflight = link
                                 .ships
                                 .values_mut()
@@ -851,14 +846,13 @@ impl ReplEngine {
                 let (begin, seqs, probe) = match ship.wanted.take() {
                     Some((begin, missing)) => (begin, missing, false),
                     None if now.saturating_sub(ship.last_send) > pto => {
-                        link.lossy = true;
                         let (begin, tail) = ship.tail();
                         (begin, tail.collect(), true)
                     }
                     None => continue,
                 };
                 link.metrics.retransmit_frames +=
-                    send_ship(&mut link.down, now, ship, begin, seqs, probe, link.lossy);
+                    send_ship(&mut link.down, now, ship, begin, seqs, probe);
                 ship.last_send = now;
                 ship.resent = true;
             }
@@ -990,7 +984,7 @@ impl ReplEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::replica::{Reassembly, SLOT_BYTES};
+    use super::replica::{Reassembly, LOSS_MEMORY, SLOT_BYTES};
     use super::*;
     use memsnap::{PersistFlags, RegionHandle, RegionSel, PAGE_SIZE};
     use msnap_disk::DiskConfig;
@@ -1584,9 +1578,9 @@ mod tests {
     /// One lost datagram costs one datagram: with each datagram of a ship
     /// of whole-page frames lost in turn — the `Begin`, each frame, the
     /// `End`, then the `Ack` — the link converges having resent that
-    /// datagram's messages, the closing `End` and its spare (the link has
-    /// shown loss by then) and at most one tail-loss probe (a bare `End`:
-    /// no whole-page frame fits its datagram), never the ship.
+    /// datagram's messages, the closing `End` and at most one tail-loss
+    /// probe (a bare `End`: no whole-page frame fits its datagram), never
+    /// the ship.
     #[test]
     fn one_lost_datagram_is_resent_alone() {
         for n in [1u64, 3, 8] {
@@ -1632,11 +1626,11 @@ mod tests {
                 assert_eq!(m.retransmit_frames, u64::from(frame_lost), "{n}/{victim}");
                 assert_eq!(m.acks, 3, "bootstrap's two and this one: {n}/{victim}");
                 // What went down the link again: the lost datagram's
-                // worth, an End probe, the closing End and its spare
-                // alone (56 bytes each), a cut re-announce.
+                // worth, an End probe and the closing End (56 bytes
+                // each), a cut re-announce.
                 let resent = eng.links[0].down.stats().bytes_sent - resent_from;
                 assert!(
-                    resent <= lost.len() as u64 + 4 * 56,
+                    resent <= lost.len() as u64 + 3 * 56,
                     "{n}/{victim}: resent {resent} bytes for a lost {}",
                     lost.len()
                 );
@@ -1647,9 +1641,8 @@ mod tests {
     /// A packed one-datagram ship, then its `Ack`, lost in turn on a
     /// jitter-free calm link: the timer fires once, one probe timeout
     /// (the learned lag and a millisecond) after the send, and its
-    /// tail-loss probe — the whole ship again, one datagram, then its
-    /// `End` alone, since the timer marked the link lossy — lands it (or
-    /// is acknowledged anew) with no `Nak` round after it.
+    /// tail-loss probe — the whole ship again, one datagram — lands it
+    /// (or is acknowledged anew) with no `Nak` round after it.
     #[test]
     fn lost_packed_ship_or_its_ack_costs_one_probe() {
         for lose_ack in [false, true] {
@@ -1694,13 +1687,13 @@ mod tests {
             let after = *eng.links[0].down.stats();
             assert_eq!(
                 after.sent - sent.sent,
-                2,
-                "the probe and its spare End: lose_ack {lose_ack}"
+                1,
+                "the probe alone: lose_ack {lose_ack}"
             );
             let resent = after.bytes_sent - sent.bytes_sent;
             let end = (SHIP_MSG_HEAD + StreamTrailer::encoded_len()) as u64;
             assert!(
-                resent <= gram + 2 * end,
+                resent <= gram + end,
                 "lose_ack {lose_ack}: resent {resent} bytes for a lost {gram}"
             );
         }
@@ -1747,16 +1740,17 @@ mod tests {
         (ms, vt, space, r, object, eng)
     }
 
-    /// Commits one more page image and sends its ship, one packed
-    /// datagram, by hand; returns when it went.
+    /// Commits a page of `fill` and sends its ship, one packed datagram,
+    /// by hand; returns when it went.
     fn ship_one(
         eng: &mut ReplEngine,
         vt: &mut Vt,
         ms: &mut MemSnap,
         space: AsId,
         r: &RegionHandle,
+        fill: u8,
     ) -> Nanos {
-        commit(ms, vt, space, r, 2);
+        commit(ms, vt, space, r, fill);
         let objects = resolved_objects(ms.store());
         let mut report = TickReport::default();
         eng.drain_up(vt, &mut report);
@@ -1771,9 +1765,9 @@ mod tests {
     #[test]
     fn doubled_ack_survives_a_lost_first_ack_without_a_probe() {
         let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
-        eng.links[0].node.as_mut().unwrap().lossy = true;
+        eng.links[0].node.as_mut().unwrap().double_acks = LOSS_MEMORY;
         let acks_before = eng.links[0].up.stats().sent;
-        let sent_at = ship_one(&mut eng, &mut vt, &mut ms, space, &r);
+        let sent_at = ship_one(&mut eng, &mut vt, &mut ms, space, &r, 2);
         eng.pump_until(vt.now());
         assert_eq!(
             eng.links[0].up.stats().sent - acks_before,
@@ -1801,20 +1795,36 @@ mod tests {
         assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
     }
 
+    /// The doubling wears off: a node that saw loss two ships ago
+    /// acknowledges the next two ships twice and the third once.
+    #[test]
+    fn doubled_acks_stop_once_the_link_stays_calm() {
+        let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
+        eng.links[0].node.as_mut().unwrap().double_acks = 2;
+        let mut acks = Vec::new();
+        for fill in 2..5 {
+            let before = eng.links[0].up.stats().sent;
+            ship_one(&mut eng, &mut vt, &mut ms, space, &r, fill);
+            run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
+            acks.push(eng.links[0].up.stats().sent - before);
+        }
+        assert_eq!(acks, [2, 2, 1]);
+    }
+
     /// Both `Ack`s of a doubled pair reach the primary, and the ship
     /// counts once: one acknowledgement, one lag sample, one timer
     /// sample.
     #[test]
     fn doubled_ack_counts_once() {
         let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
-        eng.links[0].node.as_mut().unwrap().lossy = true;
+        eng.links[0].node.as_mut().unwrap().double_acks = LOSS_MEMORY;
         let acks = eng.link_metrics("r1").unwrap().acks;
         let lags = |eng: &ReplEngine| {
             let meters = eng.link_meters("r1").unwrap();
             meters.get("repl_ack_lag").unwrap().count()
         };
         let (lags_before, mut rtt) = (lags(&eng), eng.links[0].rtt);
-        let sent_at = ship_one(&mut eng, &mut vt, &mut ms, space, &r);
+        let sent_at = ship_one(&mut eng, &mut vt, &mut ms, space, &r, 2);
         let up_before = eng.links[0].up.stats().delivered;
         let (_, done) = run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
         assert_eq!(
@@ -1829,11 +1839,11 @@ mod tests {
     }
 
     /// A calm link never shows loss: 200 ships of 1–4 pages over a
-    /// jittering calm link send one `Ack` each and no spare `End`, and
-    /// both directions carry exactly the datagrams and bytes they carried
-    /// before loss-gated redundancy existed.
+    /// jittering calm link send one `Ack` each, and both directions carry
+    /// exactly the datagrams and bytes they carried before loss-gated
+    /// redundancy existed.
     #[test]
-    fn calm_link_sends_one_ack_a_ship_and_no_spare_end() {
+    fn calm_link_sends_one_ack_a_ship() {
         let (mut ms, mut vt, space, r, _) = primary();
         let mut eng = ReplEngine::new(ReplConfig::default());
         eng.add_replica("r1", NetConfig::calm(41)).unwrap();
@@ -1841,7 +1851,7 @@ mod tests {
             commit_noise(&mut ms, &mut vt, space, &r, i, 1 + i % 4);
             assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
         }
-        assert!(!eng.links[0].lossy && !eng.replica("r1").unwrap().lossy);
+        assert_eq!(eng.replica("r1").unwrap().double_acks, 0);
         let m = *eng.link_metrics("r1").unwrap();
         let (down, up) = eng.link_net_stats("r1").unwrap();
         assert_eq!(m.retransmit_frames, 0);
@@ -1871,7 +1881,7 @@ mod tests {
         );
         node.vt.advance(bound / 2);
         assert!(node.handle(msgs[4].clone()).is_empty());
-        assert!(node.lossy, "an End it already holds");
+        assert_eq!(node.double_acks, LOSS_MEMORY, "an End it already holds");
         assert!(
             node.overdue(armed + bound - Nanos::from_ns(1)).is_empty(),
             "not yet"

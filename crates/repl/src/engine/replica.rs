@@ -7,10 +7,11 @@
 //!
 //! Once its link has shown loss — a probe `End` arrived, or an `End` of a
 //! ship it already holds or has landed (every resend carries the ship's
-//! `End`) — the node sends each `Ack` twice, back to back: a lost `Ack`
-//! stalls its object's one ship in flight for a probe timeout, and the
-//! primary ignores an `Ack` for a ship no longer in flight. A link that
-//! has shown no loss gets one `Ack` a ship.
+//! `End`) — the node sends each `Ack` twice, back to back, for the next
+//! [`LOSS_MEMORY`] ships: a lost `Ack` stalls its object's one ship in
+//! flight for a probe timeout, and the primary ignores an `Ack` for a
+//! ship no longer in flight. A link that has shown no loss, or none for
+//! that many ships, gets one `Ack` a ship.
 
 use super::*;
 
@@ -48,9 +49,16 @@ pub struct ReplicaNode {
     /// stage-then-commit. Cleared whenever a `Hello` goes up the link.
     dedup: BTreeMap<String, DedupTable>,
     bootstrapped: bool,
-    /// The link has shown loss: every `Ack` goes up twice.
-    pub(super) lossy: bool,
+    /// How many more ships are acknowledged twice: [`LOSS_MEMORY`] when
+    /// the link last showed loss, counting down a ship at a time.
+    pub(super) double_acks: u32,
 }
+
+/// Ships a node acknowledges twice after its link last showed loss. A
+/// lossy link shows loss again long before (on `repl-wan`, every few
+/// ships), while one slow `Ack` on a calm link costs it only this many
+/// extra datagrams.
+pub(super) const LOSS_MEMORY: u32 = 64;
 
 /// Ships the replica remembers as finished; older entries are pruned.
 const COMPLETED_KEEP: usize = 64;
@@ -197,7 +205,7 @@ impl ReplicaNode {
             cut: None,
             dedup: BTreeMap::new(),
             bootstrapped,
-            lossy: false,
+            double_acks: 0,
         }
     }
 
@@ -390,8 +398,8 @@ impl ReplicaNode {
         total.saturating_add(cost) <= MAX_LAG_BYTES as usize
     }
 
-    /// Remembers a finished ship and acknowledges it — twice on a link
-    /// that has shown loss.
+    /// Remembers a finished ship and acknowledges it — twice while the
+    /// link's last loss is under [`LOSS_MEMORY`] ships ago.
     fn done(&mut self, ship: u64, object: String, epoch: Epoch) -> Vec<Msg> {
         self.completed.insert(ship, (object.clone(), epoch));
         while self.completed.len() > COMPLETED_KEEP {
@@ -402,7 +410,9 @@ impl ReplicaNode {
             object,
             epoch,
         };
-        vec![ack; 1 + usize::from(self.lossy)]
+        let twice = self.double_acks > 0;
+        self.double_acks = self.double_acks.saturating_sub(1);
+        vec![ack; 1 + usize::from(twice)]
     }
 
     /// Takes one piece of a ship — `Begin`, `Frame` or `End`, in any
@@ -414,7 +424,7 @@ impl ReplicaNode {
             // lost `Ack`; any other late or duplicate piece needs none.
             return match piece {
                 Msg::End { .. } => {
-                    self.lossy = true;
+                    self.double_acks = LOSS_MEMORY;
                     self.done(ship, object, epoch)
                 }
                 _ => Vec::new(),
@@ -496,7 +506,9 @@ impl ReplicaNode {
                     self.reorder.bound()
                 };
                 rec.nak_at = rec.nak_at.into_iter().chain(wait.map(|w| now + w)).min();
-                self.lossy |= probe || rec.trailer.is_some();
+                if probe || rec.trailer.is_some() {
+                    self.double_acks = LOSS_MEMORY;
+                }
                 rec.trailer = Some((trailer, rec.trailer.map_or(now, |(_, at)| at)));
             }
             _ => {} // duplicate Begin: the session is open

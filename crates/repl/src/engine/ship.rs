@@ -2,13 +2,6 @@
 //! commits' own record, a rebase from an anchor both ends retain, or the
 //! full image — building and sending it, and the engine-owned snapshots
 //! the ships pin and collect.
-//!
-//! Once a link has shown loss (its probe timer fired, or a `Nak` came
-//! up), a ship's `End` that shares a datagram with other pieces goes out
-//! a second time in a datagram of its own: losing the packed datagram
-//! then still tells the replica the ship's shape, and it `Ack`s or
-//! `Nak`s without waiting for the probe timer. A link that has shown no
-//! loss sends each `End` once.
 
 use super::*;
 
@@ -61,9 +54,7 @@ impl Ship {
 /// frames named, always the `End` (under `TAG_PROBE` for the timer's
 /// probe) — encoded from the stream in place and packed back to back
 /// into datagrams of up to [`DATAGRAM_BUDGET`] bytes (a larger message
-/// travels alone). With `spare` (the link has shown loss) an `End` that
-/// shares its datagram is sent once more, alone. Returns the frames
-/// sent.
+/// travels alone). Returns the frames sent.
 pub(super) fn send_ship(
     down: &mut SimLink,
     now: Nanos,
@@ -71,21 +62,16 @@ pub(super) fn send_ship(
     begin: bool,
     seqs: impl IntoIterator<Item = u64>,
     probe: bool,
-    spare: bool,
 ) -> u64 {
     let (id, stream) = (ship.id, &ship.stream);
     let frame = |seq: u64| stream.frames.get(usize::try_from(seq).ok()?);
     let frames: Vec<&Frame> = seqs.into_iter().filter_map(frame).collect();
-    let end = ship_msg(
-        if probe { TAG_PROBE } else { TAG_END },
-        id,
-        &stream.trailer.encode(),
-    );
+    let end = if probe { TAG_PROBE } else { TAG_END };
     let msgs = begin
         .then(|| ship_msg(TAG_BEGIN, id, &stream.header.encode()))
         .into_iter()
         .chain(frames.iter().map(|f| ship_msg(TAG_FRAME, id, &f.encode())))
-        .chain([end.clone()]);
+        .chain([ship_msg(end, id, &stream.trailer.encode())]);
     let mut gram = Vec::new();
     for msg in msgs {
         if !gram.is_empty() && gram.len() + msg.len() > DATAGRAM_BUDGET {
@@ -93,11 +79,7 @@ pub(super) fn send_ship(
         }
         gram.extend_from_slice(&msg);
     }
-    let shared = gram.len() > end.len();
     down.send(now, gram);
-    if spare && shared {
-        down.send(now, end);
-    }
     frames.len() as u64
 }
 
@@ -251,15 +233,7 @@ impl ReplEngine {
                 };
                 self.next_ship += 1;
                 let frames = ship.stream.frames.len() as u64;
-                send_ship(
-                    &mut link.down,
-                    now,
-                    &ship,
-                    true,
-                    0..frames,
-                    false,
-                    link.lossy,
-                );
+                send_ship(&mut link.down, now, &ship, true, 0..frames, false);
                 inflight_bytes += ship.wire_bytes();
                 os.inflight = Some(ship);
                 report.ships_started += 1;
