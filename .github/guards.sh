@@ -474,26 +474,37 @@ guard_loss_recovery() {
     # loss_sweep[0] is the 0 %-loss row; 10 % of its datagrams are
     # still held 4 ms, so a few early Naks are legitimate (76 frames
     # before selective repeat).
-    local n lags lag
+    local n
     n=$(grep -m1 '"loss":0.00' BENCH_repl.json | sed -E 's/.*"retransmit_frames":([0-9]+).*/\1/')
     if [ "$n" -gt 8 ]; then
         echo "BENCH_repl.json loss_sweep[0].retransmit_frames is $n (> 8): reordering alone must not cost retransmissions" >&2
         return 1
     fi
-    # Both sweeps' 15 %-loss rows: with tail-loss probes a lost ship
-    # is resent by the timer's one probe, not a bare End and a Nak
-    # round after it (≈ 14 ms here; ≈ 26-30 ms before the probes).
-    lags=$(grep '"loss":0.15' BENCH_repl.json | sed -E 's/.*"ack_lag_us":([0-9.]+).*/\1/')
-    if [ "$(echo $lags | wc -w)" -ne 2 ]; then
-        echo "BENCH_repl.json must hold one 15 %-loss row per sweep, found: '$lags'" >&2
-        return 1
-    fi
-    for lag in $lags; do
-        if awk -v l="$lag" 'BEGIN { exit !(l > 20000) }'; then
-            echo "BENCH_repl.json 15 %-loss ack_lag_us is $lag (> 20000): a lost ship must cost one probe timeout and one round trip" >&2
-            return 1
-        fi
-    done
+    # Every judged repl-wan run's ack lag p99, each over ≈ 1 050 acked
+    # ships on lossy links: with tail-loss probes a lost ship is resent
+    # by the timer's one probe, not a bare End and a Nak round after it
+    # (13 894 / 14 418 / 14 680 µs on seeds 5 / 11 / 23; 27 787 µs
+    # before the probes).
+    awk '
+      /"workload":/ {
+        match($0, /"workload": "[^"]*"/)
+        wl = substr($0, RSTART + 13, RLENGTH - 14)
+        if (wl == "repl-wan") runs++
+      }
+      /"repl.ack_lag_us_p99":/ && wl == "repl-wan" {
+        v = $2; sub(/,$/, "", v); seen++
+        if (v + 0 > 20000) {
+          printf "BENCH_judged.json repl-wan repl.ack_lag_us_p99 is %s (> 20000): a lost ship must cost one probe timeout and one round trip\n", v > "/dev/stderr"
+          bad = 1
+        }
+      }
+      END {
+        if (runs == 0 || seen != runs) {
+          printf "BENCH_judged.json: %d repl-wan runs, %d repl.ack_lag_us_p99 values\n", runs, seen > "/dev/stderr"
+          bad = 1
+        }
+        exit bad
+      }' BENCH_judged.json
     if grep -rn 'resend_from' crates/repl/src; then
         echo "go-back-N stays retired: a Nak names the pieces to resend" >&2
         return 1
@@ -585,6 +596,7 @@ perturbations() {
     perturb line_grain BENCH_persist.json '/"db":"skipdb","threads":1,"window_us":0/s/"ios_per_commit":[0-9.]+/"ios_per_commit":2.0/'
     perturb fold BENCH_persist.json '/"db":"skipdb","threads":8,"window_us":0/s/"ios_per_commit":[0-9.]+/"ios_per_commit":1.0/'
     perturb loss_recovery BENCH_repl.json '/"loss":0.00/s/"retransmit_frames":[0-9]+/"retransmit_frames":76/'
+    perturb loss_recovery BENCH_judged.json '/"seed": 11, "workload": "repl-wan"/,/"repl.ack_lag_us_p99"/s/"repl.ack_lag_us_p99": [0-9.]+/"repl.ack_lag_us_p99": 27787/'
     perturb loss_recovery crates/repl/src/engine.rs '$a // fn resend_from(seq)'
     perturb held_once crates/store/src/store.rs 's/^    queued: Option<DeltaRecord>,$/&\n    deltas_since_full: u64,/'
     perturb held_once crates/store/src/store.rs 's/^    pub completes: Nanos,$/&\n    pub bytes_written: u64,/'
