@@ -5,9 +5,8 @@
 //!
 //! - loss-rate sweep on a raw MemSnap primary: one replica behind a
 //!   WAN-style link whose drop rate grows 0% → 30%; reports mean/max
-//!   epoch lag sampled after every commit, acknowledgement latency,
-//!   wire bytes (retransmissions included) vs goodput, and wall time to
-//!   drain;
+//!   epoch lag sampled after every commit and wire bytes
+//!   (retransmissions included) vs goodput;
 //! - failover: the KV driver kills a primary with one unacknowledged
 //!   batch, promotes the standby, and measures promotion-to-first-read
 //!   latency plus the old primary's delta-only re-sync;
@@ -32,14 +31,12 @@ struct LossPoint {
     loss: f64,
     mean_lag_epochs: f64,
     max_lag_epochs: u64,
-    ack_lag: Nanos,
     wire_bytes: u64,
     goodput_bytes: u64,
     retransmit_frames: u64,
     subpage_frames: u64,
     saved_dedup: u64,
     saved_compress: u64,
-    wall: Nanos,
 }
 
 /// One replica behind a WAN link at the given loss rate: commit
@@ -64,7 +61,6 @@ fn loss_point(loss: f64, small: bool) -> LossPoint {
         .unwrap();
     eng.settle(&mut vt, &mut ms, Nanos::from_secs(120)).unwrap();
 
-    let start = vt.now();
     let mut lag_sum = 0u64;
     let mut max_lag = 0u64;
     for i in 0..COMMITS {
@@ -100,23 +96,16 @@ fn loss_point(loss: f64, small: bool) -> LossPoint {
 
     let (down, _up) = eng.link_net_stats("standby").unwrap();
     let m = eng.link_metrics("standby").unwrap();
-    let ack_lag = eng
-        .link_meters("standby")
-        .unwrap()
-        .get("repl_ack_lag")
-        .map_or(Nanos::ZERO, |s| s.mean());
     LossPoint {
         loss,
         mean_lag_epochs: lag_sum as f64 / COMMITS as f64,
         max_lag_epochs: max_lag,
-        ack_lag,
         wire_bytes: down.bytes_sent,
         goodput_bytes: down.bytes_delivered,
         retransmit_frames: m.retransmit_frames,
         subpage_frames: m.subpage_frames,
         saved_dedup: m.wire_bytes_saved_dedup,
         saved_compress: m.wire_bytes_saved_compress,
-        wall: vt.now() - start,
     }
 }
 
@@ -126,13 +115,11 @@ fn loss_table(points: &[LossPoint]) {
             "loss",
             "mean lag",
             "max lag",
-            "ack lag us",
             "wire KiB",
             "goodput KiB",
             "resent frames",
             "sub frames",
             "saved KiB",
-            "wall ms",
         ],
         &points
             .iter()
@@ -141,13 +128,11 @@ fn loss_table(points: &[LossPoint]) {
                     format!("{:.0}%", p.loss * 100.0),
                     format!("{:.2}", p.mean_lag_epochs),
                     format!("{}", p.max_lag_epochs),
-                    us(p.ack_lag.as_us_f64()),
                     format!("{:.1}", p.wire_bytes as f64 / 1024.0),
                     format!("{:.1}", p.goodput_bytes as f64 / 1024.0),
                     format!("{}", p.retransmit_frames),
                     format!("{}", p.subpage_frames),
                     format!("{:.1}", (p.saved_dedup + p.saved_compress) as f64 / 1024.0),
-                    format!("{:.1}", p.wall.as_ns() as f64 / 1e6),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -160,20 +145,18 @@ fn loss_json(points: &[LossPoint]) -> String {
         .map(|p| {
             format!(
                 "{{\"loss\":{:.2},\"mean_lag_epochs\":{:.3},\"max_lag_epochs\":{},\
-                 \"ack_lag_us\":{:.3},\"wire_bytes\":{},\"goodput_bytes\":{},\
+                 \"wire_bytes\":{},\"goodput_bytes\":{},\
                  \"retransmit_frames\":{},\"subpage_frames\":{},\
-                 \"saved_dedup\":{},\"saved_compress\":{},\"wall_ms\":{:.3}}}",
+                 \"saved_dedup\":{},\"saved_compress\":{}}}",
                 p.loss,
                 p.mean_lag_epochs,
                 p.max_lag_epochs,
-                p.ack_lag.as_us_f64(),
                 p.wire_bytes,
                 p.goodput_bytes,
                 p.retransmit_frames,
                 p.subpage_frames,
                 p.saved_dedup,
                 p.saved_compress,
-                p.wall.as_ns() as f64 / 1e6,
             )
         })
         .collect::<Vec<_>>()
