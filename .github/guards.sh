@@ -167,7 +167,7 @@ guard_payload_frame() {
 
 # Retired config fields stay constants.
 guard_retired_fields() {
-    if grep -rnE 'pub (max_lag_bytes|drop_base_lag|keep_applied|fence_gap|pages_per_stripe|cut_every|notify_retransmit|ack_replicated)\b' crates/*/src tests crates/bench; then
+    if grep -rnE 'pub (max_lag_bytes|drop_base_lag|keep_applied|fence_gap|pages_per_stripe|cut_every|notify_retransmit|ack_replicated|retransmit_timeout)\b' crates/*/src tests crates/bench; then
         echo "retired ReplConfig/ServeConfig fields must stay constants" >&2
         return 1
     fi
@@ -483,7 +483,7 @@ guard_loss_recovery() {
     # Every judged repl-wan run's ack lag p99, each over ≈ 1 050 acked
     # ships on lossy links: with tail-loss probes a lost ship is resent
     # by the timer's one probe, not a bare End and a Nak round after it
-    # (13 894 / 14 418 / 14 680 µs on seeds 5 / 11 / 23; 27 787 µs
+    # (14 680 / 15 729 / 14 156 µs on seeds 5 / 11 / 23; 27 787 µs
     # before the probes).
     awk '
       /"workload":/ {
@@ -515,7 +515,7 @@ guard_loss_recovery() {
 # judged repl-wan run's put mean climbs back to what a lost Ack costs in
 # probe timeouts.
 guard_ack_redundancy() {
-    # 12 588 / 11 986 / 12 466 (seeds 5 / 11 / 23) with doubled Acks;
+    # 12 478 / 11 936 / 11 974 (seeds 5 / 11 / 23) with doubled Acks;
     # 14 180 / 13 716 / 14 057 with one Ack a ship.
     awk '
       /"workload":/ {
@@ -537,6 +537,28 @@ guard_ack_redundancy() {
         }
         exit bad
       }' BENCH_judged.json
+}
+
+# The epoch-vector cut has one wire form, repl's CutAnnounce: snap's
+# stream header carries no cut, and the primary builds an announce in
+# announce_cuts only (the decoder rebuilds one off the wire).
+guard_cut_carrier() {
+    if awk '/#\[cfg\(test\)\]/ { nextfile }
+            /(^|[^A-Za-z0-9_])(VectorCut|last_cut|MAX_CUT_EPOCHS)([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' crates/snap/src/**/*.rs; then
+        echo "crates/snap/src names no cut: the epoch-vector cut travels in repl's CutAnnounce only" >&2
+        return 1
+    fi
+    if awk 'FNR == 1 { f = "" }
+            /#\[cfg\(test\)\]/ { nextfile }
+            match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+            /Msg::CutAnnounce \{/ && !/=>/ && f != "announce_cuts" && !(f == "decode" && FILENAME ~ /proto\.rs$/) {
+                print FILENAME ":" FNR ": " $0; found = 1
+            }
+            END { exit !found }' crates/*/src/**/*.rs; then
+        echo "a CutAnnounce is built in ReplEngine::announce_cuts only" >&2
+        return 1
+    fi
 }
 
 # Each fact is held once: the copies the program derives, and the
@@ -598,6 +620,9 @@ perturbations() {
     perturb loss_recovery BENCH_repl.json '/"loss":0.00/s/"retransmit_frames":[0-9]+/"retransmit_frames":76/'
     perturb loss_recovery BENCH_judged.json '/"seed": 11, "workload": "repl-wan"/,/"repl.ack_lag_us_p99"/s/"repl.ack_lag_us_p99": [0-9.]+/"repl.ack_lag_us_p99": 27787/'
     perturb loss_recovery crates/repl/src/engine.rs '$a // fn resend_from(seq)'
+    perturb cut_carrier crates/snap/src/assemble.rs '1i // let cut = store.last_cut().cloned();'
+    perturb cut_carrier crates/repl/src/engine/ship.rs '1i fn stamp() -> Msg { Msg::CutAnnounce { seq: 0, epochs: Vec::new() } }'
+    perturb retired_fields crates/repl/src/engine.rs 's/^    pub max_lag_epochs: u64,$/&\n    pub retransmit_timeout: Nanos,/'
     perturb held_once crates/store/src/store.rs 's/^    queued: Option<DeltaRecord>,$/&\n    deltas_since_full: u64,/'
     perturb held_once crates/store/src/store.rs 's/^    pub completes: Nanos,$/&\n    pub bytes_written: u64,/'
     perturb ack_redundancy BENCH_judged.json '/"workload": "repl-wan"/,/"put_mean_us"/s/"put_mean_us": [0-9.]+/"put_mean_us": 14179.715756363637/'

@@ -231,10 +231,7 @@ fn main() {
         keys_per_txn: 8,
         replicas: 2,
         net: NetConfig::lossy(5),
-        repl: ReplConfig {
-            max_lag_epochs: 2,
-            ..ReplConfig::default()
-        },
+        repl: ReplConfig { max_lag_epochs: 2 },
     });
     assert!(litedb.read_your_writes && litedb.replicas_consistent);
     table(

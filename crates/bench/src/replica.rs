@@ -5,15 +5,18 @@
 use memsnap::{MemSnap, PAGE_SIZE};
 use msnap_disk::Disk;
 use msnap_repl::ReplEngine;
-use msnap_sim::Vt;
+use msnap_sim::{Nanos, Vt};
 use msnap_snap::{retained_at, ApplySession, DeltaStream, SnapError};
 use msnap_store::{Epoch, ObjectStore, StoreError};
 
+/// How long ingest stalls before ticking again while a link is over its
+/// lag budget: half the engine's retransmit timeout.
+const STALL: Nanos = Nanos::from_ms(10);
+
 /// One engine tick under lag-driven flow control. While a link is over
-/// its lag budget, ingest stalls half a retransmit timeout and ticks
-/// again, bounding replica staleness until acks drain the backlog.
-/// `after_first` sees the engine right after the first tick. Returns the
-/// stalls.
+/// its lag budget, ingest stalls `STALL` (10 ms) and ticks again, bounding
+/// replica staleness until acks drain the backlog. `after_first` sees
+/// the engine right after the first tick. Returns the stalls.
 pub fn throttled_tick(
     vt: &mut Vt,
     eng: &mut ReplEngine,
@@ -27,7 +30,7 @@ pub fn throttled_tick(
     let mut stalls = 0;
     while tick.throttled {
         stalls += 1;
-        vt.advance(eng.config().retransmit_timeout / 2);
+        vt.advance(STALL);
         tick = eng
             .tick(vt, ms)
             .expect("the replication workload runs without fault injection");
@@ -203,10 +206,7 @@ mod tests {
             keys_per_txn: 8,
             replicas: 1,
             net: NetConfig::lossy(5),
-            repl: ReplConfig {
-                max_lag_epochs: 2,
-                ..Default::default()
-            },
+            repl: ReplConfig { max_lag_epochs: 2 },
         });
         let kv = run_replicated_kv(&KvReplConfig {
             batches_before_crash: 4,

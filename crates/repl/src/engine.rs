@@ -40,20 +40,11 @@ pub struct ReplConfig {
     /// which a link counts as throttled: [`TickReport::throttled`] tells
     /// the ingest path to stall until replicas catch up.
     pub max_lag_epochs: u64,
-    /// Virtual time without an answer before the primary sends a ship's
-    /// tail-loss probe: the initial value and the ceiling of the
-    /// per-link probe timeout, which otherwise follows the link's
-    /// measured acknowledgement lag. Also paces the repair and cut
-    /// re-sends.
-    pub retransmit_timeout: Nanos,
 }
 
 impl Default for ReplConfig {
     fn default() -> Self {
-        ReplConfig {
-            max_lag_epochs: 8,
-            retransmit_timeout: Nanos::from_ms(20),
-        }
+        ReplConfig { max_lag_epochs: 8 }
     }
 }
 
@@ -61,6 +52,12 @@ impl Default for ReplConfig {
 /// counts as throttled and no new ship starts — and the most a replica
 /// buffers of ships it cannot apply yet.
 const MAX_LAG_BYTES: u64 = 1 << 20;
+/// Virtual time without an answer before the primary sends a ship's
+/// tail-loss probe: the initial value and the ceiling of the per-link
+/// probe timeout, which otherwise follows the link's measured
+/// acknowledgement lag. Also paces the repair, cut and `Hello` re-sends
+/// and the engine's settle step.
+const RETRANSMIT_TIMEOUT: Nanos = Nanos::from_ms(20);
 /// A down-link datagram carries one or more messages back to back, up to
 /// this many bytes (an Ethernet MTU less its headers); a larger message
 /// — a whole-page frame — travels alone.
@@ -289,14 +286,13 @@ fn answer_repair(
 
 /// The one repair pacer, the same on either end of a link:
 /// `RepairRequest`s for every page of `store` its scrub could not repair
-/// locally, each at most once per `timeout` per (object, page) so a slow
-/// peer is not flooded. `sent` holds when each last went out and is
-/// pruned to the pages still unrepaired, however they healed.
+/// locally, each at most once per [`RETRANSMIT_TIMEOUT`] per (object,
+/// page) so a slow peer is not flooded. `sent` holds when each last went
+/// out and is pruned to the pages still unrepaired, however they healed.
 fn repair_requests(
     store: &ObjectStore,
     sent: &mut BTreeMap<(String, u64), Nanos>,
     now: Nanos,
-    timeout: Nanos,
 ) -> Vec<Msg> {
     let mut live = Vec::new();
     let mut out = Vec::new();
@@ -307,7 +303,7 @@ fn repair_requests(
         let key = (object, u.page);
         if sent
             .get(&key)
-            .is_none_or(|&at| now.saturating_sub(at) > timeout)
+            .is_none_or(|&at| now.saturating_sub(at) > RETRANSMIT_TIMEOUT)
         {
             sent.insert(key.clone(), now);
             out.push(Msg::RepairRequest {
@@ -409,11 +405,6 @@ impl ReplEngine {
             next_snap: 0,
             next_vtid: 1000,
         }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ReplConfig {
-        &self.cfg
     }
 
     /// Attaches a fresh, empty replica over a link with the given
@@ -580,7 +571,6 @@ impl ReplEngine {
     /// once nothing more is on its way (before that, the next arrival's
     /// instant is).
     fn pump_until(&mut self, now: Nanos) {
-        let repair_timeout = self.cfg.retransmit_timeout;
         for link in &mut self.links {
             let Some(node) = link.node.as_mut() else {
                 continue;
@@ -608,7 +598,7 @@ impl ReplEngine {
             // quarantined without a clean local source are requested
             // from the primary, rate-limited per page.
             let now = node.vt.now();
-            for msg in repair_requests(&node.store, &mut node.repair_sent, now, repair_timeout) {
+            for msg in repair_requests(&node.store, &mut node.repair_sent, now) {
                 link.up.send(node.vt.now(), msg.encode());
                 link.metrics.repair_requests += 1;
             }
@@ -747,7 +737,6 @@ impl ReplEngine {
     /// digest-matching `RepairResponse` through the normal crash-atomic
     /// commit path (`ObjectStore::repair_page`).
     fn repair(&mut self, vt: &mut Vt, ms: &mut MemSnap) {
-        let timeout = self.cfg.retransmit_timeout;
         for link in &mut self.links {
             for msg in std::mem::take(&mut link.pending_repairs) {
                 let (store, disk) = ms.replication_parts();
@@ -778,7 +767,7 @@ impl ReplEngine {
         // Ask the replicas for the primary's own quarantined pages.
         let now = vt.now();
         for link in self.links.iter_mut().filter(|l| l.known) {
-            for msg in repair_requests(ms.store(), &mut link.repair_sent, now, timeout) {
+            for msg in repair_requests(ms.store(), &mut link.repair_sent, now) {
                 link.metrics.repair_requests += 1;
                 link.down.send(now, msg.encode());
             }
@@ -796,14 +785,13 @@ impl ReplEngine {
             return;
         };
         let now = vt.now();
-        let timeout = self.cfg.retransmit_timeout;
         for link in &mut self.links {
             if !link.known {
                 continue;
             }
-            let due = link
-                .last_cut_sent
-                .is_none_or(|(seq, at)| seq != cut.seq || now.saturating_sub(at) >= timeout);
+            let due = link.last_cut_sent.is_none_or(|(seq, at)| {
+                seq != cut.seq || now.saturating_sub(at) >= RETRANSMIT_TIMEOUT
+            });
             if !due {
                 continue;
             }
@@ -826,7 +814,7 @@ impl ReplEngine {
             // A Bootstrapping replica's Hello may itself have been lost:
             // it re-announces until the primary has heard it (duplicate
             // Hellos are idempotent).
-            if !link.known && now.saturating_sub(link.last_hello) > self.cfg.retransmit_timeout {
+            if !link.known && now.saturating_sub(link.last_hello) > RETRANSMIT_TIMEOUT {
                 if let Some(node) = link.node.as_mut() {
                     let node_now = node.vt.now();
                     let hello = node.hello().encode();
@@ -834,7 +822,7 @@ impl ReplEngine {
                 }
                 link.last_hello = now;
             }
-            let pto = link.rtt.probe_timeout(self.cfg.retransmit_timeout);
+            let pto = link.rtt.probe_timeout(RETRANSMIT_TIMEOUT);
             for os in link.ships.values_mut() {
                 let Some(ship) = os.inflight.as_mut() else {
                     continue;
@@ -909,7 +897,7 @@ impl ReplEngine {
         limit: Nanos,
     ) -> Result<bool, ReplError> {
         let deadline = vt.now() + limit;
-        let step = (self.cfg.retransmit_timeout / 2).max(Nanos::from_ns(1));
+        let step = RETRANSMIT_TIMEOUT / 2;
         loop {
             let report = self.tick(vt, ms)?;
             if report.caught_up {
@@ -1092,10 +1080,7 @@ mod tests {
     #[test]
     fn partition_throttles_then_heals() {
         let (mut ms, mut vt, space, r, object) = primary();
-        let cfg = ReplConfig {
-            max_lag_epochs: 1,
-            ..ReplConfig::default()
-        };
+        let cfg = ReplConfig { max_lag_epochs: 1 };
         let mut eng = ReplEngine::new(cfg);
         eng.add_replica("r1", NetConfig::calm(11)).unwrap();
         commit(&mut ms, &mut vt, space, &r, 1);
@@ -1275,7 +1260,7 @@ mod tests {
         // frame and cost one Nak round more): the replica's first step
         // forward is to the ship's own epoch and bytes.
         let before = eng.link_metrics("r1").unwrap().retransmit_frames;
-        vt.advance(eng.config().retransmit_timeout);
+        vt.advance(RETRANSMIT_TIMEOUT);
         while eng.replica("r1").unwrap().epoch(&object) < shipped {
             vt.advance(Nanos::from_ms(1));
             let report = eng.tick(&mut vt, &mut ms).unwrap();
@@ -1417,7 +1402,6 @@ mod tests {
             target_epoch: 5,
             len_pages: 1,
             frame_count: 1,
-            cut: None,
         };
         for ship in 1..=5 {
             let header = header("data");
@@ -1665,9 +1649,7 @@ mod tests {
             } else {
                 lose(&mut eng.links[0].down, vt.now(), 0);
             }
-            let pto = eng.links[0]
-                .rtt
-                .probe_timeout(eng.config().retransmit_timeout);
+            let pto = eng.links[0].rtt.probe_timeout(RETRANSMIT_TIMEOUT);
             assert!(pto < Nanos::from_ms(2), "learned, not the ceiling: {pto:?}");
             let (resends, done) = run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
             assert_eq!(
@@ -1776,9 +1758,7 @@ mod tests {
         );
         let ack = lose(&mut eng.links[0].up, vt.now(), 0);
         assert!(matches!(Msg::decode(&ack), Ok((Msg::Ack { .. }, _))));
-        let pto = eng.links[0]
-            .rtt
-            .probe_timeout(eng.config().retransmit_timeout);
+        let pto = eng.links[0].rtt.probe_timeout(RETRANSMIT_TIMEOUT);
         let (resends, done) = run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
         assert_eq!(resends, 0, "the timer never fired");
         assert_eq!(eng.link_metrics("r1").unwrap().retransmit_frames, 0);
@@ -1856,9 +1836,9 @@ mod tests {
         let (down, up) = eng.link_net_stats("r1").unwrap();
         assert_eq!(m.retransmit_frames, 0);
         assert_eq!(up.sent, 1 + m.acks, "the Hello, then one Ack a ship");
-        // Both directions exactly as they were before the loss gate
-        // existed, on this seed and schedule.
-        assert_eq!((down.sent, down.bytes_sent), (1002, 2_118_799));
+        // Both directions exactly as a link without the loss gate sends
+        // them, on this seed and schedule.
+        assert_eq!((down.sent, down.bytes_sent), (1002, 2_113_975));
         assert_eq!((up.sent, up.bytes_sent, m.acks), (202, 7_264, 201));
     }
 
@@ -2327,7 +2307,7 @@ mod tests {
         assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
         let asked = eng.link_metrics("r1").unwrap().repair_requests;
         for _ in 0..8 {
-            vt.advance(eng.config().retransmit_timeout);
+            vt.advance(RETRANSMIT_TIMEOUT);
             eng.tick(&mut vt, &mut ms).unwrap();
         }
         let m = *eng.link_metrics("r1").unwrap();

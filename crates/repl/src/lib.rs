@@ -32,7 +32,7 @@
 //! primary resends exactly those (**selective repeat**). A silent loss
 //! (the `End`, the `Ack`, a whole packed ship) is covered by the
 //! primary's timer — RFC 9002's probe timeout over the link's own
-//! acknowledgement lag, never above [`ReplConfig::retransmit_timeout`] —
+//! acknowledgement lag, never above `RETRANSMIT_TIMEOUT` (20 ms) —
 //! which sends a **tail-loss probe**: as much of the ship's tail as fits
 //! one datagram with its `End` (a packed ship whole), the `End` marked
 //! as a probe so the replica answers it at once with the `Ack` or the

@@ -30,7 +30,7 @@
 use msnap_disk::BLOCK_SIZE;
 use msnap_sim::wire::{put_u64, Reader};
 use msnap_snap::{Frame, SnapError, StreamHeader, StreamTrailer};
-use msnap_store::Epoch;
+use msnap_store::{Epoch, MAX_SHARDS};
 
 const TAG_HELLO: u64 = 1;
 pub(crate) const TAG_BEGIN: u64 = 2;
@@ -51,8 +51,6 @@ const MAX_NAME: usize = 256;
 const MAX_OBJECTS: usize = 4096;
 /// Most retained epochs one `Hello` entry may list.
 const MAX_RETAINED: usize = 4096;
-/// Most per-shard epochs one `CutAnnounce` may carry.
-const MAX_CUT_EPOCHS: usize = 4096;
 /// Most sequence numbers one `Nak` may name (it still fits a datagram);
 /// a replica missing more asks again once these have arrived.
 pub(crate) const MAX_NAK_SEQS: usize = 160;
@@ -388,8 +386,9 @@ impl Msg {
             },
             TAG_CUT_ANNOUNCE => {
                 let seq = r.u64()?;
+                // One epoch a shard, and no store has more shards.
                 let n = r.u64()? as usize;
-                if n > MAX_CUT_EPOCHS {
+                if n > MAX_SHARDS {
                     return Err(SnapError::Malformed);
                 }
                 let mut epochs = Vec::with_capacity(n.min(buf.len() / 8 + 1));
@@ -500,10 +499,6 @@ mod tests {
             target_epoch: 5,
             len_pages: 16,
             frame_count: 2,
-            cut: Some(msnap_store::VectorCut {
-                seq: 3,
-                epochs: vec![5, 1],
-            }),
         };
         let sub = msnap_snap::SubPageFrame {
             seq: 0,
@@ -643,7 +638,6 @@ mod tests {
             target_epoch: 5,
             len_pages: 16,
             frame_count: 0,
-            cut: None,
         };
         let trailer = StreamTrailer {
             frames: 0,
@@ -737,6 +731,24 @@ mod tests {
             lying.iter().for_each(|&v| put_u64(&mut wire, v));
             assert_eq!(Msg::decode(&wire), Err(SnapError::Malformed));
         }
+    }
+
+    /// A cut names one epoch a shard, so an announce wider than the
+    /// store's shard ceiling is refused before its vector is allocated.
+    #[test]
+    fn a_cut_announce_carries_at_most_one_epoch_a_shard() {
+        let widest = Msg::CutAnnounce {
+            seq: 7,
+            epochs: (0..MAX_SHARDS as u64).collect(),
+        };
+        let wire = widest.encode();
+        assert_eq!(Msg::decode(&wire), Ok((widest, wire.len())));
+        let wider = Msg::CutAnnounce {
+            seq: 7,
+            epochs: (0..=MAX_SHARDS as u64).collect(),
+        }
+        .encode();
+        assert_eq!(Msg::decode(&wider), Err(SnapError::Malformed));
     }
 
     #[test]

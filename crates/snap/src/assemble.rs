@@ -214,8 +214,6 @@ impl DeltaStream {
                 target_epoch: span.target_epoch,
                 len_pages: span.len_pages,
                 frame_count: frames.len() as u64,
-                // The consumer promotes only at complete cuts.
-                cut: store.last_cut().cloned(),
             },
             frames,
             trailer,

@@ -17,26 +17,19 @@ pub struct StreamHeader {
     pub len_pages: u64,
     /// Number of page frames in the stream.
     pub frame_count: u64,
-    /// The primary's newest durable epoch-vector cut at build time.
-    /// Replication uses it to promote replicas only at manifest-wide
-    /// consistent cuts.
-    pub cut: Option<VectorCut>,
 }
 
 impl StreamHeader {
-    /// Wire size of this header: the fixed part, the object name, and
-    /// one `u64` per cut epoch when a cut rides along.
+    /// Wire size of this header: the fixed part and the object name.
     pub fn encoded_len(&self) -> usize {
-        HEADER_FIXED + self.object.len() + self.cut.as_ref().map_or(0, |c| c.epochs.len() * 8)
+        HEADER_FIXED + self.object.len()
     }
 
     /// Serializes the header to its checksummed, self-delimiting wire
-    /// form (the first piece of a stream on the wire). The cut, when
-    /// present, is framed as `cut_seq` and `cut_len` in the fixed part
-    /// (`cut_len = 0` means no cut) followed by the epoch vector after
-    /// the name bytes; the checksum binds all of it.
+    /// form (the first piece of a stream on the wire): seven `u64`
+    /// fields, the checksum, then the name bytes. The checksum covers
+    /// the fields and the name.
     pub fn encode(&self) -> Vec<u8> {
-        let epochs = self.cut.as_ref().map_or(&[][..], |c| &c.epochs);
         let mut out = Vec::with_capacity(self.encoded_len());
         for v in [
             STREAM_MAGIC,
@@ -46,16 +39,13 @@ impl StreamHeader {
             self.target_epoch,
             self.len_pages,
             self.frame_count,
-            self.cut.as_ref().map_or(0, |c| c.seq),
-            epochs.len() as u64,
             0, // the checksum, sealed below
         ] {
             put_u64(&mut out, v);
         }
         out.extend_from_slice(self.object.as_bytes());
-        epochs.iter().for_each(|&e| put_u64(&mut out, e));
-        let sum = fnv1a_extend(fnv1a(&out[..72]), &out[HEADER_FIXED..]);
-        out[72..HEADER_FIXED].copy_from_slice(&sum.to_le_bytes());
+        let sum = fnv1a_extend(fnv1a(&out[..SUM_AT]), &out[HEADER_FIXED..]);
+        out[SUM_AT..HEADER_FIXED].copy_from_slice(&sum.to_le_bytes());
         out
     }
 
@@ -74,16 +64,9 @@ impl StreamHeader {
         let name_len = r.u64()? as usize;
         let (has_base, base) = (r.u64()? != 0, r.u64()?);
         let (target_epoch, len_pages, frame_count) = (r.u64()?, r.u64()?, r.u64()?);
-        let (cut_seq, cut_len) = (r.u64()?, r.u64()?);
-        if cut_len > MAX_CUT_EPOCHS {
-            return Err(SnapError::Malformed);
-        }
         let sum = r.u64()?;
         let name = r.take(name_len)?;
-        let epochs = (0..cut_len)
-            .map(|_| r.u64())
-            .collect::<Result<Vec<_>, _>>()?;
-        if fnv1a_extend(fnv1a(&bytes[..72]), &bytes[HEADER_FIXED..r.at()]) != sum {
+        if fnv1a_extend(fnv1a(&bytes[..SUM_AT]), name) != sum {
             return Err(SnapError::Malformed);
         }
         let header = StreamHeader {
@@ -92,10 +75,6 @@ impl StreamHeader {
             target_epoch,
             len_pages,
             frame_count,
-            cut: (cut_len > 0).then_some(VectorCut {
-                seq: cut_seq,
-                epochs,
-            }),
         };
         Ok((header, r.at()))
     }

@@ -97,9 +97,7 @@ use msnap_disk::{Disk, BLOCK_SIZE};
 use msnap_sim::wire::{put_u16, put_u32, put_u64, Reader, Short};
 use msnap_sim::Vt;
 use msnap_store::lines::{gather, line_runs, scatter, LINES_PER_PAGE, LINE_SIZE};
-use msnap_store::{
-    fnv1a, fnv1a_extend, CommitToken, Epoch, ObjectId, ObjectStore, StoreError, VectorCut,
-};
+use msnap_store::{fnv1a, fnv1a_extend, CommitToken, Epoch, ObjectId, ObjectStore, StoreError};
 
 /// Magic number opening a stream header.
 const STREAM_MAGIC: u64 = 0x4d534e_41504532; // "MSN APE2"
@@ -110,11 +108,10 @@ const REF_FRAME_MAGIC: u64 = 0x4d534e_41505246; // "MSN APRF"
 /// Magic number opening the stream trailer.
 const TRAILER_MAGIC: u64 = 0x4d534e_41504454 ^ 0xFF; // distinct from records
 
-/// Encoded header size before the object-name and cut-epoch bytes.
-const HEADER_FIXED: usize = 80;
-/// Streams refuse to name a cut wider than the store's shard ceiling —
-/// an attacker-controlled epoch count must not drive an allocation.
-const MAX_CUT_EPOCHS: u64 = msnap_store::MAX_SHARDS as u64;
+/// Encoded header size before the object-name bytes.
+const HEADER_FIXED: usize = 64;
+/// Offset of the header's checksum word, the last of the fixed part.
+const SUM_AT: usize = HEADER_FIXED - 8;
 /// Encoded size of a payload frame before its runs and payload.
 const SUB_FIXED: usize = 52;
 /// Wire size of a stored (uncompressed) whole-page payload frame — what
@@ -589,7 +586,7 @@ mod tests {
         assert!(!reads_back(&lying));
     }
 
-    /// A header (with a cut), each frame kind and a trailer: the whole
+    /// A header, each frame kind and a trailer: the whole
     /// encoding reads back, and every non-empty strict prefix of it is
     /// malformed — never a panic, never a shorter piece.
     #[test]
@@ -611,10 +608,6 @@ mod tests {
             target_epoch: 5,
             len_pages: 16,
             frame_count: 2,
-            cut: Some(VectorCut {
-                seq: 3,
-                epochs: vec![5, 1],
-            }),
         };
         check(&header, &header.encode(), StreamHeader::decode);
         let sub = SubPageFrame::new(0, 3, 7, vec![(64, 128)], noise_page(3)[..128].to_vec());
@@ -632,33 +625,54 @@ mod tests {
     }
 
     #[test]
-    fn vector_cut_rides_the_stream_header() {
-        // A sharded primary stamps a cut; the stream header carries it
-        // through the wire byte-for-byte.
-        let mut disk = Disk::new(DiskConfig::paper());
-        let mut store = ObjectStore::format_sharded(&mut disk, 4);
-        let mut vt = Vt::new(0);
-        let obj = store.create(&mut vt, &mut disk, "db").unwrap();
-        for i in 0..3u64 {
-            let p = page_of(0x40 + i as u8);
-            let t = store.persist(&mut vt, &mut disk, obj, &[(i, &p)]).unwrap();
+    fn a_begin_is_the_fixed_part_and_the_object_name() {
+        // The epoch-vector cut travels in the replication protocol's
+        // CutAnnounce, not in every ship: a sharded primary's Begin is
+        // no wider than an unsharded one's.
+        for shards in [1, 8] {
+            let mut disk = Disk::new(DiskConfig::paper());
+            let mut store = ObjectStore::format_sharded(&mut disk, shards);
+            let mut vt = Vt::new(0);
+            let obj = store.create(&mut vt, &mut disk, "db").unwrap();
+            let t = store
+                .persist(&mut vt, &mut disk, obj, &[(0, &page_of(0x40))])
+                .unwrap();
             ObjectStore::wait(&mut vt, t);
+            assert_eq!(store.cut(&mut vt, &mut disk).unwrap().epochs.len(), shards);
+            store.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
+            let stream =
+                DeltaStream::build(&mut vt, &mut disk, &mut store, None, "s", None).unwrap();
+            let wire = stream.header.encode();
+            assert_eq!(
+                stream.header.encoded_len(),
+                64 + "db".len(),
+                "{shards} shards"
+            );
+            assert_eq!(wire.len(), stream.header.encoded_len());
+            assert_eq!(
+                StreamHeader::decode(&wire),
+                Ok((stream.header.clone(), wire.len()))
+            );
         }
-        let cut = store.cut(&mut vt, &mut disk).unwrap();
-        assert_eq!(cut.epochs.len(), 4);
-        store.snapshot_create(&mut vt, &mut disk, obj, "s").unwrap();
-        let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "s", None).unwrap();
-        assert_eq!(stream.header.cut.as_ref(), Some(&cut));
-        let wire = stream.header.encode();
-        assert_eq!(wire.len(), stream.header.encoded_len());
-        let (decoded, _) = StreamHeader::decode(&wire).unwrap();
-        assert_eq!(decoded, stream.header);
-        assert_eq!(decoded.cut.unwrap(), cut);
-        // A header claiming an absurd epoch count is malformed, not an
-        // allocation.
-        let mut lying = wire.clone();
-        lying[64..72].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert_eq!(StreamHeader::decode(&lying), Err(SnapError::Malformed));
+    }
+
+    #[test]
+    fn a_header_in_the_cut_carrying_layout_is_malformed() {
+        // One generation of every format: the previous header (cut_seq
+        // and cut_len in an 80-byte fixed part, the cut's epochs after
+        // the name, all under its checksum) is not a header this
+        // decoder knows.
+        let mut old = Vec::new();
+        for v in [STREAM_MAGIC, 2, 1, 4, 5, 16, 2, 3, 4, 0] {
+            put_u64(&mut old, v); // magic, name, base, target, len, frames, cut seq/len, sum
+        }
+        old.extend_from_slice(b"db");
+        for epoch in [5u64, 1, 7, 2] {
+            put_u64(&mut old, epoch);
+        }
+        let sum = fnv1a_extend(fnv1a(&old[..72]), &old[80..]);
+        old[72..80].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(StreamHeader::decode(&old), Err(SnapError::Malformed));
     }
 
     #[test]
@@ -1177,8 +1191,8 @@ mod tests {
         let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b", None).unwrap();
         let mut wire = stream.header.encode();
         wire[..8].copy_from_slice(&0x4d534e_41504453u64.to_le_bytes()); // "MSN APDS"
-        let sum = fnv1a_extend(fnv1a(&wire[0..72]), &wire[HEADER_FIXED..]);
-        wire[72..80].copy_from_slice(&sum.to_le_bytes());
+        let sum = fnv1a_extend(fnv1a(&wire[..SUM_AT]), &wire[HEADER_FIXED..]);
+        wire[SUM_AT..HEADER_FIXED].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             StreamHeader::decode(&wire).unwrap_err(),
             SnapError::Malformed

@@ -57,10 +57,7 @@ fn main() {
         extra_batches: 0,
         keys_per_batch: 8,
         net: NetConfig::lossy(13),
-        repl: ReplConfig {
-            max_lag_epochs: 1,
-            ..ReplConfig::default()
-        },
+        repl: ReplConfig { max_lag_epochs: 1 },
     });
     assert!(tight.prefix_consistent && tight.reattach_converged);
     println!(

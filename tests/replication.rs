@@ -174,10 +174,7 @@ fn seed_lossy_every_observable_state_is_a_committed_epoch() {
 #[test]
 fn seed_partition_heavy_throttles_then_heals() {
     let mut p = primary();
-    let cfg = ReplConfig {
-        max_lag_epochs: 2,
-        ..ReplConfig::default()
-    };
+    let cfg = ReplConfig { max_lag_epochs: 2 };
     let mut eng = ReplEngine::new(cfg);
     eng.add_replica("standby", NetConfig::calm(303)).unwrap();
     commit(&mut p, 0);
