@@ -18,6 +18,17 @@
 set -uo pipefail
 shopt -s globstar
 
+# Fails with `why` when an extended regex matches a line of `paths`:
+# `forbid <regex> <why> <paths...>`.
+forbid() {
+    local re=$1 why=$2
+    shift 2
+    if grep -rnE "$re" "$@"; then
+        echo "$why" >&2
+        return 1
+    fi
+}
+
 # One FNV-1a in the program.
 guard_hash() {
     if grep -rnE '0x100000001b3|0x0100_0193' crates/*/src \
@@ -60,10 +71,7 @@ guard_commit_pipeline() {
         echo "crates/core/src must call ObjectStore::persist exactly once (MemSnap::persist_manifest), found $n" >&2
         return 1
     fi
-    if grep -rnE 'set_async_pipeline_depth|set_reset_strategy|shares_a_batch_record|pub coalesce_window' crates/*/src; then
-        echo "retired commit-pipeline knobs must stay deleted" >&2
-        return 1
-    fi
+    forbid 'set_async_pipeline_depth|set_reset_strategy|shares_a_batch_record|pub coalesce_window' "retired commit-pipeline knobs must stay deleted" crates/*/src
 }
 
 # Crash-surviving bytes decode through one reader.
@@ -81,26 +89,17 @@ guard_reader_decode() {
 
 # The index carve is owned by pindex.
 guard_pindex_carve() {
-    if grep -rnE 'msnap_open_index|IndexCarve|CARVE_MAGIC' crates/core/src; then
-        echo "the index carve (header codec, geometry, open-or-create) belongs to msnap-pindex, its only user" >&2
-        return 1
-    fi
+    forbid 'msnap_open_index|IndexCarve|CARVE_MAGIC' "the index carve (header codec, geometry, open-or-create) belongs to msnap-pindex, its only user" crates/core/src
 }
 
 # One binary manifest.
 guard_binary_manifest() {
-    if grep -nE 'from_utf8_lossy|@shards' crates/core/src/manifest.rs; then
-        echo "the region manifest is one binary record read through msnap_sim::wire::Reader, with no shard directive" >&2
-        return 1
-    fi
+    forbid 'from_utf8_lossy|@shards' "the region manifest is one binary record read through msnap_sim::wire::Reader, with no shard directive" crates/core/src/manifest.rs
 }
 
 # One history depth.
 guard_history_depth() {
-    if grep -nE 'const DROP_BASE_LAG: u64 = [0-9]' crates/repl/src/engine.rs; then
-        echo "DROP_BASE_LAG is memsnap::SUBPAGE_KEEP: one constant for the recorded-history depth" >&2
-        return 1
-    fi
+    forbid 'const DROP_BASE_LAG: u64 = [0-9]' "DROP_BASE_LAG is memsnap::SUBPAGE_KEEP: one constant for the recorded-history depth" crates/repl/src/engine.rs
 }
 
 # Every radix hydration is verified, the root's included.
@@ -139,46 +138,28 @@ guard_radix_copies() {
 # One record codec and one record ring: a batch group is a delta record
 # in its own object's ring.
 guard_record_codec() {
-    if grep -rn 'GROUP_HEADER' crates/store/src; then
-        echo "a batch group is a delta record: encode and decode it with DeltaRecord's codec" >&2
-        return 1
-    fi
-    if grep -rnE 'BatchRecord|BATCH_SLOTS|batch_ring' crates/*/src; then
-        echo "a group commit writes each object's DeltaRecord into that object's own ring: the shard keeps no second record ring" >&2
-        return 1
-    fi
+    forbid 'GROUP_HEADER' "a batch group is a delta record: encode and decode it with DeltaRecord's codec" crates/store/src
+    forbid 'BatchRecord|BATCH_SLOTS|batch_ring' "a group commit writes each object's DeltaRecord into that object's own ring: the shard keeps no second record ring" crates/*/src
 }
 
 # One chain rule in replay.
 guard_chain_rule() {
-    if grep -nE 'tag != 0|tag == 0' crates/store/src/store/replay.rs; then
-        echo "every record carries its tip tag: replay has one chain rule, no untagged exemption" >&2
-        return 1
-    fi
+    forbid 'tag != 0|tag == 0' "every record carries its tip tag: replay has one chain rule, no untagged exemption" crates/store/src/store/replay.rs
 }
 
 # One payload frame and one finish.
 guard_payload_frame() {
-    if grep -rnE '\bPageFrame\b|Frame::Full|finish_with' crates/*/src tests crates/bench; then
-        echo "the wire has one payload frame (SubPageFrame) and ApplySession one finish" >&2
-        return 1
-    fi
+    forbid '\bPageFrame\b|Frame::Full|finish_with' "the wire has one payload frame (SubPageFrame) and ApplySession one finish" crates/*/src tests crates/bench
 }
 
 # Retired config fields stay constants.
 guard_retired_fields() {
-    if grep -rnE 'pub (max_lag_bytes|drop_base_lag|keep_applied|fence_gap|pages_per_stripe|cut_every|notify_retransmit|ack_replicated|retransmit_timeout)\b' crates/*/src tests crates/bench; then
-        echo "retired ReplConfig/ServeConfig fields must stay constants" >&2
-        return 1
-    fi
+    forbid 'pub (max_lag_bytes|drop_base_lag|keep_applied|fence_gap|pages_per_stripe|cut_every|notify_retransmit|ack_replicated|retransmit_timeout)\b' "retired ReplConfig/ServeConfig fields must stay constants" crates/*/src tests crates/bench
 }
 
 # One pindex structure.
 guard_pindex_structure() {
-    if grep -rnE '\bPHash\b|KIND_HASH|mod clevel' crates/*/src tests crates/bench examples; then
-        echo "msnap-pindex is one structure (PSkipList): the retired hash must stay deleted" >&2
-        return 1
-    fi
+    forbid '\bPHash\b|KIND_HASH|mod clevel' "msnap-pindex is one structure (PSkipList): the retired hash must stay deleted" crates/*/src tests crates/bench examples
 }
 
 # No read that bypasses the fault plan.
@@ -201,22 +182,13 @@ guard_experiment_harness() {
 
 # msnap-workloads feeds the drivers, not the programs.
 guard_workloads() {
-    if grep -rn 'msnap_workloads' crates/{litedb,skipdb,serve,pgdb}/src; then
-        echo "litedb, skipdb, serve and pgdb do not use msnap-workloads: its generators feed the drivers in msnap-bench" >&2
-        return 1
-    fi
-    if grep -n 'msnap-workloads' crates/{litedb,pgdb}/Cargo.toml; then
-        echo "litedb and pgdb do not depend on msnap-workloads" >&2
-        return 1
-    fi
+    forbid 'msnap_workloads' "litedb, skipdb, serve and pgdb do not use msnap-workloads: its generators feed the drivers in msnap-bench" crates/{litedb,skipdb,serve,pgdb}/src
+    forbid 'msnap-workloads' "litedb and pgdb do not depend on msnap-workloads" crates/{litedb,pgdb}/Cargo.toml
 }
 
 # One landing step: ApplySession lands a complete ship.
 guard_landing_step() {
-    if grep -rnE 'fn feed\(|fn next_seq\(|SequenceGap' crates/snap/src; then
-        echo "ApplySession lands a complete ship in one finish: no in-order feed, no resume point" >&2
-        return 1
-    fi
+    forbid 'fn feed\(|fn next_seq\(|SequenceGap' "ApplySession lands a complete ship in one finish: no in-order feed, no resume point" crates/snap/src
 }
 
 # A delta stream travels as its pieces.
@@ -248,10 +220,7 @@ guard_splitmix64() {
 
 # One image door.
 guard_image_door() {
-    if grep -rnE 'fence_epoch|apply_image_at_base' crates/*/src tests crates/bench examples; then
-        echo "the store has one image door: ObjectStore::apply_image(.., base, pages, target_epoch)" >&2
-        return 1
-    fi
+    forbid 'fence_epoch|apply_image_at_base' "the store has one image door: ObjectStore::apply_image(.., base, pages, target_epoch)" crates/*/src tests crates/bench examples
 }
 
 # One public store.
@@ -282,14 +251,49 @@ guard_surface() {
     .github/surface-check.sh
 }
 
+# Bounds one metric of every judged run: `judged_max <workload-regex>
+# <metric> <bound> <why>` fails unless each run of a workload the regex
+# matches carries `metric` at or under `bound` in BENCH_judged.json.
+judged_max() {
+    awk -v re="^($1)\$" -v key="\"$2\":" -v metric="$2" -v bound="$3" -v why="$4" '
+      /"workload":/ {
+        match($0, /"workload": "[^"]*"/)
+        wl = substr($0, RSTART + 13, RLENGTH - 14)
+        if (wl ~ re) runs++
+      }
+      index($0, key) && wl ~ re {
+        v = $2; sub(/,$/, "", v); seen++
+        if (v + 0 > bound) {
+          printf "BENCH_judged.json %s %s is %s (> %s): %s\n", wl, metric, v, bound, why > "/dev/stderr"
+          bad = 1
+        }
+      }
+      END {
+        if (runs == 0 || seen != runs) {
+          printf "BENCH_judged.json: %d %s runs, %d %s values\n", runs, re, seen, metric > "/dev/stderr"
+          bad = 1
+        }
+        exit bad
+      }' BENCH_judged.json
+}
+
+# Bounds one field of one ledger row: `row_max <file> <row> <field>
+# <bound> <why>` fails unless the first line of `file` containing the
+# fixed string `row` has a numeric `"field":` at or under `bound`.
+row_max() {
+    local v
+    v=$(grep -m1 -F -- "$2" "$1" | sed -nE "s/.*\"$3\":([0-9.]+).*/\1/p" || true)
+    if ! awk -v v="$v" -v bound="$4" 'BEGIN { exit !(v != "" && v + 0 <= bound + 0) }'; then
+        echo "$1 row $2 $3 is '$v' (> $4): $5" >&2
+        return 1
+    fi
+}
+
 # Serve writes every integer on its wire as a varint, the frame checksum
 # is its one fixed-width field, and serve-open / serve-sat send at most
 # 100 wire bytes an operation.
 guard_wire() {
-    if grep -nE 'put_u(16|32)' crates/serve/src/wire.rs; then
-        echo "crates/serve/src/wire.rs writes every integer with put_varint: no put_u16 / put_u32" >&2
-        return 1
-    fi
+    forbid 'put_u(16|32)' "crates/serve/src/wire.rs writes every integer with put_varint: no put_u16 / put_u32" crates/serve/src/wire.rs
     local n
     n=$(grep -c 'put_u64(' crates/serve/src/wire.rs)
     if [ "$n" -ne 1 ]; then
@@ -297,26 +301,7 @@ guard_wire() {
         return 1
     fi
     # ≈ 81 B an operation with varints; ≈ 180-190 B with fixed widths.
-    awk '
-      /"workload":/ {
-        match($0, /"workload": "[^"]*"/)
-        wl = substr($0, RSTART + 13, RLENGTH - 14)
-        if (wl == "serve-open" || wl == "serve-sat") runs++
-      }
-      /"serve.wire_bytes_per_op":/ && (wl == "serve-open" || wl == "serve-sat") {
-        v = $2; sub(/,$/, "", v); seen++
-        if (v + 0 > 100) {
-          printf "BENCH_judged.json %s serve.wire_bytes_per_op is %s (> 100): every integer on the wire is a varint\n", wl, v > "/dev/stderr"
-          bad = 1
-        }
-      }
-      END {
-        if (runs == 0 || seen != runs) {
-          printf "BENCH_judged.json: %d serve-open / serve-sat runs, %d serve.wire_bytes_per_op values\n", runs, seen > "/dev/stderr"
-          bad = 1
-        }
-        exit bad
-      }' BENCH_judged.json
+    judged_max 'serve-open|serve-sat' serve.wire_bytes_per_op 100 "every integer on the wire is a varint"
 }
 
 # A compaction root journals the pages it remaps instead of rewriting the
@@ -325,26 +310,7 @@ guard_wire() {
 guard_root_size() {
     # ≈ 91 with journaled compaction roots; ≈ 130 when every root
     # rewrites the radix nodes its overlay pages dirty.
-    awk '
-      /"workload":/ {
-        match($0, /"workload": "[^"]*"/)
-        wl = substr($0, RSTART + 13, RLENGTH - 14)
-        if (wl == "kv-mixgraph") runs++
-      }
-      /"io_amp":/ && wl == "kv-mixgraph" {
-        v = $2; sub(/,$/, "", v); seen++
-        if (v + 0 > 100) {
-          printf "BENCH_judged.json kv-mixgraph io_amp is %s (> 100): a compaction root journals its remapped pages\n", v > "/dev/stderr"
-          bad = 1
-        }
-      }
-      END {
-        if (runs == 0 || seen != runs) {
-          printf "BENCH_judged.json: %d kv-mixgraph runs, %d io_amp values\n", runs, seen > "/dev/stderr"
-          bad = 1
-        }
-        exit bad
-      }' BENCH_judged.json
+    judged_max kv-mixgraph io_amp 100 "a compaction root journals its remapped pages"
 }
 
 # A scrub slice submits its read in the device's idle class and
@@ -355,26 +321,7 @@ guard_background_scrub() {
     # (69.6–73.2 with idle-class reads and foreground roots); ≈ 88 when
     # the read holds both channels ahead of the next put; ≈ 112 when a
     # slice waits on its own read.
-    awk '
-      /"workload":/ {
-        match($0, /"workload": "[^"]*"/)
-        wl = substr($0, RSTART + 13, RLENGTH - 14)
-        if (wl == "crash-recover") runs++
-      }
-      /"put_tail_us":/ && wl == "crash-recover" {
-        v = $2; sub(/,$/, "", v); seen++
-        if (v + 0 > 80) {
-          printf "BENCH_judged.json crash-recover put_tail_us is %s (> 80): a scrub slice must not wait on its own read, and a put must not queue behind it\n", v > "/dev/stderr"
-          bad = 1
-        }
-      }
-      END {
-        if (runs == 0 || seen != runs) {
-          printf "BENCH_judged.json: %d crash-recover runs, %d put_tail_us values\n", runs, seen > "/dev/stderr"
-          bad = 1
-        }
-        exit bad
-      }' BENCH_judged.json
+    judged_max crash-recover put_tail_us 80 "a scrub slice must not wait on its own read, and a put must not queue behind it"
 }
 
 # Compaction is the device's only idle-class writer: one caller of
@@ -402,70 +349,31 @@ guard_idle_roots() {
     # right behind the record that filled the window; ≈ 84.6 (seed 5,
     # --seconds 6) when a 32-slot root waits in the idle class until the
     # record 13 epochs above it needs it.
-    awk '
-      /"workload":/ {
-        match($0, /"workload": "[^"]*"/)
-        wl = substr($0, RSTART + 13, RLENGTH - 14)
-        if (wl == "kv-mixgraph") runs++
-      }
-      /"put_tail_us":/ && wl == "kv-mixgraph" {
-        v = $2; sub(/,$/, "", v); seen++
-        if (v + 0 > 52) {
-          printf "BENCH_judged.json kv-mixgraph put_tail_us is %s (> 52): a compaction root must yield to commits and wait for a gap, with the ring slack behind it\n", v > "/dev/stderr"
-          bad = 1
-        }
-      }
-      END {
-        if (runs == 0 || seen != runs) {
-          printf "BENCH_judged.json: %d kv-mixgraph runs, %d put_tail_us values\n", runs, seen > "/dev/stderr"
-          bad = 1
-        }
-        exit bad
-      }' BENCH_judged.json
+    judged_max kv-mixgraph put_tail_us 52 "a compaction root must yield to commits and wait for a gap, with the ring slack behind it"
 }
 
 # A budgeted scrub slice is one device submission however many shards
 # the store has.
 guard_scrub_slice() {
-    local n
-    n=$(grep -m1 '"shards":8,"budget":64' BENCH_store.json | sed -E 's/.*"slice_us":([0-9.]+).*/\1/')
-    if ! awk -v n="$n" 'BEGIN { exit !(n != "" && n <= 90) }'; then
-        echo "BENCH_store.json scrub_sharded 8 shards/budget 64 slice_us is '$n' (> 90): scrub walks the shards in turn, it does not split a slice across them" >&2
-        return 1
-    fi
+    row_max BENCH_store.json '"shards":8,"budget":64,' slice_us 90 "scrub walks the shards in turn, it does not split a slice across them"
 }
 
 # A batch stays open while the device is saturated, so 8 LiteDB writers
 # share commits even at a 2 µs window.
 guard_device_pacing() {
-    local n
-    n=$(grep -m1 '"db":"litedb","threads":8,"window_us":2,' BENCH_persist.json | sed -E 's/.*"disk_writes":([0-9]+).*/\1/')
-    if ! awk -v n="$n" 'BEGIN { exit !(n != "" && n <= 256) }'; then
-        echo "BENCH_persist.json litedb/8 threads/window 2 disk_writes is '$n' (> 256): a batch must be held while every device channel is busy" >&2
-        return 1
-    fi
+    row_max BENCH_persist.json '"db":"litedb","threads":8,"window_us":2,' disk_writes 256 "a batch must be held while every device channel is busy"
 }
 
 # An uncoalesced SkipDB put is one device write: the record carries the
 # lines.
 guard_line_grain() {
-    local n
-    n=$(grep -m1 '"db":"skipdb","threads":1,"window_us":0' BENCH_persist.json | sed -E 's/.*"ios_per_commit":([0-9.]+).*/\1/')
-    if ! awk -v n="$n" 'BEGIN { exit !(n != "" && n <= 1.1) }'; then
-        echo "BENCH_persist.json skipdb/1 thread/window 0 ios_per_commit is '$n' (> 1.1): sparse commits must not write a data extent" >&2
-        return 1
-    fi
+    row_max BENCH_persist.json '"db":"skipdb","threads":1,"window_us":0,' ios_per_commit 1.1 "sparse commits must not write a data extent"
 }
 
 # 8 uncoalesced SkipDB writers share queued line records: a commit that
 # arrives before its object's record starts rides it.
 guard_fold() {
-    local n
-    n=$(grep -m1 '"db":"skipdb","threads":8,"window_us":0' BENCH_persist.json | sed -E 's/.*"ios_per_commit":([0-9.]+).*/\1/')
-    if ! awk -v n="$n" 'BEGIN { exit !(n != "" && n <= 0.7) }'; then
-        echo "BENCH_persist.json skipdb/8 threads/window 0 ios_per_commit is '$n' (> 0.7): a line commit must fold into its object's still-queued record" >&2
-        return 1
-    fi
+    row_max BENCH_persist.json '"db":"skipdb","threads":8,"window_us":0,' ios_per_commit 0.7 "a line commit must fold into its object's still-queued record"
 }
 
 # A link that loses nothing retransmits next to nothing; a lost ship
@@ -474,41 +382,14 @@ guard_loss_recovery() {
     # loss_sweep[0] is the 0 %-loss row; 10 % of its datagrams are
     # still held 4 ms, so a few early Naks are legitimate (76 frames
     # before selective repeat).
-    local n
-    n=$(grep -m1 '"loss":0.00' BENCH_repl.json | sed -E 's/.*"retransmit_frames":([0-9]+).*/\1/')
-    if [ "$n" -gt 8 ]; then
-        echo "BENCH_repl.json loss_sweep[0].retransmit_frames is $n (> 8): reordering alone must not cost retransmissions" >&2
-        return 1
-    fi
+    row_max BENCH_repl.json '"loss":0.00,' retransmit_frames 8 "reordering alone must not cost retransmissions"
     # Every judged repl-wan run's ack lag p99, each over ≈ 1 050 acked
     # ships on lossy links: with tail-loss probes a lost ship is resent
     # by the timer's one probe, not a bare End and a Nak round after it
     # (14 680 / 15 729 / 14 156 µs on seeds 5 / 11 / 23; 27 787 µs
     # before the probes).
-    awk '
-      /"workload":/ {
-        match($0, /"workload": "[^"]*"/)
-        wl = substr($0, RSTART + 13, RLENGTH - 14)
-        if (wl == "repl-wan") runs++
-      }
-      /"repl.ack_lag_us_p99":/ && wl == "repl-wan" {
-        v = $2; sub(/,$/, "", v); seen++
-        if (v + 0 > 20000) {
-          printf "BENCH_judged.json repl-wan repl.ack_lag_us_p99 is %s (> 20000): a lost ship must cost one probe timeout and one round trip\n", v > "/dev/stderr"
-          bad = 1
-        }
-      }
-      END {
-        if (runs == 0 || seen != runs) {
-          printf "BENCH_judged.json: %d repl-wan runs, %d repl.ack_lag_us_p99 values\n", runs, seen > "/dev/stderr"
-          bad = 1
-        }
-        exit bad
-      }' BENCH_judged.json
-    if grep -rn 'resend_from' crates/repl/src; then
-        echo "go-back-N stays retired: a Nak names the pieces to resend" >&2
-        return 1
-    fi
+    judged_max repl-wan repl.ack_lag_us_p99 20000 "a lost ship must cost one probe timeout and one round trip"
+    forbid 'resend_from' "go-back-N stays retired: a Nak names the pieces to resend" crates/repl/src
 }
 
 # Once a link has lost a datagram, each replica Ack goes up twice, so no
@@ -517,26 +398,7 @@ guard_loss_recovery() {
 guard_ack_redundancy() {
     # 12 478 / 11 936 / 11 974 (seeds 5 / 11 / 23) with doubled Acks;
     # 14 180 / 13 716 / 14 057 with one Ack a ship.
-    awk '
-      /"workload":/ {
-        match($0, /"workload": "[^"]*"/)
-        wl = substr($0, RSTART + 13, RLENGTH - 14)
-        if (wl == "repl-wan") runs++
-      }
-      /"put_mean_us":/ && wl == "repl-wan" {
-        v = $2; sub(/,$/, "", v); seen++
-        if (v + 0 > 13000) {
-          printf "BENCH_judged.json repl-wan put_mean_us is %s (> 13000): a lossy link must double its Acks\n", v > "/dev/stderr"
-          bad = 1
-        }
-      }
-      END {
-        if (runs == 0 || seen != runs) {
-          printf "BENCH_judged.json: %d repl-wan runs, %d put_mean_us values\n", runs, seen > "/dev/stderr"
-          bad = 1
-        }
-        exit bad
-      }' BENCH_judged.json
+    judged_max repl-wan put_mean_us 13000 "a lossy link must double its Acks"
 }
 
 # The epoch-vector cut has one wire form, repl's CutAnnounce: snap's
@@ -569,6 +431,28 @@ guard_held_once() {
         echo "derived state stays deleted: read the window, the pins, the cut, the request and the device bytes from their one source" >&2
         return 1
     fi
+}
+
+# Every committed ledger has one writer, which writes it whole: each root
+# BENCH_* file is named in a path literal on exactly one code line under
+# crates/bench, the judged and paper ledgers by their binaries and every
+# other by its one bench. No bench splices a section into another's.
+guard_ledger_writer() {
+    local f lines want
+    for f in BENCH_*; do
+        lines=$(grep -rnF --include='*.rs' "/$f\"" crates/bench/benches crates/bench/src \
+            | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+        case "$f" in
+            BENCH_judged.json) want=crates/bench/src/bin/judged.rs ;;
+            BENCH_paper.txt) want=crates/bench/src/bin/paper.rs ;;
+            *) want=crates/bench/benches/ ;;
+        esac
+        if [ "$(printf '%s' "$lines" | grep -c .)" -ne 1 ] || [[ "$lines" != "$want"* ]]; then
+            printf '%s\n' "$lines" >&2
+            echo "$f needs exactly one writer, in $want: one code line under crates/bench names its path" >&2
+            return 1
+        fi
+    done
 }
 
 # The recorded perturbations, one `perturb guard file sed-script` each:
@@ -625,6 +509,7 @@ perturbations() {
     perturb retired_fields crates/repl/src/engine.rs 's/^    pub max_lag_epochs: u64,$/&\n    pub retransmit_timeout: Nanos,/'
     perturb held_once crates/store/src/store.rs 's/^    queued: Option<DeltaRecord>,$/&\n    deltas_since_full: u64,/'
     perturb held_once crates/store/src/store.rs 's/^    pub completes: Nanos,$/&\n    pub bytes_written: u64,/'
+    perturb ledger_writer crates/bench/benches/pindex.rs '$a const SECOND_WRITER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");'
     perturb ack_redundancy BENCH_judged.json '/"workload": "repl-wan"/,/"put_mean_us"/s/"put_mean_us": [0-9.]+/"put_mean_us": 14179.715756363637/'
 }
 

@@ -11,10 +11,10 @@
 //! tails — the contended case where same-key races exercise the CAS
 //! retry paths).
 //!
-//! Splices the `pindex` section into `BENCH_store.json` at the workspace
-//! root, preserving every other section.
+//! Its ledger is its table in `BENCH_paper.txt`: both walls to 0.1 µs,
+//! and throughput and speedup derived from them.
 
-use msnap_bench::{header, splice_json_section, table};
+use msnap_bench::{header, table};
 use msnap_disk::{Disk, DiskConfig};
 use msnap_sim::{Nanos, Vt};
 use msnap_skipdb::{Kv, MemSnapKv, PIndexKv};
@@ -189,37 +189,4 @@ fn main() {
             );
         }
     }
-
-    let section = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"dist\":\"{}\",\"writers\":{},\"ops\":{},\
-                 \"concurrent_wall_us\":{:.1},\"serialized_wall_us\":{:.1},\
-                 \"concurrent_kops_per_s\":{:.2},\"serialized_kops_per_s\":{:.2},\
-                 \"speedup\":{:.3}}}",
-                p.dist,
-                p.writers,
-                p.ops,
-                p.concurrent_wall.as_us_f64(),
-                p.serialized_wall.as_us_f64(),
-                p.concurrent_kops(),
-                p.serialized_kops(),
-                p.speedup(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let value = format!("[\n    {section}\n  ]");
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    let doc =
-        std::fs::read_to_string(path).unwrap_or_else(|_| "{\n  \"bench\": \"store\"\n}\n".into());
-    std::fs::write(path, splice_json_section(&doc, "pindex", &value))
-        .expect("workspace root is writable");
-    println!();
-    println!(
-        "spliced {} pindex writer-scaling points into BENCH_store.json",
-        points.len()
-    );
 }

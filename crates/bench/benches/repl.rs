@@ -254,7 +254,8 @@ fn main() {
          \"failover\": {{\"visible_batches\":{},\"committed_batches\":{},\
          \"first_read_us\":{:.3},\"reattach_full_syncs\":{},\"reattach_delta_syncs\":{}}},\n  \
          \"litedb\": {{\"txns\":{},\"throttle_stalls\":{},\"max_lag_epochs\":{},\
-         \"bytes_shipped\":{},\"full_syncs\":{},\"delta_syncs\":{}}}\n}}\n",
+         \"bytes_shipped\":{},\"full_syncs\":{},\"delta_syncs\":{}}},\n  \
+         \"loss_sweep_small_writes\": {small_section}\n}}\n",
         failover.visible_batches,
         failover.committed_batches,
         failover.failover_latency.as_us_f64(),
@@ -267,7 +268,6 @@ fn main() {
         litedb.full_syncs,
         litedb.delta_syncs,
     );
-    let json = msnap_bench::splice_json_section(&json, "loss_sweep_small_writes", &small_section);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repl.json");
     std::fs::write(path, &json).expect("workspace root is writable");
     println!();

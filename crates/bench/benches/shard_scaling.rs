@@ -10,10 +10,10 @@
 //! only by the shared device's channel pool. The device is an 8-channel
 //! stripe so the sweep exposes the software bottleneck, not the device.
 //!
-//! Splices the `shard_scaling` section into `BENCH_store.json` at the
-//! workspace root, preserving every other section.
+//! Its ledger is its table in `BENCH_paper.txt`: `wall_us` to 0.1 µs, and
+//! throughput and speedup derived from it.
 
-use msnap_bench::{header, splice_json_section, table};
+use msnap_bench::{header, table};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::{Nanos, Vt};
 use msnap_store::{shard_of_name, ObjectId, ObjectStore};
@@ -180,39 +180,4 @@ fn main() {
         println!();
         println!("WARNING: 4-shard speedup at 8 threads is {knee:.2}x (< 2x target)");
     }
-
-    let section = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"shards\":{},\"threads\":{},\"commits\":{},\"wall_us\":{:.1},\
-                 \"kcommits_per_s\":{:.2},\"speedup_vs_1_shard\":{:.3},\
-                 \"per_shard_commits\":[{}]}}",
-                p.shards,
-                p.threads,
-                p.commits,
-                p.wall.as_us_f64(),
-                p.kcommits_per_s(),
-                speedup(p),
-                p.per_shard
-                    .iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let value = format!("[\n    {section}\n  ]");
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    let doc =
-        std::fs::read_to_string(path).unwrap_or_else(|_| "{\n  \"bench\": \"store\"\n}\n".into());
-    std::fs::write(path, splice_json_section(&doc, "shard_scaling", &value))
-        .expect("workspace root is writable");
-    println!();
-    println!(
-        "spliced {} shard-scaling points into BENCH_store.json",
-        points.len()
-    );
 }

@@ -439,18 +439,6 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n    ");
-    let json = format!(
-        "{{\n  \"bench\": \"snapshot\",\n  \"object_pages\": {OBJECT_PAGES},\n  \
-         \"create\": [\n    {create_json}\n  ],\n  \"delta\": [\n    {delta_json}\n  ],\n  \
-         \"online_backup\": {{\"backups\":{},\"full_syncs\":{},\"delta_syncs\":{},\
-         \"delta_pages\":{},\"full_equivalent_pages\":{},\"bytes_shipped\":{}}}\n}}\n",
-        backup.backups,
-        backup.full_syncs,
-        backup.delta_syncs,
-        backup.delta_pages,
-        backup.full_equivalent_pages,
-        backup.bytes_shipped,
-    );
     let small_json = format!(
         "[\n    {}\n  ]",
         small
@@ -469,7 +457,19 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n    ")
     );
-    let json = msnap_bench::splice_json_section(&json, "small_writes", &small_json);
+    let json = format!(
+        "{{\n  \"bench\": \"snapshot\",\n  \"object_pages\": {OBJECT_PAGES},\n  \
+         \"create\": [\n    {create_json}\n  ],\n  \"delta\": [\n    {delta_json}\n  ],\n  \
+         \"online_backup\": {{\"backups\":{},\"full_syncs\":{},\"delta_syncs\":{},\
+         \"delta_pages\":{},\"full_equivalent_pages\":{},\"bytes_shipped\":{}}},\n  \
+         \"small_writes\": {small_json}\n}}\n",
+        backup.backups,
+        backup.full_syncs,
+        backup.delta_syncs,
+        backup.delta_pages,
+        backup.full_equivalent_pages,
+        backup.bytes_shipped,
+    );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json");
     std::fs::write(path, &json).expect("workspace root is writable");
     println!();

@@ -1,43 +1,32 @@
 //! O(dirty-set) store metadata: what Arc-shared COW nodes, demand-loaded
 //! subtrees, and the unified block cache buy.
 //!
-//! Three sweeps on the raw object store:
+//! Five sweeps on the raw object store:
 //!
-//! - open latency vs object size: the lazy open reads a constant number
-//!   of metadata blocks regardless of size, while an eager open (which
-//!   materializes the whole tree, the pre-lazy behavior) grows linearly;
+//! - open over a full window of line-grain records per object: replay
+//!   fetches every record's base block in one vectored read;
 //! - snapshot-create cost vs object size at a fixed 16-page dirty set:
 //!   the retained clone is an O(1) Arc share and the root flush is
-//!   O(dirty path), so the cost is flat — against it, the wall-clock of
-//!   a deep copy of the same tree, which grows with the object;
+//!   O(dirty path), so the cost is flat;
 //! - block-cache hit rate under uniform vs Zipfian page reads, 10k reads
 //!   against a 1024-page object through the default 256-block cache;
 //! - checksummed-read overhead: cache hits serve the already-verified
 //!   image for free, media misses pay the inline digest verification —
 //!   one QD1 read a page through `read_page`, one vectored read a chunk
-//!   through `read_pages` — plus the raw wall-clock throughput of the
-//!   page digest itself;
-//! - scrub throughput vs per-call IO budget: one full verification pass
-//!   over a 4096-page object, sliced finer or coarser — and the same 4096
-//!   pages as eight objects on one shard or on eight, where a slice must
-//!   stay one device submission;
-//! - open over a full window of line-grain records per object: replay
-//!   fetches every record's base block in one vectored read.
+//!   through `read_pages`;
+//! - scrub slice vs shard count: the same 4096 pages as eight objects on
+//!   one shard or on eight, where a slice must stay one device
+//!   submission.
 //!
-//! Emits the machine-readable `BENCH_store.json` at the workspace root —
-//! virtual time only, bit-for-bit reproducible, diffed by CI — and the
-//! wall-clock numbers (raw digest throughput, tree clone costs) to the
-//! ungated `BENCH_host.json` beside it.
-
-use std::time::Instant;
+//! Emits the machine-readable `BENCH_store.json` at the workspace root:
+//! virtual time only, bit-for-bit reproducible, diffed by CI. The
+//! wall-clock side (Arc vs deep tree clones, the raw page digest) is
+//! the `micro_store` criterion bench.
 
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::Vt;
-use msnap_store::{
-    digest32, shard_of_name, ObjectStore, RadixTree, BULK_READ_PAGES, DEFAULT_CACHE_BLOCKS,
-    DELTA_SLOTS,
-};
+use msnap_store::{shard_of_name, ObjectStore, BULK_READ_PAGES, DEFAULT_CACHE_BLOCKS, DELTA_SLOTS};
 
 const SIZES: [u64; 4] = [64, 256, 1024, 4096];
 const DIRTY_PAGES: u64 = 16;
@@ -115,70 +104,6 @@ fn sharded_device_with(shards: usize, objects: usize, pages: u64) -> (Disk, Vt, 
     (disk, vt, names)
 }
 
-struct OpenPoint {
-    pages: u64,
-    lazy_us: f64,
-    lazy_hydrations: u64,
-    eager_us: f64,
-    eager_hydrations: u64,
-}
-
-/// Open latency vs object size, lazy vs eager.
-fn sweep_open() -> Vec<OpenPoint> {
-    header(
-        "Open latency vs object size",
-        "lazy = ObjectStore::open alone (O(1) metadata IO); eager = open \
-         plus materializing every page, the pre-lazy behavior.",
-    );
-    let mut points = Vec::new();
-    for pages in SIZES {
-        let (mut disk, mut vt) = device_with(pages);
-        let t0 = vt.now();
-        let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
-        let lazy = vt.now() - t0;
-        let lazy_hydrations = store.stats().hydrations;
-        assert_eq!(lazy_hydrations, 0, "lazy open must not hydrate");
-
-        let obj = store.lookup("db").unwrap();
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        for p in 0..pages {
-            store
-                .read_page(&mut vt, &mut disk, obj, p, &mut buf)
-                .unwrap();
-        }
-        let eager = vt.now() - t0;
-        points.push(OpenPoint {
-            pages,
-            lazy_us: lazy.as_us_f64(),
-            lazy_hydrations,
-            eager_us: eager.as_us_f64(),
-            eager_hydrations: store.stats().hydrations,
-        });
-    }
-    table(
-        &["pages", "lazy us", "lazy loads", "eager us", "eager loads"],
-        &points
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{}", p.pages),
-                    us(p.lazy_us),
-                    format!("{}", p.lazy_hydrations),
-                    us(p.eager_us),
-                    format!("{}", p.eager_hydrations),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let lo = points.iter().map(|p| p.lazy_us).fold(f64::MAX, f64::min);
-    let hi = points.iter().map(|p| p.lazy_us).fold(0.0, f64::max);
-    assert!(
-        hi <= 2.0 * lo,
-        "lazy open must stay flat across sizes: {lo:.1}us .. {hi:.1}us"
-    );
-    points
-}
-
 struct ReplayPoint {
     objects: usize,
     pages: u64,
@@ -254,18 +179,14 @@ fn sweep_open_replay() -> ReplayPoint {
 struct SnapPoint {
     pages: u64,
     create_us: f64,
-    arc_clone_ns: u128,
-    deep_clone_ns: u128,
 }
 
-/// Snapshot-create cost at a fixed dirty set vs object size; Arc clone
-/// vs deep clone of a same-sized tree (wall clock).
+/// Snapshot-create cost at a fixed dirty set vs object size.
 fn sweep_snapshot() -> Vec<SnapPoint> {
     header(
         "Snapshot create vs object size (fixed 16-page dirty set)",
         "create = full-root flush (O(dirty path)) + catalog write + O(1) \
-         Arc clone of the tree; deep clone of the same tree shown for \
-         contrast (wall-clock ns, grows with the object).",
+         Arc clone of the tree.",
     );
     let mut points = Vec::new();
     for pages in SIZES {
@@ -282,53 +203,16 @@ fn sweep_snapshot() -> Vec<SnapPoint> {
         store
             .snapshot_create(&mut vt, &mut disk, obj, "bench")
             .unwrap();
-        let create = vt.now() - t0;
-
-        // Clone costs on a standalone tree of the same shape.
-        let mut tree = RadixTree::new();
-        for p in 0..pages {
-            tree.set_entry(p, 1_000 + p, p as u32);
-        }
-        let mut next = 1u64;
-        let mut writes = Vec::new();
-        tree.commit(
-            &mut || {
-                next += 1;
-                next
-            },
-            &mut writes,
-        );
-        const ITERS: u32 = 512;
-        let t = Instant::now();
-        for _ in 0..ITERS {
-            std::hint::black_box(tree.clone());
-        }
-        let arc_clone_ns = t.elapsed().as_nanos() / u128::from(ITERS);
-        let t = Instant::now();
-        for _ in 0..ITERS {
-            std::hint::black_box(tree.deep_clone());
-        }
-        let deep_clone_ns = t.elapsed().as_nanos() / u128::from(ITERS);
-
         points.push(SnapPoint {
             pages,
-            create_us: create.as_us_f64(),
-            arc_clone_ns,
-            deep_clone_ns,
+            create_us: (vt.now() - t0).as_us_f64(),
         });
     }
     table(
-        &["pages", "create us", "arc clone ns", "deep clone ns"],
+        &["pages", "create us"],
         &points
             .iter()
-            .map(|p| {
-                vec![
-                    format!("{}", p.pages),
-                    us(p.create_us),
-                    format!("{}", p.arc_clone_ns),
-                    format!("{}", p.deep_clone_ns),
-                ]
-            })
+            .map(|p| vec![format!("{}", p.pages), us(p.create_us)])
             .collect::<Vec<_>>(),
     );
     let lo = points.iter().map(|p| p.create_us).fold(f64::MAX, f64::min);
@@ -437,9 +321,8 @@ struct VerifyPoint {
     avg_read_us: f64,
 }
 
-/// Per-read cost with digest verification, cache hit vs media miss,
-/// plus the raw wall-clock throughput of the digest.
-fn sweep_verify() -> (Vec<VerifyPoint>, f64) {
+/// Per-read cost with digest verification, cache hit vs media miss.
+fn sweep_verify() -> Vec<VerifyPoint> {
     header(
         "Checksummed read: cache hit vs media miss",
         "hits serve the cached, already-verified image (no digest work); \
@@ -521,18 +404,6 @@ fn sweep_verify() -> (Vec<VerifyPoint>, f64) {
         });
     }
 
-    // Raw digest cost, wall clock (bytes/ns == GB/s).
-    let img = page_image(7, 7);
-    const ITERS: u32 = 1 << 15;
-    let t = Instant::now();
-    let mut acc = 0u64;
-    for _ in 0..ITERS {
-        acc ^= u64::from(digest32(std::hint::black_box(&img[..])));
-    }
-    std::hint::black_box(acc);
-    let ns_per_page = t.elapsed().as_nanos() as f64 / f64::from(ITERS);
-    let digest_gb_per_s = BLOCK_SIZE as f64 / ns_per_page;
-
     table(
         &["mode", "reads", "avg read us"],
         &points
@@ -542,67 +413,6 @@ fn sweep_verify() -> (Vec<VerifyPoint>, f64) {
                     p.mode.to_string(),
                     format!("{}", p.reads),
                     us(p.avg_read_us),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("  raw digest: {ns_per_page:.0} ns/page ({digest_gb_per_s:.2} GB/s wall clock)");
-    (points, digest_gb_per_s)
-}
-
-struct ScrubPoint {
-    budget: u64,
-    calls: u64,
-    pages_verified: u64,
-    nodes_verified: u64,
-    pass_us: f64,
-    pages_per_s: f64,
-}
-
-/// One full scrub pass over a 4096-page object, at several per-call IO
-/// budgets.
-fn sweep_scrub() -> Vec<ScrubPoint> {
-    header(
-        "Scrub throughput vs IO budget",
-        "full verification pass over a 4096-page object; finer budgets \
-         interleave better with foreground work, coarser budgets finish \
-         the pass in fewer calls.",
-    );
-    let mut points = Vec::new();
-    for budget in [64u64, 256, 1024, 4096] {
-        let (mut disk, mut vt) = device_with(4096);
-        let mut store = ObjectStore::open(&mut vt, &mut disk).unwrap();
-        let mut calls = 0u64;
-        let t0 = vt.now();
-        while store.scrub_stats().passes == 0 {
-            store.scrub(&mut vt, &mut disk, budget).unwrap();
-            calls += 1;
-            assert!(calls < 1_000_000, "scrub never completed a pass");
-        }
-        let pass = vt.now() - t0;
-        let s = store.scrub_stats();
-        assert_eq!(s.corruptions_found, 0, "clean device scrubs clean");
-        points.push(ScrubPoint {
-            budget,
-            calls,
-            pages_verified: s.pages_verified,
-            nodes_verified: s.nodes_verified,
-            pass_us: pass.as_us_f64(),
-            pages_per_s: s.pages_verified as f64 / (pass.as_us_f64() / 1e6),
-        });
-    }
-    table(
-        &["budget", "calls", "pages", "nodes", "pass us", "pages/s"],
-        &points
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{}", p.budget),
-                    format!("{}", p.calls),
-                    format!("{}", p.pages_verified),
-                    format!("{}", p.nodes_verified),
-                    us(p.pass_us),
-                    format!("{:.0}", p.pages_per_s),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -673,38 +483,15 @@ fn sweep_scrub_sharded() -> Vec<ShardedScrubPoint> {
 }
 
 fn main() {
-    let open = sweep_open();
     let replay = sweep_open_replay();
     let snapshot = sweep_snapshot();
     let reads = sweep_reads();
-    let (verify, digest_gb_per_s) = sweep_verify();
-    let scrub = sweep_scrub();
+    let verify = sweep_verify();
     let scrub_sharded = sweep_scrub_sharded();
 
-    let open_json = open
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"pages\":{},\"lazy_us\":{:.3},\"lazy_hydrations\":{},\
-                 \"eager_us\":{:.3},\"eager_hydrations\":{}}}",
-                p.pages, p.lazy_us, p.lazy_hydrations, p.eager_us, p.eager_hydrations
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
     let snap_json = snapshot
         .iter()
         .map(|p| format!("{{\"pages\":{},\"create_us\":{:.3}}}", p.pages, p.create_us))
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let clone_json = snapshot
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"pages\":{},\"arc_clone_ns\":{},\"deep_clone_ns\":{}}}",
-                p.pages, p.arc_clone_ns, p.deep_clone_ns
-            )
-        })
         .collect::<Vec<_>>()
         .join(",\n    ");
     let reads_json = reads
@@ -724,17 +511,6 @@ fn main() {
             format!(
                 "{{\"mode\":\"{}\",\"reads\":{},\"avg_read_us\":{:.3}}}",
                 p.mode, p.reads, p.avg_read_us
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let scrub_json = scrub
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"budget\":{},\"calls\":{},\"pages_verified\":{},\
-                 \"nodes_verified\":{},\"pass_us\":{:.1},\"pages_per_s\":{:.0}}}",
-                p.budget, p.calls, p.pages_verified, p.nodes_verified, p.pass_us, p.pages_per_s
             )
         })
         .collect::<Vec<_>>()
@@ -762,47 +538,20 @@ fn main() {
         .join(",\n    ");
     let json = format!(
         "{{\n  \"bench\": \"store\",\n  \"cache_blocks\": {DEFAULT_CACHE_BLOCKS},\n  \
-         \"open\": [\n    {open_json}\n  ],\n  \
          \"open_replay\": [\n    {replay_json}\n  ],\n  \
          \"snapshot_create\": [\n    {snap_json}\n  ],\n  \
          \"reads\": [\n    {reads_json}\n  ],\n  \
          \"read_verify\": [\n    {verify_json}\n  ],\n  \
-         \"scrub\": [\n    {scrub_json}\n  ],\n  \
          \"scrub_sharded\": [\n    {scrub_sharded_json}\n  ]\n}}\n"
     );
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{root}/BENCH_store.json");
-    // Carry the sections other bench targets own across this full
-    // rewrite, in a fixed order, so the file is a pure function of the
-    // benches' (virtual-time, deterministic) results: CI diffs it.
-    let old = std::fs::read_to_string(&path).unwrap_or_default();
-    let json = ["shard_scaling", "pindex"].iter().fold(json, |json, key| {
-        match msnap_bench::json_section_span(&old, key) {
-            Some((start, end)) => {
-                let value = old[start..end].split_once(':').unwrap().1.trim();
-                msnap_bench::splice_json_section(&json, key, value)
-            }
-            None => json,
-        }
-    });
-    std::fs::write(&path, &json).expect("workspace root is writable");
-    // Host-clock numbers live apart, in a file nothing gates: they
-    // change with the machine and the moment (trend only).
-    let host = format!(
-        "{{\n  \"bench\": \"store\",\n  \
-         \"note\": \"host wall clock: ungated, trend only\",\n  \
-         \"digest_gb_per_s\": {digest_gb_per_s:.2},\n  \
-         \"tree_clone\": [\n    {clone_json}\n  ]\n}}\n"
-    );
-    std::fs::write(format!("{root}/BENCH_host.json"), host).expect("workspace root is writable");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
+    std::fs::write(path, &json).expect("workspace root is writable");
     println!();
     println!(
-        "wrote {} open + {} snapshot + {} read + {} verify + {} scrub points to BENCH_store.json \
-         (host-clock numbers to BENCH_host.json)",
-        open.len(),
+        "wrote 1 replay + {} snapshot + {} read + {} verify + {} sharded-scrub points to BENCH_store.json",
         snapshot.len(),
         reads.len(),
         verify.len(),
-        scrub.len()
+        scrub_sharded.len()
     );
 }

@@ -8,18 +8,14 @@
 //! ```
 //!
 //! It runs `cargo bench -q -p msnap-bench --bench <name>` for every
-//! `[[bench]]` target of `crates/bench/Cargo.toml` not in
-//! [`HOST_CLOCK`], in the manifest's order, and writes each bench's
-//! stdout under a `## <name>` line. Benches that also write a root
-//! `BENCH_*.json` ledger rewrite it as they run; those ledgers are
-//! deterministic too, so a clean tree stays clean.
+//! `[[bench]]` target of `crates/bench/Cargo.toml` that is not
+//! host-clock, in the manifest's order, and writes each bench's stdout
+//! under a `## <name>` line. Benches that also write a root `BENCH_*`
+//! ledger rewrite it whole as they run; those ledgers are deterministic
+//! too, so this one command regenerates every paper-bench ledger and a
+//! clean tree stays clean.
 
 use std::process::{Command, ExitCode, Stdio};
-
-/// The benches that print wall-clock timings, which differ between two
-/// runs of one build (`store` prints its `tree_clone` table and raw
-/// digest rate). Every other bench joins the ledger.
-const HOST_CLOCK: [&str; 4] = ["store", "micro_store", "micro_vm", "micro_skiplist"];
 
 /// The `[[bench]]` target names of `manifest`, in its order.
 fn bench_targets(manifest: &str) -> Vec<&str> {
@@ -33,12 +29,30 @@ fn bench_targets(manifest: &str) -> Vec<&str> {
         .collect()
 }
 
+/// The source of bench target `bench`.
+fn bench_source(bench: &str) -> std::io::Result<String> {
+    std::fs::read_to_string(format!("{}/benches/{bench}.rs", env!("CARGO_MANIFEST_DIR")))
+}
+
+/// Whether a bench prints wall-clock timings, which differ between two
+/// runs of one build: exactly the criterion benches do.
+fn is_host_clock(source: &str) -> bool {
+    source.contains("criterion_main!(")
+}
+
 fn main() -> ExitCode {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let mut doc = String::new();
-    let benches = bench_targets(include_str!("../../Cargo.toml"));
-    for bench in benches.into_iter().filter(|b| !HOST_CLOCK.contains(b)) {
+    for bench in bench_targets(include_str!("../../Cargo.toml")) {
+        match bench_source(bench) {
+            Ok(source) if is_host_clock(&source) => continue,
+            Ok(_) => {}
+            Err(e) => {
+                eprintln!("{bench}: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
         eprintln!("paper: {bench}");
         let out = match Command::new(&cargo)
             .args(["bench", "-q", "-p", "msnap-bench", "--bench", bench])
@@ -75,14 +89,20 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// A renamed host-clock bench would otherwise join the ledger and
-    /// make its diff flaky.
+    /// The run skips exactly the criterion benches, and a bench that
+    /// writes a root ledger is never skipped: its ledger would go stale.
     #[test]
-    fn host_clock_names_are_bench_targets() {
-        let targets = bench_targets(include_str!("../../Cargo.toml"));
-        assert!(
-            HOST_CLOCK.iter().all(|b| targets.contains(b)),
-            "{targets:?}"
-        );
+    fn host_clock_benches_are_the_criterion_benches_and_write_no_ledger() {
+        let mut host_clock = 0;
+        for bench in bench_targets(include_str!("../../Cargo.toml")) {
+            let source = bench_source(bench).unwrap();
+            let criterion = source.contains("use criterion::");
+            assert_eq!(is_host_clock(&source), criterion, "{bench}");
+            if criterion {
+                host_clock += 1;
+                assert!(!source.contains("BENCH_"), "{bench} writes a ledger");
+            }
+        }
+        assert!(host_clock > 0);
     }
 }

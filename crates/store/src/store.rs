@@ -373,8 +373,8 @@ pub(crate) mod costs {
     pub const NODE_SERIALIZE: Nanos = Nanos::from_ns(250);
     /// Cost of a root/delta-slot parse during recovery.
     pub const ROOT_PARSE: Nanos = Nanos::from_ns(400);
-    /// Cost of digesting one 4 KiB image on scrub's verify path:
-    /// `BENCH_host.json`'s page digest, 4 KiB at 19.36 GB/s.
+    /// Cost of digesting one 4 KiB image on scrub's verify path: the
+    /// `micro_store` bench's `digest32_page` (4 KiB at 19.36 GB/s).
     pub const DIGEST_PAGE: Nanos = Nanos::from_ns(212);
 
     /// Cost of initiating a μCheckpoint of `pages` pages. Charged only

@@ -159,9 +159,6 @@ struct PhysPage {
     cip_until: Nanos,
     /// Reverse map: every PTE mapping this page, across address spaces.
     rmap: Vec<(AsId, PteLoc)>,
-    /// Thread that holds this page in its dirty set, for optional
-    /// isolation checking (paper property ③).
-    dirty_owner: Option<VthreadId>,
     /// Write log at 64-byte cache-line granularity: bit `i` set means
     /// line `i` was written through a tracked mapping since the log was
     /// last harvested by [`Vm::take_dirty`]. `PAGE_SIZE / 64 == 64`
@@ -197,12 +194,6 @@ pub struct Vm {
     /// seeded fault-plan replays iterate threads deterministically.
     threads: BTreeMap<VthreadId, Vec<DirtyPage>>,
     stats: VmStats,
-    /// Isolation checking: a write to a page already dirtied by a
-    /// *different* thread (and not yet flushed) panics. Off on every
-    /// program path; the unit test
-    /// `strict_isolation_catches_cross_thread_dirty` turns it on to check
-    /// the paper's property ③.
-    strict_isolation: bool,
 }
 
 impl fmt::Debug for Vm {
@@ -226,7 +217,6 @@ impl Vm {
             spaces: Vec::new(),
             threads: BTreeMap::new(),
             stats: VmStats::default(),
-            strict_isolation: false,
         }
     }
 
@@ -304,7 +294,6 @@ impl Vm {
             p.data.fill(0);
             p.cip_until = Nanos::ZERO;
             p.rmap.clear();
-            p.dirty_owner = None;
             p.dirty_lines = 0;
             id
         } else {
@@ -312,7 +301,6 @@ impl Vm {
                 data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
                 cip_until: Nanos::ZERO,
                 rmap: Vec::new(),
-                dirty_owner: None,
                 dirty_lines: 0,
             });
             (self.phys.len() - 1) as u32
@@ -371,9 +359,7 @@ impl Vm {
     ///
     /// # Panics
     ///
-    /// Panics if the range is unmapped (the simulation's SIGSEGV), or — in
-    /// strict-isolation mode — if the write dirties a page another thread
-    /// dirtied and has not yet flushed (paper property ③).
+    /// Panics if the range is unmapped (the simulation's SIGSEGV).
     pub fn write(&mut self, vt: &mut Vt, space: AsId, thread: VthreadId, va: u64, data: &[u8]) {
         let mut va = va;
         let mut data = data;
@@ -402,18 +388,6 @@ impl Vm {
                     vt.charge(Category::PageFault, costs::MINOR_FAULT);
                 }
                 self.stats.minor_faults += 1;
-                let page = &mut self.phys[phys as usize];
-                if self.strict_isolation {
-                    if let Some(owner) = page.dirty_owner {
-                        assert_eq!(
-                            owner, thread,
-                            "isolation violation: page {obj_page} of {:?} dirtied by \
-                             {owner} is being written by {thread} before flush",
-                            m.object
-                        );
-                    }
-                }
-                page.dirty_owner = Some(thread);
                 self.spaces[space.0 as usize].table.pte_mut(loc).writable = true;
                 self.threads.entry(thread).or_default().push(DirtyPage {
                     object: m.object,
@@ -424,16 +398,6 @@ impl Vm {
                     pte: loc,
                     lines: 0,
                 });
-            } else if m.tracked && self.strict_isolation {
-                // Writable already: verify the writer is the tracking owner.
-                if let Some(owner) = self.phys[phys as usize].dirty_owner {
-                    assert_eq!(
-                        owner, thread,
-                        "isolation violation: page {obj_page} of {:?} dirtied by {owner} \
-                         is being written by {thread} before flush",
-                        m.object
-                    );
-                }
             }
 
             let page = &mut self.phys[phys as usize];
@@ -592,7 +556,6 @@ impl Vm {
         for e in entries {
             let p = &mut self.phys[e.phys as usize];
             p.cip_until = p.cip_until.max(until);
-            p.dirty_owner = None;
         }
     }
 
@@ -875,14 +838,19 @@ mod tests {
     }
 
     #[test]
-    fn strict_isolation_catches_cross_thread_dirty() {
+    fn a_page_stays_in_its_first_writers_dirty_set() {
+        // Property ③ is the application's to keep: a page joins the dirty
+        // set of the thread whose write faulted it writable, and a second
+        // thread's write before the flush neither faults nor moves it.
         let (mut vm, mut vt, space, _) = setup(4);
-        vm.strict_isolation = true;
-        vm.write(&mut vt, space, VthreadId(0), VA, &[1]);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            vm.write(&mut vt, space, VthreadId(1), VA, &[2]);
-        }));
-        assert!(result.is_err(), "property (3) violation must be caught");
+        let (t0, t1) = (VthreadId(0), VthreadId(1));
+        vm.write(&mut vt, space, t0, VA, &[1]);
+        vm.write(&mut vt, space, t1, VA, &[2]);
+        assert_eq!(vm.stats().minor_faults, 1);
+        assert_eq!(vm.dirty_count(t1), 0);
+        let dirty = vm.take_dirty(t0, None);
+        assert_eq!(dirty.len(), 1);
+        assert_eq!(dirty[0].obj_page, 0);
     }
 
     #[test]
