@@ -427,8 +427,9 @@ guard_cut_carrier() {
 # counters it never read, stay deleted.
 guard_held_once() {
     if grep -rnwE 'deltas_since_full|pins_ready|CutRecord|QueuedOp|replica_fallbacks' crates/*/src tests examples \
-        || grep -rnw 'bytes_written' crates/store/src; then
-        echo "derived state stays deleted: read the window, the pins, the cut, the request and the device bytes from their one source" >&2
+        || grep -rnw 'bytes_written' crates/store/src \
+        || grep -rnE '\b(OwnedSnap|next_snap)\b|\bapplied *:|\.applied\b' crates/repl/src; then
+        echo "derived state stays deleted: read the window, the pins, the cut, the request, the device bytes and replication's retained snapshots (the catalog) from their one source" >&2
         return 1
     fi
 }
@@ -509,6 +510,7 @@ perturbations() {
     perturb retired_fields crates/repl/src/engine.rs 's/^    pub max_lag_epochs: u64,$/&\n    pub retransmit_timeout: Nanos,/'
     perturb held_once crates/store/src/store.rs 's/^    queued: Option<DeltaRecord>,$/&\n    deltas_since_full: u64,/'
     perturb held_once crates/store/src/store.rs 's/^    pub completes: Nanos,$/&\n    pub bytes_written: u64,/'
+    perturb held_once crates/repl/src/engine.rs 's/^    next_ship: u64,$/&\n    next_snap: u64,/'
     perturb ledger_writer crates/bench/benches/pindex.rs '$a const SECOND_WRITER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");'
     perturb ack_redundancy BENCH_judged.json '/"workload": "repl-wan"/,/"put_mean_us"/s/"put_mean_us": [0-9.]+/"put_mean_us": 14179.715756363637/'
 }

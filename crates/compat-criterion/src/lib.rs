@@ -5,7 +5,7 @@
 //! [`Criterion::bench_function`], [`Bencher::iter`] /
 //! [`Bencher::iter_batched`], [`BatchSize`], and the
 //! [`criterion_group!`] / [`criterion_main!`] macros. It measures and
-//! reports a median wall-clock time per iteration — no statistical
+//! reports a median wall-clock time per call — no statistical
 //! regression analysis, plotting, or HTML reports.
 
 #![warn(missing_docs)]
@@ -30,6 +30,26 @@ pub enum BatchSize {
     PerIteration,
 }
 
+/// The least a timed sample of [`Bencher::iter`] spans: a few hundred
+/// clock reads' worth, so the read itself is noise.
+const SAMPLE_SPAN: Duration = Duration::from_micros(10);
+
+/// How many calls of `routine` one sample times: doubled from one until
+/// a batch spans [`SAMPLE_SPAN`] (one for a routine that long already).
+fn batch_for<O>(routine: &mut impl FnMut() -> O) -> u32 {
+    let mut batch = 1u32;
+    loop {
+        let start = Instant::now();
+        for _ in 0..batch {
+            black_box(routine());
+        }
+        if start.elapsed() >= SAMPLE_SPAN || batch >= 1 << 24 {
+            return batch;
+        }
+        batch *= 2;
+    }
+}
+
 /// Times closures handed to it by a benchmark body.
 pub struct Bencher {
     samples: Vec<Duration>,
@@ -44,12 +64,17 @@ impl Bencher {
         }
     }
 
-    /// Times `routine` repeatedly.
+    /// Times `routine` repeatedly. A sample is a batch of calls spanning
+    /// at least [`SAMPLE_SPAN`] (see [`batch_for`]) and records the time
+    /// per call, so a call shorter than a clock read is still measured.
     pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
+        let batch = batch_for(&mut routine);
         for _ in 0..self.target {
             let start = Instant::now();
-            black_box(routine());
-            self.samples.push(start.elapsed());
+            for _ in 0..batch {
+                black_box(routine());
+            }
+            self.samples.push(start.elapsed() / batch);
         }
     }
 
@@ -138,7 +163,19 @@ mod tests {
         let mut c = Criterion { iterations: 5 };
         let mut count = 0u64;
         c.bench_function("smoke", |b| b.iter(|| count += 1));
-        assert_eq!(count, 5);
+        assert!(count >= 5, "{count}");
+    }
+
+    /// A call far shorter than a clock read is timed in batches that
+    /// grow until a sample spans `SAMPLE_SPAN`; a long one alone.
+    #[test]
+    fn iter_batches_a_trivial_routine() {
+        let mut x = 0u64;
+        assert!(batch_for(&mut || x = black_box(x + 1)) > 1);
+        assert_eq!(batch_for(&mut || std::thread::sleep(SAMPLE_SPAN)), 1);
+        let mut b = Bencher::new(3);
+        b.iter(|| x = black_box(x + 1));
+        assert_eq!(b.samples.len(), 3);
     }
 
     #[test]

@@ -608,8 +608,8 @@ impl MemSnap {
     ///
     /// Pure *inspection* — which epochs are committed, what the catalog
     /// retains — never needs this escape hatch: use
-    /// [`MemSnap::region_epoch`], [`MemSnap::object_epoch`],
-    /// [`MemSnap::retained_snapshots`], or [`MemSnap::store`] instead.
+    /// [`MemSnap::region_epoch`], [`MemSnap::object_epoch`], or
+    /// [`MemSnap::store`] (its `snapshots()` is the catalog) instead.
     /// The `&mut` split borrow is only for paths that actually move
     /// bytes (building or applying streams).
     pub fn replication_parts(&mut self) -> (&mut ObjectStore, &mut Disk) {
@@ -704,12 +704,6 @@ impl MemSnap {
     /// carries), read-only.
     pub fn region_object_name(&self, md: Md) -> Option<&str> {
         self.regions.get(md.0 as usize).map(|r| r.name.as_str())
-    }
-
-    /// The retained-snapshot catalog, read-only (name, object, pinned
-    /// epoch, length of every retained snapshot).
-    pub fn retained_snapshots(&self) -> Vec<msnap_store::SnapEntry> {
-        self.store.snapshots()
     }
 
     /// Pins the current epoch of **any** store object (by directory
@@ -1281,7 +1275,7 @@ pub(crate) mod tests {
                 ms.write(&mut vt, space, t, r.addr, content).unwrap();
                 ms.msnap_persist(&mut vt, t, RegionSel::Region(r.md), PersistFlags::sync())
                     .unwrap();
-                if ms.retained_snapshots().is_empty() {
+                if ms.store().snapshots().is_empty() {
                     ms.msnap_snapshot(&mut vt, r.md, "s").unwrap();
                 }
             }
@@ -1343,7 +1337,7 @@ pub(crate) mod tests {
         let pinned = ms.msnap_snapshot(&mut vt, r.md, "r1").unwrap();
         ms.msnap_snapshot_object(&mut vt, MANIFEST_NAME, "m1")
             .unwrap();
-        let snaps = ms.retained_snapshots();
+        let snaps = ms.store().snapshots();
         assert_eq!(snaps.len(), 2);
         let r1 = snaps.iter().find(|s| s.name == "r1").unwrap();
         assert_eq!(r1.epoch, pinned);

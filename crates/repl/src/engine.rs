@@ -26,7 +26,7 @@ use msnap_store::{
 };
 
 use replica::Estimator;
-use ship::{send_ship, ObjShip, OwnedSnap, Ship};
+use ship::{send_ship, ObjShip, Ship};
 
 use crate::proto::{
     ship_msg, unpack, Msg, ObjectStatus, MAX_NAK_SEQS, SHIP_MSG_HEAD, TAG_BEGIN, TAG_END,
@@ -70,10 +70,17 @@ const DATAGRAM_BUDGET: usize = 1400;
 /// primary's recorded history, so a deeper lag could not ship from the
 /// record anyway.
 const DROP_BASE_LAG: u64 = memsnap::SUBPAGE_KEEP as u64;
-/// Retained anchor-epoch snapshots a replica keeps per object — the
-/// candidate rebase bases a promoted replica can diff a rejoining old
-/// primary from.
+/// Replication snapshots a replica keeps per object — the candidate
+/// rebase bases a promoted replica can diff a rejoining old primary
+/// from.
 const KEEP_APPLIED: usize = 2;
+/// Catalog-name prefix of a primary's pins for its anchor ships. It and
+/// [`ANCHOR`] are replication's own: a name is the prefix, the object's
+/// store id and the epoch ([`snap_name`]), the same for every engine and
+/// every life of a store, and short enough for any object.
+const PIN: &str = "rp-";
+/// Catalog-name prefix of the anchors a replica retains.
+const ANCHOR: &str = "rk-";
 /// Epoch gap a promotion fence jumps, so a new primary's epochs stay
 /// disjoint from the failed primary's unacknowledged history.
 const FENCE_GAP: u64 = 16;
@@ -343,6 +350,21 @@ fn land_repair(
     }
 }
 
+/// The catalog name of the replication snapshot of `object` at `epoch`
+/// in the role `prefix` ([`PIN`] or [`ANCHOR`]).
+fn snap_name(prefix: &str, object: ObjectId, epoch: Epoch) -> String {
+    format!("{prefix}{}-{epoch}", object.0)
+}
+
+/// The catalog's replication snapshots, of either role and whichever
+/// engine or life of the store made them: the one list of what
+/// replication retains.
+fn replication_snapshots(store: &ObjectStore) -> Vec<SnapEntry> {
+    let mut catalog = store.snapshots();
+    catalog.retain(|s| s.name.starts_with(PIN) || s.name.starts_with(ANCHOR));
+    catalog
+}
+
 /// Every object of `store` by name and id. Ids, not epochs: a fence
 /// moves an epoch inside the tick that lists them.
 fn resolved_objects(store: &ObjectStore) -> Vec<(String, ObjectId)> {
@@ -388,9 +410,12 @@ struct Link {
 pub struct ReplEngine {
     cfg: ReplConfig,
     links: Vec<Link>,
-    owned: Vec<OwnedSnap>,
+    /// Per object, the epoch of this engine's first pin: a divergent
+    /// link never rebases from here up, and what the catalog retains
+    /// below it is inherited history (an earlier engine's, or this
+    /// store's replica life).
+    pins_from: BTreeMap<ObjectId, Epoch>,
     next_ship: u64,
-    next_snap: u64,
     next_vtid: u32,
 }
 
@@ -400,9 +425,8 @@ impl ReplEngine {
         ReplEngine {
             cfg,
             links: Vec::new(),
-            owned: Vec::new(),
+            pins_from: BTreeMap::new(),
             next_ship: 1,
-            next_snap: 0,
             next_vtid: 1000,
         }
     }
@@ -977,6 +1001,7 @@ mod tests {
     use memsnap::{PersistFlags, RegionHandle, RegionSel, PAGE_SIZE};
     use msnap_disk::DiskConfig;
     use msnap_vm::AsId;
+    use std::collections::BTreeSet;
 
     fn primary() -> (MemSnap, Vt, AsId, RegionHandle, String) {
         let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
@@ -1183,9 +1208,13 @@ mod tests {
         assert_replica_page(&mut eng2, "old", &object, 0, 9);
     }
 
-    fn engine_pins(ms: &MemSnap) -> usize {
-        let pins = ms.retained_snapshots();
-        pins.iter().filter(|s| s.name.starts_with("rp")).count()
+    /// The names of the primary's pins.
+    fn engine_pins(ms: &MemSnap) -> Vec<String> {
+        let catalog = ms.store().snapshots().into_iter();
+        catalog
+            .filter(|s| s.name.starts_with(PIN))
+            .map(|s| s.name)
+            .collect()
     }
 
     fn assert_replica_matches_primary(
@@ -1218,18 +1247,19 @@ mod tests {
         let mut eng = ReplEngine::new(ReplConfig::default());
         eng.add_replica("r1", NetConfig::calm(31)).unwrap();
         eng.add_replica("r2", NetConfig::calm(32)).unwrap();
+        let mut seen = BTreeSet::new();
         for i in 0..200u64 {
             commit(&mut ms, &mut vt, space, &r, 1 + (i % 250) as u8);
-            assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+            assert!(settle_seeing(&mut eng, &mut vt, &mut ms, &mut seen));
             // No more than the per-commit scheme held: a base and an
             // in-flight target per (link, object), region and manifest.
-            assert!(engine_pins(&ms) <= 2 * 2 * 2, "commit {i}");
+            assert!(engine_pins(&ms).len() <= 2 * 2 * 2, "commit {i}");
         }
         let per_link_object = 200u64.div_ceil(DROP_BASE_LAG / 2) + 1;
         assert!(
-            eng.next_snap <= 2 * 2 * per_link_object,
+            seen.len() as u64 <= 2 * 2 * per_link_object,
             "{} snapshots pinned for 200 commits",
-            eng.next_snap
+            seen.len()
         );
         for name in ["r1", "r2"] {
             let m = *eng.link_metrics(name).unwrap();
@@ -1237,6 +1267,183 @@ mod tests {
             assert_eq!(m.recorded_syncs, m.delta_syncs, "{m:?}");
             assert_replica_matches_primary(&mut eng, name, &mut ms, &mut vt, &object);
         }
+    }
+
+    /// [`ReplEngine::settle`], reading the catalog after every tick into
+    /// `seen`: a pin lives at least until the next tick's GC, so `seen`
+    /// ends holding every pin the engine made.
+    fn settle_seeing(
+        eng: &mut ReplEngine,
+        vt: &mut Vt,
+        ms: &mut MemSnap,
+        seen: &mut BTreeSet<String>,
+    ) -> bool {
+        for _ in 0..500 {
+            let report = eng.tick(vt, ms).unwrap();
+            seen.extend(engine_pins(ms));
+            if report.caught_up {
+                return true;
+            }
+            vt.advance(RETRANSMIT_TIMEOUT / 2);
+        }
+        false
+    }
+
+    /// Takes every replica's device out of an engine, as a restart of
+    /// the process around it leaves them.
+    fn devices(eng: ReplEngine) -> Vec<(String, Disk)> {
+        let links = eng.links.into_iter();
+        links.map(|l| (l.name, l.node.unwrap().disk)).collect()
+    }
+
+    /// Reopens the region "data" of a restored primary.
+    fn reopen(vt: &mut Vt, disk: Disk) -> (MemSnap, AsId, RegionHandle) {
+        let mut ms = MemSnap::restore(vt, disk).unwrap();
+        let space = ms.vm_mut().create_space();
+        let r = ms.msnap_open(vt, space, "data", 16).unwrap();
+        (ms, space, r)
+    }
+
+    /// A primary that loses power comes back with a fresh engine, which
+    /// finds the pins the last one left in the catalog: every tick
+    /// succeeds, and the re-attached replica rebases from their common
+    /// anchor instead of taking a full image.
+    #[test]
+    fn restored_primary_and_reattached_replica_converge_by_delta() {
+        let (mut ms, mut vt, space, r, object) = primary();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("r1", NetConfig::calm(51)).unwrap();
+        for fill in 1..=3u8 {
+            commit(&mut ms, &mut vt, space, &r, fill);
+            assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        }
+        let disk = ms.crash(vt.now());
+        let (mut ms, space, r) = reopen(&mut vt, disk);
+        let mut eng2 = ReplEngine::new(ReplConfig::default());
+        for (name, disk) in devices(eng) {
+            eng2.attach_replica(&name, NetConfig::calm(52), disk)
+                .unwrap();
+        }
+        for fill in 4..=6u8 {
+            commit(&mut ms, &mut vt, space, &r, fill);
+            assert!(eng2.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        }
+        let m = *eng2.link_metrics("r1").unwrap();
+        assert_eq!(m.full_syncs, 0, "{m:?}");
+        assert_replica_matches_primary(&mut eng2, "r1", &mut ms, &mut vt, &object);
+    }
+
+    /// Fail-back, P1 → standby → P1: the first primary's store comes
+    /// back to the primary role holding the snapshots of both earlier
+    /// lives, and its standby, the second reign's primary, converges by
+    /// delta.
+    #[test]
+    fn fail_back_converges_the_third_reigns_standby_by_delta() {
+        let (mut ms, mut vt, mut space, mut r, object) = primary();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("s", NetConfig::calm(61)).unwrap();
+        let mut fill = 0u8;
+        for reign in 0..3 {
+            for _ in 0..3 {
+                fill += 1;
+                commit(&mut ms, &mut vt, space, &r, fill);
+                assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+            }
+            if reign == 2 {
+                break;
+            }
+            let standby = if reign == 0 { "s" } else { "p1" };
+            let promo = eng.promote(standby).unwrap();
+            let old = ms.crash(vt.now());
+            vt = promo.vt;
+            (ms, space, r) = reopen(&mut vt, promo.disk);
+            eng = ReplEngine::new(ReplConfig::default());
+            let rejoin = if reign == 0 { "p1" } else { "s" };
+            eng.attach_replica(rejoin, NetConfig::calm(62 + reign), old)
+                .unwrap();
+        }
+        let m = *eng.link_metrics("s").unwrap();
+        assert_eq!(m.full_syncs, 0, "{m:?}");
+        assert!(m.delta_syncs >= 1, "{m:?}");
+        assert_replica_matches_primary(&mut eng, "s", &mut ms, &mut vt, &object);
+    }
+
+    /// The catalog bounds what replication keeps whatever the history:
+    /// over twelve engine restarts (every other one a power failure of
+    /// the primary) with both replicas re-attached and commits after
+    /// each, the primary holds at most an anchor and an in-flight anchor
+    /// per (link, object), and each replica [`KEEP_APPLIED`] per object.
+    #[test]
+    fn restarts_and_reattaches_stay_within_the_catalog_bound() {
+        let (mut ms, mut vt, mut space, mut r, _) = primary();
+        let mut replicas: Vec<(String, Disk)> = Vec::new();
+        for round in 0..12u64 {
+            let mut eng = ReplEngine::new(ReplConfig::default());
+            if round == 0 {
+                eng.add_replica("r1", NetConfig::calm(71)).unwrap();
+                eng.add_replica("r2", NetConfig::calm(72)).unwrap();
+            }
+            for (name, disk) in std::mem::take(&mut replicas) {
+                let net = NetConfig::calm(73 + round);
+                eng.attach_replica(&name, net, disk).unwrap();
+            }
+            for i in 0..12u64 {
+                commit(&mut ms, &mut vt, space, &r, 1 + (round * 12 + i) as u8);
+                assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+            }
+            let objects = ms.store().object_names().len();
+            let held = replication_snapshots(ms.store()).len();
+            let bound = 2 * eng.links.len() * objects;
+            assert!(held <= bound, "round {round}: primary {held}");
+            for link in &eng.links {
+                let store = &link.node.as_ref().unwrap().store;
+                let held = replication_snapshots(store).len();
+                assert!(held <= KEEP_APPLIED * objects, "round {round}: {held}");
+                let full = link.metrics.full_syncs;
+                assert_eq!(full, if round == 0 { 2 } else { 0 }, "round {round}");
+            }
+            replicas = devices(eng);
+            if round % 2 == 1 {
+                let disk = ms.crash(vt.now());
+                (ms, space, r) = reopen(&mut vt, disk);
+            }
+        }
+    }
+
+    /// Anchor names fit every object: a replica retains the anchors of
+    /// an object whose name fills the whole name field, so the old
+    /// primary's rejoin after a promotion diffs from one.
+    #[test]
+    fn anchors_of_a_full_length_object_name_are_retained() {
+        let mut ms = MemSnap::format(Disk::new(DiskConfig::paper()));
+        let mut vt = Vt::new(0);
+        let space = ms.vm_mut().create_space();
+        let object = "n".repeat(88);
+        let r = ms.msnap_open(&mut vt, space, &object, 16).unwrap();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("r1", NetConfig::calm(81)).unwrap();
+        for fill in 1..=3u8 {
+            commit(&mut ms, &mut vt, space, &r, fill);
+            assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        }
+        let store = &eng.replica("r1").unwrap().store;
+        let id = store.lookup(&object).unwrap();
+        let anchors = replication_snapshots(store);
+        assert!(anchors.iter().any(|s| s.object == id), "{anchors:?}");
+
+        let promo = eng.promote("r1").unwrap();
+        let mut vt2 = promo.vt;
+        let mut ms2 = MemSnap::restore(&mut vt2, promo.disk).unwrap();
+        let mut eng2 = ReplEngine::new(ReplConfig::default());
+        let old = ms.crash(vt.now());
+        eng2.attach_replica("old", NetConfig::calm(82), old)
+            .unwrap();
+        assert!(eng2
+            .settle(&mut vt2, &mut ms2, Nanos::from_secs(10))
+            .unwrap());
+        let m = *eng2.link_metrics("old").unwrap();
+        assert_eq!(m.full_syncs, 0, "{m:?}");
+        assert_replica_matches_primary(&mut eng2, "old", &mut ms2, &mut vt2, &object);
     }
 
     /// A ship is the epoch it was built at: commits made while its

@@ -33,8 +33,6 @@ pub struct ReplicaNode {
     /// Recently finished ships, so a repeated `End` whose `Ack` was lost
     /// re-acknowledges instead of re-applying.
     completed: BTreeMap<u64, (String, Epoch)>,
-    /// Retained anchor-epoch snapshot names per object, oldest first.
-    applied: BTreeMap<String, Vec<String>>,
     /// Last instant a `RepairRequest` for (object, page) went up the
     /// link, bounding re-request traffic for the node's own rot.
     pub(super) repair_sent: BTreeMap<(String, u64), Nanos>,
@@ -199,7 +197,6 @@ impl ReplicaNode {
             ships: BTreeMap::new(),
             reorder: Estimator::default(),
             completed: BTreeMap::new(),
-            applied: BTreeMap::new(),
             repair_sent: BTreeMap::new(),
             announced: BTreeMap::new(),
             cut: None,
@@ -363,31 +360,26 @@ impl ReplicaNode {
         }
     }
 
-    /// Pins the just-applied anchor epoch as a retained snapshot and
-    /// prunes the per-object window to [`KEEP_APPLIED`] — these are the
-    /// rebase bases the primary falls back to when a span has no
-    /// dirty-line record, and the ones a promoted replica diffs a
+    /// Retains the just-applied anchor epoch as a snapshot, then keeps
+    /// the object's newest [`KEEP_APPLIED`] replication snapshots,
+    /// whichever life of this store made them, and deletes the rest.
+    /// These are the rebase bases the primary falls back to when a span
+    /// has no dirty-line record, and the ones a promoted replica diffs a
     /// rejoining primary from. Best effort: a full catalog only costs
     /// those deltas.
     fn retain_applied(&mut self, object: &str, epoch: Epoch) {
         let Some(id) = self.store.lookup(object) else {
             return;
         };
-        let name = format!("rk-{epoch}-{object}");
-        if self
+        let (vt, disk) = (&mut self.vt, &mut self.disk);
+        let _ = self
             .store
-            .snapshot_create(&mut self.vt, &mut self.disk, id, &name)
-            .is_err()
-        {
-            return;
-        }
-        let window = self.applied.entry(object.to_string()).or_default();
-        window.push(name);
-        while window.len() > KEEP_APPLIED {
-            let old = window.remove(0);
-            let _ = self
-                .store
-                .snapshot_delete(&mut self.vt, &mut self.disk, &old);
+            .snapshot_create(vt, disk, id, &snap_name(ANCHOR, id, epoch));
+        let mut window = replication_snapshots(&self.store);
+        window.retain(|s| s.object == id);
+        window.sort_by_key(|s| std::cmp::Reverse(s.epoch));
+        for old in window.iter().skip(KEEP_APPLIED) {
+            let _ = self.store.snapshot_delete(vt, disk, &old.name);
         }
     }
 

@@ -1,7 +1,7 @@
 //! The sending end of a link: planning each (link, object) ship — the
 //! commits' own record, a rebase from an anchor both ends retain, or the
-//! full image — building and sending it, and the engine-owned snapshots
-//! the ships pin and collect.
+//! full image — building and sending it, and the snapshots the ships pin
+//! and collect.
 
 use super::*;
 
@@ -112,15 +112,6 @@ pub(super) struct ObjShip {
     pub(super) dedup: DedupTable,
 }
 
-/// A snapshot the engine created on the primary, shared by every link
-/// that needs it and garbage-collected when none does.
-#[derive(Debug, Clone)]
-pub(super) struct OwnedSnap {
-    name: String,
-    object: String,
-    epoch: Epoch,
-}
-
 impl ReplEngine {
     pub(super) fn ship(
         &mut self,
@@ -176,16 +167,24 @@ impl ReplEngine {
                     _ => None,
                 };
                 let base = match recorded {
-                    None if !deep_lag => Self::choose_base(&self.owned, ms, object, id, os, live),
+                    None if !deep_lag => {
+                        let pins_from = self.pins_from.get(&id).copied();
+                        Self::choose_base(pins_from, ms, id, os, live)
+                    }
                     _ => None,
                 };
+                // A divergent link's base is an epoch both ends retain:
+                // its anchor until an anchor ship replaces it.
+                if os.divergent {
+                    os.base.clone_from(&base);
+                }
                 let base_epoch = match &recorded {
                     Some((span, _)) => Some(span.0),
                     None => base.as_ref().map(|(_, epoch)| *epoch),
                 };
                 let anchor = is_anchor(base_epoch, live, os.remote);
                 let pin = if anchor || recorded.is_none() {
-                    Some(self.pin_live(vt, ms, object)?)
+                    Some(self.pin_live(vt, ms, object, id)?)
                 } else {
                     None
                 };
@@ -242,33 +241,25 @@ impl ReplEngine {
         Ok(())
     }
 
-    /// Finds or pins the engine-owned snapshot of `object` at its live
-    /// epoch — shared across links shipping the same epoch. Called for
-    /// anchor ships and for ships diffed from a snapshot pair only;
-    /// [`ReplEngine::gc_snapshots`] drops the pin once no link holds it
-    /// as its anchor.
+    /// Finds or pins the snapshot of `object` at its live epoch. Its name
+    /// is its identity, so links shipping the same epoch share it, and an
+    /// engine finds what an earlier one left. Called for anchor ships and
+    /// for ships diffed from a snapshot pair only;
+    /// [`ReplEngine::gc_snapshots`] drops the pin once no link holds it as
+    /// its anchor.
     fn pin_live(
         &mut self,
         vt: &mut Vt,
         ms: &mut MemSnap,
         object: &str,
+        id: ObjectId,
     ) -> Result<String, ReplError> {
-        let live = ms.object_epoch(object).ok_or(StoreError::NotFound)?;
-        if let Some(s) = self
-            .owned
-            .iter()
-            .find(|s| s.object == object && s.epoch == live)
-        {
-            return Ok(s.name.clone());
+        let live = ms.store().epoch(id);
+        let name = snap_name(PIN, id, live);
+        if ms.store().snapshot_lookup(&name).is_none() {
+            ms.msnap_snapshot_object(vt, object, &name)?;
         }
-        let name = format!("rp{}", self.next_snap);
-        self.next_snap += 1;
-        let epoch = ms.msnap_snapshot_object(vt, object, &name)?;
-        self.owned.push(OwnedSnap {
-            name: name.clone(),
-            object: object.to_string(),
-            epoch,
-        });
+        self.pins_from.entry(id).or_insert(live);
         Ok(name)
     }
 
@@ -281,12 +272,11 @@ impl ReplEngine {
     /// divergent link — one that just (re-)attached — a numeric epoch
     /// match proves nothing about content, so the base must be an epoch
     /// *both* sides retain from common history: the newest
-    /// replica-retained epoch the primary also has pinned below its own
-    /// first post-promotion snapshot.
+    /// replica-retained epoch the primary also retains below `pins_from`,
+    /// where this engine's own pins of the object start.
     fn choose_base(
-        owned: &[OwnedSnap],
+        pins_from: Option<Epoch>,
         ms: &MemSnap,
-        object: &str,
         id: ObjectId,
         os: &ObjShip,
         target_epoch: Epoch,
@@ -298,26 +288,23 @@ impl ReplEngine {
             let at_remote = || Some((retained_at(ms.store(), id, os.remote)?, os.remote));
             return os.base.clone().or_else(at_remote);
         }
-        // Divergent: restrict to epochs predating the engine's own
-        // snapshots (which pin post-promotion history the peer cannot
-        // share) and retained on both sides.
-        let first_owned = owned
-            .iter()
-            .filter(|s| s.object == object)
-            .map(|s| s.epoch)
-            .min()
-            .unwrap_or(Epoch::MAX);
+        // Divergent: restrict to epochs predating the engine's own pins
+        // (which hold post-promotion history the peer cannot share) and
+        // retained on both sides.
+        let pins_from = pins_from.unwrap_or(Epoch::MAX);
         os.retained_remote
             .iter()
             .rev()
-            .filter(|&&e| e < target_epoch && e < first_owned)
+            .filter(|&&e| e < target_epoch && e < pins_from)
             .find_map(|&e| Some((retained_at(ms.store(), id, e)?, e)))
     }
 
-    /// Deletes engine-owned primary snapshots no link needs anymore (an
-    /// anchor survives until a newer anchor ship is acknowledged), then
-    /// reclaims inherited `rk-*` rebase bases a promoted replica
-    /// carried over from its replica life once every peer has caught up.
+    /// The one GC pass, over the catalog's replication snapshots: each
+    /// link's anchor (an anchor survives until a newer anchor ship is
+    /// acknowledged) and each in-flight anchor stay; what predates this
+    /// engine's own pins of its object stays while some link is unheard
+    /// or divergent, since a rejoining peer may rebase from that common
+    /// history; the rest go, whichever engine or life made them.
     pub(super) fn gc_snapshots(&mut self, vt: &mut Vt, ms: &mut MemSnap) {
         let mut needed: Vec<&str> = Vec::new();
         for link in &self.links {
@@ -330,53 +317,17 @@ impl ReplEngine {
                 }
             }
         }
-        let mut keep = Vec::new();
-        for snap in std::mem::take(&mut self.owned) {
-            if needed.iter().any(|n| *n == snap.name) {
-                keep.push(snap);
-            } else {
+        let unsettled = self
+            .links
+            .iter()
+            .any(|l| !l.known || l.ships.values().any(|os| os.divergent));
+        for snap in replication_snapshots(ms.store()) {
+            let from = self.pins_from.get(&snap.object);
+            let inherited = from.is_none_or(|&from| snap.epoch < from);
+            let keep = needed.contains(&snap.name.as_str()) || (inherited && unsettled);
+            if !keep {
                 let _ = ms.msnap_snapshot_delete(vt, &snap.name);
             }
-        }
-        self.owned = keep;
-        self.gc_inherited(vt, ms);
-    }
-
-    /// Reclaims `rk-*` snapshots — the per-object applied-epoch windows
-    /// this store retained while it was a *replica* ([`ReplicaNode`] pins
-    /// them so a promoted peer can diff a rejoining primary from common
-    /// history). After promotion they sit in the catalog serving exactly
-    /// one purpose: delta bases for divergent (just re-attached) links.
-    /// Once a link's first post-promotion ship of an object is
-    /// acknowledged that object's inherited bases are dead weight, and
-    /// the catalog space goes back to live ship targets. Deleting early
-    /// only costs the delta-rejoin optimization — a late attacher falls
-    /// back to a full image — so links that have not said `Hello` yet
-    /// hold the GC off.
-    fn gc_inherited(&mut self, vt: &mut Vt, ms: &mut MemSnap) {
-        if self.links.iter().any(|l| !l.known) {
-            return; // a peer we have not heard from may still need them
-        }
-        let mut inherited: Vec<SnapEntry> = ms
-            .retained_snapshots()
-            .into_iter()
-            .filter(|s| s.name.starts_with("rk-"))
-            .collect();
-        if inherited.is_empty() {
-            return;
-        }
-        for link in &self.links {
-            for (object, os) in &link.ships {
-                let Some(id) = ms.store().lookup(object) else {
-                    continue;
-                };
-                inherited.retain(|s| {
-                    s.object != id || !(os.divergent || (os.base.is_none() && os.remote == s.epoch))
-                });
-            }
-        }
-        for entry in inherited {
-            let _ = ms.msnap_snapshot_delete(vt, &entry.name);
         }
     }
 }

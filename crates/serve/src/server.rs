@@ -69,19 +69,18 @@ pub const SLOTS_PER_PAGE: u64 = PAGE_SIZE as u64 / SLOT_BYTES;
 /// # Snapshot catalog budget
 ///
 /// Each store shard's snapshot catalog holds ~31 entries, all of them
-/// the replication engine's rejoin anchors; watches pin nothing and a
-/// steady-state ship pins nothing. An anchor is pinned when a link's
-/// ship of an object is a full image, a rebase, or crosses a multiple
-/// of 32 epochs (half `msnap-repl`'s `DROP_BASE_LAG`), and replaces the
-/// link's previous one — at most one per attached replica × object,
-/// shared when the replicas acknowledge the same epoch. On the sharded
-/// primary these spread across `shards` catalogs, but a **promoted
-/// replica is single-shard** and inherits the anchors it retained as a
-/// replica (two per object, `msnap-repl`'s `KEEP_APPLIED`) until its
-/// re-attached peers catch up: after failover up to
-/// `replicas × (tenants × stripes + 1)` anchors must fit in one catalog.
-/// Size failover topologies so that budget holds (e.g. fewer `stripes`
-/// or tenants).
+/// replication's snapshots; watches pin nothing and a steady-state ship
+/// pins nothing. An anchor is pinned when a link's ship of an object is
+/// a full image, a rebase, or crosses a multiple of 32 epochs (half
+/// `msnap-repl`'s `DROP_BASE_LAG`), and replaces the link's previous
+/// one: at most one per attached replica × object, plus one in flight.
+/// On the sharded primary these spread across `shards` catalogs, but a
+/// **promoted replica is single-shard** and keeps the anchors it
+/// retained as a replica (two per object) beside its new pins until
+/// every re-attached peer is heard and has acknowledged a ship: after
+/// failover up to `(2 + 2 × replicas) × (tenants × stripes + 1)`
+/// snapshots must fit in one catalog. Size failover topologies so that
+/// budget holds (e.g. fewer `stripes` or tenants).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Store shards of the primary device (tenant stripes hash across
@@ -583,10 +582,21 @@ mod tests {
 
     /// Steps the node until `port` has heard something.
     fn deliver(node: &mut ServeNode, now: &mut Nanos, port: usize) -> Vec<Response> {
+        deliver_seeing(node, now, port, &mut |_| {})
+    }
+
+    /// [`deliver`], showing `see` the node after every step.
+    fn deliver_seeing(
+        node: &mut ServeNode,
+        now: &mut Nanos,
+        port: usize,
+        see: &mut impl FnMut(&ServeNode),
+    ) -> Vec<Response> {
         let mut got = Vec::new();
         for _ in 0..200 {
             *now += Nanos::from_us(100);
             node.step(*now).unwrap();
+            see(node);
             while let Some((_, dg)) = node.client_poll(port, *now) {
                 got.extend(wire::decode_responses(&dg).unwrap());
             }
@@ -767,7 +777,7 @@ mod tests {
             };
             assert_eq!(from_epochs.len() as u64, node.cfg.stripes);
         }
-        assert!(node.ms.retained_snapshots().is_empty());
+        assert!(node.ms.store().snapshots().is_empty());
         for (i, c) in clients.iter_mut().enumerate() {
             let key = 37 * i as u64 + 5;
             let events = c.put(&mut node, &mut now, &format!("t{i}"), key);
@@ -826,7 +836,7 @@ mod tests {
         };
         for key in [3, 70, 700] {
             assert_eq!(c.put(&mut node, &mut now, "acme", key).len(), 1);
-            assert!(node.ms.retained_snapshots().is_empty());
+            assert!(node.ms.store().snapshots().is_empty());
         }
         let resps = c.call(&mut node, &mut now, |session, req| Request::Unsubscribe {
             session,
@@ -837,7 +847,7 @@ mod tests {
             matches!(resps.first(), Some(Response::UnsubOk { .. })),
             "{resps:?}"
         );
-        assert!(node.ms.retained_snapshots().is_empty());
+        assert!(node.ms.store().snapshots().is_empty());
 
         let events_before = node.stats().notify_events;
         assert_eq!(events_before, 3);
@@ -859,25 +869,46 @@ mod tests {
         let mut clients: Vec<Client> = (0..TENANTS)
             .map(|port| Client::hello(&mut node, &mut now, port))
             .collect();
-        // Five commits on one stripe of every tenant.
+        // Five commits on one stripe of every tenant, each a
+        // `Client::put` stepped with the catalog read after every step:
+        // a pin lives at least until the engine's next GC, so `pinned`
+        // ends holding every snapshot the engine pinned.
+        let mut pinned = std::collections::BTreeSet::new();
+        let mut see = |n: &ServeNode| {
+            let catalog = n.ms.store().snapshots().into_iter();
+            pinned.extend(
+                catalog
+                    .filter(|s| s.name.starts_with("rp-"))
+                    .map(|s| s.name),
+            );
+        };
         for _ in 0..5 {
             for (i, c) in clients.iter_mut().enumerate() {
-                c.put(&mut node, &mut now, &format!("t{i}"), 5);
+                let (session, req) = (c.session, c.next_req);
+                c.next_req += 1;
+                let tenant = format!("t{i}");
+                let (key, value) = (5, vec![5]);
+                let put = Request::Put {
+                    session,
+                    req,
+                    tenant,
+                    key,
+                    value,
+                };
+                node.client_send(c.port, now, wire::encode_request(&put));
+                let mut heard = deliver_seeing(&mut node, &mut now, c.port, &mut see);
+                heard.extend(deliver_seeing(&mut node, &mut now, c.port, &mut see));
+                assert!(heard.iter().any(|r| matches!(r, Response::PutOk { .. })));
             }
         }
         let objects = node.ms.store().object_names().len();
         assert_eq!(objects, TENANTS * node.cfg.stripes as usize + 1);
-        let catalog = node.ms.retained_snapshots();
+        let catalog = node.ms.store().snapshots();
         assert!(catalog.len() <= objects, "{} entries", catalog.len());
-        // The engine names its pins `rp<n>` in creation order.
-        let pinned = catalog
-            .iter()
-            .filter_map(|s| s.name.strip_prefix("rp")?.parse::<usize>().ok())
-            .max()
-            .map_or(0, |n| n + 1);
         assert!(
-            pinned <= objects,
-            "{pinned} snapshots pinned for {objects} objects and 60 commits"
+            pinned.len() <= objects,
+            "{} snapshots pinned for {objects} objects and 60 commits",
+            pinned.len()
         );
     }
 
