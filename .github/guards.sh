@@ -78,13 +78,25 @@ guard_commit_pipeline() {
 guard_reader_decode() {
     local f n
     for f in crates/store/src/layout.rs crates/store/src/radix.rs crates/core/src/*.rs crates/pindex/src/*.rs crates/fs/src/*.rs \
-        crates/litedb/src/btree.rs crates/litedb/src/file_backend.rs; do
+        crates/litedb/src/btree.rs crates/litedb/src/file_backend.rs crates/skipdb/src/*.rs; do
         n=$(awk '/^#\[cfg\(test\)\]/ { exit } /try_into\(\)\.unwrap\(\)/ { n++ } END { print n + 0 }' "$f")
         if [ "$n" -gt 0 ]; then
             echo "$f has $n try_into().unwrap() above its tests: decode through msnap_sim::wire::Reader" >&2
             return 1
         fi
     done
+}
+
+# One persistent skip list in skipdb: above the tests, only the node
+# codec and the list name the codec and the per-node lock, so no variant
+# carries its own copy of the list.
+guard_one_node_list() {
+    if awk 'FILENAME ~ /\/(node|plist)\.rs$/ || /^#\[cfg\(test\)\]/ { nextfile }
+            /(^|[^A-Za-z0-9_])(encode_node|decode_node|decode_head|decode_next|NODE_LOCK)([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' crates/skipdb/src/*.rs; then
+        echo "skipdb has one node list: the node codec and NODE_LOCK are named only in node.rs and plist.rs; read and write pages through plist's NodePages" >&2
+        return 1
+    fi
 }
 
 # The index carve is owned by pindex.
@@ -467,6 +479,8 @@ perturbations() {
     perturb reader_decode crates/fs/src/wal.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
     perturb reader_decode crates/litedb/src/btree.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
     perturb reader_decode crates/litedb/src/file_backend.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
+    perturb reader_decode crates/skipdb/src/baseline.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
+    perturb one_node_list crates/skipdb/src/aurora_kv.rs '1i const NODE_LOCK: u64 = 25;'
     perturb pindex_carve crates/core/src/api.rs '$a // CARVE_MAGIC'
     perturb binary_manifest crates/core/src/manifest.rs '$a // @shards 4'
     perturb history_depth crates/repl/src/engine.rs 's/^const DROP_BASE_LAG: u64 = .*;/const DROP_BASE_LAG: u64 = 64;/'

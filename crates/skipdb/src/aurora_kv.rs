@@ -1,30 +1,24 @@
 //! The Aurora variant: the persistent skip list over region checkpoints.
 //!
 //! "The Aurora system stores all MemTable data in a single mapping and
-//! issues a checkpoint after each write" (§7.2). The node layout matches
-//! [`MemSnapKv`](crate::MemSnapKv); only the persistence mechanism
-//! differs: every commit stops the world, shadows the whole mapping,
-//! flushes, and collapses — and checkpoints of the region serialize.
+//! issues a checkpoint after each write" (§7.2). The MemTable is the same
+//! list as [`MemSnapKv`](crate::MemSnapKv)'s, node pages and all; only
+//! the persistence mechanism differs: every commit stops the world,
+//! shadows the whole mapping, flushes, and collapses — and checkpoints of
+//! the region serialize.
 
 use msnap_aurora::{Aurora, AuroraRegionId};
 use msnap_disk::Disk;
-use msnap_sim::{Category, Meters, Nanos, Vt};
+use msnap_sim::{Meters, Nanos, Vt};
 
 use crate::kv::{Kv, KvStats};
-use crate::node::{decode_head, decode_node, encode_head, encode_node, PAGE};
-use crate::skiplist::{Insert, SkipIndex};
-
-/// Per-node spinlock cost (same as the MemSnap variant).
-const NODE_LOCK: Nanos = Nanos::from_ns(25);
+use crate::plist::PersistentSkipList;
 
 /// The Aurora-checkpointed skip-list store. See the module docs.
 #[derive(Debug)]
 pub struct AuroraKv {
     aurora: Aurora,
-    region: AuroraRegionId,
-    index: SkipIndex<u64>,
-    next_page: u64,
-    capacity_pages: u64,
+    list: PersistentSkipList<AuroraRegionId>,
     /// Application threads Aurora must stop per checkpoint (12 in the
     /// paper's MixGraph runs).
     threads_running: u32,
@@ -39,18 +33,13 @@ impl AuroraKv {
         let region = aurora
             .create_region(vt, "memtable", capacity_pages)
             .expect("fresh store accepts the memtable region");
-        let mut kv = AuroraKv {
+        let list = PersistentSkipList::format(&mut aurora, region, capacity_pages, vt);
+        AuroraKv {
             aurora,
-            region,
-            index: SkipIndex::new(0),
-            next_page: 1,
-            capacity_pages,
+            list,
             threads_running,
             stats: KvStats::default(),
-        };
-        let head = encode_head(0);
-        kv.aurora.write(vt, kv.region, 0, &head);
-        kv
+        }
     }
 
     /// Restores after a crash, rebuilding the volatile index by walking
@@ -60,31 +49,16 @@ impl AuroraKv {
     ///
     /// Panics if `disk` holds no Aurora store.
     pub fn restore(disk: Disk, threads_running: u32, vt: &mut Vt) -> Self {
-        let aurora = Aurora::restore(vt, disk).expect("device holds an Aurora store");
+        let mut aurora = Aurora::restore(vt, disk).expect("device holds an Aurora store");
         let region = aurora.region("memtable").expect("memtable region exists");
         let capacity_pages = aurora.region_pages(region);
-        let mut kv = AuroraKv {
+        let list = PersistentSkipList::restore(&mut aurora, region, capacity_pages, vt);
+        AuroraKv {
             aurora,
-            region,
-            index: SkipIndex::new(0),
-            next_page: 1,
-            capacity_pages,
+            list,
             threads_running,
             stats: KvStats::default(),
-        };
-        let mut buf = [0u8; PAGE];
-        kv.aurora.read(vt, kv.region, 0, &mut buf);
-        let mut next = decode_head(&buf).unwrap_or(0);
-        let mut max_page = 0;
-        while next != 0 {
-            kv.aurora.read(vt, kv.region, next * PAGE as u64, &mut buf);
-            let node = decode_node(&buf).expect("linked list points at valid nodes");
-            kv.index.insert(vt, node.key, next);
-            max_page = max_page.max(next);
-            next = node.next;
         }
-        kv.next_page = max_page + 1;
-        kv
     }
 
     /// Simulates a power failure; pass the device to
@@ -98,97 +72,38 @@ impl AuroraKv {
         &self.aurora
     }
 
-    fn insert_volatile(&mut self, vt: &mut Vt, key: u64, value: &[u8]) {
-        match self.index.insert(vt, key, 0) {
-            Insert::Replaced(page) => {
-                self.index.insert(vt, key, page);
-                vt.charge(Category::Locking, NODE_LOCK);
-                let mut buf = [0u8; PAGE];
-                self.aurora
-                    .read(vt, self.region, page * PAGE as u64, &mut buf);
-                let node = decode_node(&buf).expect("index points at valid nodes");
-                let image = encode_node(key, value, node.next);
-                self.aurora
-                    .write(vt, self.region, page * PAGE as u64, &image);
-            }
-            Insert::New {
-                pred_payload,
-                succ_payload,
-            } => {
-                let page = self.next_page;
-                assert!(page < self.capacity_pages, "memtable region full");
-                self.next_page += 1;
-                self.index.insert(vt, key, page);
-                vt.charge(Category::Locking, NODE_LOCK * 2);
-                let image = encode_node(key, value, succ_payload.unwrap_or(0));
-                self.aurora
-                    .write(vt, self.region, page * PAGE as u64, &image);
-                let pred_page = pred_payload.unwrap_or(0);
-                self.aurora.write(
-                    vt,
-                    self.region,
-                    pred_page * PAGE as u64 + 16,
-                    &page.to_le_bytes(),
-                );
-            }
-        }
-    }
-
     fn checkpoint(&mut self, vt: &mut Vt) {
         self.aurora
-            .checkpoint_region_combined(vt, self.region, self.threads_running);
+            .checkpoint_region_combined(vt, self.list.region, self.threads_running);
         self.stats.commits += 1;
     }
 }
 
 impl Kv for AuroraKv {
     fn put(&mut self, vt: &mut Vt, key: u64, value: &[u8]) -> Result<(), crate::KvError> {
-        self.insert_volatile(vt, key, value);
+        self.list.insert_volatile(&mut self.aurora, vt, key, value);
         self.checkpoint(vt);
         Ok(())
     }
 
     fn multi_put(&mut self, vt: &mut Vt, pairs: &[(u64, Vec<u8>)]) -> Result<(), crate::KvError> {
         for (key, value) in pairs {
-            self.insert_volatile(vt, *key, value);
+            self.list.insert_volatile(&mut self.aurora, vt, *key, value);
         }
         self.checkpoint(vt);
         Ok(())
     }
 
     fn get(&mut self, vt: &mut Vt, key: u64) -> Option<Vec<u8>> {
-        let page = *self.index.find(vt, key)?;
-        let mut buf = [0u8; PAGE];
-        self.aurora
-            .read(vt, self.region, page * PAGE as u64, &mut buf);
-        decode_node(&buf).map(|n| n.value)
+        self.list.get(&mut self.aurora, vt, key)
     }
 
     fn seek(&mut self, vt: &mut Vt, key: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
-        let pages: Vec<(u64, u64)> = self
-            .index
-            .iter_from(vt, key)
-            .take(limit)
-            .map(|(k, p)| (k, *p))
-            .collect();
-        pages
-            .into_iter()
-            .map(|(k, page)| {
-                let mut buf = [0u8; PAGE];
-                self.aurora
-                    .read(vt, self.region, page * PAGE as u64, &mut buf);
-                (
-                    k,
-                    decode_node(&buf)
-                        .expect("index points at valid nodes")
-                        .value,
-                )
-            })
-            .collect()
+        self.list.seek(&mut self.aurora, vt, key, limit)
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.list.index.len()
     }
 
     fn stats(&self) -> KvStats {
@@ -203,6 +118,7 @@ impl Kv for AuroraKv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsnap::PAGE_SIZE;
     use msnap_disk::DiskConfig;
 
     fn fresh() -> (AuroraKv, Vt) {
@@ -258,6 +174,48 @@ mod tests {
             ratio > 2.0,
             "aurora {aurora_lat:.0} us vs memsnap {ms_lat:.0} us ({ratio:.1}x)"
         );
+    }
+
+    /// One list under both mechanisms: the same puts leave the same
+    /// node pages, byte for byte, in an Aurora region and a MemSnap one —
+    /// an update to a shorter value keeps the stale tail in both, one to
+    /// a longer value overwrites it in both.
+    #[test]
+    fn node_pages_match_the_memsnap_variant_byte_for_byte() {
+        use memsnap::MemSnap;
+        use msnap_aurora::Aurora;
+        const PAGES: u64 = 16;
+        let puts: [(u64, &[u8]); 6] = [
+            (5, b"five"),
+            (3, b"three-three"),
+            (9, b"nine"),
+            (3, b"3"),
+            (9, b"nine, now a good deal longer than before"),
+            (1, b"one"),
+        ];
+        let (mut vt, mut vt2) = (Vt::new(0), Vt::new(0));
+        let mut aurora = AuroraKv::format(Disk::new(DiskConfig::paper()), PAGES, 1, &mut vt);
+        let mut memsnap = crate::MemSnapKv::format(Disk::new(DiskConfig::paper()), PAGES, &mut vt2);
+        for (key, value) in puts {
+            aurora.put(&mut vt, key, value).unwrap();
+            memsnap.put(&mut vt2, key, value).unwrap();
+        }
+        let (disk, disk2) = (aurora.crash(vt.now()), memsnap.crash(vt2.now()));
+        let mut aurora = Aurora::restore(&mut vt, disk).unwrap();
+        let region = aurora.region("memtable").unwrap();
+        let mut ms = MemSnap::restore(&mut vt2, disk2).unwrap();
+        let space = ms.vm_mut().create_space();
+        let mapped = ms.msnap_open(&mut vt2, space, "memtable", 0).unwrap();
+        let pages = aurora.region_pages(region);
+        assert_eq!(pages, 5, "the head and four nodes");
+        for page in 0..pages {
+            let (mut a, mut m) = ([0u8; PAGE_SIZE], [0u8; PAGE_SIZE]);
+            let offset = page * PAGE_SIZE as u64;
+            aurora.read(&mut vt, region, offset, &mut a);
+            ms.read(&mut vt2, space, mapped.addr + offset, &mut m)
+                .unwrap();
+            assert!(a == m, "node page {page} differs between the two variants");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use msnap_disk::Disk;
 use msnap_fs::{Fd, FileSystem, FsKind, WriteAheadLog};
+use msnap_sim::wire::Reader;
 use msnap_sim::{Category, Meters, Nanos, Vt};
 
 use crate::kv::{Kv, KvStats};
@@ -89,8 +90,10 @@ impl BaselineKv {
         self.memtable = SkipIndex::new(Vec::new());
         self.memtable_bytes = 0;
         for record in self.wal.replay(vt, &mut self.disk, &mut self.fs) {
-            let key = u64::from_le_bytes(record.payload[0..8].try_into().unwrap());
-            let value = record.payload[8..].to_vec();
+            // A record too short for its key ends the log, as a torn one.
+            let mut r = Reader::new(&record.payload);
+            let Ok(key) = r.u64() else { break };
+            let value = r.rest().to_vec();
             self.memtable_bytes += 8 + value.len() as u64;
             self.memtable.insert(vt, key, value);
         }
@@ -215,8 +218,10 @@ fn read_sst_index(
     for _ in 0..count {
         let mut entry_header = [0u8; 10];
         fs.read(vt, disk, fd, offset, &mut entry_header);
-        let key = u64::from_le_bytes(entry_header[0..8].try_into().unwrap());
-        let vlen = u16::from_le_bytes(entry_header[8..10].try_into().unwrap());
+        let mut r = Reader::new(&entry_header);
+        let (Ok(key), Ok(vlen)) = (r.u64(), r.u16()) else {
+            break;
+        };
         index.push((key, offset + 10, vlen));
         offset += 10 + vlen as u64;
     }

@@ -1,7 +1,9 @@
 //! SkipDB: the RocksDB case study (§7.2).
 //!
 //! A RocksDB-shaped key-value store whose MemTable is a skip list, with
-//! the paper's three persistence architectures:
+//! the paper's three persistence architectures. The two single-level
+//! ones share one page-per-node list and differ only in how its pages
+//! persist:
 //!
 //! - [`BaselineKv`]: unmodified-RocksDB architecture. `Put` appends the
 //!   record to a WAL and fsyncs, then inserts into a volatile skip list;
@@ -14,9 +16,9 @@
 //!   exactly the new node and its predecessor with one `msnap_persist`.
 //!   Skip pointers are volatile and rebuilt by walking the restored
 //!   linked list after a crash. No WAL, no SSTables, no compaction.
-//! - [`AuroraKv`]: the same persistent layout over Aurora's region
-//!   checkpointing — every write triggers a stop-the-world shadow
-//!   checkpoint, reproducing the overheads of Tables 9/10.
+//! - [`AuroraKv`]: the same list, node pages and all, in an Aurora
+//!   region — every write triggers a stop-the-world shadow checkpoint,
+//!   reproducing the overheads of Tables 9/10.
 //!
 //! All three implement [`Kv`], so the MixGraph driver (in
 //! `msnap-bench`) measures them identically.

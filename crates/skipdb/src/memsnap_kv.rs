@@ -7,21 +7,19 @@
 //! traversing the restored linked list"). The WAL, SSTables, LSM tree and
 //! compaction are all gone.
 
-use memsnap::{MemSnap, PersistFlags, RegionSel};
+use memsnap::{Md, MemSnap, PersistFlags, RegionSel};
 use msnap_disk::Disk;
 use msnap_sim::{Meters, Nanos, Vt};
-use msnap_vm::AsId;
 
 use crate::kv::{Kv, KvStats};
-use crate::node::{decode_head, decode_node, PAGE};
-use crate::plist::PersistentSkipList;
+use crate::plist::{Mapping, PersistentSkipList};
 
 /// The persistent-skip-list store. See the module docs.
 #[derive(Debug)]
 pub struct MemSnapKv {
     ms: MemSnap,
-    space: AsId,
-    list: PersistentSkipList,
+    md: Md,
+    list: PersistentSkipList<Mapping>,
     stats: KvStats,
 }
 
@@ -40,10 +38,11 @@ impl MemSnapKv {
         let region = ms
             .msnap_open(vt, space, "memtable", capacity_pages)
             .expect("fresh store accepts the memtable region");
-        let list = PersistentSkipList::format(&mut ms, space, region, vt);
+        let mapping = Mapping(space, region.addr);
+        let list = PersistentSkipList::format(&mut ms, mapping, region.pages, vt);
         MemSnapKv {
             ms,
-            space,
+            md: region.md,
             list,
             stats: KvStats::default(),
         }
@@ -61,10 +60,11 @@ impl MemSnapKv {
         let region = ms
             .msnap_open(vt, space, "memtable", 0)
             .expect("memtable region exists");
-        let list = PersistentSkipList::restore(&mut ms, space, region, vt);
+        let mapping = Mapping(space, region.addr);
+        let list = PersistentSkipList::restore(&mut ms, mapping, region.pages, vt);
         MemSnapKv {
             ms,
-            space,
+            md: region.md,
             list,
             stats: KvStats::default(),
         }
@@ -102,8 +102,7 @@ impl MemSnapKv {
     /// returning it. Until this is called, every write keeps reporting
     /// the failure (fsync-gate semantics).
     pub fn ack_error(&mut self) -> Option<memsnap::MsnapError> {
-        self.ms
-            .msnap_ack_error(RegionSel::Region(self.list.region.md))
+        self.ms.msnap_ack_error(RegionSel::Region(self.md))
     }
 
     /// Runs one IO-budgeted slice of the store's online integrity
@@ -134,7 +133,7 @@ impl MemSnapKv {
     ///
     /// A wrapped store error (duplicate name, catalog full, IO).
     pub fn snapshot(&mut self, vt: &mut Vt, name: &str) -> Result<memsnap::Epoch, crate::KvError> {
-        Ok(self.ms.msnap_snapshot(vt, self.list.region.md, name)?)
+        Ok(self.ms.msnap_snapshot(vt, self.md, name)?)
     }
 
     /// Deletes a retained snapshot, releasing its pinned blocks.
@@ -161,29 +160,20 @@ impl MemSnapKv {
         vt: &mut Vt,
         name: &str,
     ) -> Result<Vec<(u64, Vec<u8>)>, crate::KvError> {
-        let view = self.ms.msnap_open_at(vt, self.space, name)?;
+        let space = self.list.region.0;
+        let view = self.ms.msnap_open_at(vt, space, name)?;
+        let mapping = Mapping(space, view.addr);
         let mut out = Vec::new();
-        let mut buf = [0u8; PAGE];
-        self.ms.read(vt, self.space, view.addr, &mut buf)?;
-        let mut next = decode_head(&buf).unwrap_or(0);
-        while next != 0 {
-            self.ms
-                .read(vt, self.space, view.addr + next * PAGE as u64, &mut buf)?;
-            let node = decode_node(&buf).expect("snapshot list points at valid nodes");
+        PersistentSkipList::walk(&mut self.ms, mapping, vt, |_, _, node| {
             out.push((node.key, node.value));
-            next = node.next;
-        }
+        });
         Ok(out)
     }
 
     fn persist(&mut self, vt: &mut Vt) -> Result<(), crate::KvError> {
         let thread = vt.id();
-        self.ms.msnap_persist(
-            vt,
-            thread,
-            RegionSel::Region(self.list.region.md),
-            PersistFlags::sync(),
-        )?;
+        self.ms
+            .msnap_persist(vt, thread, RegionSel::Region(self.md), PersistFlags::sync())?;
         self.stats.commits += 1;
         Ok(())
     }
@@ -204,13 +194,12 @@ impl MemSnapKv {
         pairs: &[(u64, Vec<u8>)],
     ) -> Result<memsnap::CommitTicket, crate::KvError> {
         for (key, value) in pairs {
-            self.list
-                .insert_volatile(&mut self.ms, self.space, vt, *key, value);
+            self.list.insert_volatile(&mut self.ms, vt, *key, value);
         }
         let thread = vt.id();
-        let ticket =
-            self.ms
-                .msnap_persist_grouped(vt, thread, RegionSel::Region(self.list.region.md))?;
+        let ticket = self
+            .ms
+            .msnap_persist_grouped(vt, thread, RegionSel::Region(self.md))?;
         Ok(ticket)
     }
 
@@ -240,8 +229,7 @@ impl MemSnapKv {
 
 impl Kv for MemSnapKv {
     fn put(&mut self, vt: &mut Vt, key: u64, value: &[u8]) -> Result<(), crate::KvError> {
-        self.list
-            .insert_volatile(&mut self.ms, self.space, vt, key, value);
+        self.list.insert_volatile(&mut self.ms, vt, key, value);
         self.persist(vt)
     }
 
@@ -249,18 +237,17 @@ impl Kv for MemSnapKv {
         // WriteCommitted: all MemTable writes happen at commit, then one
         // μCheckpoint persists the whole batch atomically.
         for (key, value) in pairs {
-            self.list
-                .insert_volatile(&mut self.ms, self.space, vt, *key, value);
+            self.list.insert_volatile(&mut self.ms, vt, *key, value);
         }
         self.persist(vt)
     }
 
     fn get(&mut self, vt: &mut Vt, key: u64) -> Option<Vec<u8>> {
-        self.list.get(&mut self.ms, self.space, vt, key)
+        self.list.get(&mut self.ms, vt, key)
     }
 
     fn seek(&mut self, vt: &mut Vt, key: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
-        self.list.seek(&mut self.ms, self.space, vt, key, limit)
+        self.list.seek(&mut self.ms, vt, key, limit)
     }
 
     fn len(&self) -> usize {

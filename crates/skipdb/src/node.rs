@@ -5,6 +5,8 @@
 //! at the cost of write amplification). Only the base linked list is
 //! persistent; skip pointers are volatile.
 
+use msnap_sim::wire::Reader;
+
 /// Page size (mirrors the VM page size).
 pub(crate) const PAGE: usize = 4096;
 /// Magic of a regular node page.
@@ -48,37 +50,36 @@ pub(crate) fn encode_head(next: u64) -> [u8; PAGE] {
     page
 }
 
-/// Decodes a node page; `None` if the page is not a valid node.
+/// Decodes a node page; `None` if the page is not a valid node or ends
+/// inside it.
 pub(crate) fn decode_node(page: &[u8]) -> Option<NodeView> {
-    let next = decode_next(page)?;
-    let key = u64::from_le_bytes(page[8..16].try_into().unwrap());
-    let vlen = u16::from_le_bytes(page[24..26].try_into().unwrap()) as usize;
-    if vlen > MAX_VALUE {
-        return None;
-    }
-    Some(NodeView {
-        key,
-        next,
-        value: page[NODE_HEADER..NODE_HEADER + vlen].to_vec(),
-    })
+    let mut r = Reader::new(page);
+    let (key, next) = prefix(&mut r, NODE_MAGIC)?;
+    let vlen = r.u16().ok()?;
+    r.take(NODE_HEADER - r.at()).ok()?;
+    let value = r.take(vlen.into()).ok()?.to_vec();
+    Some(NodeView { key, next, value })
 }
 
 /// A node's next pointer from its first [`NODE_HEADER`] bytes alone;
 /// `None` if they do not open a valid node.
 pub(crate) fn decode_next(header: &[u8]) -> Option<u64> {
-    if u32::from_le_bytes(header[0..4].try_into().unwrap()) != NODE_MAGIC {
-        return None;
-    }
-    Some(u64::from_le_bytes(header[16..24].try_into().unwrap()))
+    prefix(&mut Reader::new(header), NODE_MAGIC).map(|(_, next)| next)
 }
 
 /// Decodes the head sentinel's next pointer; `None` if page 0 is not a
 /// head (fresh store).
 pub(crate) fn decode_head(page: &[u8]) -> Option<u64> {
-    if u32::from_le_bytes(page[0..4].try_into().unwrap()) != HEAD_MAGIC {
+    prefix(&mut Reader::new(page), HEAD_MAGIC).map(|(_, next)| next)
+}
+
+/// The key and next pointer of a page that opens with `magic`.
+fn prefix(r: &mut Reader, magic: u32) -> Option<(u64, u64)> {
+    if r.u32().ok()? != magic {
         return None;
     }
-    Some(u64::from_le_bytes(page[16..24].try_into().unwrap()))
+    r.take(4).ok()?;
+    Some((r.u64().ok()?, r.u64().ok()?))
 }
 
 #[cfg(test)]
@@ -106,6 +107,31 @@ mod tests {
         let page = [0u8; PAGE];
         assert_eq!(decode_node(&page), None);
         assert_eq!(decode_head(&page), None);
+    }
+
+    /// A torn or short read decodes to `None`, never a panic: every
+    /// strict prefix of a node page (its value fills the page) and of the
+    /// head's fields (magic, key slot and next end at byte 24; the rest of
+    /// the head page is padding it does not read), and a node whose value
+    /// length runs past its slice.
+    #[test]
+    fn short_pages_decode_to_none() {
+        let node = encode_node(7, &[0xAB; MAX_VALUE], 9);
+        assert!(decode_node(&node).is_some());
+        for len in 0..PAGE {
+            assert_eq!(decode_node(&node[..len]), None, "node prefix of {len}");
+        }
+        for len in 0..24 {
+            assert_eq!(decode_next(&node[..len]), None, "header prefix of {len}");
+        }
+        let head = encode_head(5);
+        for len in 0..24 {
+            assert_eq!(decode_head(&head[..len]), None, "head prefix of {len}");
+        }
+        let mut long = encode_node(1, b"short", 0);
+        long[24..26].copy_from_slice(&100u16.to_le_bytes());
+        assert_eq!(decode_node(&long[..NODE_HEADER + 99]), None);
+        assert!(decode_node(&long[..NODE_HEADER + 100]).is_some());
     }
 
     #[test]

@@ -13,22 +13,22 @@
 //! region's linked list. Each region keeps its own epoch chain, so
 //! μCheckpoints of different tiers never serialize against each other.
 
-use memsnap::{MemSnap, MsnapError, PersistFlags, RegionSel};
+use memsnap::{Md, MemSnap, MsnapError, PersistFlags, RegionSel};
 use msnap_disk::Disk;
 use msnap_sim::{Meters, Nanos, Vt};
-use msnap_vm::AsId;
 
 use crate::kv::{Kv, KvError, KvStats};
-use crate::plist::PersistentSkipList;
+use crate::plist::{Mapping, PersistentSkipList};
 
 /// The tiered persistent-skip-list store. See the module docs.
 #[derive(Debug)]
 pub struct RotatingMemSnapKv {
     ms: MemSnap,
-    space: AsId,
-    active: PersistentSkipList,
+    active: PersistentSkipList<Mapping>,
+    /// The active tier's region.
+    active_md: Md,
     /// Sealed tiers, oldest first.
-    sealed: Vec<PersistentSkipList>,
+    sealed: Vec<PersistentSkipList<Mapping>>,
     region_pages: u64,
     /// Seal the active MemTable once it holds this many node pages.
     rotate_pages: u64,
@@ -59,11 +59,12 @@ impl RotatingMemSnapKv {
         let region = ms
             .msnap_open(vt, space, &tier_name(0), region_pages)
             .expect("fresh store accepts the first tier");
-        let active = PersistentSkipList::format(&mut ms, space, region, vt);
+        let mapping = Mapping(space, region.addr);
+        let active = PersistentSkipList::format(&mut ms, mapping, region_pages, vt);
         RotatingMemSnapKv {
             ms,
-            space,
             active,
+            active_md: region.md,
             sealed: Vec::new(),
             region_pages,
             rotate_pages,
@@ -89,14 +90,19 @@ impl RotatingMemSnapKv {
             let region = ms
                 .msnap_open(vt, space, &name, 0)
                 .expect("tier region exists");
-            tiers.push(PersistentSkipList::restore(&mut ms, space, region, vt));
+            let mapping = Mapping(space, region.addr);
+            let tier = PersistentSkipList::restore(&mut ms, mapping, region.pages, vt);
+            tiers.push(tier);
         }
         let active = tiers.pop().expect("at least one tier exists");
-        let region_pages = active.region.pages;
+        let active_md = ms
+            .region(&tier_name(tiers.len()))
+            .expect("the active tier exists");
+        let region_pages = active.capacity;
         RotatingMemSnapKv {
             ms,
-            space,
             active,
+            active_md,
             sealed: tiers,
             region_pages,
             rotate_pages: region_pages.saturating_sub(1),
@@ -118,12 +124,15 @@ impl RotatingMemSnapKv {
     /// Seals the active MemTable and opens a fresh tier.
     fn rotate(&mut self, vt: &mut Vt) -> Result<(), MsnapError> {
         let generation = self.sealed.len() + 1;
-        let region =
-            self.ms
-                .msnap_open(vt, self.space, &tier_name(generation), self.region_pages)?;
-        let fresh = PersistentSkipList::format(&mut self.ms, self.space, region, vt);
+        let space = self.active.region.0;
+        let region = self
+            .ms
+            .msnap_open(vt, space, &tier_name(generation), self.region_pages)?;
+        let mapping = Mapping(space, region.addr);
+        let fresh = PersistentSkipList::format(&mut self.ms, mapping, region.pages, vt);
         let sealed = std::mem::replace(&mut self.active, fresh);
         self.sealed.push(sealed);
+        self.active_md = region.md;
         self.stats.flushes += 1;
         Ok(())
     }
@@ -150,10 +159,10 @@ impl RotatingMemSnapKv {
         }
         for (key, value) in pairs {
             self.active
-                .insert_volatile(&mut self.ms, self.space, vt, *key, value.as_ref());
+                .insert_volatile(&mut self.ms, vt, *key, value.as_ref());
         }
         let thread = vt.id();
-        let sel = RegionSel::Region(self.active.region.md);
+        let sel = RegionSel::Region(self.active_md);
         self.ms
             .msnap_persist(vt, thread, sel, PersistFlags::sync())?;
         self.stats.commits += 1;
@@ -171,11 +180,11 @@ impl Kv for RotatingMemSnapKv {
     }
 
     fn get(&mut self, vt: &mut Vt, key: u64) -> Option<Vec<u8>> {
-        if let Some(v) = self.active.get(&mut self.ms, self.space, vt, key) {
+        if let Some(v) = self.active.get(&mut self.ms, vt, key) {
             return Some(v);
         }
         for tier in self.sealed.iter().rev() {
-            if let Some(v) = tier.get(&mut self.ms, self.space, vt, key) {
+            if let Some(v) = tier.get(&mut self.ms, vt, key) {
                 return Some(v);
             }
         }
@@ -187,11 +196,11 @@ impl Kv for RotatingMemSnapKv {
         let mut merged: std::collections::BTreeMap<u64, Vec<u8>> =
             std::collections::BTreeMap::new();
         for tier in &self.sealed {
-            for (k, v) in tier.seek(&mut self.ms, self.space, vt, key, limit) {
+            for (k, v) in tier.seek(&mut self.ms, vt, key, limit) {
                 merged.insert(k, v);
             }
         }
-        for (k, v) in self.active.seek(&mut self.ms, self.space, vt, key, limit) {
+        for (k, v) in self.active.seek(&mut self.ms, vt, key, limit) {
             merged.insert(k, v);
         }
         merged.into_iter().take(limit).collect()
