@@ -74,11 +74,12 @@ guard_commit_pipeline() {
     forbid 'set_async_pipeline_depth|set_reset_strategy|shares_a_batch_record|pub coalesce_window' "retired commit-pipeline knobs must stay deleted" crates/*/src
 }
 
-# Crash-surviving bytes decode through one reader.
+# Crash-surviving bytes decode through one reader: no program source
+# unwraps a try_into above its tests.
 guard_reader_decode() {
     local f n
-    for f in crates/store/src/layout.rs crates/store/src/radix.rs crates/core/src/*.rs crates/pindex/src/*.rs crates/fs/src/*.rs \
-        crates/litedb/src/btree.rs crates/litedb/src/file_backend.rs crates/skipdb/src/*.rs; do
+    for f in crates/*/src/**/*.rs; do
+        case "$f" in crates/bench/* | crates/compat-*/* | */tests/*) continue ;; esac
         n=$(awk '/^#\[cfg\(test\)\]/ { exit } /try_into\(\)\.unwrap\(\)/ { n++ } END { print n + 0 }' "$f")
         if [ "$n" -gt 0 ]; then
             echo "$f has $n try_into().unwrap() above its tests: decode through msnap_sim::wire::Reader" >&2
@@ -95,6 +96,21 @@ guard_one_node_list() {
             /(^|[^A-Za-z0-9_])(encode_node|decode_node|decode_head|decode_next|NODE_LOCK)([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; found = 1 }
             END { exit !found }' crates/skipdb/src/*.rs; then
         echo "skipdb has one node list: the node codec and NODE_LOCK are named only in node.rs and plist.rs; read and write pages through plist's NodePages" >&2
+        return 1
+    fi
+}
+
+# The store's commit rules are decided once, in commit.rs's pure plan:
+# above the tests of the store's modules, the window and the ring's
+# constants are compared nowhere else.
+guard_one_plan() {
+    if awk '/^#\[cfg\(test\)\]/ { nextfile }
+            FILENAME ~ /\/commit\.rs$/ && /^fn plan\(/ { plan = 1 }
+            plan { if (/^}/) plan = 0; next }
+            /^[[:space:]]*\/\// { next }
+            /(window\(\)|COMPACT_AFTER|PLACE_ROOT_AT|DELTA_SLOTS)/ && / (<|>|<=|>=|==|!=) / { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' crates/store/src/store.rs crates/store/src/store/*.rs; then
+        echo "the store's commit rules live in one plan: compare the window, COMPACT_AFTER, PLACE_ROOT_AT and DELTA_SLOTS only inside plan in crates/store/src/store/commit.rs" >&2
         return 1
     fi
 }
@@ -480,7 +496,9 @@ perturbations() {
     perturb reader_decode crates/litedb/src/btree.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
     perturb reader_decode crates/litedb/src/file_backend.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
     perturb reader_decode crates/skipdb/src/baseline.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
+    perturb reader_decode crates/pgdb/src/engine.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
     perturb one_node_list crates/skipdb/src/aurora_kv.rs '1i const NODE_LOCK: u64 = 25;'
+    perturb one_plan crates/store/src/store/scrub.rs '1i fn due(window: u64) -> bool { window >= COMPACT_AFTER }'
     perturb pindex_carve crates/core/src/api.rs '$a // CARVE_MAGIC'
     perturb binary_manifest crates/core/src/manifest.rs '$a // @shards 4'
     perturb history_depth crates/repl/src/engine.rs 's/^const DROP_BASE_LAG: u64 = .*;/const DROP_BASE_LAG: u64 = 64;/'

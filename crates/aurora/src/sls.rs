@@ -126,22 +126,25 @@ impl Aurora {
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFormatted`] if the device holds no store.
+    /// [`StoreError::NotFormatted`] if the device holds no Aurora store.
     pub fn restore(vt: &mut Vt, mut disk: Disk) -> Result<Self, StoreError> {
         let mut store = ObjectStore::open(vt, &mut disk)?;
         let mut regions = Vec::new();
         let mut by_name = HashMap::new();
-        for name in store.object_names() {
-            let store_obj = store.lookup(&name).expect("listed objects exist");
-            let pages = store.len_pages(store_obj);
+        for stored in store.object_names() {
+            let store_obj = store.lookup(&stored).expect("listed objects exist");
+            // A region's store object is named `<name>@<pages>`: the entry
+            // that creates it records its size, beyond the pages written.
+            let (name, pages) = stored.rsplit_once('@').ok_or(StoreError::NotFormatted)?;
+            let pages: u64 = pages.parse().map_err(|_| StoreError::NotFormatted)?;
             let mut data = vec![0u8; (pages * PAGE_SIZE as u64) as usize];
             let mut buf = vec![0u8; PAGE_SIZE];
-            for p in 0..pages {
+            for p in 0..store.len_pages(store_obj) {
                 store.read_page(vt, &mut disk, store_obj, p, &mut buf)?;
                 let off = (p as usize) * PAGE_SIZE;
                 data[off..off + PAGE_SIZE].copy_from_slice(&buf);
             }
-            by_name.insert(name, AuroraRegionId(regions.len() as u32));
+            by_name.insert(name.to_string(), AuroraRegionId(regions.len() as u32));
             regions.push(Region {
                 store_obj,
                 pages,
@@ -186,7 +189,11 @@ impl Aurora {
         name: &str,
         pages: u64,
     ) -> Result<AuroraRegionId, StoreError> {
-        let store_obj = self.store.create(vt, &mut self.disk, name)?;
+        if self.by_name.contains_key(name) {
+            return Err(StoreError::Exists);
+        }
+        let stored = format!("{name}@{pages}");
+        let store_obj = self.store.create(vt, &mut self.disk, &stored)?;
         let id = AuroraRegionId(self.regions.len() as u32);
         self.regions.push(Region {
             store_obj,

@@ -65,7 +65,7 @@ impl Bencher {
     }
 
     /// Times `routine` repeatedly. A sample is a batch of calls spanning
-    /// at least [`SAMPLE_SPAN`] (see [`batch_for`]) and records the time
+    /// at least `SAMPLE_SPAN` (see `batch_for`) and records the time
     /// per call, so a call shorter than a clock read is still measured.
     pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
         let batch = batch_for(&mut routine);

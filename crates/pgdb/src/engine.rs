@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use msnap_sim::wire::Reader;
 use msnap_sim::{Vt, VthreadId};
 
 use crate::store::{BlockStore, PG_BLOCK};
@@ -12,6 +13,21 @@ pub struct PgTable(pub u32);
 
 const BLOCK_HDR: usize = 4; // nslots u16, free_off u16
 const SLOT_HDR: usize = 12; // key u64, len u16, flags u16 (bit0 = dead)
+
+/// A heap block's header: its slot count, and where its next tuple goes.
+fn header(image: &[u8]) -> (u16, usize) {
+    let mut r = Reader::new(image);
+    let nslots = r.u16().unwrap_or(0);
+    (nslots, usize::from(r.u16().unwrap_or(0)).max(BLOCK_HDR))
+}
+
+/// The tuple at `off` in a heap block: its key, row and dead flag, or
+/// `None` if it runs past the block (which ends a scan of it).
+fn tuple_at(image: &[u8], off: usize) -> Option<(u64, &[u8], bool)> {
+    let mut r = Reader::new(image.get(off..)?);
+    let (key, len, flags) = (r.u64().ok()?, r.u16().ok()?, r.u16().ok()?);
+    Some((key, r.take(usize::from(len)).ok()?, flags & 1 != 0))
+}
 
 #[derive(Debug, Default, Clone)]
 struct TableState {
@@ -30,7 +46,7 @@ struct TableState {
 pub struct PgDb {
     store: BlockStore,
     tables: Vec<TableState>,
-    /// Volatile primary-key index: (table, key) → (block, slot ordinal).
+    /// Volatile primary-key index: (table, key) → (block, tuple offset).
     index: HashMap<(u32, u64), (u64, u16)>,
 }
 
@@ -94,14 +110,9 @@ impl PgDb {
         block
     }
 
-    /// Appends a tuple version into `block`'s image; returns the slot
-    /// ordinal.
+    /// Appends a tuple version into `block`'s image; returns its offset.
     fn append_tuple(image: &mut [u8], key: u64, row: &[u8]) -> u16 {
-        let nslots = u16::from_le_bytes(image[0..2].try_into().unwrap());
-        let mut free_off = u16::from_le_bytes(image[2..4].try_into().unwrap()) as usize;
-        if free_off == 0 {
-            free_off = BLOCK_HDR;
-        }
+        let (nslots, free_off) = header(image);
         let need = SLOT_HDR + row.len();
         assert!(free_off + need <= PG_BLOCK, "block overflow");
         image[free_off..free_off + 8].copy_from_slice(&key.to_le_bytes());
@@ -110,17 +121,7 @@ impl PgDb {
         image[free_off + 12..free_off + 12 + row.len()].copy_from_slice(row);
         image[0..2].copy_from_slice(&(nslots + 1).to_le_bytes());
         image[2..4].copy_from_slice(&((free_off + need) as u16).to_le_bytes());
-        nslots
-    }
-
-    /// Walks to slot `slot`'s offset within a block image.
-    fn slot_offset(image: &[u8], slot: u16) -> usize {
-        let mut off = BLOCK_HDR;
-        for _ in 0..slot {
-            let len = u16::from_le_bytes(image[off + 8..off + 10].try_into().unwrap()) as usize;
-            off += SLOT_HDR + len;
-        }
-        off
+        free_off as u16
     }
 
     /// Inserts a new row.
@@ -145,10 +146,10 @@ impl PgDb {
         let need = SLOT_HDR + row.len();
         let block = self.pick_block(table.0, need);
         let mut image = self.read_block(vt, conn, table.0, block);
-        let slot = Self::append_tuple(&mut image, key, row);
+        let off = Self::append_tuple(&mut image, key, row);
         self.store.write(vt, conn, thread, table.0, block, &image);
         self.tables[table.0 as usize].free[block as usize] -= need;
-        self.index.insert((table.0, key), (block, slot));
+        self.index.insert((table.0, key), (block, off));
     }
 
     /// MVCC update: appends the new version and marks the old one dead.
@@ -165,7 +166,7 @@ impl PgDb {
         key: u64,
         row: &[u8],
     ) {
-        let (old_block, old_slot) = *self
+        let (old_block, old_off) = *self
             .index
             .get(&(table.0, key))
             .unwrap_or_else(|| panic!("update of missing key {key}"));
@@ -175,40 +176,36 @@ impl PgDb {
         // dirty block.
         if self.tables[table.0 as usize].free[old_block as usize] >= need {
             let mut image = self.read_block(vt, conn, table.0, old_block);
-            let off = Self::slot_offset(&image, old_slot);
-            image[off + 10] |= 1; // dead
-            let slot = Self::append_tuple(&mut image, key, row);
+            image[usize::from(old_off) + 10] |= 1; // dead
+            let off = Self::append_tuple(&mut image, key, row);
             self.store
                 .write(vt, conn, thread, table.0, old_block, &image);
             self.tables[table.0 as usize].free[old_block as usize] -= need;
-            self.index.insert((table.0, key), (old_block, slot));
+            self.index.insert((table.0, key), (old_block, off));
             return;
         }
 
         // Cold path: new version elsewhere; two dirty blocks.
         let new_block = self.pick_block(table.0, need);
         let mut new_image = self.read_block(vt, conn, table.0, new_block);
-        let slot = Self::append_tuple(&mut new_image, key, row);
+        let off = Self::append_tuple(&mut new_image, key, row);
         self.store
             .write(vt, conn, thread, table.0, new_block, &new_image);
         self.tables[table.0 as usize].free[new_block as usize] -= need;
 
         let mut old_image = self.read_block(vt, conn, table.0, old_block);
-        let off = Self::slot_offset(&old_image, old_slot);
-        old_image[off + 10] |= 1;
+        old_image[usize::from(old_off) + 10] |= 1;
         self.store
             .write(vt, conn, thread, table.0, old_block, &old_image);
 
-        self.index.insert((table.0, key), (new_block, slot));
+        self.index.insert((table.0, key), (new_block, off));
     }
 
     /// Reads the live version of a row.
     pub fn read(&mut self, vt: &mut Vt, conn: usize, table: PgTable, key: u64) -> Option<Vec<u8>> {
-        let (block, slot) = *self.index.get(&(table.0, key))?;
+        let (block, off) = *self.index.get(&(table.0, key))?;
         let image = self.read_block(vt, conn, table.0, block);
-        let off = Self::slot_offset(&image, slot);
-        let len = u16::from_le_bytes(image[off + 8..off + 10].try_into().unwrap()) as usize;
-        Some(image[off + 12..off + 12 + len].to_vec())
+        Some(tuple_at(&image, usize::from(off))?.1.to_vec())
     }
 
     /// Durably commits the connection's transaction.
@@ -225,29 +222,26 @@ impl PgDb {
             let mut block = 0u64;
             loop {
                 let image = self.read_block(vt, conn, t, block);
-                let nslots = u16::from_le_bytes(image[0..2].try_into().unwrap());
+                let (nslots, free_off) = header(&image);
                 if nslots == 0 {
                     break;
                 }
                 let mut off = BLOCK_HDR;
-                for slot in 0..nslots {
-                    let key = u64::from_le_bytes(image[off..off + 8].try_into().unwrap());
-                    let len =
-                        u16::from_le_bytes(image[off + 8..off + 10].try_into().unwrap()) as usize;
-                    let dead = image[off + 10] & 1 != 0;
+                for _ in 0..nslots {
+                    let Some((key, row, dead)) = tuple_at(&image, off) else {
+                        break;
+                    };
                     if !dead {
-                        self.index.insert((t, key), (block, slot));
+                        self.index.insert((t, key), (block, off as u16));
                     }
-                    off += SLOT_HDR + len;
+                    off += SLOT_HDR + row.len();
                 }
                 let state = &mut self.tables[t as usize];
                 if state.nblocks <= block {
                     state.nblocks = block + 1;
                     state.free.resize(block as usize + 1, 0);
                 }
-                state.free[block as usize] = PG_BLOCK
-                    - u16::from_le_bytes(image[2..4].try_into().unwrap()).max(BLOCK_HDR as u16)
-                        as usize;
+                state.free[block as usize] = PG_BLOCK.saturating_sub(free_off);
                 block += 1;
             }
         }
@@ -288,11 +282,11 @@ mod tests {
         let t = vt.id();
         let tbl = PgTable(0);
         db.insert(&mut vt, 0, t, tbl, 7, b"old");
-        let (block, slot0) = db.index[&(0, 7)];
+        let (block, off0) = db.index[&(0, 7)];
         db.update(&mut vt, 0, t, tbl, 7, b"new");
-        let (block2, slot1) = db.index[&(0, 7)];
+        let (block2, off1) = db.index[&(0, 7)];
         assert_eq!(block, block2, "HOT update stays in the block");
-        assert!(slot1 > slot0, "new version is appended");
+        assert!(off1 > off0, "new version is appended");
     }
 
     #[test]
@@ -337,5 +331,33 @@ mod tests {
             Some(20u64.to_le_bytes().to_vec())
         );
         assert_eq!(db2.rows(), 30);
+    }
+
+    /// Every bit flip of a heap block's used bytes rebuilds an index and
+    /// reads every key without a panic: a tuple that runs past its block
+    /// ends the block's scan, and a row that does not decode reads `None`.
+    #[test]
+    fn any_bit_flip_of_a_heap_block_rebuilds_without_a_panic() {
+        let (mut db, mut vt) = fresh(StoreVariant::MemSnap);
+        let t = vt.id();
+        let tbl = PgTable(0);
+        for k in 0..4u64 {
+            db.insert(&mut vt, 0, t, tbl, k, &k.to_le_bytes());
+        }
+        db.update(&mut vt, 0, t, tbl, 2, b"two");
+        db.commit(&mut vt, 0, t);
+        let clean = db.read_block(&mut vt, 0, 0, 0);
+        let used = header(&clean).1;
+        for bit in 0..used * 8 {
+            let mut image = clean.clone();
+            image[bit / 8] ^= 1 << (bit % 8);
+            db.store.write(&mut vt, 0, t, 0, 0, &image);
+            db.commit(&mut vt, 0, t);
+            db.rebuild_index(&mut vt, 0);
+            assert!(db.rows() <= 5, "bit {bit}: {} rows", db.rows());
+            for k in 0..4u64 {
+                let _ = db.read(&mut vt, 0, tbl, k);
+            }
+        }
     }
 }

@@ -137,6 +137,8 @@ mod tests {
         assert_eq!(kv.len(), 2);
     }
 
+    /// A restored region keeps the pages it was created with, not only
+    /// those written: a new key after the restore takes a fresh node.
     #[test]
     fn crash_restore_round_trips() {
         let (mut kv, mut vt) = fresh();
@@ -147,6 +149,10 @@ mod tests {
         let mut vt2 = Vt::new(1);
         let mut kv2 = AuroraKv::restore(disk, 12, &mut vt2);
         assert_eq!(kv2.len(), 50);
+        kv2.put(&mut vt2, 1_000, b"after").unwrap();
+        let region = kv2.aurora.region("memtable").unwrap();
+        assert_eq!(kv2.aurora.region_pages(region), 4096);
+        assert_eq!(kv2.get(&mut vt2, 1_000), Some(b"after".to_vec()));
         for k in 0..50u64 {
             assert_eq!(kv2.get(&mut vt2, k), Some(k.to_le_bytes().to_vec()));
         }
@@ -206,8 +212,9 @@ mod tests {
         let mut ms = MemSnap::restore(&mut vt2, disk2).unwrap();
         let space = ms.vm_mut().create_space();
         let mapped = ms.msnap_open(&mut vt2, space, "memtable", 0).unwrap();
+        // The head and four nodes, then the region's untouched pages.
         let pages = aurora.region_pages(region);
-        assert_eq!(pages, 5, "the head and four nodes");
+        assert_eq!(pages, PAGES, "the region restores at its created size");
         for page in 0..pages {
             let (mut a, mut m) = ([0u8; PAGE_SIZE], [0u8; PAGE_SIZE]);
             let offset = page * PAGE_SIZE as u64;

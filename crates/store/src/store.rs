@@ -1,26 +1,27 @@
 //! The object store proper.
 //!
 //! Commit protocol: a μCheckpoint writes its data blocks (one extent,
-//! sequential wherever the allocator has a run) and then commits with a
-//! single metadata block — either a **delta record** (the commit's page →
-//! block pairs; the common case) or, for very large commits, a **full
-//! root** that first flushes the in-memory COW tree's dirty nodes. Every
-//! [`COMPACT_AFTER`] epochs an in-place commit first writes a
-//! **compaction root** — a data-less full root that no acknowledgement
-//! waits for — and lands as its usual record; a commit still
-//! [`DELTA_SLOTS`] − 1 epochs above its object's newest root is an inline
-//! full root. Recovery adopts the newest valid full root and replays
-//! consecutive delta records on top. Deferring node IO this way keeps the
-//! per-commit cost at "data + one block", which is what the paper's
-//! Table 5 measures (39.7 μs of IO for a 64 KiB μCheckpoint).
+//! sequential wherever the allocator has a run) and commits with a single
+//! metadata block — a **delta record** (the commit's page → block pairs;
+//! the common case) or, for very large commits, a **full root** that
+//! first flushes the in-memory COW tree's dirty nodes. Recovery adopts
+//! the newest valid full root and replays consecutive delta records on
+//! top. Deferring node IO this way keeps the per-commit cost at "data +
+//! one block", what the paper's Table 5 measures (39.7 μs of IO for a
+//! 64 KiB μCheckpoint). A commit whose caller names the 64-byte lines it
+//! changed, and whose lines fit the record block, is **line-grain**: the
+//! record carries the lines and is its only write, and the patched pages
+//! live in a per-object **overlay** until the next full root writes them
+//! out (DESIGN.md §6m has the invariants).
 //!
-//! A commit whose caller names the 64-byte lines it changed, and whose
-//! lines fit the record block, is **line-grain**: the delta record carries
-//! the lines themselves and is the commit's only write. The patched pages
-//! live in a per-object in-memory **overlay** until the next full root
-//! writes them out as data blocks (DESIGN.md §6m has the invariants). A
-//! line commit whose object's previous line record is still queued on
-//! the device folds into it and issues no write (rule R3).
+//! A commit decides once, then lands. [`commit`]'s pure plan reads a
+//! small view of each object and the batch's shape and picks the path;
+//! the full root a commit [`DELTA_SLOTS`] − 1 epochs above its object's
+//! newest root needs; the root each record waits for (R1′); whether a
+//! line record folds into its object's still-queued one (R3); and, behind
+//! the record, the root's placement and the **compaction root** (a
+//! data-less full root no acknowledgement waits for) [`COMPACT_AFTER`]
+//! epochs up. `persist_batch` carries the plan out and nothing else.
 //!
 //! Each path is a further `impl StoreShard` in a child module, tests
 //! beside it: [`commit`], [`overlay`] (with the one record-apply),
@@ -423,7 +424,7 @@ struct ObjectState {
     /// hold — as `(epoch, durability instant)`. R1′: the record of epoch
     /// `x` reuses the ring slot of `x − DELTA_SLOTS`, which recovery
     /// needs until a root at or above that epoch is durable, so it is not
-    /// *submitted* before [`StoreShard::covered_at`] that epoch. The
+    /// *submitted* before the root its commit's plan names is. The
     /// newest root's instant is [`Nanos::MAX`] while `landing` holds it.
     roots: [(Epoch, Nanos); 2],
     /// The newest root while it is an idle-class write the device has
@@ -479,11 +480,6 @@ impl ObjectState {
             let leaf = self.node_freed_pending.entry(leaf_of(page));
             leaf.or_default().push(old);
         }
-    }
-
-    /// Epochs above the newest full root, a compaction root included.
-    fn window(&self) -> u64 {
-        self.epoch - self.roots[1].0
     }
 }
 
@@ -782,6 +778,13 @@ mod tests {
             pages: &[(u64, &[u8])],
         ) -> Result<CommitToken, StoreError> {
             Ok(self.persist_batch(vt, disk, &[(object, pages)])?[0])
+        }
+    }
+
+    impl ObjectState {
+        /// Epochs above the newest full root, a compaction root included.
+        pub(super) fn window(&self) -> u64 {
+            self.epoch - self.roots[1].0
         }
     }
 

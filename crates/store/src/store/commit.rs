@@ -90,6 +90,7 @@ fn fold<'a>(
         body.extend_from_slice(&mask.to_le_bytes());
         lines::gather(image(*page), &lines::line_runs(*mask), &mut body);
     }
+    let pairs = pages.into_iter().map(|(page, (_, word))| (page, word));
     Some(DeltaRecord {
         object: next.object,
         epoch: next.epoch,
@@ -97,25 +98,21 @@ fn fold<'a>(
         tag: queued.tag,
         len_pages: next.len_pages,
         payload_sum: layout::FNV_OFFSET,
-        pairs: pages
-            .into_iter()
-            .map(|(page, (_, word))| (page, word))
-            .collect(),
+        pairs: pairs.collect(),
         body,
     })
 }
 
 /// What a full root is to its object's chain of commits.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(super) enum Root {
     /// A root in the chain: its block becomes the tip the next record
-    /// extends, and the object's acknowledgements wait for it. Carries the
-    /// caller's initiation cost, charged once every allocation has
-    /// succeeded (see `costs::initiate`).
+    /// extends, and acknowledgements wait for it. Carries the caller's
+    /// initiation cost, charged once every allocation has succeeded.
     Chain(Nanos),
     /// A compaction root (DESIGN.md §6m): data-less, at the current
-    /// epoch, written off the commit path. It keeps the tip — its `tip`
-    /// word names it — and no acknowledgement waits for it.
+    /// epoch, off the commit path. It keeps the tip (its `tip` word names
+    /// it), and no acknowledgement waits for it.
     Compaction,
 }
 
@@ -124,6 +121,87 @@ pub(super) enum Root {
 /// through the slack the previous root leaves it (R1′, DESIGN.md §6m),
 /// 118 epochs.
 pub(super) const PLACE_ROOT_AT: u64 = (DELTA_SLOTS - COMPACT_AFTER) / 2;
+
+/// What [`plan`] reads of one object: its epoch, its previous and newest
+/// roots' epochs, whether its newest record is a line record a line
+/// commit may fold into (R3), its overlay's size and the commit's pages.
+#[derive(Clone, Copy, Debug)]
+struct View {
+    epoch: Epoch,
+    roots: [Epoch; 2],
+    queued: bool,
+    overlay: usize,
+    pages: usize,
+}
+
+/// How a commit lands: a chain root that carries the data, a delta record
+/// per object behind one data extent, or one record that carries lines.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Path {
+    Root,
+    Delta,
+    Lines,
+}
+
+/// What a commit does for one object: `flush` a data-less chain root
+/// first; hold the record until the root `gate` indexes in the `roots`
+/// after that is durable (R1′); try to `fold` it into the queued one
+/// (R3); after the landing, `place` the newest root, and `compact` then.
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    flush: bool,
+    gate: usize,
+    fold: bool,
+    place: bool,
+    compact: bool,
+}
+
+/// The commit rules of DESIGN.md §6m, decided with no IO from each
+/// group's view (one group is a lone commit, several a shared batch),
+/// whether a lone group is `line_sparse`, and `delta_commits`: the path
+/// and one step per group.
+/// - a lone commit is a chain root if records are off, it outgrows one,
+///   its record would reuse its own newest root's slot, or its lines
+///   would outgrow the overlay budget; else one line record if
+///   line-sparse, else a delta record. A shared batch is delta records,
+///   and an object it would fill so flushes a root first;
+/// - R1′: the record of epoch `x` waits for the previous root if that
+///   covers the slot of `x − DELTA_SLOTS` it reuses, else the newest;
+/// - R3: a line record tries to fold into its object's queued one;
+/// - the commit [`PLACE_ROOT_AT`] epochs above the newest root places
+///   it; one [`COMPACT_AFTER`] above it compacts once it is durable.
+fn plan(views: &[View], line_sparse: bool, delta_commits: bool) -> (Path, Vec<Step>) {
+    let (shared, lone) = (views.len() != 1, views[0]);
+    let full = |v: &View| v.epoch + 1 - v.roots[1] >= DELTA_SLOTS;
+    let lines = !shared && delta_commits && line_sparse;
+    let root = !shared
+        && (!delta_commits
+            || lone.pages > MAX_DELTA_PAIRS
+            || full(&lone)
+            || (lines && lone.overlay + lone.pages > OVERLAY_PAGE_BUDGET));
+    let path = match (root, lines) {
+        (true, _) => Path::Root,
+        (_, true) => Path::Lines,
+        _ => Path::Delta,
+    };
+    let steps = views.iter().map(|v| {
+        let flush = shared && full(v);
+        let roots = if flush {
+            [v.roots[1], v.epoch]
+        } else {
+            v.roots
+        };
+        let (epoch, window) = (v.epoch + 1, v.epoch + 1 - roots[1]);
+        Step {
+            flush,
+            gate: usize::from(roots[0] < epoch.saturating_sub(DELTA_SLOTS)),
+            fold: path == Path::Lines && v.queued,
+            place: window >= PLACE_ROOT_AT,
+            compact: window >= COMPACT_AFTER,
+        }
+    });
+    (path, steps.collect())
+}
 
 /// Where a landing step put its writes: in the foreground (the record's
 /// token, and whether the gate held it past the extent), or in the idle
@@ -190,29 +268,20 @@ fn leaves_to_flush(journal: &BTreeMap<u64, u64>) -> BTreeSet<u64> {
 
 impl StoreShard {
     /// Shared full-commit core, the store's one root writer: COW-sets
-    /// `pages` into the tree at `epoch`, flushes the dirty nodes `kind`
-    /// calls for, writes data + nodes as one extent followed by a full
-    /// root record, and updates all commit state. `epoch` may equal the object's current
-    /// epoch (a data-less root flush) or jump ahead of it (replica image
-    /// application); the root record is the single commit point either
-    /// way.
+    /// `pages` into the tree at `epoch` (the object's current one for a
+    /// data-less flush, or ahead of it for a replica image), flushes the
+    /// dirty nodes `kind` calls for, writes data + nodes as one extent
+    /// followed by a full root record, the single commit point, and
+    /// updates all commit state.
     ///
-    /// Every full root is self-contained: the overlay's pages are written
-    /// out as data blocks beside `pages` (which win where both name a
-    /// page) and the overlay is emptied, so no tree a snapshot, rebase, GC
-    /// or a reused ring slot ever sees depends on a line record. A
-    /// compaction root writes no node while the mappings its tree holds
-    /// beyond the newest root's fit [`JOURNAL_CAP`]: its record names
-    /// that root's tree and journals them. Past the cap it writes the
-    /// leaves holding the most of them, with the interior nodes above
-    /// those, and journals the rest (DESIGN.md §6m). Every other root
-    /// writes every dirty node and an empty journal. The root record is
-    /// submitted only once every commit it covers and the newest root are
-    /// durable: its tree maps the data blocks of records still in flight,
-    /// and it overwrites the slot of the root before that one.
-    ///
-    /// On error the tree, overlay and allocator are restored; nothing
-    /// leaks.
+    /// Every full root is self-contained (DESIGN.md §6m, I2): it writes
+    /// the overlay out beside `pages`, which win where both name a page,
+    /// and empties it. A compaction root journals the mappings beyond the
+    /// newest root's tree, writing only the leaves [`JOURNAL_CAP`] cannot
+    /// hold; every other root writes every dirty node and an empty
+    /// journal. The root record waits until every commit it covers and
+    /// the newest root are durable. On error the tree, overlay and
+    /// allocator are restored; nothing leaks.
     pub(super) fn full_commit(
         &mut self,
         vt: &mut Vt,
@@ -222,20 +291,17 @@ impl StoreShard {
         epoch: Epoch,
         kind: Root,
     ) -> Result<CommitToken, StoreError> {
-        let initiate = match kind {
-            Root::Chain(initiate) => initiate,
-            Root::Compaction => Nanos::ZERO,
+        let (initiate, journaled) = match kind {
+            Root::Chain(initiate) => (initiate, false),
+            Root::Compaction => (Nanos::ZERO, true),
         };
         // Its record overwrites the slot of the root before the newest.
         let newest = self.root_lands(disk, object, Nanos::MAX);
         let alloc_snapshot = self.alloc.clone();
         let state = &mut self.objects[object.0 as usize];
         // The tree must be mutated *before* the IO (node images are
-        // serialized from it), so abort restores a pre-commit clone. Full
-        // commits are the rare path (a compaction root every
-        // COMPACT_AFTER epochs, oversized commits, snapshot flushes and
-        // every replica ship landing through `apply_image`), which keeps
-        // the clone cost amortized.
+        // serialized from it), so abort restores a pre-commit clone; full
+        // commits are the rare path, which keeps the clone cost amortized.
         let tree_snapshot = state.tree.clone();
 
         // The overlay pages this root writes out: all but those `pages`
@@ -256,7 +322,6 @@ impl StoreShard {
         // The blocks this root's remaps supersede, queued for their gates
         // once it is durable.
         let mut superseded = Vec::new();
-        let journaled = kind == Root::Compaction;
         let mut journal = BTreeMap::new();
         if journaled {
             journal.clone_from(&state.journal);
@@ -273,11 +338,7 @@ impl StoreShard {
         }
         // A compaction root writes the leaves its journal cannot hold; any
         // other root writes every dirty node.
-        let leaves = if journaled {
-            leaves_to_flush(&journal)
-        } else {
-            BTreeSet::new()
-        };
+        let leaves = leaves_to_flush(&journal);
         journal.retain(|page, _| !leaves.contains(&leaf_of(*page)));
         let mut node_writes = Vec::new();
         // The commit closure cannot fail, so allocator exhaustion is
@@ -323,11 +384,7 @@ impl StoreShard {
             high_water: self.alloc.high_water(),
             root_digest,
             flush_seq: state.full_count + 1,
-            tip: if kind == Root::Compaction {
-                state.tip
-            } else {
-                0
-            },
+            tip: if journaled { state.tip } else { 0 },
             journal: journal.iter().map(|(page, word)| (*page, *word)).collect(),
         };
         let slot = state.entry.root_slot(state.full_count + 1);
@@ -335,8 +392,8 @@ impl StoreShard {
         let covered = state.chain_completes.max(newest.expect("forced"));
         let extent = (!iov.is_empty()).then_some(&iov[..]);
         let record = [(slot, &root_block[..])];
-        let (now, idle) = (vt.now(), kind == Root::Compaction);
-        let written = match land(disk, now, extent, &record, covered, &mut self.cache, idle) {
+        let (now, cache) = (vt.now(), &mut self.cache);
+        let written = match land(disk, now, extent, &record, covered, cache, journaled) {
             Ok(written) => written,
             Err(e) => {
                 state.tree = tree_snapshot;
@@ -365,17 +422,13 @@ impl StoreShard {
         }
         let mut data_freed = std::mem::take(&mut state.root_freed_pending);
         data_freed.extend(state.tree.take_freed());
-        if journaled {
-            for leaf in &leaves {
-                data_freed.extend(state.node_freed_pending.remove(leaf).unwrap_or_default());
+        state.node_freed_pending.retain(|leaf, freed| {
+            let written = !journaled || leaves.contains(leaf);
+            if written {
+                data_freed.append(freed);
             }
-        } else {
-            data_freed.extend(
-                std::mem::take(&mut state.node_freed_pending)
-                    .into_values()
-                    .flatten(),
-            );
-        }
+            !written
+        });
         state.journal = journal;
         state.epoch = epoch;
         // The root lands after everything it covers: it is the chain's
@@ -389,7 +442,7 @@ impl StoreShard {
             }
         };
         state.roots = [state.roots[1], (epoch, landed)];
-        if kind != Root::Compaction {
+        if !journaled {
             state.tip = layout::tip_tag(&root_block);
             state.chain_completes = landed;
         }
@@ -404,25 +457,13 @@ impl StoreShard {
         })
     }
 
-    /// Writes `object`'s compaction root (DESIGN.md §6m) and counts it.
-    /// Maintenance, like block recycling: a failure changes nothing, and
-    /// the commit that asked for it has submitted its record already.
-    fn compact(&mut self, vt: &mut Vt, disk: &mut Disk, object: ObjectId) {
-        let epoch = self.objects[object.0 as usize].epoch;
-        if self
-            .full_commit(vt, disk, object, &[], epoch, Root::Compaction)
-            .is_ok()
-        {
-            self.stats.compaction_roots += 1;
-        }
-    }
-
     /// One unit of [`crate::ObjectStore::persist_batch`], the only
     /// splitter: every group's pages land in its object, each as one
     /// epoch; an error lands none of them. Several groups share one data
     /// extent, and each group's record goes into its own object's ring,
     /// all in one vectored write; a crash leaves each object a prefix of
-    /// its own chain, not the unit all or nothing.
+    /// its own chain, not the unit all or nothing. [`plan`] decides; this
+    /// carries the plan out and nothing else.
     ///
     /// # Panics
     ///
@@ -436,76 +477,66 @@ impl StoreShard {
         disk: &mut Disk,
         groups: &[(ObjectId, &[P])],
     ) -> Result<Vec<CommitToken>, StoreError> {
-        // Recycle blocks whose gating instant has passed. This is
-        // commit-independent maintenance: it stays applied even if this
-        // commit aborts. Pins must be materialized before anything is
-        // freed.
+        // Recycle blocks whose gate has passed, kept even if this commit
+        // aborts. Pins must be materialized before anything is freed.
         self.ensure_pins(vt, disk)?;
         self.recycle_pending(vt.now());
         let shared = groups.len() != 1;
         if shared {
+            let fits = |p: &[P]| (1..=MAX_DELTA_PAIRS).contains(&p.len());
             assert!(
-                groups.len() > 1 && groups.iter().all(|(_, p)| p.len() <= MAX_DELTA_PAIRS),
-                "one group, or several that each fit one delta record"
+                groups.len() > 1 && groups.iter().all(|(_, p)| fits(p)),
+                "one group, or several that each fit one delta record and carry a page"
             );
             let mut seen: Vec<u32> = groups.iter().map(|(o, _)| o.0).collect();
             seen.sort_unstable();
             seen.dedup();
             assert_eq!(seen.len(), groups.len(), "one group per object");
-            assert!(
-                groups.iter().all(|(_, p)| !p.is_empty()),
-                "batched groups carry at least one page"
-            );
         }
 
         // Demand-load every tree path this commit will touch *before* any
         // allocation or mutation: a failed node read aborts with every
         // object untouched.
+        let mut views = Vec::with_capacity(groups.len());
         for (object, pages) in groups {
             self.hydrate_object_paths(vt, disk, *object, pages.iter().map(|p| p.page()))?;
-        }
-
-        let total_pages: usize = groups.iter().map(|(_, p)| p.len()).sum();
-        if shared {
-            // Maintenance before the batch proper, charged to the
-            // submitter and kept even if the batch later aborts (like
-            // block recycling): any object whose chain would outgrow its
-            // delta window first flushes a full root.
-            for (object, _) in groups {
-                if self.objects[object.0 as usize].window() + 1 >= DELTA_SLOTS {
-                    self.flush_full_root(vt, disk, *object)?;
-                }
-            }
-        }
-        let inline = !shared && self.delta_commits && line_sparse(groups[0].1);
-        if !shared {
-            let (object, pages) = groups[0];
             let state = &self.objects[object.0 as usize];
-            if !self.delta_commits
-                || pages.len() > MAX_DELTA_PAIRS
-                || state.window() + 1 >= DELTA_SLOTS
-                || (inline && state.overlay.len() + pages.len() > OVERLAY_PAGE_BUDGET)
-            {
-                // Slow path: flush dirty COW nodes and write a full root.
-                let (epoch, initiate) = (state.epoch + 1, costs::initiate(total_pages));
-                let pages: Vec<(u64, &[u8])> =
-                    pages.iter().map(|p| (p.page(), p.image())).collect();
-                let token =
-                    self.full_commit(vt, disk, object, &pages, epoch, Root::Chain(initiate))?;
-                self.stats.commits += 1;
-                self.stats.pages_written += total_pages as u64;
-                return Ok(vec![token]);
+            views.push(View {
+                epoch: state.epoch,
+                roots: state.roots.map(|(epoch, _)| epoch),
+                queued: state.queued.is_some(),
+                overlay: state.overlay.len(),
+                pages: pages.len(),
+            });
+        }
+        let (path, steps) = plan(&views, line_sparse(groups[0].1), self.delta_commits);
+
+        // Maintenance before the batch proper, charged to the submitter
+        // and kept even if the batch later aborts (like block recycling).
+        for ((object, _), step) in groups.iter().zip(&steps) {
+            if step.flush {
+                self.flush_full_root(vt, disk, *object)?;
             }
         }
+        let total_pages: usize = groups.iter().map(|(_, p)| p.len()).sum();
+        if path == Path::Root {
+            // Slow path: flush dirty COW nodes and write a full root.
+            let (object, pages) = groups[0];
+            let epoch = self.objects[object.0 as usize].epoch + 1;
+            let pages: Vec<(u64, &[u8])> = pages.iter().map(|p| (p.page(), p.image())).collect();
+            let kind = Root::Chain(costs::initiate(total_pages));
+            let token = self.full_commit(vt, disk, object, &pages, epoch, kind)?;
+            self.stats.commits += 1;
+            self.stats.pages_written += total_pages as u64;
+            return Ok(vec![token]);
+        }
 
-        // Fast path: data extent + one commit record — or, line-grain,
-        // the record alone. The in-memory trees and overlays are not
-        // touched until the writes succeed, so aborting only needs the
-        // allocator snapshot — cheap to clone (a bump pointer plus the
-        // free set), and restoring it un-does every allocation of an
-        // aborted commit in one move; a line-grain commit allocates
-        // nothing and takes none. Dirty tree nodes stay in memory; their
-        // superseded on-disk versions wait for the next full root.
+        // Fast path: data extent + one commit record, or the line record
+        // alone. Trees and overlays are not touched until the writes
+        // succeed, so aborting only restores the allocator snapshot (a
+        // line commit allocates nothing and takes none). Dirty tree nodes
+        // stay in memory until the next full root.
+        let inline = path == Path::Lines;
         let data_pages = if inline { 0 } else { total_pages };
         let alloc_snapshot = (data_pages > 0).then(|| self.alloc.clone());
         let Some(blocks) = self.alloc.alloc_extent(data_pages as u64) else {
@@ -519,12 +550,14 @@ impl StoreShard {
         // The line-grain group's whole patched pages, in pair order.
         let mut patched: Vec<Box<[u8]>> = Vec::new();
         let mut blocks = blocks.into_iter();
-        // R1′: the records wait for a durable root over every slot they
-        // reuse (the record of epoch x reuses the slot of x − DELTA_SLOTS).
+        // R1′: the records wait for the latest root the steps name.
         let mut root_gate = Nanos::ZERO;
-        for (object, pages) in groups {
-            let reused = (self.objects[object.0 as usize].epoch + 1).saturating_sub(DELTA_SLOTS);
-            root_gate = root_gate.max(self.covered_at(disk, *object, reused));
+        for ((object, pages), step) in groups.iter().zip(&steps) {
+            let at = match step.gate {
+                0 => self.objects[object.0 as usize].roots[0].1,
+                _ => self.root_lands(disk, *object, Nanos::MAX).expect("forced"),
+            };
+            root_gate = root_gate.max(at);
             let state = &self.objects[object.0 as usize];
             let len_pages = pages
                 .iter()
@@ -576,58 +609,35 @@ impl StoreShard {
                 body,
             });
         }
-        // Each record goes into its own object's delta slot; a lone
-        // group's record and its write vector stay on the stack.
         let slot = |d: &DeltaRecord| self.objects[d.object.0 as usize].entry.delta_slot(d.epoch);
-        let (lone, many): ([_; 1], Vec<_>);
-        let images: &[(u64, [u8; BLOCK_SIZE])] = if shared {
-            many = staged.iter().map(|d| (slot(d), d.to_block())).collect();
-            &many
-        } else {
-            lone = [(slot(&staged[0]), staged[0].to_block())];
-            &lone
-        };
-        let (lone, many): ([_; 1], Vec<_>);
-        let records: &[(u64, &[u8])] = if shared {
-            many = images.iter().map(|(b, i)| (*b, &i[..])).collect();
-            &many
-        } else {
-            lone = [(images[0].0, &images[0].1[..])];
-            &lone
-        };
-        // R3: a line record rides its object's queued one if it can.
+        let images: Vec<_> = staged.iter().map(|d| (slot(d), d.to_block())).collect();
+        let records: Vec<_> = images.iter().map(|(b, i)| (*b, &i[..])).collect();
         let now = vt.now();
-        let absorbed = if inline {
-            self.absorb(disk, now, &staged[0], &patched)
-        } else {
-            None
-        };
-        let landed = match absorbed {
-            Some(token) => Ok(Landed::Now(token, false)),
-            None => {
-                let (extent, cache) = ((!inline).then_some(&iov[..]), &mut self.cache);
-                land(disk, now, extent, records, root_gate, cache, false)
-            }
-        };
-        let (token, held) = match landed {
-            Ok(Landed::Now(token, held)) => (token, held),
-            Ok(Landed::Idle(_)) => unreachable!("a record lands in the foreground"),
-            Err(e) => {
-                if let Some(snapshot) = alloc_snapshot {
-                    self.alloc = snapshot;
+        let absorbed = steps[0]
+            .fold
+            .then(|| self.absorb(disk, now, &staged[0], &patched))
+            .flatten();
+        let (extent, cache) = ((!inline).then_some(&iov[..]), &mut self.cache);
+        let (token, held) = match absorbed {
+            Some(token) => (token, false),
+            None => match land(disk, now, extent, &records, root_gate, cache, false) {
+                Ok(Landed::Now(token, held)) => (token, held),
+                Ok(Landed::Idle(_)) => unreachable!("a record lands in the foreground"),
+                Err(e) => {
+                    if let Some(snapshot) = alloc_snapshot {
+                        self.alloc = snapshot;
+                    }
+                    return Err(e.into());
                 }
-                return Err(e.into());
-            }
+            },
         };
 
         // Durable: apply every group to its in-memory tree. Superseded
-        // data blocks are still referenced by older records in the rings
-        // (recovery re-reads them to verify `payload_sum`), so like
-        // superseded nodes they are quarantined until the next full root
-        // supersedes the whole window — never recycled early.
+        // data blocks stay quarantined until the next full root: older
+        // records still name them (replay re-reads them for `payload_sum`).
         let mut tokens = Vec::with_capacity(staged.len());
         let mut patched = patched.into_iter();
-        for (g, (_, image)) in staged.iter().zip(images) {
+        for (g, (_, image)) in staged.iter().zip(&images) {
             self.apply_record(g, &mut patched);
             let state = &mut self.objects[g.object.0 as usize];
             state.chain_completes = state.chain_completes.max(token.completes());
@@ -654,17 +664,16 @@ impl StoreShard {
         self.stats.commits += staged.len() as u64;
         self.stats.delta_commits += staged.len() as u64;
         self.stats.pages_written += data_pages as u64;
-        // Each object asks whether its newest root has landed, and the
-        // commit PLACE_ROOT_AT epochs above it places it behind its own
-        // record. The commit whose record fills its object's window
-        // writes the compaction root behind that record, once the newest
-        // root is durable: the record never queues behind the root.
-        for g in &staged {
-            let due = self.objects[g.object.0 as usize].window() >= PLACE_ROOT_AT;
-            self.root_lands(disk, g.object, if due { Nanos::MAX } else { now });
-            let state = &self.objects[g.object.0 as usize];
-            if state.window() >= COMPACT_AFTER && state.roots[1].1 <= now {
-                self.compact(vt, disk, g.object);
+        // Each object asks whether its newest root has landed, placing it
+        // if its step says so, then writes the compaction root its step
+        // calls for: maintenance, so a failure changes nothing.
+        for (g, step) in staged.iter().zip(&steps) {
+            let by = if step.place { Nanos::MAX } else { now };
+            let landed = self.root_lands(disk, g.object, by);
+            if step.compact && landed.is_some_and(|at| at <= now) {
+                let epoch = self.objects[g.object.0 as usize].epoch;
+                let root = self.full_commit(vt, disk, g.object, &[], epoch, Root::Compaction);
+                self.stats.compaction_roots += u64::from(root.is_ok());
             }
         }
         Ok(tokens)
@@ -685,16 +694,6 @@ impl StoreShard {
             }
         }
         Some(state.roots[1].1)
-    }
-
-    /// When a root of `object` at or above `epoch` is durable: the earlier
-    /// of the two that covers it, placing the newest if it is needed.
-    fn covered_at(&mut self, disk: &mut Disk, object: ObjectId, epoch: Epoch) -> Nanos {
-        let previous = self.objects[object.0 as usize].roots[0];
-        if previous.0 >= epoch {
-            return previous.1;
-        }
-        self.root_lands(disk, object, Nanos::MAX).expect("forced")
     }
 
     /// R3 (DESIGN.md §6m): lands the line record `next`, whose pages'
@@ -1133,6 +1132,90 @@ mod tests {
                         .unwrap();
                     assert_eq!(out, page_of(e as u8), "crash at {at:?}: page {page}");
                 }
+            }
+        }
+    }
+
+    /// The shared side of the ring's window: two objects committed only
+    /// through shared batches, on a shard granted exactly each batch's
+    /// data extent, so every compaction root fails for space and both
+    /// windows climb to `DELTA_SLOTS − 1`. A batch onto those full windows
+    /// flushes each object's chain root before its records, or fails for
+    /// space: no record ever sits `DELTA_SLOTS` epochs above its object's
+    /// newest root, and every group recovers.
+    #[test]
+    fn a_shared_batch_onto_full_windows_flushes_chain_roots_first() {
+        let mut disk = Disk::new(DiskConfig::paper());
+        let mut store = StoreShard::format_at(&mut disk, ShardLayout::sharded(0, 1));
+        disk.settle();
+        let mut vt = Vt::new(0);
+        let mut end = store.high_water();
+        let mut grant = |store: &mut StoreShard, n: u64| {
+            store.grant_range(end, end + n);
+            end += n;
+        };
+        grant(&mut store, 2 * OBJECT_META_BLOCKS);
+        let a = store.create(&mut vt, &mut disk, "a").unwrap();
+        let b = store.create(&mut vt, &mut disk, "b").unwrap();
+        let batch = |store: &mut StoreShard, disk: &mut Disk, vt: &mut Vt, epoch: u64| {
+            let page = page_of(epoch as u8);
+            let pages: Vec<(u64, &[u8])> = (0..DRY_PAGES)
+                .map(|i| (epoch * DRY_PAGES + i, &page[..]))
+                .collect();
+            let groups: Vec<(ObjectId, &[(u64, &[u8])])> = vec![(a, &pages[..]), (b, &pages[..])];
+            let tokens = store.persist_batch(vt, disk, &groups);
+            for token in tokens.iter().flatten() {
+                ObjectStore::wait(vt, *token);
+            }
+            for obj in [a, b] {
+                let window = store.objects[obj.0 as usize].window();
+                assert!(window < DELTA_SLOTS, "epoch {epoch}: window {window}");
+            }
+            tokens.map(|_| ())
+        };
+        for epoch in 1..DELTA_SLOTS {
+            grant(&mut store, 2 * DRY_PAGES);
+            batch(&mut store, &mut disk, &mut vt, epoch).unwrap();
+        }
+        for obj in [a, b] {
+            assert_eq!(store.objects[obj.0 as usize].window(), DELTA_SLOTS - 1);
+        }
+        assert_eq!(
+            store.stats().compaction_roots,
+            0,
+            "every root failed for space"
+        );
+        // On the data extent's grant alone the chain roots do not fit.
+        grant(&mut store, 2 * DRY_PAGES);
+        let err = batch(&mut store, &mut disk, &mut vt, DELTA_SLOTS).unwrap_err();
+        assert_eq!(err, StoreError::OutOfSpace);
+        grant(&mut store, 1 << 12);
+        let last = DELTA_SLOTS + 3;
+        for epoch in DELTA_SLOTS..=last {
+            batch(&mut store, &mut disk, &mut vt, epoch).unwrap();
+        }
+        for obj in [a, b] {
+            let roots = store.objects[obj.0 as usize].roots;
+            assert_eq!(
+                roots[1].0,
+                DELTA_SLOTS - 1,
+                "a chain root at the window's end"
+            );
+        }
+
+        disk.crash(vt.now());
+        let mut vt2 = Vt::new(1);
+        let mut shard = open_shard(&mut vt2, &mut disk).unwrap();
+        let mut out = page_of(0);
+        for name in ["a", "b"] {
+            let obj = shard.lookup(name).unwrap();
+            assert_eq!(shard.epoch(obj), last, "{name}");
+            for epoch in [1, DELTA_SLOTS - 1, DELTA_SLOTS, last] {
+                let page = epoch * DRY_PAGES + DRY_PAGES - 1;
+                shard
+                    .read_page(&mut vt2, &mut disk, obj, page, &mut out)
+                    .unwrap();
+                assert_eq!(out, page_of(epoch as u8), "{name}: epoch {epoch}");
             }
         }
     }
@@ -1627,5 +1710,183 @@ mod tests {
             image
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// The newest root as the executor meets it: landed by the commit's
+    /// instant, placed but still in flight, or an idle-class write the
+    /// device has not placed yet.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Newest {
+        Landed,
+        InFlight,
+        Unplaced,
+    }
+
+    /// §6m's rules as properties of one plan. `newest` and `started` are
+    /// the device's side, which the plan does not read: each object's
+    /// newest root, and whether the device has started the lone group's
+    /// queued record.
+    fn check_plan(views: &[View], newest: &[Newest], sparse: bool, records: bool, started: bool) {
+        let (path, steps) = plan(views, sparse, records);
+        let case = || {
+            format!("{views:?} {newest:?} sparse {sparse} records {records}: {path:?} {steps:?}")
+        };
+        let (shared, lone) = (views.len() > 1, views[0]);
+        assert_eq!(steps.len(), views.len(), "{}", case());
+        // The path: a lone commit is a chain root exactly when a record
+        // cannot carry it; a shared batch is always records.
+        let laps = |v: &View| v.epoch - v.roots[1] == DELTA_SLOTS - 1;
+        let overflows = sparse && lone.overlay + lone.pages > OVERLAY_PAGE_BUDGET;
+        let root = !records || lone.pages > MAX_DELTA_PAIRS || laps(&lone) || overflows;
+        let want = match (shared, root, records && sparse) {
+            (true, ..) => Path::Delta,
+            (false, true, _) => Path::Root,
+            (false, false, true) => Path::Lines,
+            (false, false, false) => Path::Delta,
+        };
+        assert_eq!(path, want, "{}", case());
+        if path == Path::Root {
+            return;
+        }
+        for ((v, step), newest) in views.iter().zip(&steps).zip(newest) {
+            // Only a shared batch flushes, and only an object whose record
+            // would otherwise lap its newest root.
+            assert_eq!(step.flush, shared && laps(v), "{}", case());
+            let roots = if step.flush {
+                [v.roots[1], v.epoch]
+            } else {
+                v.roots
+            };
+            let epoch = v.epoch + 1;
+            let window = epoch - roots[1];
+            assert!(
+                (1..DELTA_SLOTS).contains(&window),
+                "{}: window {window}",
+                case()
+            );
+            // R3: a line record tries to fold exactly when its object has
+            // a queued line record. It rides that record if the device has
+            // not started it, and is written as its own record otherwise.
+            assert_eq!(step.fold, path == Path::Lines && v.queued, "{}: R3", case());
+            let written = !step.fold || started;
+            // R1′: a written record waits for a root at or above the epoch
+            // whose ring slot it reuses, and for the newest only if the
+            // previous does not cover it.
+            let reused = epoch.saturating_sub(DELTA_SLOTS);
+            assert!(!written || roots[step.gate] >= reused, "{}: R1′", case());
+            assert_eq!(step.gate == 1, roots[0] < reused, "{}: R1′", case());
+            // Placement: a root still waiting on the device is placed by
+            // the commit PLACE_ROOT_AT epochs above it at the latest, and
+            // never earlier unless the record's gate needs it.
+            // (The gate is met before the fold is tried.)
+            let forced = step.flush || step.gate == 1 || step.place;
+            let waiting = *newest == Newest::Unplaced && !forced;
+            assert!(!waiting || window < PLACE_ROOT_AT, "{}: placement", case());
+            assert!(
+                !step.place || window >= PLACE_ROOT_AT,
+                "{}: placement",
+                case()
+            );
+            // Compaction: the commit COMPACT_AFTER or more epochs above a
+            // durable newest root writes one behind its record; below
+            // that, or behind a root not yet durable, none.
+            let durable = *newest == Newest::Landed && !step.flush;
+            let compacts = step.compact && durable;
+            assert_eq!(
+                compacts,
+                window >= COMPACT_AFTER && durable,
+                "{}: compaction",
+                case()
+            );
+        }
+    }
+
+    /// Enumerates the plan over every state at small scope: a lone commit
+    /// of either of 2 objects and a shared batch of both; each object's
+    /// window around `COMPACT_AFTER`, `PLACE_ROOT_AT` and `DELTA_SLOTS`,
+    /// its previous root on either side of the slot its record reuses, a
+    /// line record queued or not, its newest root landed, in flight or
+    /// unplaced; a lone group's lines fitting the overlay budget or not,
+    /// its page count around `MAX_DELTA_PAIRS`, and the device having
+    /// started the queued record or not. A shared batch reads no overlay
+    /// and carries no lines, so its objects vary the rest.
+    #[test]
+    fn the_plan_keeps_every_commit_rule_in_every_small_state() {
+        let windows = [
+            0,
+            1,
+            COMPACT_AFTER - 2,
+            COMPACT_AFTER - 1,
+            COMPACT_AFTER,
+            COMPACT_AFTER + 1,
+            PLACE_ROOT_AT - 2,
+            PLACE_ROOT_AT - 1,
+            PLACE_ROOT_AT,
+            PLACE_ROOT_AT + 1,
+            DELTA_SLOTS - 2,
+            DELTA_SLOTS - 1,
+        ];
+        // How far the previous root sits below the newest: the record
+        // reuses the slot of newest + window + 1 − DELTA_SLOTS.
+        let gaps = [
+            0,
+            1,
+            COMPACT_AFTER,
+            DELTA_SLOTS - PLACE_ROOT_AT - 2,
+            DELTA_SLOTS - PLACE_ROOT_AT - 1,
+            DELTA_SLOTS - COMPACT_AFTER,
+            DELTA_SLOTS - 1,
+        ];
+        let mut epochs = Vec::new();
+        for &window in &windows {
+            // A young object, whose record reuses no slot, and an old one.
+            epochs.push((window, [0, 0]));
+            for &gap in &gaps {
+                let newest = 2 * DELTA_SLOTS;
+                epochs.push((newest + window, [newest - gap, newest]));
+            }
+        }
+        let newests = [Newest::Landed, Newest::InFlight, Newest::Unplaced];
+        let mut objects = Vec::new();
+        for &(epoch, roots) in &epochs {
+            for newest in newests {
+                for queued in [false, true] {
+                    let view = View {
+                        epoch,
+                        roots,
+                        queued,
+                        overlay: 0,
+                        pages: 1,
+                    };
+                    objects.push((view, newest));
+                }
+            }
+        }
+        let mut states = 0u64;
+        for &(view, newest) in &objects {
+            for pages in [1, MAX_DELTA_PAIRS, MAX_DELTA_PAIRS + 1] {
+                for overflow in [0, 1] {
+                    let overlay = OVERLAY_PAGE_BUDGET - pages + overflow;
+                    let view = View {
+                        overlay,
+                        pages,
+                        ..view
+                    };
+                    for (sparse, records, device) in
+                        (0..8).map(|i| (i & 1 != 0, i & 2 != 0, i & 4 != 0))
+                    {
+                        check_plan(&[view], &[newest], sparse, records, device);
+                        states += 1;
+                    }
+                }
+            }
+        }
+        for &(a, a_newest) in &objects {
+            for &(b, b_newest) in &objects {
+                check_plan(&[a, b], &[a_newest, b_newest], false, true, false);
+                states += 1;
+            }
+        }
+        assert_eq!(states, 27_648 + 331_776);
     }
 }
