@@ -88,6 +88,41 @@ guard_reader_decode() {
     done
 }
 
+# Typed errors, ratcheted: each program crate's lines with an `.unwrap()`
+# or `.expect(` above its files' first #[cfg(test)] (bench, compat-* and
+# the store's split-out tests excluded) equal a committed ceiling. The
+# ceilings only go down: a crate that sheds one lowers its ceiling here.
+# A `try_into().unwrap()` is reader_decode's to refuse, so it is not
+# counted here.
+guard_unwrap_ceiling() {
+    local crate max n bad=0
+    local ceilings='aurora 2 core 5 disk 5 fs 1 litedb 5 pgdb 25 pindex 16 repl 4 serve 4 sim 5 skipdb 17 snap 0 store 20 vm 1 workloads 0'
+    for crate in crates/*/; do
+        crate=${crate#crates/}
+        crate=${crate%/}
+        case "$crate" in bench | compat-*) continue ;; esac
+        if [[ " $ceilings " != *" $crate "* ]]; then
+            echo "crates/$crate has no unwrap ceiling: add its count to guard_unwrap_ceiling" >&2
+            bad=1
+        fi
+    done
+    set -- $ceilings
+    while [ $# -gt 0 ]; do
+        crate=$1 max=$2
+        shift 2
+        n=$(find "crates/$crate/src" -name '*.rs' ! -path '*/store/src/store/tests/*' -print0 | sort -z \
+            | xargs -0 awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t && /\.unwrap\(\)|\.expect\(/ && !/try_into\(\)\.unwrap\(\)/ { n++ } END { print n + 0 }')
+        if [ "$n" -gt "$max" ]; then
+            echo "crates/$crate has $n non-test lines with .unwrap() or .expect(, over its ceiling of $max: return a typed error" >&2
+            bad=1
+        elif [ "$n" -lt "$max" ]; then
+            echo "crates/$crate has $n non-test lines with .unwrap() or .expect(: lower its ceiling from $max to $n" >&2
+            bad=1
+        fi
+    done
+    return $bad
+}
+
 # One persistent skip list in skipdb: above the tests, only the node
 # codec and the list name the codec and the per-node lock, so no variant
 # carries its own copy of the list.
@@ -111,6 +146,23 @@ guard_one_plan() {
             /(window\(\)|COMPACT_AFTER|PLACE_ROOT_AT|DELTA_SLOTS)/ && / (<|>|<=|>=|==|!=) / { print FILENAME ":" FNR ": " $0; found = 1 }
             END { exit !found }' crates/store/src/store.rs crates/store/src/store/*.rs; then
         echo "the store's commit rules live in one plan: compare the window, COMPACT_AFTER, PLACE_ROOT_AT and DELTA_SLOTS only inside plan in crates/store/src/store/commit.rs" >&2
+        return 1
+    fi
+}
+
+# The group-commit hold is decided once, in core's pure rule (`hold` and
+# `close_at` in commit.rs): above the tests of core's modules, no other
+# line compares the batch close, the device's idle instant or the window,
+# or takes a `.max(` of one.
+guard_one_hold() {
+    if awk '/^#\[cfg\(test\)\]/ { nextfile }
+            FNR == 1 { rule = 0 }
+            FILENAME ~ /\/commit\.rs$/ && /^fn (hold|close_at)\(/ { rule = 1 }
+            rule { if (/^}/) rule = 0; next }
+            /^[[:space:]]*\/\// { next }
+            /(submit_at|idle_at\(\)|coalesce_window)/ && (/ (<|>|<=|>=|==|!=) / || /\.max\(/) { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' crates/core/src/*.rs; then
+        echo "the group-commit hold lives in one rule: compare submit_at, idle_at() and coalesce_window only inside hold and close_at in crates/core/src/commit.rs" >&2
         return 1
     fi
 }
@@ -499,6 +551,8 @@ perturbations() {
     perturb reader_decode crates/pgdb/src/engine.rs '1i fn word(b: &[u8]) -> u64 { u64::from_le_bytes(b.try_into().unwrap()) }'
     perturb one_node_list crates/skipdb/src/aurora_kv.rs '1i const NODE_LOCK: u64 = 25;'
     perturb one_plan crates/store/src/store/scrub.rs '1i fn due(window: u64) -> bool { window >= COMPACT_AFTER }'
+    perturb one_hold crates/core/src/api.rs '1i fn late(now: Nanos, b: &OpenBatch) -> bool { now >= b.submit_at }'
+    perturb unwrap_ceiling crates/snap/src/lib.rs '1i fn first(v: &[u8]) -> u8 { *v.first().unwrap() }'
     perturb pindex_carve crates/core/src/api.rs '$a // CARVE_MAGIC'
     perturb binary_manifest crates/core/src/manifest.rs '$a // @shards 4'
     perturb history_depth crates/repl/src/engine.rs 's/^const DROP_BASE_LAG: u64 = .*;/const DROP_BASE_LAG: u64 = 64;/'

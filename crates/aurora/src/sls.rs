@@ -173,6 +173,11 @@ impl Aurora {
         disk
     }
 
+    /// The device as-is, undo journal intact, for [`msnap_disk::crash_at_every_io`].
+    pub fn into_disk(self) -> Disk {
+        self.disk
+    }
+
     /// Per-call latency meters (`"checkpoint"`).
     pub fn meters(&self) -> &Meters {
         &self.meters

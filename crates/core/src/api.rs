@@ -382,25 +382,10 @@ impl MemSnap {
     ) -> Result<RegionHandle, MsnapError> {
         vt.charge(Category::Syscall, SYSCALL_COST);
         if let Some(&md) = self.by_name.get(name) {
-            let region = &self.regions[md.0 as usize];
-            if pages != 0 && pages != region.pages {
+            if pages != 0 && pages != self.regions[md.0 as usize].pages {
                 return Err(MsnapError::LengthMismatch);
             }
-            if !self.regions[md.0 as usize].populated {
-                self.populate(vt, md)?;
-            }
-            let region = &mut self.regions[md.0 as usize];
-            if !region.mapped.contains(&space) {
-                self.vm
-                    .map(space, region.vm_obj, region.addr, TrackMode::Tracked)?;
-                self.regions[md.0 as usize].mapped.push(space);
-            }
-            let region = &self.regions[md.0 as usize];
-            return Ok(RegionHandle {
-                md,
-                addr: region.addr,
-                pages: region.pages,
-            });
+            return self.attach(vt, space, md);
         }
 
         if pages == 0 {
@@ -424,6 +409,38 @@ impl MemSnap {
         self.by_name.insert(name.to_string(), md);
         self.persist_manifest(vt)?;
         Ok(RegionHandle { md, addr, pages })
+    }
+
+    /// Pages region `md` in if a restore left it unpopulated, then maps it
+    /// (tracked) into `space` unless it is mapped there already.
+    fn attach(&mut self, vt: &mut Vt, space: AsId, md: Md) -> Result<RegionHandle, MsnapError> {
+        if !self.regions[md.0 as usize].populated {
+            self.populate(vt, md)?;
+        }
+        let region = &mut self.regions[md.0 as usize];
+        if !region.mapped.contains(&space) {
+            self.vm
+                .map(space, region.vm_obj, region.addr, TrackMode::Tracked)?;
+            region.mapped.push(space);
+        }
+        Ok(RegionHandle {
+            md,
+            addr: region.addr,
+            pages: region.pages,
+        })
+    }
+
+    /// A retained snapshot by name, with the region whose object it pins.
+    fn snapshot_region(&self, snapshot: &str) -> Result<(msnap_store::SnapEntry, Md), MsnapError> {
+        let entry = self
+            .store
+            .snapshot_lookup(snapshot)
+            .ok_or(MsnapError::BadDescriptor)?;
+        let region = self
+            .regions
+            .iter()
+            .position(|r| r.store_obj == entry.object);
+        Ok((entry, Md(region.ok_or(MsnapError::BadDescriptor)? as u32)))
     }
 
     /// Pages a region's durable image into memory (restore path), a
@@ -650,8 +667,7 @@ impl MemSnap {
             *rec.pages.entry(page).or_insert(0) |= lines;
         }
         while chain.len() > SUBPAGE_KEEP {
-            let oldest = *chain.keys().next().expect("chain is non-empty");
-            chain.remove(&oldest);
+            chain.pop_first();
         }
     }
 
@@ -778,17 +794,8 @@ impl MemSnap {
         snapshot: &str,
     ) -> Result<SnapshotView, MsnapError> {
         vt.charge(Category::Syscall, SYSCALL_COST);
-        let entry = self
-            .store
-            .snapshot_lookup(snapshot)
-            .ok_or(MsnapError::BadDescriptor)?
-            .clone();
-        let region_idx = self
-            .regions
-            .iter()
-            .position(|r| r.store_obj == entry.object)
-            .ok_or(MsnapError::BadDescriptor)?;
-        let pages = self.regions[region_idx].pages;
+        let (entry, md) = self.snapshot_region(snapshot)?;
+        let pages = self.regions[md.0 as usize].pages;
         // Read the whole image before anything is created or mapped: a
         // failed read leaves the address space exactly as it was.
         let len = entry.len_pages.min(pages);
@@ -842,29 +849,11 @@ impl MemSnap {
         snapshot: &str,
     ) -> Result<Epoch, MsnapError> {
         vt.charge(Category::Memsnap, SYSCALL_COST);
-        let entry = self
-            .store
-            .snapshot_lookup(snapshot)
-            .ok_or(MsnapError::BadDescriptor)?
-            .clone();
-        let region_idx = self
-            .regions
-            .iter()
-            .position(|r| r.store_obj == entry.object)
-            .ok_or(MsnapError::BadDescriptor)?;
-        let md = Md(region_idx as u32);
+        let (_, md) = self.snapshot_region(snapshot)?;
         if let Some(e) = self.sticky_error(RegionSel::Region(md)) {
             return Err(e);
         }
-        if !self.regions[region_idx].populated {
-            self.populate(vt, md)?;
-        }
-        let region = &self.regions[region_idx];
-        let (addr, pages, vm_obj) = (region.addr, region.pages, region.vm_obj);
-        if !region.mapped.contains(&space) {
-            self.vm.map(space, vm_obj, addr, TrackMode::Tracked)?;
-            self.regions[region_idx].mapped.push(space);
-        }
+        let RegionHandle { addr, pages, .. } = self.attach(vt, space, md)?;
         let mut want = Vec::new();
         let mut have = vec![0u8; PAGE_SIZE];
         for (first, n) in bulk_chunks(pages) {

@@ -9,7 +9,7 @@
 //! it freezes and re-arms tracking (DESIGN.md §6c has the table).
 //! [`MemSnap::msnap_wait`] and the fsync gates settle what was issued.
 
-use std::collections::HashMap;
+use std::collections::{hash_map::Entry, HashMap};
 
 use msnap_sim::{Category, Nanos, Vt, VthreadId};
 use msnap_vm::{DirtyPage, ResetStrategy};
@@ -65,9 +65,7 @@ pub(crate) struct Committed {
 #[derive(Debug)]
 pub(crate) struct OpenBatch {
     id: u64,
-    /// The instant the batch closes — the coalescing window after the
-    /// opener, or the instant the device frees a channel if that is
-    /// later; the first poll at or after this instant flushes the batch.
+    /// The instant the batch closes ([`close_at`]).
     submit_at: Nanos,
     participants: Vec<Participant>,
 }
@@ -82,6 +80,27 @@ pub(crate) struct FinishedBatch {
     /// Per-participant `(epoch, enqueue instant)`, removed as each
     /// participant polls; the batch is pruned when the map drains.
     results: HashMap<u32, (Epoch, Nanos)>,
+}
+
+/// The group-commit hold (DESIGN.md §6c), decided only here: the call is a
+/// `poll` of the lane's open batch or an enqueue onto the lane at `now`;
+/// the batch closes at `close` with `members`; a write submitted now starts
+/// at `idle_at`. `Some(close)` holds the batch (the enqueue joins, the poll
+/// waits); `None` flushes it now, the caller paying: at or past the close,
+/// or on a lone member's poll while the device has an idle channel.
+fn hold(poll: bool, now: Nanos, idle_at: Nanos, close: Nanos, members: usize) -> Option<Nanos> {
+    let flush = if poll {
+        now >= close || (members == 1 && now >= idle_at)
+    } else {
+        now >= close
+    };
+    (!flush).then_some(close)
+}
+
+/// The close of a batch opened at `now`: the `window` after it, or when the
+/// device frees a channel if later (a submission then would only queue).
+fn close_at(now: Nanos, idle_at: Nanos, window: Nanos) -> Nanos {
+    (now + window).max(idle_at)
 }
 
 impl MemSnap {
@@ -286,7 +305,7 @@ impl MemSnap {
             match keys.last_mut() {
                 Some(k) if (k.0, k.1) == (*region, e.obj_page) => {
                     k.2 |= e.lines;
-                    let last = iov.last_mut().expect("in step with keys");
+                    let last = iov.last_mut().expect("iov grows in step with keys");
                     (last.1, last.2) = (bytes, last.2 | lines);
                 }
                 _ => {
@@ -383,13 +402,10 @@ impl MemSnap {
     /// writing immediately), and tracking is re-armed. The combined
     /// μCheckpoint IO — per shard, one scatter/gather extent for *all*
     /// participants plus one vectored write of each object's delta
-    /// record — is initiated when the batch closes, by
-    /// the first poller to reach that instant. A batch closes when its
-    /// window does, or — device pacing — when the device frees a channel
-    /// if every channel is still busy then: a submission made earlier
-    /// would only queue behind the work in flight, so holding the batch
-    /// costs it no more than its flusher's CPU after the device frees,
-    /// and lets later enqueuers share the IO. A batch is crash-atomic per
+    /// record — is initiated by the first caller at or past the batch
+    /// close: the window's end, or the instant the device frees a channel
+    /// if that is later (until then a submission would only queue, so the
+    /// hold lets later enqueuers share the IO). A batch is crash-atomic per
     /// object, not across objects: a crash leaves each region a prefix
     /// of its own epochs.
     ///
@@ -408,11 +424,8 @@ impl MemSnap {
             return Err(e);
         }
         let lane = self.lane_of(sel)?;
-        // A late arrival cannot join a window that has already closed:
-        // flush the lane's stale batch first (this enqueuer pays for it).
-        if matches!(self.open_batches.get(&lane), Some(b) if vt.now() >= b.submit_at) {
-            self.flush_open_batch(vt, lane);
-        }
+        // A late arrival flushes the lane's closed batch first, and pays.
+        self.hold_lane(vt, lane, None);
 
         // Eagerly copy the page images: the μCheckpoint content is fixed
         // here, so the caller's next write needs no COW machinery.
@@ -434,18 +447,18 @@ impl MemSnap {
             pages,
             start: vt.now(),
         };
-        let submit_at = (vt.now() + self.coalesce_window).max(self.disk.idle_at());
         let batch = self.open_batches.entry(lane).or_insert_with(|| {
             let id = self.batch_seq;
             self.batch_seq += 1;
             OpenBatch {
                 id,
-                submit_at,
+                submit_at: close_at(vt.now(), self.disk.idle_at(), self.coalesce_window),
                 participants: Vec::new(),
             }
         });
         batch.participants.push(participant);
         Ok(CommitTicket {
+            lane,
             batch: batch.id,
             participant: (batch.participants.len() - 1) as u32,
         })
@@ -459,6 +472,23 @@ impl MemSnap {
             RegionSel::Region(md) => {
                 Ok(self.store.shard_of_id(self.region_of(md)?.store_obj) as u64)
             }
+        }
+    }
+
+    /// Carries out [`hold`] on `lane`'s open batch for an enqueue (`None`)
+    /// or a poll of batch `id`: flushes it, or returns the close it holds to.
+    fn hold_lane(&mut self, vt: &mut Vt, lane: u64, id: Option<u64>) -> Option<Nanos> {
+        match self.open_batches.entry(lane) {
+            Entry::Occupied(open) if id.is_none_or(|id| id == open.get().id) => {
+                let (close, members) = (open.get().submit_at, open.get().participants.len());
+                let held = hold(id.is_some(), vt.now(), self.disk.idle_at(), close, members);
+                if held.is_none() {
+                    let batch = open.remove();
+                    self.flush_open_batch(vt, batch);
+                }
+                held
+            }
+            _ => None,
         }
     }
 
@@ -484,24 +514,9 @@ impl MemSnap {
         ticket: CommitTicket,
     ) -> Result<Option<Epoch>, MsnapError> {
         vt.charge(Category::Memsnap, SYSCALL_COST);
-        let open = self
-            .open_batches
-            .iter()
-            .find(|(_, b)| b.id == ticket.batch)
-            .map(|(&lane, b)| (lane, b.submit_at, b.participants.len()));
-        if let Some((lane, submit_at, participants)) = open {
-            // Solo fast path: a lone participant polling its own batch on
-            // a device with an idle channel skips the group machinery —
-            // waiting out the window buys nothing (there is nobody to
-            // merge with) and coalescing at one thread only adds latency.
-            // On a saturated device its IO would only queue, so it waits
-            // for the batch close like a shared batch does.
-            let solo = participants == 1 && vt.now() >= self.disk.idle_at();
-            if !solo && vt.now() < submit_at {
-                vt.wait_until(submit_at);
-                return Ok(None);
-            }
-            self.flush_open_batch(vt, lane);
+        if let Some(close) = self.hold_lane(vt, ticket.lane, Some(ticket.batch)) {
+            vt.wait_until(close);
+            return Ok(None);
         }
         let fin = self
             .finished
@@ -532,10 +547,10 @@ impl MemSnap {
     /// collect their results via [`MemSnap::msnap_group_poll`].
     pub fn msnap_group_flush(&mut self, vt: &mut Vt) {
         vt.charge(Category::Memsnap, SYSCALL_COST);
-        let mut lanes: Vec<u64> = self.open_batches.keys().copied().collect();
-        lanes.sort_unstable();
-        for lane in lanes {
-            self.flush_open_batch(vt, lane);
+        let mut open: Vec<(u64, OpenBatch)> = self.open_batches.drain().collect();
+        open.sort_unstable_by_key(|b| b.0);
+        for (_, batch) in open {
+            self.flush_open_batch(vt, batch);
         }
     }
 
@@ -556,15 +571,10 @@ impl MemSnap {
         oldest - now
     }
 
-    /// Flushes the open batch: one combined μCheckpoint IO for every
-    /// participant, then a [`FinishedBatch`] for their polls. The caller
-    /// (the first poller past the window, or a late enqueuer) pays the
-    /// initiation cost — group commit's "leader pays" rule.
-    fn flush_open_batch(&mut self, vt: &mut Vt, lane: u64) {
-        let mut batch = self
-            .open_batches
-            .remove(&lane)
-            .expect("caller checked the lane's open batch");
+    /// Flushes a batch taken out of its lane: one combined μCheckpoint IO
+    /// for every participant, then a [`FinishedBatch`] for their polls. The
+    /// caller ([`hold`]'s leader, or `msnap_group_flush`) pays the IO.
+    fn flush_open_batch(&mut self, vt: &mut Vt, mut batch: OpenBatch) {
         let mut error: Option<MsnapError> = None;
         let mut completes = vt.now();
         if batch.participants.iter().any(|p| !p.pages.is_empty()) {
@@ -677,6 +687,7 @@ mod tests {
     use msnap_disk::{crash_at_every_io, Disk, DiskConfig, Fault, FaultPlan};
     use msnap_store::{StoreError, COMPACT_AFTER, MAX_DELTA_PAIRS};
     use msnap_vm::PAGE_SIZE;
+    use std::collections::{BTreeMap, HashSet};
 
     #[test]
     fn open_persist_wait_round_trip() {
@@ -1749,5 +1760,243 @@ mod tests {
             },
         );
         assert!(points > rounds as usize, "{points} crash points");
+    }
+
+    /// The hold model's batch: its id, the close `hold` runs against, the
+    /// close the specification gives it (DESIGN.md §6c: the window after
+    /// its opener, or the device's idle instant if later) and its members.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct ModelBatch {
+        id: u64,
+        close: Nanos,
+        spec: Nanos,
+        members: Vec<usize>,
+    }
+
+    /// A tiny coalescer driven only through `hold` and `close_at`: two
+    /// lanes, the flushed batches awaiting polls, and per participant the
+    /// `(lane, batch)` it joined, the batches it was flushed in and its
+    /// redemptions. A poll that waits and a flush of no open batch leave
+    /// it as it was, so repeating them reaches no new state.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct HoldModel {
+        open: [Option<ModelBatch>; 2],
+        finished: BTreeMap<u64, Vec<usize>>,
+        joined: Vec<Option<(usize, u64)>>,
+        flushed: Vec<u8>,
+        redeemed: Vec<u8>,
+        next_id: u64,
+    }
+
+    const MODEL_WINDOW: Nanos = Nanos::from_ns(2);
+
+    impl HoldModel {
+        fn new(participants: usize) -> Self {
+            HoldModel {
+                open: [None, None],
+                finished: BTreeMap::new(),
+                joined: vec![None; participants],
+                flushed: vec![0; participants],
+                redeemed: vec![0; participants],
+                next_id: 0,
+            }
+        }
+
+        fn flush(&mut self, lane: usize) -> Result<(), String> {
+            let Some(batch) = self.open[lane].take() else {
+                return Ok(());
+            };
+            for &p in &batch.members {
+                self.flushed[p] += 1;
+                if self.flushed[p] > 1 {
+                    return Err(format!("participant {p} flushed in a second batch"));
+                }
+            }
+            self.finished.insert(batch.id, batch.members);
+            Ok(())
+        }
+
+        /// `msnap_persist_grouped`: the stale-batch test, then join or open.
+        fn enqueue(
+            &mut self,
+            p: usize,
+            lane: usize,
+            now: Nanos,
+            idle: Nanos,
+        ) -> Result<(), String> {
+            if let Some(b) = &self.open[lane] {
+                let held = hold(false, now, idle, b.close, b.members.len());
+                if now >= b.spec && held.is_some() {
+                    return Err("a late enqueuer joined the stale batch".into());
+                }
+                if now < b.spec && held.is_none() {
+                    return Err("an enqueue flushed a batch before its close".into());
+                }
+                if held.is_none() {
+                    self.flush(lane)?;
+                }
+            }
+            let id = self.next_id;
+            let batch = self.open[lane].get_or_insert_with(|| ModelBatch {
+                id,
+                close: close_at(now, idle, MODEL_WINDOW),
+                spec: if idle > now + MODEL_WINDOW {
+                    idle
+                } else {
+                    now + MODEL_WINDOW
+                },
+                members: Vec::new(),
+            });
+            self.next_id += u64::from(batch.id == id);
+            batch.members.push(p);
+            self.joined[p] = Some((lane, batch.id));
+            Ok(())
+        }
+
+        /// `msnap_group_poll`: hold or flush the ticket's open batch, then
+        /// redeem.
+        fn poll(&mut self, p: usize, now: Nanos, idle: Nanos) -> Result<(), String> {
+            let (lane, id) = self.joined[p].ok_or("a poll before the enqueue")?;
+            if let Some(b) = self.open[lane].as_ref().filter(|b| b.id == id) {
+                let lone_on_idle = b.members.len() == 1 && now >= idle;
+                match hold(true, now, idle, b.close, b.members.len()) {
+                    Some(close) if close != b.close => {
+                        return Err("a held poll waits for another instant than the close".into())
+                    }
+                    Some(_) if now >= b.spec => {
+                        return Err("a poll at or past the close left the batch open".into())
+                    }
+                    Some(_) if lone_on_idle => {
+                        return Err("a lone member's poll on an idle device waited".into())
+                    }
+                    Some(_) => return Ok(()),
+                    None if now < b.spec && !lone_on_idle => {
+                        return Err("a poll flushed a batch before its close".into())
+                    }
+                    None => self.flush(lane)?,
+                }
+            }
+            let members = self.finished.get_mut(&id).ok_or("a ticket of no batch")?;
+            let at = members.iter().position(|&m| m == p);
+            members.remove(at.ok_or("a ticket redeemed twice")?);
+            if members.is_empty() {
+                self.finished.remove(&id);
+            }
+            self.redeemed[p] += 1;
+            Ok(())
+        }
+
+        /// Ends the run: `msnap_group_flush`, every joined participant
+        /// polls, and each was flushed in exactly one batch and redeemed
+        /// exactly once.
+        fn drain(mut self) -> Result<(), String> {
+            self.flush(0)?;
+            self.flush(1)?;
+            for p in 0..self.joined.len() {
+                if self.joined[p].is_some() && self.redeemed[p] == 0 {
+                    self.poll(p, Nanos::ZERO, Nanos::ZERO)?;
+                }
+                let want = u8::from(self.joined[p].is_some());
+                if (self.flushed[p], self.redeemed[p]) != (want, want) {
+                    return Err(format!(
+                        "participant {p} flushed or redeemed other than once"
+                    ));
+                }
+            }
+            match self.finished.is_empty() {
+                true => Ok(()),
+                false => Err("a finished batch was never drained".into()),
+            }
+        }
+    }
+
+    /// Explores every call from `m` — each participant's enqueue, then its
+    /// polls until it redeems, and `msnap_group_flush` — with `now` and
+    /// `idle_at` each one before, at and one after the close, and checks
+    /// each step and a drain of every state reached.
+    fn explore_hold(
+        m: &HoldModel,
+        lanes: &[usize],
+        path: &mut Vec<String>,
+        seen: &mut HashSet<HoldModel>,
+    ) {
+        if !seen.insert(m.clone()) {
+            return;
+        }
+        if let Err(e) = m.clone().drain() {
+            panic!("{e}: {path:?}, then a drain");
+        }
+        let around = |c: Nanos| [c - Nanos::from_ns(1), c, c + Nanos::from_ns(1)];
+        let pairs = |c: Nanos| {
+            around(c)
+                .into_iter()
+                .flat_map(move |now| around(c).map(move |idle| (now, idle)))
+        };
+        let mut next: Vec<(String, HoldModel, Result<(), String>)> = Vec::new();
+        for (p, &lane) in lanes.iter().enumerate() {
+            let mut try_call = |what: &str, now: Nanos, idle: Nanos| {
+                let mut n = m.clone();
+                let r = match m.joined[p] {
+                    None => n.enqueue(p, lane, now, idle),
+                    Some(_) => n.poll(p, now, idle),
+                };
+                next.push((format!("{what} p{p} now {now:?} idle {idle:?}"), n, r));
+            };
+            match m.joined[p] {
+                None => match &m.open[lane] {
+                    Some(b) => {
+                        pairs(b.close).for_each(|(now, idle)| try_call("enqueue", now, idle))
+                    }
+                    None => {
+                        let now = Nanos::from_ns(10);
+                        for idle in around(now + MODEL_WINDOW) {
+                            try_call("enqueue", now, idle);
+                        }
+                    }
+                },
+                Some((lane, id)) if m.redeemed[p] == 0 => {
+                    match m.open[lane].as_ref().filter(|b| b.id == id) {
+                        Some(b) => {
+                            pairs(b.close).for_each(|(now, idle)| try_call("poll", now, idle))
+                        }
+                        None => try_call("poll", Nanos::ZERO, Nanos::ZERO),
+                    }
+                }
+                Some(_) => {}
+            }
+        }
+        let mut n = m.clone();
+        let r = n.flush(0).and_then(|()| n.flush(1));
+        next.push(("msnap_group_flush".into(), n, r));
+        for (call, n, r) in next {
+            path.push(call);
+            if let Err(e) = r {
+                panic!("{e}: {path:?}");
+            }
+            explore_hold(&n, lanes, path, seen);
+            path.pop();
+        }
+    }
+
+    /// The hold, enumerated (ROADMAP item 6): every interleaving of
+    /// enqueues, polls and `msnap_group_flush` calls by up to three
+    /// participants on one or two lanes, carried out through `hold` and
+    /// `close_at` alone. Each participant is flushed in exactly one batch
+    /// and redeems exactly once; no batch flushes before its close unless
+    /// a lone member polls on an idle device (or the flush is forced); a
+    /// late enqueuer flushes the stale batch before it joins a new one;
+    /// and the flusher is the first caller at or past the close.
+    #[test]
+    fn the_hold_flushes_every_participant_once_and_never_early() {
+        let mut states = 0;
+        for n in 1..=3usize {
+            for map in 0..1usize << n {
+                let lanes: Vec<usize> = (0..n).map(|p| (map >> p) & 1).collect();
+                let mut seen = HashSet::new();
+                explore_hold(&HoldModel::new(n), &lanes, &mut Vec::new(), &mut seen);
+                states += seen.len();
+            }
+        }
+        assert!(states > 4_000, "{states} states");
     }
 }

@@ -81,11 +81,12 @@ impl Default for PersistFlags {
 /// and redeemed — exactly once — with
 /// [`MemSnap::msnap_group_poll`](crate::MemSnap::msnap_group_poll).
 ///
-/// The ticket is opaque: it identifies the batch the caller joined and the
-/// caller's slot within it. Polling a ticket twice reports
-/// [`MsnapError::BadDescriptor`].
+/// The ticket is opaque: it identifies the coalescing lane and batch the
+/// caller joined and the caller's slot within it. Polling a ticket twice
+/// reports [`MsnapError::BadDescriptor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitTicket {
+    pub(crate) lane: u64,
     pub(crate) batch: u64,
     pub(crate) participant: u32,
 }

@@ -241,4 +241,40 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].payload, b"good");
     }
+
+    /// Every single-bit flip of a logged and synced record's frame —
+    /// length word, checksum, payload — ends replay before that record:
+    /// the records before it come back, never a wrong one, never a panic.
+    #[test]
+    fn a_flipped_bit_in_a_record_frame_ends_replay_before_it() {
+        let payloads: [&[u8]; 3] = [
+            b"first",
+            b"the second record, long enough for every hash lane",
+            b"third",
+        ];
+        let start = 16 + payloads[0].len() as u64;
+        let frame = 16 + payloads[1].len() as u64;
+        for bit in 0..frame * 8 {
+            let (mut fs, mut disk, mut vt) = setup();
+            let mut wal = WriteAheadLog::create(&mut vt, &mut fs, "wal");
+            for payload in payloads {
+                wal.append(&mut vt, &mut disk, &mut fs, payload);
+            }
+            wal.sync(&mut vt, &mut disk, &mut fs);
+            let at = start + bit / 8;
+            let mut byte = [0u8];
+            fs.read(&mut vt, &mut disk, wal.fd(), at, &mut byte);
+            byte[0] ^= 1 << (bit % 8);
+            fs.write(&mut vt, &mut disk, wal.fd(), at, &byte);
+            wal.sync(&mut vt, &mut disk, &mut fs);
+
+            let mut wal = WriteAheadLog::attach(&fs, "wal").unwrap();
+            let records = wal.replay(&mut vt, &mut disk, &mut fs);
+            let want = [WalRecord {
+                payload: payloads[0].to_vec(),
+            }];
+            assert_eq!(records, want, "bit {bit} of the second frame flipped");
+            assert_eq!(wal.len(), start, "appends resume after the first record");
+        }
+    }
 }

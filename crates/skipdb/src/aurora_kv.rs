@@ -7,11 +7,12 @@
 //! shadows the whole mapping, flushes, and collapses — and checkpoints of
 //! the region serialize.
 
+use memsnap::MsnapError;
 use msnap_aurora::{Aurora, AuroraRegionId};
 use msnap_disk::Disk;
 use msnap_sim::{Meters, Nanos, Vt};
 
-use crate::kv::{Kv, KvStats};
+use crate::kv::{Kv, KvError, KvStats};
 use crate::plist::PersistentSkipList;
 
 /// The Aurora-checkpointed skip-list store. See the module docs.
@@ -45,20 +46,21 @@ impl AuroraKv {
     /// Restores after a crash, rebuilding the volatile index by walking
     /// the persistent list.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `disk` holds no Aurora store.
-    pub fn restore(disk: Disk, threads_running: u32, vt: &mut Vt) -> Self {
-        let mut aurora = Aurora::restore(vt, disk).expect("device holds an Aurora store");
-        let region = aurora.region("memtable").expect("memtable region exists");
+    /// The store's error if `disk` holds no Aurora store, or
+    /// `BadDescriptor` if the format's MemTable region is not durable.
+    pub fn restore(disk: Disk, threads_running: u32, vt: &mut Vt) -> Result<Self, KvError> {
+        let mut aurora = Aurora::restore(vt, disk).map_err(MsnapError::from)?;
+        let region = aurora.region("memtable").ok_or(MsnapError::BadDescriptor)?;
         let capacity_pages = aurora.region_pages(region);
         let list = PersistentSkipList::restore(&mut aurora, region, capacity_pages, vt);
-        AuroraKv {
+        Ok(AuroraKv {
             aurora,
             list,
             threads_running,
             stats: KvStats::default(),
-        }
+        })
     }
 
     /// Simulates a power failure; pass the device to
@@ -119,7 +121,7 @@ impl Kv for AuroraKv {
 mod tests {
     use super::*;
     use memsnap::PAGE_SIZE;
-    use msnap_disk::DiskConfig;
+    use msnap_disk::{crash_at_every_io, DiskConfig};
 
     fn fresh() -> (AuroraKv, Vt) {
         let mut vt = Vt::new(0);
@@ -147,7 +149,7 @@ mod tests {
         }
         let disk = kv.crash(vt.now());
         let mut vt2 = Vt::new(1);
-        let mut kv2 = AuroraKv::restore(disk, 12, &mut vt2);
+        let mut kv2 = AuroraKv::restore(disk, 12, &mut vt2).unwrap();
         assert_eq!(kv2.len(), 50);
         kv2.put(&mut vt2, 1_000, b"after").unwrap();
         let region = kv2.aurora.region("memtable").unwrap();
@@ -223,6 +225,68 @@ mod tests {
                 .unwrap();
             assert!(a == m, "node page {page} differs between the two variants");
         }
+    }
+
+    /// The crash sweep (ROADMAP item 25): power-fail a format and eight
+    /// puts — seven keys on their own node pages, then an update — at
+    /// every IO boundary. A crash before the format (its MemTable region)
+    /// is durable restores as a typed error; any other holds the state of
+    /// a prefix of the puts that covers every put acknowledged by the
+    /// crash, and takes a new key.
+    #[test]
+    fn a_crash_at_every_io_recovers_a_prefix_of_the_puts() {
+        let puts: [(u64, &[u8]); 8] = [
+            (50, b"fifty"),
+            (10, b"ten"),
+            (90, b"ninety"),
+            (30, b"thirty"),
+            (70, b"seventy"),
+            (20, b"twenty"),
+            (80, b"eighty"),
+            (10, b"ten, now a longer value"),
+        ];
+        let run = |acks: &mut Vec<Nanos>| {
+            let mut vt = Vt::new(0);
+            let mut kv = AuroraKv::format(Disk::new(DiskConfig::paper()), 64, 12, &mut vt);
+            for (key, value) in puts {
+                kv.put(&mut vt, key, value).unwrap();
+                acks.push(vt.now());
+            }
+            kv.aurora.into_disk()
+        };
+        let mut acks = Vec::new();
+        run(&mut acks);
+        let state = |n: usize| -> Vec<(u64, Vec<u8>)> {
+            let map: std::collections::BTreeMap<u64, &[u8]> = puts[..n].iter().copied().collect();
+            map.into_iter().map(|(k, v)| (k, v.to_vec())).collect()
+        };
+        let points = crash_at_every_io(
+            || run(&mut Vec::new()),
+            |disk, at| {
+                let acked = acks.iter().filter(|&&t| t <= at).count();
+                let mut vt = Vt::new(1);
+                let mut kv = match AuroraKv::restore(disk, 12, &mut vt) {
+                    Ok(kv) => kv,
+                    Err(e) => {
+                        assert_eq!(
+                            acked, 0,
+                            "restore at {at:?} failed ({e}) after {acked} acks"
+                        );
+                        return;
+                    }
+                };
+                let got = kv.seek(&mut vt, 0, usize::MAX);
+                let n = (0..=puts.len()).find(|&n| state(n) == got);
+                let n = n.unwrap_or_else(|| panic!("crash at {at:?} recovered {got:?}"));
+                assert!(
+                    n >= acked,
+                    "crash at {at:?}: {n} puts recovered, {acked} acked"
+                );
+                kv.put(&mut vt, 1_000, b"after").unwrap();
+                assert_eq!(kv.get(&mut vt, 1_000), Some(b"after".to_vec()));
+            },
+        );
+        assert!(points > 2 * puts.len(), "{points} crash points");
     }
 
     #[test]
