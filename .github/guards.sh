@@ -43,7 +43,7 @@ guard_pin() {
     local n
     n=$(grep -rn 'msnap_snapshot_object' crates/repl/src | wc -l)
     if [ "$n" -ne 1 ]; then
-        echo "crates/repl/src must call msnap_snapshot_object exactly once (ReplEngine::pin_live), found $n" >&2
+        echo "crates/repl/src must call msnap_snapshot_object exactly once (pin_live in engine/ship.rs), found $n" >&2
         return 1
     fi
 }
@@ -96,7 +96,7 @@ guard_reader_decode() {
 # counted here.
 guard_unwrap_ceiling() {
     local crate max n bad=0
-    local ceilings='aurora 2 core 5 disk 5 fs 1 litedb 5 pgdb 25 pindex 16 repl 4 serve 4 sim 5 skipdb 17 snap 0 store 20 vm 1 workloads 0'
+    local ceilings='aurora 2 core 5 disk 5 fs 1 litedb 5 pgdb 25 pindex 16 repl 0 serve 4 sim 5 skipdb 16 snap 0 store 20 vm 1 workloads 0'
     for crate in crates/*/; do
         crate=${crate#crates/}
         crate=${crate%/}
@@ -163,6 +163,25 @@ guard_one_hold() {
             /(submit_at|idle_at\(\)|coalesce_window)/ && (/ (<|>|<=|>=|==|!=) / || /\.max\(/) { print FILENAME ":" FNR ": " $0; found = 1 }
             END { exit !found }' crates/core/src/*.rs; then
         echo "the group-commit hold lives in one rule: compare submit_at, idle_at() and coalesce_window only inside hold and close_at in crates/core/src/commit.rs" >&2
+        return 1
+    fi
+}
+
+# Each replication ship is decided once, in ship.rs's pure plan (and
+# the anchor rule, is_anchor): above the tests of the engine's modules,
+# no other code line compares DROP_BASE_LAG or reads the replica's
+# length or retained epochs; a field declaration or a plain assignment
+# (drain_up recording what the replica reported) is no decision.
+guard_one_ship_plan() {
+    if awk '/^#\[cfg\(test\)\]/ { nextfile }
+            FNR == 1 { rule = 0 }
+            /^fn (plan|is_anchor)\(/ { rule = 1 }
+            rule { if (/^}/) rule = 0; next }
+            /^[[:space:]]*\/\// { next }
+            /DROP_BASE_LAG/ && / (<|>|<=|>=|==|!=) / { print FILENAME ":" FNR ": " $0; found = 1; next }
+            /(remote_len|retained_remote)/ && !/^[[:space:]]*(pub\(super\) )?[a-z_.]*(remote_len|retained_remote)(: | = [^=])/ { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' crates/repl/src/engine.rs crates/repl/src/engine/*.rs; then
+        echo "each replication ship is decided in one plan: compare DROP_BASE_LAG and read remote_len and retained_remote only inside plan in crates/repl/src/engine/ship.rs (and is_anchor)" >&2
         return 1
     fi
 }
@@ -552,6 +571,7 @@ perturbations() {
     perturb one_node_list crates/skipdb/src/aurora_kv.rs '1i const NODE_LOCK: u64 = 25;'
     perturb one_plan crates/store/src/store/scrub.rs '1i fn due(window: u64) -> bool { window >= COMPACT_AFTER }'
     perturb one_hold crates/core/src/api.rs '1i fn late(now: Nanos, b: &OpenBatch) -> bool { now >= b.submit_at }'
+    perturb one_ship_plan crates/repl/src/engine/replica.rs '1i fn deep(lag: u64) -> bool { lag > DROP_BASE_LAG }'
     perturb unwrap_ceiling crates/snap/src/lib.rs '1i fn first(v: &[u8]) -> u8 { *v.first().unwrap() }'
     perturb pindex_carve crates/core/src/api.rs '$a // CARVE_MAGIC'
     perturb binary_manifest crates/core/src/manifest.rs '$a // @shards 4'

@@ -297,22 +297,16 @@ impl ReplicaNode {
     /// below it.
     pub(super) fn refresh_cut(&mut self) {
         // The sums depend only on the vector's width, which every
-        // announced cut of one reign shares: compute them once, not
-        // once per pending cut.
-        let mut sums: Option<Vec<Epoch>> = None;
+        // announced cut of one reign shares: compute them once per
+        // width, not once per pending cut.
+        let mut sums: BTreeMap<usize, Vec<Epoch>> = BTreeMap::new();
         let best = self
             .announced
             .iter()
             .rev()
             .find(|(_, c)| {
                 let n = c.epochs.len();
-                if n == 0 {
-                    return false;
-                }
-                if sums.as_ref().is_none_or(|s| s.len() != n) {
-                    sums = Some(self.shard_sums(n));
-                }
-                c.complete_under(sums.as_deref().expect("set above"))
+                n > 0 && c.complete_under(sums.entry(n).or_insert_with(|| self.shard_sums(n)))
             })
             .map(|(&seq, c)| (seq, c.clone()));
         if let Some((seq, cut)) = best {

@@ -112,7 +112,104 @@ pub(super) struct ObjShip {
     pub(super) dedup: DedupTable,
 }
 
+/// One (link, object) ship as [`plan`] decides it.
+#[derive(Debug)]
+enum Plan {
+    /// The commits' own record of `(span.0, live]` — `span` is the
+    /// replica's epoch and the object's length there — whose dirty
+    /// lines are `extents`, read from the live object.
+    Record {
+        span: (Epoch, u64),
+        extents: BTreeMap<u64, u64>,
+    },
+    /// A diff from `base` to the pinned live epoch, or the full image
+    /// for `None`; with `rejoin`, `base` is the link's anchor from here
+    /// on (else the anchor stays).
+    Diff {
+        base: Option<(String, Epoch)>,
+        rejoin: bool,
+    },
+}
+
+/// Decides one (link, object) ship from the link's facts alone, and
+/// whether it is an anchor ship ([`is_anchor`]), or `None` to ship
+/// nothing now: the one home of DESIGN.md §6e's rules. A diff pins its
+/// target, a record ship only as an anchor.
+/// - A ship in flight, a replica at `live`, or a link carrying
+///   [`MAX_LAG_BYTES`] ships nothing (flow control).
+/// - A lag deeper than [`DROP_BASE_LAG`] drops the anchor and ships the
+///   full image.
+/// - A link in good standing ships the commits' own record of
+///   `(remote, live]` when `record` proves the span.
+/// - Else a diff from the link's anchor, or from a primary snapshot at
+///   exactly `remote`. A divergent link (just re-attached: a numeric
+///   epoch match proves nothing about its content) diffs from the newest
+///   epoch both ends retain below `live` and below `pins_from` (from
+///   there up, this engine's pins hold history the peer cannot share),
+///   and that becomes its anchor. With no base, the full image.
+///
+/// `retained` names the primary's snapshot of the object at an epoch.
+fn plan(
+    os: &ObjShip,
+    live: Epoch,
+    pins_from: Option<Epoch>,
+    inflight_bytes: u64,
+    record: impl FnOnce() -> Option<BTreeMap<u64, u64>>,
+    retained: impl Fn(Epoch) -> Option<String>,
+) -> Option<(Plan, bool)> {
+    if os.inflight.is_some() || live <= os.remote || inflight_bytes >= MAX_LAG_BYTES {
+        return None;
+    }
+    let deep_lag = live.saturating_sub(os.remote) > DROP_BASE_LAG;
+    let standing = !deep_lag && !os.divergent && os.remote > 0;
+    if let Some(len) = os.remote_len.filter(|_| standing) {
+        if let Some(extents) = record() {
+            let anchor = is_anchor(Some(os.remote), live, os.remote);
+            let span = (os.remote, len);
+            return Some((Plan::Record { span, extents }, anchor));
+        }
+    }
+    let at = |epoch| Some((retained(epoch)?, epoch));
+    let below = pins_from.unwrap_or(Epoch::MAX).min(live);
+    let base = match (deep_lag, os.divergent) {
+        (true, _) => None,
+        (false, false) if os.remote == 0 => None,
+        (false, false) => os.base.clone().or_else(|| at(os.remote)),
+        (false, true) => {
+            let shared = os.retained_remote.iter().rev().filter(|&&e| e < below);
+            shared.copied().find_map(at)
+        }
+    };
+    let anchor = is_anchor(base.as_ref().map(|(_, epoch)| *epoch), live, os.remote);
+    let rejoin = deep_lag || os.divergent;
+    Some((Plan::Diff { base, rejoin }, anchor))
+}
+
+/// Pins `name`, the snapshot of `object` at its live epoch, unless the
+/// catalog holds it: its name is its identity, so links shipping the
+/// same epoch share it, and an engine finds what an earlier one left.
+/// Called for anchor ships and diffs only; [`ReplEngine::gc_snapshots`]
+/// drops the pin once no link holds it as its anchor.
+fn pin_live(
+    pins_from: &mut BTreeMap<ObjectId, Epoch>,
+    vt: &mut Vt,
+    ms: &mut MemSnap,
+    object: &str,
+    id: ObjectId,
+    name: &str,
+) -> Result<(), ReplError> {
+    let live = ms.store().epoch(id);
+    if ms.store().snapshot_lookup(name).is_none() {
+        ms.msnap_snapshot_object(vt, object, name)?;
+    }
+    pins_from.entry(id).or_insert(live);
+    Ok(())
+}
+
 impl ReplEngine {
+    /// Starts the ships [`plan`] decides, link by link and object by
+    /// object, and carries each out: the link's anchor, the pin, the
+    /// stream, its counts, and its first send.
     pub(super) fn ship(
         &mut self,
         vt: &mut Vt,
@@ -137,73 +234,35 @@ impl ReplEngine {
                 let (object, id) = (object.as_str(), *id);
                 let live = ms.store().epoch(id);
                 let link = &mut self.links[li];
-                if !link.ships.contains_key(object) {
-                    link.ships.insert(object.to_string(), ObjShip::default());
-                }
-                let os = link.ships.get_mut(object).expect("inserted above");
-                if os.inflight.is_some() || live <= os.remote {
+                let os = link.ships.entry(object.to_string()).or_default();
+                let pins_from = self.pins_from.get(&id).copied();
+                let record = || ms.subpage_extents(object, os.remote, live);
+                let retained = |epoch| retained_at(ms.store(), id, epoch);
+                let Some((plan, anchor)) =
+                    plan(os, live, pins_from, inflight_bytes, record, retained)
+                else {
                     continue;
-                }
-                if inflight_bytes >= MAX_LAG_BYTES {
-                    continue; // over budget: coalesce until acks free it
-                }
-                // A link lagging too far loses its anchor; its catch-up
-                // ships the full image instead.
-                let deep_lag = live.saturating_sub(os.remote) > DROP_BASE_LAG;
-                if deep_lag {
-                    os.base = None;
-                }
-                // A link in good standing ships what the commits
-                // themselves recorded: the pages and dirty lines of
-                // exactly (remote, live], read from the live object.
-                // Without a provable record (chain pruned, or a fence /
-                // repair / restore commit in the span) the ship rebases
-                // from the newest anchor both ends retain, else carries
-                // the full image — either way diffed from a pinned target.
-                let recorded = match os.remote_len {
-                    Some(len) if !deep_lag && !os.divergent && os.remote > 0 => ms
-                        .subpage_extents(object, os.remote, live)
-                        .map(|extents| ((os.remote, len), extents)),
-                    _ => None,
                 };
-                let base = match recorded {
-                    None if !deep_lag => {
-                        let pins_from = self.pins_from.get(&id).copied();
-                        Self::choose_base(pins_from, ms, id, os, live)
-                    }
-                    _ => None,
-                };
-                // A divergent link's base is an epoch both ends retain:
-                // its anchor until an anchor ship replaces it.
-                if os.divergent {
-                    os.base.clone_from(&base);
+                if let Plan::Diff { base, rejoin: true } = &plan {
+                    os.base.clone_from(base);
                 }
-                let base_epoch = match &recorded {
-                    Some((span, _)) => Some(span.0),
-                    None => base.as_ref().map(|(_, epoch)| *epoch),
-                };
-                let anchor = is_anchor(base_epoch, live, os.remote);
-                let pin = if anchor || recorded.is_none() {
-                    Some(self.pin_live(vt, ms, object, id)?)
-                } else {
-                    None
-                };
-                let link = &mut self.links[li];
-                let os = link.ships.get_mut(object).expect("inserted above");
+                let target = snap_name(PIN, id, live);
+                if anchor || matches!(plan, Plan::Diff { .. }) {
+                    pin_live(&mut self.pins_from, vt, ms, object, id, &target)?;
+                }
                 let stats_before = ms.store().stats();
                 let (store, disk) = ms.replication_parts();
                 let dedup = Some(&mut os.dedup);
-                let stream = match &recorded {
-                    Some((span, extents)) => {
+                let stream = match &plan {
+                    Plan::Record { span, extents } => {
                         // Ship only what is durable here: a replica must
                         // never run ahead of the primary's own device.
                         vt.wait_until(store.last_commit(id));
                         DeltaStream::build_live(vt, disk, store, id, *span, extents, dedup)?
                     }
-                    None => {
+                    Plan::Diff { base, .. } => {
                         let base = base.as_ref().map(|(name, _)| name.as_str());
-                        let target = pin.as_deref().expect("pinned above: no record");
-                        DeltaStream::build(vt, disk, store, base, target, dedup)?
+                        DeltaStream::build(vt, disk, store, base, &target, dedup)?
                     }
                 };
                 let stats_after = ms.store().stats();
@@ -215,7 +274,7 @@ impl ReplEngine {
                 } else {
                     link.metrics.delta_syncs += 1;
                 }
-                link.metrics.recorded_syncs += u64::from(recorded.is_some());
+                link.metrics.recorded_syncs += u64::from(matches!(plan, Plan::Record { .. }));
                 let savings = stream.wire_savings();
                 link.metrics.subpage_frames += savings.subpage_frames;
                 link.metrics.wire_bytes_saved_dedup += savings.dedup_saved;
@@ -223,7 +282,7 @@ impl ReplEngine {
                 let now = vt.now();
                 let ship = Ship {
                     id: self.next_ship,
-                    anchor: pin.filter(|_| anchor),
+                    anchor: anchor.then_some(target),
                     stream,
                     created_at: now,
                     last_send: now,
@@ -239,64 +298,6 @@ impl ReplEngine {
             }
         }
         Ok(())
-    }
-
-    /// Finds or pins the snapshot of `object` at its live epoch. Its name
-    /// is its identity, so links shipping the same epoch share it, and an
-    /// engine finds what an earlier one left. Called for anchor ships and
-    /// for ships diffed from a snapshot pair only;
-    /// [`ReplEngine::gc_snapshots`] drops the pin once no link holds it as
-    /// its anchor.
-    fn pin_live(
-        &mut self,
-        vt: &mut Vt,
-        ms: &mut MemSnap,
-        object: &str,
-        id: ObjectId,
-    ) -> Result<String, ReplError> {
-        let live = ms.store().epoch(id);
-        let name = snap_name(PIN, id, live);
-        if ms.store().snapshot_lookup(&name).is_none() {
-            ms.msnap_snapshot_object(vt, object, &name)?;
-        }
-        self.pins_from.entry(id).or_insert(live);
-        Ok(name)
-    }
-
-    /// Picks the retained base snapshot for a ship that cannot be built
-    /// from the commits' record, or `None` for a full image.
-    ///
-    /// For a link in good standing the base is its rejoin anchor — the
-    /// replica retains the same epoch and rebases onto it — or else any
-    /// primary snapshot pinned at exactly the replica's epoch. For a
-    /// divergent link — one that just (re-)attached — a numeric epoch
-    /// match proves nothing about content, so the base must be an epoch
-    /// *both* sides retain from common history: the newest
-    /// replica-retained epoch the primary also retains below `pins_from`,
-    /// where this engine's own pins of the object start.
-    fn choose_base(
-        pins_from: Option<Epoch>,
-        ms: &MemSnap,
-        id: ObjectId,
-        os: &ObjShip,
-        target_epoch: Epoch,
-    ) -> Option<(String, Epoch)> {
-        if !os.divergent {
-            if os.remote == 0 {
-                return None;
-            }
-            let at_remote = || Some((retained_at(ms.store(), id, os.remote)?, os.remote));
-            return os.base.clone().or_else(at_remote);
-        }
-        // Divergent: restrict to epochs predating the engine's own pins
-        // (which hold post-promotion history the peer cannot share) and
-        // retained on both sides.
-        let pins_from = pins_from.unwrap_or(Epoch::MAX);
-        os.retained_remote
-            .iter()
-            .rev()
-            .filter(|&&e| e < target_epoch && e < pins_from)
-            .find_map(|&e| Some((retained_at(ms.store(), id, e)?, e)))
     }
 
     /// The one GC pass, over the catalog's replication snapshots: each
@@ -329,5 +330,222 @@ impl ReplEngine {
                 let _ = ms.msnap_snapshot_delete(vt, &snap.name);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use msnap_snap::StreamHeader;
+    use std::cell::Cell;
+
+    /// One small state of a (link, object): what [`plan`] decides from.
+    #[derive(Debug)]
+    struct State {
+        remote: Epoch,
+        live: Epoch,
+        remote_len: Option<u64>,
+        divergent: bool,
+        proven: bool,
+        anchor: Option<(String, Epoch)>,
+        primary: Vec<Epoch>,
+        replica: Vec<Epoch>,
+        pins_from: Option<Epoch>,
+        /// A ship in flight.
+        inflight: bool,
+        inflight_bytes: u64,
+    }
+
+    /// A ship in flight, as far as `plan` looks at one: that it is there.
+    fn in_flight() -> Ship {
+        let header = StreamHeader {
+            object: "o".into(),
+            base_epoch: None,
+            target_epoch: 1,
+            len_pages: 1,
+            frame_count: 0,
+        };
+        let trailer = StreamTrailer {
+            frames: 0,
+            stream_sum: 0,
+        };
+        Ship {
+            id: 0,
+            anchor: None,
+            stream: DeltaStream {
+                header,
+                frames: Vec::new(),
+                trailer,
+            },
+            created_at: Nanos::ZERO,
+            last_send: Nanos::ZERO,
+            wanted: None,
+            resent: false,
+        }
+    }
+
+    /// The primary's snapshot name at `epoch` in these states.
+    fn pin(epoch: Epoch) -> (String, Epoch) {
+        (format!("p{epoch}"), epoch)
+    }
+
+    /// Plans `s` and checks DESIGN.md §6e's rules, read straight from the
+    /// state, against the plan; `Err` names the broken rule.
+    fn check(s: &State) -> Result<(), String> {
+        let os = ObjShip {
+            remote: s.remote,
+            remote_len: s.remote_len,
+            retained_remote: s.replica.clone(),
+            base: s.anchor.clone(),
+            inflight: s.inflight.then(in_flight),
+            divergent: s.divergent,
+            ..ObjShip::default()
+        };
+        let (read_record, read_catalog) = (Cell::new(false), Cell::new(false));
+        let record = || {
+            read_record.set(true);
+            s.proven.then(BTreeMap::new)
+        };
+        let retained = |epoch| {
+            read_catalog.set(true);
+            s.primary.contains(&epoch).then(|| pin(epoch).0)
+        };
+        let got = plan(&os, s.live, s.pins_from, s.inflight_bytes, record, retained);
+        let fail = |rule: &str| Err(format!("{rule}: planned {got:?}"));
+        let (remote, live) = (s.remote, s.live);
+        let skip = s.inflight || live <= remote || s.inflight_bytes >= MAX_LAG_BYTES;
+        let deep = live.saturating_sub(remote) > DROP_BASE_LAG;
+        let standing = remote > 0 && s.remote_len.is_some() && !s.divergent && !deep;
+        let stride = DROP_BASE_LAG / 2;
+        let anchor_from = |base: Option<Epoch>| {
+            base.is_none_or(|base| base != remote || live / stride > base / stride)
+        };
+        match &got {
+            None if skip => Ok(()),
+            None => fail("an idle link under its byte budget and behind shipped nothing"),
+            Some(_) if skip => {
+                fail("a link with a ship in flight, at its byte budget or caught up shipped")
+            }
+            Some(_) if read_record.get() && !standing => {
+                fail("the record was read for a link not in good standing")
+            }
+            Some((Plan::Record { span, .. }, anchor)) => {
+                if !(standing && s.proven) {
+                    fail("a record ship without good standing and a proven span")
+                } else if *span != (remote, s.remote_len.unwrap_or(0)) {
+                    fail("a record ship's span is not (remote, the length there)")
+                } else if *anchor != anchor_from(Some(remote)) {
+                    fail("a record ship pins as an anchor exactly when its span crosses a stride")
+                } else {
+                    Ok(())
+                }
+            }
+            Some((Plan::Diff { base, rejoin }, anchor)) => {
+                let below = s.pins_from.unwrap_or(Epoch::MAX).min(live);
+                let shared = s.replica.iter().rev().copied();
+                let mut shared = shared.filter(|&e| e < below && s.primary.contains(&e));
+                let want = if deep {
+                    None
+                } else if s.divergent {
+                    shared.next().map(pin)
+                } else if remote == 0 {
+                    None
+                } else {
+                    let at_remote = s.primary.contains(&remote).then(|| pin(remote));
+                    s.anchor.clone().or(at_remote)
+                };
+                // The link's anchor once the plan is carried out.
+                let next_anchor = if *rejoin {
+                    base.clone()
+                } else {
+                    s.anchor.clone()
+                };
+                let want_anchor = if deep || s.divergent {
+                    want.clone()
+                } else {
+                    s.anchor.clone()
+                };
+                if standing && s.proven {
+                    fail("a link in good standing with a proven span did not ship its record")
+                } else if deep && (base.is_some() || next_anchor.is_some() || read_catalog.get()) {
+                    fail("deep lag kept its anchor or took a catalog base")
+                } else if *base != want && s.divergent {
+                    fail("a divergent link's base is not the newest epoch both ends retain below the target and pins_from")
+                } else if *base != want {
+                    fail("a link in good standing did not rebase from its anchor, else a pin at exactly remote")
+                } else if next_anchor != want_anchor {
+                    fail("the anchor changed other than by deep lag or a divergent link's base")
+                } else if *anchor != anchor_from(base.as_ref().map(|(_, e)| *e)) {
+                    fail("a diff is an anchor unless it steps from remote within one stride")
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    /// The members of `epochs` whose bits are set in `mask`.
+    fn subset(epochs: &[Epoch], mask: u32) -> Vec<Epoch> {
+        let mut out: Vec<Epoch> = (0..epochs.len())
+            .filter(|&i| mask >> i & 1 == 1)
+            .map(|i| epochs[i])
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Drives `plan` alone, with no device and no store, over every small
+    /// state of one (link, object): the replica at 0 or at an epoch, lags
+    /// of none, 1, a stride, [`DROP_BASE_LAG`] and one more, every subset
+    /// of four epochs (below, at and above the replica's) on either end,
+    /// `pins_from` absent, at the replica's epoch or above the target,
+    /// and the link idle, in flight or at its byte budget. The pin rule
+    /// rides on the variants: a diff always pins its target, a record
+    /// ship only as an anchor.
+    #[test]
+    fn the_ship_plan_keeps_every_ship_rule_in_every_small_state() {
+        let mut states = 0u64;
+        for remote in [0, 40] {
+            for lag in [0, 1, DROP_BASE_LAG / 2, DROP_BASE_LAG, DROP_BASE_LAG + 1] {
+                let live = remote + lag;
+                let epochs = [
+                    remote.saturating_sub(2),
+                    remote,
+                    live.saturating_sub(1),
+                    live,
+                ];
+                for (primary, replica) in (0..16).flat_map(|p| (0..16).map(move |q| (p, q))) {
+                    for pins_from in [None, Some(remote), Some(live + 1)] {
+                        for bits in 0..48u32 {
+                            let busy = bits / 16;
+                            let s = State {
+                                remote,
+                                live,
+                                remote_len: (bits & 1 == 1).then_some(3),
+                                divergent: bits & 2 != 0,
+                                proven: bits & 4 != 0,
+                                anchor: (bits & 8 != 0)
+                                    .then(|| ("a".into(), remote.saturating_sub(2))),
+                                primary: subset(&epochs, primary),
+                                replica: subset(&epochs, replica),
+                                pins_from,
+                                inflight: busy == 1,
+                                inflight_bytes: if busy == 2 {
+                                    MAX_LAG_BYTES
+                                } else {
+                                    MAX_LAG_BYTES - 1
+                                },
+                            };
+                            if let Err(rule) = check(&s) {
+                                panic!("{rule}\nat {s:?}");
+                            }
+                            states += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(states, 2 * 5 * 256 * 3 * 48);
     }
 }

@@ -50,7 +50,7 @@ impl AuroraKv {
     ///
     /// The store's error if `disk` holds no Aurora store, or
     /// `BadDescriptor` if the format's MemTable region is not durable.
-    pub fn restore(disk: Disk, threads_running: u32, vt: &mut Vt) -> Result<Self, KvError> {
+    pub fn restore(disk: Disk, threads_running: u32, vt: &mut Vt) -> Result<Self, MsnapError> {
         let mut aurora = Aurora::restore(vt, disk).map_err(MsnapError::from)?;
         let region = aurora.region("memtable").ok_or(MsnapError::BadDescriptor)?;
         let capacity_pages = aurora.region_pages(region);
@@ -82,13 +82,13 @@ impl AuroraKv {
 }
 
 impl Kv for AuroraKv {
-    fn put(&mut self, vt: &mut Vt, key: u64, value: &[u8]) -> Result<(), crate::KvError> {
+    fn put(&mut self, vt: &mut Vt, key: u64, value: &[u8]) -> Result<(), KvError> {
         self.list.insert_volatile(&mut self.aurora, vt, key, value);
         self.checkpoint(vt);
         Ok(())
     }
 
-    fn multi_put(&mut self, vt: &mut Vt, pairs: &[(u64, Vec<u8>)]) -> Result<(), crate::KvError> {
+    fn multi_put(&mut self, vt: &mut Vt, pairs: &[(u64, Vec<u8>)]) -> Result<(), KvError> {
         for (key, value) in pairs {
             self.list.insert_volatile(&mut self.aurora, vt, *key, value);
         }
@@ -272,6 +272,8 @@ mod tests {
                             acked, 0,
                             "restore at {at:?} failed ({e}) after {acked} acks"
                         );
+                        // A failed restore reads as one, not as a write.
+                        assert!(!e.to_string().contains("write"), "restore error: {e}");
                         return;
                     }
                 };

@@ -95,7 +95,7 @@ impl<R: NodePages> PersistentSkipList<R> {
     pub fn restore(on: &mut R::On, region: R, capacity: u64, vt: &mut Vt) -> Self {
         let mut index = SkipIndex::new(0);
         let mut max_page = 0;
-        Self::walk(on, region, vt, |vt, page, node| {
+        Self::walk(on, region, capacity, vt, |vt, page, node| {
             index.insert(vt, node.key, page);
             max_page = max_page.max(page);
         });
@@ -107,20 +107,29 @@ impl<R: NodePages> PersistentSkipList<R> {
         }
     }
 
-    /// Walks the persistent linked list of `region` from the head, in
-    /// key order, handing `visit` each node and its page.
+    /// Walks the persistent linked list of `region` (`capacity` pages)
+    /// from the head, in key order, handing `visit` each node and its
+    /// page. A link that leads past the region, to a page that is not a
+    /// node, or to a key not above the last ends the list: damage the
+    /// store's digest cannot see ends the walk, as a torn record ends a
+    /// log's replay, and can neither panic nor loop it.
     pub fn walk(
         on: &mut R::On,
         region: R,
+        capacity: u64,
         vt: &mut Vt,
         mut visit: impl FnMut(&mut Vt, u64, NodeView),
     ) {
         let mut buf = [0u8; PAGE];
         region.read(on, vt, 0, 0, &mut buf);
-        let mut next = decode_head(&buf).unwrap_or(0);
-        while next != 0 {
+        let (mut next, mut last) = (decode_head(&buf).unwrap_or(0), None);
+        while next != 0 && next < capacity {
             region.read(on, vt, next, 0, &mut buf);
-            let node = decode_node(&buf).expect("linked list points at valid nodes");
+            let ascends = |node: &NodeView| last.is_none_or(|key| node.key > key);
+            let Some(node) = decode_node(&buf).filter(ascends) else {
+                break;
+            };
+            last = Some(node.key);
             let page = std::mem::replace(&mut next, node.next);
             visit(vt, page, node);
         }
