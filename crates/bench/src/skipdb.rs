@@ -212,7 +212,8 @@ pub fn torture_memsnap(
     let disk = kv.crash(crash_at);
 
     let mut vt2 = Vt::new(u32::MAX - 1);
-    let mut restored = MemSnapKv::restore(disk, &mut vt2);
+    let mut restored =
+        MemSnapKv::restore(disk, &mut vt2).expect("the format is durable before the fill");
     let all = restored.seek(&mut vt2, 0, keys as usize + 8);
     let recovered_sum: u64 = all
         .iter()
@@ -334,7 +335,8 @@ pub fn run_replicated_kv(cfg: &KvReplConfig) -> KvReplReport {
     let promo = eng.promote("standby").expect("the standby is attached");
     let mut vt2 = promo.vt;
     let promoted_at = vt2.now();
-    let mut kv2 = MemSnapKv::restore(promo.disk, &mut vt2);
+    let mut kv2 =
+        MemSnapKv::restore(promo.disk, &mut vt2).expect("the promoted store holds the memtable");
     let probe = cfg.keys_per_batch.saturating_sub(1);
     let first_read = kv2.get(&mut vt2, probe);
     let failover_latency = vt2.now().saturating_sub(promoted_at);

@@ -12,13 +12,14 @@ mod ship;
 
 pub use replica::ReplicaNode;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use memsnap::{MemSnap, MsnapError};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::{Meters, Nanos, NetConfig, SimLink, Vt};
 use msnap_snap::{
-    retained_at, ApplySession, DedupTable, DeltaStream, Frame, SnapError, StreamTrailer,
+    retained_at, ApplySession, DedupTable, DeltaStream, Frame, SnapError, StreamHeader,
+    StreamTrailer,
 };
 use msnap_store::{
     digest32, shard_of_name, Epoch, ObjectId, ObjectStore, ScrubStats, SnapEntry, StoreError,
@@ -84,6 +85,14 @@ const ANCHOR: &str = "rk-";
 /// Epoch gap a promotion fence jumps, so a new primary's epochs stay
 /// disjoint from the failed primary's unacknowledged history.
 const FENCE_GAP: u64 = 16;
+/// Ships a link stays lossy for after it last showed loss: the replica
+/// acknowledges each twice, the primary keeps a window of them in
+/// flight. A lossy link shows loss again long before (on `repl-wan`,
+/// every few ships); a slow `Ack` on a calm link costs only this many.
+const LOSS_MEMORY: u32 = 64;
+/// Commits a ship behind ones in flight carries at least, unless the lag
+/// stopped the committer: its `Begin` and `End` cost two one-line commits.
+const WINDOW_SPAN: u64 = 3;
 
 /// Errors raised by the replication engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -401,6 +410,9 @@ struct Link {
     /// Acknowledgement lag of the ships never sent twice: the link's
     /// round trip, apply included, which times its tail-loss probes.
     rtt: Estimator,
+    /// Ships that may still start behind ones in flight: [`LOSS_MEMORY`]
+    /// when the link last showed loss (a `Nak`, a fired probe), less one a ship.
+    window_ships: u32,
     meters: Meters,
     metrics: LinkMetrics,
 }
@@ -496,6 +508,7 @@ impl ReplEngine {
             repair_sent: BTreeMap::new(),
             last_cut_sent: None,
             rtt: Estimator::default(),
+            window_ships: 0,
             meters: Meters::new(),
             metrics: LinkMetrics::default(),
         });
@@ -642,14 +655,13 @@ impl ReplEngine {
                         Msg::Hello { objects } => {
                             link.known = true;
                             for status in objects {
-                                let os = link.ships.entry(status.name).or_default();
-                                os.remote = status.epoch;
-                                os.remote_len = None;
-                                os.retained_remote = status.retained;
-                                os.inflight = None;
-                                os.base = None;
-                                os.divergent = true;
-                                os.dedup.clear();
+                                let os = ObjShip {
+                                    remote: status.epoch,
+                                    retained_remote: status.retained,
+                                    divergent: true,
+                                    ..ObjShip::default()
+                                };
+                                link.ships.insert(status.name, os);
                             }
                         }
                         Msg::Ack {
@@ -664,28 +676,30 @@ impl ReplEngine {
                                 os.remote = epoch;
                                 os.remote_len = None;
                             }
-                            if os.inflight.as_ref().is_some_and(|s| s.id == ship) {
-                                if let Some(ship) = os.inflight.take() {
-                                    let lag = vt.now().saturating_sub(ship.created_at);
-                                    link.meters.record("repl_ack_lag", lag);
-                                    if !ship.resent && lag > Nanos::ZERO {
-                                        link.rtt.sample(lag);
-                                    }
-                                    let header = &ship.stream.header;
-                                    if header.target_epoch == os.remote {
-                                        os.remote_len = Some(header.len_pages);
-                                    }
-                                    if let Some(name) = ship.anchor {
-                                        os.base = Some((name, header.target_epoch));
-                                    }
-                                    os.divergent = false;
-                                    // The receiver applied the ship, so it
-                                    // inserted the same payload images —
-                                    // the staged entries are now shared.
-                                    os.dedup.commit();
-                                    link.metrics.acks += 1;
-                                    report.acks += 1;
+                            // The replica lands an object's ships in order,
+                            // so an Ack covers every older one in flight.
+                            let acked = os.inflight.iter().take_while(|s| s.id <= ship).count();
+                            for done in os.inflight.drain(..acked) {
+                                let lag = vt.now().saturating_sub(done.created_at);
+                                link.meters.record("repl_ack_lag", lag);
+                                let own = done.id == ship && !done.resent && !done.held;
+                                if own && lag > Nanos::ZERO {
+                                    link.rtt.sample(lag);
                                 }
+                                let header = &done.stream.header;
+                                if header.target_epoch == os.remote {
+                                    os.remote_len = Some(header.len_pages);
+                                }
+                                if let Some(name) = done.anchor {
+                                    os.base = Some((name, header.target_epoch));
+                                }
+                                os.divergent = false;
+                                // The receiver applied the ship, so it
+                                // inserted the same payload images — the
+                                // ship's staged entries are now shared.
+                                os.dedup.commit();
+                                link.metrics.acks += 1;
+                                report.acks += 1;
                             }
                         }
                         Msg::Nak {
@@ -693,12 +707,30 @@ impl ReplEngine {
                             begin,
                             missing,
                         } => {
-                            let mut inflight = link
-                                .ships
-                                .values_mut()
-                                .filter_map(|os| os.inflight.as_mut());
-                            if let Some(s) = inflight.find(|s| s.id == ship) {
-                                s.wanted = Some((begin, missing));
+                            link.window_ships = LOSS_MEMORY;
+                            let found = link.ships.values_mut().find_map(|os| {
+                                let at = os.inflight.iter().position(|s| s.id == ship)?;
+                                Some((os, at))
+                            });
+                            let Some((os, at)) = found else {
+                                continue;
+                            };
+                            if begin || !missing.is_empty() {
+                                os.inflight[at].wanted = Some((begin, missing));
+                                continue;
+                            }
+                            // Whole, but held for its base: it needs no
+                            // probe, and its lag is one of the link's. Each
+                            // ship sent before it that the replica has not
+                            // reported whole is what it lacks.
+                            let held = &mut os.inflight[at];
+                            if !held.held && !held.resent {
+                                link.rtt.sample(vt.now().saturating_sub(held.created_at));
+                            }
+                            held.held = true;
+                            let sent = held.last_send;
+                            for older in os.inflight.range_mut(..at) {
+                                older.exposed |= !older.held && older.last_send <= sent;
                             }
                         }
                         // Repair traffic needs the primary's store, which this
@@ -848,25 +880,31 @@ impl ReplEngine {
             }
             let pto = link.rtt.probe_timeout(RETRANSMIT_TIMEOUT);
             for os in link.ships.values_mut() {
-                let Some(ship) = os.inflight.as_mut() else {
-                    continue;
-                };
-                // Nak-driven: exactly the pieces the replica named, and
-                // the End. Timer: a tail-loss probe — the ship's tail
-                // that fits one datagram, its End a probe the replica
-                // answers at once with an Ack or the Nak for what it lacks.
-                let (begin, seqs, probe) = match ship.wanted.take() {
-                    Some((begin, missing)) => (begin, missing, false),
-                    None if now.saturating_sub(ship.last_send) > pto => {
-                        let (begin, tail) = ship.tail();
-                        (begin, tail.collect(), true)
+                // Nak-driven: the pieces named, and the End. Else a tail-loss
+                // probe (the tail that fits one datagram, its End a probe the
+                // replica answers at once) of an exposed ship, or on the timer,
+                // which runs on the newest ship not held behind another.
+                let mut ships = os.inflight.iter().enumerate();
+                let timed = ships.rposition(|(i, s)| i == 0 || !s.held);
+                for (i, ship) in os.inflight.iter_mut().enumerate() {
+                    let overdue = Some(i) == timed && now.saturating_sub(ship.last_send) > pto;
+                    let (begin, seqs, probe) = match ship.wanted.take() {
+                        Some((begin, missing)) => (begin, missing, false),
+                        None if ship.exposed || overdue => {
+                            let (begin, tail) = ship.tail();
+                            (begin, tail.collect(), true)
+                        }
+                        None => continue,
+                    };
+                    link.metrics.retransmit_frames +=
+                        send_ship(&mut link.down, now, ship, begin, seqs, probe);
+                    ship.last_send = now;
+                    ship.resent = true;
+                    ship.exposed = false;
+                    if probe {
+                        link.window_ships = LOSS_MEMORY;
                     }
-                    None => continue,
-                };
-                link.metrics.retransmit_frames +=
-                    send_ship(&mut link.down, now, ship, begin, seqs, probe);
-                ship.last_send = now;
-                ship.resent = true;
+                }
             }
         }
     }
@@ -888,7 +926,7 @@ impl ReplEngine {
             for (object, id) in objects {
                 let live = ms.store().epoch(*id);
                 let (remote, inflight) = link.ships.get(object).map_or((0, 0), |os| {
-                    (os.remote, os.inflight.as_ref().map_or(0, Ship::wire_bytes))
+                    (os.remote, os.inflight.iter().map(Ship::wire_bytes).sum())
                 });
                 lag_epochs = lag_epochs.max(live.saturating_sub(remote));
                 lag_bytes += inflight;
@@ -996,7 +1034,7 @@ impl ReplEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::replica::{Reassembly, LOSS_MEMORY, SLOT_BYTES};
+    use super::replica::{Reassembly, SLOT_BYTES};
     use super::*;
     use memsnap::{PersistFlags, RegionHandle, RegionSel, PAGE_SIZE};
     use msnap_disk::DiskConfig;
@@ -1899,7 +1937,7 @@ mod tests {
     ) -> (usize, Nanos) {
         let last_send = |eng: &ReplEngine| {
             let os = eng.links[0].ships.get(object)?;
-            os.inflight.as_ref().map(|s| s.last_send)
+            os.inflight.back().map(|s| s.last_send)
         };
         let mut resends = 0;
         for _ in 0..1000 {
@@ -1979,6 +2017,155 @@ mod tests {
             round + Nanos::from_us(200) < pto,
             "a probe would have been later"
         );
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+    }
+
+    /// Takes every datagram in flight on a link out of it and sends back
+    /// the ones `keep` names, in its order; returns them all as messages.
+    fn reorder(link: &mut SimLink, now: Nanos, keep: &[usize]) -> Vec<Vec<Msg>> {
+        let mut grams = Vec::new();
+        while let Some((_, gram)) = link.poll(Nanos::MAX) {
+            grams.push(gram);
+        }
+        keep.iter().for_each(|&i| link.send(now, grams[i].clone()));
+        let mut malformed = 0;
+        let msgs = grams.iter().map(|g| unpack(g, &mut malformed).collect());
+        msgs.collect()
+    }
+
+    /// Ships k and k+1 of a page of noise each, in flight together on a
+    /// learned link that has shown loss; each with the epoch it lands.
+    fn two_ships_in_flight() -> (MemSnap, Vt, String, ReplEngine, [(u64, Epoch); 2]) {
+        let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
+        eng.links[0].window_ships = LOSS_MEMORY;
+        let mut report = TickReport::default();
+        let mut ship = |ms: &mut MemSnap, vt: &mut Vt, eng: &mut ReplEngine| {
+            eng.drain_up(vt, &mut report);
+            eng.ship(vt, ms, &resolved_objects(ms.store()), &mut report)
+                .unwrap();
+        };
+        let k_epoch = commit_noise(&mut ms, &mut vt, space, &r, 1, 1);
+        ship(&mut ms, &mut vt, &mut eng);
+        for seed in 2..2 + WINDOW_SPAN {
+            commit_noise(&mut ms, &mut vt, space, &r, seed, 1);
+        }
+        ship(&mut ms, &mut vt, &mut eng);
+        assert_eq!(report.ships_started, 2, "k+1 starts behind k");
+        let inflight = &eng.links[0].ships[&object].inflight;
+        let ships = [
+            (inflight[0].id, k_epoch),
+            (
+                inflight[1].id,
+                ms.store().epoch(ms.store().lookup(&object).unwrap()),
+            ),
+        ];
+        (ms, vt, object, eng, ships)
+    }
+
+    /// A window on a link that has shown loss: ship k+1 arrives whole
+    /// before ship k, whose `Begin` is lost. The replica holds k+1 and
+    /// says so, which exposes k; k's probe earns the `Nak` for its
+    /// `Begin`, whose resend lands k and then k+1 — and no `Hello`. Every
+    /// `Ack` for k is lost: k+1's retires both at the primary, and no
+    /// probe goes out for k.
+    #[test]
+    fn a_later_ship_whole_first_waits_for_the_one_before_it() {
+        let (mut ms, mut vt, object, mut eng, [(k, k_epoch), (k1, live)]) = two_ships_in_flight();
+        let before = eng.replica("r1").unwrap().epoch(&object);
+
+        // Datagrams: k's Begin, frame, End, then k+1's. k+1 goes first,
+        // k's Begin is lost.
+        let grams = reorder(&mut eng.links[0].down, vt.now(), &[3, 4, 5, 1, 2]);
+        assert!(matches!(grams[0][..], [Msg::Begin { ship, .. }] if ship == k));
+        eng.pump_until(vt.now());
+        assert_eq!(
+            eng.replica("r1").unwrap().epoch(&object),
+            before,
+            "k+1 held"
+        );
+        let up = reorder(&mut eng.links[0].up, vt.now(), &[0]);
+        let held = |m: &Msg| match m {
+            Msg::Nak {
+                ship,
+                begin,
+                missing,
+            } => *ship == k1 && !begin && missing.is_empty(),
+            _ => false,
+        };
+        assert!(
+            matches!(&up[..], [m] if matches!(&m[..], [n] if held(n))),
+            "{up:?}"
+        );
+
+        // The report exposes k: its probe earns the Nak for its Begin,
+        // whose resend lands k, then k+1, with no re-plan.
+        for _ in 0..100 {
+            if eng.replica("r1").unwrap().epoch(&object) == live {
+                break;
+            }
+            vt.advance(Nanos::from_us(100));
+            let report = eng.tick(&mut vt, &mut ms).unwrap();
+            assert_eq!(report.ships_started, 0, "no Hello, no re-plan");
+        }
+        let replies = reorder(&mut eng.links[0].up, vt.now(), &[]);
+        let flat: Vec<&Msg> = replies.iter().flatten().collect();
+        assert!(
+            !flat.iter().any(|m| matches!(m, Msg::Hello { .. })),
+            "{flat:?}"
+        );
+        assert_eq!(eng.replica("r1").unwrap().state(), ReplicaState::Streaming);
+        let acks: Vec<(u64, Epoch)> = flat
+            .iter()
+            .filter_map(|m| match m {
+                Msg::Ack { ship, epoch, .. } => Some((*ship, *epoch)),
+                _ => None,
+            })
+            .collect();
+        let first = |ack| acks.iter().position(|&a| a == ack);
+        assert_eq!(first((k, k_epoch)), Some(0), "k lands first: {acks:?}");
+        assert!(first((k1, live)).is_some(), "then k+1: {acks:?}");
+        assert_eq!(eng.replica("r1").unwrap().epoch(&object), live);
+
+        // Every Ack for k is lost: k+1's retires both, with no probe.
+        let sent = eng.links[0].down.stats().sent;
+        let acks_before = eng.link_metrics("r1").unwrap().acks;
+        for m in flat
+            .iter()
+            .filter(|m| !matches!(m, Msg::Ack { ship, .. } if *ship == k))
+        {
+            eng.links[0].up.send(vt.now(), m.encode());
+        }
+        let (resends, _) = run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
+        assert_eq!(resends, 0);
+        assert_eq!(eng.link_metrics("r1").unwrap().acks, acks_before + 2);
+        assert_eq!(eng.links[0].down.stats().sent, sent, "no probe for k");
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+    }
+
+    /// A ship the replica reported held, then landed, with its `Ack`
+    /// lost: once the ship before it is retired nothing is left for it
+    /// to wait for, so the timer probes it, and the link catches up.
+    #[test]
+    fn a_held_ship_whose_ack_is_lost_is_probed_once_it_leads() {
+        let (mut ms, mut vt, object, mut eng, [(k, _), (k1, _)]) = two_ships_in_flight();
+        reorder(&mut eng.links[0].down, vt.now(), &[3, 4, 5, 0, 1, 2]);
+        eng.pump_until(vt.now());
+        let up = reorder(&mut eng.links[0].up, vt.now(), &[]);
+        let mut kept = 0;
+        for m in up.iter().flatten() {
+            if !matches!(m, Msg::Ack { ship, .. } if *ship == k1) {
+                eng.links[0].up.send(vt.now(), m.encode());
+                kept += 1;
+            }
+        }
+        assert_eq!(kept, 2, "k+1's report and k's Ack: {up:?}");
+        vt.advance(Nanos::from_ms(1));
+        eng.tick(&mut vt, &mut ms).unwrap();
+        let inflight = &eng.links[0].ships[&object].inflight;
+        let left: Vec<(u64, bool)> = inflight.iter().map(|s| (s.id, s.held)).collect();
+        assert_eq!((left, k < k1), (vec![(k1, true)], true), "k+1 alone, held");
+        let (resends, _) = run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
+        assert_eq!(resends, 1, "one probe");
         assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
     }
 

@@ -5,13 +5,18 @@
 //! reorder allowance, the `Nak` naming it. It also answers repair
 //! requests, asks for its own rot, and tracks the announced cuts.
 //!
+//! On a link that has shown loss the primary keeps a window of ships in
+//! flight, each based on the one before, in any order: a ship whose base
+//! is ahead of its object's epoch is held until the object reaches it,
+//! so an object's ships land in epoch order, each with its own `Ack`.
+//!
 //! Once its link has shown loss — a probe `End` arrived, or an `End` of a
 //! ship it already holds or has landed (every resend carries the ship's
 //! `End`) — the node sends each `Ack` twice, back to back, for the next
-//! [`LOSS_MEMORY`] ships: a lost `Ack` stalls its object's one ship in
-//! flight for a probe timeout, and the primary ignores an `Ack` for a
-//! ship no longer in flight. A link that has shown no loss, or none for
-//! that many ships, gets one `Ack` a ship.
+//! [`LOSS_MEMORY`] ships: a lost `Ack` of an object's newest ship in
+//! flight stalls it for a probe timeout, and the primary ignores an
+//! `Ack` for a ship no longer in flight. A link that has shown no loss,
+//! or none for that many ships, gets one `Ack` a ship.
 
 use super::*;
 
@@ -51,12 +56,6 @@ pub struct ReplicaNode {
     /// the link last showed loss, counting down a ship at a time.
     pub(super) double_acks: u32,
 }
-
-/// Ships a node acknowledges twice after its link last showed loss. A
-/// lossy link shows loss again long before (on `repl-wan`, every few
-/// ships), while one slow `Ack` on a calm link costs it only this many
-/// extra datagrams.
-pub(super) const LOSS_MEMORY: u32 = 64;
 
 /// Ships the replica remembers as finished; older entries are pruned.
 const COMPLETED_KEEP: usize = 64;
@@ -107,15 +106,17 @@ impl Estimator {
 const GRANULARITY: Nanos = Nanos::from_ms(1);
 
 /// One ship as a replica holds it while its datagrams arrive, in any
-/// order and any number of times: the header as an open
+/// order and any number of times: the header, then an open
 /// [`ApplySession`], the ship's one frame buffer, and the trailer. The
-/// ship lands once all of it is there — an early piece is data, not an
-/// error.
+/// ship lands once all of it is there and its object stands at its base
+/// — an early piece is data, not an error.
 #[derive(Debug, Default)]
 pub(super) struct Reassembly {
-    /// The open session, with the object it updates and whether the ship
-    /// is an anchor ship; `None` until the `Begin` arrives.
-    pub(super) session: Option<(String, bool, ApplySession)>,
+    /// The ship's header; `None` until the `Begin` arrives.
+    header: Option<StreamHeader>,
+    /// The open session and whether the ship is an anchor ship; `None`
+    /// until the object stands at the header's base.
+    pub(super) session: Option<(bool, ApplySession)>,
     /// The ship's frames: slot `seq` holds frame `seq`, `None` where it
     /// has not arrived (or arrived damaged).
     pub(super) frames: Vec<Option<Frame>>,
@@ -145,8 +146,21 @@ impl Reassembly {
         RECORD_BYTES + self.frames[self.prefix..].iter().map(slot).sum::<usize>()
     }
 
+    /// The header, if the ship updates `object`.
+    fn of(&self, object: &str) -> Option<&StreamHeader> {
+        self.header.as_ref().filter(|h| h.object == object)
+    }
+
+    /// Whether every piece is in hand: the header, the trailer and every
+    /// frame it counts.
+    fn whole(&self) -> bool {
+        let filled = |n: u64| self.frames.iter().take(n as usize).flatten().count() as u64 == n;
+        self.header.is_some() && self.trailer.is_some_and(|(t, _)| filled(t.frames))
+    }
+
     /// The `Nak` naming what the ship still lacks (its first
-    /// [`MAX_NAK_SEQS`] holes; the rest are asked for next round).
+    /// [`MAX_NAK_SEQS`] holes; the rest are asked for next round): nothing
+    /// for a whole ship held for its base.
     fn nak(&self, ship: u64) -> Msg {
         let prefix = self.prefix as u64;
         let held = |seq: u64| {
@@ -157,7 +171,7 @@ impl Reassembly {
         let frames = self.trailer.map_or(prefix, |(t, _)| t.frames);
         Msg::Nak {
             ship,
-            begin: self.session.is_none(),
+            begin: self.header.is_none(),
             missing: (prefix..frames)
                 .filter(|&seq| !held(seq))
                 .take(MAX_NAK_SEQS)
@@ -403,7 +417,7 @@ impl ReplicaNode {
 
     /// Takes one piece of a ship — `Begin`, `Frame` or `End`, in any
     /// order, any number of times — into the ship's reassembly record,
-    /// and lands the ship once all of it is there.
+    /// and lands what that lets land.
     fn reassemble(&mut self, ship: u64, piece: Msg) -> Vec<Msg> {
         if let Some((object, epoch)) = self.completed.get(&ship).cloned() {
             // Landed already. An `End` is the primary probing after a
@@ -422,42 +436,7 @@ impl ReplicaNode {
         }
         let mut rec = self.ships.remove(&ship).unwrap_or_default();
         match piece {
-            Msg::Begin { header, .. } if rec.session.is_none() => {
-                let anchor = is_anchor(
-                    header.base_epoch,
-                    header.target_epoch,
-                    self.epoch(&header.object),
-                );
-                match ApplySession::begin(&mut self.vt, &mut self.disk, &mut self.store, &header) {
-                    Ok(session) => {
-                        // Losing delta continuity (full-image fallback)
-                        // or abandoning divergent history (rebase) is
-                        // the degraded path until the apply lands.
-                        if self.bootstrapped && (header.base_epoch.is_none() || session.is_rebase())
-                        {
-                            self.state = ReplicaState::Degraded;
-                        }
-                        // The primary keeps one ship per (link, object)
-                        // in flight: a newer Begin means it abandoned
-                        // every older ship of this object (re-planned
-                        // after a Hello), whose End will never come.
-                        self.ships.retain(|&id, r| {
-                            id > ship || r.session.as_ref().is_none_or(|s| s.0 != header.object)
-                        });
-                        rec.session = Some((header.object, anchor, session));
-                    }
-                    Err(SnapError::AlreadyCurrent) => {
-                        let epoch = self.epoch(&header.object);
-                        return self.done(ship, header.object, epoch);
-                    }
-                    // Base mismatch or store trouble: report full status
-                    // so the primary re-plans (full image or rebase).
-                    Err(_) => {
-                        self.state = ReplicaState::Degraded;
-                        return vec![self.hello()];
-                    }
-                }
-            }
+            Msg::Begin { header, .. } if rec.header.is_none() => rec.header = Some(header),
             Msg::Frame { frame, .. } => {
                 // In a filled slot (the whole prefix is) it is a
                 // duplicate; else it waits in its slot if the budget has
@@ -497,57 +476,129 @@ impl ReplicaNode {
                 }
                 rec.trailer = Some((trailer, rec.trailer.map_or(now, |(_, at)| at)));
             }
-            _ => {} // duplicate Begin: the session is open
+            _ => {} // duplicate Begin
         }
-        // Holes filled: the prefix takes every frame now in sequence.
-        if rec.session.is_some() {
-            while rec.frames.get(rec.prefix).is_some_and(Option::is_some) {
-                rec.prefix += 1;
-            }
-        }
-        let ((object, anchor, session), (trailer, end_at)) = match (&rec.session, rec.trailer) {
-            (Some(open), Some(end)) if rec.prefix as u64 >= end.0.frames => (open, end),
-            _ => {
-                self.ships.insert(ship, rec);
-                return Vec::new();
-            }
-        };
-        let table = self.dedup.entry(object.clone()).or_default();
-        match session.finish(
-            &mut self.vt,
-            &mut self.disk,
-            &mut self.store,
-            rec.frames[..rec.prefix].iter().flatten(),
-            &trailer,
-            Some(table),
-        ) {
-            Ok(token) => {
-                ObjectStore::wait(&mut self.vt, token);
-                self.bootstrapped = true;
-                self.state = ReplicaState::Streaming;
-                if *anchor {
-                    self.retain_applied(object, token.epoch);
+        self.ships.insert(ship, rec);
+        self.land(ship, now)
+    }
+
+    /// Opens `ship`'s session once its object stands at the header's base
+    /// (until then it is held, and once whole says so at once with an
+    /// empty `Nak`), lands it once all of it is there, then the held ship
+    /// based on the epoch it reached, and so on. `now`: the piece's arrival.
+    fn land(&mut self, mut ship: u64, now: Nanos) -> Vec<Msg> {
+        let mut replies = Vec::new();
+        let mut first = true;
+        while let Some(mut rec) = self.ships.remove(&ship) {
+            if let Some(header) = rec.header.as_ref().filter(|_| rec.session.is_none()) {
+                let at = self.epoch(&header.object);
+                if header.base_epoch.is_some_and(|base| base > at) {
+                    if rec.whole() && !rec.naked {
+                        rec.nak_at = Some(now);
+                    }
+                    self.ships.insert(ship, rec);
+                    break;
                 }
-                // The landed epoch may complete an announced cut.
-                self.refresh_cut();
-                if !rec.naked && now > end_at {
-                    self.reorder.sample(now - end_at);
+                let anchor = is_anchor(header.base_epoch, header.target_epoch, at);
+                let (vt, disk, store) = (&mut self.vt, &mut self.disk, &mut self.store);
+                match ApplySession::begin(vt, disk, store, header) {
+                    Ok(session) => {
+                        // Losing delta continuity (full-image fallback) or
+                        // abandoning divergent history (rebase) is the
+                        // degraded path until the apply lands.
+                        if self.bootstrapped && (header.base_epoch.is_none() || session.is_rebase())
+                        {
+                            self.state = ReplicaState::Degraded;
+                        }
+                        // A newer session abandons the older open ones of
+                        // its object (re-planned after a Hello), whose End
+                        // will never come.
+                        self.ships.retain(|&id, r| {
+                            id > ship || r.session.is_none() || r.of(&header.object).is_none()
+                        });
+                        rec.session = Some((anchor, session));
+                    }
+                    Err(SnapError::AlreadyCurrent) => {
+                        replies.extend(self.done(ship, header.object.clone(), at));
+                        break;
+                    }
+                    // Base mismatch or store trouble: report full status so
+                    // the primary re-plans (full image or rebase).
+                    Err(_) => {
+                        self.state = ReplicaState::Degraded;
+                        replies.push(self.hello());
+                        break;
+                    }
                 }
-                self.done(ship, object.clone(), token.epoch)
             }
-            // Damaged in flight, its checksum says: a hole again, for the
-            // next Nak to name; the session stays open.
-            Err(SnapError::FrameCorrupt { seq }) => {
-                rec.prefix = seq as usize;
-                rec.frames[rec.prefix] = None;
+            // Holes filled: the prefix takes every frame now in sequence.
+            if rec.session.is_some() {
+                while rec.frames.get(rec.prefix).is_some_and(Option::is_some) {
+                    rec.prefix += 1;
+                }
+            }
+            let done = rec.trailer.filter(|(t, _)| rec.prefix as u64 >= t.frames);
+            let (Some(header), Some((anchor, session)), Some((trailer, end_at))) =
+                (&rec.header, &rec.session, done)
+            else {
                 self.ships.insert(ship, rec);
-                Vec::new()
-            }
-            Err(_) => {
-                self.state = ReplicaState::Degraded;
-                vec![self.hello()]
+                break;
+            };
+            let object = header.object.clone();
+            let table = self.dedup.entry(object.clone()).or_default();
+            match session.finish(
+                &mut self.vt,
+                &mut self.disk,
+                &mut self.store,
+                rec.frames[..rec.prefix].iter().flatten(),
+                &trailer,
+                Some(table),
+            ) {
+                Ok(token) => {
+                    ObjectStore::wait(&mut self.vt, token);
+                    self.bootstrapped = true;
+                    self.state = ReplicaState::Streaming;
+                    if *anchor {
+                        self.retain_applied(&object, token.epoch);
+                    }
+                    // The landed epoch may complete an announced cut.
+                    self.refresh_cut();
+                    if first && !rec.naked && now > end_at {
+                        self.reorder.sample(now - end_at);
+                    }
+                    let epoch = Some(token.epoch);
+                    replies.extend(self.done(ship, object.clone(), token.epoch));
+                    // Other open sessions of the object, and held ships
+                    // whose base it passed, can never land; the one held
+                    // for its new epoch is next.
+                    self.ships.retain(|_, r| {
+                        let held = |h: &StreamHeader| r.session.is_none() && h.base_epoch >= epoch;
+                        r.of(&object).is_none_or(held)
+                    });
+                    let mut next = self.ships.iter();
+                    let next =
+                        next.find(|(_, r)| r.of(&object).is_some_and(|h| h.base_epoch == epoch));
+                    let Some((&next, _)) = next else {
+                        break;
+                    };
+                    (ship, first) = (next, false);
+                }
+                // Damaged in flight, its checksum says: a hole again, for the
+                // next Nak to name; the session stays open.
+                Err(SnapError::FrameCorrupt { seq }) => {
+                    rec.prefix = seq as usize;
+                    rec.frames[rec.prefix] = None;
+                    self.ships.insert(ship, rec);
+                    break;
+                }
+                Err(_) => {
+                    self.state = ReplicaState::Degraded;
+                    replies.push(self.hello());
+                    break;
+                }
             }
         }
+        replies
     }
 
     /// `Nak`s for the ships whose `End` is in hand and whose holes have

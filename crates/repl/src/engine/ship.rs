@@ -25,6 +25,13 @@ pub(super) struct Ship {
     /// Some piece went out twice (a `Nak` or the timer): the ship's
     /// acknowledgement lag is ambiguous and no timer sample (Karn).
     pub(super) resent: bool,
+    /// The replica holds the ship whole, waiting for the ships before it:
+    /// it needs no probe while one is in flight, and its `Ack` is no
+    /// sample of the link's lag.
+    pub(super) held: bool,
+    /// A later ship arrived whole before this one had a round trip's
+    /// time: the replica lacks it, and it is probed at once.
+    pub(super) exposed: bool,
 }
 
 impl Ship {
@@ -97,7 +104,9 @@ pub(super) struct ObjShip {
     /// target of the newest acknowledged anchor ship — an epoch both
     /// ends retain, sparse by construction (see [`is_anchor`]).
     pub(super) base: Option<(String, Epoch)>,
-    pub(super) inflight: Option<Ship>,
+    /// The ships in flight, oldest first: each one's base is the target
+    /// of the one before it (the first one's, `remote` or a rebase).
+    pub(super) inflight: VecDeque<Ship>,
     /// Content provenance of the replica's epoch is unknown (it just
     /// re-attached): never trust a numeric epoch match against the
     /// primary's own history; diff only from an epoch both sides
@@ -135,39 +144,60 @@ enum Plan {
 /// whether it is an anchor ship ([`is_anchor`]), or `None` to ship
 /// nothing now: the one home of DESIGN.md §6e's rules. A diff pins its
 /// target, a record ship only as an anchor.
-/// - A ship in flight, a replica at `live`, or a link carrying
-///   [`MAX_LAG_BYTES`] ships nothing (flow control).
-/// - A lag deeper than [`DROP_BASE_LAG`] drops the anchor and ships the
-///   full image.
+/// - A replica at `live` once the ships in flight land, or a link
+///   carrying [`MAX_LAG_BYTES`], ships nothing (flow control).
+/// - A ship starts behind ones in flight only on a link that has shown
+///   loss (`window` is then its throttle bound, `max_lag_epochs`), and
+///   only a record of at least [`WINDOW_SPAN`] commits, or of whatever
+///   waits once the object's lag is over the throttle bound. Else one
+///   ship at a time.
+/// - A ship's base is the newest in-flight target, else `remote`: the
+///   epoch the replica stands at once the ships before it land.
+/// - A lag from there deeper than [`DROP_BASE_LAG`] drops the anchor and
+///   ships the full image.
 /// - A link in good standing ships the commits' own record of
-///   `(remote, live]` when `record` proves the span.
-/// - Else a diff from the link's anchor, or from a primary snapshot at
-///   exactly `remote`. A divergent link (just re-attached: a numeric
-///   epoch match proves nothing about its content) diffs from the newest
-///   epoch both ends retain below `live` and below `pins_from` (from
-///   there up, this engine's pins hold history the peer cannot share),
-///   and that becomes its anchor. With no base, the full image.
+///   `(base, live]` when `record` proves the span.
+/// - Else, only with nothing in flight, a diff from the link's anchor,
+///   or from a primary snapshot at exactly `remote`. A divergent link
+///   (just re-attached: a numeric epoch match proves nothing about its
+///   content) diffs from the newest epoch both ends retain below `live`
+///   and below `pins_from` (from there up, this engine's pins hold
+///   history the peer cannot share), and that becomes its anchor. With
+///   no base, the full image.
 ///
+/// `record` reads the dirty-line record from an epoch to `live`;
 /// `retained` names the primary's snapshot of the object at an epoch.
 fn plan(
     os: &ObjShip,
     live: Epoch,
     pins_from: Option<Epoch>,
     inflight_bytes: u64,
-    record: impl FnOnce() -> Option<BTreeMap<u64, u64>>,
+    window: Option<u64>,
+    record: impl FnOnce(Epoch) -> Option<BTreeMap<u64, u64>>,
     retained: impl Fn(Epoch) -> Option<String>,
 ) -> Option<(Plan, bool)> {
-    if os.inflight.is_some() || live <= os.remote || inflight_bytes >= MAX_LAG_BYTES {
+    let newest = os.inflight.back().map(|s| &s.stream.header);
+    let (from, from_len) = newest.map_or((os.remote, os.remote_len), |h| {
+        (h.target_epoch, Some(h.len_pages))
+    });
+    let idle = os.inflight.is_empty();
+    let queued = window.is_some_and(|max_lag| {
+        live.saturating_sub(from) >= WINDOW_SPAN || live.saturating_sub(os.remote) > max_lag
+    });
+    if !(idle || queued) || live <= from || inflight_bytes >= MAX_LAG_BYTES {
         return None;
     }
-    let deep_lag = live.saturating_sub(os.remote) > DROP_BASE_LAG;
-    let standing = !deep_lag && !os.divergent && os.remote > 0;
-    if let Some(len) = os.remote_len.filter(|_| standing) {
-        if let Some(extents) = record() {
-            let anchor = is_anchor(Some(os.remote), live, os.remote);
-            let span = (os.remote, len);
+    let deep_lag = live.saturating_sub(from) > DROP_BASE_LAG;
+    let standing = !deep_lag && !os.divergent && from > 0;
+    if let Some(len) = from_len.filter(|_| standing) {
+        if let Some(extents) = record(from) {
+            let anchor = is_anchor(Some(from), live, from);
+            let span = (from, len);
             return Some((Plan::Record { span, extents }, anchor));
         }
+    }
+    if !idle {
+        return None;
     }
     let at = |epoch| Some((retained(epoch)?, epoch));
     let below = pins_from.unwrap_or(Epoch::MAX).min(live);
@@ -224,10 +254,10 @@ impl ReplEngine {
             // Running sum of the link's in-flight wire bytes: ships
             // started below count against the budget of later objects
             // in this same tick.
-            let mut inflight_bytes: u64 = self.links[li]
+            let mut bytes: u64 = self.links[li]
                 .ships
                 .values()
-                .filter_map(|os| os.inflight.as_ref())
+                .flat_map(|os| &os.inflight)
                 .map(Ship::wire_bytes)
                 .sum();
             for (object, id) in objects {
@@ -236,10 +266,11 @@ impl ReplEngine {
                 let link = &mut self.links[li];
                 let os = link.ships.entry(object.to_string()).or_default();
                 let pins_from = self.pins_from.get(&id).copied();
-                let record = || ms.subpage_extents(object, os.remote, live);
+                let window = (link.window_ships > 0).then_some(self.cfg.max_lag_epochs);
+                let record = |from| ms.subpage_extents(object, from, live);
                 let retained = |epoch| retained_at(ms.store(), id, epoch);
                 let Some((plan, anchor)) =
-                    plan(os, live, pins_from, inflight_bytes, record, retained)
+                    plan(os, live, pins_from, bytes, window, record, retained)
                 else {
                     continue;
                 };
@@ -269,11 +300,9 @@ impl ReplEngine {
                 link.metrics.cache_hits += stats_after.cache_hits - stats_before.cache_hits;
                 link.metrics.cache_misses += stats_after.cache_misses - stats_before.cache_misses;
                 link.metrics.hydrations += stats_after.hydrations - stats_before.hydrations;
-                if stream.header.base_epoch.is_none() {
-                    link.metrics.full_syncs += 1;
-                } else {
-                    link.metrics.delta_syncs += 1;
-                }
+                let full = stream.header.base_epoch.is_none();
+                link.metrics.full_syncs += u64::from(full);
+                link.metrics.delta_syncs += u64::from(!full);
                 link.metrics.recorded_syncs += u64::from(matches!(plan, Plan::Record { .. }));
                 let savings = stream.wire_savings();
                 link.metrics.subpage_frames += savings.subpage_frames;
@@ -288,12 +317,15 @@ impl ReplEngine {
                     last_send: now,
                     wanted: None,
                     resent: false,
+                    held: false,
+                    exposed: false,
                 };
                 self.next_ship += 1;
                 let frames = ship.stream.frames.len() as u64;
                 send_ship(&mut link.down, now, &ship, true, 0..frames, false);
-                inflight_bytes += ship.wire_bytes();
-                os.inflight = Some(ship);
+                bytes += ship.wire_bytes();
+                os.inflight.push_back(ship);
+                link.window_ships = link.window_ships.saturating_sub(1);
                 report.ships_started += 1;
             }
         }
@@ -313,9 +345,7 @@ impl ReplEngine {
                 if let Some((name, _)) = &os.base {
                     needed.push(name);
                 }
-                if let Some(name) = os.inflight.as_ref().and_then(|s| s.anchor.as_ref()) {
-                    needed.push(name);
-                }
+                needed.extend(os.inflight.iter().filter_map(|s| s.anchor.as_deref()));
             }
         }
         let unsettled = self
@@ -351,18 +381,22 @@ mod tests {
         primary: Vec<Epoch>,
         replica: Vec<Epoch>,
         pins_from: Option<Epoch>,
-        /// A ship in flight.
-        inflight: bool,
+        /// Ships in flight: the `i`-th (from 1) targets `remote + i` at a
+        /// length of `3 + i` pages.
+        inflight: u64,
+        /// The throttle bound of a link that has shown loss.
+        window: Option<u64>,
         inflight_bytes: u64,
     }
 
-    /// A ship in flight, as far as `plan` looks at one: that it is there.
-    fn in_flight() -> Ship {
+    /// A ship in flight, as far as `plan` looks at one: its target epoch
+    /// and the object's length there.
+    fn in_flight(target_epoch: Epoch, len_pages: u64) -> Ship {
         let header = StreamHeader {
             object: "o".into(),
             base_epoch: None,
-            target_epoch: 1,
-            len_pages: 1,
+            target_epoch,
+            len_pages,
             frame_count: 0,
         };
         let trailer = StreamTrailer {
@@ -381,6 +415,8 @@ mod tests {
             last_send: Nanos::ZERO,
             wanted: None,
             resent: false,
+            held: false,
+            exposed: false,
         }
     }
 
@@ -397,49 +433,71 @@ mod tests {
             remote_len: s.remote_len,
             retained_remote: s.replica.clone(),
             base: s.anchor.clone(),
-            inflight: s.inflight.then(in_flight),
+            inflight: (1..=s.inflight)
+                .map(|i| in_flight(s.remote + i, 3 + i))
+                .collect(),
             divergent: s.divergent,
             ..ObjShip::default()
         };
-        let (read_record, read_catalog) = (Cell::new(false), Cell::new(false));
-        let record = || {
-            read_record.set(true);
+        let (read_record, read_catalog) = (Cell::new(None), Cell::new(false));
+        let record = |from| {
+            read_record.set(Some(from));
             s.proven.then(BTreeMap::new)
         };
         let retained = |epoch| {
             read_catalog.set(true);
             s.primary.contains(&epoch).then(|| pin(epoch).0)
         };
-        let got = plan(&os, s.live, s.pins_from, s.inflight_bytes, record, retained);
+        let got = plan(
+            &os,
+            s.live,
+            s.pins_from,
+            s.inflight_bytes,
+            s.window,
+            record,
+            retained,
+        );
         let fail = |rule: &str| Err(format!("{rule}: planned {got:?}"));
-        let (remote, live) = (s.remote, s.live);
-        let skip = s.inflight || live <= remote || s.inflight_bytes >= MAX_LAG_BYTES;
-        let deep = live.saturating_sub(remote) > DROP_BASE_LAG;
-        let standing = remote > 0 && s.remote_len.is_some() && !s.divergent && !deep;
+        let (remote, live, busy) = (s.remote, s.live, s.inflight > 0);
+        // The next ship's base: the newest in-flight target, else the
+        // replica's epoch, and the object's length there.
+        let (from, from_len) = if busy {
+            (remote + s.inflight, Some(3 + s.inflight))
+        } else {
+            (remote, s.remote_len)
+        };
+        let queued = s.window.is_some_and(|max_lag| {
+            live.saturating_sub(from) >= WINDOW_SPAN || live - remote > max_lag
+        });
+        let skip = (busy && !queued) || live <= from || s.inflight_bytes >= MAX_LAG_BYTES;
+        let deep = live.saturating_sub(from) > DROP_BASE_LAG;
+        let standing = from > 0 && from_len.is_some() && !s.divergent && !deep;
         let stride = DROP_BASE_LAG / 2;
         let anchor_from = |base: Option<Epoch>| {
-            base.is_none_or(|base| base != remote || live / stride > base / stride)
+            base.is_none_or(|base| base != from || live / stride > base / stride)
         };
         match &got {
             None if skip => Ok(()),
-            None => fail("an idle link under its byte budget and behind shipped nothing"),
-            Some(_) if skip => {
-                fail("a link with a ship in flight, at its byte budget or caught up shipped")
-            }
-            Some(_) if read_record.get() && !standing => {
-                fail("the record was read for a link not in good standing")
+            None if busy && !(standing && s.proven) => Ok(()),
+            None => fail("a link free to ship, under its byte budget and behind shipped nothing"),
+            Some(_) if skip => fail(
+                "a ship started behind ones in flight on a calm link or short of WINDOW_SPAN under the throttle bound, or at the byte budget, or caught up",
+            ),
+            Some(_) if read_record.get().is_some_and(|e| !standing || e != from) => {
+                fail("the record was read for a link not in good standing, or not from the ship's base")
             }
             Some((Plan::Record { span, .. }, anchor)) => {
                 if !(standing && s.proven) {
                     fail("a record ship without good standing and a proven span")
-                } else if *span != (remote, s.remote_len.unwrap_or(0)) {
-                    fail("a record ship's span is not (remote, the length there)")
-                } else if *anchor != anchor_from(Some(remote)) {
+                } else if *span != (from, from_len.unwrap_or(0)) {
+                    fail("a record ship's span is not (the newest in-flight target, else remote, and the length there)")
+                } else if *anchor != anchor_from(Some(from)) {
                     fail("a record ship pins as an anchor exactly when its span crosses a stride")
                 } else {
                     Ok(())
                 }
             }
+            Some((Plan::Diff { .. }, _)) if busy => fail("a diff shipped with a ship in flight"),
             Some((Plan::Diff { base, rejoin }, anchor)) => {
                 let below = s.pins_from.unwrap_or(Epoch::MAX).min(live);
                 let shared = s.replica.iter().rev().copied();
@@ -497,17 +555,29 @@ mod tests {
 
     /// Drives `plan` alone, with no device and no store, over every small
     /// state of one (link, object): the replica at 0 or at an epoch, lags
-    /// of none, 1, a stride, [`DROP_BASE_LAG`] and one more, every subset
-    /// of four epochs (below, at and above the replica's) on either end,
-    /// `pins_from` absent, at the replica's epoch or above the target,
-    /// and the link idle, in flight or at its byte budget. The pin rule
-    /// rides on the variants: a diff always pins its target, a record
-    /// ship only as an anchor.
+    /// of none, 1, [`WINDOW_SPAN`], past a throttle bound of 8, a stride,
+    /// [`DROP_BASE_LAG`] and one more, every subset of four epochs (below,
+    /// at and above the replica's) on either end, `pins_from` absent, at
+    /// the replica's epoch or above the target, 0, 1 or 2 ships in flight
+    /// (as far as the lag allows: a ship never targets past `live`), on a
+    /// calm link or on one that has shown loss with a throttle bound of 2
+    /// or 8, under or at its byte budget. The pin rule rides on the
+    /// variants: a diff always pins its target, a record ship only as an
+    /// anchor.
     #[test]
     fn the_ship_plan_keeps_every_ship_rule_in_every_small_state() {
+        let lags = [
+            0,
+            1,
+            WINDOW_SPAN,
+            9,
+            DROP_BASE_LAG / 2,
+            DROP_BASE_LAG,
+            DROP_BASE_LAG + 1,
+        ];
         let mut states = 0u64;
         for remote in [0, 40] {
-            for lag in [0, 1, DROP_BASE_LAG / 2, DROP_BASE_LAG, DROP_BASE_LAG + 1] {
+            for lag in lags {
                 let live = remote + lag;
                 let epochs = [
                     remote.saturating_sub(2),
@@ -515,37 +585,40 @@ mod tests {
                     live.saturating_sub(1),
                     live,
                 ];
-                for (primary, replica) in (0..16).flat_map(|p| (0..16).map(move |q| (p, q))) {
-                    for pins_from in [None, Some(remote), Some(live + 1)] {
-                        for bits in 0..48u32 {
-                            let busy = bits / 16;
-                            let s = State {
-                                remote,
-                                live,
-                                remote_len: (bits & 1 == 1).then_some(3),
-                                divergent: bits & 2 != 0,
-                                proven: bits & 4 != 0,
-                                anchor: (bits & 8 != 0)
-                                    .then(|| ("a".into(), remote.saturating_sub(2))),
-                                primary: subset(&epochs, primary),
-                                replica: subset(&epochs, replica),
-                                pins_from,
-                                inflight: busy == 1,
-                                inflight_bytes: if busy == 2 {
-                                    MAX_LAG_BYTES
-                                } else {
-                                    MAX_LAG_BYTES - 1
-                                },
-                            };
-                            if let Err(rule) = check(&s) {
-                                panic!("{rule}\nat {s:?}");
+                for inflight in (0..=2).filter(|&n| n <= lag) {
+                    for (primary, replica) in (0..16).flat_map(|p| (0..16).map(move |q| (p, q))) {
+                        for pins_from in [None, Some(remote), Some(live + 1)] {
+                            for bits in 0..96u32 {
+                                let s = State {
+                                    remote,
+                                    live,
+                                    remote_len: (bits & 1 == 1).then_some(3),
+                                    divergent: bits & 2 != 0,
+                                    proven: bits & 4 != 0,
+                                    anchor: (bits & 8 != 0)
+                                        .then(|| ("a".into(), remote.saturating_sub(2))),
+                                    primary: subset(&epochs, primary),
+                                    replica: subset(&epochs, replica),
+                                    pins_from,
+                                    inflight,
+                                    window: [None, Some(2), Some(8)][(bits / 32) as usize],
+                                    inflight_bytes: if bits & 16 != 0 {
+                                        MAX_LAG_BYTES
+                                    } else {
+                                        MAX_LAG_BYTES - 1
+                                    },
+                                };
+                                if let Err(rule) = check(&s) {
+                                    panic!("{rule}\nat {s:?}");
+                                }
+                                states += 1;
                             }
-                            states += 1;
                         }
                     }
                 }
             }
         }
-        assert_eq!(states, 2 * 5 * 256 * 3 * 48);
+        // (lag, ships in flight) pairs: 1 + 2 + 3 · 5 per remote.
+        assert_eq!(states, 2 * 18 * 256 * 3 * 96);
     }
 }

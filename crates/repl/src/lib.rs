@@ -13,7 +13,8 @@
 //! Every [`ReplEngine::tick`] the engine compares each object's live
 //! committed epoch against what each replica last acknowledged. A
 //! lagging replica gets a **ship**: a [`msnap_snap::DeltaStream`] from
-//! the epoch it acknowledged to the live one, sent down the link as
+//! that epoch — on a link that has shown loss, from the newest ship in
+//! flight, a window of them — to the live one, sent down the link as
 //! `Begin`, `Frame`…, `End` ([`Msg`]) packed back to back into datagrams
 //! of up to 1 400 bytes — a one-line ship is one datagram. The ship is
 //! **commit-fed**: its pages and 64-byte line masks are the dirty-line
@@ -25,7 +26,9 @@
 //! The replica **reassembles**: one record per ship takes the header,
 //! the frames and the trailer in whatever order they arrive, feeds its
 //! apply session in sequence as holes fill, lands the completed stream
-//! as **one crash-atomic commit** and answers `Ack`. Reordering costs
+//! as **one crash-atomic commit** once its object stands at the
+//! stream's base (a ship of a window waits for the ones before it), and
+//! answers `Ack`. Reordering costs
 //! nothing. A hole that outlives the reorder allowance — which the
 //! replica derives from how far pieces have trailed their `End` on this
 //! link — earns a `Nak` naming exactly the missing pieces, and the

@@ -73,7 +73,10 @@ pub const SLOTS_PER_PAGE: u64 = PAGE_SIZE as u64 / SLOT_BYTES;
 /// pins nothing. An anchor is pinned when a link's ship of an object is
 /// a full image, a rebase, or crosses a multiple of 32 epochs (half
 /// `msnap-repl`'s `DROP_BASE_LAG`), and replaces the link's previous
-/// one: at most one per attached replica × object, plus one in flight.
+/// one: at most one per attached replica × object, plus the anchors of
+/// the ships in flight — one on a calm link, which keeps one ship in
+/// flight; on a link that has shown loss, whose window keeps several,
+/// one per 32 epochs of its lag.
 /// On the sharded primary these spread across `shards` catalogs, but a
 /// **promoted replica is single-shard** and keeps the anchors it
 /// retained as a replica (two per object) beside its new pins until

@@ -7,7 +7,7 @@
 //! traversing the restored linked list"). The WAL, SSTables, LSM tree and
 //! compaction are all gone.
 
-use memsnap::{Md, MemSnap, PersistFlags, RegionSel};
+use memsnap::{Md, MemSnap, MsnapError, PersistFlags, RegionSel};
 use msnap_disk::Disk;
 use msnap_sim::{Meters, Nanos, Vt};
 
@@ -51,23 +51,22 @@ impl MemSnapKv {
     /// Restores after a crash: remap the region, then "traverse the
     /// linked list nodes to recompute skip pointers".
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `disk` holds no MemSnap store.
-    pub fn restore(disk: Disk, vt: &mut Vt) -> Self {
-        let mut ms = MemSnap::restore(vt, disk).expect("device holds a MemSnap store");
+    /// The store's error if `disk` holds no MemSnap store, or
+    /// `BadDescriptor` if the format's MemTable region is not durable.
+    pub fn restore(disk: Disk, vt: &mut Vt) -> Result<Self, MsnapError> {
+        let mut ms = MemSnap::restore(vt, disk)?;
         let space = ms.vm_mut().create_space();
-        let region = ms
-            .msnap_open(vt, space, "memtable", 0)
-            .expect("memtable region exists");
+        let region = ms.msnap_open(vt, space, "memtable", 0)?;
         let mapping = Mapping(space, region.addr);
         let list = PersistentSkipList::restore(&mut ms, mapping, region.pages, vt);
-        MemSnapKv {
+        Ok(MemSnapKv {
             ms,
             md: region.md,
             list,
             stats: KvStats::default(),
-        }
+        })
     }
 
     /// Simulates a power failure; pass the device to
@@ -266,7 +265,7 @@ impl Kv for MemSnapKv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msnap_disk::DiskConfig;
+    use msnap_disk::{crash_at_every_io, DiskConfig};
 
     fn fresh() -> (MemSnapKv, Vt) {
         let mut vt = Vt::new(0);
@@ -346,7 +345,7 @@ mod tests {
         let disk = kv.crash(crash_at);
 
         let mut vt2 = Vt::new(1);
-        let mut kv2 = MemSnapKv::restore(disk, &mut vt2);
+        let mut kv2 = MemSnapKv::restore(disk, &mut vt2).unwrap();
         assert_eq!(kv2.len(), 200);
         let all = kv2.seek(&mut vt2, 0, 500);
         assert_eq!(all.len(), 200);
@@ -363,10 +362,72 @@ mod tests {
         let disk = kv.crash(after_first);
 
         let mut vt2 = Vt::new(1);
-        let mut kv2 = MemSnapKv::restore(disk, &mut vt2);
+        let mut kv2 = MemSnapKv::restore(disk, &mut vt2).unwrap();
         assert_eq!(kv2.get(&mut vt2, 1), Some(b"one".to_vec()));
         assert_eq!(kv2.get(&mut vt2, 2), None, "second put was not durable");
         assert_eq!(kv2.len(), 1);
+    }
+
+    /// The crash sweep, as `AuroraKv`'s: power-fail a format and eight
+    /// puts — seven keys on their own node pages, then an update — at
+    /// every IO boundary. A crash before the format (its MemTable region)
+    /// is durable restores as a typed error; any other holds the state of
+    /// a prefix of the puts that covers every put acknowledged by the
+    /// crash, and takes a new key.
+    #[test]
+    fn a_crash_at_every_io_recovers_a_prefix_of_the_puts() {
+        let puts: [(u64, &[u8]); 8] = [
+            (50, b"fifty"),
+            (10, b"ten"),
+            (90, b"ninety"),
+            (30, b"thirty"),
+            (70, b"seventy"),
+            (20, b"twenty"),
+            (80, b"eighty"),
+            (10, b"ten, now a longer value"),
+        ];
+        let run = |acks: &mut Vec<Nanos>| {
+            let mut vt = Vt::new(0);
+            let mut kv = MemSnapKv::format(Disk::new(DiskConfig::paper()), 64, &mut vt);
+            for (key, value) in puts {
+                kv.put(&mut vt, key, value).unwrap();
+                acks.push(vt.now());
+            }
+            kv.ms.into_disk()
+        };
+        let mut acks = Vec::new();
+        run(&mut acks);
+        let state = |n: usize| -> Vec<(u64, Vec<u8>)> {
+            let map: std::collections::BTreeMap<u64, &[u8]> = puts[..n].iter().copied().collect();
+            map.into_iter().map(|(k, v)| (k, v.to_vec())).collect()
+        };
+        let points = crash_at_every_io(
+            || run(&mut Vec::new()),
+            |disk, at| {
+                let acked = acks.iter().filter(|&&t| t <= at).count();
+                let mut vt = Vt::new(1);
+                let mut kv = match MemSnapKv::restore(disk, &mut vt) {
+                    Ok(kv) => kv,
+                    Err(e) => {
+                        assert_eq!(
+                            acked, 0,
+                            "restore at {at:?} failed ({e}) after {acked} acks"
+                        );
+                        return;
+                    }
+                };
+                let got = kv.seek(&mut vt, 0, usize::MAX);
+                let n = (0..=puts.len()).find(|&n| state(n) == got);
+                let n = n.unwrap_or_else(|| panic!("crash at {at:?} recovered {got:?}"));
+                assert!(
+                    n >= acked,
+                    "crash at {at:?}: {n} puts recovered, {acked} acked"
+                );
+                kv.put(&mut vt, 1_000, b"after").unwrap();
+                assert_eq!(kv.get(&mut vt, 1_000), Some(b"after".to_vec()));
+            },
+        );
+        assert!(points > 2 * puts.len(), "{points} crash points");
     }
 
     #[test]
@@ -392,7 +453,7 @@ mod tests {
         let disk = kv.crash(before_batch + Nanos::from_us(20));
 
         let mut vt2 = Vt::new(1);
-        let mut kv2 = MemSnapKv::restore(disk, &mut vt2);
+        let mut kv2 = MemSnapKv::restore(disk, &mut vt2).unwrap();
         let batch_present = (0..20u64)
             .filter(|k| kv2.get(&mut vt2, *k).is_some())
             .count();
@@ -436,7 +497,7 @@ mod tests {
             kv.persist(&mut vt).unwrap();
             let disk = kv.crash(vt.now());
             let mut vt = Vt::new(1);
-            let mut kv = MemSnapKv::restore(disk, &mut vt);
+            let mut kv = MemSnapKv::restore(disk, &mut vt).unwrap();
             let got = kv.seek(&mut vt, 0, usize::MAX);
             let before: Vec<(u64, Vec<u8>)> = [10, 20].map(|k| (k, value(k))).into();
             let flipped = decode_node(&image).map(|n| (n.key, n.value));

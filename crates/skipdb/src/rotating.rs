@@ -75,11 +75,12 @@ impl RotatingMemSnapKv {
     /// Restores after a crash: every tier region is remapped and its
     /// linked list walked; the newest tier becomes active again.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `disk` holds no MemSnap store with at least one tier.
-    pub fn restore(disk: Disk, vt: &mut Vt) -> Self {
-        let mut ms = MemSnap::restore(vt, disk).expect("device holds a MemSnap store");
+    /// The store's error if `disk` holds no MemSnap store, or
+    /// `BadDescriptor` if its first tier is not durable.
+    pub fn restore(disk: Disk, vt: &mut Vt) -> Result<Self, MsnapError> {
+        let mut ms = MemSnap::restore(vt, disk)?;
         let space = ms.vm_mut().create_space();
         let mut tiers = Vec::new();
         for generation in 0.. {
@@ -87,19 +88,17 @@ impl RotatingMemSnapKv {
             if ms.region(&name).is_none() {
                 break;
             }
-            let region = ms
-                .msnap_open(vt, space, &name, 0)
-                .expect("tier region exists");
+            let region = ms.msnap_open(vt, space, &name, 0)?;
             let mapping = Mapping(space, region.addr);
             let tier = PersistentSkipList::restore(&mut ms, mapping, region.pages, vt);
             tiers.push(tier);
         }
-        let active = tiers.pop().expect("at least one tier exists");
+        let active = tiers.pop().ok_or(MsnapError::BadDescriptor)?;
         let active_md = ms
             .region(&tier_name(tiers.len()))
-            .expect("the active tier exists");
+            .ok_or(MsnapError::BadDescriptor)?;
         let region_pages = active.capacity;
-        RotatingMemSnapKv {
+        Ok(RotatingMemSnapKv {
             ms,
             active,
             active_md,
@@ -107,7 +106,7 @@ impl RotatingMemSnapKv {
             region_pages,
             rotate_pages: region_pages.saturating_sub(1),
             stats: KvStats::default(),
-        }
+        })
     }
 
     /// Simulates a power failure; pass the device to
@@ -290,7 +289,7 @@ mod tests {
         let disk = kv.crash(vt.now());
 
         let mut vt2 = Vt::new(1);
-        let mut kv2 = RotatingMemSnapKv::restore(disk, &mut vt2);
+        let mut kv2 = RotatingMemSnapKv::restore(disk, &mut vt2).unwrap();
         assert_eq!(kv2.tiers(), tiers_before);
         for k in 0..50u64 {
             assert_eq!(

@@ -182,10 +182,10 @@ impl ApplySession {
         // order, exactly as the sender staged them.
         if let Some(table) = dedup {
             table.fit(self.len_pages);
-            for (_, bytes, was_ref) in &resolved {
-                if !*was_ref {
-                    let d = table.digest(bytes);
-                    table.insert(d, bytes.clone());
+            for (_, bytes, was_ref) in resolved {
+                if !was_ref {
+                    let d = table.digest(&bytes);
+                    table.insert(d, bytes);
                 }
             }
         }

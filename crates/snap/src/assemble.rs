@@ -37,17 +37,18 @@ impl DeltaStream {
     ///
     /// The wire bytes are proportional to the bytes that actually
     /// changed: per diffed page it emits, in order of preference, a
-    /// [`RefFrame`] (the content is already in the committed `dedup`
-    /// table, byte-verified), a partial [`SubPageFrame`] covering only
-    /// the changed 64-byte lines, or a whole-page [`SubPageFrame`]
-    /// (compressed when that pays, stored otherwise).
+    /// [`RefFrame`] (the content is in the `dedup` table the receiver
+    /// holds when it lands the stream, byte-verified), a partial
+    /// [`SubPageFrame`] covering only the changed 64-byte lines, or a
+    /// whole-page [`SubPageFrame`] (compressed when that pays, stored
+    /// otherwise).
     ///
     /// Changed lines come from an exact 64-byte-line diff against the
     /// retained `base` snapshot. Pages whose changed lines exceed ~50%
     /// of the page — or that lie outside the base image — ship whole.
-    /// Pages shipped as payload are *staged* into `dedup`; the caller
-    /// commits them when the stream is acknowledged
-    /// ([`DedupTable::commit`]).
+    /// Pages shipped as payload are *staged* into `dedup`, behind the
+    /// streams still pending there; the caller commits each stream when
+    /// it is acknowledged ([`DedupTable::commit`]), oldest first.
     ///
     /// # Errors
     ///
@@ -133,11 +134,9 @@ impl DeltaStream {
         source: Source<'_>,
         span: Span,
         pages: Vec<u64>,
-        mut dedup: Option<&mut DedupTable>,
+        dedup: Option<&mut DedupTable>,
     ) -> Result<DeltaStream, SnapError> {
-        if let Some(table) = dedup.as_deref_mut() {
-            table.fit(span.len_pages);
-        }
+        let mut staged = Vec::new();
         let base_len = span.base.map_or(0, |(_, len)| len);
         let mut frames = Vec::with_capacity(pages.len());
         let mut tbuf = vec![0u8; BLOCK_SIZE];
@@ -151,11 +150,11 @@ impl DeltaStream {
                 Source::Live { .. } => store.read_page(vt, disk, span.object, page, &mut tbuf)?,
             }
             let digest = dedup.as_ref().map(|t| t.digest(&tbuf));
-            if let (Some(table), Some(d)) = (dedup.as_ref(), digest) {
-                if table.matches(d, &tbuf) {
-                    // Byte-verified against the committed image — a
-                    // colliding digest over different bytes ships as
-                    // payload below, never as a stale reference.
+            if let (Some(table), Some(d)) = (dedup.as_deref(), digest) {
+                if table.holds(span.len_pages, d, &tbuf) {
+                    // Byte-verified against the image the receiver will
+                    // hold — a colliding digest over different bytes
+                    // ships as payload below, never as a stale reference.
                     frames.push(Frame::Ref(RefFrame::new(seq, page, d)));
                     continue;
                 }
@@ -199,9 +198,12 @@ impl DeltaStream {
             };
             let frame = SubPageFrame::new(seq, page, fnv1a(&tbuf), runs, raw);
             frames.push(Frame::Sub(frame));
-            if let (Some(table), Some(d)) = (dedup.as_deref_mut(), digest) {
-                table.stage(d, tbuf.clone());
+            if let Some(d) = digest {
+                staged.push((d, tbuf.clone()));
             }
+        }
+        if let Some(table) = dedup {
+            table.stage(span.len_pages, staged);
         }
         let trailer = StreamTrailer {
             frames: frames.len() as u64,

@@ -272,10 +272,11 @@ impl SubPageFrame {
 
 /// A dedup reference: "this page's content is the image whose digest
 /// you already hold" — ~40 wire bytes in place of a 4 KiB payload.
-/// Emitted only for digests the *sender's* table holds with
-/// byte-identical content (see [`DedupTable::matches`]); sender and
-/// receiver tables advance in lockstep (stage at build, commit on ack),
-/// so the receiver resolves the digest to the same bytes.
+/// Emitted only for digests the receiver's table will hold with
+/// byte-identical content when it lands the stream (see
+/// [`DedupTable`]); sender and receiver tables advance in lockstep
+/// (stage at build, commit on ack), so the receiver resolves the digest
+/// to the same bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefFrame {
     /// 0-based position in the stream.

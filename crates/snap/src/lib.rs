@@ -1125,6 +1125,91 @@ mod tests {
         );
     }
 
+    /// A stream built while an earlier one is still unacknowledged
+    /// references the table the receiver will hold once it has landed
+    /// that one: the earlier stream's own payload, and none of the
+    /// committed images that payload evicts.
+    #[test]
+    fn a_stream_behind_a_pending_one_references_what_the_receiver_will_hold() {
+        let (mut disk, mut store, mut vt, obj) = primary_with_two_snapshots_of(noise_page);
+        let mut rdisk = Disk::new(DiskConfig::paper());
+        let mut replica = ObjectStore::format(&mut rdisk);
+        let (mut sender, mut receiver) = (DedupTable::default(), DedupTable::default());
+        let s0 = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b", Some(&mut sender))
+            .unwrap();
+        apply(&mut vt, &mut rdisk, &mut replica, &s0, Some(&mut receiver));
+        sender.commit();
+        let mut old = page_of(0);
+        store
+            .read_page_at(&mut vt, &mut disk, "b", 1, &mut old)
+            .unwrap();
+
+        // s1 rewrites all five pages: its payload evicts every image of
+        // "b" from a five-page table.
+        let fresh: Vec<Vec<u8>> = (0..5).map(|i| noise_page(0x40 + i)).collect();
+        let iov: Vec<(u64, &[u8])> = (0..5).zip(fresh.iter().map(|p| &p[..])).collect();
+        let t = store.persist(&mut vt, &mut disk, obj, &iov).unwrap();
+        ObjectStore::wait(&mut vt, t);
+        store
+            .snapshot_create(&mut vt, &mut disk, obj, "s1")
+            .unwrap();
+        let s1 = DeltaStream::build(
+            &mut vt,
+            &mut disk,
+            &mut store,
+            Some("b"),
+            "s1",
+            Some(&mut sender),
+        )
+        .unwrap();
+
+        // s2, built before s1 is acknowledged: page 0 takes s1's page 3,
+        // page 2 takes "b"'s page 1, committed but evicted by s1.
+        let t = store
+            .persist(&mut vt, &mut disk, obj, &[(0, &fresh[3]), (2, &old)])
+            .unwrap();
+        ObjectStore::wait(&mut vt, t);
+        store
+            .snapshot_create(&mut vt, &mut disk, obj, "s2")
+            .unwrap();
+        let s2 = DeltaStream::build(
+            &mut vt,
+            &mut disk,
+            &mut store,
+            Some("s1"),
+            "s2",
+            Some(&mut sender),
+        )
+        .unwrap();
+        let kinds: Vec<(u64, bool)> = s2
+            .frames
+            .iter()
+            .map(|f| (f.page(), matches!(f, Frame::Ref(_))))
+            .collect();
+        assert_eq!(kinds, [(0, true), (2, false)]);
+
+        for stream in [&s1, &s2] {
+            apply(
+                &mut vt,
+                &mut rdisk,
+                &mut replica,
+                stream,
+                Some(&mut receiver),
+            );
+            sender.commit();
+        }
+        assert_eq!(sender.entries, receiver.entries);
+        assert_replica_matches(
+            &mut vt,
+            &mut disk,
+            &mut store,
+            "s2",
+            &mut rdisk,
+            &mut replica,
+            5,
+        );
+    }
+
     #[test]
     fn colliding_digests_byte_verify_and_ship_payload() {
         // A truncating hasher forces collisions: different content under
@@ -1136,10 +1221,10 @@ mod tests {
         let d = table.digest(&a);
         assert_eq!(d, table.digest(&b));
         table.insert(d, a.clone());
-        assert!(table.matches(d, &a));
-        assert!(!table.matches(d, &b), "collision must fail byte-verify");
-        // The builder consults matches(): with `b` the table says no,
-        // so the page ships as payload and the table re-stages `b`.
+        assert!(table.holds(8, d, &a));
+        assert!(!table.holds(8, d, &b), "collision must fail byte-verify");
+        // The builder asks `holds`: with `b` it says no, so the page
+        // ships as payload and the table re-stages `b`.
     }
 
     #[test]

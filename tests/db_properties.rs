@@ -99,7 +99,7 @@ proptest! {
 
         let disk = kv.crash(vt.now());
         let mut vt2 = Vt::new(1);
-        let mut kv2 = RotatingMemSnapKv::restore(disk, &mut vt2);
+        let mut kv2 = RotatingMemSnapKv::restore(disk, &mut vt2).unwrap();
         for (key, v) in &model {
             prop_assert_eq!(kv2.get(&mut vt2, *key), Some(vec![*v; 8]), "restored key {}", key);
         }
@@ -184,7 +184,7 @@ fn rotating_kv_batch_straddling_a_rotation_is_durable() {
 
             let disk = kv.crash(vt.now());
             let mut vt2 = Vt::new(1);
-            let mut kv2 = RotatingMemSnapKv::restore(disk, &mut vt2);
+            let mut kv2 = RotatingMemSnapKv::restore(disk, &mut vt2).unwrap();
             for key in (0..prefill).chain(100..100 + batch) {
                 assert!(
                     kv2.get(&mut vt2, key).is_some(),

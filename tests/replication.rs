@@ -340,6 +340,84 @@ fn failover_sweep_promotes_a_committed_epoch_at_every_death_point() {
     );
 }
 
+/// A failover inside a window: on a lossy link the primary keeps several
+/// ships of its object in flight, and dies with at least two of them on
+/// the wire. The promoted store is a committed epoch's image, at or past
+/// every epoch the primary heard acknowledged, and the old primary
+/// rejoins by delta.
+#[test]
+fn failover_inside_a_window_promotes_a_prefix_holding_every_acked_epoch() {
+    for seed in [601, 602, 603] {
+        let mut p = primary();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("standby", NetConfig::lossy(seed)).unwrap();
+        let mut golden = BTreeMap::new();
+        let e0 = commit(&mut p, 0);
+        golden.insert(e0, primary_image(&mut p));
+        assert!(eng
+            .settle(&mut p.vt, &mut p.ms, Nanos::from_secs(30))
+            .unwrap());
+        // Ships started and acknowledged since the link settled: only the
+        // region changes from here, so their difference is its ships in
+        // flight.
+        let (mut started, acks) = (0, eng.link_metrics("standby").unwrap().acks);
+        let mut acked = e0;
+        let mut window = 0;
+        for i in 1..400 {
+            let e = commit(&mut p, i);
+            golden.insert(e, primary_image(&mut p));
+            let report = eng.tick(&mut p.vt, &mut p.ms).unwrap();
+            started += report.ships_started;
+            let m = *eng.link_metrics("standby").unwrap();
+            acked = acked.max(e - m.lag_epochs);
+            window = started - (m.acks - acks);
+            if window >= 2 && i > 50 {
+                break;
+            }
+            p.vt.advance(Nanos::from_us(300));
+        }
+        assert!(window >= 2, "seed {seed}: {window} ships in flight");
+
+        // The primary dies with the window on the wire; the replica is
+        // promoted once what was sent has landed (or been lost).
+        let death = p.ms.object_epoch(&p.object).unwrap();
+        let old_disk = p.ms.crash(p.vt.now());
+        let promo = eng.promote("standby").unwrap();
+        let mut vt2 = promo.vt;
+        let mut ms2 = MemSnap::restore(&mut vt2, promo.disk).unwrap();
+        let space2 = ms2.vm_mut().create_space();
+        let r2 = ms2.msnap_open(&mut vt2, space2, "data", 0).unwrap();
+        let mut p2 = Primary {
+            ms: ms2,
+            vt: vt2,
+            space: space2,
+            r: r2,
+            object: p.object.clone(),
+        };
+        let image = primary_image(&mut p2);
+        let at = golden.iter().find(|(_, g)| **g == image).map(|(&e, _)| e);
+        let at = at.unwrap_or_else(|| panic!("seed {seed}: not a committed image"));
+        assert!(
+            (acked..=death).contains(&at),
+            "seed {seed}: promoted at {at}, acknowledged {acked}, died at {death}"
+        );
+
+        // The old primary rejoins the new one by delta alone.
+        commit(&mut p2, 1000);
+        let mut eng2 = ReplEngine::new(ReplConfig::default());
+        eng2.attach_replica("old", NetConfig::calm(seed), old_disk)
+            .unwrap();
+        assert!(eng2
+            .settle(&mut p2.vt, &mut p2.ms, Nanos::from_secs(120))
+            .unwrap());
+        assert_eq!(
+            replica_image(&mut eng2, "old", &p2.object),
+            primary_image(&mut p2)
+        );
+        assert_eq!(eng2.link_metrics("old").unwrap().full_syncs, 0);
+    }
+}
+
 #[test]
 fn identical_seeds_replay_identical_traces() {
     let trace = |seed: u64| -> String {
