@@ -189,6 +189,23 @@ guard_one_ship_plan() {
     fi
 }
 
+# Each replica arrival is decided once, in replica.rs's pure rule (`fate`,
+# and `never` for the records that can never land): above its tests, no
+# other code line compares a header's base_epoch, and nak_at is set only
+# to the rule's answer (`rec.nak_at = nak_at`; a fired `Nak` takes it).
+guard_one_landing_rule() {
+    if awk '/^#\[cfg\(test\)\]/ { exit }
+            /^fn (fate|never)\(/ { rule = 1 }
+            rule { if (/^}/) rule = 0; next }
+            /^[[:space:]]*\/\// { next }
+            /base_epoch/ && / (<|>|<=|>=|==|!=) / { print FILENAME ":" FNR ": " $0; found = 1; next }
+            /nak_at( =|: )/ && !/nak_at = nak_at;$/ && !/^[[:space:]]*nak_at: Option</ { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' crates/repl/src/engine/replica.rs; then
+        echo "each replica arrival is decided in one rule: compare base_epoch and arm nak_at only inside fate and never in crates/repl/src/engine/replica.rs" >&2
+        return 1
+    fi
+}
+
 # The index carve is owned by pindex.
 guard_pindex_carve() {
     forbid 'msnap_open_index|IndexCarve|CARVE_MAGIC' "the index carve (header codec, geometry, open-or-create) belongs to msnap-pindex, its only user" crates/core/src
@@ -578,6 +595,8 @@ perturbations() {
     perturb one_hold crates/core/src/api.rs '1i fn late(now: Nanos, b: &OpenBatch) -> bool { now >= b.submit_at }'
     perturb one_ship_plan crates/repl/src/engine/replica.rs '1i fn deep(lag: u64) -> bool { lag > DROP_BASE_LAG }'
     perturb one_ship_plan crates/repl/src/engine.rs '1i fn idle(os: &ObjShip) -> bool { os.inflight.is_empty() }'
+    perturb one_landing_rule crates/repl/src/engine/replica.rs '1i fn ahead(h: &StreamHeader, at: Epoch) -> bool { h.base_epoch > Some(at) }'
+    perturb one_landing_rule crates/repl/src/engine/replica.rs '1i fn arm(r: &mut Reassembly, now: Nanos) { r.nak_at = Some(now); }'
     perturb unwrap_ceiling crates/snap/src/lib.rs '1i fn first(v: &[u8]) -> u8 { *v.first().unwrap() }'
     perturb pindex_carve crates/core/src/api.rs '$a // CARVE_MAGIC'
     perturb binary_manifest crates/core/src/manifest.rs '$a // @shards 4'

@@ -4,8 +4,8 @@
 //! See the [crate docs](crate) for the protocol and failover design.
 //!
 //! The receiver is `replica` and the sender `ship`; this module holds
-//! what both ends share (the anchor rule, the repair exchange), the
-//! links, the tick and its timers, and promotion.
+//! what both ends share (the anchor rule, the repair exchange, the lag
+//! `Estimator`), the links, the tick and its timers, and promotion.
 
 mod replica;
 mod ship;
@@ -26,7 +26,6 @@ use msnap_store::{
     VectorCut,
 };
 
-use replica::Estimator;
 use ship::{send_ship, ObjShip, Ship};
 
 use crate::proto::{
@@ -93,6 +92,51 @@ const LOSS_MEMORY: u32 = 64;
 /// Commits a ship behind ones in flight carries at least, unless the lag
 /// stopped the committer: its `Begin` and `End` cost two one-line commits.
 const WINDOW_SPAN: u64 = 3;
+
+/// RFC 6298's smoothed mean and deviation of a stream of durations: a
+/// link's acknowledgement lag at the primary (the retransmit timer),
+/// how far a ship's pieces trail its `End` at the replica (the reorder
+/// allowance).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Estimator {
+    /// Zero until the first sample (samples are positive).
+    mean: Nanos,
+    dev: Nanos,
+}
+
+impl Estimator {
+    fn sample(&mut self, s: Nanos) {
+        if self.mean == Nanos::ZERO {
+            (self.mean, self.dev) = (s, s / 2);
+        } else {
+            let err = self.mean.max(s) - self.mean.min(s);
+            self.dev = (self.dev * 3 + err) / 4;
+            self.mean = (self.mean * 7 + s) / 8;
+        }
+    }
+
+    /// `mean + 4·dev`, a value few samples exceed; `None` unsampled.
+    fn bound(&self) -> Option<Nanos> {
+        (self.mean > Nanos::ZERO).then(|| self.mean + self.dev * 4)
+    }
+
+    /// RFC 9002's probe timeout over these samples, `mean + max(4·dev,
+    /// GRANULARITY)`, at most `ceiling` (and `ceiling` unsampled). Its
+    /// `max_ack_delay` term is zero: a replica acknowledges a ship the
+    /// moment it lands.
+    fn probe_timeout(&self, ceiling: Nanos) -> Nanos {
+        if self.mean == Nanos::ZERO {
+            return ceiling;
+        }
+        (self.mean + (self.dev * 4).max(GRANULARITY)).min(ceiling)
+    }
+}
+
+/// The least slack a probe timeout leaves above the mean lag (QUIC's
+/// kGranularity): a link whose lag barely varies — a busy LAN replica
+/// acks in ≈ 1 ms and rarely in more than 1.5× that — is not probed for
+/// a ship that is merely slow.
+const GRANULARITY: Nanos = Nanos::from_ms(1);
 
 /// Errors raised by the replication engine.
 #[derive(Debug, Clone, PartialEq, Eq)]

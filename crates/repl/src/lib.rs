@@ -100,11 +100,11 @@
 //!   datagrams.
 //! - `engine.rs`: [`ReplEngine`] — the links, the tick and its timers,
 //!   promotion, and what both ends share (the anchor rule, the repair
-//!   exchange). Its two halves:
+//!   exchange, the lag estimator). Its two halves:
 //!   - `engine/ship.rs`, the sender: planning, building and sending each
 //!     ship, and the snapshots ships pin;
 //!   - `engine/replica.rs`, the receiver: [`ReplicaNode`] — reassembly,
-//!     apply, `Nak`s, repair and cuts.
+//!     one pure rule for each arrival, apply, `Nak`s, repair and cuts.
 
 #![warn(missing_docs)]
 

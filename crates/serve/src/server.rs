@@ -268,7 +268,7 @@ impl ServeNode {
         let mut vt = Vt::new(0);
         vt.advance(Nanos::from_ns(1));
         let space = ms.vm_mut().create_space();
-        ServeNode::assemble(cfg, ms, vt, space, None, client_ports, client_net)
+        ServeNode::assemble(cfg, ms, vt, space, client_ports, client_net)
     }
 
     /// Attaches a replica to this node's replication engine (created on
@@ -278,10 +278,7 @@ impl ServeNode {
     ///
     /// [`msnap_repl::ReplError::DuplicateReplica`] for a reused name.
     pub fn add_replica(&mut self, name: &str, net: NetConfig) -> Result<(), ServeError> {
-        let engine = self
-            .repl
-            .get_or_insert_with(|| ReplEngine::new(ReplConfig::default()));
-        engine.add_replica(name, net)?;
+        self.engine().add_replica(name, net)?;
         self.replica_names.push(name.to_string());
         Ok(())
     }
@@ -298,12 +295,15 @@ impl ServeNode {
         net: NetConfig,
         disk: Disk,
     ) -> Result<(), ServeError> {
-        let engine = self
-            .repl
-            .get_or_insert_with(|| ReplEngine::new(ReplConfig::default()));
-        engine.attach_replica(name, net, disk)?;
+        self.engine().attach_replica(name, net, disk)?;
         self.replica_names.push(name.to_string());
         Ok(())
+    }
+
+    /// The replication engine, created on first use.
+    fn engine(&mut self) -> &mut ReplEngine {
+        self.repl
+            .get_or_insert_with(|| ReplEngine::new(ReplConfig::default()))
     }
 
     fn assemble(
@@ -311,7 +311,6 @@ impl ServeNode {
         ms: MemSnap,
         vt: Vt,
         space: AsId,
-        repl: Option<ReplEngine>,
         client_ports: usize,
         client_net: NetConfig,
     ) -> ServeNode {
@@ -337,7 +336,7 @@ impl ServeNode {
             vt,
             ms,
             space,
-            repl,
+            repl: None,
             replica_names: Vec::new(),
             read_cursor: 0,
             uplink,
@@ -390,7 +389,7 @@ impl ServeNode {
         ms.set_coalesce_window(COALESCE_WINDOW);
         let space = ms.vm_mut().create_space();
         let names = ms.region_names();
-        let mut node = ServeNode::assemble(cfg, ms, vt, space, None, client_ports, client_net);
+        let mut node = ServeNode::assemble(cfg, ms, vt, space, client_ports, client_net);
         // Rebuild the tenant table from the shipped manifest: every
         // region named `t/<tenant>/<idx>` is a stripe. A tenant may be
         // partial — a stripe created just before the crash may never

@@ -683,7 +683,12 @@ impl StoreShard {
     /// would not have placed it by `by` ([`Disk::idle_lands`]). Once
     /// known, the instant replaces the handle and the blocks the root
     /// frees queue for it.
-    fn root_lands(&mut self, disk: &mut Disk, object: ObjectId, by: Nanos) -> Option<Nanos> {
+    pub(super) fn root_lands(
+        &mut self,
+        disk: &mut Disk,
+        object: ObjectId,
+        by: Nanos,
+    ) -> Option<Nanos> {
         let state = &mut self.objects[object.0 as usize];
         if let Some((io, _)) = &state.landing {
             let landed = disk.idle_lands(io, by)?;

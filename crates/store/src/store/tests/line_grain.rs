@@ -1408,7 +1408,9 @@ fn a_journal_over_a_flushed_tree() -> (Disk, StoreShard, BTreeMap<u64, Vec<u8>>,
     }
     assert_eq!(shard.stats().compaction_roots, 1);
     assert_eq!(shard.stats().nodes_written, nodes, "a journaled root");
-    vt.wait_until(shard.objects[0].roots[1].1);
+    // `roots[1].1` reads `Nanos::MAX` while the device has yet to place
+    // the root: ask the device when the root lands.
+    vt.wait_until(shard.root_lands(&mut disk, obj, Nanos::MAX).unwrap());
     let pages: Vec<u64> = (10..19).collect();
     let chunks: Vec<&[u64]> = pages.chunks(1).collect();
     whole_pages(&mut shard, &mut vt, &mut disk, obj, &mut model, &chunks);
