@@ -19,7 +19,7 @@ use msnap_bench::replica::sync_to;
 use msnap_bench::{header, table, us};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
 use msnap_sim::{Nanos, Vt};
-use msnap_snap::{DeltaStream, StreamTrailer, WHOLE_FRAME_LEN};
+use msnap_snap::{DeltaStream, SubPageFrame};
 use msnap_store::ObjectStore;
 
 const OBJECT_PAGES: u64 = 1024;
@@ -44,9 +44,10 @@ fn page_image(tag: u64, page: u64) -> Vec<u8> {
 /// stored whole-page frame per diffed page, no sub-page runs, dedup or
 /// compression — the baseline the delta formats are measured against.
 fn page_granular_bytes(stream: &DeltaStream) -> u64 {
+    let whole = |f: &msnap_snap::Frame| SubPageFrame::stored_whole_len(f.seq(), f.page());
     (stream.header.encoded_len()
-        + stream.frames.len() * WHOLE_FRAME_LEN
-        + StreamTrailer::encoded_len()) as u64
+        + stream.frames.iter().map(whole).sum::<usize>()
+        + stream.trailer.encoded_len()) as u64
 }
 
 /// Persists `pages` sequential page images in one μCheckpoint.

@@ -26,10 +26,10 @@ use msnap_store::{
     VectorCut,
 };
 
-use ship::{send_ship, ObjShip, Ship};
+use ship::{send_ship, ObjShip};
 
 use crate::proto::{
-    ship_msg, unpack, Msg, ObjectStatus, MAX_NAK_SEQS, SHIP_MSG_HEAD, TAG_BEGIN, TAG_END,
+    ship_head_len, ship_msg, unpack, Msg, ObjectStatus, MAX_NAK_SEQS, TAG_BEGIN, TAG_END,
     TAG_FRAME, TAG_PROBE,
 };
 
@@ -85,9 +85,9 @@ const ANCHOR: &str = "rk-";
 /// disjoint from the failed primary's unacknowledged history.
 const FENCE_GAP: u64 = 16;
 /// Ships a link stays lossy for after it last showed loss: the replica
-/// acknowledges each twice, the primary keeps a window of them in
-/// flight. A lossy link shows loss again long before (on `repl-wan`,
-/// every few ships); a slow `Ack` on a calm link costs only this many.
+/// acknowledges each twice, the primary keeps a window of them in flight
+/// and sends their `End`s twice. Loss shows again long before (every few
+/// ships on `repl-wan`); a slow `Ack` on a calm link costs this many.
 const LOSS_MEMORY: u32 = 64;
 /// Commits a ship behind ones in flight carries at least, unless the lag
 /// stopped the committer: its `Begin` and `End` cost two one-line commits.
@@ -455,7 +455,8 @@ struct Link {
     /// round trip, apply included, which times its tail-loss probes.
     rtt: Estimator,
     /// Ships that may still start behind ones in flight: [`LOSS_MEMORY`]
-    /// when the link last showed loss (a `Nak`, a fired probe), less one a ship.
+    /// when the link last showed loss (a `Nak`, a fired probe), less one a
+    /// ship. While it is above 0 every send of a ship has a spare `End`.
     window_ships: u32,
     meters: Meters,
     metrics: LinkMetrics,
@@ -940,8 +941,9 @@ impl ReplEngine {
                         }
                         None => continue,
                     };
+                    let spare = link.window_ships > 0;
                     link.metrics.retransmit_frames +=
-                        send_ship(&mut link.down, now, ship, begin, seqs, probe);
+                        send_ship(&mut link.down, now, ship, begin, seqs, probe, spare);
                     ship.last_send = now;
                     ship.resent = true;
                     ship.exposed = false;
@@ -970,7 +972,7 @@ impl ReplEngine {
             for (object, id) in objects {
                 let live = ms.store().epoch(*id);
                 let (remote, inflight) = link.ships.get(object).map_or((0, 0), |os| {
-                    (os.remote, os.inflight.iter().map(Ship::wire_bytes).sum())
+                    (os.remote, os.inflight.iter().map(|s| s.wire_bytes).sum())
                 });
                 lag_epochs = lag_epochs.max(live.saturating_sub(remote));
                 lag_bytes += inflight;
@@ -1851,9 +1853,9 @@ mod tests {
     /// One lost datagram costs one datagram: with each datagram of a ship
     /// of whole-page frames lost in turn — the `Begin`, each frame, the
     /// `End`, then the `Ack` — the link converges having resent that
-    /// datagram's messages, the closing `End` and at most one tail-loss
-    /// probe (a bare `End`: no whole-page frame fits its datagram), never
-    /// the ship.
+    /// datagram's messages, the closing `End` (its datagram twice: the
+    /// `Nak` showed loss) and at most one tail-loss probe (a bare `End`:
+    /// no whole-page frame fits its datagram), never the ship.
     #[test]
     fn one_lost_datagram_is_resent_alone() {
         for n in [1u64, 3, 8] {
@@ -1876,6 +1878,9 @@ mod tests {
                 eng.drain_up(&mut vt, &mut report);
                 eng.ship(&mut vt, &mut ms, &objects, &mut report).unwrap();
                 assert_eq!(report.ships_started, 1);
+                let ship = &eng.links[0].ships[&object].inflight[0];
+                let end = (ship_head_len(ship.id) + ship.stream.trailer.encoded_len()) as u64;
+                assert_eq!(end, 20, "tag, ship, kind, count, two words");
                 let lost = if victim < n + 2 {
                     lose(&mut eng.links[0].down, vt.now(), victim as usize)
                 } else {
@@ -1899,11 +1904,18 @@ mod tests {
                 assert_eq!(m.retransmit_frames, u64::from(frame_lost), "{n}/{victim}");
                 assert_eq!(m.acks, 3, "bootstrap's two and this one: {n}/{victim}");
                 // What went down the link again: the lost datagram's
-                // worth, an End probe and the closing End (56 bytes
-                // each), a cut re-announce.
+                // worth and the closing End, then their spare (all of it
+                // when it fits one datagram, else the End), an End probe
+                // and a cut re-announce (shorter than an End).
                 let resent = eng.links[0].down.stats().bytes_sent - resent_from;
+                let resend = lost.len() as u64 + end;
+                let spare = if resend <= DATAGRAM_BUDGET as u64 {
+                    resend
+                } else {
+                    end
+                };
                 assert!(
-                    resent <= lost.len() as u64 + 3 * 56,
+                    resent <= resend + spare + 2 * end,
                     "{n}/{victim}: resent {resent} bytes for a lost {}",
                     lost.len()
                 );
@@ -1929,6 +1941,8 @@ mod tests {
             eng.ship(&mut vt, &mut ms, &objects, &mut report).unwrap();
             let (sent, sent_at) = (*eng.links[0].down.stats(), vt.now());
             assert_eq!(sent.sent - before.sent, 1, "a packed ship: one datagram");
+            let ship = &eng.links[0].ships[&object].inflight[0];
+            let end = (ship_head_len(ship.id) + ship.stream.trailer.encoded_len()) as u64;
             let gram = sent.bytes_sent - before.bytes_sent;
             if lose_ack {
                 eng.pump_until(vt.now());
@@ -1962,7 +1976,6 @@ mod tests {
                 "the probe alone: lose_ack {lose_ack}"
             );
             let resent = after.bytes_sent - sent.bytes_sent;
-            let end = (SHIP_MSG_HEAD + StreamTrailer::encoded_len()) as u64;
             assert!(
                 resent <= gram + end,
                 "lose_ack {lose_ack}: resent {resent} bytes for a lost {gram}"
@@ -2117,9 +2130,9 @@ mod tests {
         let (mut ms, mut vt, object, mut eng, [(k, k_epoch), (k1, live)]) = two_ships_in_flight();
         let before = eng.replica("r1").unwrap().epoch(&object);
 
-        // Datagrams: k's Begin, frame, End, then k+1's. k+1 goes first,
-        // k's Begin is lost.
-        let grams = reorder(&mut eng.links[0].down, vt.now(), &[3, 4, 5, 1, 2]);
+        // Datagrams: k's Begin, frame, End and its spare, then k+1's. k+1
+        // goes first, k's Begin is lost.
+        let grams = reorder(&mut eng.links[0].down, vt.now(), &[4, 5, 6, 7, 1, 2, 3]);
         assert!(matches!(grams[0][..], [Msg::Begin { ship, .. }] if ship == k));
         eng.pump_until(vt.now());
         assert_eq!(
@@ -2192,7 +2205,7 @@ mod tests {
     #[test]
     fn a_held_ship_whose_ack_is_lost_is_probed_once_it_leads() {
         let (mut ms, mut vt, object, mut eng, [(k, _), (k1, _)]) = two_ships_in_flight();
-        reorder(&mut eng.links[0].down, vt.now(), &[3, 4, 5, 0, 1, 2]);
+        reorder(&mut eng.links[0].down, vt.now(), &[4, 5, 6, 7, 0, 1, 2, 3]);
         eng.pump_until(vt.now());
         let up = reorder(&mut eng.links[0].up, vt.now(), &[]);
         let mut kept = 0;
@@ -2202,7 +2215,8 @@ mod tests {
                 kept += 1;
             }
         }
-        assert_eq!(kept, 2, "k+1's report and k's Ack: {up:?}");
+        // k+1's spare End showed the replica loss: k's Ack goes twice.
+        assert_eq!(kept, 3, "k+1's report and k's Ack, twice: {up:?}");
         vt.advance(Nanos::from_ms(1));
         eng.tick(&mut vt, &mut ms).unwrap();
         let inflight = &eng.links[0].ships[&object].inflight;
@@ -2256,10 +2270,116 @@ mod tests {
         assert_eq!(eng.links[0].rtt, rtt, "one timer sample");
     }
 
+    /// Takes every datagram in flight on a link out of it, in order.
+    fn take_all(link: &mut SimLink) -> Vec<Vec<u8>> {
+        std::iter::from_fn(|| link.poll(Nanos::MAX).map(|(_, gram)| gram)).collect()
+    }
+
+    /// Checks one send of a ship on a link that has shown loss: the
+    /// datagram carrying the `End` (a probe or not, as `probe` says) goes
+    /// twice, back to back and last, and every other datagram once.
+    fn assert_end_twice(grams: &[Vec<u8>], probe: bool) {
+        let mut malformed = 0;
+        let msgs: Vec<Vec<Msg>> = grams
+            .iter()
+            .map(|g| unpack(g, &mut malformed).collect())
+            .collect();
+        assert_eq!(malformed, 0);
+        let ends = |m: &Vec<Msg>| m.iter().filter(|m| matches!(m, Msg::End { .. })).count();
+        let ends: Vec<usize> = msgs.iter().map(ends).collect();
+        let n = grams.len();
+        assert!(n >= 2 && grams[n - 2] == grams[n - 1], "{msgs:?}");
+        assert_eq!(ends[n - 2..], [1, 1], "{msgs:?}");
+        assert!(ends[..n - 2].iter().all(|&e| e == 0), "{msgs:?}");
+        let last = msgs[n - 1].last();
+        assert!(matches!(last, Some(Msg::End { probe: p, .. }) if *p == probe));
+    }
+
+    /// On a link that has shown loss every send of a ship — the first,
+    /// a `Nak`'s resend, the timer's probe — puts the datagram carrying
+    /// its `End` on the link exactly twice; for a one-datagram ship that
+    /// is the whole ship. The link still converges.
+    #[test]
+    fn a_lossy_link_sends_each_ships_end_datagram_twice() {
+        let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
+        eng.links[0].window_ships = LOSS_MEMORY;
+        // Three whole pages: the Begin, each frame and the End travel
+        // alone, and the End twice.
+        commit_noise(&mut ms, &mut vt, space, &r, 1, 3);
+        let objects = resolved_objects(ms.store());
+        let mut report = TickReport::default();
+        eng.drain_up(&mut vt, &mut report);
+        eng.ship(&mut vt, &mut ms, &objects, &mut report).unwrap();
+        let grams = take_all(&mut eng.links[0].down);
+        assert_eq!(grams.len(), 6);
+        assert_end_twice(&grams, false);
+        // A Nak's resend: the Begin, frame 1, and the End twice.
+        let ship = &mut eng.links[0].ships.get_mut(&object).unwrap().inflight[0];
+        ship.wanted = Some((true, vec![1]));
+        eng.retransmit(&mut vt);
+        let grams = take_all(&mut eng.links[0].down);
+        assert_eq!(grams.len(), 4);
+        assert_end_twice(&grams, false);
+        // The timer's probe: no whole page fits its datagram, so a bare
+        // probe End, twice.
+        vt.advance(RETRANSMIT_TIMEOUT + Nanos::from_ms(1));
+        eng.retransmit(&mut vt);
+        let grams = take_all(&mut eng.links[0].down);
+        assert_eq!(grams.len(), 2);
+        assert_end_twice(&grams, true);
+        run_until_caught_up(&mut eng, &mut vt, &mut ms, &object);
+        assert_replica_matches_primary(&mut eng, "r1", &mut ms, &mut vt, &object);
+
+        // A packed ship is one datagram: all of it goes twice.
+        let sent = eng.links[0].down.stats().sent;
+        eng.links[0].window_ships = LOSS_MEMORY;
+        ship_one(&mut eng, &mut vt, &mut ms, space, &r, 2);
+        assert_eq!(eng.links[0].down.stats().sent - sent, 2);
+        let grams = take_all(&mut eng.links[0].down);
+        assert_end_twice(&grams, false);
+        let mut malformed = 0;
+        let msgs: Vec<Msg> = unpack(&grams[0], &mut malformed).collect();
+        assert!(matches!(
+            msgs[..],
+            [Msg::Begin { .. }, Msg::Frame { .. }, Msg::End { .. }]
+        ));
+    }
+
+    /// Fed the same datagram twice — a one-datagram ship and its spare —
+    /// a replica lands the ship once with one `Ack`. A further `End` of the
+    /// landed ship earns nothing, unless it is a probe: that earns the
+    /// `Ack` again (twice, as the duplicates showed loss).
+    #[test]
+    fn a_duplicate_datagram_lands_once_and_only_a_probe_is_answered_again() {
+        let (msgs, epoch) = ship_of(1);
+        let gram: Vec<u8> = msgs.iter().flat_map(Msg::encode).collect();
+        let mut node = ReplicaNode::format("r1", 1);
+        let mut malformed = 0;
+        let mut deliver = |node: &mut ReplicaNode| -> Vec<Msg> {
+            let got: Vec<Msg> = unpack(&gram, &mut malformed).collect();
+            got.into_iter().flat_map(|m| node.handle(m)).collect()
+        };
+        assert_eq!(deliver(&mut node), [ack_of(epoch)]);
+        assert!(deliver(&mut node).is_empty(), "the spare lands nothing");
+        assert_eq!(node.epoch("db"), epoch);
+        assert!(node.ships.is_empty());
+        assert!(node.handle(msgs[2].clone()).is_empty());
+        let Msg::End { ship, trailer, .. } = msgs[2].clone() else {
+            unreachable!("ship_of ends with the End")
+        };
+        let probe = Msg::End {
+            ship,
+            probe: true,
+            trailer,
+        };
+        assert_eq!(node.handle(probe), [ack_of(epoch), ack_of(epoch)]);
+        assert_eq!(malformed, 0);
+    }
+
     /// A calm link never shows loss: 200 ships of 1–4 pages over a
-    /// jittering calm link send one `Ack` each, and both directions carry
-    /// exactly the datagrams and bytes they carried before loss-gated
-    /// redundancy existed.
+    /// jittering calm link send one `Ack` each and no spare `End`, and
+    /// both directions carry exactly the datagrams they carried before
+    /// loss-gated redundancy existed, in the compact wire's bytes.
     #[test]
     fn calm_link_sends_one_ack_a_ship() {
         let (mut ms, mut vt, space, r, _) = primary();
@@ -2275,9 +2395,10 @@ mod tests {
         assert_eq!(m.retransmit_frames, 0);
         assert_eq!(up.sent, 1 + m.acks, "the Hello, then one Ack a ship");
         // Both directions exactly as a link without the loss gate sends
-        // them, on this seed and schedule.
-        assert_eq!((down.sent, down.bytes_sent), (1002, 2_113_975));
-        assert_eq!((up.sent, up.bytes_sent, m.acks), (202, 7_264, 201));
+        // them, on this seed and schedule: a ship's pieces and a cut
+        // announce down, the Hello and an `Ack` of 8 to 10 bytes a ship up.
+        assert_eq!((down.sent, down.bytes_sent), (1002, 2_072_291));
+        assert_eq!((up.sent, up.bytes_sent, m.acks), (202, 1_769, 201));
     }
 
     /// A second `End` for a ship still missing a piece keeps the `Nak`

@@ -34,7 +34,7 @@ pub struct ReplicaNode {
     /// still had pieces arriving, when any did — what tells a hole from
     /// mere reordering.
     pub(super) reorder: Estimator,
-    /// Recently finished ships, so a repeated `End` whose `Ack` was lost
+    /// Recently finished ships, so a probe `End` whose `Ack` was lost
     /// re-acknowledges instead of re-applying.
     completed: BTreeMap<u64, (String, Epoch)>,
     /// Last instant a `RepairRequest` for (object, page) went up the
@@ -409,8 +409,8 @@ impl ReplicaNode {
 
     /// Takes one piece of a ship — `Begin`, `Frame` or `End`, in any
     /// order, any number of times — into the ship's reassembly record,
-    /// and lands what that lets land. An `End` of a ship that landed
-    /// already is the primary probing after a lost `Ack`.
+    /// and lands what that lets land. Of a ship that landed already only a
+    /// probe `End`, sent after a lost `Ack`, earns a reply: that `Ack`.
     fn reassemble(&mut self, ship: u64, piece: Msg) -> Vec<Msg> {
         let landed = self.completed.get(&ship).cloned();
         if landed.is_none() && !self.ships.contains_key(&ship) && !self.admit(RECORD_BYTES) {
@@ -424,7 +424,7 @@ impl ReplicaNode {
         }
         if let Some((object, epoch)) = landed {
             return match piece {
-                Msg::End { .. } => self.done(ship, object, epoch),
+                Msg::End { probe: true, .. } => self.done(ship, object, epoch),
                 _ => Vec::new(),
             };
         }
@@ -935,10 +935,11 @@ mod tests {
 
     /// Window ships 2 and 3 of one object through `ReplicaNode::handle`,
     /// their `Begin`, `Frame` and `End` in every one of the 720 orders,
-    /// then a duplicate `End`: ship 2 lands, then ship 3, each acknowledged
-    /// once; ship 3, whole before ship 2 lands, is held and says so with
-    /// one empty `Nak`; the duplicate `End`, a sign of loss, is answered
-    /// with the `Ack` twice; and no record is left.
+    /// then a duplicate `End` and a probe: ship 2 lands, then ship 3, each
+    /// acknowledged once; ship 3, whole before ship 2 lands, is held and
+    /// says so with one empty `Nak`; the duplicate `End` (a spare), a sign
+    /// of loss, is answered with nothing, and the probe with the `Ack`
+    /// twice; and no record is left.
     #[test]
     fn window_ships_land_in_order_whatever_order_their_pieces_arrive_in() {
         let (msgs, [e1, e2, e3]) = window_ships();
@@ -989,11 +990,16 @@ mod tests {
                 .filter(|m| matches!(m, Msg::Nak { .. }))
                 .collect();
             assert_eq!(naks, want, "{order:?}");
-            assert_eq!(
-                node.handle(msgs[8].clone()),
-                [ack(3, e3), ack(3, e3)],
-                "{order:?}"
-            );
+            assert!(node.handle(msgs[8].clone()).is_empty(), "{order:?}");
+            let Msg::End { ship, trailer, .. } = msgs[8].clone() else {
+                unreachable!("the window ships end with ship 3's End")
+            };
+            let probe = Msg::End {
+                ship,
+                probe: true,
+                trailer,
+            };
+            assert_eq!(node.handle(probe), [ack(3, e3), ack(3, e3)], "{order:?}");
             assert!(node.ships.is_empty(), "{order:?}: {:?}", node.ships);
             assert_eq!(node.epoch("db"), e3, "{order:?}");
             let mut page = vec![0; BLOCK_SIZE];

@@ -15,6 +15,8 @@ pub(super) struct Ship {
     /// the device — `stream` serves every retransmit.
     pub(super) anchor: Option<String>,
     pub(super) stream: DeltaStream,
+    /// The stream's wire size, counted once at build: every tick sums it.
+    pub(super) wire_bytes: u64,
     /// Primary instant the stream was built — the zero point of the
     /// ship's acknowledgement-lag measurement.
     pub(super) created_at: Nanos,
@@ -35,17 +37,13 @@ pub(super) struct Ship {
 }
 
 impl Ship {
-    pub(super) fn wire_bytes(&self) -> u64 {
-        self.stream.encoded_len() as u64
-    }
-
     /// What the timer's tail-loss probe carries besides its `End`: the
     /// longest suffix of the ship that packs into one datagram with it —
     /// frames taken from the back, and the `Begin` if every frame fit.
     /// A lost one-datagram ship (or its lost `Ack`) is resent whole.
     pub(super) fn tail(&self) -> (bool, std::ops::Range<u64>) {
-        let msg = |piece: usize| SHIP_MSG_HEAD + piece;
-        let mut room = DATAGRAM_BUDGET - msg(StreamTrailer::encoded_len());
+        let msg = |piece: usize| ship_head_len(self.id) + piece;
+        let mut room = DATAGRAM_BUDGET - msg(self.stream.trailer.encoded_len());
         let frames = &self.stream.frames;
         let mut first = frames.len();
         while first > 0 && msg(frames[first - 1].encoded_len()) <= room {
@@ -59,9 +57,10 @@ impl Ship {
 
 /// Sends pieces of a ship down a link — the `Begin` if asked, the
 /// frames named, always the `End` (under `TAG_PROBE` for the timer's
-/// probe) — encoded from the stream in place and packed back to back
-/// into datagrams of up to [`DATAGRAM_BUDGET`] bytes (a larger message
-/// travels alone). Returns the frames sent.
+/// probe) — encoded in place and packed into datagrams of up to
+/// [`DATAGRAM_BUDGET`] bytes (a larger message travels alone). With
+/// `spare` (a link that has shown loss) the `End`'s datagram goes twice.
+/// Returns the frames sent.
 pub(super) fn send_ship(
     down: &mut SimLink,
     now: Nanos,
@@ -69,6 +68,7 @@ pub(super) fn send_ship(
     begin: bool,
     seqs: impl IntoIterator<Item = u64>,
     probe: bool,
+    spare: bool,
 ) -> u64 {
     let (id, stream) = (ship.id, &ship.stream);
     let frame = |seq: u64| stream.frames.get(usize::try_from(seq).ok()?);
@@ -86,7 +86,7 @@ pub(super) fn send_ship(
         }
         gram.extend_from_slice(&msg);
     }
-    down.send(now, gram);
+    (0..=usize::from(spare)).for_each(|_| down.send(now, gram.clone()));
     frames.len() as u64
 }
 
@@ -258,7 +258,7 @@ impl ReplEngine {
                 .ships
                 .values()
                 .flat_map(|os| &os.inflight)
-                .map(Ship::wire_bytes)
+                .map(|s| s.wire_bytes)
                 .sum();
             for (object, id) in objects {
                 let (object, id) = (object.as_str(), *id);
@@ -312,6 +312,7 @@ impl ReplEngine {
                 let ship = Ship {
                     id: self.next_ship,
                     anchor: anchor.then_some(target),
+                    wire_bytes: stream.encoded_len() as u64,
                     stream,
                     created_at: now,
                     last_send: now,
@@ -322,8 +323,9 @@ impl ReplEngine {
                 };
                 self.next_ship += 1;
                 let frames = ship.stream.frames.len() as u64;
-                send_ship(&mut link.down, now, &ship, true, 0..frames, false);
-                bytes += ship.wire_bytes();
+                let spare = link.window_ships > 0;
+                send_ship(&mut link.down, now, &ship, true, 0..frames, false, spare);
+                bytes += ship.wire_bytes;
                 os.inflight.push_back(ship);
                 link.window_ships = link.window_ships.saturating_sub(1);
                 report.ships_started += 1;
@@ -406,6 +408,7 @@ mod tests {
         Ship {
             id: 0,
             anchor: None,
+            wire_bytes: 0,
             stream: DeltaStream {
                 header,
                 frames: Vec::new(),

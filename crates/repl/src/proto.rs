@@ -12,13 +12,13 @@
 //! replica is still missing: its `Begin` and/or frames by sequence
 //! number — selective repeat).
 //!
-//! Every encoding delimits itself, so a sender may pack several
-//! messages back to back into one datagram and a receiver reads them off
-//! the front one at a time. Messages are self-contained and
+//! A message is a tag byte, then every integer as a varint but the
+//! checksums and digests, so a sender packs several back to back into one
+//! datagram and a receiver reads them off its front. Messages are
 //! idempotent to retransmit: the link may drop, reorder, or duplicate
-//! datagrams freely. Decoding never panics — bytes come off a network,
-//! so a malformed message decodes to an error and the receiver drops it
-//! with whatever followed it in its datagram.
+//! datagrams freely. Decoding never panics and refuses a second spelling
+//! of any value, so a malformed message decodes to an error and the
+//! receiver drops it with whatever followed it in its datagram.
 //!
 //! Two further kinds serve self-healing repair and travel in *either*
 //! direction: `RepairRequest` asks the peer for a clean copy of one page
@@ -28,21 +28,21 @@
 //! no-op commit.
 
 use msnap_disk::BLOCK_SIZE;
-use msnap_sim::wire::{put_u64, Reader};
+use msnap_sim::wire::{put_u64, put_varint, varint_len, Reader};
 use msnap_snap::{Frame, SnapError, StreamHeader, StreamTrailer};
 use msnap_store::{Epoch, MAX_SHARDS};
 
-const TAG_HELLO: u64 = 1;
-pub(crate) const TAG_BEGIN: u64 = 2;
-pub(crate) const TAG_FRAME: u64 = 3;
-pub(crate) const TAG_END: u64 = 4;
-const TAG_ACK: u64 = 5;
-const TAG_NAK: u64 = 6;
-const TAG_REPAIR_REQUEST: u64 = 7;
-const TAG_REPAIR_RESPONSE: u64 = 8;
-const TAG_CUT_ANNOUNCE: u64 = 9;
+const TAG_HELLO: u8 = 1;
+pub(crate) const TAG_BEGIN: u8 = 2;
+pub(crate) const TAG_FRAME: u8 = 3;
+pub(crate) const TAG_END: u8 = 4;
+const TAG_ACK: u8 = 5;
+const TAG_NAK: u8 = 6;
+const TAG_REPAIR_REQUEST: u8 = 7;
+const TAG_REPAIR_RESPONSE: u8 = 8;
+const TAG_CUT_ANNOUNCE: u8 = 9;
 /// An `End` the primary's timer sent on its own (see [`Msg::End::probe`]).
-pub(crate) const TAG_PROBE: u64 = 10;
+pub(crate) const TAG_PROBE: u8 = 10;
 
 /// Longest object name accepted off the wire (matches the store's
 /// directory limit with slack); longer claims are malformed.
@@ -162,15 +162,49 @@ pub enum Msg {
     },
 }
 
-fn read_name(r: &mut Reader) -> Result<String, SnapError> {
-    let len = r.u64()? as usize;
-    if len > MAX_NAME {
+/// A count of at most `cap` entries of at least `min` bytes each, refused
+/// when the rest of the bytes cannot hold them: a lying count allocates
+/// nothing.
+fn read_count(r: &mut Reader, cap: usize, min: usize) -> Result<usize, SnapError> {
+    let n = usize::try_from(r.varint()?).map_err(|_| SnapError::Malformed)?;
+    if n > cap || n > r.rest().len() / min {
         return Err(SnapError::Malformed);
     }
+    Ok(n)
+}
+
+fn read_name(r: &mut Reader) -> Result<String, SnapError> {
+    let len = read_count(r, MAX_NAME, 1)?;
     String::from_utf8(r.take(len)?.to_vec()).map_err(|_| SnapError::Malformed)
 }
 
-/// A page digest travels as a `u64` whose high half must be zero.
+fn put_name(out: &mut Vec<u8>, name: &str) {
+    put_varint(out, name.len() as u64);
+    out.extend_from_slice(name.as_bytes());
+}
+
+/// A list of at most `cap` varints, behind its count.
+fn read_list(r: &mut Reader, cap: usize) -> Result<Vec<u64>, SnapError> {
+    let n = read_count(r, cap, 1)?;
+    Ok((0..n).map(|_| r.varint()).collect::<Result<_, _>>()?)
+}
+
+fn put_list(out: &mut Vec<u8>, list: &[u64]) {
+    put_varint(out, list.len() as u64);
+    list.iter().for_each(|&v| put_varint(out, v));
+}
+
+/// A flag travels as a varint that must be 0 or 1.
+fn read_flag(r: &mut Reader) -> Result<bool, SnapError> {
+    match r.varint()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(SnapError::Malformed),
+    }
+}
+
+/// A page digest travels as a full-width `u64` whose high half must be
+/// zero.
 fn read_digest(r: &mut Reader) -> Result<u32, SnapError> {
     u32::try_from(r.u64()?).map_err(|_| SnapError::Malformed)
 }
@@ -185,16 +219,18 @@ where
     Ok(piece)
 }
 
-/// Bytes a ship message adds to its piece: the tag and the ship id.
-pub(crate) const SHIP_MSG_HEAD: usize = 16;
+/// Bytes a ship message adds to its piece: the tag byte and the ship id.
+pub(crate) fn ship_head_len(ship: u64) -> usize {
+    1 + varint_len(ship)
+}
 
 /// A ship message — `tag`, the ship, one `msnap-snap` wire piece —
 /// encoded from borrowed parts: a ship goes out straight from its
 /// stream, never through an owned [`Msg`].
-pub(crate) fn ship_msg(tag: u64, ship: u64, piece: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SHIP_MSG_HEAD + piece.len());
-    put_u64(&mut out, tag);
-    put_u64(&mut out, ship);
+pub(crate) fn ship_msg(tag: u8, ship: u64, piece: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(ship_head_len(ship) + piece.len());
+    out.push(tag);
+    put_varint(&mut out, ship);
     out.extend_from_slice(piece);
     out
 }
@@ -222,21 +258,20 @@ pub(crate) fn unpack<'a>(
 }
 
 impl Msg {
-    /// Serializes the message (self-delimiting) to a datagram of its own.
+    /// Serializes the message (self-delimiting) to a datagram of its own:
+    /// a tag byte, then every integer as a varint but a page digest,
+    /// which stays a full-width `u64`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        let o = &mut out;
         match self {
             Msg::Hello { objects } => {
-                put_u64(&mut out, TAG_HELLO);
-                put_u64(&mut out, objects.len() as u64);
-                for o in objects {
-                    put_u64(&mut out, o.name.len() as u64);
-                    out.extend_from_slice(o.name.as_bytes());
-                    put_u64(&mut out, o.epoch);
-                    put_u64(&mut out, o.retained.len() as u64);
-                    for &e in &o.retained {
-                        put_u64(&mut out, e);
-                    }
+                o.push(TAG_HELLO);
+                put_varint(o, objects.len() as u64);
+                for s in objects {
+                    put_name(o, &s.name);
+                    put_varint(o, s.epoch);
+                    put_list(o, &s.retained);
                 }
             }
             Msg::Begin { ship, header } => return ship_msg(TAG_BEGIN, *ship, &header.encode()),
@@ -254,43 +289,35 @@ impl Msg {
                 object,
                 epoch,
             } => {
-                put_u64(&mut out, TAG_ACK);
-                put_u64(&mut out, *ship);
-                put_u64(&mut out, object.len() as u64);
-                out.extend_from_slice(object.as_bytes());
-                put_u64(&mut out, *epoch);
+                o.push(TAG_ACK);
+                put_varint(o, *ship);
+                put_name(o, object);
+                put_varint(o, *epoch);
             }
             Msg::Nak {
                 ship,
                 begin,
                 missing,
             } => {
-                put_u64(&mut out, TAG_NAK);
-                put_u64(&mut out, *ship);
-                put_u64(&mut out, u64::from(*begin));
-                put_u64(&mut out, missing.len() as u64);
-                for &seq in missing {
-                    put_u64(&mut out, seq);
-                }
+                o.push(TAG_NAK);
+                put_varint(o, *ship);
+                put_varint(o, u64::from(*begin));
+                put_list(o, missing);
             }
             Msg::RepairRequest {
                 object,
                 page,
                 page_digest,
             } => {
-                put_u64(&mut out, TAG_REPAIR_REQUEST);
-                put_u64(&mut out, object.len() as u64);
-                out.extend_from_slice(object.as_bytes());
-                put_u64(&mut out, *page);
-                put_u64(&mut out, *page_digest as u64);
+                o.push(TAG_REPAIR_REQUEST);
+                put_name(o, object);
+                put_varint(o, *page);
+                put_u64(o, u64::from(*page_digest));
             }
             Msg::CutAnnounce { seq, epochs } => {
-                put_u64(&mut out, TAG_CUT_ANNOUNCE);
-                put_u64(&mut out, *seq);
-                put_u64(&mut out, epochs.len() as u64);
-                for &e in epochs {
-                    put_u64(&mut out, e);
-                }
+                o.push(TAG_CUT_ANNOUNCE);
+                put_varint(o, *seq);
+                put_list(o, epochs);
             }
             Msg::RepairResponse {
                 object,
@@ -299,107 +326,77 @@ impl Msg {
                 data,
             } => {
                 assert_eq!(data.len(), BLOCK_SIZE, "repair payloads are one page");
-                put_u64(&mut out, TAG_REPAIR_RESPONSE);
-                put_u64(&mut out, object.len() as u64);
-                out.extend_from_slice(object.as_bytes());
-                put_u64(&mut out, *page);
-                put_u64(&mut out, *page_digest as u64);
-                out.extend_from_slice(data);
+                o.push(TAG_REPAIR_RESPONSE);
+                put_name(o, object);
+                put_varint(o, *page);
+                put_u64(o, u64::from(*page_digest));
+                o.extend_from_slice(data);
             }
         }
         out
     }
 
     /// Parses the message at the front of `buf`, returning it and the
-    /// bytes it occupied. Never panics or over-allocates on malformed
-    /// input — a receiver drops what this rejects.
+    /// bytes it occupied. Never panics, and allocates for no more
+    /// entries than the bytes hold — a receiver drops what this rejects.
     ///
     /// # Errors
     ///
     /// [`SnapError::Malformed`] for structural damage (truncation, bad
-    /// tag, oversized claims).
+    /// tag, a non-canonical varint, oversized claims).
     pub fn decode(buf: &[u8]) -> Result<(Msg, usize), SnapError> {
         let mut r = Reader::new(buf);
-        let tag = r.u64()?;
+        let tag = r.u8()?;
         let msg = match tag {
             TAG_HELLO => {
-                let count = r.u64()? as usize;
-                if count > MAX_OBJECTS {
-                    return Err(SnapError::Malformed);
-                }
-                let mut objects = Vec::with_capacity(count.min(buf.len() / 24 + 1));
+                // A name's length, an epoch and a count: 3 bytes at least.
+                let count = read_count(&mut r, MAX_OBJECTS, 3)?;
+                let mut objects = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let name = read_name(&mut r)?;
-                    let epoch = r.u64()?;
-                    let n = r.u64()? as usize;
-                    if n > MAX_RETAINED {
-                        return Err(SnapError::Malformed);
-                    }
-                    let mut retained = Vec::with_capacity(n.min(buf.len() / 8 + 1));
-                    for _ in 0..n {
-                        retained.push(r.u64()?);
-                    }
                     objects.push(ObjectStatus {
-                        name,
-                        epoch,
-                        retained,
+                        name: read_name(&mut r)?,
+                        epoch: r.varint()?,
+                        retained: read_list(&mut r, MAX_RETAINED)?,
                     });
                 }
                 Msg::Hello { objects }
             }
             TAG_BEGIN => Msg::Begin {
-                ship: r.u64()?,
+                ship: r.varint()?,
                 header: read_piece(&mut r, StreamHeader::decode)?,
             },
             TAG_FRAME => Msg::Frame {
-                ship: r.u64()?,
+                ship: r.varint()?,
                 frame: read_piece(&mut r, Frame::decode)?,
             },
             TAG_END | TAG_PROBE => Msg::End {
-                ship: r.u64()?,
+                ship: r.varint()?,
                 probe: tag == TAG_PROBE,
                 trailer: read_piece(&mut r, StreamTrailer::decode)?,
             },
             TAG_ACK => Msg::Ack {
-                ship: r.u64()?,
+                ship: r.varint()?,
                 object: read_name(&mut r)?,
-                epoch: r.u64()?,
+                epoch: r.varint()?,
             },
-            TAG_NAK => {
-                let ship = r.u64()?;
-                let begin = r.u64()? != 0;
-                let n = r.u64()? as usize;
-                if n > MAX_NAK_SEQS {
-                    return Err(SnapError::Malformed);
-                }
-                let missing = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-                Msg::Nak {
-                    ship,
-                    begin,
-                    missing,
-                }
-            }
+            TAG_NAK => Msg::Nak {
+                ship: r.varint()?,
+                begin: read_flag(&mut r)?,
+                missing: read_list(&mut r, MAX_NAK_SEQS)?,
+            },
             TAG_REPAIR_REQUEST => Msg::RepairRequest {
                 object: read_name(&mut r)?,
-                page: r.u64()?,
+                page: r.varint()?,
                 page_digest: read_digest(&mut r)?,
             },
-            TAG_CUT_ANNOUNCE => {
-                let seq = r.u64()?;
-                // One epoch a shard, and no store has more shards.
-                let n = r.u64()? as usize;
-                if n > MAX_SHARDS {
-                    return Err(SnapError::Malformed);
-                }
-                let mut epochs = Vec::with_capacity(n.min(buf.len() / 8 + 1));
-                for _ in 0..n {
-                    epochs.push(r.u64()?);
-                }
-                Msg::CutAnnounce { seq, epochs }
-            }
+            // One epoch a shard, and no store has more shards.
+            TAG_CUT_ANNOUNCE => Msg::CutAnnounce {
+                seq: r.varint()?,
+                epochs: read_list(&mut r, MAX_SHARDS)?,
+            },
             TAG_REPAIR_RESPONSE => Msg::RepairResponse {
                 object: read_name(&mut r)?,
-                page: r.u64()?,
+                page: r.varint()?,
                 page_digest: read_digest(&mut r)?,
                 data: r.take(BLOCK_SIZE)?.to_vec(),
             },
@@ -488,11 +485,10 @@ mod tests {
         assert_eq!(unpacked(&packed), (msgs, false));
     }
 
-    /// One sample of every message kind: the whole encoding reads back
-    /// as the message, and every non-empty strict prefix of it is
-    /// malformed — a truncated datagram never decodes, never panics.
-    #[test]
-    fn every_strict_prefix_of_every_kind_is_malformed() {
+    /// One sample of every message kind, each of its varints one byte
+    /// long: `Hello`, `Begin`, both frame kinds, `End` and its probe,
+    /// `Ack`, `Nak`, the repair pair and `CutAnnounce`.
+    fn samples() -> Vec<Msg> {
         let header = StreamHeader {
             object: "db".into(),
             base_epoch: Some(4),
@@ -520,7 +516,7 @@ mod tests {
             frames: 2,
             stream_sum: 8,
         };
-        let msgs = [
+        vec![
             Msg::Hello {
                 objects: vec![ObjectStatus {
                     name: "db".into(),
@@ -572,14 +568,131 @@ mod tests {
                 page_digest: 7,
                 data: vec![1; BLOCK_SIZE],
             },
-        ];
-        for m in msgs {
+        ]
+    }
+
+    /// Every sample's whole encoding reads back as the message, and every
+    /// non-empty strict prefix of it is malformed — a truncated datagram
+    /// never decodes, never panics.
+    #[test]
+    fn every_strict_prefix_of_every_kind_is_malformed() {
+        for m in samples() {
             let wire = m.encode();
             assert_eq!(Msg::decode(&wire), Ok((m.clone(), wire.len())));
             for len in 1..wire.len() {
                 let got = Msg::decode(&wire[..len]);
                 assert_eq!(got, Err(SnapError::Malformed), "{m:?} cut at {len}");
             }
+        }
+    }
+
+    /// Every single flipped bit of every sample is refused, or — in an
+    /// up-link message or a ship message's head, which carry no checksum
+    /// — reads as another message spelled exactly as the flipped bytes:
+    /// no flip is a second spelling of the same message. Inside a ship
+    /// message's snap piece every flip is malformed or fails the frame's
+    /// checksum.
+    #[test]
+    fn every_bit_flip_of_every_kind_is_refused_or_another_message() {
+        for m in samples() {
+            let wire = m.encode();
+            let piece = match &m {
+                Msg::Begin { ship, .. } | Msg::Frame { ship, .. } | Msg::End { ship, .. } => {
+                    ship_head_len(*ship)
+                }
+                _ => wire.len(),
+            };
+            for bit in 0..wire.len() * 8 {
+                let mut bad = wire.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                match Msg::decode(&bad) {
+                    Err(e) => assert_eq!(e, SnapError::Malformed),
+                    Ok((Msg::Frame { frame, .. }, _)) if bit / 8 >= piece => {
+                        assert!(!frame.verify(), "{m:?} bit {bit}")
+                    }
+                    Ok((got, used)) => {
+                        assert!(bit / 8 < piece, "{m:?} bit {bit} read as {got:?}");
+                        assert_ne!(got, m, "bit {bit}");
+                        assert_eq!(got.encode(), bad[..used], "{m:?} bit {bit}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// No decode allocates past the bytes it holds: across every sample,
+    /// cut anywhere, and datagrams whose counts lie, no allocation holds
+    /// more than one `ObjectStatus` (the largest entry a message decodes)
+    /// for each byte of the datagram.
+    #[test]
+    fn no_decode_allocates_past_its_bytes() {
+        let mut grams: Vec<Vec<u8>> = Vec::new();
+        for m in samples() {
+            let wire = m.encode();
+            grams.extend((1..=wire.len()).map(|len| wire[..len].to_vec()));
+        }
+        // Each list's head (the tag, then ship 7 and no Begin, or cut 7),
+        // a lying count, and one byte of entries.
+        for (head, cap) in [
+            (&[TAG_HELLO][..], MAX_OBJECTS),
+            (&[TAG_NAK, 7, 0], MAX_NAK_SEQS),
+            (&[TAG_CUT_ANNOUNCE, 7], MAX_SHARDS),
+        ] {
+            for n in [cap as u64, u64::MAX] {
+                let mut lying = head.to_vec();
+                put_varint(&mut lying, n);
+                lying.push(1);
+                grams.push(lying);
+            }
+        }
+        // A Hello entry whose retained list lies.
+        let mut lying = vec![TAG_HELLO, 1, 2, b'd', b'b', 5];
+        put_varint(&mut lying, MAX_RETAINED as u64);
+        grams.push(lying);
+        for gram in grams {
+            meter::reset();
+            let _ = Msg::decode(&gram);
+            let largest = meter::largest();
+            let bound = gram.len() * std::mem::size_of::<ObjectStatus>();
+            assert!(largest <= bound, "{largest} bytes for {gram:x?}");
+        }
+    }
+
+    /// The largest allocation this thread has asked for since its last
+    /// [`meter::reset`]; other threads' allocations do not count.
+    mod meter {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        struct Meter;
+
+        thread_local! {
+            static LARGEST: Cell<usize> = const { Cell::new(0) };
+        }
+
+        // SAFETY: every call is passed on to the system allocator as is.
+        unsafe impl GlobalAlloc for Meter {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                let _ = LARGEST.try_with(|m| m.set(m.get().max(layout.size())));
+                // SAFETY: the caller's contract is `System`'s.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: `ptr` came from `System.alloc` above.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+        }
+
+        #[global_allocator]
+        static METER: Meter = Meter;
+
+        pub(super) fn reset() {
+            LARGEST.with(|m| m.set(0));
+        }
+
+        pub(super) fn largest() -> usize {
+            LARGEST.with(Cell::get)
         }
     }
 
@@ -602,12 +715,9 @@ mod tests {
         long.push(0);
         let (got, malformed) = unpacked(&long);
         assert!(matches!(got[..], [Msg::RepairResponse { .. }]) && malformed);
-        // A digest claim that does not fit 32 bits.
-        let mut req = Vec::new();
-        put_u64(&mut req, TAG_REPAIR_REQUEST);
-        put_u64(&mut req, 1);
-        req.push(b'x');
-        put_u64(&mut req, 0); // page
+        // A digest claim that does not fit 32 bits: the tag, the name's
+        // length and "x", page 0, then the digest.
+        let mut req = vec![TAG_REPAIR_REQUEST, 1, b'x', 0];
         put_u64(&mut req, u64::MAX); // digest out of range
         assert!(Msg::decode(&req).is_err());
     }
@@ -620,9 +730,7 @@ mod tests {
         let data = vec![0x5Au8; BLOCK_SIZE];
         let mut sum = msnap_store::fnv1a(&0u64.to_le_bytes());
         sum = msnap_store::fnv1a_extend(sum, &7u64.to_le_bytes());
-        let mut wire = Vec::new();
-        put_u64(&mut wire, TAG_FRAME);
-        put_u64(&mut wire, 1); // ship
+        let mut wire = vec![TAG_FRAME, 1]; // ship 1
         put_u64(&mut wire, 0x4d534e_41504446); // "MSN APDF"
         put_u64(&mut wire, 0); // seq
         put_u64(&mut wire, 7); // page
@@ -704,7 +812,7 @@ mod tests {
             assert_eq!(got[..before], msgs[..before], "flip at {at}");
         }
         // Over-long: junk behind the last message costs only itself.
-        for junk in [&[0u8][..], &[0xFF; 9], &TAG_NAK.to_le_bytes()] {
+        for junk in [&[0u8][..], &[0xFF; 9], &[TAG_NAK]] {
             let mut long = wire.clone();
             long.extend_from_slice(junk);
             assert_eq!(unpacked(&long), (msgs.clone(), true));
@@ -713,23 +821,42 @@ mod tests {
 
     #[test]
     fn nak_lists_are_bounded_at_decode() {
-        let nak = |seqs: &[u64]| {
-            let mut wire = Vec::new();
-            for v in [TAG_NAK, 9, 0, seqs.len() as u64] {
-                put_u64(&mut wire, v);
-            }
-            seqs.iter().for_each(|&s| put_u64(&mut wire, s));
-            Msg::decode(&wire)
+        // The tag, ship 9, no Begin, the count, the sequence numbers.
+        let wire = |count: u64, seqs: &[u64]| {
+            let mut wire = vec![TAG_NAK, 9, 0];
+            put_varint(&mut wire, count);
+            seqs.iter().for_each(|&s| put_varint(&mut wire, s));
+            wire
         };
+        let nak = |seqs: &[u64]| Msg::decode(&wire(seqs.len() as u64, seqs));
         let full: Vec<u64> = (0..MAX_NAK_SEQS as u64).collect();
         assert!(nak(&full).is_ok());
+        // The widest sequence numbers still read back.
+        let wide = vec![u64::MAX; MAX_NAK_SEQS];
+        let got = nak(&wide).unwrap();
+        assert_eq!(got.1, 3 + 2 + 10 * MAX_NAK_SEQS);
         let over: Vec<u64> = (0..=MAX_NAK_SEQS as u64).collect();
         assert_eq!(nak(&over), Err(SnapError::Malformed), "over-long list");
         // A count the bytes do not hold drives no allocation past the cap.
-        for lying in [[TAG_NAK, 9, 0, u64::MAX], [TAG_NAK, 9, 0, 100]] {
-            let mut wire = Vec::new();
-            lying.iter().for_each(|&v| put_u64(&mut wire, v));
-            assert_eq!(Msg::decode(&wire), Err(SnapError::Malformed));
+        for lying in [u64::MAX, 100] {
+            assert_eq!(Msg::decode(&wire(lying, &[])), Err(SnapError::Malformed));
+        }
+        // One spelling a value: a padded ship, flag, count or sequence
+        // number, a sequence number past 64 bits, and a flag other than
+        // 0 or 1 are refused.
+        let ok = wire(2, &[1, 5]);
+        assert_eq!(Msg::decode(&ok).map(|(_, n)| n), Ok(ok.len()));
+        let padded = |at: usize| [&ok[..at], &[ok[at] | 0x80, 0], &ok[at + 1..]].concat();
+        let past_64 = [&ok[..5], &[0xFF; 9][..], &[0x02]].concat();
+        let flag_2 = [&ok[..2], &[2], &ok[3..]].concat();
+        for bad in [padded(1), padded(2), padded(3), padded(4), past_64, flag_2] {
+            assert_eq!(Msg::decode(&bad), Err(SnapError::Malformed), "{bad:x?}");
+        }
+        // Likewise the varint behind the tag of every kind.
+        for m in samples() {
+            let w = m.encode();
+            let bad = [&w[..1], &[w[1] | 0x80, 0], &w[2..]].concat();
+            assert_eq!(Msg::decode(&bad), Err(SnapError::Malformed), "{m:?}");
         }
     }
 
@@ -755,18 +882,15 @@ mod tests {
     fn garbage_datagrams_decode_to_errors_not_panics() {
         assert!(Msg::decode(&[]).is_err());
         assert!(Msg::decode(&[0u8; 7]).is_err());
-        assert!(Msg::decode(&99u64.to_le_bytes()).is_err());
+        assert!(Msg::decode(&[99]).is_err());
         // A Hello lying about its counts must not over-allocate.
-        let mut lying = Vec::new();
-        put_u64(&mut lying, TAG_HELLO);
-        put_u64(&mut lying, u64::MAX);
+        let mut lying = vec![TAG_HELLO];
+        put_varint(&mut lying, u64::MAX);
         assert!(Msg::decode(&lying).is_err());
         // Likewise a CutAnnounce claiming an absurd epoch count, or one
         // truncated mid-vector.
-        let mut lying = Vec::new();
-        put_u64(&mut lying, TAG_CUT_ANNOUNCE);
-        put_u64(&mut lying, 1); // seq
-        put_u64(&mut lying, u64::MAX);
+        let mut lying = vec![TAG_CUT_ANNOUNCE, 1]; // seq 1
+        put_varint(&mut lying, u64::MAX);
         assert!(Msg::decode(&lying).is_err());
         let cut = Msg::CutAnnounce {
             seq: 3,

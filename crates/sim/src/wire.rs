@@ -145,6 +145,13 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
+/// The bytes [`put_varint`] appends for `v`, computed without encoding.
+#[inline]
+pub const fn varint_len(v: u64) -> usize {
+    // Bits past the top one, in groups of seven; 0 still takes a byte.
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +204,7 @@ mod tests {
             let bytes = varint(v);
             let bits = 64 - v.leading_zeros() as usize;
             assert_eq!(bytes.len(), bits.div_ceil(7).max(1), "{v:#x}");
+            assert_eq!(varint_len(v), bytes.len(), "{v:#x}");
             let mut tail = bytes.clone();
             tail.push(0xAA);
             let mut r = Reader::new(&tail);

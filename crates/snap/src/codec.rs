@@ -20,32 +20,39 @@ pub struct StreamHeader {
 }
 
 impl StreamHeader {
-    /// Wire size of this header: the fixed part and the object name.
+    /// Wire size of this header, from its fields' lengths.
     pub fn encoded_len(&self) -> usize {
-        HEADER_FIXED + self.object.len()
+        let base = self.base_epoch.map_or(0, varint_len);
+        1 + varint_len(self.object.len() as u64)
+            + self.object.len()
+            + 1
+            + base
+            + varint_len(self.target_epoch)
+            + varint_len(self.len_pages)
+            + varint_len(self.frame_count)
+            + 8
     }
 
     /// Serializes the header to its checksummed, self-delimiting wire
-    /// form (the first piece of a stream on the wire): seven `u64`
-    /// fields, the checksum, then the name bytes. The checksum covers
-    /// the fields and the name.
+    /// form (the first piece of a stream on the wire): the kind byte, the
+    /// name's length and bytes, a base flag (then the base), the target
+    /// epoch, the length and the frame count as varints, then the
+    /// checksum of every byte before it.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        for v in [
-            STREAM_MAGIC,
-            self.object.len() as u64,
-            u64::from(self.base_epoch.is_some()),
-            self.base_epoch.unwrap_or(0),
-            self.target_epoch,
-            self.len_pages,
-            self.frame_count,
-            0, // the checksum, sealed below
-        ] {
-            put_u64(&mut out, v);
-        }
+        out.push(STREAM_KIND);
+        put_varint(&mut out, self.object.len() as u64);
         out.extend_from_slice(self.object.as_bytes());
-        let sum = fnv1a_extend(fnv1a(&out[..SUM_AT]), &out[HEADER_FIXED..]);
-        out[SUM_AT..HEADER_FIXED].copy_from_slice(&sum.to_le_bytes());
+        put_varint(&mut out, u64::from(self.base_epoch.is_some()));
+        for v in
+            self.base_epoch
+                .into_iter()
+                .chain([self.target_epoch, self.len_pages, self.frame_count])
+        {
+            put_varint(&mut out, v);
+        }
+        let sum = fnv1a(&out);
+        put_u64(&mut out, sum);
         out
     }
 
@@ -54,24 +61,27 @@ impl StreamHeader {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Malformed`] for truncation, a bad magic, or a
-    /// checksum that does not cover the bytes.
+    /// [`SnapError::Malformed`] for truncation, a bad kind, a
+    /// non-canonical varint, or a checksum that does not cover the bytes.
     pub fn decode(bytes: &[u8]) -> Result<(StreamHeader, usize), SnapError> {
         let mut r = Reader::new(bytes);
-        if r.u64()? != STREAM_MAGIC {
+        if r.u8()? != STREAM_KIND {
             return Err(SnapError::Malformed);
         }
-        let name_len = r.u64()? as usize;
-        let (has_base, base) = (r.u64()? != 0, r.u64()?);
-        let (target_epoch, len_pages, frame_count) = (r.u64()?, r.u64()?, r.u64()?);
-        let sum = r.u64()?;
+        let name_len = bounded(r.varint()?, bytes.len())?;
         let name = r.take(name_len)?;
-        if fnv1a_extend(fnv1a(&bytes[..SUM_AT]), name) != sum {
+        let base_epoch = match r.varint()? {
+            0 => None,
+            1 => Some(r.varint()?),
+            _ => return Err(SnapError::Malformed),
+        };
+        let (target_epoch, len_pages, frame_count) = (r.varint()?, r.varint()?, r.varint()?);
+        if fnv1a(&bytes[..r.at()]) != r.u64()? {
             return Err(SnapError::Malformed);
         }
         let header = StreamHeader {
             object: String::from_utf8(name.to_vec()).map_err(|_| SnapError::Malformed)?,
-            base_epoch: has_base.then_some(base),
+            base_epoch,
             target_epoch,
             len_pages,
             frame_count,
@@ -86,12 +96,12 @@ impl StreamHeader {
 /// matched the sender's before committing. A whole page is the one-run
 /// case ([`SubPageFrame::covers_whole`]).
 ///
-/// Wire form: `magic seq page page_digest checksum` (five `u64`s),
-/// then `run_count method` (two `u16`s) and `raw_len payload_len` (two
-/// `u32`s), then `run_count` runs of `(offset: u16, len: u16)` bytes
-/// within the page, then the payload (`method` 0 = stored raw run
-/// bytes, 1 = `compress`-encoded — the incompressible bypass keeps
-/// method 0).
+/// Wire form: the kind byte, `seq page` (varints), `page_digest
+/// checksum` (full-width `u64`s), `run_count method raw_len
+/// payload_len` (varints), then `run_count` runs of `(offset, len)`
+/// bytes within the page (varints), then the payload (`method` 0 =
+/// stored raw run bytes, 1 = `compress`-encoded — the incompressible
+/// bypass keeps method 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubPageFrame {
     /// 0-based position in the stream.
@@ -205,30 +215,45 @@ impl SubPageFrame {
         scatter(page, &self.runs, &raw)
     }
 
-    /// Wire size of this frame.
+    /// Wire size of this frame, from its fields' lengths.
     pub fn encoded_len(&self) -> usize {
-        SUB_FIXED + self.runs.len() * 4 + self.payload.len()
+        let runs: usize = self.runs.iter().map(|&(o, l)| run_len(o, l)).sum();
+        head_len(self.seq, self.page)
+            + varint_len(self.runs.len() as u64)
+            + varint_len(u64::from(self.method))
+            + varint_len(u64::from(self.raw_len))
+            + varint_len(self.payload.len() as u64)
+            + runs
+            + self.payload.len()
+    }
+
+    /// Wire size of the stored (uncompressed) whole-page frame at `seq`
+    /// for `page` — what shipping that page page-granularly costs, the
+    /// yardstick sub-page framing, dedup and compression are measured
+    /// against.
+    pub fn stored_whole_len(seq: u64, page: u64) -> usize {
+        let whole = BLOCK_SIZE as u64;
+        // One run, method 0, and the page's length as raw and payload.
+        head_len(seq, page) + 2 + 2 * varint_len(whole) + run_len(0, whole as u16) + BLOCK_SIZE
     }
 
     /// Serializes the frame — one datagram's worth of stream.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
+        put_head(&mut out, SUB_FRAME_KIND, self.seq, self.page);
+        put_u64(&mut out, self.page_digest);
+        put_u64(&mut out, self.checksum);
         for v in [
-            SUB_FRAME_MAGIC,
-            self.seq,
-            self.page,
-            self.page_digest,
-            self.checksum,
+            self.runs.len() as u64,
+            u64::from(self.method),
+            u64::from(self.raw_len),
+            self.payload.len() as u64,
         ] {
-            put_u64(&mut out, v);
+            put_varint(&mut out, v);
         }
-        put_u16(&mut out, self.runs.len() as u16);
-        put_u16(&mut out, self.method);
-        put_u32(&mut out, self.raw_len);
-        put_u32(&mut out, self.payload.len() as u32);
         for &(off, len) in &self.runs {
-            put_u16(&mut out, off);
-            put_u16(&mut out, len);
+            put_varint(&mut out, u64::from(off));
+            put_varint(&mut out, u64::from(len));
         }
         out.extend_from_slice(&self.payload);
         out
@@ -241,21 +266,25 @@ impl SubPageFrame {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Malformed`] for truncation, a bad magic, or lying
-    /// run/payload counts.
+    /// [`SnapError::Malformed`] for truncation, a bad kind, a
+    /// non-canonical varint, or lying run/payload counts.
     pub fn decode(bytes: &[u8]) -> Result<(SubPageFrame, usize), SnapError> {
         let mut r = Reader::new(bytes);
-        if r.u64()? != SUB_FRAME_MAGIC {
+        let (seq, page) = read_head(&mut r, SUB_FRAME_KIND)?;
+        let (page_digest, checksum) = (r.u64()?, r.u64()?);
+        let run_count = bounded(r.varint()?, MAX_SUB_RUNS)?;
+        let method = read_u16(&mut r)?;
+        let raw_len = bounded(r.varint()?, BLOCK_SIZE)? as u32;
+        let payload_len = bounded(r.varint()?, BLOCK_SIZE)?;
+        // Each run takes two bytes at least: a count the bytes cannot
+        // hold allocates nothing.
+        if run_count > r.rest().len() / 2 {
             return Err(SnapError::Malformed);
         }
-        let (seq, page, page_digest, checksum) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-        let (run_count, method) = (r.u16()? as usize, r.u16()?);
-        let (raw_len, payload_len) = (r.u32()?, r.u32()? as usize);
-        if run_count > MAX_SUB_RUNS || payload_len > BLOCK_SIZE || raw_len as usize > BLOCK_SIZE {
-            return Err(SnapError::Malformed);
+        let mut runs = Vec::with_capacity(run_count);
+        for _ in 0..run_count {
+            runs.push((read_u16(&mut r)?, read_u16(&mut r)?));
         }
-        let runs = (0..run_count).map(|_| Ok((r.u16()?, r.u16()?)));
-        let runs = runs.collect::<Result<_, Short>>()?;
         let frame = SubPageFrame {
             seq,
             page,
@@ -270,8 +299,47 @@ impl SubPageFrame {
     }
 }
 
+/// `v` as a count or a length, if it is at most `cap`.
+fn bounded(v: u64, cap: usize) -> Result<usize, SnapError> {
+    usize::try_from(v)
+        .ok()
+        .filter(|&n| n <= cap)
+        .ok_or(SnapError::Malformed)
+}
+
+/// A varint that must fit 16 bits.
+fn read_u16(r: &mut Reader) -> Result<u16, SnapError> {
+    u16::try_from(r.varint()?).map_err(|_| SnapError::Malformed)
+}
+
+/// Wire size of a frame's kind byte, `seq` and `page` and its two
+/// full-width words (the page digest or dedup digest, and the checksum).
+fn head_len(seq: u64, page: u64) -> usize {
+    1 + varint_len(seq) + varint_len(page) + 16
+}
+
+/// Wire size of one `(offset, len)` run.
+fn run_len(off: u16, len: u16) -> usize {
+    varint_len(u64::from(off)) + varint_len(u64::from(len))
+}
+
+/// Writes a frame's kind byte, `seq` and `page`.
+fn put_head(out: &mut Vec<u8>, kind: u8, seq: u64, page: u64) {
+    out.push(kind);
+    put_varint(out, seq);
+    put_varint(out, page);
+}
+
+/// Reads a frame's kind byte, which must be `kind`, then `seq` and `page`.
+fn read_head(r: &mut Reader, kind: u8) -> Result<(u64, u64), SnapError> {
+    if r.u8()? != kind {
+        return Err(SnapError::Malformed);
+    }
+    Ok((r.varint()?, r.varint()?))
+}
+
 /// A dedup reference: "this page's content is the image whose digest
-/// you already hold" — ~40 wire bytes in place of a 4 KiB payload.
+/// you already hold" — ~20 wire bytes in place of a 4 KiB payload.
 /// Emitted only for digests the receiver's table will hold with
 /// byte-identical content when it lands the stream (see
 /// [`DedupTable`]); sender and receiver tables advance in lockstep
@@ -310,23 +378,18 @@ impl RefFrame {
         self.checksum == Self::compute_checksum(self.seq, self.page, self.digest)
     }
 
-    /// Wire size of one reference frame.
-    pub const fn encoded_len() -> usize {
-        REF_FRAME_LEN
+    /// Wire size of this reference frame, from its fields' lengths.
+    pub fn encoded_len(&self) -> usize {
+        head_len(self.seq, self.page)
     }
 
-    /// Serializes the frame.
+    /// Serializes the frame: the kind byte, `seq` and `page` (varints),
+    /// then the digest and the checksum (full-width `u64`s).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(REF_FRAME_LEN);
-        for v in [
-            REF_FRAME_MAGIC,
-            self.seq,
-            self.page,
-            self.digest,
-            self.checksum,
-        ] {
-            put_u64(&mut out, v);
-        }
+        let mut out = Vec::with_capacity(self.encoded_len());
+        put_head(&mut out, REF_FRAME_KIND, self.seq, self.page);
+        put_u64(&mut out, self.digest);
+        put_u64(&mut out, self.checksum);
         out
     }
 
@@ -335,25 +398,25 @@ impl RefFrame {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Malformed`] for truncation or a bad magic.
+    /// [`SnapError::Malformed`] for truncation, a bad kind or a
+    /// non-canonical varint.
     pub fn decode(bytes: &[u8]) -> Result<(RefFrame, usize), SnapError> {
         let mut r = Reader::new(bytes);
-        if r.u64()? != REF_FRAME_MAGIC {
-            return Err(SnapError::Malformed);
-        }
+        let (seq, page) = read_head(&mut r, REF_FRAME_KIND)?;
+        let (digest, checksum) = (r.u64()?, r.u64()?);
         let frame = RefFrame {
-            seq: r.u64()?,
-            page: r.u64()?,
-            digest: r.u64()?,
-            checksum: r.u64()?,
+            seq,
+            page,
+            digest,
+            checksum,
         };
-        Ok((frame, REF_FRAME_LEN))
+        Ok((frame, r.at()))
     }
 }
 
 /// One stream frame: page bytes (runs, whole page included) or a dedup
-/// reference. The wire forms are distinguished by magic, so a mixed
-/// stream decodes frame by frame.
+/// reference. The wire forms are distinguished by their kind byte, so a
+/// mixed stream decodes frame by frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// Byte runs of one page, with the patched page's digest.
@@ -399,7 +462,7 @@ impl Frame {
     pub fn encoded_len(&self) -> usize {
         match self {
             Frame::Sub(f) => f.encoded_len(),
-            Frame::Ref(_) => REF_FRAME_LEN,
+            Frame::Ref(f) => f.encoded_len(),
         }
     }
 
@@ -411,33 +474,35 @@ impl Frame {
         }
     }
 
-    /// Parses whichever frame kind opens `bytes` (dispatch on magic),
-    /// returning it and the bytes consumed.
+    /// Parses whichever frame kind opens `bytes` (dispatch on its kind
+    /// byte), returning it and the bytes consumed.
     ///
     /// # Errors
     ///
-    /// [`SnapError::Malformed`] for truncation or an unknown magic.
+    /// [`SnapError::Malformed`] for truncation or an unknown kind.
     pub fn decode(bytes: &[u8]) -> Result<(Frame, usize), SnapError> {
-        match Reader::new(bytes).u64()? {
-            SUB_FRAME_MAGIC => SubPageFrame::decode(bytes).map(|(f, n)| (Frame::Sub(f), n)),
-            REF_FRAME_MAGIC => RefFrame::decode(bytes).map(|(f, n)| (Frame::Ref(f), n)),
+        match bytes.first() {
+            Some(&SUB_FRAME_KIND) => SubPageFrame::decode(bytes).map(|(f, n)| (Frame::Sub(f), n)),
+            Some(&REF_FRAME_KIND) => RefFrame::decode(bytes).map(|(f, n)| (Frame::Ref(f), n)),
             _ => Err(SnapError::Malformed),
         }
     }
 }
 
 impl StreamTrailer {
-    /// Wire size of the trailer.
-    pub const fn encoded_len() -> usize {
-        TRAILER_LEN
+    /// Wire size of the trailer, from its fields' lengths.
+    pub fn encoded_len(&self) -> usize {
+        1 + varint_len(self.frames) + 16
     }
 
-    /// Serializes the trailer (checksummed).
+    /// Serializes the trailer: the kind byte, the frame count (a
+    /// varint), the stream sum, then the checksum of every byte before
+    /// it (full-width `u64`s).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(TRAILER_LEN);
-        for v in [TRAILER_MAGIC, self.frames, self.stream_sum] {
-            put_u64(&mut out, v);
-        }
+        let mut out = Vec::with_capacity(self.encoded_len());
+        out.push(TRAILER_KIND);
+        put_varint(&mut out, self.frames);
+        put_u64(&mut out, self.stream_sum);
         let sum = fnv1a(&out);
         put_u64(&mut out, sum);
         out
@@ -448,19 +513,18 @@ impl StreamTrailer {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Malformed`] for truncation, a bad magic, or a
-    /// self-checksum mismatch.
+    /// [`SnapError::Malformed`] for truncation, a bad kind, a
+    /// non-canonical varint, or a self-checksum mismatch.
     pub fn decode(bytes: &[u8]) -> Result<(StreamTrailer, usize), SnapError> {
         let mut r = Reader::new(bytes);
-        if r.u64()? != TRAILER_MAGIC {
+        if r.u8()? != TRAILER_KIND {
             return Err(SnapError::Malformed);
         }
-        let (frames, stream_sum) = (r.u64()?, r.u64()?);
-        if fnv1a(&bytes[..24]) != r.u64()? {
+        let (frames, stream_sum) = (r.varint()?, r.u64()?);
+        if fnv1a(&bytes[..r.at()]) != r.u64()? {
             return Err(SnapError::Malformed);
         }
-        let trailer = StreamTrailer { frames, stream_sum };
-        Ok((trailer, TRAILER_LEN))
+        Ok((StreamTrailer { frames, stream_sum }, r.at()))
     }
 }
 
@@ -500,8 +564,9 @@ pub struct WireSavings {
     /// Payload frames shipped ([`Frame::Sub`]: runs of a page, a whole
     /// page included) — every frame that is not a reference.
     pub subpage_frames: u64,
-    /// Bytes saved by dedup references ([`WHOLE_FRAME_LEN`] minus the
-    /// reference frame size, per reference).
+    /// Bytes saved by dedup references (the stored whole-page frame
+    /// minus the reference frame, each at its encoded length, per
+    /// reference).
     pub dedup_saved: u64,
     /// Bytes saved by payload compression (raw minus compressed, per
     /// compressed frame).
@@ -510,7 +575,7 @@ pub struct WireSavings {
 
 impl DeltaStream {
     /// What this stream saved relative to shipping every frame as a
-    /// stored whole page ([`WHOLE_FRAME_LEN`]).
+    /// stored whole page ([`SubPageFrame::stored_whole_len`]).
     pub fn wire_savings(&self) -> WireSavings {
         let mut s = WireSavings::default();
         for f in &self.frames {
@@ -521,8 +586,9 @@ impl DeltaStream {
                         s.compress_saved += sf.raw_len as u64 - sf.payload.len() as u64;
                     }
                 }
-                Frame::Ref(_) => {
-                    s.dedup_saved += (WHOLE_FRAME_LEN - REF_FRAME_LEN) as u64;
+                Frame::Ref(rf) => {
+                    let whole = SubPageFrame::stored_whole_len(rf.seq, rf.page);
+                    s.dedup_saved += (whole - rf.encoded_len()) as u64;
                 }
             }
         }
@@ -534,6 +600,6 @@ impl DeltaStream {
     pub fn encoded_len(&self) -> usize {
         self.header.encoded_len()
             + self.frames.iter().map(Frame::encoded_len).sum::<usize>()
-            + TRAILER_LEN
+            + self.trailer.encoded_len()
     }
 }

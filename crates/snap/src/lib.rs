@@ -18,7 +18,7 @@
 //!   page is the one-run case), their payload (compressed per frame
 //!   when that pays, stored otherwise) and the patched page's digest —
 //!   and a per-link [`DedupTable`] lets pages whose content was already
-//!   shipped travel as ~40-byte [`RefFrame`]s.
+//!   shipped travel as ~20-byte [`RefFrame`]s.
 //! - [`DeltaStream::build_live`] is the same frame assembly behind a
 //!   second front door: it ships an object's **current** epoch against
 //!   the epoch a replica acknowledged, taking the pages and line masks
@@ -43,9 +43,13 @@
 //! ([`StreamHeader::encode`], [`Frame::encode`],
 //! [`StreamTrailer::encode`]): a replication transport ships each frame
 //! as its own datagram over a lossy link and asks again for the ones it
-//! lacks. There is no whole-stream codec. The decode path never panics
-//! on malformed bytes — an arbitrary byte string from the network
-//! produces [`SnapError::Malformed`], not a crashed replica.
+//! lacks. There is no whole-stream codec. Each piece opens with a kind
+//! byte and writes every integer as a varint in its one canonical
+//! spelling; checksums and digests stay full-width `u64`s, and each
+//! piece's length is computed from its fields (`encoded_len`) without
+//! encoding it. The decode path never panics on malformed bytes — an
+//! arbitrary byte string from the network produces
+//! [`SnapError::Malformed`], not a crashed replica.
 //!
 //! For failover, [`ApplySession::begin`] also accepts a **rebase**: if
 //! the stream's base epoch does not match the replica's live epoch but
@@ -94,34 +98,23 @@ use std::error::Error;
 use std::fmt;
 
 use msnap_disk::{Disk, BLOCK_SIZE};
-use msnap_sim::wire::{put_u16, put_u32, put_u64, Reader, Short};
+use msnap_sim::wire::{put_u64, put_varint, varint_len, Reader, Short, VarintError};
 use msnap_sim::Vt;
 use msnap_store::lines::{gather, line_runs, scatter, LINES_PER_PAGE, LINE_SIZE};
 use msnap_store::{fnv1a, fnv1a_extend, CommitToken, Epoch, ObjectId, ObjectStore, StoreError};
 
-/// Magic number opening a stream header.
-const STREAM_MAGIC: u64 = 0x4d534e_41504532; // "MSN APE2"
-/// Magic number opening each payload frame.
-const SUB_FRAME_MAGIC: u64 = 0x4d534e_41505346; // "MSN APSF"
-/// Magic number opening each dedup-reference frame.
-const REF_FRAME_MAGIC: u64 = 0x4d534e_41505246; // "MSN APRF"
-/// Magic number opening the stream trailer.
-const TRAILER_MAGIC: u64 = 0x4d534e_41504454 ^ 0xFF; // distinct from records
-
-/// Encoded header size before the object-name bytes.
-const HEADER_FIXED: usize = 64;
-/// Offset of the header's checksum word, the last of the fixed part.
-const SUM_AT: usize = HEADER_FIXED - 8;
-/// Encoded size of a payload frame before its runs and payload.
-const SUB_FIXED: usize = 52;
-/// Wire size of a stored (uncompressed) whole-page payload frame — what
-/// shipping a diff page-granularly costs per page, the yardstick sub-page
-/// framing, dedup and compression are measured against.
-pub const WHOLE_FRAME_LEN: usize = SUB_FIXED + 4 + BLOCK_SIZE;
-/// Encoded size of a dedup-reference frame.
-const REF_FRAME_LEN: usize = 40;
-/// Encoded trailer size.
-const TRAILER_LEN: usize = 32;
+// The kind byte opening each wire piece. Any two differ in at least
+// four bits, so no single flipped bit turns one piece into another, and
+// none is the first byte of the magic that opened the piece before the
+// wire went to varints.
+/// Kind byte opening a stream header.
+const STREAM_KIND: u8 = 0xC3;
+/// Kind byte opening each payload frame.
+const SUB_FRAME_KIND: u8 = 0xA5;
+/// Kind byte opening each dedup-reference frame.
+const REF_FRAME_KIND: u8 = 0x96;
+/// Kind byte opening the stream trailer.
+const TRAILER_KIND: u8 = 0x5A;
 /// Above this many dirty lines (~50% of the page) a sub-page frame
 /// stops paying for itself; ship the whole page instead.
 const SUBPAGE_CUTOFF: u32 = (LINES_PER_PAGE / 2) as u32;
@@ -212,6 +205,14 @@ impl From<StoreError> for SnapError {
 /// damage, not a panic.
 impl From<Short> for SnapError {
     fn from(_: Short) -> Self {
+        SnapError::Malformed
+    }
+}
+
+/// A varint cut short or spelled other than its one canonical way is
+/// structural damage too.
+impl From<VarintError> for SnapError {
+    fn from(_: VarintError) -> Self {
         SnapError::Malformed
     }
 }
@@ -331,16 +332,22 @@ mod tests {
         // Each piece decodes from where the one before it ended.
         let (h, mut at) = StreamHeader::decode(&wire).unwrap();
         assert_eq!(h, stream.header);
+        assert_eq!(at, stream.header.encoded_len());
         for f in &stream.frames {
             let (got, used) = Frame::decode(&wire[at..]).unwrap();
             assert_eq!(&got, f);
             assert!(got.verify());
-            assert_eq!(used, WHOLE_FRAME_LEN);
+            // Kind, seq, page, digest, checksum, four counts, the run
+            // (0, 4096) and the page: 1 + 1 + 1 + 8 + 8 + 1 + 1 + 2 + 2 + 3
+            // + 4096 bytes.
+            assert_eq!(used, 4124);
+            assert_eq!(used, SubPageFrame::stored_whole_len(f.seq(), f.page()));
             at += used;
         }
+        // Kind, the frame count, the stream sum and the checksum.
         assert_eq!(
             StreamTrailer::decode(&wire[at..]).unwrap(),
-            (stream.trailer, TRAILER_LEN)
+            (stream.trailer, 18)
         );
     }
 
@@ -351,19 +358,22 @@ mod tests {
             DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None).unwrap();
         let wire = wire_of(&stream);
 
-        // Header damage.
+        // Header damage: the target epoch, the varint after the kind, the
+        // name's length, "db" and the base flag and base.
         let mut bad = wire.clone();
-        bad[40] ^= 1;
+        bad[6] ^= 1;
         assert_eq!(StreamHeader::decode(&bad), Err(SnapError::Malformed));
         // Frame payload damage: the frame decodes, and its checksum no
-        // longer covers it.
+        // longer covers it. The payload starts 28 bytes in: kind, seq,
+        // page, two words, four counts and the one run.
         let mut bad = wire.clone();
         let frame0 = stream.header.encoded_len();
-        bad[frame0 + SUB_FIXED + 4 + 17] ^= 0x20;
+        assert_eq!(bad[frame0 + 28..frame0 + 28 + 32], noise_page(0x91)[..32]);
+        bad[frame0 + 28 + 17] ^= 0x20;
         let (torn, _) = Frame::decode(&bad[frame0..]).unwrap();
         assert!(!torn.verify());
         // Truncation.
-        let trailer = wire.len() - TRAILER_LEN;
+        let trailer = wire.len() - stream.trailer.encoded_len();
         assert_eq!(
             StreamTrailer::decode(&wire[trailer..wire.len() - 1]),
             Err(SnapError::Malformed)
@@ -461,7 +471,8 @@ mod tests {
                 panic!("expected a payload frame, got {f:?}");
             };
             assert!(sf.covers_whole() && sf.method == 0, "{sf:?}");
-            assert_eq!(f.encoded_len(), WHOLE_FRAME_LEN);
+            assert_eq!(f.encoded_len(), 4124);
+            assert_eq!(f.encoded_len(), f.encode().len());
         }
         let Frame::Sub(sf0) = stream.frames[0].clone() else {
             unreachable!("checked above");
@@ -579,10 +590,15 @@ mod tests {
             }
             assert!(!reads_back(&bad));
         }
-        // A header lying about its frame count must not over-allocate
-        // or panic.
-        let mut lying = wire.clone();
-        lying[48..56].copy_from_slice(&u64::MAX.to_le_bytes());
+        // A header lying about its frame count, sealed as if it were
+        // true, must not over-allocate or panic.
+        let (header, used) = StreamHeader::decode(&wire).unwrap();
+        let mut lying = StreamHeader {
+            frame_count: u64::MAX,
+            ..header
+        }
+        .encode();
+        lying.extend_from_slice(&wire[used..]);
         assert!(!reads_back(&lying));
     }
 
@@ -628,7 +644,9 @@ mod tests {
     fn a_begin_is_the_fixed_part_and_the_object_name() {
         // The epoch-vector cut travels in the replication protocol's
         // CutAnnounce, not in every ship: a sharded primary's Begin is
-        // no wider than an unsharded one's.
+        // no wider than an unsharded one's. Its fixed part is the kind,
+        // the name's length, the base flag, the target epoch, the length
+        // and the frame count (one byte each here) and the checksum.
         for shards in [1, 8] {
             let mut disk = Disk::new(DiskConfig::paper());
             let mut store = ObjectStore::format_sharded(&mut disk, shards);
@@ -643,9 +661,10 @@ mod tests {
             let stream =
                 DeltaStream::build(&mut vt, &mut disk, &mut store, None, "s", None).unwrap();
             let wire = stream.header.encode();
+            assert!(stream.header.target_epoch < 128);
             assert_eq!(
                 stream.header.encoded_len(),
-                64 + "db".len(),
+                6 + 8 + "db".len(),
                 "{shards} shards"
             );
             assert_eq!(wire.len(), stream.header.encoded_len());
@@ -663,8 +682,8 @@ mod tests {
         // the name, all under its checksum) is not a header this
         // decoder knows.
         let mut old = Vec::new();
-        for v in [STREAM_MAGIC, 2, 1, 4, 5, 16, 2, 3, 4, 0] {
-            put_u64(&mut old, v); // magic, name, base, target, len, frames, cut seq/len, sum
+        for v in [0x4d534e_41504532, 2, 1, 4, 5, 16, 2, 3, 4, 0] {
+            put_u64(&mut old, v); // magic "MSN APE2", name, base, target, len, frames, cut seq/len, sum
         }
         old.extend_from_slice(b"db");
         for epoch in [5u64, 1, 7, 2] {
@@ -831,7 +850,10 @@ mod tests {
         let sub = DeltaStream::build(&mut vt, &mut disk, &mut store, Some("a"), "b", None).unwrap();
         assert_eq!(sub.frames.len(), 2);
         // What the same diff costs as one stored whole page per frame.
-        let full_len = sub.header.encoded_len() + sub.frames.len() * WHOLE_FRAME_LEN + TRAILER_LEN;
+        let whole = |f: &Frame| SubPageFrame::stored_whole_len(f.seq(), f.page());
+        let full_len = sub.header.encoded_len()
+            + sub.frames.iter().map(whole).sum::<usize>()
+            + sub.trailer.encoded_len();
         // Page 2 changed one 64-byte line, page 5 two lines: every frame
         // is a partial sub-page frame and the wire shrinks by >10×.
         for f in &sub.frames {
@@ -1092,7 +1114,8 @@ mod tests {
             "repeated content must ship as a reference, got {:?}",
             s2.frames[0]
         );
-        assert!(s2.wire_savings().dedup_saved > 0);
+        // A stored whole page 1 at seq 0 less its 19-byte reference.
+        assert_eq!(s2.wire_savings().dedup_saved, 4124 - 19);
         assert!(s2.encoded_len() < 200, "a reference stream is tiny");
 
         apply(&mut vt, &mut rdisk, &mut replica, &s2, Some(&mut receiver));
@@ -1269,19 +1292,35 @@ mod tests {
 
     #[test]
     fn v1_stream_header_is_malformed() {
-        // A self-consistent header under the retired version-1 magic
-        // (its own checksum recomputed) is not a stream this decoder
-        // knows: rejected at the header, never applied.
+        // A self-consistent header whose kind byte is the leading byte of
+        // a retired magic — version 1 ("MSN APDS"), or the fixed-width
+        // header ("MSN APE2") — its own checksum recomputed, is not a
+        // stream this decoder knows: rejected at the header, never
+        // applied. So is the whole fixed-width header, sealed its way.
         let (mut disk, mut store, mut vt, _) = primary_with_two_snapshots();
         let stream = DeltaStream::build(&mut vt, &mut disk, &mut store, None, "b", None).unwrap();
-        let mut wire = stream.header.encode();
-        wire[..8].copy_from_slice(&0x4d534e_41504453u64.to_le_bytes()); // "MSN APDS"
-        let sum = fnv1a_extend(fnv1a(&wire[..SUM_AT]), &wire[HEADER_FIXED..]);
-        wire[SUM_AT..HEADER_FIXED].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            StreamHeader::decode(&wire).unwrap_err(),
-            SnapError::Malformed
-        );
+        for magic in [0x4d534e_41504453u64, 0x4d534e_41504532] {
+            let mut wire = stream.header.encode();
+            wire[0] = magic as u8;
+            let sealed = wire.len() - 8;
+            let sum = fnv1a(&wire[..sealed]);
+            wire[sealed..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                StreamHeader::decode(&wire).unwrap_err(),
+                SnapError::Malformed
+            );
+        }
+        let h = &stream.header;
+        let mut fixed = Vec::new();
+        for v in [0x4d534e_41504532, 2, 0, 0, h.target_epoch, h.len_pages] {
+            put_u64(&mut fixed, v); // magic, name, no base, target, len
+        }
+        put_u64(&mut fixed, h.frame_count);
+        put_u64(&mut fixed, 0);
+        fixed.extend_from_slice(b"db");
+        let sum = fnv1a_extend(fnv1a(&fixed[..56]), &fixed[64..]);
+        fixed[56..64].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(StreamHeader::decode(&fixed), Err(SnapError::Malformed));
     }
 
     #[test]
@@ -1317,6 +1356,75 @@ mod tests {
                 bad[i] ^= 0xA5;
             }
             assert!(!reads_back(&bad));
+        }
+
+        // Piece by piece — the header, each frame, a reference frame, the
+        // trailer — every truncation is malformed, and every single
+        // flipped bit is malformed or, in a frame, fails the frame's
+        // checksum.
+        let mut pieces = vec![(0, stream.header.encode())];
+        pieces.extend(stream.frames.iter().map(|f| (1, f.encode())));
+        pieces.push((1, RefFrame::new(1, 4, 5).encode()));
+        pieces.push((2, stream.trailer.encode()));
+        let sound = |kind: usize, bytes: &[u8]| match kind {
+            0 => StreamHeader::decode(bytes).is_ok(),
+            1 => Frame::decode(bytes).is_ok_and(|(f, _)| f.verify()),
+            _ => StreamTrailer::decode(bytes).is_ok(),
+        };
+        for (kind, piece) in &pieces {
+            assert!(sound(*kind, piece));
+            for len in 0..piece.len() {
+                assert!(!sound(*kind, &piece[..len]), "{kind} cut at {len}");
+            }
+            for bit in 0..piece.len() * 8 {
+                let mut bad = piece.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(!sound(*kind, &bad), "{kind} bit {bit} flipped");
+            }
+            // The varint after the kind byte in a second spelling (padded
+            // by a zero byte), or eleven bytes long, with a header's or
+            // a trailer's checksum re-sealed over it: refused.
+            assert!(piece[1] < 0x80, "a one-byte varint");
+            let padded = [&[piece[0], piece[1] | 0x80, 0][..], &piece[2..]].concat();
+            let over_long = [&[piece[0]][..], &[0x80; 10], &[0], &piece[2..]].concat();
+            for mut bad in [padded, over_long] {
+                if *kind != 1 {
+                    let sealed = bad.len() - 8;
+                    let sum = fnv1a(&bad[..sealed]);
+                    bad[sealed..].copy_from_slice(&sum.to_le_bytes());
+                }
+                let decoded = match kind {
+                    0 => StreamHeader::decode(&bad).map(|_| ()),
+                    1 => Frame::decode(&bad).map(|_| ()),
+                    _ => StreamTrailer::decode(&bad).map(|_| ()),
+                };
+                assert_eq!(decoded, Err(SnapError::Malformed), "{kind}: {bad:x?}");
+            }
+        }
+
+        // Counts past their bounds are refused before anything is
+        // allocated: more runs than a page holds, a run offset or a
+        // method past 16 bits, a payload past a page.
+        let sub = SubPageFrame::new(0, 3, 7, vec![(64, 128)], noise_page(3)[..128].to_vec());
+        let refit = |run_count: u64, method: u64, payload: u64, off: u64| {
+            let mut out = vec![SUB_FRAME_KIND, 0, 3];
+            put_u64(&mut out, sub.page_digest);
+            put_u64(&mut out, sub.checksum);
+            for v in [run_count, method, 128, payload, off, 128] {
+                put_varint(&mut out, v);
+            }
+            out.extend_from_slice(&sub.payload);
+            SubPageFrame::decode(&out).map(|(f, _)| f)
+        };
+        assert_eq!(refit(1, 0, 128, 64), Ok(sub.clone()));
+        for bad in [
+            refit(MAX_SUB_RUNS as u64 + 1, 0, 128, 64),
+            refit(u64::MAX, 0, 128, 64),
+            refit(1, 1 << 16, 128, 64),
+            refit(1, 0, BLOCK_SIZE as u64 + 1, 64),
+            refit(1, 0, 128, 1 << 16),
+        ] {
+            assert_eq!(bad, Err(SnapError::Malformed));
         }
     }
 
