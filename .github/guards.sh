@@ -514,26 +514,43 @@ guard_loss_recovery() {
     # Every judged repl-wan run's ack lag p99, each over ≈ 1 050 acked
     # ships on lossy links: with tail-loss probes a lost ship is resent
     # by the timer's one probe, not a bare End and a Nak round after it
-    # (14 156 / 15 991 / 16 253 µs on seeds 5 / 11 / 23 with the window
-    # and a spare End on lossy links, the bound their maximum + 10 %;
-    # 17 302 / 16 777 / 17 302 with the window alone; 27 787 µs before
-    # the probes).
-    judged_max repl-wan repl.ack_lag_us_p99 17878 "a lost ship must cost one probe timeout and one round trip"
+    # (11 796 / 11 534 / 12 059 µs on seeds 5 / 11 / 23 with causal
+    # delivery and End-first packing, the bound their maximum + 10 %;
+    # 14 156 / 15 991 / 16 253 with the window and a spare End; 17 302 /
+    # 16 777 / 17 302 with the window alone; 27 787 µs before the probes).
+    judged_max repl-wan repl.ack_lag_us_p99 13265 "a lost ship must cost one probe timeout and one round trip"
     forbid 'resend_from' "go-back-N stays retired: a Nak names the pieces to resend" crates/repl/src
 }
 
 # Once a link has lost a datagram, each replica Ack goes up twice, the
 # primary keeps a window of ships in flight per object and sends each
-# ship's End datagram twice, so no judged repl-wan run's put mean climbs
-# back to what one ship in flight, a lost Ack's probe timeouts, or a
-# lost End's round trip cost.
+# ship's first datagram, which carries its Begin and End, twice; a
+# replica takes no datagram the link holds back before the ones sent
+# after it. So no judged repl-wan run's put mean climbs back to what one
+# ship in flight, a lost Ack's probe timeouts, a lost End's round trip
+# or a replica stalled behind a held datagram cost.
 guard_ack_redundancy() {
-    # 7 211 / 6 963 / 7 019 (seeds 5 / 11 / 23) with the window and a
-    # spare End, the bound their maximum + 10 %; 8 434 / 7 780 / 8 404
-    # with the window alone; 12 478 / 11 936 / 11 974 with one ship in
-    # flight and doubled Acks; 14 180 / 13 716 / 14 057 with one Ack a
-    # ship.
-    judged_max repl-wan put_mean_us 7932 "a lossy link must double its Acks, keep a window of ships in flight and send each End datagram twice"
+    # 5 654 / 5 335 / 5 606 (seeds 5 / 11 / 23) with causal delivery and
+    # End-first packing, the bound their maximum + 10 %; 7 211 / 6 963 /
+    # 7 019 with the window and a spare End; 8 434 / 7 780 / 8 404 with
+    # the window alone; 12 478 / 11 936 / 11 974 with one ship in flight
+    # and doubled Acks; 14 180 / 13 716 / 14 057 with one Ack a ship.
+    judged_max repl-wan put_mean_us 6219 "a lossy link must double its Acks, keep a window of ships in flight and send each ship's first datagram twice, and a replica must not wait behind a held datagram"
+}
+
+# A replica takes only what the link lets it take while the primary's
+# clock reads now (SimLink::releasable): no program line of repl polls a
+# link with Nanos::MAX, which would hand over a held datagram before the
+# ones sent after it can arrive, and stall the replica behind it.
+guard_causal_delivery() {
+    if awk 'FNR == 1 { tests = 0 }
+            /^#\[cfg\(test\)\]/ { tests = 1 }
+            tests || /^[[:space:]]*\/\// { next }
+            /\.poll\(Nanos::MAX\)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' crates/repl/src/**/*.rs; then
+        echo "a replica takes datagrams through SimLink::releasable: no program line of crates/repl/src polls a link with Nanos::MAX" >&2
+        return 1
+    fi
 }
 
 # The epoch-vector cut has one wire form, repl's CutAnnounce: snap's
@@ -651,7 +668,7 @@ perturbations() {
     perturb fold BENCH_persist.json '/"db":"skipdb","threads":8,"window_us":0/s/"ios_per_commit":[0-9.]+/"ios_per_commit":1.0/'
     perturb loss_recovery BENCH_repl.json '/"loss":0.00/s/"retransmit_frames":[0-9]+/"retransmit_frames":76/'
     perturb loss_recovery BENCH_judged.json '/"seed": 11, "workload": "repl-wan"/,/"repl.ack_lag_us_p99"/s/"repl.ack_lag_us_p99": [0-9.]+/"repl.ack_lag_us_p99": 27787/'
-    perturb loss_recovery BENCH_judged.json '/"seed": 23, "workload": "repl-wan"/,/"repl.ack_lag_us_p99"/s/"repl.ack_lag_us_p99": [0-9.]+/"repl.ack_lag_us_p99": 17879/'
+    perturb loss_recovery BENCH_judged.json '/"seed": 23, "workload": "repl-wan"/,/"repl.ack_lag_us_p99"/s/"repl.ack_lag_us_p99": [0-9.]+/"repl.ack_lag_us_p99": 13266/'
     perturb loss_recovery crates/repl/src/engine.rs '$a // fn resend_from(seq)'
     perturb cut_carrier crates/snap/src/assemble.rs '1i // let cut = store.last_cut().cloned();'
     perturb cut_carrier crates/repl/src/engine/ship.rs '1i fn stamp() -> Msg { Msg::CutAnnounce { seq: 0, epochs: Vec::new() } }'
@@ -663,6 +680,8 @@ perturbations() {
     perturb ack_redundancy BENCH_judged.json '/"workload": "repl-wan"/,/"put_mean_us"/s/"put_mean_us": [0-9.]+/"put_mean_us": 14179.715756363637/'
     perturb ack_redundancy BENCH_judged.json '/"seed": 5, "workload": "repl-wan"/,/"put_mean_us"/s/"put_mean_us": [0-9.]+/"put_mean_us": 12477.975921818183/'
     perturb ack_redundancy BENCH_judged.json '/"seed": 5, "workload": "repl-wan"/,/"put_mean_us"/s/"put_mean_us": [0-9.]+/"put_mean_us": 8433.621659999999/'
+    perturb ack_redundancy BENCH_judged.json '/"seed": 5, "workload": "repl-wan"/,/"put_mean_us"/s/"put_mean_us": [0-9.]+/"put_mean_us": 7210.691217272727/'
+    perturb causal_delivery crates/repl/src/engine.rs 's/link\.down\.poll\(at\)/link.down.poll(Nanos::MAX)/'
 }
 
 # Runs every guard in a scratch copy of the repository's files once as

@@ -41,7 +41,7 @@ pub struct IdleIo {
 }
 
 /// One segment of an idle-class IO that no channel has taken yet.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct IdleSegment {
     io: u64,
     /// A write segment's undo entries carry this id until it is placed
@@ -72,7 +72,7 @@ struct Faults {
 /// that completes at `completes`, or, while `segment` is not 0, when that
 /// idle segment completes once placed. The pre-image is stored as the
 /// device stores blocks (see [`stored`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct UndoEntry {
     completes: Nanos,
     segment: u64,
@@ -104,7 +104,7 @@ fn stored(data: &[u8]) -> Box<[u8]> {
 /// *durable* at their completion instant; [`Disk::crash`] rolls the image
 /// back to exactly the durable prefix. See the crate docs for the latency
 /// model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Disk {
     cfg: DiskConfig,
     blocks: HashMap<u64, Box<[u8]>>,
@@ -895,47 +895,48 @@ impl Disk {
 /// `run` executes the workload from scratch and returns the device *with
 /// its undo journal intact* (do not call [`Disk::settle`]). The driver
 /// runs it once to learn the completion instant of every write segment,
-/// then re-runs it per boundary, crashing the device just before and
+/// then crashes a copy of that device per boundary, just before and
 /// exactly at each completion — the two instants on either side of the
 /// durability edge — and hands the crashed device to `check` together
-/// with the crash instant. `check` asserts whatever recovery invariant
-/// the workload promises (typically: recovery yields exactly a committed
-/// prefix).
+/// with the crash instant. A second run checks that the workload repeats,
+/// so the copies stand for what a re-run would return. `check` asserts
+/// whatever recovery invariant the workload promises (typically: recovery
+/// yields exactly a committed prefix).
 ///
 /// Returns the number of crash points exercised.
 ///
 /// # Panics
 ///
 /// Panics if `run` is not deterministic enough to reproduce the same
-/// number of write submissions (the sweep would silently test the wrong
-/// boundaries otherwise).
+/// write submissions and completions (the sweep would silently test the
+/// wrong boundaries otherwise).
 pub fn crash_at_every_io(
     mut run: impl FnMut() -> Disk,
     mut check: impl FnMut(Disk, Nanos),
 ) -> usize {
-    let mut reference = run();
-    reference.place_idle(|_, _| true); // where a quiet device puts them
-
-    let submissions = reference.io_seq();
+    let workload = run();
+    let again = run();
+    assert_eq!(
+        (again.io_seq(), again.write_completions()),
+        (workload.io_seq(), workload.write_completions()),
+        "workload must be deterministic across sweep re-runs"
+    );
+    // Crashed as `run` returns it; the boundaries are where a quiet
+    // device places the idle IO.
+    let mut reference = workload.clone();
+    reference.place_idle(|_, _| true);
     let mut boundaries = BTreeSet::new();
     boundaries.insert(Nanos::ZERO);
     for &done in reference.write_completions() {
         boundaries.insert(done.saturating_sub(Nanos::from_ns(1)));
         boundaries.insert(done);
     }
-    let mut points = 0;
-    for at in boundaries {
-        let mut disk = run();
-        assert_eq!(
-            disk.io_seq(),
-            submissions,
-            "workload must be deterministic across sweep re-runs"
-        );
+    for &at in &boundaries {
+        let mut disk = workload.clone();
         disk.crash(at);
         check(disk, at);
-        points += 1;
     }
-    points
+    boundaries.len()
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use memsnap::{MemSnap, MsnapError};
 use msnap_disk::{Disk, DiskConfig, BLOCK_SIZE};
-use msnap_sim::{Meters, Nanos, NetConfig, SimLink, Vt};
+use msnap_sim::{LinkStats, Meters, Nanos, NetConfig, SimLink, Vt};
 use msnap_snap::{
     retained_at, ApplySession, DedupTable, DeltaStream, Frame, SnapError, StreamHeader,
     StreamTrailer,
@@ -601,12 +601,8 @@ impl ReplEngine {
         Some(&self.link(name)?.meters)
     }
 
-    /// The raw network counters of a link: `(down, up)` direction
-    /// stats.
-    pub fn link_net_stats(
-        &self,
-        name: &str,
-    ) -> Option<(msnap_sim::LinkStats, msnap_sim::LinkStats)> {
+    /// The raw network counters of a link's `(down, up)` directions.
+    pub fn link_net_stats(&self, name: &str) -> Option<(LinkStats, LinkStats)> {
         let link = self.link(name)?;
         Some((*link.down.stats(), *link.up.stats()))
     }
@@ -648,10 +644,11 @@ impl ReplEngine {
         self.pump_until(Nanos::MAX);
     }
 
-    /// Lands everything in flight down the links, as [`ReplEngine::pump`]
-    /// does; `now` is how far a replica's reorder allowances may run out
-    /// once nothing more is on its way (before that, the next arrival's
-    /// instant is).
+    /// Lands what is in flight down the links while the primary's clock
+    /// reads `now`, up to a held datagram a later send could still overtake
+    /// ([`SimLink::releasable`]). `now` is also how far reorder allowances
+    /// may run out once nothing more may land (before that, the next
+    /// arrival's instant is). [`ReplEngine::pump`]'s `Nanos::MAX` lands all.
     fn pump_until(&mut self, now: Nanos) {
         for link in &mut self.links {
             let Some(node) = link.node.as_mut() else {
@@ -659,11 +656,11 @@ impl ReplEngine {
             };
             let cut_before = node.cut.as_ref().map(|c| c.seq);
             loop {
-                let next = link.down.next_delivery();
+                let next = link.down.releasable(now);
                 for nak in node.overdue(next.unwrap_or(now)) {
                     link.up.send(node.vt.now(), nak.encode());
                 }
-                let Some((at, payload)) = link.down.poll(Nanos::MAX) else {
+                let Some((at, payload)) = next.and_then(|at| link.down.poll(at)) else {
                     break;
                 };
                 node.vt.wait_until(at);
@@ -1117,7 +1114,7 @@ mod tests {
     }
 
     /// Commits fresh noise over the region's first `pages` pages: the
-    /// ship that carries it is `pages` + 2 datagrams.
+    /// ship that carries it is `pages` + 1 datagrams.
     fn commit_noise(
         ms: &mut MemSnap,
         vt: &mut Vt,
@@ -1851,15 +1848,15 @@ mod tests {
     }
 
     /// One lost datagram costs one datagram: with each datagram of a ship
-    /// of whole-page frames lost in turn — the `Begin`, each frame, the
-    /// `End`, then the `Ack` — the link converges having resent that
-    /// datagram's messages, the closing `End` (its datagram twice: the
+    /// of whole-page frames lost in turn — the first (its `Begin` and
+    /// `End`), each frame, then the `Ack` — the link converges having
+    /// resent that datagram's messages, the `End` (its datagram twice: the
     /// `Nak` showed loss) and at most one tail-loss probe (a bare `End`:
     /// no whole-page frame fits its datagram), never the ship.
     #[test]
     fn one_lost_datagram_is_resent_alone() {
         for n in [1u64, 3, 8] {
-            for victim in 0..n + 3 {
+            for victim in 0..n + 2 {
                 let (mut ms, mut vt, space, r, object) = primary();
                 let mut eng = ReplEngine::new(ReplConfig::default());
                 // No loss, no jitter: what goes missing is what `lose` takes.
@@ -1881,13 +1878,13 @@ mod tests {
                 let ship = &eng.links[0].ships[&object].inflight[0];
                 let end = (ship_head_len(ship.id) + ship.stream.trailer.encoded_len()) as u64;
                 assert_eq!(end, 20, "tag, ship, kind, count, two words");
-                let lost = if victim < n + 2 {
+                let lost = if victim <= n {
                     lose(&mut eng.links[0].down, vt.now(), victim as usize)
                 } else {
                     Vec::new()
                 };
                 eng.pump_until(vt.now());
-                if victim == n + 2 {
+                if victim == n + 1 {
                     let ack = lose(&mut eng.links[0].up, vt.now(), 0);
                     assert!(matches!(Msg::decode(&ack), Ok((Msg::Ack { .. }, _))));
                 }
@@ -1904,9 +1901,10 @@ mod tests {
                 assert_eq!(m.retransmit_frames, u64::from(frame_lost), "{n}/{victim}");
                 assert_eq!(m.acks, 3, "bootstrap's two and this one: {n}/{victim}");
                 // What went down the link again: the lost datagram's
-                // worth and the closing End, then their spare (all of it
-                // when it fits one datagram, else the End), an End probe
-                // and a cut re-announce (shorter than an End).
+                // worth and the End, then the spare of the datagram with
+                // the End (all of it when it fits one datagram, else the
+                // End), an End probe and a cut re-announce (shorter than
+                // an End).
                 let resent = eng.links[0].down.stats().bytes_sent - resent_from;
                 let resend = lost.len() as u64 + end;
                 let spare = if resend <= DATAGRAM_BUDGET as u64 {
@@ -2043,6 +2041,107 @@ mod tests {
         vt.now()
     }
 
+    /// Replaces a caught-up link's down direction by a loss-free WAN link
+    /// (no jitter) that holds back the first datagram sent on it and not
+    /// the second; returns that link's config.
+    fn hold_the_next_datagram(eng: &mut ReplEngine) -> NetConfig {
+        let wan = |seed| NetConfig {
+            jitter: Nanos::ZERO,
+            drop_rate: 0.0,
+            ..NetConfig::lossy(seed)
+        };
+        let holds = |seed| {
+            let mut link = SimLink::new(wan(seed));
+            let mut held_so_far = || {
+                link.send(Nanos::ZERO, vec![0]);
+                link.stats().reordered
+            };
+            (held_so_far(), held_so_far()) == (1, 1)
+        };
+        let cfg = wan((0..).find(|&seed| holds(seed)).expect("some seed"));
+        assert_eq!(eng.links[0].down.next_delivery(), None, "nothing in flight");
+        eng.links[0].down = SimLink::new(cfg);
+        cfg
+    }
+
+    /// A datagram the link holds back waits for the primary's clock, not
+    /// the replica's. Ship A's one datagram is held on a WAN link; ship B
+    /// of another object, sent a millisecond later, lands when it arrives,
+    /// not behind A. A is handed over once nothing the primary sends can
+    /// overtake it, and each ship is acknowledged once.
+    #[test]
+    fn a_held_datagram_does_not_delay_the_ships_sent_after_it() {
+        let (mut ms, mut vt, space, a, data, mut eng) = learned_link();
+        let b = ms.msnap_open(&mut vt, space, "side", 16).unwrap();
+        let side = ms.region_object_name(b.md).unwrap().to_string();
+        commit(&mut ms, &mut vt, space, &b, 1);
+        assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(5)).unwrap());
+        let wan = hold_the_next_datagram(&mut eng);
+        let (before, acks_before) = (
+            eng.replica("r1").unwrap().epoch(&data),
+            eng.links[0].up.stats().sent,
+        );
+
+        ship_one(&mut eng, &mut vt, &mut ms, space, &a, 2);
+        let a_at = eng.links[0].down.next_delivery().unwrap();
+        eng.pump_until(vt.now());
+        assert_eq!(eng.links[0].down.stats().delivered, 0, "A waits in flight");
+
+        vt.advance(Nanos::from_ms(1));
+        let b_epoch = commit(&mut ms, &mut vt, space, &b, 2);
+        let objects = resolved_objects(ms.store());
+        eng.ship(&mut vt, &mut ms, &objects, &mut TickReport::default())
+            .unwrap();
+        let b_at = eng.links[0].down.next_delivery().unwrap();
+        assert!(b_at + Nanos::from_ms(2) < a_at, "B arrives well before A");
+        eng.pump_until(vt.now());
+        let node = eng.replica("r1").unwrap();
+        assert_eq!(node.epoch(&side), b_epoch, "B landed");
+        assert_eq!(node.epoch(&data), before, "A still in flight");
+        assert!(
+            node.now() < b_at + Nanos::from_ms(1),
+            "B landed at {:?}, arrived at {b_at:?}",
+            node.now()
+        );
+
+        // A goes once the primary's clock is a latency short of its arrival.
+        vt.wait_until(a_at - wan.latency - Nanos::from_ns(1));
+        eng.pump_until(vt.now());
+        assert_eq!(eng.replica("r1").unwrap().epoch(&data), before);
+        vt.advance(Nanos::from_ns(1));
+        eng.pump_until(vt.now());
+        let node = eng.replica("r1").unwrap();
+        assert_eq!(node.epoch(&data), before + 1, "A landed");
+        assert!(node.now() >= a_at);
+
+        assert_eq!(eng.links[0].up.stats().sent - acks_before, 2);
+        let up = reorder(&mut eng.links[0].up, vt.now(), &[]);
+        let acked: Vec<String> = up
+            .iter()
+            .flatten()
+            .map(|m| match m {
+                Msg::Ack { object, .. } => object.clone(),
+                m => panic!("only Acks go up: {m:?}"),
+            })
+            .collect();
+        assert_eq!(acked, [side, data], "B, then A, once each");
+    }
+
+    /// A held datagram is still in flight when the primary dies: the
+    /// promotion's pump hands it over, and the promoted replica stands at
+    /// the epoch it carried.
+    #[test]
+    fn a_promotion_lands_a_held_datagram_first() {
+        let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
+        hold_the_next_datagram(&mut eng);
+        ship_one(&mut eng, &mut vt, &mut ms, space, &r, 2);
+        let shipped = ms.store().epoch(ms.store().lookup(&object).unwrap());
+        eng.pump_until(vt.now());
+        assert!(eng.replica("r1").unwrap().epoch(&object) < shipped);
+        let promo = eng.promote("r1").unwrap();
+        assert_eq!(promo.epochs[&object], shipped + FENCE_GAP);
+    }
+
     /// Once the replica has seen loss, a lost `Ack` costs nothing: its
     /// twin lands the ship at the primary one round trip after the send.
     /// The timer never fires, and nothing is resent.
@@ -2120,8 +2219,8 @@ mod tests {
     }
 
     /// A window on a link that has shown loss: ship k+1 arrives whole
-    /// before ship k, whose `Begin` is lost. The replica holds k+1 and
-    /// says so, which exposes k; k's probe earns the `Nak` for its
+    /// before ship k, whose `Begin` and `End` are lost. The replica holds
+    /// k+1 and says so, which exposes k; k's probe earns the `Nak` for its
     /// `Begin`, whose resend lands k and then k+1 — and no `Hello`. Every
     /// `Ack` for k is lost: k+1's retires both at the primary, and no
     /// probe goes out for k.
@@ -2130,10 +2229,14 @@ mod tests {
         let (mut ms, mut vt, object, mut eng, [(k, k_epoch), (k1, live)]) = two_ships_in_flight();
         let before = eng.replica("r1").unwrap().epoch(&object);
 
-        // Datagrams: k's Begin, frame, End and its spare, then k+1's. k+1
-        // goes first, k's Begin is lost.
-        let grams = reorder(&mut eng.links[0].down, vt.now(), &[4, 5, 6, 7, 1, 2, 3]);
-        assert!(matches!(grams[0][..], [Msg::Begin { ship, .. }] if ship == k));
+        // Datagrams: k's Begin and End, their spare and k's frame, then
+        // k+1's. k+1 goes first; both copies of k's Begin and End are lost.
+        let grams = reorder(&mut eng.links[0].down, vt.now(), &[3, 4, 5, 2]);
+        assert_eq!(grams[0], grams[1], "the spare");
+        let ends_k = |m: &Msg| matches!(m, Msg::End { ship, .. } if *ship == k);
+        assert!(
+            matches!(&grams[0][..], [Msg::Begin { ship, .. }, end] if *ship == k && ends_k(end))
+        );
         eng.pump_until(vt.now());
         assert_eq!(
             eng.replica("r1").unwrap().epoch(&object),
@@ -2205,7 +2308,7 @@ mod tests {
     #[test]
     fn a_held_ship_whose_ack_is_lost_is_probed_once_it_leads() {
         let (mut ms, mut vt, object, mut eng, [(k, _), (k1, _)]) = two_ships_in_flight();
-        reorder(&mut eng.links[0].down, vt.now(), &[4, 5, 6, 7, 0, 1, 2, 3]);
+        reorder(&mut eng.links[0].down, vt.now(), &[3, 4, 5, 0, 1, 2]);
         eng.pump_until(vt.now());
         let up = reorder(&mut eng.links[0].up, vt.now(), &[]);
         let mut kept = 0;
@@ -2277,7 +2380,7 @@ mod tests {
 
     /// Checks one send of a ship on a link that has shown loss: the
     /// datagram carrying the `End` (a probe or not, as `probe` says) goes
-    /// twice, back to back and last, and every other datagram once.
+    /// twice, back to back and first, and every other datagram once.
     fn assert_end_twice(grams: &[Vec<u8>], probe: bool) {
         let mut malformed = 0;
         let msgs: Vec<Vec<Msg>> = grams
@@ -2287,12 +2390,11 @@ mod tests {
         assert_eq!(malformed, 0);
         let ends = |m: &Vec<Msg>| m.iter().filter(|m| matches!(m, Msg::End { .. })).count();
         let ends: Vec<usize> = msgs.iter().map(ends).collect();
-        let n = grams.len();
-        assert!(n >= 2 && grams[n - 2] == grams[n - 1], "{msgs:?}");
-        assert_eq!(ends[n - 2..], [1, 1], "{msgs:?}");
-        assert!(ends[..n - 2].iter().all(|&e| e == 0), "{msgs:?}");
-        let last = msgs[n - 1].last();
-        assert!(matches!(last, Some(Msg::End { probe: p, .. }) if *p == probe));
+        assert!(grams.len() >= 2 && grams[0] == grams[1], "{msgs:?}");
+        assert_eq!(ends[..2], [1, 1], "{msgs:?}");
+        assert!(ends[2..].iter().all(|&e| e == 0), "{msgs:?}");
+        let end = msgs[0].iter().find(|m| matches!(m, Msg::End { .. }));
+        assert!(matches!(end, Some(Msg::End { probe: p, .. }) if *p == probe));
     }
 
     /// On a link that has shown loss every send of a ship — the first,
@@ -2303,22 +2405,22 @@ mod tests {
     fn a_lossy_link_sends_each_ships_end_datagram_twice() {
         let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
         eng.links[0].window_ships = LOSS_MEMORY;
-        // Three whole pages: the Begin, each frame and the End travel
-        // alone, and the End twice.
+        // Three whole pages: the Begin and the End share a datagram, which
+        // goes twice, and each frame travels alone.
         commit_noise(&mut ms, &mut vt, space, &r, 1, 3);
         let objects = resolved_objects(ms.store());
         let mut report = TickReport::default();
         eng.drain_up(&mut vt, &mut report);
         eng.ship(&mut vt, &mut ms, &objects, &mut report).unwrap();
         let grams = take_all(&mut eng.links[0].down);
-        assert_eq!(grams.len(), 6);
+        assert_eq!(grams.len(), 5);
         assert_end_twice(&grams, false);
-        // A Nak's resend: the Begin, frame 1, and the End twice.
+        // A Nak's resend: the Begin and the End twice, then frame 1.
         let ship = &mut eng.links[0].ships.get_mut(&object).unwrap().inflight[0];
         ship.wanted = Some((true, vec![1]));
         eng.retransmit(&mut vt);
         let grams = take_all(&mut eng.links[0].down);
-        assert_eq!(grams.len(), 4);
+        assert_eq!(grams.len(), 3);
         assert_end_twice(&grams, false);
         // The timer's probe: no whole page fits its datagram, so a bare
         // probe End, twice.
@@ -2341,7 +2443,7 @@ mod tests {
         let msgs: Vec<Msg> = unpack(&grams[0], &mut malformed).collect();
         assert!(matches!(
             msgs[..],
-            [Msg::Begin { .. }, Msg::Frame { .. }, Msg::End { .. }]
+            [Msg::Begin { .. }, Msg::End { .. }, Msg::Frame { .. }]
         ));
     }
 
@@ -2378,8 +2480,8 @@ mod tests {
 
     /// A calm link never shows loss: 200 ships of 1–4 pages over a
     /// jittering calm link send one `Ack` each and no spare `End`, and
-    /// both directions carry exactly the datagrams they carried before
-    /// loss-gated redundancy existed, in the compact wire's bytes.
+    /// both directions carry exactly the bytes they carried before
+    /// loss-gated redundancy existed, in the compact wire's encoding.
     #[test]
     fn calm_link_sends_one_ack_a_ship() {
         let (mut ms, mut vt, space, r, _) = primary();
@@ -2397,7 +2499,9 @@ mod tests {
         // Both directions exactly as a link without the loss gate sends
         // them, on this seed and schedule: a ship's pieces and a cut
         // announce down, the Hello and an `Ack` of 8 to 10 bytes a ship up.
-        assert_eq!((down.sent, down.bytes_sent), (1002, 2_072_291));
+        // Down, a ship's Begin and End share its first datagram with the
+        // small frames, so a whole page alone adds a datagram.
+        assert_eq!((down.sent, down.bytes_sent), (802, 2_072_291));
         assert_eq!((up.sent, up.bytes_sent, m.acks), (202, 1_769, 201));
     }
 

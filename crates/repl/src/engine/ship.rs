@@ -55,12 +55,12 @@ impl Ship {
     }
 }
 
-/// Sends pieces of a ship down a link — the `Begin` if asked, the
-/// frames named, always the `End` (under `TAG_PROBE` for the timer's
-/// probe) — encoded in place and packed into datagrams of up to
-/// [`DATAGRAM_BUDGET`] bytes (a larger message travels alone). With
-/// `spare` (a link that has shown loss) the `End`'s datagram goes twice.
-/// Returns the frames sent.
+/// Sends pieces of a ship down a link — the `Begin` if asked, always the
+/// `End` (under `TAG_PROBE` for the timer's probe), the frames named —
+/// encoded in place, in that order, each into the first datagram with room
+/// within [`DATAGRAM_BUDGET`] bytes (a larger message travels alone). The
+/// first, with the `Begin`, the `End` and the small frames that fit, goes
+/// twice with `spare` (a link that has shown loss). Returns the frames sent.
 pub(super) fn send_ship(
     down: &mut SimLink,
     now: Nanos,
@@ -77,16 +77,20 @@ pub(super) fn send_ship(
     let msgs = begin
         .then(|| ship_msg(TAG_BEGIN, id, &stream.header.encode()))
         .into_iter()
-        .chain(frames.iter().map(|f| ship_msg(TAG_FRAME, id, &f.encode())))
-        .chain([ship_msg(end, id, &stream.trailer.encode())]);
-    let mut gram = Vec::new();
+        .chain([ship_msg(end, id, &stream.trailer.encode())])
+        .chain(frames.iter().map(|f| ship_msg(TAG_FRAME, id, &f.encode())));
+    let mut grams: Vec<Vec<u8>> = Vec::new();
     for msg in msgs {
-        if !gram.is_empty() && gram.len() + msg.len() > DATAGRAM_BUDGET {
-            down.send(now, std::mem::take(&mut gram));
+        let room = |gram: &&mut Vec<u8>| gram.len() + msg.len() <= DATAGRAM_BUDGET;
+        match grams.iter_mut().find(room) {
+            Some(gram) => gram.extend_from_slice(&msg),
+            None => grams.push(msg),
         }
-        gram.extend_from_slice(&msg);
     }
-    (0..=usize::from(spare)).for_each(|_| down.send(now, gram.clone()));
+    let spare = spare.then(|| grams[0].clone());
+    for gram in spare.into_iter().chain(grams) {
+        down.send(now, gram);
+    }
     frames.len() as u64
 }
 

@@ -129,8 +129,9 @@ pub struct SimLink {
     /// Instant the sender's interface finishes its current backlog.
     iface_free: Nanos,
     partitioned: bool,
-    /// In-flight datagrams keyed by (delivery instant, send order).
-    in_flight: BTreeMap<(Nanos, u64), Vec<u8>>,
+    /// In-flight datagrams keyed by (delivery instant, send order), each
+    /// with whether the link held it back.
+    in_flight: BTreeMap<(Nanos, u64), (bool, Vec<u8>)>,
     stats: LinkStats,
 }
 
@@ -176,11 +177,13 @@ impl SimLink {
             return;
         }
         let mut deliver_at = on_wire + self.cfg.latency + jitter;
-        if self.cfg.reorder_rate > 0.0 && self.rng.gen_bool(self.cfg.reorder_rate) {
+        let held = self.cfg.reorder_rate > 0.0 && self.rng.gen_bool(self.cfg.reorder_rate);
+        if held {
             self.stats.reordered += 1;
             deliver_at += self.cfg.reorder_hold;
         }
-        self.in_flight.insert((deliver_at, self.seq), payload);
+        self.in_flight
+            .insert((deliver_at, self.seq), (held, payload));
         self.seq += 1;
     }
 
@@ -192,7 +195,7 @@ impl SimLink {
         if at > now {
             return None;
         }
-        let ((at, _), payload) = self.in_flight.pop_first()?;
+        let ((at, _), (_, payload)) = self.in_flight.pop_first()?;
         self.stats.delivered += 1;
         self.stats.bytes_delivered += payload.len() as u64;
         Some((at, payload))
@@ -202,6 +205,19 @@ impl SimLink {
     /// the instant an idle receiver should sleep until.
     pub fn next_delivery(&self) -> Option<Nanos> {
         self.in_flight.keys().next().map(|&(at, _)| at)
+    }
+
+    /// The delivery instant of the earliest in-flight datagram if a
+    /// receiver running ahead of the sender may take it while the
+    /// sender's clock reads `now`: always, unless the link held that
+    /// datagram back and one sent at `now` or later could still arrive
+    /// before it (`at > now + latency`). A receiver that takes a held
+    /// datagram early would skip past arrivals the sender has yet to
+    /// make. `now = Nanos::MAX` (the sender is done) releases everything.
+    pub fn releasable(&self, now: Nanos) -> Option<Nanos> {
+        let (&(at, _), &(held, _)) = self.in_flight.first_key_value()?;
+        let overtakable = held && at.saturating_sub(self.cfg.latency) > now;
+        (!overtakable).then_some(at)
     }
 
     /// Partitions or heals the link. While partitioned every send is
@@ -409,6 +425,65 @@ mod tests {
         assert!(!ids_a.is_sorted(), "reorder holds must reorder something");
         let (ids_c, _) = run(43);
         assert_ne!(ids_a, ids_c, "different seeds diverge");
+    }
+
+    /// Drains `link` as a receiver running ahead of a sender whose clock
+    /// reads `now`: every datagram [`SimLink::releasable`] lets it take.
+    fn release(link: &mut SimLink, now: Nanos) -> Vec<(Nanos, Vec<u8>)> {
+        std::iter::from_fn(|| link.poll(link.releasable(now)?)).collect()
+    }
+
+    #[test]
+    fn a_held_head_is_released_once_nothing_sent_later_can_overtake_it() {
+        let cfg = NetConfig {
+            jitter: Nanos::ZERO,
+            drop_rate: 0.0,
+            reorder_rate: 1.0,
+            ..NetConfig::lossy(4)
+        };
+        let mut link = SimLink::new(cfg);
+        link.send(Nanos::ZERO, vec![7; 100]);
+        let at = link.next_delivery().expect("in flight");
+        assert_eq!(at, Nanos::from_ns(1000) + cfg.latency + cfg.reorder_hold);
+        let ready = at - cfg.latency;
+        for now in [Nanos::ZERO, ready - Nanos::from_ns(1)] {
+            assert_eq!(link.releasable(now), None, "held past {now:?} + latency");
+        }
+        assert_eq!(link.releasable(ready), Some(at));
+        assert_eq!(release(&mut link, ready), vec![(at, vec![7; 100])]);
+    }
+
+    #[test]
+    fn a_link_that_holds_nothing_releases_what_poll_delivers() {
+        let cfg = NetConfig {
+            reorder_rate: 0.0,
+            reorder_hold: Nanos::ZERO,
+            ..NetConfig::lossy(9)
+        };
+        let (mut early, mut late) = (SimLink::new(cfg), SimLink::new(cfg));
+        for i in 0..200u64 {
+            early.send(Nanos::from_us(i * 10), i.to_le_bytes().to_vec());
+            late.send(Nanos::from_us(i * 10), i.to_le_bytes().to_vec());
+        }
+        let got = release(&mut early, Nanos::ZERO);
+        assert_eq!(got, drain(&mut late, Nanos::MAX));
+        assert!(early.stats().dropped > 0 && !got.is_empty());
+        assert_eq!(early.next_delivery(), None);
+    }
+
+    #[test]
+    fn a_sender_at_the_end_of_time_releases_everything() {
+        let (mut a, mut b) = (
+            SimLink::new(NetConfig::lossy(2)),
+            SimLink::new(NetConfig::lossy(2)),
+        );
+        for i in 0..200u64 {
+            a.send(Nanos::from_us(i * 10), i.to_le_bytes().to_vec());
+            b.send(Nanos::from_us(i * 10), i.to_le_bytes().to_vec());
+        }
+        assert!(a.stats().reordered > 0, "some datagram is held");
+        assert_eq!(release(&mut a, Nanos::MAX), drain(&mut b, Nanos::MAX));
+        assert_eq!(a.next_delivery(), None);
     }
 
     #[test]
