@@ -206,6 +206,25 @@ guard_one_landing_rule() {
     fi
 }
 
+# Each recovered record is decided once, in replay.rs's pure rule (`link`,
+# its chain half, and `verdict`): above its tests, no other code line
+# compares a record's first epoch or `payload_sum` or tests its tag
+# against a tip, and no line exempts an untagged record (every record
+# carries its tip tag: one chain rule).
+guard_one_verdict() {
+    if awk '/^#\[cfg\(test\)\]/ { exit }
+            /tag (!=|==) 0/ { print FILENAME ":" FNR ": " $0; found = 1; next }
+            /^fn (link|verdict)\(/ { rule = 1 }
+            rule { if (/^}/) rule = 0; next }
+            /^[[:space:]]*\/\// { next }
+            /(first_epoch\(\)|payload_sum)/ && (/ (<|>|<=|>=|==|!=) / || /contains\(/) { print FILENAME ":" FNR ": " $0; found = 1; next }
+            /\.tag([^A-Za-z0-9_]|$)/ && /tip/ { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' crates/store/src/store/replay.rs; then
+        echo "each recovered record is decided in one rule: compare first_epoch() and payload_sum, and test a record's tag against a tip, only inside link and verdict in crates/store/src/store/replay.rs; no record is exempt from its tag" >&2
+        return 1
+    fi
+}
+
 # The index carve is owned by pindex.
 guard_pindex_carve() {
     forbid 'msnap_open_index|IndexCarve|CARVE_MAGIC' "the index carve (header codec, geometry, open-or-create) belongs to msnap-pindex, its only user" crates/core/src
@@ -259,11 +278,6 @@ guard_radix_copies() {
 guard_record_codec() {
     forbid 'GROUP_HEADER' "a batch group is a delta record: encode and decode it with DeltaRecord's codec" crates/store/src
     forbid 'BatchRecord|BATCH_SLOTS|batch_ring' "a group commit writes each object's DeltaRecord into that object's own ring: the shard keeps no second record ring" crates/*/src
-}
-
-# One chain rule in replay.
-guard_chain_rule() {
-    forbid 'tag != 0|tag == 0' "every record carries its tip tag: replay has one chain rule, no untagged exemption" crates/store/src/store/replay.rs
 }
 
 # One payload frame and one finish.
@@ -638,7 +652,9 @@ perturbations() {
     perturb radix_copies crates/store/src/radix.rs '1i fn copy(node: &mut Arc<Node>) -> &mut Node { Arc::make_mut(node) }'
     perturb record_codec crates/store/src/layout.rs '$a // const GROUP_HEADER: usize = 24;'
     perturb record_codec crates/store/src/store.rs '$a // let slot = self.batch_seq % BATCH_SLOTS;'
-    perturb chain_rule crates/store/src/store/replay.rs '$a // if record.tag == 0 { accept }'
+    perturb one_verdict crates/store/src/store/replay.rs '1i fn untagged(r: &DeltaRecord) -> bool { r.tag == 0 }'
+    perturb one_verdict crates/store/src/store/replay.rs '1i fn linked(r: &DeltaRecord, tips: &[(Epoch, u32)]) -> bool { tips.contains(&(r.first_epoch() - 1, r.tag)) }'
+    perturb one_verdict crates/store/src/store/replay.rs '1i fn torn(r: &DeltaRecord, sum: u64) -> bool { sum != r.payload_sum }'
     perturb payload_frame crates/snap/src/lib.rs '$a // Frame::Full(page)'
     perturb retired_fields crates/serve/src/lib.rs '$a // pub cut_every: u32,'
     perturb pindex_structure crates/pindex/src/lib.rs '$a // PHash'

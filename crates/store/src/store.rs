@@ -553,6 +553,8 @@ pub(crate) struct StoreShard {
     /// Corrupt pages with no clean local source, waiting for a peer
     /// copy via [`StoreShard::repair_page`].
     unrepaired: Vec<UnrepairedPage>,
+    /// The last open's verdicts: object, record's first epoch, reason.
+    verdicts: Vec<(ObjectId, Epoch, Option<replay::Reason>)>,
 }
 
 impl fmt::Debug for StoreShard {
@@ -589,6 +591,7 @@ impl StoreShard {
             scrub_ahead: None,
             scrub_stats: ScrubStats::default(),
             unrepaired: Vec::new(),
+            verdicts: Vec::new(),
         }
     }
 
@@ -808,6 +811,15 @@ mod tests {
         let mut shard = StoreShard::open_at(vt, disk, ShardLayout::sharded(0, 1))?;
         grant_rest(&mut shard, disk);
         Ok(shard)
+    }
+
+    /// The last open's verdicts on object 0's candidates, in the order it
+    /// decided them: each record's first epoch, and why it did not land.
+    pub(super) fn verdicts(shard: &StoreShard) -> Vec<(Epoch, Option<replay::Reason>)> {
+        let of_object_0 = shard.verdicts.iter().filter(|v| v.0 == ObjectId(0));
+        of_object_0
+            .map(|&(_, first, reason)| (first, reason))
+            .collect()
     }
 
     fn grant_rest(shard: &mut StoreShard, disk: &Disk) {

@@ -67,22 +67,99 @@ fn record_suffix(
     Ok(records)
 }
 
-/// The highest tip a chain of `candidates` reaches from the root at
-/// epoch `above` whose tag is `tip`, each link a candidate that starts
-/// right above the tip and carries its tag. Data and digests are not
-/// checked, so replay lands no record past it.
-fn reach((above, tip): (Epoch, u32), candidates: &[Tagged]) -> Epoch {
+/// The highest tip a chain of `candidates` reaches from the root's tip
+/// `root`, each link a candidate [`link`] links to a tip already reached.
+/// Data and digests are not checked, so replay lands no record past it.
+fn reach(root: (Epoch, u32), candidates: &[Tagged]) -> Epoch {
     let mut sorted: Vec<&Tagged> = candidates.iter().collect();
     sorted.sort_by_key(|(r, _)| r.first_epoch());
-    let mut tips = HashSet::from([(above, tip)]);
-    let mut highest = above;
+    let mut tips = vec![root];
     for (r, own) in sorted {
-        if r.first_epoch() > above && tips.contains(&(r.first_epoch() - 1, r.tag)) {
-            tips.insert((r.epoch, *own));
-            highest = highest.max(r.epoch);
+        if tips.iter().any(|&tip| link(r, tip).is_none()) {
+            tips.push((r.epoch, *own));
         }
     }
-    highest
+    tips.into_iter().fold(root.0, |h, (e, _)| h.max(e))
+}
+
+/// Why replay does not land a candidate record (DESIGN.md §6m, "What a
+/// bad record does"), in the order [`verdict`] finds them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Reason {
+    /// It starts at or below the tip: it overlaps the chain.
+    Stale,
+    /// It starts past the tip's next epoch.
+    PastTip,
+    /// Its tag is not the tip's: it extends another history.
+    OtherHistory,
+    /// Its data extent misses its `payload_sum`: torn or bit-flipped.
+    TornPayload,
+    /// A node on one of its pairs' paths is corrupt.
+    CorruptNode,
+    /// A page it patches misses its pair digest: a rotted or wrong base.
+    DigestMiss,
+}
+
+/// What IO gathers of a candidate when [`verdict`] asks: its extent's
+/// checksum, whether its paths hydrate, whether its pages match digests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fact {
+    Payload,
+    Paths,
+    Digests,
+}
+
+/// Each [`Fact`] of a candidate, once IO gathered it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Gathered {
+    sum: Option<u64>,
+    paths: Option<bool>,
+    digests: Option<bool>,
+}
+
+/// What becomes of a candidate: it extends the chain, IO gathers a fact
+/// first, or it is rejected for a reason, and the chain ends there or not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Extends,
+    Need(Fact),
+    Rejected(Reason, bool),
+}
+
+/// The chain half of [`verdict`], and [`reach`]'s one test: why `record`
+/// does not extend the tip `(epoch, tip)`, or `None` if it starts right
+/// above it and carries its tag.
+fn link(record: &DeltaRecord, (epoch, tip): (Epoch, u32)) -> Option<Reason> {
+    let first = record.first_epoch();
+    let chain = [
+        (first <= epoch, Reason::Stale),
+        (first != epoch + 1, Reason::PastTip),
+        (record.tag != tip, Reason::OtherHistory),
+    ];
+    chain.into_iter().find(|c| c.0).map(|c| c.1)
+}
+
+/// DESIGN.md §6m's replay rule: what becomes of `record`, with the facts
+/// `g` gathered so far, on the chain's tip. The chain facts decide first,
+/// so a record they reject costs no read; then its payload, the nodes on
+/// its pairs' paths and its pair digests, each asked for once the one
+/// before holds. Only a stale record leaves the chain open: no other
+/// starts at the tip's next epoch (each first epoch has its own slot).
+fn verdict(record: &DeltaRecord, g: Gathered, tip: (Epoch, u32)) -> Verdict {
+    if let Some(reason) = link(record, tip) {
+        return Verdict::Rejected(reason, reason != Reason::Stale);
+    }
+    let paid = g.sum.map(|sum| sum == record.payload_sum);
+    let data = [
+        (Fact::Payload, paid, Reason::TornPayload),
+        (Fact::Paths, g.paths, Reason::CorruptNode),
+        (Fact::Digests, g.digests, Reason::DigestMiss),
+    ];
+    match data.into_iter().find(|(_, holds, _)| *holds != Some(true)) {
+        Some((fact, None, _)) => Verdict::Need(fact),
+        Some((_, _, reason)) => Verdict::Rejected(reason, true),
+        None => Verdict::Extends,
+    }
 }
 
 /// The base blocks [`StoreShard::prefetch_bases`] read for one object's
@@ -97,18 +174,6 @@ impl Prefetch {
         let at = self.blocks.binary_search(&block).ok()? * BLOCK_SIZE;
         Some(&self.images[at..at + BLOCK_SIZE])
     }
-}
-
-/// What replay does with one candidate record.
-enum Candidate {
-    /// It extends the chain: land it with these patched pages, one per
-    /// inline pair.
-    Verified(Vec<Box<[u8]>>),
-    /// It does not extend the chain (it overlaps it, carries another
-    /// history's tag, or does not verify); a later candidate may.
-    Rejected,
-    /// The chain ends before it.
-    ChainEnds,
 }
 
 impl StoreShard {
@@ -133,12 +198,7 @@ impl StoreShard {
     /// frontier's extent from the broker state it recovers across all
     /// shards.
     ///
-    /// A line-grain record replays by patching its lines, in epoch order,
-    /// over the page's overlay image, else its tree block, else zeroes,
-    /// and is accepted only if every patched page matches its pair digest
-    /// — otherwise it is a torn candidate exactly as a `payload_sum`
-    /// mismatch is (a rotted base block under it truncates the chain
-    /// there; the stale bytes are never served).
+    /// Each candidate record lands or not as [`verdict`] decides.
     ///
     /// Every read is fallible, and the fixed ranges — the slab, each
     /// object's root and delta slots, each replayed delta record's data
@@ -232,9 +292,9 @@ impl StoreShard {
 
     /// Recovers one object: adopt its newest valid full root, then replay
     /// the consecutive suffix of its records above it in its delta ring
-    /// through
-    /// [`StoreShard::apply_record`], the rule the commit path lands them
-    /// with. Returns the allocator frontier the recovered state reaches.
+    /// through [`StoreShard::apply_record`], the rule the commit path lands
+    /// them with, each as [`verdict`] decides. Returns the allocator
+    /// frontier the recovered state reaches.
     fn replay_object(
         &mut self,
         vt: &mut Vt,
@@ -260,17 +320,45 @@ impl StoreShard {
         let object = entry.id;
         self.adopt_object(vt, disk, entry, root)?;
         let bases = self.prefetch_bases(vt, disk, object, records.iter().map(|(r, _)| r))?;
-        for (record, tip) in &records {
-            match self.check_record(vt, disk, record, &bases)? {
-                Candidate::Verified(patched) => {
-                    // The blocks a replayed record supersedes wait for
-                    // their gates, as they did when it committed.
-                    self.apply_record(record, &mut patched.into_iter());
-                    self.objects[object.0 as usize].tip = *tip;
-                    high_water = record.data_blocks().fold(high_water, |h, b| h.max(b + 1));
+        for (record, own) in &records {
+            let state = &mut self.objects[object.0 as usize];
+            let tip = (state.epoch, state.tip);
+            let (mut gathered, mut patched) = (Gathered::default(), None);
+            let (reason, ends) = loop {
+                match verdict(record, gathered, tip) {
+                    // A durable record's data may be torn or bit-flipped.
+                    Verdict::Need(Fact::Payload) => {
+                        let extent = readv_blocks(vt, disk, record.data_blocks())?;
+                        let sum = extent
+                            .chunks(BLOCK_SIZE)
+                            .fold(layout::FNV_OFFSET, layout::fnv1a_extend);
+                        gathered.sum = Some(sum);
+                    }
+                    // Hydration verifies node digests: a rotted node ends it.
+                    Verdict::Need(Fact::Paths) => {
+                        let mut paths = true;
+                        for (page, _) in &record.pairs {
+                            paths = paths && hydrate_paths(vt, disk, &mut state.tree, &[*page])?;
+                        }
+                        gathered.paths = Some(paths);
+                    }
+                    Verdict::Need(Fact::Digests) => {
+                        patched = patch(vt, disk, state, record, &bases)?;
+                        gathered.digests = Some(patched.is_some());
+                    }
+                    Verdict::Extends => break (None, false),
+                    Verdict::Rejected(reason, ends) => break (Some(reason), ends),
                 }
-                Candidate::Rejected => {}
-                Candidate::ChainEnds => break,
+            };
+            self.verdicts.push((object, record.first_epoch(), reason));
+            if reason.is_none() {
+                // The blocks a replayed record supersedes wait for their
+                // gates, as they did when it committed.
+                self.apply_record(record, &mut patched.into_iter().flatten());
+                self.objects[object.0 as usize].tip = *own;
+                high_water = record.data_blocks().fold(high_water, |h, b| h.max(b + 1));
+            } else if ends {
+                break;
             }
         }
         Ok(high_water)
@@ -351,104 +439,53 @@ impl StoreShard {
         }
         Ok(Prefetch { blocks, images })
     }
+}
 
-    /// Decides whether `record` extends its object's recovered chain.
-    ///
-    /// Its data extent is re-read and checked against the record's
-    /// `payload_sum`: a record can be durable while its data was torn or
-    /// bit-flipped (the device "lied"), and the checksum is what keeps
-    /// such a commit — and everything after it — out of the recovered
-    /// prefix. A *stale* record — a truncated future whose slot was not
-    /// yet reused, or a single record in a slot a folded record skipped —
-    /// can start at the live chain's next
-    /// epoch or below it, so a candidate that fails is only
-    /// [`Candidate::Rejected`] and the next one is tried; one that starts
-    /// at or below the tip overlaps the chain and is rejected outright,
-    /// and every one must carry the tip's tag (DESIGN.md §6m).
-    /// Line-grain pairs patch their lines over the overlay's image, else
-    /// the tree block (from `bases`, or read here if a page-grain pair
-    /// moved it), else zeroes, and each patched page must match its pair
-    /// digest. Nothing is applied here.
-    fn check_record(
-        &mut self,
-        vt: &mut Vt,
-        disk: &mut Disk,
-        record: &DeltaRecord,
-        bases: &Prefetch,
-    ) -> Result<Candidate, StoreError> {
-        let state = &mut self.objects[record.object.0 as usize];
-        if record.first_epoch() <= state.epoch {
-            return Ok(Candidate::Rejected); // stale: it overlaps the chain
-        }
-        if record.first_epoch() != state.epoch + 1 {
-            return Ok(Candidate::ChainEnds); // past the chain tip
-        }
-        if record.tag != state.tip {
-            return Ok(Candidate::Rejected); // it extends another history
-        }
-        let Some(inline_lines) = record.inline_lines() else {
-            return Ok(Candidate::Rejected); // an inline pair without its lines
+/// The pages `record`'s inline pairs patch: each pair's lines over the
+/// overlay's image, else the tree block (from `bases`, or read here if a
+/// page-grain pair moved it), else zeroes; `None` if one misses its digest.
+fn patch(
+    vt: &mut Vt,
+    disk: &mut Disk,
+    state: &ObjectState,
+    record: &DeltaRecord,
+    bases: &Prefetch,
+) -> Result<Option<Vec<Box<[u8]>>>, IoError> {
+    let inline: Vec<(u64, u32)> = record
+        .pairs
+        .iter()
+        .map(|(page, word)| (*page, layout::unpack_entry(*word)))
+        .filter(|(_, (block, _))| *block == INLINE_BLOCK)
+        .map(|(page, (_, digest))| (page, digest))
+        .collect();
+    let moved = inline
+        .iter()
+        .filter(|(page, _)| !state.overlay.contains_key(page))
+        .filter_map(|(page, _)| state.tree.get(*page))
+        .filter(|b| bases.get(*b).is_none());
+    let moved_images = readv_blocks(vt, disk, moved)?;
+    let mut moved_images = moved_images.chunks(BLOCK_SIZE);
+    let mut patched = Vec::with_capacity(inline.len());
+    // `from_block` refuses a record whose body is not its pairs' lines.
+    let lines = record.inline_lines().unwrap_or_default();
+    for ((page, digest), (mask, bytes)) in inline.iter().zip(lines) {
+        let mut image: Box<[u8]> = match (state.overlay.get(page), state.tree.get(*page)) {
+            (Some((_, image)), _) => image.clone(),
+            (None, Some(block)) => bases
+                .get(block)
+                .or_else(|| moved_images.next())
+                .expect("one image per base")
+                .into(),
+            (None, None) => vec![0u8; BLOCK_SIZE].into(),
         };
-        let extent = readv_blocks(vt, disk, record.data_blocks())?;
-        let sum = extent
-            .chunks(BLOCK_SIZE)
-            .fold(layout::FNV_OFFSET, layout::fnv1a_extend);
-        if sum != record.payload_sum {
-            return Ok(Candidate::Rejected); // torn
+        lines::scatter(&mut image, &lines::line_runs(mask), bytes)
+            .expect("inline_lines sized the bytes to the mask");
+        if layout::digest32(&image) != *digest {
+            return Ok(None);
         }
-        // Replay hydrates only the touched paths. Hydration verifies node
-        // digests, so a rotted node under the root truncates the chain
-        // here (crash-atomically, before any of this record's pairs
-        // apply) instead of panicking — scrub surfaces the rot afterwards.
-        for (page, _) in &record.pairs {
-            if !hydrate_paths(vt, disk, &mut state.tree, &[*page])? {
-                return Ok(Candidate::ChainEnds);
-            }
-        }
-        let inline: Vec<(u64, u32)> = record
-            .pairs
-            .iter()
-            .map(|(page, word)| (*page, layout::unpack_entry(*word)))
-            .filter(|(_, (block, _))| *block == INLINE_BLOCK)
-            .map(|(page, (_, digest))| (page, digest))
-            .collect();
-        let base_blocks: Vec<Option<u64>> = inline
-            .iter()
-            .map(|(page, _)| {
-                state
-                    .tree
-                    .get(*page)
-                    .filter(|_| !state.overlay.contains_key(page))
-            })
-            .collect();
-        let moved = base_blocks
-            .iter()
-            .flatten()
-            .filter(|b| bases.get(**b).is_none());
-        let moved_images = readv_blocks(vt, disk, moved.copied())?;
-        let mut moved_images = moved_images.chunks(BLOCK_SIZE);
-        let mut patched = Vec::with_capacity(inline.len());
-        for (((page, digest), (mask, bytes)), base) in
-            inline.iter().zip(inline_lines).zip(base_blocks)
-        {
-            let mut image: Box<[u8]> = match (state.overlay.get(page), base) {
-                (Some((_, image)), _) => image.clone(),
-                (None, Some(block)) => bases
-                    .get(block)
-                    .or_else(|| moved_images.next())
-                    .expect("one image per base")
-                    .into(),
-                (None, None) => vec![0u8; BLOCK_SIZE].into(),
-            };
-            lines::scatter(&mut image, &lines::line_runs(mask), bytes)
-                .expect("inline_lines sized the bytes to the mask");
-            if layout::digest32(&image) != *digest {
-                return Ok(Candidate::Rejected); // torn, stale, or over a rotted base
-            }
-            patched.push(image);
-        }
-        Ok(Candidate::Verified(patched))
+        patched.push(image);
     }
+    Ok(Some(patched))
 }
 
 /// [`RadixTree::hydrate_paths`] of `tree` from the device, in vectored
@@ -475,9 +512,217 @@ fn hydrate_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::tests::{open_shard, page_of, setup};
+    use crate::store::tests::{open_shard, page_of, setup, verdicts};
     use crate::ObjectStore;
     use msnap_disk::DiskConfig;
+
+    /// A candidate as the enumeration sees it: first epoch, span, tag,
+    /// the tag a record extending it carries, and whether its payload,
+    /// its pairs' paths and its pair digests hold.
+    #[derive(Debug, Clone, Copy)]
+    struct Cand {
+        first: Epoch,
+        span: u64,
+        tag: u32,
+        own: u32,
+        holds: [bool; 3],
+    }
+
+    /// The checksum every enumerated record's extent must match.
+    const PAID: u64 = 0x5eed;
+
+    /// DESIGN.md §6m, read independently of [`verdict`]: the first of the
+    /// six reasons that applies to `c` on the tip `(epoch, tag)`.
+    fn expected(c: &Cand, (epoch, tag): (Epoch, u32)) -> Option<Reason> {
+        let reasons = [
+            (c.first <= epoch, Reason::Stale),
+            (c.first > epoch + 1, Reason::PastTip),
+            (c.tag != tag, Reason::OtherHistory),
+            (!c.holds[0], Reason::TornPayload),
+            (!c.holds[1], Reason::CorruptNode),
+            (!c.holds[2], Reason::DigestMiss),
+        ];
+        reasons
+            .iter()
+            .find(|(applies, _)| *applies)
+            .map(|(_, r)| *r)
+    }
+
+    /// One candidate's decision: its reason (`None`: landed), whether the
+    /// chain ended there, the tip it was decided on and the facts it asked
+    /// for.
+    type Decided = (Option<Reason>, bool, (Epoch, u32), Vec<Fact>);
+
+    /// `replay_object`'s walk with the model's facts for IO: each
+    /// candidate's decision, then the recovered tip.
+    fn walk(root: (Epoch, u32), cands: &[Cand]) -> (Vec<Decided>, (Epoch, u32)) {
+        let mut tip = root;
+        let mut decided = Vec::new();
+        for c in cands {
+            let record = record_of(c);
+            let (mut g, mut asked) = (Gathered::default(), Vec::new());
+            let (reason, ends) = loop {
+                match verdict(&record, g, tip) {
+                    Verdict::Need(fact) if asked.contains(&fact) => {
+                        panic!("{fact:?} asked for twice")
+                    }
+                    Verdict::Need(fact) => {
+                        asked.push(fact);
+                        match fact {
+                            Fact::Payload => g.sum = Some(if c.holds[0] { PAID } else { !PAID }),
+                            Fact::Paths => g.paths = Some(c.holds[1]),
+                            Fact::Digests => g.digests = Some(c.holds[2]),
+                        }
+                    }
+                    Verdict::Extends => break (None, false),
+                    Verdict::Rejected(reason, ends) => break (Some(reason), ends),
+                }
+            };
+            decided.push((reason, ends, tip, asked));
+            if reason.is_none() {
+                tip = (record.epoch, c.own);
+            } else if ends {
+                break;
+            }
+        }
+        (decided, tip)
+    }
+
+    fn record_of(c: &Cand) -> DeltaRecord {
+        DeltaRecord {
+            object: ObjectId(0),
+            epoch: c.first + c.span,
+            span: c.span,
+            tag: c.tag,
+            len_pages: 1,
+            payload_sum: PAID,
+            pairs: Vec::new(),
+            body: Vec::new(),
+        }
+    }
+
+    /// Drives `verdict` and `reach` alone, with no device, over every
+    /// small state: a root tip at epoch 0 or 3 with tag 0 or 7, and 1–3
+    /// candidates with distinct first epochs (one ring slot each) from
+    /// just below the tip to three above it, each of span 0 or 1, tagged
+    /// with the root's tag, the tag of the first or second candidate, or
+    /// another history's, and each combination of payload, paths and
+    /// digests holding (three candidates: all, or all but the payload).
+    /// Checks each candidate's reason and whether the chain ends against
+    /// [`expected`], that the chain facts alone decide a record they
+    /// reject and the data facts are asked for in order up to the first
+    /// that fails, the recovered epoch against the chain of candidates
+    /// that hold throughout, and `reach` against every chain the tags
+    /// link, whatever its data.
+    #[test]
+    fn the_verdict_keeps_every_recovery_rule_in_every_small_state() {
+        let all_data: Vec<[bool; 3]> = (0..8)
+            .map(|b| [b & 1 == 0, b & 2 == 0, b & 4 == 0])
+            .collect();
+        let mut states = 0u64;
+        for (epoch, tag) in [(0u64, 0u32), (0, 7), (3, 0), (3, 7)] {
+            let root = (epoch, tag);
+            let firsts: Vec<Epoch> = (epoch.saturating_sub(1)..=epoch + 3).collect();
+            for n in 1..=3usize {
+                let data = if n < 3 { &all_data[..] } else { &all_data[..2] };
+                let mut variants = Vec::new();
+                for span in 0..=1 {
+                    for tag in [tag, 101, 102, 99] {
+                        for &holds in data {
+                            variants.push((span, tag, holds));
+                        }
+                    }
+                }
+                let chosen: Vec<Vec<Epoch>> = (0u32..1 << firsts.len())
+                    .filter(|mask| mask.count_ones() as usize == n)
+                    .map(|mask| {
+                        let picked = firsts
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| mask >> i & 1 == 1);
+                        picked.map(|(_, first)| *first).collect()
+                    })
+                    .collect();
+                for picked in &chosen {
+                    for combo in 0..variants.len().pow(n as u32) {
+                        let mut c = combo;
+                        let cands: Vec<Cand> = picked
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &first)| {
+                                let (span, tag, holds) = variants[c % variants.len()];
+                                c /= variants.len();
+                                let own = 101 + i as u32;
+                                Cand {
+                                    first,
+                                    span,
+                                    tag,
+                                    own,
+                                    holds,
+                                }
+                            })
+                            .collect();
+                        check_state(root, &cands);
+                        states += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(states, 246_912);
+    }
+
+    fn check_state(root: (Epoch, u32), cands: &[Cand]) {
+        let state = || format!("root tip {root:?}, candidates {cands:#?}");
+        let (decided, tip) = walk(root, cands);
+        for (c, (reason, ends, on, asked)) in cands.iter().zip(&decided) {
+            let want = expected(c, *on);
+            assert_eq!(
+                *reason,
+                want,
+                "candidate {c:?} on tip {on:?}\nin {}",
+                state()
+            );
+            assert_eq!(
+                *ends,
+                want.is_some_and(|r| r != Reason::Stale),
+                "whether the chain ends at {c:?} on tip {on:?}\nin {}",
+                state()
+            );
+            let chain_decides = c.first != on.0 + 1 || c.tag != on.1;
+            let failed = c.holds.iter().position(|h| !h).map_or(3, |i| i + 1);
+            let want_asked = if chain_decides {
+                &[][..]
+            } else {
+                &[Fact::Payload, Fact::Paths, Fact::Digests][..failed]
+            };
+            assert_eq!(
+                asked,
+                want_asked,
+                "facts asked of {c:?} on tip {on:?}\nin {}",
+                state()
+            );
+        }
+        // The chain of candidates that hold throughout, link by link.
+        let mut want = root;
+        while let Some(c) = cands
+            .iter()
+            .find(|c| c.first == want.0 + 1 && c.tag == want.1 && c.holds == [true; 3])
+        {
+            want = (c.first + c.span, c.own);
+        }
+        assert_eq!(tip, want, "the recovered tip\nin {}", state());
+        // Every chain the tags link, whatever its data.
+        let mut tips = vec![root];
+        while let Some(c) = cands.iter().find(|c| {
+            let linked = tips.iter().any(|t| c.first == t.0 + 1 && c.tag == t.1);
+            linked && !tips.contains(&(c.first + c.span, c.own))
+        }) {
+            tips.push((c.first + c.span, c.own));
+        }
+        let tagged: Vec<Tagged> = cands.iter().map(|c| (record_of(c), c.own)).collect();
+        let furthest = tips.iter().map(|t| t.0).max().unwrap();
+        assert_eq!(reach(root, &tagged), furthest, "reach\nin {}", state());
+    }
 
     #[test]
     fn reopen_restores_committed_data_after_deltas() {
@@ -603,6 +848,10 @@ mod tests {
         let mut store2 = open_shard(&mut vt2, &mut disk).unwrap();
         let obj2 = store2.lookup("db").unwrap();
         assert_eq!(store2.epoch(obj2), 1, "torn commit and successors rejected");
+        assert_eq!(
+            verdicts(&store2),
+            [(1, None), (2, Some(Reason::TornPayload))]
+        );
         let mut out = page_of(0);
         store2
             .read_page(&mut vt2, &mut disk, obj2, 0, &mut out)

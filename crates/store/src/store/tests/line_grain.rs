@@ -7,6 +7,7 @@
 
 use super::*;
 use crate::store::commit::PLACE_ROOT_AT;
+use crate::store::replay::Reason;
 use msnap_disk::{crash_at_every_io, Fault, FaultPlan};
 
 /// One write of a workload: page, dirty-line mask, fill byte. The fill
@@ -305,6 +306,9 @@ fn a_truncated_future_record_does_not_come_back_after_a_second_crash() {
     vt.wait_until(rec_e1 + Nanos::from_us(1));
     let mut shard = open_shard(&mut vt, &mut disk).unwrap();
     assert_eq!(shard.epoch(obj), e - 1);
+    // Slot e still holds nothing, so e + 1 is past the tip.
+    let past = (e + 1, Some(Reason::PastTip));
+    assert_eq!(verdicts(&shard), [(1, None), (2, None), past]);
 
     // Life 2: a different epoch e, on page 0 only, so life 1's e + 1 —
     // one line of page 1 — still verifies over its base. It was never
@@ -322,6 +326,11 @@ fn a_truncated_future_record_does_not_come_back_after_a_second_crash() {
     let mut vt = Vt::new(3);
     let mut reopened = open_shard(&mut vt, &mut disk).unwrap();
     assert_eq!(reopened.epoch(obj), e, "life 1's e + 1 must stay dead");
+    let other = (e + 1, Some(Reason::OtherHistory));
+    assert_eq!(
+        verdicts(&reopened),
+        [(1, None), (2, None), (e, None), other]
+    );
     assert_eq!(
         read_all(&mut reopened, &mut vt, &mut disk, obj, &settled),
         settled
@@ -586,6 +595,18 @@ fn replay_follows_a_folded_record_past_stale_and_overlapping_ones() {
     disk.settle();
     let (mut reopened, mut vt, _) = reopen_counting(&mut disk);
     assert_eq!(reopened.epoch(obj), root + 5, "the live tip");
+    // Both stale records start at or below the folded record's tip.
+    let stale = Some(Reason::Stale);
+    assert_eq!(
+        verdicts(&reopened),
+        [
+            (root + 1, None),
+            (root + 2, None),
+            (root + 3, stale),
+            (root + 4, stale),
+            (root + 5, None)
+        ]
+    );
     assert_eq!(
         read_all(&mut reopened, &mut vt, &mut disk, obj, &model),
         model
@@ -967,6 +988,9 @@ fn a_torn_record_mid_chain_ends_the_replay_at_the_same_epoch() {
     disk.corrupt_bit(shard.objects[0].tree.get(2).unwrap(), 3000, 1);
     let (mut reopened, mut vt, _) = reopen_counting(&mut disk);
     assert_eq!(reopened.epoch(obj), root + 3);
+    // The fourth misses its pair digest, and the chain ends there.
+    let missed = (root + 4, Some(Reason::DigestMiss));
+    assert_eq!(&verdicts(&reopened)[3..], [missed]);
     let mut buf = page_of(0);
     for page in 0..2 {
         reopened
@@ -989,10 +1013,27 @@ fn a_torn_record_mid_chain_ends_the_replay_at_the_same_epoch() {
     disk.corrupt_bit(shard.objects[0].tree.get(1).unwrap(), 17, 0);
     let (mut reopened, mut vt, _) = reopen_counting(&mut disk);
     assert_eq!(reopened.epoch(obj), root + 1);
+    let torn = (root + 2, Some(Reason::TornPayload));
+    assert_eq!(verdicts(&reopened), [(root + 1, None), torn]);
     assert_eq!(
         read_all(&mut reopened, &mut vt, &mut disk, obj, &models[1]),
         models[1]
     );
+}
+
+#[test]
+fn a_corrupt_node_on_a_records_path_ends_the_replay_before_it() {
+    let obj = ObjectId(0);
+    // Rot the root's tree node: the first record's pages hang under it.
+    let (mut disk, shard, root, _) = chain_over_a_root(&LINES);
+    disk.corrupt_bit(shard.objects[0].tree.committed_root(), 100, 2);
+    let (mut reopened, mut vt, _) = reopen_counting(&mut disk);
+    assert_eq!(reopened.epoch(obj), root);
+    assert_eq!(verdicts(&reopened), [(root + 1, Some(Reason::CorruptNode))]);
+    let err = reopened
+        .read_page(&mut vt, &mut disk, obj, 0, &mut page_of(0))
+        .unwrap_err();
+    assert!(matches!(err, StoreError::CorruptMeta { .. }), "{err:?}");
 }
 
 #[test]
@@ -1029,6 +1070,8 @@ fn rot_under_an_overlay_page_is_healed_by_scrub_or_truncates_recovery() {
         let mut vt = Vt::new(5);
         let mut reopened = open_shard(&mut vt, &mut crashed).unwrap();
         assert_eq!(reopened.epoch(obj), before_line.0);
+        let missed = (before_line.0 + 1, Some(Reason::DigestMiss));
+        assert_eq!(verdicts(&reopened), [missed]);
         let mut buf = page_of(0);
         let err = reopened
             .read_page(&mut vt, &mut crashed, obj, 0, &mut buf)

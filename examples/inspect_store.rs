@@ -15,9 +15,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut vt = Vt::new(0);
     let space = ms.vm_mut().create_space();
     let thread = vt.id();
+    // orders.db's 40 synchronous commits are its epochs 1 ..= 40.
+    const ORDERS_SYNCED: u64 = 40;
     for (name, pages, commits) in [
         ("users.db", 64u64, 12u64),
-        ("orders.db", 128, 40),
+        ("orders.db", 128, ORDERS_SYNCED),
         ("wal-less!", 8, 3),
     ] {
         let r = ms.msnap_open(&mut vt, space, name, pages)?;
@@ -75,6 +77,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         disk.blocks_in_use() * 4,
         ivt.now(),
     );
-    println!("the in-flight commit to orders.db was correctly discarded.");
+    // The in-flight commit would be epoch 41: recovery must stop at 40.
+    let orders = store
+        .lookup("orders.db")
+        .ok_or("orders.db did not recover")?;
+    let epoch = store.epoch(orders);
+    if epoch != ORDERS_SYNCED {
+        return Err(format!(
+            "orders.db recovered at epoch {epoch}, not at its last synchronous commit, {ORDERS_SYNCED}"
+        )
+        .into());
+    }
+    println!("the in-flight commit to orders.db was discarded: it recovered at epoch {epoch}.");
     Ok(())
 }

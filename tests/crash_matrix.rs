@@ -2,24 +2,28 @@
 //! instants and verify that recovery always yields exactly the prefix of
 //! committed transactions (persistence serializability, paper §4).
 //!
-//! Two granularities: a coarse 12-point matrix over the full 120-txn
-//! workload, and an exhaustive [`crash_at_every_io`] sweep that crashes
-//! on both sides of *every* write-completion boundary of a shorter run.
+//! Three granularities: a coarse 12-point matrix over the full 120-txn
+//! workload, an exhaustive [`crash_at_every_io`] sweep that crashes on
+//! both sides of *every* write-completion boundary of a shorter run, and
+//! a double-crash sweep that crashes a first life at every boundary and
+//! its restore and second life at every boundary again.
 
 use msnap_disk::{crash_at_every_io, Disk, DiskConfig, Fault, FaultPlan};
 use msnap_litedb::{LiteDb, MemSnapBackend};
 use msnap_sim::{Nanos, Vt};
+use std::ops::Range;
 
 const KEYS: u64 = 64;
 const TXNS: u64 = 120;
 
-/// Runs `txns` deterministic transactions, returning the instant each
-/// commit call returned (durability upper bound) and the final clock.
-fn run_workload(db: &mut LiteDb, vt: &mut Vt, txns: u64) -> Vec<Nanos> {
+/// Runs the deterministic transactions `txns` (a second life goes on from
+/// the prefix the first committed), returning the instant each commit
+/// call returned (durability upper bound).
+fn run_workload(db: &mut LiteDb, vt: &mut Vt, txns: Range<u64>) -> Vec<Nanos> {
     let table = db.create_table(vt, "kv");
     let thread = vt.id();
     let mut commits = Vec::new();
-    for i in 0..txns {
+    for i in txns {
         db.begin(vt, thread);
         // Each transaction stamps three keys with its own index.
         for j in 0..3u64 {
@@ -76,6 +80,17 @@ fn assert_recovers_prefix(disk: Disk, committed: u64, context: &str) {
     }
 }
 
+/// Each transaction's exact durability instant: the completion of the
+/// last write segment at or before the moment its synchronous commit
+/// returned (the commit-record write), among `completions`.
+fn durable_at(commits: &[Nanos], completions: &[Nanos]) -> Vec<Nanos> {
+    let done = |by: Nanos| completions.iter().copied().filter(|&c| c <= by).max();
+    let done = commits
+        .iter()
+        .map(|&by| done(by).expect("every transaction writes"));
+    done.collect()
+}
+
 fn fresh_db(vt: &mut Vt) -> LiteDb {
     let backend =
         MemSnapBackend::format_with_capacity(Disk::new(DiskConfig::paper()), "m", 4096, vt);
@@ -95,7 +110,7 @@ fn recovery_is_a_committed_prefix_at_every_crash_point() {
     // First, one run to learn the commit timeline.
     let mut vt = Vt::new(0);
     let mut db = fresh_db(&mut vt);
-    let commits = run_workload(&mut db, &mut vt, TXNS);
+    let commits = run_workload(&mut db, &mut vt, 0..TXNS);
     let end = vt.now();
     drop(db);
 
@@ -110,7 +125,7 @@ fn recovery_is_a_committed_prefix_at_every_crash_point() {
     for crash_at in crash_points {
         let mut vt = Vt::new(0);
         let mut db = fresh_db(&mut vt);
-        let commits = run_workload(&mut db, &mut vt, TXNS);
+        let commits = run_workload(&mut db, &mut vt, 0..TXNS);
 
         let committed = commits.iter().filter(|&&c| c <= crash_at).count() as u64;
         let mut disk = into_disk(db);
@@ -128,27 +143,12 @@ fn every_io_boundary_recovers_to_a_committed_prefix() {
     let run_to_db = || {
         let mut vt = Vt::new(0);
         let mut db = fresh_db(&mut vt);
-        let commits = run_workload(&mut db, &mut vt, SWEEP_TXNS);
+        let commits = run_workload(&mut db, &mut vt, 0..SWEEP_TXNS);
         (db, commits)
     };
 
-    // Learn each transaction's exact durability instant: the completion
-    // of the last write segment at or before the moment its synchronous
-    // commit returned (the commit-record write).
     let (db, commits) = run_to_db();
-    let reference = into_disk(db);
-    let completions = reference.write_completions().to_vec();
-    let commit_done: Vec<Nanos> = commits
-        .iter()
-        .map(|&by| {
-            completions
-                .iter()
-                .copied()
-                .filter(|&c| c <= by)
-                .max()
-                .expect("every transaction writes")
-        })
-        .collect();
+    let commit_done = durable_at(&commits, into_disk(db).write_completions());
 
     let points = crash_at_every_io(
         || into_disk(run_to_db().0),
@@ -160,6 +160,67 @@ fn every_io_boundary_recovers_to_a_committed_prefix() {
     assert!(
         points as u64 > 2 * SWEEP_TXNS,
         "the sweep must visit both sides of every commit boundary, got {points}"
+    );
+}
+
+#[test]
+fn a_second_crash_at_every_io_boundary_of_a_second_life_recovers_a_committed_prefix() {
+    // Life 1 is crashed at each of its IO boundaries. Each crash that left
+    // a database behind restores, runs LIFE_TWO more transactions on from
+    // the prefix it recovered, and is crashed again at every IO boundary
+    // of that restore and second life; both lives' committed transactions
+    // must be exactly what recovers.
+    const LIFE_ONE: u64 = 12;
+    const LIFE_TWO: u64 = 6;
+    let life_one = || {
+        let mut vt = Vt::new(0);
+        let mut db = fresh_db(&mut vt);
+        let commits = run_workload(&mut db, &mut vt, 0..LIFE_ONE);
+        (into_disk(db), commits)
+    };
+    let (reference, commits) = life_one();
+    let done_one = durable_at(&commits, reference.write_completions());
+    let (mut first, mut second) = (0, 0);
+    crash_at_every_io(
+        || life_one().0,
+        |crashed, cut| {
+            let committed = done_one.iter().filter(|&&c| c <= cut).count() as u64;
+            let life_two = || {
+                let mut vt = Vt::new(1);
+                vt.wait_until(cut);
+                let restored = MemSnapBackend::try_restore(crashed.clone(), "m", &mut vt).ok()?;
+                let mut db = LiteDb::open(Box::new(restored), &mut vt).unwrap();
+                let txns = committed..committed + LIFE_TWO;
+                let commits = run_workload(&mut db, &mut vt, txns);
+                Some((into_disk(db), commits))
+            };
+            let Some((disk, commits)) = life_two() else {
+                // Nothing durable to restore: the first sweep checks it.
+                assert_eq!(committed, 0, "restore failed after a crash at {cut}");
+                return;
+            };
+            first += 1;
+            // Life 1's completions past the crash never happened.
+            let lived = crashed.write_completions().len();
+            let done_two = durable_at(&commits, &disk.write_completions()[lived..]);
+            crash_at_every_io(
+                || life_two().expect("the first restore succeeded").0,
+                |disk, at| {
+                    if at < cut {
+                        return; // a boundary before the first crash
+                    }
+                    second += 1;
+                    let more = done_two.iter().filter(|&&c| c <= at).count() as u64;
+                    let context = format!("after crashes at {cut} and {at}");
+                    assert_recovers_prefix(disk, committed + more, &context);
+                },
+            );
+        },
+    );
+    assert!(first > 2 * LIFE_ONE, "{first} first-crash points restored");
+    assert!(
+        second > first * 2 * LIFE_TWO,
+        "{second} second-crash points"
     );
 }
 
