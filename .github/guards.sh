@@ -96,7 +96,7 @@ guard_reader_decode() {
 # counted here.
 guard_unwrap_ceiling() {
     local crate max n bad=0
-    local ceilings='aurora 2 core 5 disk 5 fs 1 litedb 5 pgdb 25 pindex 16 repl 0 serve 4 sim 5 skipdb 10 snap 0 store 20 vm 1 workloads 0'
+    local ceilings='aurora 2 core 4 disk 5 fs 1 litedb 5 pgdb 25 pindex 16 repl 0 serve 4 sim 5 skipdb 10 snap 0 store 20 vm 1 workloads 0'
     for crate in crates/*/; do
         crate=${crate#crates/}
         crate=${crate%/}
@@ -349,6 +349,32 @@ guard_splitmix64() {
         echo "splitmix64 is defined in crates/sim/src/hash.rs only (msnap_sim::hash::splitmix64)" >&2
         return 1
     fi
+}
+
+# One trailing-zero scan: above the tests of every program crate, only
+# msnap-sim's zero_tail helper scans an image for its zero tail (the
+# device and the VM both call it), and the VM allocates no whole-page
+# frame of zeroes: a frame holds only the bytes before its zero tail.
+guard_zero_tail() {
+    local f bad=0
+    for f in crates/*/src/**/*.rs; do
+        case "$f" in crates/bench/* | crates/compat-*/* | */tests/* | crates/sim/src/zero_tail.rs) continue ;; esac
+        if awk '/^#\[cfg\(test\)\]/ { exit }
+                /(rposition|rev\(\)\.position)\(.*!= *0|rev\(\)\.take_while\(.*== *0|leading_zeros\(\) as usize \/ 8/ { print FILENAME ":" FNR ": " $0; found = 1 }
+                END { exit !found }' "$f"; then
+            bad=1
+        fi
+    done
+    if [ "$bad" -ne 0 ]; then
+        echo "the trailing-zero scan lives in crates/sim/src/zero_tail.rs only: call msnap_sim::zero_tail::trim" >&2
+    fi
+    if awk '/^#\[cfg\(test\)\]/ { exit }
+            /vec!\[0(u8)?; *PAGE_SIZE\]/ { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' crates/vm/src/vm.rs; then
+        echo "a VM page frame holds only the bytes before its zero tail: allocate no vec![0u8; PAGE_SIZE] frame in crates/vm/src/vm.rs (pad with msnap_sim::zero_tail)" >&2
+        bad=1
+    fi
+    return $bad
 }
 
 # One image door.
@@ -665,6 +691,8 @@ perturbations() {
     perturb stream_pieces crates/snap/src/codec.rs '/^impl DeltaStream/a \    // fn encode(&self) -> Vec<u8>'
     perturb sync_to crates/repl/src/lib.rs '$a // fn sync_to(primary, replica)'
     perturb splitmix64 crates/store/src/lib.rs '$a // z * 0x94d049bb133111eb'
+    perturb zero_tail crates/disk/src/device.rs 's/^    zero_tail::trim\(data\)\.into\(\)$/    let end = data.iter().rposition(|\&b| b != 0).map_or(0, |i| i + 1);\n    data[..end].into()/'
+    perturb zero_tail crates/vm/src/vm.rs 's/^                data: Vec::new\(\),$/                data: vec![0u8; PAGE_SIZE],/'
     perturb image_door crates/core/src/api.rs '$a // store.fence_epoch(id)'
     perturb public_store crates/store/src/lib.rs '$a // pub use store::StoreShard;'
     perturb file_size crates/store/src/shard.rs "1i $(printf '// padding\\n%.0s' $(seq 150))"

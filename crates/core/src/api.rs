@@ -39,7 +39,7 @@ pub const SUBPAGE_KEEP: usize = 64;
 /// (apply_image, fence, restore) breaks the chain and the query reports
 /// "unknown" instead of an unsound extent set.
 #[derive(Debug)]
-struct SubpageRecord {
+pub(crate) struct SubpageRecord {
     prev: Epoch,
     /// Page → dirty-line bitmap (bit `i` covers bytes `i*64..(i+1)*64`).
     pages: BTreeMap<u64, u64>,
@@ -110,7 +110,7 @@ pub struct MemSnap {
     pub(crate) pipeline: VecDeque<Nanos>,
     /// Per-object sub-page extent chains, newest [`SUBPAGE_KEEP`] commits
     /// each (see [`MemSnap::subpage_extents`]).
-    subpage: HashMap<StoreObjId, BTreeMap<Epoch, SubpageRecord>>,
+    pub(crate) subpage: HashMap<StoreObjId, BTreeMap<Epoch, SubpageRecord>>,
 }
 
 impl std::fmt::Debug for MemSnap {
@@ -650,15 +650,17 @@ impl MemSnap {
     }
 
     /// Appends one commit's dirty-line record to an object's extent
-    /// chain, pruning to the newest [`SUBPAGE_KEEP`] records.
+    /// chain in `subpage` (a [`MemSnap`]'s own, borrowed alone so the
+    /// commit's page images may still borrow its VM), pruning to the
+    /// newest [`SUBPAGE_KEEP`] records.
     pub(crate) fn record_subpage(
-        &mut self,
+        subpage: &mut HashMap<StoreObjId, BTreeMap<Epoch, SubpageRecord>>,
         obj: StoreObjId,
         prev: Epoch,
         epoch: Epoch,
         pages: impl IntoIterator<Item = (u64, u64)>,
     ) {
-        let chain = self.subpage.entry(obj).or_default();
+        let chain = subpage.entry(obj).or_default();
         let rec = chain.entry(epoch).or_insert(SubpageRecord {
             prev,
             pages: BTreeMap::new(),

@@ -9,9 +9,11 @@
 //! it freezes and re-arms tracking (DESIGN.md §6c has the table).
 //! [`MemSnap::msnap_wait`] and the fsync gates settle what was issued.
 
+use std::borrow::Cow;
 use std::collections::{hash_map::Entry, HashMap};
 
 use msnap_sim::{Category, Nanos, Vt, VthreadId};
+use msnap_store::CommitPage;
 use msnap_vm::{DirtyPage, ResetStrategy};
 
 use crate::api::{MemSnap, SYSCALL_COST};
@@ -42,6 +44,31 @@ const ALL_LANE: u64 = u64::MAX;
 /// writes to the page land in the writer's own dirty set and cannot
 /// bleed into this μCheckpoint.
 pub(crate) type TakenPage = (u32, DirtyPage, Option<Vec<u8>>);
+
+/// One page of [`MemSnap::commit_batch`]'s iovec: the store's entry (page,
+/// whole image, the lines it may commit line-grain) beside its region and
+/// every line dirtied since the page's previous commit.
+struct BatchPage<'a> {
+    region: u32,
+    page: u64,
+    image: Cow<'a, [u8]>,
+    /// What the store may commit line-grain; zero is "unknown".
+    lines: u64,
+    /// Every dirtied line, for the region's sub-page record.
+    dirty: u64,
+}
+
+impl CommitPage for BatchPage<'_> {
+    fn page(&self) -> u64 {
+        self.page
+    }
+    fn image(&self) -> &[u8] {
+        &self.image
+    }
+    fn lines(&self) -> u64 {
+        self.lines
+    }
+}
 
 /// One caller's contribution to a μCheckpoint.
 #[derive(Debug)]
@@ -284,13 +311,10 @@ impl MemSnap {
         // Stable sort: a page's images stay in arrival order.
         let mut taken: Vec<&TakenPage> = parts.iter().flat_map(|p| &p.pages).collect();
         taken.sort_by_key(|t| (t.0, t.1.obj_page));
-        // `(region, page, dirty lines)` and, in step, the store's iovec
-        // of `(page, image, lines the store may commit line-grain)`.
-        let mut keys: Vec<(u32, u64, u64)> = Vec::with_capacity(taken.len());
-        let mut iov: Vec<(u64, &[u8], u64)> = Vec::with_capacity(taken.len());
+        let mut iov: Vec<BatchPage> = Vec::with_capacity(taken.len());
         for (region, e, copy) in taken {
-            let bytes = match copy {
-                Some(copy) => &copy[..],
+            let image = match copy {
+                Some(copy) => Cow::Borrowed(&copy[..]),
                 None => self.vm.page_bytes(e),
             };
             // The store gets the lines only for an image taken in place
@@ -302,38 +326,37 @@ impl MemSnap {
             // (it is blocked on the harness, item 0(a)).
             let known = copy.is_none() && self.open_batches.is_empty();
             let lines = if known { e.lines } else { 0 };
-            match keys.last_mut() {
-                Some(k) if (k.0, k.1) == (*region, e.obj_page) => {
-                    k.2 |= e.lines;
-                    let last = iov.last_mut().expect("iov grows in step with keys");
-                    (last.1, last.2) = (bytes, last.2 | lines);
+            match iov.last_mut() {
+                Some(last) if (last.region, last.page) == (*region, e.obj_page) => {
+                    last.dirty |= e.lines;
+                    (last.image, last.lines) = (image, last.lines | lines);
                 }
-                _ => {
-                    keys.push((*region, e.obj_page, e.lines));
-                    iov.push((e.obj_page, bytes, lines));
-                }
+                _ => iov.push(BatchPage {
+                    region: *region,
+                    page: e.obj_page,
+                    image,
+                    lines,
+                    dirty: e.lines,
+                }),
             }
         }
-        // One store group per region: its run of `keys`, with the object
-        // and its previous epoch, beside the same run of the iovec.
+        // One store group per region: its run of the iovec, with the
+        // object and its previous epoch.
         let mut runs = Vec::new();
         let mut groups = Vec::new();
-        let mut rest = &iov[..];
-        for run in keys.chunk_by(|a, b| a.0 == b.0) {
-            let obj = self.regions[run[0].0 as usize].store_obj;
-            let (pages, tail) = rest.split_at(run.len());
+        for run in iov.chunk_by(|a, b| a.region == b.region) {
+            let obj = self.regions[run[0].region as usize].store_obj;
             runs.push((obj, self.store.epoch(obj), run));
-            groups.push((obj, pages));
-            rest = tail;
+            groups.push((obj, run));
         }
         match self.store.persist_batch(vt, &mut self.disk, &groups) {
             Ok(tokens) => {
                 let mut completes = Nanos::ZERO;
                 for (&(obj, prev, run), token) in runs.iter().zip(&tokens) {
-                    let lines = run.iter().map(|k| (k.1, k.2));
-                    self.record_subpage(obj, prev, token.epoch, lines);
+                    let lines = run.iter().map(|p| (p.page, p.dirty));
+                    Self::record_subpage(&mut self.subpage, obj, prev, token.epoch, lines);
                     self.completions
-                        .entry(RegionSel::Region(Md(run[0].0)))
+                        .entry(RegionSel::Region(Md(run[0].region)))
                         .or_default()
                         .insert(token.epoch, token.completes);
                     completes = completes.max(token.completes);
@@ -346,7 +369,7 @@ impl MemSnap {
             Err(e) => {
                 let err = MsnapError::from(e);
                 for (.., run) in &runs {
-                    self.sticky.insert(run[0].0, err.clone());
+                    self.sticky.insert(run[0].region, err.clone());
                 }
                 for p in parts {
                     self.untake(p);
@@ -433,7 +456,7 @@ impl MemSnap {
         if !pages.is_empty() {
             let entries: Vec<DirtyPage> = pages.iter().map(|t| t.1).collect();
             for t in &mut pages {
-                t.2 = Some(self.vm.page_bytes(&t.1).to_vec());
+                t.2 = Some(self.vm.page_bytes(&t.1).into_owned());
             }
             vt.charge(Category::Memsnap, GATHER_PER_PAGE * entries.len() as u64);
             self.vm.freeze(&entries, vt.now());

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 
-use msnap_sim::{Category, ChannelPool, Nanos, Vt};
+use msnap_sim::{zero_tail, Category, ChannelPool, Nanos, Vt};
 
 use crate::{
     DiskConfig, Fault, FaultInjector, FaultPlan, IoError, IoStats, ReadFault, ReadFaultPlan,
@@ -81,19 +81,11 @@ struct UndoEntry {
 }
 
 /// What the device keeps of a block image: `data` (a whole block)
-/// without its trailing zero bytes, which reads pad back
-/// ([`Disk::copy_out`]). A ring slot or record block is mostly zeroes,
-/// so this is what a written block costs the host. The scan reads a
-/// word at a time: the last non-zero word, then its zero high bytes.
+/// without its trailing zero bytes ([`zero_tail::trim`]), which reads pad
+/// back ([`Disk::copy_out`]). A ring slot or record block is mostly
+/// zeroes, so this is what a written block costs the host.
 fn stored(data: &[u8]) -> Box<[u8]> {
-    let (words, _) = data.as_chunks::<8>();
-    let end = words
-        .iter()
-        .rposition(|w| u64::from_le_bytes(*w) != 0)
-        .map_or(0, |i| {
-            8 * i + 8 - u64::from_le_bytes(words[i]).leading_zeros() as usize / 8
-        });
-    data[..end].into()
+    zero_tail::trim(data).into()
 }
 
 /// A simulated striped NVMe device.
@@ -457,9 +449,8 @@ impl Disk {
     /// padded back; missing (never-written) blocks read as zeroes.
     fn copy_out(&self, block: u64, out: &mut [u8]) {
         assert_eq!(out.len(), BLOCK_SIZE, "reads are whole blocks");
-        let data = self.blocks.get(&block).map_or(&[][..], |b| &b[..]);
-        out[..data.len()].copy_from_slice(data);
-        out[data.len()..].fill(0);
+        let held = self.blocks.get(&block).map_or(&[][..], |b| &b[..]);
+        zero_tail::read_at(held, 0, out);
     }
 
     /// Schedules one read submission of `blocks` blocks at `now` by the
@@ -838,11 +829,8 @@ impl Disk {
     /// zeroes included; `None` if it was never written (test/diagnostic
     /// aid).
     pub fn peek(&self, block: u64) -> Option<Vec<u8>> {
-        self.blocks.contains_key(&block).then(|| {
-            let mut image = vec![0u8; BLOCK_SIZE];
-            self.copy_out(block, &mut image);
-            image
-        })
+        let held = self.blocks.get(&block)?;
+        Some(zero_tail::padded(held, BLOCK_SIZE))
     }
 
     /// Fault injection: flips one bit of a stored block, bypassing the

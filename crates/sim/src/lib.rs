@@ -34,6 +34,8 @@
 //!   splitmix64 mixer.
 //! - [`wire`]: the little-endian `put_*` appenders and bounds-checked
 //!   [`wire::Reader`] every wire format is written and read with.
+//! - [`zero_tail`]: the one trailing-zero scan and pad-on-read, for the
+//!   device's blocks and the VM's page frames.
 //!
 //! # Example
 //!
@@ -60,6 +62,7 @@ mod stats;
 mod time;
 mod vthread;
 pub mod wire;
+pub mod zero_tail;
 
 pub use cost::{Category, CostTracker};
 pub use lock::SimLock;

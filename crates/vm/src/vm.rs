@@ -1,10 +1,11 @@
 //! The VM subsystem: objects, address spaces, faults, dirty tracking.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use msnap_sim::{Category, Nanos, Vt, VthreadId};
+use msnap_sim::{zero_tail, Category, Nanos, Vt, VthreadId};
 
 use crate::pagetable::{PageTable, PteLoc};
 use crate::PAGE_SIZE;
@@ -151,9 +152,13 @@ impl fmt::Display for VmError {
 
 impl Error for VmError {}
 
+/// A physical page frame. `data` holds at most [`PAGE_SIZE`] bytes: the
+/// page up to the end of what was written or populated. Every byte past
+/// `data.len()` reads as zero, so an untouched tail costs the host
+/// nothing (see [`zero_tail`]).
 #[derive(Debug)]
 struct PhysPage {
-    data: Box<[u8]>,
+    data: Vec<u8>,
     /// The page is part of an in-flight μCheckpoint until this instant
     /// (the paper's "checkpoint in progress" flag, time-resolved).
     cip_until: Nanos,
@@ -291,14 +296,14 @@ impl Vm {
     fn alloc_phys(&mut self) -> u32 {
         if let Some(id) = self.free_phys.pop() {
             let p = &mut self.phys[id as usize];
-            p.data.fill(0);
+            p.data.clear();
             p.cip_until = Nanos::ZERO;
             p.rmap.clear();
             p.dirty_lines = 0;
             id
         } else {
             self.phys.push(PhysPage {
-                data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+                data: Vec::new(),
                 cip_until: Nanos::ZERO,
                 rmap: Vec::new(),
                 dirty_lines: 0,
@@ -401,7 +406,16 @@ impl Vm {
             }
 
             let page = &mut self.phys[phys as usize];
-            page.data[page_off..page_off + chunk].copy_from_slice(&data[..chunk]);
+            let end = page_off + chunk;
+            if page.data.len() < end {
+                // A first write allocates what it reaches; a growing frame
+                // at least doubles, up to a page, so a sequential fill
+                // reallocates about three times a page (EXPERIMENTS.md).
+                let want = end.max(2 * page.data.capacity()).min(PAGE_SIZE);
+                page.data.reserve_exact(want - page.data.len());
+                page.data.resize(end, 0);
+            }
+            page.data[page_off..end].copy_from_slice(&data[..chunk]);
             if m.tracked {
                 // Log the touched 64-byte lines; sub-page delta shipping
                 // reads this as a conservative superset of changed bytes.
@@ -416,8 +430,8 @@ impl Vm {
         }
     }
 
-    /// COW-duplicates `old_phys`, repointing every PTE in its reverse map.
-    /// Returns the new physical page.
+    /// COW-duplicates `old_phys` (the bytes it holds), repointing every
+    /// PTE in its reverse map. Returns the new physical page.
     fn cow_replace(&mut self, old_phys: u32, owner: (MemObjectId, u64)) -> u32 {
         let new_phys = self.alloc_phys();
         let (old_data, rmap, old_lines) = {
@@ -464,8 +478,9 @@ impl Vm {
             let chunk = out.len().min(PAGE_SIZE - page_off);
             let obj_page = (va - m.va_start) / PAGE_SIZE as u64;
             match self.objects[m.object.0 as usize].pages[obj_page as usize] {
-                Some(phys) => out[..chunk]
-                    .copy_from_slice(&self.phys[phys as usize].data[page_off..page_off + chunk]),
+                Some(phys) => {
+                    zero_tail::read_at(&self.phys[phys as usize].data, page_off, &mut out[..chunk])
+                }
                 None => out[..chunk].fill(0),
             }
             vt.charge(Category::TxMemory, costs::memcpy(chunk));
@@ -476,7 +491,8 @@ impl Vm {
 
     /// Installs `data` into an object page directly, bypassing dirty
     /// tracking — used to page persisted data back in after a restore
-    /// (the data is clean by definition).
+    /// (the data is clean by definition). Bytes `data.len()..` of the page
+    /// keep what they held; the frame stores `data` without its zero tail.
     ///
     /// # Panics
     ///
@@ -491,7 +507,15 @@ impl Vm {
                 p
             }
         };
-        self.phys[phys as usize].data[..data.len()].copy_from_slice(data);
+        let frame = &mut self.phys[phys as usize].data;
+        if frame.len() <= data.len() {
+            let image = zero_tail::trim(data);
+            frame.clear();
+            frame.reserve_exact(image.len());
+            frame.extend_from_slice(image);
+        } else {
+            frame[..data.len()].copy_from_slice(data);
+        }
     }
 
     /// Number of pages currently in `thread`'s dirty set.
@@ -544,9 +568,16 @@ impl Vm {
         self.threads.entry(thread).or_default().extend(entries);
     }
 
-    /// A page's current bytes (for assembling μCheckpoint IO).
-    pub fn page_bytes(&self, entry: &DirtyPage) -> &[u8] {
-        &self.phys[entry.phys as usize].data
+    /// A page's current bytes, all [`PAGE_SIZE`] of them (for assembling
+    /// μCheckpoint IO): the frame itself when it holds the whole page, or
+    /// a copy with its zero tail put back.
+    pub fn page_bytes(&self, entry: &DirtyPage) -> Cow<'_, [u8]> {
+        let held = &self.phys[entry.phys as usize].data;
+        if held.len() == PAGE_SIZE {
+            Cow::Borrowed(held)
+        } else {
+            Cow::Owned(zero_tail::padded(held, PAGE_SIZE))
+        }
     }
 
     /// Marks the pages of a μCheckpoint busy until `until` (sets the
@@ -658,6 +689,8 @@ impl Default for Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const VA: u64 = 0x7000_0000_0000;
 
@@ -952,6 +985,138 @@ mod tests {
         assert_eq!(
             vm.map(s, b, VA + 1, TrackMode::Tracked),
             Err(VmError::UnalignedVa)
+        );
+    }
+
+    #[test]
+    fn a_fresh_page_written_in_line_zero_holds_at_most_a_line() {
+        let (mut vm, mut vt, space, obj) = setup(4);
+        let t = vt.id();
+        vm.write(&mut vt, space, t, VA + 8, &[7; 40]);
+        let phys = vm.objects[obj.0 as usize].pages[0].unwrap();
+        let frame = &vm.phys[phys as usize].data;
+        assert!(frame.len() <= LINE_SIZE, "holds {} bytes", frame.len());
+        assert!(
+            frame.capacity() <= LINE_SIZE,
+            "reserves {} bytes",
+            frame.capacity()
+        );
+        let dirty = vm.take_dirty(t, None);
+        let image = vm.page_bytes(&dirty[0]);
+        assert_eq!(image.len(), PAGE_SIZE);
+        assert!(image[..8].iter().chain(&image[48..]).all(|&b| b == 0));
+        assert_eq!(image[8..48], [7; 40]);
+    }
+
+    /// Random bytes, each zero with probability one half, so writes and
+    /// images carry zero runs of every length.
+    fn sparse_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| if rng.gen_bool(0.5) { 0 } else { rng.gen() })
+            .collect()
+    }
+
+    #[test]
+    fn a_frame_behaves_exactly_like_a_dense_page() {
+        const PAGES: usize = 48;
+        let (mut cows, mut recycled) = (0, 0);
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut vm, mut vt, space, obj) = setup(PAGES as u64);
+            let t = vt.id();
+            let mut dense = vec![[0u8; PAGE_SIZE]; PAGES];
+            let mut lines = [0u64; PAGES];
+            for step in 0..400 {
+                let page = rng.gen_range(0..PAGES);
+                match rng.gen_range(0..6u32) {
+                    // A write at any offset and length, across a page
+                    // boundary too.
+                    0 | 1 => {
+                        let off = rng.gen_range(0..PAGE_SIZE);
+                        let room = (PAGES - page) * PAGE_SIZE - off;
+                        let len = rng.gen_range(1..=room.min(PAGE_SIZE + 64));
+                        let data = sparse_bytes(&mut rng, len);
+                        vm.write(
+                            &mut vt,
+                            space,
+                            t,
+                            VA + (page * PAGE_SIZE + off) as u64,
+                            &data,
+                        );
+                        for (i, &b) in data.iter().enumerate() {
+                            let at = page * PAGE_SIZE + off + i;
+                            dense[at / PAGE_SIZE][at % PAGE_SIZE] = b;
+                            lines[at / PAGE_SIZE] |= 1 << (at % PAGE_SIZE / LINE_SIZE);
+                        }
+                    }
+                    2 => {
+                        let off = rng.gen_range(0..PAGE_SIZE);
+                        let len = rng.gen_range(1..=PAGE_SIZE);
+                        let mut out = vec![0xA5; len];
+                        let va = VA + (page * PAGE_SIZE + off) as u64;
+                        let len = len.min((PAGES - page) * PAGE_SIZE - off);
+                        vm.read(&mut vt, space, va, &mut out[..len]);
+                        let at = page * PAGE_SIZE + off;
+                        let want: Vec<u8> = (at..at + len)
+                            .map(|a| dense[a / PAGE_SIZE][a % PAGE_SIZE])
+                            .collect();
+                        assert_eq!(out[..len], want[..], "seed {seed} step {step}: read");
+                    }
+                    // An image whose zero tail has any length, the whole
+                    // page (all zero) included; now and then a short one.
+                    3 => {
+                        let len = if rng.gen_bool(0.2) {
+                            rng.gen_range(0..=PAGE_SIZE)
+                        } else {
+                            PAGE_SIZE
+                        };
+                        let mut image = sparse_bytes(&mut rng, len);
+                        let tail = rng.gen_range(0..=len);
+                        image[len - tail..].fill(0);
+                        vm.populate_page(obj, page as u64, &image);
+                        dense[page][..len].copy_from_slice(&image);
+                    }
+                    // Harvest: images and line masks, then re-arm; now and
+                    // then freeze the pages so the next writes take the COW
+                    // path and recycle the frozen frames.
+                    _ => {
+                        let dirty = vm.take_dirty(t, None);
+                        let mut seen = [0u64; PAGES];
+                        for e in &dirty {
+                            let p = e.obj_page as usize;
+                            seen[p] |= e.lines;
+                            assert_eq!(
+                                vm.page_bytes(e)[..],
+                                dense[p][..],
+                                "seed {seed} step {step}: image"
+                            );
+                        }
+                        assert_eq!(seen, lines, "seed {seed} step {step}: line masks");
+                        lines = [0; PAGES];
+                        vm.reset_protection(&mut vt, &dirty, ResetStrategy::TraceBuffer);
+                        if rng.gen_bool(0.5) {
+                            vm.freeze(&dirty, vt.now() + Nanos::from_us(20));
+                        }
+                    }
+                }
+                vt.advance(Nanos::from_ns(rng.gen_range(0..400)));
+            }
+            for (p, want) in dense.iter().enumerate() {
+                let mut out = vec![0xA5; PAGE_SIZE];
+                vm.read(&mut vt, space, VA + (p * PAGE_SIZE) as u64, &mut out);
+                assert_eq!(out[..], want[..], "seed {seed}: page {p} at the end");
+            }
+            assert!(vm.phys.iter().all(|f| f.data.len() <= PAGE_SIZE));
+            // Without recycling, every present page and every COW fault
+            // would own a frame of its own.
+            let present = vm.objects[obj.0 as usize].pages.iter().flatten().count();
+            let cow_faults = vm.stats().cow_faults as usize;
+            cows += cow_faults;
+            recycled += present + cow_faults - vm.phys.len();
+        }
+        assert!(
+            cows > 100 && recycled > 100,
+            "{cows} COW faults, {recycled} frames recycled"
         );
     }
 
