@@ -2505,6 +2505,67 @@ mod tests {
         assert_eq!((up.sent, up.bytes_sent, m.acks), (202, 1_769, 201));
     }
 
+    /// A lossy link's whole run, pinned the way a calm one is above: 160
+    /// commits half a millisecond apart, a page of noise or of one byte in
+    /// turn, over a lossy WAN link, then settled. Both directions'
+    /// datagrams and bytes, the frames resent, the `Ack`s and the lag
+    /// samples are exactly these, and the run took each resend path: a
+    /// window of ships in flight, a `Nak` asking for pieces, a whole ship
+    /// the replica held behind the one before it, and ships started with
+    /// a spare `End` on a link that had shown loss.
+    #[test]
+    fn lossy_link_traffic_is_pinned() {
+        let (mut ms, mut vt, space, r, _) = primary();
+        let mut eng = ReplEngine::new(ReplConfig::default());
+        eng.add_replica("r1", NetConfig::lossy(42)).unwrap();
+        let (mut window, mut asked, mut spared) = (0, 0, 0);
+        let mut held = BTreeSet::new();
+        for i in 0..160u64 {
+            if i % 2 == 0 {
+                commit_noise(&mut ms, &mut vt, space, &r, i, 1);
+            } else {
+                commit(&mut ms, &mut vt, space, &r, i as u8);
+            }
+            vt.advance(Nanos::from_us(500));
+            // Hear the replica first, so the asks this tick resends are
+            // in view; the tick then finds nothing more to hear.
+            eng.drain_up(&mut vt, &mut TickReport::default());
+            let link = &eng.links[0];
+            let inflight = link.ships.values().flat_map(|os| &os.inflight);
+            window = window.max(inflight.clone().count());
+            asked += inflight.filter(|s| s.wanted.is_some()).count();
+            let lossy = link.window_ships > 0;
+            let report = eng.tick(&mut vt, &mut ms).unwrap();
+            spared += if lossy { report.ships_started } else { 0 };
+            let node = eng.replica("r1").unwrap();
+            for (&id, rec) in &node.ships {
+                let ahead = rec.header.as_ref().is_some_and(|h| {
+                    h.base_epoch
+                        .is_some_and(|base| base > node.epoch(&h.object))
+                });
+                let whole = rec.trailer.is_some_and(|(t, _)| {
+                    let slot = |seq| rec.frames.get(seq as usize).is_some_and(Option::is_some);
+                    (0..t.frames).all(slot)
+                });
+                if ahead && whole {
+                    held.insert(id);
+                }
+            }
+        }
+        assert!(eng.settle(&mut vt, &mut ms, Nanos::from_secs(30)).unwrap());
+        let m = *eng.link_metrics("r1").unwrap();
+        let (down, up) = eng.link_net_stats("r1").unwrap();
+        let lags = eng.link_meters("r1").unwrap().get("repl_ack_lag");
+        assert!(window >= 2, "a window of ships in flight");
+        assert!(asked > 0, "a Nak asked for pieces");
+        assert!(!held.is_empty(), "the replica held a whole ship");
+        assert!(spared > 0, "ships started with a spare End");
+        assert_eq!((down.sent, down.bytes_sent), (409, 322_428));
+        assert_eq!((up.sent, up.bytes_sent), (461, 3_231));
+        assert_eq!((m.retransmit_frames, m.acks), (27, 113));
+        assert_eq!(lags.map(|l| l.count()), Some(113));
+    }
+
     /// A second `End` for a ship still missing a piece keeps the `Nak`
     /// deadline the first armed, and a probe `End` still earns the `Nak`
     /// at once.

@@ -67,7 +67,7 @@ const COMPLETED_KEEP: usize = 64;
 #[derive(Debug, Default)]
 pub(super) struct Reassembly {
     /// The ship's header; `None` until the `Begin` arrives.
-    header: Option<StreamHeader>,
+    pub(super) header: Option<StreamHeader>,
     /// The open session and whether the ship is an anchor ship; `None`
     /// until the object stands at the header's base.
     pub(super) session: Option<(bool, ApplySession)>,
