@@ -206,6 +206,28 @@ guard_one_landing_rule() {
     fi
 }
 
+# Each resend is decided once, in ship.rs's pure rule (`resend` for a pass,
+# and `hear` for what the replica says of a ship): above the tests of the
+# engine's modules, no other code line compares a ship's last send or the
+# probe timeout, reads whether a ship is held or was resent as a condition,
+# refreshes the loss memory or samples the link's lag; a field declaration
+# or a plain recording assignment (drain_up marking a ship held) is no
+# decision.
+guard_one_resend() {
+    if awk '/^#\[cfg\(test\)\]/ { nextfile }
+            FNR == 1 { rule = 0 }
+            /^(pub\(super\) )?fn (hear|resend)\(/ { rule = 1 }
+            rule { if (/^}/) rule = 0; next }
+            /^[[:space:]]*\/\// { next }
+            /(last_send|(^|[^A-Za-z0-9_])pto([^A-Za-z0-9_]|$))/ && / (<|>|<=|>=|==|!=) / { print FILENAME ":" FNR ": " $0; found = 1; next }
+            /\.(held|resent)([^(A-Za-z0-9_]|$)/ && !/\.(held|resent) = [^=]/ { print FILENAME ":" FNR ": " $0; found = 1; next }
+            /window_ships = LOSS_MEMORY/ || /rtt\.sample\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' crates/repl/src/engine.rs crates/repl/src/engine/*.rs; then
+        echo "each resend is decided in one rule: compare last_send and pto, read .held and .resent, set window_ships = LOSS_MEMORY and call rtt.sample only inside hear and resend in crates/repl/src/engine/ship.rs" >&2
+        return 1
+    fi
+}
+
 # Each recovered record is decided once, in replay.rs's pure rule (`link`,
 # its chain half, and `verdict`): above its tests, no other code line
 # compares a record's first epoch or `payload_sum` or tests its tag
@@ -678,6 +700,9 @@ perturbations() {
     perturb radix_copies crates/store/src/radix.rs '1i fn copy(node: &mut Arc<Node>) -> &mut Node { Arc::make_mut(node) }'
     perturb record_codec crates/store/src/layout.rs '$a // const GROUP_HEADER: usize = 24;'
     perturb record_codec crates/store/src/store.rs '$a // let slot = self.batch_seq % BATCH_SLOTS;'
+    perturb one_resend crates/repl/src/engine.rs '1i fn late(s: &Ship, pto: Nanos, now: Nanos) -> bool { now.saturating_sub(s.last_send) > pto }'
+    perturb one_resend crates/repl/src/engine/replica.rs '1i fn shown(link: &mut Link) { link.window_ships = LOSS_MEMORY; }'
+    perturb one_resend crates/repl/src/engine.rs '1i fn karn(l: &mut Link, s: &Ship, lag: Nanos) { if !s.held { l.rtt.sample(lag) } }'
     perturb one_verdict crates/store/src/store/replay.rs '1i fn untagged(r: &DeltaRecord) -> bool { r.tag == 0 }'
     perturb one_verdict crates/store/src/store/replay.rs '1i fn linked(r: &DeltaRecord, tips: &[(Epoch, u32)]) -> bool { tips.contains(&(r.first_epoch() - 1, r.tag)) }'
     perturb one_verdict crates/store/src/store/replay.rs '1i fn torn(r: &DeltaRecord, sum: u64) -> bool { sum != r.payload_sum }'

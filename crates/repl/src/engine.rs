@@ -26,7 +26,7 @@ use msnap_store::{
     VectorCut,
 };
 
-use ship::{send_ship, ObjShip};
+use ship::{hear, resend, send_ship, ObjShip};
 
 use crate::proto::{
     ship_head_len, ship_msg, unpack, Msg, ObjectStatus, MAX_NAK_SEQS, TAG_BEGIN, TAG_END,
@@ -215,8 +215,6 @@ pub struct LinkMetrics {
     /// Epoch lag (primary live − replica durable), worst object, as of
     /// the last tick.
     pub lag_epochs: u64,
-    /// Unacknowledged wire bytes in flight as of the last tick.
-    pub lag_bytes: u64,
     /// Acknowledged ships.
     pub acks: u64,
     /// Payload frames sent more than once (named by a `Nak`, or carried
@@ -454,9 +452,8 @@ struct Link {
     /// Acknowledgement lag of the ships never sent twice: the link's
     /// round trip, apply included, which times its tail-loss probes.
     rtt: Estimator,
-    /// Ships that may still start behind ones in flight: [`LOSS_MEMORY`]
-    /// when the link last showed loss (a `Nak`, a fired probe), less one a
-    /// ship. While it is above 0 every send of a ship has a spare `End`.
+    /// The loss memory ([`LOSS_MEMORY`] when the link last showed loss, less
+    /// one a ship started): while above 0 a window of ships may start.
     window_ships: u32,
     meters: Meters,
     metrics: LinkMetrics,
@@ -720,14 +717,14 @@ impl ReplEngine {
                             }
                             // The replica lands an object's ships in order,
                             // so an Ack covers every older one in flight.
+                            let at = os.inflight.iter().position(|s| s.id == ship);
+                            let named = at.map(|at| (&os.inflight, at));
+                            (link.rtt, link.window_ships, _) =
+                                hear(link.rtt, link.window_ships, named, None, vt.now());
                             let acked = os.inflight.iter().take_while(|s| s.id <= ship).count();
                             for done in os.inflight.drain(..acked) {
                                 let lag = vt.now().saturating_sub(done.created_at);
                                 link.meters.record("repl_ack_lag", lag);
-                                let own = done.id == ship && !done.resent && !done.held;
-                                if own && lag > Nanos::ZERO {
-                                    link.rtt.sample(lag);
-                                }
                                 let header = &done.stream.header;
                                 if header.target_epoch == os.remote {
                                     os.remote_len = Some(header.len_pages);
@@ -749,30 +746,25 @@ impl ReplEngine {
                             begin,
                             missing,
                         } => {
-                            link.window_ships = LOSS_MEMORY;
+                            let held = !begin && missing.is_empty();
                             let found = link.ships.values_mut().find_map(|os| {
                                 let at = os.inflight.iter().position(|s| s.id == ship)?;
-                                Some((os, at))
+                                Some((&mut os.inflight, at))
                             });
-                            let Some((os, at)) = found else {
+                            let named = found.as_ref().map(|(ships, at)| (&**ships, *at));
+                            let exposed;
+                            (link.rtt, link.window_ships, exposed) =
+                                hear(link.rtt, link.window_ships, named, Some(held), vt.now());
+                            let Some((ships, at)) = found else {
                                 continue;
                             };
-                            if begin || !missing.is_empty() {
-                                os.inflight[at].wanted = Some((begin, missing));
-                                continue;
+                            for (older, exposed) in ships.iter_mut().zip(exposed) {
+                                older.exposed |= exposed;
                             }
-                            // Whole, but held for its base: it needs no
-                            // probe, and its lag is one of the link's. Each
-                            // ship sent before it that the replica has not
-                            // reported whole is what it lacks.
-                            let held = &mut os.inflight[at];
-                            if !held.held && !held.resent {
-                                link.rtt.sample(vt.now().saturating_sub(held.created_at));
-                            }
-                            held.held = true;
-                            let sent = held.last_send;
-                            for older in os.inflight.range_mut(..at) {
-                                older.exposed |= !older.held && older.last_send <= sent;
+                            if held {
+                                ships[at].held = true;
+                            } else {
+                                ships[at].wanted = Some((begin, missing));
                             }
                         }
                         // Repair traffic needs the primary's store, which this
@@ -821,19 +813,10 @@ impl ReplEngine {
         Ok(())
     }
 
-    /// Answers queued repair traffic and broadcasts repair requests for
-    /// the primary's own unrepairable pages.
-    ///
-    /// Repair is symmetric. Replicas that scrub their local store send
-    /// `RepairRequest`s up the link (delivered here via the queue that
-    /// [`ReplEngine::tick`]'s drain step fills); the primary answers from
-    /// its own verified copy, but only when the page digest matches the
-    /// request — a stale or divergent copy stays silent. Conversely the
-    /// primary's scrub may quarantine a page with no clean snapshot
-    /// copy: those are broadcast down every attached link (rate-limited
-    /// per page by the retransmit timeout) and healed by the first
-    /// digest-matching `RepairResponse` through the normal crash-atomic
-    /// commit path (`ObjectStore::repair_page`).
+    /// Answers the repair requests `drain_up` queued, from the primary's
+    /// verified copies, lands the responses, and asks every heard link for
+    /// the primary's own unrepairable pages (the crate docs' *self-healing
+    /// repair*: the same exchange on either end).
     fn repair(&mut self, vt: &mut Vt, ms: &mut MemSnap) {
         for link in &mut self.links {
             for msg in std::mem::take(&mut link.pending_repairs) {
@@ -914,39 +897,19 @@ impl ReplEngine {
             // Hellos are idempotent).
             if !link.known && now.saturating_sub(link.last_hello) > RETRANSMIT_TIMEOUT {
                 if let Some(node) = link.node.as_mut() {
-                    let node_now = node.vt.now();
-                    let hello = node.hello().encode();
-                    link.up.send(node_now, hello);
+                    link.up.send(node.vt.now(), node.hello().encode());
                 }
                 link.last_hello = now;
             }
             let pto = link.rtt.probe_timeout(RETRANSMIT_TIMEOUT);
             for os in link.ships.values_mut() {
-                // Nak-driven: the pieces named, and the End. Else a tail-loss
-                // probe (the tail that fits one datagram, its End a probe the
-                // replica answers at once) of an exposed ship, or on the timer,
-                // which runs on the newest ship not held behind another.
-                let mut ships = os.inflight.iter().enumerate();
-                let timed = ships.rposition(|(i, s)| i == 0 || !s.held);
-                for (i, ship) in os.inflight.iter_mut().enumerate() {
-                    let overdue = Some(i) == timed && now.saturating_sub(ship.last_send) > pto;
-                    let (begin, seqs, probe) = match ship.wanted.take() {
-                        Some((begin, missing)) => (begin, missing, false),
-                        None if ship.exposed || overdue => {
-                            let (begin, tail) = ship.tail();
-                            (begin, tail.collect(), true)
-                        }
-                        None => continue,
-                    };
-                    let spare = link.window_ships > 0;
+                let sends;
+                (sends, link.window_ships) = resend(&os.inflight, now, pto, link.window_ships);
+                for (at, (begin, seqs, probe, spare)) in sends {
+                    let ship = &mut os.inflight[at];
                     link.metrics.retransmit_frames +=
                         send_ship(&mut link.down, now, ship, begin, seqs, probe, spare);
-                    ship.last_send = now;
-                    ship.resent = true;
-                    ship.exposed = false;
-                    if probe {
-                        link.window_ships = LOSS_MEMORY;
-                    }
+                    (ship.last_send, ship.exposed, ship.wanted) = (now, false, None);
                 }
             }
         }
@@ -964,8 +927,7 @@ impl ReplEngine {
                 caught_up = false;
                 continue;
             }
-            let mut lag_epochs = 0u64;
-            let mut lag_bytes = 0u64;
+            let (mut lag_epochs, mut lag_bytes) = (0u64, 0u64);
             for (object, id) in objects {
                 let live = ms.store().epoch(*id);
                 let (remote, inflight) = link.ships.get(object).map_or((0, 0), |os| {
@@ -975,7 +937,6 @@ impl ReplEngine {
                 lag_bytes += inflight;
             }
             link.metrics.lag_epochs = lag_epochs;
-            link.metrics.lag_bytes = lag_bytes;
             if lag_epochs > self.cfg.max_lag_epochs || lag_bytes > MAX_LAG_BYTES {
                 link.metrics.throttled_ticks += 1;
                 report.throttled = true;
@@ -2371,6 +2332,46 @@ mod tests {
         assert_eq!(lags(&eng), lags_before + 1);
         rtt.sample(done - sent_at);
         assert_eq!(eng.links[0].rtt, rtt, "one timer sample");
+    }
+
+    /// A `Nak`'s ask is recorded on its ship when heard and resent by the
+    /// next pass that runs: a tick that hears it and then fails before its
+    /// pass (as `tick` does when shipping returns an error, after
+    /// `drain_up`) loses nothing, and the next tick resends the frame.
+    #[test]
+    fn a_naks_ask_survives_a_tick_that_fails_before_its_pass() {
+        let (mut ms, mut vt, space, r, object, mut eng) = learned_link();
+        commit_noise(&mut ms, &mut vt, space, &r, 1, 3);
+        let objects = resolved_objects(ms.store());
+        eng.drain_up(&mut vt, &mut TickReport::default());
+        eng.ship(&mut vt, &mut ms, &objects, &mut TickReport::default())
+            .unwrap();
+        take_all(&mut eng.links[0].down);
+        let (id, sent) = (
+            eng.links[0].ships[&object].inflight[0].id,
+            eng.links[0].down.stats().sent,
+        );
+        let nak = Msg::Nak {
+            ship: id,
+            begin: false,
+            missing: vec![1],
+        };
+        eng.links[0].up.send(vt.now(), nak.encode());
+        vt.advance(Nanos::from_ms(1));
+        eng.drain_up(&mut vt, &mut TickReport::default());
+        assert_eq!(eng.links[0].window_ships, LOSS_MEMORY, "a Nak shows loss");
+        let ship = &eng.links[0].ships[&object].inflight[0];
+        assert_eq!(ship.wanted, Some((false, vec![1])), "recorded, not sent");
+        assert_eq!(eng.links[0].down.stats().sent, sent, "nothing resent yet");
+
+        let before = eng.link_metrics("r1").unwrap().retransmit_frames;
+        eng.tick(&mut vt, &mut ms).unwrap();
+        assert_eq!(
+            eng.link_metrics("r1").unwrap().retransmit_frames,
+            before + 1
+        );
+        let os = &eng.links[0].ships[&object];
+        assert!(os.inflight.iter().all(|s| s.wanted.is_none()), "sent once");
     }
 
     /// Takes every datagram in flight on a link out of it, in order.

@@ -17,42 +17,16 @@ pub(super) struct Ship {
     pub(super) stream: DeltaStream,
     /// The stream's wire size, counted once at build: every tick sums it.
     pub(super) wire_bytes: u64,
-    /// Primary instant the stream was built — the zero point of the
-    /// ship's acknowledgement-lag measurement.
+    /// When the stream was built: the zero point of its acknowledgement lag.
     pub(super) created_at: Nanos,
+    /// When the ship last went down the link: its build, until a resend.
     pub(super) last_send: Nanos,
-    /// The pieces the latest `Nak` asked for: the `Begin`, and frames by
-    /// sequence number.
+    /// The pieces (the `Begin`, frames) the latest `Nak` asked for, unsent.
     pub(super) wanted: Option<(bool, Vec<u64>)>,
-    /// Some piece went out twice (a `Nak` or the timer): the ship's
-    /// acknowledgement lag is ambiguous and no timer sample (Karn).
-    pub(super) resent: bool,
-    /// The replica holds the ship whole, waiting for the ships before it:
-    /// it needs no probe while one is in flight, and its `Ack` is no
-    /// sample of the link's lag.
+    /// The replica reported it whole, held for the ships before it.
     pub(super) held: bool,
-    /// A later ship arrived whole before this one had a round trip's
-    /// time: the replica lacks it, and it is probed at once.
+    /// A later ship's held report exposed it ([`hear`]), and it is unsent.
     pub(super) exposed: bool,
-}
-
-impl Ship {
-    /// What the timer's tail-loss probe carries besides its `End`: the
-    /// longest suffix of the ship that packs into one datagram with it —
-    /// frames taken from the back, and the `Begin` if every frame fit.
-    /// A lost one-datagram ship (or its lost `Ack`) is resent whole.
-    pub(super) fn tail(&self) -> (bool, std::ops::Range<u64>) {
-        let msg = |piece: usize| ship_head_len(self.id) + piece;
-        let mut room = DATAGRAM_BUDGET - msg(self.stream.trailer.encoded_len());
-        let frames = &self.stream.frames;
-        let mut first = frames.len();
-        while first > 0 && msg(frames[first - 1].encoded_len()) <= room {
-            room -= msg(frames[first - 1].encoded_len());
-            first -= 1;
-        }
-        let begin = first == 0 && msg(self.stream.header.encoded_len()) <= room;
-        (begin, first as u64..frames.len() as u64)
-    }
 }
 
 /// Sends pieces of a ship down a link — the `Begin` if asked, always the
@@ -92,6 +66,79 @@ pub(super) fn send_ship(
         down.send(now, gram);
     }
     frames.len() as u64
+}
+
+/// DESIGN.md §6e's sender rules, with [`resend`]: what the replica's `Ack`
+/// (`nak` is `None`) or `Nak` (`Some(held)`: it named nothing) about the
+/// `named` ship `at` of `ships` in flight (`None`: none), heard at `now`, does:
+/// the link's lag estimator and loss memory after it, and the ships before
+/// `at` it exposes. A `Nak` shows loss. An `Ack` or held report of a ship
+/// sent once and not reported held before samples the lag (Karn's rule). A
+/// held report exposes each ship before it not held and last sent no later.
+pub(super) fn hear(
+    mut rtt: Estimator,
+    loss: u32,
+    named: Option<(&VecDeque<Ship>, usize)>,
+    nak: Option<bool>,
+    now: Nanos,
+) -> (Estimator, u32, Vec<bool>) {
+    let loss = if nak.is_some() { LOSS_MEMORY } else { loss };
+    let Some((ships, at)) = named else {
+        return (rtt, loss, Vec::new());
+    };
+    let (s, held) = (&ships[at], nak == Some(true));
+    let lag = now.saturating_sub(s.created_at);
+    if nak != Some(false) && s.last_send == s.created_at && !s.held && lag > Nanos::ZERO {
+        rtt.sample(lag);
+    }
+    let exposes = |o: &Ship| held && !o.held && o.last_send <= s.last_send;
+    (rtt, loss, ships.range(..at).map(exposes).collect())
+}
+
+/// DESIGN.md §6e's sender rules, with [`hear`]: what a pass at `now` sends
+/// of an object's ships in flight — by place, oldest first: the `Begin` or
+/// not and frames, whether the `End` is a probe and whether its datagram
+/// goes twice — and the link's loss memory after it (`loss` before it). A
+/// ship gets the pieces a `Nak` asked for, else a probe when exposed or
+/// when it is the timer's (the newest not held, or the oldest) and over
+/// `pto` since its last send. A probe carries the longest suffix of the
+/// ship that packs into one datagram with its `End`: frames from the back,
+/// and the `Begin` if every frame fit (a one-datagram ship goes whole). It
+/// shows loss; a send has a spare `End` while the loss memory is above 0.
+#[allow(clippy::type_complexity)]
+pub(super) fn resend(
+    ships: &VecDeque<Ship>,
+    now: Nanos,
+    pto: Nanos,
+    mut loss: u32,
+) -> (Vec<(usize, (bool, Vec<u64>, bool, bool))>, u32) {
+    let tail = |s: &Ship| {
+        let msg = |piece: usize| ship_head_len(s.id) + piece;
+        let mut room = DATAGRAM_BUDGET - msg(s.stream.trailer.encoded_len());
+        let frames = &s.stream.frames;
+        let mut first = frames.len();
+        while first > 0 && msg(frames[first - 1].encoded_len()) <= room {
+            room -= msg(frames[first - 1].encoded_len());
+            first -= 1;
+        }
+        let begin = first == 0 && msg(s.stream.header.encoded_len()) <= room;
+        (begin, (first as u64..frames.len() as u64).collect())
+    };
+    let mut order = ships.iter().enumerate();
+    let timed = order.rposition(|(i, s)| i == 0 || !s.held);
+    let mut send = |(i, s): (usize, &Ship)| {
+        let overdue = Some(i) == timed && now.saturating_sub(s.last_send) > pto;
+        let ((begin, seqs), probe) = match &s.wanted {
+            Some(asked) => (asked.clone(), false),
+            None if s.exposed || overdue => (tail(s), true),
+            None => return None,
+        };
+        let spare = loss > 0;
+        loss = if probe { LOSS_MEMORY } else { loss };
+        Some((i, (begin, seqs, probe, spare)))
+    };
+    let sends = ships.iter().enumerate().filter_map(&mut send).collect();
+    (sends, loss)
 }
 
 /// Primary-side shipping state for one (link, object) pair.
@@ -321,7 +368,6 @@ impl ReplEngine {
                     created_at: now,
                     last_send: now,
                     wanted: None,
-                    resent: false,
                     held: false,
                     exposed: false,
                 };
@@ -421,7 +467,6 @@ mod tests {
             created_at: Nanos::ZERO,
             last_send: Nanos::ZERO,
             wanted: None,
-            resent: false,
             held: false,
             exposed: false,
         }
@@ -627,5 +672,250 @@ mod tests {
         }
         // (lag, ships in flight) pairs: 1 + 2 + 3 · 5 per remote.
         assert_eq!(states, 2 * 18 * 256 * 3 * 96);
+    }
+
+    /// What the replica says of one ship in a tick, as [`hear`] hears it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Report {
+        Silent,
+        /// A `Nak` naming frame 0.
+        Pieces,
+        /// A `Nak` naming the `Begin` alone.
+        Begin,
+        /// A `Nak` naming nothing: whole, held for the ships before it.
+        Held,
+    }
+
+    /// One ship of [`Flight`]: reported held before, resent before, when it
+    /// was last sent, and what the replica says of it this tick.
+    type Facts = (bool, bool, Nanos, Report);
+
+    /// One small state of an object's ships in flight in one tick: what
+    /// [`hear`] and then [`resend`] decide from.
+    #[derive(Debug)]
+    struct Flight {
+        ships: Vec<Facts>,
+        loss: u32,
+        /// The reports arrive newest ship first, else oldest first.
+        newest_first: bool,
+    }
+
+    /// The pass's instant and the link's probe timeout in these states.
+    const NOW: Nanos = Nanos::from_ms(10);
+    const PTO: Nanos = Nanos::from_ms(2);
+
+    /// A frame of `len` payload bytes at `seq`.
+    fn frame(seq: u64, len: usize) -> Frame {
+        Frame::Sub(msnap_snap::SubPageFrame {
+            seq,
+            page: seq,
+            page_digest: 0,
+            runs: vec![(0, len as u16)],
+            method: 0,
+            raw_len: len as u32,
+            payload: vec![7; len],
+            checksum: 0,
+        })
+    }
+
+    /// Ship `i` of a flight — no frames, two small ones, or a whole page
+    /// then a small one — and what its probe carries besides its `End`: the
+    /// whole ship, or the small frame alone.
+    fn resending(i: usize) -> (Ship, (bool, Vec<u64>)) {
+        let mut ship = in_flight(1 + i as u64, 4);
+        ship.id = 1 + i as u64;
+        ship.stream.frames = match i {
+            0 => Vec::new(),
+            1 => vec![frame(0, 40), frame(1, 40)],
+            _ => vec![frame(0, BLOCK_SIZE), frame(1, 40)],
+        };
+        let tail = match i {
+            0 => (true, Vec::new()),
+            1 => (true, vec![0, 1]),
+            _ => (false, vec![1]),
+        };
+        (ship, tail)
+    }
+
+    /// What `report` is to [`hear`], its `nak`, and the ask it leaves on
+    /// the ship.
+    fn said(report: Report) -> (Option<bool>, Option<(bool, Vec<u64>)>) {
+        match report {
+            Report::Silent => (None, None),
+            Report::Pieces => (Some(false), Some((false, vec![0]))),
+            Report::Begin => (Some(false), Some((true, Vec::new()))),
+            Report::Held => (Some(true), None),
+        }
+    }
+
+    /// Hears `f`'s reports as the engine records them, passes, and checks
+    /// DESIGN.md §6e's sender table, read straight from the state, against
+    /// the samples, the sends and the loss memory; `Err` names the row.
+    fn check_resend(
+        f: &Flight,
+        start: Estimator,
+        ships: &mut VecDeque<Ship>,
+        tails: &[(bool, Vec<u64>)],
+    ) -> Result<(), String> {
+        let n = f.ships.len();
+        for (ship, &(held, resent, last, _)) in ships.iter_mut().zip(&f.ships) {
+            ship.held = held;
+            ship.last_send = last;
+            ship.created_at = if resent {
+                last - Nanos::from_ms(1)
+            } else {
+                last
+            };
+            (ship.exposed, ship.wanted) = (false, None);
+        }
+        let order: Vec<usize> = match f.newest_first {
+            true => (0..n).rev().collect(),
+            false => (0..n).collect(),
+        };
+        let (mut rtt, mut loss) = (start, f.loss);
+        for &i in &order {
+            let (nak, ask) = said(f.ships[i].3);
+            if nak.is_none() {
+                continue;
+            }
+            let exposed;
+            (rtt, loss, exposed) = hear(rtt, loss, Some((ships, i)), nak, NOW);
+            for (older, exposed) in ships.iter_mut().zip(exposed) {
+                older.exposed |= exposed;
+            }
+            ships[i].held |= nak == Some(true);
+            ships[i].wanted = ask.or(ships[i].wanted.take());
+        }
+        let (sends, after) = resend(ships, NOW, PTO, loss);
+
+        // The table, row by row, in the order the replica's reports came.
+        let mut held: Vec<bool> = f.ships.iter().map(|s| s.0).collect();
+        let mut exposed = vec![false; n];
+        let (mut samples, mut showed_loss) = (start, false);
+        for &j in &order {
+            let (_, resent, sent, report) = f.ships[j];
+            if report == Report::Silent {
+                continue;
+            }
+            // Every Nak shows loss.
+            showed_loss = true;
+            if report != Report::Held {
+                continue;
+            }
+            // A held report of a ship sent once and not held before is a
+            // sample of the link's lag.
+            if !resent && !held[j] {
+                samples.sample(NOW - sent);
+            }
+            // It exposes each ship before it the replica has not reported
+            // held and that went out no later than it.
+            for i in 0..j {
+                exposed[i] |= !held[i] && f.ships[i].2 <= sent;
+            }
+            held[j] = true;
+        }
+        // The timer watches the newest ship not held, else the oldest.
+        let timed = (0..n).rev().find(|&i| !held[i]).unwrap_or(0);
+        let mut memory = if showed_loss { LOSS_MEMORY } else { f.loss };
+        let mut want = Vec::new();
+        for i in 0..n {
+            let (_, _, sent, report) = f.ships[i];
+            let over = i == timed && NOW - sent > PTO;
+            // A Nak's pieces come first; else an exposed ship or the
+            // timer's ship over its timeout is probed with its tail.
+            let send = match said(report).1 {
+                Some(ask) => Some((ask, false)),
+                None if exposed[i] || over => Some((tails[i].clone(), true)),
+                None => None,
+            };
+            if let Some(((begin, seqs), probe)) = send {
+                // A spare End while the link remembers loss; a probe
+                // shows loss itself, for the sends after it.
+                want.push((i, (begin, seqs, probe, memory > 0)));
+                memory = if probe { LOSS_MEMORY } else { memory };
+            }
+        }
+        if rtt != samples {
+            return Err(format!("Karn: sampled {rtt:?}, the table {samples:?}"));
+        }
+        if sends != want {
+            return Err(format!("sends {sends:?}, the table {want:?}"));
+        }
+        if after != memory {
+            return Err(format!("loss memory {after}, the table {memory}"));
+        }
+        Ok(())
+    }
+
+    /// Drives [`hear`] and [`resend`] alone, with no device, over every
+    /// small state of an object's ships in flight: 1–3 ships, each held or
+    /// not and resent or not, last sent just over, at or just under the
+    /// probe timeout before the pass (so in every order), each reported
+    /// silent, asked for a frame, asked for its `Begin` or held, the reports
+    /// coming oldest or newest first, on a link whose loss memory is 0, 1
+    /// or [`LOSS_MEMORY`], with a timer unsampled and one sampled. Then the
+    /// `Ack` half of Karn's rule, and a `Nak` for a ship no longer in
+    /// flight.
+    #[test]
+    fn the_resend_rule_keeps_every_sender_rule_in_every_small_state() {
+        let mut sampled = Estimator::default();
+        sampled.sample(Nanos::from_ms(3));
+        let lasts = [
+            NOW - PTO - Nanos::from_ns(1),
+            NOW - PTO,
+            NOW - PTO + Nanos::from_ns(1),
+        ];
+        let reports = [Report::Silent, Report::Pieces, Report::Begin, Report::Held];
+        let facts: Vec<Facts> = (0..48)
+            .map(|k| (k & 1 == 1, k & 2 != 0, lasts[k / 4 % 3], reports[k / 12]))
+            .collect();
+        let tails: Vec<_> = (0..3).map(|i| resending(i).1).collect();
+        let fleet = |n| (0..n).map(|i| resending(i).0).collect::<VecDeque<_>>();
+        let mut flights: Vec<VecDeque<Ship>> = (1..=3).map(fleet).collect();
+        let mut states = 0u64;
+        for n in 1..=3u32 {
+            for code in 0..48usize.pow(n) {
+                let ships: Vec<Facts> = (0..n).map(|i| facts[code / 48usize.pow(i) % 48]).collect();
+                for (loss, newest_first) in [0, 1, LOSS_MEMORY]
+                    .into_iter()
+                    .flat_map(|l| [(l, false), (l, true)])
+                {
+                    let f = Flight {
+                        ships: ships.clone(),
+                        loss,
+                        newest_first,
+                    };
+                    for start in [Estimator::default(), sampled] {
+                        let flight = &mut flights[n as usize - 1];
+                        if let Err(row) = check_resend(&f, start, flight, &tails) {
+                            panic!("{row}\nat {f:?} from {start:?}");
+                        }
+                        states += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(states, (48 + 48 * 48 + 48 * 48 * 48) * 6 * 2);
+
+        // An Ack samples the ship it names when that went out once and
+        // was not reported held; it shows no loss and exposes nothing.
+        for (held, resent, loss) in
+            (0..12).map(|k| (k & 1 == 1, k & 2 != 0, [0, 1, LOSS_MEMORY][k / 4]))
+        {
+            let (mut ship, _) = resending(0);
+            ship.held = held;
+            ship.created_at = if resent { PTO } else { NOW - PTO };
+            ship.last_send = NOW - PTO;
+            let ships = VecDeque::from([ship]);
+            let mut want = sampled;
+            if !held && !resent {
+                want.sample(PTO);
+            }
+            let got = hear(sampled, loss, Some((&ships, 0)), None, NOW);
+            assert_eq!(got, (want, loss, Vec::new()), "held {held} resent {resent}");
+        }
+        // A Nak for a ship no longer in flight still shows loss.
+        let got = hear(sampled, 0, None, Some(false), NOW);
+        assert_eq!(got, (sampled, LOSS_MEMORY, Vec::new()));
     }
 }

@@ -23,24 +23,17 @@
 //! reads of the live object, so nothing is pinned, flushed or diffed,
 //! and the built frames serve every retransmit.
 //!
-//! The replica **reassembles**: one record per ship takes the header,
-//! the frames and the trailer in whatever order they arrive, feeds its
-//! apply session in sequence as holes fill, lands the completed stream
-//! as **one crash-atomic commit** once its object stands at the
-//! stream's base (a ship of a window waits for the ones before it), and
-//! answers `Ack`. Reordering costs
-//! nothing. A hole that outlives the reorder allowance — which the
-//! replica derives from how far pieces have trailed their `End` on this
-//! link — earns a `Nak` naming exactly the missing pieces, and the
-//! primary resends exactly those (**selective repeat**). A silent loss
-//! (the `End`, the `Ack`, a whole packed ship) is covered by the
-//! primary's timer — RFC 9002's probe timeout over the link's own
-//! acknowledgement lag, never above `RETRANSMIT_TIMEOUT` (20 ms) —
-//! which sends a **tail-loss probe**: as much of the ship's tail as fits
-//! one datagram with its `End` (a packed ship whole), the `End` marked
-//! as a probe so the replica answers it at once with the `Ack` or the
-//! `Nak`. Duplicates, late and early pieces are harmless by
-//! construction (DESIGN.md §6e lists what each does).
+//! The replica **reassembles**: one record per ship takes its pieces in
+//! whatever order they arrive and lands the ship as **one crash-atomic
+//! commit** once its object stands at the ship's base (a ship of a window
+//! waits for the ones before it), answering `Ack`. A hole that outlives
+//! the reorder allowance earns a `Nak` naming the missing pieces, which
+//! the primary resends (**selective repeat**); a silent loss is covered
+//! by the primary's timer — RFC 9002's probe timeout over the link's own
+//! acknowledgement lag — which sends a **tail-loss probe** the replica
+//! answers at once. Each end decides in pure rules: the ship `plan`, the
+//! replica's `fate` and `never`, the sender's `hear` and `resend`
+//! (DESIGN.md §6e lists what each does with every kind of datagram).
 //!
 //! A sparse subset of ships are **anchor ships** — full images,
 //! rebases, and deltas whose span crosses a multiple of half
